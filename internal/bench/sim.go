@@ -119,8 +119,9 @@ func KernelCancel(b *testing.B) {
 	reportKernel(b, k)
 }
 
-// ProcessSwitch measures park/resume round trips of a lone process — with
-// the dispatch baton this resumes without any goroutine switch.
+// ProcessSwitch measures park/resume round trips of a lone process: two
+// coroutine switches each, out to the kernel loop and back in (the kernel
+// has no self-resume shortcut; see DESIGN.md "Simulator performance").
 func ProcessSwitch(b *testing.B) {
 	k := sim.NewKernel()
 	k.Go("p", func(p *sim.Proc) {
@@ -133,8 +134,8 @@ func ProcessSwitch(b *testing.B) {
 	reportKernel(b, k)
 }
 
-// ProcessPingPong bounces the dispatch baton between two processes via
-// Park/Wake — the true cross-goroutine handoff cost.
+// ProcessPingPong bounces control between two processes via Park/Wake —
+// the cross-process switch the engine pays on nearly every resume.
 func ProcessPingPong(b *testing.B) {
 	k := sim.NewKernel()
 	var pa, pb *sim.Proc

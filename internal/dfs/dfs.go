@@ -6,9 +6,12 @@
 package dfs
 
 import (
+	"cmp"
 	"fmt"
 	"hash/crc32"
+	"slices"
 	"sort"
+	"strconv"
 
 	"sae/internal/cluster"
 	"sae/internal/sim"
@@ -23,6 +26,7 @@ type FS struct {
 	blockSize int64
 	files     map[string]*File
 	fault     FaultModel
+	sumBuf    []byte // blockSum scratch
 }
 
 // FaultModel lets the engine inject gray failures into block reads without
@@ -75,9 +79,12 @@ type File struct {
 
 // Block is one replicated chunk of a file.
 type Block struct {
-	Index    int
-	Size     int64
-	Replicas []int // node IDs holding a copy
+	Index int
+	Size  int64
+	// Replicas lists the node IDs holding a copy, ascending (Create and
+	// Write keep it so; PickReplica relies on it). Blocks of a fully
+	// replicated file share one slice: treat it as read-only.
+	Replicas []int
 	// Sum is the block's CRC32 (IEEE) checksum, recorded at creation.
 	// Readers verify the data they fetch against it and fail over to
 	// another replica on mismatch, as HDFS does.
@@ -88,8 +95,16 @@ type Block struct {
 // materialized in the simulation, so the checksum covers the metadata that
 // uniquely names the data; what matters for the protocol is that it is a
 // stable per-block value that a rotten replica fails to reproduce.
-func blockSum(name string, index int, size int64) uint32 {
-	return crc32.ChecksumIEEE([]byte(fmt.Sprintf("%s#%d#%d", name, index, size)))
+func (fs *FS) blockSum(name string, index int, size int64) uint32 {
+	// "name#index#size", formatted into a buffer the file system reuses
+	// (crc32's dispatch through a function variable defeats a stack one).
+	b := append(fs.sumBuf[:0], name...)
+	b = append(b, '#')
+	b = strconv.AppendInt(b, int64(index), 10)
+	b = append(b, '#')
+	b = strconv.AppendInt(b, size, 10)
+	fs.sumBuf = b
+	return crc32.ChecksumIEEE(b)
 }
 
 // LocalTo reports whether the block has a replica on node.
@@ -106,19 +121,15 @@ func (b Block) LocalTo(node int) bool {
 // the given reader: a local replica first, then ascending node-ID distance
 // (the flat-topology stand-in for rack locality), ties broken by lower ID.
 func (b Block) ReplicasByDistance(reader int) []int {
-	out := append([]int(nil), b.Replicas...)
+	out := slices.Clone(b.Replicas)
 	dist := func(n int) int {
 		if n >= reader {
 			return n - reader
 		}
 		return reader - n
 	}
-	sort.Slice(out, func(i, j int) bool {
-		di, dj := dist(out[i]), dist(out[j])
-		if di != dj {
-			return di < dj
-		}
-		return out[i] < out[j]
+	slices.SortFunc(out, func(x, y int) int {
+		return cmp.Or(cmp.Compare(dist(x), dist(y)), cmp.Compare(x, y))
 	})
 	return out
 }
@@ -138,20 +149,31 @@ func (fs *FS) Create(name string, size int64, replication int) (*File, error) {
 	if replication <= 0 || replication > n {
 		replication = n
 	}
+	var all []int
+	if replication == n {
+		// Every node holds every block: one [0..n) list serves them all.
+		all = make([]int, n)
+		for i := range all {
+			all[i] = i
+		}
+	}
 	f := &File{Name: name, Size: size}
 	for off, idx := int64(0), 0; off < size; off, idx = off+fs.blockSize, idx+1 {
 		bs := fs.blockSize
 		if rem := size - off; rem < bs {
 			bs = rem
 		}
-		replicas := make([]int, 0, replication)
-		for r := 0; r < replication; r++ {
-			replicas = append(replicas, (idx+r)%n)
+		replicas := all
+		if replicas == nil {
+			replicas = make([]int, 0, replication)
+			for r := 0; r < replication; r++ {
+				replicas = append(replicas, (idx+r)%n)
+			}
+			sort.Ints(replicas)
 		}
-		sort.Ints(replicas)
 		f.Blocks = append(f.Blocks, Block{
 			Index: idx, Size: bs, Replicas: replicas,
-			Sum: blockSum(name, idx, bs),
+			Sum: fs.blockSum(name, idx, bs),
 		})
 	}
 	fs.files[name] = f
@@ -189,16 +211,29 @@ func (fs *FS) Files() []string {
 }
 
 // PickReplica returns the reader's preferred live replica of b: the nearest
-// replica (local first, then ascending node-ID distance) that is not in the
-// bad set and, for remote replicas, not unreachable under the fault model.
-// A local replica is always tried — its disk needs no network. ok is false
-// when every replica is bad or unreachable.
+// replica (local first, then ascending node-ID distance, lower ID on ties —
+// the order of ReplicasByDistance) that is not in the bad set and, for
+// remote replicas, not unreachable under the fault model. A local replica is
+// always tried — its disk needs no network. ok is false when every replica
+// is bad or unreachable. A nil bad set is empty.
+//
+// Replicas is sorted, so that order is a walk outward from the reader's
+// position in it: a reader holding a good replica — every read of a fully
+// replicated file — is answered after one binary search, and nothing is
+// copied or sorted on the way to a remote one.
 func (fs *FS) PickReplica(b Block, reader int, bad map[int]bool) (src int, ok bool) {
-	for _, r := range b.ReplicasByDistance(reader) {
-		if bad[r] {
-			continue
+	hi, _ := slices.BinarySearch(b.Replicas, reader)
+	lo := hi - 1
+	for lo >= 0 || hi < len(b.Replicas) {
+		var r int
+		if hi == len(b.Replicas) || lo >= 0 && reader-b.Replicas[lo] <= b.Replicas[hi]-reader {
+			r = b.Replicas[lo]
+			lo--
+		} else {
+			r = b.Replicas[hi]
+			hi++
 		}
-		if r != reader && fs.unreachable(r) {
+		if bad[r] || r != reader && fs.unreachable(r) {
 			continue
 		}
 		return r, true
@@ -224,7 +259,7 @@ func (fs *FS) ReadSum(b Block, node int) uint32 {
 // HDFS. It reports whether the winning read was node-local, and fails only
 // when every replica is unreachable or rotten.
 func (fs *FS) ReadBlock(p *sim.Proc, reader int, b Block) (local bool, err error) {
-	bad := make(map[int]bool, len(b.Replicas))
+	var bad map[int]bool // made on the first failover; most reads never fail over
 	for {
 		src, ok := fs.PickReplica(b, reader, bad)
 		if !ok {
@@ -234,6 +269,9 @@ func (fs *FS) ReadBlock(p *sim.Proc, reader int, b Block) (local bool, err error
 		fs.cluster.Transfer(p, src, reader, b.Size)
 		if fs.ReadSum(b, src) == b.Sum {
 			return src == reader, nil
+		}
+		if bad == nil {
+			bad = make(map[int]bool)
 		}
 		bad[src] = true
 	}
@@ -256,7 +294,7 @@ func (fs *FS) Write(p *sim.Proc, writer int, name string, bytes int64) {
 	fs.cluster.Node(writer).Disk.Write(p, bytes)
 	f.Blocks = append(f.Blocks, Block{
 		Index: len(f.Blocks), Size: bytes, Replicas: []int{writer},
-		Sum: blockSum(name, len(f.Blocks), bytes),
+		Sum: fs.blockSum(name, len(f.Blocks), bytes),
 	})
 	f.Size += bytes
 }

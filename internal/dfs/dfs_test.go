@@ -330,3 +330,74 @@ func TestBlockSizeDefault(t *testing.T) {
 		t.Fatalf("block size = %d", fs.BlockSize())
 	}
 }
+
+// TestPickReplicaMatchesReferenceProperty pins PickReplica's outward walk to
+// the order it replaces: the first of ReplicasByDistance that is not bad and
+// is local or reachable — over random replica sets, readers (replica holders
+// and not), bad sets (nil, empty, holding the reader) and unreachable sets.
+func TestPickReplicaMatchesReferenceProperty(t *testing.T) {
+	const nodes = 12
+	fs := New(testCluster(sim.NewKernel(), nodes), 0)
+	f := func(replicaBits, badBits, downBits uint16, readerSeed uint8, nilBad bool) bool {
+		reader := int(readerSeed) % nodes
+		var b Block
+		var bad map[int]bool
+		if !nilBad {
+			bad = make(map[int]bool)
+		}
+		for n := 0; n < nodes; n++ {
+			if replicaBits&(1<<n) != 0 {
+				b.Replicas = append(b.Replicas, n)
+			}
+			if bad != nil && badBits&(1<<n) != 0 {
+				bad[n] = true
+			}
+		}
+		down := func(n int) bool { return downBits&(1<<n) != 0 }
+		fs.SetFaultModel(FaultModel{Unreachable: down})
+		want, wantOK := -1, false
+		for _, r := range b.ReplicasByDistance(reader) {
+			if !bad[r] && (r == reader || !down(r)) {
+				want, wantOK = r, true
+				break
+			}
+		}
+		got, ok := fs.PickReplica(b, reader, bad)
+		return got == want && ok == wantOK
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFullReplicationSharesReplicaList: at replication = cluster size every
+// block lists [0..n), so the file keeps one list, and picking the local
+// replica or summing a block allocates nothing.
+func TestFullReplicationSharesReplicaList(t *testing.T) {
+	fs := New(testCluster(sim.NewKernel(), 8), 100)
+	f, err := fs.Create("in", 1000, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, b := range f.Blocks {
+		if len(b.Replicas) != 8 || &b.Replicas[0] != &f.Blocks[0].Replicas[0] {
+			t.Fatalf("block %d does not share the full replica list: %v", i, b.Replicas)
+		}
+		for n, r := range b.Replicas {
+			if r != n {
+				t.Fatalf("block %d replicas = %v, want 0..7", i, b.Replicas)
+			}
+		}
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		for reader := 0; reader < 8; reader++ {
+			if src, ok := fs.PickReplica(f.Blocks[reader], reader, nil); !ok || src != reader {
+				t.Fatalf("reader %d picked %d, %v", reader, src, ok)
+			}
+		}
+		fs.blockSum("in", 3, 100)
+	})
+	if allocs != 0 {
+		t.Errorf("local picks and a block sum allocate %v objects, want 0", allocs)
+	}
+}

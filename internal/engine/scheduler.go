@@ -1,8 +1,10 @@
 package engine
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -238,6 +240,8 @@ type taskScheduler struct {
 	policy InterJobPolicy
 	// sets holds every running task set, keyed by (job, stage).
 	sets map[setKey]*taskSet
+	// keys is activeKeys' reusable result buffer.
+	keys []setKey
 	// deferAssign suppresses assignAll while a same-instant admission
 	// batch is in progress, so every job in the batch has its task sets
 	// registered before the first slot is offered (see Engine.Wait).
@@ -261,26 +265,28 @@ func (s *taskScheduler) primaryActive() int {
 
 // activeKeys returns the running sets' keys: jobs in policy order, stages
 // ascending within each job. Policies are strict total orders, so the
-// result is deterministic.
+// result is deterministic whatever order the map yields. It is called once
+// per slot offer and allocates nothing: the returned slice is the
+// scheduler's own buffer, valid until the next call — callers iterate it
+// and must not call activeKeys again (directly or through assign) while
+// they do.
 func (s *taskScheduler) activeKeys() []setKey {
-	stagesOf := make(map[int][]int)
+	keys := s.keys[:0]
 	for key := range s.sets {
-		stagesOf[key.job] = append(stagesOf[key.job], key.stage)
+		keys = append(keys, key)
 	}
-	jobs := make([]int, 0, len(stagesOf))
-	for id := range stagesOf {
-		jobs = append(jobs, id)
-	}
-	sort.Slice(jobs, func(i, j int) bool {
-		return s.policy.Before(s.eng.snapshotJob(jobs[i]), s.eng.snapshotJob(jobs[j]))
-	})
-	keys := make([]setKey, 0, len(s.sets))
-	for _, id := range jobs {
-		stages := stagesOf[id]
-		sort.Ints(stages)
-		for _, st := range stages {
-			keys = append(keys, setKey{job: id, stage: st})
-		}
+	s.keys = keys
+	if len(keys) > 1 {
+		slices.SortFunc(keys, func(a, b setKey) int {
+			switch {
+			case a.job == b.job:
+				return cmp.Compare(a.stage, b.stage)
+			case s.policy.Before(s.eng.snapshotJob(a.job), s.eng.snapshotJob(b.job)):
+				return -1
+			default:
+				return 1
+			}
+		})
 	}
 	return keys
 }

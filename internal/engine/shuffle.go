@@ -36,6 +36,8 @@ type shuffleRegistry struct {
 	// recovered[job] is the total bytes re-registered for lost outputs of
 	// that job.
 	recovered map[int]int64
+	// byNode is reducePlan's scratch: bytes per source node, zeroed on exit.
+	byNode []int64
 }
 
 func newShuffleRegistry() *shuffleRegistry {
@@ -191,7 +193,11 @@ func (r *shuffleRegistry) reducePlan(job int, from []int, numTasks, idx int) []s
 	if numTasks <= 0 {
 		panic(fmt.Sprintf("engine: reducePlan with %d tasks", numTasks))
 	}
-	byNode := make(map[int]int64)
+	// Node IDs are dense (0..n-1), so the per-node sums live in a reusable
+	// slice — all zero between calls — and reading it back in index order is
+	// the ascending node order, with no map and no sort.
+	byNode := r.byNode
+	n := 0 // nodes with a non-zero sum
 	for _, st := range from {
 		for _, out := range r.outputs[setKey{job, st}] {
 			if out.lost {
@@ -201,18 +207,21 @@ func (r *shuffleRegistry) reducePlan(job int, from []int, numTasks, idx int) []s
 			if int64(idx) < out.bytes%int64(numTasks) {
 				base++
 			}
+			if out.node >= len(byNode) {
+				byNode = append(byNode, make([]int64, out.node+1-len(byNode))...)
+			}
+			if base > 0 && byNode[out.node] == 0 {
+				n++
+			}
 			byNode[out.node] += base
 		}
 	}
-	nodes := make([]int, 0, len(byNode))
-	for n := range byNode {
-		nodes = append(nodes, n)
-	}
-	sort.Ints(nodes)
-	plan := make([]segment, 0, len(nodes))
-	for _, n := range nodes {
-		if byNode[n] > 0 {
-			plan = append(plan, segment{node: n, bytes: byNode[n], gen: r.nodeGen[n]})
+	r.byNode = byNode
+	plan := make([]segment, 0, n)
+	for node, bytes := range byNode {
+		if bytes > 0 {
+			plan = append(plan, segment{node: node, bytes: bytes, gen: r.nodeGen[node]})
+			byNode[node] = 0
 		}
 	}
 	return plan

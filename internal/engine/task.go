@@ -222,28 +222,29 @@ func (tc *taskContext) ReadInput(max int64) int64 {
 func (tc *taskContext) pickBlockSrc(b dfs.Block) (int, error) {
 	e := tc.eng
 	reader := tc.ex.node.ID
-	bad := make(map[int]bool, len(b.Replicas))
+	var bad map[int]bool // made on the first failover; most blocks never fail over
 	for {
 		src, ok := e.fs.PickReplica(b, reader, bad)
 		if !ok {
 			return -1, fmt.Errorf("block %d: all %d replicas unreachable or corrupt", b.Index, len(b.Replicas))
 		}
-		if src != reader && e.partitionedNow(tc.ex.id) {
+		switch {
+		case src != reader && e.partitionedNow(tc.ex.id):
 			// The reader's own node is inside a partition window: every
 			// remote replica is out of reach from this side.
-			bad[src] = true
-			continue
-		}
-		if e.fs.ReadSum(b, src) != b.Sum {
+		case e.fs.ReadSum(b, src) != b.Sum:
 			tc.diskRead(src, b.Size)
 			tc.transfer(src, reader, b.Size)
 			tc.checksumFailovers++
 			e.trace(TraceEvent{Type: TraceChecksum, Job: tc.jobID, Stage: tc.stage.ID, Task: tc.index, Exec: tc.ex.id,
 				Detail: fmt.Sprintf("replica on node %d failed checksum", src)})
-			bad[src] = true
-			continue
+		default:
+			return src, nil
 		}
-		return src, nil
+		if bad == nil {
+			bad = make(map[int]bool)
+		}
+		bad[src] = true
 	}
 }
 

@@ -1,0 +1,157 @@
+package sim
+
+import (
+	"fmt"
+	"reflect"
+	"runtime"
+	"testing"
+	"time"
+)
+
+// waitGoroutines reports whether the goroutine count settles back at base.
+// Coroutines exit synchronously inside stop; only the windowed barrier's
+// helper goroutines need a moment after their last send.
+func waitGoroutines(base int) bool {
+	for i := 0; i < 200; i++ {
+		if runtime.NumGoroutine() <= base {
+			return true
+		}
+		time.Sleep(time.Millisecond)
+	}
+	return false
+}
+
+// TestProcPanicReachesRun: every event fires on Run's goroutine, so a panic
+// inside a process surfaces in Run's caller — with its value intact and the
+// other processes shut down — instead of crashing a detached goroutine.
+func TestProcPanicReachesRun(t *testing.T) {
+	base := runtime.NumGoroutine()
+	k := NewKernel()
+	cleaned := false
+	k.Go("bystander", func(p *Proc) {
+		defer func() { cleaned = true }()
+		p.Park()
+	})
+	k.Go("faulty", func(p *Proc) {
+		p.Sleep(time.Second)
+		panic("boom")
+	})
+	func() {
+		defer func() {
+			if r := recover(); r != "boom" {
+				t.Errorf("recovered %v, want boom", r)
+			}
+		}()
+		k.Run()
+		t.Error("Run returned normally")
+	}()
+	if !cleaned {
+		t.Error("parked bystander was not unwound after the panic")
+	}
+	if !waitGoroutines(base) {
+		t.Errorf("%d goroutines left, started with %d", runtime.NumGoroutine(), base)
+	}
+}
+
+// TestShutdownOrderAndUnstarted: shutdown unwinds killed processes in process
+// creation order even when the pool handed their coroutines out in another
+// order, and a process that never started is dropped without its body running.
+func TestShutdownOrderAndUnstarted(t *testing.T) {
+	k := NewKernel()
+	var log []string
+	short := func(p *Proc) { p.Sleep(time.Millisecond) }
+	k.Go("short-0", short)
+	k.Go("short-1", short)
+	// Both coroutines are idle by 2ms; the pool is LIFO, so parked-0 runs on
+	// the younger coroutine and parked-1 on the older one.
+	k.At(2*time.Millisecond, func() {
+		for i := 0; i < 2; i++ {
+			k.Go(fmt.Sprintf("parked-%d", i), func(p *Proc) {
+				defer func() { log = append(log, "killed "+p.Name()) }()
+				p.Park()
+			})
+		}
+	})
+	k.At(3*time.Millisecond, func() {
+		k.Go("unstarted", func(p *Proc) { log = append(log, "ran unstarted") })
+		k.Stop()
+	})
+	k.Run()
+	want := []string{"killed parked-0", "killed parked-1"}
+	if !reflect.DeepEqual(log, want) {
+		t.Fatalf("shutdown log = %v, want %v", log, want)
+	}
+}
+
+// TestCoroutinePool: sequential short-lived processes reuse one coroutine, so
+// spawn→finish costs the Proc and nothing else; creating a coroutine per
+// process would cost eleven allocations more.
+func TestCoroutinePool(t *testing.T) {
+	base := runtime.NumGoroutine()
+	k := NewKernel()
+	ran := 0
+	body := func(p *Proc) { ran++ }
+	spawn := func() {
+		k.Go("short", body)
+		k.ProcessNextEvent()
+	}
+	for i := 0; i < 10000; i++ {
+		spawn()
+	}
+	if ran != 10000 {
+		t.Fatalf("ran %d processes, want 10000", ran)
+	}
+	if len(k.coros) != 1 || len(k.idle) != 1 {
+		t.Fatalf("%d coroutines (%d idle) after sequential processes, want 1 (1)", len(k.coros), len(k.idle))
+	}
+	if allocs := testing.AllocsPerRun(1000, spawn); allocs > 1 {
+		t.Errorf("spawn→finish allocates %v objects, want 1 (the Proc)", allocs)
+	}
+	k.Run()
+	if !waitGoroutines(base) {
+		t.Errorf("%d goroutines left after Run, started with %d", runtime.NumGoroutine(), base)
+	}
+}
+
+// TestNoGoroutineLeak: every run method stops the coroutines it created —
+// those of killed processes and the idle pool alike.
+func TestNoGoroutineLeak(t *testing.T) {
+	base := runtime.NumGoroutine()
+	build := func(ks [3]*Kernel) {
+		var log []string
+		buildMergedModel(ks, &log)
+	}
+	runs := map[string]func(){
+		"Kernel.Run": func() {
+			k := NewKernel()
+			build([3]*Kernel{k, k, k})
+			k.Run()
+		},
+		"ShardSet.Run": func() {
+			ss := NewShardSet(3, time.Millisecond)
+			build([3]*Kernel{ss.Shard(0), ss.Shard(1), ss.Shard(2)})
+			ss.Run()
+		},
+		"ShardSet.RunWindows": func() {
+			ss := NewShardSet(3, time.Millisecond)
+			for i := 0; i < 3; i++ {
+				k := ss.Shard(i)
+				for j := 0; j < 4; j++ {
+					k.Go("sleeper", func(p *Proc) {
+						for n := 0; n < 20; n++ {
+							p.Sleep(300 * time.Microsecond)
+						}
+					})
+				}
+				k.Go("parked", func(p *Proc) { p.Park() })
+			}
+			ss.RunWindows()
+		},
+	}
+	for name, run := range runs {
+		run()
+		if !waitGoroutines(base) {
+			t.Errorf("%s: %d goroutines left, started with %d", name, runtime.NumGoroutine(), base)
+		}
+	}
+}

@@ -1,13 +1,22 @@
 // Package sim implements a deterministic discrete-event simulation kernel
-// with cooperative goroutine-based processes.
+// with cooperative coroutine-based processes.
 //
-// The kernel owns a virtual clock and an event queue. Processes are ordinary
-// goroutines that run one at a time: exactly one of {kernel, some process}
-// executes at any moment, and control is handed off explicitly. A process
-// blocks in virtual time by calling Proc.Sleep or by waiting on a Signal;
-// while it is blocked the kernel fires the next pending event. Because only
-// one goroutine ever runs at a time and ties are broken by sequence number,
+// The kernel owns a virtual clock and an event queue, and fires every event
+// on the one goroutine that called Run (or RunUntil / ProcessNextEvent).
+// Processes are runtime coroutines (iter.Pull): a process-resume event
+// switches into the process, and the process switches straight back when it
+// blocks in virtual time — Proc.Sleep, or waiting on a Signal. A coroutine
+// switch is a direct goroutine-to-goroutine handoff inside the runtime: no
+// channel, no scheduler pass, no futex wake-up. Exactly one of {kernel, some
+// process} executes at any moment and ties are broken by sequence number, so
 // simulations are exactly reproducible.
+//
+// A task is a process, so processes are created by the million and creating
+// a coroutine is dear (11 allocations against 2 for go + chan). Each kernel
+// therefore pools them: a coroutine whose process finished parks on the
+// kernel's idle list and runs the body of the next process to start; shutdown
+// stops the ones still running a process in process creation order — their
+// deferred cleanups unwind — and then the idle ones.
 //
 // The event queue is the simulator's hottest data structure, so it avoids
 // the generic container/heap: events live in an inlined 4-ary indexed
@@ -20,9 +29,11 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
+	"iter"
 	"math"
-	"sort"
+	"slices"
 	"time"
 )
 
@@ -61,36 +72,23 @@ type Kernel struct {
 	ringHead int
 	ringDead int
 	free     *event // free list of recycled event structs
-	// main wakes the Run goroutine when the dispatch baton (see dispatch)
-	// finds no more events to fire. Kernels in a merged shard set share one
-	// main channel, so a process parking on any shard hands the baton back
-	// to the coordinator stepping the set.
-	main  chan struct{}
-	procs map[*Proc]struct{}
+	// coros holds every coroutine the kernel has created; idle is the subset
+	// whose process finished, waiting to run the next one (see coroutine).
+	coros []*coroutine
+	idle  []*coroutine
 	// fired counts events that actually ran (cancelled ones excluded) —
 	// the numerator of the events/sec benchmark metric.
 	fired   uint64
 	running bool
 	stopped bool
-	// stepped puts the kernel under external single-step control
-	// (ProcessNextEvent): a parking or exiting process hands the baton
-	// straight back on main instead of dispatching further events itself,
-	// because the next event to fire may belong to a different kernel of
-	// the shard set.
-	stepped bool
-	// limit is the RunUntil horizon: dispatch refuses to fire events at or
-	// past it. noLimit for a plain Run.
+	// limit is the RunUntil horizon: loop refuses to fire events at or past
+	// it. noLimit for a plain Run.
 	limit time.Duration
 }
 
 // NewKernel returns a kernel with the clock at zero and an empty event queue.
 func NewKernel() *Kernel {
-	return &Kernel{
-		st:    &kstate{},
-		main:  make(chan struct{}, 1),
-		procs: make(map[*Proc]struct{}),
-		limit: noLimit,
-	}
+	return &Kernel{st: &kstate{}, limit: noLimit}
 }
 
 // Now returns the current virtual time (duration since simulation start).
@@ -103,7 +101,7 @@ type event struct {
 	at  time.Duration
 	seq uint64
 	fn  func()
-	// proc, if non-nil, makes firing switch to the process directly — the
+	// proc, if non-nil, makes firing switch into the process — the
 	// Sleep/Broadcast/Go resume path — without allocating a closure.
 	proc *Proc
 	// every > 0 marks a periodic event (Kernel.Every): after firing it is
@@ -289,112 +287,69 @@ func (k *Kernel) afterProc(d time.Duration, p *Proc) *event {
 
 // Run fires events in timestamp order (FIFO among equal timestamps) until the
 // queue is empty or Stop is called, then kills any processes that are still
-// parked so their goroutines exit. Run must be called from the goroutine that
-// created the kernel, and must not be called from inside a process.
+// parked and releases the kernel's coroutines. Every event — callbacks and
+// process resumes alike — fires on the calling goroutine, so a panic inside a
+// callback or a process surfaces here, after the same shutdown. Run must not
+// be called from inside a process.
 func (k *Kernel) Run() {
 	if k.running {
 		panic("sim: Run called re-entrantly")
 	}
 	k.running = true
 	defer func() { k.running = false }()
-	k.dispatch(nil, false)
-	k.shutdown()
+	defer shutdown(k)
+	k.loop()
 }
 
-// dispatch runs the event loop on the calling goroutine — the "dispatch
-// baton": exactly one goroutine in the simulation holds it and fires
-// events. A parking process keeps firing events itself until the next
-// process resume comes up; resuming self costs nothing, and resuming
-// another process is one direct channel handoff. (The previous design
-// bounced every switch through the kernel goroutine, doubling the channel
-// handoffs on the simulator's hottest path.) Callback events run inline on
-// whichever goroutine holds the baton; only one goroutine ever runs at a
-// time, so they execute in kernel context either way.
-//
-// self is the calling process, or nil when called from Run. dispatch
-// returns once self is next to run: its own resume event fired, or another
-// baton holder handed back control (via self.resume, or k.main for Run).
-// With exiting set the caller is a process goroutine about to exit — it
-// passes the baton on and returns without ever blocking.
-func (k *Kernel) dispatch(self *Proc, exiting bool) {
-	for !k.stopped {
-		if k.stepped {
-			// Under single-step control (ProcessNextEvent) the coordinator
-			// fires events; a parking or exiting process only hands the
-			// baton back.
-			break
-		}
-		var e *event
-		if k.limit != noLimit {
-			// RunUntil horizon: peek first so events at or past the limit
-			// stay queued for the next window.
-			e = k.peekLive()
-			if e == nil || e.at >= k.limit {
-				break
-			}
-			k.popPeeked(e)
+// loop is the kernel's one event loop: it fires events in (time, seq) order
+// on the calling goroutine until no live event before k.limit remains or
+// Stop is called.
+func (k *Kernel) loop() {
+	for !k.stopped && k.ProcessNextEvent() {
+	}
+}
+
+// ProcessNextEvent fires exactly one event — the kernel's (time, seq)
+// minimum — and reports whether one fired; an event at or past a RunUntil
+// horizon stays queued. It is the body of the kernel loop and the
+// single-step primitive under a shard coordinator: a process the event
+// resumes runs until it parks or exits and control is back here, whichever
+// kernel of the set owns it.
+func (k *Kernel) ProcessNextEvent() bool {
+	e := k.peekLive()
+	if e == nil || e.at >= k.limit {
+		return false
+	}
+	k.popPeeked(e)
+	if e.at < k.st.now {
+		panic("sim: event queue went backwards")
+	}
+	k.st.now = e.at
+	k.fired++
+	switch {
+	case e.proc != nil:
+		p := e.proc
+		k.recycle(e)
+		p.switchTo()
+	case e.every > 0:
+		e.fn()
+		if e.cancelled {
+			// fn cancelled its own series mid-fire.
+			k.recycle(e)
 		} else {
-			e = k.nextEvent()
-			if e == nil {
-				break
-			}
-			if e.cancelled {
-				k.recycle(e)
-				continue
-			}
+			// Reschedule in place with a fresh seq, after fn so
+			// anything fn scheduled at the next tick fires first.
+			e.at += e.every
+			e.seq = k.st.seq
+			k.st.seq++
+			k.events.push(e)
 		}
-		if e.at < k.st.now {
-			panic("sim: event queue went backwards")
-		}
-		k.st.now = e.at
-		k.fired++
-		switch {
-		case e.proc != nil:
-			q := e.proc
-			k.recycle(e)
-			if q == self && !exiting {
-				return
-			}
-			q.resume <- struct{}{}
-			switch {
-			case exiting:
-				// The dying goroutine is done; the baton lives on in q.
-			case self == nil:
-				// Run waits for the baton to come home when the
-				// simulation runs dry.
-				<-k.main
-			default:
-				<-self.resume
-			}
-			return
-		case e.every > 0:
-			e.fn()
-			if e.cancelled {
-				// fn cancelled its own series mid-fire.
-				k.recycle(e)
-			} else {
-				// Reschedule in place with a fresh seq, after fn so
-				// anything fn scheduled at the next tick fires first.
-				e.at += e.every
-				e.seq = k.st.seq
-				k.st.seq++
-				k.events.push(e)
-			}
-		default:
-			fn := e.fn
-			k.recycle(e)
-			fn()
-		}
+	default:
+		fn := e.fn
+		k.recycle(e)
+		fn()
 	}
-	// Out of events (or Stop was called): hand the baton home to Run so it
-	// can shut the simulation down; parked processes then wait to be killed.
-	if self == nil {
-		return
-	}
-	k.main <- struct{}{}
-	if !exiting {
-		<-self.resume
-	}
+	return true
 }
 
 // HasPendingEvents reports whether any live (non-cancelled) event remains
@@ -414,63 +369,20 @@ func (k *Kernel) PeekNextEventTime() (time.Duration, bool) {
 	return e.at, true
 }
 
-// ProcessNextEvent fires exactly one event — the kernel's (time, seq)
-// minimum — and reports whether one fired. It is the single-step primitive
-// under a shard coordinator. The kernel must be in stepped mode (ShardSet
-// arranges this): a process resumed by the event hands the baton straight
-// back on the shared main channel instead of dispatching further events,
-// which may belong to a sibling kernel.
-func (k *Kernel) ProcessNextEvent() bool {
-	e := k.peekLive()
-	if e == nil {
-		return false
-	}
-	k.popPeeked(e)
-	if e.at < k.st.now {
-		panic("sim: event queue went backwards")
-	}
-	k.st.now = e.at
-	k.fired++
-	switch {
-	case e.proc != nil:
-		q := e.proc
-		k.recycle(e)
-		q.resume <- struct{}{}
-		// The resumed process parks or exits and hands the baton back on
-		// the (shared) main channel; q may belong to any kernel of the set.
-		<-k.main
-	case e.every > 0:
-		e.fn()
-		if e.cancelled {
-			k.recycle(e)
-		} else {
-			e.at += e.every
-			e.seq = k.st.seq
-			k.st.seq++
-			k.events.push(e)
-		}
-	default:
-		fn := e.fn
-		k.recycle(e)
-		fn()
-	}
-	return true
-}
-
 // RunUntil fires events in (time, seq) order until no event strictly before
 // limit remains, or Stop is called. Unlike Run it does not shut the kernel
 // down: parked processes stay parked and the clock stays wherever the last
 // event left it, ready for the next window. It is the windowed-mode shard
 // primitive — the coordinator picks a horizon no shard may cross and lets
-// every shard dispatch freely (full baton machinery, no per-event
-// coordination) up to it.
+// every shard run its own loop (no per-event coordination) up to it. Each
+// window may call it from a different goroutine, never two at once.
 func (k *Kernel) RunUntil(limit time.Duration) {
 	if k.running {
 		panic("sim: RunUntil called re-entrantly")
 	}
 	k.running = true
 	k.limit = limit
-	k.dispatch(nil, false)
+	k.loop()
 	k.limit = noLimit
 	k.running = false
 }
@@ -478,8 +390,7 @@ func (k *Kernel) RunUntil(limit time.Duration) {
 // peekLive returns the next live event — the (time, seq) minimum across the
 // ring fast lane and the heap — without removing it, or nil when none is
 // queued. Cancelled corpses encountered at either front are popped and
-// recycled along the way, so a returned event is always live and is exactly
-// what nextEvent would pop next.
+// recycled along the way, so a returned event is always live.
 func (k *Kernel) peekLive() *event {
 	for {
 		for k.ringHead < len(k.ring) && k.ring[k.ringHead] == nil {
@@ -512,7 +423,6 @@ func (k *Kernel) peekLive() *event {
 		case r == nil:
 			return h
 		case h == nil || !eventLess(h, r):
-			// Ring wins ties, matching nextEvent's preference.
 			return r
 		default:
 			return h
@@ -531,40 +441,6 @@ func (k *Kernel) popPeeked(e *event) {
 	k.events.pop()
 }
 
-// nextEvent pops the globally next event — the (time, seq) minimum across
-// the ring fast lane and the heap — or nil when both are empty. Cancelled
-// events are returned for the caller to recycle, with their dead-counter
-// already settled.
-func (k *Kernel) nextEvent() *event {
-	for k.ringHead < len(k.ring) && k.ring[k.ringHead] == nil {
-		k.ringHead++
-		k.ringDead--
-	}
-	var r *event
-	if k.ringHead < len(k.ring) {
-		r = k.ring[k.ringHead]
-	} else if k.ringHead > 0 {
-		k.ring = k.ring[:0]
-		k.ringHead = 0
-	}
-	if r != nil && (len(k.events) == 0 || !eventLess(k.events[0], r)) {
-		k.ringHead++
-		if r.cancelled {
-			k.ringDead--
-		}
-		r.index = -1
-		return r
-	}
-	if len(k.events) > 0 {
-		e := k.events.pop()
-		if e.cancelled {
-			k.dead--
-		}
-		return e
-	}
-	return nil
-}
-
 // Stop makes Run return after the currently firing event completes. Remaining
 // events are discarded and parked processes are killed.
 func (k *Kernel) Stop() { k.stopped = true }
@@ -580,73 +456,132 @@ func (k *Kernel) PendingEvents() int {
 // Benchmarks divide it by wall time for the kernel's events/sec figure.
 func (k *Kernel) FiredEvents() uint64 { return k.fired }
 
-// shutdown kills all parked processes so their goroutines exit, in process
-// creation order: map iteration here would let shutdown-time side effects
-// (deferred cleanups in killed processes) reorder between otherwise
-// identical runs.
-func (k *Kernel) shutdown() {
-	parked := make([]*Proc, 0, len(k.procs))
-	for p := range k.procs {
-		parked = append(parked, p)
+// shutdown ends a run of the given kernels — one, or all of a merged shard
+// set. Processes still parked are killed in process creation order (map or
+// pool order here would let shutdown-time side effects, the deferred cleanups
+// of killed processes, reorder between otherwise identical runs); then the
+// idle coroutines are stopped, so no goroutine outlives the run, and the
+// queues are dropped.
+func shutdown(kernels ...*Kernel) {
+	var live []*coroutine
+	for _, k := range kernels {
+		for _, c := range k.coros {
+			if c.p != nil {
+				live = append(live, c)
+			}
+		}
 	}
-	sort.Slice(parked, func(i, j int) bool { return parked[i].seq < parked[j].seq })
-	for _, p := range parked {
-		p.kill = true
-		p.resume <- struct{}{}
-		// The killed process unwinds and hands the baton back on k.main.
-		<-k.main
+	slices.SortFunc(live, func(a, b *coroutine) int { return cmp.Compare(a.p.seq, b.p.seq) })
+	for _, c := range live {
+		c.stop()
 	}
-	k.events = nil
-	k.free = nil
-	k.dead = 0
-	k.ring = nil
-	k.ringHead = 0
-	k.ringDead = 0
+	for _, k := range kernels {
+		for _, c := range k.idle {
+			c.stop()
+		}
+		k.coros, k.idle = nil, nil
+		k.events = nil
+		k.free = nil
+		k.dead = 0
+		k.ring = nil
+		k.ringHead = 0
+		k.ringDead = 0
+	}
 }
 
-// Proc is a simulation process: a goroutine that advances only when the
-// kernel hands it control, and blocks only in virtual time.
+// coroutine is a pooled runtime coroutine: it runs the body of one process
+// after another, parking on its kernel's idle list in between. Pooling is
+// what keeps process creation cheap — iter.Pull costs 11 allocations, and a
+// kernel that runs a million short tasks needs only as many coroutines as
+// run at once.
+type coroutine struct {
+	k *Kernel
+	p *Proc // the process being run; nil while idle
+	// next switches into the coroutine, stop makes its pending yield return
+	// false, and yield — called on the coroutine — switches back to whoever
+	// called next.
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
+}
+
+// serve is the coroutine's body: run the bound process, park idle until the
+// kernel binds the next one, and return once stopped.
+func (c *coroutine) serve(yield func(struct{}) bool) {
+	c.yield = yield
+	for c.runProc() {
+		c.k.idle = append(c.k.idle, c)
+		if !yield(struct{}{}) {
+			return
+		}
+	}
+}
+
+// runProc runs the bound process to completion and unbinds it. It reports
+// false when the process was killed, which only shutdown does: the coroutine
+// is finished too. Any other panic travels on through next to the kernel
+// loop's caller.
+func (c *coroutine) runProc() (finished bool) {
+	p := c.p
+	defer func() {
+		c.p, p.co = nil, nil
+		if r := recover(); r != nil {
+			if _, ok := r.(killed); !ok {
+				panic(r)
+			}
+		}
+	}()
+	fn := p.fn
+	p.fn = nil
+	fn(p)
+	return true
+}
+
+// Proc is a simulation process: a coroutine that advances only when the
+// kernel switches into it, and blocks only in virtual time.
 type Proc struct {
-	k      *Kernel
-	name   string
-	seq    uint64
-	resume chan struct{}
-	kill   bool
+	k    *Kernel
+	name string
+	seq  uint64
+	fn   func(p *Proc) // the body, until the first resume starts it
+	co   *coroutine    // what runs the body, from then until it returns
 }
 
 // killed is the panic value used to unwind a process during shutdown.
 type killed struct{}
 
 // Go spawns a new process running fn. The process starts at the current
-// virtual time, after already-scheduled events at this timestamp.
+// virtual time, after already-scheduled events at this timestamp. It costs
+// one allocation: a coroutine is bound only when the process first runs, so
+// one that never starts has nothing to shut down and fn is never called.
 func (k *Kernel) Go(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{k: k, name: name, seq: k.st.procSeq, resume: make(chan struct{}, 1)}
+	p := &Proc{k: k, name: name, seq: k.st.procSeq, fn: fn}
 	k.st.procSeq++
-	k.procs[p] = struct{}{}
-	go func() {
-		defer func() {
-			delete(k.procs, p)
-			if r := recover(); r != nil {
-				if _, ok := r.(killed); ok {
-					// Killed during shutdown: hand the baton back to
-					// the shutdown loop.
-					k.main <- struct{}{}
-					return
-				}
-				panic(r)
-			}
-			// Normal exit: this goroutine still holds the baton — pass
-			// it to the next event's owner without blocking.
-			k.dispatch(p, true)
-		}()
-		<-p.resume
-		if p.kill {
-			panic(killed{})
-		}
-		fn(p)
-	}()
 	k.afterProc(0, p)
 	return p
+}
+
+// switchTo runs the process on its coroutine until it parks or returns — the
+// firing of a process-resume event. The first resume binds a coroutine from
+// the owning kernel's pool.
+func (p *Proc) switchTo() {
+	c := p.co
+	if c == nil {
+		if p.fn == nil {
+			panic(fmt.Sprintf("sim: resume of finished process %q", p.name))
+		}
+		k := p.k
+		if n := len(k.idle); n > 0 {
+			c = k.idle[n-1]
+			k.idle = k.idle[:n-1]
+		} else {
+			c = &coroutine{k: k}
+			c.next, c.stop = iter.Pull(c.serve)
+			k.coros = append(k.coros, c)
+		}
+		c.p, p.co = p, c
+	}
+	c.next()
 }
 
 // Name returns the process name given to Go.
@@ -658,12 +593,11 @@ func (p *Proc) Kernel() *Kernel { return p.k }
 // Now returns the current virtual time.
 func (p *Proc) Now() time.Duration { return p.k.st.now }
 
-// park blocks the process until some event resumes it. The parking
-// goroutine takes over event dispatch (see dispatch), so a process that is
-// the next to run again resumes without any goroutine switch at all.
+// park blocks the process until some event resumes it: it switches back to
+// the kernel loop, which fires the next event. A false yield means shutdown
+// stopped the coroutine; the panic unwinds the process's deferred cleanups.
 func (p *Proc) park() {
-	p.k.dispatch(p, false)
-	if p.kill {
+	if !p.co.yield(struct{}{}) {
 		panic(killed{})
 	}
 }

@@ -155,8 +155,8 @@ func TestShutdownKillsParkedProcs(t *testing.T) {
 	if reached {
 		t.Fatal("process ran past un-signalled wait")
 	}
-	if len(k.procs) != 0 {
-		t.Fatalf("%d procs leaked", len(k.procs))
+	if len(k.coros) != 0 {
+		t.Fatalf("%d coroutines leaked", len(k.coros))
 	}
 }
 

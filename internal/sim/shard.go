@@ -73,7 +73,6 @@ func NewShardSet(n int, lookahead time.Duration) *ShardSet {
 		panic(fmt.Sprintf("sim: non-positive shard lookahead %v", lookahead))
 	}
 	st := &kstate{}
-	main := make(chan struct{}, 1)
 	ss := &ShardSet{
 		kernels:   make([]*Kernel, n),
 		lookahead: lookahead,
@@ -83,8 +82,6 @@ func NewShardSet(n int, lookahead time.Duration) *ShardSet {
 	for i := range ss.kernels {
 		k := NewKernel()
 		k.st = st
-		k.main = main
-		k.stepped = true
 		ss.kernels[i] = k
 	}
 	return ss
@@ -119,14 +116,16 @@ func (ss *ShardSet) FiredEvents() uint64 {
 
 // Run advances the set in merged mode: fire the globally earliest event,
 // one at a time, until every shard drains or Stop is called, then kill
-// still-parked processes across all shards in global creation order —
-// exactly what a single kernel's Run would do with the union of the queues.
+// still-parked processes across all shards in global creation order (the
+// shared procSeq) — exactly what a single kernel's Run would do with the
+// union of the queues.
 func (ss *ShardSet) Run() {
 	if ss.running {
 		panic("sim: ShardSet.Run called re-entrantly")
 	}
 	ss.running = true
 	defer func() { ss.running = false }()
+	defer shutdown(ss.kernels...)
 	for !ss.kernels[0].stopped {
 		var best *Kernel
 		var be *event
@@ -140,54 +139,17 @@ func (ss *ShardSet) Run() {
 		}
 		best.ProcessNextEvent()
 	}
-	ss.mergedShutdown()
-}
-
-// mergedShutdown kills all still-parked processes across the set in global
-// creation order — the shared procSeq makes the order identical to a single
-// kernel's shutdown.
-func (ss *ShardSet) mergedShutdown() {
-	var parked []*Proc
-	for _, k := range ss.kernels {
-		for p := range k.procs {
-			parked = append(parked, p)
-		}
-	}
-	sort.Slice(parked, func(i, j int) bool { return parked[i].seq < parked[j].seq })
-	for _, p := range parked {
-		p.kill = true
-		p.resume <- struct{}{}
-		// The killed process unwinds and hands the baton back on the
-		// shared main channel.
-		<-p.k.main
-	}
-	for _, k := range ss.kernels {
-		k.reset()
-	}
-}
-
-// reset drops the queue and free list after a run.
-func (k *Kernel) reset() {
-	k.events = nil
-	k.free = nil
-	k.dead = 0
-	k.ring = nil
-	k.ringHead = 0
-	k.ringDead = 0
 }
 
 // split converts the set from the shared (merged) configuration to
 // independent per-shard kernels for windowed execution: each kernel gets
 // its own copy of the shared counters (still monotone — determinism within
-// a shard is preserved), its own baton-home channel, and leaves stepped
-// mode so RunUntil can dispatch at full speed.
+// a shard is preserved), so RunUntil can run each shard's loop on its own.
 func (ss *ShardSet) split() {
 	shared := ss.kernels[0].st
 	for _, k := range ss.kernels {
 		st := *shared
 		k.st = &st
-		k.main = make(chan struct{}, 1)
-		k.stepped = false
 	}
 }
 
@@ -297,6 +259,6 @@ func (ss *ShardSet) RunWindows() {
 		}
 	}
 	for _, k := range ss.kernels {
-		k.shutdown()
+		shutdown(k)
 	}
 }
