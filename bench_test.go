@@ -7,14 +7,13 @@ package sae
 //
 //	go test -bench=. -benchmem
 //
-// Plus micro-benchmarks of the load-bearing substrates.
+// Plus micro-benchmarks of the controller, the analyzer and the dataflow layer.
 
 import (
 	"fmt"
 	"strings"
 	"testing"
 
-	"sae/internal/bench"
 	"sae/internal/core"
 	"sae/internal/engine/job"
 	"sae/internal/exp"
@@ -185,51 +184,9 @@ func BenchmarkFigure12(b *testing.B) {
 
 // ---------------------------------------------------------------- substrates
 //
-// The substrate and engine benchmark bodies live in internal/bench so the
-// sae-bench command (which emits the BENCH_*.json perf trajectory and gates
-// CI on regressions) runs exactly the same workloads as `go test -bench`.
-
-// BenchmarkSimKernel measures raw event throughput of the DES kernel on the
-// same-instant ring fast lane.
-func BenchmarkSimKernel(b *testing.B) { bench.KernelRing(b) }
-
-// BenchmarkSimKernelHeap measures the 4-ary heap under pseudo-random
-// future-time inserts.
-func BenchmarkSimKernelHeap(b *testing.B) { bench.KernelHeap(b) }
-
-// BenchmarkSimTimerChurn measures the heartbeat-deadline pattern: one timer
-// rescheduled in place per simulated beat.
-func BenchmarkSimTimerChurn(b *testing.B) { bench.KernelTimerChurn(b) }
-
-// BenchmarkSimEvery measures the periodic-event primitive.
-func BenchmarkSimEvery(b *testing.B) { bench.KernelEvery(b) }
-
-// BenchmarkSimCancel measures cancel-heavy (speculation-timer) churn with
-// lazy cancellation and heap compaction.
-func BenchmarkSimCancel(b *testing.B) { bench.KernelCancel(b) }
-
-// BenchmarkProcessSwitch measures process park/resume round trips.
-func BenchmarkProcessSwitch(b *testing.B) { bench.ProcessSwitch(b) }
-
-// BenchmarkProcessPingPong measures cross-goroutine baton handoffs between
-// two processes.
-func BenchmarkProcessPingPong(b *testing.B) { bench.ProcessPingPong(b) }
-
-// BenchmarkProcessorSharing measures the disk model under churn.
-func BenchmarkProcessorSharing(b *testing.B) { bench.ProcessorSharing(b) }
-
-// BenchmarkArrivalGen measures open-loop traffic generation: the thinning
-// draw plus kernel dispatch of every submission.
-func BenchmarkArrivalGen(b *testing.B) { bench.ArrivalGen(b) }
-
-// BenchmarkShardedMatrix measures one 256-executor grayfail run on one, two
-// and four shard kernels — the windowed coordinator's intra-run parallelism
-// surface. Speedup scales with min(GOMAXPROCS, shards).
-func BenchmarkShardedMatrix(b *testing.B) {
-	b.Run("shards=1", bench.ShardedMatrix1)
-	b.Run("shards=2", bench.ShardedMatrix2)
-	b.Run("shards=4", bench.ShardedMatrix4)
-}
+// The kernel, device, DFS and engine rungs are measured by the repository
+// benchmark (benchmark/ladder.go); the micro-benchmarks here cover what it
+// does not.
 
 // BenchmarkDynamicController measures MAPE-K decision overhead.
 func BenchmarkDynamicController(b *testing.B) {
@@ -253,10 +210,6 @@ func BenchmarkCongestionIndex(b *testing.B) {
 	}
 	_ = sink
 }
-
-// BenchmarkEngineTerasort measures a full paper-scale engine run, with
-// kernel events/sec and the sim-time-over-wall-time speedup attached.
-func BenchmarkEngineTerasort(b *testing.B) { bench.EngineTerasort(b) }
 
 // BenchmarkRDDWordCount measures the dataflow layer end to end.
 func BenchmarkRDDWordCount(b *testing.B) {

@@ -3,7 +3,7 @@
 // Usage:
 //
 //	sae-exp [-scale F] [-nodes N] [-ssd] [-seed S] [-parallel N] [-audit]
-//	        [-shards N] [-scenario FILE]... [experiment ...]
+//	        [-scenario FILE]... [experiment ...]
 //
 // With no arguments it runs every experiment in order. Valid experiment IDs
 // are table1, table2 and fig1 … fig12 plus the extension experiments
@@ -24,16 +24,6 @@
 // it rejects -parallel > 1; violations print to stderr and exit non-zero,
 // while the report stream stays byte-identical (the audit plane never
 // perturbs a run).
-//
-// -shards partitions each run's cluster into N shard kernels under a shared
-// clock (see DESIGN.md "Sharded simulation"). Unlike -audit with -parallel,
-// no flag combination is rejected: a run whose observers would have to
-// interleave output across shards — engine event traces, -audit, telemetry —
-// automatically takes the deterministic merge path, where shards step
-// sequentially in global event order and every byte matches -shards 1.
-// Concurrent shard execution only engages for runs that provably cannot
-// tell the difference (qualifying fault sweeps), so -shards composes with
-// every other flag, including -parallel (inter-run × intra-run parallelism).
 //
 // For performance work, -cpuprofile/-memprofile/-trace write pprof CPU and
 // heap profiles and a Go execution trace covering the whole sweep.
@@ -71,7 +61,6 @@ func run(args []string) error {
 	csvDir := fs.String("csv", "", "also export each artifact's data series as CSV under this directory")
 	parallel := fs.Int("parallel", 1, "run experiments on up to N worker goroutines")
 	audit := fs.Bool("audit", false, "attach the invariant audit plane to every run (forces -parallel 1); violations print to stderr and exit non-zero")
-	shards := fs.Int("shards", 1, "partition each run's cluster into N shard kernels under a shared clock (1 = single kernel)")
 	cpuprofile := fs.String("cpuprofile", "", "write a pprof CPU profile to this file")
 	memprofile := fs.String("memprofile", "", "write a pprof heap profile to this file on exit")
 	traceFile := fs.String("trace", "", "write a Go execution trace to this file")
@@ -109,13 +98,6 @@ func run(args []string) error {
 		aud = invariant.New()
 		setup.Audit = aud
 	}
-	if *shards < 1 {
-		return fmt.Errorf("-shards must be at least 1, got %d", *shards)
-	}
-	// No guard against -shards with -audit or tracing: runs with observers
-	// take the deterministic merge path (byte-identical to -shards 1), so
-	// traces cannot interleave nondeterministically by construction.
-	setup.Shards = *shards
 
 	ids := fs.Args()
 	if len(ids) == 0 && len(scenarioFiles) == 0 {
@@ -156,7 +138,6 @@ func run(args []string) error {
 		if aud != nil {
 			s.Audit = aud
 		}
-		s.Shards = *shards
 		c, err := sp.Compile(s)
 		if err != nil {
 			return err

@@ -5,7 +5,7 @@
 //
 //	sae-run [-workload terasort] [-policy dynamic] [-threads 8]
 //	        [-scale F] [-nodes N] [-seed S] [-ssd] [-decisions] [-faults SPEC]
-//	        [-scenario FILE] [-audit] [-shards N]
+//	        [-scenario FILE] [-audit]
 //	        [-trace FILE] [-trace-v2] [-metrics FILE] [-metrics-csv FILE]
 //	        [-prom FILE] [-metrics-interval D]
 //
@@ -23,12 +23,6 @@
 // exactly-once shuffle, epoch and failure-detector legality — see
 // internal/invariant): violations print to stderr and the run exits
 // non-zero. Attaching it never perturbs the run or its exports.
-//
-// -shards partitions the simulated cluster into N per-node-group kernels
-// under a shared clock (default 1). Qualifying fault runs advance the shards
-// concurrently; traced, audited and quiet runs take the deterministic merge
-// path, so every report, trace and export stays byte-identical to -shards 1
-// (see DESIGN.md "Sharded simulation").
 //
 // -faults applies a deterministic chaos schedule, e.g. "crash@90s" (kill
 // executor 1 at t=90s), "crash2@2m+30s" (kill executor 2 at 2m, restart 30s
@@ -80,7 +74,6 @@ func run(args []string) error {
 	ssd := fs.Bool("ssd", false, "use the SSD device model")
 	scenarioFile := fs.String("scenario", "", "run the scenario spec at this path instead of -workload/-policy")
 	audit := fs.Bool("audit", false, "attach the invariant audit plane; violations print to stderr and exit non-zero")
-	shards := fs.Int("shards", 1, "partition the cluster into N shard kernels under a shared clock (1 = single kernel)")
 	decisions := fs.Bool("decisions", false, "print the MAPE-K decision log")
 	var confFlags multiFlag
 	fs.Var(&confFlags, "conf", "configuration override key=value (repeatable, e.g. -conf speculation=true)")
@@ -176,10 +169,6 @@ func run(args []string) error {
 		aud = invariant.New()
 		setup.Audit = aud
 	}
-	if *shards < 1 {
-		return fmt.Errorf("-shards must be at least 1, got %d", *shards)
-	}
-	setup.Shards = *shards
 	if sp != nil {
 		c, err := sp.Compile(setup)
 		if err != nil {

@@ -176,14 +176,14 @@ func (e *Engine) activateStage(js *jobState, id int) {
 	// concurrent stages/jobs the windows overlap on the shared cluster —
 	// the percentages then describe the cluster during this stage, not
 	// this stage's own traffic (per-job traffic is task-attributed).
-	// A windowed sharded run skips the snapshots: node meters and device
+	// A sharded run skips the snapshots: node meters and device
 	// counters advance concurrently on their shards, and reading them
 	// mid-window would be both racy and nondeterministic. Those runs
 	// report zero utilization columns (see DESIGN.md "Sharded simulation").
 	ts.start = e.k.Now()
 	ts.usage0 = make([]cluster.Usage, e.cluster.Size())
 	ts.disk0 = make([]psres.Stats, e.cluster.Size())
-	if !e.windowed {
+	if e.ss == nil {
 		for i, n := range e.cluster.Nodes() {
 			ts.usage0[i] = n.Usage()
 			ts.disk0[i] = n.Disk.Snapshot()
@@ -245,7 +245,7 @@ func (e *Engine) completeStage(ts *taskSet) {
 		sr.TaskP50, sr.TaskP95, sr.TaskMax = q[0], q[1], q[2]
 	}
 	vcores := e.opts.Cluster.CPU.VirtualCores
-	if !e.windowed {
+	if e.ss == nil {
 		for i, n := range e.cluster.Nodes() {
 			u := n.Usage()
 			d := n.Disk.Snapshot()
@@ -267,7 +267,7 @@ func (e *Engine) completeStage(ts *taskSet) {
 	}
 	for i, ex := range e.executors {
 		limit := ex.limit
-		if e.windowed {
+		if e.ss != nil {
 			// The executor's pool size lives on its shard; report the
 			// driver's slot-table view, which the ThreadCountUpdate
 			// protocol keeps current.

@@ -119,14 +119,15 @@ type Options struct {
 	// Audit interface). Like Metrics, attaching an auditor provably does
 	// not perturb the event log — traces stay byte-identical.
 	Audit Audit
-	// Shards partitions the cluster into that many per-node-group kernels
-	// advanced under a shared clock (0 or 1 = the classic single kernel).
-	// Runs whose plans qualify (see DESIGN.md "Sharded simulation") advance
-	// the shards concurrently through conservative lookahead windows; all
-	// other runs — including every traced, audited or quiet run — take the
-	// deterministic merge path, which is byte-identical to Shards=1 by
-	// construction. Requires a positive Cluster.ControlLatency, the
-	// lookahead bound.
+	// Shards asks for the cluster to be partitioned into that many
+	// per-node-group kernels advanced concurrently through conservative
+	// lookahead windows (0 or 1 = one kernel). Only options that qualify
+	// (see DESIGN.md "Sharded simulation": no observers, Replication 0, a
+	// fault plan without crashes or corruption) are sharded — Windowed
+	// reports it — and Submit then rejects a job that shuffles, writes
+	// output or carries Work; with any other options the engine runs on one
+	// kernel. Requires a positive Cluster.ControlLatency, the lookahead
+	// bound.
 	Shards int
 }
 
@@ -134,11 +135,10 @@ type Options struct {
 // and schedules any number of submitted jobs over them.
 type Engine struct {
 	k *sim.Kernel
-	// ss is the shard coordinator (nil at Shards<=1). shardOf maps node →
-	// owning shard; windowed is decided in Wait once the job set is known.
+	// ss is the shard coordinator, nil when the run is on one kernel;
+	// shardOf maps node → owning shard.
 	ss        *sim.ShardSet
 	shardOf   []int
-	windowed  bool
 	opts      Options
 	cluster   *cluster.Cluster
 	fs        *dfs.FS
@@ -168,7 +168,7 @@ type Engine struct {
 	// pending); per-job failures live on the jobState instead.
 	fatal   error
 	started bool
-	// done flips when the driver finishes; atomic because in windowed runs
+	// done flips when the driver finishes; atomic because in sharded runs
 	// per-shard housekeeping events (heartbeats, interference streams,
 	// slowdown timers) read it from their shard's goroutine.
 	done atomic.Bool
@@ -246,23 +246,18 @@ func NewEngine(opts Options) (*Engine, error) {
 		opts.MetricsInterval = 5 * time.Second
 	}
 
-	nshards := opts.Shards
-	if nshards < 1 {
-		nshards = 1
-	}
-	if nshards > opts.Cluster.Nodes {
-		nshards = opts.Cluster.Nodes
+	// One kernel or windowed shards, decided here and nowhere else.
+	nshards := min(opts.Shards, opts.Cluster.Nodes)
+	if nshards > 1 && opts.Cluster.ControlLatency <= 0 {
+		return nil, errors.New("engine: Shards > 1 needs a positive Cluster.ControlLatency (the shard lookahead bound)")
 	}
 	var (
-		k  *sim.Kernel
-		ss *sim.ShardSet
-		cl *cluster.Cluster
+		k       *sim.Kernel
+		ss      *sim.ShardSet
+		cl      *cluster.Cluster
+		shardOf []int
 	)
-	var shardOf []int
-	if nshards > 1 {
-		if opts.Cluster.ControlLatency <= 0 {
-			return nil, errors.New("engine: Shards > 1 needs a positive Cluster.ControlLatency (the shard lookahead bound)")
-		}
+	if nshards > 1 && windowsEligible(&opts) {
 		// Contiguous shard assignment: node i → shard i*n/nodes. Keeps
 		// executor IDs within a shard consecutive, so per-shard iteration
 		// order matches global ID order.
@@ -404,6 +399,11 @@ func (e *Engine) SubmitAt(at time.Duration, spec *job.JobSpec) (*JobHandle, erro
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
+	if e.ss != nil {
+		if err := checkShardable(spec); err != nil {
+			return nil, err
+		}
+	}
 	js := newJobState(len(e.jobs), spec, at)
 	e.jobs = append(e.jobs, js)
 	return &JobHandle{js: js}, nil
@@ -420,9 +420,6 @@ func (e *Engine) Wait() error {
 	if len(e.jobs) == 0 {
 		return errors.New("engine: no jobs submitted")
 	}
-	// With the full job set known, decide between the windowed and merged
-	// shard paths (no-op at Shards<=1).
-	e.windowed = e.shardWindowsEligible()
 	// Admit jobs in batches per distinct submission instant, in submission
 	// order within a batch. Task assignment is deferred until the whole
 	// batch is admitted: with per-job admission the first job's activation
@@ -466,20 +463,16 @@ func (e *Engine) Wait() error {
 			}
 		}
 		// Housekeeping events (heartbeat tickers, interference streams) see
-		// done on their next firing and wind down, draining the queues —
-		// the same post-completion drain in all run modes.
+		// done on their next firing and wind down, draining the queues.
 		e.done.Store(true)
 	})
 	if e.opts.OnSetup != nil {
 		e.opts.OnSetup(e)
 	}
-	switch {
-	case e.ss == nil:
-		e.k.Run()
-	case e.windowed:
+	if e.ss != nil {
 		e.ss.RunWindows()
-	default:
-		e.ss.Run()
+	} else {
+		e.k.Run()
 	}
 	if e.auto != nil {
 		// Close the node-seconds integral at the end of virtual time.

@@ -2,33 +2,30 @@ package engine
 
 // Shard routing: which kernel owns what, and how messages cross shards.
 //
-// At Shards > 1 the cluster is partitioned into per-node-group kernels under
-// a sim.ShardSet. The driver (scheduler, DAG manager, failure detectors,
-// autoscaler) lives on shard 0's kernel; every node's devices, executor
-// process, heartbeat ticker and task processes live on the node's shard.
-// Control messages between the driver and an executor on another shard are
-// the only cross-shard interaction, and the control latency is the shard
-// lookahead, which is what lets the windowed mode run shards concurrently.
+// A run takes one of two paths, chosen once in NewEngine from Options alone
+// (windowsEligible): a single sim.Kernel, or per-node-group kernels under a
+// sim.ShardSet advanced concurrently through conservative lookahead windows.
+// On the sharded path the driver (scheduler, DAG manager, failure detectors)
+// lives on shard 0's kernel; every node's devices, executor process,
+// heartbeat ticker and task processes live on the node's shard. Control
+// messages between the driver and an executor on another shard are the only
+// cross-shard interaction, and the control latency is the shard lookahead.
 //
-// Two run modes (see sim.ShardSet):
-//
-//   - merged: sequential global-order stepping; byte-identical to Shards=1
-//     by construction, and therefore always safe. All traced, audited,
-//     metered, autoscaled, shuffling or quiet runs take this path.
-//
-//   - windowed: shards advance concurrently through conservative lookahead
-//     windows. Deterministic (repeated runs are identical) but not
-//     byte-identical to serial in general, so a run must qualify: every
-//     interaction that would reach across shards at zero latency — shuffle
-//     fetches, remote DFS reads, cross-node failover — must be absent from
-//     the plan. shardWindowsEligible encodes the exact rule.
+// A sharded run is deterministic (repeated runs are identical) but not
+// byte-identical to the one-kernel run in general, so every interaction that
+// would reach across shards at zero latency — shuffle fetches, remote DFS
+// reads, cross-node failover — must be absent: windowsEligible rules out the
+// options that bring one, SubmitAt the stages.
 
 import (
+	"fmt"
+
+	"sae/internal/engine/job"
 	"sae/internal/sim"
 )
 
 // kernelOf returns the kernel owning node's events: the node's shard kernel
-// at Shards > 1, the engine kernel otherwise.
+// on a sharded engine, the engine kernel otherwise.
 func (e *Engine) kernelOf(node int) *sim.Kernel {
 	if e.ss == nil {
 		return e.k
@@ -46,12 +43,12 @@ func (e *Engine) shardFor(node int) int {
 }
 
 // sendDriver posts an executor→driver control message after the control
-// latency. In a windowed run a message from a non-zero shard crosses to the
-// driver's shard through the coordinator — the latency is served on the
-// sending side of the lookahead barrier and the message lands in the
-// driver's mailbox in deterministic (time, source shard, source seq) order.
+// latency. A message from a non-zero shard crosses to the driver's shard
+// through the coordinator — the latency is served on the sending side of the
+// lookahead barrier and the message lands in the driver's mailbox in
+// deterministic (time, source shard, source seq) order.
 func (e *Engine) sendDriver(srcShard int, msg driverMsg) {
-	if e.windowed && srcShard != 0 {
+	if srcShard != 0 {
 		e.ss.Send(srcShard, 0, e.cluster.ControlLatency(), func() { e.toDriver.Put(msg) })
 		return
 	}
@@ -59,10 +56,10 @@ func (e *Engine) sendDriver(srcShard int, msg driverMsg) {
 }
 
 // sendExec posts a driver→executor control message after the control
-// latency, crossing shards through the coordinator when the run is windowed
-// and the executor lives off the driver's shard.
+// latency, crossing shards through the coordinator when the executor lives
+// off the driver's shard.
 func (e *Engine) sendExec(ex *Executor, msg execMsg) {
-	if e.windowed && ex.shard != 0 {
+	if ex.shard != 0 {
 		e.ss.Send(0, ex.shard, e.cluster.ControlLatency(), func() { ex.inbox.Put(msg) })
 		return
 	}
@@ -70,7 +67,7 @@ func (e *Engine) sendExec(ex *Executor, msg execMsg) {
 }
 
 // FiredEvents returns the number of events fired across the whole run —
-// summed over every shard kernel at Shards > 1.
+// summed over every shard kernel on a sharded engine.
 func (e *Engine) FiredEvents() uint64 {
 	if e.ss != nil {
 		return e.ss.FiredEvents()
@@ -78,19 +75,21 @@ func (e *Engine) FiredEvents() uint64 {
 	return e.k.FiredEvents()
 }
 
-// Windowed reports whether the last Wait advanced shards concurrently
-// (windowed mode) rather than through the merged sequential path.
-func (e *Engine) Windowed() bool { return e.windowed }
+// Windowed reports whether the engine runs on shard kernels advanced
+// concurrently through lookahead windows rather than on one kernel.
+func (e *Engine) Windowed() bool { return e.ss != nil }
 
-// shardWindowsEligible reports whether this run may advance shards
-// concurrently (windowed mode). The rule is conservative: everything that
-// could touch state on another shard at below the control latency — or that
-// promises byte-identical output — forces the merged path.
+// windowsEligible reports whether a run with these options may be sharded.
+// The rule is conservative: everything that could touch state on another
+// shard at below the control latency — or that promises byte-identical
+// output — keeps the run on one kernel.
 //
-//   - Trace, Audit and Metrics promise byte-identical output, which only the
-//     merged path preserves.
-//   - Quiet plans (no faults) are the golden-scenario surface; they stay
-//     merged for the same reason.
+//   - Trace, Audit and Metrics promise byte-identical output, which only one
+//     kernel's global event order preserves.
+//   - OnSetup hooks typically attach samplers on the driver kernel that read
+//     executor and node state engine-wide.
+//   - Quiet plans (no faults) are the golden-scenario surface; they stay on
+//     one kernel for the same reason.
 //   - Autoscale decommission drains and capacity activation mutate executor
 //     state from driver context.
 //   - Crashes flip ex.alive, which the driver-side DFS fault model and
@@ -98,44 +97,29 @@ func (e *Engine) Windowed() bool { return e.windowed }
 //   - Replica corruption re-routes DFS reads to other nodes' replicas.
 //   - Replication > 0 places block replicas on a subset of nodes, so a task
 //     may read a remote disk directly.
-//   - Shuffle output, shuffle input and DFS output all reach across nodes
-//     from task context (fetches, registry updates, output writes).
 //
 // Slowdowns, partitions and transient task I/O faults are shard-local or
-// pure, so grayfail matrices — the perf target — qualify.
-func (e *Engine) shardWindowsEligible() bool {
-	if e.ss == nil || e.windowedUnsafe() {
+// pure, so grayfail scans — the perf target — qualify.
+func windowsEligible(o *Options) bool {
+	if o.Trace != nil || o.Audit != nil || o.Metrics != nil || o.Autoscale != nil || o.OnSetup != nil {
 		return false
 	}
-	return true
-}
-
-func (e *Engine) windowedUnsafe() bool {
-	o := &e.opts
-	if o.Trace != nil || o.Audit != nil || o.Metrics != nil || o.Autoscale != nil {
-		return true
-	}
-	// OnSetup hooks typically attach samplers on the driver kernel that
-	// read executor and node state engine-wide.
-	if o.OnSetup != nil {
-		return true
-	}
 	if o.Replication != 0 {
-		return true
+		return false
 	}
 	plan := o.Faults
-	if plan.Empty() {
-		return true
-	}
-	if len(plan.Crashes) > 0 || plan.CorruptRate > 0 {
-		return true
-	}
-	for _, js := range e.jobs {
-		for _, st := range js.spec.Stages {
-			if st.ShuffleWriteBytes > 0 || len(st.ShuffleFrom) > 0 || st.OutputFile != "" || st.Work != nil {
-				return true
-			}
+	return !plan.Empty() && len(plan.Crashes) == 0 && plan.CorruptRate <= 0
+}
+
+// checkShardable is the jobs half of the rule: shuffle output, shuffle input
+// and DFS output all reach across nodes from task context (fetches, registry
+// updates, output writes), and a Work callback runs caller code there, so a
+// sharded engine takes none of them.
+func checkShardable(spec *job.JobSpec) error {
+	for _, st := range spec.Stages {
+		if st.ShuffleWriteBytes > 0 || len(st.ShuffleFrom) > 0 || st.OutputFile != "" || st.Work != nil {
+			return fmt.Errorf("engine: job %s stage %d (%s) shuffles, writes output or carries Work, which an engine sharded by Options.Shards cannot run", spec.Name, st.ID, st.Name)
 		}
 	}
-	return false
+	return nil
 }

@@ -53,12 +53,6 @@ type Setup struct {
 	// sequential per-run state, so like Trace and Metrics it forces
 	// sequential experiment execution.
 	Audit engine.Audit
-	// Shards partitions each run's cluster into per-node-group kernels
-	// under a shared clock (0 or 1 = single kernel; see
-	// engine.Options.Shards). Traced, audited and quiet runs take the
-	// deterministic merge path, so results stay byte-identical at any
-	// shard count.
-	Shards int
 }
 
 // Default returns the paper's 4-node HDD environment.
@@ -101,22 +95,28 @@ func (s Setup) clusterConfig() cluster.Config {
 	return cfg
 }
 
-// Run executes one workload under one policy and returns the engine report.
-func (s Setup) Run(w *workloads.Spec, policy job.Policy, onSetup func(*engine.Engine)) (*engine.JobReport, error) {
-	opts := engine.Options{
+// engineOptions starts the options of every engine the setup builds: its
+// cluster and its observers. Callers add what varies per run (policy, inputs,
+// faults, autoscaling).
+func (s Setup) engineOptions() engine.Options {
+	return engine.Options{
 		Cluster:         s.clusterConfig(),
-		BlockSize:       w.BlockSize,
-		Policy:          policy,
-		Faults:          s.Faults,
-		Inputs:          w.Inputs,
-		OnSetup:         onSetup,
 		Trace:           s.Trace,
 		TraceFormat:     s.TraceFormat,
 		Metrics:         s.Metrics,
 		MetricsInterval: s.MetricsInterval,
 		Audit:           s.Audit,
-		Shards:          s.Shards,
 	}
+}
+
+// Run executes one workload under one policy and returns the engine report.
+func (s Setup) Run(w *workloads.Spec, policy job.Policy, onSetup func(*engine.Engine)) (*engine.JobReport, error) {
+	opts := s.engineOptions()
+	opts.BlockSize = w.BlockSize
+	opts.Policy = policy
+	opts.Faults = s.Faults
+	opts.Inputs = w.Inputs
+	opts.OnSetup = onSetup
 	if s.Config != nil {
 		if err := engine.ApplyConfig(&opts, s.Config); err != nil {
 			return nil, err

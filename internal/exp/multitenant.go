@@ -28,20 +28,12 @@ func (s Setup) RunMulti(ws []*workloads.Spec, policy job.Policy, jobPolicy engin
 			}
 		}
 	}
-	opts := engine.Options{
-		Cluster:         s.clusterConfig(),
-		BlockSize:       ws[0].BlockSize,
-		Policy:          policy,
-		JobPolicy:       jobPolicy,
-		Faults:          s.Faults,
-		Inputs:          inputs,
-		Trace:           s.Trace,
-		TraceFormat:     s.TraceFormat,
-		Metrics:         s.Metrics,
-		MetricsInterval: s.MetricsInterval,
-		Audit:           s.Audit,
-		Shards:          s.Shards,
-	}
+	opts := s.engineOptions()
+	opts.BlockSize = ws[0].BlockSize
+	opts.Policy = policy
+	opts.JobPolicy = jobPolicy
+	opts.Faults = s.Faults
+	opts.Inputs = inputs
 	if s.Config != nil {
 		if err := engine.ApplyConfig(&opts, s.Config); err != nil {
 			return nil, err

@@ -293,8 +293,7 @@ func (r Runner) ArrivalMatrix(m ArrivalMatrix) (*AutoscaleResult, error) {
 func (r Runner) replayArrivals(scenario string, cfg ArrivalConfig, m ArrivalMatrix,
 	sched []arrival.Arrival, byClass map[string]ArrivalTenant) (AutoscaleRow, error) {
 
-	s := r.Setup
-	big := s
+	big := r.Setup
 	big.Nodes = m.Capacity
 	var inputs []engine.Input
 	for _, t := range byClass {
@@ -306,27 +305,19 @@ func (r Runner) replayArrivals(scenario string, cfg ArrivalConfig, m ArrivalMatr
 			inputs[j], inputs[j-1] = inputs[j-1], inputs[j]
 		}
 	}
-	opts := engine.Options{
-		Cluster:         big.clusterConfig(),
-		BlockSize:       64 * device.MiB,
-		Policy:          core.Default{},
-		JobPolicy:       engine.Fair{},
-		Inputs:          inputs,
-		Trace:           s.Trace,
-		TraceFormat:     s.TraceFormat,
-		Metrics:         s.Metrics,
-		MetricsInterval: s.MetricsInterval,
-		Audit:           s.Audit,
-		Shards:          s.Shards,
-		Autoscale: &engine.AutoscaleConfig{
-			Policy:            cfg.Policy(),
-			Interval:          m.Interval,
-			InitialNodes:      cfg.Initial,
-			MinNodes:          m.MinNodes,
-			MaxNodes:          m.Capacity,
-			ProvisionDelay:    m.ProvisionDelay,
-			ScaleDownCooldown: m.ScaleDownCooldown,
-		},
+	opts := big.engineOptions()
+	opts.BlockSize = 64 * device.MiB
+	opts.Policy = core.Default{}
+	opts.JobPolicy = engine.Fair{}
+	opts.Inputs = inputs
+	opts.Autoscale = &engine.AutoscaleConfig{
+		Policy:            cfg.Policy(),
+		Interval:          m.Interval,
+		InitialNodes:      cfg.Initial,
+		MinNodes:          m.MinNodes,
+		MaxNodes:          m.Capacity,
+		ProvisionDelay:    m.ProvisionDelay,
+		ScaleDownCooldown: m.ScaleDownCooldown,
 	}
 	e, err := engine.NewEngine(opts)
 	if err != nil {

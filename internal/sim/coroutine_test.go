@@ -93,7 +93,7 @@ func TestCoroutinePool(t *testing.T) {
 	body := func(p *Proc) { ran++ }
 	spawn := func() {
 		k.Go("short", body)
-		k.ProcessNextEvent()
+		k.runUntil(noLimit)
 	}
 	for i := 0; i < 10000; i++ {
 		spawn()
@@ -113,37 +113,33 @@ func TestCoroutinePool(t *testing.T) {
 	}
 }
 
+// leakModel gives k four processes that finish and one that parks forever, so
+// a run ends with both idle coroutines and a live one to stop.
+func leakModel(k *Kernel) {
+	for j := 0; j < 4; j++ {
+		k.Go("sleeper", func(p *Proc) {
+			for n := 0; n < 20; n++ {
+				p.Sleep(300 * time.Microsecond)
+			}
+		})
+	}
+	k.Go("parked", func(p *Proc) { p.Park() })
+}
+
 // TestNoGoroutineLeak: every run method stops the coroutines it created —
 // those of killed processes and the idle pool alike.
 func TestNoGoroutineLeak(t *testing.T) {
 	base := runtime.NumGoroutine()
-	build := func(ks [3]*Kernel) {
-		var log []string
-		buildMergedModel(ks, &log)
-	}
 	runs := map[string]func(){
 		"Kernel.Run": func() {
 			k := NewKernel()
-			build([3]*Kernel{k, k, k})
+			leakModel(k)
 			k.Run()
-		},
-		"ShardSet.Run": func() {
-			ss := NewShardSet(3, time.Millisecond)
-			build([3]*Kernel{ss.Shard(0), ss.Shard(1), ss.Shard(2)})
-			ss.Run()
 		},
 		"ShardSet.RunWindows": func() {
 			ss := NewShardSet(3, time.Millisecond)
 			for i := 0; i < 3; i++ {
-				k := ss.Shard(i)
-				for j := 0; j < 4; j++ {
-					k.Go("sleeper", func(p *Proc) {
-						for n := 0; n < 20; n++ {
-							p.Sleep(300 * time.Microsecond)
-						}
-					})
-				}
-				k.Go("parked", func(p *Proc) { p.Park() })
+				leakModel(ss.Shard(i))
 			}
 			ss.RunWindows()
 		},

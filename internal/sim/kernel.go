@@ -2,7 +2,7 @@
 // with cooperative coroutine-based processes.
 //
 // The kernel owns a virtual clock and an event queue, and fires every event
-// on the one goroutine that called Run (or RunUntil / ProcessNextEvent).
+// on the one goroutine that called Run.
 // Processes are runtime coroutines (iter.Pull): a process-resume event
 // switches into the process, and the process switches straight back when it
 // blocks in virtual time — Proc.Sleep, or waiting on a Signal. A coroutine
@@ -37,26 +37,18 @@ import (
 	"time"
 )
 
-// kstate is the ordering state a kernel draws on: the virtual clock and the
-// event / process sequence counters. A standalone kernel owns its own; the
-// kernels of a merged shard set (see ShardSet) share one, which makes event
-// creation order — and therefore every tie-break — globally unique across
-// shards, the property that keeps a merged sharded run byte-identical to a
-// single-kernel run.
-type kstate struct {
-	now     time.Duration
-	seq     uint64
-	procSeq uint64
-}
-
-// noLimit disables the RunUntil horizon.
+// noLimit disables the runUntil horizon.
 const noLimit = time.Duration(math.MaxInt64)
 
 // Kernel is a discrete-event simulator. The zero value is not usable; use
 // NewKernel.
 type Kernel struct {
-	st     *kstate
-	events eventQueue
+	now time.Duration
+	// seq and procSeq number events and processes in creation order: seq
+	// breaks same-instant ties FIFO, procSeq fixes the shutdown kill order.
+	seq     uint64
+	procSeq uint64
+	events  eventQueue
 	// dead counts cancelled events still sitting in the queue; once they
 	// outnumber the live ones the queue is compacted in one pass.
 	dead int
@@ -81,18 +73,18 @@ type Kernel struct {
 	fired   uint64
 	running bool
 	stopped bool
-	// limit is the RunUntil horizon: loop refuses to fire events at or past
+	// limit is the runUntil horizon: loop refuses to fire events at or past
 	// it. noLimit for a plain Run.
 	limit time.Duration
 }
 
 // NewKernel returns a kernel with the clock at zero and an empty event queue.
 func NewKernel() *Kernel {
-	return &Kernel{st: &kstate{}, limit: noLimit}
+	return &Kernel{limit: noLimit}
 }
 
 // Now returns the current virtual time (duration since simulation start).
-func (k *Kernel) Now() time.Duration { return k.st.now }
+func (k *Kernel) Now() time.Duration { return k.now }
 
 // event is the kernel-internal representation of a scheduled callback. The
 // struct is recycled through the kernel free list once fired or compacted
@@ -162,11 +154,11 @@ func (ev Event) Reschedule(at time.Duration) {
 		panic("sim: Reschedule of inactive event")
 	}
 	k := ev.k
-	if at < k.st.now {
-		panic(fmt.Sprintf("sim: rescheduling event at %v before now %v", at, k.st.now))
+	if at < k.now {
+		panic(fmt.Sprintf("sim: rescheduling event at %v before now %v", at, k.now))
 	}
-	e.seq = k.st.seq
-	k.st.seq++
+	e.seq = k.seq
+	k.seq++
 	e.at = at
 	if e.index <= -2 {
 		// Leaving the ring: abandon the slot (popping skips nils) and
@@ -182,8 +174,8 @@ func (ev Event) Reschedule(at time.Duration) {
 // newEvent takes an event struct from the free list (or allocates one) and
 // schedules it.
 func (k *Kernel) newEvent(at time.Duration, fn func(), proc *Proc, every time.Duration) *event {
-	if at < k.st.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", at, k.st.now))
+	if at < k.now {
+		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", at, k.now))
 	}
 	e := k.free
 	if e != nil {
@@ -193,8 +185,8 @@ func (k *Kernel) newEvent(at time.Duration, fn func(), proc *Proc, every time.Du
 		e = &event{}
 	}
 	e.at = at
-	e.seq = k.st.seq
-	k.st.seq++
+	e.seq = k.seq
+	k.seq++
 	e.fn = fn
 	e.proc = proc
 	e.every = every
@@ -206,7 +198,7 @@ func (k *Kernel) newEvent(at time.Duration, fn func(), proc *Proc, every time.Du
 // enqueue routes an event to the ring (scheduled at the current instant,
 // where its fresh seq keeps the ring sorted by construction) or the heap.
 func (k *Kernel) enqueue(e *event) {
-	if e.at == k.st.now {
+	if e.at == k.now {
 		e.index = int32(-2 - len(k.ring))
 		k.ring = append(k.ring, e)
 		return
@@ -263,7 +255,7 @@ func (k *Kernel) After(d time.Duration, fn func()) Event {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", d))
 	}
-	return k.At(k.st.now+d, fn)
+	return k.At(k.now+d, fn)
 }
 
 // Every schedules fn to run every d of virtual time, first at now+d. The
@@ -275,14 +267,14 @@ func (k *Kernel) Every(d time.Duration, fn func()) Event {
 	if d <= 0 {
 		panic(fmt.Sprintf("sim: non-positive period %v", d))
 	}
-	e := k.newEvent(k.st.now+d, fn, nil, d)
+	e := k.newEvent(k.now+d, fn, nil, d)
 	return Event{k: k, e: e, gen: e.gen}
 }
 
 // afterProc schedules a direct process resume d from now — the Sleep /
 // Signal / Go hot path, which needs no closure.
 func (k *Kernel) afterProc(d time.Duration, p *Proc) *event {
-	return k.newEvent(k.st.now+d, nil, p, 0)
+	return k.newEvent(k.now+d, nil, p, 0)
 }
 
 // Run fires events in timestamp order (FIFO among equal timestamps) until the
@@ -297,71 +289,57 @@ func (k *Kernel) Run() {
 	}
 	k.running = true
 	defer func() { k.running = false }()
-	defer shutdown(k)
+	defer k.shutdown()
 	k.loop()
 }
 
 // loop is the kernel's one event loop: it fires events in (time, seq) order
 // on the calling goroutine until no live event before k.limit remains or
-// Stop is called.
+// Stop is called. A process an event resumes runs until it parks or exits and
+// control is back here.
 func (k *Kernel) loop() {
-	for !k.stopped && k.ProcessNextEvent() {
-	}
-}
-
-// ProcessNextEvent fires exactly one event — the kernel's (time, seq)
-// minimum — and reports whether one fired; an event at or past a RunUntil
-// horizon stays queued. It is the body of the kernel loop and the
-// single-step primitive under a shard coordinator: a process the event
-// resumes runs until it parks or exits and control is back here, whichever
-// kernel of the set owns it.
-func (k *Kernel) ProcessNextEvent() bool {
-	e := k.peekLive()
-	if e == nil || e.at >= k.limit {
-		return false
-	}
-	k.popPeeked(e)
-	if e.at < k.st.now {
-		panic("sim: event queue went backwards")
-	}
-	k.st.now = e.at
-	k.fired++
-	switch {
-	case e.proc != nil:
-		p := e.proc
-		k.recycle(e)
-		p.switchTo()
-	case e.every > 0:
-		e.fn()
-		if e.cancelled {
-			// fn cancelled its own series mid-fire.
-			k.recycle(e)
-		} else {
-			// Reschedule in place with a fresh seq, after fn so
-			// anything fn scheduled at the next tick fires first.
-			e.at += e.every
-			e.seq = k.st.seq
-			k.st.seq++
-			k.events.push(e)
+	for !k.stopped {
+		e := k.peekLive()
+		if e == nil || e.at >= k.limit {
+			return
 		}
-	default:
-		fn := e.fn
-		k.recycle(e)
-		fn()
+		k.popPeeked(e)
+		if e.at < k.now {
+			panic("sim: event queue went backwards")
+		}
+		k.now = e.at
+		k.fired++
+		switch {
+		case e.proc != nil:
+			p := e.proc
+			k.recycle(e)
+			p.switchTo()
+		case e.every > 0:
+			e.fn()
+			if e.cancelled {
+				// fn cancelled its own series mid-fire.
+				k.recycle(e)
+			} else {
+				// Reschedule in place with a fresh seq, after fn so
+				// anything fn scheduled at the next tick fires first.
+				e.at += e.every
+				e.seq = k.seq
+				k.seq++
+				k.events.push(e)
+			}
+		default:
+			fn := e.fn
+			k.recycle(e)
+			fn()
+		}
 	}
-	return true
 }
 
-// HasPendingEvents reports whether any live (non-cancelled) event remains
-// queued — the emptiness step primitive for shard coordinators.
-func (k *Kernel) HasPendingEvents() bool { return k.peekLive() != nil }
-
-// PeekNextEventTime returns the virtual time of the next event this kernel
+// peekNextEventTime returns the virtual time of the next event this kernel
 // would fire, without firing it. The second result is false when no live
-// event is queued. Shard coordinators use it to pick the globally earliest
-// kernel (merged mode) and to derive the next lookahead window (windowed
-// mode).
-func (k *Kernel) PeekNextEventTime() (time.Duration, bool) {
+// event is queued. The shard coordinator derives the next lookahead window
+// from it.
+func (k *Kernel) peekNextEventTime() (time.Duration, bool) {
 	e := k.peekLive()
 	if e == nil {
 		return 0, false
@@ -369,16 +347,16 @@ func (k *Kernel) PeekNextEventTime() (time.Duration, bool) {
 	return e.at, true
 }
 
-// RunUntil fires events in (time, seq) order until no event strictly before
+// runUntil fires events in (time, seq) order until no event strictly before
 // limit remains, or Stop is called. Unlike Run it does not shut the kernel
 // down: parked processes stay parked and the clock stays wherever the last
-// event left it, ready for the next window. It is the windowed-mode shard
-// primitive — the coordinator picks a horizon no shard may cross and lets
-// every shard run its own loop (no per-event coordination) up to it. Each
-// window may call it from a different goroutine, never two at once.
-func (k *Kernel) RunUntil(limit time.Duration) {
+// event left it, ready for the next window. It is the shard primitive — the
+// coordinator picks a horizon no shard may cross and lets every shard run its
+// own loop (no per-event coordination) up to it. Each window may call it from
+// a different goroutine, never two at once.
+func (k *Kernel) runUntil(limit time.Duration) {
 	if k.running {
-		panic("sim: RunUntil called re-entrantly")
+		panic("sim: runUntil called re-entrantly")
 	}
 	k.running = true
 	k.limit = limit
@@ -456,37 +434,32 @@ func (k *Kernel) PendingEvents() int {
 // Benchmarks divide it by wall time for the kernel's events/sec figure.
 func (k *Kernel) FiredEvents() uint64 { return k.fired }
 
-// shutdown ends a run of the given kernels — one, or all of a merged shard
-// set. Processes still parked are killed in process creation order (map or
-// pool order here would let shutdown-time side effects, the deferred cleanups
-// of killed processes, reorder between otherwise identical runs); then the
-// idle coroutines are stopped, so no goroutine outlives the run, and the
-// queues are dropped.
-func shutdown(kernels ...*Kernel) {
+// shutdown ends a run. Processes still parked are killed in process creation
+// order (map or pool order here would let shutdown-time side effects, the
+// deferred cleanups of killed processes, reorder between otherwise identical
+// runs); then the idle coroutines are stopped, so no goroutine outlives the
+// run, and the queues are dropped.
+func (k *Kernel) shutdown() {
 	var live []*coroutine
-	for _, k := range kernels {
-		for _, c := range k.coros {
-			if c.p != nil {
-				live = append(live, c)
-			}
+	for _, c := range k.coros {
+		if c.p != nil {
+			live = append(live, c)
 		}
 	}
 	slices.SortFunc(live, func(a, b *coroutine) int { return cmp.Compare(a.p.seq, b.p.seq) })
 	for _, c := range live {
 		c.stop()
 	}
-	for _, k := range kernels {
-		for _, c := range k.idle {
-			c.stop()
-		}
-		k.coros, k.idle = nil, nil
-		k.events = nil
-		k.free = nil
-		k.dead = 0
-		k.ring = nil
-		k.ringHead = 0
-		k.ringDead = 0
+	for _, c := range k.idle {
+		c.stop()
 	}
+	k.coros, k.idle = nil, nil
+	k.events = nil
+	k.free = nil
+	k.dead = 0
+	k.ring = nil
+	k.ringHead = 0
+	k.ringDead = 0
 }
 
 // coroutine is a pooled runtime coroutine: it runs the body of one process
@@ -555,8 +528,8 @@ type killed struct{}
 // one allocation: a coroutine is bound only when the process first runs, so
 // one that never starts has nothing to shut down and fn is never called.
 func (k *Kernel) Go(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{k: k, name: name, seq: k.st.procSeq, fn: fn}
-	k.st.procSeq++
+	p := &Proc{k: k, name: name, seq: k.procSeq, fn: fn}
+	k.procSeq++
 	k.afterProc(0, p)
 	return p
 }
@@ -591,7 +564,7 @@ func (p *Proc) Name() string { return p.name }
 func (p *Proc) Kernel() *Kernel { return p.k }
 
 // Now returns the current virtual time.
-func (p *Proc) Now() time.Duration { return p.k.st.now }
+func (p *Proc) Now() time.Duration { return p.k.now }
 
 // park blocks the process until some event resumes it: it switches back to
 // the kernel loop, which fires the next event. A false yield means shutdown

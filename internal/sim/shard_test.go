@@ -3,101 +3,10 @@ package sim
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 )
-
-// buildMergedModel constructs an identical workload on ks[0..2] — procs,
-// periodic timers, cross-kernel mailboxes, same-instant events, cancels —
-// and returns the shared log. Passing the same kernel three times yields
-// the single-kernel reference run.
-func buildMergedModel(ks [3]*Kernel, log *[]string) {
-	rec := func(k *Kernel, what string) {
-		*log = append(*log, fmt.Sprintf("%v %s", k.Now(), what))
-	}
-	boxes := [3]*Mailbox[int]{}
-	for i := range boxes {
-		boxes[i] = NewMailbox[int](ks[i])
-	}
-	// A ring of processes bouncing a token across kernels with latency.
-	for i := range ks {
-		i := i
-		ks[i].Go(fmt.Sprintf("ring-%d", i), func(p *Proc) {
-			for hops := 0; hops < 5; hops++ {
-				v := boxes[i].Recv(p)
-				rec(ks[i], fmt.Sprintf("ring-%d got %d", i, v))
-				boxes[(i+1)%3].Send(3*time.Millisecond, v+1)
-			}
-		})
-	}
-	boxes[0].Send(0, 100)
-	// Periodic tickers on every kernel at the same period: same-instant
-	// events on different kernels every tick.
-	for i := range ks {
-		i := i
-		var ev Event
-		n := 0
-		ev = ks[i].Every(2*time.Millisecond, func() {
-			rec(ks[i], fmt.Sprintf("tick-%d", i))
-			if n++; n == 4 {
-				ev.Cancel()
-			}
-		})
-	}
-	// A cancelled timer and a rescheduled one.
-	dead := ks[1].After(5*time.Millisecond, func() { rec(ks[1], "never") })
-	dead.Cancel()
-	mv := ks[2].After(1*time.Millisecond, func() { rec(ks[2], "moved") })
-	mv.Reschedule(7 * time.Millisecond)
-	// A proc that parks forever: killed at shutdown, logging via defer so
-	// the global kill order is observable.
-	for i := range ks {
-		i := i
-		ks[i].Go(fmt.Sprintf("parked-%d", i), func(p *Proc) {
-			defer rec(ks[i], fmt.Sprintf("killed-%d", i))
-			p.Park()
-		})
-	}
-}
-
-// TestShardSetMergedIdentity: a merged shard set must produce exactly the
-// event order of a single kernel running the union of the model.
-func TestShardSetMergedIdentity(t *testing.T) {
-	var want []string
-	k := NewKernel()
-	buildMergedModel([3]*Kernel{k, k, k}, &want)
-	k.Run()
-
-	var got []string
-	ss := NewShardSet(3, time.Millisecond)
-	buildMergedModel([3]*Kernel{ss.Shard(0), ss.Shard(1), ss.Shard(2)}, &got)
-	ss.Run()
-
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("merged shard run diverged from single kernel:\n got %v\nwant %v", got, want)
-	}
-	if len(want) == 0 {
-		t.Fatal("model produced no log entries")
-	}
-}
-
-// TestShardSetMergedIdentityTwoShards re-runs the identity check at a
-// different shard count mapping two model roles onto one kernel.
-func TestShardSetMergedIdentityTwoShards(t *testing.T) {
-	var want []string
-	k := NewKernel()
-	buildMergedModel([3]*Kernel{k, k, k}, &want)
-	k.Run()
-
-	var got []string
-	ss := NewShardSet(2, time.Millisecond)
-	buildMergedModel([3]*Kernel{ss.Shard(0), ss.Shard(1), ss.Shard(0)}, &got)
-	ss.Run()
-
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("2-shard merged run diverged from single kernel:\n got %v\nwant %v", got, want)
-	}
-}
 
 // windowedModel builds an engine-shaped workload: shard-local busywork plus
 // cross-shard messages routed through send (which must respect the
@@ -145,8 +54,8 @@ func windowedModel(ks []*Kernel, send func(from, dst int, d time.Duration, fn fu
 	return logs
 }
 
-// TestShardSetWindowedDeterministic: two identical windowed runs produce
-// identical per-shard logs.
+// TestShardSetWindowedDeterministic: two identical runs produce identical
+// per-shard logs.
 func TestShardSetWindowedDeterministic(t *testing.T) {
 	run := func() [][]string {
 		ss := NewShardSet(4, time.Millisecond)
@@ -168,38 +77,77 @@ func TestShardSetWindowedDeterministic(t *testing.T) {
 	}
 }
 
-// TestShardSetWindowedMatchesMerged: when cross-shard traffic respects the
-// lookahead and lands at distinct instants, the windowed run's per-shard
-// logs equal the merged run's (the merged run routes the same sends by
-// direct cross-kernel scheduling).
-func TestShardSetWindowedMatchesMerged(t *testing.T) {
-	merged := func() [][]string {
-		ss := NewShardSet(3, time.Millisecond)
-		ks := []*Kernel{ss.Shard(0), ss.Shard(1), ss.Shard(2)}
-		send := func(from, dst int, d time.Duration, fn func()) {
-			ks[dst].After(d, fn)
-		}
-		logs := windowedModel(ks, send)
-		ss.Run()
+// TestShardSetMatchesOneKernel: when cross-shard traffic respects the
+// lookahead and lands at distinct instants, the sharded run's per-shard logs
+// equal those of the same model built on one kernel (which routes the same
+// sends by direct scheduling).
+func TestShardSetMatchesOneKernel(t *testing.T) {
+	collect := func(logs []*[]string) [][]string {
 		out := make([][]string, len(logs))
 		for i, l := range logs {
 			out[i] = *l
 		}
 		return out
-	}()
-	windowed := func() [][]string {
+	}
+	k := NewKernel()
+	logs := windowedModel([]*Kernel{k, k, k}, func(from, dst int, d time.Duration, fn func()) {
+		k.After(d, fn)
+	})
+	k.Run()
+	single := collect(logs)
+
+	ss := NewShardSet(3, time.Millisecond)
+	logs = windowedModel([]*Kernel{ss.Shard(0), ss.Shard(1), ss.Shard(2)}, ss.Send)
+	ss.RunWindows()
+	sharded := collect(logs)
+
+	if !reflect.DeepEqual(sharded, single) {
+		t.Fatalf("sharded run diverged from one kernel:\n sharded %v\n single %v", sharded, single)
+	}
+	if len(single[0]) == 0 || len(single[1]) == 0 {
+		t.Fatalf("model produced empty logs: %v", single)
+	}
+}
+
+// TestShardSetPanicReachesCaller: a panic on any shard — the one running
+// inline on the coordinator, or one on a window goroutine — surfaces in
+// RunWindows' caller with its value intact, after the window barrier and the
+// shutdown of every shard: parked processes on the other shards are unwound
+// and no goroutine outlives the run.
+func TestShardSetPanicReachesCaller(t *testing.T) {
+	for faulty := 0; faulty < 3; faulty++ {
+		base := runtime.NumGoroutine()
 		ss := NewShardSet(3, time.Millisecond)
-		ks := []*Kernel{ss.Shard(0), ss.Shard(1), ss.Shard(2)}
-		logs := windowedModel(ks, ss.Send)
-		ss.RunWindows()
-		out := make([][]string, len(logs))
-		for i, l := range logs {
-			out[i] = *l
+		cleaned := make([]bool, 3)
+		for i := 0; i < 3; i++ {
+			leakModel(ss.Shard(i))
+			ss.Shard(i).Go("bystander", func(p *Proc) {
+				defer func() { cleaned[i] = true }()
+				p.Park()
+			})
 		}
-		return out
-	}()
-	if !reflect.DeepEqual(windowed, merged) {
-		t.Fatalf("windowed diverged from merged:\n windowed %v\n merged %v", windowed, merged)
+		// All three shards are active in the window the panic fires in.
+		ss.Shard(faulty).Go("faulty", func(p *Proc) {
+			p.Sleep(2 * time.Millisecond)
+			panic("boom")
+		})
+		func() {
+			defer func() {
+				if r := recover(); r != "boom" {
+					t.Errorf("shard %d: recovered %v, want boom", faulty, r)
+				}
+			}()
+			ss.RunWindows()
+			t.Errorf("shard %d: RunWindows returned normally", faulty)
+		}()
+		for i, ok := range cleaned {
+			if !ok {
+				t.Errorf("shard %d panicked: bystander on shard %d was not unwound", faulty, i)
+			}
+		}
+		if !waitGoroutines(base) {
+			t.Errorf("shard %d panicked: %d goroutines left, started with %d", faulty, runtime.NumGoroutine(), base)
+		}
 	}
 }
 
@@ -231,7 +179,7 @@ func TestShardSetSameInstantMergeOrder(t *testing.T) {
 	}
 }
 
-// TestRunUntilBoundary: RunUntil fires strictly-before-limit events only,
+// TestRunUntilBoundary: runUntil fires strictly-before-limit events only,
 // leaves the clock at the last fired event, and resumes cleanly across
 // windows.
 func TestRunUntilBoundary(t *testing.T) {
@@ -243,17 +191,17 @@ func TestRunUntilBoundary(t *testing.T) {
 			got = append(got, fmt.Sprintf("%d", d))
 		})
 	}
-	k.RunUntil(3 * time.Millisecond)
+	k.runUntil(3 * time.Millisecond)
 	if want := []string{"1", "2"}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("first window fired %v, want %v", got, want)
 	}
 	if k.Now() != 2*time.Millisecond {
 		t.Fatalf("clock at %v after first window, want 2ms", k.Now())
 	}
-	if !k.HasPendingEvents() {
-		t.Fatal("events at/after the limit must stay queued")
+	if k.PendingEvents() != 2 {
+		t.Fatalf("%d events queued after the first window, want the 2 at/after the limit", k.PendingEvents())
 	}
-	k.RunUntil(noLimit)
+	k.runUntil(noLimit)
 	if want := []string{"1", "2", "3", "4"}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("after second window fired %v, want %v", got, want)
 	}
@@ -271,7 +219,7 @@ func TestRunUntilParksProcesses(t *testing.T) {
 		}
 	})
 	for w := time.Duration(1); len(got) < 3 && w < 100; w++ {
-		k.RunUntil(w * 5 * time.Millisecond)
+		k.runUntil(w * 5 * time.Millisecond)
 	}
 	want := []string{"0s wake 0", "10ms wake 1", "20ms wake 2"}
 	if !reflect.DeepEqual(got, want) {
@@ -281,32 +229,27 @@ func TestRunUntilParksProcesses(t *testing.T) {
 	k.Run()
 }
 
-// TestStepPrimitives: Peek/Process step through ring and heap events in
+// TestStepPrimitives: peek/runUntil step through ring and heap events in
 // (time, seq) order and skip cancelled corpses.
 func TestStepPrimitives(t *testing.T) {
-	ss := NewShardSet(1, time.Millisecond)
-	k := ss.Shard(0)
+	k := NewKernel()
 	var got []string
 	k.At(0, func() { got = append(got, "ring") }) // same-instant: ring lane
 	k.At(2*time.Millisecond, func() { got = append(got, "heap") })
 	dead := k.At(1*time.Millisecond, func() { got = append(got, "cancelled") })
 	dead.Cancel()
-	if !k.HasPendingEvents() {
-		t.Fatal("expected pending events")
-	}
-	if at, ok := k.PeekNextEventTime(); !ok || at != 0 {
+	if at, ok := k.peekNextEventTime(); !ok || at != 0 {
 		t.Fatalf("peek = %v %v, want 0 true", at, ok)
 	}
-	if !k.ProcessNextEvent() {
-		t.Fatal("expected an event to fire")
+	k.runUntil(time.Millisecond)
+	if want := []string{"ring"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("first step fired %v, want %v", got, want)
 	}
-	if at, ok := k.PeekNextEventTime(); !ok || at != 2*time.Millisecond {
+	if at, ok := k.peekNextEventTime(); !ok || at != 2*time.Millisecond {
 		t.Fatalf("peek after cancel-skip = %v %v, want 2ms true", at, ok)
 	}
-	if !k.ProcessNextEvent() {
-		t.Fatal("expected the heap event to fire")
-	}
-	if k.ProcessNextEvent() {
+	k.runUntil(noLimit)
+	if _, ok := k.peekNextEventTime(); ok {
 		t.Fatal("queue should be drained")
 	}
 	if want := []string{"ring", "heap"}; !reflect.DeepEqual(got, want) {
@@ -314,8 +257,8 @@ func TestStepPrimitives(t *testing.T) {
 	}
 }
 
-// TestShardSendGuards: Send panics outside windowed runs and on delays
-// below the lookahead.
+// TestShardSendGuards: Send panics outside RunWindows and on delays below
+// the lookahead.
 func TestShardSendGuards(t *testing.T) {
 	ss := NewShardSet(2, time.Millisecond)
 	mustPanic := func(what string, fn func()) {
@@ -326,7 +269,7 @@ func TestShardSendGuards(t *testing.T) {
 		}()
 		fn()
 	}
-	mustPanic("send outside windowed run", func() {
+	mustPanic("send outside RunWindows", func() {
 		ss.Send(0, 1, 2*time.Millisecond, func() {})
 	})
 	ss.Shard(0).Go("violator", func(p *Proc) {
