@@ -43,6 +43,8 @@
 package main
 
 import (
+	"bufio"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -63,7 +65,7 @@ func main() {
 	}
 }
 
-func run(args []string) error {
+func run(args []string) (err error) {
 	fs := flag.NewFlagSet("sae-run", flag.ContinueOnError)
 	workload := fs.String("workload", "terasort", "workload: terasort|pagerank|aggregation|join|scan|bayes|lda|nweight|svm")
 	policy := fs.String("policy", "dynamic", "sizing policy: default|static|dynamic")
@@ -148,12 +150,19 @@ func run(args []string) error {
 		setup.Config = reg
 	}
 	if *traceFile != "" {
-		f, err := os.Create(*traceFile)
-		if err != nil {
-			return err
+		f, ferr := os.Create(*traceFile)
+		if ferr != nil {
+			return ferr
 		}
-		defer f.Close()
-		setup.Trace = f
+		// The engine issues one Write per event; buffer them here so each is
+		// not a write(2), and report a failed flush of the last events.
+		bw := bufio.NewWriter(f)
+		setup.Trace = bw
+		defer func() {
+			if cerr := errors.Join(bw.Flush(), f.Close()); err == nil && cerr != nil {
+				err = fmt.Errorf("trace log: %w", cerr)
+			}
+		}()
 	}
 	if *traceV2 {
 		setup.TraceFormat = 2

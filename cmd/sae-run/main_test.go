@@ -1,6 +1,12 @@
 package main
 
-import "testing"
+import (
+	"os"
+	"path/filepath"
+	"testing"
+
+	"sae/internal/engine"
+)
 
 func TestRunSmallWorkload(t *testing.T) {
 	err := run([]string{"-workload", "aggregation", "-scale", "0.05", "-policy", "static", "-threads", "4"})
@@ -61,5 +67,37 @@ func TestRunScenarioConfOverride(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRunTraceFileComplete checks the buffered trace file is flushed in
+// full: it decodes, and ends with the job's last event.
+func TestRunTraceFileComplete(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "trace.jsonl")
+	if err := run([]string{"-workload", "terasort", "-scale", "0.02", "-trace", path, "-trace-v2"}); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	hdr, events, err := engine.ReadTraceWithHeader(f)
+	if err != nil || hdr == nil || len(events) == 0 {
+		t.Fatalf("trace file: header %+v, %d events, err %v", hdr, len(events), err)
+	}
+	if last := events[len(events)-1]; last.Type != engine.TraceJobEnd {
+		t.Fatalf("trace file ends with %+v, want the job_end event", last)
+	}
+}
+
+// TestRunTraceWriteErrorReported points the trace at a device that refuses
+// every write: the run must fail instead of leaving a short file behind.
+func TestRunTraceWriteErrorReported(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full on this platform")
+	}
+	if err := run([]string{"-workload", "scan", "-scale", "0.02", "-trace", "/dev/full"}); err == nil {
+		t.Fatal("a trace file that cannot be written was not reported")
 	}
 }

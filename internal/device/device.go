@@ -144,6 +144,10 @@ func SSDSata() DiskSpec {
 type Disk struct {
 	spec   DiskSpec
 	server *psres.Server
+	// overload[n] caches spec.Overload(n), filled up to the highest stream
+	// count asked about; Overload is pure, so a cached value is
+	// bit-identical to recomputing it (as with psres's curve memo).
+	overload []float64
 
 	bytesRead    int64
 	bytesWritten int64
@@ -202,7 +206,11 @@ func (d *Disk) Counters() (read, written int64) { return d.bytesRead, d.bytesWri
 // OverloadAhead returns the contention factor an additional stream would
 // experience if it were issued now (see DiskSpec.Overload).
 func (d *Disk) OverloadAhead() float64 {
-	return d.spec.Overload(d.server.Active() + 1)
+	n := d.server.Active() + 1
+	for len(d.overload) <= n {
+		d.overload = append(d.overload, d.spec.Overload(len(d.overload)))
+	}
+	return d.overload[n]
 }
 
 // Snapshot returns the underlying server statistics (busy time etc.).

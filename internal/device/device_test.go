@@ -105,6 +105,38 @@ func TestDiskReadWriteCounters(t *testing.T) {
 	}
 }
 
+// TestOverloadAheadMatchesSpec checks the per-disk memo against the spec at
+// every stream count a staggered burst passes through, rising and falling,
+// asked twice so both the fill and the hit are compared.
+func TestOverloadAheadMatchesSpec(t *testing.T) {
+	k := sim.NewKernel()
+	spec := HDD7200()
+	d := NewDisk(k, spec, 1, nil)
+	checks := 0
+	check := func() {
+		for i := 0; i < 2; i++ {
+			if got, want := d.OverloadAhead(), spec.Overload(d.Active()+1); got != want {
+				t.Errorf("OverloadAhead with %d active = %v, spec says %v", d.Active(), got, want)
+			}
+		}
+		checks++
+	}
+	check()
+	for i := 0; i < 40; i++ {
+		i := i
+		k.Go("io", func(p *sim.Proc) {
+			p.Sleep(time.Duration(i) * time.Millisecond)
+			check()
+			d.Read(p, int64(i+1)*MiB)
+			check()
+		})
+	}
+	k.Run()
+	if checks != 81 || d.Active() != 0 {
+		t.Fatalf("%d checks ran, %d streams left", checks, d.Active())
+	}
+}
+
 func TestWriteSlowerThanRead(t *testing.T) {
 	read := func() time.Duration {
 		k := sim.NewKernel()

@@ -162,7 +162,7 @@ func (t *engineTelemetry) registerExecutors() {
 		zeta[i] = t.reg.Gauge("sae_executor_zeta",
 			"Congestion index ζ = ε/µ over the last sampling interval.", "exec", label)
 	}
-	t.reg.OnSample(func(at time.Duration) {
+	t.reg.OnSample("sae_executor_zeta", func(at time.Duration) {
 		dt := (at - lastTick).Seconds()
 		if dt <= 0 {
 			return

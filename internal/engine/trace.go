@@ -4,6 +4,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"strconv"
+
+	"sae/internal/jsonenc"
 )
 
 // TraceEvent is one line of the engine's event log — the analogue of
@@ -75,8 +78,13 @@ const (
 // existing readers and golden traces keep working; v2 prefixes a versioned
 // header, encodes sentinels consistently (absent fields are omitted rather
 // than written as -1/0) and threads span IDs through the events.
+//
+// Both formats were defined by encoding/json over TraceEvent and
+// traceEventV2; emit appends those same bytes into one reused buffer and
+// hands the writer one Write per event.
 type traceSink struct {
-	enc   *json.Encoder
+	w     io.Writer
+	buf   []byte
 	err   error
 	v2    bool
 	wrote bool
@@ -87,7 +95,7 @@ func newTraceSink(w io.Writer, format int) *traceSink {
 	if w == nil {
 		return nil
 	}
-	t := &traceSink{enc: json.NewEncoder(w)}
+	t := &traceSink{w: w}
 	if format >= 2 {
 		t.v2 = true
 		t.spans = newSpanTracker()
@@ -101,18 +109,43 @@ func (t *traceSink) emit(ev TraceEvent) {
 	if t == nil || t.err != nil {
 		return
 	}
-	if !t.v2 {
-		t.err = t.enc.Encode(ev)
+	if t.v2 {
+		if !t.wrote {
+			t.wrote = true
+			hdr, _ := json.Marshal(newTraceHeader()) // plain struct, cannot fail
+			if _, t.err = t.w.Write(append(hdr, '\n')); t.err != nil {
+				return
+			}
+		}
+		t.spans.annotate(&ev)
+	}
+	b := append(t.buf[:0], `{"t":`...)
+	if b, t.err = jsonenc.AppendFloat(b, ev.At); t.err != nil {
 		return
 	}
-	if !t.wrote {
-		t.wrote = true
-		if t.err = t.enc.Encode(newTraceHeader()); t.err != nil {
-			return
+	b = jsonenc.AppendString(append(b, `,"type":`...), ev.Type)
+	// v1 always writes the five integers; v2 omits one at its sentinel.
+	field := func(key string, v, sentinel int) {
+		if !t.v2 || v != sentinel {
+			b = strconv.AppendInt(append(b, key...), int64(v), 10)
 		}
 	}
-	t.spans.annotate(&ev)
-	t.err = t.enc.Encode(encodeV2(ev))
+	field(`,"job":`, ev.Job, -1)
+	field(`,"stage":`, ev.Stage, -1)
+	field(`,"task":`, ev.Task, -1)
+	field(`,"exec":`, ev.Exec, -1)
+	field(`,"threads":`, ev.Threads, 0)
+	if ev.Span != 0 {
+		b = strconv.AppendInt(append(b, `,"span":`...), ev.Span, 10)
+	}
+	if ev.Parent != 0 {
+		b = strconv.AppendInt(append(b, `,"parent":`...), ev.Parent, 10)
+	}
+	if ev.Detail != "" {
+		b = jsonenc.AppendString(append(b, `,"detail":`...), ev.Detail)
+	}
+	t.buf = append(b, '}', '\n')
+	_, t.err = t.w.Write(t.buf)
 }
 
 func (t *traceSink) flushErr() error {

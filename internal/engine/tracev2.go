@@ -26,7 +26,8 @@ func newTraceHeader() TraceHeader {
 	return TraceHeader{Type: TraceHeaderType, Version: TraceVersion, Format: "flat+spans"}
 }
 
-// traceEventV2 is the v2 wire form of TraceEvent. Unlike v1 — where
+// traceEventV2 is the v2 wire form of TraceEvent as ReadTraceWithHeader
+// decodes it (traceSink.emit writes the same bytes by hand). Unlike v1 — where
 // Job/Stage/Task/Exec are always written (-1 when not applicable) while
 // Threads is always written as 0 — v2 is omitempty-consistent: a field
 // that does not apply is absent. Pointers make "0" and "absent"
@@ -42,27 +43,6 @@ type traceEventV2 struct {
 	Span    int64   `json:"span,omitempty"`
 	Parent  int64   `json:"parent,omitempty"`
 	Detail  string  `json:"detail,omitempty"`
-}
-
-func encodeV2(ev TraceEvent) traceEventV2 {
-	opt := func(v, sentinel int) *int {
-		if v == sentinel {
-			return nil
-		}
-		return &v
-	}
-	return traceEventV2{
-		At:      ev.At,
-		Type:    ev.Type,
-		Job:     opt(ev.Job, -1),
-		Stage:   opt(ev.Stage, -1),
-		Task:    opt(ev.Task, -1),
-		Exec:    opt(ev.Exec, -1),
-		Threads: opt(ev.Threads, 0),
-		Span:    ev.Span,
-		Parent:  ev.Parent,
-		Detail:  ev.Detail,
-	}
 }
 
 // event converts back to the in-memory form, restoring the v1 sentinels so

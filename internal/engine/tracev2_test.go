@@ -2,7 +2,6 @@ package engine
 
 import (
 	"bytes"
-	"encoding/json"
 	"strings"
 	"testing"
 
@@ -67,31 +66,20 @@ func TestV1ByteFormatLocked(t *testing.T) {
 // TestV2SentinelOmission checks the v2 encoding drops sentinel-valued
 // fields instead of writing -1/0 placeholders.
 func TestV2SentinelOmission(t *testing.T) {
-	b, err := json.Marshal(encodeV2(TraceEvent{
-		At: 3, Type: TraceExecCrash, Job: -1, Stage: -1, Task: -1, Exec: 1, Detail: "crash",
-	}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := string(b)
-	for _, absent := range []string{`"job"`, `"stage"`, `"task"`, `"threads"`} {
-		if strings.Contains(got, absent) {
-			t.Errorf("v2 encoding of crash event contains %s: %s", absent, got)
-		}
-	}
-	if !strings.Contains(got, `"exec":1`) {
-		t.Errorf("v2 encoding lost exec field: %s", got)
-	}
+	var buf bytes.Buffer
+	sink := newTraceSink(&buf, 2)
+	sink.emit(TraceEvent{At: 3, Type: TraceExecCrash, Job: -1, Stage: -1, Task: -1, Exec: 1, Detail: "crash"})
 	// Legitimate zeros survive: job 0 / stage 0 / task 0 are real IDs.
-	b, err = json.Marshal(encodeV2(TraceEvent{At: 1, Type: TraceTaskEnd, Job: 0, Stage: 0, Task: 0, Exec: 0}))
-	if err != nil {
+	sink.emit(TraceEvent{At: 1, Type: TraceTaskEnd, Job: 0, Stage: 0, Task: 0, Exec: 0})
+	if err := sink.flushErr(); err != nil {
 		t.Fatal(err)
 	}
-	got = string(b)
-	for _, present := range []string{`"job":0`, `"stage":0`, `"task":0`, `"exec":0`} {
-		if !strings.Contains(got, present) {
-			t.Errorf("v2 encoding dropped real zero ID %s: %s", present, got)
-		}
+	want := `{"type":"trace_header","version":2,"format":"flat+spans"}
+{"t":3,"type":"exec_crash","exec":1,"detail":"crash"}
+{"t":1,"type":"task_end","job":0,"stage":0,"task":0,"exec":0}
+`
+	if got := buf.String(); got != want {
+		t.Errorf("v2 bytes:\ngot  %q\nwant %q", got, want)
 	}
 }
 

@@ -9,11 +9,13 @@ import (
 	"math"
 	"strconv"
 	"time"
+
+	"sae/internal/jsonenc"
 )
 
-// formatValue renders a float in its shortest round-trip form — the one
-// formatting every exporter shares, so dumps are byte-stable across runs
-// and platforms.
+// formatValue renders a float in its shortest round-trip form, byte-stable
+// across runs and platforms. The Prometheus and CSV exporters use it; the
+// JSONL dump follows encoding/json's float rule instead (jsonenc.AppendFloat).
 func formatValue(v float64) string {
 	if math.IsInf(v, 1) {
 		return "+Inf"
@@ -77,8 +79,8 @@ func writePromHistogram(w io.Writer, name string, in *instrument) {
 	}
 }
 
-// jsonSample fixes the JSONL field order; struct-driven marshalling keeps
-// the encoding deterministic.
+// jsonSample is one JSONL row as ReadJSONL decodes it. WriteJSONL writes
+// the bytes encoding/json would write for it, without the reflection.
 type jsonSample struct {
 	T      float64 `json:"t"`
 	Metric string  `json:"metric"`
@@ -88,21 +90,33 @@ type jsonSample struct {
 
 // WriteJSONL writes every collected sample as one JSON object per line, in
 // recording order (time-major, then sorted metric/label order within each
-// tick).
+// tick). A NaN or infinite sample fails the dump with encoding/json's
+// unsupported-value error.
 func (r *Registry) WriteJSONL(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	for _, sp := range r.samples {
-		if err := enc.Encode(jsonSample{
-			T:      sp.At.Seconds(),
-			Metric: sp.Metric,
-			Labels: sp.Labels,
-			Value:  sp.Value,
-		}); err != nil {
+	const flushAt = 32 << 10
+	buf := make([]byte, 0, flushAt+512)
+	var head []byte // `{"t":…`, rendered once per tick
+	var err error
+	for _, tk := range r.ticks {
+		if head, err = jsonenc.AppendFloat(append(head[:0], `{"t":`...), tk.at.Seconds()); err != nil {
 			return err
 		}
+		for i, c := range tk.layout.cols {
+			buf = append(append(buf, head...), c.prefix...)
+			if buf, err = jsonenc.AppendFloat(buf, r.values[tk.start+i]); err != nil {
+				return err
+			}
+			buf = append(buf, '}', '\n')
+			if len(buf) >= flushAt {
+				if _, err := w.Write(buf); err != nil {
+					return err
+				}
+				buf = buf[:0]
+			}
+		}
 	}
-	return bw.Flush()
+	_, err = w.Write(buf)
+	return err
 }
 
 // WriteCSV writes the collected samples as a four-column CSV
@@ -112,15 +126,14 @@ func (r *Registry) WriteCSV(w io.Writer) error {
 	if err := cw.Write([]string{"t_seconds", "metric", "labels", "value"}); err != nil {
 		return err
 	}
-	for _, sp := range r.samples {
-		rec := []string{
-			formatValue(sp.At.Seconds()),
-			sp.Metric,
-			sp.Labels,
-			formatValue(sp.Value),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
+	rec := make([]string, 4)
+	for _, tk := range r.ticks {
+		rec[0] = formatValue(tk.at.Seconds())
+		for i, c := range tk.layout.cols {
+			rec[1], rec[2], rec[3] = c.metric, c.labels, formatValue(r.values[tk.start+i])
+			if err := cw.Write(rec); err != nil {
+				return err
+			}
 		}
 	}
 	cw.Flush()

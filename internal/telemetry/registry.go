@@ -9,9 +9,16 @@
 // same-seed runs export byte-identical dumps, and a parallel sweep exports
 // the same bytes as a sequential one. The registry is not safe for
 // concurrent use; one engine owns one registry, exactly like its kernel.
+//
+// Samples are stored by column: a layout lists the series in export order
+// and is rebuilt only when an instrument is created, a tick names the
+// layout it was taken under, and the values of every tick sit in one flat
+// slice. A tick therefore costs eight bytes per series, and the metric and
+// label strings of a series exist once, not once per sample.
 package telemetry
 
 import (
+	"encoding/json"
 	"fmt"
 	"sort"
 	"strings"
@@ -43,7 +50,8 @@ func (t MetricType) String() string {
 }
 
 // SamplePoint is one exported time-series sample: the value of one
-// instrument at one sampler tick.
+// instrument at one sampler tick. The registry stores columns, not points;
+// Samples and ReadJSONL materialise them.
 type SamplePoint struct {
 	At     time.Duration
 	Metric string
@@ -72,8 +80,11 @@ func (f *family) sortedKeys() []string {
 // instrument is the shared state behind Counter/Gauge/Histogram handles.
 type instrument struct {
 	labels string
-	val    float64
-	fn     func() float64
+	// cols are the instrument's sampled series: one for a scalar, _count
+	// and _sum for a histogram.
+	cols []*column
+	val  float64
+	fn   func() float64
 	// histogram state: counts[i] observes bucket (buckets[i-1], buckets[i]];
 	// the last slot is the +Inf overflow bucket.
 	buckets []float64
@@ -133,20 +144,52 @@ func (h *Histogram) Count() uint64 { return h.in.count }
 // Sum returns the sum of observations.
 func (h *Histogram) Sum() float64 { return h.in.sum }
 
+// column is one sampled series: how to read its current value, and the
+// bytes every JSONL row of it shares.
+type column struct {
+	metric, labels string
+	read           func() float64
+	// prefix is `,"metric":…,"labels":…,"value":` as encoding/json renders
+	// it (labels omitted when empty), so the dump inherits its escaping.
+	prefix []byte
+}
+
+func newColumn(metric, labels string, read func() float64) *column {
+	// A zero-valued row is `{"t":0` + prefix + `0}`.
+	row, _ := json.Marshal(jsonSample{Metric: metric, Labels: labels}) // strings and zeros always marshal
+	return &column{metric: metric, labels: labels, read: read, prefix: row[len(`{"t":0`) : len(row)-len(`0}`)]}
+}
+
+// layout is the series list in export order — families by name, label sets
+// within a family, a histogram's _count before its _sum. A layout is never
+// edited once a tick refers to it.
+type layout struct{ cols []*column }
+
+// tick is one sampler tick: its values are
+// values[start : start+len(layout.cols)], one per column of the layout.
+type tick struct {
+	at     time.Duration
+	layout *layout
+	start  int
+}
+
 // Registry holds every instrument of one run plus the samples the periodic
 // sampler collected. Instruments register lazily and idempotently:
 // re-registering the same (name, labels) returns the existing instrument,
 // so call sites do not need to coordinate.
 type Registry struct {
 	families map[string]*family
-	hooks    []func(at time.Duration)
-	samples  []SamplePoint
-	// lastAt/lastStart implement merge-last-wins for duplicate sampler
-	// ticks (matching metrics.Rate): re-sampling the same instant
-	// replaces that tick's rows instead of duplicating them.
-	lastAt    time.Duration
-	lastStart int
-	sampled   bool
+	hooks    []sampleHook
+	// layout is nil while stale: creating an instrument clears it and the
+	// next Sample builds a new one, leaving earlier ticks on theirs.
+	layout *layout
+	ticks  []tick
+	values []float64
+}
+
+type sampleHook struct {
+	name string
+	fn   func(at time.Duration)
 }
 
 // NewRegistry returns an empty registry.
@@ -192,7 +235,16 @@ func (r *Registry) instrument(name, help string, typ MetricType, labels []string
 	in, ok := f.insts[ls]
 	if !ok {
 		in = &instrument{labels: ls}
+		if typ == TypeHistogram {
+			in.cols = []*column{
+				newColumn(name+"_count", ls, func() float64 { return float64(in.count) }),
+				newColumn(name+"_sum", ls, func() float64 { return in.sum }),
+			}
+		} else {
+			in.cols = []*column{newColumn(name, ls, in.scalar)}
+		}
 		f.insts[ls] = in
+		r.layout = nil
 	}
 	return in
 }
@@ -230,11 +282,19 @@ func (r *Registry) Histogram(name, help string, buckets []float64, labels ...str
 	return &Histogram{in}
 }
 
-// OnSample registers a hook invoked at the start of every Sample tick —
-// used for derived gauges that need windowed deltas (e.g. ζ over the last
-// sampling interval). Hooks run in registration order.
-func (r *Registry) OnSample(fn func(at time.Duration)) {
-	r.hooks = append(r.hooks, fn)
+// OnSample registers the hook called name, invoked at the start of every
+// Sample tick — used for derived gauges that need windowed deltas (e.g. ζ
+// over the last sampling interval). Like GaugeFunc, registering a name again
+// replaces its function, so successive engines on one registry leave one
+// hook, not one per engine. Hooks run in order of first registration.
+func (r *Registry) OnSample(name string, fn func(at time.Duration)) {
+	for i := range r.hooks {
+		if r.hooks[i].name == name {
+			r.hooks[i].fn = fn
+			return
+		}
+	}
+	r.hooks = append(r.hooks, sampleHook{name, fn})
 }
 
 func (r *Registry) sortedNames() []string {
@@ -246,46 +306,65 @@ func (r *Registry) sortedNames() []string {
 	return names
 }
 
-// Sample records one SamplePoint per scalar series (histograms contribute
+// Sample records the value of every scalar series (histograms contribute
 // their _count and _sum) at the given virtual time. Sampling the same
 // instant twice merges last-wins: the second tick replaces the first's
 // rows, mirroring metrics.Rate's duplicate-timestamp rule.
 func (r *Registry) Sample(at time.Duration) {
 	for _, h := range r.hooks {
-		h(at)
+		h.fn(at)
 	}
-	if r.sampled && at == r.lastAt {
-		r.samples = r.samples[:r.lastStart]
-	}
-	r.lastAt = at
-	r.lastStart = len(r.samples)
-	r.sampled = true
-	for _, name := range r.sortedNames() {
-		f := r.families[name]
-		for _, ls := range f.sortedKeys() {
-			in := f.insts[ls]
-			if f.typ == TypeHistogram {
-				r.samples = append(r.samples,
-					SamplePoint{At: at, Metric: name + "_count", Labels: ls, Value: float64(in.count)},
-					SamplePoint{At: at, Metric: name + "_sum", Labels: ls, Value: in.sum})
-				continue
+	if r.layout == nil {
+		r.layout = &layout{}
+		for _, name := range r.sortedNames() {
+			f := r.families[name]
+			for _, ls := range f.sortedKeys() {
+				r.layout.cols = append(r.layout.cols, f.insts[ls].cols...)
 			}
-			r.samples = append(r.samples, SamplePoint{At: at, Metric: name, Labels: ls, Value: in.scalar()})
 		}
+	}
+	if n := len(r.ticks); n > 0 && r.ticks[n-1].at == at {
+		r.values = r.values[:r.ticks[n-1].start]
+		r.ticks = r.ticks[:n-1]
+	}
+	r.ticks = append(r.ticks, tick{at: at, layout: r.layout, start: len(r.values)})
+	for _, c := range r.layout.cols {
+		r.values = append(r.values, c.read())
 	}
 }
 
-// Samples returns every collected sample in recording order.
-func (r *Registry) Samples() []SamplePoint { return r.samples }
+// Samples materialises every collected sample in recording order. The
+// exporters and Series read the columns directly; this view is for callers
+// that want points.
+func (r *Registry) Samples() []SamplePoint {
+	out := make([]SamplePoint, 0, len(r.values))
+	for _, tk := range r.ticks {
+		for i, c := range tk.layout.cols {
+			out = append(out, SamplePoint{At: tk.at, Metric: c.metric, Labels: c.labels, Value: r.values[tk.start+i]})
+		}
+	}
+	return out
+}
 
 // Series extracts one instrument's sampled values as a metrics.Series
 // (named after the metric), reporting whether any samples exist.
 func (r *Registry) Series(name string, labels ...string) (metrics.Series, bool) {
 	ls := labelString(labels)
 	out := metrics.Series{Name: name}
-	for _, sp := range r.samples {
-		if sp.Metric == name && sp.Labels == ls {
-			out.Add(sp.At, sp.Value)
+	var cur *layout
+	idx := -1
+	for _, tk := range r.ticks {
+		if tk.layout != cur {
+			cur, idx = tk.layout, -1
+			for i, c := range cur.cols {
+				if c.metric == name && c.labels == ls {
+					idx = i
+					break
+				}
+			}
+		}
+		if idx >= 0 {
+			out.Add(tk.at, r.values[tk.start+idx])
 		}
 	}
 	return out, len(out.Points) > 0

@@ -76,7 +76,8 @@ func TestOnSampleHook(t *testing.T) {
 	r := NewRegistry()
 	g := r.Gauge("sae_window", "w")
 	var ticks []time.Duration
-	r.OnSample(func(at time.Duration) {
+	r.OnSample("window", func(time.Duration) { t.Error("a replaced hook still ran") })
+	r.OnSample("window", func(at time.Duration) {
 		ticks = append(ticks, at)
 		g.Set(at.Seconds())
 	})
