@@ -241,11 +241,11 @@ func BenchmarkRDDWordCount(b *testing.B) {
 // quiet, crash, crash-restart and flaky chaos schedules for each policy.
 func BenchmarkFaults(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := exp.Faults(exp.Default())
+		r, err := RunExperiment("faults", exp.Default())
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, row := range r.Rows {
+		for _, row := range r.(*exp.FaultsResult).Rows {
 			if row.Policy == "dynamic" && strings.Contains(row.Schedule, "+") {
 				b.ReportMetric(row.DegradedPct, "dyn-crash-restart-degraded-%")
 				b.ReportMetric(float64(row.Requeued), "dyn-crash-restart-requeued")
@@ -260,11 +260,11 @@ func BenchmarkFaults(b *testing.B) {
 // a degraded (slow, not dead) node.
 func BenchmarkGrayFail(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := exp.GrayFail(exp.Default())
+		r, err := RunExperiment("grayfail", exp.Default())
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, row := range r.Rows {
+		for _, row := range r.(*exp.GrayFailResult).Rows {
 			if row.Policy != "dynamic" {
 				continue
 			}
@@ -287,10 +287,11 @@ func BenchmarkGrayFail(b *testing.B) {
 // dynamic executor sizing.
 func BenchmarkMultiTenant(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := exp.MultiTenant(exp.Default())
+		res, err := RunExperiment("multitenant", exp.Default())
 		if err != nil {
 			b.Fatal(err)
 		}
+		r := res.(*exp.MultiTenantResult)
 		if row, ok := r.Get("terasort+pagerank", "FAIR", "dynamic"); ok {
 			b.ReportMetric(row.MakespanSec, "ts+pr-fair-dyn-makespan-s")
 			b.ReportMetric(row.MeanJobSec, "ts+pr-fair-dyn-meanjob-s")

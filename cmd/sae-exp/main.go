@@ -8,16 +8,18 @@
 // With no arguments it runs every experiment in order. Valid experiment IDs
 // are table1, table2 and fig1 … fig12 plus the extension experiments
 // (sae-exp -list, which also enumerates the committed scenarios/*.yaml
-// specs). -parallel N fans the sweep out over N worker goroutines;
-// each run owns its own simulation kernel, and results are printed in
-// submission order, so the output is identical to a sequential sweep.
+// specs; they are embedded in the binary, and faults, grayfail, multitenant
+// and autoscale run them). -parallel N fans the sweep out over N worker
+// goroutines; each run owns its own simulation kernel, and results are
+// printed in submission order, so the output is identical to a sequential
+// sweep.
 //
 // -scenario (repeatable) appends declarative scenario specs to the sweep;
 // they run through the same worker pool and -csv export as the built-in
 // experiments. The spec's cluster block supplies scale/nodes/seed; -scale,
 // -nodes and -seed override it only when given explicitly on the command
 // line, so `sae-exp -scale 0.05 -seed 7 -scenario scenarios/autoscale.yaml`
-// is byte-identical to `sae-exp -scale 0.05 -seed 7 autoscale`.
+// prints what `sae-exp -scale 0.05 -seed 7 autoscale` prints.
 //
 // -audit attaches the invariant audit plane (internal/invariant) to every
 // run in the sweep. The auditor accumulates sequential per-run state, so
@@ -42,6 +44,7 @@ import (
 	"sae/internal/invariant"
 	"sae/internal/prof"
 	"sae/internal/scenario"
+	"sae/scenarios"
 )
 
 func main() {
@@ -185,10 +188,14 @@ func run(args []string) error {
 }
 
 // listScenarios appends the committed scenario specs to the -list output.
+// They come from the embedded copy, so the listing does not depend on the
+// working directory.
 func listScenarios() {
-	paths, _ := filepath.Glob(filepath.Join("scenarios", "*.yaml"))
-	for _, path := range paths {
-		sp, err := scenario.Load(path)
+	entries, _ := scenarios.FS.ReadDir(".")
+	for _, e := range entries {
+		path := "scenarios/" + e.Name()
+		data, _ := scenarios.FS.ReadFile(e.Name())
+		sp, err := scenario.Parse(path, data)
 		if err != nil {
 			fmt.Printf("%-12s (invalid: %v)\n", path, err)
 			continue

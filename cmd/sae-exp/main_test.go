@@ -1,10 +1,31 @@
 package main
 
-import "testing"
+import (
+	"io"
+	"os"
+	"strings"
+	"testing"
+)
 
+// TestListExperiments also pins that the committed specs are listed from
+// the embedded copy: the test runs in cmd/sae-exp, where no scenarios/
+// directory exists.
 func TestListExperiments(t *testing.T) {
-	if err := run([]string{"-list"}); err != nil {
+	r, w, err := os.Pipe()
+	if err != nil {
 		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = w
+	err = run([]string{"-list"})
+	os.Stdout = stdout
+	w.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, _ := io.ReadAll(r)
+	if n := strings.Count(string(out), "\nscenarios/"); n != 5 {
+		t.Errorf("-list shows %d scenario specs, want 5:\n%s", n, out)
 	}
 }
 

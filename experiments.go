@@ -7,6 +7,8 @@ import (
 	"time"
 
 	"sae/internal/exp"
+	"sae/internal/scenario"
+	"sae/scenarios"
 )
 
 // Experiment identifies one reproducible table or figure of the paper.
@@ -38,6 +40,26 @@ func (m multiResult) CSVTables() map[string][][]string {
 		}
 	}
 	return out
+}
+
+// runSpec runs the embedded scenarios/<id>.yaml — the experiment's one
+// definition — with the caller's setup in place of its cluster block.
+func runSpec(id string) func(Setup) (fmt.Stringer, error) {
+	return func(s Setup) (fmt.Stringer, error) {
+		data, err := scenarios.FS.ReadFile(id + ".yaml")
+		if err != nil {
+			return nil, err
+		}
+		sp, err := scenario.Parse("scenarios/"+id+".yaml", data)
+		if err != nil {
+			return nil, err
+		}
+		c, err := sp.Compile(s)
+		if err != nil {
+			return nil, err
+		}
+		return c.Run()
+	}
 }
 
 // Experiments returns the full per-experiment index, keyed by ID
@@ -128,19 +150,19 @@ func Experiments() map[string]Experiment {
 		},
 		"faults": {
 			ID: "faults", Title: "Terasort under chaos schedules (fault-tolerance extension)",
-			Run: func(s Setup) (fmt.Stringer, error) { return exp.Faults(s) },
+			Run: runSpec("faults"),
 		},
 		"grayfail": {
 			ID: "grayfail", Title: "Terasort under gray failures — slow node, partition, corrupt replicas (robustness extension)",
-			Run: func(s Setup) (fmt.Stringer, error) { return exp.GrayFail(s) },
+			Run: runSpec("grayfail"),
 		},
 		"multitenant": {
 			ID: "multitenant", Title: "Concurrent job mixes under FIFO/FAIR (multi-tenancy extension)",
-			Run: func(s Setup) (fmt.Stringer, error) { return exp.MultiTenant(s) },
+			Run: runSpec("multitenant"),
 		},
 		"autoscale": {
 			ID: "autoscale", Title: "Open-loop arrivals under static vs elastic provisioning (elasticity extension)",
-			Run: func(s Setup) (fmt.Stringer, error) { return exp.Autoscale(s) },
+			Run: runSpec("autoscale"),
 		},
 	}
 }

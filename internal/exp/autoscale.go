@@ -4,10 +4,6 @@ import (
 	"fmt"
 	"math"
 	"strings"
-	"time"
-
-	"sae/internal/arrival"
-	"sae/internal/autoscale"
 )
 
 // autoscaleSLOFactor sets the per-scenario p99 latency target relative to
@@ -63,59 +59,13 @@ type AutoscaleResult struct {
 }
 
 // ScaleCount scales an integer design point by the setup's data scale,
-// never below min (shared by the Go experiments and compiled scenarios).
+// never below min.
 func ScaleCount(n int, scale float64, min int) int {
 	v := int(math.Round(float64(n) * scale))
 	if v < min {
 		v = min
 	}
 	return v
-}
-
-// Autoscale runs the elastic-provisioning comparison. The cluster has
-// 2×Setup.Nodes machines; static-small/reactive/adaptive start with roughly
-// a third of them, static-large with all of them.
-func Autoscale(s Setup) (*AutoscaleResult, error) {
-	capacity := 2 * s.Nodes
-	small := (capacity + 2) / 3
-	if small < 2 {
-		small = 2
-	}
-	m := ArrivalMatrix{
-		Tenants: []ArrivalTenant{
-			{Class: arrival.Class{Name: "interactive", Weight: 3, Priority: 1},
-				Blocks: ScaleCount(8, s.Scale, 1)},
-			{Class: arrival.Class{Name: "batch", Weight: 1, Priority: 0},
-				Blocks: ScaleCount(32, s.Scale, 2)},
-		},
-		Scenarios: []ArrivalScenario{
-			{Name: "poisson", Proc: arrival.Poisson{RatePerSec: 0.08}},
-			{Name: "bursty", Proc: arrival.Bursty{OnRate: 0.30, OffRate: 0.02,
-				On: 45 * time.Second, Off: 105 * time.Second}},
-		},
-		Configs: []ArrivalConfig{
-			{Name: "static-small", Policy: func() autoscale.Policy { return autoscale.Static{} }, Initial: small},
-			{Name: "static-large", Policy: func() autoscale.Policy { return autoscale.Static{} }, Initial: capacity},
-			{Name: "reactive", Policy: func() autoscale.Policy { return autoscale.DefaultReactive() }, Initial: small},
-			// The adaptive planner drains backlog faster than the default
-			// (30s vs 2min) with extra headroom: open-loop bursts punish a
-			// planner that provisions for the mean.
-			{Name: "adaptive", Policy: func() autoscale.Policy {
-				return &autoscale.Adaptive{
-					Alpha:           0.3,
-					DrainTarget:     30 * time.Second,
-					Headroom:        1.5,
-					MinSamplePeriod: 5 * time.Second,
-				}
-			}, Initial: small},
-		},
-		Capacity:  capacity,
-		Horizon:   6 * time.Minute,
-		MaxJobs:   ScaleCount(28, s.Scale, 4),
-		SLOFactor: autoscaleSLOFactor,
-		Baseline:  "static-large",
-	}
-	return Runner{Setup: s, Label: "autoscale"}.ArrivalMatrix(m)
 }
 
 // Get returns the row for (arrivals, config).

@@ -1,13 +1,6 @@
 package exp
 
-import (
-	"time"
-
-	"sae/internal/chaos"
-	"sae/internal/core"
-	"sae/internal/engine/job"
-	"sae/internal/workloads"
-)
+import "sae/internal/workloads"
 
 // FaultsRow is one (policy, schedule) cell of the fault-tolerance matrix.
 type FaultsRow struct {
@@ -34,46 +27,8 @@ type FaultsResult struct {
 	Rows []FaultsRow
 }
 
-// ChaosMatrixPolicies is the sizing-policy set every chaos matrix sweeps:
-// the stock default, the paper's 8-thread static solution, and the MAPE-K
-// dynamic executor.
-func ChaosMatrixPolicies() []job.Policy {
-	return []job.Policy{
-		core.Default{},
-		core.Static{IOThreads: 8},
-		core.DefaultDynamic(),
-	}
-}
-
-// FaultsSchedules returns the fault-tolerance schedule generator: given a
-// policy's quiet runtime, the crash lands at 45% of it (mid-sort — map
-// outputs exist and the shuffle is in flight), the restart 20% later.
-func FaultsSchedules(seed int64) func(quiet time.Duration) []*chaos.Plan {
-	return func(quiet time.Duration) []*chaos.Plan {
-		crashAt := quiet * 45 / 100
-		restartAfter := quiet * 20 / 100
-		return []*chaos.Plan{
-			nil,
-			chaos.CrashAt(1, crashAt),
-			chaos.CrashRestart(1, crashAt, restartAfter),
-			chaos.Flaky(0.02, seed),
-		}
-	}
-}
-
-// Faults runs Terasort under each policy × chaos schedule. Per policy, a
-// quiet calibration run fixes the fault times (see FaultsSchedules).
-func Faults(s Setup) (*FaultsResult, error) {
-	cells, err := Runner{Setup: s, Label: "faults"}.ChaosMatrix(
-		workloads.Terasort(s.workloadConfig()), ChaosMatrixPolicies(), FaultsSchedules(s.Seed))
-	if err != nil {
-		return nil, err
-	}
-	return NewFaultsResult(cells), nil
-}
-
 // NewFaultsResult assembles the fault-tolerance rows from chaos-matrix
-// cells (shared by the Go experiment and compiled scenario specs).
+// cells.
 func NewFaultsResult(cells []ChaosCell) *FaultsResult {
 	res := &FaultsResult{}
 	for _, c := range cells {

@@ -1,15 +1,31 @@
-package exp
+package exp_test
 
 import (
 	"strings"
 	"testing"
+
+	"sae"
+	"sae/internal/exp"
 )
 
-func TestFaultsMatrix(t *testing.T) {
-	res, err := Faults(Default().WithScale(0.04))
+// The four extension experiments are defined by the embedded
+// scenarios/<id>.yaml specs; their shape tests run them through the public
+// experiment index, the way sae-exp does.
+func runExperiment[R any](t *testing.T, id string, scale float64) R {
+	t.Helper()
+	res, err := sae.RunExperiment(id, exp.Default().WithScale(scale))
 	if err != nil {
 		t.Fatal(err)
 	}
+	typed, ok := res.(R)
+	if !ok {
+		t.Fatalf("%s returned %T", id, res)
+	}
+	return typed
+}
+
+func TestFaultsMatrix(t *testing.T) {
+	res := runExperiment[*exp.FaultsResult](t, "faults", 0.04)
 	// 3 policies × 4 schedules.
 	if len(res.Rows) != 12 {
 		t.Fatalf("rows = %d, want 12", len(res.Rows))

@@ -1,12 +1,5 @@
 package exp
 
-import (
-	"time"
-
-	"sae/internal/chaos"
-	"sae/internal/workloads"
-)
-
 // GrayFailRow is one (policy, schedule) cell of the gray-failure matrix.
 type GrayFailRow struct {
 	Policy   string
@@ -38,38 +31,8 @@ type GrayFailResult struct {
 	Rows []GrayFailRow
 }
 
-// GrayFailSchedules returns the gray-failure schedule generator: the
-// slowdown and the partition both land at 25% of the policy's quiet runtime
-// (mid-map, with the shuffle still ahead), and the partition lasts 20% of
-// it — long enough to outlive the heartbeat timeout at paper scale, so the
-// detector's false-positive path is exercised, not just its timers.
-func GrayFailSchedules(seed int64) func(quiet time.Duration) []*chaos.Plan {
-	return func(quiet time.Duration) []*chaos.Plan {
-		at := quiet / 4
-		partDur := quiet * 20 / 100
-		return []*chaos.Plan{
-			nil,
-			chaos.SlowAt(1, at, 4),
-			chaos.PartitionAt(1, at, partDur),
-			chaos.Corrupt(0.05, seed),
-		}
-	}
-}
-
-// GrayFail runs Terasort under each policy × gray-failure schedule. Per
-// policy, a quiet calibration run fixes the fault times (see
-// GrayFailSchedules).
-func GrayFail(s Setup) (*GrayFailResult, error) {
-	cells, err := Runner{Setup: s, Label: "grayfail"}.ChaosMatrix(
-		workloads.Terasort(s.workloadConfig()), ChaosMatrixPolicies(), GrayFailSchedules(s.Seed))
-	if err != nil {
-		return nil, err
-	}
-	return NewGrayFailResult(cells), nil
-}
-
 // NewGrayFailResult assembles the gray-failure rows from chaos-matrix
-// cells (shared by the Go experiment and compiled scenario specs).
+// cells.
 func NewGrayFailResult(cells []ChaosCell) *GrayFailResult {
 	res := &GrayFailResult{}
 	for _, c := range cells {

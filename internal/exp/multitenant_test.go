@@ -1,14 +1,13 @@
-package exp
+package exp_test
 
 import (
 	"testing"
+
+	"sae/internal/exp"
 )
 
 func TestMultiTenantMatrix(t *testing.T) {
-	res, err := MultiTenant(Default().WithScale(0.02))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runExperiment[*exp.MultiTenantResult](t, "multitenant", 0.02)
 	// 4 mixes × 2 schedulers × 2 policies.
 	if len(res.Rows) != 16 {
 		t.Fatalf("rows = %d, want 16", len(res.Rows))

@@ -15,13 +15,12 @@ import (
 	"sae/internal/workloads"
 )
 
-// Runner is the shared execution core behind the experiment harness: every
-// hand-coded experiment and every compiled scenario spec goes through the
-// same matrix primitives, so a scenario run is byte-identical to the Go
-// experiment it describes. The primitives own the repeated plumbing the
-// per-experiment files used to copy — quiet calibration runs, per-cell
-// engine setup, degraded-percentage accounting, arrival-schedule replay —
-// and return plain cells for the result types to render.
+// Runner is the shared execution core behind compiled scenario specs,
+// which is how the faults, grayfail, multitenant and autoscale experiments
+// are defined (scenarios/*.yaml). Its matrix primitives own the plumbing —
+// quiet calibration runs, per-cell engine setup, degraded-percentage
+// accounting, arrival-schedule replay — and return plain cells for the
+// result types to render.
 type Runner struct {
 	Setup Setup
 	// Label prefixes error messages ("faults", "grayfail", a scenario name).

@@ -2,6 +2,8 @@ package scenario
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"time"
 
 	"sae/internal/arrival"
@@ -36,9 +38,7 @@ func (sp *Spec) BaseSetup() exp.Setup {
 
 // Compiled is a scenario bound to a concrete setup, ready to run. The
 // compile step resolves every name — workloads, policies, schedulers,
-// chaos clauses, arrival processes — into the same constructs the
-// hand-coded experiments build, so the run that follows is byte-identical
-// to its Go equivalent at the same setup.
+// chaos clauses, arrival processes — into exp.Runner matrix inputs.
 type Compiled struct {
 	Spec  *Spec
 	Setup exp.Setup
@@ -58,7 +58,7 @@ func (sp *Spec) Compile(s exp.Setup) (*Compiled, error) {
 		if reg == nil {
 			reg = conf.New()
 		}
-		for _, k := range sortedConfKeys(sp.Conf) {
+		for _, k := range slices.Sorted(maps.Keys(sp.Conf)) {
 			if reg.IsSet(k) {
 				continue
 			}
@@ -89,8 +89,8 @@ func (sp *Spec) Compile(s exp.Setup) (*Compiled, error) {
 }
 
 // Run executes the compiled scenario and returns its printable result.
-// Matrix kinds return the same result types the Go experiments return
-// (implementing exp.Tabular); the single kind returns a *SingleResult.
+// Matrix kinds return the exp result types (*exp.FaultsResult and so on,
+// implementing exp.Tabular); the single kind returns a *SingleResult.
 func (c *Compiled) Run() (fmt.Stringer, error) {
 	return c.run()
 }
@@ -255,7 +255,7 @@ func (c *Compiled) compileTenantMatrix() error {
 	sp := c.Spec
 	cfg := c.workloadConfig()
 	// Resolve every workload name up front; Make closures then rebuild
-	// fresh specs per run, as the hand-coded mixes do.
+	// fresh specs per run.
 	mixes := make([]exp.Mix, len(sp.Mixes))
 	for i, m := range sp.Mixes {
 		names := m.Workloads
@@ -318,8 +318,8 @@ func (c *Compiled) compileArrivalMatrix() error {
 		Capacity:  capacity,
 		Horizon:   m.Horizon,
 		MaxJobs:   exp.ScaleCount(m.MaxJobs, s.Scale, max(m.MinJobs, 1)),
-		SLOFactor: m.SLOFactor,
-		Baseline:  m.Baseline,
+		SLOFactor: m.SLO.Factor,
+		Baseline:  m.SLO.Baseline,
 	}
 	for _, t := range m.Tenants {
 		em.Tenants = append(em.Tenants, exp.ArrivalTenant{

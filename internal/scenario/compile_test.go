@@ -1,7 +1,6 @@
 package scenario
 
 import (
-	"bytes"
 	"fmt"
 	"path/filepath"
 	"reflect"
@@ -34,83 +33,6 @@ func runScenario(t *testing.T, sp *Spec, s exp.Setup) fmt.Stringer {
 		t.Fatalf("run %s: %v", sp.Name, err)
 	}
 	return res
-}
-
-// requireIdentical asserts a scenario result matches its hand-coded Go
-// equivalent byte for byte: rendered report and CSV series.
-func requireIdentical(t *testing.T, name string, goRes, scRes fmt.Stringer) {
-	t.Helper()
-	if goRes.String() != scRes.String() {
-		t.Errorf("%s: scenario report differs from the Go experiment\n--- go ---\n%s--- scenario ---\n%s",
-			name, goRes.String(), scRes.String())
-	}
-	goTab, ok1 := goRes.(exp.Tabular)
-	scTab, ok2 := scRes.(exp.Tabular)
-	if !ok1 || !ok2 {
-		t.Fatalf("%s: results must both be Tabular (go %v, scenario %v)", name, ok1, ok2)
-	}
-	if !reflect.DeepEqual(goTab.CSVTables(), scTab.CSVTables()) {
-		t.Errorf("%s: scenario CSV series differ from the Go experiment", name)
-	}
-}
-
-// TestFaultsScenarioByteIdentical runs scenarios/faults.yaml and the Go
-// faults experiment at the same seed and asserts report, CSV and trace
-// bytes all match.
-func TestFaultsScenarioByteIdentical(t *testing.T) {
-	sp := loadGolden(t, "faults.yaml")
-	var goTrace, scTrace bytes.Buffer
-
-	goSetup := sp.BaseSetup().WithScale(0.04)
-	goSetup.Trace = &goTrace
-	goRes, err := exp.Faults(goSetup)
-	if err != nil {
-		t.Fatalf("exp.Faults: %v", err)
-	}
-
-	scSetup := sp.BaseSetup().WithScale(0.04)
-	scSetup.Trace = &scTrace
-	scRes := runScenario(t, sp, scSetup)
-
-	requireIdentical(t, "faults", goRes, scRes)
-	if !bytes.Equal(goTrace.Bytes(), scTrace.Bytes()) {
-		t.Errorf("faults: scenario trace differs from the Go experiment (%d vs %d bytes)",
-			goTrace.Len(), scTrace.Len())
-	}
-}
-
-func TestGrayFailScenarioByteIdentical(t *testing.T) {
-	sp := loadGolden(t, "grayfail.yaml")
-	goRes, err := exp.GrayFail(sp.BaseSetup().WithScale(0.04))
-	if err != nil {
-		t.Fatalf("exp.GrayFail: %v", err)
-	}
-	scRes := runScenario(t, sp, sp.BaseSetup().WithScale(0.04))
-	requireIdentical(t, "grayfail", goRes, scRes)
-}
-
-func TestMultiTenantScenarioByteIdentical(t *testing.T) {
-	sp := loadGolden(t, "multitenant.yaml")
-	goRes, err := exp.MultiTenant(sp.BaseSetup().WithScale(0.02))
-	if err != nil {
-		t.Fatalf("exp.MultiTenant: %v", err)
-	}
-	scRes := runScenario(t, sp, sp.BaseSetup().WithScale(0.02))
-	requireIdentical(t, "multitenant", goRes, scRes)
-}
-
-func TestAutoscaleScenarioByteIdentical(t *testing.T) {
-	sp := loadGolden(t, "autoscale.yaml")
-	goSetup := sp.BaseSetup().WithScale(0.05)
-	goSetup.Seed = 7
-	goRes, err := exp.Autoscale(goSetup)
-	if err != nil {
-		t.Fatalf("exp.Autoscale: %v", err)
-	}
-	scSetup := sp.BaseSetup().WithScale(0.05)
-	scSetup.Seed = 7
-	scRes := runScenario(t, sp, scSetup)
-	requireIdentical(t, "autoscale", goRes, scRes)
 }
 
 // TestSingleScenario runs scenarios/terasort-crash.yaml against the
@@ -180,7 +102,7 @@ func TestScenarioConfCLIOverride(t *testing.T) {
 }
 
 // TestPercentScheduleMath pins the percentage-time resolution to the exact
-// integer math the Go experiments use.
+// integer math quiet*pct/100.
 func TestPercentScheduleMath(t *testing.T) {
 	quiet := 151200 * time.Millisecond
 	cases := []struct {

@@ -10,7 +10,9 @@ import (
 // FuzzScenarioSpec drives the parse → validate → re-serialize loop: any
 // input must either fail with an error (no panics), or decode to a spec
 // whose canonical form re-parses to a deep-equal spec and is a Marshal
-// fixpoint. The committed golden scenarios seed the corpus.
+// fixpoint, and which compiles against its own cluster block — Parse
+// leaves nothing for Compile to reject. The committed golden scenarios
+// seed the corpus.
 func FuzzScenarioSpec(f *testing.F) {
 	paths, _ := filepath.Glob(filepath.Join("..", "..", "scenarios", "*.yaml"))
 	for _, path := range paths {
@@ -39,6 +41,9 @@ func FuzzScenarioSpec(f *testing.F) {
 		}
 		if again := Marshal(sp2); string(again) != string(out) {
 			t.Fatalf("Marshal is not a fixpoint\n--- first ---\n%s\n--- second ---\n%s", out, again)
+		}
+		if _, err := sp.Compile(sp.BaseSetup()); err != nil {
+			t.Fatalf("Parse accepted a spec Compile rejects: %v\n--- input ---\n%s", err, data)
 		}
 	})
 }

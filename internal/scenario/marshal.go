@@ -1,166 +1,86 @@
 package scenario
 
 import (
+	"maps"
+	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
 )
 
-// Marshal renders the spec as canonical YAML: fixed field order, sorted
-// conf keys, zero-valued optional fields omitted. Parse(Marshal(sp))
-// yields a spec reflect.DeepEqual to sp — the property FuzzScenarioSpec
-// drives — so specs survive load → edit → save round trips losslessly.
+// Marshal renders the spec as canonical YAML: fields in schema declaration
+// order, sorted conf keys, zero-valued optional fields omitted.
+// Parse(Marshal(sp)) yields a spec reflect.DeepEqual to sp — the property
+// FuzzScenarioSpec drives — so specs survive load → edit → save round
+// trips losslessly.
 func Marshal(sp *Spec) []byte {
 	var b strings.Builder
 	w := &yw{b: &b}
-	w.kv(0, "version", strconv.Itoa(sp.Version))
-	w.str(0, "name", sp.Name)
-	if sp.Description != "" {
-		w.str(0, "description", sp.Description)
-	}
-	w.str(0, "kind", sp.Kind)
-	marshalCluster(w, sp.Cluster)
-	if len(sp.Conf) > 0 {
-		w.key(0, "conf")
-		for _, k := range sortedConfKeys(sp.Conf) {
-			w.str(1, k, sp.Conf[k])
-		}
-	}
-	switch sp.Kind {
-	case KindSingle:
-		w.str(0, "workload", sp.Workload)
-		w.str(0, "policy", sp.Policy)
-		if sp.Chaos != "" {
-			w.str(0, "chaos", sp.Chaos)
-		}
-		marshalExpect(w, sp.Expect)
-	case KindChaosMatrix:
-		w.str(0, "workload", sp.Workload)
-		w.strSeq(0, "policies", sp.Policies)
-		w.strSeq(0, "schedules", sp.Schedules)
-		w.str(0, "report", sp.Report)
-	case KindTenantMatrix:
-		w.key(0, "mixes")
-		for _, m := range sp.Mixes {
-			w.item(1)
-			w.str(2, "name", m.Name)
-			w.strSeq(2, "workloads", m.Workloads)
-		}
-		w.strSeq(0, "schedulers", sp.Schedulers)
-		w.strSeq(0, "policies", sp.Policies)
-	case KindArrivalMatrix:
-		marshalArrival(w, sp.Arrival)
-	}
+	w.fields(0, reflect.ValueOf(sp).Elem())
 	return []byte(b.String())
 }
 
-func marshalCluster(w *yw, c ClusterSpec) {
-	if c == (ClusterSpec{}) {
-		return
-	}
-	w.key(0, "cluster")
-	if c.Nodes != 0 {
-		w.kv(1, "nodes", strconv.Itoa(c.Nodes))
-	}
-	if c.Scale != 0 {
-		w.kv(1, "scale", ftog(c.Scale))
-	}
-	if c.Seed != 0 {
-		w.kv(1, "seed", strconv.FormatInt(c.Seed, 10))
-	}
-	if c.Disk != "" {
-		w.str(1, "disk", c.Disk)
+// fields writes struct v's schema fields at level: those whose if= clause
+// holds, required ones always, optional ones unless zero.
+func (w *yw) fields(level int, v reflect.Value) {
+	for _, f := range schemas[v.Type()] {
+		if fv := v.Field(f.index); f.applies(v) && (f.req || !fv.IsZero()) {
+			w.value(level, f.key, fv)
+		}
 	}
 }
 
-func marshalExpect(w *yw, e *ExpectSpec) {
-	if e == nil {
-		return
-	}
-	w.key(0, "expect")
-	if e.MaxRuntimeSec != 0 {
-		w.kv(1, "max_runtime_sec", ftog(e.MaxRuntimeSec))
-	}
-	if e.MaxLostExecutors != nil {
-		w.kv(1, "max_lost_executors", strconv.Itoa(*e.MaxLostExecutors))
-	}
-	if e.MinRecoveredGiB != 0 {
-		w.kv(1, "min_recovered_gib", ftog(e.MinRecoveredGiB))
+func (w *yw) value(level int, key string, v reflect.Value) {
+	switch v.Kind() {
+	case reflect.Pointer:
+		if !v.IsNil() {
+			w.value(level, key, v.Elem())
+		}
+	case reflect.Struct:
+		w.key(level, key)
+		w.fields(level+1, v)
+	case reflect.Map:
+		conf := v.Interface().(map[string]string)
+		if len(conf) == 0 {
+			return
+		}
+		w.key(level, key)
+		for _, k := range slices.Sorted(maps.Keys(conf)) {
+			w.kv(level+1, k, quoteScalar(conf[k], false))
+		}
+	case reflect.Slice:
+		if v.Type().Elem().Kind() == reflect.Struct {
+			w.key(level, key)
+			for i := 0; i < v.Len(); i++ {
+				w.item(level + 1)
+				w.fields(level+2, v.Index(i))
+			}
+			return
+		}
+		// Scalar lists are flow sequences ("[a, b]").
+		rendered := make([]string, v.Len())
+		for i := range rendered {
+			rendered[i] = scalarText(v.Index(i), true)
+		}
+		w.kv(level, key, "["+strings.Join(rendered, ", ")+"]")
+	default:
+		w.kv(level, key, scalarText(v, false))
 	}
 }
 
-func marshalArrival(w *yw, m *ArrivalMatrixSpec) {
-	if m == nil {
-		return
+// scalarText renders a string, integer, duration or float value.
+func scalarText(v reflect.Value, inFlow bool) string {
+	switch {
+	case v.Kind() == reflect.String:
+		return quoteScalar(v.String(), inFlow)
+	case v.Type() == durationType:
+		return time.Duration(v.Int()).String()
+	case v.CanInt():
+		return strconv.FormatInt(v.Int(), 10)
+	default:
+		return strconv.FormatFloat(v.Float(), 'g', -1, 64)
 	}
-	w.key(0, "arrival")
-	w.key(1, "tenants")
-	for _, t := range m.Tenants {
-		w.item(2)
-		w.str(3, "name", t.Name)
-		w.kv(3, "weight", ftog(t.Weight))
-		if t.Priority != 0 {
-			w.kv(3, "priority", strconv.Itoa(t.Priority))
-		}
-		w.kv(3, "blocks", strconv.Itoa(t.Blocks))
-		if t.MinBlocks != 0 {
-			w.kv(3, "min_blocks", strconv.Itoa(t.MinBlocks))
-		}
-	}
-	w.key(1, "arrivals")
-	for _, p := range m.Arrivals {
-		w.item(2)
-		w.str(3, "name", p.Name)
-		w.str(3, "process", p.Process)
-		switch p.Process {
-		case "poisson":
-			w.kv(3, "rate", ftog(p.Rate))
-		case "bursty":
-			w.kv(3, "on_rate", ftog(p.OnRate))
-			if p.OffRate != 0 {
-				w.kv(3, "off_rate", ftog(p.OffRate))
-			}
-			w.kv(3, "on", dtos(p.On))
-			w.kv(3, "off", dtos(p.Off))
-		case "diurnal":
-			w.kv(3, "period", dtos(p.Period))
-			rates := make([]string, len(p.Rates))
-			for i, r := range p.Rates {
-				rates[i] = ftog(r)
-			}
-			w.flowSeq(3, "rates", rates)
-		}
-	}
-	w.key(1, "configs")
-	for _, c := range m.Configs {
-		w.item(2)
-		w.str(3, "name", c.Name)
-		w.str(3, "policy", c.Policy)
-		w.str(3, "initial", c.Initial)
-		if c.Alpha != 0 {
-			w.kv(3, "alpha", ftog(c.Alpha))
-		}
-		if c.DrainTarget != 0 {
-			w.kv(3, "drain_target", dtos(c.DrainTarget))
-		}
-		if c.Headroom != 0 {
-			w.kv(3, "headroom", ftog(c.Headroom))
-		}
-		if c.MinSamplePeriod != 0 {
-			w.kv(3, "min_sample_period", dtos(c.MinSamplePeriod))
-		}
-	}
-	w.str(1, "capacity", m.Capacity)
-	w.kv(1, "horizon", dtos(m.Horizon))
-	w.kv(1, "max_jobs", strconv.Itoa(m.MaxJobs))
-	if m.MinJobs != 0 {
-		w.kv(1, "min_jobs", strconv.Itoa(m.MinJobs))
-	}
-	w.key(1, "slo")
-	if m.SLOFactor != 0 {
-		w.kv(2, "factor", ftog(m.SLOFactor))
-	}
-	w.str(2, "baseline", m.Baseline)
 }
 
 // yw is the canonical YAML writer. Sequence items are emitted as "- " with
@@ -203,25 +123,6 @@ func (w *yw) kv(level int, key, value string) {
 	w.b.WriteByte('\n')
 }
 
-// str writes a string value, quoting when the plain form would not parse
-// back verbatim.
-func (w *yw) str(level int, key, value string) {
-	w.kv(level, key, quoteScalar(value, false))
-}
-
-// strSeq writes a flow sequence ("[a, b]") of strings.
-func (w *yw) strSeq(level int, key string, values []string) {
-	quoted := make([]string, len(values))
-	for i, v := range values {
-		quoted[i] = quoteScalar(v, true)
-	}
-	w.flowSeq(level, key, quoted)
-}
-
-func (w *yw) flowSeq(level int, key string, rendered []string) {
-	w.kv(level, key, "["+strings.Join(rendered, ", ")+"]")
-}
-
 // quoteScalar renders a string scalar. Plain wherever the parser would
 // read it back verbatim; single-quoted (with ” doubling) otherwise.
 // inFlow additionally guards the flow-sequence delimiters.
@@ -247,7 +148,3 @@ func plainSafe(s string, inFlow bool) bool {
 	}
 	return true
 }
-
-func ftog(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-
-func dtos(d time.Duration) string { return d.String() }

@@ -16,8 +16,8 @@ type scheduleGen func(quiet time.Duration, seed int64) *chaos.Plan
 // parseScheduleSpec parses one schedule entry of a chaos matrix (or a
 // single run's chaos field). On top of the chaos grammar it accepts
 // percentage times — "crash1@45%" lands the crash at 45% of the policy's
-// quiet runtime, resolved per policy after the calibration run, exactly as
-// the hand-coded experiments compute quiet*45/100. Clause forms:
+// quiet runtime, resolved per policy after the calibration run. Clause
+// forms:
 //
 //	quiet | none          no faults
 //	crash[N]@T[+R]        fail-stop crash (optional restart after R)
@@ -29,9 +29,9 @@ type scheduleGen func(quiet time.Duration, seed int64) *chaos.Plan
 //	mayhem@T              crash-restart mid-horizon plus low-rate faults
 //
 // where T, R and D are durations ("45s") or percentages ("45%"). Plans are
-// built through the chaos constructors, so plan names — the schedule keys
-// in every report — match the Go experiments byte for byte. Multi-clause
-// comma specs are passed to chaos.Parse and may not use percentages.
+// built through the chaos constructors, whose plan names are the schedule
+// keys in every report. Multi-clause comma specs are passed to chaos.Parse
+// and may not use percentages.
 func parseScheduleSpec(s string) (scheduleGen, error) {
 	s = strings.TrimSpace(s)
 	if s == "" || s == "quiet" || s == "none" {
@@ -82,7 +82,7 @@ type pctDur struct {
 }
 
 // resolve computes the instant. Percentage math is integer on nanoseconds
-// (quiet*pct/100), matching the hand-coded experiments exactly.
+// (quiet*pct/100); the committed goldens pin it.
 func (t pctDur) resolve(quiet time.Duration) time.Duration {
 	if t.isPct {
 		return quiet * time.Duration(t.pct) / 100

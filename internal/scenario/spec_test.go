@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -354,5 +355,125 @@ report: faults
 `
 		msg := parseErr(t, doc)
 		requireErr(t, msg, "7", "schedules[0]", "bad factor", `"`+factor+`"`)
+	}
+}
+
+// TestBadConfValue: a conf value the engine would reject mid-run fails at
+// Parse instead, pointing at the override's line.
+func TestBadConfValue(t *testing.T) {
+	doc := `version: 1
+name: demo
+kind: single
+conf:
+  shuffle.io.maxRetries: 6
+  task.maxFailures: banana
+workload: terasort
+policy: dynamic
+`
+	msg := parseErr(t, doc)
+	requireErr(t, msg, "6", `conf "task.maxFailures"`, `"banana" is not an integer`)
+}
+
+// TestUnknownKind: a misspelt kind is reported as such, not through the
+// kind-specific fields it orphaned; a key outside its kind is unknown.
+func TestUnknownKind(t *testing.T) {
+	msg := parseErr(t, "version: 1\nname: x\nkind: singel\nworkload: terasort\npolicy: dynamic\n")
+	requireErr(t, msg, "3", `unknown kind "singel"`)
+	msg = parseErr(t, validSingle+"schedules: [quiet]\n")
+	requireErr(t, msg, "6", `unknown field "schedules"`)
+}
+
+// TestSchema walks every struct reachable from Spec and checks the tags the
+// codec relies on: each field tagged, keys unique per struct, only known
+// options, pos on numbers only, and if= naming a string field declared
+// earlier in the same struct (the decoder fills fields in that order).
+func TestSchema(t *testing.T) {
+	if len(schemas) < 9 {
+		t.Fatalf("schema covers %d struct types, want Spec and its 8 nested ones", len(schemas))
+	}
+	for typ, fields := range schemas {
+		keys := map[string]bool{}
+		for _, f := range fields {
+			sf := typ.Field(f.index)
+			name := typ.Name() + "." + sf.Name
+			tag, ok := sf.Tag.Lookup("spec")
+			if !ok || f.key == "" {
+				t.Errorf("%s: missing spec tag or key", name)
+				continue
+			}
+			if keys[f.key] {
+				t.Errorf("%s: key %q repeats within the struct", name, f.key)
+			}
+			keys[f.key] = true
+			for _, opt := range strings.Split(tag, ",")[1:] {
+				if opt != "req" && opt != "pos" && !strings.HasPrefix(opt, "if=") {
+					t.Errorf("%s: unknown tag option %q", name, opt)
+				}
+			}
+			if kind := sf.Type.Kind(); f.pos && kind != reflect.Int && kind != reflect.Int64 && kind != reflect.Float64 {
+				t.Errorf("%s: pos on a non-number (%s)", name, sf.Type)
+			}
+			if strings.Contains(tag, "if=") {
+				if f.cond < 0 || f.cond >= f.index || typ.Field(f.cond).Type.Kind() != reflect.String {
+					t.Errorf("%s: if= must name a string field declared earlier in %s", name, typ.Name())
+				}
+				if len(f.vals) == 0 || slices.Contains(f.vals, "") {
+					t.Errorf("%s: if= lists no values", name)
+				}
+			}
+		}
+	}
+}
+
+// TestRoundTripBranches covers the if= branches no committed golden takes:
+// a diurnal process with rates, a numeric initial fleet, and an expect
+// block asserting zero lost executors.
+func TestRoundTripBranches(t *testing.T) {
+	docs := map[string]string{
+		"diurnal": `version: 1
+name: demo
+kind: arrival-matrix
+arrival:
+  tenants:
+    - name: batch
+      weight: 1
+      blocks: 8
+  arrivals:
+    - name: day
+      process: diurnal
+      period: 2m0s
+      rates: [0.1, 0, 0.3]
+  configs:
+    - name: fixed
+      policy: static
+      initial: 3
+  capacity: 8
+  horizon: 6m0s
+  max_jobs: 10
+  slo:
+    baseline: fixed
+`,
+		"expect": validSingle + "expect:\n  max_lost_executors: 0\n",
+	}
+	for name, doc := range docs {
+		sp, err := Parse(name+".yaml", []byte(doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := Marshal(sp)
+		if string(out) != doc {
+			t.Errorf("%s: canonical form changed\n--- got ---\n%s--- want ---\n%s", name, out, doc)
+		}
+		if sp2, err := Parse(name+".yaml", out); err != nil || !reflect.DeepEqual(sp, sp2) {
+			t.Errorf("%s: round trip changed the spec (err %v)", name, err)
+		}
+	}
+	sp, _ := Parse("diurnal.yaml", []byte(docs["diurnal"]))
+	if p := sp.Arrival.Arrivals[0]; !reflect.DeepEqual(p.Rates, []float64{0.1, 0, 0.3}) || sp.Arrival.Configs[0].Initial != "3" {
+		t.Errorf("diurnal branch decoded to %+v / %+v", p, sp.Arrival.Configs[0])
+	}
+	sp, _ = Parse("expect.yaml", []byte(docs["expect"]))
+	if e := sp.Expect; e == nil || e.MaxLostExecutors == nil || *e.MaxLostExecutors != 0 {
+		t.Errorf("expect branch decoded to %+v", e)
 	}
 }

@@ -1,9 +1,9 @@
 // Package scenario turns experiments into data: a versioned YAML/JSON spec
 // that composes cluster shape, workload mix, executor sizing policies,
 // conf overrides, chaos clauses, arrival patterns, autoscale configs and
-// SLO assertions, and compiles to the same exp.Runner primitives the
-// hand-coded Go experiments use — so a same-seed scenario run is
-// byte-identical to its Go equivalent.
+// SLO assertions, and compiles onto the exp.Runner matrix primitives. The
+// spec is the experiment: the extension experiments of `sae-exp` run the
+// embedded scenarios/*.yaml, and have no other definition.
 //
 // The vocabulary follows PlantD's Experiment / LoadPattern / Scenario
 // resource split: the cluster block is the environment, the arrival block
