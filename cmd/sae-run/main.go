@@ -9,8 +9,9 @@
 //	        [-trace FILE] [-trace-v2] [-metrics FILE] [-metrics-csv FILE]
 //	        [-prom FILE] [-metrics-interval D]
 //
-// Policies: default | static | dynamic. The static policy uses -threads for
-// I/O-marked stages.
+// Policies: default | static | static:N | dynamic — the names a scenario
+// file's policy field takes. Plain "static" uses -threads for I/O-marked
+// stages.
 //
 // -scenario runs a declarative scenario spec (scenarios/*.yaml) instead of
 // the -workload/-policy/-faults flags, which are rejected alongside it.
@@ -27,6 +28,7 @@
 // -faults applies a deterministic chaos schedule, e.g. "crash@90s" (kill
 // executor 1 at t=90s), "crash2@2m+30s" (kill executor 2 at 2m, restart 30s
 // later), "flaky:0.02", "fetch:0.1", "mayhem@10m", combined with commas.
+// The grammar is chaos.Schedule's (internal/chaos), with absolute times.
 //
 // Observability: -trace writes the engine event log (-trace-v2 switches it
 // to the v2 format with a versioned header and job→stage→task spans);
@@ -52,6 +54,7 @@ import (
 
 	"sae"
 	"sae/internal/conf"
+	"sae/internal/exp"
 	"sae/internal/invariant"
 	"sae/internal/prof"
 	"sae/internal/scenario"
@@ -68,8 +71,8 @@ func main() {
 func run(args []string) (err error) {
 	fs := flag.NewFlagSet("sae-run", flag.ContinueOnError)
 	workload := fs.String("workload", "terasort", "workload: terasort|pagerank|aggregation|join|scan|bayes|lda|nweight|svm")
-	policy := fs.String("policy", "dynamic", "sizing policy: default|static|dynamic")
-	threads := fs.Int("threads", 8, "static policy thread count for I/O stages")
+	policy := fs.String("policy", "dynamic", "sizing policy: default|static|static:N|dynamic")
+	threads := fs.Int("threads", 8, "thread count for I/O stages under -policy static")
 	scale := fs.Float64("scale", 1, "data scale relative to the paper")
 	nodes := fs.Int("nodes", 4, "cluster size")
 	seed := fs.Int64("seed", 1, "node-variability seed")
@@ -85,7 +88,7 @@ func run(args []string) (err error) {
 	metricsCSV := fs.String("metrics-csv", "", "write the telemetry time-series dump as CSV to this file")
 	promFile := fs.String("prom", "", "write end-of-run metrics in Prometheus text exposition to this file")
 	metricsInterval := fs.Duration("metrics-interval", 0, "telemetry sampler period in virtual time (0 selects 5s)")
-	faults := fs.String("faults", "", "chaos schedule, e.g. crash@90s,flaky:0.02 (see chaos.Parse)")
+	faults := fs.String("faults", "", "chaos schedule, e.g. crash@90s,flaky:0.02 (grammar: chaos.Schedule in internal/chaos, absolute times)")
 	cpuprofile := fs.String("cpuprofile", "", "write a pprof CPU profile to this file")
 	memprofile := fs.String("memprofile", "", "write a pprof heap profile to this file on exit")
 	exectrace := fs.String("exectrace", "", "write a Go execution trace to this file")
@@ -216,16 +219,13 @@ func run(args []string) (err error) {
 		return err
 	}
 
-	var p sae.Policy
-	switch *policy {
-	case "default":
-		p = sae.Default()
-	case "static":
-		p = sae.Static(*threads)
-	case "dynamic":
-		p = sae.Adaptive()
-	default:
-		return fmt.Errorf("unknown policy %q", *policy)
+	name := *policy
+	if name == "static" {
+		name = fmt.Sprintf("static:%d", *threads)
+	}
+	p, err := exp.PolicyByName(name)
+	if err != nil {
+		return err
 	}
 
 	rep, err := sae.Run(setup, w, p)

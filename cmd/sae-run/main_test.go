@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"regexp"
 	"testing"
 
 	"sae/internal/engine"
@@ -39,6 +40,9 @@ func TestRunErrors(t *testing.T) {
 	cases := [][]string{
 		{"-workload", "nope"},
 		{"-policy", "nope", "-scale", "0.01"},
+		{"-policy", "static:8abc", "-scale", "0.01"},
+		{"-policy", "static", "-threads", "0", "-scale", "0.01"},
+		{"-faults", "crash@45%", "-scale", "0.01"},
 		{"-conf", "malformed"},
 		{"-conf", "no.such.key=1"},
 		{"-faults", "bogus@@"},
@@ -99,5 +103,54 @@ func TestRunTraceWriteErrorReported(t *testing.T) {
 	}
 	if err := run([]string{"-workload", "scan", "-scale", "0.02", "-trace", "/dev/full"}); err == nil {
 		t.Fatal("a trace file that cannot be written was not reported")
+	}
+}
+
+// captureStdout runs fn with os.Stdout redirected to a file and returns what
+// it printed.
+func captureStdout(t *testing.T, fn func() error) string {
+	t.Helper()
+	f, err := os.Create(filepath.Join(t.TempDir(), "stdout"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	saved := os.Stdout
+	os.Stdout = f
+	err = fn()
+	os.Stdout = saved
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out)
+}
+
+// TestRunDecisions: -decisions prints the MAPE-K log — at least the first
+// interval's doubling on some executor.
+func TestRunDecisions(t *testing.T) {
+	out := captureStdout(t, func() error {
+		return run([]string{"-workload", "terasort", "-scale", "0.05", "-policy", "dynamic", "-decisions"})
+	})
+	line := regexp.MustCompile(`(?m)^  executor \d+, stage \d+ @ *[\d.]+s → +\d+ threads: first interval, ζ=`)
+	if !line.MatchString(out) {
+		t.Fatalf("no decision line in the output:\n%s", out)
+	}
+}
+
+// TestRunPolicySpecNames: -policy takes the names a scenario file takes, so
+// static:N and static -threads N are the same run.
+func TestRunPolicySpecNames(t *testing.T) {
+	spec := captureStdout(t, func() error {
+		return run([]string{"-workload", "aggregation", "-scale", "0.05", "-policy", "static:4"})
+	})
+	flags := captureStdout(t, func() error {
+		return run([]string{"-workload", "aggregation", "-scale", "0.05", "-policy", "static", "-threads", "4"})
+	})
+	if spec != flags {
+		t.Fatalf("-policy static:4 and -policy static -threads 4 differ:\n%s\n---\n%s", spec, flags)
 	}
 }

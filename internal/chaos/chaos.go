@@ -10,7 +10,9 @@
 package chaos
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -328,221 +330,241 @@ func splitmix(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// Parse builds a plan from a compact spec string: a comma-separated list of
-// clauses. Supported clauses:
+// Schedule is a parsed chaos spec: the one grammar behind sae-run's -faults
+// flag, sae.ParseFaults and every `chaos:` / `schedules:` entry of a scenario
+// file. A spec is a comma-separated list of clauses:
 //
 //	quiet | none          no faults (alone)
-//	crash@T               executor 1 crashes at virtual time T (e.g. 90s)
-//	crash@T+R             … and restarts R after the crash
-//	crashN@T[+R]          same for executor N
-//	flaky[:RATE]          transient task I/O faults (default rate 0.05)
-//	fetch[:RATE]          transient shuffle-fetch failures (default 0.1)
-//	slow:N@TxF            executor N's disk and CPU degrade to 1/F of their
-//	                      nominal rate from T onward (gray failure)
-//	partition:N@T+D       executor N's network drops (heartbeats and shuffle
+//	crash[N]@T[+R]        executor N (default 1) crashes at T and, with +R,
+//	                      restarts R after the crash
+//	slow[N]@T[xF]         executor N's disk and CPU degrade to 1/F (default
+//	                      2) of their nominal rate from T onward
+//	partition[N]@T+D      executor N's network drops (heartbeats and shuffle
 //	                      fetches) for the window [T, T+D); running tasks
 //	                      keep computing
+//	flaky[:RATE]          transient task I/O faults (default rate 0.05)
+//	fetch[:RATE]          transient shuffle-fetch failures (default 0.1)
 //	corrupt[:RATE]        each DFS block replica is bit-rotten with the
 //	                      given probability (default 0.01); reads fail the
 //	                      CRC32 check until failover
 //	mayhem@T              crash-restart of executor 1 mid-horizon T plus
 //	                      low-rate task and fetch faults
-//	seed:N                hash seed (default 1)
+//	seed:N                hash seed (default: the caller's)
 //
-// Example: "crash1@2m+30s,flaky:0.02,seed:7" or
-// "slow:1@60sx4,partition:2@90s+45s,corrupt:0.02". Parse returns nil for
-// the quiet plan.
-func Parse(spec string) (*Plan, error) {
+// The executor may also be written ":N" ("slow:1@60sx4"). T, R and D are
+// durations ("90s") or percentages ("45%") of a reference runtime supplied
+// when the schedule is resolved; rates lie in (0, 1]. Example:
+// "crash1@2m+30s,flaky:0.02,seed:7" or "slow:1@25%x4,partition:2@50%+10%".
+type Schedule struct {
+	clauses []func(ref time.Duration, seed int64) *Plan
+	seed    *int64
+}
+
+// ParseSchedule parses a chaos spec. The quiet schedule is nil.
+func ParseSchedule(spec string) (*Schedule, error) {
 	spec = strings.TrimSpace(spec)
 	if spec == "" || spec == "quiet" || spec == "none" {
 		return nil, nil
 	}
-	p := &Plan{Name: spec, Seed: 1}
+	s := &Schedule{}
 	for _, clause := range strings.Split(spec, ",") {
 		clause = strings.TrimSpace(clause)
 		if clause == "" {
 			continue
 		}
-		switch {
-		case strings.HasPrefix(clause, "crash"):
-			c, err := parseCrash(clause)
-			if err != nil {
-				return nil, err
-			}
-			p.Crashes = append(p.Crashes, c)
-		case strings.HasPrefix(clause, "slow"):
-			s, err := parseSlow(clause)
-			if err != nil {
-				return nil, err
-			}
-			p.Slows = append(p.Slows, s)
-		case strings.HasPrefix(clause, "partition"):
-			w, err := parsePartition(clause)
-			if err != nil {
-				return nil, err
-			}
-			p.Partitions = append(p.Partitions, w)
-		case strings.HasPrefix(clause, "corrupt"):
-			rate, err := parseRate(clause, "corrupt", 0.01)
-			if err != nil {
-				return nil, err
-			}
-			p.CorruptRate = rate
-		case strings.HasPrefix(clause, "flaky"):
-			rate, err := parseRate(clause, "flaky", 0.05)
-			if err != nil {
-				return nil, err
-			}
-			p.TaskFaultRate = rate
-		case strings.HasPrefix(clause, "fetch"):
-			rate, err := parseRate(clause, "fetch", 0.1)
-			if err != nil {
-				return nil, err
-			}
-			p.FetchFaultRate = rate
-		case strings.HasPrefix(clause, "mayhem@"):
-			horizon, err := time.ParseDuration(clause[len("mayhem@"):])
+		if n, ok := strings.CutPrefix(clause, "seed:"); ok {
+			seed, err := strconv.ParseInt(n, 10, 64)
 			if err != nil {
 				return nil, fmt.Errorf("chaos: clause %q: %w", clause, err)
 			}
-			m := Mayhem(horizon, p.Seed)
-			p.Crashes = append(p.Crashes, m.Crashes...)
-			p.TaskFaultRate = m.TaskFaultRate
-			p.FetchFaultRate = m.FetchFaultRate
-		case strings.HasPrefix(clause, "seed:"):
-			n, err := strconv.ParseInt(clause[len("seed:"):], 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("chaos: clause %q: %w", clause, err)
-			}
-			p.Seed = n
-		default:
-			return nil, fmt.Errorf("chaos: unknown clause %q", clause)
+			s.seed = &seed
+			continue
 		}
-	}
-	return p, nil
-}
-
-// parseCrash parses "crash[N]@T[+R]".
-func parseCrash(clause string) (Crash, error) {
-	rest := clause[len("crash"):]
-	at := strings.IndexByte(rest, '@')
-	if at < 0 {
-		return Crash{}, fmt.Errorf("chaos: clause %q: want crash[N]@T[+R]", clause)
-	}
-	c := Crash{Exec: 1}
-	if at > 0 {
-		n, err := strconv.Atoi(rest[:at])
+		gen, err := parseClause(clause)
 		if err != nil {
-			return Crash{}, fmt.Errorf("chaos: clause %q: bad executor: %w", clause, err)
+			return nil, fmt.Errorf("chaos: clause %q: %w", clause, err)
 		}
-		c.Exec = n
+		s.clauses = append(s.clauses, gen)
 	}
-	times := rest[at+1:]
-	if plus := strings.IndexByte(times, '+'); plus >= 0 {
-		d, err := time.ParseDuration(times[plus+1:])
-		if err != nil {
-			return Crash{}, fmt.Errorf("chaos: clause %q: bad restart delay: %w", clause, err)
-		}
-		c.RestartAfter = d
-		times = times[:plus]
-	}
-	d, err := time.ParseDuration(times)
-	if err != nil {
-		return Crash{}, fmt.Errorf("chaos: clause %q: bad crash time: %w", clause, err)
-	}
-	c.At = d
-	return c, nil
-}
-
-// parseSlow parses "slow[:N]@TxF" (executor defaults to 1, factor to 2).
-func parseSlow(clause string) (Slow, error) {
-	rest := strings.TrimPrefix(clause, "slow")
-	rest = strings.TrimPrefix(rest, ":")
-	at := strings.IndexByte(rest, '@')
-	if at < 0 {
-		return Slow{}, fmt.Errorf("chaos: clause %q: want slow:N@TxF", clause)
-	}
-	s := Slow{Exec: 1, Factor: 2}
-	if at > 0 {
-		n, err := strconv.Atoi(rest[:at])
-		if err != nil {
-			return Slow{}, fmt.Errorf("chaos: clause %q: bad executor: %w", clause, err)
-		}
-		s.Exec = n
-	}
-	times := rest[at+1:]
-	if x := strings.IndexByte(times, 'x'); x >= 0 {
-		f, err := strconv.ParseFloat(times[x+1:], 64)
-		if err != nil {
-			return Slow{}, fmt.Errorf("chaos: clause %q: bad factor: %w", clause, err)
-		}
-		if f <= 0 {
-			return Slow{}, fmt.Errorf("chaos: clause %q: factor must be positive", clause)
-		}
-		s.Factor = f
-		times = times[:x]
-	}
-	d, err := time.ParseDuration(times)
-	if err != nil {
-		return Slow{}, fmt.Errorf("chaos: clause %q: bad time: %w", clause, err)
-	}
-	s.At = d
 	return s, nil
 }
 
-// parsePartition parses "partition[:N]@T+D" (executor defaults to 1; the
-// window duration D is required — a permanent partition is spelled crash).
-func parsePartition(clause string) (Partition, error) {
-	rest := strings.TrimPrefix(clause, "partition")
-	rest = strings.TrimPrefix(rest, ":")
-	at := strings.IndexByte(rest, '@')
-	if at < 0 {
-		return Partition{}, fmt.Errorf("chaos: clause %q: want partition:N@T+D", clause)
+// Plan resolves the schedule: percentage times become that share of ref,
+// and seed applies unless the spec carries its own seed:N. Every clause is
+// built by its constructor (CrashAt, SlowAt, Flaky, …) and the clauses are
+// merged in order, so the plan's name is the comma-join of the constructors'
+// resolved names ("crash1@1m8.04s,flaky:0.02") and a single-clause schedule
+// is exactly the constructor's plan. A schedule without fault clauses
+// resolves to nil, the quiet plan.
+func (s *Schedule) Plan(ref time.Duration, seed int64) *Plan {
+	if s == nil || len(s.clauses) == 0 {
+		return nil
 	}
-	w := Partition{Exec: 1}
-	if at > 0 {
-		n, err := strconv.Atoi(rest[:at])
-		if err != nil {
-			return Partition{}, fmt.Errorf("chaos: clause %q: bad executor: %w", clause, err)
+	if s.seed != nil {
+		seed = *s.seed
+	}
+	p := s.clauses[0](ref, seed)
+	for _, gen := range s.clauses[1:] {
+		q := gen(ref, seed)
+		p.Name += "," + q.Name
+		p.Crashes = append(p.Crashes, q.Crashes...)
+		p.Slows = append(p.Slows, q.Slows...)
+		p.Partitions = append(p.Partitions, q.Partitions...)
+		// A later clause's rate replaces an earlier one's, and the seed
+		// rides along with the clauses that roll dice.
+		if q.TaskFaultRate > 0 {
+			p.TaskFaultRate = q.TaskFaultRate
 		}
-		w.Exec = n
+		if q.FetchFaultRate > 0 {
+			p.FetchFaultRate = q.FetchFaultRate
+		}
+		if q.CorruptRate > 0 {
+			p.CorruptRate = q.CorruptRate
+		}
+		if q.Seed != 0 {
+			p.Seed = q.Seed
+		}
 	}
-	times := rest[at+1:]
-	plus := strings.IndexByte(times, '+')
-	if plus < 0 {
-		return Partition{}, fmt.Errorf("chaos: clause %q: want partition:N@T+D", clause)
-	}
-	dur, err := time.ParseDuration(times[plus+1:])
-	if err != nil {
-		return Partition{}, fmt.Errorf("chaos: clause %q: bad duration: %w", clause, err)
-	}
-	if dur <= 0 {
-		return Partition{}, fmt.Errorf("chaos: clause %q: duration must be positive", clause)
-	}
-	w.Duration = dur
-	d, err := time.ParseDuration(times[:plus])
-	if err != nil {
-		return Partition{}, fmt.Errorf("chaos: clause %q: bad start time: %w", clause, err)
-	}
-	w.At = d
-	return w, nil
+	return p
 }
 
-// parseRate parses "name" or "name:RATE".
-func parseRate(clause, name string, def float64) (float64, error) {
-	rest := clause[len(name):]
-	if rest == "" {
-		return def, nil
+// Parse builds a plan from an absolute-time spec (see Schedule for the
+// grammar) with hash seed 1 unless the spec says otherwise. Parse returns
+// nil for the quiet plan.
+func Parse(spec string) (*Plan, error) {
+	if strings.Contains(spec, "%") {
+		return nil, fmt.Errorf("chaos: %q: percentage times need a reference runtime (chaos-matrix schedules only)", spec)
 	}
-	if !strings.HasPrefix(rest, ":") {
-		return 0, fmt.Errorf("chaos: unknown clause %q", clause)
+	s, err := ParseSchedule(spec)
+	return s.Plan(0, 1), err
+}
+
+// instant is a schedule time: absolute, or a percentage of the reference
+// runtime.
+type instant struct {
+	pct   int64
+	dur   time.Duration
+	isPct bool
+}
+
+// resolve computes the instant. Percentage math is integer on nanoseconds
+// (ref*pct/100); the committed goldens pin it.
+func (t instant) resolve(ref time.Duration) time.Duration {
+	if t.isPct {
+		return ref * time.Duration(t.pct) / 100
 	}
-	rate, err := strconv.ParseFloat(rest[1:], 64)
+	return t.dur
+}
+
+func parseInstant(s, what string) (instant, error) {
+	if pct, ok := strings.CutSuffix(s, "%"); ok {
+		n, err := strconv.ParseInt(pct, 10, 64)
+		if err != nil || n < 0 {
+			return instant{}, fmt.Errorf("bad %s: %q is not a percentage (want e.g. 45%%)", what, s)
+		}
+		if n > 100 {
+			return instant{}, fmt.Errorf("bad %s: percentage %q is out of range (times are fractions of the reference runtime; want 0%%-100%%)", what, s)
+		}
+		return instant{pct: n, isPct: true}, nil
+	}
+	d, err := time.ParseDuration(s)
+	if err != nil || d < 0 {
+		return instant{}, fmt.Errorf("bad %s: %q is not a non-negative duration or percentage", what, s)
+	}
+	return instant{dur: d}, nil
+}
+
+var rateClauses = []struct {
+	name string
+	def  float64
+	mk   func(rate float64, seed int64) *Plan
+}{{"flaky", 0.05, Flaky}, {"fetch", 0.1, FetchStorm}, {"corrupt", 0.01, Corrupt}}
+
+var errUnknownClause = errors.New("unknown clause (want quiet, crash[N]@T[+R], slow[N]@T[xF], partition[N]@T+D, flaky[:RATE], fetch[:RATE], corrupt[:RATE], mayhem@T or seed:N)")
+
+// parseClause parses one fault clause into its plan builder.
+func parseClause(clause string) (func(time.Duration, int64) *Plan, error) {
+	for _, rc := range rateClauses {
+		rest, ok := strings.CutPrefix(clause, rc.name)
+		if !ok {
+			continue
+		}
+		rate := rc.def
+		if rest != "" {
+			if rest[0] != ':' {
+				return nil, errUnknownClause
+			}
+			var err error
+			if rate, err = strconv.ParseFloat(rest[1:], 64); err != nil || !(rate > 0 && rate <= 1) {
+				return nil, fmt.Errorf("bad rate %q (want a fraction in (0, 1]; no faults is spelled quiet)", rest[1:])
+			}
+		}
+		return func(_ time.Duration, seed int64) *Plan { return rc.mk(rate, seed) }, nil
+	}
+	if t, ok := strings.CutPrefix(clause, "mayhem@"); ok {
+		horizon, err := parseInstant(t, "horizon")
+		if err != nil {
+			return nil, err
+		}
+		return func(ref time.Duration, seed int64) *Plan { return Mayhem(horizon.resolve(ref), seed) }, nil
+	}
+	for _, head := range []string{"crash", "slow", "partition"} {
+		if rest, ok := strings.CutPrefix(clause, head); ok {
+			return parseTimed(head, strings.TrimPrefix(rest, ":"))
+		}
+	}
+	return nil, errUnknownClause
+}
+
+// parseTimed parses the "[N]@T…" tail of a crash, slow or partition clause.
+func parseTimed(head, rest string) (func(time.Duration, int64) *Plan, error) {
+	n, times, ok := strings.Cut(rest, "@")
+	if !ok {
+		return nil, errors.New("missing @T")
+	}
+	exec := 1
+	if n != "" {
+		var err error
+		if exec, err = strconv.Atoi(n); err != nil || exec < 0 {
+			return nil, fmt.Errorf("bad executor %q", n)
+		}
+	}
+	if head == "slow" {
+		t, f, scaled := strings.Cut(times, "x")
+		factor := 2.0
+		if scaled {
+			var err error
+			if factor, err = strconv.ParseFloat(f, 64); err != nil || !(factor > 0) || math.IsInf(factor, 1) {
+				return nil, fmt.Errorf("bad factor %q (want a positive number)", f)
+			}
+		}
+		at, err := parseInstant(t, "time")
+		if err != nil {
+			return nil, err
+		}
+		return func(ref time.Duration, _ int64) *Plan { return SlowAt(exec, at.resolve(ref), factor) }, nil
+	}
+	t, d, windowed := strings.Cut(times, "+")
+	at, err := parseInstant(t, "time")
 	if err != nil {
-		return 0, fmt.Errorf("chaos: clause %q: %w", clause, err)
+		return nil, err
 	}
-	if rate < 0 || rate > 1 {
-		return 0, fmt.Errorf("chaos: clause %q: rate out of [0,1]", clause)
+	if !windowed {
+		if head == "partition" {
+			// A permanent partition is spelled crash.
+			return nil, errors.New("want partition[N]@T+D")
+		}
+		return func(ref time.Duration, _ int64) *Plan { return CrashAt(exec, at.resolve(ref)) }, nil
 	}
-	return rate, nil
+	span, err := parseInstant(d, "restart delay or window")
+	if err != nil {
+		return nil, err
+	}
+	if head == "crash" {
+		return func(ref time.Duration, _ int64) *Plan { return CrashRestart(exec, at.resolve(ref), span.resolve(ref)) }, nil
+	}
+	if span.pct == 0 && span.dur == 0 {
+		return nil, errors.New("partition window must be positive")
+	}
+	return func(ref time.Duration, _ int64) *Plan { return PartitionAt(exec, at.resolve(ref), span.resolve(ref)) }, nil
 }

@@ -1,6 +1,8 @@
 package chaos
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
@@ -48,8 +50,109 @@ func TestParseCombined(t *testing.T) {
 	if len(p.Crashes) != 1 || p.TaskFaultRate != 0.02 || p.FetchFaultRate != 0.04 || p.Seed != 7 {
 		t.Fatalf("plan = %+v", p)
 	}
-	if p.Name != "crash@1m+10s,flaky:0.02,fetch:0.04,seed:7" {
+	// The name is the comma-join of the constructors' resolved names.
+	if p.Name != "crash1@1m0s+10s,flaky:0.02,fetch:0.04" {
 		t.Fatalf("name = %q", p.Name)
+	}
+}
+
+// TestScheduleSingleClauseIsConstructor: a one-clause schedule resolves to
+// exactly the plan its constructor builds, on the absolute and the
+// percentage path alike.
+func TestScheduleSingleClauseIsConstructor(t *testing.T) {
+	ref := 151200 * time.Millisecond
+	cases := []struct {
+		spec string
+		want *Plan
+	}{
+		{"crash@90s", CrashAt(1, 90*time.Second)},
+		{"crash:0@45%", CrashAt(0, ref*45/100)},
+		{"crash2@45%+20s", CrashRestart(2, ref*45/100, 20*time.Second)},
+		{"slow:3@25%x4", SlowAt(3, ref/4, 4)},
+		{"slow3@10s", SlowAt(3, 10*time.Second, 2)},
+		{"partition:2@50%+10%", PartitionAt(2, ref/2, ref/10)},
+		{"flaky", Flaky(0.05, 9)},
+		{"fetch:1", FetchStorm(1, 9)},
+		{"corrupt:0.02", Corrupt(0.02, 9)},
+		{"mayhem@100%", Mayhem(ref, 9)},
+		{"corrupt:0.02,seed:4", Corrupt(0.02, 4)},
+	}
+	for _, c := range cases {
+		s, err := ParseSchedule(c.spec)
+		if err != nil {
+			t.Fatalf("%s: %v", c.spec, err)
+		}
+		if got := s.Plan(ref, 9); !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%s: plan %+v, want %+v", c.spec, got, c.want)
+		}
+	}
+}
+
+// TestScheduleMultiClause: clauses merge in order, percentages are allowed
+// in any clause, and the seed is the spec's seed:N if present, else the
+// caller's.
+func TestScheduleMultiClause(t *testing.T) {
+	s, err := ParseSchedule("crash@50%+10%, slow:2@25%x3, flaky:0.02, flaky:0.04, partition0@1s+2s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := s.Plan(200*time.Second, 11)
+	want := &Plan{
+		Name:          "crash1@1m40s+20s,slow2@50sx3,flaky:0.02,flaky:0.04,partition0@1s+2s",
+		Seed:          11,
+		Crashes:       []Crash{{Exec: 1, At: 100 * time.Second, RestartAfter: 20 * time.Second}},
+		Slows:         []Slow{{Exec: 2, At: 50 * time.Second, Factor: 3}},
+		Partitions:    []Partition{{Exec: 0, At: time.Second, Duration: 2 * time.Second}},
+		TaskFaultRate: 0.04,
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("plan = %+v\nwant   %+v", got, want)
+	}
+	// The same schedule resolves afresh against another reference.
+	if at := s.Plan(100*time.Second, 11).Crashes[0].At; at != 50*time.Second {
+		t.Fatalf("second resolution: crash at %v, want 50s", at)
+	}
+
+	s, err = ParseSchedule("seed:5,mayhem@100s,corrupt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got = s.Plan(0, 11)
+	if got.Seed != 5 || got.Name != "mayhem@1m40s,corrupt:0.01" || got.TaskFaultRate != 0.02 || got.CorruptRate != 0.01 {
+		t.Fatalf("seeded plan = %+v", got)
+	}
+
+	// No fault clause at all is the quiet plan.
+	for _, spec := range []string{"seed:3", " , "} {
+		s, err := ParseSchedule(spec)
+		if err != nil {
+			t.Fatalf("%q: %v", spec, err)
+		}
+		if p := s.Plan(time.Minute, 1); p != nil {
+			t.Fatalf("%q resolved to %+v, want the quiet plan", spec, p)
+		}
+	}
+}
+
+// TestScheduleRejects pins the one set of bounds both entry points share.
+func TestScheduleRejects(t *testing.T) {
+	for _, spec := range []string{
+		"flaky:0", "fetch:-0.1", "corrupt:1.5", "flaky:NaN", // rates lie in (0, 1]
+		"crash-1@10s", "slow:-2@10s", // executors are non-negative
+		"crash@-10s", "crash@10s+-5s", "slow@-1s", "partition@-1s+5s", "mayhem@-100s", // no negative times
+		"crash@101%", "crash@-5%", "crash@4.5%", "partition@10%+0%", "partition@10s+0s",
+		"slow@10sxNaN", "slow@10sx+Inf",
+		"quiet,crash@10s", "crash@10s,bogus", "flakey", "mayhem",
+	} {
+		if _, err := ParseSchedule(spec); err == nil {
+			t.Errorf("ParseSchedule(%q) accepted", spec)
+		} else if !strings.HasPrefix(err.Error(), "chaos: ") {
+			t.Errorf("ParseSchedule(%q): error %q lacks the chaos: prefix", spec, err)
+		}
+	}
+	// Parse is the absolute-time entry point: it has no reference runtime.
+	if _, err := Parse("crash@45%"); err == nil || !strings.Contains(err.Error(), "percentage") {
+		t.Errorf("Parse accepted a percentage time: %v", err)
 	}
 }
 
@@ -242,9 +345,11 @@ func TestPartitionedWindows(t *testing.T) {
 	}
 }
 
-// FuzzParsePlan fuzzes the chaos spec parser: Parse must never panic, and
-// accepted specs must describe internally consistent plans that re-parse
-// identically (the spec string is the plan's name).
+// FuzzParsePlan fuzzes the chaos grammar: ParseSchedule must never panic,
+// an accepted schedule must resolve (at a fixed reference runtime) to an
+// internally consistent plan, and that plan's name — the comma-join of the
+// constructors' resolved names — must itself parse, through the
+// absolute-time Parse, to a plan of the same name.
 func FuzzParsePlan(f *testing.F) {
 	for _, seed := range []string{
 		"", "quiet", "none",
@@ -253,39 +358,51 @@ func FuzzParsePlan(f *testing.F) {
 		"slow:1@60sx4", "slow@10s", "partition:2@90s+45s", "corrupt:0.02", "corrupt",
 		"crash@1m+10s,flaky:0.02,fetch:0.04,seed:7",
 		"slow:1@60sx4,partition:2@90s+45s,corrupt:0.02",
-		"crash", "slow@10sx0", "partition@10s", "corrupt:2", "bogus", "seed:x",
+		"crash1@45%", "crash1@45%+20%", "slow1@25%x4", "partition1@25%+20%", "mayhem@100%",
+		"crash:0@10%+5s,slow2@1.5sx1e3,partition@50%+1%,fetch:1,seed:-3",
+		"seed:9,corrupt:1e-05,flaky:0.5,flaky",
+		"crash", "slow@10sx0", "partition@10s", "corrupt:2", "bogus", "seed:x", "crash@101%", "flaky:0",
 	} {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, spec string) {
-		p, err := Parse(spec)
+		s, err := ParseSchedule(spec)
 		if err != nil {
 			return
 		}
+		p := s.Plan(1000*time.Second, 3)
 		if p == nil {
 			return // quiet
 		}
+		for _, c := range p.Crashes {
+			if c.Exec < 0 || c.At < 0 || c.RestartAfter < 0 {
+				t.Fatalf("%q resolved to crash %+v", spec, c)
+			}
+		}
 		for _, s := range p.Slows {
-			if s.Factor <= 0 {
-				t.Fatalf("Parse(%q) accepted non-positive slow factor %g", spec, s.Factor)
+			if !(s.Factor > 0) || s.Exec < 0 || s.At < 0 {
+				t.Fatalf("%q resolved to slow %+v", spec, s)
 			}
 		}
 		for _, w := range p.Partitions {
-			if w.Duration <= 0 {
-				t.Fatalf("Parse(%q) accepted non-positive partition duration %v", spec, w.Duration)
+			if w.Duration <= 0 || w.Exec < 0 || w.At < 0 {
+				t.Fatalf("%q resolved to partition %+v", spec, w)
 			}
 		}
 		for _, rate := range []float64{p.TaskFaultRate, p.FetchFaultRate, p.CorruptRate} {
-			if rate < 0 || rate > 1 {
-				t.Fatalf("Parse(%q) accepted rate %g outside [0,1]", spec, rate)
+			if !(rate >= 0 && rate <= 1) {
+				t.Fatalf("%q resolved to rate %g outside [0,1]", spec, rate)
 			}
+		}
+		if p.Empty() {
+			t.Fatalf("%q resolved to a non-nil empty plan %+v", spec, p)
 		}
 		q, err := Parse(p.Name)
 		if err != nil {
-			t.Fatalf("accepted spec %q does not re-parse: %v", spec, err)
+			t.Fatalf("plan name %q (from %q) does not re-parse: %v", p.Name, spec, err)
 		}
 		if q.String() != p.String() {
-			t.Fatalf("re-parse of %q changed the plan: %q vs %q", spec, q, p)
+			t.Fatalf("re-parse of %q changed the plan name: %q vs %q", spec, q, p)
 		}
 	})
 }

@@ -1,7 +1,8 @@
 package core
 
 // Ablation variants of the self-adaptive executor, quantifying the design
-// choices the paper argues for in §5.2:
+// choices the paper argues for in §5.2. Each is Dynamic's climb planner with
+// one switch flipped:
 //
 //   - Descending: start the hill climb at cmax and halve, instead of
 //     ascending from cmin. The paper rejects this because the scheduler has
@@ -14,12 +15,7 @@ package core
 //     near-saturated settings (Fig. 5a: all ≥91%); this controller
 //     demonstrates the consequence.
 
-import (
-	"fmt"
-
-	"sae/internal/engine/job"
-	"sae/internal/metrics"
-)
+import "sae/internal/engine/job"
 
 // Descending is the top-down ablation of Dynamic: start at cmax, halve
 // while the congestion index improves, roll back (double) and freeze once
@@ -37,82 +33,19 @@ func (Descending) Name() string { return "dynamic-descending" }
 
 // InitialThreads implements job.Policy.
 func (d Descending) InitialThreads(exec job.ExecutorInfo, _ job.StageMeta) int {
-	return exec.MaxThreads
+	return d.planner().start(exec.MaxThreads)
 }
 
 // NewController implements job.Policy.
 func (d Descending) NewController(exec job.ExecutorInfo) job.Controller {
-	dd := Dynamic{Cmin: d.Cmin, Tolerance: d.Tolerance}
-	return &descendingController{
-		dynamicController: dynamicController{cfg: dd, exec: exec, cmax: exec.MaxThreads},
-	}
+	return newLoop(d.planner(), exec, 0)
+}
+
+func (d Descending) planner() climb {
+	return climb{cmin: orDefault(d.Cmin, 2), margin: orDefault(d.Tolerance, 0.10), down: true}
 }
 
 var _ job.Policy = Descending{}
-
-type descendingController struct {
-	dynamicController
-}
-
-// StageStart implements job.Controller: reset and start from cmax.
-func (c *descendingController) StageStart(meta job.StageMeta) int {
-	c.dynamicController.StageStart(meta)
-	c.threads = c.cmax
-	return c.threads
-}
-
-// TaskDone implements job.Controller with inverted stepping.
-func (c *descendingController) TaskDone(tm job.TaskMetrics) (int, bool) {
-	if c.locked || tm.Stage != c.stage.ID || tm.Start < c.sinceResize {
-		return c.threads, false
-	}
-	c.acc = c.acc.Merge(metrics.Interval{
-		Start:     tm.Start,
-		End:       tm.End,
-		BlockedIO: tm.BlockedIO,
-		Bytes:     tm.BytesMoved,
-		Tasks:     1,
-	})
-	if c.acc.Tasks < c.threads {
-		return c.threads, false
-	}
-	zeta := congestion(c.acc)
-	interval := c.acc
-	c.acc = metrics.Interval{}
-
-	prevZeta := c.prevZeta
-	cmin := c.cfg.cmin()
-	switch {
-	case c.first:
-		c.first = false
-		c.commit(interval, zeta)
-		if c.threads <= cmin {
-			c.lock(interval, "started at cmin")
-			return c.threads, false
-		}
-		c.threads = clamp(c.threads/2, cmin, c.cmax)
-		c.sinceResize = interval.End
-		c.log(interval, fmt.Sprintf("first interval, ζ=%.4g", zeta))
-		return c.threads, true
-
-	case c.better(zeta, interval):
-		c.commit(interval, zeta)
-		if c.threads <= cmin {
-			c.lock(interval, "reached cmin with improving congestion")
-			return c.threads, false
-		}
-		c.threads = clamp(c.threads/2, cmin, c.cmax)
-		c.sinceResize = interval.End
-		c.log(interval, fmt.Sprintf("ζ improved %.4g → %.4g", prevZeta, zeta))
-		return c.threads, true
-
-	default:
-		c.threads = clamp(c.threads*2, cmin, c.cmax)
-		c.locked = true
-		c.log(interval, fmt.Sprintf("ζ worsened %.4g → %.4g; rollback and freeze", prevZeta, zeta))
-		return c.threads, true
-	}
-}
 
 // NoRollback ablates the rollback step: on a worsened interval the
 // controller freezes at the worsened size instead of stepping back.
@@ -126,61 +59,19 @@ func (NoRollback) Name() string { return "dynamic-no-rollback" }
 
 // InitialThreads implements job.Policy.
 func (n NoRollback) InitialThreads(exec job.ExecutorInfo, _ job.StageMeta) int {
-	return clamp(Dynamic{Cmin: n.Cmin}.cmin(), 1, exec.MaxThreads)
+	return n.planner().start(exec.MaxThreads)
 }
 
 // NewController implements job.Policy.
 func (n NoRollback) NewController(exec job.ExecutorInfo) job.Controller {
-	dd := Dynamic{Cmin: n.Cmin, Tolerance: n.Tolerance}
-	return &noRollbackController{
-		dynamicController: dynamicController{cfg: dd, exec: exec, cmax: exec.MaxThreads},
-	}
+	return newLoop(n.planner(), exec, 0)
+}
+
+func (n NoRollback) planner() climb {
+	return climb{cmin: orDefault(n.Cmin, 2), margin: orDefault(n.Tolerance, 0.10), stay: true}
 }
 
 var _ job.Policy = NoRollback{}
-
-type noRollbackController struct {
-	dynamicController
-}
-
-// TaskDone implements job.Controller: like Dynamic, but a worsened interval
-// freezes in place.
-func (c *noRollbackController) TaskDone(tm job.TaskMetrics) (int, bool) {
-	if c.locked || tm.Stage != c.stage.ID || tm.Start < c.sinceResize {
-		return c.threads, false
-	}
-	c.acc = c.acc.Merge(metrics.Interval{
-		Start:     tm.Start,
-		End:       tm.End,
-		BlockedIO: tm.BlockedIO,
-		Bytes:     tm.BytesMoved,
-		Tasks:     1,
-	})
-	if c.acc.Tasks < c.threads {
-		return c.threads, false
-	}
-	zeta := congestion(c.acc)
-	interval := c.acc
-	c.acc = metrics.Interval{}
-	prevZeta := c.prevZeta
-	switch {
-	case c.first, c.better(zeta, interval):
-		c.first = false
-		c.commit(interval, zeta)
-		if c.threads >= c.cmax {
-			c.lock(interval, "reached cmax")
-			return c.threads, false
-		}
-		c.threads = clamp(c.threads*2, c.cfg.cmin(), c.cmax)
-		c.sinceResize = interval.End
-		c.log(interval, fmt.Sprintf("grow, ζ %.4g → %.4g", prevZeta, zeta))
-		return c.threads, true
-	default:
-		c.locked = true
-		c.log(interval, fmt.Sprintf("ζ worsened %.4g → %.4g; freeze WITHOUT rollback", prevZeta, zeta))
-		return c.threads, false
-	}
-}
 
 // UtilizationDriven hill-climbs on average disk utilization instead of the
 // congestion index: grow while utilization keeps rising meaningfully.
@@ -196,91 +87,16 @@ func (UtilizationDriven) Name() string { return "utilization-driven" }
 
 // InitialThreads implements job.Policy.
 func (u UtilizationDriven) InitialThreads(exec job.ExecutorInfo, _ job.StageMeta) int {
-	return clamp(Dynamic{Cmin: u.Cmin}.cmin(), 1, exec.MaxThreads)
+	return u.planner().start(exec.MaxThreads)
 }
 
 // NewController implements job.Policy.
 func (u UtilizationDriven) NewController(exec job.ExecutorInfo) job.Controller {
-	gain := u.MinGain
-	if gain <= 0 {
-		gain = 0.01
-	}
-	return &utilController{
-		cmin: Dynamic{Cmin: u.Cmin}.cmin(),
-		cmax: exec.MaxThreads,
-		gain: gain,
-	}
+	return newLoop(u.planner(), exec, 0)
+}
+
+func (u UtilizationDriven) planner() climb {
+	return climb{cmin: orDefault(u.Cmin, 2), margin: orDefault(u.MinGain, 0.01), util: true}
 }
 
 var _ job.Policy = UtilizationDriven{}
-
-type utilController struct {
-	cmin, cmax int
-	gain       float64
-
-	stage       job.StageMeta
-	threads     int
-	locked      bool
-	first       bool
-	sinceResize int64 // ns
-
-	count    int
-	utilSum  float64
-	prevUtil float64
-
-	decisions []job.Decision
-}
-
-// StageStart implements job.Controller.
-func (c *utilController) StageStart(meta job.StageMeta) int {
-	c.stage = meta
-	c.threads = clamp(c.cmin, 1, c.cmax)
-	c.locked = false
-	c.first = true
-	c.sinceResize = 0
-	c.count = 0
-	c.utilSum = 0
-	c.prevUtil = 0
-	return c.threads
-}
-
-// TaskDone implements job.Controller.
-func (c *utilController) TaskDone(tm job.TaskMetrics) (int, bool) {
-	if c.locked || tm.Stage != c.stage.ID || int64(tm.Start) < c.sinceResize {
-		return c.threads, false
-	}
-	c.count++
-	c.utilSum += tm.DiskBusyFrac
-	if c.count < c.threads {
-		return c.threads, false
-	}
-	util := c.utilSum / float64(c.count)
-	c.count = 0
-	c.utilSum = 0
-	c.sinceResize = int64(tm.End)
-
-	c.decisions = append(c.decisions, job.Decision{
-		At: tm.End, Stage: c.stage.ID, Threads: c.threads,
-		Reason: fmt.Sprintf("disk utilization %.1f%%", 100*util),
-	})
-	switch {
-	case c.first:
-		c.first = false
-	case util < c.prevUtil+c.gain:
-		// Utilization stopped improving — §5.2's point: near the
-		// saturation plateau this cannot tell good from bad.
-		c.locked = true
-		c.threads = clamp(c.threads/2, c.cmin, c.cmax)
-		return c.threads, true
-	}
-	c.prevUtil = util
-	if c.threads >= c.cmax {
-		c.locked = true
-		return c.threads, false
-	}
-	c.threads = clamp(c.threads*2, c.cmin, c.cmax)
-	return c.threads, true
-}
-
-// Decisions implements job.Controller.
-func (c *utilController) Decisions() []job.Decision { return c.decisions }

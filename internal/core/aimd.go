@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"sae/internal/engine/job"
-	"sae/internal/metrics"
 )
 
 // AIMD is a TCP-style alternative to the paper's doubling hill climb:
@@ -30,98 +29,34 @@ func (AIMD) Name() string { return "aimd" }
 
 // InitialThreads implements job.Policy.
 func (a AIMD) InitialThreads(exec job.ExecutorInfo, _ job.StageMeta) int {
-	return clamp(a.cmin(), 1, exec.MaxThreads)
-}
-
-func (a AIMD) cmin() int {
-	if a.Cmin <= 0 {
-		return 2
-	}
-	return a.Cmin
-}
-
-func (a AIMD) step() int {
-	if a.Step <= 0 {
-		return 2
-	}
-	return a.Step
-}
-
-func (a AIMD) tolerance() float64 {
-	if a.Tolerance <= 0 {
-		return 0.10
-	}
-	return a.Tolerance
+	return a.planner().start(exec.MaxThreads)
 }
 
 // NewController implements job.Policy.
 func (a AIMD) NewController(exec job.ExecutorInfo) job.Controller {
-	return &aimdController{cfg: a, cmax: exec.MaxThreads}
+	return newLoop(a.planner(), exec, 0)
+}
+
+func (a AIMD) planner() aimd {
+	return aimd{cmin: orDefault(a.Cmin, 2), step: orDefault(a.Step, 2), tol: orDefault(a.Tolerance, 0.10)}
 }
 
 var _ job.Policy = AIMD{}
 
-type aimdController struct {
-	cfg  AIMD
-	cmax int
-
-	stage       job.StageMeta
-	threads     int
-	first       bool
-	sinceResize int64
-
-	acc      metrics.Interval
-	prevZeta float64
-
-	decisions []job.Decision
+type aimd struct {
+	cmin, step int
+	tol        float64
 }
 
-// StageStart implements job.Controller.
-func (c *aimdController) StageStart(meta job.StageMeta) int {
-	c.stage = meta
-	c.threads = clamp(c.cfg.cmin(), 1, c.cmax)
-	c.first = true
-	c.sinceResize = 0
-	c.acc = metrics.Interval{}
-	c.prevZeta = 0
-	return c.threads
+func (a aimd) start(cmax int) int { return clamp(a.cmin, 1, cmax) }
+
+func (a aimd) signal(s sample) float64 { return congestion(s.Interval) }
+
+func (a aimd) plan(k *knowledge, cmax int, s sample, sig float64) (int, bool, string) {
+	next := k.threads / 2
+	if k.first || s.Bytes == 0 || sig < k.prevSignal*(1+a.tol) {
+		next = k.threads + a.step
+	}
+	next = clamp(next, a.cmin, cmax)
+	return next, false, fmt.Sprintf("AIMD %d→%d (ζ=%.4g)", k.threads, next, sig)
 }
-
-// TaskDone implements job.Controller.
-func (c *aimdController) TaskDone(tm job.TaskMetrics) (int, bool) {
-	if tm.Stage != c.stage.ID || int64(tm.Start) < c.sinceResize {
-		return c.threads, false
-	}
-	c.acc = c.acc.Merge(metrics.Interval{
-		Start:     tm.Start,
-		End:       tm.End,
-		BlockedIO: tm.BlockedIO,
-		Bytes:     tm.BytesMoved,
-		Tasks:     1,
-	})
-	if c.acc.Tasks < c.threads {
-		return c.threads, false
-	}
-	zeta := congestion(c.acc)
-	interval := c.acc
-	c.acc = metrics.Interval{}
-	c.sinceResize = int64(interval.End)
-
-	prev := c.threads
-	improved := c.first || interval.Bytes == 0 || zeta < c.prevZeta*(1+c.cfg.tolerance())
-	c.first = false
-	c.prevZeta = zeta
-	if improved {
-		c.threads = clamp(c.threads+c.cfg.step(), c.cfg.cmin(), c.cmax)
-	} else {
-		c.threads = clamp(c.threads/2, c.cfg.cmin(), c.cmax)
-	}
-	c.decisions = append(c.decisions, job.Decision{
-		At: interval.End, Stage: c.stage.ID, Threads: c.threads, Interval: interval,
-		Reason: fmt.Sprintf("AIMD %d→%d (ζ=%.4g)", prev, c.threads, zeta),
-	})
-	return c.threads, c.threads != prev
-}
-
-// Decisions implements job.Controller.
-func (c *aimdController) Decisions() []job.Decision { return c.decisions }

@@ -2,34 +2,22 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"sae/internal/engine/job"
-	"sae/internal/metrics"
 )
 
-// Dynamic is the paper's self-adaptive executor (§5): a MAPE-K control loop
-// per executor and stage.
+// Dynamic is the paper's self-adaptive executor (§5): the MAPE-K loop of
+// loop.go with the paper's planner.
 //
-// [M]onitor  — every completed task reports its blocked-on-I/O time (the
-// epoll-wait analogue, ε) and bytes moved; the controller accumulates them
-// over an interval I_j, defined as the completion of j tasks while the pool
-// size is j.
-//
-// [A]nalyze  — at interval end the analyzer computes the congestion index
-// ζ_j = ε_j/µ_j (normalized per task, since ε sums over the j concurrent
-// tasks of the interval) and compares it against the previous interval's
-// ζ_{j/2}. Lower congestion means the extra threads paid off.
+// [A]nalyze  — at interval end the congestion index ζ_j = ε_j/µ_j
+// (normalized per task, since ε sums over the j concurrent tasks of the
+// interval) is compared against the previous interval's ζ_{j/2}. Lower
+// congestion means the extra threads paid off.
 //
 // [P]lan     — hill-climbing over pool sizes: start at Cmin and double while
 // congestion keeps falling, capped at cmax (the executor's virtual cores).
 // On the first worsening, roll back to the previous size and freeze until
 // the stage ends — if j threads lose to j/2, 2j would only contend more.
-//
-// [E]xecute  — the executor applies the returned size to its pool and
-// notifies the driver's scheduler so slot accounting stays consistent (the
-// engine's ThreadCountUpdate message, mirroring the paper's protocol
-// extension).
 type Dynamic struct {
 	// Cmin is the hill-climb starting point (paper: 2 — a single thread
 	// almost never wins).
@@ -67,221 +55,100 @@ func (d Dynamic) Name() string {
 
 // InitialThreads implements job.Policy.
 func (d Dynamic) InitialThreads(exec job.ExecutorInfo, _ job.StageMeta) int {
-	return clamp(d.cmin(), 1, exec.MaxThreads)
-}
-
-func (d Dynamic) cmin() int {
-	if d.Cmin <= 0 {
-		return 2
-	}
-	return d.Cmin
-}
-
-func (d Dynamic) tolerance() float64 {
-	if d.Tolerance <= 0 {
-		return 0.10
-	}
-	return d.Tolerance
+	return d.planner().start(exec.MaxThreads)
 }
 
 // NewController implements job.Policy.
 func (d Dynamic) NewController(exec job.ExecutorInfo) job.Controller {
-	return &dynamicController{
-		cfg:  d,
-		exec: exec,
-		cmax: exec.MaxThreads,
-	}
+	return newLoop(d.planner(), exec, d.ReprobeTasks)
+}
+
+func (d Dynamic) planner() climb {
+	return climb{cmin: orDefault(d.Cmin, 2), margin: orDefault(d.Tolerance, 0.10)}
 }
 
 var _ job.Policy = Dynamic{}
 
-type dynamicController struct {
-	cfg  Dynamic
-	exec job.ExecutorInfo
-	cmax int
-
-	stage   job.StageMeta
-	threads int
-	locked  bool
-	first   bool
-	// sinceResize is the time of the last pool resize; only tasks that
-	// started after it are attributed to the current interval, so each
-	// rung measures steady state at its own pool size rather than a
-	// smear across regimes.
-	sinceResize time.Duration
-
-	acc metrics.Interval
-
-	prev     metrics.Interval
-	prevZeta float64
-
-	// lockedDone counts completions since the freeze, for re-probing.
-	lockedDone int
-
-	decisions []job.Decision
+// orDefault returns v, or def when v is unset (zero or negative).
+func orDefault[T int | float64](v, def T) T {
+	if v <= 0 {
+		return def
+	}
+	return v
 }
 
-// StageStart implements job.Controller: reset the loop and descend to cmin.
-func (c *dynamicController) StageStart(meta job.StageMeta) int {
-	c.stage = meta
-	c.threads = clamp(c.cfg.cmin(), 1, c.cmax)
-	c.locked = false
-	c.first = true
-	c.sinceResize = 0
-	c.acc = metrics.Interval{}
-	c.prev = metrics.Interval{}
-	c.prevZeta = 0
-	c.lockedDone = 0
-	return c.threads
+// climb is the hill-climbing planner behind Dynamic and its three ablations
+// (ablation.go): double while the signal improves, step back and freeze when
+// it worsens, freeze on reaching the bound.
+type climb struct {
+	cmin int
+	// margin is the relative ζ degradation still counted as an
+	// improvement, or (util) the absolute utilization gain required.
+	margin float64
+	down   bool // Descending: start at cmax and halve towards cmin
+	stay   bool // NoRollback: freeze at the worsened size
+	util   bool // UtilizationDriven: maximize disk utilization, not 1/ζ
 }
 
-// TaskDone implements job.Controller.
-func (c *dynamicController) TaskDone(tm job.TaskMetrics) (int, bool) {
-	if tm.Stage != c.stage.ID {
-		return c.threads, false
+func (c climb) start(cmax int) int {
+	if c.down {
+		return cmax
 	}
-	if c.locked {
-		if c.cfg.ReprobeTasks <= 0 {
-			return c.threads, false
-		}
-		c.lockedDone++
-		if c.lockedDone < c.cfg.ReprobeTasks {
-			return c.threads, false
-		}
-		// Re-open the climb: the environment may have changed (L4).
-		c.locked = false
-		c.first = true
-		c.lockedDone = 0
-		c.acc = metrics.Interval{}
-		c.prev = metrics.Interval{}
-		c.prevZeta = 0
-		c.sinceResize = tm.End
-		c.threads = clamp(c.cfg.cmin(), 1, c.cmax)
-		c.decisions = append(c.decisions, job.Decision{
-			At: tm.End, Stage: c.stage.ID, Threads: c.threads,
-			Reason: "re-probe: restarting hill climb",
-		})
-		return c.threads, true
-	}
-	if tm.Start < c.sinceResize {
-		return c.threads, false
-	}
-	c.acc = c.acc.Merge(metrics.Interval{
-		Start:     tm.Start,
-		End:       tm.End,
-		BlockedIO: tm.BlockedIO,
-		Bytes:     tm.BytesMoved,
-		Tasks:     1,
-	})
-	if c.acc.Tasks < c.threads {
-		return c.threads, false
-	}
-	return c.analyze()
+	return clamp(c.cmin, 1, cmax)
 }
 
-// analyze closes the current interval and plans the next pool size.
-func (c *dynamicController) analyze() (int, bool) {
-	zeta := congestion(c.acc)
-	interval := c.acc
-	c.acc = metrics.Interval{}
-
-	prevZeta := c.prevZeta
-	switch {
-	case c.first:
-		c.first = false
-		c.commit(interval, zeta)
-		if c.threads >= c.cmax {
-			c.lock(interval, "started at cmax")
-			return c.threads, false
-		}
-		c.sinceResize = interval.End
-		return c.grow(interval, fmt.Sprintf("first interval, ζ=%.4g", zeta)), true
-
-	case c.better(zeta, interval):
-		c.commit(interval, zeta)
-		if c.threads >= c.cmax {
-			c.lock(interval, "reached cmax with improving congestion")
-			return c.threads, false
-		}
-		c.sinceResize = interval.End
-		return c.grow(interval, fmt.Sprintf("ζ improved %.4g → %.4g", prevZeta, zeta)), true
-
-	default:
-		// Roll back: if j threads lose to j/2, 2j would only make
-		// the contention worse (§5.2).
-		c.threads = clamp(c.threads/2, c.cfg.cmin(), c.cmax)
-		c.locked = true
-		c.log(interval, fmt.Sprintf("ζ worsened %.4g → %.4g; rollback and freeze", c.prevZeta, zeta))
-		return c.threads, true
+func (c climb) signal(s sample) float64 {
+	if c.util {
+		return s.busy
 	}
+	return congestion(s.Interval)
 }
 
-// better reports whether the closed interval shows less I/O congestion than
-// the previous one. Intervals that moved no data at all carry no congestion
-// signal; treat them as improvements so pure-CPU stages climb to the full
-// core count, matching stock Spark's CPU-bound assumption. (Stages with any
-// I/O are judged by ζ directly: on CPU-dominated stages throughput scales
-// with the pool, so ζ falls and the climb continues anyway — e.g. the
-// paper's Aggregation scan stage ends at 128/128.)
-func (c *dynamicController) better(zeta float64, iv metrics.Interval) bool {
-	if iv.Bytes == 0 && c.prev.Bytes == 0 {
+// improved reports whether the closed interval beats the previous one.
+// Intervals that moved no data at all carry no congestion signal; treat them
+// as improvements so pure-CPU stages climb to the full core count, matching
+// stock Spark's CPU-bound assumption. (Stages with any I/O are judged by ζ
+// directly: on CPU-dominated stages throughput scales with the pool, so ζ
+// falls and the climb continues anyway — e.g. the paper's Aggregation scan
+// stage ends at 128/128.)
+func (c climb) improved(k *knowledge, s sample, sig float64) bool {
+	if c.util {
+		// §5.2's point: near the saturation plateau utilization cannot
+		// tell good from bad.
+		return sig >= k.prevSignal+c.margin
+	}
+	if s.Bytes == 0 && k.prev.Bytes == 0 {
 		return true
 	}
-	return zeta < c.prevZeta*(1+c.cfg.tolerance())
+	return sig < k.prevSignal*(1+c.margin)
 }
 
-func (c *dynamicController) commit(iv metrics.Interval, zeta float64) {
-	c.prev = iv
-	c.prevZeta = zeta
-}
-
-func (c *dynamicController) grow(iv metrics.Interval, reason string) int {
-	c.threads = clamp(c.threads*2, c.cfg.cmin(), c.cmax)
-	c.log(iv, reason)
-	return c.threads
-}
-
-func (c *dynamicController) lock(iv metrics.Interval, reason string) {
-	c.locked = true
-	c.log(iv, reason)
-}
-
-func (c *dynamicController) log(iv metrics.Interval, reason string) {
-	c.decisions = append(c.decisions, job.Decision{
-		At:       iv.End,
-		Stage:    c.stage.ID,
-		Threads:  c.threads,
-		Interval: iv,
-		Reason:   reason,
-	})
-}
-
-// Decisions implements job.Controller.
-func (c *dynamicController) Decisions() []job.Decision { return c.decisions }
-
-// congestion returns the congestion index ζ = ε/µ the analyzer minimizes.
-//
-// The paper measures ε with strace as the executor process's epoll-wait
-// time: the wait of the JVM's small, fixed set of I/O event-loop threads,
-// which park whenever I/O is outstanding. Over an interval in which I/O is
-// in flight essentially continuously, that quantity is proportional to the
-// interval's *duration*, not to the number of worker threads — so
-// ζ = ε/µ ≈ κ·D/µ. We normalize by the interval's task count (an interval
-// I_j contains j tasks by construction) to keep ζ comparable across rungs
-// of the doubling ladder:
-//
-//	ζ_j = D_j / (tasks_j · µ_j)
-//
-// Minimizing this ζ is exactly congestion-avoidance: it falls while doubling
-// the pool still improves executor goodput and rises as soon as added
-// threads saturate the device.
-func congestion(iv metrics.Interval) float64 {
-	if iv.Tasks == 0 {
-		return 0
+func (c climb) plan(k *knowledge, cmax int, s sample, sig float64) (int, bool, string) {
+	sym, what := "ζ", "congestion"
+	if c.util {
+		sym, what = "util", "utilization"
 	}
-	mu := iv.Throughput()
-	if mu <= 0 {
-		return 0
+	next, back := k.threads*2, k.threads/2
+	bound, atBound := "cmax", k.threads >= cmax
+	if c.down {
+		next, back = back, next
+		bound, atBound = "cmin", k.threads <= c.cmin
 	}
-	return iv.Duration().Seconds() / float64(iv.Tasks) / mu
+	switch {
+	case !k.first && !c.improved(k, s, sig):
+		if c.stay {
+			return k.threads, true, fmt.Sprintf("%s worsened %.4g → %.4g; freeze without rollback", sym, k.prevSignal, sig)
+		}
+		// Roll back: if j threads lose to j/2, 2j would only make the
+		// contention worse (§5.2).
+		return clamp(back, c.cmin, cmax), true, fmt.Sprintf("%s worsened %.4g → %.4g; rollback and freeze", sym, k.prevSignal, sig)
+	case atBound && k.first:
+		return k.threads, true, "started at " + bound
+	case atBound:
+		return k.threads, true, "reached " + bound + " with improving " + what
+	case k.first:
+		return clamp(next, c.cmin, cmax), false, fmt.Sprintf("first interval, %s=%.4g", sym, sig)
+	default:
+		return clamp(next, c.cmin, cmax), false, fmt.Sprintf("%s improved %.4g → %.4g", sym, k.prevSignal, sig)
+	}
 }

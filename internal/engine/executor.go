@@ -1,8 +1,9 @@
 package engine
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"sae/internal/cluster"
@@ -45,13 +46,9 @@ type Executor struct {
 
 	inbox *sim.Mailbox[execMsg]
 
-	// ctrls/choice/stages track one controller per active (job, stage);
-	// activeKeys lists their keys sorted by (job, stage) for
-	// deterministic iteration.
-	ctrls      map[setKey]job.Controller
-	choice     map[setKey]int
-	stages     map[setKey]*job.StageSpec
-	activeKeys []setKey
+	// active holds one controller per active (job, stage) with its current
+	// choice, sorted by (job, stage) for deterministic iteration.
+	active []stageCtrl
 	// curStage labels thread-log entries and crash traces with the stage
 	// that last (re)configured the pool.
 	curStage int
@@ -202,9 +199,6 @@ func newExecutor(eng *Engine, id int, node *cluster.Node, policy job.Policy) *Ex
 		info:           info,
 		policy:         policy,
 		inbox:          sim.NewMailbox[execMsg](eng.kernelOf(node.ID)),
-		ctrls:          make(map[setKey]job.Controller),
-		choice:         make(map[setKey]int),
-		stages:         make(map[setKey]*job.StageSpec),
 		curStage:       -1,
 		decisionsByJob: make(map[int][]job.Decision),
 		limit:          info.MaxThreads,
@@ -242,12 +236,12 @@ func (ex *Executor) Decisions() []job.Decision {
 	for id := range ex.decisionsByJob {
 		jobs = append(jobs, id)
 	}
-	for _, key := range ex.activeKeys {
-		if _, ok := ex.decisionsByJob[key.job]; !ok {
-			jobs = append(jobs, key.job)
+	for _, sc := range ex.active {
+		if _, ok := ex.decisionsByJob[sc.key.job]; !ok {
+			jobs = append(jobs, sc.key.job)
 		}
 	}
-	sort.Ints(jobs)
+	slices.Sort(jobs)
 	var out []job.Decision
 	seen := make(map[int]bool, len(jobs))
 	for _, id := range jobs {
@@ -264,9 +258,9 @@ func (ex *Executor) Decisions() []job.Decision {
 // executor: retired ones first (chronological), then any still live.
 func (ex *Executor) jobDecisions(jobID int) []job.Decision {
 	out := append([]job.Decision(nil), ex.decisionsByJob[jobID]...)
-	for _, key := range ex.activeKeys {
-		if key.job == jobID {
-			out = append(out, ex.ctrls[key].Decisions()...)
+	for _, sc := range ex.active {
+		if sc.key.job == jobID {
+			out = append(out, sc.ctrl.Decisions()...)
 		}
 	}
 	return out
@@ -306,13 +300,25 @@ func (ex *Executor) main(p *sim.Proc) {
 // and clears the controller tables — the shared teardown of crashes, fences
 // and decommissions. Fresh controllers arrive with re-sent stages on rejoin.
 func (ex *Executor) retireControllers() {
-	for _, key := range ex.activeKeys {
-		ex.decisionsByJob[key.job] = append(ex.decisionsByJob[key.job], ex.ctrls[key].Decisions()...)
+	for _, sc := range ex.active {
+		ex.decisionsByJob[sc.key.job] = append(ex.decisionsByJob[sc.key.job], sc.ctrl.Decisions()...)
 	}
-	ex.ctrls = make(map[setKey]job.Controller)
-	ex.choice = make(map[setKey]int)
-	ex.stages = make(map[setKey]*job.StageSpec)
-	ex.activeKeys = nil
+	ex.active = nil
+}
+
+// stageCtrl is one active (job, stage): its controller and the pool size
+// the controller last chose.
+type stageCtrl struct {
+	key    setKey
+	ctrl   job.Controller
+	choice int
+}
+
+// find locates key in the sorted active list, or the index to insert it at.
+func (ex *Executor) find(key setKey) (int, bool) {
+	return slices.BinarySearchFunc(ex.active, key, func(sc stageCtrl, key setKey) int {
+		return cmp.Or(cmp.Compare(sc.key.job, key.job), cmp.Compare(sc.key.stage, key.stage))
+	})
 }
 
 // shutdown stops the executor process at the current instant: the
@@ -351,24 +357,15 @@ func (ex *Executor) fence(epoch int) {
 // needed here.
 func (ex *Executor) stageStart(m *stageStartMsg) {
 	key := setKey{job: m.job, stage: m.stage.ID}
-	if old, ok := ex.ctrls[key]; ok {
+	i, dup := ex.find(key)
+	if dup {
 		// A duplicate broadcast (stage re-sent around a crash/restart
 		// race): retire the old incarnation's log and start over.
-		ex.decisionsByJob[key.job] = append(ex.decisionsByJob[key.job], old.Decisions()...)
-		ex.removeKey(key)
+		ex.decisionsByJob[key.job] = append(ex.decisionsByJob[key.job], ex.active[i].ctrl.Decisions()...)
+		ex.active = slices.Delete(ex.active, i, i+1)
 	}
 	ctrl := ex.policy.NewController(ex.info)
-	ex.ctrls[key] = ctrl
-	ex.stages[key] = m.stage
-	ex.choice[key] = ctrl.StageStart(m.stage.Meta())
-	ex.activeKeys = append(ex.activeKeys, key)
-	sort.Slice(ex.activeKeys, func(i, j int) bool {
-		a, b := ex.activeKeys[i], ex.activeKeys[j]
-		if a.job != b.job {
-			return a.job < b.job
-		}
-		return a.stage < b.stage
-	})
+	ex.active = slices.Insert(ex.active, i, stageCtrl{key: key, ctrl: ctrl, choice: ctrl.StageStart(m.stage.Meta())})
 	ex.curStage = m.stage.ID
 	if n, ok := ex.effectiveChoice(); ok {
 		ex.setLimit(n, m.stage.ID)
@@ -380,28 +377,14 @@ func (ex *Executor) stageStart(m *stageStartMsg) {
 // binding minimum, the pool relaxes and the driver is told — it cannot
 // derive the surviving controllers' choices itself.
 func (ex *Executor) stageEnd(m *stageEndMsg) {
-	key := setKey{job: m.job, stage: m.stage}
-	ctrl := ex.ctrls[key]
-	if ctrl == nil {
+	i, ok := ex.find(setKey{job: m.job, stage: m.stage})
+	if !ok {
 		return // already retired (e.g. by a crash)
 	}
-	ex.decisionsByJob[m.job] = append(ex.decisionsByJob[m.job], ctrl.Decisions()...)
-	ex.removeKey(key)
+	ex.decisionsByJob[m.job] = append(ex.decisionsByJob[m.job], ex.active[i].ctrl.Decisions()...)
+	ex.active = slices.Delete(ex.active, i, i+1)
 	if n, ok := ex.effectiveChoice(); ok && ex.applyAndNotify(n, m.job, m.stage) {
 		ex.drain()
-	}
-}
-
-// removeKey drops a (job, stage) from the active controller tables.
-func (ex *Executor) removeKey(key setKey) {
-	delete(ex.ctrls, key)
-	delete(ex.choice, key)
-	delete(ex.stages, key)
-	for i, k := range ex.activeKeys {
-		if k == key {
-			ex.activeKeys = append(ex.activeKeys[:i], ex.activeKeys[i+1:]...)
-			break
-		}
 	}
 }
 
@@ -409,14 +392,12 @@ func (ex *Executor) removeKey(key setKey) {
 // With no active stage it reports ok=false: the pool keeps its last limit
 // (there is nothing to run anyway).
 func (ex *Executor) effectiveChoice() (int, bool) {
-	if len(ex.activeKeys) == 0 {
+	if len(ex.active) == 0 {
 		return 0, false
 	}
-	n := -1
-	for _, key := range ex.activeKeys {
-		if c := ex.choice[key]; n < 0 || c < n {
-			n = c
-		}
+	n := ex.active[0].choice
+	for _, sc := range ex.active[1:] {
+		n = min(n, sc.choice)
 	}
 	return n, true
 }
@@ -489,9 +470,9 @@ func (ex *Executor) start(lm *launchMsg) {
 		// settings, as before the DAG split).
 		key := setKey{job: lm.job, stage: lm.stage.ID}
 		if err == nil {
-			if ctrl := ex.ctrls[key]; ctrl != nil {
-				if threads, changed := ctrl.TaskDone(tm); changed {
-					ex.choice[key] = threads
+			if i, ok := ex.find(key); ok {
+				if threads, changed := ex.active[i].ctrl.TaskDone(tm); changed {
+					ex.active[i].choice = threads
 					if n, ok := ex.effectiveChoice(); ok {
 						ex.applyAndNotify(n, key.job, key.stage)
 					}

@@ -4,12 +4,23 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"time"
 )
 
 // autoscaleSLOFactor sets the per-scenario p99 latency target relative to
 // the static-large baseline: an elastic config "meets SLO" when its overall
 // p99 job latency stays within this factor of always-on full capacity.
 const autoscaleSLOFactor = 1.5
+
+// Actuation constants of every arrival-matrix replay: the planning interval,
+// the fleet floor, how long a requested node takes to join, and the
+// scale-down cooldown.
+const (
+	autoscaleInterval          = 10 * time.Second
+	autoscaleMinNodes          = 2
+	autoscaleProvisionDelay    = 15 * time.Second
+	autoscaleScaleDownCooldown = time.Minute
+)
 
 // AutoscaleClassRow is one tenant class's latency summary under one
 // (arrival process, cluster config) cell.

@@ -651,11 +651,9 @@ func Figure12(s Setup) (*Figure12Result, error) {
 			for _, stage := range []int{0, 1} {
 				st := rep.Stages[stage]
 				var series metrics.Series
-				var sum float64
 				for _, pt := range rate.Points {
 					if pt.At >= st.Start && pt.At <= st.End {
 						series.Add(pt.At-st.Start, pt.Value/1e6)
-						sum += pt.Value / 1e6
 					}
 				}
 				panels[stage].Series[th] = series

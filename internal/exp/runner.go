@@ -1,7 +1,12 @@
 package exp
 
 import (
+	"cmp"
 	"fmt"
+	"maps"
+	"slices"
+	"strconv"
+	"strings"
 	"time"
 
 	"sae/internal/arrival"
@@ -29,23 +34,25 @@ type Runner struct {
 
 // PolicyByName builds an executor sizing policy from its spec name:
 // "default", "dynamic", or "static" / "static:N" (N I/O threads, default 8).
+// It is the one policy-name table: scenario files and sae-run's -policy both
+// resolve through it.
 func PolicyByName(name string) (job.Policy, error) {
-	switch {
-	case name == "default":
+	switch name {
+	case "default":
 		return core.Default{}, nil
-	case name == "dynamic":
+	case "dynamic":
 		return core.DefaultDynamic(), nil
-	case name == "static":
+	case "static":
 		return core.Static{IOThreads: 8}, nil
-	case len(name) > len("static:") && name[:len("static:")] == "static:":
-		var n int
-		if _, err := fmt.Sscanf(name[len("static:"):], "%d", &n); err != nil || n <= 0 {
-			return nil, fmt.Errorf("exp: bad static thread count in policy %q", name)
+	}
+	if count, ok := strings.CutPrefix(name, "static:"); ok {
+		n, err := strconv.Atoi(count)
+		if err != nil || n <= 0 {
+			return nil, fmt.Errorf("exp: bad static thread count in policy %q (want static:N, N a positive integer)", name)
 		}
 		return core.Static{IOThreads: n}, nil
-	default:
-		return nil, fmt.Errorf("exp: unknown policy %q (want default, static[:N] or dynamic)", name)
 	}
+	return nil, fmt.Errorf("exp: unknown policy %q (want default, static[:N] or dynamic)", name)
 }
 
 // SchedulerByName builds an inter-job policy from its spec name.
@@ -208,37 +215,14 @@ type ArrivalMatrix struct {
 	// on the same arrivals (0 selects 1.5); Baseline names that config.
 	SLOFactor float64
 	Baseline  string
-	// Actuation knobs, 0 selecting the experiment defaults: a 10s planning
-	// interval, floor of 2 nodes, 15s provision delay, 1m scale-down
-	// cooldown.
-	Interval          time.Duration
-	MinNodes          int
-	ProvisionDelay    time.Duration
-	ScaleDownCooldown time.Duration
-}
-
-func (m *ArrivalMatrix) defaults() {
-	if m.SLOFactor == 0 {
-		m.SLOFactor = autoscaleSLOFactor
-	}
-	if m.Interval == 0 {
-		m.Interval = 10 * time.Second
-	}
-	if m.MinNodes == 0 {
-		m.MinNodes = 2
-	}
-	if m.ProvisionDelay == 0 {
-		m.ProvisionDelay = 15 * time.Second
-	}
-	if m.ScaleDownCooldown == 0 {
-		m.ScaleDownCooldown = time.Minute
-	}
 }
 
 // ArrivalMatrix replays each scenario's seeded schedule against every
 // provisioning config and assembles the per-tenant latency result.
 func (r Runner) ArrivalMatrix(m ArrivalMatrix) (*AutoscaleResult, error) {
-	m.defaults()
+	if m.SLOFactor == 0 {
+		m.SLOFactor = autoscaleSLOFactor
+	}
 	classes := make([]arrival.Class, len(m.Tenants))
 	byClass := make(map[string]ArrivalTenant, len(m.Tenants))
 	for i, t := range m.Tenants {
@@ -299,11 +283,7 @@ func (r Runner) replayArrivals(scenario string, cfg ArrivalConfig, m ArrivalMatr
 		inputs = append(inputs, t.input())
 	}
 	// Map iteration order is random; keep the DFS layout deterministic.
-	for i := 1; i < len(inputs); i++ {
-		for j := i; j > 0 && inputs[j].Name < inputs[j-1].Name; j-- {
-			inputs[j], inputs[j-1] = inputs[j-1], inputs[j]
-		}
-	}
+	slices.SortFunc(inputs, func(a, b engine.Input) int { return cmp.Compare(a.Name, b.Name) })
 	opts := big.engineOptions()
 	opts.BlockSize = 64 * device.MiB
 	opts.Policy = core.Default{}
@@ -311,12 +291,12 @@ func (r Runner) replayArrivals(scenario string, cfg ArrivalConfig, m ArrivalMatr
 	opts.Inputs = inputs
 	opts.Autoscale = &engine.AutoscaleConfig{
 		Policy:            cfg.Policy(),
-		Interval:          m.Interval,
+		Interval:          autoscaleInterval,
 		InitialNodes:      cfg.Initial,
-		MinNodes:          m.MinNodes,
+		MinNodes:          autoscaleMinNodes,
 		MaxNodes:          m.Capacity,
-		ProvisionDelay:    m.ProvisionDelay,
-		ScaleDownCooldown: m.ScaleDownCooldown,
+		ProvisionDelay:    autoscaleProvisionDelay,
+		ScaleDownCooldown: autoscaleScaleDownCooldown,
 	}
 	e, err := engine.NewEngine(opts)
 	if err != nil {
@@ -360,16 +340,7 @@ func (r Runner) replayArrivals(scenario string, cfg ArrivalConfig, m ArrivalMatr
 	}
 	// Class rows in a fixed order (interactive before batch) for stable
 	// rendering and goldens.
-	names := make([]string, 0, len(byName))
-	for name := range byName {
-		names = append(names, name)
-	}
-	for i := 1; i < len(names); i++ {
-		for j := i; j > 0 && names[j] < names[j-1]; j-- {
-			names[j], names[j-1] = names[j-1], names[j]
-		}
-	}
-	for _, name := range names {
+	for _, name := range slices.Sorted(maps.Keys(byName)) {
 		reps := byName[name]
 		var lat []time.Duration
 		var queue time.Duration

@@ -45,7 +45,7 @@ func StaticSweep(s Setup, make func(workloads.Config) *workloads.Spec) (*SweepRe
 
 	// Compose BestFit: for each I/O-marked stage pick the sweep winner.
 	res.BestFitThreads = map[int]int{}
-	for si, st := range res.Default.Stages {
+	for si := range res.Default.Stages {
 		spec := make(cfg).Job.Stages[si]
 		if !spec.IOMarked() {
 			continue
@@ -56,7 +56,6 @@ func StaticSweep(s Setup, make func(workloads.Config) *workloads.Spec) (*SweepRe
 				best, bestSec = th, sec
 			}
 		}
-		_ = st
 		res.BestFitThreads[si] = best
 	}
 	rep, err := s.Run(make(cfg), core.BestFit{Threads: res.BestFitThreads}, nil)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"maps"
 	"slices"
+	"strconv"
 	"time"
 
 	"sae/internal/arrival"
@@ -160,7 +161,7 @@ func (c *Compiled) compileSingle() error {
 	if sp.Chaos != "" {
 		gen, err := parseScheduleSpec(sp.Chaos)
 		if err != nil {
-			return fmt.Errorf("chaos: %w", err)
+			return err
 		}
 		// Single-run clauses are absolute-time (Parse enforces it), so the
 		// quiet runtime the generator receives is irrelevant.
@@ -368,9 +369,7 @@ func buildProvision(c ProvisionSpec, capacity, small int) (exp.ArrivalConfig, er
 	case "capacity":
 		cfg.Initial = capacity
 	default:
-		if _, err := fmt.Sscanf(c.Initial, "%d", &cfg.Initial); err != nil || cfg.Initial <= 0 {
-			return cfg, fmt.Errorf("config %s: bad initial fleet %q", c.Name, c.Initial)
-		}
+		cfg.Initial, _ = strconv.Atoi(c.Initial) // validate checked it is a positive integer
 	}
 	switch c.Policy {
 	case "static":

@@ -57,7 +57,7 @@ type Spec struct {
 	Workload string `spec:"workload,req,if=Kind:single|chaos-matrix"`
 	// Policy is the sizing policy of a single run.
 	Policy string `spec:"policy,req,if=Kind:single"`
-	// Chaos is a single run's absolute-time chaos spec (chaos.Parse grammar).
+	// Chaos is a single run's absolute-time chaos spec (chaos.Schedule grammar).
 	Chaos string `spec:"chaos,if=Kind:single"`
 	// Expect holds a single run's output assertions.
 	Expect *ExpectSpec `spec:"expect,if=Kind:single"`

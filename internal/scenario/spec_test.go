@@ -106,7 +106,7 @@ schedules: [explode]
 report: faults
 `
 	msg := parseErr(t, doc)
-	requireErr(t, msg, "6", "schedules[0]", "unknown chaos clause")
+	requireErr(t, msg, "6", "schedules[0]", `chaos: clause "explode": unknown clause`)
 }
 
 func TestOverlappingTenantClasses(t *testing.T) {
@@ -179,6 +179,20 @@ report: faults
 `
 	msg := parseErr(t, doc)
 	requireErr(t, msg, "7", "policies[1]", `unknown policy "statik"`)
+}
+
+// TestTrailingGarbageInStaticCount: "static:8abc" used to scan as static-8.
+func TestTrailingGarbageInStaticCount(t *testing.T) {
+	for _, policy := range []string{"static:8abc", `"static:8 9"`, `"static: 8"`} {
+		doc := `version: 1
+name: demo
+kind: single
+workload: terasort
+policy: ` + policy + `
+`
+		msg := parseErr(t, doc)
+		requireErr(t, msg, "5", `field "policy"`, "unknown policy")
+	}
 }
 
 func TestUnknownBaseline(t *testing.T) {

@@ -153,7 +153,8 @@ func RunMulti(s Setup, ws []*Workload, p Policy, sched InterJobPolicy) ([]*JobRe
 // devices 4x, "partition:2@90s+45s" drops an executor's heartbeats and
 // shuffle fetches while its tasks keep running, and "corrupt:0.02" rots
 // that fraction of DFS replicas (reads fail the checksum and fail over).
-// See chaos.Parse for the grammar.
+// The grammar is documented once, on chaos.Schedule; ParseFaults is its
+// absolute-time entry point (hash seed 1 unless the spec has seed:N).
 func ParseFaults(spec string) (*FaultPlan, error) { return chaos.Parse(spec) }
 
 // NodeSpeedFactor returns the deterministic disk speed factor the
