@@ -27,6 +27,9 @@ type FS struct {
 	files     map[string]*File
 	fault     FaultModel
 	sumBuf    []byte // blockSum scratch
+	// ids[i] == i: Write hands out ids[w:w+1] as the replica list of every
+	// block node w writes, instead of one allocation per block.
+	ids []int
 }
 
 // FaultModel lets the engine inject gray failures into block reads without
@@ -83,7 +86,8 @@ type Block struct {
 	Size  int64
 	// Replicas lists the node IDs holding a copy, ascending (Create and
 	// Write keep it so; PickReplica relies on it). Blocks of a fully
-	// replicated file share one slice: treat it as read-only.
+	// replicated file, and blocks written by one node, share one slice:
+	// treat it as read-only.
 	Replicas []int
 	// Sum is the block's CRC32 (IEEE) checksum, recorded at creation.
 	// Readers verify the data they fetch against it and fail over to
@@ -292,8 +296,11 @@ func (fs *FS) Write(p *sim.Proc, writer int, name string, bytes int64) {
 		fs.files[name] = f
 	}
 	fs.cluster.Node(writer).Disk.Write(p, bytes)
+	for len(fs.ids) <= writer {
+		fs.ids = append(fs.ids, len(fs.ids))
+	}
 	f.Blocks = append(f.Blocks, Block{
-		Index: len(f.Blocks), Size: bytes, Replicas: []int{writer},
+		Index: len(f.Blocks), Size: bytes, Replicas: fs.ids[writer : writer+1 : writer+1],
 		Sum: fs.blockSum(name, len(f.Blocks), bytes),
 	})
 	f.Size += bytes

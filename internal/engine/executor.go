@@ -55,7 +55,7 @@ type Executor struct {
 
 	limit   int
 	running int
-	queue   []*launchMsg
+	queue   sim.FIFO[*launchMsg]
 
 	// alive is false between a crash and the matching restart; epoch
 	// counts crashes, so tasks launched before a crash can be told apart
@@ -285,7 +285,7 @@ func (ex *Executor) main(p *sim.Proc) {
 			if ex.running < ex.limit {
 				ex.start(msg.launch)
 			} else {
-				ex.queue = append(ex.queue, msg.launch)
+				ex.queue.Push(msg.launch)
 			}
 		case msg.fence != nil:
 			if !ex.alive || msg.fence.epoch <= ex.epoch {
@@ -329,7 +329,7 @@ func (ex *Executor) find(key setKey) (int, bool) {
 func (ex *Executor) shutdown() {
 	ex.alive = false
 	ex.epoch++
-	ex.queue = nil
+	ex.queue = sim.FIFO[*launchMsg]{}
 	ex.retireControllers()
 	ex.threadLog = append(ex.threadLog, ThreadChange{At: ex.k.Now(), Stage: ex.curStage, Threads: 0})
 }
@@ -341,7 +341,7 @@ func (ex *Executor) shutdown() {
 // The new incarnation then rejoins through the normal execJoin path.
 func (ex *Executor) fence(epoch int) {
 	ex.epoch = epoch
-	ex.queue = nil
+	ex.queue = sim.FIFO[*launchMsg]{}
 	ex.retireControllers()
 	ex.threadLog = append(ex.threadLog, ThreadChange{At: ex.k.Now(), Stage: ex.curStage, Threads: 0})
 	ex.eng.trace(TraceEvent{Type: TraceExecFence, Job: -1, Stage: ex.curStage, Task: -1, Exec: ex.id,
@@ -488,9 +488,7 @@ func (ex *Executor) start(lm *launchMsg) {
 
 // drain starts queued tasks while slots are free.
 func (ex *Executor) drain() {
-	for ex.running < ex.limit && len(ex.queue) > 0 {
-		lm := ex.queue[0]
-		ex.queue = ex.queue[1:]
-		ex.start(lm)
+	for ex.running < ex.limit && ex.queue.Len() > 0 {
+		ex.start(ex.queue.Pop())
 	}
 }

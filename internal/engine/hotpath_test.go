@@ -3,6 +3,7 @@ package engine
 import (
 	"math/rand"
 	"reflect"
+	"runtime/debug"
 	"sort"
 	"testing"
 	"time"
@@ -105,35 +106,113 @@ func referenceReducePlan(r *shuffleRegistry, job int, from []int, numTasks, idx 
 }
 
 // TestReducePlanMatchesReference covers several upstream stages, outputs too
-// small to give every reducer a byte (zero-byte nodes), node losses with and
-// without re-registration, and back-to-back calls on one registry (the
-// accumulator must come back zeroed).
+// small to give every reducer a byte (zero-byte nodes) and back-to-back calls
+// on one registry, and re-plans after every kind of mutation — late
+// registrations, a node loss, recovery on other nodes, a sibling job dropped,
+// the job itself dropped — each time for two consumer widths over the same
+// upstream stages: a stale aggregate, or one shared across widths (the
+// remainders are bytes%numTasks), gives a wrong share. The running totals
+// behind registeredBytes and missing are held to a scan of the outputs.
 func TestReducePlanMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 200; trial++ {
 		r := newShuffleRegistry()
 		nodes := 1 + rng.Intn(9)
 		from := []int{0, 1, 2}[:1+rng.Intn(3)]
-		for _, st := range from {
-			for task := 0; task < rng.Intn(12); task++ {
-				r.addMapOutput(setKey{job: 1, stage: st}, task, rng.Intn(nodes), int64(1+rng.Intn(40)))
+		widths := []int{1 + rng.Intn(16), 1 + rng.Intn(16)}
+		check := func(step string) {
+			t.Helper()
+			for _, numTasks := range widths {
+				for idx := 0; idx < numTasks; idx++ {
+					want := referenceReducePlan(r, 1, from, numTasks, idx)
+					got := r.reducePlan(1, from, numTasks, idx)
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("trial %d, %s, task %d/%d: plan = %v, want %v", trial, step, idx, numTasks, got, want)
+					}
+				}
+			}
+			var valid int64
+			lost := false
+			for key, outs := range r.outputs {
+				for _, out := range outs {
+					if !out.lost {
+						valid += out.bytes
+					} else if key.job == 1 && key.stage < len(from) {
+						lost = true
+					}
+				}
+			}
+			if got := r.registeredBytes(); got != valid {
+				t.Fatalf("trial %d, %s: registeredBytes = %d, the outputs hold %d", trial, step, got, valid)
+			}
+			if got := r.missing(1, from); got != lost {
+				t.Fatalf("trial %d, %s: missing = %v, want %v", trial, step, got, lost)
 			}
 		}
+		register := func(first int) {
+			for _, st := range from {
+				for task := first; task < first+rng.Intn(12); task++ {
+					r.addMapOutput(setKey{job: 1, stage: st}, task, rng.Intn(nodes), int64(1+rng.Intn(40)))
+				}
+			}
+		}
+		register(0)
 		// A sibling job whose outputs must not leak into the plan.
 		r.addMapOutput(setKey{job: 2, stage: 0}, 0, 0, 1000)
-		if rng.Intn(2) == 0 {
-			r.removeNode(rng.Intn(nodes))
-			if rng.Intn(2) == 0 {
-				r.addMapOutput(setKey{job: 1, stage: 0}, 0, rng.Intn(nodes), 25)
+		check("registered")
+		register(12)
+		check("late registrations")
+		r.removeNode(rng.Intn(nodes))
+		check("node lost")
+		for _, st := range from {
+			key := setKey{job: 1, stage: st}
+			for _, task := range r.lostTasks(key) {
+				if rng.Intn(3) > 0 {
+					r.addMapOutput(key, task, rng.Intn(nodes), int64(1+rng.Intn(40)))
+				}
 			}
 		}
-		numTasks := 1 + rng.Intn(16)
-		for idx := 0; idx < numTasks; idx++ {
-			want := referenceReducePlan(r, 1, from, numTasks, idx)
-			got := r.reducePlan(1, from, numTasks, idx)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("trial %d task %d/%d: plan = %v, want %v", trial, idx, numTasks, got, want)
-			}
+		check("recovered")
+		r.dropJob(2)
+		check("sibling dropped")
+		r.dropJob(1)
+		check("dropped")
+	}
+}
+
+// TestReducePlanAllocatesOnlyThePlan pins the steady-state cost of a launch's
+// fetch plan: once a stage's aggregate is built, every further reducer reads
+// it and allocates the returned segments, nothing else.
+func TestReducePlanAllocatesOnlyThePlan(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	r := newShuffleRegistry()
+	for task := 0; task < 64; task++ {
+		r.addMapOutput(setKey{job: 0, stage: 0}, task, task%4, int64(1000+task))
+		r.addMapOutput(setKey{job: 0, stage: 1}, task, task%3, int64(500+task))
+	}
+	from := []int{0, 1}
+	r.reducePlan(0, from, 48, 0)
+	idx := 0
+	if allocs := testing.AllocsPerRun(100, func() {
+		idx = (idx + 1) % 48
+		if len(r.reducePlan(0, from, 48, idx)) != 4 {
+			t.Fatal("plan does not cover the four source nodes")
+		}
+	}); allocs != 1 {
+		t.Errorf("reducePlan allocates %v objects per call, want 1 (the plan)", allocs)
+	}
+}
+
+// raceEnabled reports whether the test binary was built with -race, whose
+// instrumentation allocates on its own: allocation pins skip under it.
+func raceEnabled() bool {
+	bi, _ := debug.ReadBuildInfo()
+	for _, s := range bi.Settings {
+		if s.Key == "-race" {
+			return s.Value == "true"
 		}
 	}
+	return false
 }

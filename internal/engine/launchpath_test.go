@@ -1,0 +1,98 @@
+package engine
+
+import (
+	"bytes"
+	"flag"
+	"os"
+	"testing"
+	"time"
+
+	"sae/internal/chaos"
+	"sae/internal/core"
+)
+
+var updateGolden = flag.Bool("update", false, "rewrite testdata/launchpath.trace.golden from the scheduler under test")
+
+// TestSchedulerTraceMatchesParent drives launch, handleTaskDone, reclaimNode
+// and speculate through everything that reorders the pending queue or reads
+// the per-task table — replication 1 (the local-first pass picks mid-slice),
+// transient task faults (retries excluded from the failing executor), a
+// slowed executor under speculation (backup copies excluded from the
+// straggler's executor), and a reduce-phase crash with restart (in-flight
+// copies requeued, completed map tasks un-completed, lineage recovery sets) —
+// and compares the whole trace with the bytes the scheduler produced before
+// its per-task maps became one table (captured with -update on that commit).
+func TestSchedulerTraceMatchesParent(t *testing.T) {
+	run := func(crashes []chaos.Crash, w *bytes.Buffer) *JobReport {
+		spec, inputs := twoStageJob()
+		opts := grayOptions(4, core.Static{IOThreads: 4})
+		opts.Inputs = inputs
+		opts.Replication = 1
+		opts.Speculation = true
+		if w != nil {
+			opts.Trace = w
+			opts.TraceFormat = 2
+		}
+		opts.Faults = &chaos.Plan{
+			Name:          "launchpath",
+			Seed:          11,
+			Slows:         []chaos.Slow{{Exec: 1, At: time.Second, Factor: 6}},
+			Crashes:       crashes,
+			TaskFaultRate: 0.08,
+		}
+		rep, err := Run(opts, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	// Aim the crash a third of the way into the reduce stage of this very
+	// run, so it takes registered map output with it.
+	red := run(nil, nil).Stages[1]
+	var trace bytes.Buffer
+	rep := run([]chaos.Crash{{Exec: 2, At: red.Start + (red.End-red.Start)/3, RestartAfter: 5 * time.Second}}, &trace)
+
+	// The golden only pins the paths the run actually took.
+	var retries, speculative, requeued, tasks, local int
+	for _, st := range rep.Stages {
+		retries += st.Retries
+		speculative += st.Speculative
+		requeued += st.Requeued
+	}
+	for _, e := range rep.Stages[0].Execs {
+		tasks += e.Tasks
+		local += e.LocalTasks
+	}
+	switch {
+	case retries == 0:
+		t.Fatal("no task retried: the exclusion path is not covered")
+	case speculative == 0:
+		t.Fatal("no speculative copy queued")
+	case requeued == 0 || rep.LostExecutors == 0:
+		t.Fatalf("requeued = %d, lost executors = %d: the crash reclaimed nothing", requeued, rep.LostExecutors)
+	case rep.ResubmittedStages == 0:
+		t.Fatal("no lineage recovery set ran")
+	case local == 0 || local == tasks:
+		t.Fatalf("%d of %d map tasks local: the mid-slice pick is not covered", local, tasks)
+	}
+
+	const golden = "testdata/launchpath.trace.golden"
+	if *updateGolden {
+		if err := os.WriteFile(golden, trace.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := trace.Bytes(); !bytes.Equal(got, want) {
+		gl, wl := bytes.Split(got, []byte("\n")), bytes.Split(want, []byte("\n"))
+		for i := range gl {
+			if i >= len(wl) || !bytes.Equal(gl[i], wl[i]) {
+				t.Fatalf("trace diverges from %s at line %d:\n got %s", golden, i+1, gl[i])
+			}
+		}
+		t.Fatalf("trace is %d lines, %s has %d", len(gl), golden, len(wl))
+	}
+}

@@ -104,26 +104,16 @@ type taskSet struct {
 	// speculation and stage statistics, and run under whatever controller
 	// settings the executors' active stages chose.
 	recovery bool
-	// only restricts a recovery set to specific task indices.
-	only map[int]bool
+	// tasks is indexed by task and spans the whole stage, recovery sets
+	// included: a zombie attempt of any task of the stage may still report.
+	tasks []taskState
 
-	pending []int // task indices not yet assigned
+	pending []int // task indices not yet assigned, in assignment order
 	splits  [][]dfs.Block
 	total   int
 	done    int
 
-	taskDone map[int]bool
-	attempts map[int]int // failed attempts per task (abort threshold)
-	launches map[int]int // total launches per task (chaos attempt index)
-	// copies[task] lists executors currently running an attempt.
-	copies map[int][]int
-
-	// Speculation bookkeeping (primary sets only).
-	launchAt   map[int]time.Duration // first launch per task
-	lastExec   map[int]int           // latest executor per task
-	noExec     map[int]int           // executor to avoid (retries, speculative copies)
-	speculated map[int]bool
-	durations  []time.Duration
+	durations []time.Duration // completed attempts (speculation's median)
 
 	retries     int
 	speculative int
@@ -142,92 +132,83 @@ type taskSet struct {
 	stats      []ExecutorStageStats
 }
 
+// taskState is the driver's bookkeeping for one task of a set.
+type taskState struct {
+	// member marks the tasks the set runs: every index of a primary set, the
+	// lost ones of a recovery set.
+	member     bool
+	done       bool
+	speculated bool
+	// queued counts the task's entries in pending: a retry can queue a task
+	// whose speculative copy is still waiting there.
+	queued   int
+	attempts int // failed attempts (abort threshold)
+	launches int // total launches (chaos attempt index)
+	// copies lists executors currently running an attempt; one backs it
+	// until a second attempt runs beside the first.
+	copies []int
+	one    [1]int
+
+	launchAt time.Duration // first launch
+	lastExec int           // latest executor
+	noExec   int           // executor to avoid (retries, speculative copies), -1 for none
+}
+
 func newTaskSet(key setKey, js *jobState, stage *job.StageSpec, recovery bool, only []int) *taskSet {
 	ts := &taskSet{
-		key:        key,
-		js:         js,
-		stage:      stage,
-		recovery:   recovery,
-		taskDone:   make(map[int]bool),
-		attempts:   make(map[int]int),
-		launches:   make(map[int]int),
-		copies:     make(map[int][]int),
-		launchAt:   make(map[int]time.Duration),
-		lastExec:   make(map[int]int),
-		noExec:     make(map[int]int),
-		speculated: make(map[int]bool),
+		key:      key,
+		js:       js,
+		stage:    stage,
+		recovery: recovery,
+		tasks:    make([]taskState, stage.NumTasks),
+		pending:  make([]int, 0, stage.NumTasks),
 	}
-	if recovery {
-		ts.only = make(map[int]bool, len(only))
-		for _, t := range only {
-			ts.only[t] = true
-			ts.pending = append(ts.pending, t)
+	for i := range ts.tasks {
+		ts.tasks[i].noExec = -1
+		if !recovery {
+			ts.addTask(i)
 		}
-		ts.total = len(only)
-	} else {
-		for i := 0; i < stage.NumTasks; i++ {
-			ts.pending = append(ts.pending, i)
-		}
-		ts.total = stage.NumTasks
+	}
+	for _, t := range only {
+		ts.addTask(t)
 	}
 	return ts
 }
 
-// contains reports whether task belongs to this set's domain.
-func (ts *taskSet) contains(task int) bool {
-	if ts.only != nil {
-		return ts.only[task]
-	}
-	return task >= 0 && task < ts.stage.NumTasks
+// enqueue appends task to the pending queue.
+func (ts *taskSet) enqueue(task int) {
+	ts.pending = append(ts.pending, task)
+	ts.tasks[task].queued++
 }
 
-// addTask extends a recovery set with another lost task.
+// contains reports whether task belongs to this set's domain.
+func (ts *taskSet) contains(task int) bool {
+	return task >= 0 && task < len(ts.tasks) && ts.tasks[task].member
+}
+
+// addTask adds task to the set's domain and queues it; recovery sets grow
+// this way when more output is lost while they run.
 func (ts *taskSet) addTask(task int) {
-	if ts.only[task] {
+	if ts.tasks[task].member {
 		return
 	}
-	ts.only[task] = true
-	ts.pending = append(ts.pending, task)
+	ts.tasks[task].member = true
+	ts.enqueue(task)
 	ts.total++
 }
 
 // inFlight reports whether any attempt of task is currently running.
-func (ts *taskSet) inFlight(task int) bool { return len(ts.copies[task]) > 0 }
+func (ts *taskSet) inFlight(task int) bool { return len(ts.tasks[task].copies) > 0 }
 
 // isPending reports whether task is queued for assignment.
-func (ts *taskSet) isPending(task int) bool {
-	for _, t := range ts.pending {
-		if t == task {
-			return true
-		}
-	}
-	return false
-}
+func (ts *taskSet) isPending(task int) bool { return ts.tasks[task].queued > 0 }
 
 // dropCopy removes one running attempt of task on exec.
 func (ts *taskSet) dropCopy(task, exec int) {
-	execs := ts.copies[task]
-	for i, e := range execs {
-		if e == exec {
-			ts.copies[task] = append(execs[:i], execs[i+1:]...)
-			return
-		}
+	st := &ts.tasks[task]
+	if i := slices.Index(st.copies, exec); i >= 0 {
+		st.copies = slices.Delete(st.copies, i, i+1)
 	}
-}
-
-// tasksOn returns the sorted task indices with a running attempt on exec.
-func (ts *taskSet) tasksOn(exec int) []int {
-	var tasks []int
-	for task, execs := range ts.copies {
-		for _, e := range execs {
-			if e == exec {
-				tasks = append(tasks, task)
-				break
-			}
-		}
-	}
-	sort.Ints(tasks)
-	return tasks
 }
 
 // taskScheduler places tasks from every job's active sets onto executor
@@ -335,11 +316,12 @@ func (s *taskScheduler) handleTaskDone(m *taskDoneMsg) {
 		return
 	}
 	idx := m.metrics.Index
+	st := &ts.tasks[idx]
 	ts.dropCopy(idx, m.exec)
 
 	if m.err != nil {
 		e.trace(TraceEvent{Type: TraceTaskFail, Job: m.job, Stage: ts.stage.ID, Task: idx, Exec: m.exec, Detail: m.err.Error()})
-		if ts.taskDone[idx] {
+		if st.done {
 			// The other attempt already won; nothing to redo.
 			s.assign(m.exec)
 			return
@@ -349,24 +331,24 @@ func (s *taskScheduler) handleTaskDone(m *taskDoneMsg) {
 			// Real map output died with a node. Not the task's fault:
 			// requeue without charging an attempt, and resubmit the
 			// lost parent map tasks (lineage).
-			ts.pending = append(ts.pending, idx)
+			ts.enqueue(idx)
 			js.requeues++
 			s.ensureParents(ts)
 			s.assignAll()
 			return
 		}
-		ts.attempts[idx]++
-		if ts.attempts[idx] >= e.opts.TaskMaxFailures {
+		st.attempts++
+		if st.attempts >= e.opts.TaskMaxFailures {
 			e.failJob(js, ts.stage.ID, fmt.Errorf("task %d failed %d times, last on executor %d: %w",
-				idx, ts.attempts[idx], m.exec, m.err))
+				idx, st.attempts, m.exec, m.err))
 			s.assignAll()
 			return
 		}
 		ts.retries++
 		// Retry genuinely avoids the executor that just failed it.
-		ts.noExec[idx] = m.exec
+		st.noExec = m.exec
 		em.noteFailure(m.exec, m.job, ts.stage.ID)
-		ts.pending = append(ts.pending, idx)
+		ts.enqueue(idx)
 		for i := range e.executors {
 			s.assign((m.exec + 1 + i) % len(e.executors))
 		}
@@ -374,12 +356,12 @@ func (s *taskScheduler) handleTaskDone(m *taskDoneMsg) {
 	}
 
 	em.failStreak[m.exec] = 0
-	if ts.taskDone[idx] {
+	if st.done {
 		// The other attempt already won the race.
 		s.assign(m.exec)
 		return
 	}
-	ts.taskDone[idx] = true
+	st.done = true
 	ts.done++
 	e.tasksDone++
 	e.trace(TraceEvent{Type: TraceTaskEnd, Job: m.job, Stage: ts.stage.ID, Task: idx, Exec: m.exec})
@@ -471,21 +453,24 @@ func (s *taskScheduler) reclaimNode(exec int) {
 	for _, key := range keys {
 		ts := s.sets[key]
 		// Requeue attempts that were running on the dead executor.
-		for _, task := range ts.tasksOn(exec) {
+		for task := range ts.tasks {
+			if !slices.Contains(ts.tasks[task].copies, exec) {
+				continue
+			}
 			ts.dropCopy(task, exec)
-			if !ts.taskDone[task] && !ts.inFlight(task) && !ts.isPending(task) {
-				ts.pending = append(ts.pending, task)
+			if !ts.tasks[task].done && !ts.inFlight(task) && !ts.isPending(task) {
+				ts.enqueue(task)
 				ts.js.requeues++
 			}
 		}
 		// Un-complete tasks whose shuffle output lived on the dead
 		// node: their results are gone even though they finished.
 		for _, task := range e.shuffle.lostTasks(key) {
-			if ts.contains(task) && ts.taskDone[task] {
-				ts.taskDone[task] = false
+			if ts.contains(task) && ts.tasks[task].done {
+				ts.tasks[task].done = false
 				ts.done--
 				if !ts.inFlight(task) && !ts.isPending(task) {
-					ts.pending = append(ts.pending, task)
+					ts.enqueue(task)
 				}
 				ts.js.requeues++
 			}
@@ -669,7 +654,7 @@ func (s *taskScheduler) pickTask(i int) (*taskSet, int) {
 		}
 		// First pass: local tasks without an exclusion against i.
 		for j, t := range ts.pending {
-			if excl, ok := ts.noExec[t]; ok && excl == i {
+			if ts.tasks[t].noExec == i {
 				continue
 			}
 			if ts.splits != nil {
@@ -682,10 +667,9 @@ func (s *taskScheduler) pickTask(i int) (*taskSet, int) {
 		}
 		// Second pass: any task not excluded from i.
 		for j, t := range ts.pending {
-			if excl, ok := ts.noExec[t]; ok && excl == i {
-				continue
+			if ts.tasks[t].noExec != i {
+				return ts, j
 			}
-			return ts, j
 		}
 	}
 	if !s.eng.em.otherFree(i) {
@@ -697,8 +681,8 @@ func (s *taskScheduler) pickTask(i int) (*taskSet, int) {
 				continue
 			}
 			for j, t := range ts.pending {
-				if excl, ok := ts.noExec[t]; ok && excl == i {
-					delete(ts.noExec, t)
+				if ts.tasks[t].noExec == i {
+					ts.tasks[t].noExec = -1
 					return ts, j
 				}
 			}
@@ -713,28 +697,36 @@ func (s *taskScheduler) launch(ts *taskSet, pick, i int) {
 	e := s.eng
 	ex := e.executors[i]
 	task := ts.pending[pick]
-	ts.pending = append(ts.pending[:pick], ts.pending[pick+1:]...)
+	st := &ts.tasks[task]
+	// Close the gap from the front: pick is almost always 0 and a stage
+	// launches every task, so shifting the tail would cost O(tasks²).
+	copy(ts.pending[1:pick+1], ts.pending[:pick])
+	ts.pending = ts.pending[1:]
+	st.queued--
 	e.em.launched(i, ts.key.job)
 	if ts.js.firstLaunch < 0 {
 		ts.js.firstLaunch = e.k.Now()
 		e.tel.onJobLaunched(e.k.Now() - ts.js.submitAt)
 	}
-	ts.copies[task] = append(ts.copies[task], i)
-	if _, seen := ts.launchAt[task]; !seen {
-		ts.launchAt[task] = e.k.Now()
+	if st.copies == nil {
+		st.copies = st.one[:0]
+	}
+	st.copies = append(st.copies, i)
+	if st.launches == 0 {
+		st.launchAt = e.k.Now()
 		if !ts.recovery {
 			e.tel.onTaskQueued(e.k.Now() - ts.start)
 		}
 	}
-	ts.lastExec[task] = i
+	st.lastExec = i
 	detail := ""
 	if ts.recovery {
 		detail = "recovery"
 	}
 	e.trace(TraceEvent{Type: TraceTaskLaunch, Job: ts.key.job, Stage: ts.stage.ID, Task: task, Exec: i, Detail: detail})
 
-	lm := &launchMsg{job: ts.key.job, stage: ts.stage, index: task, attempt: ts.launches[task], epoch: e.em.epochs[i]}
-	ts.launches[task]++
+	lm := &launchMsg{job: ts.key.job, stage: ts.stage, index: task, attempt: st.launches, epoch: e.em.epochs[i]}
+	st.launches++
 	if ts.splits != nil {
 		lm.blocks = ts.splits[task]
 		for _, b := range lm.blocks {
@@ -754,9 +746,7 @@ func (s *taskScheduler) launch(ts *taskSet, pick, i int) {
 // done (Spark's speculation): tasks still running past Multiplier× the
 // median completed duration are re-queued for a different executor. Each
 // task is speculated at most once. It returns the number of copies queued.
-// Tasks are scanned in sorted index order — launchAt is a map, and Go's
-// random map order would otherwise queue simultaneous stragglers in a
-// different order every run, breaking determinism.
+// Simultaneous stragglers are queued in ascending task order.
 func (s *taskScheduler) speculate(ts *taskSet) int {
 	e := s.eng
 	if !e.opts.Speculation || len(ts.durations) == 0 {
@@ -769,23 +759,19 @@ func (s *taskScheduler) speculate(ts *taskSet) int {
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
 	median := sorted[len(sorted)/2]
 	threshold := time.Duration(float64(median) * e.opts.SpeculationMultiplier)
-	tasks := make([]int, 0, len(ts.launchAt))
-	for task := range ts.launchAt {
-		tasks = append(tasks, task)
-	}
-	sort.Ints(tasks)
 	launched := 0
-	for _, task := range tasks {
-		if ts.taskDone[task] || ts.speculated[task] || !ts.inFlight(task) {
+	for task := range ts.tasks {
+		st := &ts.tasks[task]
+		if st.done || st.speculated || !ts.inFlight(task) {
 			continue
 		}
-		if e.k.Now()-ts.launchAt[task] <= threshold {
+		if e.k.Now()-st.launchAt <= threshold {
 			continue
 		}
-		ts.speculated[task] = true
-		ts.noExec[task] = ts.lastExec[task]
-		ts.pending = append(ts.pending, task)
-		e.trace(TraceEvent{Type: TraceSpeculate, Job: ts.key.job, Stage: ts.stage.ID, Task: task, Exec: ts.lastExec[task]})
+		st.speculated = true
+		st.noExec = st.lastExec
+		ts.enqueue(task)
+		e.trace(TraceEvent{Type: TraceSpeculate, Job: ts.key.job, Stage: ts.stage.ID, Task: task, Exec: st.lastExec})
 		launched++
 	}
 	if launched > 0 {

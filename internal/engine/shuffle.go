@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -27,8 +28,8 @@ type mapOutput struct {
 type shuffleRegistry struct {
 	// outputs[key] lists registered map outputs in registration order.
 	outputs map[setKey][]mapOutput
-	// index[key][task] locates a task's entry in outputs[key].
-	index map[setKey]map[int]int
+	// state[key] is the bookkeeping kept beside outputs[key].
+	state map[setKey]*keyState
 	// nodeGen[node] counts losses on node; fetch plans snapshot it so a
 	// plan computed before a loss fails validation even after the lost
 	// outputs were regenerated elsewhere.
@@ -43,10 +44,71 @@ type shuffleRegistry struct {
 func newShuffleRegistry() *shuffleRegistry {
 	return &shuffleRegistry{
 		outputs:   make(map[setKey][]mapOutput),
-		index:     make(map[setKey]map[int]int),
+		state:     make(map[setKey]*keyState),
 		nodeGen:   make(map[int]int),
 		recovered: make(map[int]int64),
 	}
+}
+
+// keyState is what the registry keeps per task set beside its output list:
+// running totals, so the questions asked on every slot offer and telemetry
+// tick never walk the outputs, and the reduce-side aggregates built from them.
+type keyState struct {
+	// slot[task] locates a task's entry in outputs[key].
+	slot map[int]int
+	// valid sums the bytes of the outputs not lost; lost counts the others.
+	valid int64
+	lost  int
+	// aggs holds one aggregate per consumer width that has planned against
+	// this key. Any change to the valid outputs (a registration accepted or
+	// recovered, a node lost) discards them; the next plan rebuilds its own.
+	aggs []reduceAgg
+}
+
+// reduceAgg is one task set's valid output as a consumer stage of r tasks
+// sees it, per source node. A reducer's share of an output is bytes/r plus
+// one if its index is below bytes%r, so per node the quotients add up once
+// for all reducers and only the remainders depend on the index: task idx gets
+// quot + |{rem > idx}|. The remainders are bytes%r, which is why the
+// aggregate belongs to (task set, r) and cannot be kept at registration time.
+type reduceAgg struct {
+	r     int
+	nodes []nodeShare // by node ID
+}
+
+type nodeShare struct {
+	quot int64   // Σ bytes/r over the node's outputs
+	rems []int64 // their non-zero bytes%r, ascending
+}
+
+// shares returns the key's aggregate for r consumer tasks, building it from
+// outs on the first plan since the outputs last changed.
+func (ks *keyState) shares(r int, outs []mapOutput) []nodeShare {
+	for i := range ks.aggs {
+		if ks.aggs[i].r == r {
+			return ks.aggs[i].nodes
+		}
+	}
+	var nodes []nodeShare
+	for i := range outs {
+		out := &outs[i]
+		if out.lost {
+			continue
+		}
+		for out.node >= len(nodes) {
+			nodes = append(nodes, nodeShare{})
+		}
+		n := &nodes[out.node]
+		n.quot += out.bytes / int64(r)
+		if rem := out.bytes % int64(r); rem != 0 {
+			n.rems = append(n.rems, rem)
+		}
+	}
+	for i := range nodes {
+		slices.Sort(nodes[i].rems)
+	}
+	ks.aggs = append(ks.aggs, reduceAgg{r: r, nodes: nodes})
+	return nodes
 }
 
 // addMapOutput registers bytes of shuffle output that task of key spilled
@@ -57,34 +119,26 @@ func (r *shuffleRegistry) addMapOutput(key setKey, task, node int, bytes int64) 
 	if bytes <= 0 {
 		return ShuffleEmpty
 	}
-	idx := r.index[key]
-	if idx == nil {
-		idx = make(map[int]int)
-		r.index[key] = idx
+	ks := r.state[key]
+	if ks == nil {
+		ks = &keyState{slot: make(map[int]int)}
+		r.state[key] = ks
 	}
-	if slot, ok := idx[task]; ok {
-		out := &r.outputs[key][slot]
-		if !out.lost {
-			return ShuffleDuplicate // an earlier attempt already won
-		}
+	slot, seen := ks.slot[task]
+	if seen && !r.outputs[key][slot].lost {
+		return ShuffleDuplicate // an earlier attempt already won
+	}
+	ks.valid += bytes
+	ks.aggs = nil
+	if seen {
 		r.recovered[key.job] += bytes
-		*out = mapOutput{task: task, node: node, bytes: bytes}
+		r.outputs[key][slot] = mapOutput{task: task, node: node, bytes: bytes}
+		ks.lost--
 		return ShuffleRecovered
 	}
-	idx[task] = len(r.outputs[key])
+	ks.slot[task] = len(r.outputs[key])
 	r.outputs[key] = append(r.outputs[key], mapOutput{task: task, node: node, bytes: bytes})
 	return ShuffleAccepted
-}
-
-// totalBytes returns the key's total currently-valid shuffle output.
-func (r *shuffleRegistry) totalBytes(key setKey) int64 {
-	var total int64
-	for _, out := range r.outputs[key] {
-		if !out.lost {
-			total += out.bytes
-		}
-	}
-	return total
 }
 
 // registeredBytes returns the currently-valid shuffle output registered
@@ -92,8 +146,8 @@ func (r *shuffleRegistry) totalBytes(key setKey) int64 {
 // The sum is iteration-order independent, so ranging the map is safe.
 func (r *shuffleRegistry) registeredBytes() int64 {
 	var total int64
-	for key := range r.outputs {
-		total += r.totalBytes(key)
+	for _, ks := range r.state {
+		total += ks.valid
 	}
 	return total
 }
@@ -103,11 +157,14 @@ func (r *shuffleRegistry) registeredBytes() int64 {
 // node's generation so outstanding fetch plans go stale.
 func (r *shuffleRegistry) removeNode(node int) {
 	r.nodeGen[node]++
-	for key := range r.outputs {
-		outs := r.outputs[key]
+	for key, outs := range r.outputs {
+		ks := r.state[key]
 		for i := range outs {
-			if outs[i].node == node {
-				outs[i].lost = true
+			if out := &outs[i]; out.node == node && !out.lost {
+				out.lost = true
+				ks.valid -= out.bytes
+				ks.lost++
+				ks.aggs = nil
 			}
 		}
 	}
@@ -133,7 +190,7 @@ func (r *shuffleRegistry) dropJob(job int) {
 	for key := range r.outputs {
 		if key.job == job {
 			delete(r.outputs, key)
-			delete(r.index, key)
+			delete(r.state, key)
 		}
 	}
 }
@@ -155,10 +212,8 @@ func (r *shuffleRegistry) lostTasks(key setKey) []int {
 // i.e. whether a reduce task fetching from them would under-read.
 func (r *shuffleRegistry) missing(job int, from []int) bool {
 	for _, stage := range from {
-		for _, out := range r.outputs[setKey{job, stage}] {
-			if out.lost {
-				return true
-			}
+		if ks := r.state[setKey{job, stage}]; ks != nil && ks.lost > 0 {
+			return true
 		}
 	}
 	return false
@@ -188,7 +243,8 @@ func (r *shuffleRegistry) segmentValid(s segment) bool {
 // evenly with remainders to the lowest task indices, and segments are
 // ordered by node for determinism. Lost outputs are excluded — the driver
 // must not launch reduce tasks while any upstream output is missing (see
-// shuffleRegistry.missing).
+// shuffleRegistry.missing). A call costs O(nodes·log maps), not O(maps): every
+// reducer of a stage reads the same per-node aggregate (see reduceAgg).
 func (r *shuffleRegistry) reducePlan(job int, from []int, numTasks, idx int) []segment {
 	if numTasks <= 0 {
 		panic(fmt.Sprintf("engine: reducePlan with %d tasks", numTasks))
@@ -199,21 +255,23 @@ func (r *shuffleRegistry) reducePlan(job int, from []int, numTasks, idx int) []s
 	byNode := r.byNode
 	n := 0 // nodes with a non-zero sum
 	for _, st := range from {
-		for _, out := range r.outputs[setKey{job, st}] {
-			if out.lost {
-				continue
-			}
-			base := out.bytes / int64(numTasks)
-			if int64(idx) < out.bytes%int64(numTasks) {
-				base++
-			}
-			if out.node >= len(byNode) {
-				byNode = append(byNode, make([]int64, out.node+1-len(byNode))...)
-			}
-			if base > 0 && byNode[out.node] == 0 {
+		key := setKey{job, st}
+		ks := r.state[key]
+		if ks == nil {
+			continue
+		}
+		shares := ks.shares(numTasks, r.outputs[key])
+		if len(shares) > len(byNode) {
+			byNode = append(byNode, make([]int64, len(shares)-len(byNode))...)
+		}
+		for node, sh := range shares {
+			// One more byte from each of the node's outputs with rem > idx.
+			first, _ := slices.BinarySearch(sh.rems, int64(idx)+1)
+			bytes := sh.quot + int64(len(sh.rems)-first)
+			if bytes > 0 && byNode[node] == 0 {
 				n++
 			}
-			byNode[out.node] += base
+			byNode[node] += bytes
 		}
 	}
 	r.byNode = byNode

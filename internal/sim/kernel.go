@@ -605,7 +605,7 @@ func (p *Proc) Yield() { p.Sleep(0) }
 // (they need no locking because only one goroutine runs at a time).
 type Signal struct {
 	k       *Kernel
-	waiters []*Proc
+	waiters FIFO[*Proc]
 }
 
 // NewSignal returns a signal bound to k.
@@ -613,34 +613,30 @@ func NewSignal(k *Kernel) *Signal { return &Signal{k: k} }
 
 // Wait parks p until Broadcast or Notify wakes it.
 func (s *Signal) Wait(p *Proc) {
-	s.waiters = append(s.waiters, p)
+	s.waiters.Push(p)
 	p.park()
 }
 
 // Broadcast wakes all waiting processes. They resume at the current virtual
 // time in the order they began waiting.
 func (s *Signal) Broadcast() {
-	ws := s.waiters
-	s.waiters = nil
-	for _, w := range ws {
-		s.k.afterProc(0, w)
+	for s.waiters.Len() > 0 {
+		s.k.afterProc(0, s.waiters.Pop())
 	}
 }
 
 // Notify wakes the longest-waiting process, if any. It reports whether a
 // process was woken.
 func (s *Signal) Notify() bool {
-	if len(s.waiters) == 0 {
+	if s.waiters.Len() == 0 {
 		return false
 	}
-	w := s.waiters[0]
-	s.waiters = s.waiters[1:]
-	s.k.afterProc(0, w)
+	s.k.afterProc(0, s.waiters.Pop())
 	return true
 }
 
 // Pending returns the number of processes waiting on the signal.
-func (s *Signal) Pending() int { return len(s.waiters) }
+func (s *Signal) Pending() int { return s.waiters.Len() }
 
 // eventQueue is an inlined 4-ary indexed min-heap of events ordered by
 // (at, seq). 4-ary halves the depth of the binary heap the generic

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"runtime/debug"
 	"testing"
 	"testing/quick"
 	"time"
@@ -453,5 +454,89 @@ func TestSignalPending(t *testing.T) {
 			t.Errorf("pending after broadcast = %d", s.Pending())
 		}
 	})
+	k.Run()
+}
+
+// raceEnabled reports whether the test binary was built with -race, whose
+// instrumentation allocates on its own: allocation pins skip under it.
+func raceEnabled() bool {
+	bi, _ := debug.ReadBuildInfo()
+	for _, s := range bi.Settings {
+		if s.Key == "-race" {
+			return s.Value == "true"
+		}
+	}
+	return false
+}
+
+// TestFIFOKeepsOrderAndArray interleaves pushes and pops so the head index
+// moves through the array, drains, and rewinds: values come out in push
+// order and, once the array has grown to the deepest backlog, it is reused.
+func TestFIFOKeepsOrderAndArray(t *testing.T) {
+	var q FIFO[*int]
+	next, want := 0, 0
+	push := func(n int) {
+		for i := 0; i < n; i++ {
+			v := next
+			q.Push(&v)
+			next++
+		}
+	}
+	pop := func(n int) {
+		for i := 0; i < n; i++ {
+			if got := *q.Pop(); got != want {
+				t.Fatalf("popped %d, want %d", got, want)
+			}
+			want++
+		}
+	}
+	for round := 0; round < 50; round++ {
+		push(3)
+		pop(2)
+		push(2)
+		pop(3)
+		if q.Len() != 0 || q.head != 0 {
+			t.Fatalf("round %d: len %d head %d after draining", round, q.Len(), q.head)
+		}
+		for _, p := range q.items[:cap(q.items)] {
+			if p != nil {
+				t.Fatalf("round %d: a popped slot still holds its pointer", round)
+			}
+		}
+	}
+	if cap(q.items) > 8 {
+		t.Fatalf("array grew to %d for a backlog of at most 3", cap(q.items))
+	}
+}
+
+// TestMailboxSteadyStateAllocs pins the Send→Recv cycle at one allocation,
+// Send's closure: dequeuing with queue = queue[1:] cost a second, the queue
+// slice re-grown on every cycle.
+func TestMailboxSteadyStateAllocs(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	k := NewKernel()
+	mb := NewMailbox[int](k)
+	sum := 0
+	k.Go("recv", func(p *Proc) {
+		for {
+			sum += mb.Recv(p)
+		}
+	})
+	cycle := func() {
+		mb.Send(0, 1)
+		k.runUntil(noLimit)
+	}
+	for i := 0; i < 100; i++ {
+		cycle()
+	}
+	if allocs := testing.AllocsPerRun(1000, cycle); allocs != 1 {
+		t.Errorf("Send→Recv allocates %v objects, want 1 (Send's closure)", allocs)
+	}
+	if sum != 100+1001 {
+		t.Fatalf("received %d messages, want %d", sum, 100+1001)
+	}
+	k.Stop()
 	k.Run()
 }

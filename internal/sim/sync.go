@@ -77,12 +77,40 @@ func (s *Semaphore) Release() {
 // Available returns the number of free permits.
 func (s *Semaphore) Available() int { return s.avail }
 
+// FIFO is a slice-backed queue that keeps its backing array: Pop advances a
+// head index rather than re-slicing (q = q[1:] walks the slice off its array,
+// so the next append reallocates), and the array rewinds whenever the queue
+// drains — which the simulator's queues do constantly; between two drains the
+// array holds every value pushed. The zero value is an empty queue.
+type FIFO[T any] struct {
+	items []T
+	head  int
+}
+
+// Push appends v.
+func (q *FIFO[T]) Push(v T) { q.items = append(q.items, v) }
+
+// Len returns the number of queued values.
+func (q *FIFO[T]) Len() int { return len(q.items) - q.head }
+
+// Pop removes and returns the oldest value; the queue must not be empty.
+func (q *FIFO[T]) Pop() T {
+	v := q.items[q.head]
+	var zero T
+	q.items[q.head] = zero // release what a queued pointer holds
+	q.head++
+	if q.head == len(q.items) {
+		q.items, q.head = q.items[:0], 0
+	}
+	return v
+}
+
 // Mailbox is an unbounded FIFO message queue between processes. Receivers
 // park until a message arrives. It models an asynchronous message channel
 // (e.g. an RPC endpoint) in virtual time.
 type Mailbox[T any] struct {
 	k      *Kernel
-	queue  []T
+	queue  FIFO[T]
 	arrive *Signal
 }
 
@@ -95,7 +123,7 @@ func NewMailbox[T any](k *Kernel) *Mailbox[T] {
 // one receiver. Send never blocks and may be called from event context.
 func (m *Mailbox[T]) Send(d time.Duration, msg T) {
 	m.k.After(d, func() {
-		m.queue = append(m.queue, msg)
+		m.queue.Push(msg)
 		m.arrive.Notify()
 	})
 }
@@ -105,30 +133,26 @@ func (m *Mailbox[T]) Send(d time.Duration, msg T) {
 // cross-shard message whose transmission delay was already served on the
 // sending shard's side of the lookahead barrier.
 func (m *Mailbox[T]) Put(msg T) {
-	m.queue = append(m.queue, msg)
+	m.queue.Push(msg)
 	m.arrive.Notify()
 }
 
 // Recv dequeues the next message, parking p until one is available.
 func (m *Mailbox[T]) Recv(p *Proc) T {
-	for len(m.queue) == 0 {
+	for m.queue.Len() == 0 {
 		m.arrive.Wait(p)
 	}
-	msg := m.queue[0]
-	m.queue = m.queue[1:]
-	return msg
+	return m.queue.Pop()
 }
 
 // TryRecv dequeues a message if one is queued, without blocking.
 func (m *Mailbox[T]) TryRecv() (T, bool) {
-	var zero T
-	if len(m.queue) == 0 {
+	if m.queue.Len() == 0 {
+		var zero T
 		return zero, false
 	}
-	msg := m.queue[0]
-	m.queue = m.queue[1:]
-	return msg, true
+	return m.queue.Pop(), true
 }
 
 // Len returns the number of queued messages.
-func (m *Mailbox[T]) Len() int { return len(m.queue) }
+func (m *Mailbox[T]) Len() int { return m.queue.Len() }
