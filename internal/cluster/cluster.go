@@ -108,10 +108,15 @@ func (c *Cluster) ControlLatency() time.Duration { return c.cfg.ControlLatency }
 // the receiver NIC (the simplification is safe because shuffle volumes never
 // saturate the paper's 10G+ fabric).
 func (c *Cluster) Transfer(p *sim.Proc, src, dst int, bytes int64) {
-	if src == dst || bytes <= 0 {
-		return
+	if c.StartTransfer(p, src, dst, bytes) {
+		p.Park()
 	}
-	c.nodes[dst].NIC.Transfer(p, bytes)
+}
+
+// StartTransfer is Transfer without the park (see device.Disk.StartRead): it
+// reports whether a transfer was queued, at whose completion p is woken.
+func (c *Cluster) StartTransfer(p *sim.Proc, src, dst int, bytes int64) bool {
+	return src != dst && c.nodes[dst].NIC.StartTransfer(p, bytes)
 }
 
 // Node is one simulated worker machine.

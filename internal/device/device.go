@@ -174,20 +174,36 @@ func (d *Disk) Spec() DiskSpec { return d.spec }
 
 // Read blocks p until bytes have been read from the device.
 func (d *Disk) Read(p *sim.Proc, bytes int64) {
+	if d.StartRead(p, bytes) {
+		p.Park()
+	}
+}
+
+// StartRead is Read without the park (see psres.Server.Start): it reports
+// whether a read was queued, at whose completion the device wakes p. The
+// Start forms of the other device operations follow the same contract.
+func (d *Disk) StartRead(p *sim.Proc, bytes int64) bool {
 	if bytes <= 0 {
-		return
+		return false
 	}
 	d.bytesRead += bytes
-	d.server.Serve(p, float64(bytes), 1)
+	return d.server.Start(p, float64(bytes), 1)
 }
 
 // Write blocks p until bytes have been written to the device.
 func (d *Disk) Write(p *sim.Proc, bytes int64) {
+	if d.StartWrite(p, bytes) {
+		p.Park()
+	}
+}
+
+// StartWrite is Write without the park.
+func (d *Disk) StartWrite(p *sim.Proc, bytes int64) bool {
 	if bytes <= 0 {
-		return
+		return false
 	}
 	d.bytesWritten += bytes
-	d.server.Serve(p, float64(bytes), d.spec.WriteWeight)
+	return d.server.Start(p, float64(bytes), d.spec.WriteWeight)
 }
 
 // SetThrottle degrades the disk to 1/factor of its nominal service rate
@@ -240,11 +256,18 @@ func NewNIC(k *sim.Kernel, name string, bandwidth float64) *NIC {
 
 // Transfer blocks p until bytes have crossed the link.
 func (n *NIC) Transfer(p *sim.Proc, bytes int64) {
+	if n.StartTransfer(p, bytes) {
+		p.Park()
+	}
+}
+
+// StartTransfer is Transfer without the park.
+func (n *NIC) StartTransfer(p *sim.Proc, bytes int64) bool {
 	if bytes <= 0 {
-		return
+		return false
 	}
 	n.bytesMoved += bytes
-	n.server.Serve(p, float64(bytes), 1)
+	return n.server.Start(p, float64(bytes), 1)
 }
 
 // BytesMoved returns cumulative bytes transferred.
@@ -308,10 +331,14 @@ func (c *CPU) Spec() CPUSpec { return c.spec }
 // Compute blocks p until seconds of single-core work have been executed,
 // sharing capacity with all other runnable threads.
 func (c *CPU) Compute(p *sim.Proc, seconds float64) {
-	if seconds <= 0 {
-		return
+	if c.StartCompute(p, seconds) {
+		p.Park()
 	}
-	c.server.Serve(p, seconds, 1)
+}
+
+// StartCompute is Compute without the park.
+func (c *CPU) StartCompute(p *sim.Proc, seconds float64) bool {
+	return c.server.Start(p, seconds, 1)
 }
 
 // SetThrottle degrades the CPU to 1/factor of its nominal capacity (factor 1

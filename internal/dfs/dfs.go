@@ -287,6 +287,19 @@ func (fs *FS) ReadBlock(p *sim.Proc, reader int, b Block) (local bool, err error
 // I/O accounting (Spark task metrics) counts task-level bytes, not HDFS
 // pipeline copies.
 func (fs *FS) Write(p *sim.Proc, writer int, name string, bytes int64) {
+	f, parked := fs.StartWrite(p, writer, name, bytes)
+	if parked {
+		p.Park()
+	}
+	fs.FinishWrite(f, writer, bytes)
+}
+
+// StartWrite is the first half of Write, up to its disk charge: it opens (or
+// creates) the file and queues the write on the writer's disk, reporting
+// whether p is owed a wake (see device.Disk.StartWrite). Once the write has
+// completed — at once, if nothing was queued — the caller records the block
+// with FinishWrite.
+func (fs *FS) StartWrite(p *sim.Proc, writer int, name string, bytes int64) (f *File, parked bool) {
 	if bytes < 0 {
 		panic(fmt.Sprintf("dfs: negative write %d", bytes))
 	}
@@ -295,13 +308,19 @@ func (fs *FS) Write(p *sim.Proc, writer int, name string, bytes int64) {
 		f = &File{Name: name}
 		fs.files[name] = f
 	}
-	fs.cluster.Node(writer).Disk.Write(p, bytes)
+	return f, fs.cluster.Node(writer).Disk.StartWrite(p, bytes)
+}
+
+// FinishWrite is the second half of Write: it appends the written block to f.
+// The block's index is the file's length now, after the disk write, so
+// concurrent writers of one file are numbered in completion order.
+func (fs *FS) FinishWrite(f *File, writer int, bytes int64) {
 	for len(fs.ids) <= writer {
 		fs.ids = append(fs.ids, len(fs.ids))
 	}
 	f.Blocks = append(f.Blocks, Block{
 		Index: len(f.Blocks), Size: bytes, Replicas: fs.ids[writer : writer+1 : writer+1],
-		Sum: fs.blockSum(name, len(f.Blocks), bytes),
+		Sum: fs.blockSum(f.Name, len(f.Blocks), bytes),
 	})
 	f.Size += bytes
 }

@@ -19,6 +19,7 @@ import (
 
 	"sae/internal/chaos"
 	"sae/internal/cluster"
+	"sae/internal/device"
 	"sae/internal/dfs"
 	"sae/internal/engine/job"
 	"sae/internal/sim"
@@ -534,15 +535,30 @@ func (e *Engine) InjectDiskInterference(node int, from time.Duration, streams in
 	if chunk <= 0 {
 		chunk = 32 << 20
 	}
-	disk := e.cluster.Node(node).Disk
 	for i := 0; i < streams; i++ {
 		// The stream runs on the node's shard kernel — it hammers a
 		// node-local device.
-		e.kernelOf(node).Go(fmt.Sprintf("interference-%d-%d", node, i), func(p *sim.Proc) {
-			p.Sleep(from)
-			for !e.done.Load() {
-				disk.Read(p, chunk)
-			}
-		})
+		r := &interferer{e: e, disk: e.cluster.Node(node).Disk, chunk: chunk, from: from}
+		e.kernelOf(node).GoStepper(&r.proc, fmt.Sprintf("interference-%d-%d", node, i), r)
+	}
+}
+
+// interferer is one background reader: a stackless process that waits out
+// from, then keeps one chunk-sized read queued on disk until the run is done.
+type interferer struct {
+	proc  sim.Proc
+	e     *Engine
+	disk  *device.Disk
+	chunk int64
+	from  time.Duration
+	begun bool
+}
+
+func (r *interferer) Step() {
+	if !r.begun {
+		r.begun = true
+		r.proc.WakeAfter(r.from)
+	} else if !r.e.done.Load() {
+		r.disk.StartRead(&r.proc, r.chunk)
 	}
 }

@@ -26,7 +26,7 @@ import (
 //
 // Executors can crash (chaos schedules): a crash bumps the incarnation
 // epoch, drops the local queue and retires every controller (their decision
-// logs are kept per job). The sim kernel cannot cancel a parked process, so
+// logs are kept per job). A stream queued on a device cannot be cancelled, so
 // tasks already running become zombies — their remaining I/O and compute
 // no-op (see taskContext) and their completions are never reported. A
 // restarted executor keeps its ID and node; the driver re-sends the active
@@ -56,6 +56,11 @@ type Executor struct {
 	limit   int
 	running int
 	queue   sim.FIFO[*launchMsg]
+	// freeTasks recycles task contexts: a task returns its own when it
+	// completes, so the list never holds state a zombie is still using.
+	// zombies counts the completions dropped as an earlier incarnation's.
+	freeTasks *taskContext
+	zombies   int
 
 	// alive is false between a crash and the matching restart; epoch
 	// counts crashes, so tasks launched before a crash can be told apart
@@ -430,60 +435,73 @@ func (ex *Executor) setLimit(n, stage int) {
 	ex.threadLog = append(ex.threadLog, ThreadChange{At: ex.k.Now(), Stage: stage, Threads: n})
 }
 
-// start launches one task as its own process.
+// start launches one task as its own process: a stackless one stepping the
+// analytic cost loop, unless the stage brings custom Work, whose blocking
+// TaskContext calls need a coroutine to park.
 func (ex *Executor) start(lm *launchMsg) {
 	ex.running++
-	epoch := ex.epoch
+	tc := ex.freeTasks
+	if tc != nil {
+		ex.freeTasks = tc.free
+	} else {
+		tc = new(taskContext)
+	}
+	*tc = taskContext{
+		eng: ex.eng, ex: ex, launchMsg: *lm,
+		faultAt: -1, blockSrc: -1, do: (*taskContext).launch,
+		tm: job.TaskMetrics{Stage: lm.stage.ID, Index: lm.index, Local: true},
+	}
+	if tc.stage.Work == nil {
+		tc.p = &tc.proc
+		tc.plan.Begin(tc)
+		ex.k.GoStepper(tc.p, "task", tc)
+		return
+	}
 	ex.k.Go("task", func(p *sim.Proc) {
-		tc := &taskContext{
-			eng:        ex.eng,
-			p:          p,
-			ex:         ex,
-			jobID:      lm.job,
-			stage:      lm.stage,
-			index:      lm.index,
-			attempt:    lm.attempt,
-			epoch:      epoch,
-			blocks:     lm.blocks,
-			segments:   lm.segments,
-			inputTotal: lm.inputTotal,
-			allLocal:   true,
+		tc.p = p
+		work := tc.stage.Work(tc.index)
+		for tc.advance() { // the launch
+			p.Park()
 		}
-		var work job.Work = job.AnalyticWork{}
-		if lm.stage.Work != nil {
-			work = lm.stage.Work(lm.index)
-		}
-		tm, err := tc.run(work)
-		ex.running--
-		if ex.epoch != epoch {
-			// Zombie of a crashed incarnation: the driver already
-			// requeued this task at loss detection; report nothing.
-			return
-		}
-		ex.totalTasks++
-		ex.cumBytes += tm.BytesMoved
-		ex.cumBlockedIO += tm.BlockedIO
+		tc.finish(work.Execute(tc))
+	})
+}
 
-		// Failed attempts carry no usable monitor signal; only
-		// successful completions of a stage with a live controller feed
-		// the MAPE-K loop (recovery-set tasks run under other stages'
-		// settings, as before the DAG split).
-		key := setKey{job: lm.job, stage: lm.stage.ID}
-		if err == nil {
-			if i, ok := ex.find(key); ok {
-				if threads, changed := ex.active[i].ctrl.TaskDone(tm); changed {
-					ex.active[i].choice = threads
-					if n, ok := ex.effectiveChoice(); ok {
-						ex.applyAndNotify(n, key.job, key.stage)
-					}
+// taskDone ends one task, on the task's own process: the context goes back
+// on the free list, and unless the task is a zombie its metrics feed the
+// stage's controller and its completion is reported to the driver.
+func (ex *Executor) taskDone(tc *taskContext, err error) {
+	ex.running--
+	key, epoch, tm := setKey{job: tc.job, stage: tc.stage.ID}, tc.epoch, tc.tm
+	tc.free, ex.freeTasks = ex.freeTasks, tc
+	if ex.epoch != epoch {
+		// Zombie of a crashed incarnation: the driver already
+		// requeued this task at loss detection; report nothing.
+		ex.zombies++
+		return
+	}
+	ex.totalTasks++
+	ex.cumBytes += tm.BytesMoved
+	ex.cumBlockedIO += tm.BlockedIO
+
+	// Failed attempts carry no usable monitor signal; only
+	// successful completions of a stage with a live controller feed
+	// the MAPE-K loop (recovery-set tasks run under other stages'
+	// settings, as before the DAG split).
+	if err == nil {
+		if i, ok := ex.find(key); ok {
+			if threads, changed := ex.active[i].ctrl.TaskDone(tm); changed {
+				ex.active[i].choice = threads
+				if n, ok := ex.effectiveChoice(); ok {
+					ex.applyAndNotify(n, key.job, key.stage)
 				}
 			}
 		}
-		ex.eng.sendDriver(ex.shard, driverMsg{
-			taskDone: &taskDoneMsg{exec: ex.id, epoch: ex.epoch, job: lm.job, metrics: tm, err: err},
-		})
-		ex.drain()
+	}
+	ex.eng.sendDriver(ex.shard, driverMsg{
+		taskDone: &taskDoneMsg{exec: ex.id, epoch: ex.epoch, job: key.job, metrics: tm, err: err},
 	})
+	ex.drain()
 }
 
 // drain starts queued tasks while slots are free.

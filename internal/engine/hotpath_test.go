@@ -3,11 +3,13 @@ package engine
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
 	"runtime/debug"
 	"sort"
 	"testing"
 	"time"
 
+	"sae/internal/core"
 	"sae/internal/engine/job"
 )
 
@@ -215,4 +217,56 @@ func raceEnabled() bool {
 		}
 	}
 	return false
+}
+
+// TestStacklessTaskAllocs pins what one analytic task costs in heap objects
+// once its executor is warm: the task's state — context, process, analytic
+// plan — is recycled through the executor's free list and its resumes are
+// Step calls, so what remains per task is the control plane's: the launch
+// and completion messages, their mailbox deliveries and the fetch plan.
+// Measured between two instants in the middle of a long shuffle stage.
+func TestStacklessTaskAllocs(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	const tasks = 2048
+	spec := &job.JobSpec{Name: "allocs", Stages: []*job.StageSpec{
+		{ID: 0, Name: "map", NumTasks: 8, CPUSecondsPerTask: 0.01, ShuffleWriteBytes: tasks << 20},
+		{ID: 1, Name: "reduce", NumTasks: tasks, ShuffleFrom: []int{0}, CPUSecondsPerTask: 0.01,
+			OutputFile: "out", OutputBytes: tasks << 18},
+	}}
+	run := func(sample func(e *Engine)) *JobReport {
+		opts := testOptions(2, core.Default{})
+		opts.OnSetup = sample
+		rep, err := Run(opts, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	red := run(nil).Stages[1]
+	var mallocs, done [2]uint64
+	run(func(e *Engine) {
+		for i, frac := range []time.Duration{1, 3} {
+			e.k.At(red.Start+(red.End-red.Start)*frac/4, func() {
+				var ms runtime.MemStats
+				runtime.ReadMemStats(&ms)
+				mallocs[i] = ms.Mallocs
+				for _, ex := range e.executors {
+					done[i] += uint64(ex.totalTasks)
+				}
+			})
+		}
+	})
+	n := done[1] - done[0]
+	if n < tasks/4 {
+		t.Fatalf("only %d tasks completed between the samples", n)
+	}
+	perTask := float64(mallocs[1]-mallocs[0]) / float64(n)
+	t.Logf("%.2f objects per task over %d tasks", perTask, n)
+	// Five: the launch message, its fetch plan, the completion message and
+	// one mailbox closure each way; the fraction is the heartbeat ticks'.
+	if perTask > 5.25 {
+		t.Errorf("an analytic task allocates %.2f objects in steady state, want 5 (no context, process or closure of its own)", perTask)
+	}
 }

@@ -196,35 +196,116 @@ const ChunkBytes = 32 << 20
 // in chunks with compute interleaved proportionally, and shuffle/DFS output
 // written likewise. This reproduces the alternating CPU↔I/O pattern that
 // makes thread-count tuning matter: too few threads leave the disk idle
-// during compute phases, too many thrash it.
+// during compute phases, too many thrash it. The loop itself is AnalyticOps;
+// Execute drives it with blocking TaskContext calls, and the engine drives
+// the same sequence without a stack for stages that set no Work.
 type AnalyticWork struct{}
 
 // Execute implements Work.
 func (AnalyticWork) Execute(tc TaskContext) error {
+	var a AnalyticOps
+	a.Begin(tc)
+	for op := a.Next(tc, 0); op.Kind != OpDone; {
+		op = a.Next(tc, op.Do(tc))
+	}
+	return nil
+}
+
+// OpKind names one blocking TaskContext call.
+type OpKind uint8
+
+// The calls of the analytic cost loop, in their order within a chunk.
+const (
+	OpDone OpKind = iota
+	OpReadInput
+	OpCompute
+	OpSpill
+	OpWriteShuffle
+	OpWriteOutput
+)
+
+// Op is one blocking TaskContext call with its argument: Seconds for
+// OpCompute, Bytes for the others.
+type Op struct {
+	Kind    OpKind
+	Bytes   int64
+	Seconds float64
+}
+
+// Do performs op on tc, blocking, and returns what ReadInput returned (0 for
+// the other kinds).
+func (op Op) Do(tc TaskContext) int64 {
+	switch op.Kind {
+	case OpReadInput:
+		return tc.ReadInput(op.Bytes)
+	case OpCompute:
+		tc.Compute(op.Seconds)
+	case OpSpill:
+		tc.Spill(op.Bytes)
+	case OpWriteShuffle:
+		tc.WriteShuffle(op.Bytes)
+	case OpWriteOutput:
+		tc.WriteOutput(op.Bytes)
+	}
+	return 0
+}
+
+// AnalyticOps is the analytic cost loop as a sequence of operations: per
+// chunk, read a share of the input, compute, spill what the executor's
+// concurrency at that moment forces out of memory, and write the chunk's
+// shares of shuffle and DFS output. The zero value is ready for Begin.
+type AnalyticOps struct {
+	in, shuffleOut, fileOut int64
+	chunks, chunk           int
+	cpuPer                  float64
+	// next is the operation Next returns next; got is what the chunk's
+	// ReadInput returned, which sizes its spill.
+	next OpKind
+	got  int64
+}
+
+// Begin plans the task tc describes.
+func (a *AnalyticOps) Begin(tc TaskContext) {
 	s := tc.Stage()
 	in := tc.InputBytes()
 	shuffleOut := perTask(s.ShuffleWriteBytes, s.NumTasks, tc.Index())
 	fileOut := perTask(s.OutputBytes, s.NumTasks, tc.Index())
-	total := in
-	if shuffleOut+fileOut > total {
-		total = shuffleOut + fileOut
+	chunks := max(1, int((max(in, shuffleOut+fileOut)+ChunkBytes-1)/ChunkBytes))
+	*a = AnalyticOps{
+		in: in, shuffleOut: shuffleOut, fileOut: fileOut, chunks: chunks,
+		cpuPer: s.CPUSecondsPerTask / float64(chunks), next: OpReadInput,
 	}
-	chunks := int((total + ChunkBytes - 1) / ChunkBytes)
-	if chunks < 1 {
-		chunks = 1
+}
+
+// Next returns the task's next operation, OpDone after the last. got is the
+// result of the operation Next returned before (0 on the first call). The
+// spill is sized here, from the concurrency tc reports once the chunk's
+// compute has finished — not before.
+func (a *AnalyticOps) Next(tc TaskContext, got int64) Op {
+	if a.chunk == a.chunks {
+		return Op{}
 	}
-	cpuPer := s.CPUSecondsPerTask / float64(chunks)
-	for i := 0; i < chunks; i++ {
-		got := tc.ReadInput(chunkShare(in, chunks, i))
-		tc.Compute(cpuPer)
+	i, kind := a.chunk, a.next
+	a.next++
+	switch kind {
+	case OpReadInput:
+		return Op{Kind: kind, Bytes: chunkShare(a.in, a.chunks, i)}
+	case OpCompute:
+		a.got = got
+		return Op{Kind: kind, Seconds: a.cpuPer}
+	case OpSpill:
+		s := tc.Stage()
 		if s.SpillPressure > 0 && tc.VirtualCores() > 1 {
 			x := float64(tc.Concurrency()-1) / float64(tc.VirtualCores()-1)
-			tc.Spill(int64(float64(got+chunkShare(shuffleOut, chunks, i)) * s.SpillPressure * x * x))
+			return Op{Kind: kind, Bytes: int64(float64(a.got+chunkShare(a.shuffleOut, a.chunks, i)) * s.SpillPressure * x * x)}
 		}
-		tc.WriteShuffle(chunkShare(shuffleOut, chunks, i))
-		tc.WriteOutput(chunkShare(fileOut, chunks, i))
+		return a.Next(tc, 0)
+	case OpWriteShuffle:
+		return Op{Kind: kind, Bytes: chunkShare(a.shuffleOut, a.chunks, i)}
+	default:
+		a.chunk, a.next = i+1, OpReadInput
+		return Op{Kind: OpWriteOutput, Bytes: chunkShare(a.fileOut, a.chunks, i)}
 	}
-	return nil
 }
 
 // perTask divides a stage-total volume evenly across tasks, giving earlier

@@ -65,7 +65,7 @@ type Server struct {
 	// onComp caches the completion callback so rescheduling the next
 	// completion never reallocates the closure.
 	onComp func()
-	// freeStream recycles stream structs (one per Serve call) and woken is
+	// freeStream recycles stream structs (one per Start call) and woken is
 	// the completion pass's reusable scratch; together they make the
 	// Serve/complete cycle allocation-free in steady state.
 	freeStream *stream
@@ -84,7 +84,7 @@ type stream struct {
 	remaining float64
 	weight    float64
 	rate      float64
-	// proc is the single process blocked in Serve on this stream; it is
+	// proc is the single process waiting on this stream; it is
 	// woken directly (Kernel.Wake) rather than through a per-stream Signal
 	// allocation.
 	proc *sim.Proc
@@ -140,8 +140,19 @@ func (s *Server) RateScale() float64 { return s.scale }
 // stream's share of capacity (1 = normal; 0.5 = progresses at half the fair
 // share, modelling e.g. writes that cost twice as much as reads).
 func (s *Server) Serve(p *sim.Proc, demand, weight float64) {
+	if s.Start(p, demand, weight) {
+		p.Park()
+	}
+}
+
+// Start is Serve without the park: it queues a stream of demand units for p
+// and reports whether it did — false for an empty demand, which owes p no
+// wake. The server wakes p (Kernel.Wake) once the stream has drained; until
+// then p must not run, which a coroutine process ensures by parking and a
+// stackless one by returning from Step.
+func (s *Server) Start(p *sim.Proc, demand, weight float64) bool {
 	if demand <= 0 {
-		return
+		return false
 	}
 	if weight <= 0 {
 		panic(fmt.Sprintf("psres %s: non-positive weight %v", s.cfg.Name, weight))
@@ -158,7 +169,7 @@ func (s *Server) Serve(p *sim.Proc, demand, weight float64) {
 	s.streams = append(s.streams, st)
 	s.notifyActive()
 	s.recompute()
-	p.Park()
+	return true
 }
 
 // Active returns the number of streams currently in service.

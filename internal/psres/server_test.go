@@ -300,52 +300,88 @@ func TestFairnessProperty(t *testing.T) {
 	}
 }
 
+// startWaiter is a stackless process that queues one stream with Start and
+// reports its wake-up: the counterpart of a coroutine process blocked in Serve.
+type startWaiter struct {
+	proc   sim.Proc
+	s      *Server
+	demand float64
+	queued bool
+	woke   func(p *sim.Proc)
+}
+
+func (w *startWaiter) Step() {
+	if !w.queued {
+		w.queued = w.s.Start(&w.proc, w.demand, 1)
+		return
+	}
+	w.woke(&w.proc)
+}
+
 // TestSameInstantCompletionsWakeCompacted is the regression test for the
 // onCompletion wake ordering: when several streams drain at the same
 // timestamp, every waiter must wake *after* the server's stream set has been
 // compacted, so Active() observed on wake-up reflects the waiter's own
 // completion (historically the broadcast ran before state settled, so a
 // waiter woken into a zero-stream server could still read a stale count).
+// Waiters blocked in Serve and stackless ones queued with Start — and a mix,
+// the middle stream the odd one out — must see the same thing and leave the
+// kernel having fired the same number of events.
 func TestSameInstantCompletionsWakeCompacted(t *testing.T) {
-	k := sim.NewKernel()
-	s := NewServer(k, Config{Name: "d", Curve: Flat(10), PerStreamCap: 1})
-	var activeAtWake []int
-	var wakeOrder []int
-	// Cap-bound streams progress independently at rate 1; demands are tuned
-	// so all three drain at exactly t=1s in one completion pass.
-	starts := []struct {
-		at     time.Duration
-		demand float64
-	}{
-		{0, 1.0},
-		{200 * time.Millisecond, 0.8},
-		{600 * time.Millisecond, 0.4},
-	}
-	for i, st := range starts {
-		i, st := i, st
-		k.At(st.at, func() {
-			k.Go("w", func(p *sim.Proc) {
-				s.Serve(p, st.demand, 1)
+	var firedWithServe uint64
+	for _, stackless := range [][3]bool{{}, {true, true, true}, {false, true, false}, {true, false, true}} {
+		k := sim.NewKernel()
+		s := NewServer(k, Config{Name: "d", Curve: Flat(10), PerStreamCap: 1})
+		var activeAtWake []int
+		var wakeOrder []int
+		// Cap-bound streams progress independently at rate 1; demands are
+		// tuned so all three drain at exactly t=1s in one completion pass.
+		starts := []struct {
+			at     time.Duration
+			demand float64
+		}{
+			{0, 1.0},
+			{200 * time.Millisecond, 0.8},
+			{600 * time.Millisecond, 0.4},
+		}
+		for i, st := range starts {
+			woke := func(p *sim.Proc) {
 				activeAtWake = append(activeAtWake, s.Active())
 				wakeOrder = append(wakeOrder, i)
 				if p.Now() != time.Second {
 					t.Errorf("stream %d completed at %v, want 1s", i, p.Now())
 				}
+			}
+			k.At(st.at, func() {
+				if stackless[i] {
+					w := &startWaiter{s: s, demand: st.demand, woke: woke}
+					k.GoStepper(&w.proc, "w", w)
+					return
+				}
+				k.Go("w", func(p *sim.Proc) {
+					s.Serve(p, st.demand, 1)
+					woke(p)
+				})
 			})
-		})
-	}
-	k.Run()
-	if len(activeAtWake) != 3 {
-		t.Fatalf("woke %d waiters, want 3", len(activeAtWake))
-	}
-	for i, n := range activeAtWake {
-		if n != 0 {
-			t.Fatalf("waiter %d woke with Active() = %d, want 0 (stale stream set)", wakeOrder[i], n)
 		}
-	}
-	for i, v := range wakeOrder {
-		if v != i {
-			t.Fatalf("wake order %v, want completion (arrival) order", wakeOrder)
+		k.Run()
+		if len(activeAtWake) != 3 {
+			t.Fatalf("stackless %v: woke %d waiters, want 3", stackless, len(activeAtWake))
+		}
+		for i, n := range activeAtWake {
+			if n != 0 {
+				t.Fatalf("stackless %v: waiter %d woke with Active() = %d, want 0 (stale stream set)", stackless, wakeOrder[i], n)
+			}
+		}
+		for i, v := range wakeOrder {
+			if v != i {
+				t.Fatalf("stackless %v: wake order %v, want completion (arrival) order", stackless, wakeOrder)
+			}
+		}
+		if stackless == [3]bool{} {
+			firedWithServe = k.FiredEvents()
+		} else if got := k.FiredEvents(); got != firedWithServe {
+			t.Fatalf("stackless %v: %d events fired, %d with every waiter in Serve", stackless, got, firedWithServe)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 )
@@ -149,5 +150,38 @@ func TestNoGoroutineLeak(t *testing.T) {
 		if !waitGoroutines(base) {
 			t.Errorf("%s: %d goroutines left, started with %d", name, runtime.NumGoroutine(), base)
 		}
+	}
+}
+
+// nopStepper is a stackless process that ends at its first resume.
+type nopStepper struct{}
+
+func (nopStepper) Step() {}
+
+// TestStacklessCannotPark: the blocking forms need a coroutine to switch away
+// from, so on a stackless process each panics naming the process instead of
+// dereferencing the coroutine it does not have; WakeAfter polices its delay
+// like Sleep.
+func TestStacklessCannotPark(t *testing.T) {
+	k := NewKernel()
+	var p Proc
+	k.GoStepper(&p, "flat", nopStepper{})
+	for name, block := range map[string]func(){
+		"Park":         func() { p.Park() },
+		"Sleep":        func() { p.Sleep(time.Millisecond) },
+		"Signal.Wait":  func() { NewSignal(k).Wait(&p) },
+		"Mailbox.Recv": func() { NewMailbox[int](k).Recv(&p) },
+		"WakeAfter<0":  func() { p.WakeAfter(-1) },
+	} {
+		func() {
+			defer func() {
+				r := recover()
+				msg, _ := r.(string)
+				if r == nil || name != "WakeAfter<0" && !strings.Contains(msg, `"flat"`) {
+					t.Errorf("%s on a stackless process: recovered %v, want a panic naming it", name, r)
+				}
+			}()
+			block()
+		}()
 	}
 }

@@ -11,12 +11,20 @@
 // process} executes at any moment and ties are broken by sequence number, so
 // simulations are exactly reproducible.
 //
-// A task is a process, so processes are created by the million and creating
-// a coroutine is dear (11 allocations against 2 for go + chan). Each kernel
-// therefore pools them: a coroutine whose process finished parks on the
-// kernel's idle list and runs the body of the next process to start; shutdown
-// stops the ones still running a process in process creation order — their
-// deferred cleanups unwind — and then the idle ones.
+// A task running custom Work is a process, so processes can be created by
+// the million and creating a coroutine is dear (11 allocations against 2 for
+// go + chan). Each kernel therefore pools them: a coroutine whose process
+// finished parks on the kernel's idle list and runs the body of the next
+// process to start; shutdown stops the ones still running a process in
+// process creation order — their deferred cleanups unwind — and then the idle
+// ones.
+//
+// A process whose blocking points are few and known can do without a stack
+// altogether (Kernel.GoStepper): its resume event is a plain Step call on the
+// kernel loop, it waits by enqueueing on a resource (psres.Server.Start,
+// Proc.WakeAfter) and returning, and it lives in storage its caller owns and
+// recycles. Analytic tasks — every task of the paper's experiments — are such
+// processes; they hold no coroutine, so shutdown has nothing to stop.
 //
 // The event queue is the simulator's hottest data structure, so it avoids
 // the generic container/heap: events live in an inlined 4-ary indexed
@@ -279,10 +287,12 @@ func (k *Kernel) afterProc(d time.Duration, p *Proc) *event {
 
 // Run fires events in timestamp order (FIFO among equal timestamps) until the
 // queue is empty or Stop is called, then kills any processes that are still
-// parked and releases the kernel's coroutines. Every event — callbacks and
-// process resumes alike — fires on the calling goroutine, so a panic inside a
-// callback or a process surfaces here, after the same shutdown. Run must not
-// be called from inside a process.
+// parked and releases the kernel's coroutines. A stackless process still
+// waiting holds no coroutine: there is nothing to kill, its Step is simply
+// never called again. Every event — callbacks and process resumes alike —
+// fires on the calling goroutine, so a panic inside a callback or a process
+// surfaces here, after the same shutdown. Run must not be called from inside
+// a process.
 func (k *Kernel) Run() {
 	if k.running {
 		panic("sim: Run called re-entrantly")
@@ -313,7 +323,11 @@ func (k *Kernel) loop() {
 		case e.proc != nil:
 			p := e.proc
 			k.recycle(e)
-			p.switchTo()
+			if p.step != nil {
+				p.step.Step()
+			} else {
+				p.switchTo()
+			}
 		case e.every > 0:
 			e.fn()
 			if e.cancelled {
@@ -510,14 +524,25 @@ func (c *coroutine) runProc() (finished bool) {
 	return true
 }
 
-// Proc is a simulation process: a coroutine that advances only when the
-// kernel switches into it, and blocks only in virtual time.
+// Proc is a simulation process: it advances only when the kernel resumes it,
+// and blocks only in virtual time. Go's processes run a body on a coroutine;
+// GoStepper's are stackless.
 type Proc struct {
 	k    *Kernel
 	name string
 	seq  uint64
 	fn   func(p *Proc) // the body, until the first resume starts it
 	co   *coroutine    // what runs the body, from then until it returns
+	step Stepper       // a stackless process's resume; nil for Go's
+}
+
+// Stepper is the body of a stackless process: every resume event of the
+// process is one Step call on the kernel loop. Step runs to the process's
+// next wait — enqueue for exactly one wake (psres.Server.Start and the device
+// Start forms, Proc.WakeAfter, a Kernel.Wake someone owes it) and return — or
+// to its end, which is returning with no wake pending.
+type Stepper interface {
+	Step()
 }
 
 // killed is the panic value used to unwind a process during shutdown.
@@ -532,6 +557,16 @@ func (k *Kernel) Go(name string, fn func(p *Proc)) *Proc {
 	k.procSeq++
 	k.afterProc(0, p)
 	return p
+}
+
+// GoStepper starts a stackless process in p, storage the caller owns and may
+// reuse once the process has ended. It takes exactly Go's place in the
+// kernel's order — one process sequence number, one resume event at the
+// current instant — and allocates nothing.
+func (k *Kernel) GoStepper(p *Proc, name string, s Stepper) {
+	*p = Proc{k: k, name: name, seq: k.procSeq, step: s}
+	k.procSeq++
+	k.afterProc(0, p)
 }
 
 // switchTo runs the process on its coroutine until it parks or returns — the
@@ -570,6 +605,9 @@ func (p *Proc) Now() time.Duration { return p.k.now }
 // the kernel loop, which fires the next event. A false yield means shutdown
 // stopped the coroutine; the panic unwinds the process's deferred cleanups.
 func (p *Proc) park() {
+	if p.co == nil {
+		panic(fmt.Sprintf("sim: process %q parks off a coroutine: a stackless process waits by returning from Step", p.name))
+	}
 	if !p.co.yield(struct{}{}) {
 		panic(killed{})
 	}
@@ -589,11 +627,17 @@ func (k *Kernel) Wake(p *Proc) { k.afterProc(0, p) }
 
 // Sleep blocks the process for d of virtual time.
 func (p *Proc) Sleep(d time.Duration) {
+	p.WakeAfter(d)
+	p.park()
+}
+
+// WakeAfter schedules the process's resume d from now: Sleep without the
+// park, for a stackless process about to return from Step.
+func (p *Proc) WakeAfter(d time.Duration) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative sleep %v", d))
 	}
 	p.k.afterProc(d, p)
-	p.park()
 }
 
 // Yield reschedules the process at the current time, letting other events at
