@@ -208,11 +208,11 @@ func newUsageMeter(k *sim.Kernel, vcores int) *usageMeter {
 
 func (m *usageMeter) advance() {
 	now := m.k.Now()
-	dt := (now - m.last).Seconds()
-	if dt <= 0 {
+	if now <= m.last {
 		m.last = now
 		return
 	}
+	dt := (now - m.last).Seconds()
 	busyCores := m.cpuActive
 	if busyCores > m.vcores {
 		busyCores = m.vcores

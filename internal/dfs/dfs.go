@@ -326,16 +326,22 @@ func (fs *FS) FinishWrite(f *File, writer int, bytes int64) {
 }
 
 // Splits partitions a file's blocks into n contiguous input splits of
-// near-equal block count, one per task, in block order. If the file has
-// fewer blocks than n, some splits are empty.
+// near-equal block count, one per task, in block order: block i belongs to
+// split i*n/len(Blocks). If the file has fewer blocks than n, some splits are
+// empty (nil). A split is a read-only window onto f.Blocks, not a copy; its
+// capacity ends where it does, so a later append to the file cannot reach it.
 func Splits(f *File, n int) [][]Block {
 	if n <= 0 {
 		panic(fmt.Sprintf("dfs: non-positive split count %d", n))
 	}
 	out := make([][]Block, n)
-	for i, b := range f.Blocks {
-		s := i * n / len(f.Blocks)
-		out[s] = append(out[s], b)
+	nb, lo := len(f.Blocks), 0
+	for s := range out {
+		hi := ((s+1)*nb + n - 1) / n // the first block of split s+1
+		if hi > lo {
+			out[s] = f.Blocks[lo:hi:hi]
+		}
+		lo = hi
 	}
 	return out
 }

@@ -295,6 +295,52 @@ func TestSplitsPartitionProperty(t *testing.T) {
 	}
 }
 
+// TestSplitsShareBlocks pins what Splits is made of: windows onto the file's
+// own block list — block i in split i*n/len(Blocks), as when each split was
+// appended to block by block — costing the one slice of windows, and closed
+// at the top, so blocks appended to the file later stay out of them.
+func TestSplitsShareBlocks(t *testing.T) {
+	k := sim.NewKernel()
+	fs := New(testCluster(k, 2), 10)
+	for nb := 0; nb <= 40; nb++ {
+		f := &File{Blocks: make([]Block, nb)}
+		for i := range f.Blocks {
+			f.Blocks[i].Index = i
+		}
+		for n := 1; n <= 45; n++ {
+			want := make([][]int, n)
+			for i := range f.Blocks {
+				want[i*n/nb] = append(want[i*n/nb], i)
+			}
+			for s, split := range Splits(f, n) {
+				if len(split) != len(want[s]) || (len(split) == 0) != (split == nil) {
+					t.Fatalf("%d blocks in %d splits: split %d has %d blocks (nil: %v), want %d", nb, n, s, len(split), split == nil, len(want[s]))
+				}
+				for j := range split {
+					if &split[j] != &f.Blocks[want[s][j]] {
+						t.Fatalf("%d blocks in %d splits: split %d block %d is not f.Blocks[%d] itself", nb, n, s, j, want[s][j])
+					}
+				}
+			}
+		}
+	}
+
+	f, _ := fs.Create("in", 95, 2) // 10 blocks, in an array with room to grow
+	f.Blocks = append(make([]Block, 0, 16), f.Blocks...)
+	var splits [][]Block
+	if allocs := testing.AllocsPerRun(10, func() { splits = Splits(f, 4) }); allocs != 1 {
+		t.Errorf("Splits allocates %v objects, want 1 (the list of splits)", allocs)
+	}
+	last := splits[3]
+	fs.FinishWrite(f, 1, 7) // lands in f.Blocks[10], just past the last split
+	if len(f.Blocks) != 11 || len(last) != 2 || cap(last) != 2 {
+		t.Fatalf("after an append: %d blocks, last split len %d cap %d", len(f.Blocks), len(last), cap(last))
+	}
+	if grown := append(last, Block{Index: -1}); &grown[0] == &last[0] || f.Blocks[10].Index != 10 {
+		t.Fatal("appending to a split wrote into the file's block list")
+	}
+}
+
 func TestRemoveExistsFiles(t *testing.T) {
 	k := sim.NewKernel()
 	fs := New(testCluster(k, 2), 0)

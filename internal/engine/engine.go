@@ -169,6 +169,13 @@ type Engine struct {
 	// pending); per-job failures live on the jobState instead.
 	fatal   error
 	started bool
+	// Free lists of the per-task control plane (DESIGN.md "Control-plane
+	// messages"). recycle is false on a sharded engine, whose executors run
+	// on other goroutines than the driver: nothing is put back.
+	recycle  bool
+	launches pool[launchMsg]
+	dones    pool[taskDoneMsg]
+	plans    [][]segment
 	// done flips when the driver finishes; atomic because in sharded runs
 	// per-shard housekeeping events (heartbeats, interference streams,
 	// slowdown timers) read it from their shard's goroutine.
@@ -287,6 +294,7 @@ func NewEngine(opts Options) (*Engine, error) {
 		shuffle:  newShuffleRegistry(),
 		toDriver: sim.NewMailbox[driverMsg](k),
 		aud:      opts.Audit,
+		recycle:  ss == nil,
 	}
 	e.sink = newTraceSink(opts.Trace, opts.TraceFormat)
 	e.fs = dfs.New(e.cluster, opts.BlockSize)
@@ -453,6 +461,7 @@ func (e *Engine) Wait() error {
 			switch {
 			case msg.taskDone != nil:
 				e.sched.handleTaskDone(msg.taskDone)
+				e.dones.put(msg.taskDone, e.recycle)
 			case msg.threads != nil:
 				e.sched.handleThreads(msg.threads)
 			case msg.execLost != nil:
@@ -511,6 +520,46 @@ func Run(opts Options, spec *job.JobSpec) (*JobReport, error) {
 		return nil, err
 	}
 	return h.Report()
+}
+
+// pool is a free list of control-plane messages. put zeroes what it takes: a
+// pooled message pins no stage, plan or error past its task, and a use after
+// release reads zeros — a diverged golden, not another task's message.
+type pool[T any] struct{ free []*T }
+
+func (p *pool[T]) get() *T {
+	n := len(p.free)
+	if n == 0 {
+		return new(T)
+	}
+	v := p.free[n-1]
+	p.free = p.free[:n-1]
+	return v
+}
+
+// put takes v back if recycle (Engine.recycle) says so.
+func (p *pool[T]) put(v *T, recycle bool) {
+	if recycle {
+		var zero T
+		*v = zero
+		p.free = append(p.free, v)
+	}
+}
+
+// takePlan returns an empty buffer for reducePlan to fill, recycled if any is.
+func (e *Engine) takePlan() (buf []segment) {
+	if n := len(e.plans); n > 0 {
+		buf, e.plans = e.plans[n-1], e.plans[:n-1]
+	}
+	return buf
+}
+
+// releasePlan takes back, zeroed, the buffer of a finished task's fetch plan.
+func (e *Engine) releasePlan(buf []segment) {
+	if e.recycle && cap(buf) > 0 {
+		clear(buf)
+		e.plans = append(e.plans, buf[:0])
+	}
 }
 
 // Kernel returns the simulation kernel.

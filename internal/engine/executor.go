@@ -113,7 +113,10 @@ type stageEndMsg struct {
 
 // launchMsg carries one task assignment with its input plan. epoch is the
 // executor incarnation the driver assigned it to: a message crossing a
-// crash or restart in flight is dropped on arrival.
+// crash or restart in flight is dropped on arrival. Messages come from the
+// engine's free list and go back when start has copied them into a context;
+// one that never starts — dropped on arrival, or queued when a crash or fence
+// empties the queue — leaves the pool, its fetch plan with it, for the GC.
 type launchMsg struct {
 	job        int
 	stage      *job.StageSpec
@@ -147,6 +150,8 @@ type heartbeatMsg struct {
 	tasksDone int
 }
 
+// taskDoneMsg reports one finished attempt. The driver loop returns it to the
+// engine's free list after handleTaskDone, which keeps nothing of it.
 type taskDoneMsg struct {
 	exec    int
 	epoch   int
@@ -334,7 +339,7 @@ func (ex *Executor) find(key setKey) (int, bool) {
 func (ex *Executor) shutdown() {
 	ex.alive = false
 	ex.epoch++
-	ex.queue = sim.FIFO[*launchMsg]{}
+	ex.queue = sim.FIFO[*launchMsg]{} // the queued launches leave the pool
 	ex.retireControllers()
 	ex.threadLog = append(ex.threadLog, ThreadChange{At: ex.k.Now(), Stage: ex.curStage, Threads: 0})
 }
@@ -346,7 +351,7 @@ func (ex *Executor) shutdown() {
 // The new incarnation then rejoins through the normal execJoin path.
 func (ex *Executor) fence(epoch int) {
 	ex.epoch = epoch
-	ex.queue = sim.FIFO[*launchMsg]{}
+	ex.queue = sim.FIFO[*launchMsg]{} // the queued launches leave the pool
 	ex.retireControllers()
 	ex.threadLog = append(ex.threadLog, ThreadChange{At: ex.k.Now(), Stage: ex.curStage, Threads: 0})
 	ex.eng.trace(TraceEvent{Type: TraceExecFence, Job: -1, Stage: ex.curStage, Task: -1, Exec: ex.id,
@@ -447,10 +452,11 @@ func (ex *Executor) start(lm *launchMsg) {
 		tc = new(taskContext)
 	}
 	*tc = taskContext{
-		eng: ex.eng, ex: ex, launchMsg: *lm,
+		eng: ex.eng, ex: ex, launchMsg: *lm, fetchBuf: lm.segments,
 		faultAt: -1, blockSrc: -1, do: (*taskContext).launch,
 		tm: job.TaskMetrics{Stage: lm.stage.ID, Index: lm.index, Local: true},
 	}
+	ex.eng.launches.put(lm, ex.eng.recycle) // the context holds the copy
 	if tc.stage.Work == nil {
 		tc.p = &tc.proc
 		tc.plan.Begin(tc)
@@ -498,9 +504,9 @@ func (ex *Executor) taskDone(tc *taskContext, err error) {
 			}
 		}
 	}
-	ex.eng.sendDriver(ex.shard, driverMsg{
-		taskDone: &taskDoneMsg{exec: ex.id, epoch: ex.epoch, job: key.job, metrics: tm, err: err},
-	})
+	m := ex.eng.dones.get()
+	*m = taskDoneMsg{exec: ex.id, epoch: ex.epoch, job: key.job, metrics: tm, err: err}
+	ex.eng.sendDriver(ex.shard, driverMsg{taskDone: m})
 	ex.drain()
 }
 

@@ -1,0 +1,16 @@
+package engine
+
+// What tests outside the package (those that need internal/invariant, which
+// imports this one) share with the ones inside.
+var (
+	TwoStageJob = twoStageJob
+	GrayOptions = grayOptions
+)
+
+// Zombies reports how many completions the executor dropped as an earlier
+// incarnation's.
+func (ex *Executor) Zombies() int { return ex.zombies }
+
+// StopRecycling makes e allocate every control-plane message and fetch plan
+// afresh, as a sharded engine does: the reference a recycling run is held to.
+func (e *Engine) StopRecycling() { e.recycle = false }

@@ -725,7 +725,8 @@ func (s *taskScheduler) launch(ts *taskSet, pick, i int) {
 	}
 	e.trace(TraceEvent{Type: TraceTaskLaunch, Job: ts.key.job, Stage: ts.stage.ID, Task: task, Exec: i, Detail: detail})
 
-	lm := &launchMsg{job: ts.key.job, stage: ts.stage, index: task, attempt: st.launches, epoch: e.em.epochs[i]}
+	lm := e.launches.get()
+	*lm = launchMsg{job: ts.key.job, stage: ts.stage, index: task, attempt: st.launches, epoch: e.em.epochs[i]}
 	st.launches++
 	if ts.splits != nil {
 		lm.blocks = ts.splits[task]
@@ -734,7 +735,7 @@ func (s *taskScheduler) launch(ts *taskSet, pick, i int) {
 		}
 	}
 	if len(ts.stage.ShuffleFrom) > 0 {
-		lm.segments = e.shuffle.reducePlan(ts.key.job, ts.stage.ShuffleFrom, ts.stage.NumTasks, task)
+		lm.segments = e.shuffle.reducePlan(ts.key.job, ts.stage.ShuffleFrom, ts.stage.NumTasks, task, e.takePlan())
 		for _, seg := range lm.segments {
 			lm.inputTotal += seg.bytes
 		}

@@ -244,8 +244,9 @@ func (r *shuffleRegistry) segmentValid(s segment) bool {
 // ordered by node for determinism. Lost outputs are excluded — the driver
 // must not launch reduce tasks while any upstream output is missing (see
 // shuffleRegistry.missing). A call costs O(nodes·log maps), not O(maps): every
-// reducer of a stage reads the same per-node aggregate (see reduceAgg).
-func (r *shuffleRegistry) reducePlan(job int, from []int, numTasks, idx int) []segment {
+// reducer of a stage reads the same per-node aggregate (see reduceAgg). The
+// plan is appended to buf[:0], growing it at most once; buf may be nil.
+func (r *shuffleRegistry) reducePlan(job int, from []int, numTasks, idx int, buf []segment) []segment {
 	if numTasks <= 0 {
 		panic(fmt.Sprintf("engine: reducePlan with %d tasks", numTasks))
 	}
@@ -275,7 +276,7 @@ func (r *shuffleRegistry) reducePlan(job int, from []int, numTasks, idx int) []s
 		}
 	}
 	r.byNode = byNode
-	plan := make([]segment, 0, n)
+	plan := slices.Grow(buf[:0], n)
 	for node, bytes := range byNode {
 		if bytes > 0 {
 			plan = append(plan, segment{node: node, bytes: bytes, gen: r.nodeGen[node]})

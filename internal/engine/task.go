@@ -60,6 +60,7 @@ type taskContext struct {
 	// the task is a zombie. blocks and segments hold what is left of the
 	// input plan, the first of each partially consumed.
 	launchMsg
+	fetchBuf []segment // segments as launched: finish returns the buffer
 	blockOff int64
 	// blockSrc is the verified replica the current block streams from
 	// (-1 = not yet picked for blocks[0]).
@@ -514,5 +515,6 @@ func (tc *taskContext) finish(err error) {
 		tc.tm.DiskBusyFrac = (disk1.Busy - tc.disk0.Busy).Seconds() / win
 	}
 	tc.tm.End = tc.p.Now()
+	tc.eng.releasePlan(tc.fetchBuf)
 	tc.ex.taskDone(tc, err)
 }

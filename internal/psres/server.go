@@ -214,11 +214,13 @@ func (s *Server) notifyActive() {
 // advance integrates stream progress from s.last to now.
 func (s *Server) advance() {
 	now := s.k.Now()
-	dt := (now - s.last).Seconds()
-	if dt <= 0 {
+	if now <= s.last {
+		// Nothing to integrate — and most calls land here: the streams one
+		// completion wakes re-queue at the same instant.
 		s.last = now
 		return
 	}
+	dt := (now - s.last).Seconds()
 	if n := len(s.streams); n > 0 {
 		s.busy += now - s.last
 		s.activeIntegral += float64(n) * dt

@@ -509,8 +509,10 @@ func TestFIFOKeepsOrderAndArray(t *testing.T) {
 	}
 }
 
-// TestMailboxSteadyStateAllocs pins the Send→Recv cycle at one allocation,
-// Send's closure: dequeuing with queue = queue[1:] cost a second, the queue
+// TestMailboxSteadyStateAllocs pins the Send→Recv cycle at no allocation:
+// the message waits in the flight queue and the arrival event is the
+// mailbox's one bound callback, where Send used to make a closure per
+// message; dequeuing with queue = queue[1:] once cost another, the queue
 // slice re-grown on every cycle.
 func TestMailboxSteadyStateAllocs(t *testing.T) {
 	if raceEnabled() {
@@ -531,12 +533,109 @@ func TestMailboxSteadyStateAllocs(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		cycle()
 	}
-	if allocs := testing.AllocsPerRun(1000, cycle); allocs != 1 {
-		t.Errorf("Send→Recv allocates %v objects, want 1 (Send's closure)", allocs)
+	if allocs := testing.AllocsPerRun(1000, cycle); allocs != 0 {
+		t.Errorf("Send→Recv allocates %v objects, want 0", allocs)
 	}
 	if sum != 100+1001 {
 		t.Fatalf("received %d messages, want %d", sum, 100+1001)
 	}
 	k.Stop()
 	k.Run()
+}
+
+// closureMailbox is the mailbox as it was before the flight queue: every
+// message rides its own k.After closure.
+type closureMailbox struct {
+	k      *Kernel
+	queue  FIFO[int]
+	arrive *Signal
+}
+
+func (m *closureMailbox) Send(d time.Duration, msg int) {
+	m.k.After(d, func() {
+		m.queue.Push(msg)
+		m.arrive.Notify()
+	})
+}
+
+func (m *closureMailbox) Recv(p *Proc) int {
+	for m.queue.Len() == 0 {
+		m.arrive.Wait(p)
+	}
+	return m.queue.Pop()
+}
+
+// TestMailboxMatchesClosureReference drives the mailbox and the closure
+// reference with the same random script — bursts of sends at one instant,
+// delays from a small set so that arrivals tie, a shorter delay after a longer
+// one so that a message overtakes those in flight — and wants every message
+// received at the same instant, in the same order and as the same numbered
+// event of the run.
+func TestMailboxMatchesClosureReference(t *testing.T) {
+	type send struct {
+		at, d time.Duration
+		msg   int
+	}
+	type recv struct {
+		msg   int
+		at    time.Duration
+		fired uint64
+	}
+	type mailbox interface {
+		Send(time.Duration, int)
+		Recv(*Proc) int
+	}
+	run := func(script []send, mk func(*Kernel) mailbox) ([]recv, uint64) {
+		k := NewKernel()
+		mb := mk(k)
+		var got []recv
+		k.Go("recv", func(p *Proc) {
+			for {
+				msg := mb.Recv(p)
+				got = append(got, recv{msg, k.Now(), k.FiredEvents()})
+			}
+		})
+		for _, s := range script {
+			k.At(s.at, func() { mb.Send(s.d, s.msg) })
+		}
+		k.Run()
+		return got, k.FiredEvents()
+	}
+	delays := []time.Duration{0, time.Millisecond, time.Millisecond, 2 * time.Millisecond, 5 * time.Millisecond}
+	for seed := int64(1); seed <= 50; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var script []send
+		var at, latest time.Duration
+		overtakes, ties := 0, 0
+		for len(script) < 200 {
+			at += time.Duration(rng.Intn(4)) * time.Millisecond // 0: the burst goes on
+			d := delays[rng.Intn(len(delays))]
+			switch arrive := at + d; {
+			case arrive < latest:
+				overtakes++
+			case arrive == latest:
+				ties++
+			}
+			latest = max(latest, at+d)
+			script = append(script, send{at, d, len(script)})
+		}
+		if overtakes == 0 || ties == 0 {
+			t.Fatalf("seed %d: script has %d overtaking sends and %d ties, want both", seed, overtakes, ties)
+		}
+		want, wantFired := run(script, func(k *Kernel) mailbox {
+			return &closureMailbox{k: k, arrive: NewSignal(k)}
+		})
+		got, fired := run(script, func(k *Kernel) mailbox { return NewMailbox[int](k) })
+		if len(want) != len(script) || len(got) != len(script) {
+			t.Fatalf("seed %d: received %d of %d messages, the reference %d", seed, len(got), len(script), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("seed %d: receive %d = %+v, want %+v", seed, i, got[i], want[i])
+			}
+		}
+		if fired != wantFired {
+			t.Fatalf("seed %d: %d events fired, want %d", seed, fired, wantFired)
+		}
+	}
 }

@@ -112,21 +112,38 @@ type Mailbox[T any] struct {
 	k      *Kernel
 	queue  FIFO[T]
 	arrive *Signal
+	// flight holds messages in transit in send order. Their arrival events
+	// fire in that order too, so each delivers the head and needs no closure:
+	// Send admits only a message due no earlier than latest, the last admitted.
+	flight  FIFO[T]
+	latest  time.Duration
+	deliver func() // m.land, bound once
 }
 
 // NewMailbox returns an empty mailbox bound to k.
 func NewMailbox[T any](k *Kernel) *Mailbox[T] {
-	return &Mailbox[T]{k: k, arrive: NewSignal(k)}
+	m := &Mailbox[T]{k: k, arrive: NewSignal(k)}
+	m.deliver = m.land
+	return m
 }
 
 // Send enqueues msg after delay d (modelling transmission latency) and wakes
-// one receiver. Send never blocks and may be called from event context.
+// one receiver. Send never blocks and may be called from event context. It
+// schedules one kernel event and, at a constant delay, allocates nothing.
 func (m *Mailbox[T]) Send(d time.Duration, msg T) {
-	m.k.After(d, func() {
-		m.queue.Push(msg)
-		m.arrive.Notify()
-	})
+	at := m.k.now + d
+	if at < m.latest {
+		// Overtakes a message in flight: its own event carries it.
+		m.k.After(d, func() { m.Put(msg) })
+		return
+	}
+	m.k.After(d, m.deliver) // first: a negative d panics here
+	m.latest = at
+	m.flight.Push(msg)
 }
+
+// land is the arrival of the oldest message in flight.
+func (m *Mailbox[T]) land() { m.Put(m.flight.Pop()) }
 
 // Put enqueues msg at the current instant — the arrival half of Send
 // without the latency half. Shard coordinators use it to inject a
