@@ -11,8 +11,8 @@
 // specs; they are embedded in the binary, and faults, grayfail, multitenant
 // and autoscale run them). -parallel N fans the sweep out over N worker
 // goroutines; each run owns its own simulation kernel, and results are
-// printed in submission order, so the output is identical to a sequential
-// sweep.
+// printed in submission order, so stdout is identical to a sequential
+// sweep's (wall-clock timings go to stderr).
 //
 // -scenario (repeatable) appends declarative scenario specs to the sweep;
 // they run through the same worker pool and -csv export as the built-in
@@ -50,7 +50,7 @@ import (
 func main() {
 	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "sae-exp:", err)
-		os.Exit(1)
+		os.Exit(exp.ExitCode(err))
 	}
 }
 
@@ -71,6 +71,10 @@ func run(args []string) error {
 	fs.Var(&scenarioFiles, "scenario", "run the scenario spec at this path (repeatable)")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *scale <= 0 {
+		// The workloads read a non-positive scale as "unset": full size.
+		return fmt.Errorf("%w: -scale %v, want a positive factor", exp.ErrBadFlag, *scale)
 	}
 
 	if *list {
@@ -168,10 +172,12 @@ func run(args []string) error {
 				}
 			}
 		}
-		fmt.Printf("  [%s regenerated in %.2fs wall time]\n\n", r.ID, r.Wall.Seconds())
+		// Wall times go to stderr: stdout is a function of the seed alone.
+		fmt.Fprintf(os.Stderr, "  [%s regenerated in %.2fs wall time]\n", r.ID, r.Wall.Seconds())
+		fmt.Println()
 	}
 	if *parallel > 1 {
-		fmt.Printf("[%d experiments on %d workers in %.2fs wall time]\n", len(results), *parallel, time.Since(start).Seconds())
+		fmt.Fprintf(os.Stderr, "[%d experiments on %d workers in %.2fs wall time]\n", len(results), *parallel, time.Since(start).Seconds())
 	}
 	if aud != nil {
 		if vs := aud.Violations(); len(vs) > 0 {

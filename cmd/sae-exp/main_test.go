@@ -5,6 +5,8 @@ import (
 	"os"
 	"strings"
 	"testing"
+
+	"sae/internal/exp"
 )
 
 // TestListExperiments also pins that the committed specs are listed from
@@ -55,5 +57,30 @@ func TestRunScenarioSweep(t *testing.T) {
 func TestScenarioMissingFile(t *testing.T) {
 	if err := run([]string{"-scenario", "no-such-file.yaml"}); err == nil {
 		t.Fatal("missing scenario file accepted")
+	}
+}
+
+// TestOutOfRangeFlags: a cluster without nodes used to panic in cluster.New
+// and a non-positive -scale silently ran the paper-size sweep; both are
+// one-line errors the binary exits 2 on.
+func TestOutOfRangeFlags(t *testing.T) {
+	for _, args := range [][]string{
+		{"-nodes", "0", "fig8"},
+		{"-nodes", "-1", "-scale", "0.01", "table2"},
+		{"-scale", "0", "fig8"},
+		{"-scale", "-1", "-list"},
+		{"-nodes", "0", "-scenario", "../../scenarios/terasort-crash.yaml"},
+	} {
+		err := run(args)
+		if err == nil {
+			t.Errorf("args %v accepted", args)
+			continue
+		}
+		if code := exp.ExitCode(err); code != 2 || strings.Contains(err.Error(), "\n") {
+			t.Errorf("args %v: exit code %d, error %q; want 2 and one line", args, code, err)
+		}
+	}
+	if code := exp.ExitCode(run([]string{"fig99"})); code != 1 {
+		t.Errorf("an unknown experiment exits %d, want 1", code)
 	}
 }

@@ -64,7 +64,7 @@ import (
 func main() {
 	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "sae-run:", err)
-		os.Exit(1)
+		os.Exit(exp.ExitCode(err))
 	}
 }
 
@@ -94,6 +94,10 @@ func run(args []string) (err error) {
 	exectrace := fs.String("exectrace", "", "write a Go execution trace to this file")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *scale <= 0 {
+		// The workloads read a non-positive scale as "unset": full size.
+		return fmt.Errorf("%w: -scale %v, want a positive factor", exp.ErrBadFlag, *scale)
 	}
 
 	stopProf, err := prof.Start(*cpuprofile, *memprofile, *exectrace)

@@ -4,9 +4,11 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strings"
 	"testing"
 
 	"sae/internal/engine"
+	"sae/internal/exp"
 )
 
 func TestRunSmallWorkload(t *testing.T) {
@@ -152,5 +154,30 @@ func TestRunPolicySpecNames(t *testing.T) {
 	})
 	if spec != flags {
 		t.Fatalf("-policy static:4 and -policy static -threads 4 differ:\n%s\n---\n%s", spec, flags)
+	}
+}
+
+// TestOutOfRangeFlags: a cluster without nodes used to panic in cluster.New
+// and a non-positive -scale silently ran the full-size job; both are one-line
+// errors the binary exits 2 on.
+func TestOutOfRangeFlags(t *testing.T) {
+	for _, args := range [][]string{
+		{"-nodes", "0"},
+		{"-nodes", "-1", "-scale", "0.01"},
+		{"-scale", "0"},
+		{"-scale", "-1", "-workload", "scan"},
+		{"-scenario", "../../scenarios/faults.yaml", "-nodes", "0"},
+	} {
+		err := run(args)
+		if err == nil {
+			t.Errorf("args %v accepted", args)
+			continue
+		}
+		if code := exp.ExitCode(err); code != 2 || strings.Contains(err.Error(), "\n") {
+			t.Errorf("args %v: exit code %d, error %q; want 2 and one line", args, code, err)
+		}
+	}
+	if code := exp.ExitCode(run([]string{"-workload", "nope"})); code != 1 {
+		t.Errorf("an unknown workload exits %d, want 1", code)
 	}
 }

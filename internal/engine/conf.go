@@ -86,10 +86,3 @@ func ApplyConfig(opts *Options, reg *conf.Registry) error {
 	}
 	return nil
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

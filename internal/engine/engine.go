@@ -146,7 +146,9 @@ type Engine struct {
 	shuffle   *shuffleRegistry
 	executors []*Executor
 	toDriver  *sim.Mailbox[driverMsg]
-	sink      *traceSink
+	// driverProc is the driver process, stepped by driver.Step.
+	driverProc sim.Proc
+	sink       *traceSink
 	// tel is the telemetry instrumentation (nil without Options.Metrics;
 	// every hook is nil-safe so the default path stays untouched).
 	tel *engineTelemetry
@@ -203,10 +205,18 @@ func (h *JobHandle) Report() (*JobReport, error) {
 	return h.js.report, nil
 }
 
+// ErrNoNodes is the error NewEngine wraps when Options.Cluster has fewer than
+// one node — a value a -nodes flag can carry, which the CLIs tell from a run
+// that failed.
+var ErrNoNodes = errors.New("engine: the cluster needs at least one node")
+
 // NewEngine assembles a fresh simulated cluster ready to accept jobs.
 func NewEngine(opts Options) (*Engine, error) {
 	if opts.Policy == nil {
 		return nil, errors.New("engine: Options.Policy is required")
+	}
+	if opts.Cluster.Nodes < 1 {
+		return nil, fmt.Errorf("%w, got %d", ErrNoNodes, opts.Cluster.Nodes)
 	}
 	if opts.JobPolicy == nil {
 		opts.JobPolicy = FIFO{}
@@ -308,7 +318,7 @@ func NewEngine(opts Options) (*Engine, error) {
 	for i, node := range e.cluster.Nodes() {
 		ex := newExecutor(e, i, node, opts.Policy)
 		e.executors = append(e.executors, ex)
-		ex.k.Go(fmt.Sprintf("executor-%d", i), ex.main)
+		ex.k.GoStepper(&ex.proc, fmt.Sprintf("executor-%d", i), ex)
 	}
 	// Executors and DFS datanodes are co-located 1:1, so a node's replicas
 	// are unreachable exactly when its executor process is dead or the node
@@ -455,27 +465,7 @@ func (e *Engine) Wait() error {
 			e.sched.assignAll()
 		})
 	}
-	e.k.Go("driver", func(p *sim.Proc) {
-		for e.completed < len(e.jobs) && e.fatal == nil {
-			msg := e.toDriver.Recv(p)
-			switch {
-			case msg.taskDone != nil:
-				e.sched.handleTaskDone(msg.taskDone)
-				e.dones.put(msg.taskDone, e.recycle)
-			case msg.threads != nil:
-				e.sched.handleThreads(msg.threads)
-			case msg.execLost != nil:
-				e.sched.handleExecLost(msg.execLost)
-			case msg.execJoin != nil:
-				e.sched.handleExecJoin(msg.execJoin)
-			case msg.heartbeat != nil:
-				e.sched.handleHeartbeat(msg.heartbeat)
-			}
-		}
-		// Housekeeping events (heartbeat tickers, interference streams) see
-		// done on their next firing and wind down, draining the queues.
-		e.done.Store(true)
-	})
+	e.k.GoStepper(&e.driverProc, "driver", (*driver)(e))
 	if e.opts.OnSetup != nil {
 		e.opts.OnSetup(e)
 	}
@@ -503,6 +493,38 @@ func (e *Engine) Wait() error {
 		e.aud.EndRun()
 	}
 	return e.sink.flushErr()
+}
+
+// driver is the Engine as the driver process's sim.Stepper.
+type driver Engine
+
+// Step handles the messages that have arrived at the driver and waits for the
+// next, until every job has finished or failed.
+func (d *driver) Step() {
+	e := (*Engine)(d)
+	for e.completed < len(e.jobs) && e.fatal == nil {
+		msg, ok := e.toDriver.TryRecv()
+		if !ok {
+			e.toDriver.StartRecv(&e.driverProc)
+			return
+		}
+		switch {
+		case msg.taskDone != nil:
+			e.sched.handleTaskDone(msg.taskDone)
+			e.dones.put(msg.taskDone, e.recycle)
+		case msg.threads != nil:
+			e.sched.handleThreads(msg.threads)
+		case msg.execLost != nil:
+			e.sched.handleExecLost(msg.execLost)
+		case msg.execJoin != nil:
+			e.sched.handleExecJoin(msg.execJoin)
+		case msg.heartbeat != nil:
+			e.sched.handleHeartbeat(msg.heartbeat)
+		}
+	}
+	// Housekeeping events (heartbeat tickers, interference streams) see
+	// done on their next firing and wind down, draining the queues.
+	e.done.Store(true)
 }
 
 // Run executes a single job on a fresh simulated cluster and returns its

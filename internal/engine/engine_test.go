@@ -24,6 +24,31 @@ func testOptions(nodes int, policy job.Policy) Options {
 	}
 }
 
+// opsThen is the custom Work of a test stage: every attempt performs ops in
+// order, then ends in what end returns for it (a nil end: in success).
+func opsThen(end func(tc job.TaskContext) error, ops ...job.Op) func(int) job.Ops {
+	return func(int) job.Ops { return &scriptedOps{ops: ops, end: end} }
+}
+
+type scriptedOps struct {
+	ops []job.Op
+	end func(job.TaskContext) error
+}
+
+func (s *scriptedOps) Next(tc job.TaskContext, _ int64) job.Op {
+	if len(s.ops) > 0 {
+		op := s.ops[0]
+		s.ops = s.ops[1:]
+		return op
+	}
+	if s.end != nil {
+		return job.Op{Err: s.end(tc)}
+	}
+	return job.Op{}
+}
+
+func computeOp(seconds float64) job.Op { return job.Op{Kind: job.OpCompute, Seconds: seconds} }
+
 func readJob(name string, size int64) *job.JobSpec {
 	return &job.JobSpec{
 		Name: name,
@@ -256,6 +281,18 @@ func TestMissingPolicy(t *testing.T) {
 	}
 }
 
+// TestClusterWithoutNodes: NewEngine answers a node count a flag can carry
+// with ErrNoNodes, not with cluster.New's programmer-error panic.
+func TestClusterWithoutNodes(t *testing.T) {
+	for _, nodes := range []int{0, -1} {
+		opts := testOptions(2, core.Default{})
+		opts.Cluster.Nodes = nodes
+		if _, err := NewEngine(opts); !errors.Is(err, ErrNoNodes) {
+			t.Errorf("%d nodes: err = %v, want ErrNoNodes", nodes, err)
+		}
+	}
+}
+
 func TestMissingInputFile(t *testing.T) {
 	opts := testOptions(2, core.Default{})
 	spec := readJob("missing", 1)
@@ -272,15 +309,12 @@ func TestWorkError(t *testing.T) {
 		Name: "err",
 		Stages: []*job.StageSpec{{
 			ID: 0, Name: "x", NumTasks: 4,
-			Work: func(task int) job.Work {
-				return job.WorkFunc(func(tc job.TaskContext) error {
-					if task == 2 {
-						return boom
-					}
-					tc.Compute(0.1)
-					return nil
-				})
-			},
+			Work: opsThen(func(tc job.TaskContext) error {
+				if tc.Index() == 2 {
+					return boom
+				}
+				return nil
+			}, computeOp(0.1)),
 		}},
 	}
 	_, err := Run(opts, spec)
@@ -293,19 +327,15 @@ func TestCustomWorkClosure(t *testing.T) {
 	opts := testOptions(2, core.Default{})
 	opts.Inputs = []Input{{Name: "in", Size: 4 * 64 * device.MiB}}
 	var mu int
+	read16 := job.Op{Kind: job.OpReadInput, Bytes: 16 * device.MiB}
 	spec := &job.JobSpec{
 		Name: "closure",
 		Stages: []*job.StageSpec{{
 			ID: 0, Name: "custom", InputFile: "in",
-			Work: func(task int) job.Work {
-				return job.WorkFunc(func(tc job.TaskContext) error {
-					for tc.ReadInput(16*device.MiB) > 0 {
-						tc.Compute(0.05)
-					}
-					mu++
-					return nil
-				})
-			},
+			// One 64 MiB block per task: four chunks, and the read that
+			// finds the input exhausted.
+			Work: opsThen(func(job.TaskContext) error { mu++; return nil },
+				read16, computeOp(0.05), read16, computeOp(0.05), read16, computeOp(0.05), read16, computeOp(0.05), read16),
 		}},
 	}
 	rep, err := Run(opts, spec)
@@ -364,17 +394,14 @@ func TestTaskRetrySucceeds(t *testing.T) {
 		Name: "flaky",
 		Stages: []*job.StageSpec{{
 			ID: 0, Name: "x", NumTasks: 8,
-			Work: func(task int) job.Work {
-				return job.WorkFunc(func(tc job.TaskContext) error {
-					tc.Compute(0.1)
-					// Every odd task fails on its first two attempts.
-					if task%2 == 1 && failures[task] < 2 {
-						failures[task]++
-						return errors.New("transient")
-					}
-					return nil
-				})
-			},
+			Work: opsThen(func(tc job.TaskContext) error {
+				// Every odd task fails on its first two attempts.
+				if task := tc.Index(); task%2 == 1 && failures[task] < 2 {
+					failures[task]++
+					return errors.New("transient")
+				}
+				return nil
+			}, computeOp(0.1)),
 		}},
 	}
 	rep, err := Run(opts, spec)
@@ -400,15 +427,12 @@ func TestTaskRetryExhausted(t *testing.T) {
 		Name: "doomed",
 		Stages: []*job.StageSpec{{
 			ID: 0, Name: "x", NumTasks: 4,
-			Work: func(task int) job.Work {
-				return job.WorkFunc(func(tc job.TaskContext) error {
-					tc.Compute(0.01)
-					if task == 2 {
-						return errors.New("permanent")
-					}
-					return nil
-				})
-			},
+			Work: opsThen(func(tc job.TaskContext) error {
+				if tc.Index() == 2 {
+					return errors.New("permanent")
+				}
+				return nil
+			}, computeOp(0.01)),
 		}},
 	}
 	_, err := Run(opts, spec)
@@ -430,17 +454,13 @@ func TestFailedAttemptsDoNotFeedController(t *testing.T) {
 		Name: "flaky-dyn",
 		Stages: []*job.StageSpec{{
 			ID: 0, Name: "x", NumTasks: 40,
-			Work: func(task int) job.Work {
-				return job.WorkFunc(func(tc job.TaskContext) error {
-					tc.Compute(0.05)
-					tc.WriteShuffle(1 << 20)
-					if task == 0 && tries < 1 {
-						tries++
-						return errors.New("once")
-					}
-					return nil
-				})
-			},
+			Work: opsThen(func(tc job.TaskContext) error {
+				if tc.Index() == 0 && tries < 1 {
+					tries++
+					return errors.New("once")
+				}
+				return nil
+			}, computeOp(0.05), job.Op{Kind: job.OpWriteShuffle, Bytes: 1 << 20}),
 			ShuffleWriteBytes: 40 << 20,
 		}},
 	}
@@ -634,12 +654,7 @@ func TestPoolShrinkQueuesLocally(t *testing.T) {
 		Name: "shrink",
 		Stages: []*job.StageSpec{{
 			ID: 0, Name: "x", NumTasks: 24,
-			Work: func(task int) job.Work {
-				return job.WorkFunc(func(tc job.TaskContext) error {
-					tc.Compute(1)
-					return nil
-				})
-			},
+			Work: opsThen(nil, computeOp(1)),
 		}},
 	}
 	rep, err := Run(opts, spec)

@@ -45,6 +45,7 @@ type Executor struct {
 	policy job.Policy
 
 	inbox *sim.Mailbox[execMsg]
+	proc  sim.Proc // the control loop process (Step)
 
 	// active holds one controller per active (job, stage) with its current
 	// choice, sorted by (job, stage) for deterministic iteration.
@@ -276,10 +277,15 @@ func (ex *Executor) jobDecisions(jobID int) []job.Decision {
 	return out
 }
 
-// main is the executor's control loop process.
-func (ex *Executor) main(p *sim.Proc) {
+// Step implements sim.Stepper, the executor's control loop process: it handles
+// the messages that have arrived and waits for the next.
+func (ex *Executor) Step() {
 	for {
-		msg := ex.inbox.Recv(p)
+		msg, ok := ex.inbox.TryRecv()
+		if !ok {
+			ex.inbox.StartRecv(&ex.proc)
+			return
+		}
 		switch {
 		case msg.stageStart != nil:
 			if !ex.alive {
@@ -440,9 +446,8 @@ func (ex *Executor) setLimit(n, stage int) {
 	ex.threadLog = append(ex.threadLog, ThreadChange{At: ex.k.Now(), Stage: stage, Threads: n})
 }
 
-// start launches one task as its own process: a stackless one stepping the
-// analytic cost loop, unless the stage brings custom Work, whose blocking
-// TaskContext calls need a coroutine to park.
+// start launches one task as its own stackless process, stepping the stage's
+// custom Work if it brings one and the analytic cost loop otherwise.
 func (ex *Executor) start(lm *launchMsg) {
 	ex.running++
 	tc := ex.freeTasks
@@ -457,20 +462,12 @@ func (ex *Executor) start(lm *launchMsg) {
 		tm: job.TaskMetrics{Stage: lm.stage.ID, Index: lm.index, Local: true},
 	}
 	ex.eng.launches.put(lm, ex.eng.recycle) // the context holds the copy
-	if tc.stage.Work == nil {
-		tc.p = &tc.proc
+	if tc.stage.Work != nil {
+		tc.work = tc.stage.Work(tc.index)
+	} else {
 		tc.plan.Begin(tc)
-		ex.k.GoStepper(tc.p, "task", tc)
-		return
 	}
-	ex.k.Go("task", func(p *sim.Proc) {
-		tc.p = p
-		work := tc.stage.Work(tc.index)
-		for tc.advance() { // the launch
-			p.Park()
-		}
-		tc.finish(work.Execute(tc))
-	})
+	ex.k.GoStepper(&tc.proc, "task", tc)
 }
 
 // taskDone ends one task, on the task's own process: the context goes back

@@ -199,15 +199,12 @@ func TestBlacklistAfterRepeatedFailures(t *testing.T) {
 		Name: "badexec",
 		Stages: []*job.StageSpec{{
 			ID: 0, Name: "x", NumTasks: 16,
-			Work: func(task int) job.Work {
-				return job.WorkFunc(func(tc job.TaskContext) error {
-					tc.Compute(0.05)
-					if tc.Executor() == 0 {
-						return errTestBroken
-					}
-					return nil
-				})
-			},
+			Work: opsThen(func(tc job.TaskContext) error {
+				if tc.Executor() == 0 {
+					return errTestBroken
+				}
+				return nil
+			}, computeOp(0.05)),
 		}},
 	}
 	rep, err := Run(opts, spec)

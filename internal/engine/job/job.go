@@ -2,9 +2,10 @@
 // the sizing-policy contract between executors and the adaptive core. A job
 // is a linear-or-DAG sequence of stages; each stage fans out into tasks that
 // read input (DFS splits or upstream shuffle output), compute, and write
-// (shuffle or DFS output). Task work is either *analytic* (cost-bearing byte
-// and CPU budgets, used for paper-scale experiments) or a real closure
-// supplied by the RDD layer.
+// (shuffle or DFS output). A task's work is a sequence of operations (Op) on
+// the simulated devices: the *analytic* sequence derived from the stage's byte
+// and CPU budgets (AnalyticOps, used for paper-scale experiments), or one the
+// RDD layer generates while it runs the stage's real Go computation (Ops).
 package job
 
 import (
@@ -74,9 +75,10 @@ type StageSpec struct {
 	// could see (limitation L2, observed on the paper's SQL workloads).
 	SQLSink bool
 
-	// Work, if non-nil, supplies real task work (RDD layer); otherwise
-	// the executor runs the analytic cost model above.
-	Work func(task int) Work
+	// Work, if non-nil, returns the operation generator of one task (RDD
+	// layer), called once per attempt; otherwise the task performs
+	// AnalyticOps, the analytic cost model above.
+	Work func(task int) Ops
 }
 
 // IOMarked reports whether the static solution considers this stage
@@ -143,8 +145,8 @@ func (j *JobSpec) Validate() error {
 	return nil
 }
 
-// TaskContext is the executor-provided environment a task's Work runs in.
-// All methods charge the owning node's simulated devices and account ε/µ.
+// TaskContext is the executor-provided view of a running task that its
+// operation generator plans from.
 type TaskContext interface {
 	// Node returns the ID of the node the task runs on.
 	Node() int
@@ -157,19 +159,6 @@ type TaskContext interface {
 	// InputBytes returns the total input volume assigned to this task
 	// (DFS split size plus pending shuffle fetch).
 	InputBytes() int64
-	// ReadInput consumes up to max bytes of the task's remaining input,
-	// blocking for disk/network time. It returns the bytes actually
-	// read; 0 means the input is exhausted.
-	ReadInput(max int64) int64
-	// Compute burns seconds of single-core CPU time.
-	Compute(seconds float64)
-	// WriteShuffle spills bytes of map output to the local disk.
-	WriteShuffle(bytes int64)
-	// WriteOutput writes bytes to the stage's DFS output file.
-	WriteOutput(bytes int64)
-	// Spill writes bytes of temporary data to the local disk and merges
-	// them back (write + read), modelling buffer spills.
-	Spill(bytes int64)
 	// Concurrency returns the number of tasks currently running on the
 	// owning executor (including this one).
 	Concurrency() int
@@ -177,89 +166,67 @@ type TaskContext interface {
 	VirtualCores() int
 }
 
-// Work is a unit of task execution.
-type Work interface {
-	Execute(tc TaskContext) error
+// Ops generates one task's operations. The executor calls Next, performs the
+// operation it returns on the owning node's simulated devices — the task waits
+// in virtual time, ε and µ are accounted — and calls Next again with the
+// result, until OpDone. Whatever real computation the task does happens
+// inside Next, between two operations.
+type Ops interface {
+	// Next returns the task's next operation. got is the result of the one
+	// Next returned before: the bytes an OpReadInput actually read, 0 for
+	// the other kinds and on the first call.
+	Next(tc TaskContext, got int64) Op
 }
-
-// WorkFunc adapts a function to Work.
-type WorkFunc func(tc TaskContext) error
-
-// Execute implements Work.
-func (f WorkFunc) Execute(tc TaskContext) error { return f(tc) }
 
 // ChunkBytes is the granularity at which the analytic cost model interleaves
 // I/O and compute — roughly a Spark task's buffer/spill unit.
 const ChunkBytes = 32 << 20
 
-// AnalyticWork runs a task from its stage's cost parameters: input is read
-// in chunks with compute interleaved proportionally, and shuffle/DFS output
-// written likewise. This reproduces the alternating CPU↔I/O pattern that
-// makes thread-count tuning matter: too few threads leave the disk idle
-// during compute phases, too many thrash it. The loop itself is AnalyticOps;
-// Execute drives it with blocking TaskContext calls, and the engine drives
-// the same sequence without a stack for stages that set no Work.
-type AnalyticWork struct{}
-
-// Execute implements Work.
-func (AnalyticWork) Execute(tc TaskContext) error {
-	var a AnalyticOps
-	a.Begin(tc)
-	for op := a.Next(tc, 0); op.Kind != OpDone; {
-		op = a.Next(tc, op.Do(tc))
-	}
-	return nil
-}
-
-// OpKind names one blocking TaskContext call.
+// OpKind names one kind of device work a task waits for.
 type OpKind uint8
 
-// The calls of the analytic cost loop, in their order within a chunk.
+// The operations, in the order the analytic cost loop issues them within a
+// chunk.
 const (
+	// OpDone ends the task.
 	OpDone OpKind = iota
+	// OpReadInput consumes up to Bytes of the task's remaining input — its
+	// DFS split, then its shuffle fetch plan. Its result is the bytes
+	// actually read; 0 means the input is exhausted.
 	OpReadInput
+	// OpCompute burns Seconds of single-core CPU time.
 	OpCompute
+	// OpSpill writes Bytes of temporary data to the local disk and merges
+	// them back (write + read), modelling buffer spills.
 	OpSpill
+	// OpWriteShuffle spills Bytes of map output to the local disk.
 	OpWriteShuffle
+	// OpWriteOutput writes Bytes to the stage's DFS output file.
 	OpWriteOutput
 )
 
-// Op is one blocking TaskContext call with its argument: Seconds for
-// OpCompute, Bytes for the others.
+// Op is one operation with its argument: Seconds for OpCompute, Bytes for the
+// others. Err, on an OpDone, fails the attempt with that error.
 type Op struct {
 	Kind    OpKind
 	Bytes   int64
 	Seconds float64
+	Err     error
 }
 
-// Do performs op on tc, blocking, and returns what ReadInput returned (0 for
-// the other kinds).
-func (op Op) Do(tc TaskContext) int64 {
-	switch op.Kind {
-	case OpReadInput:
-		return tc.ReadInput(op.Bytes)
-	case OpCompute:
-		tc.Compute(op.Seconds)
-	case OpSpill:
-		tc.Spill(op.Bytes)
-	case OpWriteShuffle:
-		tc.WriteShuffle(op.Bytes)
-	case OpWriteOutput:
-		tc.WriteOutput(op.Bytes)
-	}
-	return 0
-}
-
-// AnalyticOps is the analytic cost loop as a sequence of operations: per
-// chunk, read a share of the input, compute, spill what the executor's
-// concurrency at that moment forces out of memory, and write the chunk's
-// shares of shuffle and DFS output. The zero value is ready for Begin.
+// AnalyticOps is the analytic cost loop, a task planned from its stage's cost
+// parameters: per chunk, read a share of the input, compute, spill what the
+// executor's concurrency at that moment forces out of memory, and write the
+// chunk's shares of shuffle and DFS output. This reproduces the alternating
+// CPU↔I/O pattern that makes thread-count tuning matter: too few threads leave
+// the disk idle during compute phases, too many thrash it. The zero value is
+// ready for Begin.
 type AnalyticOps struct {
 	in, shuffleOut, fileOut int64
 	chunks, chunk           int
 	cpuPer                  float64
 	// next is the operation Next returns next; got is what the chunk's
-	// ReadInput returned, which sizes its spill.
+	// OpReadInput read, which sizes its spill.
 	next OpKind
 	got  int64
 }

@@ -5,7 +5,7 @@ import (
 	"testing/quick"
 )
 
-// fakeContext records the calls AnalyticWork makes.
+// fakeContext performs the operations AnalyticOps yields, on counters.
 type fakeContext struct {
 	stage       *StageSpec
 	index       int
@@ -21,31 +21,44 @@ type fakeContext struct {
 
 var _ TaskContext = (*fakeContext)(nil)
 
-func (f *fakeContext) Node() int            { return 0 }
-func (f *fakeContext) Executor() int        { return 0 }
-func (f *fakeContext) Stage() *StageSpec    { return f.stage }
-func (f *fakeContext) Index() int           { return f.index }
-func (f *fakeContext) InputBytes() int64    { return f.input }
-func (f *fakeContext) Compute(sec float64)  { f.cpu += sec }
-func (f *fakeContext) WriteShuffle(b int64) { f.shuffle += b }
-func (f *fakeContext) WriteOutput(b int64)  { f.output += b }
-func (f *fakeContext) Spill(b int64)        { f.spilled += b }
-func (f *fakeContext) Concurrency() int     { return f.concurrency }
-func (f *fakeContext) VirtualCores() int    { return f.vcores }
-func (f *fakeContext) ReadInput(m int64) int64 {
-	n := f.input - f.consumed
-	if n > m {
-		n = m
+func (f *fakeContext) Node() int         { return 0 }
+func (f *fakeContext) Executor() int     { return 0 }
+func (f *fakeContext) Stage() *StageSpec { return f.stage }
+func (f *fakeContext) Index() int        { return f.index }
+func (f *fakeContext) InputBytes() int64 { return f.input }
+func (f *fakeContext) Concurrency() int  { return f.concurrency }
+func (f *fakeContext) VirtualCores() int { return f.vcores }
+
+// do performs op and returns its result: the bytes an OpReadInput read.
+func (f *fakeContext) do(op Op) int64 {
+	switch op.Kind {
+	case OpReadInput:
+		n := min(f.input-f.consumed, op.Bytes)
+		f.consumed += n
+		return n
+	case OpCompute:
+		f.cpu += op.Seconds
+	case OpSpill:
+		f.spilled += op.Bytes
+	case OpWriteShuffle:
+		f.shuffle += op.Bytes
+	case OpWriteOutput:
+		f.output += op.Bytes
 	}
-	f.consumed += n
-	return n
+	return 0
 }
 
 func runAnalytic(t *testing.T, s *StageSpec, idx int, input int64, conc, vcores int) *fakeContext {
 	t.Helper()
 	fc := &fakeContext{stage: s, index: idx, input: input, concurrency: conc, vcores: vcores}
-	if err := (AnalyticWork{}).Execute(fc); err != nil {
-		t.Fatal(err)
+	var a AnalyticOps
+	a.Begin(fc)
+	op := a.Next(fc, 0)
+	for op.Kind != OpDone {
+		op = a.Next(fc, fc.do(op))
+	}
+	if op.Err != nil {
+		t.Fatal(op.Err)
 	}
 	return fc
 }
@@ -174,13 +187,5 @@ func TestTaskMetricsDuration(t *testing.T) {
 	tm := TaskMetrics{Start: 5e9, End: 7e9}
 	if tm.Duration() != 2e9 {
 		t.Fatalf("duration = %v", tm.Duration())
-	}
-}
-
-func TestWorkFuncAdapter(t *testing.T) {
-	called := false
-	w := WorkFunc(func(TaskContext) error { called = true; return nil })
-	if err := w.Execute(nil); err != nil || !called {
-		t.Fatal("WorkFunc did not delegate")
 	}
 }

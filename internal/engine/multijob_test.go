@@ -296,12 +296,7 @@ func TestJobFailureIsolated(t *testing.T) {
 		Name: "bad",
 		Stages: []*job.StageSpec{{
 			ID: 0, Name: "explode", NumTasks: 8,
-			Work: func(task int) job.Work {
-				return job.WorkFunc(func(tc job.TaskContext) error {
-					tc.Compute(0.05)
-					return fmt.Errorf("boom")
-				})
-			},
+			Work: opsThen(func(job.TaskContext) error { return fmt.Errorf("boom") }, computeOp(0.05)),
 		}},
 	}
 	opts := testOptions(4, core.Default{})

@@ -113,7 +113,7 @@ func windowsEligible(o *Options) bool {
 
 // checkShardable is the jobs half of the rule: shuffle output, shuffle input
 // and DFS output all reach across nodes from task context (fetches, registry
-// updates, output writes), and a Work callback runs caller code there, so a
+// updates, output writes), and a Work generator runs caller code there, so a
 // sharded engine takes none of them.
 func checkShardable(spec *job.JobSpec) error {
 	for _, st := range spec.Stages {

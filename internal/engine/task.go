@@ -10,9 +10,9 @@ import (
 	"sae/internal/sim"
 )
 
-// taskContext implements job.TaskContext: it executes one task's I/O and
-// compute against the owning node's simulated devices and accounts the
-// monitor's raw inputs.
+// taskContext is one running task: it carries the task's operations out
+// against the owning node's simulated devices and accounts the monitor's raw
+// inputs. To the task's operation generator it is the job.TaskContext.
 //
 // ε accounting: each disk operation contributes its elapsed time scaled by
 // the device's contention factor at issue (device.DiskSpec.Overload). At or
@@ -30,28 +30,25 @@ import (
 // and fetch failures; stale fetch plans against lost map output abort with
 // fetchFailedError, the driver's lineage-recovery signal.
 //
-// Every blocking call — the job.TaskContext methods and the task launch — is
-// an operation: a chain of steps, each running from one device wait to the
-// next (advance). Two drivers run them. A stage with custom Work runs its
-// task on a coroutine, and each TaskContext method parks it between steps
-// (block). Any other stage's task is a stackless sim process, the context
-// itself its sim.Stepper: Step takes the operations from job.AnalyticOps —
-// the sequence job.AnalyticWork performs through the methods — and returns
-// to the kernel loop where the coroutine would park. Either way a step reads
-// what it depends on (the executor's epoch and concurrency, partition
-// windows, the shuffle registry, replica health) when it runs, never ahead,
-// so the two drivers produce the same events in the same order.
+// The task is a stackless sim process, the context itself its sim.Stepper.
+// Everything it waits for — the launch, then each job.Op its generator yields:
+// job.AnalyticOps, or the stage's custom Work — is an operation: a chain of
+// steps, each running from one device wait to the next (advance). Step carries
+// the operations out one after another and returns to the kernel loop at every
+// wait. A step reads what it depends on (the executor's epoch and concurrency,
+// partition windows, the shuffle registry, replica health) when it runs, never
+// ahead.
 //
 // Contexts are recycled through the owning executor's free list when the
 // task — zombie or not — completes; until then the state is the task's own.
 type taskContext struct {
 	eng *Engine
 	ex  *Executor
-	// p is the process the task's waits wake: the coroutine process of a
-	// custom-Work task, &proc — stepped by Step — otherwise.
-	p    *sim.Proc
+	// proc is the process the task's waits wake. Its operations come from
+	// work, the stage's custom generator, or — work nil — from plan.
 	proc sim.Proc
 	plan job.AnalyticOps
+	work job.Ops
 	free *taskContext // the executor's free-list link
 
 	// The assignment: epoch is the executor incarnation that launched this
@@ -76,7 +73,7 @@ type taskContext struct {
 	fetchFault bool
 
 	// The operation in flight. do is its next step, nil once it is over;
-	// arg and seconds are its argument, read its result (ReadInput's bytes
+	// arg and seconds are its argument, read its result (OpReadInput's bytes
 	// so far, of budget arg).
 	do      func(*taskContext) (parked bool)
 	arg     int64
@@ -90,7 +87,7 @@ type taskContext struct {
 	// counts fetchReady's attempts at segments[0].
 	bad map[int]bool
 	try int
-	out *dfs.File // WriteOutput's file, between its two halves
+	out *dfs.File // OpWriteOutput's file, between its two halves
 	// ov and t0 are the contention factor and the instant at which the disk
 	// wait in flight was issued; advance settles its ε at the next resume.
 	ov float64
@@ -131,14 +128,14 @@ func (tc *taskContext) aborted() bool {
 
 // advance runs the operation in flight up to its next wait and reports
 // whether there is one: true means the task is queued on a device (or a
-// timer) that will wake tc.p, and must not run until then; false means the
+// timer) that will wake tc.proc, and Step must return; false means the
 // operation is over. A step that names no successor in do is the last.
 func (tc *taskContext) advance() (parked bool) {
 	for {
 		if tc.ov != 0 {
 			// The disk wait just over contributes its elapsed time, scaled
 			// by the contention factor at issue, to ε.
-			tc.tm.BlockedIO += time.Duration(float64(tc.p.Now()-tc.t0) * tc.ov)
+			tc.tm.BlockedIO += time.Duration(float64(tc.proc.Now()-tc.t0) * tc.ov)
 			tc.ov = 0
 		}
 		step := tc.do
@@ -169,60 +166,23 @@ var firstStep = [...]func(*taskContext) bool{
 	job.OpWriteOutput:  (*taskContext).writeOutput,
 }
 
-// block carries op out on the task's coroutine, parking it through every
-// wait: the custom-Work driver.
-func (tc *taskContext) block(op job.Op) int64 {
-	tc.issue(op)
-	for tc.advance() {
-		tc.p.Park()
-	}
-	return tc.read
-}
-
-// Step implements sim.Stepper, the stackless driver: it carries the analytic
-// cost loop's operations out one after another, returning to the kernel loop
-// at every wait, and finishes the task after the last.
+// Step implements sim.Stepper: it carries the generator's operations out one
+// after another, returning to the kernel loop at every wait, and finishes the
+// task after the last.
 func (tc *taskContext) Step() {
 	for !tc.advance() {
-		op := tc.plan.Next(tc, tc.read)
+		var op job.Op
+		if tc.work != nil {
+			op = tc.work.Next(tc, tc.read)
+		} else {
+			op = tc.plan.Next(tc, tc.read)
+		}
 		if op.Kind == job.OpDone {
-			tc.finish(nil)
+			tc.finish(op.Err)
 			return // tc is back on the free list, perhaps already relaunched
 		}
 		tc.issue(op)
 	}
-}
-
-// ReadInput implements job.TaskContext: consume up to max bytes of the
-// task's DFS split, then of its shuffle fetch plan.
-func (tc *taskContext) ReadInput(max int64) int64 {
-	return tc.block(job.Op{Kind: job.OpReadInput, Bytes: max})
-}
-
-// Compute implements job.TaskContext. Memory pressure inflates the charge
-// with the executor's current concurrency (see job.StageSpec.MemPressure).
-func (tc *taskContext) Compute(seconds float64) {
-	tc.block(job.Op{Kind: job.OpCompute, Seconds: seconds})
-}
-
-// WriteShuffle implements job.TaskContext: spill map output to local disk.
-func (tc *taskContext) WriteShuffle(bytes int64) {
-	tc.block(job.Op{Kind: job.OpWriteShuffle, Bytes: bytes})
-}
-
-// WriteOutput implements job.TaskContext: write DFS output.
-func (tc *taskContext) WriteOutput(bytes int64) {
-	tc.block(job.Op{Kind: job.OpWriteOutput, Bytes: bytes})
-}
-
-// Spill implements job.TaskContext: write temporary data to local disk and
-// merge it back. Spill traffic occupies the device and blocks the task, but
-// is deliberately NOT counted in bytesMoved: the monitor's µ is built from
-// task input/output metrics (as in Spark's metric system), and counting
-// work amplification as goodput would reward exactly the contention the
-// controller exists to avoid.
-func (tc *taskContext) Spill(bytes int64) {
-	tc.block(job.Op{Kind: job.OpSpill, Bytes: bytes})
 }
 
 // startDisk queues a read or write of bytes on node's disk, noting what the
@@ -230,13 +190,13 @@ func (tc *taskContext) Spill(bytes int64) {
 // now parked; an empty request queues nothing.
 func (tc *taskContext) startDisk(node int, bytes int64, write bool) bool {
 	d := tc.eng.cluster.Node(node).Disk
-	tc.ov, tc.t0 = d.OverloadAhead(), tc.p.Now()
+	tc.ov, tc.t0 = d.OverloadAhead(), tc.proc.Now()
 	if write {
 		tc.tm.DiskWriteBytes += bytes
-		return d.StartWrite(tc.p, bytes)
+		return d.StartWrite(&tc.proc, bytes)
 	}
 	tc.tm.DiskReadBytes += bytes
-	return d.StartRead(tc.p, bytes)
+	return d.StartRead(&tc.proc, bytes)
 }
 
 // pull reads bytes from src's disk and, when src is another node, moves them
@@ -253,10 +213,11 @@ func (tc *taskContext) pulled() bool {
 		return false
 	}
 	tc.tm.NetBytes += tc.n
-	return tc.eng.cluster.StartTransfer(tc.p, tc.src, tc.ex.node.ID, tc.n)
+	return tc.eng.cluster.StartTransfer(&tc.proc, tc.src, tc.ex.node.ID, tc.n)
 }
 
-// nextBlock is the head of ReadInput's loop over the task's DFS blocks.
+// nextBlock is the head of OpReadInput's loop over the task's DFS blocks: the
+// split first, then the shuffle fetch plan.
 func (tc *taskContext) nextBlock() bool {
 	switch {
 	case tc.read >= tc.arg || len(tc.blocks) == 0 || tc.aborted():
@@ -334,7 +295,7 @@ func (tc *taskContext) gotBlock() bool {
 	return tc.nextBlock()
 }
 
-// nextSegment is the head of ReadInput's loop over the shuffle fetch plan,
+// nextSegment is the head of OpReadInput's loop over the shuffle fetch plan,
 // which follows the blocks.
 func (tc *taskContext) nextSegment() bool {
 	switch {
@@ -391,7 +352,7 @@ func (tc *taskContext) fetchReady() bool {
 	}
 	tc.tm.FetchRetries++
 	tc.try, tc.do = try+1, (*taskContext).fetchReady
-	tc.p.WakeAfter(e.opts.FetchRetryWait << try)
+	tc.proc.WakeAfter(e.opts.FetchRetryWait << try)
 	return true
 }
 
@@ -415,7 +376,7 @@ func (tc *taskContext) gotSegment() bool {
 	return tc.nextSegment()
 }
 
-// readDone ends ReadInput, successful or not.
+// readDone ends OpReadInput, successful or not.
 func (tc *taskContext) readDone() bool {
 	tc.tm.BytesMoved += tc.read
 	return false
@@ -432,6 +393,8 @@ func (tc *taskContext) injectFault(pendingRead int64) bool {
 	return true
 }
 
+// compute is OpCompute. Memory pressure inflates the charge with the
+// executor's current concurrency (see job.StageSpec.MemPressure).
 func (tc *taskContext) compute() bool {
 	seconds := tc.seconds
 	if mp := tc.stage.MemPressure; mp > 0 {
@@ -440,7 +403,7 @@ func (tc *taskContext) compute() bool {
 			seconds *= 1 + mp*float64(tc.ex.running-1)/float64(vcores-1)
 		}
 	}
-	return tc.ex.node.CPU.StartCompute(tc.p, seconds)
+	return tc.ex.node.CPU.StartCompute(&tc.proc, seconds)
 }
 
 func (tc *taskContext) writeShuffle() bool {
@@ -453,9 +416,9 @@ func (tc *taskContext) writeOutput() bool {
 	if tc.stage.OutputFile == "" {
 		return false
 	}
-	tc.ov, tc.t0 = tc.ex.node.Disk.OverloadAhead(), tc.p.Now()
+	tc.ov, tc.t0 = tc.ex.node.Disk.OverloadAhead(), tc.proc.Now()
 	var parked bool
-	tc.out, parked = tc.eng.fs.StartWrite(tc.p, tc.ex.node.ID, tc.stage.OutputFile, tc.arg)
+	tc.out, parked = tc.eng.fs.StartWrite(&tc.proc, tc.ex.node.ID, tc.stage.OutputFile, tc.arg)
 	tc.do = (*taskContext).wroteOutput
 	return parked
 }
@@ -469,6 +432,11 @@ func (tc *taskContext) wroteOutput() bool {
 	return false
 }
 
+// spill is OpSpill. Spill traffic occupies the device and blocks the task, but
+// is deliberately NOT counted in bytesMoved: the monitor's µ is built from
+// task input/output metrics (as in Spark's metric system), and counting
+// work amplification as goodput would reward exactly the contention the
+// controller exists to avoid.
 func (tc *taskContext) spill() bool {
 	tc.do = (*taskContext).mergeSpill
 	return tc.startDisk(tc.ex.node.ID, tc.arg, true)
@@ -482,7 +450,7 @@ func (tc *taskContext) mergeSpill() bool {
 // injected faults and burns the launch overhead — deserialization and setup
 // cost a little CPU, as in Spark.
 func (tc *taskContext) launch() bool {
-	tc.tm.Start = tc.p.Now()
+	tc.tm.Start = tc.proc.Now()
 	tc.disk0 = tc.ex.node.Disk.Snapshot()
 	if f := tc.eng.opts.Faults; f != nil {
 		budget := tc.eng.opts.TaskMaxFailures - 1
@@ -497,9 +465,9 @@ func (tc *taskContext) launch() bool {
 	return false
 }
 
-// finish ends the task once its work has returned err: it registers the map
-// output, completes the report and hands tc to the executor, which recycles
-// it.
+// finish ends the task — in err, if its generator ended it in one: it
+// registers the map output, completes the report and hands tc to the executor,
+// which recycles it.
 func (tc *taskContext) finish(err error) {
 	if err == nil {
 		err = tc.failed
@@ -514,7 +482,7 @@ func (tc *taskContext) finish(err error) {
 	if win := (disk1.At - tc.disk0.At).Seconds(); win > 0 {
 		tc.tm.DiskBusyFrac = (disk1.Busy - tc.disk0.Busy).Seconds() / win
 	}
-	tc.tm.End = tc.p.Now()
+	tc.tm.End = tc.proc.Now()
 	tc.eng.releasePlan(tc.fetchBuf)
 	tc.ex.taskDone(tc, err)
 }

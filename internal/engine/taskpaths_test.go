@@ -3,6 +3,7 @@ package engine
 import (
 	"bytes"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -12,24 +13,39 @@ import (
 	"sae/internal/engine/job"
 )
 
-// TestTaskPathsAgree holds the two task drivers to each other: a stage with
-// no Work runs its tasks as stackless processes stepping job.AnalyticOps,
-// and the same stage with Work = job.AnalyticWork{} runs the same operations
-// through the blocking job.TaskContext methods on a coroutine. Both must
-// write the same trace bytes and the same report under fault mixes that
-// visit every resumable phase of an operation — replica failover, fetch
-// backoff, an injected I/O fault mid-read and a zombie's fast-forward — which
-// the counters below prove were visited. (A sharded engine refuses custom
-// Work, so stackless tasks on shard kernels are covered by the shard
+// replayOps is a custom generator that yields the analytic cost loop.
+type replayOps struct {
+	plan  job.AnalyticOps
+	begun bool
+}
+
+func (r *replayOps) Next(tc job.TaskContext, got int64) job.Op {
+	if !r.begun {
+		r.begun = true
+		r.plan.Begin(tc)
+	}
+	return r.plan.Next(tc, got)
+}
+
+// TestTaskPathsAgree holds the two sources of a task's operations to each
+// other: a stage with no Work steps the job.AnalyticOps its context embeds,
+// and the same stage with a custom Work that replays job.AnalyticOps takes
+// every operation through the job.Ops hook. Both must write the same trace
+// bytes and the same report under fault mixes that visit every resumable
+// phase of an operation — replica failover, fetch backoff, an injected I/O
+// fault mid-read and a zombie's fast-forward — which the counters below prove
+// were visited: the hook perturbs nothing, and what a generator yields is all
+// that distinguishes a custom stage from a built-in one. (A sharded engine
+// refuses custom Work, so tasks on shard kernels are covered by the shard
 // equivalence tests instead.)
 func TestTaskPathsAgree(t *testing.T) {
 	type visited struct{ failovers, fetchRetries, ioFaults, zombies int }
-	run := func(t *testing.T, coroutine bool, mix func(*Options, *job.JobSpec)) ([]byte, *JobReport, visited) {
+	run := func(t *testing.T, custom bool, mix func(*Options, *job.JobSpec)) ([]byte, *JobReport, visited) {
 		t.Helper()
 		spec, inputs := twoStageJob()
-		if coroutine {
+		if custom {
 			for _, st := range spec.Stages {
-				st.Work = func(int) job.Work { return job.AnalyticWork{} }
+				st.Work = func(int) job.Ops { return new(replayOps) }
 			}
 		}
 		var trace bytes.Buffer
@@ -102,22 +118,22 @@ func TestTaskPathsAgree(t *testing.T) {
 	var total visited
 	for _, m := range mixes {
 		t.Run(m.name, func(t *testing.T) {
-			traceS, repS, v := run(t, false, m.mix)
+			traceB, repB, v := run(t, false, m.mix)
 			traceC, repC, vc := run(t, true, m.mix)
-			if !bytes.Equal(traceS, traceC) {
-				sl, cl := bytes.Split(traceS, []byte("\n")), bytes.Split(traceC, []byte("\n"))
-				for i := range sl {
-					if i >= len(cl) || !bytes.Equal(sl[i], cl[i]) {
-						t.Fatalf("traces diverge at line %d:\n stackless %s\n coroutine %s", i+1, sl[i], cl[min(i, len(cl)-1)])
+			if !bytes.Equal(traceB, traceC) {
+				bl, cl := bytes.Split(traceB, []byte("\n")), bytes.Split(traceC, []byte("\n"))
+				for i := range bl {
+					if i >= len(cl) || !bytes.Equal(bl[i], cl[i]) {
+						t.Fatalf("traces diverge at line %d:\n built-in %s\n custom   %s", i+1, bl[i], cl[min(i, len(cl)-1)])
 					}
 				}
-				t.Fatalf("stackless trace is %d lines, coroutine trace %d", len(sl), len(cl))
+				t.Fatalf("built-in trace is %d lines, custom trace %d", len(bl), len(cl))
 			}
-			if !reflect.DeepEqual(repS, repC) {
-				t.Fatalf("reports differ:\n stackless %+v\n coroutine %+v", repS, repC)
+			if !reflect.DeepEqual(repB, repC) {
+				t.Fatalf("reports differ:\n built-in %+v\n custom   %+v", repB, repC)
 			}
 			if v != vc {
-				t.Fatalf("visit counters differ: stackless %+v, coroutine %+v", v, vc)
+				t.Fatalf("visit counters differ: built-in %+v, custom %+v", v, vc)
 			}
 			t.Logf("visited %+v", v)
 			total.failovers += v.failovers
@@ -135,5 +151,43 @@ func TestTaskPathsAgree(t *testing.T) {
 		t.Error("no task_fail from an injected I/O fault: the mid-read abort is not covered")
 	case total.zombies == 0:
 		t.Error("no zombie finished after its executor's epoch moved: the fast-forward is not covered")
+	}
+}
+
+// goroutineWatch is replayOps that notes, every time one of its task's
+// operations ends, how many goroutines exist.
+type goroutineWatch struct {
+	replayOps
+	peak *int
+}
+
+func (w *goroutineWatch) Next(tc job.TaskContext, got int64) job.Op {
+	*w.peak = max(*w.peak, runtime.NumGoroutine())
+	return w.replayOps.Next(tc, got)
+}
+
+// TestEngineRunsWithoutCoroutines: a coroutine is a goroutine, and none
+// exists while the engine runs — with the driver and every executor waiting
+// for a message and every other task queued on a device, the goroutine count
+// seen from inside a custom task's generator is the count before the run,
+// through a crash, a restart and their zombies too.
+func TestEngineRunsWithoutCoroutines(t *testing.T) {
+	spec, inputs := twoStageJob()
+	base, peak := runtime.NumGoroutine(), 0
+	for _, st := range spec.Stages {
+		st.Work = func(int) job.Ops { return &goroutineWatch{peak: &peak} }
+	}
+	opts := grayOptions(4, core.Static{IOThreads: 4})
+	opts.Inputs = inputs
+	opts.Faults = chaos.CrashRestart(2, 2*time.Second, 5*time.Second)
+	rep, err := Run(opts, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.LostExecutors != 1 {
+		t.Fatalf("lost executors = %d, want 1: the crash missed the run", rep.LostExecutors)
+	}
+	if peak == 0 || peak > base {
+		t.Fatalf("%d goroutines during the run, %d before it: something runs on a coroutine", peak, base)
 	}
 }

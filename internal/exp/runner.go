@@ -2,6 +2,7 @@ package exp
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
 	"maps"
 	"slices"
@@ -30,6 +31,19 @@ type Runner struct {
 	Setup Setup
 	// Label prefixes error messages ("faults", "grayfail", a scenario name).
 	Label string
+}
+
+// ErrBadFlag marks a command-line flag value outside its range.
+var ErrBadFlag = errors.New("bad flag value")
+
+// ExitCode is the status sae-run and sae-exp exit with on err: 2 for an
+// invocation that can never run — a flag value out of range, a cluster
+// without nodes — and 1 for a run that failed.
+func ExitCode(err error) int {
+	if errors.Is(err, ErrBadFlag) || errors.Is(err, engine.ErrNoNodes) {
+		return 2
+	}
+	return 1
 }
 
 // PolicyByName builds an executor sizing policy from its spec name:

@@ -30,7 +30,7 @@ type runState struct {
 	results [][]any
 	// emitted[{stage, task}] marks map tasks whose records are already in
 	// the shuffle buckets. Task attempts replayed after an injected fault
-	// or executor loss re-run the whole closure (the sim only no-ops the
+	// or executor loss re-run the whole generator (the sim only no-ops the
 	// device charges), so without this guard a retry would append its
 	// records twice. Sibling map stages run concurrently under the DAG
 	// scheduler, but the sim is single-threaded and deterministic, so
@@ -66,7 +66,7 @@ func runJobNoCache(c *Context, target *node, action, outputFile string) ([][]any
 		st := &job.StageSpec{
 			ID:       pl.id,
 			Name:     pl.name,
-			NumTasks: stageTasks(pl),
+			NumTasks: pl.base.partitions,
 		}
 		if pl.base.kind == kindSource && pl.base.file != "" && pl.base.cached == nil {
 			st.InputFile = pl.base.file
@@ -107,13 +107,6 @@ func runJobNoCache(c *Context, target *node, action, outputFile string) ([][]any
 		return nil, nil, err
 	}
 	return state.results, rep, nil
-}
-
-func stageTasks(pl *stagePlan) int {
-	if pl.base.kind == kindWide {
-		return pl.base.partitions
-	}
-	return pl.base.partitions
 }
 
 // compile cuts the plan into stages in dependency order. The emitted
@@ -174,10 +167,6 @@ func compile(c *Context, target *node, action, outputFile string) ([]*stagePlan,
 		saveFile: outputFile,
 		isAction: true,
 	})
-	// Fix stage IDs to be contiguous and re-check ordering invariants.
-	for i, pl := range plans {
-		pl.id = i
-	}
 	return plans, nil
 }
 
@@ -200,91 +189,140 @@ func splitChain(n *node) (*node, []*node, error) {
 	return cur, chain, nil
 }
 
-// stageWork builds the per-task closure for one stage.
-func (c *Context) stageWork(pl *stagePlan, state *runState) func(int) job.Work {
-	recCPU := c.opts.RecordCPUSeconds
-	return func(task int) job.Work {
-		return job.WorkFunc(func(tc job.TaskContext) error {
-			// 1. Acquire the stage input (charging devices) and the
-			// real records.
-			var records []any
-			switch {
-			case pl.base.cached != nil:
-				// Materialized by Cache: an in-memory read, no
-				// device charges beyond deserialization.
-				if task < len(pl.base.cached) {
-					records = pl.base.cached[task]
-				}
-				tc.Compute(float64(len(records)) * recCPU * 0.1)
-			case pl.base.kind == kindSource:
-				if task < len(pl.base.content) {
-					records = pl.base.content[task]
-				}
-				drainInput(tc, recCPU, len(records))
-			case pl.base.kind == kindWide:
-				buckets := state.shuffle[pl.base.id]
-				if task < len(buckets) {
-					records = buckets[task]
-				}
-				drainInput(tc, recCPU, len(records))
-				tc.Compute(float64(len(records)) * recCPU)
-				records = pl.base.gather(records)
-			default:
-				return fmt.Errorf("rdd: stage %d has invalid base kind %d", pl.id, pl.base.kind)
-			}
-
-			// 2. Apply the narrow chain.
-			for _, nn := range pl.chain {
-				tc.Compute(float64(len(records)) * recCPU)
-				var next []any
-				for _, r := range records {
-					next = append(next, nn.narrow(r)...)
-				}
-				records = next
-			}
-
-			// 3. Emit.
-			switch {
-			case pl.sinkWide != nil:
-				tc.Compute(float64(len(records)) * recCPU)
-				var bytes int64
-				buckets := state.shuffle[pl.sinkWide.id]
-				key := [2]int{pl.id, task}
-				first := !state.emitted[key]
-				for _, r := range records {
-					p := pl.sinkWide.route(task, r)
-					if p < 0 || p >= len(buckets) {
-						return fmt.Errorf("rdd: route sent record to partition %d of %d", p, len(buckets))
-					}
-					if first {
-						buckets[p] = append(buckets[p], r)
-					}
-					bytes += sizeOf(r)
-				}
-				// The append loop has no sim yields, so it is atomic in
-				// virtual time: exactly one attempt emits, replays only
-				// re-charge the device work.
-				state.emitted[key] = true
-				tc.WriteShuffle(bytes)
-			case pl.isAction:
-				if pl.saveFile != "" {
-					var bytes int64
-					for _, r := range records {
-						bytes += sizeOf(r)
-					}
-					tc.WriteOutput(bytes)
-				}
-				state.results[task] = records
-			}
-			return nil
-		})
+// stageWork builds the per-task operation generators of one stage.
+func (c *Context) stageWork(pl *stagePlan, state *runState) func(int) job.Ops {
+	return func(task int) job.Ops {
+		return &taskOps{pl: pl, state: state, task: task, recCPU: c.opts.RecordCPUSeconds}
 	}
 }
 
-// drainInput consumes the task's assigned input bytes chunk by chunk, then
-// charges the deserialization CPU share for the real records.
-func drainInput(tc job.TaskContext, recCPU float64, records int) {
-	for tc.ReadInput(job.ChunkBytes) > 0 {
+// taskOps is one task attempt as a job.Ops generator: it acquires the stage
+// input, applies the narrow chain and emits, charging the simulated devices
+// one operation at a time and doing the real computation on the real records
+// between two operations.
+type taskOps struct {
+	pl      *stagePlan
+	state   *runState
+	task    int
+	recCPU  float64
+	records []any
+	// at is the step Next takes next; link counts the narrow nodes charged.
+	at   taskStep
+	link int
+}
+
+type taskStep int
+
+const (
+	stepLoad     taskStep = iota // pick up the stage input's real records
+	stepDrain                    // read the assigned input bytes chunk by chunk
+	stepGather                   // wide base: charge the gather...
+	stepGathered                 // ...and run it
+	stepChain                    // apply the narrow chain, one charge per node
+	stepRoute                    // wide sink: route into the shuffle buckets
+	stepResult                   // action: hand the records to the driver
+	stepDone
+)
+
+// compute charges share × the per-record operator cost for every record held.
+func (o *taskOps) compute(share float64) job.Op {
+	return job.Op{Kind: job.OpCompute, Seconds: float64(len(o.records)) * o.recCPU * share}
+}
+
+// Next implements job.Ops.
+func (o *taskOps) Next(_ job.TaskContext, got int64) job.Op {
+	pl, task := o.pl, o.task
+	for {
+		switch o.at {
+		case stepLoad:
+			var parts [][]any
+			switch {
+			case pl.base.cached != nil:
+				parts = pl.base.cached
+			case pl.base.kind == kindSource:
+				parts = pl.base.content
+			case pl.base.kind == kindWide:
+				parts = o.state.shuffle[pl.base.id]
+			default:
+				return job.Op{Err: fmt.Errorf("rdd: stage %d has invalid base kind %d", pl.id, pl.base.kind)}
+			}
+			if task < len(parts) {
+				o.records = parts[task]
+			}
+			if pl.base.cached != nil {
+				// Materialized by Cache: an in-memory read, no device
+				// charges beyond deserialization.
+				o.at = stepChain
+				return o.compute(0.1)
+			}
+			o.at = stepDrain
+			return job.Op{Kind: job.OpReadInput, Bytes: job.ChunkBytes}
+		case stepDrain:
+			if got > 0 {
+				return job.Op{Kind: job.OpReadInput, Bytes: job.ChunkBytes}
+			}
+			// Input exhausted: the deserialization CPU share of the records.
+			o.at = stepChain
+			if pl.base.kind == kindWide {
+				o.at = stepGather
+			}
+			return o.compute(0.5)
+		case stepGather:
+			o.at = stepGathered
+			return o.compute(1)
+		case stepGathered:
+			o.records = pl.base.gather(o.records)
+			o.at = stepChain
+		case stepChain:
+			if o.link > 0 {
+				var next []any
+				for _, r := range o.records {
+					next = append(next, pl.chain[o.link-1].narrow(r)...)
+				}
+				o.records = next
+			}
+			if o.link < len(pl.chain) {
+				o.link++
+				return o.compute(1)
+			}
+			if pl.sinkWide != nil {
+				o.at = stepRoute
+				return o.compute(1)
+			}
+			o.at = stepResult
+			if pl.saveFile != "" {
+				var bytes int64
+				for _, r := range o.records {
+					bytes += sizeOf(r)
+				}
+				return job.Op{Kind: job.OpWriteOutput, Bytes: bytes}
+			}
+		case stepRoute:
+			var bytes int64
+			buckets := o.state.shuffle[pl.sinkWide.id]
+			key := [2]int{pl.id, task}
+			first := !o.state.emitted[key]
+			for _, r := range o.records {
+				p := pl.sinkWide.route(task, r)
+				if p < 0 || p >= len(buckets) {
+					return job.Op{Err: fmt.Errorf("rdd: route sent record to partition %d of %d", p, len(buckets))}
+				}
+				if first {
+					buckets[p] = append(buckets[p], r)
+				}
+				bytes += sizeOf(r)
+			}
+			// The append loop runs inside one Next, so it is atomic in
+			// virtual time: exactly one attempt emits, replays only
+			// re-charge the device work.
+			o.state.emitted[key] = true
+			o.at = stepDone
+			return job.Op{Kind: job.OpWriteShuffle, Bytes: bytes}
+		case stepResult:
+			o.state.results[task] = o.records
+			fallthrough
+		default:
+			return job.Op{}
+		}
 	}
-	tc.Compute(float64(records) * recCPU * 0.5)
 }

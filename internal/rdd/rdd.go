@@ -1,13 +1,14 @@
 // Package rdd is a typed, lineage-based dataset layer in the style of
 // Spark's RDD API, compiled onto the simulation engine: transformations
 // build a logical plan; actions cut the plan into stages at shuffle
-// boundaries and execute them with *real data* flowing through real task
-// closures, while every byte read, shuffled or written is charged to the
-// simulated devices. This gives end-to-end correctness testing (the sort
+// boundaries and execute them with *real data* flowing through the real
+// operators, while every byte read, shuffled or written is charged to the
+// simulated devices (a task is a job.Ops generator: the computation runs
+// between two device operations). This gives end-to-end correctness testing (the sort
 // really sorts, the join really joins) under exactly the executor/scheduler
 // mechanics the adaptive policies control.
 //
-// Because the simulation kernel serializes all task goroutines, the
+// Because the simulation kernel steps every task on one goroutine, the
 // in-memory source, shuffle and result stores need no locking and runs are
 // deterministic.
 package rdd
@@ -442,11 +443,4 @@ func SaveAsTextFile[T any](d *Dataset[T], name string, format func(T) string) (*
 	wrapped := Map(d, func(v T) string { return format(v) })
 	_, rep, err := runJob(wrapped.ctx, wrapped.node, "save", name)
 	return rep, err
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -84,33 +84,26 @@ func TestShutdownOrderAndUnstarted(t *testing.T) {
 	}
 }
 
-// TestCoroutinePool: sequential short-lived processes reuse one coroutine, so
-// spawn→finish costs the Proc and nothing else; creating a coroutine per
-// process would cost eleven allocations more.
-func TestCoroutinePool(t *testing.T) {
-	base := runtime.NumGoroutine()
+// TestShutdownOrderAfterEarlyExit: a process that returns leaves the kernel's
+// coroutine list without disturbing the order of the others; the kill pass is
+// still in creation order.
+func TestShutdownOrderAfterEarlyExit(t *testing.T) {
 	k := NewKernel()
-	ran := 0
-	body := func(p *Proc) { ran++ }
-	spawn := func() {
-		k.Go("short", body)
-		k.runUntil(noLimit)
-	}
-	for i := 0; i < 10000; i++ {
-		spawn()
-	}
-	if ran != 10000 {
-		t.Fatalf("ran %d processes, want 10000", ran)
-	}
-	if len(k.coros) != 1 || len(k.idle) != 1 {
-		t.Fatalf("%d coroutines (%d idle) after sequential processes, want 1 (1)", len(k.coros), len(k.idle))
-	}
-	if allocs := testing.AllocsPerRun(1000, spawn); allocs > 1 {
-		t.Errorf("spawn→finish allocates %v objects, want 1 (the Proc)", allocs)
+	var log []string
+	k.Go("short", func(p *Proc) { p.Sleep(time.Millisecond) })
+	for i := 0; i < 3; i++ {
+		k.Go(fmt.Sprintf("parked-%d", i), func(p *Proc) {
+			defer func() { log = append(log, "killed "+p.Name()) }()
+			p.Park()
+		})
 	}
 	k.Run()
-	if !waitGoroutines(base) {
-		t.Errorf("%d goroutines left after Run, started with %d", runtime.NumGoroutine(), base)
+	if k.coros != nil {
+		t.Fatalf("%d coroutines listed after Run", len(k.coros))
+	}
+	want := []string{"killed parked-0", "killed parked-1", "killed parked-2"}
+	if !reflect.DeepEqual(log, want) {
+		t.Fatalf("shutdown log = %v, want %v", log, want)
 	}
 }
 

@@ -1,30 +1,26 @@
 // Package sim implements a deterministic discrete-event simulation kernel
-// with cooperative coroutine-based processes.
+// with cooperative processes.
 //
 // The kernel owns a virtual clock and an event queue, and fires every event
-// on the one goroutine that called Run.
-// Processes are runtime coroutines (iter.Pull): a process-resume event
-// switches into the process, and the process switches straight back when it
-// blocks in virtual time — Proc.Sleep, or waiting on a Signal. A coroutine
-// switch is a direct goroutine-to-goroutine handoff inside the runtime: no
-// channel, no scheduler pass, no futex wake-up. Exactly one of {kernel, some
-// process} executes at any moment and ties are broken by sequence number, so
+// on the one goroutine that called Run. Exactly one of {kernel, some process}
+// executes at any moment and ties are broken by sequence number, so
 // simulations are exactly reproducible.
 //
-// A task running custom Work is a process, so processes can be created by
-// the million and creating a coroutine is dear (11 allocations against 2 for
-// go + chan). Each kernel therefore pools them: a coroutine whose process
-// finished parks on the kernel's idle list and runs the body of the next
-// process to start; shutdown stops the ones still running a process in
-// process creation order — their deferred cleanups unwind — and then the idle
-// ones.
+// A process whose blocking points are few and known needs no stack
+// (Kernel.GoStepper): its resume event is a plain Step call on the kernel
+// loop, it waits by enqueueing on a resource (psres.Server.Start,
+// Mailbox.StartRecv, Proc.WakeAfter) and returning, and it lives in storage
+// its caller owns and recycles. Every process of the engine — tasks, executor
+// control loops, the driver — is one; they hold no coroutine, so shutdown has
+// nothing to stop.
 //
-// A process whose blocking points are few and known can do without a stack
-// altogether (Kernel.GoStepper): its resume event is a plain Step call on the
-// kernel loop, it waits by enqueueing on a resource (psres.Server.Start,
-// Proc.WakeAfter) and returning, and it lives in storage its caller owns and
-// recycles. Analytic tasks — every task of the paper's experiments — are such
-// processes; they hold no coroutine, so shutdown has nothing to stop.
+// A process written as straight-line code (Kernel.Go) runs on a runtime
+// coroutine (iter.Pull) of its own: a process-resume event switches into it,
+// and it switches straight back when it blocks in virtual time — Proc.Sleep,
+// Park, waiting on a Signal or a Mailbox. A coroutine switch is a direct
+// goroutine-to-goroutine handoff inside the runtime: no channel, no scheduler
+// pass, no futex wake-up. Shutdown stops the coroutines of processes still
+// parked, in process creation order, so their deferred cleanups unwind.
 //
 // The event queue is the simulator's hottest data structure, so it avoids
 // the generic container/heap: events live in an inlined 4-ary indexed
@@ -37,7 +33,6 @@
 package sim
 
 import (
-	"cmp"
 	"fmt"
 	"iter"
 	"math"
@@ -61,8 +56,8 @@ type Kernel struct {
 	// outnumber the live ones the queue is compacted in one pass.
 	dead int
 	// ring is the fast lane for events scheduled at the current instant —
-	// process wake-ups from Broadcast/Notify/Go, Yield, zero-delay sends,
-	// the kernel's most common event by far. An event appended at the
+	// process wake-ups from Broadcast/Notify/Go, zero-delay sends, the
+	// kernel's most common event by far. An event appended at the
 	// then-current time necessarily sorts after everything already in the
 	// ring (time never decreases, seq always increases), so the slice is
 	// kept sorted by construction and popping its head is O(1) instead of
@@ -72,10 +67,9 @@ type Kernel struct {
 	ringHead int
 	ringDead int
 	free     *event // free list of recycled event structs
-	// coros holds every coroutine the kernel has created; idle is the subset
-	// whose process finished, waiting to run the next one (see coroutine).
+	// coros holds the coroutine of every Go process between its first resume
+	// and its return, in that order: what shutdown has to stop.
 	coros []*coroutine
-	idle  []*coroutine
 	// fired counts events that actually ran (cancelled ones excluded) —
 	// the numerator of the events/sec benchmark metric.
 	fired   uint64
@@ -449,25 +443,15 @@ func (k *Kernel) PendingEvents() int {
 func (k *Kernel) FiredEvents() uint64 { return k.fired }
 
 // shutdown ends a run. Processes still parked are killed in process creation
-// order (map or pool order here would let shutdown-time side effects, the
-// deferred cleanups of killed processes, reorder between otherwise identical
-// runs); then the idle coroutines are stopped, so no goroutine outlives the
-// run, and the queues are dropped.
+// order — the order of k.coros: first resumes fire in the order of the Go
+// calls — so the deferred cleanups of killed processes run in the same order
+// in otherwise identical runs and no goroutine outlives the run; then the
+// queues are dropped.
 func (k *Kernel) shutdown() {
-	var live []*coroutine
-	for _, c := range k.coros {
-		if c.p != nil {
-			live = append(live, c)
-		}
+	for len(k.coros) > 0 {
+		k.coros[0].stop() // unwinds through run, which unlists it
 	}
-	slices.SortFunc(live, func(a, b *coroutine) int { return cmp.Compare(a.p.seq, b.p.seq) })
-	for _, c := range live {
-		c.stop()
-	}
-	for _, c := range k.idle {
-		c.stop()
-	}
-	k.coros, k.idle = nil, nil
+	k.coros = nil
 	k.events = nil
 	k.free = nil
 	k.dead = 0
@@ -476,14 +460,9 @@ func (k *Kernel) shutdown() {
 	k.ringDead = 0
 }
 
-// coroutine is a pooled runtime coroutine: it runs the body of one process
-// after another, parking on its kernel's idle list in between. Pooling is
-// what keeps process creation cheap — iter.Pull costs 11 allocations, and a
-// kernel that runs a million short tasks needs only as many coroutines as
-// run at once.
+// coroutine is the runtime coroutine one Go process runs on.
 type coroutine struct {
-	k *Kernel
-	p *Proc // the process being run; nil while idle
+	p *Proc
 	// next switches into the coroutine, stop makes its pending yield return
 	// false, and yield — called on the coroutine — switches back to whoever
 	// called next.
@@ -492,26 +471,16 @@ type coroutine struct {
 	yield func(struct{}) bool
 }
 
-// serve is the coroutine's body: run the bound process, park idle until the
-// kernel binds the next one, and return once stopped.
-func (c *coroutine) serve(yield func(struct{}) bool) {
+// run is the coroutine's body: the process's, to completion. Being killed,
+// which only shutdown does, ends it quietly; any other panic travels on
+// through next to the kernel loop's caller.
+func (c *coroutine) run(yield func(struct{}) bool) {
 	c.yield = yield
-	for c.runProc() {
-		c.k.idle = append(c.k.idle, c)
-		if !yield(struct{}{}) {
-			return
-		}
-	}
-}
-
-// runProc runs the bound process to completion and unbinds it. It reports
-// false when the process was killed, which only shutdown does: the coroutine
-// is finished too. Any other panic travels on through next to the kernel
-// loop's caller.
-func (c *coroutine) runProc() (finished bool) {
 	p := c.p
 	defer func() {
-		c.p, p.co = nil, nil
+		p.co = nil
+		i := slices.Index(p.k.coros, c)
+		p.k.coros = slices.Delete(p.k.coros, i, i+1)
 		if r := recover(); r != nil {
 			if _, ok := r.(killed); !ok {
 				panic(r)
@@ -521,7 +490,6 @@ func (c *coroutine) runProc() (finished bool) {
 	fn := p.fn
 	p.fn = nil
 	fn(p)
-	return true
 }
 
 // Proc is a simulation process: it advances only when the kernel resumes it,
@@ -549,9 +517,9 @@ type Stepper interface {
 type killed struct{}
 
 // Go spawns a new process running fn. The process starts at the current
-// virtual time, after already-scheduled events at this timestamp. It costs
-// one allocation: a coroutine is bound only when the process first runs, so
-// one that never starts has nothing to shut down and fn is never called.
+// virtual time, after already-scheduled events at this timestamp. Its
+// coroutine is created only when the process first runs, so one that never
+// starts has nothing to shut down and fn is never called.
 func (k *Kernel) Go(name string, fn func(p *Proc)) *Proc {
 	p := &Proc{k: k, name: name, seq: k.procSeq, fn: fn}
 	k.procSeq++
@@ -570,24 +538,17 @@ func (k *Kernel) GoStepper(p *Proc, name string, s Stepper) {
 }
 
 // switchTo runs the process on its coroutine until it parks or returns — the
-// firing of a process-resume event. The first resume binds a coroutine from
-// the owning kernel's pool.
+// firing of a process-resume event. The first resume creates the coroutine.
 func (p *Proc) switchTo() {
 	c := p.co
 	if c == nil {
 		if p.fn == nil {
 			panic(fmt.Sprintf("sim: resume of finished process %q", p.name))
 		}
-		k := p.k
-		if n := len(k.idle); n > 0 {
-			c = k.idle[n-1]
-			k.idle = k.idle[:n-1]
-		} else {
-			c = &coroutine{k: k}
-			c.next, c.stop = iter.Pull(c.serve)
-			k.coros = append(k.coros, c)
-		}
-		c.p, p.co = p, c
+		c = &coroutine{p: p}
+		c.next, c.stop = iter.Pull(c.run)
+		p.k.coros = append(p.k.coros, c)
+		p.co = c
 	}
 	c.next()
 }
@@ -601,10 +562,13 @@ func (p *Proc) Kernel() *Kernel { return p.k }
 // Now returns the current virtual time.
 func (p *Proc) Now() time.Duration { return p.k.now }
 
-// park blocks the process until some event resumes it: it switches back to
-// the kernel loop, which fires the next event. A false yield means shutdown
+// Park parks the process until another process or event schedules it with
+// Kernel.Wake: it switches back to the kernel loop, which fires the next
+// event. Every Park must be matched by exactly one Wake; a process parked
+// without a waker stays parked until shutdown kills it. Sleep, Signal.Wait and
+// Mailbox.Recv are Park after arranging that wake. A false yield means shutdown
 // stopped the coroutine; the panic unwinds the process's deferred cleanups.
-func (p *Proc) park() {
+func (p *Proc) Park() {
 	if p.co == nil {
 		panic(fmt.Sprintf("sim: process %q parks off a coroutine: a stackless process waits by returning from Step", p.name))
 	}
@@ -612,13 +576,6 @@ func (p *Proc) park() {
 		panic(killed{})
 	}
 }
-
-// Park parks the process until another process or event schedules it with
-// Kernel.Wake. Every Park must be matched by exactly one Wake; parking
-// without a guaranteed waker deadlocks the simulation at shutdown. It is
-// the single-waiter fast path underlying Signal, for callers that would
-// otherwise allocate a Signal per wait.
-func (p *Proc) Park() { p.park() }
 
 // Wake schedules parked process p to resume at the current virtual time,
 // after already-scheduled events at this timestamp — exactly like a
@@ -628,7 +585,7 @@ func (k *Kernel) Wake(p *Proc) { k.afterProc(0, p) }
 // Sleep blocks the process for d of virtual time.
 func (p *Proc) Sleep(d time.Duration) {
 	p.WakeAfter(d)
-	p.park()
+	p.Park()
 }
 
 // WakeAfter schedules the process's resume d from now: Sleep without the
@@ -639,10 +596,6 @@ func (p *Proc) WakeAfter(d time.Duration) {
 	}
 	p.k.afterProc(d, p)
 }
-
-// Yield reschedules the process at the current time, letting other events at
-// this timestamp fire first.
-func (p *Proc) Yield() { p.Sleep(0) }
 
 // Signal is a virtual-time condition variable. The zero value is invalid;
 // use NewSignal. Signals are not safe for use outside kernel/process context
@@ -658,7 +611,7 @@ func NewSignal(k *Kernel) *Signal { return &Signal{k: k} }
 // Wait parks p until Broadcast or Notify wakes it.
 func (s *Signal) Wait(p *Proc) {
 	s.waiters.Push(p)
-	p.park()
+	p.Park()
 }
 
 // Broadcast wakes all waiting processes. They resume at the current virtual

@@ -172,67 +172,6 @@ func TestStop(t *testing.T) {
 	}
 }
 
-func TestWaitGroup(t *testing.T) {
-	k := NewKernel()
-	wg := NewWaitGroup(k)
-	wg.Add(3)
-	var doneAt time.Duration
-	for i := 1; i <= 3; i++ {
-		d := time.Duration(i) * time.Second
-		k.Go("worker", func(p *Proc) {
-			p.Sleep(d)
-			wg.Done()
-		})
-	}
-	k.Go("joiner", func(p *Proc) {
-		wg.Wait(p)
-		doneAt = p.Now()
-	})
-	k.Run()
-	if doneAt != 3*time.Second {
-		t.Fatalf("join at %v, want 3s", doneAt)
-	}
-}
-
-func TestWaitGroupAlreadyZero(t *testing.T) {
-	k := NewKernel()
-	wg := NewWaitGroup(k)
-	ran := false
-	k.Go("joiner", func(p *Proc) {
-		wg.Wait(p)
-		ran = true
-	})
-	k.Run()
-	if !ran {
-		t.Fatal("Wait on zero counter blocked forever")
-	}
-}
-
-func TestSemaphoreLimitsConcurrency(t *testing.T) {
-	k := NewKernel()
-	sem := NewSemaphore(k, 2)
-	active, peak := 0, 0
-	for i := 0; i < 6; i++ {
-		k.Go("user", func(p *Proc) {
-			sem.Acquire(p)
-			active++
-			if active > peak {
-				peak = active
-			}
-			p.Sleep(time.Second)
-			active--
-			sem.Release()
-		})
-	}
-	k.Run()
-	if peak != 2 {
-		t.Fatalf("peak concurrency = %d, want 2", peak)
-	}
-	if k.Now() != 3*time.Second {
-		t.Fatalf("finished at %v, want 3s", k.Now())
-	}
-}
-
 func TestMailbox(t *testing.T) {
 	k := NewKernel()
 	mb := NewMailbox[int](k)
@@ -372,47 +311,6 @@ func TestNestedSpawn(t *testing.T) {
 	if depth != 5 {
 		t.Fatalf("depth = %d, want 5", depth)
 	}
-}
-
-func TestWaitGroupNegativePanics(t *testing.T) {
-	k := NewKernel()
-	k.At(0, func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("negative WaitGroup counter did not panic")
-			}
-		}()
-		wg := NewWaitGroup(k)
-		wg.Done()
-	})
-	k.Run()
-}
-
-func TestSemaphoreZeroPermits(t *testing.T) {
-	k := NewKernel()
-	sem := NewSemaphore(k, 0)
-	acquired := false
-	k.Go("w", func(p *Proc) {
-		sem.Acquire(p)
-		acquired = true
-	})
-	k.At(time.Second, func() { sem.Release() })
-	k.Run()
-	if !acquired {
-		t.Fatal("release did not wake the waiter")
-	}
-	if sem.Available() != 0 {
-		t.Fatalf("available = %d", sem.Available())
-	}
-}
-
-func TestNegativeSemaphorePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("negative semaphore size accepted")
-		}
-	}()
-	NewSemaphore(NewKernel(), -1)
 }
 
 func TestMailboxFIFOAcrossSameInstant(t *testing.T) {
@@ -565,12 +463,32 @@ func (m *closureMailbox) Recv(p *Proc) int {
 	return m.queue.Pop()
 }
 
+// stepReceiver is a stackless receiver: the TryRecv / StartRecv loop that
+// stands where a coroutine loops over Recv.
+type stepReceiver struct {
+	proc Proc
+	mb   *Mailbox[int]
+	got  func(msg int)
+}
+
+func (r *stepReceiver) Step() {
+	for {
+		msg, ok := r.mb.TryRecv()
+		if !ok {
+			r.mb.StartRecv(&r.proc)
+			return
+		}
+		r.got(msg)
+	}
+}
+
 // TestMailboxMatchesClosureReference drives the mailbox and the closure
 // reference with the same random script — bursts of sends at one instant,
 // delays from a small set so that arrivals tie, a shorter delay after a longer
 // one so that a message overtakes those in flight — and wants every message
 // received at the same instant, in the same order and as the same numbered
-// event of the run.
+// event of the run: by a coroutine looping over Recv, and by a stackless
+// receiver, several messages landing on one wake included.
 func TestMailboxMatchesClosureReference(t *testing.T) {
 	type send struct {
 		at, d time.Duration
@@ -585,16 +503,21 @@ func TestMailboxMatchesClosureReference(t *testing.T) {
 		Send(time.Duration, int)
 		Recv(*Proc) int
 	}
-	run := func(script []send, mk func(*Kernel) mailbox) ([]recv, uint64) {
+	run := func(script []send, mk func(*Kernel) mailbox, stackless bool) ([]recv, uint64) {
 		k := NewKernel()
 		mb := mk(k)
 		var got []recv
-		k.Go("recv", func(p *Proc) {
-			for {
-				msg := mb.Recv(p)
-				got = append(got, recv{msg, k.Now(), k.FiredEvents()})
-			}
-		})
+		record := func(msg int) { got = append(got, recv{msg, k.Now(), k.FiredEvents()}) }
+		if stackless {
+			r := &stepReceiver{mb: mb.(*Mailbox[int]), got: record}
+			k.GoStepper(&r.proc, "recv", r)
+		} else {
+			k.Go("recv", func(p *Proc) {
+				for {
+					record(mb.Recv(p))
+				}
+			})
+		}
 		for _, s := range script {
 			k.At(s.at, func() { mb.Send(s.d, s.msg) })
 		}
@@ -624,18 +547,32 @@ func TestMailboxMatchesClosureReference(t *testing.T) {
 		}
 		want, wantFired := run(script, func(k *Kernel) mailbox {
 			return &closureMailbox{k: k, arrive: NewSignal(k)}
-		})
-		got, fired := run(script, func(k *Kernel) mailbox { return NewMailbox[int](k) })
-		if len(want) != len(script) || len(got) != len(script) {
-			t.Fatalf("seed %d: received %d of %d messages, the reference %d", seed, len(got), len(script), len(want))
+		}, false)
+		if len(want) != len(script) {
+			t.Fatalf("seed %d: the reference received %d of %d messages", seed, len(want), len(script))
 		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("seed %d: receive %d = %+v, want %+v", seed, i, got[i], want[i])
+		shared := 0 // receives on the wake of the receive before
+		for i := 1; i < len(want); i++ {
+			if want[i].fired == want[i-1].fired {
+				shared++
 			}
 		}
-		if fired != wantFired {
-			t.Fatalf("seed %d: %d events fired, want %d", seed, fired, wantFired)
+		if shared == 0 {
+			t.Fatalf("seed %d: no two messages landed on one wake", seed)
+		}
+		for _, stackless := range []bool{false, true} {
+			got, fired := run(script, func(k *Kernel) mailbox { return NewMailbox[int](k) }, stackless)
+			if len(got) != len(script) {
+				t.Fatalf("seed %d (stackless %v): received %d of %d messages", seed, stackless, len(got), len(script))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("seed %d (stackless %v): receive %d = %+v, want %+v", seed, stackless, i, got[i], want[i])
+				}
+			}
+			if fired != wantFired {
+				t.Fatalf("seed %d (stackless %v): %d events fired, want %d", seed, stackless, fired, wantFired)
+			}
 		}
 	}
 }
