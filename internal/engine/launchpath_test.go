@@ -8,10 +8,13 @@ import (
 	"time"
 
 	"sae/internal/chaos"
+	"sae/internal/cluster"
 	"sae/internal/core"
+	"sae/internal/device"
+	"sae/internal/engine/job"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/launchpath.trace.golden from the scheduler under test")
+var updateGolden = flag.Bool("update", false, "rewrite testdata/*.trace.golden from the scheduler under test")
 
 // TestSchedulerTraceMatchesParent drives launch, handleTaskDone, reclaimNode
 // and speculate through everything that reorders the pending queue or reads
@@ -76,9 +79,67 @@ func TestSchedulerTraceMatchesParent(t *testing.T) {
 		t.Fatalf("%d of %d map tasks local: the mid-slice pick is not covered", local, tasks)
 	}
 
-	const golden = "testdata/launchpath.trace.golden"
+	matchGolden(t, "testdata/launchpath.trace.golden", trace.Bytes())
+}
+
+// TestPartialReplicationTraceMatchesParent is the benchmark's wide_cluster r3
+// cell at 16 nodes — replication 3, 24 one-block tasks per node, transient task
+// faults, one 3x slow node, one heartbeat-dropping partition, 10 ms control
+// latency, core.Default{} — with speculation on: most picks are local ones from
+// the middle of the queue, the tail of the stage is remote ones from its head,
+// and retries and backup copies re-enter behind both. The golden was captured
+// with -update from the scheduler that scanned the whole queue per launch.
+func TestPartialReplicationTraceMatchesParent(t *testing.T) {
+	const nodes = 16
+	cfg := cluster.DAS5(nodes)
+	cfg.Variability = device.DefaultVariability(7)
+	cfg.ControlLatency = 10 * time.Millisecond
+	var trace bytes.Buffer
+	rep, err := Run(Options{
+		Cluster:     cfg,
+		BlockSize:   64 * device.MiB,
+		Replication: 3,
+		Policy:      core.Default{},
+		Speculation: true,
+		Faults: &chaos.Plan{
+			Name:          "r3scan",
+			Seed:          7,
+			TaskFaultRate: 0.02,
+			Slows:         []chaos.Slow{{Exec: 1, At: 5 * time.Second, Factor: 3}},
+			Partitions:    []chaos.Partition{{Exec: 2, At: 8 * time.Second, Duration: 40 * time.Second}},
+		},
+		Inputs:      []Input{{Name: "in", Size: nodes * 24 * 64 * device.MiB}},
+		Trace:       &trace,
+		TraceFormat: 2,
+	}, &job.JobSpec{Name: "r3scan", Stages: []*job.StageSpec{
+		{ID: 0, Name: "scan", InputFile: "in", CPUSecondsPerTask: 0.35},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := rep.Stages[0]
+	var tasks, local int
+	for _, e := range st.Execs {
+		tasks += e.Tasks
+		local += e.LocalTasks
+	}
+	switch {
+	case st.Retries == 0:
+		t.Fatal("no task retried: the exclusion path is not covered")
+	case st.Speculative == 0:
+		t.Fatal("no speculative copy queued")
+	case local == 0 || local == tasks:
+		t.Fatalf("%d of %d tasks local: the run does not mix local and remote picks", local, tasks)
+	}
+	matchGolden(t, "testdata/r3scan.trace.golden", trace.Bytes())
+}
+
+// matchGolden compares got with the golden file (rewritten first under
+// -update) and names the first line that differs.
+func matchGolden(t *testing.T, golden string, got []byte) {
+	t.Helper()
 	if *updateGolden {
-		if err := os.WriteFile(golden, trace.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -86,7 +147,7 @@ func TestSchedulerTraceMatchesParent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := trace.Bytes(); !bytes.Equal(got, want) {
+	if !bytes.Equal(got, want) {
 		gl, wl := bytes.Split(got, []byte("\n")), bytes.Split(want, []byte("\n"))
 		for i := range gl {
 			if i >= len(wl) || !bytes.Equal(gl[i], wl[i]) {
