@@ -153,27 +153,38 @@ func (fs *FS) Create(name string, size int64, replication int) (*File, error) {
 	if replication <= 0 || replication > n {
 		replication = n
 	}
-	var all []int
+	nblocks := int((size + fs.blockSize - 1) / fs.blockSize)
+	// One array holds every replica list: [0..n) when every node holds every
+	// block, else a list per block.
+	var ids []int
 	if replication == n {
-		// Every node holds every block: one [0..n) list serves them all.
-		all = make([]int, n)
-		for i := range all {
-			all[i] = i
+		ids = make([]int, n)
+		for i := range ids {
+			ids[i] = i
 		}
+	} else {
+		ids = make([]int, nblocks*replication)
 	}
-	f := &File{Name: name, Size: size}
+	f := &File{Name: name, Size: size, Blocks: make([]Block, 0, nblocks)}
 	for off, idx := int64(0), 0; off < size; off, idx = off+fs.blockSize, idx+1 {
 		bs := fs.blockSize
 		if rem := size - off; rem < bs {
 			bs = rem
 		}
-		replicas := all
-		if replicas == nil {
-			replicas = make([]int, 0, replication)
-			for r := 0; r < replication; r++ {
-				replicas = append(replicas, (idx+r)%n)
+		replicas := ids
+		if replication < n {
+			// Nodes idx%n … idx%n+replication-1, modulo n, written ascending:
+			// the ones that wrapped past node n-1 first.
+			replicas, ids = ids[:replication:replication], ids[replication:]
+			first := idx % n
+			wrapped := max(first+replication-n, 0)
+			for r := range replicas {
+				if r < wrapped {
+					replicas[r] = r
+				} else {
+					replicas[r] = first + r - wrapped
+				}
 			}
-			sort.Ints(replicas)
 		}
 		f.Blocks = append(f.Blocks, Block{
 			Index: idx, Size: bs, Replicas: replicas,

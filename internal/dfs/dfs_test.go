@@ -1,6 +1,9 @@
 package dfs
 
 import (
+	"slices"
+	"sort"
+	"strconv"
 	"testing"
 	"testing/quick"
 
@@ -445,5 +448,51 @@ func TestFullReplicationSharesReplicaList(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("local picks and a block sum allocate %v objects, want 0", allocs)
+	}
+}
+
+// TestCreateReplicasMatchSortReference holds Create's placement — written
+// ascending into one array — to the per-block make, fill and sort.Ints it
+// replaced, for every replication of clusters of 1 to 9 nodes and enough blocks
+// to wrap around each twice; a block's list ends where the next begins, so an
+// append to it cannot reach its neighbour, and the block array is sized once.
+func TestCreateReplicasMatchSortReference(t *testing.T) {
+	for n := 1; n <= 9; n++ {
+		for r := 1; r <= n; r++ {
+			fs := New(testCluster(sim.NewKernel(), n), 100)
+			f, err := fs.Create("in", int64(2*n+3)*100-1, r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(f.Blocks) != 2*n+3 || cap(f.Blocks) != len(f.Blocks) {
+				t.Fatalf("n=%d r=%d: %d blocks in an array of %d, want %d in %[5]d", n, r, len(f.Blocks), cap(f.Blocks), 2*n+3)
+			}
+			for idx, b := range f.Blocks {
+				want := make([]int, 0, r)
+				for k := 0; k < r; k++ {
+					want = append(want, (idx+k)%n)
+				}
+				sort.Ints(want)
+				if !slices.Equal(b.Replicas, want) {
+					t.Fatalf("n=%d r=%d block %d: replicas = %v, want %v", n, r, idx, b.Replicas, want)
+				}
+				if r < n && cap(b.Replicas) != r {
+					t.Fatalf("n=%d r=%d block %d: replica list has capacity %d: an append would write into block %d's", n, r, idx, cap(b.Replicas), idx+1)
+				}
+			}
+		}
+	}
+	fs := New(testCluster(sim.NewKernel(), 9), 100)
+	i := 0
+	allocs := testing.AllocsPerRun(20, func() {
+		i++
+		if _, err := fs.Create(strconv.Itoa(i), 1000*100, 3); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// The file, its block array, the replica array and the name; the namespace
+	// map's growth is the fraction.
+	if allocs > 5 {
+		t.Errorf("creating a 1000-block file at replication 3 allocates %v objects, want 4", allocs)
 	}
 }

@@ -141,20 +141,21 @@ func (e *Engine) startJob(js *jobState) {
 func (e *Engine) activateStage(js *jobState, id int) {
 	spec := js.specs[id]
 	key := setKey{job: js.id, stage: id}
-	ts := newTaskSet(key, js, spec, false, nil)
+	var splits [][]dfs.Block
 	if spec.InputFile != "" {
 		f, err := e.fs.Open(spec.InputFile)
 		if err != nil {
 			e.failJob(js, id, err)
 			return
 		}
-		ts.splits = dfs.Splits(f, spec.NumTasks)
+		splits = dfs.Splits(f, spec.NumTasks)
 	}
+	ts := newTaskSet(key, js, spec, false, nil, splits, len(e.executors))
 	// Does any other primary stage share the pool right now? If so the
 	// executors' effective limit is the minimum over the active stages'
 	// controller choices, and the slot table must follow the same rule.
 	shared := e.sched.primaryActive() > 0
-	e.sched.sets[key] = ts
+	e.sched.addSet(ts)
 
 	meta := spec.Meta()
 	for i, ex := range e.executors {
@@ -219,7 +220,7 @@ func (e *Engine) activateStage(js *jobState, id int) {
 func (e *Engine) completeStage(ts *taskSet) {
 	js := ts.js
 	id := ts.key.stage
-	delete(e.sched.sets, ts.key)
+	e.sched.dropSet(ts.key)
 	e.trace(TraceEvent{Type: TraceStageEnd, Job: js.id, Stage: id, Task: -1, Exec: -1})
 	for i, ex := range e.executors {
 		if e.em.alive[i] {
@@ -352,7 +353,7 @@ func (e *Engine) failJob(js *jobState, stage int, err error) {
 	js.done = true
 	for key := range e.sched.sets {
 		if key.job == js.id {
-			delete(e.sched.sets, key)
+			e.sched.dropSet(key)
 		}
 	}
 	e.completed++

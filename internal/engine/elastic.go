@@ -223,7 +223,7 @@ func (c *autoCtl) snapshot() autoscale.Snapshot {
 		snap.RunningTasks += em.inflight[i]
 	}
 	for _, ts := range e.sched.sets {
-		snap.QueuedTasks += len(ts.pending)
+		snap.QueuedTasks += ts.queue.live
 	}
 	for _, js := range e.jobs {
 		if js.started && !js.done && js.running == 0 {

@@ -40,7 +40,8 @@ type Options struct {
 	// BlockSize is the DFS block size (0 = 128 MiB).
 	BlockSize int64
 	// Replication is the DFS replication factor (0 = all nodes, the
-	// paper's locality-maximizing setup).
+	// paper's locality-maximizing setup). A factor above the cluster size
+	// means all nodes too; a negative one is an error.
 	Replication int
 	// Policy sizes executor thread pools. Required.
 	Policy job.Policy
@@ -217,6 +218,9 @@ func NewEngine(opts Options) (*Engine, error) {
 	}
 	if opts.Cluster.Nodes < 1 {
 		return nil, fmt.Errorf("%w, got %d", ErrNoNodes, opts.Cluster.Nodes)
+	}
+	if opts.Replication < 0 {
+		return nil, fmt.Errorf("engine: Options.Replication must not be negative, got %d", opts.Replication)
 	}
 	if opts.JobPolicy == nil {
 		opts.JobPolicy = FIFO{}

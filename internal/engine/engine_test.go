@@ -293,6 +293,30 @@ func TestClusterWithoutNodes(t *testing.T) {
 	}
 }
 
+// TestReplicationOption: a negative factor is an error; zero and anything above
+// the cluster size put every block on every node.
+func TestReplicationOption(t *testing.T) {
+	for _, tc := range []struct{ replication, replicas int }{{-1, 0}, {0, 4}, {3, 3}, {4, 4}, {9, 4}} {
+		opts := testOptions(4, core.Default{})
+		opts.Replication = tc.replication
+		opts.Inputs = []Input{{Name: "in", Size: 8 * opts.BlockSize}}
+		e, err := NewEngine(opts)
+		if tc.replicas == 0 {
+			if err == nil || !strings.Contains(err.Error(), "Replication") {
+				t.Errorf("replication %d: err = %v, want one that names Options.Replication", tc.replication, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("replication %d: %v", tc.replication, err)
+		}
+		f, _ := e.FS().Open("in")
+		if got := len(f.Blocks[5].Replicas); got != tc.replicas {
+			t.Errorf("replication %d: a block has %d replicas, want %d", tc.replication, got, tc.replicas)
+		}
+	}
+}
+
 func TestMissingInputFile(t *testing.T) {
 	opts := testOptions(2, core.Default{})
 	spec := readJob("missing", 1)

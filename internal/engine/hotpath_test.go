@@ -9,8 +9,11 @@ import (
 	"testing"
 	"time"
 
+	"sae/internal/cluster"
 	"sae/internal/core"
+	"sae/internal/dfs"
 	"sae/internal/engine/job"
+	"sae/internal/sim"
 )
 
 // referenceActiveKeys is the map-and-sort.Slice activeKeys this package
@@ -58,9 +61,12 @@ func TestActiveKeysMatchesReference(t *testing.T) {
 				})
 				for stage := 0; stage < 5; stage++ {
 					if rng.Intn(2) == 0 {
-						s.sets[setKey{job: id, stage: stage}] = &taskSet{}
+						s.addSet(&taskSet{key: setKey{job: id, stage: stage}})
 					}
 				}
+			}
+			if len(s.keys) > 0 {
+				s.dropSet(s.keys[rng.Intn(len(s.keys))])
 			}
 			want := referenceActiveKeys(s)
 			got := s.activeKeys()
@@ -184,6 +190,204 @@ func TestReducePlanMatchesReference(t *testing.T) {
 	}
 }
 
+// referencePick is the pending-queue scan this package shipped before the
+// queue kept tickets and a locality index: the position in pending of the first
+// task local to node and not excluded from executor i, else of the first not
+// excluded from i, else -1.
+func referencePick(ts *taskSet, pending []int, i, node int) int {
+	// First pass: local tasks without an exclusion against i.
+	for j, t := range pending {
+		if ts.tasks[t].noExec == i {
+			continue
+		}
+		if ts.splits != nil {
+			blocks := ts.splits[t]
+			if len(blocks) > 0 && !blocks[0].LocalTo(node) {
+				continue
+			}
+		}
+		return j
+	}
+	// Second pass: any task not excluded from i.
+	for j, t := range pending {
+		if ts.tasks[t].noExec != i {
+			return j
+		}
+	}
+	return -1
+}
+
+// referencePickExcluded is that scheduler's exclusion-clearing pass: the
+// position of the first task excluded from i.
+func referencePickExcluded(ts *taskSet, pending []int, i int) int {
+	for j, t := range pending {
+		if ts.tasks[t].noExec == i {
+			return j
+		}
+	}
+	return -1
+}
+
+// referenceRemove is its launch: close the gap at pick from the front.
+func referenceRemove(pending []int, pick int) []int {
+	copy(pending[1:pick+1], pending[:pick])
+	return pending[1:]
+}
+
+// TestPickMatchesScanReference drives a task set's queue and the scan it
+// replaced through random histories — launches from any executor, retries and
+// backup copies that exclude an executor (of tasks that may already be waiting
+// in the queue), recovery sets growing by addTask, exclusions cleared — over
+// clusters of 4 to 64 nodes and inputs at replication 1, 3 and n, with fewer
+// blocks than tasks (empty splits) or several per task, no input at all, and
+// one set mixing all of them. After every step every executor must be offered
+// the same queue entry by both, on the normal passes and the exclusion-clearing
+// one, and the live count must be the scan's queue length.
+func TestPickMatchesScanReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 240; trial++ {
+		nodes := 4 + rng.Intn(61)
+		numTasks := 1 + rng.Intn(96)
+		fs := dfs.New(cluster.New(sim.NewKernel(), cluster.DAS5(nodes)), 100)
+		file := func(name string, blocks, replication int) *dfs.File {
+			f, err := fs.Create(name, int64(blocks)*100, replication)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return f
+		}
+		blocks := []int{numTasks, 1 + rng.Intn(numTasks), numTasks * (1 + rng.Intn(3))}[rng.Intn(3)]
+		var splits [][]dfs.Block
+		mode := trial % 5
+		switch mode {
+		case 0: // no input file
+		case 1, 2, 3:
+			splits = dfs.Splits(file("in", blocks, []int{1, 3, nodes}[mode-1]), numTasks)
+		case 4:
+			few, all := file("few", numTasks, 1+rng.Intn(3)), file("all", numTasks, 0)
+			splits = make([][]dfs.Block, numTasks)
+			for task := range splits {
+				if f := []*dfs.File{few, all, nil}[rng.Intn(3)]; f != nil {
+					splits[task] = f.Blocks[task : task+1]
+				}
+			}
+		}
+		recovery := rng.Intn(3) == 0
+		var only []int
+		if recovery {
+			only = rng.Perm(numTasks)[:1+rng.Intn(numTasks)]
+		}
+		stage := &job.StageSpec{NumTasks: numTasks}
+		ts := newTaskSet(setKey{}, nil, stage, recovery, only, splits, nodes)
+		// Only a partially replicated first block calls for the index.
+		if built := ts.queue.local != nil; mode != 4 && built != (mode == 1 || mode == 2) {
+			t.Fatalf("trial %d (mode %d): locality index built = %v", trial, mode, built)
+		}
+
+		// The scan's queue: tasks in assignment order, and beside each the
+		// ticket the queue under test gives that entry (tickets count enqueues).
+		var pending, tickets []int
+		enqueued := 0
+		queue := func(task int) {
+			pending, tickets = append(pending, task), append(tickets, enqueued)
+			enqueued++
+		}
+		for task := 0; task < numTasks && !recovery; task++ {
+			queue(task)
+		}
+		for _, task := range only {
+			queue(task)
+		}
+		type attempt struct{ task, exec int }
+		var running []attempt
+		launch := func(step string, ticket, pos, exec int) {
+			t.Helper()
+			if (ticket < 0) != (pos < 0) || ticket >= 0 && tickets[pos] != ticket {
+				t.Fatalf("trial %d (mode %d, %d nodes), %s by executor %d: picked ticket %d, the scan picks position %d of tickets %v",
+					trial, mode, nodes, step, exec, ticket, pos, tickets)
+			}
+			if ticket < 0 {
+				return
+			}
+			if task := ts.take(ticket); task != pending[pos] {
+				t.Fatalf("trial %d, %s: ticket %d is task %d, the scan launches %d", trial, step, ticket, task, pending[pos])
+			}
+			running = append(running, attempt{pending[pos], exec})
+			pending, tickets = referenceRemove(pending, pos), referenceRemove(tickets, pos)
+		}
+		check := func(step string) {
+			t.Helper()
+			if ts.queue.live != len(pending) || len(ts.queue.tickets) != enqueued {
+				t.Fatalf("trial %d, %s: %d of %d tickets live, the scan's queue holds %d of %d", trial, step,
+					ts.queue.live, len(ts.queue.tickets), len(pending), enqueued)
+			}
+			for exec := 0; exec < nodes; exec++ {
+				for pass, got := range []int{ts.pick(exec, exec), ts.first(exec, true)} {
+					pos := referencePick(ts, pending, exec, exec)
+					if pass == 1 {
+						pos = referencePickExcluded(ts, pending, exec)
+					}
+					if (got < 0) != (pos < 0) || got >= 0 && tickets[pos] != got {
+						t.Fatalf("trial %d (mode %d, %d nodes), after %s: pass %d offers executor %d ticket %d, the scan position %d of tickets %v",
+							trial, mode, nodes, step, pass, exec, got, pos, tickets)
+					}
+				}
+			}
+		}
+		check("construction")
+		for step := 0; step < 3*numTasks; step++ {
+			exec := rng.Intn(nodes)
+			switch op := rng.Intn(10); {
+			case op < 5:
+				launch("launch", ts.pick(exec, exec), referencePick(ts, pending, exec, exec), exec)
+				check("launch")
+			case op < 7 && len(running) > 0:
+				// A retry or a backup copy: the task re-enters the queue behind
+				// everything, excluded from the executor that ran it — whether or
+				// not an earlier copy of it is still waiting there.
+				a := running[rng.Intn(len(running))]
+				ts.tasks[a.task].noExec = a.exec
+				ts.enqueue(a.task)
+				queue(a.task)
+				check("re-enqueue")
+			case op < 8 && recovery:
+				task := rng.Intn(numTasks)
+				if !ts.contains(task) {
+					queue(task)
+				}
+				ts.addTask(task)
+				check("addTask")
+			case op < 9:
+				ticket, pos := ts.first(exec, true), referencePickExcluded(ts, pending, exec)
+				if ticket >= 0 {
+					ts.tasks[ts.queue.tickets[ticket]].noExec = -1
+				}
+				launch("cleared exclusion", ticket, pos, exec)
+				check("cleared exclusion")
+			default:
+				// A requeue that excludes nobody (a fetch failure, a lost executor).
+				if len(running) > 0 {
+					a := running[rng.Intn(len(running))]
+					ts.enqueue(a.task)
+					queue(a.task)
+					check("requeue")
+				}
+			}
+		}
+		// Drain: every entry leaves in the scan's order.
+		for len(pending) > 0 {
+			exec := rng.Intn(nodes)
+			ticket, pos := ts.pick(exec, exec), referencePick(ts, pending, exec, exec)
+			if ticket < 0 {
+				ticket, pos = ts.first(exec, true), referencePickExcluded(ts, pending, exec)
+				ts.tasks[pending[pos]].noExec = -1
+			}
+			launch("drain", ticket, pos, exec)
+		}
+		check("drained")
+	}
+}
+
 // TestReducePlanAllocatesNothingWarm pins the steady-state cost of a launch's
 // fetch plan: once a stage's aggregate is built, every further reducer reads
 // it, and the segments go into the buffer the caller brings — the one an
@@ -273,4 +477,33 @@ func TestStacklessTaskAllocs(t *testing.T) {
 	if perTask > 0.25 {
 		t.Errorf("an analytic task allocates %.2f objects in steady state, want 0 (every message, plan and delivery is recycled)", perTask)
 	}
+}
+
+// BenchmarkAssignPartialReplication times the driver placing wide_cluster's r3
+// stage — 256 nodes, 24 one-block tasks per node, three replicas per block —
+// with no simulation under it: the first wave (8 slots per executor, 2 048
+// launches from one assignAll), then the other 4 096 as executors report one
+// completion each in turn, the last of them remote picks from the queue's head.
+func BenchmarkAssignPartialReplication(b *testing.B) {
+	const nodes, perNode = 256, 24
+	opts := testOptions(nodes, core.Static{IOThreads: 8})
+	opts.Replication = 3
+	opts.Inputs = []Input{{Name: "in", Size: nodes * perNode * opts.BlockSize}}
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		e, err := NewEngine(opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := e.Submit(readJob("scan", 0)); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		e.startJob(e.jobs[0])
+		for exec := 0; e.sched.pendingTotal(0) > 0; exec = (exec + 1) % nodes {
+			e.em.completed(exec, 0)
+			e.sched.assign(exec)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*nodes*perNode), "ns/launch")
 }

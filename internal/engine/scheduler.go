@@ -108,10 +108,10 @@ type taskSet struct {
 	// included: a zombie attempt of any task of the stage may still report.
 	tasks []taskState
 
-	pending []int // task indices not yet assigned, in assignment order
-	splits  [][]dfs.Block
-	total   int
-	done    int
+	queue  pendingQueue
+	splits [][]dfs.Block
+	total  int
+	done   int
 
 	durations []time.Duration // completed attempts (speculation's median)
 
@@ -139,8 +139,8 @@ type taskState struct {
 	member     bool
 	done       bool
 	speculated bool
-	// queued counts the task's entries in pending: a retry can queue a task
-	// whose speculative copy is still waiting there.
+	// queued counts the task's live tickets in the queue: a retry can queue a
+	// task whose speculative copy is still waiting there.
 	queued   int
 	attempts int // failed attempts (abort threshold)
 	launches int // total launches (chaos attempt index)
@@ -154,15 +154,38 @@ type taskState struct {
 	noExec   int           // executor to avoid (retries, speculative copies), -1 for none
 }
 
-func newTaskSet(key setKey, js *jobState, stage *job.StageSpec, recovery bool, only []int) *taskSet {
+// pendingQueue holds a task set's attempts awaiting a slot. An entry's ticket
+// is its index in tickets, which only grows, so ticket order is the order the
+// attempts were queued in — the order slots are offered them.
+type pendingQueue struct {
+	tickets []int // ticket → task, -1 once launched
+	head    int   // every ticket before head is launched
+	live    int   // tickets not yet launched
+
+	// The locality index, built only for a set with a split whose first block
+	// is on fewer nodes than the cluster has; without it every queued task is
+	// local to every node. local[node] lists, ascending, the tickets of tasks
+	// whose first block has a replica on node, and anywhere those of tasks
+	// local everywhere (see taskSet.home). A list sheds launched tickets from
+	// its front as picks pass them.
+	local    [][]int
+	anywhere []int
+}
+
+// newTaskSet queues every task of a primary set, or the lost ones of a recovery
+// set. splits is the stage's input layout (nil without an input file) and nodes
+// the cluster size.
+func newTaskSet(key setKey, js *jobState, stage *job.StageSpec, recovery bool, only []int, splits [][]dfs.Block, nodes int) *taskSet {
 	ts := &taskSet{
 		key:      key,
 		js:       js,
 		stage:    stage,
 		recovery: recovery,
 		tasks:    make([]taskState, stage.NumTasks),
-		pending:  make([]int, 0, stage.NumTasks),
+		splits:   splits,
 	}
+	ts.queue.tickets = make([]int, 0, stage.NumTasks)
+	ts.indexLocality(nodes)
 	for i := range ts.tasks {
 		ts.tasks[i].noExec = -1
 		if !recovery {
@@ -175,10 +198,142 @@ func newTaskSet(key setKey, js *jobState, stage *job.StageSpec, recovery bool, o
 	return ts
 }
 
-// enqueue appends task to the pending queue.
+// home returns the nodes holding task's first input block, or everywhere when
+// the task is local to every one of the cluster's nodes: it reads no file, its
+// split is empty, or the block has that many replicas — replica IDs are
+// distinct node IDs, so a list as long as the cluster names all of it, and a
+// fully replicated file indexes one ticket per task, not one per task and node.
+func (ts *taskSet) home(task, nodes int) (on []int, everywhere bool) {
+	if ts.splits == nil || len(ts.splits[task]) == 0 {
+		return nil, true
+	}
+	if on = ts.splits[task][0].Replicas; len(on) >= nodes {
+		return nil, true
+	}
+	return on, false
+}
+
+// indexLocality gives the queue its locality index if any split calls for one.
+// A primary set queues each task once up front, so its lists are sized to that
+// and carved from one array; a retry or backup copy appended later moves its
+// list out. A recovery set queues a few tasks of the stage: its lists grow.
+func (ts *taskSet) indexLocality(nodes int) {
+	partial := false
+	for task := range ts.tasks {
+		if _, everywhere := ts.home(task, nodes); !everywhere {
+			partial = true
+			break
+		}
+	}
+	if !partial {
+		return
+	}
+	q := &ts.queue
+	q.local = make([][]int, nodes)
+	if ts.recovery {
+		return
+	}
+	counts := make([]int, nodes+1) // [nodes] counts anywhere
+	total := 0
+	for task := range ts.tasks {
+		if on, everywhere := ts.home(task, nodes); everywhere {
+			counts[nodes]++
+			total++
+		} else {
+			for _, node := range on {
+				counts[node]++
+			}
+			total += len(on)
+		}
+	}
+	backing := make([]int, total)
+	for node, c := range counts[:nodes] {
+		q.local[node], backing = backing[:0:c], backing[c:]
+	}
+	q.anywhere = backing[:0:len(backing)]
+}
+
+// enqueue appends a ticket for task to the pending queue.
 func (ts *taskSet) enqueue(task int) {
-	ts.pending = append(ts.pending, task)
+	q := &ts.queue
+	ticket := len(q.tickets)
+	q.tickets = append(q.tickets, task)
+	q.live++
 	ts.tasks[task].queued++
+	if q.local == nil {
+		return
+	}
+	if on, everywhere := ts.home(task, len(q.local)); everywhere {
+		q.anywhere = append(q.anywhere, ticket)
+	} else {
+		for _, node := range on {
+			q.local[node] = append(q.local[node], ticket)
+		}
+	}
+}
+
+// take removes ticket from the queue for launch and returns its task.
+func (ts *taskSet) take(ticket int) int {
+	q := &ts.queue
+	task := q.tickets[ticket]
+	q.tickets[ticket] = -1
+	q.live--
+	ts.tasks[task].queued--
+	for q.head < len(q.tickets) && q.tickets[q.head] < 0 {
+		q.head++
+	}
+	return task
+}
+
+// pick returns the ticket executor exec on node should launch next — the first
+// queued attempt local to node and not excluded from exec, else the first not
+// excluded from exec — or -1.
+func (ts *taskSet) pick(exec, node int) int {
+	q := &ts.queue
+	if q.local == nil {
+		return ts.first(exec, false)
+	}
+	ticket := ts.firstOf(&q.local[node], exec)
+	if t := ts.firstOf(&q.anywhere, exec); ticket < 0 || t >= 0 && t < ticket {
+		ticket = t
+	}
+	if ticket < 0 {
+		ticket = ts.first(exec, false)
+	}
+	return ticket
+}
+
+// first returns the first queued ticket, in queue order, whose task is excluded
+// from exec (excluded) or is not (!excluded), or -1. The walk starts at a queued
+// ticket and passes only tickets of the other kind and the launched ones among
+// them.
+func (ts *taskSet) first(exec int, excluded bool) int {
+	q := &ts.queue
+	for ticket := q.head; ticket < len(q.tickets); ticket++ {
+		if task := q.tickets[ticket]; task >= 0 && (ts.tasks[task].noExec == exec) == excluded {
+			return ticket
+		}
+	}
+	return -1
+}
+
+// firstOf returns the first queued ticket of an index list whose task is not
+// excluded from exec, or -1. Launched tickets at the list's front are dropped
+// for good; an excluded one is only passed over, since a task's exclusion
+// changes while its ticket waits and names one executor.
+func (ts *taskSet) firstOf(list *[]int, exec int) int {
+	q := &ts.queue
+	l := *list
+	for len(l) > 0 && q.tickets[l[0]] < 0 {
+		l = l[1:]
+	}
+	*list = l
+	for _, ticket := range l {
+		if task := q.tickets[ticket]; task >= 0 && ts.tasks[task].noExec != exec {
+			return ticket
+		}
+	}
+	return -1
 }
 
 // contains reports whether task belongs to this set's domain.
@@ -219,9 +374,9 @@ func (ts *taskSet) dropCopy(task, exec int) {
 type taskScheduler struct {
 	eng    *Engine
 	policy InterJobPolicy
-	// sets holds every running task set, keyed by (job, stage).
+	// sets holds every running task set, keyed by (job, stage); keys lists
+	// the same keys for activeKeys. addSet and dropSet keep the two in step.
 	sets map[setKey]*taskSet
-	// keys is activeKeys' reusable result buffer.
 	keys []setKey
 	// deferAssign suppresses assignAll while a same-instant admission
 	// batch is in progress, so every job in the batch has its task sets
@@ -244,21 +399,31 @@ func (s *taskScheduler) primaryActive() int {
 	return n
 }
 
+// addSet registers a task set as running.
+func (s *taskScheduler) addSet(ts *taskSet) {
+	s.sets[ts.key] = ts
+	s.keys = append(s.keys, ts.key)
+}
+
+// dropSet retires the running set at key, if there is one.
+func (s *taskScheduler) dropSet(key setKey) {
+	if i := slices.Index(s.keys, key); i >= 0 {
+		delete(s.sets, key)
+		s.keys = slices.Delete(s.keys, i, i+1)
+	}
+}
+
 // activeKeys returns the running sets' keys: jobs in policy order, stages
 // ascending within each job. Policies are strict total orders, so the
-// result is deterministic whatever order the map yields. It is called once
-// per slot offer and allocates nothing: the returned slice is the
-// scheduler's own buffer, valid until the next call — callers iterate it
-// and must not call activeKeys again (directly or through assign) while
-// they do.
+// result is deterministic whatever order the sets were added in. It is called
+// once per slot offer and allocates nothing: the returned slice is the
+// scheduler's own list, put in order again on each call (a job's place moves
+// with its running count) and valid until the next call or dropSet — callers
+// iterate it and must not call either (directly or through assign) while they
+// do.
 func (s *taskScheduler) activeKeys() []setKey {
-	keys := s.keys[:0]
-	for key := range s.sets {
-		keys = append(keys, key)
-	}
-	s.keys = keys
-	if len(keys) > 1 {
-		slices.SortFunc(keys, func(a, b setKey) int {
+	if len(s.keys) > 1 {
+		slices.SortFunc(s.keys, func(a, b setKey) int {
 			switch {
 			case a.job == b.job:
 				return cmp.Compare(a.stage, b.stage)
@@ -269,7 +434,7 @@ func (s *taskScheduler) activeKeys() []setKey {
 			}
 		})
 	}
-	return keys
+	return s.keys
 }
 
 // snapshotJob builds the policy's view of one job.
@@ -378,7 +543,7 @@ func (s *taskScheduler) handleTaskDone(m *taskDoneMsg) {
 	}
 	if ts.recovery && ts.done >= ts.total {
 		// The lost map outputs are regenerated; dependents unblock.
-		delete(s.sets, ts.key)
+		s.dropSet(ts.key)
 		e.trace(TraceEvent{Type: TraceStageEnd, Job: m.job, Stage: ts.stage.ID, Task: -1, Exec: -1, Detail: "recovery complete"})
 		s.assignAll()
 		return
@@ -579,13 +744,14 @@ func (s *taskScheduler) ensureParents(ts *taskSet) {
 			continue
 		}
 		spec := ts.js.specs[parent]
-		rs := newTaskSet(pkey, ts.js, spec, true, lost)
+		var splits [][]dfs.Block
 		if spec.InputFile != "" {
 			if f, err := e.fs.Open(spec.InputFile); err == nil {
-				rs.splits = dfs.Splits(f, spec.NumTasks)
+				splits = dfs.Splits(f, spec.NumTasks)
 			}
 		}
-		s.sets[pkey] = rs
+		rs := newTaskSet(pkey, ts.js, spec, true, lost, splits, len(e.executors))
+		s.addSet(rs)
 		ts.js.resubmissions++
 		e.trace(TraceEvent{Type: TraceStageResubmit, Job: ts.key.job, Stage: parent, Task: -1, Exec: -1,
 			Detail: fmt.Sprintf("%d lost map outputs, wanted by stage %d", len(lost), ts.stage.ID)})
@@ -606,7 +772,7 @@ func (s *taskScheduler) pendingTotal(job int) int {
 	n := 0
 	for key, ts := range s.sets {
 		if job < 0 || key.job == job {
-			n += len(ts.pending)
+			n += ts.queue.live
 		}
 	}
 	return n
@@ -640,36 +806,20 @@ func (s *taskScheduler) assign(i int) {
 	}
 }
 
-// pickTask selects the next pending task executor i should run: first a
-// local non-excluded task, then any non-excluded task, scanning task sets
-// in policy order. If no other executor has free slots, exclusions against
+// pickTask selects the ticket of the next pending task executor i should run:
+// first a local non-excluded task, then any non-excluded task, offering task
+// sets in policy order. If no other executor has free slots, exclusions against
 // i are cleared rather than letting work stall.
 func (s *taskScheduler) pickTask(i int) (*taskSet, int) {
-	ex := s.eng.executors[i]
+	node := s.eng.executors[i].node.ID
 	keys := s.activeKeys()
 	for _, key := range keys {
 		ts := s.sets[key]
-		if len(ts.pending) == 0 || s.blocked(ts) {
+		if ts.queue.live == 0 || s.blocked(ts) {
 			continue
 		}
-		// First pass: local tasks without an exclusion against i.
-		for j, t := range ts.pending {
-			if ts.tasks[t].noExec == i {
-				continue
-			}
-			if ts.splits != nil {
-				blocks := ts.splits[t]
-				if len(blocks) > 0 && !blocks[0].LocalTo(ex.node.ID) {
-					continue
-				}
-			}
-			return ts, j
-		}
-		// Second pass: any task not excluded from i.
-		for j, t := range ts.pending {
-			if ts.tasks[t].noExec != i {
-				return ts, j
-			}
+		if ticket := ts.pick(i, node); ticket >= 0 {
+			return ts, ticket
 		}
 	}
 	if !s.eng.em.otherFree(i) {
@@ -677,32 +827,25 @@ func (s *taskScheduler) pickTask(i int) (*taskSet, int) {
 		// executor with free slots: drop the exclusions.
 		for _, key := range keys {
 			ts := s.sets[key]
-			if len(ts.pending) == 0 || s.blocked(ts) {
+			if ts.queue.live == 0 || s.blocked(ts) {
 				continue
 			}
-			for j, t := range ts.pending {
-				if ts.tasks[t].noExec == i {
-					ts.tasks[t].noExec = -1
-					return ts, j
-				}
+			if ticket := ts.first(i, true); ticket >= 0 {
+				ts.tasks[ts.queue.tickets[ticket]].noExec = -1
+				return ts, ticket
 			}
 		}
 	}
 	return nil, -1
 }
 
-// launch sends ts.pending[pick] to executor i with a freshly-computed
-// input plan.
-func (s *taskScheduler) launch(ts *taskSet, pick, i int) {
+// launch takes ticket off ts's queue and sends its task to executor i with a
+// freshly-computed input plan.
+func (s *taskScheduler) launch(ts *taskSet, ticket, i int) {
 	e := s.eng
 	ex := e.executors[i]
-	task := ts.pending[pick]
+	task := ts.take(ticket)
 	st := &ts.tasks[task]
-	// Close the gap from the front: pick is almost always 0 and a stage
-	// launches every task, so shifting the tail would cost O(tasks²).
-	copy(ts.pending[1:pick+1], ts.pending[:pick])
-	ts.pending = ts.pending[1:]
-	st.queued--
 	e.em.launched(i, ts.key.job)
 	if ts.js.firstLaunch < 0 {
 		ts.js.firstLaunch = e.k.Now()
