@@ -314,12 +314,34 @@ func (fs *FS) StartWrite(p *sim.Proc, writer int, name string, bytes int64) (f *
 	if bytes < 0 {
 		panic(fmt.Sprintf("dfs: negative write %d", bytes))
 	}
+	return fs.openOutput(name), fs.cluster.Node(writer).Disk.StartWrite(p, bytes)
+}
+
+// openOutput returns the file called name, creating an empty one if need be.
+func (fs *FS) openOutput(name string) *File {
 	f, ok := fs.files[name]
 	if !ok {
 		f = &File{Name: name}
 		fs.files[name] = f
 	}
-	return f, fs.cluster.Node(writer).Disk.StartWrite(p, bytes)
+	return f
+}
+
+// Reserve tells the file system that about blocks more blocks are going to be
+// written to the file called name (created empty if absent), so that its block
+// array can be sized for them at once: otherwise a stage's output file grows
+// by append, one block per write, and allocates — and copies — several times
+// what it ends up holding. The array's capacity is the ledger: each call adds
+// its blocks to it, so writers announced one after the other, and running side
+// by side, all fit. It is only a hint. The array moves once per call, the
+// blocks written so far and their numbering are untouched (splits taken before
+// keep their contents), and a write past what was announced appends as it
+// would have without.
+func (fs *FS) Reserve(name string, blocks int) {
+	f := fs.openOutput(name)
+	if blocks > 0 {
+		f.Blocks = append(make([]Block, 0, cap(f.Blocks)+blocks), f.Blocks...)
+	}
 }
 
 // FinishWrite is the second half of Write: it appends the written block to f.

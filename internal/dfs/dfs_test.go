@@ -1,6 +1,7 @@
 package dfs
 
 import (
+	"reflect"
 	"slices"
 	"sort"
 	"strconv"
@@ -341,6 +342,85 @@ func TestSplitsShareBlocks(t *testing.T) {
 	}
 	if grown := append(last, Block{Index: -1}); &grown[0] == &last[0] || f.Blocks[10].Index != 10 {
 		t.Fatal("appending to a split wrote into the file's block list")
+	}
+}
+
+// TestReserve holds Reserve to being a hint: the blocks a file ends up with are
+// the ones it would have had, field for field; inside the reservation the
+// array stays where it is; past it, and at a second reservation, it moves like
+// any append, leaving splits taken earlier with what they had and no way into
+// the new array; two writers announced before either has finished both fit;
+// and reserving nothing, or on a file that Create laid out, changes no block.
+func TestReserve(t *testing.T) {
+	write := func(fs *FS, from, to int) *File {
+		t.Helper()
+		f, err := fs.Open("out")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := from; i < to; i++ {
+			fs.FinishWrite(f, i%3, int64(5+i))
+		}
+		return f
+	}
+	plainFS := New(testCluster(sim.NewKernel(), 3), 10)
+	plainFS.Reserve("out", 0) // the entry alone
+	if f, _ := plainFS.Open("out"); f == nil || cap(f.Blocks) != 0 || f.Size != 0 {
+		t.Fatalf("Reserve(out, 0) left %+v", f)
+	}
+	plain := write(plainFS, 0, 48)
+
+	fs := New(testCluster(sim.NewKernel(), 3), 10)
+	fs.Reserve("out", 32)
+	f := write(fs, 0, 1)
+	if len(f.Blocks) != 1 || cap(f.Blocks) != 32 {
+		t.Fatalf("first write into a reservation of 32: len %d cap %d", len(f.Blocks), cap(f.Blocks))
+	}
+	base := &f.Blocks[0]
+	write(fs, 1, 32)
+	if &f.Blocks[0] != base {
+		t.Fatal("the block array moved inside its reservation")
+	}
+	window := Splits(f, 4)[3]
+	held := slices.Clone(window)
+	write(fs, 32, 40) // past the reservation: appends
+	fs.Reserve("out", 100)
+	if cap(f.Blocks)-len(f.Blocks) < 100 {
+		t.Fatalf("a second reservation of 100 left room for %d", cap(f.Blocks)-len(f.Blocks))
+	}
+	base = &f.Blocks[0]
+	write(fs, 40, 48)
+	if &f.Blocks[0] != base {
+		t.Fatal("the block array moved inside its second reservation")
+	}
+	if !reflect.DeepEqual(window, held) || len(window) != 8 || cap(window) != 8 {
+		t.Fatalf("a split taken before the array moved: %d blocks (cap %d), changed: %v", len(window), cap(window), !reflect.DeepEqual(window, held))
+	}
+	if f.Size != plain.Size || !reflect.DeepEqual(f.Blocks, plain.Blocks) {
+		t.Fatalf("reserved writes left\n%+v\nunreserved ones\n%+v", f.Blocks, plain.Blocks)
+	}
+
+	fs.Remove("out")
+	fs.Reserve("out", 10)
+	write(fs, 0, 4)
+	fs.Reserve("out", 10) // a second job's stage starts while the first one's writes
+	f = write(fs, 4, 5)
+	base = &f.Blocks[0]
+	if write(fs, 5, 20); &f.Blocks[0] != base || !reflect.DeepEqual(f.Blocks, plain.Blocks[:20]) {
+		t.Fatal("two reservations of 10 did not hold 20 blocks in place")
+	}
+
+	in, _ := fs.Create("in", 95, 2)
+	want := slices.Clone(in.Blocks)
+	splits := Splits(in, 4)
+	base = &in.Blocks[0]
+	fs.Reserve("in", 0)
+	if &in.Blocks[0] != base {
+		t.Fatal("reserving nothing moved an input file's blocks")
+	}
+	fs.Reserve("in", 5)
+	if in.Size != 95 || !reflect.DeepEqual(in.Blocks, want) || !reflect.DeepEqual(splits, Splits(&File{Blocks: want}, 4)) {
+		t.Fatalf("a reservation on an input file changed it: size %d, blocks %+v", in.Size, in.Blocks)
 	}
 }
 

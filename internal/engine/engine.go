@@ -178,6 +178,7 @@ type Engine struct {
 	recycle  bool
 	launches pool[launchMsg]
 	dones    pool[taskDoneMsg]
+	beats    pool[heartbeatMsg]
 	plans    [][]segment
 	// done flips when the driver finishes; atomic because in sharded runs
 	// per-shard housekeeping events (heartbeats, interference streams,
@@ -355,13 +356,15 @@ func NewEngine(opts Options) (*Engine, error) {
 			if !ex.alive || e.opts.Faults.Partitioned(i, ex.k.Now()) {
 				return
 			}
-			e.sendDriver(ex.shard, driverMsg{heartbeat: &heartbeatMsg{
+			beat := e.beats.get()
+			*beat = heartbeatMsg{
 				exec:      i,
 				epoch:     ex.epoch,
 				running:   ex.running,
 				limit:     ex.limit,
 				tasksDone: ex.totalTasks,
-			}})
+			}
+			e.sendDriver(ex.shard, driverMsg{heartbeat: beat})
 		})
 	}
 	if opts.Autoscale != nil {
@@ -524,6 +527,7 @@ func (d *driver) Step() {
 			e.sched.handleExecJoin(msg.execJoin)
 		case msg.heartbeat != nil:
 			e.sched.handleHeartbeat(msg.heartbeat)
+			e.beats.put(msg.heartbeat, e.recycle)
 		}
 	}
 	// Housekeeping events (heartbeat tickers, interference streams) see

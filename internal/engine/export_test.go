@@ -5,6 +5,7 @@ package engine
 var (
 	TwoStageJob = twoStageJob
 	GrayOptions = grayOptions
+	RaceEnabled = raceEnabled
 )
 
 // Zombies reports how many completions the executor dropped as an earlier
@@ -14,3 +15,6 @@ func (ex *Executor) Zombies() int { return ex.zombies }
 // StopRecycling makes e allocate every control-plane message and fetch plan
 // afresh, as a sharded engine does: the reference a recycling run is held to.
 func (e *Engine) StopRecycling() { e.recycle = false }
+
+// FreeBeats reports how many heartbeat messages sit in e's free list.
+func (e *Engine) FreeBeats() int { return len(e.beats.free) }

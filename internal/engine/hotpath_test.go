@@ -5,9 +5,11 @@ import (
 	"reflect"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sort"
 	"testing"
 	"time"
+	"unsafe"
 
 	"sae/internal/cluster"
 	"sae/internal/core"
@@ -88,7 +90,11 @@ func TestActiveKeysMatchesReference(t *testing.T) {
 func referenceReducePlan(r *shuffleRegistry, job int, from []int, numTasks, idx int) []segment {
 	byNode := make(map[int]int64)
 	for _, st := range from {
-		for _, out := range r.outputs[setKey{job, st}] {
+		ks := r.state[setKey{job, st}]
+		if ks == nil {
+			continue
+		}
+		for _, out := range ks.outs {
 			if out.lost {
 				continue
 			}
@@ -120,12 +126,17 @@ func referenceReducePlan(r *shuffleRegistry, job int, from []int, numTasks, idx 
 // the job itself dropped — each time for two consumer widths over the same
 // upstream stages: a stale aggregate, or one shared across widths (the
 // remainders are bytes%numTasks), gives a wrong share. The running totals
-// behind registeredBytes and missing are held to a scan of the outputs.
+// behind registeredBytes and missing are held to a scan of the outputs. Every
+// upstream stage is `maps` tasks wide — what the registry sizes a key's output
+// list and slot index to — and its last task registers on the node that is
+// lost and registers again as recovery: the index's last entry, both ways.
 func TestReducePlanMatchesReference(t *testing.T) {
+	const maps = 24
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 200; trial++ {
 		r := newShuffleRegistry()
 		nodes := 1 + rng.Intn(9)
+		doomed := rng.Intn(nodes)
 		from := []int{0, 1, 2}[:1+rng.Intn(3)]
 		widths := []int{1 + rng.Intn(16), 1 + rng.Intn(16)}
 		buf := []segment{} // every plan is built in the previous one's buffer
@@ -143,8 +154,8 @@ func TestReducePlanMatchesReference(t *testing.T) {
 			}
 			var valid int64
 			lost := false
-			for key, outs := range r.outputs {
-				for _, out := range outs {
+			for key, ks := range r.state {
+				for _, out := range ks.outs {
 					if !out.lost {
 						valid += out.bytes
 					} else if key.job == 1 && key.stage < len(from) {
@@ -162,24 +173,34 @@ func TestReducePlanMatchesReference(t *testing.T) {
 		register := func(first int) {
 			for _, st := range from {
 				for task := first; task < first+rng.Intn(12); task++ {
-					r.addMapOutput(setKey{job: 1, stage: st}, task, rng.Intn(nodes), int64(1+rng.Intn(40)))
+					r.addMapOutput(setKey{job: 1, stage: st}, maps, task, rng.Intn(nodes), int64(1+rng.Intn(40)))
 				}
 			}
 		}
 		register(0)
 		// A sibling job whose outputs must not leak into the plan.
-		r.addMapOutput(setKey{job: 2, stage: 0}, 0, 0, 1000)
+		r.addMapOutput(setKey{job: 2, stage: 0}, 1, 0, 0, 1000)
 		check("registered")
 		register(12)
+		for _, st := range from {
+			if got := r.addMapOutput(setKey{job: 1, stage: st}, maps, maps-1, doomed, 7); got != ShuffleAccepted {
+				t.Fatalf("trial %d: the stage's last task registers as %v", trial, got)
+			}
+		}
 		check("late registrations")
-		r.removeNode(rng.Intn(nodes))
+		r.removeNode(doomed)
 		check("node lost")
 		for _, st := range from {
 			key := setKey{job: 1, stage: st}
 			for _, task := range r.lostTasks(key) {
-				if rng.Intn(3) > 0 {
-					r.addMapOutput(key, task, rng.Intn(nodes), int64(1+rng.Intn(40)))
+				if task == maps-1 || rng.Intn(3) > 0 {
+					if got := r.addMapOutput(key, maps, task, rng.Intn(nodes), int64(1+rng.Intn(40))); got != ShuffleRecovered {
+						t.Fatalf("trial %d: lost task %d registers again as %v", trial, task, got)
+					}
 				}
+			}
+			if got := r.addMapOutput(key, maps, maps-1, 0, 5); got != ShuffleDuplicate {
+				t.Fatalf("trial %d: the recovered last task registers a third time as %v", trial, got)
 			}
 		}
 		check("recovered")
@@ -197,7 +218,7 @@ func TestReducePlanMatchesReference(t *testing.T) {
 func referencePick(ts *taskSet, pending []int, i, node int) int {
 	// First pass: local tasks without an exclusion against i.
 	for j, t := range pending {
-		if ts.tasks[t].noExec == i {
+		if int(ts.tasks[t].noExec) == i {
 			continue
 		}
 		if ts.splits != nil {
@@ -210,7 +231,7 @@ func referencePick(ts *taskSet, pending []int, i, node int) int {
 	}
 	// Second pass: any task not excluded from i.
 	for j, t := range pending {
-		if ts.tasks[t].noExec != i {
+		if int(ts.tasks[t].noExec) != i {
 			return j
 		}
 	}
@@ -221,7 +242,7 @@ func referencePick(ts *taskSet, pending []int, i, node int) int {
 // position of the first task excluded from i.
 func referencePickExcluded(ts *taskSet, pending []int, i int) int {
 	for j, t := range pending {
-		if ts.tasks[t].noExec == i {
+		if int(ts.tasks[t].noExec) == i {
 			return j
 		}
 	}
@@ -346,7 +367,7 @@ func TestPickMatchesScanReference(t *testing.T) {
 				// everything, excluded from the executor that ran it — whether or
 				// not an earlier copy of it is still waiting there.
 				a := running[rng.Intn(len(running))]
-				ts.tasks[a.task].noExec = a.exec
+				ts.tasks[a.task].noExec = int32(a.exec)
 				ts.enqueue(a.task)
 				queue(a.task)
 				check("re-enqueue")
@@ -388,6 +409,159 @@ func TestPickMatchesScanReference(t *testing.T) {
 	}
 }
 
+// TestTaskStateIsSmall pins the width of the driver's per-task record: five
+// words, none of them a pointer, so a stage's table is one allocation the
+// collector does not scan.
+func TestTaskStateIsSmall(t *testing.T) {
+	if size := unsafe.Sizeof(taskState{}); size > 40 {
+		t.Errorf("taskState is %d bytes, want at most 40", size)
+	}
+	typ := reflect.TypeOf(taskState{})
+	for i := 0; i < typ.NumField(); i++ {
+		switch f := typ.Field(i); f.Type.Kind() {
+		case reflect.Pointer, reflect.Slice, reflect.Map, reflect.String, reflect.Interface, reflect.Func, reflect.Chan, reflect.UnsafePointer:
+			t.Errorf("taskState.%s is a %s: the table must hold no pointer", f.Name, f.Type.Kind())
+		}
+	}
+}
+
+// TestCopiesMatchSliceReference drives a task set's running-attempt records —
+// two inline places per task, the set's extra list past them — against the
+// append-grown []int per task they replaced, over random histories on the
+// queue driver of TestPickMatchesScanReference. Even trials follow the
+// scheduler's rules: a retry is queued when the failed attempt has been
+// dropped, a task gets one backup copy and only while an attempt of it runs,
+// and a lost executor's or a lost output's task is requeued only if nothing of
+// it runs or waits. Those never put a third attempt beside two, which is why
+// two places are inline. Odd trials also queue tasks out of turn, as a zombie of
+// an earlier set does when it reports a failure, and go past two. After every
+// step inFlight, dropCopy's verdict and the attempts held must be the
+// reference's.
+func TestCopiesMatchSliceReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	spilled := false
+	for trial := 0; trial < 300; trial++ {
+		lawful := trial%2 == 0
+		nodes, numTasks := 2+rng.Intn(7), 1+rng.Intn(24)
+		ts := newTaskSet(setKey{}, nil, &job.StageSpec{NumTasks: numTasks}, false, nil, nil, nodes)
+		ref := make([][]int, numTasks)
+		type running struct{ task, exec int }
+		attempts := func() (out []running) {
+			for task, execs := range ref {
+				for _, exec := range execs {
+					out = append(out, running{task, exec})
+				}
+			}
+			return out
+		}
+		drop := func(step string, task, exec int) bool {
+			t.Helper()
+			i := slices.Index(ref[task], exec)
+			if got := ts.dropCopy(task, exec); got != (i >= 0) {
+				t.Fatalf("trial %d, %s: dropCopy(%d, %d) = %v with the reference holding %v", trial, step, task, exec, got, ref[task])
+			}
+			if i >= 0 {
+				ref[task] = slices.Delete(ref[task], i, i+1)
+			}
+			return i >= 0
+		}
+		requeue := func(task int) {
+			if !ts.tasks[task].done && !ts.inFlight(task) && !ts.isPending(task) {
+				ts.enqueue(task)
+			}
+		}
+		for step := 0; step < 12*numTasks; step++ {
+			exec := rng.Intn(nodes)
+			name := "launch"
+			switch op := rng.Intn(9); {
+			case op < 3:
+				ticket := ts.pick(exec, exec)
+				if ticket < 0 {
+					if ticket = ts.first(exec, true); ticket < 0 {
+						continue
+					}
+					ts.tasks[ts.queue.tickets[ticket]].noExec = -1
+				}
+				task := ts.take(ticket)
+				ts.addCopy(task, exec)
+				ts.tasks[task].lastExec = int32(exec)
+				ref[task] = append(ref[task], exec)
+			case op < 5:
+				name = "attempt ends"
+				as := attempts()
+				if len(as) == 0 {
+					continue
+				}
+				a := as[rng.Intn(len(as))]
+				drop(name, a.task, a.exec)
+				if st := &ts.tasks[a.task]; rng.Intn(2) == 0 {
+					st.done = true
+				} else if !st.done {
+					st.noExec = int32(a.exec)
+					ts.enqueue(a.task)
+				}
+			case op == 5:
+				name = "speculate"
+				for task := range ts.tasks {
+					if st := &ts.tasks[task]; !st.done && !st.speculated && ts.inFlight(task) && rng.Intn(3) == 0 {
+						st.speculated, st.noExec = true, st.lastExec
+						ts.enqueue(task)
+					}
+				}
+			case op == 6:
+				name = "executor lost"
+				for task := range ts.tasks {
+					if drop(name, task, exec) {
+						requeue(task)
+					}
+				}
+			case op == 7:
+				name = "output lost"
+				if task := rng.Intn(numTasks); ts.tasks[task].done {
+					ts.tasks[task].done = false
+					requeue(task)
+				}
+			case lawful:
+				name = "no such attempt"
+				drop(name, rng.Intn(numTasks), nodes)
+			default:
+				name = "queued out of turn"
+				ts.enqueue(rng.Intn(numTasks))
+			}
+			for task, want := range ref {
+				st := &ts.tasks[task]
+				var got []int
+				for _, exec := range st.copies {
+					if exec >= 0 {
+						got = append(got, int(exec))
+					}
+				}
+				for _, a := range ts.extra {
+					if int(a.task) == task {
+						got = append(got, int(a.exec))
+					}
+				}
+				slices.Sort(got)
+				if want = slices.Sorted(slices.Values(want)); !slices.Equal(got, want) || ts.inFlight(task) != (len(want) > 0) {
+					t.Fatalf("trial %d, after %s: task %d runs on %v (in flight: %v), the reference has it on %v", trial, name, task, got, ts.inFlight(task), want)
+				}
+				if lawful && len(want) > 2 {
+					t.Fatalf("trial %d, after %s: task %d has %d attempts running under the scheduler's rules", trial, name, task, len(want))
+				}
+			}
+			if len(ts.extra) > 0 {
+				if lawful {
+					t.Fatalf("trial %d, after %s: the scheduler's rules spilled %v", trial, name, ts.extra)
+				}
+				spilled = true
+			}
+		}
+	}
+	if !spilled {
+		t.Fatal("no history went past two attempts of a task: the extra list was never used")
+	}
+}
+
 // TestReducePlanAllocatesNothingWarm pins the steady-state cost of a launch's
 // fetch plan: once a stage's aggregate is built, every further reducer reads
 // it, and the segments go into the buffer the caller brings — the one an
@@ -398,8 +572,8 @@ func TestReducePlanAllocatesNothingWarm(t *testing.T) {
 	}
 	r := newShuffleRegistry()
 	for task := 0; task < 64; task++ {
-		r.addMapOutput(setKey{job: 0, stage: 0}, task, task%4, int64(1000+task))
-		r.addMapOutput(setKey{job: 0, stage: 1}, task, task%3, int64(500+task))
+		r.addMapOutput(setKey{job: 0, stage: 0}, 64, task, task%4, int64(1000+task))
+		r.addMapOutput(setKey{job: 0, stage: 1}, 64, task, task%3, int64(500+task))
 	}
 	from := []int{0, 1}
 	buf := r.reducePlan(0, from, 48, 0, nil)
@@ -472,8 +646,9 @@ func TestStacklessTaskAllocs(t *testing.T) {
 	}
 	perTask := float64(mallocs[1]-mallocs[0]) / float64(n)
 	t.Logf("%.2f objects per task over %d tasks", perTask, n)
-	// The fraction is the heartbeat ticks' (one message per beat) and the
-	// output file's block list growing.
+	// Heartbeats come from a free list too and the output file's block list
+	// is reserved when the stage starts: the allowance is for a beat that
+	// finds its list empty.
 	if perTask > 0.25 {
 		t.Errorf("an analytic task allocates %.2f objects in steady state, want 0 (every message, plan and delivery is recycled)", perTask)
 	}

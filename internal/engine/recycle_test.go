@@ -2,14 +2,18 @@ package engine_test
 
 import (
 	"bytes"
+	"io"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
 	"sae/internal/chaos"
 	"sae/internal/core"
 	"sae/internal/engine"
+	"sae/internal/engine/job"
 	"sae/internal/invariant"
+	"sae/internal/telemetry"
 )
 
 // TestRecycledMessagesSurviveFaults sends the recycled control plane down
@@ -18,17 +22,21 @@ import (
 // still holding their contexts), a second crash the instant after a wave of
 // launches (they arrive at a dead executor and are dropped), a partition long
 // enough to get a live executor declared lost and fenced (its completions
-// reach a driver that has requeued them), and a slowed executor under
-// speculation (a losing copy reports to a set that has moved on). A message
-// or a plan released too early, or twice, hands one task another's identity
-// or input: the run must match, byte for byte, one that allocates them all
-// afresh, a second run of itself, and the auditor's ledgers. CI runs it under
-// -race.
+// reach a driver that has requeued them, and the beat that follows the
+// partition is the one the driver fences it on), and a slowed executor under
+// speculation (a losing copy reports to a set that has moved on). Heartbeats
+// ride the same kind of list: the ticker takes one per beat and the driver loop
+// gives it back once the detector has read it. A message or a plan released
+// too early, or twice, hands one task another's identity or input, and a beat
+// released early reads as executor 0 of no epoch and goes unheard: the run
+// must match, byte for byte, one that allocates them all afresh, a second run
+// of itself, and the auditor's ledgers. CI runs it under -race.
 func TestRecycledMessagesSurviveFaults(t *testing.T) {
 	type outcome struct {
-		rep     *engine.JobReport
-		trace   []byte
-		zombies int
+		rep       *engine.JobReport
+		trace     []byte
+		zombies   int
+		freeBeats int
 	}
 	run := func(crashAt time.Duration, recycle bool) outcome {
 		var trace bytes.Buffer
@@ -64,7 +72,7 @@ func TestRecycledMessagesSurviveFaults(t *testing.T) {
 		if vs := aud.Violations(); len(vs) > 0 {
 			t.Fatalf("%d invariant violation(s), first: %s", len(vs), vs[0])
 		}
-		out := outcome{rep: rep, trace: trace.Bytes()}
+		out := outcome{rep: rep, trace: trace.Bytes(), freeBeats: eng.FreeBeats()}
 		for _, ex := range eng.Executors() {
 			out.zombies += ex.Zombies()
 		}
@@ -97,6 +105,8 @@ func TestRecycledMessagesSurviveFaults(t *testing.T) {
 		t.Fatal("no task finished as a zombie")
 	case speculative == 0:
 		t.Fatal("no speculative copy ran")
+	case a.freeBeats == 0 || fresh.freeBeats != 0:
+		t.Fatalf("%d heartbeat messages ended the run in the free list, %d with recycling off: want some and none", a.freeBeats, fresh.freeBeats)
 	}
 	for _, o := range []struct {
 		name string
@@ -108,5 +118,43 @@ func TestRecycledMessagesSurviveFaults(t *testing.T) {
 		if !bytes.Equal(a.trace, o.trace) {
 			t.Fatalf("%s wrote a different trace", o.name)
 		}
+	}
+}
+
+// TestObservedRunBytesPerTask is a budget on what a run's bookkeeping costs in
+// bytes when every observer is attached: a map stage over a file and a reduce
+// stage that fetches its shuffle and writes a DFS output, 8 nodes, under the
+// auditor, a v2 trace and telemetry. The sample store, the output file's block
+// list, the shuffle registry's output lists and the driver's task tables are
+// each sized once (DESIGN.md "What a run allocates"); grown by append instead,
+// the same run allocated over twice the budget.
+func TestObservedRunBytesPerTask(t *testing.T) {
+	if engine.RaceEnabled() {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	const tasks = 1024
+	size := int64(tasks) * 64 << 20
+	spec := &job.JobSpec{Name: "budget", Stages: []*job.StageSpec{
+		{ID: 0, Name: "map", InputFile: "in", CPUSecondsPerTask: 0.2, ShuffleWriteBytes: size},
+		{ID: 1, Name: "reduce", NumTasks: tasks, ShuffleFrom: []int{0}, CPUSecondsPerTask: 0.2,
+			OutputFile: "out", OutputBytes: size},
+	}}
+	opts := engine.GrayOptions(8, core.Static{IOThreads: 4})
+	opts.Inputs = []engine.Input{{Name: "in", Size: size}}
+	opts.Trace, opts.TraceFormat = io.Discard, 2
+	opts.Audit = invariant.New()
+	opts.Metrics, opts.MetricsInterval = telemetry.NewRegistry(), time.Second
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rep, err := engine.Run(opts, spec)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perTask := float64(after.TotalAlloc-before.TotalAlloc) / (2 * tasks)
+	t.Logf("%.0f bytes per task over %d tasks, %s simulated", perTask, 2*tasks, rep.Runtime)
+	// 515 when written; 1019 with the four grown by append.
+	if perTask > 650 {
+		t.Errorf("an observed run allocates %.0f bytes per task, budget 650", perTask)
 	}
 }

@@ -113,6 +113,10 @@ type taskSet struct {
 	total  int
 	done   int
 
+	// extra lists the running attempts that found both places of their
+	// taskState.copies taken; nil in every run so far.
+	extra []attempt
+
 	durations []time.Duration // completed attempts (speculation's median)
 
 	retries     int
@@ -132,27 +136,36 @@ type taskSet struct {
 	stats      []ExecutorStageStats
 }
 
-// taskState is the driver's bookkeeping for one task of a set.
+// taskState is the driver's bookkeeping for one task of a set: 40 bytes with
+// no pointer in them, so a stage's table is one allocation the collector never
+// scans. Executor indices and counts are 32 bits wide for that.
 type taskState struct {
+	launchAt time.Duration // first launch
+	// copies lists the executors currently running an attempt the set launched,
+	// -1 in a free place. Two is all a task has had in any run so far — one
+	// backup per task (speculated), and a retry is queued only once the failed
+	// copy has been dropped — but a zombie of an earlier set of the stage that
+	// reports a failure here queues a retry without having held a copy, so a
+	// third is not provably out of reach: taskSet.extra takes it (DESIGN.md
+	// "What a run allocates").
+	copies [2]int32
+	// queued counts the task's live tickets in the queue: a retry can queue a
+	// task whose speculative copy is still waiting there.
+	queued   int32
+	attempts int32 // failed attempts (abort threshold)
+	launches int32 // total launches (chaos attempt index)
+	lastExec int32 // latest executor
+	noExec   int32 // executor to avoid (retries, speculative copies), -1 for none
 	// member marks the tasks the set runs: every index of a primary set, the
 	// lost ones of a recovery set.
 	member     bool
 	done       bool
 	speculated bool
-	// queued counts the task's live tickets in the queue: a retry can queue a
-	// task whose speculative copy is still waiting there.
-	queued   int
-	attempts int // failed attempts (abort threshold)
-	launches int // total launches (chaos attempt index)
-	// copies lists executors currently running an attempt; one backs it
-	// until a second attempt runs beside the first.
-	copies []int
-	one    [1]int
-
-	launchAt time.Duration // first launch
-	lastExec int           // latest executor
-	noExec   int           // executor to avoid (retries, speculative copies), -1 for none
 }
+
+// attempt is one running attempt of a task that its taskState had no place
+// for.
+type attempt struct{ task, exec int32 }
 
 // pendingQueue holds a task set's attempts awaiting a slot. An entry's ticket
 // is its index in tickets, which only grows, so ticket order is the order the
@@ -188,6 +201,7 @@ func newTaskSet(key setKey, js *jobState, stage *job.StageSpec, recovery bool, o
 	ts.indexLocality(nodes)
 	for i := range ts.tasks {
 		ts.tasks[i].noExec = -1
+		ts.tasks[i].copies = [2]int32{-1, -1}
 		if !recovery {
 			ts.addTask(i)
 		}
@@ -310,7 +324,7 @@ func (ts *taskSet) pick(exec, node int) int {
 func (ts *taskSet) first(exec int, excluded bool) int {
 	q := &ts.queue
 	for ticket := q.head; ticket < len(q.tickets); ticket++ {
-		if task := q.tickets[ticket]; task >= 0 && (ts.tasks[task].noExec == exec) == excluded {
+		if task := q.tickets[ticket]; task >= 0 && (int(ts.tasks[task].noExec) == exec) == excluded {
 			return ticket
 		}
 	}
@@ -329,7 +343,7 @@ func (ts *taskSet) firstOf(list *[]int, exec int) int {
 	}
 	*list = l
 	for _, ticket := range l {
-		if task := q.tickets[ticket]; task >= 0 && ts.tasks[task].noExec != exec {
+		if task := q.tickets[ticket]; task >= 0 && int(ts.tasks[task].noExec) != exec {
 			return ticket
 		}
 	}
@@ -353,17 +367,37 @@ func (ts *taskSet) addTask(task int) {
 }
 
 // inFlight reports whether any attempt of task is currently running.
-func (ts *taskSet) inFlight(task int) bool { return len(ts.tasks[task].copies) > 0 }
+func (ts *taskSet) inFlight(task int) bool {
+	st := &ts.tasks[task]
+	return st.copies[0] >= 0 || st.copies[1] >= 0 ||
+		slices.ContainsFunc(ts.extra, func(a attempt) bool { return int(a.task) == task })
+}
 
 // isPending reports whether task is queued for assignment.
 func (ts *taskSet) isPending(task int) bool { return ts.tasks[task].queued > 0 }
 
-// dropCopy removes one running attempt of task on exec.
-func (ts *taskSet) dropCopy(task, exec int) {
+// addCopy records an attempt of task starting on exec.
+func (ts *taskSet) addCopy(task, exec int) {
 	st := &ts.tasks[task]
-	if i := slices.Index(st.copies, exec); i >= 0 {
-		st.copies = slices.Delete(st.copies, i, i+1)
+	if i := slices.Index(st.copies[:], -1); i >= 0 {
+		st.copies[i] = int32(exec)
+	} else {
+		ts.extra = append(ts.extra, attempt{int32(task), int32(exec)})
 	}
+}
+
+// dropCopy removes one running attempt of task on exec, reporting whether
+// there was one.
+func (ts *taskSet) dropCopy(task, exec int) bool {
+	st := &ts.tasks[task]
+	if i := slices.Index(st.copies[:], int32(exec)); i >= 0 {
+		st.copies[i] = -1
+	} else if i := slices.Index(ts.extra, attempt{int32(task), int32(exec)}); i >= 0 {
+		ts.extra = slices.Delete(ts.extra, i, i+1)
+	} else {
+		return false
+	}
+	return true
 }
 
 // taskScheduler places tasks from every job's active sets onto executor
@@ -503,7 +537,7 @@ func (s *taskScheduler) handleTaskDone(m *taskDoneMsg) {
 			return
 		}
 		st.attempts++
-		if st.attempts >= e.opts.TaskMaxFailures {
+		if int(st.attempts) >= e.opts.TaskMaxFailures {
 			e.failJob(js, ts.stage.ID, fmt.Errorf("task %d failed %d times, last on executor %d: %w",
 				idx, st.attempts, m.exec, m.err))
 			s.assignAll()
@@ -511,7 +545,7 @@ func (s *taskScheduler) handleTaskDone(m *taskDoneMsg) {
 		}
 		ts.retries++
 		// Retry genuinely avoids the executor that just failed it.
-		st.noExec = m.exec
+		st.noExec = int32(m.exec)
 		em.noteFailure(m.exec, m.job, ts.stage.ID)
 		ts.enqueue(idx)
 		for i := range e.executors {
@@ -619,10 +653,9 @@ func (s *taskScheduler) reclaimNode(exec int) {
 		ts := s.sets[key]
 		// Requeue attempts that were running on the dead executor.
 		for task := range ts.tasks {
-			if !slices.Contains(ts.tasks[task].copies, exec) {
+			if !ts.dropCopy(task, exec) {
 				continue
 			}
-			ts.dropCopy(task, exec)
 			if !ts.tasks[task].done && !ts.inFlight(task) && !ts.isPending(task) {
 				ts.enqueue(task)
 				ts.js.requeues++
@@ -851,17 +884,14 @@ func (s *taskScheduler) launch(ts *taskSet, ticket, i int) {
 		ts.js.firstLaunch = e.k.Now()
 		e.tel.onJobLaunched(e.k.Now() - ts.js.submitAt)
 	}
-	if st.copies == nil {
-		st.copies = st.one[:0]
-	}
-	st.copies = append(st.copies, i)
+	ts.addCopy(task, i)
 	if st.launches == 0 {
 		st.launchAt = e.k.Now()
 		if !ts.recovery {
 			e.tel.onTaskQueued(e.k.Now() - ts.start)
 		}
 	}
-	st.lastExec = i
+	st.lastExec = int32(i)
 	detail := ""
 	if ts.recovery {
 		detail = "recovery"
@@ -869,7 +899,7 @@ func (s *taskScheduler) launch(ts *taskSet, ticket, i int) {
 	e.trace(TraceEvent{Type: TraceTaskLaunch, Job: ts.key.job, Stage: ts.stage.ID, Task: task, Exec: i, Detail: detail})
 
 	lm := e.launches.get()
-	*lm = launchMsg{job: ts.key.job, stage: ts.stage, index: task, attempt: st.launches, epoch: e.em.epochs[i]}
+	*lm = launchMsg{job: ts.key.job, stage: ts.stage, index: task, attempt: int(st.launches), epoch: e.em.epochs[i]}
 	st.launches++
 	if ts.splits != nil {
 		lm.blocks = ts.splits[task]
@@ -915,7 +945,7 @@ func (s *taskScheduler) speculate(ts *taskSet) int {
 		st.speculated = true
 		st.noExec = st.lastExec
 		ts.enqueue(task)
-		e.trace(TraceEvent{Type: TraceSpeculate, Job: ts.key.job, Stage: ts.stage.ID, Task: task, Exec: st.lastExec})
+		e.trace(TraceEvent{Type: TraceSpeculate, Job: ts.key.job, Stage: ts.stage.ID, Task: task, Exec: int(st.lastExec)})
 		launched++
 	}
 	if launched > 0 {

@@ -26,9 +26,8 @@ type mapOutput struct {
 // registrations replace the lost entries and are counted as recovered bytes,
 // attributed to the owning job.
 type shuffleRegistry struct {
-	// outputs[key] lists registered map outputs in registration order.
-	outputs map[setKey][]mapOutput
-	// state[key] is the bookkeeping kept beside outputs[key].
+	// state[key] holds the task set's registered map outputs and the
+	// bookkeeping kept beside them.
 	state map[setKey]*keyState
 	// nodeGen[node] counts losses on node; fetch plans snapshot it so a
 	// plan computed before a loss fails validation even after the lost
@@ -43,19 +42,22 @@ type shuffleRegistry struct {
 
 func newShuffleRegistry() *shuffleRegistry {
 	return &shuffleRegistry{
-		outputs:   make(map[setKey][]mapOutput),
 		state:     make(map[setKey]*keyState),
 		nodeGen:   make(map[int]int),
 		recovered: make(map[int]int64),
 	}
 }
 
-// keyState is what the registry keeps per task set beside its output list:
-// running totals, so the questions asked on every slot offer and telemetry
-// tick never walk the outputs, and the reduce-side aggregates built from them.
+// keyState is what the registry keeps per task set: its output list, running
+// totals, so the questions asked on every slot offer and telemetry tick never
+// walk the outputs, and the reduce-side aggregates built from them. Both
+// slices are made once, at the producing stage's task count.
 type keyState struct {
-	// slot[task] locates a task's entry in outputs[key].
-	slot map[int]int
+	// outs lists the registered map outputs in registration order.
+	outs []mapOutput
+	// slot[task] is one more than the index of task's entry in outs, 0 while
+	// the task has none.
+	slot []int32
 	// valid sums the bytes of the outputs not lost; lost counts the others.
 	valid int64
 	lost  int
@@ -82,16 +84,16 @@ type nodeShare struct {
 }
 
 // shares returns the key's aggregate for r consumer tasks, building it from
-// outs on the first plan since the outputs last changed.
-func (ks *keyState) shares(r int, outs []mapOutput) []nodeShare {
+// the outputs on the first plan since they last changed.
+func (ks *keyState) shares(r int) []nodeShare {
 	for i := range ks.aggs {
 		if ks.aggs[i].r == r {
 			return ks.aggs[i].nodes
 		}
 	}
 	var nodes []nodeShare
-	for i := range outs {
-		out := &outs[i]
+	for i := range ks.outs {
+		out := &ks.outs[i]
 		if out.lost {
 			continue
 		}
@@ -111,34 +113,46 @@ func (ks *keyState) shares(r int, outs []mapOutput) []nodeShare {
 	return nodes
 }
 
-// addMapOutput registers bytes of shuffle output that task of key spilled
-// on node, and reports the registry's verdict. The first successful
-// registration wins (a losing speculative copy's duplicate is dropped); a
-// registration for a lost entry replaces it and counts as recovery.
-func (r *shuffleRegistry) addMapOutput(key setKey, task, node int, bytes int64) ShuffleOutcome {
+// addMapOutput registers bytes of shuffle output that task of key, a stage of
+// numTasks tasks, spilled on node, and reports the registry's verdict. The
+// first successful registration wins (a losing speculative copy's duplicate is
+// dropped); a registration for a lost entry replaces it and counts as recovery.
+func (r *shuffleRegistry) addMapOutput(key setKey, numTasks, task, node int, bytes int64) ShuffleOutcome {
 	if bytes <= 0 {
 		return ShuffleEmpty
 	}
 	ks := r.state[key]
 	if ks == nil {
-		ks = &keyState{slot: make(map[int]int)}
+		ks = &keyState{outs: make([]mapOutput, 0, numTasks), slot: make([]int32, numTasks)}
 		r.state[key] = ks
 	}
-	slot, seen := ks.slot[task]
-	if seen && !r.outputs[key][slot].lost {
+	slot := ks.slot[task]
+	if slot > 0 && !ks.outs[slot-1].lost {
 		return ShuffleDuplicate // an earlier attempt already won
 	}
 	ks.valid += bytes
 	ks.aggs = nil
-	if seen {
+	if slot > 0 {
 		r.recovered[key.job] += bytes
-		r.outputs[key][slot] = mapOutput{task: task, node: node, bytes: bytes}
+		ks.outs[slot-1] = mapOutput{task: task, node: node, bytes: bytes}
 		ks.lost--
 		return ShuffleRecovered
 	}
-	ks.slot[task] = len(r.outputs[key])
-	r.outputs[key] = append(r.outputs[key], mapOutput{task: task, node: node, bytes: bytes})
+	ks.outs = append(ks.outs, mapOutput{task: task, node: node, bytes: bytes})
+	ks.slot[task] = int32(len(ks.outs))
 	return ShuffleAccepted
+}
+
+// validBytes returns the valid shuffle output registered by the given stages
+// of job: what the tasks of a stage fetching from them will read between them.
+func (r *shuffleRegistry) validBytes(job int, from []int) int64 {
+	var total int64
+	for _, stage := range from {
+		if ks := r.state[setKey{job, stage}]; ks != nil {
+			total += ks.valid
+		}
+	}
+	return total
 }
 
 // registeredBytes returns the currently-valid shuffle output registered
@@ -157,10 +171,9 @@ func (r *shuffleRegistry) registeredBytes() int64 {
 // node's generation so outstanding fetch plans go stale.
 func (r *shuffleRegistry) removeNode(node int) {
 	r.nodeGen[node]++
-	for key, outs := range r.outputs {
-		ks := r.state[key]
-		for i := range outs {
-			if out := &outs[i]; out.node == node && !out.lost {
+	for _, ks := range r.state {
+		for i := range ks.outs {
+			if out := &ks.outs[i]; out.node == node && !out.lost {
 				out.lost = true
 				ks.valid -= out.bytes
 				ks.lost++
@@ -174,8 +187,8 @@ func (r *shuffleRegistry) removeNode(node int) {
 // output. Finished jobs' registrations are dropped (dropJob), so a true
 // result means taking the node away would cost an unfinished job data.
 func (r *shuffleRegistry) hasOutput(node int) bool {
-	for _, outs := range r.outputs {
-		for _, out := range outs {
+	for _, ks := range r.state {
+		for _, out := range ks.outs {
 			if !out.lost && out.node == node {
 				return true
 			}
@@ -187,9 +200,8 @@ func (r *shuffleRegistry) hasOutput(node int) bool {
 // dropJob forgets a finished job's registrations (its shuffle files are
 // cleaned up, as Spark does at application end).
 func (r *shuffleRegistry) dropJob(job int) {
-	for key := range r.outputs {
+	for key := range r.state {
 		if key.job == job {
-			delete(r.outputs, key)
 			delete(r.state, key)
 		}
 	}
@@ -198,8 +210,12 @@ func (r *shuffleRegistry) dropJob(job int) {
 // lostTasks returns the sorted task indices of key whose registered output
 // is currently lost.
 func (r *shuffleRegistry) lostTasks(key setKey) []int {
+	ks := r.state[key]
+	if ks == nil {
+		return nil
+	}
 	var tasks []int
-	for _, out := range r.outputs[key] {
+	for _, out := range ks.outs {
 		if out.lost {
 			tasks = append(tasks, out.task)
 		}
@@ -256,12 +272,11 @@ func (r *shuffleRegistry) reducePlan(job int, from []int, numTasks, idx int, buf
 	byNode := r.byNode
 	n := 0 // nodes with a non-zero sum
 	for _, st := range from {
-		key := setKey{job, st}
-		ks := r.state[key]
+		ks := r.state[setKey{job, st}]
 		if ks == nil {
 			continue
 		}
-		shares := ks.shares(numTasks, r.outputs[key])
+		shares := ks.shares(numTasks)
 		if len(shares) > len(byNode) {
 			byNode = append(byNode, make([]int64, len(shares)-len(byNode))...)
 		}

@@ -128,10 +128,14 @@ type Auditor struct {
 
 	violations []Violation
 	coverage   map[string]struct{}
+	// eventTypes holds the trace-event types whose "event:<type>" signal is
+	// already in coverage, so the signal is spelled out once per type, not
+	// once per event.
+	eventTypes map[string]struct{}
 
 	execs   []execMirror
 	jobs    map[int]*jobMirror
-	shuffle map[shuffleKey]*shuffleMirror
+	shuffle map[shuffleKey]shuffleMirror
 }
 
 var _ engine.Audit = (*Auditor)(nil)
@@ -139,7 +143,7 @@ var _ engine.Audit = (*Auditor)(nil)
 // New returns an empty auditor ready to attach via Options.Audit (or
 // exp.Setup.Audit / scenario compilation).
 func New() *Auditor {
-	return &Auditor{coverage: map[string]struct{}{}}
+	return &Auditor{coverage: map[string]struct{}{}, eventTypes: map[string]struct{}{}}
 }
 
 // Violations returns a copy of the recorded violations in detection order.
@@ -207,7 +211,7 @@ func (a *Auditor) BeginRun(active []bool) {
 		}
 	}
 	a.jobs = map[int]*jobMirror{}
-	a.shuffle = map[shuffleKey]*shuffleMirror{}
+	a.shuffle = map[shuffleKey]shuffleMirror{}
 }
 
 // EndRun implements engine.Audit.
@@ -218,7 +222,10 @@ func (a *Auditor) EndRun() {}
 func (a *Auditor) Event(ev engine.TraceEvent) {
 	a.offset++
 	a.at = ev.At
-	a.cover("event:" + ev.Type)
+	if _, seen := a.eventTypes[ev.Type]; !seen {
+		a.eventTypes[ev.Type] = struct{}{}
+		a.cover("event:" + ev.Type)
+	}
 	if ev.Exec < 0 || ev.Exec >= len(a.execs) {
 		return
 	}
@@ -355,21 +362,21 @@ func (a *Auditor) ExecutorEpoch(exec, epoch int) {
 // ShuffleRegistered implements engine.Audit.
 func (a *Auditor) ShuffleRegistered(jobID, stage, task, node int, outcome engine.ShuffleOutcome) {
 	key := shuffleKey{job: jobID, stage: stage, task: task}
-	m := a.shuffle[key]
+	m, registered := a.shuffle[key]
 	switch outcome {
 	case engine.ShuffleAccepted:
-		if m != nil && !m.lost {
+		if registered && !m.lost {
 			a.violate("shuffle-exactly-once", -1, jobID,
 				"stage %d task %d: second registration accepted over a live output", stage, task)
 		}
-		if m != nil && m.lost {
+		if registered && m.lost {
 			a.violate("shuffle-exactly-once", -1, jobID,
 				"stage %d task %d: lost output replaced without recovery accounting", stage, task)
 		}
-		a.shuffle[key] = &shuffleMirror{node: node}
+		a.shuffle[key] = shuffleMirror{node: node}
 		a.cover("shuffle:accepted")
 	case engine.ShuffleDuplicate:
-		if m == nil {
+		if !registered {
 			a.violate("shuffle-exactly-once", -1, jobID,
 				"stage %d task %d: duplicate verdict for an output never registered", stage, task)
 		} else if m.lost {
@@ -378,11 +385,11 @@ func (a *Auditor) ShuffleRegistered(jobID, stage, task, node int, outcome engine
 		}
 		a.cover("shuffle:duplicate")
 	case engine.ShuffleRecovered:
-		if m == nil || !m.lost {
+		if !registered || !m.lost {
 			a.violate("shuffle-exactly-once", -1, jobID,
 				"stage %d task %d: recovery verdict without a lost registration", stage, task)
 		}
-		a.shuffle[key] = &shuffleMirror{node: node}
+		a.shuffle[key] = shuffleMirror{node: node}
 		a.cover("shuffle:recovered")
 	case engine.ShuffleEmpty:
 	}
@@ -391,9 +398,10 @@ func (a *Auditor) ShuffleRegistered(jobID, stage, task, node int, outcome engine
 // ShuffleNodeLost implements engine.Audit. Map mutation order is
 // irrelevant: marking entries lost is commutative and emits nothing.
 func (a *Auditor) ShuffleNodeLost(node int) {
-	for _, m := range a.shuffle {
-		if m.node == node {
+	for key, m := range a.shuffle {
+		if m.node == node && !m.lost {
 			m.lost = true
+			a.shuffle[key] = m
 		}
 	}
 	a.cover("shuffle:node-lost")

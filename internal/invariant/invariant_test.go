@@ -3,6 +3,7 @@ package invariant
 import (
 	"bytes"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -367,5 +368,39 @@ func TestFlagAndViolationCap(t *testing.T) {
 	}
 	if a.Dropped() == 0 {
 		t.Fatal("dropped counter did not advance past the cap")
+	}
+}
+
+// TestHooksSteadyStateAllocFree pins what the auditor costs per event once a
+// run is under way: an event of a type already covered spells out no
+// "event:<type>" signal, and a shuffle registration over a key the mirror
+// holds (a duplicate verdict, a recovery) stores a value, not a fresh object.
+// The coverage the hunter keeps corpus entries by must not notice: every type
+// seen is in it, once, over several runs of one auditor.
+func TestHooksSteadyStateAllocFree(t *testing.T) {
+	a := fresh(2)
+	launch, end := ev(engine.TraceTaskLaunch, 0, 1, ""), ev(engine.TraceTaskEnd, 1, 2, "")
+	a.Event(launch)
+	a.Event(end)
+	a.ShuffleRegistered(0, 0, 3, 0, engine.ShuffleAccepted)
+	if n := testing.AllocsPerRun(200, func() {
+		a.Event(launch)
+		a.Event(end)
+		a.SlotLaunched(0, 0)
+		a.SlotReleased(0, 0)
+		a.ShuffleRegistered(0, 0, 3, 1, engine.ShuffleDuplicate)
+		a.ShuffleNodeLost(0)
+		a.ShuffleRegistered(0, 0, 3, 0, engine.ShuffleRecovered)
+	}); n != 0 {
+		t.Fatalf("the hooks allocate %v objects per round in steady state, want 0", n)
+	}
+	wantClean(t, a)
+	a.BeginRun([]bool{true})
+	a.Event(launch)
+	a.Event(ev(engine.TraceStageStart, -1, 3, ""))
+	want := []string{"event:" + engine.TraceStageStart, "event:" + engine.TraceTaskEnd, "event:" + engine.TraceTaskLaunch,
+		"shuffle:accepted", "shuffle:duplicate", "shuffle:node-lost", "shuffle:recovered", "slot:launch", "slot:release"}
+	if got := a.Coverage(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("coverage = %v, want %v", got, want)
 	}
 }

@@ -80,6 +80,12 @@ type Server struct {
 	activeIntegral float64       // ∫ n dt, in stream-seconds
 }
 
+// streamBlock is how many stream structs a server allocates when its free list
+// runs dry. A server's list grows to its peak concurrency and then stops, so
+// this trades objects (one per block, not per stream) for slack (at most
+// streamBlock-1 idle structs per server).
+const streamBlock = 4
+
 type stream struct {
 	remaining float64
 	weight    float64
@@ -158,13 +164,16 @@ func (s *Server) Start(p *sim.Proc, demand, weight float64) bool {
 		panic(fmt.Sprintf("psres %s: non-positive weight %v", s.cfg.Name, weight))
 	}
 	s.advance()
-	st := s.freeStream
-	if st != nil {
-		s.freeStream = st.next
-		st.next = nil
-	} else {
-		st = &stream{}
+	if s.freeStream == nil {
+		// Out of stream structs: make streamBlock at once, chained.
+		block := make([]stream, streamBlock)
+		for i := range block[:streamBlock-1] {
+			block[i].next = &block[i+1]
+		}
+		s.freeStream = &block[0]
 	}
+	st := s.freeStream
+	s.freeStream, st.next = st.next, nil
 	st.remaining, st.weight, st.proc = demand, weight, p
 	s.streams = append(s.streams, st)
 	s.notifyActive()

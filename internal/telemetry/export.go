@@ -97,13 +97,13 @@ func (r *Registry) WriteJSONL(w io.Writer) error {
 	buf := make([]byte, 0, flushAt+512)
 	var head []byte // `{"t":…`, rendered once per tick
 	var err error
-	for _, tk := range r.ticks {
+	for tk := range r.allTicks {
 		if head, err = jsonenc.AppendFloat(append(head[:0], `{"t":`...), tk.at.Seconds()); err != nil {
 			return err
 		}
 		for i, c := range tk.layout.cols {
 			buf = append(append(buf, head...), c.prefix...)
-			if buf, err = jsonenc.AppendFloat(buf, r.values[tk.start+i]); err != nil {
+			if buf, err = jsonenc.AppendFloat(buf, tk.vals[i]); err != nil {
 				return err
 			}
 			buf = append(buf, '}', '\n')
@@ -127,10 +127,10 @@ func (r *Registry) WriteCSV(w io.Writer) error {
 		return err
 	}
 	rec := make([]string, 4)
-	for _, tk := range r.ticks {
+	for tk := range r.allTicks {
 		rec[0] = formatValue(tk.at.Seconds())
 		for i, c := range tk.layout.cols {
-			rec[1], rec[2], rec[3] = c.metric, c.labels, formatValue(r.values[tk.start+i])
+			rec[1], rec[2], rec[3] = c.metric, c.labels, formatValue(tk.vals[i])
 			if err := cw.Write(rec); err != nil {
 				return err
 			}

@@ -6,8 +6,11 @@ import (
 	"encoding/json"
 	"io"
 	"math"
+	"runtime"
+	"strconv"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // WriteJSONLOracle is WriteJSONL as it was first defined — encoding/json
@@ -28,6 +31,24 @@ func WriteJSONLOracle(r *Registry, w io.Writer) error {
 		}
 	}
 	return bw.Flush()
+}
+
+// ticksOf lists the ticks r holds.
+func ticksOf(r *Registry) []tick {
+	var out []tick
+	for tk := range r.allTicks {
+		out = append(out, tk)
+	}
+	return out
+}
+
+// storedValues counts the values the ticks of r hold.
+func storedValues(r *Registry) int {
+	n := 0
+	for tk := range r.allTicks {
+		n += len(tk.vals)
+	}
+	return n
 }
 
 // HookCount reports how many OnSample hooks r holds (for the scenario sweep
@@ -122,8 +143,8 @@ func TestMergeLastWinsAcrossLayoutChange(t *testing.T) {
 	if got := jsonlAgainstOracle(t, r); got != want {
 		t.Fatalf("dump:\n%s\nwant:\n%s", got, want)
 	}
-	if len(r.ticks) != 2 || len(r.values) != 3 {
-		t.Fatalf("store holds %d ticks / %d values, want 2 / 3", len(r.ticks), len(r.values))
+	if n := len(ticksOf(r)); n != 2 || storedValues(r) != 3 || len(r.last.vals) != 3 {
+		t.Fatalf("store holds %d ticks / %d values in %d floats of chunk, want 2 / 3 / 3", n, storedValues(r), len(r.last.vals))
 	}
 }
 
@@ -183,14 +204,126 @@ func TestSampleSteadyStateAllocFree(t *testing.T) {
 	r.GaugeFunc("sae_g", "g", func() float64 { return 2 })
 	r.Histogram("sae_h", "h", []float64{1}).Observe(3)
 	r.OnSample("noop", func(time.Duration) {})
-	r.values = make([]float64, 0, 4096)
-	r.ticks = make([]tick, 0, 1024)
 	var at time.Duration
-	r.Sample(at)
-	if n := testing.AllocsPerRun(500, func() {
+	r.Sample(at) // builds the layout and the first chunk, which the 201 ticks below do not fill
+	if n := testing.AllocsPerRun(200, func() {
 		at += time.Second
 		r.Sample(at)
 	}); n != 0 {
 		t.Fatalf("steady-state Sample allocates %v times per tick, want 0", n)
 	}
+}
+
+// wideRegistry returns a registry of width gauges sae_w{i="…"}, gauge i reading
+// *base + i.
+func wideRegistry(width int, base *float64) *Registry {
+	r := NewRegistry()
+	for i := 0; i < width; i++ {
+		r.GaugeFunc("sae_w", "w", func() float64 { return *base + float64(i) }, "i", strconv.Itoa(i))
+	}
+	return r
+}
+
+// TestStoreAllocatesItsFinalSize pins what the chunks are for: sampling a fixed
+// layout allocates the bytes the store ends up holding — eight per value plus
+// the tick records — not the several times that a flat slice grown by append
+// would, most of it copied once more at every doubling.
+func TestStoreAllocatesItsFinalSize(t *testing.T) {
+	const width, ticks = 100, 8100 // 100 chunks of 81 ticks, 92 floats short of chunkFloats each
+	var base float64
+	r := wideRegistry(width, &base)
+	r.Sample(0)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 1; i <= ticks; i++ {
+		r.Sample(time.Duration(i) * time.Second)
+	}
+	runtime.ReadMemStats(&after)
+	got := float64(after.TotalAlloc - before.TotalAlloc)
+	final := float64(8*width*ticks + int(unsafe.Sizeof(tick{}))*ticks)
+	t.Logf("allocated %.0f bytes for a store of %.0f (x%.3f)", got, final, got/final)
+	if got > 1.1*final {
+		t.Fatalf("%d ticks of %d series allocated %.0f bytes, the store holds %.0f (x%.2f, want <= 1.1)", ticks, width, got, final, got/final)
+	}
+	if n := storedValues(r); n != width*(ticks+1) {
+		t.Fatalf("store holds %d values, want %d", n, width*(ticks+1))
+	}
+}
+
+// TestChunkBoundaries drives the store across several chunks with a layout
+// that does not divide the chunk size, so ticks are cut off at chunk ends: no
+// tick may span two chunks or reach into its successor's values, a same-instant
+// re-sample of the tick that filled a chunk must land where the first did, and
+// the dump must be what encoding/json writes for the points.
+func TestChunkBoundaries(t *testing.T) {
+	const width = 3000 // two ticks per chunk
+	var base float64
+	r := wideRegistry(width, &base)
+	for i := 0; i < 7; i++ {
+		base = float64(1000 * i)
+		r.Sample(time.Duration(i) * time.Second)
+		if i%2 == 1 {
+			// The tick just taken was the last its chunk has room for.
+			if c := r.last; len(c.ticks) != cap(c.ticks) || len(c.vals) != cap(c.vals) {
+				t.Fatalf("tick %d: chunk holds %d of %d ticks, %d of %d values, the test wants a full one", i, len(c.ticks), cap(c.ticks), len(c.vals), cap(c.vals))
+			}
+			first := &r.last.ticks[1].vals[0]
+			base += 0.5
+			r.Sample(time.Duration(i) * time.Second)
+			if last := r.last.ticks[1]; &last.vals[0] != first || last.vals[0] != base {
+				t.Fatalf("tick %d re-sampled: values moved, or kept the first sample (%v, want %v)", i, last.vals[0], base)
+			}
+		}
+	}
+	ticks := ticksOf(r)
+	if len(ticks) != 7 || storedValues(r) != 7*width {
+		t.Fatalf("store holds %d ticks / %d values, want 7 / %d", len(ticks), storedValues(r), 7*width)
+	}
+	for i, tk := range ticks {
+		if len(tk.vals) != width || cap(tk.vals) != width {
+			t.Fatalf("tick %d: len %d cap %d, want both %d", i, len(tk.vals), cap(tk.vals), width)
+		}
+		want := float64(1000 * i)
+		if i%2 == 1 {
+			want += 0.5
+		}
+		// Series sort by label text: i="0", i="1", i="10", …, i="999".
+		if tk.vals[0] != want || tk.vals[1] != want+1 || tk.vals[width-1] != want+999 {
+			t.Fatalf("tick %d holds %v, %v … %v, want %v, %v … %v", i, tk.vals[0], tk.vals[1], tk.vals[width-1], want, want+1, want+999)
+		}
+	}
+	jsonlAgainstOracle(t, r) // three chunks and a started fourth
+}
+
+// TestLayoutChangeMidChunk grows the instrument set while a chunk is half
+// full, then past the chunk size: earlier ticks keep their rows, a tick wider
+// than what is left of the chunk starts a new one, and a layout wider than a
+// chunk gets a chunk of its own width.
+func TestLayoutChangeMidChunk(t *testing.T) {
+	var base float64
+	r := wideRegistry(10, &base)
+	r.Sample(0)
+	r.Sample(time.Second)
+	chunk := r.last
+	r.Gauge("sae_late", "l").Set(-1)
+	r.Sample(2 * time.Second)
+	if r.last != chunk || len(chunk.vals) != 31 || len(chunk.ticks) != 3 {
+		t.Fatalf("a wider tick that fits left the chunk at %d ticks, %d floats (a new chunk: %v), want 3, 31 in place", len(chunk.ticks), len(chunk.vals), r.last != chunk)
+	}
+	for i := 0; i < chunkFloats; i++ {
+		r.Gauge("sae_x", "x", "i", strconv.Itoa(i)).Set(float64(i))
+	}
+	r.Sample(3 * time.Second)
+	r.Sample(3 * time.Second)
+	if c, want := r.last, chunkFloats+11; c == chunk || cap(c.vals) != want || len(c.vals) != want || cap(c.ticks) != 1 {
+		t.Fatalf("a layout of %d series sits in a chunk of %d values (cap %d), room for %d ticks", want, len(c.vals), cap(c.vals), cap(c.ticks))
+	}
+	r.Sample(4 * time.Second)
+	if got, want := storedValues(r), 10+10+11+2*(chunkFloats+11); got != want {
+		t.Fatalf("store holds %d values, want %d", got, want)
+	}
+	if s, ok := r.Series("sae_late"); !ok || len(s.Points) != 3 || s.Points[0].At != 2*time.Second {
+		t.Fatalf("Series(sae_late) = %+v, want the three ticks after it registered", s.Points)
+	}
+	jsonlAgainstOracle(t, r)
 }

@@ -12,9 +12,13 @@
 //
 // Samples are stored by column: a layout lists the series in export order
 // and is rebuilt only when an instrument is created, a tick names the
-// layout it was taken under, and the values of every tick sit in one flat
-// slice. A tick therefore costs eight bytes per series, and the metric and
-// label strings of a series exist once, not once per sample.
+// layout it was taken under, and ticks and their values sit in a chain of
+// fixed-size chunks. A tick therefore costs eight bytes per series, and the
+// metric and label strings of a series exist once, not once per sample. A
+// chunk is filled once and never copied or regrown, so the store allocates
+// what it ends up holding — one flat slice grown by append would have
+// allocated, and copied, several times that on the way — and a tick never
+// spans two chunks, so every reader sees its values as one plain slice.
 package telemetry
 
 import (
@@ -165,12 +169,34 @@ func newColumn(metric, labels string, read func() float64) *column {
 // edited once a tick refers to it.
 type layout struct{ cols []*column }
 
-// tick is one sampler tick: its values are
-// values[start : start+len(layout.cols)], one per column of the layout.
+// A chunk holds at most chunkFloats values and chunkTicks ticks.
+const (
+	chunkFloats = 8192
+	chunkTicks  = 256
+)
+
+// tick is one sampler tick: vals holds one value per column of the layout, a
+// window onto its chunk's values with its capacity cut to its length.
 type tick struct {
 	at     time.Duration
 	layout *layout
-	start  int
+	vals   []float64
+}
+
+// chunk is one block of the sample store: the ticks taken while it was the
+// newest, and their values back to back. Both arrays are made once, sized so
+// that ticks of the layout current at the time fill them together.
+type chunk struct {
+	ticks []tick
+	vals  []float64
+	next  *chunk
+}
+
+// newChunk returns a chunk for ticks of width values: as many as fit
+// chunkFloats — one, for a layout wider than that — and at most chunkTicks.
+func newChunk(width int) *chunk {
+	n := min(max(chunkFloats/max(width, 1), 1), chunkTicks)
+	return &chunk{ticks: make([]tick, 0, n), vals: make([]float64, 0, n*width)}
 }
 
 // Registry holds every instrument of one run plus the samples the periodic
@@ -183,8 +209,10 @@ type Registry struct {
 	// layout is nil while stale: creating an instrument clears it and the
 	// next Sample builds a new one, leaving earlier ticks on theirs.
 	layout *layout
-	ticks  []tick
-	values []float64
+	// first and last are the ends of the sample store, a chain of chunks in
+	// sampling order. Once a tick is taken the last chunk holds at least one:
+	// the newest.
+	first, last *chunk
 }
 
 type sampleHook struct {
@@ -323,13 +351,39 @@ func (r *Registry) Sample(at time.Duration) {
 			}
 		}
 	}
-	if n := len(r.ticks); n > 0 && r.ticks[n-1].at == at {
-		r.values = r.values[:r.ticks[n-1].start]
-		r.ticks = r.ticks[:n-1]
+	c := r.last
+	if c != nil {
+		// The newest tick's values are the tail of its chunk's.
+		if n := len(c.ticks) - 1; c.ticks[n].at == at {
+			c.vals = c.vals[:len(c.vals)-len(c.ticks[n].vals)]
+			c.ticks = c.ticks[:n]
+		}
 	}
-	r.ticks = append(r.ticks, tick{at: at, layout: r.layout, start: len(r.values)})
-	for _, c := range r.layout.cols {
-		r.values = append(r.values, c.read())
+	width := len(r.layout.cols)
+	if c == nil || len(c.ticks) == cap(c.ticks) || cap(c.vals)-len(c.vals) < width {
+		c = newChunk(width)
+		if r.last == nil {
+			r.first = c
+		} else {
+			r.last.next = c
+		}
+		r.last = c
+	}
+	start := len(c.vals)
+	for _, col := range r.layout.cols {
+		c.vals = append(c.vals, col.read())
+	}
+	c.ticks = append(c.ticks, tick{at: at, layout: r.layout, vals: c.vals[start:len(c.vals):len(c.vals)]})
+}
+
+// allTicks yields the collected ticks in sampling order.
+func (r *Registry) allTicks(yield func(tick) bool) {
+	for c := r.first; c != nil; c = c.next {
+		for _, tk := range c.ticks {
+			if !yield(tk) {
+				return
+			}
+		}
 	}
 }
 
@@ -337,10 +391,14 @@ func (r *Registry) Sample(at time.Duration) {
 // exporters and Series read the columns directly; this view is for callers
 // that want points.
 func (r *Registry) Samples() []SamplePoint {
-	out := make([]SamplePoint, 0, len(r.values))
-	for _, tk := range r.ticks {
+	n := 0
+	for c := r.first; c != nil; c = c.next {
+		n += len(c.vals)
+	}
+	out := make([]SamplePoint, 0, n)
+	for tk := range r.allTicks {
 		for i, c := range tk.layout.cols {
-			out = append(out, SamplePoint{At: tk.at, Metric: c.metric, Labels: c.labels, Value: r.values[tk.start+i]})
+			out = append(out, SamplePoint{At: tk.at, Metric: c.metric, Labels: c.labels, Value: tk.vals[i]})
 		}
 	}
 	return out
@@ -353,7 +411,7 @@ func (r *Registry) Series(name string, labels ...string) (metrics.Series, bool) 
 	out := metrics.Series{Name: name}
 	var cur *layout
 	idx := -1
-	for _, tk := range r.ticks {
+	for tk := range r.allTicks {
 		if tk.layout != cur {
 			cur, idx = tk.layout, -1
 			for i, c := range cur.cols {
@@ -364,7 +422,7 @@ func (r *Registry) Series(name string, labels ...string) (metrics.Series, bool) 
 			}
 		}
 		if idx >= 0 {
-			out.Add(tk.at, r.values[tk.start+idx])
+			out.Add(tk.at, tk.vals[idx])
 		}
 	}
 	return out, len(out.Points) > 0
