@@ -167,6 +167,8 @@ func TestOutOfRangeFlags(t *testing.T) {
 		{"-scale", "0"},
 		{"-scale", "-1", "-workload", "scan"},
 		{"-scenario", "../../scenarios/faults.yaml", "-nodes", "0"},
+		// A slow factor past chaos's range: such a device never finishes.
+		{"-faults", "slow1@5sx1e9", "-scale", "0.02"},
 	} {
 		err := run(args)
 		if err == nil {

@@ -338,7 +338,8 @@ func splitmix(x uint64) uint64 {
 //	crash[N]@T[+R]        executor N (default 1) crashes at T and, with +R,
 //	                      restarts R after the crash
 //	slow[N]@T[xF]         executor N's disk and CPU degrade to 1/F (default
-//	                      2) of their nominal rate from T onward
+//	                      2, at most 1e3) of their nominal rate from T
+//	                      onward
 //	partition[N]@T+D      executor N's network drops (heartbeats and shuffle
 //	                      fetches) for the window [T, T+D); running tasks
 //	                      keep computing
@@ -516,6 +517,17 @@ func parseClause(clause string) (func(time.Duration, int64) *Plan, error) {
 	return nil, errUnknownClause
 }
 
+// maxSlowFactor bounds a slow clause's factor. A device slowed much further
+// takes longer than any run can simulate — at 1e9 a task's megabytes take
+// decades of virtual time, which the engine's heartbeats fill event by event —
+// and 1e3 is already a device at a thousandth of its speed.
+const maxSlowFactor = 1e3
+
+// ErrOutOfRange marks a clause value that parses but lies outside what the
+// grammar accepts: an invocation that can never run, which the CLIs tell
+// from a malformed spec by their exit status.
+var ErrOutOfRange = errors.New("out of range")
+
 // parseTimed parses the "[N]@T…" tail of a crash, slow or partition clause.
 func parseTimed(head, rest string) (func(time.Duration, int64) *Plan, error) {
 	n, times, ok := strings.Cut(rest, "@")
@@ -534,8 +546,12 @@ func parseTimed(head, rest string) (func(time.Duration, int64) *Plan, error) {
 		factor := 2.0
 		if scaled {
 			var err error
-			if factor, err = strconv.ParseFloat(f, 64); err != nil || !(factor > 0) || math.IsInf(factor, 1) {
+			factor, err = strconv.ParseFloat(f, 64)
+			if err != nil && !errors.Is(err, strconv.ErrRange) || math.IsNaN(factor) {
 				return nil, fmt.Errorf("bad factor %q (want a positive number)", f)
+			}
+			if !(factor > 0 && factor <= maxSlowFactor) {
+				return nil, fmt.Errorf("bad factor %q: %w (want one in (0, %g])", f, ErrOutOfRange, maxSlowFactor)
 			}
 		}
 		at, err := parseInstant(t, "time")

@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -149,6 +150,24 @@ func TestScheduleRejects(t *testing.T) {
 		} else if !strings.HasPrefix(err.Error(), "chaos: ") {
 			t.Errorf("ParseSchedule(%q): error %q lacks the chaos: prefix", spec, err)
 		}
+	}
+	// A slow factor past 1e3 parses but is out of range: at 1e9 a run never
+	// ends. The error names the clause and carries ErrOutOfRange, which the
+	// CLIs exit 2 on; a malformed factor is not a range error.
+	for _, f := range []string{"1e9", "1000.5", "1e400", "+Inf"} {
+		spec := "slow1@5sx" + f
+		_, err := ParseSchedule(spec)
+		if !errors.Is(err, ErrOutOfRange) || !strings.HasPrefix(err.Error(), `chaos: clause "`+spec+`": bad factor`) {
+			t.Errorf("ParseSchedule(%q) = %v, want the clause's out-of-range error", spec, err)
+		}
+	}
+	for _, spec := range []string{"slow1@5sx1e3", "slow1@5sx0.5"} {
+		if _, err := ParseSchedule(spec); err != nil {
+			t.Errorf("ParseSchedule(%q): %v", spec, err)
+		}
+	}
+	if _, err := ParseSchedule("slow1@5sxabc"); err == nil || errors.Is(err, ErrOutOfRange) {
+		t.Errorf("a malformed factor: %v, want an error other than ErrOutOfRange", err)
 	}
 	// Parse is the absolute-time entry point: it has no reference runtime.
 	if _, err := Parse("crash@45%"); err == nil || !strings.Contains(err.Error(), "percentage") {

@@ -356,7 +356,7 @@ func NewEngine(opts Options) (*Engine, error) {
 			if !ex.alive || e.opts.Faults.Partitioned(i, ex.k.Now()) {
 				return
 			}
-			beat := e.beats.get()
+			beat := e.beats.get(e.recycle)
 			*beat = heartbeatMsg{
 				exec:      i,
 				epoch:     ex.epoch,
@@ -557,10 +557,25 @@ func Run(opts Options, spec *job.JobSpec) (*JobReport, error) {
 // release reads zeros — a diverged golden, not another task's message.
 type pool[T any] struct{ free []*T }
 
-func (p *pool[T]) get() *T {
+// poolBlock is how many messages a recycling pool allocates at once when its
+// free list runs dry.
+const poolBlock = 16
+
+// get takes a message from the free list. When the list is empty a recycling
+// pool (recycle, Engine.recycle) refills it with a block of poolBlock, one
+// object for the lot; a pool that recycles nothing allocates each message on
+// its own, so none is ever left over in its list.
+func (p *pool[T]) get(recycle bool) *T {
 	n := len(p.free)
 	if n == 0 {
-		return new(T)
+		if !recycle {
+			return new(T)
+		}
+		block := make([]T, poolBlock)
+		for i := range block[1:] {
+			p.free = append(p.free, &block[i+1])
+		}
+		return &block[0]
 	}
 	v := p.free[n-1]
 	p.free = p.free[:n-1]

@@ -501,7 +501,7 @@ func (ex *Executor) taskDone(tc *taskContext, err error) {
 			}
 		}
 	}
-	m := ex.eng.dones.get()
+	m := ex.eng.dones.get(ex.eng.recycle)
 	*m = taskDoneMsg{exec: ex.id, epoch: ex.epoch, job: key.job, metrics: tm, err: err}
 	ex.eng.sendDriver(ex.shard, driverMsg{taskDone: m})
 	ex.drain()

@@ -16,5 +16,8 @@ func (ex *Executor) Zombies() int { return ex.zombies }
 // afresh, as a sharded engine does: the reference a recycling run is held to.
 func (e *Engine) StopRecycling() { e.recycle = false }
 
-// FreeBeats reports how many heartbeat messages sit in e's free list.
-func (e *Engine) FreeBeats() int { return len(e.beats.free) }
+// FreeMessages reports how many launch, completion and heartbeat messages sit
+// in e's free lists.
+func (e *Engine) FreeMessages() [3]int {
+	return [3]int{len(e.launches.free), len(e.dones.free), len(e.beats.free)}
+}

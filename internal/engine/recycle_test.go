@@ -5,6 +5,7 @@ import (
 	"io"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -26,17 +27,19 @@ import (
 // partition is the one the driver fences it on), and a slowed executor under
 // speculation (a losing copy reports to a set that has moved on). Heartbeats
 // ride the same kind of list: the ticker takes one per beat and the driver loop
-// gives it back once the detector has read it. A message or a plan released
+// gives it back once the detector has read it. Every list refills a block of
+// messages at a time, so a message's neighbours in its block belong to other
+// tasks while it is in flight. A message or a plan released
 // too early, or twice, hands one task another's identity or input, and a beat
 // released early reads as executor 0 of no epoch and goes unheard: the run
 // must match, byte for byte, one that allocates them all afresh, a second run
 // of itself, and the auditor's ledgers. CI runs it under -race.
 func TestRecycledMessagesSurviveFaults(t *testing.T) {
 	type outcome struct {
-		rep       *engine.JobReport
-		trace     []byte
-		zombies   int
-		freeBeats int
+		rep     *engine.JobReport
+		trace   []byte
+		zombies int
+		free    [3]int // launches, completions, heartbeats
 	}
 	run := func(crashAt time.Duration, recycle bool) outcome {
 		var trace bytes.Buffer
@@ -72,7 +75,7 @@ func TestRecycledMessagesSurviveFaults(t *testing.T) {
 		if vs := aud.Violations(); len(vs) > 0 {
 			t.Fatalf("%d invariant violation(s), first: %s", len(vs), vs[0])
 		}
-		out := outcome{rep: rep, trace: trace.Bytes(), freeBeats: eng.FreeBeats()}
+		out := outcome{rep: rep, trace: trace.Bytes(), free: eng.FreeMessages()}
 		for _, ex := range eng.Executors() {
 			out.zombies += ex.Zombies()
 		}
@@ -105,8 +108,11 @@ func TestRecycledMessagesSurviveFaults(t *testing.T) {
 		t.Fatal("no task finished as a zombie")
 	case speculative == 0:
 		t.Fatal("no speculative copy ran")
-	case a.freeBeats == 0 || fresh.freeBeats != 0:
-		t.Fatalf("%d heartbeat messages ended the run in the free list, %d with recycling off: want some and none", a.freeBeats, fresh.freeBeats)
+	case slices.Contains(a.free[:], 0) || fresh.free != [3]int{}:
+		// A recycling pool refills a block at a time, so each list keeps
+		// spares; one that recycles nothing allocates singly and keeps
+		// none.
+		t.Fatalf("launch, completion and heartbeat messages in the free lists at the end: %v, %v with recycling off: want some in each and none", a.free, fresh.free)
 	}
 	for _, o := range []struct {
 		name string

@@ -898,7 +898,7 @@ func (s *taskScheduler) launch(ts *taskSet, ticket, i int) {
 	}
 	e.trace(TraceEvent{Type: TraceTaskLaunch, Job: ts.key.job, Stage: ts.stage.ID, Task: task, Exec: i, Detail: detail})
 
-	lm := e.launches.get()
+	lm := e.launches.get(e.recycle)
 	*lm = launchMsg{job: ts.key.job, stage: ts.stage, index: task, attempt: int(st.launches), epoch: e.em.epochs[i]}
 	st.launches++
 	if ts.splits != nil {

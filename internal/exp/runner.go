@@ -37,10 +37,11 @@ type Runner struct {
 var ErrBadFlag = errors.New("bad flag value")
 
 // ExitCode is the status sae-run and sae-exp exit with on err: 2 for an
-// invocation that can never run — a flag value out of range, a cluster
-// without nodes — and 1 for a run that failed.
+// invocation that can never run — a flag value out of range (a chaos clause
+// value among them, chaos.ErrOutOfRange), a cluster without nodes — and 1 for
+// a run that failed.
 func ExitCode(err error) int {
-	if errors.Is(err, ErrBadFlag) || errors.Is(err, engine.ErrNoNodes) {
+	if errors.Is(err, ErrBadFlag) || errors.Is(err, engine.ErrNoNodes) || errors.Is(err, chaos.ErrOutOfRange) {
 		return 2
 	}
 	return 1

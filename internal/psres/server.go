@@ -42,20 +42,36 @@ type Config struct {
 	PerStreamCap float64
 	// OnActiveChange, if set, is called whenever the number of active
 	// streams changes, with the new count. Used for joint integrators
-	// such as the node-level iowait meter.
+	// such as the node-level iowait meter. It must not schedule or wake
+	// anything on the kernel: a completion wakes its waiters before it
+	// reports the new count.
 	OnActiveChange func(n int)
 }
 
 // Server is a processor-sharing resource. It must only be used from
 // simulation (kernel or process) context; it needs no locking because the
 // kernel serializes execution.
+//
+// Every stream of one weight runs at the same rate, so the server keeps its
+// rates per weight class rather than per stream: an arrival or departure
+// re-plans the next completion in O(classes), not O(streams). Devices use
+// two weights (1, and a disk's write weight).
 type Server struct {
 	k   *sim.Kernel
 	cfg Config
 
-	streams []*stream
-	last    time.Duration
-	next    sim.Event
+	// slots holds the streams in service, by value, in arrival order (a
+	// completion keeps the survivors' order), and the curve memo beside
+	// them. It grows to the server's peak concurrency and is reused from
+	// then on.
+	slots []slot
+	// classes holds one entry per distinct weight ever started, in first-use
+	// order; a stream names its class by index. classBuf backs the first two,
+	// so a device's server never allocates for them.
+	classes  []class
+	classBuf [2]class
+	last     time.Duration
+	next     sim.Event
 	// nextAt is the absolute time s.next is scheduled for, valid while
 	// s.next is active. When a recompute lands on the same nanosecond —
 	// an arrival that provably doesn't move the next completion, e.g. a
@@ -65,36 +81,46 @@ type Server struct {
 	// onComp caches the completion callback so rescheduling the next
 	// completion never reallocates the closure.
 	onComp func()
-	// freeStream recycles stream structs (one per Start call) and woken is
-	// the completion pass's reusable scratch; together they make the
-	// Serve/complete cycle allocation-free in steady state.
-	freeStream *stream
-	woken      []*stream
-	scale      float64 // multiplies the curve (gray-failure throttling); 1 = nominal
-	// curveMemo caches cfg.Curve(n) by n (unscaled); curves are pure, so a
-	// cached value is bit-identical to recomputing it.
-	curveMemo []float64
+	scale  float64 // multiplies the curve (gray-failure throttling); 1 = nominal
 
 	busy           time.Duration // total time with >=1 active stream
 	served         float64       // total units served
 	activeIntegral float64       // ∫ n dt, in stream-seconds
 }
 
-// streamBlock is how many stream structs a server allocates when its free list
-// runs dry. A server's list grows to its peak concurrency and then stops, so
-// this trades objects (one per block, not per stream) for slack (at most
-// streamBlock-1 idle structs per server).
-const streamBlock = 4
+// class is the state every stream of one weight shares.
+type class struct {
+	weight float64
+	// rate is share × weight as of the last recompute: the per-stream rate
+	// of every stream in the class.
+	rate float64
+	// minRem is the least remaining work among the class's streams (+Inf
+	// when it has none): its first stream to drain is the one holding it.
+	minRem float64
+	n      int
+}
 
 type stream struct {
 	remaining float64
-	weight    float64
-	rate      float64
-	// proc is the single process waiting on this stream; it is
-	// woken directly (Kernel.Wake) rather than through a per-stream Signal
+	// proc is the single process waiting on this stream; it is woken
+	// directly (Kernel.Wake) rather than through a per-stream Signal
 	// allocation.
-	proc *sim.Proc
-	next *stream // free-list link
+	proc  *sim.Proc
+	class int32
+	// done marks a drained stream between onCompletion's two passes.
+	done bool
+}
+
+// slot is one place in a server's stream table: the stream in service there,
+// while the slot lies below len(s.slots), and cfg.Curve(i+1) (unscaled) for
+// slot i once computed (0 until then). Curves are pure, so a memoized value
+// is bit-identical to recomputing it. The memo rides in the stream table
+// because a server reaches n streams only once it has n slots: one
+// allocation per growth pays for both. Only the stream half of a slot is
+// ever moved or cleared.
+type slot struct {
+	stream
+	curve float64
 }
 
 // NewServer returns a server bound to kernel k.
@@ -103,24 +129,18 @@ func NewServer(k *sim.Kernel, cfg Config) *Server {
 		panic("psres: Config.Curve is required")
 	}
 	s := &Server{k: k, cfg: cfg, last: k.Now(), scale: 1}
+	s.classes = s.classBuf[:0]
 	s.onComp = s.onCompletion
 	return s
 }
 
-// curveAt returns cfg.Curve(n), memoized.
+// curveAt returns cfg.Curve(n), memoized in slot n-1; n <= cap(s.slots).
 func (s *Server) curveAt(n int) float64 {
-	if n < len(s.curveMemo) {
-		if v := s.curveMemo[n]; v != 0 {
-			return v
-		}
-	} else {
-		memo := make([]float64, n+n/2+8)
-		copy(memo, s.curveMemo)
-		s.curveMemo = memo
+	sl := &s.slots[:n][n-1]
+	if sl.curve == 0 {
+		sl.curve = s.cfg.Curve(n)
 	}
-	v := s.cfg.Curve(n)
-	s.curveMemo[n] = v
-	return v
+	return sl.curve
 }
 
 // SetRateScale rescales the server's aggregate service rate (and per-stream
@@ -164,25 +184,38 @@ func (s *Server) Start(p *sim.Proc, demand, weight float64) bool {
 		panic(fmt.Sprintf("psres %s: non-positive weight %v", s.cfg.Name, weight))
 	}
 	s.advance()
-	if s.freeStream == nil {
-		// Out of stream structs: make streamBlock at once, chained.
-		block := make([]stream, streamBlock)
-		for i := range block[:streamBlock-1] {
-			block[i].next = &block[i+1]
-		}
-		s.freeStream = &block[0]
+	c := s.classOf(weight)
+	cl := &s.classes[c]
+	cl.n++
+	cl.minRem = min(cl.minRem, demand)
+	n := len(s.slots)
+	if n == cap(s.slots) {
+		// Double the table; the copy keeps every memoized curve value.
+		grown := make([]slot, n, max(2*n, 4))
+		copy(grown, s.slots)
+		s.slots = grown
 	}
-	st := s.freeStream
-	s.freeStream, st.next = st.next, nil
-	st.remaining, st.weight, st.proc = demand, weight, p
-	s.streams = append(s.streams, st)
+	s.slots = s.slots[:n+1]
+	s.slots[n].stream = stream{remaining: demand, proc: p, class: c}
 	s.notifyActive()
 	s.recompute()
 	return true
 }
 
+// classOf returns the index of weight's class, adding the class on its first
+// use.
+func (s *Server) classOf(weight float64) int32 {
+	for i := range s.classes {
+		if s.classes[i].weight == weight {
+			return int32(i)
+		}
+	}
+	s.classes = append(s.classes, class{weight: weight, minRem: math.Inf(1)})
+	return int32(len(s.classes) - 1)
+}
+
 // Active returns the number of streams currently in service.
-func (s *Server) Active() int { return len(s.streams) }
+func (s *Server) Active() int { return len(s.slots) }
 
 // Stats is a snapshot of cumulative server statistics. Differences between
 // two snapshots give windowed measurements.
@@ -216,11 +249,12 @@ func UtilizationBetween(a, b Stats) float64 {
 
 func (s *Server) notifyActive() {
 	if s.cfg.OnActiveChange != nil {
-		s.cfg.OnActiveChange(len(s.streams))
+		s.cfg.OnActiveChange(len(s.slots))
 	}
 }
 
-// advance integrates stream progress from s.last to now.
+// advance integrates stream progress from s.last to now, and with it each
+// class's minRem.
 func (s *Server) advance() {
 	now := s.k.Now()
 	if now <= s.last {
@@ -230,19 +264,30 @@ func (s *Server) advance() {
 		return
 	}
 	dt := (now - s.last).Seconds()
-	if n := len(s.streams); n > 0 {
+	if n := len(s.slots); n > 0 {
 		s.busy += now - s.last
 		s.activeIntegral += float64(n) * dt
-		for _, st := range s.streams {
-			delta := st.rate * dt
+		s.resetMinRem()
+		for i := range s.slots {
+			st := &s.slots[i]
+			c := &s.classes[st.class]
+			delta := c.rate * dt
 			if delta > st.remaining {
 				delta = st.remaining
 			}
 			st.remaining -= delta
 			s.served += delta
+			c.minRem = min(c.minRem, st.remaining)
 		}
 	}
 	s.last = now
+}
+
+// resetMinRem empties every class's minRem ahead of a pass that recomputes it.
+func (s *Server) resetMinRem() {
+	for i := range s.classes {
+		s.classes[i].minRem = math.Inf(1)
+	}
 }
 
 // recompute reassigns rates after an arrival or departure and schedules the
@@ -251,8 +296,13 @@ func (s *Server) advance() {
 // reallocated — under stream churn the cancel-and-reschedule pattern left
 // the kernel queue full of dead timers and allocated a new event per
 // arrival.
+//
+// The next completion is the least remaining/rate over all streams, which is
+// the least minRem/rate over the classes: a class's streams share one rate,
+// and correctly rounded division by a positive rate is monotone, so the
+// quotient of the least remainder is the least quotient, to the bit.
 func (s *Server) recompute() {
-	n := len(s.streams)
+	n := len(s.slots)
 	if n == 0 {
 		s.next.Cancel()
 		s.next = sim.Event{}
@@ -267,19 +317,27 @@ func (s *Server) recompute() {
 		share = lim
 	}
 	minT := math.Inf(1)
-	for _, st := range s.streams {
-		st.rate = share * st.weight
-		if t := st.remaining / st.rate; t < minT {
+	for i := range s.classes {
+		c := &s.classes[i]
+		if c.n == 0 {
+			continue
+		}
+		c.rate = share * c.weight
+		if t := c.minRem / c.rate; t < minT {
 			minT = t
 		}
 	}
 	// Ceil to the next nanosecond so the completing stream is guaranteed
-	// to have drained when the event fires.
-	d := time.Duration(math.Ceil(minT * 1e9))
-	if d < 0 {
-		d = 0
+	// to have drained when the event fires. A completion past the end of
+	// virtual time (a server slowed by 1e300, or a rate that underflowed)
+	// saturates at sim.Never, where the kernel never fires it.
+	d, at := sim.Never, sim.Never
+	if ns := math.Ceil(minT * 1e9); ns < float64(sim.Never) {
+		d = time.Duration(ns)
 	}
-	at := s.k.Now() + d
+	if now := s.k.Now(); d < sim.Never-now {
+		at = now + d
+	}
 	if s.next.Active() {
 		if at == s.nextAt {
 			// The arrival/departure provably didn't change the next
@@ -288,32 +346,37 @@ func (s *Server) recompute() {
 		}
 		s.next.Reschedule(at)
 	} else {
-		s.next = s.k.After(d, s.onComp)
+		s.next = s.k.At(at, s.onComp)
 	}
 	s.nextAt = at
 }
 
 // onCompletion removes drained streams, wakes their waiters and recomputes.
-// Progress integration and drain classification run in one pass, and the
-// waiters are woken from the freshly compacted stream set *before* the next
-// completion is scheduled: if another stream drains at this same timestamp,
-// its completion event then fires after these wakeups, so waiters always
-// observe Active() as of their own completion and wake in completion order.
+// One pass integrates progress, marks the drained streams and recomputes the
+// survivors' minRem; a second compacts the drained ones out in stream order,
+// crediting their residuals to served and waking their waiters in that
+// order, before the next completion is scheduled: if another stream drains
+// at this same timestamp, its completion event then fires after these
+// wakeups, so waiters always observe Active() as of their own completion and
+// wake in completion order. Waking before notifyActive is safe: Wake only
+// enqueues, and an OnActiveChange observer must not touch the kernel queue.
 func (s *Server) onCompletion() {
 	s.next = sim.Event{}
 	now := s.k.Now()
 	elapsed := now - s.last
 	dt := elapsed.Seconds()
 	s.last = now
-	if n := len(s.streams); n > 0 && dt > 0 {
+	if n := len(s.slots); n > 0 && dt > 0 {
 		s.busy += elapsed
 		s.activeIntegral += float64(n) * dt
 	}
-	kept := s.streams[:0]
-	woken := s.woken[:0]
-	for _, st := range s.streams {
+	s.resetMinRem()
+	drained := false
+	for i := range s.slots {
+		st := &s.slots[i]
+		c := &s.classes[st.class]
 		if dt > 0 {
-			delta := st.rate * dt
+			delta := c.rate * dt
 			if delta > st.remaining {
 				delta = st.remaining
 			}
@@ -322,29 +385,31 @@ func (s *Server) onCompletion() {
 		}
 		// A stream is done when its residual work is below what it
 		// would serve in 2ns — i.e. float noise.
-		if st.remaining <= st.rate*2e-9+1e-12 {
-			woken = append(woken, st)
+		if st.remaining <= c.rate*2e-9+1e-12 {
+			st.done = true
+			c.n--
+			drained = true
 		} else {
-			kept = append(kept, st)
+			c.minRem = min(c.minRem, st.remaining)
 		}
 	}
-	for _, st := range woken {
-		s.served += st.remaining
-		st.remaining = 0
-	}
-	for i := len(kept); i < len(s.streams); i++ {
-		s.streams[i] = nil
-	}
-	s.streams = kept
-	if len(woken) > 0 {
+	if drained {
+		kept := 0
+		for i := range s.slots {
+			st := s.slots[i].stream
+			if !st.done {
+				s.slots[kept].stream = st
+				kept++
+				continue
+			}
+			s.served += st.remaining
+			s.k.Wake(st.proc)
+		}
+		for i := kept; i < len(s.slots); i++ {
+			s.slots[i].stream = stream{}
+		}
+		s.slots = s.slots[:kept]
 		s.notifyActive()
 	}
-	for _, st := range woken {
-		s.k.Wake(st.proc)
-		st.proc = nil
-		st.next = s.freeStream
-		s.freeStream = st
-	}
-	s.woken = woken[:0]
 	s.recompute()
 }

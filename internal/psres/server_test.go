@@ -2,6 +2,8 @@ package psres
 
 import (
 	"math"
+	"runtime"
+	"runtime/debug"
 	"testing"
 	"testing/quick"
 	"time"
@@ -437,4 +439,136 @@ func TestBackToBackCompletions(t *testing.T) {
 	if !reserved {
 		t.Fatal("same-instant re-serve never completed")
 	}
+}
+
+// TestUnreachableCompletionNeverFires: a server slowed by 1e300 would take
+// 1e300 s to serve anything, past the end of virtual time. Its completion
+// delay used to overflow int64 and clamp to zero, so the server fired
+// completions that drained nothing at a frozen clock, forever; the delay now
+// saturates at the last instant, which the kernel never reaches, so Run
+// returns with the stream still in service.
+func TestUnreachableCompletionNeverFires(t *testing.T) {
+	k := sim.NewKernel()
+	s := NewServer(k, Config{Name: "disk", Curve: Flat(100)})
+	s.SetRateScale(1e-300)
+	woke := false
+	w := &startWaiter{s: s, demand: 100, woke: func(*sim.Proc) { woke = true }}
+	k.GoStepper(&w.proc, "w", w)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		k.Run()
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Run has not returned after 10s: the server fires completions at a frozen clock")
+	}
+	if woke || s.Active() != 1 {
+		t.Fatalf("woke %v, Active() = %d: want the stream still in service", woke, s.Active())
+	}
+	if fired := k.FiredEvents(); fired != 1 {
+		t.Fatalf("%d events fired, want only the waiter's start", fired)
+	}
+}
+
+// TestServeCycleAllocFree pins what serving costs in heap objects. Warm, a
+// cycle of 64 streams arriving and draining — two weight classes, several
+// drains per completion — allocates nothing: streams are held by value in a
+// table that already has room. A fresh server reaching a peak of k streams
+// pays for the server, its completion callback and the table's doublings
+// (which carry the curve memo with them): at most ⌈log₂ k⌉ + 3 objects. With
+// a stream struct per Start (in blocks), a growing pointer list and a curve
+// memo of its own, the same 64-stream server took 30.
+func TestServeCycleAllocFree(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	k := sim.NewKernel()
+	curve := func(n int) float64 { return 100 * math.Pow(float64(n), -0.3) }
+	s := NewServer(k, Config{Name: "hdd", Curve: curve, OnActiveChange: func(int) {}})
+	const streams, warm, measured = 64, 10, 100
+	waiters := make([]cycleWaiter, streams)
+	cycles, stop := 0, false
+	var before, after runtime.MemStats
+	for i := range waiters {
+		w := &waiters[i]
+		w.s, w.demand, w.weight, w.stop = s, float64(1+i%4), 1, &stop
+		if i%3 == 0 {
+			w.weight = 0.85
+		}
+		if i == 0 {
+			// Waiter 0, the slowest stream, counts the cycles; the rest
+			// re-serve as they drain until it calls time.
+			w.demand, w.weight = 4, 0.5
+			w.cycle = func() {
+				switch cycles++; cycles {
+				case warm:
+					runtime.ReadMemStats(&before)
+				case warm + measured:
+					runtime.ReadMemStats(&after)
+					stop = true
+				}
+			}
+		}
+		k.GoStepper(&w.proc, "w", w)
+	}
+	k.Run()
+	if cycles != warm+measured || s.Active() != 0 {
+		t.Fatalf("waiter 0 served %d cycles, %d streams left: want %d and none", cycles, s.Active(), warm+measured)
+	}
+	if n := after.Mallocs - before.Mallocs; n != 0 {
+		t.Errorf("%d warm cycles of %d streams allocated %d objects, want 0", measured, streams, n)
+	}
+
+	procs := make([]sim.Proc, 512)
+	for _, peak := range []int{1, 3, 64, 512} {
+		budget := 3
+		for 1<<(budget-3) < peak {
+			budget++
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			s := NewServer(k, Config{Name: "hdd", Curve: curve})
+			for i := range peak {
+				s.Start(&procs[i], float64(1+i%7), 1)
+			}
+		})
+		if allocs > float64(budget) {
+			t.Errorf("a fresh server reaching %d streams allocated %v objects, want at most ⌈log₂ k⌉ + 3 = %d", peak, allocs, budget)
+		}
+	}
+}
+
+// cycleWaiter is a stackless process that serves streams of demand at weight
+// back to back until *stop, calling cycle (if set) at each drain.
+type cycleWaiter struct {
+	proc           sim.Proc
+	s              *Server
+	demand, weight float64
+	started        bool
+	stop           *bool
+	cycle          func()
+}
+
+func (w *cycleWaiter) Step() {
+	if w.started && w.cycle != nil {
+		w.cycle()
+	}
+	w.started = true
+	if !*w.stop {
+		w.s.Start(&w.proc, w.demand, w.weight)
+	}
+}
+
+// raceEnabled reports whether the test binary was built with -race, whose
+// instrumentation allocates on its own: allocation pins skip under it.
+func raceEnabled() bool {
+	bi, _ := debug.ReadBuildInfo()
+	for _, s := range bi.Settings {
+		if s.Key == "-race" {
+			return s.Value == "true"
+		}
+	}
+	return false
 }

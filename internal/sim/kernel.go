@@ -40,8 +40,11 @@ import (
 	"time"
 )
 
-// noLimit disables the runUntil horizon.
-const noLimit = time.Duration(math.MaxInt64)
+// Never is the last instant of virtual time. A kernel fires no event at or
+// past its horizon, which is Never unless runUntil set an earlier one, so an
+// event scheduled at Never stays queued for good: the place for a deadline
+// nothing can reach.
+const Never = time.Duration(math.MaxInt64)
 
 // Kernel is a discrete-event simulator. The zero value is not usable; use
 // NewKernel.
@@ -76,13 +79,13 @@ type Kernel struct {
 	running bool
 	stopped bool
 	// limit is the runUntil horizon: loop refuses to fire events at or past
-	// it. noLimit for a plain Run.
+	// it: Never for a plain Run.
 	limit time.Duration
 }
 
 // NewKernel returns a kernel with the clock at zero and an empty event queue.
 func NewKernel() *Kernel {
-	return &Kernel{limit: noLimit}
+	return &Kernel{limit: Never}
 }
 
 // Now returns the current virtual time (duration since simulation start).
@@ -173,19 +176,27 @@ func (ev Event) Reschedule(at time.Duration) {
 	k.events.fix(int(e.index))
 }
 
-// newEvent takes an event struct from the free list (or allocates one) and
-// schedules it.
+// eventBlock is how many event structs the kernel allocates at once when its
+// free list runs dry: the list grows to the run's peak of queued events in
+// one object per block, not one per event.
+const eventBlock = 32
+
+// newEvent takes an event struct from the free list (refilling it a block at
+// a time) and schedules it.
 func (k *Kernel) newEvent(at time.Duration, fn func(), proc *Proc, every time.Duration) *event {
 	if at < k.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", at, k.now))
 	}
-	e := k.free
-	if e != nil {
-		k.free = e.next
-		e.next = nil
-	} else {
-		e = &event{}
+	if k.free == nil {
+		block := make([]event, eventBlock)
+		for i := range block[:eventBlock-1] {
+			block[i].next = &block[i+1]
+		}
+		k.free = &block[0]
 	}
+	e := k.free
+	k.free = e.next
+	e.next = nil
 	e.at = at
 	e.seq = k.seq
 	k.seq++
@@ -369,7 +380,7 @@ func (k *Kernel) runUntil(limit time.Duration) {
 	k.running = true
 	k.limit = limit
 	k.loop()
-	k.limit = noLimit
+	k.limit = Never
 	k.running = false
 }
 

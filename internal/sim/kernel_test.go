@@ -426,7 +426,7 @@ func TestMailboxSteadyStateAllocs(t *testing.T) {
 	})
 	cycle := func() {
 		mb.Send(0, 1)
-		k.runUntil(noLimit)
+		k.runUntil(Never)
 	}
 	for i := 0; i < 100; i++ {
 		cycle()

@@ -213,6 +213,38 @@ func TestHandleInertAfterRecycle(t *testing.T) {
 	if !secondFired || !thirdFired {
 		t.Fatalf("stale handle cancelled a recycled event (second=%v third=%v)", secondFired, thirdFired)
 	}
+
+	// Event structs come in blocks of eventBlock: fire more than two blocks'
+	// worth, reuse every struct for a new event and cancel through every
+	// stale handle, those past a block boundary included.
+	k = NewKernel()
+	const n = 2*eventBlock + 1
+	olds := make([]Event, n+1)
+	for i := range n {
+		olds[i] = k.At(time.Millisecond, func() {})
+	}
+	fired := 0
+	olds[n] = k.At(2*time.Millisecond, func() {
+		recycled := map[*event]bool{}
+		for i, old := range olds {
+			if old.Active() {
+				t.Errorf("fired event %d's handle still active", i)
+			}
+			recycled[old.e] = true
+		}
+		for i := range n + 1 {
+			if ev := k.At(3*time.Millisecond, func() { fired++ }); !recycled[ev.e] {
+				t.Errorf("new event %d did not reuse a fired event's struct", i)
+			}
+		}
+		for _, old := range olds {
+			old.Cancel() // must be a no-op
+		}
+	})
+	k.Run()
+	if fired != n+1 {
+		t.Fatalf("%d of %d new events fired: a stale handle cancelled one", fired, n+1)
+	}
 }
 
 // TestCompaction checks that cancelling most of a large queue compacts it:

@@ -153,10 +153,15 @@ func (ss *ShardSet) RunWindows() {
 				start, found = t, true
 			}
 		}
-		if !found {
+		if !found || start == Never {
+			// Nothing left, or only events at the end of time, which
+			// never fire.
 			break
 		}
 		end := start + ss.lookahead
+		if end < start {
+			end = Never
+		}
 		ss.windowEnd = end
 		// Wake only the shards with work inside the window.
 		var active []*Kernel

@@ -201,9 +201,25 @@ func TestRunUntilBoundary(t *testing.T) {
 	if k.PendingEvents() != 2 {
 		t.Fatalf("%d events queued after the first window, want the 2 at/after the limit", k.PendingEvents())
 	}
-	k.runUntil(noLimit)
+	k.runUntil(Never)
 	if want := []string{"1", "2", "3", "4"}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("after second window fired %v, want %v", got, want)
+	}
+}
+
+// TestShardSetEndOfTime: an event at the last instant of virtual time — where
+// psres parks a completion no rate can reach — never fires, on a shard as on
+// a lone kernel. The window after the last real event used to start there,
+// overflow its end and wake no shard, and RunWindows indexed an empty list.
+func TestShardSetEndOfTime(t *testing.T) {
+	ss := NewShardSet(2, time.Millisecond)
+	fired := 0
+	ss.Shard(0).At(time.Millisecond, func() { fired++ })
+	ss.Shard(1).At(Never, func() { fired += 10 })
+	ss.Shard(1).At(Never-time.Microsecond, func() { fired += 100 })
+	ss.RunWindows()
+	if fired != 101 {
+		t.Fatalf("fired = %d, want 101: the event before the end of time only", fired)
 	}
 }
 
@@ -248,7 +264,7 @@ func TestStepPrimitives(t *testing.T) {
 	if at, ok := k.peekNextEventTime(); !ok || at != 2*time.Millisecond {
 		t.Fatalf("peek after cancel-skip = %v %v, want 2ms true", at, ok)
 	}
-	k.runUntil(noLimit)
+	k.runUntil(Never)
 	if _, ok := k.peekNextEventTime(); ok {
 		t.Fatal("queue should be drained")
 	}
