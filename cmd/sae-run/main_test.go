@@ -6,6 +6,7 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+	"time"
 
 	"sae/internal/engine"
 	"sae/internal/exp"
@@ -181,5 +182,33 @@ func TestOutOfRangeFlags(t *testing.T) {
 	}
 	if code := exp.ExitCode(run([]string{"-workload", "nope"})); code != 1 {
 		t.Errorf("an unknown workload exits %d, want 1", code)
+	}
+}
+
+// TestTinyPartitionBytesRejected: files.maxPartitionBytes=-1 panicked in the
+// file system and =1 split the input into one-byte blocks until the process
+// ran out of memory. Both are now an invalid conf value — exit 1 with one
+// line — before anything is simulated, from -conf and through a spec alike.
+func TestTinyPartitionBytesRejected(t *testing.T) {
+	for _, v := range []string{"-1", "1"} {
+		kv := "files.maxPartitionBytes=" + v
+		for _, args := range [][]string{
+			{"-scale", "0.02", "-conf", kv},
+			{"-scenario", "../../scenarios/terasort-crash.yaml", "-scale", "0.02", "-conf", kv},
+		} {
+			start := time.Now()
+			err := run(args)
+			if err == nil {
+				t.Errorf("args %v accepted", args)
+				continue
+			}
+			msg := err.Error()
+			if code := exp.ExitCode(err); code != 1 || strings.Contains(msg, "\n") || !strings.Contains(msg, "files.maxPartitionBytes") {
+				t.Errorf("args %v: exit code %d, error %q; want 1 and one line naming the key", args, code, msg)
+			}
+			if took := time.Since(start); took > 2*time.Second {
+				t.Errorf("args %v: rejected after %v", args, took)
+			}
+		}
 	}
 }

@@ -6,6 +6,10 @@ import (
 	"sae/internal/conf"
 )
 
+// minBlockSize is the smallest files.maxPartitionBytes ApplyConfig accepts:
+// HDFS's default dfs.namenode.fs-limits.min-block-size.
+const minBlockSize = 1 << 20
+
 // ApplyConfig folds the wired parameters of a configuration registry into
 // the engine options, mirroring how the paper's drop-in executor honours
 // the stock Spark configuration surface (Table 1). Only parameters marked
@@ -24,6 +28,11 @@ func ApplyConfig(opts *Options, reg *conf.Registry) error {
 	}
 	if opts.BlockSize, err = reg.GetBytes("files.maxPartitionBytes"); err != nil {
 		return err
+	}
+	if opts.BlockSize < minBlockSize {
+		// A negative size panics the file system and a tiny one splits the
+		// input into more blocks than memory holds.
+		return fmt.Errorf("engine: files.maxPartitionBytes must be at least 1 MiB, got %d", opts.BlockSize)
 	}
 	overhead, err := reg.GetInt("executor.taskOverheadMillis")
 	if err != nil {

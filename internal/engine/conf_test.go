@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"strings"
 	"testing"
 
 	"sae/internal/cluster"
@@ -105,5 +106,40 @@ func TestApplyConfigBadValues(t *testing.T) {
 	}
 	if err := ApplyConfig(&opts, reg3); err == nil {
 		t.Fatal("unknown scheduler mode accepted")
+	}
+}
+
+// TestApplyConfigBlockSizeFloor: a negative split size used to panic in the
+// file system and a one-byte one split the input into more blocks than memory
+// holds; below 1 MiB (HDFS's minimum block size) is a one-line error naming
+// the key. 1 MiB itself is accepted.
+func TestApplyConfigBlockSizeFloor(t *testing.T) {
+	for _, v := range []string{"-1", "0", "1", "1023k"} {
+		reg := conf.New()
+		if err := reg.Set("files.maxPartitionBytes", v); err != nil {
+			t.Fatal(err)
+		}
+		opts := testOptions(2, core.Default{})
+		err := ApplyConfig(&opts, reg)
+		if err == nil {
+			t.Errorf("files.maxPartitionBytes=%s accepted", v)
+			continue
+		}
+		if msg := err.Error(); !strings.Contains(msg, "files.maxPartitionBytes") || strings.Contains(msg, "\n") {
+			t.Errorf("files.maxPartitionBytes=%s: error %q, want one line naming the key", v, msg)
+		}
+	}
+	reg := conf.New()
+	if err := reg.Set("files.maxPartitionBytes", "1m"); err != nil {
+		t.Fatal(err)
+	}
+	opts := testOptions(2, core.Default{})
+	if err := ApplyConfig(&opts, reg); err != nil || opts.BlockSize != 1<<20 {
+		t.Fatalf("files.maxPartitionBytes=1m: block size %d, error %v", opts.BlockSize, err)
+	}
+	opts = testOptions(2, core.Default{})
+	opts.BlockSize = -1
+	if _, err := NewEngine(opts); err == nil {
+		t.Fatal("NewEngine accepted a negative block size")
 	}
 }

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -251,9 +252,10 @@ func (e *Engine) completeStage(ts *taskSet) {
 		Requeued:          js.requeues - ts.requeue0,
 		RecoveredBytes:    e.shuffle.recoveredBytes(js.id) - ts.recovered0,
 	}
-	if len(ts.durations) > 0 {
-		q := metrics.Quantiles(ts.durations, 0.5, 0.95, 1)
-		sr.TaskP50, sr.TaskP95, sr.TaskMax = q[0], q[1], q[2]
+	if d := ts.durations; len(d) > 0 {
+		// The set is done with its ledger: sort it where it lies.
+		slices.Sort(d)
+		sr.TaskP50, sr.TaskP95, sr.TaskMax = metrics.NearestRank(d, 0.5), metrics.NearestRank(d, 0.95), metrics.NearestRank(d, 1)
 	}
 	vcores := e.opts.Cluster.CPU.VirtualCores
 	if e.ss == nil {

@@ -223,6 +223,9 @@ func NewEngine(opts Options) (*Engine, error) {
 	if opts.Replication < 0 {
 		return nil, fmt.Errorf("engine: Options.Replication must not be negative, got %d", opts.Replication)
 	}
+	if opts.BlockSize < 0 {
+		return nil, fmt.Errorf("engine: Options.BlockSize must not be negative, got %d", opts.BlockSize)
+	}
 	if opts.JobPolicy == nil {
 		opts.JobPolicy = FIFO{}
 	}

@@ -588,6 +588,48 @@ func TestReducePlanAllocatesNothingWarm(t *testing.T) {
 	}
 }
 
+// TestSpeculateAllocatesNothing pins the cost of the straggler check that
+// runs on every completion once a speculating stage is mostly done: it sorts
+// the set's durations where they lie, where it used to sort a fresh copy of
+// them each time. Each call here first adds a completion, as handleTaskDone
+// does; the tasks still running started at 0 and the clock reads 0, so none
+// is a straggler.
+func TestSpeculateAllocatesNothing(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	opts := testOptions(2, core.Default{})
+	opts.Speculation = true
+	e, err := NewEngine(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const tasks = 256
+	stage := &job.StageSpec{ID: 0, Name: "map", NumTasks: tasks}
+	ts := newTaskSet(setKey{}, &jobState{}, stage, false, nil, nil, 2)
+	rng := rand.New(rand.NewSource(1))
+	for task := 0; task < 200; task++ {
+		ts.tasks[task].done = true
+		ts.done++
+		ts.durations = append(ts.durations, time.Duration(rng.Intn(1000))*time.Millisecond)
+	}
+	for task := 200; task < tasks; task++ {
+		ts.addCopy(task, task%2)
+	}
+	if n := testing.AllocsPerRun(50, func() {
+		ts.durations = append(ts.durations, time.Duration(rng.Intn(1000))*time.Millisecond)
+		if e.sched.speculate(ts) != 0 {
+			t.Fatal("a task that has not run past the threshold was speculated")
+		}
+	}); n != 0 {
+		t.Errorf("speculate allocates %v objects per call, want 0", n)
+	}
+	if !slices.IsSorted(ts.durations) || cap(ts.durations) != tasks {
+		t.Errorf("durations: sorted %v, capacity %d; want sorted in the array made for %d tasks",
+			slices.IsSorted(ts.durations), cap(ts.durations), tasks)
+	}
+}
+
 // raceEnabled reports whether the test binary was built with -race, whose
 // instrumentation allocates on its own: allocation pins skip under it.
 func raceEnabled() bool {

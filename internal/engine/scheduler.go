@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"time"
 
 	"sae/internal/cluster"
@@ -117,7 +116,11 @@ type taskSet struct {
 	// taskState.copies taken; nil in every run so far.
 	extra []attempt
 
-	durations []time.Duration // completed attempts (speculation's median)
+	// durations holds the winning attempts' durations of a primary set, in no
+	// particular order: speculate and completeStage sort it in place. It is
+	// made at NumTasks, one per task; a task un-completed by a lost node adds a
+	// second on finishing again, and append grows it then.
+	durations []time.Duration
 
 	retries     int
 	speculative int
@@ -198,6 +201,9 @@ func newTaskSet(key setKey, js *jobState, stage *job.StageSpec, recovery bool, o
 		splits:   splits,
 	}
 	ts.queue.tickets = make([]int, 0, stage.NumTasks)
+	if !recovery {
+		ts.durations = make([]time.Duration, 0, stage.NumTasks)
+	}
 	ts.indexLocality(nodes)
 	for i := range ts.tasks {
 		ts.tasks[i].noExec = -1
@@ -920,7 +926,9 @@ func (s *taskScheduler) launch(ts *taskSet, ticket, i int) {
 // done (Spark's speculation): tasks still running past Multiplier× the
 // median completed duration are re-queued for a different executor. Each
 // task is speculated at most once. It returns the number of copies queued.
-// Simultaneous stragglers are queued in ascending task order.
+// Simultaneous stragglers are queued in ascending task order. The durations
+// are sorted in place: all but the latest are still in order from the last
+// call, so the sort has that one to place.
 func (s *taskScheduler) speculate(ts *taskSet) int {
 	e := s.eng
 	if !e.opts.Speculation || len(ts.durations) == 0 {
@@ -929,9 +937,8 @@ func (s *taskScheduler) speculate(ts *taskSet) int {
 	if float64(ts.done) < e.opts.SpeculationQuantile*float64(ts.stage.NumTasks) {
 		return 0
 	}
-	sorted := append([]time.Duration(nil), ts.durations...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	median := sorted[len(sorted)/2]
+	slices.Sort(ts.durations)
+	median := ts.durations[len(ts.durations)/2]
 	threshold := time.Duration(float64(median) * e.opts.SpeculationMultiplier)
 	launched := 0
 	for task := range ts.tasks {

@@ -33,6 +33,14 @@
 //   - byte-conservation: the job report's I/O totals equal the sum of the
 //     accepted per-task metrics.
 //
+// The hooks that fire per task — slot launch and release, shuffle
+// registration, task acceptance — make no map operation once their coverage
+// signals are in: the exactly-once mirror is a ledger per (job, stage), a
+// slice of 8-byte records indexed by task like the registry's own
+// keyState.slot, found through a slice indexed by job and stage ID. A
+// finished job's ledgers, and at BeginRun all of them, are kept as spares
+// for the stages that register next.
+//
 // Scenario expect/SLO assertions join the same stream via Flag (the
 // scenario compiler calls it for each failed check when the setup carries
 // an auditor), so hunt treats SLO breaches and structural violations
@@ -41,6 +49,7 @@ package invariant
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"sae/internal/engine"
@@ -103,23 +112,56 @@ type execMirror struct {
 	hasCleared bool
 }
 
+// jobMirror is the auditor's view of one job: the I/O its accepted tasks
+// reported, and one shuffle ledger per stage that has registered output.
 type jobMirror struct {
 	diskRead, diskWrite, net     int64
 	fetchRetries, checksumFailed int
 	tasks                        int
+	// ledgers[stage] mirrors the stage's map outputs, indexed by task: the
+	// mirror of the driver's keyState. It is empty until the stage's first
+	// registration and grows to the highest task index seen.
+	ledgers [][]shuffleMirror
 }
 
-type shuffleKey struct{ job, stage, task int }
-
+// shuffleMirror is the exactly-once rule's record of one map task's output.
 type shuffleMirror struct {
-	node int
-	lost bool
+	node       int32
+	registered bool
+	lost       bool
+}
+
+// signal names a coverage signal that fires on the per-task hooks. Each is
+// added to coverage the first time it fires and only checked against a flag
+// afterwards, so those hooks hash nothing.
+type signal int
+
+const (
+	sigSlotLaunch signal = iota
+	sigSlotRelease
+	sigShuffleAccepted
+	sigShuffleDuplicate
+	sigShuffleRecovered
+	numSignals
+)
+
+var signalNames = [numSignals]string{
+	sigSlotLaunch:       "slot:launch",
+	sigSlotRelease:      "slot:release",
+	sigShuffleAccepted:  "shuffle:accepted",
+	sigShuffleDuplicate: "shuffle:duplicate",
+	sigShuffleRecovered: "shuffle:recovered",
 }
 
 // Auditor implements engine.Audit. One auditor may observe many sequential
 // engine runs (a matrix scenario); per-run mirrors reset at BeginRun while
 // violations and coverage accumulate. It is not safe for concurrent
 // engines.
+//
+// The per-run state is sized by the runs it has seen and kept across them:
+// jobs is indexed by job ID (dense per engine), a finished job's ledgers go
+// to spare for the next stage to register, and BeginRun returns every
+// ledger there. A second run of the same shape allocates nothing.
 type Auditor struct {
 	run     int
 	offset  int
@@ -128,14 +170,15 @@ type Auditor struct {
 
 	violations []Violation
 	coverage   map[string]struct{}
+	fired      [numSignals]bool
 	// eventTypes holds the trace-event types whose "event:<type>" signal is
 	// already in coverage, so the signal is spelled out once per type, not
 	// once per event.
 	eventTypes map[string]struct{}
 
-	execs   []execMirror
-	jobs    map[int]*jobMirror
-	shuffle map[shuffleKey]shuffleMirror
+	execs []execMirror
+	jobs  []jobMirror
+	spare [][]shuffleMirror
 }
 
 var _ engine.Audit = (*Auditor)(nil)
@@ -177,6 +220,14 @@ func (a *Auditor) Flag(rule, detail string) {
 
 func (a *Auditor) cover(sig string) { a.coverage[sig] = struct{}{} }
 
+// fire covers one of the fixed signals.
+func (a *Auditor) fire(s signal) {
+	if !a.fired[s] {
+		a.fired[s] = true
+		a.cover(signalNames[s])
+	}
+}
+
 func (a *Auditor) violate(rule string, exec, jobID int, format string, args ...any) {
 	if len(a.violations) >= maxViolations {
 		a.dropped++
@@ -202,7 +253,7 @@ func (a *Auditor) BeginRun(active []bool) {
 	a.run++
 	a.offset = 0
 	a.at = 0
-	a.execs = make([]execMirror, len(active))
+	a.execs = slices.Grow(a.execs[:0], len(active))[:len(active)]
 	for i, up := range active {
 		if up {
 			a.execs[i] = execMirror{alive: true}
@@ -210,8 +261,73 @@ func (a *Auditor) BeginRun(active []bool) {
 			a.execs[i] = execMirror{admin: adminDown}
 		}
 	}
-	a.jobs = map[int]*jobMirror{}
-	a.shuffle = map[shuffleKey]shuffleMirror{}
+	for id := range a.jobs {
+		a.clearJob(&a.jobs[id])
+	}
+}
+
+// job returns the mirror of job id, extending jobs to it.
+func (a *Auditor) job(id int) *jobMirror {
+	for len(a.jobs) <= id {
+		a.jobs = append(a.jobs, jobMirror{})
+	}
+	return &a.jobs[id]
+}
+
+// clearJob zeroes jm, as if its job had not started, and moves its ledgers to
+// the spare list.
+func (a *Auditor) clearJob(jm *jobMirror) {
+	for stage, outs := range jm.ledgers {
+		if cap(outs) > 0 {
+			a.spare = append(a.spare, outs[:0])
+		}
+		jm.ledgers[stage] = nil
+	}
+	*jm = jobMirror{ledgers: jm.ledgers[:0]}
+}
+
+// entry returns the ledger record of task for (jobID, stage), growing the
+// stage's ledger to cover it. A ledger that needs a bigger array — a stage's
+// first registration needs one — takes the smallest spare that holds the task,
+// if any, and leaves its old array in its place.
+func (a *Auditor) entry(jobID, stage, task int) *shuffleMirror {
+	jm := a.job(jobID)
+	for len(jm.ledgers) <= stage {
+		jm.ledgers = append(jm.ledgers, nil)
+	}
+	outs := jm.ledgers[stage]
+	if n := len(outs); task >= n {
+		if task >= cap(outs) {
+			if i := a.fittingSpare(task + 1); i < 0 {
+				outs = slices.Grow(outs, task+1-n)
+			} else {
+				bigger := a.spare[i][:n]
+				copy(bigger, outs)
+				if cap(outs) > 0 {
+					a.spare[i] = outs[:0]
+				} else {
+					a.spare = slices.Delete(a.spare, i, i+1)
+				}
+				outs = bigger
+			}
+		}
+		outs = outs[:task+1]
+		clear(outs[n:])
+		jm.ledgers[stage] = outs
+	}
+	return &outs[task]
+}
+
+// fittingSpare returns the index of the smallest spare ledger array of at
+// least size records, or -1.
+func (a *Auditor) fittingSpare(size int) int {
+	best := -1
+	for i, s := range a.spare {
+		if cap(s) >= size && (best < 0 || cap(s) < cap(a.spare[best])) {
+			best = i
+		}
+	}
+	return best
 }
 
 // EndRun implements engine.Audit.
@@ -310,7 +426,7 @@ func (a *Auditor) SlotLaunched(exec, jobID int) {
 		a.violate("assignment-legality", exec, jobID, "task booked onto a draining or decommissioned executor")
 	}
 	x.inflight++
-	a.cover("slot:launch")
+	a.fire(sigSlotLaunch)
 }
 
 // SlotReleased implements engine.Audit.
@@ -321,7 +437,7 @@ func (a *Auditor) SlotReleased(exec, jobID int) {
 		return
 	}
 	x.inflight--
-	a.cover("slot:release")
+	a.fire(sigSlotRelease)
 }
 
 // SlotsReclaimed implements engine.Audit.
@@ -361,47 +477,51 @@ func (a *Auditor) ExecutorEpoch(exec, epoch int) {
 
 // ShuffleRegistered implements engine.Audit.
 func (a *Auditor) ShuffleRegistered(jobID, stage, task, node int, outcome engine.ShuffleOutcome) {
-	key := shuffleKey{job: jobID, stage: stage, task: task}
-	m, registered := a.shuffle[key]
+	if outcome == engine.ShuffleEmpty {
+		return
+	}
+	m := a.entry(jobID, stage, task)
 	switch outcome {
 	case engine.ShuffleAccepted:
-		if registered && !m.lost {
+		if m.registered && !m.lost {
 			a.violate("shuffle-exactly-once", -1, jobID,
 				"stage %d task %d: second registration accepted over a live output", stage, task)
 		}
-		if registered && m.lost {
+		if m.registered && m.lost {
 			a.violate("shuffle-exactly-once", -1, jobID,
 				"stage %d task %d: lost output replaced without recovery accounting", stage, task)
 		}
-		a.shuffle[key] = shuffleMirror{node: node}
-		a.cover("shuffle:accepted")
+		*m = shuffleMirror{node: int32(node), registered: true}
+		a.fire(sigShuffleAccepted)
 	case engine.ShuffleDuplicate:
-		if !registered {
+		if !m.registered {
 			a.violate("shuffle-exactly-once", -1, jobID,
 				"stage %d task %d: duplicate verdict for an output never registered", stage, task)
 		} else if m.lost {
 			a.violate("shuffle-exactly-once", -1, jobID,
 				"stage %d task %d: duplicate verdict while the registered output is lost", stage, task)
 		}
-		a.cover("shuffle:duplicate")
+		a.fire(sigShuffleDuplicate)
 	case engine.ShuffleRecovered:
-		if !registered || !m.lost {
+		if !m.registered || !m.lost {
 			a.violate("shuffle-exactly-once", -1, jobID,
 				"stage %d task %d: recovery verdict without a lost registration", stage, task)
 		}
-		a.shuffle[key] = shuffleMirror{node: node}
-		a.cover("shuffle:recovered")
-	case engine.ShuffleEmpty:
+		*m = shuffleMirror{node: int32(node), registered: true}
+		a.fire(sigShuffleRecovered)
 	}
 }
 
-// ShuffleNodeLost implements engine.Audit. Map mutation order is
-// irrelevant: marking entries lost is commutative and emits nothing.
+// ShuffleNodeLost implements engine.Audit: every live output on node, in
+// every stage ledger of every job not yet finished, is marked lost.
 func (a *Auditor) ShuffleNodeLost(node int) {
-	for key, m := range a.shuffle {
-		if m.node == node && !m.lost {
-			m.lost = true
-			a.shuffle[key] = m
+	for id := range a.jobs {
+		for _, outs := range a.jobs[id].ledgers {
+			for i := range outs {
+				if m := &outs[i]; m.registered && int(m.node) == node {
+					m.lost = true
+				}
+			}
 		}
 	}
 	a.cover("shuffle:node-lost")
@@ -409,11 +529,7 @@ func (a *Auditor) ShuffleNodeLost(node int) {
 
 // TaskAccepted implements engine.Audit.
 func (a *Auditor) TaskAccepted(jobID int, m job.TaskMetrics) {
-	jm := a.jobs[jobID]
-	if jm == nil {
-		jm = &jobMirror{}
-		a.jobs[jobID] = jm
-	}
+	jm := a.job(jobID)
 	jm.diskRead += m.DiskReadBytes
 	jm.diskWrite += m.DiskWriteBytes
 	jm.net += m.NetBytes
@@ -425,10 +541,7 @@ func (a *Auditor) TaskAccepted(jobID int, m job.TaskMetrics) {
 // JobFinished implements engine.Audit: the report's accumulated I/O must
 // equal the sum of the per-task metrics the driver accepted.
 func (a *Auditor) JobFinished(rep *engine.JobReport) {
-	jm := a.jobs[rep.ID]
-	if jm == nil {
-		jm = &jobMirror{}
-	}
+	jm := a.job(rep.ID)
 	check := func(what string, got, want int64) {
 		if got != want {
 			a.violate("byte-conservation", -1, rep.ID,
@@ -440,10 +553,5 @@ func (a *Auditor) JobFinished(rep *engine.JobReport) {
 	check("network bytes", rep.NetBytes, jm.net)
 	check("fetch retries", int64(rep.FetchRetries), int64(jm.fetchRetries))
 	check("checksum failovers", int64(rep.ChecksumFailovers), int64(jm.checksumFailed))
-	delete(a.jobs, rep.ID)
-	for key := range a.shuffle {
-		if key.job == rep.ID {
-			delete(a.shuffle, key)
-		}
-	}
+	a.clearJob(jm)
 }

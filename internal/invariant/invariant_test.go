@@ -373,10 +373,12 @@ func TestFlagAndViolationCap(t *testing.T) {
 
 // TestHooksSteadyStateAllocFree pins what the auditor costs per event once a
 // run is under way: an event of a type already covered spells out no
-// "event:<type>" signal, and a shuffle registration over a key the mirror
-// holds (a duplicate verdict, a recovery) stores a value, not a fresh object.
-// The coverage the hunter keeps corpus entries by must not notice: every type
-// seen is in it, once, over several runs of one auditor.
+// "event:<type>" signal, and a shuffle registration over a task the ledger
+// covers (a duplicate verdict, a recovery) writes a record in place. A whole
+// second run of the same shape allocates nothing either: its stages register
+// into the ledgers the first run left as spares. The coverage the hunter keeps
+// corpus entries by must not notice: every type seen is in it, once, over
+// several runs of one auditor.
 func TestHooksSteadyStateAllocFree(t *testing.T) {
 	a := fresh(2)
 	launch, end := ev(engine.TraceTaskLaunch, 0, 1, ""), ev(engine.TraceTaskEnd, 1, 2, "")
@@ -403,4 +405,45 @@ func TestHooksSteadyStateAllocFree(t *testing.T) {
 	if got := a.Coverage(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("coverage = %v, want %v", got, want)
 	}
+
+	// A run of three jobs on four executors: stages of 8, 64 and 200 map
+	// tasks registering in ascending, descending and interleaved order, the
+	// duplicates of a speculation loser, a node loss and its recoveries. Job 0
+	// finishes mid-run, so job 2 registers into its ledgers; job 1 never
+	// finishes (a failed job gets no JobFinished) and BeginRun reclaims it.
+	active := []bool{true, true, true, true}
+	widths := []int{8, 64, 200}
+	run := func() {
+		a.BeginRun(active)
+		for jobID := 0; jobID < 3; jobID++ {
+			for stage, n := range widths {
+				for i := 0; i < n; i++ {
+					task := i
+					switch stage {
+					case 1:
+						task = n - 1 - i
+					case 2:
+						task = (i * 7) % n
+					}
+					a.ShuffleRegistered(jobID, stage, task, task%4, engine.ShuffleAccepted)
+					a.ShuffleRegistered(jobID, stage, task, (task+1)%4, engine.ShuffleDuplicate)
+					a.TaskAccepted(jobID, job.TaskMetrics{NetBytes: 1})
+				}
+			}
+			a.ShuffleNodeLost(jobID)
+			for stage, n := range widths {
+				for task := jobID; task < n; task += 4 {
+					a.ShuffleRegistered(jobID, stage, task, (jobID+1)%4, engine.ShuffleRecovered)
+				}
+			}
+			if jobID == 0 {
+				a.JobFinished(&engine.JobReport{ID: 0, NetBytes: 272})
+			}
+		}
+	}
+	run()
+	if n := testing.AllocsPerRun(20, run); n != 0 {
+		t.Fatalf("a second run of the same shape allocates %v objects, want 0", n)
+	}
+	wantClean(t, a)
 }

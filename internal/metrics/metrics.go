@@ -7,7 +7,7 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"time"
 )
 
@@ -81,20 +81,21 @@ func Quantiles(vals []time.Duration, ps ...float64) []time.Duration {
 	if len(vals) == 0 {
 		return out
 	}
-	sorted := append([]time.Duration(nil), vals...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	n := len(sorted)
+	sorted := slices.Clone(vals)
+	slices.Sort(sorted)
 	for i, p := range ps {
-		if p > 1 {
-			p = 1
-		}
-		rank := int(math.Ceil(p * float64(n)))
-		if rank < 1 {
-			rank = 1
-		}
-		out[i] = sorted[rank-1]
+		out[i] = NearestRank(sorted, p)
 	}
 	return out
+}
+
+// NearestRank returns the nearest-rank p-quantile of sorted, which must be
+// ascending and non-empty: the element at rank ⌈p·n⌉, with p clamped to
+// (0, 1]. Quantiles is this over a sorted copy; a caller that owns its
+// values and may reorder them sorts them in place and asks here.
+func NearestRank(sorted []time.Duration, p float64) time.Duration {
+	rank := int(math.Ceil(min(p, 1) * float64(len(sorted))))
+	return sorted[max(rank, 1)-1]
 }
 
 // Point is one sample of a time series.
