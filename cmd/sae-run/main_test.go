@@ -192,23 +192,42 @@ func TestOutOfRangeFlags(t *testing.T) {
 func TestTinyPartitionBytesRejected(t *testing.T) {
 	for _, v := range []string{"-1", "1"} {
 		kv := "files.maxPartitionBytes=" + v
-		for _, args := range [][]string{
-			{"-scale", "0.02", "-conf", kv},
-			{"-scenario", "../../scenarios/terasort-crash.yaml", "-scale", "0.02", "-conf", kv},
-		} {
-			start := time.Now()
-			err := run(args)
-			if err == nil {
-				t.Errorf("args %v accepted", args)
-				continue
-			}
-			msg := err.Error()
-			if code := exp.ExitCode(err); code != 1 || strings.Contains(msg, "\n") || !strings.Contains(msg, "files.maxPartitionBytes") {
-				t.Errorf("args %v: exit code %d, error %q; want 1 and one line naming the key", args, code, msg)
-			}
-			if took := time.Since(start); took > 2*time.Second {
-				t.Errorf("args %v: rejected after %v", args, took)
-			}
+		rejectedAtOnce(t, []string{"-scale", "0.02", "-conf", kv}, "files.maxPartitionBytes")
+		rejectedAtOnce(t, []string{"-scenario", "../../scenarios/terasort-crash.yaml", "-scale", "0.02", "-conf", kv}, "files.maxPartitionBytes")
+	}
+}
+
+// rejectedAtOnce wants run(args) to fail within 2 s with exit code 1 and a
+// one-line error naming each of wants.
+func rejectedAtOnce(t *testing.T, args []string, wants ...string) {
+	t.Helper()
+	start := time.Now()
+	err := run(args)
+	if err == nil {
+		t.Errorf("args %v accepted", args)
+		return
+	}
+	msg := err.Error()
+	if code := exp.ExitCode(err); code != 1 || strings.Contains(msg, "\n") {
+		t.Errorf("args %v: exit code %d, error %q; want 1 and one line", args, code, msg)
+	}
+	for _, want := range wants {
+		if !strings.Contains(msg, want) {
+			t.Errorf("args %v: error %q does not name %s", args, msg, want)
 		}
+	}
+	if took := time.Since(start); took > 2*time.Second {
+		t.Errorf("args %v: rejected after %v", args, took)
+	}
+}
+
+// TestHugeScaleRejected: -scale 1e7 ran out of memory laying out a 429 GB
+// block array, and -scale 1e9 wrapped the input size negative. Both are now
+// one line naming the input file and its block count, at once — as from a
+// spec's cluster.scale.
+func TestHugeScaleRejected(t *testing.T) {
+	for _, scale := range []string{"1e7", "1e9"} {
+		rejectedAtOnce(t, []string{"-scale", scale}, `"terasort/in"`, "blocks")
+		rejectedAtOnce(t, []string{"-scenario", "../../scenarios/terasort-crash.yaml", "-scale", scale}, `"terasort/in"`, "blocks")
 	}
 }

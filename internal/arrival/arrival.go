@@ -17,10 +17,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"time"
-
-	"sae/internal/sim"
 )
 
 // Process is a (possibly time-varying) arrival-rate function. Rate reports
@@ -200,51 +197,4 @@ func (s Spec) pickClass(rng *rand.Rand) Class {
 		x -= c.Weight
 	}
 	return s.Classes[len(s.Classes)-1]
-}
-
-// Pump schedules fn(a) on the kernel at each arrival's instant, modelling the
-// generator as a live traffic source on the sim clock. Callers that must
-// submit before the engine starts (the engine freezes its job table at Wait)
-// use Generate directly; Pump is for components that consume arrivals as sim
-// events — benchmarks, future admission-control work.
-func Pump(k *sim.Kernel, sched []Arrival, fn func(Arrival)) {
-	for _, a := range sched {
-		a := a
-		k.At(a.At, func() { fn(a) })
-	}
-}
-
-// Stats summarizes a schedule for logs and sanity checks.
-type Stats struct {
-	Jobs    int
-	ByClass map[string]int
-	// MeanGap is the mean inter-arrival time (0 with < 2 arrivals).
-	MeanGap time.Duration
-	// PeakMinuteJobs is the largest number of arrivals in any aligned
-	// 60-second window — the burstiness headline.
-	PeakMinuteJobs int
-}
-
-// Summarize computes schedule statistics.
-func Summarize(sched []Arrival) Stats {
-	st := Stats{Jobs: len(sched), ByClass: map[string]int{}}
-	minutes := map[int64]int{}
-	for _, a := range sched {
-		st.ByClass[a.Class.Name]++
-		minutes[int64(a.At/time.Minute)]++
-	}
-	for _, n := range minutes {
-		if n > st.PeakMinuteJobs {
-			st.PeakMinuteJobs = n
-		}
-	}
-	if len(sched) >= 2 {
-		st.MeanGap = (sched[len(sched)-1].At - sched[0].At) / time.Duration(len(sched)-1)
-	}
-	return st
-}
-
-// SortBySeq restores schedule order after callers reorder a copy.
-func SortBySeq(sched []Arrival) {
-	sort.Slice(sched, func(i, j int) bool { return sched[i].Seq < sched[j].Seq })
 }

@@ -4,8 +4,6 @@ import (
 	"math"
 	"testing"
 	"time"
-
-	"sae/internal/sim"
 )
 
 func TestGenerateDeterministic(t *testing.T) {
@@ -144,49 +142,5 @@ func TestMaxJobsAndHorizon(t *testing.T) {
 		if a.At >= spec.Horizon {
 			t.Fatalf("arrival at %v beyond horizon %v", a.At, spec.Horizon)
 		}
-	}
-}
-
-func TestPumpFiresOnSimClock(t *testing.T) {
-	spec := Spec{Proc: Poisson{RatePerSec: 1}, Seed: 11, Horizon: 10 * time.Minute}
-	sched := spec.Generate()
-	if len(sched) < 2 {
-		t.Fatalf("want ≥ 2 arrivals, got %d", len(sched))
-	}
-	k := sim.NewKernel()
-	var got []Arrival
-	var times []time.Duration
-	Pump(k, sched, func(a Arrival) {
-		got = append(got, a)
-		times = append(times, k.Now())
-	})
-	k.Run()
-	if len(got) != len(sched) {
-		t.Fatalf("fired %d of %d arrivals", len(got), len(sched))
-	}
-	for i := range got {
-		if got[i].Seq != sched[i].Seq || times[i] != sched[i].At {
-			t.Fatalf("arrival %d fired at %v as seq %d, want %v seq %d",
-				i, times[i], got[i].Seq, sched[i].At, sched[i].Seq)
-		}
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	sched := []Arrival{
-		{Seq: 0, At: 10 * time.Second, Class: Class{Name: "a"}},
-		{Seq: 1, At: 20 * time.Second, Class: Class{Name: "a"}},
-		{Seq: 2, At: 30 * time.Second, Class: Class{Name: "b"}},
-		{Seq: 3, At: 90 * time.Second, Class: Class{Name: "b"}},
-	}
-	st := Summarize(sched)
-	if st.Jobs != 4 || st.ByClass["a"] != 2 || st.ByClass["b"] != 2 {
-		t.Fatalf("stats = %+v", st)
-	}
-	if st.PeakMinuteJobs != 3 {
-		t.Fatalf("peak minute = %d, want 3", st.PeakMinuteJobs)
-	}
-	if st.MeanGap != (80*time.Second)/3 {
-		t.Fatalf("mean gap = %v", st.MeanGap)
 	}
 }

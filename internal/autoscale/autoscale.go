@@ -133,16 +133,6 @@ type Adaptive struct {
 	primed        bool
 }
 
-// DefaultAdaptive returns the planner settings used by the experiments.
-func DefaultAdaptive() *Adaptive {
-	return &Adaptive{
-		Alpha:           0.3,
-		DrainTarget:     2 * time.Minute,
-		Headroom:        1.2,
-		MinSamplePeriod: 5 * time.Second,
-	}
-}
-
 func (a *Adaptive) Name() string { return "adaptive" }
 
 // Capacity exposes the current µ estimate (tasks/s/node) for reports.

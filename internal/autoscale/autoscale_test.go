@@ -61,6 +61,12 @@ func TestReactiveCountsPending(t *testing.T) {
 	}
 }
 
+// newAdaptive returns a planner with the settings these tests were
+// calibrated against.
+func newAdaptive() *Adaptive {
+	return &Adaptive{Alpha: 0.3, DrainTarget: 2 * time.Minute, Headroom: 1.2, MinSamplePeriod: 5 * time.Second}
+}
+
 // feed advances the adaptive planner through one tick.
 func feed(a *Adaptive, at time.Duration, s Snapshot) (int, string) {
 	s.Now = at
@@ -68,7 +74,7 @@ func feed(a *Adaptive, at time.Duration, s Snapshot) (int, string) {
 }
 
 func TestAdaptiveEstimatesCapacityAndPlans(t *testing.T) {
-	a := DefaultAdaptive()
+	a := newAdaptive()
 	// Priming tick.
 	if got, _ := feed(a, 0, Snapshot{ActiveNodes: 2}); got != 2 {
 		t.Fatalf("priming target = %d, want 2", got)
@@ -91,7 +97,7 @@ func TestAdaptiveEstimatesCapacityAndPlans(t *testing.T) {
 }
 
 func TestAdaptiveScaleDownWhenIdle(t *testing.T) {
-	a := DefaultAdaptive()
+	a := newAdaptive()
 	feed(a, 0, Snapshot{ActiveNodes: 8})
 	feed(a, 30*time.Second, Snapshot{ActiveNodes: 8, CompletedTasks: 240}) // µ = 1
 	// Load drops to 0.5 tasks/s total with no backlog: ⌈0.5·1.2⌉ = 1.
@@ -102,7 +108,7 @@ func TestAdaptiveScaleDownWhenIdle(t *testing.T) {
 }
 
 func TestAdaptiveGrowsWithoutEstimateWhenBacklogged(t *testing.T) {
-	a := DefaultAdaptive()
+	a := newAdaptive()
 	feed(a, 0, Snapshot{ActiveNodes: 1})
 	// No completions yet but tasks queued: must grow rather than hold at a
 	// size that may never complete anything.
@@ -113,7 +119,7 @@ func TestAdaptiveGrowsWithoutEstimateWhenBacklogged(t *testing.T) {
 }
 
 func TestAdaptiveShortTickHolds(t *testing.T) {
-	a := DefaultAdaptive()
+	a := newAdaptive()
 	feed(a, 0, Snapshot{ActiveNodes: 4})
 	got, _ := feed(a, time.Second, Snapshot{ActiveNodes: 4, CompletedTasks: 1000})
 	if got != 4 {
@@ -123,7 +129,7 @@ func TestAdaptiveShortTickHolds(t *testing.T) {
 
 func TestAdaptiveDeterministic(t *testing.T) {
 	run := func() []int {
-		a := DefaultAdaptive()
+		a := newAdaptive()
 		var out []int
 		snaps := []Snapshot{
 			{ActiveNodes: 2},

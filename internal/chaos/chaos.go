@@ -86,9 +86,6 @@ type Plan struct {
 	MaxInjected int
 }
 
-// Quiet returns the empty schedule: no faults.
-func Quiet() *Plan { return &Plan{Name: "quiet"} }
-
 // CrashAt returns a plan that permanently kills executor exec at t.
 func CrashAt(exec int, at time.Duration) *Plan {
 	return &Plan{

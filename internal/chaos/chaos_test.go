@@ -278,9 +278,6 @@ func TestEmptyAndString(t *testing.T) {
 	if !p.Empty() || p.String() != "quiet" {
 		t.Fatal("nil plan should be quiet/empty")
 	}
-	if !Quiet().Empty() {
-		t.Fatal("Quiet() not empty")
-	}
 	if CrashAt(1, time.Minute).Empty() {
 		t.Fatal("crash plan reported empty")
 	}

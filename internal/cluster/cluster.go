@@ -103,18 +103,11 @@ func (c *Cluster) Size() int { return len(c.nodes) }
 // ControlLatency returns the configured control-plane message latency.
 func (c *Cluster) ControlLatency() time.Duration { return c.cfg.ControlLatency }
 
-// Transfer moves bytes from node src to node dst over the network, blocking
-// p until done. Same-node transfers are free. The link cost is charged on
-// the receiver NIC (the simplification is safe because shuffle volumes never
-// saturate the paper's 10G+ fabric).
-func (c *Cluster) Transfer(p *sim.Proc, src, dst int, bytes int64) {
-	if c.StartTransfer(p, src, dst, bytes) {
-		p.Park()
-	}
-}
-
-// StartTransfer is Transfer without the park (see device.Disk.StartRead): it
-// reports whether a transfer was queued, at whose completion p is woken.
+// StartTransfer queues bytes to move from node src to node dst over the
+// network for p and reports whether it did (see device.Disk.StartRead): at
+// the transfer's completion p is woken. Same-node transfers are free. The
+// link cost is charged on the receiver NIC (the simplification is safe
+// because shuffle volumes never saturate the paper's 10G+ fabric).
 func (c *Cluster) StartTransfer(p *sim.Proc, src, dst int, bytes int64) bool {
 	return src != dst && c.nodes[dst].NIC.StartTransfer(p, bytes)
 }

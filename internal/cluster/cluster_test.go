@@ -9,6 +9,30 @@ import (
 	"sae/internal/sim"
 )
 
+// script is a stackless process that runs its steps in order. A step starts
+// an operation and reports whether that owes the process a wake: the next
+// step runs at the wake, or at once when none is owed.
+type script struct {
+	proc  sim.Proc
+	steps []func(p *sim.Proc) bool
+}
+
+func (s *script) Step() {
+	for len(s.steps) > 0 {
+		step := s.steps[0]
+		s.steps = s.steps[1:]
+		if step(&s.proc) {
+			return
+		}
+	}
+}
+
+// run starts steps as a process on k.
+func run(k *sim.Kernel, steps ...func(p *sim.Proc) bool) {
+	s := &script{steps: steps}
+	k.GoStepper(&s.proc, "script", s)
+}
+
 func testConfig(nodes int) Config {
 	cfg := DAS5(nodes)
 	cfg.Variability = device.Uniform()
@@ -34,8 +58,11 @@ func TestNewClusterNodes(t *testing.T) {
 func TestTransferLocalIsFree(t *testing.T) {
 	k := sim.NewKernel()
 	c := New(k, testConfig(2))
-	k.Go("t", func(p *sim.Proc) {
-		c.Transfer(p, 0, 0, 1<<30)
+	run(k, func(p *sim.Proc) bool {
+		if c.StartTransfer(p, 0, 0, 1<<30) {
+			t.Error("a same-node transfer was queued")
+		}
+		return false
 	})
 	k.Run()
 	if k.Now() != 0 {
@@ -48,7 +75,7 @@ func TestTransferRemoteChargesReceiverNIC(t *testing.T) {
 	cfg := testConfig(2)
 	cfg.NetBandwidth = 1000
 	c := New(k, cfg)
-	k.Go("t", func(p *sim.Proc) { c.Transfer(p, 0, 1, 500) })
+	run(k, func(p *sim.Proc) bool { return c.StartTransfer(p, 0, 1, 500) })
 	k.Run()
 	if math.Abs(k.Now().Seconds()-0.5) > 1e-6 {
 		t.Fatalf("remote transfer took %v, want 0.5s", k.Now())
@@ -68,7 +95,7 @@ func TestCPUPercent(t *testing.T) {
 	start := n.Usage()
 	// 8 threads computing 10s each on 32 vcores: 25% busy for 10s.
 	for i := 0; i < 8; i++ {
-		k.Go("w", func(p *sim.Proc) { n.CPU.Compute(p, 10) })
+		run(k, func(p *sim.Proc) bool { return n.CPU.StartCompute(p, 10) })
 	}
 	k.Run()
 	end := n.Usage()
@@ -85,7 +112,7 @@ func TestIowaitPercent(t *testing.T) {
 	start := n.Usage()
 	// One thread reads from disk while the CPU is otherwise idle: iowait
 	// should cover (vcores-0)/vcores of the read window.
-	k.Go("io", func(p *sim.Proc) { n.Disk.Read(p, 100*device.MiB) })
+	run(k, func(p *sim.Proc) bool { return n.Disk.StartRead(p, 100*device.MiB) })
 	k.Run()
 	end := n.Usage()
 	got := IowaitPercent(start, end, 32)
@@ -101,9 +128,9 @@ func TestIowaitZeroWhenCPUFull(t *testing.T) {
 	start := n.Usage()
 	// Saturate all 32 vcores for the whole disk-read window.
 	for i := 0; i < 32; i++ {
-		k.Go("cpu", func(p *sim.Proc) { n.CPU.Compute(p, 100) })
+		run(k, func(p *sim.Proc) bool { return n.CPU.StartCompute(p, 100) })
 	}
-	k.Go("io", func(p *sim.Proc) { n.Disk.Read(p, 10*device.MiB) })
+	run(k, func(p *sim.Proc) bool { return n.Disk.StartRead(p, 10*device.MiB) })
 	k.Run()
 	end := n.Usage()
 	if got := IowaitPercent(start, end, 32); got > 0.01 {
@@ -117,12 +144,14 @@ func TestDiskUtilizationWindow(t *testing.T) {
 	n := c.Node(0)
 	a := n.Disk.Snapshot()
 	var b, cSnap = a, a
-	k.Go("io", func(p *sim.Proc) {
-		n.Disk.Read(p, 115*device.MiB) // ~0.5s on the HDD model
-		b = n.Disk.Snapshot()
-		p.Sleep(time.Duration(b.At)) // idle as long as we were busy
-		cSnap = n.Disk.Snapshot()
-	})
+	run(k,
+		func(p *sim.Proc) bool { return n.Disk.StartRead(p, 115*device.MiB) }, // ~0.5s on the HDD model
+		func(p *sim.Proc) bool {
+			b = n.Disk.Snapshot()
+			p.WakeAfter(time.Duration(b.At)) // idle as long as we were busy
+			return true
+		},
+		func(p *sim.Proc) bool { cSnap = n.Disk.Snapshot(); return false })
 	k.Run()
 	if got := DiskUtilization(a, b); math.Abs(got-100) > 0.01 {
 		t.Fatalf("busy window utilization = %v, want 100", got)

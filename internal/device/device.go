@@ -10,7 +10,6 @@ package device
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"sae/internal/psres"
 	"sae/internal/sim"
@@ -172,16 +171,10 @@ func NewDisk(k *sim.Kernel, spec DiskSpec, factor float64, onActive func(int)) *
 // Spec returns the device spec.
 func (d *Disk) Spec() DiskSpec { return d.spec }
 
-// Read blocks p until bytes have been read from the device.
-func (d *Disk) Read(p *sim.Proc, bytes int64) {
-	if d.StartRead(p, bytes) {
-		p.Park()
-	}
-}
-
-// StartRead is Read without the park (see psres.Server.Start): it reports
-// whether a read was queued, at whose completion the device wakes p. The
-// Start forms of the other device operations follow the same contract.
+// StartRead queues a read of bytes from the device for p and reports whether
+// it did — false for nothing to read, which owes p no wake. Once the read has
+// completed the device wakes p (see psres.Server.Start). The Start forms of
+// the other device operations follow the same contract.
 func (d *Disk) StartRead(p *sim.Proc, bytes int64) bool {
 	if bytes <= 0 {
 		return false
@@ -190,14 +183,8 @@ func (d *Disk) StartRead(p *sim.Proc, bytes int64) bool {
 	return d.server.Start(p, float64(bytes), 1)
 }
 
-// Write blocks p until bytes have been written to the device.
-func (d *Disk) Write(p *sim.Proc, bytes int64) {
-	if d.StartWrite(p, bytes) {
-		p.Park()
-	}
-}
-
-// StartWrite is Write without the park.
+// StartWrite queues a write of bytes to the device for p, served at the
+// spec's WriteWeight, and reports whether it did.
 func (d *Disk) StartWrite(p *sim.Proc, bytes int64) bool {
 	if bytes <= 0 {
 		return false
@@ -254,14 +241,8 @@ func NewNIC(k *sim.Kernel, name string, bandwidth float64) *NIC {
 	return n
 }
 
-// Transfer blocks p until bytes have crossed the link.
-func (n *NIC) Transfer(p *sim.Proc, bytes int64) {
-	if n.StartTransfer(p, bytes) {
-		p.Park()
-	}
-}
-
-// StartTransfer is Transfer without the park.
+// StartTransfer queues bytes to cross the link for p and reports whether it
+// did.
 func (n *NIC) StartTransfer(p *sim.Proc, bytes int64) bool {
 	if bytes <= 0 {
 		return false
@@ -328,15 +309,8 @@ func NewCPU(k *sim.Kernel, spec CPUSpec, onActive func(int)) *CPU {
 // Spec returns the CPU spec.
 func (c *CPU) Spec() CPUSpec { return c.spec }
 
-// Compute blocks p until seconds of single-core work have been executed,
-// sharing capacity with all other runnable threads.
-func (c *CPU) Compute(p *sim.Proc, seconds float64) {
-	if c.StartCompute(p, seconds) {
-		p.Park()
-	}
-}
-
-// StartCompute is Compute without the park.
+// StartCompute queues seconds of single-core work for p, sharing capacity
+// with all other runnable threads, and reports whether it did.
 func (c *CPU) StartCompute(p *sim.Proc, seconds float64) bool {
 	return c.server.Start(p, seconds, 1)
 }
@@ -404,9 +378,4 @@ func (v VariabilityModel) Factor(i int) float64 {
 		f /= v.StragglerSlowdown
 	}
 	return f
-}
-
-// Span is a convenience for expressing durations in float seconds.
-func Span(seconds float64) time.Duration {
-	return time.Duration(seconds * float64(time.Second))
 }

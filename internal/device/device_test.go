@@ -9,6 +9,30 @@ import (
 	"sae/internal/sim"
 )
 
+// script is a stackless process that runs its steps in order. A step starts
+// an operation and reports whether that owes the process a wake: the next
+// step runs at the wake, or at once when none is owed.
+type script struct {
+	proc  sim.Proc
+	steps []func(p *sim.Proc) bool
+}
+
+func (s *script) Step() {
+	for len(s.steps) > 0 {
+		step := s.steps[0]
+		s.steps = s.steps[1:]
+		if step(&s.proc) {
+			return
+		}
+	}
+}
+
+// run starts steps as a process on k.
+func run(k *sim.Kernel, steps ...func(p *sim.Proc) bool) {
+	s := &script{steps: steps}
+	k.GoStepper(&s.proc, "script", s)
+}
+
 func TestHDDCurvePeaksAtFewStreams(t *testing.T) {
 	c := HDD7200().Curve(1)
 	// Fig. 12a shape: rises from 2 to 4 streams (NCQ), then collapses.
@@ -94,10 +118,9 @@ func TestSSDFasterThanHDDEverywhere(t *testing.T) {
 func TestDiskReadWriteCounters(t *testing.T) {
 	k := sim.NewKernel()
 	d := NewDisk(k, HDD7200(), 1, nil)
-	k.Go("io", func(p *sim.Proc) {
-		d.Read(p, 10*MiB)
-		d.Write(p, 5*MiB)
-	})
+	run(k,
+		func(p *sim.Proc) bool { return d.StartRead(p, 10*MiB) },
+		func(p *sim.Proc) bool { return d.StartWrite(p, 5*MiB) })
 	k.Run()
 	r, w := d.Counters()
 	if r != 10*MiB || w != 5*MiB {
@@ -123,13 +146,10 @@ func TestOverloadAheadMatchesSpec(t *testing.T) {
 	}
 	check()
 	for i := 0; i < 40; i++ {
-		i := i
-		k.Go("io", func(p *sim.Proc) {
-			p.Sleep(time.Duration(i) * time.Millisecond)
-			check()
-			d.Read(p, int64(i+1)*MiB)
-			check()
-		})
+		run(k,
+			func(p *sim.Proc) bool { p.WakeAfter(time.Duration(i) * time.Millisecond); return true },
+			func(p *sim.Proc) bool { check(); return d.StartRead(p, int64(i+1)*MiB) },
+			func(p *sim.Proc) bool { check(); return false })
 	}
 	k.Run()
 	if checks != 81 || d.Active() != 0 {
@@ -141,14 +161,14 @@ func TestWriteSlowerThanRead(t *testing.T) {
 	read := func() time.Duration {
 		k := sim.NewKernel()
 		d := NewDisk(k, HDD7200(), 1, nil)
-		k.Go("io", func(p *sim.Proc) { d.Read(p, GiB) })
+		run(k, func(p *sim.Proc) bool { return d.StartRead(p, GiB) })
 		k.Run()
 		return k.Now()
 	}()
 	write := func() time.Duration {
 		k := sim.NewKernel()
 		d := NewDisk(k, HDD7200(), 1, nil)
-		k.Go("io", func(p *sim.Proc) { d.Write(p, GiB) })
+		run(k, func(p *sim.Proc) bool { return d.StartWrite(p, GiB) })
 		k.Run()
 		return k.Now()
 	}()
@@ -161,7 +181,7 @@ func TestSlowNodeFactor(t *testing.T) {
 	run := func(factor float64) time.Duration {
 		k := sim.NewKernel()
 		d := NewDisk(k, HDD7200(), factor, nil)
-		k.Go("io", func(p *sim.Proc) { d.Read(p, GiB) })
+		run(k, func(p *sim.Proc) bool { return d.StartRead(p, GiB) })
 		k.Run()
 		return k.Now()
 	}
@@ -194,12 +214,9 @@ func TestCPUComputeSharing(t *testing.T) {
 	c := NewCPU(k, DAS5CPU(), nil)
 	var last time.Duration
 	for i := 0; i < 16; i++ {
-		k.Go("w", func(p *sim.Proc) {
-			c.Compute(p, 2)
-			if p.Now() > last {
-				last = p.Now()
-			}
-		})
+		run(k,
+			func(p *sim.Proc) bool { return c.StartCompute(p, 2) },
+			func(p *sim.Proc) bool { last = max(last, p.Now()); return false })
 	}
 	k.Run()
 	if math.Abs(last.Seconds()-2.0) > 1e-6 {
@@ -214,12 +231,9 @@ func TestCPUSMTSlowdown(t *testing.T) {
 	c := NewCPU(k, DAS5CPU(), nil)
 	var last time.Duration
 	for i := 0; i < 32; i++ {
-		k.Go("w", func(p *sim.Proc) {
-			c.Compute(p, 1)
-			if p.Now() > last {
-				last = p.Now()
-			}
-		})
+		run(k,
+			func(p *sim.Proc) bool { return c.StartCompute(p, 1) },
+			func(p *sim.Proc) bool { last = max(last, p.Now()); return false })
 	}
 	k.Run()
 	want := 32.0 / DAS5CPU().Capacity(32)
@@ -231,7 +245,7 @@ func TestCPUSMTSlowdown(t *testing.T) {
 func TestNICTransfer(t *testing.T) {
 	k := sim.NewKernel()
 	n := NewNIC(k, "eth0", 1000)
-	k.Go("a", func(p *sim.Proc) { n.Transfer(p, 500) })
+	run(k, func(p *sim.Proc) bool { return n.StartTransfer(p, 500) })
 	k.Run()
 	if math.Abs(k.Now().Seconds()-0.5) > 1e-6 {
 		t.Fatalf("transfer took %v, want 0.5s", k.Now())

@@ -6,11 +6,9 @@
 package dfs
 
 import (
-	"cmp"
 	"fmt"
 	"hash/crc32"
 	"slices"
-	"sort"
 	"strconv"
 
 	"sae/internal/cluster"
@@ -27,9 +25,7 @@ type FS struct {
 	files     map[string]*File
 	fault     FaultModel
 	sumBuf    []byte // blockSum scratch
-	// ids[i] == i: Write hands out ids[w:w+1] as the replica list of every
-	// block node w writes, instead of one allocation per block.
-	ids []int
+	ids       []int  // identity's array
 }
 
 // FaultModel lets the engine inject gray failures into block reads without
@@ -50,14 +46,6 @@ type FaultModel struct {
 // selection and checksum verification.
 func (fs *FS) SetFaultModel(m FaultModel) { fs.fault = m }
 
-func (fs *FS) unreachable(node int) bool {
-	return fs.fault.Unreachable != nil && fs.fault.Unreachable(node)
-}
-
-func (fs *FS) rotten(sum uint32, node int) bool {
-	return fs.fault.Rotten != nil && fs.fault.Rotten(sum, node)
-}
-
 // New creates an empty file system with the given block size (0 selects
 // DefaultBlockSize).
 func New(c *cluster.Cluster, blockSize int64) *FS {
@@ -69,9 +57,6 @@ func New(c *cluster.Cluster, blockSize int64) *FS {
 	}
 	return &FS{cluster: c, blockSize: blockSize, files: make(map[string]*File)}
 }
-
-// BlockSize returns the file system block size.
-func (fs *FS) BlockSize() int64 { return fs.blockSize }
 
 // File is a stored file with its block layout.
 type File struct {
@@ -85,7 +70,7 @@ type Block struct {
 	Index int
 	Size  int64
 	// Replicas lists the node IDs holding a copy, ascending (Create and
-	// Write keep it so; PickReplica relies on it). Blocks of a fully
+	// FinishWrite keep it so; PickReplica relies on it). Blocks of a fully
 	// replicated file, and blocks written by one node, share one slice:
 	// treat it as read-only.
 	Replicas []int
@@ -111,37 +96,27 @@ func (fs *FS) blockSum(name string, index int, size int64) uint32 {
 	return crc32.ChecksumIEEE(b)
 }
 
-// LocalTo reports whether the block has a replica on node.
-func (b Block) LocalTo(node int) bool {
-	for _, r := range b.Replicas {
-		if r == node {
-			return true
-		}
-	}
-	return false
-}
+// maxBlocks bounds the blocks of one file, whatever the scale factor: some
+// 1 200 times the largest committed input (svm, 3 434 blocks at scale 1).
+const maxBlocks = 1 << 22
 
-// ReplicasByDistance returns the block's replicas ordered by preference for
-// the given reader: a local replica first, then ascending node-ID distance
-// (the flat-topology stand-in for rack locality), ties broken by lower ID.
-func (b Block) ReplicasByDistance(reader int) []int {
-	out := slices.Clone(b.Replicas)
-	dist := func(n int) int {
-		if n >= reader {
-			return n - reader
-		}
-		return reader - n
+// blocks counts the blocks of a file of size bytes (size+blockSize-1 would
+// overflow near MaxInt64); past maxBlocks it is an error naming the file.
+func (fs *FS) blocks(name string, size int64) (int, error) {
+	nb := size / fs.blockSize
+	if size%fs.blockSize != 0 {
+		nb++
 	}
-	slices.SortFunc(out, func(x, y int) int {
-		return cmp.Or(cmp.Compare(dist(x), dist(y)), cmp.Compare(x, y))
-	})
-	return out
+	if nb > maxBlocks {
+		return 0, fmt.Errorf("dfs: file %q of %d bytes needs %d blocks, more than %d", name, size, nb, maxBlocks)
+	}
+	return int(nb), nil
 }
 
 // Create materializes a file's metadata: size split into blocks, each
 // replicated on `replication` nodes chosen round-robin (HDFS default
 // placement approximated deterministically). It does not charge any I/O —
-// use it for pre-loaded input data.
+// use it for pre-loaded input data. A file of over 2^22 blocks is an error.
 func (fs *FS) Create(name string, size int64, replication int) (*File, error) {
 	if _, ok := fs.files[name]; ok {
 		return nil, fmt.Errorf("dfs: file %q already exists", name)
@@ -149,28 +124,23 @@ func (fs *FS) Create(name string, size int64, replication int) (*File, error) {
 	if size < 0 {
 		return nil, fmt.Errorf("dfs: negative size %d for %q", size, name)
 	}
+	nblocks, err := fs.blocks(name, size)
+	if err != nil {
+		return nil, err
+	}
 	n := fs.cluster.Size()
 	if replication <= 0 || replication > n {
 		replication = n
 	}
-	nblocks := int((size + fs.blockSize - 1) / fs.blockSize)
 	// One array holds every replica list: [0..n) when every node holds every
 	// block, else a list per block.
-	var ids []int
-	if replication == n {
-		ids = make([]int, n)
-		for i := range ids {
-			ids[i] = i
-		}
-	} else {
+	ids := fs.identity(n)
+	if replication < n {
 		ids = make([]int, nblocks*replication)
 	}
 	f := &File{Name: name, Size: size, Blocks: make([]Block, 0, nblocks)}
-	for off, idx := int64(0), 0; off < size; off, idx = off+fs.blockSize, idx+1 {
-		bs := fs.blockSize
-		if rem := size - off; rem < bs {
-			bs = rem
-		}
+	for idx := range nblocks {
+		bs := min(fs.blockSize, size-int64(idx)*fs.blockSize)
 		replicas := ids
 		if replication < n {
 			// Nodes idx%n … idx%n+replication-1, modulo n, written ascending:
@@ -204,33 +174,12 @@ func (fs *FS) Open(name string) (*File, error) {
 	return f, nil
 }
 
-// Exists reports whether a file exists.
-func (fs *FS) Exists(name string) bool {
-	_, ok := fs.files[name]
-	return ok
-}
-
-// Remove deletes a file's metadata.
-func (fs *FS) Remove(name string) {
-	delete(fs.files, name)
-}
-
-// Files returns the names of all files, sorted.
-func (fs *FS) Files() []string {
-	names := make([]string, 0, len(fs.files))
-	for n := range fs.files {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // PickReplica returns the reader's preferred live replica of b: the nearest
-// replica (local first, then ascending node-ID distance, lower ID on ties —
-// the order of ReplicasByDistance) that is not in the bad set and, for
-// remote replicas, not unreachable under the fault model. A local replica is
-// always tried — its disk needs no network. ok is false when every replica
-// is bad or unreachable. A nil bad set is empty.
+// replica (local first, then ascending node-ID distance — the flat-topology
+// stand-in for rack locality — lower ID on ties) that is not in the bad set
+// and, for remote replicas, not unreachable under the fault model. A local
+// replica is always tried — its disk needs no network. ok is false when every
+// replica is bad or unreachable. A nil bad set is empty.
 //
 // Replicas is sorted, so that order is a walk outward from the reader's
 // position in it: a reader holding a good replica — every read of a fully
@@ -248,7 +197,7 @@ func (fs *FS) PickReplica(b Block, reader int, bad map[int]bool) (src int, ok bo
 			r = b.Replicas[hi]
 			hi++
 		}
-		if bad[r] || r != reader && fs.unreachable(r) {
+		if bad[r] || r != reader && fs.fault.Unreachable != nil && fs.fault.Unreachable(r) {
 			continue
 		}
 		return r, true
@@ -260,56 +209,19 @@ func (fs *FS) PickReplica(b Block, reader int, bad map[int]bool) (src int, ok bo
 // the block's recorded Sum, or a corrupted value if the replica is rotten.
 // Callers compare against b.Sum to detect corruption.
 func (fs *FS) ReadSum(b Block, node int) uint32 {
-	if fs.rotten(b.Sum, node) {
+	if fs.fault.Rotten != nil && fs.fault.Rotten(b.Sum, node) {
 		return b.Sum ^ 0xdeadbeef
 	}
 	return b.Sum
 }
 
-// ReadBlock reads one block from node `reader`, blocking p until verified
-// bytes are available. It tries replicas nearest-first (local replica, then
-// ascending node-ID distance), skipping unreachable nodes; each attempt
-// charges the source disk (and the network, for remote replicas) before the
-// checksum is verified, so corrupted reads cost real I/O, exactly as in
-// HDFS. It reports whether the winning read was node-local, and fails only
-// when every replica is unreachable or rotten.
-func (fs *FS) ReadBlock(p *sim.Proc, reader int, b Block) (local bool, err error) {
-	var bad map[int]bool // made on the first failover; most reads never fail over
-	for {
-		src, ok := fs.PickReplica(b, reader, bad)
-		if !ok {
-			return false, fmt.Errorf("dfs: block %d: all %d replicas unreachable or corrupt", b.Index, len(b.Replicas))
-		}
-		fs.cluster.Node(src).Disk.Read(p, b.Size)
-		fs.cluster.Transfer(p, src, reader, b.Size)
-		if fs.ReadSum(b, src) == b.Sum {
-			return src == reader, nil
-		}
-		if bad == nil {
-			bad = make(map[int]bool)
-		}
-		bad[src] = true
-	}
-}
-
-// Write appends bytes to (or creates) an output file from node writer,
-// blocking p for the local disk write. Block metadata is recorded with the
-// writer as primary replica. Replication traffic is not charged: the paper's
+// StartWrite begins appending bytes to (or creating) an output file from node
+// writer: it opens the file and queues the write on the writer's disk,
+// reporting whether p is owed a wake (see device.Disk.StartWrite). Once the
+// write has completed — at once, if nothing was queued — the caller records
+// the block with FinishWrite. Replication traffic is not charged: the paper's
 // I/O accounting (Spark task metrics) counts task-level bytes, not HDFS
 // pipeline copies.
-func (fs *FS) Write(p *sim.Proc, writer int, name string, bytes int64) {
-	f, parked := fs.StartWrite(p, writer, name, bytes)
-	if parked {
-		p.Park()
-	}
-	fs.FinishWrite(f, writer, bytes)
-}
-
-// StartWrite is the first half of Write, up to its disk charge: it opens (or
-// creates) the file and queues the write on the writer's disk, reporting
-// whether p is owed a wake (see device.Disk.StartWrite). Once the write has
-// completed — at once, if nothing was queued — the caller records the block
-// with FinishWrite.
 func (fs *FS) StartWrite(p *sim.Proc, writer int, name string, bytes int64) (f *File, parked bool) {
 	if bytes < 0 {
 		panic(fmt.Sprintf("dfs: negative write %d", bytes))
@@ -344,18 +256,26 @@ func (fs *FS) Reserve(name string, blocks int) {
 	}
 }
 
-// FinishWrite is the second half of Write: it appends the written block to f.
-// The block's index is the file's length now, after the disk write, so
-// concurrent writers of one file are numbered in completion order.
+// FinishWrite records a write StartWrite began: it appends the written block
+// to f, with the writer as its one replica. The block's index is the file's
+// length now, after the disk write, so concurrent writers of one file are
+// numbered in completion order.
 func (fs *FS) FinishWrite(f *File, writer int, bytes int64) {
-	for len(fs.ids) <= writer {
-		fs.ids = append(fs.ids, len(fs.ids))
-	}
 	f.Blocks = append(f.Blocks, Block{
-		Index: len(f.Blocks), Size: bytes, Replicas: fs.ids[writer : writer+1 : writer+1],
+		Index: len(f.Blocks), Size: bytes, Replicas: fs.identity(writer + 1)[writer:],
 		Sum: fs.blockSum(f.Name, len(f.Blocks), bytes),
 	})
 	f.Size += bytes
+}
+
+// identity returns [0, 1, …, n-1] from one array the file system grows: the
+// replica list of a fully replicated file and, from index w on, of a block
+// node w writes.
+func (fs *FS) identity(n int) []int {
+	for len(fs.ids) < n {
+		fs.ids = append(fs.ids, len(fs.ids))
+	}
+	return fs.ids[:n:n]
 }
 
 // Splits partitions a file's blocks into n contiguous input splits of

@@ -1,10 +1,15 @@
 package dfs
 
 import (
+	"cmp"
+	"fmt"
+	"math"
 	"reflect"
+	"runtime"
 	"slices"
 	"sort"
 	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -17,6 +22,95 @@ func testCluster(k *sim.Kernel, nodes int) *cluster.Cluster {
 	cfg := cluster.DAS5(nodes)
 	cfg.Variability = device.Uniform()
 	return cluster.New(k, cfg)
+}
+
+// replicasByDistance is the order PickReplica walks, by sorting: the block's
+// replicas by preference for the given reader, a local replica first, then
+// ascending node-ID distance, ties broken by lower ID.
+func replicasByDistance(b Block, reader int) []int {
+	out := slices.Clone(b.Replicas)
+	dist := func(n int) int { return max(n-reader, reader-n) }
+	slices.SortFunc(out, func(x, y int) int {
+		return cmp.Or(cmp.Compare(dist(x), dist(y)), cmp.Compare(x, y))
+	})
+	return out
+}
+
+// blockRead is a process reading one block with the file system's read
+// primitives, as a task does: it picks the nearest live replica, reads it
+// from that node's disk and, when remote, moves it over the network, then
+// verifies the checksum the replica served; a rotten replica costs its I/O
+// and is ruled out for the next pick. local and err are its outcome.
+type blockRead struct {
+	proc   sim.Proc
+	fs     *FS
+	reader int
+	b      Block
+	bad    map[int]bool
+	src    int
+	phase  int // 0: pick and read, 1: transfer, 2: verify
+	local  bool
+	err    error
+}
+
+func readBlock(k *sim.Kernel, fs *FS, reader int, b Block) *blockRead {
+	r := &blockRead{fs: fs, reader: reader, b: b, bad: map[int]bool{}}
+	k.GoStepper(&r.proc, "read", r)
+	return r
+}
+
+func (r *blockRead) Step() {
+	for {
+		switch r.phase {
+		case 0:
+			src, ok := r.fs.PickReplica(r.b, r.reader, r.bad)
+			if !ok {
+				r.err = fmt.Errorf("block %d: all %d replicas unreachable or corrupt", r.b.Index, len(r.b.Replicas))
+				return
+			}
+			r.src, r.phase = src, 1
+			if r.fs.cluster.Node(src).Disk.StartRead(&r.proc, r.b.Size) {
+				return
+			}
+		case 1:
+			r.phase = 2
+			if r.fs.cluster.StartTransfer(&r.proc, r.src, r.reader, r.b.Size) {
+				return
+			}
+		default:
+			if r.fs.ReadSum(r.b, r.src) == r.b.Sum {
+				r.local = r.src == r.reader
+				return
+			}
+			r.bad[r.src], r.phase = true, 0
+		}
+	}
+}
+
+// blockWrite is a process writing one block of "out" as a task does: it
+// starts the disk write, and records the block once the write has completed.
+type blockWrite struct {
+	proc   sim.Proc
+	fs     *FS
+	writer int
+	bytes  int64
+	f      *File
+}
+
+func writeBlock(k *sim.Kernel, fs *FS, writer int, bytes int64) *blockWrite {
+	w := &blockWrite{fs: fs, writer: writer, bytes: bytes}
+	k.GoStepper(&w.proc, "write", w)
+	return w
+}
+
+func (w *blockWrite) Step() {
+	if w.f == nil {
+		var parked bool
+		if w.f, parked = w.fs.StartWrite(&w.proc, w.writer, "out", w.bytes); parked {
+			return
+		}
+	}
+	w.fs.FinishWrite(w.f, w.writer, w.bytes)
 }
 
 func TestCreateBlocks(t *testing.T) {
@@ -66,7 +160,7 @@ func TestFullReplicationIsAlwaysLocal(t *testing.T) {
 	f, _ := fs.Create("in", 16*device.MiB, 4)
 	for node := 0; node < 4; node++ {
 		for _, b := range f.Blocks {
-			if !b.LocalTo(node) {
+			if !slices.Contains(b.Replicas, node) {
 				t.Fatalf("block %d not local to node %d with full replication", b.Index, node)
 			}
 		}
@@ -78,18 +172,14 @@ func TestReadBlockLocalVsRemote(t *testing.T) {
 	c := testCluster(k, 4)
 	fs := New(c, device.MiB)
 	f, _ := fs.Create("in", 2*device.MiB, 1) // replication 1
-	var local0, local1 bool
-	k.Go("r", func(p *sim.Proc) {
-		local0, _ = fs.ReadBlock(p, f.Blocks[0].Replicas[0], f.Blocks[0])
-		other := (f.Blocks[0].Replicas[0] + 1) % 4
-		local1, _ = fs.ReadBlock(p, other, f.Blocks[0])
-	})
+	r0 := readBlock(k, fs, f.Blocks[0].Replicas[0], f.Blocks[0])
+	r1 := readBlock(k, fs, (f.Blocks[0].Replicas[0]+1)%4, f.Blocks[0])
 	k.Run()
-	if !local0 {
-		t.Fatal("read on replica node was not local")
+	if !r0.local || r0.err != nil {
+		t.Fatalf("read on replica node: local %v, err %v", r0.local, r0.err)
 	}
-	if local1 {
-		t.Fatal("read on non-replica node claimed local")
+	if r1.local || r1.err != nil {
+		t.Fatalf("read on non-replica node: local %v, err %v", r1.local, r1.err)
 	}
 }
 
@@ -100,7 +190,7 @@ func TestRemoteReadChargesNetwork(t *testing.T) {
 	f, _ := fs.Create("in", device.MiB, 1)
 	src := f.Blocks[0].Replicas[0]
 	dst := 1 - src
-	k.Go("r", func(p *sim.Proc) { fs.ReadBlock(p, dst, f.Blocks[0]) })
+	readBlock(k, fs, dst, f.Blocks[0])
 	k.Run()
 	if c.Node(dst).NIC.BytesMoved() != device.MiB {
 		t.Fatalf("NIC moved %d, want %d", c.Node(dst).NIC.BytesMoved(), device.MiB)
@@ -113,16 +203,16 @@ func TestRemoteReadChargesNetwork(t *testing.T) {
 
 func TestReplicasByDistancePrefersLocalThenClosest(t *testing.T) {
 	b := Block{Replicas: []int{0, 2, 5}}
-	got := b.ReplicasByDistance(2)
+	got := replicasByDistance(b, 2)
 	if got[0] != 2 || got[1] != 0 || got[2] != 5 {
 		t.Fatalf("order from node 2 = %v, want [2 0 5]", got)
 	}
-	got = b.ReplicasByDistance(4)
+	got = replicasByDistance(b, 4)
 	if got[0] != 5 || got[1] != 2 || got[2] != 0 {
 		t.Fatalf("order from node 4 = %v, want [5 2 0]", got)
 	}
 	// Equidistant replicas break ties by lower ID.
-	got = Block{Replicas: []int{3, 1}}.ReplicasByDistance(2)
+	got = replicasByDistance(Block{Replicas: []int{3, 1}}, 2)
 	if got[0] != 1 || got[1] != 3 {
 		t.Fatalf("tie order = %v, want [1 3]", got)
 	}
@@ -135,19 +225,17 @@ func TestReadBlockSkipsUnreachableReplica(t *testing.T) {
 	f, _ := fs.Create("in", device.MiB, 2)
 	b := f.Blocks[0]
 	reader := 3 // no local replica: block 0 lives on nodes 0 and 1
-	if b.LocalTo(reader) {
+	if slices.Contains(b.Replicas, reader) {
 		t.Fatal("test setup: reader should be remote")
 	}
-	near := b.ReplicasByDistance(reader)[0]
+	near := replicasByDistance(b, reader)[0]
 	fs.SetFaultModel(FaultModel{Unreachable: func(n int) bool { return n == near }})
-	var local bool
-	var err error
-	k.Go("r", func(p *sim.Proc) { local, err = fs.ReadBlock(p, reader, b) })
+	r := readBlock(k, fs, reader, b)
 	k.Run()
-	if err != nil || local {
-		t.Fatalf("local=%v err=%v", local, err)
+	if r.err != nil || r.local {
+		t.Fatalf("local=%v err=%v", r.local, r.err)
 	}
-	far := b.ReplicasByDistance(reader)[1]
+	far := replicasByDistance(b, reader)[1]
 	if r, _ := c.Node(far).Disk.Counters(); r != b.Size {
 		t.Fatalf("fallback replica read %d bytes, want %d", r, b.Size)
 	}
@@ -165,14 +253,12 @@ func TestReadBlockChecksumFailover(t *testing.T) {
 	// The local replica is rotten: the read must charge the wasted local
 	// I/O, then fail over to the next-closest replica.
 	fs.SetFaultModel(FaultModel{Rotten: func(sum uint32, n int) bool { return n == 0 }})
-	var local bool
-	var err error
-	k.Go("r", func(p *sim.Proc) { local, err = fs.ReadBlock(p, 0, b) })
+	r := readBlock(k, fs, 0, b)
 	k.Run()
-	if err != nil {
-		t.Fatal(err)
+	if r.err != nil {
+		t.Fatal(r.err)
 	}
-	if local {
+	if r.local {
 		t.Fatal("rotten local replica still counted as local read")
 	}
 	if r, _ := c.Node(0).Disk.Counters(); r != b.Size {
@@ -189,10 +275,9 @@ func TestReadBlockAllReplicasRottenFails(t *testing.T) {
 	fs := New(c, device.MiB)
 	f, _ := fs.Create("in", device.MiB, 2)
 	fs.SetFaultModel(FaultModel{Rotten: func(uint32, int) bool { return true }})
-	var err error
-	k.Go("r", func(p *sim.Proc) { _, err = fs.ReadBlock(p, 0, f.Blocks[0]) })
+	r := readBlock(k, fs, 0, f.Blocks[0])
 	k.Run()
-	if err == nil {
+	if r.err == nil {
 		t.Fatal("read of fully-rotten block succeeded")
 	}
 }
@@ -221,14 +306,11 @@ func TestWriteCreatesAndAppends(t *testing.T) {
 	k := sim.NewKernel()
 	c := testCluster(k, 2)
 	fs := New(c, device.MiB)
-	k.Go("w", func(p *sim.Proc) {
-		fs.Write(p, 0, "out", 100)
-		fs.Write(p, 1, "out", 200)
-	})
+	w0, w1 := writeBlock(k, fs, 0, 100), writeBlock(k, fs, 1, 200)
 	k.Run()
 	f, err := fs.Open("out")
-	if err != nil {
-		t.Fatal(err)
+	if err != nil || w0.f != f || w1.f != f {
+		t.Fatalf("Open(out) = %p, %v; the writes went to %p and %p", f, err, w0.f, w1.f)
 	}
 	if f.Size != 300 || len(f.Blocks) != 2 {
 		t.Fatalf("size=%d blocks=%d", f.Size, len(f.Blocks))
@@ -400,7 +482,7 @@ func TestReserve(t *testing.T) {
 		t.Fatalf("reserved writes left\n%+v\nunreserved ones\n%+v", f.Blocks, plain.Blocks)
 	}
 
-	fs.Remove("out")
+	fs = New(testCluster(sim.NewKernel(), 3), 10)
 	fs.Reserve("out", 10)
 	write(fs, 0, 4)
 	fs.Reserve("out", 10) // a second job's stage starts while the first one's writes
@@ -424,44 +506,52 @@ func TestReserve(t *testing.T) {
 	}
 }
 
-func TestRemoveExistsFiles(t *testing.T) {
-	k := sim.NewKernel()
-	fs := New(testCluster(k, 2), 0)
-	if fs.Exists("a") {
-		t.Fatal("phantom file")
-	}
-	if _, err := fs.Create("a", 10, 1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fs.Create("b", 10, 1); err != nil {
-		t.Fatal(err)
-	}
-	if !fs.Exists("a") {
-		t.Fatal("a missing")
-	}
-	names := fs.Files()
-	if len(names) != 2 || names[0] != "a" || names[1] != "b" {
-		t.Fatalf("files = %v", names)
-	}
-	fs.Remove("a")
-	if fs.Exists("a") {
-		t.Fatal("a survived Remove")
-	}
-	if len(fs.Files()) != 1 {
-		t.Fatal("Files out of date")
-	}
-}
-
 func TestBlockSizeDefault(t *testing.T) {
 	k := sim.NewKernel()
 	fs := New(testCluster(k, 2), 0)
-	if fs.BlockSize() != DefaultBlockSize {
-		t.Fatalf("block size = %d", fs.BlockSize())
+	if fs.blockSize != DefaultBlockSize {
+		t.Fatalf("block size = %d", fs.blockSize)
+	}
+}
+
+// TestCreateBlockCeiling: a file of exactly maxBlocks blocks is counted as
+// such (its layout is not built here: 2^22 blocks are some 200 MB), while one
+// byte more — or a size whose rounding up would overflow — is a one-line
+// error naming the file, its size and its block count, before anything is
+// allocated for it.
+func TestCreateBlockCeiling(t *testing.T) {
+	const bs = 1 << 20
+	fs := New(testCluster(sim.NewKernel(), 2), bs)
+	if n, err := fs.blocks("in", maxBlocks*bs); n != maxBlocks || err != nil {
+		t.Fatalf("%d bytes: %d blocks, %v; want %d", int64(maxBlocks*bs), n, err, maxBlocks)
+	}
+	for _, tc := range []struct {
+		size   int64
+		blocks string
+	}{
+		{maxBlocks*bs + 1, strconv.Itoa(maxBlocks + 1)},
+		{math.MaxInt64, strconv.FormatInt(math.MaxInt64/bs+1, 10)},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f, err := fs.Create("in", tc.size, 0)
+		runtime.ReadMemStats(&after)
+		msg := fmt.Sprint(err)
+		if f != nil || !strings.Contains(msg, `"in"`) || !strings.Contains(msg, strconv.FormatInt(tc.size, 10)) ||
+			!strings.Contains(msg, tc.blocks) || strings.Contains(msg, "\n") {
+			t.Fatalf("Create of %d bytes: %v, %v", tc.size, f, err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<10 {
+			t.Errorf("rejecting %d bytes allocated %d bytes: more than its error", tc.size, grew)
+		}
+	}
+	if _, err := fs.Open("in"); err == nil {
+		t.Fatal("a rejected file was created")
 	}
 }
 
 // TestPickReplicaMatchesReferenceProperty pins PickReplica's outward walk to
-// the order it replaces: the first of ReplicasByDistance that is not bad and
+// the order it replaces: the first of replicasByDistance that is not bad and
 // is local or reachable — over random replica sets, readers (replica holders
 // and not), bad sets (nil, empty, holding the reader) and unreachable sets.
 func TestPickReplicaMatchesReferenceProperty(t *testing.T) {
@@ -485,7 +575,7 @@ func TestPickReplicaMatchesReferenceProperty(t *testing.T) {
 		down := func(n int) bool { return downBits&(1<<n) != 0 }
 		fs.SetFaultModel(FaultModel{Unreachable: down})
 		want, wantOK := -1, false
-		for _, r := range b.ReplicasByDistance(reader) {
+		for _, r := range replicasByDistance(b, reader) {
 			if !bad[r] && (r == reader || !down(r)) {
 				want, wantOK = r, true
 				break

@@ -208,7 +208,7 @@ func TestAutoscaleDeterminism(t *testing.T) {
 		opts.Trace = &trace
 		opts.JobPolicy = Fair{}
 		opts.Autoscale = &AutoscaleConfig{
-			Policy:            autoscale.DefaultAdaptive(),
+			Policy:            &autoscale.Adaptive{Alpha: 0.3, DrainTarget: 2 * time.Minute, Headroom: 1.2, MinSamplePeriod: 5 * time.Second},
 			Interval:          10 * time.Second,
 			InitialNodes:      2,
 			MinNodes:          1,

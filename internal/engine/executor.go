@@ -73,8 +73,11 @@ type Executor struct {
 	// ends and crashes) per job, in chronological order.
 	decisionsByJob map[int][]job.Decision
 
+	// threadLog is the pool-size change history, the report's ThreadLogs.
 	threadLog []ThreadChange
-	cumBytes  int64
+	// cumBytes is the total bytes the executor's tasks have moved: what the
+	// throughput sampler differentiates for the Fig. 12 time series.
+	cumBytes int64
 	// cumBlockedIO is the cumulative ε across the executor's reported
 	// attempts — the numerator the telemetry plane's windowed ζ gauge
 	// differentiates.
@@ -231,14 +234,6 @@ func (ex *Executor) Alive() bool { return ex.alive }
 
 // Restarts returns how many times the executor came back after a crash.
 func (ex *Executor) Restarts() int { return ex.restarts }
-
-// CumulativeBytes returns the total bytes all tasks of this executor have
-// moved so far — the quantity the throughput sampler differentiates for the
-// Fig. 12 time series.
-func (ex *Executor) CumulativeBytes() int64 { return ex.cumBytes }
-
-// ThreadLog returns the pool-size change history.
-func (ex *Executor) ThreadLog() []ThreadChange { return ex.threadLog }
 
 // Decisions returns every controller decision this executor has logged,
 // across all jobs and incarnations, grouped by job ID.

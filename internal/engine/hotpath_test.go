@@ -223,7 +223,7 @@ func referencePick(ts *taskSet, pending []int, i, node int) int {
 		}
 		if ts.splits != nil {
 			blocks := ts.splits[t]
-			if len(blocks) > 0 && !blocks[0].LocalTo(node) {
+			if len(blocks) > 0 && !slices.Contains(blocks[0].Replicas, node) {
 				continue
 			}
 		}

@@ -187,32 +187,27 @@ type Figure3Result struct {
 	MaxOverMinWrt float64
 }
 
+// fig3Bytes is what Fig. 3 writes and reads per node: 30 GB, as in the paper.
+const fig3Bytes = 30 * 1000 * 1000 * 1000
+
 // Figure3 measures 30 GB sequential writes and reads on every node of a
 // DAS-5-sized (44-node) cluster with the default variability model.
 func Figure3(s Setup) (*Figure3Result, error) {
+	return figure3(sim.NewKernel(), s), nil
+}
+
+// figure3 runs Figure3 on k, where a test may have scheduled events of its own.
+func figure3(k *sim.Kernel, s Setup) *Figure3Result {
 	const nodes = 44
-	const bytes = 30 * 1000 * 1000 * 1000 // 30 GB as in the paper
-	k := sim.NewKernel()
 	cfg := s.clusterConfig()
 	cfg.Nodes = nodes
 	c := cluster.New(k, cfg)
 	res := &Figure3Result{Rows: make([]Figure3Row, nodes)}
-	for i := 0; i < nodes; i++ {
-		i := i
-		node := c.Node(i)
-		k.Go(node.Name, func(p *sim.Proc) {
-			t0 := p.Now()
-			node.Disk.Write(p, bytes)
-			t1 := p.Now()
-			node.Disk.Read(p, bytes)
-			t2 := p.Now()
-			res.Rows[i] = Figure3Row{
-				Node:     node.Name,
-				Factor:   node.SpeedFactor,
-				WriteSec: (t1 - t0).Seconds(),
-				ReadSec:  (t2 - t1).Seconds(),
-			}
-		})
+	probes := make([]fig3Probe, nodes)
+	for i := range probes {
+		pr := &probes[i]
+		pr.node, pr.row = c.Node(i), &res.Rows[i]
+		k.GoStepper(&pr.proc, pr.node.Name, pr)
 	}
 	k.Run()
 	minR, maxR := res.Rows[0].ReadSec, res.Rows[0].ReadSec
@@ -225,7 +220,38 @@ func Figure3(s Setup) (*Figure3Result, error) {
 	}
 	res.MaxOverMinRd = maxR / minR
 	res.MaxOverMinWrt = maxW / minW
-	return res, nil
+	return res
+}
+
+// fig3Probe is one node's Fig. 3 measurement, a stackless process: its first
+// step starts the write, its second (at the write's end) starts the read, and
+// its third (at the read's end) records both phases' durations. fig3Bytes is
+// positive, so each Start owes the probe its next step.
+type fig3Probe struct {
+	proc   sim.Proc
+	node   *cluster.Node
+	row    *Figure3Row
+	t0, t1 time.Duration
+	phase  int
+}
+
+func (pr *fig3Probe) Step() {
+	now := pr.proc.Now()
+	switch pr.phase++; pr.phase {
+	case 1:
+		pr.t0 = now
+		pr.node.Disk.StartWrite(&pr.proc, fig3Bytes)
+	case 2:
+		pr.t1 = now
+		pr.node.Disk.StartRead(&pr.proc, fig3Bytes)
+	default:
+		*pr.row = Figure3Row{
+			Node:     pr.node.Name,
+			Factor:   pr.node.SpeedFactor,
+			WriteSec: (pr.t1 - pr.t0).Seconds(),
+			ReadSec:  (now - pr.t1).Seconds(),
+		}
+	}
 }
 
 func (r *Figure3Result) String() string {

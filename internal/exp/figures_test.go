@@ -7,9 +7,13 @@ package exp
 
 import (
 	"os"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
+	"sae/internal/sim"
 	"sae/internal/workloads"
 )
 
@@ -197,6 +201,29 @@ func TestFigure3Variability(t *testing.T) {
 		if row.WriteSec <= row.ReadSec {
 			t.Errorf("%s: write (%.1fs) should be slower than read (%.1fs)", row.Node, row.WriteSec, row.ReadSec)
 		}
+	}
+}
+
+// TestFigure3RunsWithoutCoroutines: the 44 probes of Fig. 3 are stackless, so
+// no goroutine exists during the run beyond those before it — sampled by
+// events of the run's own kernel, while every probe is waiting on its disk —
+// and the rows are Figure3's.
+func TestFigure3RunsWithoutCoroutines(t *testing.T) {
+	want, err := Figure3(Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := sim.NewKernel()
+	base, peak, samples := runtime.NumGoroutine(), 0, 0
+	for at := time.Second; at < 100*time.Second; at += 10 * time.Second {
+		k.At(at, func() { peak = max(peak, runtime.NumGoroutine()); samples++ })
+	}
+	got := figure3(k, Default())
+	if samples != 10 || peak > base {
+		t.Fatalf("%d goroutines at %d samples during the run, %d before it: a probe runs on a coroutine", peak, samples, base)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("rows with sampling events:\n%v\nwithout:\n%v", got, want)
 	}
 }
 

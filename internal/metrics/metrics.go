@@ -127,17 +127,6 @@ func (s *Series) Mean() float64 {
 	return sum / float64(len(s.Points))
 }
 
-// Max returns the maximum value, or 0 for an empty series.
-func (s *Series) Max() float64 {
-	var m float64
-	for i, p := range s.Points {
-		if i == 0 || p.Value > m {
-			m = p.Value
-		}
-	}
-	return m
-}
-
 // Rate converts a series of cumulative counters into a series of per-sample
 // rates (units/second). Duplicate timestamps merge last-wins before rates
 // are computed: re-sampling the same instant is a correction of that

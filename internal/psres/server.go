@@ -102,9 +102,8 @@ type class struct {
 
 type stream struct {
 	remaining float64
-	// proc is the single process waiting on this stream; it is woken
-	// directly (Kernel.Wake) rather than through a per-stream Signal
-	// allocation.
+	// proc is the single process waiting on this stream, woken directly
+	// (Kernel.Wake) once the stream drains.
 	proc  *sim.Proc
 	class int32
 	// done marks a drained stream between onCompletion's two passes.

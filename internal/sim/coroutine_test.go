@@ -162,7 +162,6 @@ func TestStacklessCannotPark(t *testing.T) {
 	for name, block := range map[string]func(){
 		"Park":         func() { p.Park() },
 		"Sleep":        func() { p.Sleep(time.Millisecond) },
-		"Signal.Wait":  func() { NewSignal(k).Wait(&p) },
 		"Mailbox.Recv": func() { NewMailbox[int](k).Recv(&p) },
 		"WakeAfter<0":  func() { p.WakeAfter(-1) },
 	} {

@@ -17,10 +17,12 @@
 // A process written as straight-line code (Kernel.Go) runs on a runtime
 // coroutine (iter.Pull) of its own: a process-resume event switches into it,
 // and it switches straight back when it blocks in virtual time — Proc.Sleep,
-// Park, waiting on a Signal or a Mailbox. A coroutine switch is a direct
-// goroutine-to-goroutine handoff inside the runtime: no channel, no scheduler
-// pass, no futex wake-up. Shutdown stops the coroutines of processes still
-// parked, in process creation order, so their deferred cleanups unwind.
+// Park, Mailbox.Recv. A coroutine switch is a direct goroutine-to-goroutine
+// handoff inside the runtime: no channel, no scheduler pass, no futex
+// wake-up. Shutdown stops the coroutines of processes still parked, in
+// process creation order, so their deferred cleanups unwind. Nothing
+// simulated runs on one: they remain for the benchmark's kernel ladder, which
+// times them, and for this package's tests, which hold steppers to them.
 //
 // The event queue is the simulator's hottest data structure, so it avoids
 // the generic container/heap: events live in an inlined 4-ary indexed
@@ -59,7 +61,7 @@ type Kernel struct {
 	// outnumber the live ones the queue is compacted in one pass.
 	dead int
 	// ring is the fast lane for events scheduled at the current instant —
-	// process wake-ups from Broadcast/Notify/Go, zero-delay sends, the
+	// process wake-ups from Wake/Mailbox.Put/Go, zero-delay sends, the
 	// kernel's most common event by far. An event appended at the
 	// then-current time necessarily sorts after everything already in the
 	// ring (time never decreases, seq always increases), so the slice is
@@ -99,7 +101,7 @@ type event struct {
 	seq uint64
 	fn  func()
 	// proc, if non-nil, makes firing switch into the process — the
-	// Sleep/Broadcast/Go resume path — without allocating a closure.
+	// WakeAfter/Wake/Go resume path — without allocating a closure.
 	proc *Proc
 	// every > 0 marks a periodic event (Kernel.Every): after firing it is
 	// rescheduled in place instead of being recycled.
@@ -284,8 +286,8 @@ func (k *Kernel) Every(d time.Duration, fn func()) Event {
 	return Event{k: k, e: e, gen: e.gen}
 }
 
-// afterProc schedules a direct process resume d from now — the Sleep /
-// Signal / Go hot path, which needs no closure.
+// afterProc schedules a direct process resume d from now — the WakeAfter /
+// Wake / Go hot path, which needs no closure.
 func (k *Kernel) afterProc(d time.Duration, p *Proc) *event {
 	return k.newEvent(k.now+d, nil, p, 0)
 }
@@ -576,9 +578,9 @@ func (p *Proc) Now() time.Duration { return p.k.now }
 // Park parks the process until another process or event schedules it with
 // Kernel.Wake: it switches back to the kernel loop, which fires the next
 // event. Every Park must be matched by exactly one Wake; a process parked
-// without a waker stays parked until shutdown kills it. Sleep, Signal.Wait and
-// Mailbox.Recv are Park after arranging that wake. A false yield means shutdown
-// stopped the coroutine; the panic unwinds the process's deferred cleanups.
+// without a waker stays parked until shutdown kills it. Sleep and Mailbox.Recv
+// are Park after arranging that wake. A false yield means shutdown stopped the
+// coroutine; the panic unwinds the process's deferred cleanups.
 func (p *Proc) Park() {
 	if p.co == nil {
 		panic(fmt.Sprintf("sim: process %q parks off a coroutine: a stackless process waits by returning from Step", p.name))
@@ -589,8 +591,7 @@ func (p *Proc) Park() {
 }
 
 // Wake schedules parked process p to resume at the current virtual time,
-// after already-scheduled events at this timestamp — exactly like a
-// single-waiter Signal.Broadcast.
+// after already-scheduled events at this timestamp.
 func (k *Kernel) Wake(p *Proc) { k.afterProc(0, p) }
 
 // Sleep blocks the process for d of virtual time.
@@ -607,44 +608,6 @@ func (p *Proc) WakeAfter(d time.Duration) {
 	}
 	p.k.afterProc(d, p)
 }
-
-// Signal is a virtual-time condition variable. The zero value is invalid;
-// use NewSignal. Signals are not safe for use outside kernel/process context
-// (they need no locking because only one goroutine runs at a time).
-type Signal struct {
-	k       *Kernel
-	waiters FIFO[*Proc]
-}
-
-// NewSignal returns a signal bound to k.
-func NewSignal(k *Kernel) *Signal { return &Signal{k: k} }
-
-// Wait parks p until Broadcast or Notify wakes it.
-func (s *Signal) Wait(p *Proc) {
-	s.waiters.Push(p)
-	p.Park()
-}
-
-// Broadcast wakes all waiting processes. They resume at the current virtual
-// time in the order they began waiting.
-func (s *Signal) Broadcast() {
-	for s.waiters.Len() > 0 {
-		s.k.afterProc(0, s.waiters.Pop())
-	}
-}
-
-// Notify wakes the longest-waiting process, if any. It reports whether a
-// process was woken.
-func (s *Signal) Notify() bool {
-	if s.waiters.Len() == 0 {
-		return false
-	}
-	s.k.afterProc(0, s.waiters.Pop())
-	return true
-}
-
-// Pending returns the number of processes waiting on the signal.
-func (s *Signal) Pending() int { return s.waiters.Len() }
 
 // eventQueue is an inlined 4-ary indexed min-heap of events ordered by
 // (at, seq). 4-ary halves the depth of the binary heap the generic

@@ -3,6 +3,7 @@ package sim
 import (
 	"math/rand"
 	"runtime/debug"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -105,56 +106,44 @@ func TestProcInterleaving(t *testing.T) {
 	}
 }
 
-func TestSignalBroadcast(t *testing.T) {
+// TestMailboxWakesReceiversInWaitOrder: three receivers begin waiting in the
+// reverse of their creation order, and each message wakes the one that has
+// waited longest, at the instant the message lands.
+func TestMailboxWakesReceiversInWaitOrder(t *testing.T) {
 	k := NewKernel()
-	s := NewSignal(k)
-	woken := 0
-	for i := 0; i < 5; i++ {
-		k.Go("waiter", func(p *Proc) {
-			s.Wait(p)
-			woken++
+	mb := NewMailbox[int](k)
+	type wake struct {
+		receiver, msg int
+		at            time.Duration
+	}
+	var got []wake
+	for i := 0; i < 3; i++ {
+		k.Go("recv", func(p *Proc) {
+			p.Sleep(time.Duration(3-i) * time.Millisecond)
+			msg := mb.Recv(p)
+			got = append(got, wake{i, msg, p.Now()})
 		})
 	}
-	k.At(time.Second, func() { s.Broadcast() })
-	k.Run()
-	if woken != 5 {
-		t.Fatalf("woken = %d, want 5", woken)
+	for n := 1; n <= 3; n++ {
+		k.At(time.Duration(n)*time.Second, func() { mb.Send(0, n) })
 	}
-}
-
-func TestSignalNotifyFIFO(t *testing.T) {
-	k := NewKernel()
-	s := NewSignal(k)
-	var order []int
-	for i := 0; i < 3; i++ {
-		i := i
-		k.Go("waiter", func(p *Proc) {
-			s.Wait(p)
-			order = append(order, i)
-		})
-	}
-	k.At(time.Second, func() { s.Notify() })
-	k.At(2*time.Second, func() { s.Notify() })
-	k.At(3*time.Second, func() { s.Notify() })
 	k.Run()
-	for i := 0; i < 3; i++ {
-		if order[i] != i {
-			t.Fatalf("wake order = %v, want FIFO", order)
-		}
+	want := []wake{{2, 1, time.Second}, {1, 2, 2 * time.Second}, {0, 3, 3 * time.Second}}
+	if !slices.Equal(got, want) {
+		t.Fatalf("wakes = %v, want %v", got, want)
 	}
 }
 
 func TestShutdownKillsParkedProcs(t *testing.T) {
 	k := NewKernel()
-	s := NewSignal(k)
 	reached := false
 	k.Go("stuck", func(p *Proc) {
-		s.Wait(p) // never signalled
+		p.Park() // never woken
 		reached = true
 	})
 	k.Run()
 	if reached {
-		t.Fatal("process ran past un-signalled wait")
+		t.Fatal("process ran past a park nothing woke")
 	}
 	if len(k.coros) != 0 {
 		t.Fatalf("%d coroutines leaked", len(k.coros))
@@ -335,26 +324,6 @@ func TestMailboxFIFOAcrossSameInstant(t *testing.T) {
 	}
 }
 
-func TestSignalPending(t *testing.T) {
-	k := NewKernel()
-	s := NewSignal(k)
-	for i := 0; i < 3; i++ {
-		k.Go("w", func(p *Proc) { s.Wait(p) })
-	}
-	k.At(time.Second, func() {
-		if s.Pending() != 3 {
-			t.Errorf("pending = %d, want 3", s.Pending())
-		}
-		s.Broadcast()
-	})
-	k.At(2*time.Second, func() {
-		if s.Pending() != 0 {
-			t.Errorf("pending after broadcast = %d", s.Pending())
-		}
-	})
-	k.Run()
-}
-
 // raceEnabled reports whether the test binary was built with -race, whose
 // instrumentation allocates on its own: allocation pins skip under it.
 func raceEnabled() bool {
@@ -442,23 +411,27 @@ func TestMailboxSteadyStateAllocs(t *testing.T) {
 }
 
 // closureMailbox is the mailbox as it was before the flight queue: every
-// message rides its own k.After closure.
+// message rides its own k.After closure, and lands by waking the
+// longest-waiting receiver of its own waiter list.
 type closureMailbox struct {
-	k      *Kernel
-	queue  FIFO[int]
-	arrive *Signal
+	k       *Kernel
+	queue   FIFO[int]
+	waiters FIFO[*Proc]
 }
 
 func (m *closureMailbox) Send(d time.Duration, msg int) {
 	m.k.After(d, func() {
 		m.queue.Push(msg)
-		m.arrive.Notify()
+		if m.waiters.Len() > 0 {
+			m.k.Wake(m.waiters.Pop())
+		}
 	})
 }
 
 func (m *closureMailbox) Recv(p *Proc) int {
 	for m.queue.Len() == 0 {
-		m.arrive.Wait(p)
+		m.waiters.Push(p)
+		p.Park()
 	}
 	return m.queue.Pop()
 }
@@ -546,7 +519,7 @@ func TestMailboxMatchesClosureReference(t *testing.T) {
 			t.Fatalf("seed %d: script has %d overtaking sends and %d ties, want both", seed, overtakes, ties)
 		}
 		want, wantFired := run(script, func(k *Kernel) mailbox {
-			return &closureMailbox{k: k, arrive: NewSignal(k)}
+			return &closureMailbox{k: k}
 		}, false)
 		if len(want) != len(script) {
 			t.Fatalf("seed %d: the reference received %d of %d messages", seed, len(want), len(script))

@@ -282,7 +282,6 @@ func TestCompaction(t *testing.T) {
 func TestShutdownKillOrderDeterministic(t *testing.T) {
 	run := func() []int {
 		k := NewKernel()
-		s := NewSignal(k)
 		var killed []int
 		for i := 0; i < 16; i++ {
 			i := i
@@ -290,7 +289,7 @@ func TestShutdownKillOrderDeterministic(t *testing.T) {
 				// The defer observes the kill unwinding without recovering,
 				// recording the order shutdown reached this process.
 				defer func() { killed = append(killed, i) }()
-				s.Wait(p) // never signalled
+				p.Park() // never woken
 			})
 		}
 		k.Run()

@@ -34,9 +34,10 @@ func (q *FIFO[T]) Pop() T {
 // wait until a message arrives. It models an asynchronous message channel
 // (e.g. an RPC endpoint) in virtual time.
 type Mailbox[T any] struct {
-	k      *Kernel
-	queue  FIFO[T]
-	arrive *Signal
+	k     *Kernel
+	queue FIFO[T]
+	// waiters are the receivers owed a wake, longest-waiting first.
+	waiters FIFO[*Proc]
 	// flight holds messages in transit in send order. Their arrival events
 	// fire in that order too, so each delivers the head and needs no closure:
 	// Send admits only a message due no earlier than latest, the last admitted.
@@ -47,7 +48,7 @@ type Mailbox[T any] struct {
 
 // NewMailbox returns an empty mailbox bound to k.
 func NewMailbox[T any](k *Kernel) *Mailbox[T] {
-	m := &Mailbox[T]{k: k, arrive: NewSignal(k)}
+	m := &Mailbox[T]{k: k}
 	m.deliver = m.land
 	return m
 }
@@ -71,12 +72,15 @@ func (m *Mailbox[T]) Send(d time.Duration, msg T) {
 func (m *Mailbox[T]) land() { m.Put(m.flight.Pop()) }
 
 // Put enqueues msg at the current instant — the arrival half of Send
-// without the latency half. Shard coordinators use it to inject a
-// cross-shard message whose transmission delay was already served on the
-// sending shard's side of the lookahead barrier.
+// without the latency half — and wakes the longest-waiting receiver, if any,
+// at the current instant. Shard coordinators use it to inject a cross-shard
+// message whose transmission delay was already served on the sending shard's
+// side of the lookahead barrier.
 func (m *Mailbox[T]) Put(msg T) {
 	m.queue.Push(msg)
-	m.arrive.Notify()
+	if m.waiters.Len() > 0 {
+		m.k.afterProc(0, m.waiters.Pop())
+	}
 }
 
 // Recv dequeues the next message, parking p until one is available.
@@ -90,10 +94,10 @@ func (m *Mailbox[T]) Recv(p *Proc) T {
 	}
 }
 
-// StartRecv registers p for one wake when the next message arrives: Recv
-// without the park, for a stackless process that found TryRecv empty and is
-// about to return from Step.
-func (m *Mailbox[T]) StartRecv(p *Proc) { m.arrive.waiters.Push(p) }
+// StartRecv registers p for one wake when the next message arrives, for a
+// stackless process that found TryRecv empty and is about to return from
+// Step.
+func (m *Mailbox[T]) StartRecv(p *Proc) { m.waiters.Push(p) }
 
 // TryRecv dequeues a message if one is queued, without blocking.
 func (m *Mailbox[T]) TryRecv() (T, bool) {

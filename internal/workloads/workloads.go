@@ -44,9 +44,14 @@ func (c Config) factor() float64 {
 	return s * float64(n) / 4
 }
 
-// bytes converts paper-scale GiB to scaled bytes.
+// bytes converts paper-scale GiB to scaled bytes, saturating at MaxInt64
+// where the conversion would wrap.
 func (c Config) bytes(gib float64) int64 {
-	return int64(gib * c.factor() * float64(device.GiB))
+	v := gib * c.factor() * float64(device.GiB)
+	if v >= math.MaxInt64 {
+		return math.MaxInt64
+	}
+	return int64(v)
 }
 
 // shuffleTasks is the reduce-side parallelism: three waves over all cores,
@@ -165,10 +170,11 @@ func (b *builder) stage(p stageParams) {
 	}
 	tasks := s.NumTasks
 	if tasks == 0 && p.read != "" {
-		// Read stages default to one task per DFS block.
-		tasks = int((inputBytes + b.blockSize - 1) / b.blockSize)
-		if tasks == 0 {
-			tasks = 1
+		// Read stages default to one task per DFS block (at least one),
+		// counted without inputBytes+blockSize-1, which can overflow.
+		tasks = int(inputBytes / b.blockSize)
+		if inputBytes%b.blockSize != 0 || tasks == 0 {
+			tasks++
 		}
 	}
 	perTaskMiB := float64(inputBytes) / float64(tasks) / float64(device.MiB)
@@ -468,14 +474,5 @@ func ByName(name string, cfg Config) (*Spec, error) {
 	return ctor(cfg), nil
 }
 
-// FourBench returns the four applications of the performance evaluation
-// (Table 3 / Fig. 8): Terasort, Join, Aggregation, PageRank.
-func FourBench(cfg Config) []*Spec {
-	return []*Spec{Terasort(cfg), PageRank(cfg), Aggregation(cfg), Join(cfg)}
-}
-
 // GiB converts bytes to GiB for display.
 func GiB(b int64) float64 { return float64(b) / float64(device.GiB) }
-
-// Round2 rounds to two decimals (for table rendering).
-func Round2(v float64) float64 { return math.Round(v*100) / 100 }
