@@ -69,6 +69,8 @@ func TestOutOfRangeFlags(t *testing.T) {
 		{"-nodes", "-1", "-scale", "0.01", "table2"},
 		{"-scale", "0", "fig8"},
 		{"-scale", "-1", "-list"},
+		{"-scale", "NaN", "fig8"},
+		{"-scale", "+Inf", "fig8"},
 		{"-nodes", "0", "-scenario", "../../scenarios/terasort-crash.yaml"},
 	} {
 		err := run(args)

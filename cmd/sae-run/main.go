@@ -49,6 +49,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strings"
 
@@ -95,9 +96,10 @@ func run(args []string) (err error) {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *scale <= 0 {
-		// The workloads read a non-positive scale as "unset": full size.
-		return fmt.Errorf("%w: -scale %v, want a positive factor", exp.ErrBadFlag, *scale)
+	if !(*scale > 0) || math.IsInf(*scale, 1) {
+		// The workloads read a non-positive scale as "unset": full size; NaN
+		// and +Inf reach the file system as a negative size.
+		return fmt.Errorf("%w: -scale %v, want a positive finite factor", exp.ErrBadFlag, *scale)
 	}
 
 	stopProf, err := prof.Start(*cpuprofile, *memprofile, *exectrace)

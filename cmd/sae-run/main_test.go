@@ -167,6 +167,10 @@ func TestOutOfRangeFlags(t *testing.T) {
 		{"-nodes", "-1", "-scale", "0.01"},
 		{"-scale", "0"},
 		{"-scale", "-1", "-workload", "scan"},
+		// NaN and +Inf used to reach the file system as a negative size.
+		{"-scale", "NaN"},
+		{"-scale", "+Inf", "-workload", "scan"},
+		{"-scale", "-Inf"},
 		{"-scenario", "../../scenarios/faults.yaml", "-nodes", "0"},
 		// A slow factor past chaos's range: such a device never finishes.
 		{"-faults", "slow1@5sx1e9", "-scale", "0.02"},
@@ -229,5 +233,18 @@ func TestHugeScaleRejected(t *testing.T) {
 	for _, scale := range []string{"1e7", "1e9"} {
 		rejectedAtOnce(t, []string{"-scale", scale}, `"terasort/in"`, "blocks")
 		rejectedAtOnce(t, []string{"-scenario", "../../scenarios/terasort-crash.yaml", "-scale", scale}, `"terasort/in"`, "blocks")
+	}
+	// A spec's cluster.scale that is not finite is a positional error naming it.
+	src, err := os.ReadFile("../../scenarios/terasort-crash.yaml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, scale := range []string{"NaN", "Inf", "-inf"} {
+		path := filepath.Join(t.TempDir(), "spec.yaml")
+		spec := strings.Replace(string(src), "scale: 1\n", "scale: "+scale+"\n", 1)
+		if err := os.WriteFile(path, []byte(spec), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		rejectedAtOnce(t, []string{"-scenario", path}, path+":10:", `"`+scale+`"`, "finite")
 	}
 }

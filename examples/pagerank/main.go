@@ -61,7 +61,7 @@ func realPageRank() {
 		})
 		summed := sae.ReduceByKey(contribs, func(a, b float64) float64 { return a + b }, 16)
 		newRanks := sae.MapData(summed, func(p sae.Pair[int, float64]) sae.Pair[int, float64] {
-			return sae.Pair[int, float64]{Key: p.Key, Value: (1 - damping) + damping*p.Value}
+			return sae.Pair[int, float64]{Key: p.Key, Value: (1 - damping) + float64(damping*p.Value)}
 		})
 		out, rep, err := sae.Collect(newRanks)
 		if err != nil {

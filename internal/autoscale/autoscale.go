@@ -160,7 +160,7 @@ func (a *Adaptive) Target(s Snapshot) (int, string) {
 		if a.perNode == 0 {
 			a.perNode = sample
 		} else {
-			a.perNode += a.Alpha * (sample - a.perNode)
+			a.perNode += float64(a.Alpha * (sample - a.perNode))
 		}
 	}
 	if a.perNode <= 0 {

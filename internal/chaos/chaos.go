@@ -189,7 +189,7 @@ func (p *Plan) TaskFault(stage, task, attempt, attemptBudget int) (bool, float64
 		return false, 0
 	}
 	// Strike somewhere in the middle of the input: [0.1, 0.9).
-	return true, 0.1 + 0.8*p.frac(2, stage, task, attempt)
+	return true, 0.1 + float64(0.8*p.frac(2, stage, task, attempt))
 }
 
 // FetchFault reports whether the given attempt's shuffle fetch fails

@@ -180,7 +180,7 @@ func IowaitPercent(a, b Usage, vcores int) float64 {
 // DiskUtilization returns the fraction of time (0-100) the node's disk was
 // busy between two device snapshots.
 func DiskUtilization(a, b psres.Stats) float64 {
-	return 100 * psres.UtilizationBetween(a, b)
+	return float64(100 * psres.UtilizationBetween(a, b))
 }
 
 // usageMeter integrates node-level CPU-busy and iowait time, updated
@@ -210,9 +210,9 @@ func (m *usageMeter) advance() {
 	if busyCores > m.vcores {
 		busyCores = m.vcores
 	}
-	m.busy += dt * float64(busyCores)
+	m.busy += float64(dt * float64(busyCores))
 	if m.diskActive > 0 {
-		m.iowait += dt * float64(m.vcores-busyCores)
+		m.iowait += float64(dt * float64(m.vcores-busyCores))
 	}
 	m.last = now
 }

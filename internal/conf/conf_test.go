@@ -88,16 +88,28 @@ func TestGetIntBool(t *testing.T) {
 	}
 }
 
+// TestWiredParameters pins how many keys claim an effect; engine's
+// TestWiredKeysHaveReaders checks that each one has it.
 func TestWiredParameters(t *testing.T) {
 	r := New()
-	wiredKeys := []string{
-		"executor.threads", "executor.cores", "files.maxPartitionBytes",
-		"shuffle.file.buffer", "executor.taskOverheadMillis",
+	n := 0
+	for _, k := range r.Keys() {
+		if par, _ := r.Lookup(k); par.Wired {
+			n++
+		}
 	}
-	for _, k := range wiredKeys {
-		par, ok := r.Lookup(k)
-		if !ok || !par.Wired {
+	if n != 12 {
+		t.Errorf("%d wired parameters, want 12", n)
+	}
+	for _, k := range []string{"executor.cores", "files.maxPartitionBytes", "executor.taskOverheadMillis"} {
+		if par, ok := r.Lookup(k); !ok || !par.Wired {
 			t.Errorf("%s should exist and be wired", k)
+		}
+	}
+	// Nothing reads these: they document the surface and claim no effect.
+	for _, k := range []string{"executor.threads", "locality.wait", "network.timeout", "shuffle.file.buffer", "memory.spill.pressure"} {
+		if par, ok := r.Lookup(k); !ok || par.Wired {
+			t.Errorf("%s should exist and not be wired", k)
 		}
 	}
 }

@@ -282,7 +282,7 @@ func (c CPUSpec) Capacity(n int) float64 {
 		return fn
 	}
 	extra := math.Min(fn, float64(c.VirtualCores)) - p
-	return p + extra*c.SMTYield
+	return p + float64(extra*c.SMTYield)
 }
 
 // CPU is a shared compute device measured in core-seconds.
@@ -373,7 +373,7 @@ func (v VariabilityModel) Factor(i int) float64 {
 	u2 := float64((h*0x2545f4914f6cdd1d)>>11) / float64(1<<53)
 	// Box-Muller for the log-normal body.
 	z := math.Sqrt(-2*math.Log(math.Max(u1, 1e-12))) * math.Cos(2*math.Pi*u2)
-	f := math.Exp(-v.Sigma*v.Sigma/2 + v.Sigma*z)
+	f := math.Exp(float64(-v.Sigma*v.Sigma/2) + float64(v.Sigma*z))
 	if u2 < v.StragglerFrac {
 		f /= v.StragglerSlowdown
 	}

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -141,5 +142,57 @@ func TestApplyConfigBlockSizeFloor(t *testing.T) {
 	opts.BlockSize = -1
 	if _, err := NewEngine(opts); err == nil {
 		t.Fatal("NewEngine accepted a negative block size")
+	}
+}
+
+// TestWiredKeysHaveReaders: every key the catalogue marks Wired, moved off its
+// default through ApplyConfig, changes the options an engine is built from. A
+// key marked Wired without a case here fails, and so does one ApplyConfig does
+// not read.
+func TestWiredKeysHaveReaders(t *testing.T) {
+	moved := map[string]string{
+		"shuffle.io.maxRetries":                     "5",
+		"shuffle.io.retryWait":                      "7s",
+		"executor.cores":                            "16",
+		"executor.heartbeatInterval":                "3s",
+		"files.maxPartitionBytes":                   "64m",
+		"executor.taskOverheadMillis":               "50",
+		"scheduler.mode":                            "FAIR",
+		"blacklist.stage.maxFailedTasksPerExecutor": "5",
+		"speculation":                               "true",
+		"speculation.multiplier":                    "2",
+		"speculation.quantile":                      "0.5",
+		"task.maxFailures":                          "7",
+	}
+	base := testOptions(2, core.Default{})
+	if err := ApplyConfig(&base, conf.New()); err != nil {
+		t.Fatal(err)
+	}
+	reg := conf.New()
+	wired := 0
+	for _, key := range reg.Keys() {
+		if par, _ := reg.Lookup(key); !par.Wired {
+			continue
+		}
+		wired++
+		v, ok := moved[key]
+		if !ok {
+			t.Errorf("%s is wired but has no non-default value here", key)
+			continue
+		}
+		reg := conf.New()
+		if err := reg.Set(key, v); err != nil {
+			t.Fatal(err)
+		}
+		opts := testOptions(2, core.Default{})
+		if err := ApplyConfig(&opts, reg); err != nil {
+			t.Fatalf("%s=%s: %v", key, v, err)
+		}
+		if reflect.DeepEqual(opts, base) {
+			t.Errorf("%s=%s leaves the options as they are: nothing reads it", key, v)
+		}
+	}
+	if wired != len(moved) {
+		t.Errorf("%d wired keys, %d cases", wired, len(moved))
 	}
 }

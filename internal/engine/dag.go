@@ -161,7 +161,7 @@ func (e *Engine) activateStage(js *jobState, id int) {
 		input += e.shuffle.validBytes(js.id, spec.ShuffleFrom)
 		e.fs.Reserve(spec.OutputFile, spec.NumTasks+int(max(input, spec.ShuffleWriteBytes+spec.OutputBytes)/job.ChunkBytes))
 	}
-	ts := newTaskSet(key, js, spec, false, nil, splits, len(e.executors))
+	ts := newTaskSet(key, js, spec, false, nil, splits, len(e.executors), e.spares)
 	// Does any other primary stage share the pool right now? If so the
 	// executors' effective limit is the minimum over the active stages'
 	// controller choices, and the slot table must follow the same rule.

@@ -192,7 +192,7 @@ func (c *autoCtl) serving() int {
 func (c *autoCtl) account() {
 	now := c.eng.k.Now()
 	s := c.serving()
-	c.nodeSec += float64(s) * (now - c.lastAt).Seconds()
+	c.nodeSec += float64(float64(s) * (now - c.lastAt).Seconds())
 	c.lastAt = now
 	if s > c.peak {
 		c.peak = s

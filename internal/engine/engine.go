@@ -172,14 +172,13 @@ type Engine struct {
 	// pending); per-job failures live on the jobState instead.
 	fatal   error
 	started bool
-	// Free lists of the per-task control plane (DESIGN.md "Control-plane
-	// messages"). recycle is false on a sharded engine, whose executors run
-	// on other goroutines than the driver: nothing is put back.
-	recycle  bool
-	launches pool[launchMsg]
-	dones    pool[taskDoneMsg]
-	beats    pool[heartbeatMsg]
-	plans    [][]segment
+	// spares holds the run's task-sized state and the free lists of its
+	// control plane (DESIGN.md "Control-plane messages"). A recycling engine
+	// takes them from sparePool and Wait gives them back; recycle is false on
+	// a sharded engine, whose executors run on other goroutines than the
+	// driver: its spares are its own, and no message or plan is put back.
+	recycle bool
+	spares  *runSpares
 	// done flips when the driver finishes; atomic because in sharded runs
 	// per-shard housekeeping events (heartbeats, interference streams,
 	// slowdown timers) read it from their shard's goroutine.
@@ -303,16 +302,23 @@ func NewEngine(opts Options) (*Engine, error) {
 		k = sim.NewKernel()
 		cl = cluster.New(k, opts.Cluster)
 	}
+	var spares *runSpares
+	if ss == nil {
+		spares = sparePool.Get().(*runSpares)
+	} else {
+		spares = new(runSpares)
+	}
 	e := &Engine{
 		k:        k,
 		ss:       ss,
 		shardOf:  shardOf,
 		opts:     opts,
 		cluster:  cl,
-		shuffle:  newShuffleRegistry(),
+		shuffle:  newShuffleRegistry(spares),
 		toDriver: sim.NewMailbox[driverMsg](k),
 		aud:      opts.Audit,
 		recycle:  ss == nil,
+		spares:   spares,
 	}
 	e.sink = newTraceSink(opts.Trace, opts.TraceFormat)
 	e.fs = dfs.New(e.cluster, opts.BlockSize)
@@ -359,7 +365,7 @@ func NewEngine(opts Options) (*Engine, error) {
 			if !ex.alive || e.opts.Faults.Partitioned(i, ex.k.Now()) {
 				return
 			}
-			beat := e.beats.get(e.recycle)
+			beat := e.spares.beats.get(e.recycle)
 			*beat = heartbeatMsg{
 				exec:      i,
 				epoch:     ex.epoch,
@@ -484,6 +490,16 @@ func (e *Engine) Wait() error {
 	} else {
 		e.k.Run()
 	}
+	err := e.closeRun()
+	if e.recycle {
+		e.giveBackSpares()
+	}
+	return err
+}
+
+// closeRun settles a run whose simulation has drained and returns Wait's
+// verdict.
+func (e *Engine) closeRun() error {
 	if e.auto != nil {
 		// Close the node-seconds integral at the end of virtual time.
 		e.auto.account()
@@ -521,7 +537,7 @@ func (d *driver) Step() {
 		switch {
 		case msg.taskDone != nil:
 			e.sched.handleTaskDone(msg.taskDone)
-			e.dones.put(msg.taskDone, e.recycle)
+			e.spares.dones.put(msg.taskDone, e.recycle)
 		case msg.threads != nil:
 			e.sched.handleThreads(msg.threads)
 		case msg.execLost != nil:
@@ -530,7 +546,7 @@ func (d *driver) Step() {
 			e.sched.handleExecJoin(msg.execJoin)
 		case msg.heartbeat != nil:
 			e.sched.handleHeartbeat(msg.heartbeat)
-			e.beats.put(msg.heartbeat, e.recycle)
+			e.spares.beats.put(msg.heartbeat, e.recycle)
 		}
 	}
 	// Housekeeping events (heartbeat tickers, interference streams) see
@@ -553,61 +569,6 @@ func Run(opts Options, spec *job.JobSpec) (*JobReport, error) {
 		return nil, err
 	}
 	return h.Report()
-}
-
-// pool is a free list of control-plane messages. put zeroes what it takes: a
-// pooled message pins no stage, plan or error past its task, and a use after
-// release reads zeros — a diverged golden, not another task's message.
-type pool[T any] struct{ free []*T }
-
-// poolBlock is how many messages a recycling pool allocates at once when its
-// free list runs dry.
-const poolBlock = 16
-
-// get takes a message from the free list. When the list is empty a recycling
-// pool (recycle, Engine.recycle) refills it with a block of poolBlock, one
-// object for the lot; a pool that recycles nothing allocates each message on
-// its own, so none is ever left over in its list.
-func (p *pool[T]) get(recycle bool) *T {
-	n := len(p.free)
-	if n == 0 {
-		if !recycle {
-			return new(T)
-		}
-		block := make([]T, poolBlock)
-		for i := range block[1:] {
-			p.free = append(p.free, &block[i+1])
-		}
-		return &block[0]
-	}
-	v := p.free[n-1]
-	p.free = p.free[:n-1]
-	return v
-}
-
-// put takes v back if recycle (Engine.recycle) says so.
-func (p *pool[T]) put(v *T, recycle bool) {
-	if recycle {
-		var zero T
-		*v = zero
-		p.free = append(p.free, v)
-	}
-}
-
-// takePlan returns an empty buffer for reducePlan to fill, recycled if any is.
-func (e *Engine) takePlan() (buf []segment) {
-	if n := len(e.plans); n > 0 {
-		buf, e.plans = e.plans[n-1], e.plans[:n-1]
-	}
-	return buf
-}
-
-// releasePlan takes back, zeroed, the buffer of a finished task's fetch plan.
-func (e *Engine) releasePlan(buf []segment) {
-	if e.recycle && cap(buf) > 0 {
-		clear(buf)
-		e.plans = append(e.plans, buf[:0])
-	}
 }
 
 // Kernel returns the simulation kernel.

@@ -58,8 +58,10 @@ type Executor struct {
 	running int
 	queue   sim.FIFO[*launchMsg]
 	// freeTasks recycles task contexts: a task returns its own when it
-	// completes, so the list never holds state a zombie is still using.
-	// zombies counts the completions dropped as an earlier incarnation's.
+	// completes, so the list never holds state a zombie is still using. An
+	// empty list takes from the engine's spares, and giveBackSpares gathers
+	// it there at the end of the run. zombies counts the completions dropped
+	// as an earlier incarnation's.
 	freeTasks *taskContext
 	zombies   int
 
@@ -449,14 +451,14 @@ func (ex *Executor) start(lm *launchMsg) {
 	if tc != nil {
 		ex.freeTasks = tc.free
 	} else {
-		tc = new(taskContext)
+		tc = ex.eng.spares.context()
 	}
 	*tc = taskContext{
 		eng: ex.eng, ex: ex, launchMsg: *lm, fetchBuf: lm.segments,
 		faultAt: -1, blockSrc: -1, do: (*taskContext).launch,
 		tm: job.TaskMetrics{Stage: lm.stage.ID, Index: lm.index, Local: true},
 	}
-	ex.eng.launches.put(lm, ex.eng.recycle) // the context holds the copy
+	ex.eng.spares.launches.put(lm, ex.eng.recycle) // the context holds the copy
 	if tc.stage.Work != nil {
 		tc.work = tc.stage.Work(tc.index)
 	} else {
@@ -496,7 +498,7 @@ func (ex *Executor) taskDone(tc *taskContext, err error) {
 			}
 		}
 	}
-	m := ex.eng.dones.get(ex.eng.recycle)
+	m := ex.eng.spares.dones.get(ex.eng.recycle)
 	*m = taskDoneMsg{exec: ex.id, epoch: ex.epoch, job: key.job, metrics: tm, err: err}
 	ex.eng.sendDriver(ex.shard, driverMsg{taskDone: m})
 	ex.drain()

@@ -134,7 +134,7 @@ func TestReducePlanMatchesReference(t *testing.T) {
 	const maps = 24
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 200; trial++ {
-		r := newShuffleRegistry()
+		r := newShuffleRegistry(new(runSpares))
 		nodes := 1 + rng.Intn(9)
 		doomed := rng.Intn(nodes)
 		from := []int{0, 1, 2}[:1+rng.Intn(3)]
@@ -299,7 +299,7 @@ func TestPickMatchesScanReference(t *testing.T) {
 			only = rng.Perm(numTasks)[:1+rng.Intn(numTasks)]
 		}
 		stage := &job.StageSpec{NumTasks: numTasks}
-		ts := newTaskSet(setKey{}, nil, stage, recovery, only, splits, nodes)
+		ts := newTaskSet(setKey{}, nil, stage, recovery, only, splits, nodes, new(runSpares))
 		// Only a partially replicated first block calls for the index.
 		if built := ts.queue.local != nil; mode != 4 && built != (mode == 1 || mode == 2) {
 			t.Fatalf("trial %d (mode %d): locality index built = %v", trial, mode, built)
@@ -443,7 +443,7 @@ func TestCopiesMatchSliceReference(t *testing.T) {
 	for trial := 0; trial < 300; trial++ {
 		lawful := trial%2 == 0
 		nodes, numTasks := 2+rng.Intn(7), 1+rng.Intn(24)
-		ts := newTaskSet(setKey{}, nil, &job.StageSpec{NumTasks: numTasks}, false, nil, nil, nodes)
+		ts := newTaskSet(setKey{}, nil, &job.StageSpec{NumTasks: numTasks}, false, nil, nil, nodes, new(runSpares))
 		ref := make([][]int, numTasks)
 		type running struct{ task, exec int }
 		attempts := func() (out []running) {
@@ -570,7 +570,7 @@ func TestReducePlanAllocatesNothingWarm(t *testing.T) {
 	if raceEnabled() {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	r := newShuffleRegistry()
+	r := newShuffleRegistry(new(runSpares))
 	for task := 0; task < 64; task++ {
 		r.addMapOutput(setKey{job: 0, stage: 0}, 64, task, task%4, int64(1000+task))
 		r.addMapOutput(setKey{job: 0, stage: 1}, 64, task, task%3, int64(500+task))
@@ -606,7 +606,7 @@ func TestSpeculateAllocatesNothing(t *testing.T) {
 	}
 	const tasks = 256
 	stage := &job.StageSpec{ID: 0, Name: "map", NumTasks: tasks}
-	ts := newTaskSet(setKey{}, &jobState{}, stage, false, nil, nil, 2)
+	ts := newTaskSet(setKey{}, &jobState{}, stage, false, nil, nil, 2, new(runSpares))
 	rng := rand.New(rand.NewSource(1))
 	for task := 0; task < 200; task++ {
 		ts.tasks[task].done = true

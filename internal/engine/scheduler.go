@@ -189,20 +189,21 @@ type pendingQueue struct {
 }
 
 // newTaskSet queues every task of a primary set, or the lost ones of a recovery
-// set. splits is the stage's input layout (nil without an input file) and nodes
-// the cluster size.
-func newTaskSet(key setKey, js *jobState, stage *job.StageSpec, recovery bool, only []int, splits [][]dfs.Block, nodes int) *taskSet {
+// set. splits is the stage's input layout (nil without an input file), nodes
+// the cluster size and sp the run's spares, which the task table, tickets and
+// durations are windows of.
+func newTaskSet(key setKey, js *jobState, stage *job.StageSpec, recovery bool, only []int, splits [][]dfs.Block, nodes int, sp *runSpares) *taskSet {
 	ts := &taskSet{
 		key:      key,
 		js:       js,
 		stage:    stage,
 		recovery: recovery,
-		tasks:    make([]taskState, stage.NumTasks),
+		tasks:    sp.tasks.take(stage.NumTasks),
 		splits:   splits,
 	}
-	ts.queue.tickets = make([]int, 0, stage.NumTasks)
+	ts.queue.tickets = sp.tickets.take(stage.NumTasks)[:0]
 	if !recovery {
-		ts.durations = make([]time.Duration, 0, stage.NumTasks)
+		ts.durations = sp.durations.take(stage.NumTasks)[:0]
 	}
 	ts.indexLocality(nodes)
 	for i := range ts.tasks {
@@ -789,7 +790,7 @@ func (s *taskScheduler) ensureParents(ts *taskSet) {
 				splits = dfs.Splits(f, spec.NumTasks)
 			}
 		}
-		rs := newTaskSet(pkey, ts.js, spec, true, lost, splits, len(e.executors))
+		rs := newTaskSet(pkey, ts.js, spec, true, lost, splits, len(e.executors), e.spares)
 		s.addSet(rs)
 		ts.js.resubmissions++
 		e.trace(TraceEvent{Type: TraceStageResubmit, Job: ts.key.job, Stage: parent, Task: -1, Exec: -1,
@@ -904,7 +905,7 @@ func (s *taskScheduler) launch(ts *taskSet, ticket, i int) {
 	}
 	e.trace(TraceEvent{Type: TraceTaskLaunch, Job: ts.key.job, Stage: ts.stage.ID, Task: task, Exec: i, Detail: detail})
 
-	lm := e.launches.get(e.recycle)
+	lm := e.spares.launches.get(e.recycle)
 	*lm = launchMsg{job: ts.key.job, stage: ts.stage, index: task, attempt: int(st.launches), epoch: e.em.epochs[i]}
 	st.launches++
 	if ts.splits != nil {

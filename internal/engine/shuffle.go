@@ -38,20 +38,24 @@ type shuffleRegistry struct {
 	recovered map[int]int64
 	// byNode is reducePlan's scratch: bytes per source node, zeroed on exit.
 	byNode []int64
+	// spares is the run's, which keyState's slices are windows of.
+	spares *runSpares
 }
 
-func newShuffleRegistry() *shuffleRegistry {
+func newShuffleRegistry(sp *runSpares) *shuffleRegistry {
 	return &shuffleRegistry{
 		state:     make(map[setKey]*keyState),
 		nodeGen:   make(map[int]int),
 		recovered: make(map[int]int64),
+		spares:    sp,
 	}
 }
 
 // keyState is what the registry keeps per task set: its output list, running
 // totals, so the questions asked on every slot offer and telemetry tick never
 // walk the outputs, and the reduce-side aggregates built from them. Both
-// slices are made once, at the producing stage's task count.
+// slices are taken once, at the producing stage's task count, from the run's
+// spares.
 type keyState struct {
 	// outs lists the registered map outputs in registration order.
 	outs []mapOutput
@@ -123,7 +127,7 @@ func (r *shuffleRegistry) addMapOutput(key setKey, numTasks, task, node int, byt
 	}
 	ks := r.state[key]
 	if ks == nil {
-		ks = &keyState{outs: make([]mapOutput, 0, numTasks), slot: make([]int32, numTasks)}
+		ks = &keyState{outs: r.spares.outs.take(numTasks)[:0], slot: r.spares.slots.take(numTasks)}
 		r.state[key] = ks
 	}
 	slot := ks.slot[task]

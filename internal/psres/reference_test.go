@@ -86,7 +86,7 @@ func (s *refServer) advance() {
 	dt := (now - s.last).Seconds()
 	if n := len(s.streams); n > 0 {
 		s.busy += now - s.last
-		s.activeIntegral += float64(n) * dt
+		s.activeIntegral += float64(float64(n) * dt)
 		for _, st := range s.streams {
 			delta := st.rate * dt
 			if delta > st.remaining {
@@ -141,7 +141,7 @@ func (s *refServer) onCompletion() {
 	s.last = now
 	if n := len(s.streams); n > 0 && dt > 0 {
 		s.busy += elapsed
-		s.activeIntegral += float64(n) * dt
+		s.activeIntegral += float64(float64(n) * dt)
 	}
 	var kept, woken []*refStream
 	for _, st := range s.streams {
@@ -153,7 +153,7 @@ func (s *refServer) onCompletion() {
 			st.remaining -= delta
 			s.served += delta
 		}
-		if st.remaining <= st.rate*2e-9+1e-12 {
+		if st.remaining <= float64(st.rate*2e-9)+1e-12 {
 			woken = append(woken, st)
 		} else {
 			kept = append(kept, st)
@@ -210,12 +210,12 @@ func genHistory(seed int64) history {
 	case 0:
 		h.cfg = Config{Name: "flat", Curve: Flat(10 + float64(r.Intn(90)))}
 	case 1:
-		peak := 50 + 50*r.Float64()
+		peak := 50 + float64(50*r.Float64())
 		h.cfg = Config{Name: "hdd", Curve: func(n int) float64 { return peak * math.Pow(float64(n), -0.4) }}
 	default:
 		cores := 1 + r.Intn(8)
 		h.cfg = Config{Name: "cpu", PerStreamCap: 1, Curve: func(n int) float64 {
-			return math.Min(float64(n), float64(cores)) + 0.3*math.Max(0, math.Min(float64(n-cores), float64(cores)))
+			return math.Min(float64(n), float64(cores)) + float64(0.3*math.Max(0, math.Min(float64(n-cores), float64(cores))))
 		}}
 	}
 	weights := []float64{1, 0.85, 0.62, 2, 0.3}

@@ -265,7 +265,7 @@ func (s *Server) advance() {
 	dt := (now - s.last).Seconds()
 	if n := len(s.slots); n > 0 {
 		s.busy += now - s.last
-		s.activeIntegral += float64(n) * dt
+		s.activeIntegral += float64(float64(n) * dt)
 		s.resetMinRem()
 		for i := range s.slots {
 			st := &s.slots[i]
@@ -367,7 +367,7 @@ func (s *Server) onCompletion() {
 	s.last = now
 	if n := len(s.slots); n > 0 && dt > 0 {
 		s.busy += elapsed
-		s.activeIntegral += float64(n) * dt
+		s.activeIntegral += float64(float64(n) * dt)
 	}
 	s.resetMinRem()
 	drained := false
@@ -384,7 +384,7 @@ func (s *Server) onCompletion() {
 		}
 		// A stream is done when its residual work is below what it
 		// would serve in 2ns — i.e. float noise.
-		if st.remaining <= c.rate*2e-9+1e-12 {
+		if st.remaining <= float64(c.rate*2e-9)+1e-12 {
 			st.done = true
 			c.n--
 			drained = true

@@ -246,7 +246,7 @@ func TestServedEqualsDemandProperty(t *testing.T) {
 	f := func(demands []uint16, degrade bool) bool {
 		curve := Flat(50)
 		if degrade {
-			curve = func(n int) float64 { return 50 / (1 + 0.2*float64(n-1)) }
+			curve = func(n int) float64 { return 50 / (1 + float64(0.2*float64(n-1))) }
 		}
 		k := sim.NewKernel()
 		s := NewServer(k, Config{Name: "disk", Curve: curve})
@@ -276,7 +276,7 @@ func TestFairnessProperty(t *testing.T) {
 		demand := float64(demandKB%5000) + 1
 		p := float64(peak%500) + 50
 		a := float64(alpha%50) / 100
-		curve := func(n int) float64 { return p / (1 + a*float64(n-1)) }
+		curve := func(n int) float64 { return p / (1 + float64(a*float64(n-1))) }
 		k := sim.NewKernel()
 		s := NewServer(k, Config{Name: "x", Curve: curve})
 		var ends []time.Duration

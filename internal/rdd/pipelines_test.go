@@ -143,7 +143,7 @@ func TestPipelinesMatchParent(t *testing.T) {
 					return out
 				})
 			summed := ReduceByKey(contribs, func(a, b float64) float64 { return a + b }, 4)
-			next := MapValues(summed, func(v float64) float64 { return 0.15 + 0.85*v })
+			next := MapValues(summed, func(v float64) float64 { return 0.15 + float64(0.85*v) })
 			out, rep, err := Collect(next)
 			if err != nil {
 				t.Fatal(err)

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"slices"
 	"strconv"
@@ -226,8 +227,12 @@ func (d *dec) scalar(n *node, f field, i int, v reflect.Value) error {
 		want, num = "an integer", float64(x)
 	default:
 		num, err = strconv.ParseFloat(n.val, 64)
+		if math.IsNaN(num) || math.IsInf(num, 0) {
+			// ParseFloat accepts NaN and Inf, which no field means.
+			err = strconv.ErrRange
+		}
 		v.SetFloat(num)
-		want = "a number"
+		want = "a finite number"
 	}
 	if err != nil {
 		return d.errf(n, "field %q: %q is not %s", label(f, i), n.val, want)

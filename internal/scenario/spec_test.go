@@ -166,6 +166,18 @@ arrival:
 	requireErr(t, msg, "7", `field "weight" must be positive`)
 }
 
+// TestNonFiniteFloatRejected: strconv.ParseFloat reads NaN and Inf, and a NaN
+// scale passed every "must be positive" check on its way to the file system.
+func TestNonFiniteFloatRejected(t *testing.T) {
+	for _, v := range []string{"NaN", "nan", "Inf", "+Inf", "-Infinity", "1e400"} {
+		doc := strings.Replace(validSingle, "kind: single\n", "kind: single\ncluster:\n  scale: "+v+"\n", 1)
+		msg := parseErr(t, doc)
+		requireErr(t, msg, "5", `field "scale"`, `"`+v+`"`, "finite")
+	}
+	doc := strings.Replace(validSingle, "kind: single\n", "kind: single\nexpect:\n  min_recovered_gib: -Inf\n", 1)
+	requireErr(t, parseErr(t, doc), "5", `field "min_recovered_gib"`, "finite")
+}
+
 func TestUnknownPolicy(t *testing.T) {
 	doc := `version: 1
 name: demo

@@ -178,7 +178,7 @@ func (b *builder) stage(p stageParams) {
 		}
 	}
 	perTaskMiB := float64(inputBytes) / float64(tasks) / float64(device.MiB)
-	s.CPUSecondsPerTask = p.cpuSecPerMiB*perTaskMiB + p.cpuSecFixed
+	s.CPUSecondsPerTask = float64(p.cpuSecPerMiB*perTaskMiB) + p.cpuSecFixed
 	b.stages = append(b.stages, s)
 }
 
@@ -475,4 +475,4 @@ func ByName(name string, cfg Config) (*Spec, error) {
 }
 
 // GiB converts bytes to GiB for display.
-func GiB(b int64) float64 { return float64(b) / float64(device.GiB) }
+func GiB(b int64) float64 { return float64(float64(b) / float64(device.GiB)) }
