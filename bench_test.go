@@ -18,6 +18,7 @@ import (
 	"sae/internal/engine/job"
 	"sae/internal/exp"
 	"sae/internal/metrics"
+	"sae/internal/scenario"
 )
 
 func BenchmarkTable1(b *testing.B) {
@@ -245,10 +246,14 @@ func BenchmarkFaults(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, row := range r.(*exp.FaultsResult).Rows {
-			if row.Policy == "dynamic" && strings.Contains(row.Schedule, "+") {
-				b.ReportMetric(row.DegradedPct, "dyn-crash-restart-degraded-%")
-				b.ReportMetric(float64(row.Requeued), "dyn-crash-restart-requeued")
+		for _, c := range r.(*scenario.ChaosResult).Cells {
+			if c.Policy == "dynamic" && strings.Contains(c.Schedule, "+") {
+				requeued := 0
+				for _, st := range c.Report.Stages {
+					requeued += st.Requeued
+				}
+				b.ReportMetric(c.DegradedPct(), "dyn-crash-restart-degraded-%")
+				b.ReportMetric(float64(requeued), "dyn-crash-restart-requeued")
 			}
 		}
 	}
@@ -264,19 +269,19 @@ func BenchmarkGrayFail(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, row := range r.(*exp.GrayFailResult).Rows {
-			if row.Policy != "dynamic" {
+		for _, c := range r.(*scenario.ChaosResult).Cells {
+			if c.Policy != "dynamic" {
 				continue
 			}
-			switch {
-			case strings.HasPrefix(row.Schedule, "slow"):
-				b.ReportMetric(row.Seconds, "dyn-slow-runtime-s")
-				b.ReportMetric(row.DegradedPct, "dyn-slow-degraded-%")
-			case strings.HasPrefix(row.Schedule, "partition"):
-				b.ReportMetric(float64(row.Suspected), "dyn-partition-suspected")
-				b.ReportMetric(float64(row.Fenced), "dyn-partition-fenced")
-			case strings.HasPrefix(row.Schedule, "corrupt"):
-				b.ReportMetric(float64(row.ChecksumFailovers), "dyn-corrupt-failovers")
+			switch rep := c.Report; {
+			case strings.HasPrefix(c.Schedule, "slow"):
+				b.ReportMetric(rep.Runtime.Seconds(), "dyn-slow-runtime-s")
+				b.ReportMetric(c.DegradedPct(), "dyn-slow-degraded-%")
+			case strings.HasPrefix(c.Schedule, "partition"):
+				b.ReportMetric(float64(rep.Suspected), "dyn-partition-suspected")
+				b.ReportMetric(float64(rep.Fenced), "dyn-partition-fenced")
+			case strings.HasPrefix(c.Schedule, "corrupt"):
+				b.ReportMetric(float64(rep.ChecksumFailovers), "dyn-corrupt-failovers")
 			}
 		}
 	}
@@ -291,13 +296,22 @@ func BenchmarkMultiTenant(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		r := res.(*exp.MultiTenantResult)
-		if row, ok := r.Get("terasort+pagerank", "FAIR", "dynamic"); ok {
-			b.ReportMetric(row.MakespanSec, "ts+pr-fair-dyn-makespan-s")
-			b.ReportMetric(row.MeanJobSec, "ts+pr-fair-dyn-meanjob-s")
-		}
-		if row, ok := r.Get("terasort+pagerank", "FIFO", "default"); ok {
-			b.ReportMetric(row.MakespanSec, "ts+pr-fifo-def-makespan-s")
+		for _, c := range res.(*scenario.TenantResult).Cells {
+			if c.Mix != "terasort+pagerank" {
+				continue
+			}
+			var makespan, sum float64
+			for _, rep := range c.Reports {
+				makespan = max(makespan, rep.Runtime.Seconds())
+				sum += rep.Runtime.Seconds()
+			}
+			switch c.Sched + "/" + c.Policy {
+			case "FAIR/dynamic":
+				b.ReportMetric(makespan, "ts+pr-fair-dyn-makespan-s")
+				b.ReportMetric(sum/float64(len(c.Reports)), "ts+pr-fair-dyn-meanjob-s")
+			case "FIFO/default":
+				b.ReportMetric(makespan, "ts+pr-fifo-def-makespan-s")
+			}
 		}
 	}
 }

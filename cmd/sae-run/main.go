@@ -52,6 +52,7 @@ import (
 	"math"
 	"os"
 	"strings"
+	"time"
 
 	"sae"
 	"sae/internal/conf"
@@ -100,6 +101,11 @@ func run(args []string) (err error) {
 		// The workloads read a non-positive scale as "unset": full size; NaN
 		// and +Inf reach the file system as a negative size.
 		return fmt.Errorf("%w: -scale %v, want a positive finite factor", exp.ErrBadFlag, *scale)
+	}
+	if *metricsInterval != 0 && *metricsInterval < 100*time.Millisecond {
+		// The sampler fires once per interval of virtual time: a nanosecond
+		// one never lets the clock reach the job's end.
+		return fmt.Errorf("%w: -metrics-interval %v, want 0 (5s) or at least 100ms", exp.ErrBadFlag, *metricsInterval)
 	}
 
 	stopProf, err := prof.Start(*cpuprofile, *memprofile, *exectrace)

@@ -174,8 +174,15 @@ func TestOutOfRangeFlags(t *testing.T) {
 		{"-scenario", "../../scenarios/faults.yaml", "-nodes", "0"},
 		// A slow factor past chaos's range: such a device never finishes.
 		{"-faults", "slow1@5sx1e9", "-scale", "0.02"},
+		// A sampler period that never lets the clock reach the job's end.
+		{"-scale", "0.02", "-metrics", os.DevNull, "-metrics-interval", "1ns"},
+		{"-scale", "0.02", "-metrics-interval", "-5s"},
 	} {
+		start := time.Now()
 		err := run(args)
+		if took := time.Since(start); took > 2*time.Second {
+			t.Errorf("args %v: rejected after %v", args, took)
+		}
 		if err == nil {
 			t.Errorf("args %v accepted", args)
 			continue
@@ -199,6 +206,29 @@ func TestTinyPartitionBytesRejected(t *testing.T) {
 		rejectedAtOnce(t, []string{"-scale", "0.02", "-conf", kv}, "files.maxPartitionBytes")
 		rejectedAtOnce(t, []string{"-scenario", "../../scenarios/terasort-crash.yaml", "-scale", "0.02", "-conf", kv}, "files.maxPartitionBytes")
 	}
+}
+
+// TestNanosecondHeartbeatRejected: executor.heartbeatInterval=1ns never let
+// the clock reach the job's end. Below 100ms it is an invalid conf value, from
+// -conf and through a spec alike.
+func TestNanosecondHeartbeatRejected(t *testing.T) {
+	kv := "executor.heartbeatInterval=1ns"
+	rejectedAtOnce(t, []string{"-scale", "0.02", "-conf", kv}, "executor.heartbeatInterval")
+	rejectedAtOnce(t, []string{"-scenario", "../../scenarios/terasort-crash.yaml", "-scale", "0.02", "-conf", kv}, "executor.heartbeatInterval")
+}
+
+// TestDefaultConfLeavesTenantMatrixAlone: -conf speculation=false sets a key to
+// its default value, so the multitenant matrix must print what it prints
+// without it. It printed every FAIR row as its FIFO twin; scheduler.mode, the
+// key the matrix fixes itself, is refused.
+func TestDefaultConfLeavesTenantMatrixAlone(t *testing.T) {
+	args := []string{"-scenario", "../../scenarios/multitenant.yaml", "-scale", "0.02"}
+	plain := captureStdout(t, func() error { return run(args) })
+	withConf := captureStdout(t, func() error { return run(append(args, "-conf", "speculation=false")) })
+	if withConf != plain {
+		t.Errorf("-conf speculation=false changed the report\n--- without ---\n%s--- with ---\n%s", plain, withConf)
+	}
+	rejectedAtOnce(t, append(args, "-conf", "scheduler.mode=FAIR"), "scheduler.mode")
 }
 
 // rejectedAtOnce wants run(args) to fail within 2 s with exit code 1 and a

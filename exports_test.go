@@ -40,30 +40,40 @@ var exportAllowlist = map[string]string{
 	"engine.Engine.Executors":              "the executor table the fault and recycling tests inspect",
 	"engine.Engine.FS":                     "the file system the engine tests read output files from",
 	"engine.Executor.Alive":                "liveness the fault tests check after a crash",
+	"engine.Executor.Decisions":            "the controller decisions of every incarnation, which the fault tests check",
 	"engine.Executor.ID":                   "an executor's index, beside Alive and Restarts",
 	"engine.Executor.Restarts":             "restart count the fault tests check",
 	"engine.Executor.Threads":              "current pool limit, beside Alive and Restarts",
 	"engine.ExecutorStageStats.Throughput": "derived column of a report row, for readers of JobReport",
 	"engine.JobHandle.ID":                  "the job ID a submission was given",
 	"engine.ReadTrace":                     "parses a written trace back; the engine and CLI tests compare traces with it",
+	"exp.AblationResult.Get":               "row lookup the ablation test and benchmark read the table by",
+	"exp.InterferenceResult.Get":           "row lookup the interference test reads the table by",
 	"exp.SweepResult.StageSeconds":         "per-stage runtimes of one grid point, for readers of a sweep",
 	"invariant.Auditor.Dropped":            "violations past the cap, which the invariant tests check the cap with",
+	"invariant.Auditor.Flag":               "reached by scenario single runs and the benchmark probe through an anonymous interface",
 	"psres.Server.RateScale":               "read side of SetRateScale",
 	"rdd.Dataset.Partitions":               "a dataset's partition count, for readers of a plan",
 	"scenario.SingleResult.Failures":       "reached by sae-run and sae-exp through an anonymous interface",
 	"sim.Kernel.PendingEvents":             "queue introspection the kernel and shard tests check",
 	"sim.Kernel.Stop":                      "ends a run early; the kernel tests stop parked receivers with it",
 	"sim.Proc.Kernel":                      "the kernel a process belongs to",
+	"sim.Proc.Name":                        "the process name given to Go, which the coroutine tests log",
 	"sim.ShardSet.Stop":                    "ends a sharded run early, as Kernel.Stop does a plain one",
+	"telemetry.Counter.Value":              "read side of Add, which the telemetry tests check",
 	"telemetry.Gauge.Add":                  "relative update of a gauge, which the telemetry tests use",
+	"telemetry.Gauge.Value":                "read side of Set and Add, which the telemetry tests check",
 	"telemetry.Histogram.Count":            "observation count the telemetry tests check",
+	"telemetry.Histogram.Sum":              "observation sum, beside Count, which the telemetry tests check",
+	"telemetry.Registry.Value":             "lookup of one series by name and labels, which the engine telemetry tests read",
 }
 
 // TestInternalExportsHaveCallers type-checks every package of the module
 // (benchmark/, cmd/ and examples/ included, test files excluded) and lists the
 // exported functions and methods of internal/ packages that no non-test file
-// uses. A method whose name some named interface type also declares is
-// skipped: a call through that interface does not name the method itself.
+// uses. A method is skipped when its receiver type, or a pointer to it,
+// implements a named interface that declares it: a call through that
+// interface does not name the method itself.
 func TestInternalExportsHaveCallers(t *testing.T) {
 	if _, err := exec.LookPath("go"); err != nil {
 		t.Skip("no go command on PATH")
@@ -156,7 +166,10 @@ func uncalledInternalExports() ([]string, error) {
 		}
 	}
 
-	interfaceMethods := map[string]bool{"Error": true}
+	// Every named interface the module can see, the universe's error among
+	// them; generic ones are skipped, as no receiver implements them
+	// uninstantiated.
+	ifaces := []*types.Interface{types.Universe.Lookup("error").Type().Underlying().(*types.Interface)}
 	seen := map[*types.Package]bool{}
 	var collect func(*types.Package)
 	collect = func(pkg *types.Package) {
@@ -167,10 +180,11 @@ func uncalledInternalExports() ([]string, error) {
 		scope := pkg.Scope()
 		for _, name := range scope.Names() {
 			if tn, ok := scope.Lookup(name).(*types.TypeName); ok {
-				if iface, ok := tn.Type().Underlying().(*types.Interface); ok {
-					for i := range iface.NumMethods() {
-						interfaceMethods[iface.Method(i).Name()] = true
-					}
+				if named, ok := tn.Type().(*types.Named); ok && named.TypeParams().Len() > 0 {
+					continue
+				}
+				if iface, ok := tn.Type().Underlying().(*types.Interface); ok && iface.NumMethods() > 0 {
+					ifaces = append(ifaces, iface)
 				}
 			}
 		}
@@ -180,6 +194,20 @@ func uncalledInternalExports() ([]string, error) {
 	}
 	for _, pkg := range module {
 		collect(pkg)
+	}
+	// implemented reports whether the method m of named is one of an
+	// interface that named, or a pointer to it, implements: a call through
+	// that interface does not name the method itself.
+	implemented := func(named *types.Named, m *types.Func) bool {
+		for _, iface := range ifaces {
+			if obj, _, _ := types.LookupFieldOrMethod(iface, false, m.Pkg(), m.Name()); obj == nil {
+				continue
+			}
+			if types.Implements(named, iface) || types.Implements(types.NewPointer(named), iface) {
+				return true
+			}
+		}
+		return false
 	}
 
 	var uncalled []string
@@ -202,7 +230,7 @@ func uncalledInternalExports() ([]string, error) {
 				}
 				for i := range named.NumMethods() {
 					m := named.Method(i)
-					if m.Exported() && !used[m] && !interfaceMethods[m.Name()] {
+					if m.Exported() && !used[m] && !implemented(named, m) {
 						uncalled = append(uncalled, short+"."+name+"."+m.Name())
 					}
 				}

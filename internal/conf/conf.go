@@ -8,6 +8,7 @@ package conf
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -176,6 +177,9 @@ func (r *Registry) GetFloat(key string) (float64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("conf: %s = %q is not a number: %w", key, v, err)
 	}
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		return 0, fmt.Errorf("conf: %s = %q is not a finite number", key, v)
+	}
 	return f, nil
 }
 
@@ -200,26 +204,34 @@ func (r *Registry) GetBytes(key string) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return ParseBytes(v)
+	n, err := ParseBytes(v)
+	if err != nil {
+		return 0, fmt.Errorf("conf: %s: %w", key, err)
+	}
+	return n, nil
 }
 
-// ParseBytes parses "64", "32k", "128m" or "2g" into bytes.
+// ParseBytes parses "64", "32k", "128m" or "2g" into bytes. Its errors name
+// the value; GetBytes adds the key.
 func ParseBytes(s string) (int64, error) {
 	if s == "" {
-		return 0, fmt.Errorf("conf: empty size")
+		return 0, fmt.Errorf("empty size")
 	}
-	mult := int64(1)
+	digits, mult := s, int64(1)
 	switch s[len(s)-1] {
 	case 'k', 'K':
-		mult, s = 1<<10, s[:len(s)-1]
+		digits, mult = s[:len(s)-1], 1<<10
 	case 'm', 'M':
-		mult, s = 1<<20, s[:len(s)-1]
+		digits, mult = s[:len(s)-1], 1<<20
 	case 'g', 'G':
-		mult, s = 1<<30, s[:len(s)-1]
+		digits, mult = s[:len(s)-1], 1<<30
 	}
-	n, err := strconv.ParseInt(s, 10, 64)
+	n, err := strconv.ParseInt(digits, 10, 64)
 	if err != nil {
-		return 0, fmt.Errorf("conf: bad size %q: %w", s, err)
+		return 0, fmt.Errorf("bad size %q: %w", s, err)
+	}
+	if n > math.MaxInt64/mult || n < math.MinInt64/mult {
+		return 0, fmt.Errorf("size %q overflows 64 bits", s)
 	}
 	return n * mult, nil
 }

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"time"
 
 	"sae/internal/conf"
 )
@@ -9,6 +10,12 @@ import (
 // minBlockSize is the smallest files.maxPartitionBytes ApplyConfig accepts:
 // HDFS's default dfs.namenode.fs-limits.min-block-size.
 const minBlockSize = 1 << 20
+
+// minHeartbeat is the shortest executor.heartbeatInterval ApplyConfig
+// accepts, ten times below the shortest any spec or test uses: every
+// executor beats once per interval, so a nanosecond one never lets the
+// clock reach the job's end.
+const minHeartbeat = 100 * time.Millisecond
 
 // ApplyConfig folds the wired parameters of a configuration registry into
 // the engine options, mirroring how the paper's drop-in executor honours
@@ -78,8 +85,8 @@ func ApplyConfig(opts *Options, reg *conf.Registry) error {
 	if opts.HeartbeatInterval, err = reg.GetDuration("executor.heartbeatInterval"); err != nil {
 		return err
 	}
-	if opts.HeartbeatInterval <= 0 {
-		return fmt.Errorf("engine: executor.heartbeatInterval must be positive, got %v", opts.HeartbeatInterval)
+	if opts.HeartbeatInterval < minHeartbeat {
+		return fmt.Errorf("engine: executor.heartbeatInterval must be at least %v, got %v", minHeartbeat, opts.HeartbeatInterval)
 	}
 	retries, err := reg.GetInt("shuffle.io.maxRetries")
 	if err != nil {
@@ -92,6 +99,10 @@ func ApplyConfig(opts *Options, reg *conf.Registry) error {
 	}
 	if opts.FetchRetryWait, err = reg.GetDuration("shuffle.io.retryWait"); err != nil {
 		return err
+	}
+	if opts.FetchRetryWait <= 0 {
+		// The engine would read it as unset: 5s.
+		return fmt.Errorf("engine: shuffle.io.retryWait must be positive, got %v", opts.FetchRetryWait)
 	}
 	return nil
 }

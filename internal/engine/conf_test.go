@@ -196,3 +196,45 @@ func TestWiredKeysHaveReaders(t *testing.T) {
 		t.Errorf("%d wired keys, %d cases", wired, len(moved))
 	}
 }
+
+// TestApplyConfigRejectsRunawayValues: a nanosecond heartbeat never let the
+// clock reach the job's end, a NaN speculation multiplier made every running
+// task a straggler, a non-positive fetch retry wait silently became 5s and
+// a size past 2^63 wrapped negative. Each is a one-line error naming its key.
+func TestApplyConfigRejectsRunawayValues(t *testing.T) {
+	for _, c := range []struct{ key, val string }{
+		{"executor.heartbeatInterval", "1ns"},
+		{"executor.heartbeatInterval", "99ms"},
+		{"executor.heartbeatInterval", "0s"},
+		{"speculation.multiplier", "NaN"},
+		{"speculation.multiplier", "+Inf"},
+		{"speculation.quantile", "NaN"},
+		{"shuffle.io.retryWait", "0s"},
+		{"shuffle.io.retryWait", "-1s"},
+		{"files.maxPartitionBytes", "8589934592g"},
+	} {
+		reg := conf.New()
+		if err := reg.Set(c.key, c.val); err != nil {
+			t.Fatal(err)
+		}
+		opts := testOptions(2, core.Default{})
+		err := ApplyConfig(&opts, reg)
+		if err == nil {
+			t.Errorf("%s=%s accepted", c.key, c.val)
+			continue
+		}
+		if msg := err.Error(); !strings.Contains(msg, c.key) || strings.Contains(msg, "\n") {
+			t.Errorf("%s=%s: error %q, want one line naming the key", c.key, c.val, msg)
+		}
+	}
+	reg := conf.New()
+	for k, v := range map[string]string{"executor.heartbeatInterval": "100ms", "shuffle.io.retryWait": "1ns"} {
+		if err := reg.Set(k, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	opts := testOptions(2, core.Default{})
+	if err := ApplyConfig(&opts, reg); err != nil {
+		t.Fatalf("the smallest accepted values: %v", err)
+	}
+}

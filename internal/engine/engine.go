@@ -583,9 +583,6 @@ func (e *Engine) FS() *dfs.FS { return e.fs }
 // Executors returns the engine's executors, one per node.
 func (e *Engine) Executors() []*Executor { return e.executors }
 
-// Done reports whether every job has finished (for sampler processes).
-func (e *Engine) Done() bool { return e.done.Load() }
-
 // InjectDiskInterference starts `streams` background readers hammering
 // node's disk with chunk-sized reads from `from` until every job completes —
 // a co-located tenant, in the paper's L4 terms. Call from Options.OnSetup.

@@ -225,9 +225,6 @@ func newExecutor(eng *Engine, id int, node *cluster.Node, policy job.Policy) *Ex
 // ID returns the executor's ID.
 func (ex *Executor) ID() int { return ex.id }
 
-// Node returns the node the executor runs on.
-func (ex *Executor) Node() *cluster.Node { return ex.node }
-
 // Threads returns the current pool limit.
 func (ex *Executor) Threads() int { return ex.limit }
 

@@ -162,9 +162,6 @@ type JobReport struct {
 // TotalIOBytes returns all disk traffic of the run.
 func (jr *JobReport) TotalIOBytes() int64 { return jr.DiskReadBytes + jr.DiskWriteBytes }
 
-// Stage returns the report for stage id.
-func (jr *JobReport) Stage(id int) StageReport { return jr.Stages[id] }
-
 // FinalThreads returns, per stage, each executor's final thread count.
 func (jr *JobReport) FinalThreads() [][]int {
 	out := make([][]int, len(jr.Stages))

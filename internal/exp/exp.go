@@ -1,17 +1,21 @@
 // Package exp is the experiment harness: one entry point per table and
 // figure of the paper's evaluation, each returning a structured result that
-// renders the same rows/series the paper reports.
+// renders the same rows/series the paper reports, plus the Setup every run
+// of the repo — paper artifact or scenario spec — builds its engine from.
 package exp
 
 import (
+	"errors"
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 	"time"
 
 	"sae/internal/chaos"
 	"sae/internal/cluster"
 	"sae/internal/conf"
+	"sae/internal/core"
 	"sae/internal/device"
 	"sae/internal/engine"
 	"sae/internal/engine/job"
@@ -95,38 +99,141 @@ func (s Setup) clusterConfig() cluster.Config {
 	return cfg
 }
 
-// engineOptions starts the options of every engine the setup builds: its
-// cluster and its observers. Callers add what varies per run (policy, inputs,
-// faults, autoscaling).
-func (s Setup) engineOptions() engine.Options {
-	return engine.Options{
+// Options builds the engine options every run of the setup starts from: its
+// cluster, observers and faults, then its conf registry, then what the run
+// varies, which wins over the registry — the sizing policy, the inter-job
+// scheduler (nil keeps the registry's scheduler.mode), the split size (0
+// keeps the registry's; a workload's yields only to an explicitly set
+// files.maxPartitionBytes) and the inputs.
+func (s Setup) Options(policy job.Policy, jobPolicy engine.InterJobPolicy, blockSize int64, inputs []engine.Input) (engine.Options, error) {
+	opts := engine.Options{
 		Cluster:         s.clusterConfig(),
+		Faults:          s.Faults,
 		Trace:           s.Trace,
 		TraceFormat:     s.TraceFormat,
 		Metrics:         s.Metrics,
 		MetricsInterval: s.MetricsInterval,
 		Audit:           s.Audit,
 	}
+	if s.Config != nil {
+		if err := engine.ApplyConfig(&opts, s.Config); err != nil {
+			return opts, err
+		}
+	}
+	opts.Policy = policy
+	if jobPolicy != nil {
+		opts.JobPolicy = jobPolicy
+	}
+	if blockSize != 0 && (s.Config == nil || !s.Config.IsSet("files.maxPartitionBytes")) {
+		opts.BlockSize = blockSize
+	}
+	opts.Inputs = inputs
+	return opts, nil
 }
 
 // Run executes one workload under one policy and returns the engine report.
 func (s Setup) Run(w *workloads.Spec, policy job.Policy, onSetup func(*engine.Engine)) (*engine.JobReport, error) {
-	opts := s.engineOptions()
-	opts.BlockSize = w.BlockSize
-	opts.Policy = policy
-	opts.Faults = s.Faults
-	opts.Inputs = w.Inputs
+	opts, err := s.Options(policy, nil, w.BlockSize, w.Inputs)
+	if err != nil {
+		return nil, err
+	}
 	opts.OnSetup = onSetup
-	if s.Config != nil {
-		if err := engine.ApplyConfig(&opts, s.Config); err != nil {
-			return nil, err
-		}
-		// The workload's split size wins unless the operator set one.
-		if w.BlockSize != 0 && !s.Config.IsSet("files.maxPartitionBytes") {
-			opts.BlockSize = w.BlockSize
+	return engine.Run(opts, w.Job)
+}
+
+// RunMulti executes several workloads concurrently on one engine under the
+// given inter-job policy and returns their reports in submission order.
+// Inputs shared between workloads (same file name) are created once; the
+// first workload's block size wins, as the engine has one DFS.
+func (s Setup) RunMulti(ws []*workloads.Spec, policy job.Policy, jobPolicy engine.InterJobPolicy) ([]*engine.JobReport, error) {
+	if len(ws) == 0 {
+		return nil, fmt.Errorf("exp: no workloads")
+	}
+	var inputs []engine.Input
+	seen := map[string]bool{}
+	for _, w := range ws {
+		for _, in := range w.Inputs {
+			if !seen[in.Name] {
+				seen[in.Name] = true
+				inputs = append(inputs, in)
+			}
 		}
 	}
-	return engine.Run(opts, w.Job)
+	opts, err := s.Options(policy, jobPolicy, ws[0].BlockSize, inputs)
+	if err != nil {
+		return nil, err
+	}
+	e, err := engine.NewEngine(opts)
+	if err != nil {
+		return nil, err
+	}
+	var handles []*engine.JobHandle
+	for _, w := range ws {
+		h, err := e.Submit(w.Job)
+		if err != nil {
+			return nil, fmt.Errorf("exp: submit %s: %w", w.Name, err)
+		}
+		handles = append(handles, h)
+	}
+	if err := e.Wait(); err != nil {
+		return nil, err
+	}
+	reps := make([]*engine.JobReport, len(handles))
+	for i, h := range handles {
+		if reps[i], err = h.Report(); err != nil {
+			return nil, fmt.Errorf("exp: job %s: %w", ws[i].Name, err)
+		}
+	}
+	return reps, nil
+}
+
+// ErrBadFlag marks a command-line flag value outside its range.
+var ErrBadFlag = errors.New("bad flag value")
+
+// ExitCode is the status sae-run and sae-exp exit with on err: 2 for an
+// invocation that can never run — a flag value out of range (a chaos clause
+// value among them, chaos.ErrOutOfRange), a cluster without nodes — and 1 for
+// a run that failed.
+func ExitCode(err error) int {
+	if errors.Is(err, ErrBadFlag) || errors.Is(err, engine.ErrNoNodes) || errors.Is(err, chaos.ErrOutOfRange) {
+		return 2
+	}
+	return 1
+}
+
+// PolicyByName builds an executor sizing policy from its spec name:
+// "default", "dynamic", or "static" / "static:N" (N I/O threads, default 8).
+// It is the one policy-name table: scenario files and sae-run's -policy both
+// resolve through it.
+func PolicyByName(name string) (job.Policy, error) {
+	switch name {
+	case "default":
+		return core.Default{}, nil
+	case "dynamic":
+		return core.DefaultDynamic(), nil
+	case "static":
+		return core.Static{IOThreads: 8}, nil
+	}
+	if count, ok := strings.CutPrefix(name, "static:"); ok {
+		n, err := strconv.Atoi(count)
+		if err != nil || n <= 0 {
+			return nil, fmt.Errorf("exp: bad static thread count in policy %q (want static:N, N a positive integer)", name)
+		}
+		return core.Static{IOThreads: n}, nil
+	}
+	return nil, fmt.Errorf("exp: unknown policy %q (want default, static[:N] or dynamic)", name)
+}
+
+// SchedulerByName builds an inter-job policy from its spec name.
+func SchedulerByName(name string) (engine.InterJobPolicy, error) {
+	switch name {
+	case "fifo", "FIFO":
+		return engine.FIFO{}, nil
+	case "fair", "FAIR":
+		return engine.Fair{}, nil
+	default:
+		return nil, fmt.Errorf("exp: unknown scheduler %q (want fifo or fair)", name)
+	}
 }
 
 // StageStat is one stage row of a run summary.

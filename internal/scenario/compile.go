@@ -4,12 +4,7 @@ import (
 	"fmt"
 	"maps"
 	"slices"
-	"strconv"
-	"time"
 
-	"sae/internal/arrival"
-	"sae/internal/autoscale"
-	"sae/internal/chaos"
 	"sae/internal/conf"
 	"sae/internal/engine"
 	"sae/internal/engine/job"
@@ -39,7 +34,8 @@ func (sp *Spec) BaseSetup() exp.Setup {
 
 // Compiled is a scenario bound to a concrete setup, ready to run. The
 // compile step resolves every name — workloads, policies, schedulers,
-// chaos clauses, arrival processes — into exp.Runner matrix inputs.
+// chaos clauses, arrival processes, autoscale planners — so a spec's
+// errors surface before anything runs.
 type Compiled struct {
 	Spec  *Spec
 	Setup exp.Setup
@@ -48,7 +44,10 @@ type Compiled struct {
 
 // Compile binds the spec to a setup. Spec conf overrides are folded into
 // the setup's registry without displacing values already set there, so CLI
-// -conf flags win over the spec's conf block.
+// -conf flags win over the spec's conf block; what a run varies (its cell's
+// policy, scheduler, split size — see exp.Setup.Options) wins over both.
+// The two multi-job kinds fix the inter-job scheduler of every run, so
+// scheduler.mode in their conf is an error rather than silently overridden.
 func (sp *Spec) Compile(s exp.Setup) (*Compiled, error) {
 	if sp.Version != Version {
 		return nil, fmt.Errorf("scenario %s: unsupported spec version %d (this build supports version %d)",
@@ -68,6 +67,10 @@ func (sp *Spec) Compile(s exp.Setup) (*Compiled, error) {
 			}
 		}
 		s.Config = reg
+	}
+	multiJob := sp.Kind == KindTenantMatrix || sp.Kind == KindArrivalMatrix
+	if multiJob && s.Config != nil && s.Config.IsSet("scheduler.mode") {
+		return nil, fmt.Errorf("scenario %s: conf scheduler.mode: kind %s fixes the inter-job scheduler of its runs", sp.Name, sp.Kind)
 	}
 	c := &Compiled{Spec: sp, Setup: s}
 	var err error
@@ -89,9 +92,9 @@ func (sp *Spec) Compile(s exp.Setup) (*Compiled, error) {
 	return c, nil
 }
 
-// Run executes the compiled scenario and returns its printable result.
-// Matrix kinds return the exp result types (*exp.FaultsResult and so on,
-// implementing exp.Tabular); the single kind returns a *SingleResult.
+// Run executes the compiled scenario and returns its printable result: a
+// *SingleResult, *ChaosResult, *TenantResult or *AutoscaleResult by kind.
+// The matrix results implement exp.Tabular.
 func (c *Compiled) Run() (fmt.Stringer, error) {
 	return c.run()
 }
@@ -213,186 +216,7 @@ func (c *Compiled) compileSingle() error {
 	return nil
 }
 
-func (c *Compiled) compileChaosMatrix() error {
-	sp := c.Spec
-	w, err := workloads.ByName(sp.Workload, c.workloadConfig())
-	if err != nil {
-		return err
-	}
-	policies, err := c.policies(sp.Policies)
-	if err != nil {
-		return err
-	}
-	gens := make([]scheduleGen, len(sp.Schedules))
-	for i, s := range sp.Schedules {
-		if gens[i], err = parseScheduleSpec(s); err != nil {
-			return fmt.Errorf("schedules[%d]: %w", i, err)
-		}
-	}
-	s := c.Setup
-	seed := s.Seed
-	schedules := func(quiet time.Duration) []*chaos.Plan {
-		plans := make([]*chaos.Plan, len(gens))
-		for i, gen := range gens {
-			plans[i] = gen(quiet, seed)
-		}
-		return plans
-	}
-	report := sp.Report
-	c.run = func() (fmt.Stringer, error) {
-		cells, err := exp.Runner{Setup: s, Label: sp.Name}.ChaosMatrix(w, policies, schedules)
-		if err != nil {
-			return nil, err
-		}
-		if report == "grayfail" {
-			return exp.NewGrayFailResult(cells), nil
-		}
-		return exp.NewFaultsResult(cells), nil
-	}
-	return nil
-}
-
-func (c *Compiled) compileTenantMatrix() error {
-	sp := c.Spec
-	cfg := c.workloadConfig()
-	// Resolve every workload name up front; Make closures then rebuild
-	// fresh specs per run.
-	mixes := make([]exp.Mix, len(sp.Mixes))
-	for i, m := range sp.Mixes {
-		names := m.Workloads
-		for _, name := range names {
-			if _, err := workloads.ByName(name, cfg); err != nil {
-				return fmt.Errorf("mix %s: %w", m.Name, err)
-			}
-		}
-		mixes[i] = exp.Mix{Name: m.Name, Make: func() []*workloads.Spec {
-			ws := make([]*workloads.Spec, len(names))
-			for j, name := range names {
-				ws[j], _ = workloads.ByName(name, cfg)
-			}
-			return ws
-		}}
-	}
-	scheds := make([]engine.InterJobPolicy, len(sp.Schedulers))
-	for i, name := range sp.Schedulers {
-		var err error
-		if scheds[i], err = exp.SchedulerByName(name); err != nil {
-			return err
-		}
-	}
-	policies, err := c.policies(sp.Policies)
-	if err != nil {
-		return err
-	}
-	s := c.Setup
-	c.run = func() (fmt.Stringer, error) {
-		cells, err := exp.Runner{Setup: s, Label: sp.Name}.TenantMatrix(mixes, scheds, policies)
-		if err != nil {
-			return nil, err
-		}
-		return exp.NewMultiTenantResult(cells), nil
-	}
-	return nil
-}
-
-func (c *Compiled) compileArrivalMatrix() error {
-	sp := c.Spec
-	m := sp.Arrival
-	if m == nil {
-		return fmt.Errorf("arrival-matrix spec has no arrival block")
-	}
-	s := c.Setup
-	n, perNode, err := parseCapacity(m.Capacity)
-	if err != nil {
-		return fmt.Errorf("capacity: %w", err)
-	}
-	capacity := n
-	if perNode {
-		capacity = n * s.Nodes
-	}
-	small := (capacity + 2) / 3
-	if small < 2 {
-		small = 2
-	}
-
-	em := exp.ArrivalMatrix{
-		Capacity:  capacity,
-		Horizon:   m.Horizon,
-		MaxJobs:   exp.ScaleCount(m.MaxJobs, s.Scale, max(m.MinJobs, 1)),
-		SLOFactor: m.SLO.Factor,
-		Baseline:  m.SLO.Baseline,
-	}
-	for _, t := range m.Tenants {
-		em.Tenants = append(em.Tenants, exp.ArrivalTenant{
-			Class:  arrival.Class{Name: t.Name, Weight: t.Weight, Priority: t.Priority},
-			Blocks: exp.ScaleCount(t.Blocks, s.Scale, max(t.MinBlocks, 1)),
-		})
-	}
-	for _, p := range m.Arrivals {
-		proc, err := buildProcess(p)
-		if err != nil {
-			return err
-		}
-		em.Scenarios = append(em.Scenarios, exp.ArrivalScenario{Name: p.Name, Proc: proc})
-	}
-	for _, cfgSpec := range m.Configs {
-		cfg, err := buildProvision(cfgSpec, capacity, small)
-		if err != nil {
-			return err
-		}
-		em.Configs = append(em.Configs, cfg)
-	}
-	c.run = func() (fmt.Stringer, error) {
-		return exp.Runner{Setup: s, Label: sp.Name}.ArrivalMatrix(em)
-	}
-	return nil
-}
-
-func buildProcess(p ArrivalProcSpec) (arrival.Process, error) {
-	switch p.Process {
-	case "poisson":
-		return arrival.Poisson{RatePerSec: p.Rate}, nil
-	case "bursty":
-		return arrival.Bursty{OnRate: p.OnRate, OffRate: p.OffRate, On: p.On, Off: p.Off}, nil
-	case "diurnal":
-		return arrival.Diurnal{Period: p.Period, Rates: p.Rates}, nil
-	default:
-		return nil, fmt.Errorf("arrival %s: unknown process %q", p.Name, p.Process)
-	}
-}
-
-func buildProvision(c ProvisionSpec, capacity, small int) (exp.ArrivalConfig, error) {
-	cfg := exp.ArrivalConfig{Name: c.Name}
-	switch c.Initial {
-	case "small":
-		cfg.Initial = small
-	case "capacity":
-		cfg.Initial = capacity
-	default:
-		cfg.Initial, _ = strconv.Atoi(c.Initial) // validate checked it is a positive integer
-	}
-	switch c.Policy {
-	case "static":
-		cfg.Policy = func() autoscale.Policy { return autoscale.Static{} }
-	case "reactive":
-		cfg.Policy = func() autoscale.Policy { return autoscale.DefaultReactive() }
-	case "adaptive":
-		alpha, drain, headroom, sample := c.Alpha, c.DrainTarget, c.Headroom, c.MinSamplePeriod
-		cfg.Policy = func() autoscale.Policy {
-			return &autoscale.Adaptive{
-				Alpha:           alpha,
-				DrainTarget:     drain,
-				Headroom:        headroom,
-				MinSamplePeriod: sample,
-			}
-		}
-	default:
-		return cfg, fmt.Errorf("config %s: unknown autoscale policy %q", c.Name, c.Policy)
-	}
-	return cfg, nil
-}
-
-func (c *Compiled) policies(names []string) ([]job.Policy, error) {
+func policiesByName(names []string) ([]job.Policy, error) {
 	out := make([]job.Policy, len(names))
 	for i, name := range names {
 		var err error

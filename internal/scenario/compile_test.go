@@ -1,9 +1,13 @@
 package scenario
 
 import (
+	"bytes"
 	"fmt"
+	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -33,6 +37,132 @@ func runScenario(t *testing.T, sp *Spec, s exp.Setup) fmt.Stringer {
 		t.Fatalf("run %s: %v", sp.Name, err)
 	}
 	return res
+}
+
+// runExperiment runs the committed scenarios/<id>.yaml against the paper
+// setup at the given scale, the way sae-exp runs the extension experiments.
+func runExperiment[R any](t *testing.T, id string, scale float64) R {
+	t.Helper()
+	res := runScenario(t, loadGolden(t, id+".yaml"), exp.Default().WithScale(scale))
+	typed, ok := res.(R)
+	if !ok {
+		t.Fatalf("%s returned %T", id, res)
+	}
+	return typed
+}
+
+// lookup returns the first of xs that match accepts.
+func lookup[T any](xs []T, match func(T) bool) (T, bool) {
+	if i := slices.IndexFunc(xs, match); i >= 0 {
+		return xs[i], true
+	}
+	var zero T
+	return zero, false
+}
+
+// seed7 is the setup `sae-exp -scale 0.02 -seed 7` runs the extension
+// experiments on.
+func seed7() exp.Setup {
+	s := exp.Default().WithScale(0.02)
+	s.Seed = 7
+	return s
+}
+
+// TestMatrixCSVMatchesGolden compares the -csv export of the four matrix
+// experiments with testdata/matrix_csv.golden, the files `sae-exp -scale
+// 0.02 -seed 7 -csv DIR faults grayfail multitenant autoscale` wrote while
+// internal/exp still ran the matrices: both chaos presets' CSV names,
+// headers and cells, the tenant matrix's derived columns and the arrival
+// replay's rows, byte for byte.
+func TestMatrixCSVMatchesGolden(t *testing.T) {
+	var got bytes.Buffer
+	for _, id := range []string{"faults", "grayfail", "multitenant", "autoscale"} {
+		res := runScenario(t, loadGolden(t, id+".yaml"), seed7())
+		dir := filepath.Join(t.TempDir(), id)
+		if err := exp.WriteCSV(dir, res.(exp.Tabular)); err != nil {
+			t.Fatal(err)
+		}
+		files, err := filepath.Glob(filepath.Join(dir, "*.csv"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range files {
+			data, err := os.ReadFile(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintf(&got, "== %s/%s\n%s", id, filepath.Base(f), data)
+		}
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "matrix_csv.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != string(want) {
+		t.Errorf("matrix CSV export differs from testdata/matrix_csv.golden\n--- got ---\n%s", got.String())
+	}
+}
+
+// TestDefaultConfLeavesMatricesAlone: a registry holding only a key at its
+// default value must not move a multi-job matrix. It did: the tenant matrix
+// applied the registry's default scheduler.mode=FIFO over its FAIR cells,
+// so every FAIR row printed its FIFO twin.
+func TestDefaultConfLeavesMatricesAlone(t *testing.T) {
+	for _, id := range []string{"multitenant", "autoscale"} {
+		plain := runScenario(t, loadGolden(t, id+".yaml"), seed7()).String()
+		s := seed7()
+		s.Config = conf.New()
+		if err := s.Config.Set("speculation", "false"); err != nil {
+			t.Fatal(err)
+		}
+		if got := runScenario(t, loadGolden(t, id+".yaml"), s).String(); got != plain {
+			t.Errorf("%s: -conf speculation=false changed the report\n--- without ---\n%s--- with ---\n%s", id, plain, got)
+		}
+	}
+}
+
+// TestArrivalReplayAppliesConf: the arrival replay builds its engines from
+// the conf registry like every other run. It used to ignore it, so any
+// -conf left the autoscale report byte-identical.
+func TestArrivalReplayAppliesConf(t *testing.T) {
+	plain := runScenario(t, loadGolden(t, "autoscale.yaml"), seed7()).String()
+	s := seed7()
+	s.Config = conf.New()
+	if err := s.Config.Set("executor.taskOverheadMillis", "2000"); err != nil {
+		t.Fatal(err)
+	}
+	if got := runScenario(t, loadGolden(t, "autoscale.yaml"), s).String(); got == plain {
+		t.Error("executor.taskOverheadMillis=2000 left the autoscale report unchanged")
+	}
+}
+
+// TestSchedulerModeRejectedOnMultiJobKinds: the tenant and arrival matrices
+// fix the inter-job scheduler of every run, so scheduler.mode in their conf,
+// from the spec's conf block or the caller's registry, is a one-line compile
+// error instead of being silently overridden. The single-job kinds take it.
+func TestSchedulerModeRejectedOnMultiJobKinds(t *testing.T) {
+	for _, name := range []string{"multitenant.yaml", "autoscale.yaml", "faults.yaml", "terasort-crash.yaml"} {
+		sp := loadGolden(t, name)
+		wantErr := sp.Kind == KindTenantMatrix || sp.Kind == KindArrivalMatrix
+		s := sp.BaseSetup()
+		s.Config = conf.New()
+		if err := s.Config.Set("scheduler.mode", "FAIR"); err != nil {
+			t.Fatal(err)
+		}
+		_, cliErr := sp.Compile(s)
+		sp.Conf = map[string]string{"scheduler.mode": "FIFO"}
+		_, specErr := sp.Compile(sp.BaseSetup())
+		for from, err := range map[string]error{"-conf": cliErr, "the conf block": specErr} {
+			switch {
+			case !wantErr && err != nil:
+				t.Errorf("%s: scheduler.mode from %s rejected: %v", name, from, err)
+			case wantErr && err == nil:
+				t.Errorf("%s: scheduler.mode from %s accepted", name, from)
+			case wantErr && (!strings.Contains(err.Error(), "scheduler.mode") || strings.Contains(err.Error(), "\n")):
+				t.Errorf("%s: scheduler.mode from %s: error %q, want one line naming the key", name, from, err)
+			}
+		}
+	}
 }
 
 // TestSingleScenario runs scenarios/terasort-crash.yaml against the

@@ -17,8 +17,10 @@ import (
 // Version is the spec schema version this build reads and writes.
 const Version = 1
 
-// Spec kinds. Each kind selects one of the exp.Runner matrix primitives
-// (or a single engine run) and fixes which fields the spec may carry.
+// Spec kinds. Each kind fixes which fields the spec may carry and is run
+// and rendered by its own file of this package: a single engine run
+// (compile.go), or the chaos (chaos.go), tenant (tenant.go) or arrival
+// (arrival.go) matrix.
 const (
 	KindSingle        = "single"
 	KindChaosMatrix   = "chaos-matrix"

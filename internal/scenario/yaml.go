@@ -1,9 +1,10 @@
 // Package scenario turns experiments into data: a versioned YAML/JSON spec
 // that composes cluster shape, workload mix, executor sizing policies,
 // conf overrides, chaos clauses, arrival patterns, autoscale configs and
-// SLO assertions, and compiles onto the exp.Runner matrix primitives. The
-// spec is the experiment: the extension experiments of `sae-exp` run the
-// embedded scenarios/*.yaml, and have no other definition.
+// SLO assertions. The spec is the experiment: the extension experiments of
+// `sae-exp` run the embedded scenarios/*.yaml, and have no other
+// definition. Each kind runs straight from the spec structs on the engine
+// options exp.Setup builds, and renders its own result: one file per kind.
 //
 // The vocabulary follows PlantD's Experiment / LoadPattern / Scenario
 // resource split: the cluster block is the environment, the arrival block

@@ -107,6 +107,3 @@ func (m *Mailbox[T]) TryRecv() (T, bool) {
 	}
 	return m.queue.Pop(), true
 }
-
-// Len returns the number of queued messages.
-func (m *Mailbox[T]) Len() int { return m.queue.Len() }

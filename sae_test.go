@@ -3,7 +3,53 @@ package sae
 import (
 	"strings"
 	"testing"
+
+	"sae/internal/conf"
 )
+
+// TestRunMultiSchedulerBeatsConf: the inter-job scheduler RunMulti is given
+// wins over the registry's scheduler.mode. A registry holding only a key at
+// its default value used to apply the default scheduler.mode=FIFO over
+// FairSharing, so the fair run came out as the FIFO one.
+func TestRunMultiSchedulerBeatsConf(t *testing.T) {
+	mix := func() []*Workload {
+		cfg := ScaledDown(0.02)
+		return []*Workload{workloadNamed(t, "terasort", cfg), workloadNamed(t, "pagerank", cfg)}
+	}
+	run := func(s Setup, sched InterJobPolicy) string {
+		t.Helper()
+		reps, err := RunMulti(s, mix(), Adaptive(), sched)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b strings.Builder
+		for _, rep := range reps {
+			b.WriteString(rep.String())
+		}
+		return b.String()
+	}
+	s := DAS5().WithScale(0.02)
+	fair, fifo := run(s, FairSharing()), run(s, FIFO())
+	if fair == fifo {
+		t.Fatal("the mix runs the same under FIFO and fair sharing: the test cannot tell them apart")
+	}
+	s.Config = conf.New()
+	if err := s.Config.Set("speculation", "false"); err != nil {
+		t.Fatal(err)
+	}
+	if got := run(s, FairSharing()); got != fair {
+		t.Errorf("a default-only registry changed the fair-sharing reports\n--- without ---\n%s--- with ---\n%s", fair, got)
+	}
+}
+
+func workloadNamed(t *testing.T, name string, cfg WorkloadConfig) *Workload {
+	t.Helper()
+	w, err := WorkloadByName(name, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w
+}
 
 func TestPublicRunTerasort(t *testing.T) {
 	rep, err := Run(DAS5().WithScale(0.1), Terasort(ScaledDown(0.1)), Adaptive())
