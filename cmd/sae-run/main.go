@@ -9,16 +9,19 @@
 //	        [-trace FILE] [-trace-v2] [-metrics FILE] [-metrics-csv FILE]
 //	        [-prom FILE] [-metrics-interval D]
 //
-// Policies: default | static | static:N | dynamic — the names a scenario
-// file's policy field takes. Plain "static" uses -threads for I/O-marked
-// stages.
+// There is one run path. Without -scenario the flags are a spec of kind
+// single — -workload names it and its workload, -policy (default | static |
+// static:N | dynamic; plain "static" takes -threads for I/O-marked stages)
+// is its policy and -faults its chaos — checked as a spec file is checked
+// and run as one: the same flags and the equivalent file print the same run.
 //
 // -scenario runs a declarative scenario spec (scenarios/*.yaml) instead of
 // the -workload/-policy/-faults flags, which are rejected alongside it.
 // The spec's cluster block supplies scale/nodes/seed; -scale, -nodes and
 // -seed override it only when given explicitly, and -conf overrides beat
 // the spec's conf block. A spec with an expect block exits non-zero when
-// any assertion fails.
+// any assertion fails. -decisions prints the MAPE-K decision log of a
+// single run, from the flags or a single-kind spec.
 //
 // -audit attaches the invariant audit plane (slot and byte conservation,
 // exactly-once shuffle, epoch and failure-detector legality — see
@@ -28,7 +31,9 @@
 // -faults applies a deterministic chaos schedule, e.g. "crash@90s" (kill
 // executor 1 at t=90s), "crash2@2m+30s" (kill executor 2 at 2m, restart 30s
 // later), "flaky:0.02", "fetch:0.1", "mayhem@10m", combined with commas.
-// The grammar is chaos.Schedule's (internal/chaos), with absolute times.
+// The grammar is chaos.Schedule's (internal/chaos), with absolute times; its
+// fault dice are seeded by -seed, as a spec's by cluster.seed, unless the
+// schedule names its own seed:N.
 //
 // Observability: -trace writes the engine event log (-trace-v2 switches it
 // to the v2 format with a versioned header and job→stage→task spans);
@@ -54,7 +59,6 @@ import (
 	"strings"
 	"time"
 
-	"sae"
 	"sae/internal/conf"
 	"sae/internal/exp"
 	"sae/internal/invariant"
@@ -117,39 +121,38 @@ func run(args []string) (err error) {
 	visited := map[string]bool{}
 	fs.Visit(func(f *flag.Flag) { visited[f.Name] = true })
 
-	var setup sae.Setup
 	var sp *scenario.Spec
 	if *scenarioFile != "" {
-		for _, name := range []string{"workload", "policy", "threads", "faults", "decisions"} {
+		for _, name := range []string{"workload", "policy", "threads", "faults"} {
 			if visited[name] {
 				return fmt.Errorf("-%s cannot be combined with -scenario (the spec supplies it)", name)
 			}
 		}
 		sp, err = scenario.Load(*scenarioFile)
-		if err != nil {
-			return err
-		}
-		setup = sp.BaseSetup()
-		// Explicit cluster flags override the spec's cluster block;
-		// the spec wins over flag defaults.
-		if visited["scale"] {
-			setup = setup.WithScale(*scale)
-		}
-		if visited["nodes"] {
-			setup = setup.WithNodes(*nodes)
-		}
-		if visited["seed"] {
-			setup.Seed = *seed
-		}
-		if *ssd {
-			setup = setup.WithSSD()
-		}
 	} else {
-		setup = sae.DAS5().WithScale(*scale).WithNodes(*nodes)
+		sp, err = flagSpec(*workload, *policy, *threads, *faults)
+	}
+	if err != nil {
+		return err
+	}
+	if *decisions && sp.Kind != scenario.KindSingle {
+		return fmt.Errorf("-decisions needs a single-kind spec, %s is kind %s", *scenarioFile, sp.Kind)
+	}
+	// The flags are a single spec without a cluster block, so every cluster
+	// flag applies; over a spec file's cluster block only explicit ones do.
+	explicit := func(name string) bool { return *scenarioFile == "" || visited[name] }
+	setup := sp.BaseSetup()
+	if explicit("scale") {
+		setup = setup.WithScale(*scale)
+	}
+	if explicit("nodes") {
+		setup = setup.WithNodes(*nodes)
+	}
+	if explicit("seed") {
 		setup.Seed = *seed
-		if *ssd {
-			setup = setup.WithSSD()
-		}
+	}
+	if *ssd {
+		setup = setup.WithSSD()
 	}
 	if len(confFlags) > 0 {
 		reg := conf.New()
@@ -193,54 +196,11 @@ func run(args []string) (err error) {
 		aud = invariant.New()
 		setup.Audit = aud
 	}
-	if sp != nil {
-		c, err := sp.Compile(setup)
-		if err != nil {
-			return err
-		}
-		res, err := c.Run()
-		if err != nil {
-			return err
-		}
-		if reg != nil {
-			if err := exportMetrics(reg, *metricsFile, *metricsCSV, *promFile); err != nil {
-				return err
-			}
-		}
-		fmt.Print(res)
-		if err := auditVerdict(aud); err != nil {
-			return err
-		}
-		if f, ok := res.(interface{ Failures() []string }); ok {
-			if fails := f.Failures(); len(fails) > 0 {
-				return fmt.Errorf("scenario %s: %d expectation(s) failed: %s",
-					sp.Name, len(fails), strings.Join(fails, "; "))
-			}
-		}
-		return nil
-	}
-	if *faults != "" {
-		plan, err := sae.ParseFaults(*faults)
-		if err != nil {
-			return err
-		}
-		setup = setup.WithFaults(plan)
-	}
-	w, err := sae.WorkloadByName(*workload, sae.WorkloadConfig{Nodes: *nodes, Scale: *scale})
+	c, err := sp.Compile(setup)
 	if err != nil {
 		return err
 	}
-
-	name := *policy
-	if name == "static" {
-		name = fmt.Sprintf("static:%d", *threads)
-	}
-	p, err := exp.PolicyByName(name)
-	if err != nil {
-		return err
-	}
-
-	rep, err := sae.Run(setup, w, p)
+	res, err := c.Run()
 	if err != nil {
 		return err
 	}
@@ -249,21 +209,44 @@ func run(args []string) (err error) {
 			return err
 		}
 	}
-	fmt.Print(rep)
-	if *faults != "" && rep.LostExecutors == 0 && rep.ResubmittedStages == 0 && rep.RecoveredBytes == 0 {
-		// The report prints a faults line itself whenever recovery
-		// activity happened; confirm the quiet case explicitly.
-		fmt.Println("  faults: schedule applied, no executors lost and no stages resubmitted")
-	}
-	if *decisions {
-		for exec, ds := range rep.Decisions {
-			for _, d := range ds {
-				fmt.Printf("  executor %d, stage %d @%7.1fs → %2d threads: %s\n",
-					exec, d.Stage, d.At.Seconds(), d.Threads, d.Reason)
+	fmt.Print(res)
+	single, _ := res.(*scenario.SingleResult)
+	if single != nil {
+		rep := single.Report
+		if *faults != "" && rep.LostExecutors == 0 && rep.ResubmittedStages == 0 && rep.RecoveredBytes == 0 {
+			// The report prints a faults line itself whenever recovery
+			// activity happened; confirm the quiet case explicitly.
+			fmt.Println("  faults: schedule applied, no executors lost and no stages resubmitted")
+		}
+		if *decisions {
+			for exec, ds := range rep.Decisions {
+				for _, d := range ds {
+					fmt.Printf("  executor %d, stage %d @%7.1fs → %2d threads: %s\n",
+						exec, d.Stage, d.At.Seconds(), d.Threads, d.Reason)
+				}
 			}
 		}
 	}
-	return auditVerdict(aud)
+	if err := auditVerdict(aud); err != nil || single == nil {
+		return err
+	}
+	if fails := single.Failures(); len(fails) > 0 {
+		return fmt.Errorf("scenario %s: %d expectation(s) failed: %s", sp.Name, len(fails), strings.Join(fails, "; "))
+	}
+	return nil
+}
+
+// flagSpec is the single-kind spec the -workload, -policy, -threads and
+// -faults flags describe, passed through a Marshal∘Parse round trip so the
+// flags meet the validation a spec file meets. Plain "static" takes its
+// width from -threads.
+func flagSpec(workload, policy string, threads int, faults string) (*scenario.Spec, error) {
+	if policy == "static" {
+		policy = fmt.Sprintf("static:%d", threads)
+	}
+	sp := &scenario.Spec{Version: scenario.Version, Name: workload, Kind: scenario.KindSingle,
+		Workload: workload, Policy: policy, Chaos: faults}
+	return scenario.Parse("flags", scenario.Marshal(sp))
 }
 
 // auditVerdict reports the attached auditor's violations (nil auditor or a

@@ -52,6 +52,7 @@ func TestRunErrors(t *testing.T) {
 		{"-scenario", "no-such-file.yaml"},
 		{"-scenario", "../../scenarios/faults.yaml", "-workload", "terasort"},
 		{"-scenario", "../../scenarios/faults.yaml", "-faults", "crash@20s"},
+		{"-scenario", "../../scenarios/faults.yaml", "-decisions"},
 	}
 	for _, args := range cases {
 		if err := run(args); err == nil {
@@ -162,6 +163,7 @@ func TestRunPolicySpecNames(t *testing.T) {
 // and a non-positive -scale silently ran the full-size job; both are one-line
 // errors the binary exits 2 on.
 func TestOutOfRangeFlags(t *testing.T) {
+	slow := writeSpec(t, "chaos: slow1@5sx1e9")
 	for _, args := range [][]string{
 		{"-nodes", "0"},
 		{"-nodes", "-1", "-scale", "0.01"},
@@ -174,6 +176,7 @@ func TestOutOfRangeFlags(t *testing.T) {
 		{"-scenario", "../../scenarios/faults.yaml", "-nodes", "0"},
 		// A slow factor past chaos's range: such a device never finishes.
 		{"-faults", "slow1@5sx1e9", "-scale", "0.02"},
+		{"-scenario", slow},
 		// A sampler period that never lets the clock reach the job's end.
 		{"-scale", "0.02", "-metrics", os.DevNull, "-metrics-interval", "1ns"},
 		{"-scale", "0.02", "-metrics-interval", "-5s"},
@@ -276,5 +279,45 @@ func TestHugeScaleRejected(t *testing.T) {
 			t.Fatal(err)
 		}
 		rejectedAtOnce(t, []string{"-scenario", path}, path+":10:", `"`+scale+`"`, "finite")
+	}
+}
+
+// writeSpec writes under the test's temp dir the single-kind spec of a
+// dynamic scan at scale 0.02 and seed 7, with extra lines appended.
+func writeSpec(t *testing.T, extra ...string) string {
+	t.Helper()
+	doc := "version: 1\nname: scan\nkind: single\ncluster:\n  scale: 0.02\n  seed: 7\n" +
+		"workload: scan\npolicy: dynamic\n" + strings.Join(append(extra, ""), "\n")
+	path := filepath.Join(t.TempDir(), "scan.yaml")
+	if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestFlagsAndSpecAreOneRun: the flags are the single spec a file would hold,
+// so both print the same run; -seed seeds the fault dice as cluster.seed
+// does. The one line only the flags print is the confirmation that a -faults
+// schedule lost nothing. -decisions reads a single spec's report.
+func TestFlagsAndSpecAreOneRun(t *testing.T) {
+	flags := captureStdout(t, func() error {
+		return run([]string{"-workload", "scan", "-scale", "0.02", "-seed", "7", "-faults", "flaky:0.2"})
+	})
+	spec := captureStdout(t, func() error {
+		return run([]string{"-scenario", writeSpec(t, "chaos: flaky:0.2")})
+	})
+	quiet := "  faults: schedule applied, no executors lost and no stages resubmitted\n"
+	if flags != spec+quiet {
+		t.Errorf("flags and spec differ\n--- flags ---\n%s--- spec ---\n%s", flags, spec)
+	}
+
+	flags = captureStdout(t, func() error {
+		return run([]string{"-workload", "scan", "-scale", "0.02", "-seed", "7", "-decisions"})
+	})
+	spec = captureStdout(t, func() error {
+		return run([]string{"-scenario", writeSpec(t), "-decisions"})
+	})
+	if flags != spec || !strings.Contains(spec, "threads: first interval") {
+		t.Errorf("-decisions: flags and spec differ or print no decision\n--- flags ---\n%s--- spec ---\n%s", flags, spec)
 	}
 }

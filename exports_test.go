@@ -54,7 +54,6 @@ var exportAllowlist = map[string]string{
 	"invariant.Auditor.Flag":               "reached by scenario single runs and the benchmark probe through an anonymous interface",
 	"psres.Server.RateScale":               "read side of SetRateScale",
 	"rdd.Dataset.Partitions":               "a dataset's partition count, for readers of a plan",
-	"scenario.SingleResult.Failures":       "reached by sae-run and sae-exp through an anonymous interface",
 	"sim.Kernel.PendingEvents":             "queue introspection the kernel and shard tests check",
 	"sim.Kernel.Stop":                      "ends a run early; the kernel tests stop parked receivers with it",
 	"sim.Proc.Kernel":                      "the kernel a process belongs to",

@@ -473,8 +473,11 @@ func (ex *Executor) taskDone(tc *taskContext, err error) {
 	tc.free, ex.freeTasks = ex.freeTasks, tc
 	if ex.epoch != epoch {
 		// Zombie of a crashed incarnation: the driver already
-		// requeued this task at loss detection; report nothing.
+		// requeued this task at loss detection; report nothing. Its slot
+		// frees all the same, so launches of the new incarnation queued
+		// behind it start now.
 		ex.zombies++
+		ex.drain()
 		return
 	}
 	ex.totalTasks++

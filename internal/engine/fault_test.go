@@ -168,6 +168,37 @@ func TestRestartReclimbsFromCmin(t *testing.T) {
 	}
 }
 
+// TestRestartDrainsBehindZombies: executor 1 crashes with a full pool of long
+// tasks and restarts before they end. The restart's join gets the old
+// incarnation declared lost, and the driver relaunches onto the new one
+// launches that queue behind the zombies still holding every slot. When the
+// zombies end, those launches must start; they were stranded, and the
+// heartbeats kept the clock running forever. The kernel stops at 10 virtual
+// minutes, so a strand fails the run instead of hanging the test.
+func TestRestartDrainsBehindZombies(t *testing.T) {
+	opts := testOptions(2, core.Default{})
+	opts.Faults = chaos.CrashRestart(1, 2*time.Second, time.Second)
+	opts.OnSetup = func(e *Engine) { e.Kernel().At(10*time.Minute, e.Kernel().Stop) }
+	spec := &job.JobSpec{
+		Name:   "zombies",
+		Stages: []*job.StageSpec{{ID: 0, Name: "x", NumTasks: 128, Work: opsThen(nil, computeOp(10))}},
+	}
+	rep, err := Run(opts, spec)
+	if err != nil {
+		t.Fatalf("launches queued behind zombies never ran: %v", err)
+	}
+	if rep.LostExecutors != 1 {
+		t.Fatalf("LostExecutors = %d, want 1", rep.LostExecutors)
+	}
+	var tasks int
+	for _, e := range rep.Stages[0].Execs {
+		tasks += e.Tasks
+	}
+	if tasks != 128 {
+		t.Fatalf("completed tasks = %d, want 128", tasks)
+	}
+}
+
 func TestTransientFaultsRetryNotAbort(t *testing.T) {
 	spec, inputs := twoStageJob()
 	opts := testOptions(4, core.Default{})

@@ -47,15 +47,16 @@ type Setup struct {
 	// Metrics, if set, attaches the telemetry registry to every run. A
 	// registry accumulates one run's series, so sweeps that build many
 	// engines from one Setup should leave it nil and single-run callers
-	// (sae-run, tests) set it; a non-nil registry forces sequential
-	// experiment execution, like Trace.
+	// (sae-run, tests) set it.
 	Metrics *telemetry.Registry
 	// MetricsInterval is the telemetry sampler period (0 selects 5s).
 	MetricsInterval time.Duration
 	// Audit, if set, attaches the invariant audit plane to every engine
-	// the setup builds (see engine.Options.Audit). An auditor accumulates
-	// sequential per-run state, so like Trace and Metrics it forces
-	// sequential experiment execution.
+	// the setup builds (see engine.Options.Audit).
+	//
+	// Trace, Metrics and Audit are sinks every run of the setup shares,
+	// and an auditor accumulates sequential per-run state: callers that
+	// share one run them sequentially, as sae-exp -audit insists.
 	Audit engine.Audit
 }
 
@@ -203,8 +204,8 @@ func ExitCode(err error) int {
 
 // PolicyByName builds an executor sizing policy from its spec name:
 // "default", "dynamic", or "static" / "static:N" (N I/O threads, default 8).
-// It is the one policy-name table: scenario files and sae-run's -policy both
-// resolve through it.
+// It is the one policy-name table: scenario files resolve through it, and so
+// does sae-run's -policy, which becomes a spec's policy field.
 func PolicyByName(name string) (job.Policy, error) {
 	switch name {
 	case "default":

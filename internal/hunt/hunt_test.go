@@ -146,6 +146,25 @@ func TestMutateDeterministicAndValid(t *testing.T) {
 	}
 }
 
+// TestMutantsKeepMultiJobSchedulers: the tenant- and arrival-matrix kinds fix
+// the inter-job scheduler of their runs and Compile refuses scheduler.mode on
+// them, so the mutator never puts the key there.
+func TestMutantsKeepMultiJobSchedulers(t *testing.T) {
+	for _, path := range []string{"../../scenarios/multitenant.yaml", "../../scenarios/autoscale.yaml"} {
+		parent, err := scenario.Load(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(1))
+		for i := 0; i < 400; i++ {
+			m, ok := mutate(parent, rng)
+			if _, set := m.Conf["scheduler.mode"]; ok && set {
+				t.Fatalf("%s: mutant %d carries scheduler.mode:\n%s", path, i, scenario.Marshal(m))
+			}
+		}
+	}
+}
+
 // TestNormalizeScaleStripsExpect checks the false-positive guard: a scale
 // override drops the spec's expect block (its thresholds were calibrated
 // for the original scale), while no override keeps spec and expectations

@@ -91,6 +91,9 @@ func mutNodes(sp *scenario.Spec, rng *rand.Rand) bool {
 
 func mutConf(sp *scenario.Spec, rng *rand.Rand) bool {
 	m := confMuts[rng.Intn(len(confMuts))]
+	if m.key == "scheduler.mode" && (sp.Kind == scenario.KindTenantMatrix || sp.Kind == scenario.KindArrivalMatrix) {
+		return false // those kinds fix the scheduler; Compile refuses the key
+	}
 	v := pick(rng, m.vals)
 	// Defensive: only emit values the catalogue actually accepts, so the
 	// mutant fails here (declined) rather than at compile (wasted run).

@@ -78,12 +78,12 @@ type dec struct {
 	unknown error
 }
 
+// errf formats a positional error; a %w among args stays wrapped.
 func (d *dec) errf(n *node, format string, args ...any) error {
-	msg := fmt.Sprintf(format, args...)
 	if n != nil && n.line > 0 {
-		return fmt.Errorf("%s:%d: %s", d.file, n.line, msg)
+		return fmt.Errorf("%s:%d: "+format, append([]any{d.file, n.line}, args...)...)
 	}
-	return fmt.Errorf("%s: %s", d.file, msg)
+	return fmt.Errorf("%s: "+format, append([]any{d.file}, args...)...)
 }
 
 // at returns the node at path — mapping keys (string) and sequence indices

@@ -276,7 +276,7 @@ func (d *dec) validate(sp *Spec) error {
 		return d.errf(d.at("chaos"), "field \"chaos\": percentage times are only valid in chaos-matrix schedules")
 	}
 	if _, err := parseScheduleSpec(sp.Chaos); err != nil {
-		return d.errf(d.at("chaos"), "field \"chaos\": %v", err)
+		return d.errf(d.at("chaos"), "field \"chaos\": %w", err)
 	}
 	if e := sp.Expect; e != nil && e.MaxLostExecutors != nil && *e.MaxLostExecutors < 0 {
 		return d.errf(d.at("expect", "max_lost_executors"),
@@ -306,7 +306,7 @@ func (d *dec) validate(sp *Spec) error {
 	}
 	for i, s := range sp.Schedules {
 		if _, err := parseScheduleSpec(s); err != nil {
-			return d.errf(d.at("schedules", i), "schedules[%d]: %v", i, err)
+			return d.errf(d.at("schedules", i), "schedules[%d]: %w", i, err)
 		}
 	}
 	if sp.Kind == KindChaosMatrix && sp.Report != "faults" && sp.Report != "grayfail" {

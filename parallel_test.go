@@ -1,7 +1,10 @@
 package sae
 
 import (
+	"fmt"
 	"testing"
+
+	"sae/internal/exp"
 )
 
 // TestParallelSweepMatchesSequential runs every registered experiment both
@@ -13,16 +16,12 @@ func TestParallelSweepMatchesSequential(t *testing.T) {
 		t.Skip("full experiment sweep in -short mode")
 	}
 	s := DAS5().WithScale(0.02)
-	ids := ExperimentIDs()
-
-	seq, err := RunExperiments(ids, s, 1)
-	if err != nil {
-		t.Fatalf("sequential sweep: %v", err)
+	var tasks []exp.Task
+	for _, e := range experiments {
+		tasks = append(tasks, exp.Task{ID: e.ID, Run: func() (fmt.Stringer, error) { return e.Run(s) }})
 	}
-	par, err := RunExperiments(ids, s, 4)
-	if err != nil {
-		t.Fatalf("parallel sweep: %v", err)
-	}
+	seq := exp.RunParallel(1, tasks)
+	par := exp.RunParallel(4, tasks)
 	if len(seq) != len(par) {
 		t.Fatalf("result count: sequential %d, parallel %d", len(seq), len(par))
 	}
