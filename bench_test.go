@@ -11,6 +11,7 @@ package sae
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -51,8 +52,8 @@ func BenchmarkFigure1(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(r.Apps[0].Stages[0].CPUPct, "terasort-s0-cpu-%")
-		b.ReportMetric(r.Apps[0].Stages[0].IowaitPct, "terasort-s0-iowait-%")
+		b.ReportMetric(r.Apps[0].Stages[0].CPUPercent, "terasort-s0-cpu-%")
+		b.ReportMetric(r.Apps[0].Stages[0].IowaitPercent, "terasort-s0-iowait-%")
 	}
 }
 
@@ -177,7 +178,7 @@ func BenchmarkFigure12(b *testing.B) {
 		}
 		for _, p := range r.Panels {
 			if p.Stage == 0 && p.Disk == "HDD" {
-				b.ReportMetric(p.Mean[4], "hdd-s0-mean-MBps-at-4")
+				b.ReportMetric(p.Mean[slices.Index(exp.SweepThreads, 4)], "hdd-s0-mean-MBps-at-4")
 			}
 		}
 	}

@@ -27,7 +27,8 @@ func (m multiResult) String() string {
 	return b.String()
 }
 
-// CSVTables implements exp.Tabular by merging the parts' tables.
+// CSVTables implements exp.Tabular by merging the parts' tables, whose
+// names must differ.
 func (m multiResult) CSVTables() map[string][][]string {
 	out := map[string][][]string{}
 	for _, r := range m {
@@ -36,6 +37,22 @@ func (m multiResult) CSVTables() map[string][][]string {
 				out[name] = rows
 			}
 		}
+	}
+	return out
+}
+
+// diskSweep names a sweep's CSV table after its disk as well as its
+// application, for Fig. 10, which sweeps one application on two disks.
+type diskSweep struct {
+	*exp.SweepResult
+	disk string
+}
+
+// CSVTables implements exp.Tabular.
+func (d diskSweep) CSVTables() map[string][][]string {
+	out := map[string][][]string{}
+	for name, rows := range d.SweepResult.CSVTables() {
+		out[name+"_"+d.disk] = rows
 	}
 	return out
 }
@@ -126,7 +143,7 @@ var experiments = []Experiment{
 			if err != nil {
 				return nil, err
 			}
-			return multiResult{hdd, ssd}, nil
+			return multiResult{diskSweep{hdd, "hdd"}, diskSweep{ssd, "ssd"}}, nil
 		},
 	},
 	{

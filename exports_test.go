@@ -23,48 +23,46 @@ import (
 // stays. TestInternalExportsHaveCallers fails on an uncalled export missing
 // from it, and on an entry that has since found a caller.
 var exportAllowlist = map[string]string{
-	"autoscale.Adaptive.Capacity":          "the planner's µ estimate, which its tests check the estimator through",
-	"cluster.Cluster.Config":               "read side of the configuration the cluster was built from",
-	"cluster.Cluster.Kernel":               "the control-plane kernel of a sharded cluster, beside Node and Size",
-	"conf.Registry.InCategory":             "registry query the conf tests check every category with",
-	"conf.Registry.Keys":                   "registry listing the conf tests check the key set with",
-	"conf.Registry.Lookup":                 "lookup by key, used by the conf and scenario tests",
-	"device.CPU.Active":                    "runnable-thread count, the CPU's counterpart of Disk.Active",
-	"device.CPU.Snapshot":                  "busy core-seconds of the CPU, beside Disk.Snapshot",
-	"device.Disk.Active":                   "in-flight streams, which the device tests hold OverloadAhead to",
-	"device.Disk.Spec":                     "read side of the disk's bandwidth profile, beside CPU.Spec",
-	"device.NIC.Snapshot":                  "link busy time, beside Disk.Snapshot",
-	"device.Uniform":                       "the no-variability model the test clusters are built with",
-	"engine.EnableTestBug":                 "plants a known violation so the audit and hunt tests prove they catch it",
-	"engine.Engine.Cluster":                "read side of the engine's cluster, beside FS and Kernel",
-	"engine.Engine.Executors":              "the executor table the fault and recycling tests inspect",
-	"engine.Engine.FS":                     "the file system the engine tests read output files from",
-	"engine.Executor.Alive":                "liveness the fault tests check after a crash",
-	"engine.Executor.Decisions":            "the controller decisions of every incarnation, which the fault tests check",
-	"engine.Executor.ID":                   "an executor's index, beside Alive and Restarts",
-	"engine.Executor.Restarts":             "restart count the fault tests check",
-	"engine.Executor.Threads":              "current pool limit, beside Alive and Restarts",
-	"engine.ExecutorStageStats.Throughput": "derived column of a report row, for readers of JobReport",
-	"engine.JobHandle.ID":                  "the job ID a submission was given",
-	"engine.ReadTrace":                     "parses a written trace back; the engine and CLI tests compare traces with it",
-	"exp.AblationResult.Get":               "row lookup the ablation test and benchmark read the table by",
-	"exp.InterferenceResult.Get":           "row lookup the interference test reads the table by",
-	"exp.SweepResult.StageSeconds":         "per-stage runtimes of one grid point, for readers of a sweep",
-	"invariant.Auditor.Dropped":            "violations past the cap, which the invariant tests check the cap with",
-	"invariant.Auditor.Flag":               "reached by scenario single runs and the benchmark probe through an anonymous interface",
-	"psres.Server.RateScale":               "read side of SetRateScale",
-	"rdd.Dataset.Partitions":               "a dataset's partition count, for readers of a plan",
-	"sim.Kernel.PendingEvents":             "queue introspection the kernel and shard tests check",
-	"sim.Kernel.Stop":                      "ends a run early; the kernel tests stop parked receivers with it",
-	"sim.Proc.Kernel":                      "the kernel a process belongs to",
-	"sim.Proc.Name":                        "the process name given to Go, which the coroutine tests log",
-	"sim.ShardSet.Stop":                    "ends a sharded run early, as Kernel.Stop does a plain one",
-	"telemetry.Counter.Value":              "read side of Add, which the telemetry tests check",
-	"telemetry.Gauge.Add":                  "relative update of a gauge, which the telemetry tests use",
-	"telemetry.Gauge.Value":                "read side of Set and Add, which the telemetry tests check",
-	"telemetry.Histogram.Count":            "observation count the telemetry tests check",
-	"telemetry.Histogram.Sum":              "observation sum, beside Count, which the telemetry tests check",
-	"telemetry.Registry.Value":             "lookup of one series by name and labels, which the engine telemetry tests read",
+	"autoscale.Adaptive.Capacity": "the planner's µ estimate, which its tests check the estimator through",
+	"cluster.Cluster.Config":      "read side of the configuration the cluster was built from",
+	"cluster.Cluster.Kernel":      "the control-plane kernel of a sharded cluster, beside Node and Size",
+	"conf.Registry.InCategory":    "registry query the conf tests check every category with",
+	"conf.Registry.Keys":          "registry listing the conf tests check the key set with",
+	"conf.Registry.Lookup":        "lookup by key, used by the conf and scenario tests",
+	"device.CPU.Active":           "runnable-thread count, the CPU's counterpart of Disk.Active",
+	"device.CPU.Snapshot":         "busy core-seconds of the CPU, beside Disk.Snapshot",
+	"device.Disk.Active":          "in-flight streams, which the device tests hold OverloadAhead to",
+	"device.Disk.Spec":            "read side of the disk's bandwidth profile, beside CPU.Spec",
+	"device.NIC.Snapshot":         "link busy time, beside Disk.Snapshot",
+	"device.Uniform":              "the no-variability model the test clusters are built with",
+	"engine.EnableTestBug":        "plants a known violation so the audit and hunt tests prove they catch it",
+	"engine.Engine.Cluster":       "read side of the engine's cluster, beside FS and Kernel",
+	"engine.Engine.Executors":     "the executor table the fault and recycling tests inspect",
+	"engine.Engine.FS":            "the file system the engine tests read output files from",
+	"engine.Executor.Alive":       "liveness the fault tests check after a crash",
+	"engine.Executor.Decisions":   "the controller decisions of every incarnation, which the fault tests check",
+	"engine.Executor.ID":          "an executor's index, beside Alive and Restarts",
+	"engine.Executor.Restarts":    "restart count the fault tests check",
+	"engine.Executor.Threads":     "current pool limit, beside Alive and Restarts",
+	"engine.JobHandle.ID":         "the job ID a submission was given",
+	"engine.ReadTrace":            "parses a written trace back; the engine and CLI tests compare traces with it",
+	"exp.AblationResult.Get":      "row lookup the ablation test and benchmark read the table by",
+	"exp.InterferenceResult.Get":  "row lookup the interference test reads the table by",
+	"invariant.Auditor.Dropped":   "violations past the cap, which the invariant tests check the cap with",
+	"invariant.Auditor.Flag":      "reached by scenario single runs and the benchmark probe through an anonymous interface",
+	"psres.Server.RateScale":      "read side of SetRateScale",
+	"rdd.Dataset.Partitions":      "a dataset's partition count, for readers of a plan",
+	"sim.Kernel.PendingEvents":    "queue introspection the kernel and shard tests check",
+	"sim.Kernel.Stop":             "ends a run early; the kernel tests stop parked receivers with it",
+	"sim.Proc.Kernel":             "the kernel a process belongs to",
+	"sim.Proc.Name":               "the process name given to Go, which the coroutine tests log",
+	"sim.ShardSet.Stop":           "ends a sharded run early, as Kernel.Stop does a plain one",
+	"telemetry.Counter.Value":     "read side of Add, which the telemetry tests check",
+	"telemetry.Gauge.Add":         "relative update of a gauge, which the telemetry tests use",
+	"telemetry.Gauge.Value":       "read side of Set and Add, which the telemetry tests check",
+	"telemetry.Histogram.Count":   "observation count the telemetry tests check",
+	"telemetry.Histogram.Sum":     "observation sum, beside Count, which the telemetry tests check",
+	"telemetry.Registry.Value":    "lookup of one series by name and labels, which the engine telemetry tests read",
 }
 
 // TestInternalExportsHaveCallers type-checks every package of the module

@@ -19,84 +19,59 @@ import "sae/internal/engine/job"
 
 // Descending is the top-down ablation of Dynamic: start at cmax, halve
 // while the congestion index improves, roll back (double) and freeze once
-// it worsens.
-type Descending struct {
-	// Cmin bounds the descent (0 selects 2, as in Dynamic).
-	Cmin int
-	// Tolerance is the relative ζ degradation tolerated before the
-	// rollback, as in Dynamic (0 selects 0.10).
-	Tolerance float64
-}
+// it worsens, with Dynamic's cmin and tolerance.
+type Descending struct{}
 
 // Name implements job.Policy.
 func (Descending) Name() string { return "dynamic-descending" }
 
 // InitialThreads implements job.Policy.
-func (d Descending) InitialThreads(exec job.ExecutorInfo, _ job.StageMeta) int {
-	return d.planner().start(exec.MaxThreads)
+func (Descending) InitialThreads(exec job.ExecutorInfo, _ job.StageMeta) int {
+	return descending.start(exec.MaxThreads)
 }
 
 // NewController implements job.Policy.
-func (d Descending) NewController(exec job.ExecutorInfo) job.Controller {
-	return newLoop(d.planner(), exec, 0)
+func (Descending) NewController(exec job.ExecutorInfo) job.Controller {
+	return newLoop(descending, exec, 0)
 }
 
-func (d Descending) planner() climb {
-	return climb{cmin: orDefault(d.Cmin, 2), margin: orDefault(d.Tolerance, 0.10), down: true}
-}
-
-var _ job.Policy = Descending{}
+var descending = climb{cmin: 2, margin: 0.10, down: true}
 
 // NoRollback ablates the rollback step: on a worsened interval the
 // controller freezes at the worsened size instead of stepping back.
-type NoRollback struct {
-	Cmin      int
-	Tolerance float64
-}
+type NoRollback struct{}
 
 // Name implements job.Policy.
 func (NoRollback) Name() string { return "dynamic-no-rollback" }
 
 // InitialThreads implements job.Policy.
-func (n NoRollback) InitialThreads(exec job.ExecutorInfo, _ job.StageMeta) int {
-	return n.planner().start(exec.MaxThreads)
+func (NoRollback) InitialThreads(exec job.ExecutorInfo, _ job.StageMeta) int {
+	return noRollback.start(exec.MaxThreads)
 }
 
 // NewController implements job.Policy.
-func (n NoRollback) NewController(exec job.ExecutorInfo) job.Controller {
-	return newLoop(n.planner(), exec, 0)
+func (NoRollback) NewController(exec job.ExecutorInfo) job.Controller {
+	return newLoop(noRollback, exec, 0)
 }
 
-func (n NoRollback) planner() climb {
-	return climb{cmin: orDefault(n.Cmin, 2), margin: orDefault(n.Tolerance, 0.10), stay: true}
-}
-
-var _ job.Policy = NoRollback{}
+var noRollback = climb{cmin: 2, margin: 0.10, stay: true}
 
 // UtilizationDriven hill-climbs on average disk utilization instead of the
-// congestion index: grow while utilization keeps rising meaningfully.
-type UtilizationDriven struct {
-	Cmin int
-	// MinGain is the utilization improvement (in percentage points /
-	// 100) required to keep growing; 0 selects 0.01.
-	MinGain float64
-}
+// congestion index: grow while utilization rises by at least one percentage
+// point per interval.
+type UtilizationDriven struct{}
 
 // Name implements job.Policy.
 func (UtilizationDriven) Name() string { return "utilization-driven" }
 
 // InitialThreads implements job.Policy.
-func (u UtilizationDriven) InitialThreads(exec job.ExecutorInfo, _ job.StageMeta) int {
-	return u.planner().start(exec.MaxThreads)
+func (UtilizationDriven) InitialThreads(exec job.ExecutorInfo, _ job.StageMeta) int {
+	return utilizationDriven.start(exec.MaxThreads)
 }
 
 // NewController implements job.Policy.
-func (u UtilizationDriven) NewController(exec job.ExecutorInfo) job.Controller {
-	return newLoop(u.planner(), exec, 0)
+func (UtilizationDriven) NewController(exec job.ExecutorInfo) job.Controller {
+	return newLoop(utilizationDriven, exec, 0)
 }
 
-func (u UtilizationDriven) planner() climb {
-	return climb{cmin: orDefault(u.Cmin, 2), margin: orDefault(u.MinGain, 0.01), util: true}
-}
-
-var _ job.Policy = UtilizationDriven{}
+var utilizationDriven = climb{cmin: 2, margin: 0.01, util: true}

@@ -147,7 +147,7 @@ func TestAIMDMultiplicativeDecrease(t *testing.T) {
 }
 
 func TestAIMDBounds(t *testing.T) {
-	c := AIMD{Step: 16}.NewController(job.ExecutorInfo{MaxThreads: 8})
+	c := newLoop(aimd{cmin: 2, step: 16, tol: 0.10}, job.ExecutorInfo{MaxThreads: 8}, 0)
 	c.StageStart(meta(0, 100000, true))
 	seq := 0
 	if got := feed(c, 0, 2, 1, 1<<20, &seq); got != 8 {

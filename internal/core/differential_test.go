@@ -28,15 +28,15 @@ var diffPolicies = []struct {
 	{"dynamic-tol0.5", Dynamic{Tolerance: 0.5}, true},
 	{"dynamic-cmin3-tol0.01-reprobe7", Dynamic{Cmin: 3, Tolerance: 0.01, ReprobeTasks: 7}, true},
 	{"descending", Descending{}, true},
-	{"descending-cmin1", Descending{Cmin: 1}, true},
-	{"descending-cmin4-tol0.3", Descending{Cmin: 4, Tolerance: 0.3}, true},
+	{"descending-cmin1", planned{p: climb{cmin: 1, margin: 0.10, down: true}}, true},
+	{"descending-cmin4-tol0.3", planned{p: climb{cmin: 4, margin: 0.3, down: true}}, true},
 	{"norollback", NoRollback{}, false},
-	{"norollback-cmin1-tol0.02", NoRollback{Cmin: 1, Tolerance: 0.02}, false},
+	{"norollback-cmin1-tol0.02", planned{p: climb{cmin: 1, margin: 0.02, stay: true}}, false},
 	{"util", UtilizationDriven{}, false},
-	{"util-cmin1-gain0.05", UtilizationDriven{Cmin: 1, MinGain: 0.05}, false},
+	{"util-cmin1-gain0.05", planned{p: climb{cmin: 1, margin: 0.05, util: true}}, false},
 	{"aimd", AIMD{}, true},
-	{"aimd-cmin1-step3-tol0.02", AIMD{Cmin: 1, Step: 3, Tolerance: 0.02}, true},
-	{"aimd-cmin4-step1", AIMD{Cmin: 4, Step: 1}, true},
+	{"aimd-cmin1-step3-tol0.02", planned{p: aimd{cmin: 1, step: 3, tol: 0.02}}, true},
+	{"aimd-cmin4-step1", planned{p: aimd{cmin: 4, step: 1, tol: 0.10}}, true},
 }
 
 // splitmix64 keeps the synthetic streams independent of math/rand's

@@ -7,6 +7,23 @@ import (
 	"sae/internal/engine/job"
 )
 
+// planned runs a planner at settings no exported policy offers, the way the
+// adaptive policies run theirs.
+type planned struct {
+	name string
+	p    planner
+}
+
+func (pp planned) Name() string { return pp.name }
+
+func (pp planned) InitialThreads(exec job.ExecutorInfo, _ job.StageMeta) int {
+	return pp.p.start(exec.MaxThreads)
+}
+
+func (pp planned) NewController(exec job.ExecutorInfo) job.Controller {
+	return newLoop(pp.p, exec, 0)
+}
+
 // TestInitialThreadsMatchesStageStart enforces job.Policy's contract: the
 // driver sizes its slot table from InitialThreads before the executor's
 // controller answers StageStart, so the two must agree for every policy.
@@ -18,9 +35,11 @@ func TestInitialThreadsMatchesStageStart(t *testing.T) {
 		DefaultDynamic(),
 		Dynamic{Cmin: 5, ReprobeTasks: 10},
 		Descending{},
-		NoRollback{Cmin: 1},
+		NoRollback{},
 		UtilizationDriven{},
-		AIMD{Cmin: 3},
+		AIMD{},
+		planned{"no-rollback-cmin1", climb{cmin: 1, margin: 0.10, stay: true}},
+		planned{"aimd-cmin3", aimd{cmin: 3, step: 2, tol: 0.10}},
 	}
 	for _, p := range policies {
 		for _, cmax := range []int{1, 2, 3, 4, 8, 32, 128} {

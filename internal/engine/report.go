@@ -82,15 +82,6 @@ type StageReport struct {
 // Duration returns the stage's wall time.
 func (sr StageReport) Duration() time.Duration { return sr.End - sr.Start }
 
-// BlockedIO returns the stage's summed ε across executors.
-func (sr StageReport) BlockedIO() time.Duration {
-	var total time.Duration
-	for _, e := range sr.Execs {
-		total += e.BlockedIO
-	}
-	return total
-}
-
 // Bytes returns the stage's summed bytes moved across executors.
 func (sr StageReport) Bytes() int64 {
 	var total int64

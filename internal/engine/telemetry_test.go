@@ -143,10 +143,10 @@ func TestTelemetryCoreSeries(t *testing.T) {
 	// The final sample lands at the end of the run, so the queue-delay
 	// histogram must have seen every task that ever waited.
 	series, ok := reg.Series("sae_scheduler_queue_delay_seconds_count")
-	if !ok || len(series.Points) == 0 {
+	if !ok || len(series) == 0 {
 		t.Fatalf("queue delay histogram missing (ok=%v)", ok)
 	}
-	last := series.Points[len(series.Points)-1]
+	last := series[len(series)-1]
 	if last.Value <= 0 {
 		t.Errorf("queue delay histogram empty at end of run: %+v", last)
 	}

@@ -62,8 +62,7 @@ func TestCalibrationReport(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dyn := summarize(rep)
-		fmt.Print(dyn)
+		fmt.Print(rep)
 		if os.Getenv("SAE_CALIBRATE_DECISIONS") == "1" {
 			for exec, ds := range rep.Decisions {
 				for _, d := range ds {
@@ -73,10 +72,10 @@ func TestCalibrationReport(t *testing.T) {
 			}
 		}
 		fmt.Printf("  reductions: bestfit %.1f%%  dynamic %.1f%%\n\n",
-			Reduction(sweep.Default, sweep.BestFit), Reduction(sweep.Default, dyn))
+			Reduction(sweep.Default, sweep.BestFit), Reduction(sweep.Default, rep))
 		fmt.Printf("  fig1 (default): ")
 		for _, st := range sweep.Default.Stages {
-			fmt.Printf("[s%d cpu=%.0f%% iowait=%.0f%%] ", st.Stage, st.CPUPct, st.IowaitPct)
+			fmt.Printf("[s%d cpu=%.0f%% iowait=%.0f%%] ", st.ID, st.CPUPercent, st.IowaitPercent)
 		}
 		fmt.Println()
 		fmt.Println()

@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+
+	"sae/internal/engine"
 )
 
 // Tabular is implemented by experiment results that can export their data
@@ -64,8 +66,8 @@ func (r *Figure1Result) CSVTables() map[string][][]string {
 	rows := [][]string{{"application", "stage", "name", "seconds", "cpu_pct", "iowait_pct"}}
 	for _, app := range r.Apps {
 		for _, st := range app.Stages {
-			rows = append(rows, []string{app.App, itoa(st.Stage), st.Name,
-				ftoa(st.Seconds), ftoa(st.CPUPct), ftoa(st.IowaitPct)})
+			rows = append(rows, []string{app.App, itoa(st.ID), st.Name,
+				ftoa(st.Duration().Seconds()), ftoa(st.CPUPercent), ftoa(st.IowaitPercent)})
 		}
 	}
 	return map[string][][]string{"fig1_stage_usage": rows}
@@ -76,11 +78,11 @@ func (r *SweepResult) CSVTables() map[string][][]string {
 	rows := [][]string{{"threads", "stage", "seconds", "disk_util_pct"}}
 	for i, th := range r.Threads {
 		for _, st := range r.Runs[i].Stages {
-			rows = append(rows, []string{itoa(th), itoa(st.Stage), ftoa(st.Seconds), ftoa(st.DiskUtilPct)})
+			rows = append(rows, []string{itoa(th), itoa(st.ID), ftoa(st.Duration().Seconds()), ftoa(st.DiskUtilPercent)})
 		}
 	}
 	for _, st := range r.BestFit.Stages {
-		rows = append(rows, []string{"bestfit", itoa(st.Stage), ftoa(st.Seconds), ftoa(st.DiskUtilPct)})
+		rows = append(rows, []string{"bestfit", itoa(st.ID), ftoa(st.Duration().Seconds()), ftoa(st.DiskUtilPercent)})
 	}
 	return map[string][][]string{"sweep_" + r.App: rows}
 }
@@ -133,17 +135,17 @@ func (r *Figure7Result) CSVTables() map[string][][]string {
 func (r *Figure8Result) CSVTables() map[string][][]string {
 	rows := [][]string{{"application", "policy", "stage", "seconds", "threads_label"}}
 	for _, app := range r.Apps {
-		for _, run := range []RunStat{app.Default, app.BestFit, app.Dynamic} {
+		for _, run := range []*engine.JobReport{app.Default, app.BestFit, app.Dynamic} {
 			for _, st := range run.Stages {
-				rows = append(rows, []string{app.App, run.Policy, itoa(st.Stage), ftoa(st.Seconds), st.ThreadsLabel})
+				rows = append(rows, []string{app.App, run.Policy, itoa(st.ID), ftoa(st.Duration().Seconds()), st.ThreadsLabel()})
 			}
 		}
 	}
 	totals := [][]string{{"application", "default_sec", "bestfit_sec", "bestfit_red_pct", "dynamic_sec", "dynamic_red_pct"}}
 	for _, app := range r.Apps {
-		totals = append(totals, []string{app.App, ftoa(app.Default.Seconds),
-			ftoa(app.BestFit.Seconds), ftoa(app.BestFitRed),
-			ftoa(app.Dynamic.Seconds), ftoa(app.DynamicRed)})
+		totals = append(totals, []string{app.App, ftoa(app.Default.Runtime.Seconds()),
+			ftoa(app.BestFit.Runtime.Seconds()), ftoa(app.BestFitRed),
+			ftoa(app.Dynamic.Runtime.Seconds()), ftoa(app.DynamicRed)})
 	}
 	return map[string][][]string{"fig8_stages": rows, "fig8_totals": totals}
 }
@@ -161,9 +163,9 @@ func (r *Figure9Result) CSVTables() map[string][][]string {
 func (r *Figure11Result) CSVTables() map[string][][]string {
 	rows := [][]string{{"policy", "seconds", "red_pct"}}
 	rows = append(rows,
-		[]string{"default", ftoa(r.App.Default.Seconds), "0"},
-		[]string{"static-bestfit", ftoa(r.App.BestFit.Seconds), ftoa(r.App.BestFitRed)},
-		[]string{"dynamic", ftoa(r.App.Dynamic.Seconds), ftoa(r.App.DynamicRed)})
+		[]string{"default", ftoa(r.App.Default.Runtime.Seconds()), "0"},
+		[]string{"static-bestfit", ftoa(r.App.BestFit.Runtime.Seconds()), ftoa(r.App.BestFitRed)},
+		[]string{"dynamic", ftoa(r.App.Dynamic.Runtime.Seconds()), ftoa(r.App.DynamicRed)})
 	return map[string][][]string{"fig11_ssd": rows}
 }
 
@@ -172,12 +174,12 @@ func (r *Figure12Result) CSVTables() map[string][][]string {
 	rows := [][]string{{"disk", "stage", "threads", "t_sec", "throughput_mbps"}}
 	means := [][]string{{"disk", "stage", "threads", "mean_mbps"}}
 	for _, p := range r.Panels {
-		for th, series := range p.Series {
-			for _, pt := range series.Points {
+		for i, th := range SweepThreads {
+			for _, pt := range p.Series[i] {
 				rows = append(rows, []string{p.Disk, itoa(p.Stage), itoa(th),
 					ftoa(pt.At.Seconds()), ftoa(pt.Value)})
 			}
-			means = append(means, []string{p.Disk, itoa(p.Stage), itoa(th), ftoa(p.Mean[th])})
+			means = append(means, []string{p.Disk, itoa(p.Stage), itoa(th), ftoa(p.Mean[i])})
 		}
 	}
 	return map[string][][]string{"fig12_series": rows, "fig12_means": means}

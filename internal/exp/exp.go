@@ -237,73 +237,11 @@ func SchedulerByName(name string) (engine.InterJobPolicy, error) {
 	}
 }
 
-// StageStat is one stage row of a run summary.
-type StageStat struct {
-	Stage         int
-	Name          string
-	Seconds       float64
-	CPUPct        float64
-	IowaitPct     float64
-	DiskUtilPct   float64
-	ThreadsLabel  string
-	ThreadsTotal  int
-	BlockedIOSec  float64
-	Bytes         int64
-	DiskReadGiB   float64
-	DiskWriteGiB  float64
-	ExecThreads   []int
-	ExecBlockedIO []time.Duration
-	ExecBytes     []int64
-}
-
-// RunStat summarizes one run for rendering.
-type RunStat struct {
-	Policy  string
-	Seconds float64
-	Stages  []StageStat
-}
-
-func summarize(rep *engine.JobReport) RunStat {
-	rs := RunStat{Policy: rep.Policy, Seconds: rep.Runtime.Seconds()}
-	for _, st := range rep.Stages {
-		ss := StageStat{
-			Stage:        st.ID,
-			Name:         st.Name,
-			Seconds:      st.Duration().Seconds(),
-			CPUPct:       st.CPUPercent,
-			IowaitPct:    st.IowaitPercent,
-			DiskUtilPct:  st.DiskUtilPercent,
-			ThreadsLabel: st.ThreadsLabel(),
-			ThreadsTotal: st.ThreadsTotal,
-			BlockedIOSec: st.BlockedIO().Seconds(),
-			Bytes:        st.Bytes(),
-			DiskReadGiB:  workloads.GiB(st.DiskReadBytes),
-			DiskWriteGiB: workloads.GiB(st.DiskWriteBytes),
-		}
-		for _, e := range st.Execs {
-			ss.ExecThreads = append(ss.ExecThreads, e.FinalThreads)
-			ss.ExecBlockedIO = append(ss.ExecBlockedIO, e.BlockedIO)
-			ss.ExecBytes = append(ss.ExecBytes, e.Bytes)
-		}
-		rs.Stages = append(rs.Stages, ss)
-	}
-	return rs
-}
-
 // Reduction returns the percentage runtime reduction of b relative to a.
-func Reduction(a, b RunStat) float64 {
-	if a.Seconds <= 0 {
+func Reduction(a, b *engine.JobReport) float64 {
+	if a.Runtime <= 0 {
 		return 0
 	}
-	return 100 * (a.Seconds - b.Seconds) / a.Seconds
-}
-
-func (rs RunStat) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-16s %8.1fs\n", rs.Policy, rs.Seconds)
-	for _, st := range rs.Stages {
-		fmt.Fprintf(&b, "    stage %d %-14s %8.1fs  %-8s cpu %5.1f%%  iowait %5.1f%%  disk %5.1f%%\n",
-			st.Stage, st.Name, st.Seconds, st.ThreadsLabel, st.CPUPct, st.IowaitPct, st.DiskUtilPct)
-	}
-	return b.String()
+	as, bs := a.Runtime.Seconds(), b.Runtime.Seconds()
+	return 100 * (as - bs) / as
 }

@@ -8,7 +8,7 @@ import (
 	"sae/internal/cluster"
 	"sae/internal/conf"
 	"sae/internal/core"
-	"sae/internal/metrics"
+	"sae/internal/engine"
 	"sae/internal/sim"
 	"sae/internal/telemetry"
 	"sae/internal/workloads"
@@ -54,7 +54,7 @@ func (r *Table1Result) String() string {
 // AppStages is one application's per-stage usage under the default policy.
 type AppStages struct {
 	App    string
-	Stages []StageStat
+	Stages []engine.StageReport
 }
 
 // Figure1Result reproduces Fig. 1: per-stage CPU usage and disk iowait of
@@ -73,7 +73,7 @@ func Figure1(s Setup) (*Figure1Result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("figure1 %s: %w", w.Name, err)
 		}
-		res.Apps = append(res.Apps, AppStages{App: w.Name, Stages: summarize(rep).Stages})
+		res.Apps = append(res.Apps, AppStages{App: w.Name, Stages: rep.Stages})
 	}
 	return res, nil
 }
@@ -85,7 +85,7 @@ func (r *Figure1Result) String() string {
 		fmt.Fprintf(&b, "  %s\n", app.App)
 		for _, st := range app.Stages {
 			fmt.Fprintf(&b, "    stage %d %-14s %8.1fs  cpu %5.1f%%  iowait %5.1f%%\n",
-				st.Stage, st.Name, st.Seconds, st.CPUPct, st.IowaitPct)
+				st.ID, st.Name, st.Duration().Seconds(), st.CPUPercent, st.IowaitPercent)
 		}
 	}
 	return b.String()
@@ -306,7 +306,7 @@ func Figure5(s Setup) (*Figure5Result, error) {
 			panel := UtilPanel{App: sweep.App, Stage: stage}
 			bestUtil := -1.0
 			for i, th := range sweep.Threads {
-				util := sweep.Runs[i].Stages[stage].DiskUtilPct
+				util := sweep.Runs[i].Stages[stage].DiskUtilPercent
 				panel.Threads = append(panel.Threads, th)
 				panel.UtilPct = append(panel.UtilPct, util)
 				if util > bestUtil {
@@ -425,8 +425,8 @@ func Figure7(s Setup) (*Figure7Result, error) {
 		fs := Fig7Stage{Stage: si, Selected: dyn.Stages[si].Execs[0].FinalThreads}
 		for i := len(sweep.Threads) - 1; i >= 0; i-- { // ascending 2..32
 			st := sweep.Runs[i].Stages[si]
-			eps := st.ExecBlockedIO[0].Seconds()
-			mu := float64(st.ExecBytes[0]) / st.Seconds
+			eps := st.Execs[0].BlockedIO.Seconds()
+			mu := st.Execs[0].Throughput(st)
 			zeta := 0.0
 			if mu > 0 {
 				zeta = eps / mu * 1e6 // ε/µ, scaled to s per MB/s
@@ -463,9 +463,9 @@ func (r *Figure7Result) String() string {
 // Fig8App compares the three solutions on one application.
 type Fig8App struct {
 	App     string
-	Default RunStat
-	BestFit RunStat
-	Dynamic RunStat
+	Default *engine.JobReport
+	BestFit *engine.JobReport
+	Dynamic *engine.JobReport
 	// Reduction percentages relative to Default.
 	BestFitRed float64
 	DynamicRed float64
@@ -499,14 +499,13 @@ func compare(s Setup, mk func(workloads.Config) *workloads.Spec) (Fig8App, error
 	if err != nil {
 		return Fig8App{}, err
 	}
-	dyn := summarize(rep)
 	return Fig8App{
 		App:        sweep.App,
 		Default:    sweep.Default,
 		BestFit:    sweep.BestFit,
-		Dynamic:    dyn,
+		Dynamic:    rep,
 		BestFitRed: Reduction(sweep.Default, sweep.BestFit),
-		DynamicRed: Reduction(sweep.Default, dyn),
+		DynamicRed: Reduction(sweep.Default, rep),
 	}, nil
 }
 
@@ -515,14 +514,15 @@ func (r *Figure8Result) String() string {
 	b.WriteString("Figure 8 — default vs static-BestFit vs dynamic\n")
 	for _, app := range r.Apps {
 		fmt.Fprintf(&b, "  %s: default %.1fs | bestfit %.1fs (red %+.1f%%) | dynamic %.1fs (red %+.1f%%)\n",
-			app.App, app.Default.Seconds, app.BestFit.Seconds, app.BestFitRed,
-			app.Dynamic.Seconds, app.DynamicRed)
-		for si := range app.Default.Stages {
+			app.App, app.Default.Runtime.Seconds(), app.BestFit.Runtime.Seconds(), app.BestFitRed,
+			app.Dynamic.Runtime.Seconds(), app.DynamicRed)
+		for si, def := range app.Default.Stages {
+			bf, dyn := app.BestFit.Stages[si], app.Dynamic.Stages[si]
 			fmt.Fprintf(&b, "    stage %d %-14s default %8.1fs %-8s  bestfit %8.1fs %-8s  dynamic %8.1fs %-8s\n",
-				si, app.Default.Stages[si].Name,
-				app.Default.Stages[si].Seconds, app.Default.Stages[si].ThreadsLabel,
-				app.BestFit.Stages[si].Seconds, app.BestFit.Stages[si].ThreadsLabel,
-				app.Dynamic.Stages[si].Seconds, app.Dynamic.Stages[si].ThreadsLabel)
+				si, def.Name,
+				def.Duration().Seconds(), def.ThreadsLabel(),
+				bf.Duration().Seconds(), bf.ThreadsLabel(),
+				dyn.Duration().Seconds(), dyn.ThreadsLabel())
 		}
 	}
 	return b.String()
@@ -535,7 +535,7 @@ type Fig9Row struct {
 	Nodes   int
 	Policy  string
 	Seconds float64
-	Stages  []StageStat
+	Stages  []engine.StageReport
 }
 
 // Figure9Result reproduces Fig. 9: Terasort scalability, 4 vs 16 nodes with
@@ -555,9 +555,9 @@ func Figure9(s Setup) (*Figure9Result, error) {
 			return nil, fmt.Errorf("figure9 %d nodes: %w", nodes, err)
 		}
 		res.Rows = append(res.Rows,
-			Fig9Row{Nodes: nodes, Policy: "default", Seconds: app.Default.Seconds, Stages: app.Default.Stages},
-			Fig9Row{Nodes: nodes, Policy: "static-bestfit", Seconds: app.BestFit.Seconds, Stages: app.BestFit.Stages},
-			Fig9Row{Nodes: nodes, Policy: "dynamic", Seconds: app.Dynamic.Seconds, Stages: app.Dynamic.Stages},
+			Fig9Row{Nodes: nodes, Policy: "default", Seconds: app.Default.Runtime.Seconds(), Stages: app.Default.Stages},
+			Fig9Row{Nodes: nodes, Policy: "static-bestfit", Seconds: app.BestFit.Runtime.Seconds(), Stages: app.BestFit.Stages},
+			Fig9Row{Nodes: nodes, Policy: "dynamic", Seconds: app.Dynamic.Runtime.Seconds(), Stages: app.Dynamic.Stages},
 		)
 	}
 	return res, nil
@@ -572,7 +572,7 @@ func (r *Figure9Result) String() string {
 			if i > 0 {
 				b.WriteString(" ")
 			}
-			fmt.Fprintf(&b, "%s", st.ThreadsLabel)
+			b.WriteString(st.ThreadsLabel())
 		}
 		b.WriteString("]\n")
 	}
@@ -611,11 +611,11 @@ func (r *Figure11Result) String() string {
 	var b strings.Builder
 	b.WriteString("Figure 11 — Terasort on SSDs\n")
 	fmt.Fprintf(&b, "  default %.1fs | bestfit %.1fs (red %+.1f%%) | dynamic %.1fs (red %+.1f%%)\n",
-		app.Default.Seconds, app.BestFit.Seconds, app.BestFitRed, app.Dynamic.Seconds, app.DynamicRed)
-	for si := range app.Default.Stages {
+		app.Default.Runtime.Seconds(), app.BestFit.Runtime.Seconds(), app.BestFitRed, app.Dynamic.Runtime.Seconds(), app.DynamicRed)
+	for si, def := range app.Default.Stages {
 		fmt.Fprintf(&b, "    stage %d: default %-8s bestfit %-8s dynamic %-8s\n", si,
-			app.Default.Stages[si].ThreadsLabel, app.BestFit.Stages[si].ThreadsLabel,
-			app.Dynamic.Stages[si].ThreadsLabel)
+			def.ThreadsLabel(), app.BestFit.Stages[si].ThreadsLabel(),
+			app.Dynamic.Stages[si].ThreadsLabel())
 	}
 	return b.String()
 }
@@ -627,12 +627,12 @@ func (r *Figure11Result) String() string {
 type ThroughputPanel struct {
 	Disk  string
 	Stage int
-	// Series maps thread count → throughput samples (MB/s), with time
-	// rebased to the stage start.
-	Series map[int]metrics.Series
-	// Mean maps thread count → mean stage throughput (the dashed mean
-	// lines of Fig. 12).
-	Mean map[int]float64
+	// Series[i] is the run at SweepThreads[i]: executor 0's byte counter
+	// as the telemetry registry sampled it, differentiated into MB/s per
+	// sampler interval, with time rebased to the stage start.
+	Series [][]telemetry.SamplePoint
+	// Mean[i] is the mean of Series[i] (the dashed mean lines of Fig. 12).
+	Mean []float64
 }
 
 // Figure12Result reproduces Fig. 12.
@@ -648,20 +648,19 @@ func Figure12(s Setup) (*Figure12Result, error) {
 		name  string
 		setup Setup
 	}{{"HDD", s}, {"SSD", s.WithSSD()}} {
-		panels := map[int]*ThroughputPanel{}
-		for _, stage := range []int{0, 1} {
-			panels[stage] = &ThroughputPanel{
+		var panels [2]ThroughputPanel
+		for stage := range panels {
+			panels[stage] = ThroughputPanel{
 				Disk:   disk.name,
 				Stage:  stage,
-				Series: map[int]metrics.Series{},
-				Mean:   map[int]float64{},
+				Series: make([][]telemetry.SamplePoint, len(SweepThreads)),
+				Mean:   make([]float64, len(SweepThreads)),
 			}
 		}
-		for _, th := range SweepThreads {
-			// The telemetry plane replaces the old ad-hoc sampler process:
-			// the engine's registry samples executor 0's cumulative byte
-			// counter once per virtual second (t=0 baseline included), and
-			// the registry series differentiates into the Fig. 12 rate.
+		for ti, th := range SweepThreads {
+			// The engine's registry samples executor 0's cumulative byte
+			// counter once per virtual second (t=0 baseline included) on
+			// a monotone clock, one sample per instant.
 			run := disk.setup
 			run.Metrics = telemetry.NewRegistry()
 			run.MetricsInterval = time.Second
@@ -671,22 +670,33 @@ func Figure12(s Setup) (*Figure12Result, error) {
 			if err != nil {
 				return nil, fmt.Errorf("figure12 %s %d threads: %w", disk.name, th, err)
 			}
-			cum, _ := run.Metrics.Series("sae_executor_bytes_total", "exec", "0")
-			cum.Name = fmt.Sprintf("%s-%d", disk.name, th)
-			rate := metrics.Rate(cum)
-			for _, stage := range []int{0, 1} {
+			pts, _ := run.Metrics.Series("sae_executor_bytes_total", "exec", "0")
+			// Differentiate in place, back to front: pts[i] becomes the
+			// rate over the interval that ends at it, and the first
+			// sample, which only opens an interval, drops out.
+			for i := len(pts) - 1; i > 0; i-- {
+				pts[i].Value = (pts[i].Value - pts[i-1].Value) / (pts[i].At - pts[i-1].At).Seconds()
+			}
+			rates := pts[min(1, len(pts)):]
+			for stage := range panels {
 				st := rep.Stages[stage]
-				var series metrics.Series
-				for _, pt := range rate.Points {
+				var series []telemetry.SamplePoint
+				var sum float64
+				for _, pt := range rates {
 					if pt.At >= st.Start && pt.At <= st.End {
-						series.Add(pt.At-st.Start, pt.Value/1e6)
+						pt.At -= st.Start
+						pt.Value /= 1e6
+						series = append(series, pt)
+						sum += pt.Value
 					}
 				}
-				panels[stage].Series[th] = series
-				panels[stage].Mean[th] = series.Mean()
+				panels[stage].Series[ti] = series
+				if len(series) > 0 {
+					panels[stage].Mean[ti] = sum / float64(len(series))
+				}
 			}
 		}
-		res.Panels = append(res.Panels, *panels[0], *panels[1])
+		res.Panels = append(res.Panels, panels[:]...)
 	}
 	return res, nil
 }
@@ -696,8 +706,8 @@ func (r *Figure12Result) String() string {
 	b.WriteString("Figure 12 — Terasort I/O throughput time series (executor 0)\n")
 	for _, p := range r.Panels {
 		fmt.Fprintf(&b, "  stage %d, %s (mean MB/s by threads):", p.Stage, p.Disk)
-		for _, th := range SweepThreads {
-			fmt.Fprintf(&b, "  %d→%6.1f", th, p.Mean[th])
+		for i, th := range SweepThreads {
+			fmt.Fprintf(&b, "  %d→%6.1f", th, p.Mean[i])
 		}
 		b.WriteString("\n")
 	}

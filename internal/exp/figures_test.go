@@ -9,6 +9,8 @@ import (
 	"os"
 	"reflect"
 	"runtime"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -44,25 +46,25 @@ func TestFigure1Shapes(t *testing.T) {
 	}
 	// Terasort: CPU never saturated (paper: 6/15/9%), iowait dominant.
 	for _, st := range byApp["terasort"].Stages {
-		if st.CPUPct > 35 {
-			t.Errorf("terasort stage %d CPU%% = %.1f, want low", st.Stage, st.CPUPct)
+		if st.CPUPercent > 35 {
+			t.Errorf("terasort stage %d CPU%% = %.1f, want low", st.ID, st.CPUPercent)
 		}
-		if st.IowaitPct < 30 {
-			t.Errorf("terasort stage %d iowait%% = %.1f, want I/O-dominated", st.Stage, st.IowaitPct)
+		if st.IowaitPercent < 30 {
+			t.Errorf("terasort stage %d iowait%% = %.1f, want I/O-dominated", st.ID, st.IowaitPercent)
 		}
 	}
 	// SQL scans are compute-heavy (paper: Join 68%, Aggregation 46%).
-	if cpu := byApp["join"].Stages[0].CPUPct; cpu < 45 {
+	if cpu := byApp["join"].Stages[0].CPUPercent; cpu < 45 {
 		t.Errorf("join scan CPU%% = %.1f, want heavy (paper 68%%)", cpu)
 	}
-	if cpu := byApp["aggregation"].Stages[0].CPUPct; cpu < 35 {
+	if cpu := byApp["aggregation"].Stages[0].CPUPercent; cpu < 35 {
 		t.Errorf("aggregation scan CPU%% = %.1f, want heavy (paper 46%%)", cpu)
 	}
 	// In no app is the CPU fully utilized (paper's observation 1).
 	for _, a := range r.Apps {
 		for _, st := range a.Stages {
-			if st.CPUPct > 90 {
-				t.Errorf("%s stage %d CPU%% = %.1f — the paper observes CPUs are never saturated", a.App, st.Stage, st.CPUPct)
+			if st.CPUPercent > 90 {
+				t.Errorf("%s stage %d CPU%% = %.1f — the paper observes CPUs are never saturated", a.App, st.ID, st.CPUPercent)
 			}
 		}
 	}
@@ -114,44 +116,44 @@ func TestFigure2TerasortShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Interior optimum: both extremes of the sweep lose to the middle.
-	best := ts.Runs[0].Seconds
+	best := ts.Runs[0].Runtime.Seconds()
 	bestTh := ts.Threads[0]
 	for i := range ts.Threads {
-		if ts.Runs[i].Seconds < best {
-			best, bestTh = ts.Runs[i].Seconds, ts.Threads[i]
+		if ts.Runs[i].Runtime.Seconds() < best {
+			best, bestTh = ts.Runs[i].Runtime.Seconds(), ts.Threads[i]
 		}
 	}
 	if bestTh == 32 || bestTh == 2 {
 		t.Errorf("terasort sweep optimum at %d threads, want interior (paper: 8)", bestTh)
 	}
 	// Paper: best static setting reduces Terasort runtime by ~39%.
-	red := 100 * (ts.Default.Seconds - best) / ts.Default.Seconds
+	red := 100 * (ts.Default.Runtime.Seconds() - best) / ts.Default.Runtime.Seconds()
 	if red < 25 || red > 55 {
 		t.Errorf("terasort best static reduction = %.1f%%, want ≈39%%", red)
 	}
 	// BestFit (per-stage composition) is at least as good as any single
 	// setting (the L1 argument).
-	if ts.BestFit.Seconds > best*1.02 {
-		t.Errorf("bestfit %.1fs worse than best single setting %.1fs", ts.BestFit.Seconds, best)
+	if ts.BestFit.Runtime.Seconds() > best*1.02 {
+		t.Errorf("bestfit %.1fs worse than best single setting %.1fs", ts.BestFit.Runtime.Seconds(), best)
 	}
 	// PageRank static gains are much smaller (paper: 19% vs 39%): shuffle
 	// stages are untouched by the static solution (L2).
-	prBest := pr.Runs[0].Seconds
+	prBest := pr.Runs[0].Runtime.Seconds()
 	for i := range pr.Threads {
-		if pr.Runs[i].Seconds < prBest {
-			prBest = pr.Runs[i].Seconds
+		if pr.Runs[i].Runtime.Seconds() < prBest {
+			prBest = pr.Runs[i].Runtime.Seconds()
 		}
 	}
-	prRed := 100 * (pr.Default.Seconds - prBest) / pr.Default.Seconds
+	prRed := 100 * (pr.Default.Runtime.Seconds() - prBest) / pr.Default.Runtime.Seconds()
 	if prRed >= red {
 		t.Errorf("PageRank static reduction %.1f%% should be below Terasort's %.1f%%", prRed, red)
 	}
 	// Shuffle stages are identical across the sweep (static cannot mark
 	// them — L2): compare stage 2 (iteration) across settings.
-	s2 := pr.Runs[0].Stages[2].Seconds
+	s2 := pr.Runs[0].Stages[2].Duration().Seconds()
 	for i := range pr.Runs {
-		if d := pr.Runs[i].Stages[2].Seconds - s2; d > 1 || d < -1 {
-			t.Errorf("PageRank shuffle stage responded to the static knob: %.1f vs %.1f", pr.Runs[i].Stages[2].Seconds, s2)
+		if d := pr.Runs[i].Stages[2].Duration().Seconds() - s2; d > 1 || d < -1 {
+			t.Errorf("PageRank shuffle stage responded to the static knob: %.1f vs %.1f", pr.Runs[i].Stages[2].Duration().Seconds(), s2)
 		}
 	}
 }
@@ -162,21 +164,21 @@ func TestFigure4SQLDefaultWins(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, sw := range []*SweepResult{agg, join} {
-		best := sw.Runs[0].Seconds
+		best := sw.Runs[0].Runtime.Seconds()
 		for i := range sw.Runs {
-			if sw.Runs[i].Seconds < best {
-				best = sw.Runs[i].Seconds
+			if sw.Runs[i].Runtime.Seconds() < best {
+				best = sw.Runs[i].Runtime.Seconds()
 			}
 		}
 		// Paper: for SQL apps the default performs best (L3) — the
 		// static sweep buys (almost) nothing.
-		red := 100 * (sw.Default.Seconds - best) / sw.Default.Seconds
+		red := 100 * (sw.Default.Runtime.Seconds() - best) / sw.Default.Runtime.Seconds()
 		if red > 8 {
 			t.Errorf("%s static sweep reduction = %.1f%%, paper finds none", sw.App, red)
 		}
 		// The scan stage outright degrades with few threads.
 		last := sw.Runs[len(sw.Runs)-1] // 2 threads
-		if last.Stages[0].Seconds < 1.5*sw.Default.Stages[0].Seconds {
+		if last.Stages[0].Duration().Seconds() < 1.5*sw.Default.Stages[0].Duration().Seconds() {
 			t.Errorf("%s scan stage at 2 threads should be much slower than default", sw.App)
 		}
 	}
@@ -419,12 +421,12 @@ func TestFigure10SSDvsHDD(t *testing.T) {
 		t.Fatal(err)
 	}
 	// SSDs are faster outright.
-	if ssd.Default.Seconds >= hdd.Default.Seconds {
-		t.Errorf("SSD default (%.1fs) should beat HDD default (%.1fs)", ssd.Default.Seconds, hdd.Default.Seconds)
+	if ssd.Default.Runtime.Seconds() >= hdd.Default.Runtime.Seconds() {
+		t.Errorf("SSD default (%.1fs) should beat HDD default (%.1fs)", ssd.Default.Runtime.Seconds(), hdd.Default.Runtime.Seconds())
 	}
 	// Paper: static gains shrink on SSD (20.2% vs 47.5%).
-	hddRed := 100 * (hdd.Default.Seconds - hdd.BestFit.Seconds) / hdd.Default.Seconds
-	ssdRed := 100 * (ssd.Default.Seconds - ssd.BestFit.Seconds) / ssd.Default.Seconds
+	hddRed := 100 * (hdd.Default.Runtime.Seconds() - hdd.BestFit.Runtime.Seconds()) / hdd.Default.Runtime.Seconds()
+	ssdRed := 100 * (ssd.Default.Runtime.Seconds() - ssd.BestFit.Runtime.Seconds()) / ssd.Default.Runtime.Seconds()
 	if ssdRed >= hddRed {
 		t.Errorf("SSD static reduction (%.1f%%) should be below HDD's (%.1f%%)", ssdRed, hddRed)
 	}
@@ -433,7 +435,7 @@ func TestFigure10SSDvsHDD(t *testing.T) {
 	}
 	// SSD read stage: 2 threads no longer competitive, and the extreme
 	// low end of the sweep is the worst case (uniform latency).
-	if ssd.Runs[len(ssd.Runs)-1].Seconds < ssd.Default.Seconds {
+	if ssd.Runs[len(ssd.Runs)-1].Runtime.Seconds() < ssd.Default.Runtime.Seconds() {
 		t.Error("2 threads should not win on SSD")
 	}
 }
@@ -465,31 +467,25 @@ func TestFigure12ThroughputShapes(t *testing.T) {
 	if len(r.Panels) != 4 {
 		t.Fatalf("panels = %d, want 4 (2 stages × 2 devices)", len(r.Panels))
 	}
+	// mean is a panel's mean throughput at th threads.
+	mean := func(p ThroughputPanel, th int) float64 { return p.Mean[slices.Index(SweepThreads, th)] }
 	for _, p := range r.Panels {
 		if p.Disk == "HDD" && p.Stage == 0 {
 			// Paper fig 12a: mean throughput varies strongly with
 			// threads, max at 4.
-			if !(p.Mean[4] > p.Mean[32] && p.Mean[4] > p.Mean[2]) {
-				t.Errorf("HDD stage 0: mean µ should peak at 4 threads: %v", p.Mean)
+			if !(mean(p, 4) > mean(p, 32) && mean(p, 4) > mean(p, 2)) {
+				t.Errorf("HDD stage 0: mean µ should peak at 4 threads: %v by %v threads", p.Mean, SweepThreads)
 			}
 		}
 		if p.Stage == 0 {
 			// Paper fig 12: in the saturated regime (8+ threads)
 			// HDD throughput varies strongly with the thread count
 			// while SSD throughput is near-uniform.
-			spread := func(m map[int]float64) float64 {
-				lo, hi := m[8], m[8]
-				for _, th := range []int{16, 32} {
-					if m[th] < lo {
-						lo = m[th]
-					}
-					if m[th] > hi {
-						hi = m[th]
-					}
-				}
-				return hi / lo
+			lo, hi := mean(p, 8), mean(p, 8)
+			for _, th := range []int{16, 32} {
+				lo, hi = min(lo, mean(p, th)), max(hi, mean(p, th))
 			}
-			sp := spread(p.Mean)
+			sp := hi / lo
 			if p.Disk == "SSD" && sp > 1.35 {
 				t.Errorf("SSD stage 0: saturated-regime µ spread %.2fx, want near-uniform", sp)
 			}
@@ -497,9 +493,9 @@ func TestFigure12ThroughputShapes(t *testing.T) {
 				t.Errorf("HDD stage 0: saturated-regime µ spread %.2fx, want strong variation", sp)
 			}
 		}
-		for th, series := range p.Series {
-			if len(series.Points) == 0 {
-				t.Errorf("%s stage %d, %d threads: empty series", p.Disk, p.Stage, th)
+		for i, series := range p.Series {
+			if len(series) == 0 {
+				t.Errorf("%s stage %d, %d threads: empty series", p.Disk, p.Stage, SweepThreads[i])
 			}
 		}
 	}
@@ -508,14 +504,44 @@ func TestFigure12ThroughputShapes(t *testing.T) {
 	for _, p := range r.Panels {
 		if p.Stage == 0 {
 			if p.Disk == "HDD" {
-				hddMean = p.Mean[32]
+				hddMean = mean(p, 32)
 			} else {
-				ssdMean = p.Mean[32]
+				ssdMean = mean(p, 32)
 			}
 		}
 	}
 	if ssdMean <= hddMean {
 		t.Errorf("SSD mean (%.1f) should exceed HDD mean (%.1f) at 32 threads", ssdMean, hddMean)
+	}
+}
+
+// TestFigure12CSVFollowsSweepOrder: within every panel, both tables list the
+// thread counts in SweepThreads order, and two exports of one result are equal.
+func TestFigure12CSVFollowsSweepOrder(t *testing.T) {
+	r, err := Figure12(Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tables := r.CSVTables()
+	for _, name := range []string{"fig12_series", "fig12_means"} {
+		panel, prev := "", -1
+		for _, row := range tables[name][1:] {
+			if key := row[0] + " stage " + row[1]; key != panel {
+				panel, prev = key, -1
+			}
+			th, _ := strconv.Atoi(row[2])
+			i := slices.Index(SweepThreads, th)
+			if i < prev {
+				t.Fatalf("%s, %s: %d threads listed after %d, want %v order", name, panel, th, SweepThreads[prev], SweepThreads)
+			}
+			prev = i
+		}
+	}
+	if n, want := len(tables["fig12_means"])-1, len(r.Panels)*len(SweepThreads); n != want {
+		t.Fatalf("fig12_means has %d rows, want %d", n, want)
+	}
+	if again := r.CSVTables(); !reflect.DeepEqual(again, tables) {
+		t.Fatal("two CSV exports of one Fig. 12 result differ")
 	}
 }
 

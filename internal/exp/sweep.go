@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"sae/internal/core"
+	"sae/internal/engine"
 	"sae/internal/workloads"
 )
 
@@ -17,15 +18,15 @@ type SweepResult struct {
 	App string
 	// Threads[i] corresponds to Runs[i].
 	Threads []int
-	Runs    []RunStat
+	Runs    []*engine.JobReport
 	// Default is the stock-Spark run (all cores, also for non-I/O
 	// stages; identical to the 32-thread static run on a 32-core node).
-	Default RunStat
+	Default *engine.JobReport
 	// BestFitThreads is the per-stage winner of the sweep (I/O-marked
 	// stages only — the static solution cannot touch the others).
 	BestFitThreads map[int]int
 	// BestFit is the composed run using BestFitThreads.
-	BestFit RunStat
+	BestFit *engine.JobReport
 }
 
 // StaticSweep runs workload w with each static thread setting, derives the
@@ -39,7 +40,7 @@ func StaticSweep(s Setup, make func(workloads.Config) *workloads.Spec) (*SweepRe
 			return nil, fmt.Errorf("sweep %s threads=%d: %w", res.App, th, err)
 		}
 		res.Threads = append(res.Threads, th)
-		res.Runs = append(res.Runs, summarize(rep))
+		res.Runs = append(res.Runs, rep)
 	}
 	res.Default = res.Runs[0] // static-32 == default on 32-core nodes
 
@@ -50,9 +51,9 @@ func StaticSweep(s Setup, make func(workloads.Config) *workloads.Spec) (*SweepRe
 		if !spec.IOMarked() {
 			continue
 		}
-		best, bestSec := SweepThreads[0], res.Runs[0].Stages[si].Seconds
+		best, bestSec := SweepThreads[0], res.Runs[0].Stages[si].Duration().Seconds()
 		for i, th := range res.Threads {
-			if sec := res.Runs[i].Stages[si].Seconds; sec < bestSec {
+			if sec := res.Runs[i].Stages[si].Duration().Seconds(); sec < bestSec {
 				best, bestSec = th, sec
 			}
 		}
@@ -62,17 +63,8 @@ func StaticSweep(s Setup, make func(workloads.Config) *workloads.Spec) (*SweepRe
 	if err != nil {
 		return nil, fmt.Errorf("sweep %s bestfit: %w", res.App, err)
 	}
-	res.BestFit = summarize(rep)
+	res.BestFit = rep
 	return res, nil
-}
-
-// StageSeconds returns the per-stage runtimes of the run at grid point i.
-func (r *SweepResult) StageSeconds(i int) []float64 {
-	out := make([]float64, len(r.Runs[i].Stages))
-	for si, st := range r.Runs[i].Stages {
-		out[si] = st.Seconds
-	}
-	return out
 }
 
 // String renders the sweep as a per-stage runtime table (the bars of
@@ -88,14 +80,14 @@ func (r *SweepResult) String() string {
 	for i, th := range r.Threads {
 		fmt.Fprintf(&b, "%-10d", th)
 		for _, st := range r.Runs[i].Stages {
-			fmt.Fprintf(&b, " %8.1f", st.Seconds)
+			fmt.Fprintf(&b, " %8.1f", st.Duration().Seconds())
 		}
-		fmt.Fprintf(&b, "  %8.1f\n", r.Runs[i].Seconds)
+		fmt.Fprintf(&b, "  %8.1f\n", r.Runs[i].Runtime.Seconds())
 	}
 	fmt.Fprintf(&b, "%-10s", "bestfit")
 	for _, st := range r.BestFit.Stages {
-		fmt.Fprintf(&b, " %8.1f", st.Seconds)
+		fmt.Fprintf(&b, " %8.1f", st.Duration().Seconds())
 	}
-	fmt.Fprintf(&b, "  %8.1f  (I/O stages at %v)\n", r.BestFit.Seconds, r.BestFitThreads)
+	fmt.Fprintf(&b, "  %8.1f  (I/O stages at %v)\n", r.BestFit.Runtime.Seconds(), r.BestFitThreads)
 	return b.String()
 }

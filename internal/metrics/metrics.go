@@ -1,7 +1,7 @@
 // Package metrics defines the measurement vocabulary of the paper's MAPE-K
-// monitor: per-interval epoll-wait time (ε), I/O throughput (µ), the
-// congestion index ζ = ε/µ used by the analyzer, and simple time series for
-// throughput plots.
+// monitor: per-interval epoll-wait time (ε), I/O throughput (µ) and the
+// congestion index ζ = ε/µ used by the analyzer, plus the one percentile
+// rule every report uses. Sampled time series belong to package telemetry.
 package metrics
 
 import (
@@ -96,60 +96,4 @@ func Quantiles(vals []time.Duration, ps ...float64) []time.Duration {
 func NearestRank(sorted []time.Duration, p float64) time.Duration {
 	rank := int(math.Ceil(min(p, 1) * float64(len(sorted))))
 	return sorted[max(rank, 1)-1]
-}
-
-// Point is one sample of a time series.
-type Point struct {
-	At    time.Duration
-	Value float64
-}
-
-// Series is an append-only time series (e.g. per-second I/O throughput).
-type Series struct {
-	Name   string
-	Points []Point
-}
-
-// Add appends a sample.
-func (s *Series) Add(at time.Duration, v float64) {
-	s.Points = append(s.Points, Point{At: at, Value: v})
-}
-
-// Mean returns the average value, or 0 for an empty series.
-func (s *Series) Mean() float64 {
-	if len(s.Points) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, p := range s.Points {
-		sum += p.Value
-	}
-	return sum / float64(len(s.Points))
-}
-
-// Rate converts a series of cumulative counters into a series of per-sample
-// rates (units/second). Duplicate timestamps merge last-wins before rates
-// are computed: re-sampling the same instant is a correction of that
-// sample (e.g. a final end-of-run capture landing on a sampler tick), not
-// a zero-length interval — so the later value replaces the earlier one
-// instead of being dropped silently. Samples whose timestamp goes
-// backwards carry no usable interval and are discarded.
-func Rate(cum Series) Series {
-	merged := make([]Point, 0, len(cum.Points))
-	for _, p := range cum.Points {
-		switch n := len(merged); {
-		case n > 0 && p.At == merged[n-1].At:
-			merged[n-1].Value = p.Value
-		case n > 0 && p.At < merged[n-1].At:
-			// out-of-order sample: dropped
-		default:
-			merged = append(merged, p)
-		}
-	}
-	out := Series{Name: cum.Name}
-	for i := 1; i < len(merged); i++ {
-		dt := (merged[i].At - merged[i-1].At).Seconds()
-		out.Add(merged[i].At, (merged[i].Value-merged[i-1].Value)/dt)
-	}
-	return out
 }

@@ -134,81 +134,6 @@ func TestQuantilesNearestRank(t *testing.T) {
 	}
 }
 
-func TestSeriesStats(t *testing.T) {
-	var s Series
-	if s.Mean() != 0 {
-		t.Fatal("empty series stats should be zero")
-	}
-	s.Add(0, 10)
-	s.Add(time.Second, 20)
-	s.Add(2*time.Second, 30)
-	if s.Mean() != 20 {
-		t.Fatalf("mean = %v", s.Mean())
-	}
-}
-
-func TestRate(t *testing.T) {
-	var cum Series
-	cum.Add(0, 0)
-	cum.Add(time.Second, 100)
-	cum.Add(3*time.Second, 500)
-	r := Rate(cum)
-	if len(r.Points) != 2 {
-		t.Fatalf("rate points = %d", len(r.Points))
-	}
-	if r.Points[0].Value != 100 {
-		t.Fatalf("first rate = %v", r.Points[0].Value)
-	}
-	if r.Points[1].Value != 200 {
-		t.Fatalf("second rate = %v", r.Points[1].Value)
-	}
-}
-
-func TestRateDuplicateTimestampMergesLastWins(t *testing.T) {
-	var cum Series
-	cum.Add(time.Second, 1)
-	cum.Add(time.Second, 2) // correction of the 1s sample: last wins
-	cum.Add(2*time.Second, 3)
-	r := Rate(cum)
-	if len(r.Points) != 1 {
-		t.Fatalf("rate points = %d, want 1 (duplicate timestamp merged)", len(r.Points))
-	}
-	if r.Points[0].At != 2*time.Second || r.Points[0].Value != 1 {
-		t.Fatalf("rate = %+v, want (2s, (3-2)/1s)", r.Points[0])
-	}
-	// A trailing duplicate replaces the final sample.
-	cum.Add(2*time.Second, 5)
-	r = Rate(cum)
-	if len(r.Points) != 1 || r.Points[0].Value != 3 {
-		t.Fatalf("rate after trailing correction = %+v, want value 3", r.Points)
-	}
-}
-
-func TestRateDropsBackwardsSamples(t *testing.T) {
-	var cum Series
-	cum.Add(2*time.Second, 10)
-	cum.Add(time.Second, 0) // time went backwards: no usable interval
-	cum.Add(4*time.Second, 14)
-	r := Rate(cum)
-	if len(r.Points) != 1 {
-		t.Fatalf("rate points = %d, want 1", len(r.Points))
-	}
-	if r.Points[0].Value != 2 {
-		t.Fatalf("rate = %v, want (14-10)/2s = 2", r.Points[0].Value)
-	}
-}
-
-func TestRateEmptyAndSingle(t *testing.T) {
-	if r := Rate(Series{}); len(r.Points) != 0 {
-		t.Fatalf("empty series rate = %+v", r.Points)
-	}
-	var one Series
-	one.Add(time.Second, 5)
-	if r := Rate(one); len(r.Points) != 0 {
-		t.Fatalf("single-sample rate = %+v", r.Points)
-	}
-}
-
 func TestQuantilesClampAndEdges(t *testing.T) {
 	vals := []time.Duration{3 * time.Second, time.Second, 2 * time.Second}
 	// p <= 0 clamps to the minimum (rank 1); p > 1 clamps to the maximum.

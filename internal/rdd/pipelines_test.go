@@ -7,6 +7,7 @@ import (
 	"os"
 	"strings"
 	"testing"
+	"time"
 
 	"sae/internal/chaos"
 	"sae/internal/cluster"
@@ -32,9 +33,13 @@ func (l *pipelineLog) job(name string, records any, rep *engine.JobReport) {
 		rep.Runtime, rep.DiskReadBytes, rep.DiskWriteBytes, rep.NetBytes,
 		rep.LostExecutors, rep.ResubmittedStages, rep.RecoveredBytes, rep.FetchRetries)
 	for _, st := range rep.Stages {
+		var blocked time.Duration
+		for _, e := range st.Execs {
+			blocked += e.BlockedIO
+		}
 		fmt.Fprintf(l, "stage %d %s [%d, %d] disk r/w %d/%d net %d moved %d blocked %d retries %d requeued %d threads %s\n",
 			st.ID, st.Name, st.Start, st.End, st.DiskReadBytes, st.DiskWriteBytes, st.NetBytes,
-			st.Bytes(), st.BlockedIO(), st.Retries, st.Requeued, st.ThreadsLabel())
+			st.Bytes(), blocked, st.Retries, st.Requeued, st.ThreadsLabel())
 		for _, e := range st.Execs {
 			fmt.Fprintf(l, "  exec %d tasks %d local %d moved %d blocked %d threads %d..%d\n",
 				e.Executor, e.Tasks, e.LocalTasks, e.Bytes, e.BlockedIO, e.InitialThreads, e.FinalThreads)

@@ -120,8 +120,8 @@ func TestHistogramCountSumPair(t *testing.T) {
 	if got := jsonlAgainstOracle(t, r); got != want {
 		t.Fatalf("dump:\n%s\nwant:\n%s", got, want)
 	}
-	if s, ok := r.Series("sae_h_sum", "q", "a"); !ok || s.Points[0].Value != 2.5 {
-		t.Fatalf("Series(sae_h_sum) = %+v, %v", s.Points, ok)
+	if s, ok := r.Series("sae_h_sum", "q", "a"); !ok || s[0].Value != 2.5 {
+		t.Fatalf("Series(sae_h_sum) = %+v, %v", s, ok)
 	}
 }
 
@@ -159,17 +159,17 @@ func TestSeriesAcrossLayoutChange(t *testing.T) {
 		r.Sample(time.Duration(i) * time.Second)
 	}
 	s, ok := r.Series("sae_m")
-	if !ok || len(s.Points) != 4 {
-		t.Fatalf("Series(sae_m) = %+v, want 4 points", s.Points)
+	if !ok || len(s) != 4 {
+		t.Fatalf("Series(sae_m) = %+v, want 4 points", s)
 	}
-	for i, p := range s.Points {
+	for i, p := range s {
 		if p.At != time.Duration(i)*time.Second || p.Value != float64(i) {
 			t.Fatalf("point %d = %+v", i, p)
 		}
 	}
 	late, ok := r.Series("sae_a")
-	if !ok || len(late.Points) != 2 || late.Points[0].At != 2*time.Second {
-		t.Fatalf("Series(sae_a) = %+v, want the two ticks after it registered", late.Points)
+	if !ok || len(late) != 2 || late[0].At != 2*time.Second {
+		t.Fatalf("Series(sae_a) = %+v, want the two ticks after it registered", late)
 	}
 }
 
@@ -322,8 +322,8 @@ func TestLayoutChangeMidChunk(t *testing.T) {
 	if got, want := storedValues(r), 10+10+11+2*(chunkFloats+11); got != want {
 		t.Fatalf("store holds %d values, want %d", got, want)
 	}
-	if s, ok := r.Series("sae_late"); !ok || len(s.Points) != 3 || s.Points[0].At != 2*time.Second {
-		t.Fatalf("Series(sae_late) = %+v, want the three ticks after it registered", s.Points)
+	if s, ok := r.Series("sae_late"); !ok || len(s) != 3 || s[0].At != 2*time.Second {
+		t.Fatalf("Series(sae_late) = %+v, want the three ticks after it registered", s)
 	}
 	jsonlAgainstOracle(t, r)
 }

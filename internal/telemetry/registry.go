@@ -27,8 +27,6 @@ import (
 	"sort"
 	"strings"
 	"time"
-
-	"sae/internal/metrics"
 )
 
 // MetricType distinguishes the exposition families.
@@ -336,8 +334,7 @@ func (r *Registry) sortedNames() []string {
 
 // Sample records the value of every scalar series (histograms contribute
 // their _count and _sum) at the given virtual time. Sampling the same
-// instant twice merges last-wins: the second tick replaces the first's
-// rows, mirroring metrics.Rate's duplicate-timestamp rule.
+// instant twice merges last-wins: the second tick replaces the first's rows.
 func (r *Registry) Sample(at time.Duration) {
 	for _, h := range r.hooks {
 		h.fn(at)
@@ -404,11 +401,15 @@ func (r *Registry) Samples() []SamplePoint {
 	return out
 }
 
-// Series extracts one instrument's sampled values as a metrics.Series
-// (named after the metric), reporting whether any samples exist.
-func (r *Registry) Series(name string, labels ...string) (metrics.Series, bool) {
+// Series returns one instrument's samples in recording order, as a new slice
+// the caller may modify, reporting whether any samples exist.
+func (r *Registry) Series(name string, labels ...string) ([]SamplePoint, bool) {
 	ls := labelString(labels)
-	out := metrics.Series{Name: name}
+	ticks := 0
+	for c := r.first; c != nil; c = c.next {
+		ticks += len(c.ticks)
+	}
+	out := make([]SamplePoint, 0, ticks)
 	var cur *layout
 	idx := -1
 	for tk := range r.allTicks {
@@ -422,10 +423,10 @@ func (r *Registry) Series(name string, labels ...string) (metrics.Series, bool) 
 			}
 		}
 		if idx >= 0 {
-			out.Add(tk.at, tk.vals[idx])
+			out = append(out, SamplePoint{At: tk.at, Metric: name, Labels: ls, Value: tk.vals[idx]})
 		}
 	}
-	return out, len(out.Points) > 0
+	return out, len(out) > 0
 }
 
 // Value returns an instrument's current scalar value, reporting whether

@@ -64,11 +64,11 @@ func TestSampleMergeLastWins(t *testing.T) {
 	c.Inc()
 	r.Sample(2 * time.Second) // duplicate tick replaces the previous one
 	s, ok := r.Series("sae_n")
-	if !ok || len(s.Points) != 2 {
-		t.Fatalf("series = %+v, want 2 points", s.Points)
+	if !ok || len(s) != 2 {
+		t.Fatalf("series = %+v, want 2 points", s)
 	}
-	if s.Points[1].At != 2*time.Second || s.Points[1].Value != 3 {
-		t.Fatalf("last point = %+v, want (2s, 3)", s.Points[1])
+	if s[1].At != 2*time.Second || s[1].Value != 3 {
+		t.Fatalf("last point = %+v, want (2s, 3)", s[1])
 	}
 }
 

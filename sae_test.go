@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"sae/internal/conf"
+	"sae/internal/exp"
 )
 
 // TestRunMultiSchedulerBeatsConf: the inter-job scheduler RunMulti is given
@@ -173,6 +174,39 @@ func TestExperimentRegistry(t *testing.T) {
 	}
 	if i10 != i9+1 {
 		t.Fatalf("fig10 should follow fig9: %v", ids)
+	}
+}
+
+// TestMultiPartTablesHaveDistinctNames runs the whole index at a small scale:
+// no two parts of a multi-part result may export a CSV table under one name,
+// since the merged export keeps only the last.
+func TestMultiPartTablesHaveDistinctNames(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full experiment sweep in -short mode")
+	}
+	s := DAS5().WithScale(0.02)
+	for _, e := range experiments {
+		res, err := e.Run(s)
+		if err != nil {
+			t.Fatalf("%s: %v", e.ID, err)
+		}
+		parts, ok := res.(multiResult)
+		if !ok {
+			continue
+		}
+		owner := map[string]int{}
+		for i, part := range parts {
+			tab, ok := part.(exp.Tabular)
+			if !ok {
+				t.Fatalf("%s: part %d exports no tables", e.ID, i)
+			}
+			for name := range tab.CSVTables() {
+				if j, dup := owner[name]; dup {
+					t.Errorf("%s: parts %d and %d both export table %q", e.ID, j, i, name)
+				}
+				owner[name] = i
+			}
+		}
 	}
 }
 
