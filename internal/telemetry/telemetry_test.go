@@ -72,6 +72,42 @@ func TestSampleMergeLastWins(t *testing.T) {
 	}
 }
 
+// rate differentiates a cumulative series the way Fig. 12 does:
+// (v[i]-v[i-1]) / (t[i]-t[i-1]) at each point after the first.
+func rate(s []SamplePoint) []SamplePoint {
+	var out []SamplePoint
+	for i := 1; i < len(s); i++ {
+		out = append(out, SamplePoint{At: s[i].At, Value: (s[i].Value - s[i-1].Value) / (s[i].At - s[i-1].At).Seconds()})
+	}
+	return out
+}
+
+func TestSeriesDuplicateTimestampMergesLastWins(t *testing.T) {
+	r := NewRegistry()
+	g := r.Gauge("sae_cum", "cumulative")
+	g.Set(1)
+	r.Sample(time.Second)
+	g.Set(2)
+	r.Sample(time.Second) // correction of the 1s sample: last wins
+	g.Set(3)
+	r.Sample(2 * time.Second)
+	s, _ := r.Series("sae_cum")
+	d := rate(s)
+	if len(d) != 1 {
+		t.Fatalf("rate points = %d, want 1 (duplicate timestamp merged)", len(d))
+	}
+	if d[0].At != 2*time.Second || d[0].Value != 1 {
+		t.Fatalf("rate = %+v, want (2s, (3-2)/1s)", d[0])
+	}
+	// A trailing duplicate replaces the final sample.
+	g.Set(5)
+	r.Sample(2 * time.Second)
+	s, _ = r.Series("sae_cum")
+	if d = rate(s); len(d) != 1 || d[0].Value != 3 {
+		t.Fatalf("rate after trailing correction = %+v, want value 3", d)
+	}
+}
+
 func TestOnSampleHook(t *testing.T) {
 	r := NewRegistry()
 	g := r.Gauge("sae_window", "w")
