@@ -164,6 +164,7 @@ func TestRunPolicySpecNames(t *testing.T) {
 // errors the binary exits 2 on.
 func TestOutOfRangeFlags(t *testing.T) {
 	slow := writeSpec(t, "chaos: slow1@5sx1e9")
+	banana := writeSpec(t, "conf:\n  executor.threads: banana")
 	for _, args := range [][]string{
 		{"-nodes", "0"},
 		{"-nodes", "-1", "-scale", "0.01"},
@@ -180,6 +181,9 @@ func TestOutOfRangeFlags(t *testing.T) {
 		// A sampler period that never lets the clock reach the job's end.
 		{"-scale", "0.02", "-metrics", os.DevNull, "-metrics-interval", "1ns"},
 		{"-scale", "0.02", "-metrics-interval", "-5s"},
+		// A key whose default names another key takes that key's kind of value.
+		{"-scale", "0.02", "-conf", "executor.threads=banana"},
+		{"-scenario", banana},
 	} {
 		start := time.Now()
 		err := run(args)

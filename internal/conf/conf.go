@@ -7,6 +7,7 @@
 package conf
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -68,14 +69,42 @@ func (r *Registry) Lookup(key string) (Parameter, bool) {
 	return p, ok
 }
 
+// ErrBadValue marks a value Set refuses.
+var ErrBadValue = errors.New("conf: bad value")
+
 // Set overrides a parameter value. Unknown keys are an error, as in Spark's
-// strict configuration validation.
+// strict configuration validation. A key whose default names another key
+// (executor.threads defaults to executor.cores) takes that name, or a value of
+// the kind the named key's default is; anything else is an ErrBadValue naming
+// the key.
 func (r *Registry) Set(key, value string) error {
-	if _, ok := r.params[key]; !ok {
+	p, ok := r.params[key]
+	if !ok {
 		return fmt.Errorf("conf: unknown parameter %q", key)
+	}
+	if ref, ok := r.params[p.Default]; ok && value != p.Default {
+		for _, k := range kinds {
+			if !k.parses(ref.Default) {
+				continue
+			}
+			if !k.parses(value) {
+				return fmt.Errorf("%w: %s = %q, want %s like %s's default %q", ErrBadValue, key, value, k.name, ref.Key, ref.Default)
+			}
+			break
+		}
 	}
 	r.values[key] = value
 	return nil
+}
+
+// kinds are the value kinds of the defaults that other keys' defaults name
+// (executor.cores, locality.wait, network.timeout); driver.host's is free text.
+var kinds = []struct {
+	name   string
+	parses func(string) bool
+}{
+	{"an integer", func(s string) bool { _, err := strconv.Atoi(s); return err == nil }},
+	{"a duration", func(s string) bool { _, err := time.ParseDuration(s); return err == nil }},
 }
 
 // Get returns the effective value (override or default).

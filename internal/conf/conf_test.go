@@ -1,6 +1,7 @@
 package conf
 
 import (
+	"errors"
 	"strings"
 	"testing"
 )
@@ -205,6 +206,39 @@ func TestMeaninglessValuesRejected(t *testing.T) {
 	for in, want := range map[string]int64{"8589934591g": 8589934591 << 30, "-8589934592g": -8589934592 << 30} {
 		if got, err := ParseBytes(in); err != nil || got != want {
 			t.Errorf("ParseBytes(%q) = %d, %v; want %d", in, got, err, want)
+		}
+	}
+}
+
+// TestReferenceDefaultValuesChecked: a key whose default names another key
+// takes a value of the kind that key's default is, or the name itself; any
+// other value is an ErrBadValue, one line naming the key. executor.threads=
+// banana used to be accepted and the run went on as if it were unset.
+func TestReferenceDefaultValuesChecked(t *testing.T) {
+	for _, tc := range []struct {
+		key       string
+		good, bad []string
+	}{
+		{"executor.threads", []string{"8", "-1", "executor.cores"}, []string{"banana", "8.5", "3s", ""}},
+		{"locality.wait.node", []string{"0s", "1m30s", "locality.wait"}, []string{"banana", "3", "true"}},
+		{"rpc.askTimeout", []string{"120s"}, []string{"120"}},
+		// driver.host's default is free text: anything goes.
+		{"driver.bindAddress", []string{"banana", "10.0.0.1", ""}, nil},
+	} {
+		for _, v := range tc.good {
+			if err := New().Set(tc.key, v); err != nil {
+				t.Errorf("%s=%q: %v", tc.key, v, err)
+			}
+		}
+		for _, v := range tc.bad {
+			r := New()
+			err := r.Set(tc.key, v)
+			if !errors.Is(err, ErrBadValue) || !strings.Contains(err.Error(), tc.key) || strings.Contains(err.Error(), "\n") {
+				t.Errorf("%s=%q: error %v, want one ErrBadValue line naming the key", tc.key, v, err)
+			}
+			if r.IsSet(tc.key) {
+				t.Errorf("%s=%q: refused, yet set", tc.key, v)
+			}
 		}
 	}
 }

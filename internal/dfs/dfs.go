@@ -3,6 +3,14 @@
 // it for data ingestion (with locality-aware reads) and output writing. As
 // in the paper's setup, running with replication equal to the cluster size
 // makes every read node-local.
+//
+// Input files are laid out in full by Create. An output file keeps only what
+// a reader can observe of it: the bytes each node has written. A write costs
+// its disk I/O on the writer's node (StartWrite) and one addition
+// (FinishWrite). Only when a stage opens the file as input does Open lay out
+// its blocks — the nodes in ascending order, each node's bytes in blocks of
+// the file system's block size, the last one partial, with the writer as the
+// one replica — and it keeps that layout until the next write.
 package dfs
 
 import (
@@ -63,6 +71,12 @@ type File struct {
 	Name   string
 	Size   int64
 	Blocks []Block
+	// created counts the blocks Create laid out, which lead Blocks.
+	created int
+	// written holds the bytes each node has written to the file, indexed by
+	// node; nil until the file's first write. Blocks past created are Open's
+	// layout of it, dropped by the next write.
+	written []int64
 }
 
 // Block is one replicated chunk of a file.
@@ -70,9 +84,9 @@ type Block struct {
 	Index int
 	Size  int64
 	// Replicas lists the node IDs holding a copy, ascending (Create and
-	// FinishWrite keep it so; PickReplica relies on it). Blocks of a fully
-	// replicated file, and blocks written by one node, share one slice:
-	// treat it as read-only.
+	// Open keep it so; PickReplica relies on it). Blocks of a fully
+	// replicated file, blocks n apart in a partially replicated one, and
+	// blocks written by one node share one slice: treat it as read-only.
 	Replicas []int
 	// Sum is the block's CRC32 (IEEE) checksum, recorded at creation.
 	// Readers verify the data they fetch against it and fail over to
@@ -133,26 +147,30 @@ func (fs *FS) Create(name string, size int64, replication int) (*File, error) {
 		replication = n
 	}
 	// One array holds every replica list: [0..n) when every node holds every
-	// block, else a list per block.
+	// block, else one list per residue of the block index modulo n — a
+	// block's nodes depend on nothing else — which blocks n apart share.
 	ids := fs.identity(n)
 	if replication < n {
-		ids = make([]int, nblocks*replication)
+		ids = make([]int, min(nblocks, n)*replication)
 	}
-	f := &File{Name: name, Size: size, Blocks: make([]Block, 0, nblocks)}
+	f := &File{Name: name, Size: size, Blocks: make([]Block, 0, nblocks), created: nblocks}
 	for idx := range nblocks {
 		bs := min(fs.blockSize, size-int64(idx)*fs.blockSize)
 		replicas := ids
 		if replication < n {
-			// Nodes idx%n … idx%n+replication-1, modulo n, written ascending:
-			// the ones that wrapped past node n-1 first.
-			replicas, ids = ids[:replication:replication], ids[replication:]
 			first := idx % n
-			wrapped := max(first+replication-n, 0)
-			for r := range replicas {
-				if r < wrapped {
-					replicas[r] = r
-				} else {
-					replicas[r] = first + r - wrapped
+			at := first * replication
+			replicas = ids[at : at+replication : at+replication]
+			if idx < n {
+				// Nodes first … first+replication-1, modulo n, written
+				// ascending: the ones that wrapped past node n-1 first.
+				wrapped := max(first+replication-n, 0)
+				for r := range replicas {
+					if r < wrapped {
+						replicas[r] = r
+					} else {
+						replicas[r] = first + r - wrapped
+					}
 				}
 			}
 		}
@@ -165,13 +183,41 @@ func (fs *FS) Create(name string, size int64, replication int) (*File, error) {
 	return f, nil
 }
 
-// Open returns the file's metadata.
+// Open returns the file's metadata, first laying out what the cluster wrote
+// to it since the last layout (see the package doc) after Create's blocks. A
+// layout is a new array: blocks taken from an earlier one never change.
 func (fs *FS) Open(name string) (*File, error) {
 	f, ok := fs.files[name]
 	if !ok {
 		return nil, fmt.Errorf("dfs: file %q not found", name)
 	}
+	if f.written != nil && len(f.Blocks) == f.created {
+		fs.layout(f)
+	}
 	return f, nil
+}
+
+// layout appends the blocks of f's written bytes to Create's, in a new array.
+func (fs *FS) layout(f *File) {
+	nb := int64(f.created)
+	for _, w := range f.written {
+		nb += (w + fs.blockSize - 1) / fs.blockSize // written bytes are far from MaxInt64
+	}
+	if nb == int64(f.created) {
+		return
+	}
+	blocks := append(make([]Block, 0, nb), f.Blocks...)
+	ids := fs.identity(len(f.written))
+	for node, w := range f.written {
+		for off := int64(0); off < w; off += fs.blockSize {
+			idx, size := len(blocks), min(fs.blockSize, w-off)
+			blocks = append(blocks, Block{
+				Index: idx, Size: size, Replicas: ids[node : node+1 : node+1],
+				Sum: fs.blockSum(f.Name, idx, size),
+			})
+		}
+	}
+	f.Blocks = blocks
 }
 
 // PickReplica returns the reader's preferred live replica of b: the nearest
@@ -219,53 +265,30 @@ func (fs *FS) ReadSum(b Block, node int) uint32 {
 // writer: it opens the file and queues the write on the writer's disk,
 // reporting whether p is owed a wake (see device.Disk.StartWrite). Once the
 // write has completed — at once, if nothing was queued — the caller records
-// the block with FinishWrite. Replication traffic is not charged: the paper's
+// it with FinishWrite. Replication traffic is not charged: the paper's
 // I/O accounting (Spark task metrics) counts task-level bytes, not HDFS
 // pipeline copies.
 func (fs *FS) StartWrite(p *sim.Proc, writer int, name string, bytes int64) (f *File, parked bool) {
 	if bytes < 0 {
 		panic(fmt.Sprintf("dfs: negative write %d", bytes))
 	}
-	return fs.openOutput(name), fs.cluster.Node(writer).Disk.StartWrite(p, bytes)
-}
-
-// openOutput returns the file called name, creating an empty one if need be.
-func (fs *FS) openOutput(name string) *File {
 	f, ok := fs.files[name]
 	if !ok {
 		f = &File{Name: name}
 		fs.files[name] = f
 	}
-	return f
+	return f, fs.cluster.Node(writer).Disk.StartWrite(p, bytes)
 }
 
-// Reserve tells the file system that about blocks more blocks are going to be
-// written to the file called name (created empty if absent), so that its block
-// array can be sized for them at once: otherwise a stage's output file grows
-// by append, one block per write, and allocates — and copies — several times
-// what it ends up holding. The array's capacity is the ledger: each call adds
-// its blocks to it, so writers announced one after the other, and running side
-// by side, all fit. It is only a hint. The array moves once per call, the
-// blocks written so far and their numbering are untouched (splits taken before
-// keep their contents), and a write past what was announced appends as it
-// would have without.
-func (fs *FS) Reserve(name string, blocks int) {
-	f := fs.openOutput(name)
-	if blocks > 0 {
-		f.Blocks = append(make([]Block, 0, cap(f.Blocks)+blocks), f.Blocks...)
-	}
-}
-
-// FinishWrite records a write StartWrite began: it appends the written block
-// to f, with the writer as its one replica. The block's index is the file's
-// length now, after the disk write, so concurrent writers of one file are
-// numbered in completion order.
+// FinishWrite records a write StartWrite began: it adds the bytes to what the
+// writer's node has written to f, and drops the layout Open last gave f.
 func (fs *FS) FinishWrite(f *File, writer int, bytes int64) {
-	f.Blocks = append(f.Blocks, Block{
-		Index: len(f.Blocks), Size: bytes, Replicas: fs.identity(writer + 1)[writer:],
-		Sum: fs.blockSum(f.Name, len(f.Blocks), bytes),
-	})
+	if f.written == nil {
+		f.written = make([]int64, fs.cluster.Size())
+	}
+	f.written[writer] += bytes
 	f.Size += bytes
+	f.Blocks = f.Blocks[:f.created:f.created]
 }
 
 // identity returns [0, 1, …, n-1] from one array the file system grows: the
@@ -278,23 +301,16 @@ func (fs *FS) identity(n int) []int {
 	return fs.ids[:n:n]
 }
 
-// Splits partitions a file's blocks into n contiguous input splits of
+// Split returns split s of blocks cut into n contiguous input splits of
 // near-equal block count, one per task, in block order: block i belongs to
-// split i*n/len(Blocks). If the file has fewer blocks than n, some splits are
-// empty (nil). A split is a read-only window onto f.Blocks, not a copy; its
-// capacity ends where it does, so a later append to the file cannot reach it.
-func Splits(f *File, n int) [][]Block {
-	if n <= 0 {
-		panic(fmt.Sprintf("dfs: non-positive split count %d", n))
+// split i*n/len(blocks). If there are fewer blocks than n, some splits are
+// empty (nil). A split is a read-only window onto blocks, not a copy; its
+// capacity ends where it does, so an append to it cannot reach its neighbour.
+func Split(blocks []Block, n, s int) []Block {
+	nb := len(blocks)
+	lo, hi := (s*nb+n-1)/n, ((s+1)*nb+n-1)/n // the first blocks of splits s and s+1
+	if hi == lo {
+		return nil
 	}
-	out := make([][]Block, n)
-	nb, lo := len(f.Blocks), 0
-	for s := range out {
-		hi := ((s+1)*nb + n - 1) / n // the first block of split s+1
-		if hi > lo {
-			out[s] = f.Blocks[lo:hi:hi]
-		}
-		lo = hi
-	}
-	return out
+	return blocks[lo:hi:hi]
 }

@@ -87,8 +87,8 @@ func (r *blockRead) Step() {
 	}
 }
 
-// blockWrite is a process writing one block of "out" as a task does: it
-// starts the disk write, and records the block once the write has completed.
+// blockWrite is a process writing bytes to "out" as a task does: it starts the
+// disk write, and records it once the write has completed.
 type blockWrite struct {
 	proc   sim.Proc
 	fs     *FS
@@ -325,13 +325,9 @@ func TestSplitsCoverAllBlocksInOrder(t *testing.T) {
 	k := sim.NewKernel()
 	fs := New(testCluster(k, 4), 10)
 	f, _ := fs.Create("in", 95, 4) // 10 blocks
-	splits := Splits(f, 4)
-	if len(splits) != 4 {
-		t.Fatalf("splits = %d", len(splits))
-	}
 	var seen []int
-	for _, s := range splits {
-		for _, b := range s {
+	for s := range 4 {
+		for _, b := range Split(f.Blocks, 4, s) {
 			seen = append(seen, b.Index)
 		}
 	}
@@ -356,22 +352,18 @@ func TestSplitsPartitionProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		splits := Splits(file, int(n%32)+1)
+		splits := int(n%32) + 1
 		total := 0
 		minLen, maxLen := len(file.Blocks), 0
-		for _, s := range splits {
-			total += len(s)
-			if len(s) < minLen {
-				minLen = len(s)
-			}
-			if len(s) > maxLen {
-				maxLen = len(s)
-			}
+		for s := range splits {
+			l := len(Split(file.Blocks, splits, s))
+			total += l
+			minLen, maxLen = min(minLen, l), max(maxLen, l)
 		}
 		if total != len(file.Blocks) {
 			return false
 		}
-		if len(splits) <= len(file.Blocks) && maxLen-minLen > 1 {
+		if splits <= len(file.Blocks) && maxLen-minLen > 1 {
 			return false
 		}
 		return true
@@ -381,128 +373,129 @@ func TestSplitsPartitionProperty(t *testing.T) {
 	}
 }
 
-// TestSplitsShareBlocks pins what Splits is made of: windows onto the file's
-// own block list — block i in split i*n/len(Blocks), as when each split was
-// appended to block by block — costing the one slice of windows, and closed
-// at the top, so blocks appended to the file later stay out of them.
+// TestSplitsShareBlocks pins what Split returns: a window onto the block list
+// itself — block i in split i*n/len(blocks), as when each split was appended
+// to block by block — nil when empty, and closed at the top, so appending to
+// it cannot write into the next split's blocks.
 func TestSplitsShareBlocks(t *testing.T) {
-	k := sim.NewKernel()
-	fs := New(testCluster(k, 2), 10)
 	for nb := 0; nb <= 40; nb++ {
-		f := &File{Blocks: make([]Block, nb)}
-		for i := range f.Blocks {
-			f.Blocks[i].Index = i
+		blocks := make([]Block, nb)
+		for i := range blocks {
+			blocks[i].Index = i
 		}
 		for n := 1; n <= 45; n++ {
 			want := make([][]int, n)
-			for i := range f.Blocks {
+			for i := range blocks {
 				want[i*n/nb] = append(want[i*n/nb], i)
 			}
-			for s, split := range Splits(f, n) {
-				if len(split) != len(want[s]) || (len(split) == 0) != (split == nil) {
-					t.Fatalf("%d blocks in %d splits: split %d has %d blocks (nil: %v), want %d", nb, n, s, len(split), split == nil, len(want[s]))
+			for s := range n {
+				split := Split(blocks, n, s)
+				if len(split) != len(want[s]) || (len(split) == 0) != (split == nil) || cap(split) != len(split) {
+					t.Fatalf("%d blocks in %d splits: split %d has %d blocks (cap %d, nil: %v), want %d", nb, n, s, len(split), cap(split), split == nil, len(want[s]))
 				}
 				for j := range split {
-					if &split[j] != &f.Blocks[want[s][j]] {
-						t.Fatalf("%d blocks in %d splits: split %d block %d is not f.Blocks[%d] itself", nb, n, s, j, want[s][j])
+					if &split[j] != &blocks[want[s][j]] {
+						t.Fatalf("%d blocks in %d splits: split %d block %d is not blocks[%d] itself", nb, n, s, j, want[s][j])
 					}
 				}
 			}
 		}
 	}
-
-	f, _ := fs.Create("in", 95, 2) // 10 blocks, in an array with room to grow
-	f.Blocks = append(make([]Block, 0, 16), f.Blocks...)
-	var splits [][]Block
-	if allocs := testing.AllocsPerRun(10, func() { splits = Splits(f, 4) }); allocs != 1 {
-		t.Errorf("Splits allocates %v objects, want 1 (the list of splits)", allocs)
-	}
-	last := splits[3]
-	fs.FinishWrite(f, 1, 7) // lands in f.Blocks[10], just past the last split
-	if len(f.Blocks) != 11 || len(last) != 2 || cap(last) != 2 {
-		t.Fatalf("after an append: %d blocks, last split len %d cap %d", len(f.Blocks), len(last), cap(last))
-	}
-	if grown := append(last, Block{Index: -1}); &grown[0] == &last[0] || f.Blocks[10].Index != 10 {
-		t.Fatal("appending to a split wrote into the file's block list")
+	blocks := make([]Block, 10, 16)
+	first := Split(blocks, 4, 0)
+	if grown := append(first, Block{Index: -1}); &grown[0] == &first[0] || blocks[len(first)].Index != 0 {
+		t.Fatal("appending to a split wrote into the next one")
 	}
 }
 
-// TestReserve holds Reserve to being a hint: the blocks a file ends up with are
-// the ones it would have had, field for field; inside the reservation the
-// array stays where it is; past it, and at a second reservation, it moves like
-// any append, leaving splits taken earlier with what they had and no way into
-// the new array; two writers announced before either has finished both fit;
-// and reserving nothing, or on a file that Create laid out, changes no block.
-func TestReserve(t *testing.T) {
-	write := func(fs *FS, from, to int) *File {
+// TestOpenLaysOutWrittenFile pins the layout Open gives a file the cluster
+// wrote: nodes ascending, each node's bytes in blocks of the block size, the
+// last one partial, the writer as the one replica, numbered in that order and
+// summed like a created block. The layout is kept until the next write; the
+// one after it is a new array, so blocks taken from the old one stay as they
+// were. Create's blocks, if the file had any, stay in front.
+func TestOpenLaysOutWrittenFile(t *testing.T) {
+	type want struct {
+		node int
+		size int64
+	}
+	check := func(fs *FS, f *File, prefix int, wants ...want) {
 		t.Helper()
-		f, err := fs.Open("out")
-		if err != nil {
-			t.Fatal(err)
+		if len(f.Blocks) != prefix+len(wants) {
+			t.Fatalf("%d blocks, want %d", len(f.Blocks), prefix+len(wants))
 		}
-		for i := from; i < to; i++ {
-			fs.FinishWrite(f, i%3, int64(5+i))
+		for i, w := range wants {
+			idx := prefix + i
+			b := f.Blocks[idx]
+			if b.Index != idx || b.Size != w.size || !slices.Equal(b.Replicas, []int{w.node}) || cap(b.Replicas) != 1 ||
+				b.Sum != fs.blockSum(f.Name, idx, w.size) {
+				t.Fatalf("block %d = %+v, want %d bytes on node %d", idx, b, w.size, w.node)
+			}
+			if src, ok := fs.PickReplica(b, 3, nil); !ok || src != w.node {
+				t.Fatalf("block %d: a remote reader picks %d, %v", idx, src, ok)
+			}
 		}
-		return f
 	}
-	plainFS := New(testCluster(sim.NewKernel(), 3), 10)
-	plainFS.Reserve("out", 0) // the entry alone
-	if f, _ := plainFS.Open("out"); f == nil || cap(f.Blocks) != 0 || f.Size != 0 {
-		t.Fatalf("Reserve(out, 0) left %+v", f)
+	fs := New(testCluster(sim.NewKernel(), 4), 10)
+	f, _ := fs.StartWrite(nil, 2, "out", 0)
+	fs.FinishWrite(f, 2, 25)
+	fs.FinishWrite(f, 0, 7)
+	fs.FinishWrite(f, 2, 5)
+	fs.FinishWrite(f, 1, 0)
+	if f.Size != 37 || len(f.Blocks) != 0 {
+		t.Fatalf("before Open: size %d, %d blocks; want 37 and none", f.Size, len(f.Blocks))
 	}
-	plain := write(plainFS, 0, 48)
-
-	fs := New(testCluster(sim.NewKernel(), 3), 10)
-	fs.Reserve("out", 32)
-	f := write(fs, 0, 1)
-	if len(f.Blocks) != 1 || cap(f.Blocks) != 32 {
-		t.Fatalf("first write into a reservation of 32: len %d cap %d", len(f.Blocks), cap(f.Blocks))
+	if g, err := fs.Open("out"); g != f || err != nil {
+		t.Fatalf("Open(out) = %p, %v; the writes went to %p", g, err, f)
 	}
-	base := &f.Blocks[0]
-	write(fs, 1, 32)
-	if &f.Blocks[0] != base {
-		t.Fatal("the block array moved inside its reservation")
+	check(fs, f, 0, want{0, 7}, want{2, 10}, want{2, 10}, want{2, 10})
+	held := f.Blocks
+	kept := slices.Clone(held)
+	if fs.Open("out"); &f.Blocks[0] != &held[0] {
+		t.Fatal("a second Open with no write between laid the file out again")
 	}
-	window := Splits(f, 4)[3]
-	held := slices.Clone(window)
-	write(fs, 32, 40) // past the reservation: appends
-	fs.Reserve("out", 100)
-	if cap(f.Blocks)-len(f.Blocks) < 100 {
-		t.Fatalf("a second reservation of 100 left room for %d", cap(f.Blocks)-len(f.Blocks))
-	}
-	base = &f.Blocks[0]
-	write(fs, 40, 48)
-	if &f.Blocks[0] != base {
-		t.Fatal("the block array moved inside its second reservation")
-	}
-	if !reflect.DeepEqual(window, held) || len(window) != 8 || cap(window) != 8 {
-		t.Fatalf("a split taken before the array moved: %d blocks (cap %d), changed: %v", len(window), cap(window), !reflect.DeepEqual(window, held))
-	}
-	if f.Size != plain.Size || !reflect.DeepEqual(f.Blocks, plain.Blocks) {
-		t.Fatalf("reserved writes left\n%+v\nunreserved ones\n%+v", f.Blocks, plain.Blocks)
+	fs.FinishWrite(f, 1, 12)
+	fs.Open("out")
+	check(fs, f, 0, want{0, 7}, want{1, 10}, want{1, 2}, want{2, 10}, want{2, 10}, want{2, 10})
+	if !reflect.DeepEqual(held, kept) || &f.Blocks[0] == &held[0] {
+		t.Fatalf("a write and an Open changed the blocks taken before: %+v", held)
 	}
 
-	fs = New(testCluster(sim.NewKernel(), 3), 10)
-	fs.Reserve("out", 10)
-	write(fs, 0, 4)
-	fs.Reserve("out", 10) // a second job's stage starts while the first one's writes
-	f = write(fs, 4, 5)
-	base = &f.Blocks[0]
-	if write(fs, 5, 20); &f.Blocks[0] != base || !reflect.DeepEqual(f.Blocks, plain.Blocks[:20]) {
-		t.Fatal("two reservations of 10 did not hold 20 blocks in place")
+	in, _ := fs.Create("in", 25, 2)
+	created := slices.Clone(in.Blocks)
+	g, _ := fs.StartWrite(nil, 3, "in", 0)
+	fs.FinishWrite(g, 3, 14)
+	if fs.Open("in"); g != in || in.Size != 39 || !reflect.DeepEqual(in.Blocks[:3], created) {
+		t.Fatalf("writing to a created file: size %d, blocks %+v", in.Size, in.Blocks)
 	}
+	check(fs, in, 3, want{3, 10}, want{3, 4})
+}
 
-	in, _ := fs.Create("in", 95, 2)
-	want := slices.Clone(in.Blocks)
-	splits := Splits(in, 4)
-	base = &in.Blocks[0]
-	fs.Reserve("in", 0)
-	if &in.Blocks[0] != base {
-		t.Fatal("reserving nothing moved an input file's blocks")
+// TestFinishWriteAndSplitAllocateNothing: past a file's first write, which
+// sizes its per-node byte counts, recording a write allocates nothing, and
+// neither does taking a task's split or opening a file whose layout stands.
+func TestFinishWriteAndSplitAllocateNothing(t *testing.T) {
+	fs := New(testCluster(sim.NewKernel(), 8), 10)
+	f, _ := fs.StartWrite(nil, 0, "out", 0)
+	fs.FinishWrite(f, 0, 1)
+	node := 0
+	if allocs := testing.AllocsPerRun(100, func() {
+		node = (node + 3) % 8
+		fs.FinishWrite(f, node, 64)
+	}); allocs != 0 {
+		t.Errorf("FinishWrite allocates %v objects, want 0", allocs)
 	}
-	fs.Reserve("in", 5)
-	if in.Size != 95 || !reflect.DeepEqual(in.Blocks, want) || !reflect.DeepEqual(splits, Splits(&File{Blocks: want}, 4)) {
-		t.Fatalf("a reservation on an input file changed it: size %d, blocks %+v", in.Size, in.Blocks)
+	if _, err := fs.Open("out"); err != nil {
+		t.Fatal(err)
+	}
+	var n int
+	if allocs := testing.AllocsPerRun(100, func() {
+		fs.Open("out")
+		for s := range 7 {
+			n += len(Split(f.Blocks, 7, s))
+		}
+	}); allocs != 0 || n != 101*len(f.Blocks) {
+		t.Errorf("opening a laid-out file and taking its splits allocates %v objects, want 0 (%d blocks seen)", allocs, n)
 	}
 }
 
@@ -618,6 +611,21 @@ func TestFullReplicationSharesReplicaList(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("local picks and a block sum allocate %v objects, want 0", allocs)
+	}
+}
+
+// TestPartialReplicationSharesReplicaLists: a block's replica list depends
+// only on its index modulo the cluster size, so blocks n apart share one list.
+func TestPartialReplicationSharesReplicaLists(t *testing.T) {
+	fs := New(testCluster(sim.NewKernel(), 5), 100)
+	f, err := fs.Create("in", 2300, 3) // 23 blocks
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, b := range f.Blocks {
+		if first := f.Blocks[i%5].Replicas; &b.Replicas[0] != &first[0] {
+			t.Fatalf("block %d does not share block %d's replica list", i, i%5)
+		}
 	}
 }
 

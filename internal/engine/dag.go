@@ -142,26 +142,16 @@ func (e *Engine) startJob(js *jobState) {
 func (e *Engine) activateStage(js *jobState, id int) {
 	spec := js.specs[id]
 	key := setKey{job: js.id, stage: id}
-	var splits [][]dfs.Block
-	var input int64
+	var blocks []dfs.Block
 	if spec.InputFile != "" {
 		f, err := e.fs.Open(spec.InputFile)
 		if err != nil {
 			e.failJob(js, id, err)
 			return
 		}
-		splits = dfs.Splits(f, spec.NumTasks)
-		input = f.Size
+		blocks = f.Blocks
 	}
-	if spec.OutputFile != "" && spec.Work == nil {
-		// An analytic task writes one output block per chunk and has
-		// max(1, ⌈max(input, shuffle + file output) / ChunkBytes⌉) chunks (see
-		// job.AnalyticOps): tell the file system how many blocks are coming. A
-		// generator of the stage's own may write any number, so it gets no hint.
-		input += e.shuffle.validBytes(js.id, spec.ShuffleFrom)
-		e.fs.Reserve(spec.OutputFile, spec.NumTasks+int(max(input, spec.ShuffleWriteBytes+spec.OutputBytes)/job.ChunkBytes))
-	}
-	ts := newTaskSet(key, js, spec, false, nil, splits, len(e.executors), e.spares)
+	ts := newTaskSet(key, js, spec, false, nil, blocks, len(e.executors), e.spares)
 	// Does any other primary stage share the pool right now? If so the
 	// executors' effective limit is the minimum over the active stages'
 	// controller choices, and the slot table must follow the same rule.

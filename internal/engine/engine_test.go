@@ -748,3 +748,54 @@ func TestReportRendering(t *testing.T) {
 		t.Errorf("FinalThreads = %v", ft)
 	}
 }
+
+// TestReadOutputBack: a stage can take as input the file an earlier stage of
+// its job wrote. Stage 1 opens stage 0's output once stage 0 has finished —
+// the file system lays its blocks out then, per writing node — reads every
+// byte of it, and a second run is the same run, report and trace.
+func TestReadOutputBack(t *testing.T) {
+	const out = 640 * device.MiB
+	run := func() (*JobReport, string) {
+		t.Helper()
+		var trace bytes.Buffer
+		opts := testOptions(4, core.Static{IOThreads: 4})
+		opts.Trace = &trace
+		var eng *Engine
+		opts.OnSetup = func(e *Engine) { eng = e }
+		spec := &job.JobSpec{Name: "readback", Stages: []*job.StageSpec{
+			{ID: 0, Name: "write", NumTasks: 12, CPUSecondsPerTask: 0.1, OutputFile: "mid", OutputBytes: out},
+			{ID: 1, Name: "read", NumTasks: 8, DependsOn: []int{0}, InputFile: "mid", CPUSecondsPerTask: 0.1},
+		}}
+		rep, err := Run(opts, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := eng.FS().Open("mid")
+		if err != nil || f.Size != out || len(f.Blocks) < 8 {
+			t.Fatalf("the output file: %v, size %d in %d blocks; want %d bytes in at least 8", err, f.Size, len(f.Blocks), int64(out))
+		}
+		return rep, trace.String()
+	}
+	rep, trace := run()
+	moved := func(st StageReport) (bytes int64, tasks int) {
+		for _, ex := range st.Execs {
+			bytes, tasks = bytes+ex.Bytes, tasks+ex.Tasks
+		}
+		return bytes, tasks
+	}
+	wrote, _ := moved(rep.Stages[0])
+	read, tasks := moved(rep.Stages[1])
+	if wrote != out || read != wrote || tasks != 8 {
+		t.Fatalf("stage 0 wrote %d bytes, stage 1's %d tasks read %d; want %d and 8", wrote, tasks, read, int64(out))
+	}
+	if got := rep.Stages[1].DiskReadBytes; got != out {
+		t.Fatalf("stage 1 read %d bytes from disk, want %d", got, int64(out))
+	}
+	if rep.Stages[1].Start < rep.Stages[0].End {
+		t.Fatalf("stage 1 started at %v, before stage 0 ended at %v", rep.Stages[1].Start, rep.Stages[0].End)
+	}
+	rep2, trace2 := run()
+	if a, b := fmt.Sprintf("%+v", *rep), fmt.Sprintf("%+v", *rep2); a != b || trace != trace2 {
+		t.Fatalf("two runs differ:\n%s\n%s", a, b)
+	}
+}

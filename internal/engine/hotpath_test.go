@@ -221,11 +221,8 @@ func referencePick(ts *taskSet, pending []int, i, node int) int {
 		if int(ts.tasks[t].noExec) == i {
 			continue
 		}
-		if ts.splits != nil {
-			blocks := ts.splits[t]
-			if len(blocks) > 0 && !slices.Contains(blocks[0].Replicas, node) {
-				continue
-			}
+		if blocks := dfs.Split(ts.blocks, len(ts.tasks), t); len(blocks) > 0 && !slices.Contains(blocks[0].Replicas, node) {
+			continue
 		}
 		return j
 	}
@@ -278,19 +275,20 @@ func TestPickMatchesScanReference(t *testing.T) {
 			return f
 		}
 		blocks := []int{numTasks, 1 + rng.Intn(numTasks), numTasks * (1 + rng.Intn(3))}[rng.Intn(3)]
-		var splits [][]dfs.Block
+		var layout []dfs.Block
 		mode := trial % 5
 		switch mode {
 		case 0: // no input file
 		case 1, 2, 3:
-			splits = dfs.Splits(file("in", blocks, []int{1, 3, nodes}[mode-1]), numTasks)
+			layout = file("in", blocks, []int{1, 3, nodes}[mode-1]).Blocks
 		case 4:
-			few, all := file("few", numTasks, 1+rng.Intn(3)), file("all", numTasks, 0)
-			splits = make([][]dfs.Block, numTasks)
-			for task := range splits {
-				if f := []*dfs.File{few, all, nil}[rng.Intn(3)]; f != nil {
-					splits[task] = f.Blocks[task : task+1]
-				}
+			// One layout whose blocks take their replica lists from a partially
+			// and a fully replicated file at random, at any of the three block
+			// counts: some tasks local to a few nodes, some to all, some empty.
+			few, all := file("few", blocks, 1+rng.Intn(3)), file("all", blocks, 0)
+			layout = make([]dfs.Block, blocks)
+			for i := range layout {
+				layout[i] = []*dfs.File{few, all}[rng.Intn(2)].Blocks[i]
 			}
 		}
 		recovery := rng.Intn(3) == 0
@@ -299,7 +297,7 @@ func TestPickMatchesScanReference(t *testing.T) {
 			only = rng.Perm(numTasks)[:1+rng.Intn(numTasks)]
 		}
 		stage := &job.StageSpec{NumTasks: numTasks}
-		ts := newTaskSet(setKey{}, nil, stage, recovery, only, splits, nodes, new(runSpares))
+		ts := newTaskSet(setKey{}, nil, stage, recovery, only, layout, nodes, new(runSpares))
 		// Only a partially replicated first block calls for the index.
 		if built := ts.queue.local != nil; mode != 4 && built != (mode == 1 || mode == 2) {
 			t.Fatalf("trial %d (mode %d): locality index built = %v", trial, mode, built)

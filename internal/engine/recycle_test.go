@@ -268,11 +268,11 @@ func observedRunBytesPerTask(t *testing.T, onSetup func(*engine.Engine)) (float6
 
 // TestObservedRunBytesPerTask is a budget on what a run's bookkeeping costs in
 // bytes when every observer is attached and the engine starts from no spares.
-// The sample store, the output file's block list, the shuffle registry's
-// output lists, the driver's task tables and duration ledgers and the
-// auditor's shuffle ledgers are each sized once (DESIGN.md "What a run
-// allocates"); grown by append instead, the same run allocated over twice the
-// budget.
+// The sample store, the shuffle registry's output lists, the driver's task
+// tables and duration ledgers and the auditor's shuffle ledgers are each sized
+// once (DESIGN.md "What a run allocates"), and the output file keeps a byte
+// count per node instead of a block per write; grown by append instead, the
+// same run allocated over twice the budget.
 func TestObservedRunBytesPerTask(t *testing.T) {
 	if engine.RaceEnabled() {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -281,9 +281,9 @@ func TestObservedRunBytesPerTask(t *testing.T) {
 	perTask, _ := observedRunBytesPerTask(t, nil)
 	// 515 when written, 1019 with the first four grown by append; 509 with the
 	// auditor's map mirror and the durations appended and copied to sort, 399
-	// without.
-	if perTask > 480 {
-		t.Errorf("an observed run allocates %.0f bytes per task, budget 480", perTask)
+	// without; 312 with no output blocks recorded.
+	if perTask > 380 {
+		t.Errorf("an observed run allocates %.0f bytes per task, budget 380", perTask)
 	}
 }
 
@@ -300,8 +300,9 @@ func TestWarmRunBytesPerTask(t *testing.T) {
 	cold, first := observedRunBytesPerTask(t, nil)
 	engine.DrainSpares()
 	warm, _ := observedRunBytesPerTask(t, func(e *engine.Engine) { e.UseSpares(first.Spares()) })
-	// 397 cold, 307 warm when written.
-	if warm > 320 || warm >= cold {
-		t.Errorf("a warm observed run allocates %.0f bytes per task (%.0f cold), budget 320", warm, cold)
+	// 397 cold, 307 warm when written; 312 cold, 219 warm with no output
+	// blocks recorded.
+	if warm > 240 || warm >= cold {
+		t.Errorf("a warm observed run allocates %.0f bytes per task (%.0f cold), budget 240", warm, cold)
 	}
 }

@@ -107,8 +107,10 @@ type taskSet struct {
 	// included: a zombie attempt of any task of the stage may still report.
 	tasks []taskState
 
-	queue  pendingQueue
-	splits [][]dfs.Block
+	queue pendingQueue
+	// blocks is the stage's input layout as it was when the set was made (nil
+	// without an input file): task i reads dfs.Split(blocks, NumTasks, i).
+	blocks []dfs.Block
 	total  int
 	done   int
 
@@ -189,17 +191,17 @@ type pendingQueue struct {
 }
 
 // newTaskSet queues every task of a primary set, or the lost ones of a recovery
-// set. splits is the stage's input layout (nil without an input file), nodes
+// set. blocks is the stage's input layout (nil without an input file), nodes
 // the cluster size and sp the run's spares, which the task table, tickets and
 // durations are windows of.
-func newTaskSet(key setKey, js *jobState, stage *job.StageSpec, recovery bool, only []int, splits [][]dfs.Block, nodes int, sp *runSpares) *taskSet {
+func newTaskSet(key setKey, js *jobState, stage *job.StageSpec, recovery bool, only []int, blocks []dfs.Block, nodes int, sp *runSpares) *taskSet {
 	ts := &taskSet{
 		key:      key,
 		js:       js,
 		stage:    stage,
 		recovery: recovery,
 		tasks:    sp.tasks.take(stage.NumTasks),
-		splits:   splits,
+		blocks:   blocks,
 	}
 	ts.queue.tickets = sp.tickets.take(stage.NumTasks)[:0]
 	if !recovery {
@@ -225,10 +227,11 @@ func newTaskSet(key setKey, js *jobState, stage *job.StageSpec, recovery bool, o
 // distinct node IDs, so a list as long as the cluster names all of it, and a
 // fully replicated file indexes one ticket per task, not one per task and node.
 func (ts *taskSet) home(task, nodes int) (on []int, everywhere bool) {
-	if ts.splits == nil || len(ts.splits[task]) == 0 {
+	split := dfs.Split(ts.blocks, len(ts.tasks), task)
+	if len(split) == 0 {
 		return nil, true
 	}
-	if on = ts.splits[task][0].Replicas; len(on) >= nodes {
+	if on = split[0].Replicas; len(on) >= nodes {
 		return nil, true
 	}
 	return on, false
@@ -784,13 +787,13 @@ func (s *taskScheduler) ensureParents(ts *taskSet) {
 			continue
 		}
 		spec := ts.js.specs[parent]
-		var splits [][]dfs.Block
+		var blocks []dfs.Block
 		if spec.InputFile != "" {
 			if f, err := e.fs.Open(spec.InputFile); err == nil {
-				splits = dfs.Splits(f, spec.NumTasks)
+				blocks = f.Blocks
 			}
 		}
-		rs := newTaskSet(pkey, ts.js, spec, true, lost, splits, len(e.executors), e.spares)
+		rs := newTaskSet(pkey, ts.js, spec, true, lost, blocks, len(e.executors), e.spares)
 		s.addSet(rs)
 		ts.js.resubmissions++
 		e.trace(TraceEvent{Type: TraceStageResubmit, Job: ts.key.job, Stage: parent, Task: -1, Exec: -1,
@@ -908,11 +911,9 @@ func (s *taskScheduler) launch(ts *taskSet, ticket, i int) {
 	lm := e.spares.launches.get(e.recycle)
 	*lm = launchMsg{job: ts.key.job, stage: ts.stage, index: task, attempt: int(st.launches), epoch: e.em.epochs[i]}
 	st.launches++
-	if ts.splits != nil {
-		lm.blocks = ts.splits[task]
-		for _, b := range lm.blocks {
-			lm.inputTotal += b.Size
-		}
+	lm.blocks = dfs.Split(ts.blocks, len(ts.tasks), task)
+	for _, b := range lm.blocks {
+		lm.inputTotal += b.Size
 	}
 	if len(ts.stage.ShuffleFrom) > 0 {
 		lm.segments = e.shuffle.reducePlan(ts.key.job, ts.stage.ShuffleFrom, ts.stage.NumTasks, task, e.takePlan())

@@ -147,18 +147,6 @@ func (r *shuffleRegistry) addMapOutput(key setKey, numTasks, task, node int, byt
 	return ShuffleAccepted
 }
 
-// validBytes returns the valid shuffle output registered by the given stages
-// of job: what the tasks of a stage fetching from them will read between them.
-func (r *shuffleRegistry) validBytes(job int, from []int) int64 {
-	var total int64
-	for _, stage := range from {
-		if ks := r.state[setKey{job, stage}]; ks != nil {
-			total += ks.valid
-		}
-	}
-	return total
-}
-
 // registeredBytes returns the currently-valid shuffle output registered
 // across every task set — the telemetry plane's cluster-wide shuffle gauge.
 // The sum is iteration-order independent, so ranging the map is safe.

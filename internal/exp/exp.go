@@ -193,10 +193,10 @@ var ErrBadFlag = errors.New("bad flag value")
 
 // ExitCode is the status sae-run and sae-exp exit with on err: 2 for an
 // invocation that can never run — a flag value out of range (a chaos clause
-// value among them, chaos.ErrOutOfRange), a cluster without nodes — and 1 for
-// a run that failed.
+// value among them, chaos.ErrOutOfRange), a conf value of the wrong kind
+// (conf.ErrBadValue), a cluster without nodes — and 1 for a run that failed.
 func ExitCode(err error) int {
-	if errors.Is(err, ErrBadFlag) || errors.Is(err, engine.ErrNoNodes) || errors.Is(err, chaos.ErrOutOfRange) {
+	if errors.Is(err, ErrBadFlag) || errors.Is(err, engine.ErrNoNodes) || errors.Is(err, chaos.ErrOutOfRange) || errors.Is(err, conf.ErrBadValue) {
 		return 2
 	}
 	return 1

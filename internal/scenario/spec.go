@@ -333,7 +333,7 @@ func (d *dec) checkConf() error {
 	for _, key := range cn.keys {
 		vn := cn.children[key]
 		if err := catalogue.Set(key, vn.val); err != nil {
-			return d.errf(vn, "conf: unknown parameter %q", key)
+			return d.errf(vn, "%w", err)
 		}
 		if err := engine.ApplyConfig(&scratch, catalogue); err != nil {
 			return d.errf(vn, "conf %q: %v", key, err)

@@ -81,6 +81,22 @@ policy: dynamic
 	requireErr(t, msg, "6", `unknown parameter "shuffle.io.maxRetreis"`)
 }
 
+// TestReferenceConfValueKind: executor.threads defaults to executor.cores, so
+// its value must be an integer as that key's is; banana is an error at its line.
+func TestReferenceConfValueKind(t *testing.T) {
+	doc := `version: 1
+name: demo
+kind: single
+conf:
+  locality.wait.node: 0s
+  executor.threads: banana
+workload: terasort
+policy: dynamic
+`
+	msg := parseErr(t, doc)
+	requireErr(t, msg, "6", `executor.threads = "banana"`, "an integer")
+}
+
 func TestMalformedChaosClause(t *testing.T) {
 	doc := `version: 1
 name: demo
