@@ -165,6 +165,7 @@ func TestRunPolicySpecNames(t *testing.T) {
 func TestOutOfRangeFlags(t *testing.T) {
 	slow := writeSpec(t, "chaos: slow1@5sx1e9")
 	banana := writeSpec(t, "conf:\n  executor.threads: banana")
+	noRetry := writeSpec(t, "conf:\n  task.maxFailures: 0")
 	for _, args := range [][]string{
 		{"-nodes", "0"},
 		{"-nodes", "-1", "-scale", "0.01"},
@@ -184,6 +185,11 @@ func TestOutOfRangeFlags(t *testing.T) {
 		// A key whose default names another key takes that key's kind of value.
 		{"-scale", "0.02", "-conf", "executor.threads=banana"},
 		{"-scenario", banana},
+		// Values the engine's options would read as "use the default".
+		{"-scale", "0.02", "-conf", "task.maxFailures=0"},
+		{"-scale", "0.02", "-conf", "speculation.quantile=7"},
+		{"-scale", "0.02", "-conf", "executor.cores=0"},
+		{"-scenario", noRetry},
 	} {
 		start := time.Now()
 		err := run(args)

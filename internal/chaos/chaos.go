@@ -80,11 +80,12 @@ type Plan struct {
 	// pair — re-reading the same replica fails the same way; failover to
 	// another replica is the only way out.
 	CorruptRate float64
-	// MaxInjected caps how many attempts of one task may receive
-	// injected faults (0 selects 2), so injected transients can never
-	// exhaust the engine's task.maxFailures budget on their own.
-	MaxInjected int
 }
+
+// maxInjected caps how many attempts of one task may receive injected faults,
+// so injected transients can never exhaust the engine's task.maxFailures
+// budget on their own.
+const maxInjected = 2
 
 // CrashAt returns a plan that permanently kills executor exec at t.
 func CrashAt(exec int, at time.Duration) *Plan {
@@ -163,13 +164,6 @@ func (p *Plan) String() string {
 	return p.Name
 }
 
-func (p *Plan) maxInjected() int {
-	if p.MaxInjected <= 0 {
-		return 2
-	}
-	return p.MaxInjected
-}
-
 // TaskFault reports whether the given attempt of task (stage, task) suffers
 // an injected transient I/O fault, and at which fraction of its input the
 // fault strikes. attemptBudget is the engine's surviving-attempt budget
@@ -179,17 +173,15 @@ func (p *Plan) TaskFault(stage, task, attempt, attemptBudget int) (bool, float64
 	if p == nil || p.TaskFaultRate <= 0 {
 		return false, 0
 	}
-	if lim := p.maxInjected(); attemptBudget > lim {
-		attemptBudget = lim
-	}
+	attemptBudget = min(attemptBudget, maxInjected)
 	if attempt >= attemptBudget {
 		return false, 0
 	}
-	if !p.roll(1, stage, task, attempt, p.TaskFaultRate) {
+	if !p.roll(1, uint64(stage), uint64(task), uint64(attempt), p.TaskFaultRate) {
 		return false, 0
 	}
 	// Strike somewhere in the middle of the input: [0.1, 0.9).
-	return true, 0.1 + float64(0.8*p.frac(2, stage, task, attempt))
+	return true, 0.1 + float64(0.8*p.frac(2, uint64(stage), uint64(task), uint64(attempt)))
 }
 
 // FetchFault reports whether the given attempt's shuffle fetch fails
@@ -198,13 +190,11 @@ func (p *Plan) FetchFault(stage, task, attempt, attemptBudget int) bool {
 	if p == nil || p.FetchFaultRate <= 0 {
 		return false
 	}
-	if lim := p.maxInjected(); attemptBudget > lim {
-		attemptBudget = lim
-	}
+	attemptBudget = min(attemptBudget, maxInjected)
 	if attempt >= attemptBudget {
 		return false
 	}
-	return p.roll(3, stage, task, attempt, p.FetchFaultRate)
+	return p.roll(3, uint64(stage), uint64(task), uint64(attempt), p.FetchFaultRate)
 }
 
 // FetchFaultTry reports whether the given retry (try 0 = the first fetch
@@ -219,13 +209,11 @@ func (p *Plan) FetchFaultTry(stage, task, attempt, try, attemptBudget int) bool 
 	if p == nil || p.FetchFaultRate <= 0 {
 		return false
 	}
-	if lim := p.maxInjected(); attemptBudget > lim {
-		attemptBudget = lim
-	}
+	attemptBudget = min(attemptBudget, maxInjected)
 	if attempt >= attemptBudget {
 		return false
 	}
-	return p.roll(5, stage, task, attempt*64+try, p.FetchFaultRate)
+	return p.roll(5, uint64(stage), uint64(task), uint64(attempt*64+try), p.FetchFaultRate)
 }
 
 // CorruptReplica reports whether the replica of the block with checksum sum
@@ -236,7 +224,7 @@ func (p *Plan) CorruptReplica(sum uint32, node int) bool {
 	if p == nil || p.CorruptRate <= 0 {
 		return false
 	}
-	return p.roll(4, int(sum), node, 0, p.CorruptRate)
+	return p.roll(4, uint64(sum), uint64(node), 0, p.CorruptRate)
 }
 
 // Partitioned reports whether executor exec is inside a partition window at
@@ -301,20 +289,23 @@ func (p *Plan) SortedPartitions() []Partition {
 
 // roll draws a deterministic Bernoulli from the plan's seed and the fault
 // coordinates.
-func (p *Plan) roll(kind, stage, task, attempt int, rate float64) bool {
+func (p *Plan) roll(kind, a, b, c uint64, rate float64) bool {
 	if rate >= 1 {
 		return true
 	}
-	return p.frac(kind, stage, task, attempt) < rate
+	return p.frac(kind, a, b, c) < rate
 }
 
-// frac hashes the fault coordinates to a uniform float64 in [0, 1).
-func (p *Plan) frac(kind, stage, task, attempt int) float64 {
+// frac hashes the fault coordinates to a uniform float64 in [0, 1). The
+// coordinates are 64-bit on every GOARCH: a caller converts an int to uint64
+// directly, and never passes an unsigned value through int, whose width (and
+// so the sign a large value takes) depends on the architecture.
+func (p *Plan) frac(kind, a, b, c uint64) float64 {
 	h := splitmix(uint64(p.Seed) ^ 0x9e3779b97f4a7c15)
-	h = splitmix(h ^ uint64(kind))
-	h = splitmix(h ^ uint64(stage))
-	h = splitmix(h ^ uint64(task))
-	h = splitmix(h ^ uint64(attempt))
+	h = splitmix(h ^ kind)
+	h = splitmix(h ^ a)
+	h = splitmix(h ^ b)
+	h = splitmix(h ^ c)
 	return float64(h>>11) / (1 << 53)
 }
 

@@ -240,7 +240,7 @@ func TestTaskFaultRate(t *testing.T) {
 
 func TestInjectionRespectsAttemptBudget(t *testing.T) {
 	p := &Plan{Seed: 1, TaskFaultRate: 1, FetchFaultRate: 1}
-	// Default MaxInjected is 2: attempts 0 and 1 fault, attempt 2 does not.
+	// maxInjected is 2: attempts 0 and 1 fault, attempt 2 does not.
 	for attempt := 0; attempt < 5; attempt++ {
 		want := attempt < 2
 		if ok, _ := p.TaskFault(0, 0, attempt, 3); ok != want {
@@ -253,6 +253,35 @@ func TestInjectionRespectsAttemptBudget(t *testing.T) {
 	// A tighter engine budget (task.maxFailures = 2 ⇒ budget 1) wins.
 	if ok, _ := p.TaskFault(0, 0, 1, 1); ok {
 		t.Fatal("TaskFault ignored the engine attempt budget")
+	}
+}
+
+// TestCorruptReplicaHighChecksum pins the corruption verdicts of checksums at
+// and above 2^31 to the ones amd64 has always rolled. Passed through int, such
+// a sum went negative on a 32-bit GOARCH and rolled other dice (the second
+// column is what 386 rolled), so the same seed corrupted other replicas there.
+func TestCorruptReplicaHighChecksum(t *testing.T) {
+	p := Corrupt(0.5, 7)
+	for _, c := range []struct {
+		sum         uint32
+		want, int32 string // verdicts for nodes 0..7, 1 = rotten
+	}{
+		{1 << 31, "00000011", "11010011"},
+		{0x9e3779b9, "00001101", "01000011"},
+		{0xdeadbeef, "01110101", "11110111"},
+		{0xffffffff, "10010111", "01010010"},
+	} {
+		got := ""
+		for node := 0; node < 8; node++ {
+			if p.CorruptReplica(c.sum, node) {
+				got += "1"
+			} else {
+				got += "0"
+			}
+		}
+		if got != c.want {
+			t.Errorf("CorruptReplica(%#x, 0..7) = %s, want %s (%s is the sum passed through a 32-bit int)", c.sum, got, c.want, c.int32)
+		}
 	}
 }
 

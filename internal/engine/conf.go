@@ -21,18 +21,20 @@ const minHeartbeat = 100 * time.Millisecond
 // the engine options, mirroring how the paper's drop-in executor honours
 // the stock Spark configuration surface (Table 1). Only parameters marked
 // Wired in the catalogue have an effect; everything else is accepted for
-// compatibility.
+// compatibility. A value Options would read as "use the default" is either
+// mapped to what it means or refused as a conf.ErrBadValue naming the key.
 func ApplyConfig(opts *Options, reg *conf.Registry) error {
 	cores, err := reg.GetInt("executor.cores")
 	if err != nil {
 		return err
 	}
-	if cores > 0 {
-		// Virtual cores are SMT pairs over physical cores, as on the
-		// paper's nodes (32 virtual / 16 physical).
-		opts.Cluster.CPU.VirtualCores = cores
-		opts.Cluster.CPU.PhysicalCores = max(1, cores/2)
+	if cores < 1 {
+		return fmt.Errorf("%w: executor.cores = %d, want at least 1", conf.ErrBadValue, cores)
 	}
+	// Virtual cores are SMT pairs over physical cores, as on the paper's
+	// nodes (32 virtual / 16 physical).
+	opts.Cluster.CPU.VirtualCores = cores
+	opts.Cluster.CPU.PhysicalCores = max(1, cores/2)
 	if opts.BlockSize, err = reg.GetBytes("files.maxPartitionBytes"); err != nil {
 		return err
 	}
@@ -46,14 +48,23 @@ func ApplyConfig(opts *Options, reg *conf.Registry) error {
 		return err
 	}
 	opts.TaskOverheadCPUSeconds = float64(overhead) / 1000
+	if overhead <= 0 {
+		opts.TaskOverheadCPUSeconds = -1 // Options reads 0 as the 20 ms default
+	}
 	if opts.TaskMaxFailures, err = reg.GetInt("task.maxFailures"); err != nil {
 		return err
+	}
+	if opts.TaskMaxFailures < 1 {
+		return fmt.Errorf("%w: task.maxFailures = %d, want at least 1", conf.ErrBadValue, opts.TaskMaxFailures)
 	}
 	if opts.Speculation, err = reg.GetBool("speculation"); err != nil {
 		return err
 	}
 	if opts.SpeculationQuantile, err = reg.GetFloat("speculation.quantile"); err != nil {
 		return err
+	}
+	if q := opts.SpeculationQuantile; q <= 0 || q > 1 {
+		return fmt.Errorf("%w: speculation.quantile = %v, want one in (0, 1]", conf.ErrBadValue, q)
 	}
 	if opts.SpeculationMultiplier, err = reg.GetFloat("speculation.multiplier"); err != nil {
 		return err

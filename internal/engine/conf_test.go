@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -236,5 +237,67 @@ func TestApplyConfigRejectsRunawayValues(t *testing.T) {
 	opts := testOptions(2, core.Default{})
 	if err := ApplyConfig(&opts, reg); err != nil {
 		t.Fatalf("the smallest accepted values: %v", err)
+	}
+}
+
+// TestApplyConfigNoSilentDefaults: Options reads a zero (or, for some fields,
+// an out-of-range) value as "use the default", so four conf values used to run
+// as the default instead of as given. An overhead of 0 ms now means none; the
+// others have no meaning and are a conf.ErrBadValue, one line naming the key.
+func TestApplyConfigNoSilentDefaults(t *testing.T) {
+	for _, c := range []struct {
+		key, val string
+		ok       bool
+	}{
+		{"executor.taskOverheadMillis", "0", true},
+		{"executor.taskOverheadMillis", "-3", true},
+		{"task.maxFailures", "1", true},
+		{"task.maxFailures", "0", false},
+		{"task.maxFailures", "-3", false},
+		{"speculation.quantile", "1", true},
+		{"speculation.quantile", "0.01", true},
+		{"speculation.quantile", "0", false},
+		{"speculation.quantile", "-0.5", false},
+		{"speculation.quantile", "7", false},
+		{"executor.cores", "1", true},
+		{"executor.cores", "0", false},
+		{"executor.cores", "-5", false},
+	} {
+		reg := conf.New()
+		if err := reg.Set(c.key, c.val); err != nil {
+			t.Fatal(err)
+		}
+		opts := testOptions(2, core.Default{})
+		err := ApplyConfig(&opts, reg)
+		if !c.ok {
+			if err == nil {
+				t.Errorf("%s=%s accepted", c.key, c.val)
+			} else if msg := err.Error(); !errors.Is(err, conf.ErrBadValue) || !strings.Contains(msg, c.key) || strings.Contains(msg, "\n") {
+				t.Errorf("%s=%s: error %q, want one conf.ErrBadValue line naming the key", c.key, c.val, msg)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%s=%s: %v", c.key, c.val, err)
+			continue
+		}
+		e, err := NewEngine(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got, want any
+		switch c.key {
+		case "executor.taskOverheadMillis":
+			got, want = e.opts.TaskOverheadCPUSeconds, 0.0
+		case "task.maxFailures":
+			got, want = e.opts.TaskMaxFailures, 1
+		case "speculation.quantile":
+			got, want = e.opts.SpeculationQuantile, opts.SpeculationQuantile
+		case "executor.cores":
+			got, want = e.executors[0].info.MaxThreads, 1
+		}
+		if got != want {
+			t.Errorf("%s=%s: the engine runs with %v, want %v", c.key, c.val, got, want)
+		}
 	}
 }

@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"time"
 
 	"sae/internal/cluster"
@@ -21,16 +20,16 @@ import (
 type jobState struct {
 	id       int
 	spec     *job.JobSpec
-	specs    map[int]*job.StageSpec
 	submitAt time.Duration
 
-	// parents[s] is the sorted, deduplicated union of ShuffleFrom and
-	// DependsOn edges; children is its transpose; waiting[s] counts
-	// unfinished parents. A stage activates when waiting hits zero, so
-	// stages with no path between them run concurrently.
-	parents  map[int][]int
-	children map[int][]int
-	waiting  map[int]int
+	// Indexed by stage ID. A stage's parents are the deduplicated union of
+	// its ShuffleFrom and DependsOn edges; children[s] lists the stages with
+	// parent s, and waiting[s] counts s's unfinished parents. A stage
+	// activates when waiting hits zero, so stages with no path between them
+	// run concurrently. sets[s] is the stage's running task set, if any.
+	children [][]int
+	waiting  []int
+	sets     []*taskSet
 
 	finished int
 	// stageReports is indexed by stage ID, filled as stages complete.
@@ -48,6 +47,7 @@ type jobState struct {
 	lostExecs     int
 	resubmissions int
 	requeues      int
+	recoveredB    int64 // bytes re-registered for lost map outputs
 
 	// Gray-failure counters: executors suspected by the heartbeat detector
 	// while the job ran, false-positive incarnations fenced, bounded
@@ -73,51 +73,32 @@ type jobState struct {
 }
 
 func newJobState(id int, spec *job.JobSpec, submitAt time.Duration) *jobState {
+	n := len(spec.Stages)
 	js := &jobState{
 		id:           id,
 		spec:         spec,
-		specs:        make(map[int]*job.StageSpec, len(spec.Stages)),
 		submitAt:     submitAt,
-		parents:      make(map[int][]int, len(spec.Stages)),
-		children:     make(map[int][]int, len(spec.Stages)),
-		waiting:      make(map[int]int, len(spec.Stages)),
-		stageReports: make([]StageReport, len(spec.Stages)),
+		children:     make([][]int, n),
+		waiting:      make([]int, n),
+		sets:         make([]*taskSet, n),
+		stageReports: make([]StageReport, n),
 		firstLaunch:  -1,
 	}
 	for _, st := range spec.Stages {
-		js.specs[st.ID] = st
-		deps := append([]int(nil), st.ShuffleFrom...)
-		deps = append(deps, st.DependsOn...)
-		sort.Ints(deps)
-		uniq := deps[:0]
-		for i, d := range deps {
-			if i == 0 || d != deps[i-1] {
-				uniq = append(uniq, d)
-			}
-		}
-		js.parents[st.ID] = uniq
-		js.waiting[st.ID] = len(uniq)
-		for _, d := range uniq {
+		deps := append(slices.Clone(st.ShuffleFrom), st.DependsOn...)
+		slices.Sort(deps)
+		deps = slices.Compact(deps)
+		js.waiting[st.ID] = len(deps)
+		for _, d := range deps {
 			js.children[d] = append(js.children[d], st.ID)
 		}
 	}
 	return js
 }
 
-// roots returns the stage IDs with no dependencies, in ascending order.
-func (js *jobState) roots() []int {
-	var ids []int
-	for _, st := range js.spec.Stages {
-		if js.waiting[st.ID] == 0 {
-			ids = append(ids, st.ID)
-		}
-	}
-	sort.Ints(ids)
-	return ids
-}
-
 // startJob admits a job at its scheduled time (event context): resolve
-// every stage's task count up front, then activate the DAG's root stages.
+// every stage's task count up front, then activate the DAG's root stages in
+// ID order.
 func (e *Engine) startJob(js *jobState) {
 	js.started = true
 	e.tel.registerJob(js)
@@ -128,7 +109,10 @@ func (e *Engine) startJob(js *jobState) {
 			return
 		}
 	}
-	for _, id := range js.roots() {
+	for id, n := range js.waiting {
+		if n > 0 {
+			continue
+		}
 		e.activateStage(js, id)
 		if js.done {
 			return
@@ -140,7 +124,7 @@ func (e *Engine) startJob(js *jobState) {
 // cluster counters for the stage window, broadcast the stage to live
 // executors and assign the first task wave.
 func (e *Engine) activateStage(js *jobState, id int) {
-	spec := js.specs[id]
+	spec := js.spec.Stages[id]
 	key := setKey{job: js.id, stage: id}
 	var blocks []dfs.Block
 	if spec.InputFile != "" {
@@ -196,7 +180,7 @@ func (e *Engine) activateStage(js *jobState, id int) {
 		}
 	}
 	ts.lost0, ts.resub0, ts.requeue0 = js.lostExecs, js.resubmissions, js.requeues
-	ts.recovered0 = e.shuffle.recoveredBytes(js.id)
+	ts.recovered0 = js.recoveredB
 
 	ts.stats = make([]ExecutorStageStats, len(e.executors))
 	for i, ex := range e.executors {
@@ -221,7 +205,7 @@ func (e *Engine) activateStage(js *jobState, id int) {
 func (e *Engine) completeStage(ts *taskSet) {
 	js := ts.js
 	id := ts.key.stage
-	e.sched.dropSet(ts.key)
+	e.sched.dropSet(ts)
 	e.trace(TraceEvent{Type: TraceStageEnd, Job: js.id, Stage: id, Task: -1, Exec: -1})
 	for i, ex := range e.executors {
 		if e.em.alive[i] {
@@ -240,7 +224,7 @@ func (e *Engine) completeStage(ts *taskSet) {
 		LostExecutors:     js.lostExecs - ts.lost0,
 		ResubmittedStages: js.resubmissions - ts.resub0,
 		Requeued:          js.requeues - ts.requeue0,
-		RecoveredBytes:    e.shuffle.recoveredBytes(js.id) - ts.recovered0,
+		RecoveredBytes:    js.recoveredB - ts.recovered0,
 	}
 	if d := ts.durations; len(d) > 0 {
 		// The set is done with its ledger: sort it where it lies.
@@ -322,7 +306,7 @@ func (e *Engine) finishJob(js *jobState) {
 		NetBytes:          js.netB,
 		LostExecutors:     js.lostExecs,
 		ResubmittedStages: js.resubmissions,
-		RecoveredBytes:    e.shuffle.recoveredBytes(js.id),
+		RecoveredBytes:    js.recoveredB,
 		Suspected:         js.suspected,
 		Fenced:            js.fenced,
 		FetchRetries:      js.fetchRetries,
@@ -353,9 +337,9 @@ func (e *Engine) finishJob(js *jobState) {
 func (e *Engine) failJob(js *jobState, stage int, err error) {
 	js.err = fmt.Errorf("job %s stage %d: %w", js.spec.Name, stage, err)
 	js.done = true
-	for key := range e.sched.sets {
-		if key.job == js.id {
-			e.sched.dropSet(key)
+	for _, ts := range js.sets {
+		if ts != nil {
+			e.sched.dropSet(ts)
 		}
 	}
 	e.completed++

@@ -72,8 +72,6 @@ type autoCtl struct {
 	peak    int
 
 	activations, drains, decommissions int
-
-	tickEv sim.Event
 }
 
 // AutoscaleReport summarizes one run's elasticity activity.
@@ -171,7 +169,6 @@ func newAutoCtl(e *Engine, cfg AutoscaleConfig) (*autoCtl, error) {
 		}
 		c.tick()
 	})
-	c.tickEv = tick
 	return c, nil
 }
 
@@ -207,6 +204,7 @@ func (c *autoCtl) snapshot() autoscale.Snapshot {
 		Now:            e.k.Now(),
 		PendingNodes:   c.pending,
 		CompletedTasks: e.tasksDone,
+		QueuedTasks:    e.sched.pendingTotal(-1),
 	}
 	for i := range em.alive {
 		if !em.alive[i] {
@@ -221,9 +219,6 @@ func (c *autoCtl) snapshot() autoscale.Snapshot {
 			snap.DrainingNodes++
 		}
 		snap.RunningTasks += em.inflight[i]
-	}
-	for _, ts := range e.sched.sets {
-		snap.QueuedTasks += ts.queue.live
 	}
 	for _, js := range e.jobs {
 		if js.started && !js.done && js.running == 0 {

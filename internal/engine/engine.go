@@ -10,10 +10,11 @@
 package engine
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -314,7 +315,7 @@ func NewEngine(opts Options) (*Engine, error) {
 		shardOf:  shardOf,
 		opts:     opts,
 		cluster:  cl,
-		shuffle:  newShuffleRegistry(spares),
+		shuffle:  newShuffleRegistry(spares, cl.Size()),
 		toDriver: sim.NewMailbox[driverMsg](k),
 		aud:      opts.Audit,
 		recycle:  ss == nil,
@@ -366,13 +367,7 @@ func NewEngine(opts Options) (*Engine, error) {
 				return
 			}
 			beat := e.spares.beats.get(e.recycle)
-			*beat = heartbeatMsg{
-				exec:      i,
-				epoch:     ex.epoch,
-				running:   ex.running,
-				limit:     ex.limit,
-				tasksDone: ex.totalTasks,
-			}
+			*beat = heartbeatMsg{exec: i, epoch: ex.epoch}
 			e.sendDriver(ex.shard, driverMsg{heartbeat: beat})
 		})
 	}
@@ -455,23 +450,23 @@ func (e *Engine) Wait() error {
 	if len(e.jobs) == 0 {
 		return errors.New("engine: no jobs submitted")
 	}
+	e.sizeJobTables()
 	// Admit jobs in batches per distinct submission instant, in submission
 	// order within a batch. Task assignment is deferred until the whole
 	// batch is admitted: with per-job admission the first job's activation
 	// would grab every free slot before the second job's task sets exist,
 	// making same-instant admission FIFO regardless of the policy. One
 	// assignAll after the batch lets Fair actually share the first wave.
-	batches := make(map[time.Duration][]*jobState, len(e.jobs))
-	var instants []time.Duration
-	for _, js := range e.jobs {
-		if _, ok := batches[js.submitAt]; !ok {
-			instants = append(instants, js.submitAt)
+	order := slices.Clone(e.jobs)
+	slices.SortStableFunc(order, func(a, b *jobState) int { return cmp.Compare(a.submitAt, b.submitAt) })
+	for len(order) > 0 {
+		at := order[0].submitAt
+		n := 1
+		for n < len(order) && order[n].submitAt == at {
+			n++
 		}
-		batches[js.submitAt] = append(batches[js.submitAt], js)
-	}
-	sort.Slice(instants, func(i, j int) bool { return instants[i] < instants[j] })
-	for _, at := range instants {
-		batch := batches[at]
+		batch := order[:n]
+		order = order[n:]
 		e.k.At(at, func() {
 			e.sched.deferAssign = true
 			for _, js := range batch {
@@ -495,6 +490,17 @@ func (e *Engine) Wait() error {
 		e.giveBackSpares()
 	}
 	return err
+}
+
+// sizeJobTables makes the per-executor tables indexed by job ID, now that
+// every job is submitted; the driver's counts are rows of one array.
+func (e *Engine) sizeJobTables() {
+	n := len(e.jobs)
+	cells := make([]int, len(e.executors)*n)
+	for i, ex := range e.executors {
+		e.em.inflightJob[i], cells = cells[:n:n], cells[n:]
+		ex.decisionsByJob = make([][]job.Decision, n)
+	}
 }
 
 // closeRun settles a run whose simulation has drained and returns Wait's

@@ -22,9 +22,10 @@ type execManager struct {
 	// executor's free slot count.
 	limits   []int
 	inflight []int
-	// inflightJob breaks inflight down per job, so a crash can return the
-	// dead executor's slots to the right jobs' fair-share accounts.
-	inflightJob []map[int]int
+	// inflightJob[i][job] breaks inflight down per job, so a crash can
+	// return the dead executor's slots to the right jobs' fair-share
+	// accounts. Wait makes the rows (Engine.sizeJobTables).
+	inflightJob [][]int
 	// epochs mirrors each executor's incarnation counter; messages from an
 	// older incarnation are stale and dropped.
 	epochs     []int
@@ -61,9 +62,6 @@ type execManager struct {
 	// at construction so re-arming a detector never allocates a closure.
 	onSuspectFn []func()
 	onLostFn    []func()
-	// lastProgress mirrors the latest beat's task-progress payload, for
-	// introspection and debugging.
-	lastProgress []int
 }
 
 func newExecManager(eng *Engine, n, blacklistAfter int) *execManager {
@@ -71,7 +69,7 @@ func newExecManager(eng *Engine, n, blacklistAfter int) *execManager {
 		eng:            eng,
 		limits:         make([]int, n),
 		inflight:       make([]int, n),
-		inflightJob:    make([]map[int]int, n),
+		inflightJob:    make([][]int, n),
 		epochs:         make([]int, n),
 		failStreak:     make([]int, n),
 		alive:          make([]bool, n),
@@ -85,11 +83,9 @@ func newExecManager(eng *Engine, n, blacklistAfter int) *execManager {
 		lostEv:         make([]sim.Event, n),
 		onSuspectFn:    make([]func(), n),
 		onLostFn:       make([]func(), n),
-		lastProgress:   make([]int, n),
 	}
 	for i := range m.alive {
 		m.alive[i] = true
-		m.inflightJob[i] = make(map[int]int)
 		i := i
 		m.onSuspectFn[i] = func() { m.onSuspect(i) }
 		m.onLostFn[i] = func() { m.onLost(i) }
@@ -126,11 +122,10 @@ func (m *execManager) cancelTimers(i int) {
 	m.lostEv[i] = sim.Event{}
 }
 
-// noteBeat accepts a heartbeat from a live executor: record progress, clear
-// any standing suspicion (the slow node caught up) and re-arm the timer.
+// noteBeat accepts a heartbeat from a live executor: clear any standing
+// suspicion (the slow node caught up) and re-arm the timer.
 func (m *execManager) noteBeat(b *heartbeatMsg) {
 	i := b.exec
-	m.lastProgress[i] = b.tasksDone
 	if m.suspected[i] {
 		m.suspected[i] = false
 		m.eng.trace(TraceEvent{Type: TraceExecSuspect, Job: -1, Stage: -1, Task: -1, Exec: i,
@@ -242,9 +237,7 @@ func (m *execManager) noteFailure(exec, jobID, stage int) {
 }
 
 // markLost resets the dead executor's driver-side state, returning its
-// in-flight slots to the owning jobs' running counts. Iteration over the
-// per-job counts is unordered but commutative, so the resulting state is
-// deterministic.
+// in-flight slots to the owning jobs' running counts.
 func (m *execManager) markLost(exec, epoch int) {
 	if m.eng.auto != nil {
 		// Bill the elapsed interval at the old live count before it drops.
@@ -267,7 +260,7 @@ func (m *execManager) markLost(exec, epoch int) {
 		for jobID, n := range m.inflightJob[exec] {
 			m.eng.jobs[jobID].running -= n
 		}
-		m.inflightJob[exec] = make(map[int]int)
+		clear(m.inflightJob[exec])
 	}
 	m.failStreak[exec] = 0
 	m.blacklisted[exec] = false

@@ -71,9 +71,10 @@ type Executor struct {
 	alive    bool
 	epoch    int
 	restarts int
-	// decisionsByJob collects retired controllers' decision logs (stage
-	// ends and crashes) per job, in chronological order.
-	decisionsByJob map[int][]job.Decision
+	// decisionsByJob[job] collects the job's retired controllers' decision
+	// logs (stage ends and crashes), in chronological order. Wait sizes it
+	// to the submitted jobs.
+	decisionsByJob [][]job.Decision
 
 	// threadLog is the pool-size change history, the report's ThreadLogs.
 	threadLog []ThreadChange
@@ -84,7 +85,6 @@ type Executor struct {
 	// attempts — the numerator the telemetry plane's windowed ζ gauge
 	// differentiates.
 	cumBlockedIO time.Duration
-	totalTasks   int
 }
 
 // execMsg is a driver→executor control message (exactly one field set).
@@ -144,16 +144,13 @@ type driverMsg struct {
 	heartbeat *heartbeatMsg
 }
 
-// heartbeatMsg is an executor's periodic liveness beacon, carrying its task
-// progress and pool size (the paper's executors heartbeat through Spark's
-// stock protocol). The driver's failure detector times out on its absence;
-// it never drives scheduling directly, so quiet-plan runs are unperturbed.
+// heartbeatMsg is an executor's periodic liveness beacon (the paper's
+// executors heartbeat through Spark's stock protocol). The driver's failure
+// detector times out on its absence; it never drives scheduling directly, so
+// quiet-plan runs are unperturbed.
 type heartbeatMsg struct {
-	exec      int
-	epoch     int
-	running   int
-	limit     int
-	tasksDone int
+	exec  int
+	epoch int
 }
 
 // taskDoneMsg reports one finished attempt. The driver loop returns it to the
@@ -207,18 +204,17 @@ func newExecutor(eng *Engine, id int, node *cluster.Node, policy job.Policy) *Ex
 		MaxThreads: node.CPU.Spec().VirtualCores,
 	}
 	return &Executor{
-		id:             id,
-		node:           node,
-		eng:            eng,
-		k:              eng.kernelOf(node.ID),
-		shard:          eng.shardFor(node.ID),
-		info:           info,
-		policy:         policy,
-		inbox:          sim.NewMailbox[execMsg](eng.kernelOf(node.ID)),
-		curStage:       -1,
-		decisionsByJob: make(map[int][]job.Decision),
-		limit:          info.MaxThreads,
-		alive:          true,
+		id:       id,
+		node:     node,
+		eng:      eng,
+		k:        eng.kernelOf(node.ID),
+		shard:    eng.shardFor(node.ID),
+		info:     info,
+		policy:   policy,
+		inbox:    sim.NewMailbox[execMsg](eng.kernelOf(node.ID)),
+		curStage: -1,
+		limit:    info.MaxThreads,
+		alive:    true,
 	}
 }
 
@@ -237,23 +233,8 @@ func (ex *Executor) Restarts() int { return ex.restarts }
 // Decisions returns every controller decision this executor has logged,
 // across all jobs and incarnations, grouped by job ID.
 func (ex *Executor) Decisions() []job.Decision {
-	jobs := make([]int, 0, len(ex.decisionsByJob))
-	for id := range ex.decisionsByJob {
-		jobs = append(jobs, id)
-	}
-	for _, sc := range ex.active {
-		if _, ok := ex.decisionsByJob[sc.key.job]; !ok {
-			jobs = append(jobs, sc.key.job)
-		}
-	}
-	slices.Sort(jobs)
 	var out []job.Decision
-	seen := make(map[int]bool, len(jobs))
-	for _, id := range jobs {
-		if seen[id] {
-			continue
-		}
-		seen[id] = true
+	for id := range ex.decisionsByJob {
 		out = append(out, ex.jobDecisions(id)...)
 	}
 	return out
@@ -480,7 +461,6 @@ func (ex *Executor) taskDone(tc *taskContext, err error) {
 		ex.drain()
 		return
 	}
-	ex.totalTasks++
 	ex.cumBytes += tm.BytesMoved
 	ex.cumBlockedIO += tm.BlockedIO
 

@@ -23,8 +23,8 @@ import (
 // ascending within each job.
 func referenceActiveKeys(s *taskScheduler) []setKey {
 	stagesOf := make(map[int][]int)
-	for key := range s.sets {
-		stagesOf[key.job] = append(stagesOf[key.job], key.stage)
+	for _, ts := range s.sets {
+		stagesOf[ts.key.job] = append(stagesOf[ts.key.job], ts.key.stage)
 	}
 	jobs := make([]int, 0, len(stagesOf))
 	for id := range stagesOf {
@@ -44,42 +44,63 @@ func referenceActiveKeys(s *taskScheduler) []setKey {
 	return keys
 }
 
-// TestActiveKeysMatchesReference checks the order over random multi-job,
-// multi-stage states under every inter-job policy — with the ties (equal
-// submission instants, running counts and priorities) the policies break by
-// job ID — and that a steady-state call allocates nothing.
+// TestActiveKeysMatchesReference checks activeSets' order over random
+// multi-job, multi-stage states under every inter-job policy — with the ties
+// (equal submission instants, running counts and priorities) the policies
+// break by job ID — that each job's row finds exactly the listed sets, and
+// that a steady-state call allocates nothing.
 func TestActiveKeysMatchesReference(t *testing.T) {
+	const stages = 5
 	rng := rand.New(rand.NewSource(7))
 	for _, policy := range []InterJobPolicy{FIFO{}, Fair{}, Priority{}} {
 		for trial := 0; trial < 200; trial++ {
 			e := &Engine{}
 			s := newTaskScheduler(e, policy)
 			for id := 0; id < 1+rng.Intn(6); id++ {
-				e.jobs = append(e.jobs, &jobState{
+				js := &jobState{
 					id:       id,
 					spec:     &job.JobSpec{Priority: rng.Intn(3)},
 					submitAt: time.Duration(rng.Intn(3)) * time.Second,
 					running:  rng.Intn(3),
-				})
-				for stage := 0; stage < 5; stage++ {
+					sets:     make([]*taskSet, stages),
+				}
+				e.jobs = append(e.jobs, js)
+				for stage := 0; stage < stages; stage++ {
 					if rng.Intn(2) == 0 {
-						s.addSet(&taskSet{key: setKey{job: id, stage: stage}})
+						s.addSet(&taskSet{key: setKey{job: id, stage: stage}, js: js})
 					}
 				}
 			}
-			if len(s.keys) > 0 {
-				s.dropSet(s.keys[rng.Intn(len(s.keys))])
+			if len(s.sets) > 0 {
+				s.dropSet(s.sets[rng.Intn(len(s.sets))])
 			}
 			want := referenceActiveKeys(s)
-			got := s.activeKeys()
+			var got []setKey
+			for _, ts := range s.activeSets() {
+				got = append(got, ts.key)
+			}
 			if len(want) == 0 && len(got) == 0 {
 				continue
 			}
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s trial %d: activeKeys = %v, want %v", policy.Name(), trial, got, want)
+				t.Fatalf("%s trial %d: activeSets = %v, want %v", policy.Name(), trial, got, want)
 			}
-			if allocs := testing.AllocsPerRun(10, func() { s.activeKeys() }); allocs != 0 {
-				t.Fatalf("%s trial %d: activeKeys allocates %v objects per call, want 0", policy.Name(), trial, allocs)
+			rows := 0
+			for _, js := range e.jobs {
+				for stage, ts := range js.sets {
+					if ts != nil {
+						rows++
+						if ts.key != (setKey{job: js.id, stage: stage}) || !slices.Contains(s.sets, ts) {
+							t.Fatalf("%s trial %d: job %d's row holds %v at stage %d", policy.Name(), trial, js.id, ts.key, stage)
+						}
+					}
+				}
+			}
+			if rows != len(s.sets) {
+				t.Fatalf("%s trial %d: the jobs' rows hold %d sets, the list %d", policy.Name(), trial, rows, len(s.sets))
+			}
+			if allocs := testing.AllocsPerRun(10, func() { s.activeSets() }); allocs != 0 {
+				t.Fatalf("%s trial %d: activeSets allocates %v objects per call, want 0", policy.Name(), trial, allocs)
 			}
 		}
 	}
@@ -90,7 +111,7 @@ func TestActiveKeysMatchesReference(t *testing.T) {
 func referenceReducePlan(r *shuffleRegistry, job int, from []int, numTasks, idx int) []segment {
 	byNode := make(map[int]int64)
 	for _, st := range from {
-		ks := r.state[setKey{job, st}]
+		ks := r.lookup(setKey{job, st})
 		if ks == nil {
 			continue
 		}
@@ -134,8 +155,8 @@ func TestReducePlanMatchesReference(t *testing.T) {
 	const maps = 24
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 200; trial++ {
-		r := newShuffleRegistry(new(runSpares))
 		nodes := 1 + rng.Intn(9)
+		r := newShuffleRegistry(new(runSpares), nodes)
 		doomed := rng.Intn(nodes)
 		from := []int{0, 1, 2}[:1+rng.Intn(3)]
 		widths := []int{1 + rng.Intn(16), 1 + rng.Intn(16)}
@@ -154,12 +175,17 @@ func TestReducePlanMatchesReference(t *testing.T) {
 			}
 			var valid int64
 			lost := false
-			for key, ks := range r.state {
-				for _, out := range ks.outs {
-					if !out.lost {
-						valid += out.bytes
-					} else if key.job == 1 && key.stage < len(from) {
-						lost = true
+			for job, row := range r.state {
+				for stage, ks := range row {
+					if ks == nil {
+						continue
+					}
+					for _, out := range ks.outs {
+						if !out.lost {
+							valid += out.bytes
+						} else if job == 1 && stage < len(from) {
+							lost = true
+						}
 					}
 				}
 			}
@@ -568,7 +594,7 @@ func TestReducePlanAllocatesNothingWarm(t *testing.T) {
 	if raceEnabled() {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	r := newShuffleRegistry(new(runSpares))
+	r := newShuffleRegistry(new(runSpares), 4)
 	for task := 0; task < 64; task++ {
 		r.addMapOutput(setKey{job: 0, stage: 0}, 64, task, task%4, int64(1000+task))
 		r.addMapOutput(setKey{job: 0, stage: 1}, 64, task, task%3, int64(500+task))
@@ -674,9 +700,7 @@ func TestStacklessTaskAllocs(t *testing.T) {
 				var ms runtime.MemStats
 				runtime.ReadMemStats(&ms)
 				mallocs[i] = ms.Mallocs
-				for _, ex := range e.executors {
-					done[i] += uint64(ex.totalTasks)
-				}
+				done[i] = uint64(e.tasksDone)
 			})
 		}
 	})
@@ -713,6 +737,7 @@ func BenchmarkAssignPartialReplication(b *testing.B) {
 		if _, err := e.Submit(readJob("scan", 0)); err != nil {
 			b.Fatal(err)
 		}
+		e.sizeJobTables()
 		b.StartTimer()
 		e.startJob(e.jobs[0])
 		for exec := 0; e.sched.pendingTotal(0) > 0; exec = (exec + 1) % nodes {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -325,5 +326,68 @@ func TestJobFailureIsolated(t *testing.T) {
 	}
 	if rep.Runtime <= 0 {
 		t.Fatal("healthy job has no runtime")
+	}
+}
+
+// TestDecisionsGroupedByJob runs two jobs on one engine while an executor
+// crashes and restarts mid-run: an executor's Decisions must hold job 0's
+// decisions, retired logs before live ones — what job 0's report took from
+// the executor as it finished — followed by job 1's.
+func TestDecisionsGroupedByJob(t *testing.T) {
+	run := func(faults *chaos.Plan) (*Engine, [2]*JobReport) {
+		specA, inA := pipelineJob("alpha", 16)
+		specB, inB := pipelineJob("beta", 8)
+		opts := testOptions(4, core.DefaultDynamic())
+		opts.JobPolicy = Fair{} // both jobs run from the start
+		opts.Inputs = []Input{inA, inB}
+		opts.Faults = faults
+		e, err := NewEngine(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var hs [2]*JobHandle
+		for i, spec := range []*job.JobSpec{specA, specB} {
+			if hs[i], err = e.Submit(spec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := e.Wait(); err != nil {
+			t.Fatal(err)
+		}
+		var reps [2]*JobReport
+		for i, h := range hs {
+			if reps[i], err = h.Report(); err != nil {
+				t.Fatalf("job %d: %v", i, err)
+			}
+		}
+		return e, reps
+	}
+	_, quiet := run(nil)
+	crashAt := min(quiet[0].Runtime, quiet[1].Runtime) * 3 / 5
+	restart := crashAt + crashAt/8
+	e, reps := run(chaos.CrashRestart(1, crashAt, restart-crashAt))
+	if reps[0].LostExecutors != 1 || reps[1].LostExecutors != 1 {
+		t.Fatalf("lost executors %d and %d, want the crash in both jobs", reps[0].LostExecutors, reps[1].LostExecutors)
+	}
+	for i, ex := range e.Executors() {
+		want := append(slices.Clone(reps[0].Decisions[i]), reps[1].Decisions[i]...)
+		if got := ex.Decisions(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("executor %d: Decisions() has %d entries, not job 0's %d then job 1's %d",
+				i, len(got), len(reps[0].Decisions[i]), len(reps[1].Decisions[i]))
+		}
+	}
+	// The crashed executor retired both jobs' controllers mid-stage, and its
+	// restarted incarnation decided again for each.
+	for j, rep := range reps {
+		post := 0
+		for _, d := range rep.Decisions[1] {
+			if d.At > restart {
+				post++
+			}
+		}
+		if post == 0 || post == len(rep.Decisions[1]) {
+			t.Fatalf("job %d: executor 1 logged %d decisions, %d after its restart; want some on each side",
+				j, len(rep.Decisions[1]), post)
+		}
 	}
 }

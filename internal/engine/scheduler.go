@@ -418,10 +418,10 @@ func (ts *taskSet) dropCopy(task, exec int) bool {
 type taskScheduler struct {
 	eng    *Engine
 	policy InterJobPolicy
-	// sets holds every running task set, keyed by (job, stage); keys lists
-	// the same keys for activeKeys. addSet and dropSet keep the two in step.
-	sets map[setKey]*taskSet
-	keys []setKey
+	// sets lists every running task set, in activeSets' order as of its
+	// last call. A set is also its job's sets[stage], the lookup by (job,
+	// stage); addSet and dropSet keep the two in step.
+	sets []*taskSet
 	// deferAssign suppresses assignAll while a same-instant admission
 	// batch is in progress, so every job in the batch has its task sets
 	// registered before the first slot is offered (see Engine.Wait).
@@ -429,7 +429,7 @@ type taskScheduler struct {
 }
 
 func newTaskScheduler(eng *Engine, policy InterJobPolicy) *taskScheduler {
-	return &taskScheduler{eng: eng, policy: policy, sets: make(map[setKey]*taskSet)}
+	return &taskScheduler{eng: eng, policy: policy}
 }
 
 // primaryActive counts the active non-recovery task sets.
@@ -445,40 +445,40 @@ func (s *taskScheduler) primaryActive() int {
 
 // addSet registers a task set as running.
 func (s *taskScheduler) addSet(ts *taskSet) {
-	s.sets[ts.key] = ts
-	s.keys = append(s.keys, ts.key)
+	s.sets = append(s.sets, ts)
+	ts.js.sets[ts.key.stage] = ts
 }
 
-// dropSet retires the running set at key, if there is one.
-func (s *taskScheduler) dropSet(key setKey) {
-	if i := slices.Index(s.keys, key); i >= 0 {
-		delete(s.sets, key)
-		s.keys = slices.Delete(s.keys, i, i+1)
+// dropSet retires ts, if it is running.
+func (s *taskScheduler) dropSet(ts *taskSet) {
+	if i := slices.Index(s.sets, ts); i >= 0 {
+		s.sets = slices.Delete(s.sets, i, i+1)
+		ts.js.sets[ts.key.stage] = nil
 	}
 }
 
-// activeKeys returns the running sets' keys: jobs in policy order, stages
-// ascending within each job. Policies are strict total orders, so the
-// result is deterministic whatever order the sets were added in. It is called
-// once per slot offer and allocates nothing: the returned slice is the
-// scheduler's own list, put in order again on each call (a job's place moves
-// with its running count) and valid until the next call or dropSet — callers
-// iterate it and must not call either (directly or through assign) while they
-// do.
-func (s *taskScheduler) activeKeys() []setKey {
-	if len(s.keys) > 1 {
-		slices.SortFunc(s.keys, func(a, b setKey) int {
+// activeSets returns the running sets: jobs in policy order, stages ascending
+// within each job. Policies are strict total orders, so the result is
+// deterministic whatever order the sets were added in. It is called once per
+// slot offer and allocates nothing: the returned slice is the scheduler's own
+// list, put in order again on each call (a job's place moves with its running
+// count) and valid until the next call or dropSet — callers iterate it and
+// must not call either (directly or through assign) while they do. A set
+// addSet appends meanwhile is not in the returned slice.
+func (s *taskScheduler) activeSets() []*taskSet {
+	if len(s.sets) > 1 {
+		slices.SortFunc(s.sets, func(a, b *taskSet) int {
 			switch {
-			case a.job == b.job:
-				return cmp.Compare(a.stage, b.stage)
-			case s.policy.Before(s.eng.snapshotJob(a.job), s.eng.snapshotJob(b.job)):
+			case a.key.job == b.key.job:
+				return cmp.Compare(a.key.stage, b.key.stage)
+			case s.policy.Before(s.eng.snapshotJob(a.key.job), s.eng.snapshotJob(b.key.job)):
 				return -1
 			default:
 				return 1
 			}
 		})
 	}
-	return s.keys
+	return s.sets
 }
 
 // snapshotJob builds the policy's view of one job.
@@ -517,7 +517,7 @@ func (s *taskScheduler) handleTaskDone(m *taskDoneMsg) {
 			e.aud.TaskAccepted(m.job, m.metrics)
 		}
 	}
-	ts := s.sets[setKey{job: m.job, stage: m.metrics.Stage}]
+	ts := js.sets[m.metrics.Stage]
 	if ts == nil {
 		// A zombie from a finished stage or job (e.g. a losing
 		// speculative copy); its executor slot frees now.
@@ -587,7 +587,7 @@ func (s *taskScheduler) handleTaskDone(m *taskDoneMsg) {
 	}
 	if ts.recovery && ts.done >= ts.total {
 		// The lost map outputs are regenerated; dependents unblock.
-		s.dropSet(ts.key)
+		s.dropSet(ts)
 		e.trace(TraceEvent{Type: TraceStageEnd, Job: m.job, Stage: ts.stage.ID, Task: -1, Exec: -1, Detail: "recovery complete"})
 		s.assignAll()
 		return
@@ -658,9 +658,8 @@ func (s *taskScheduler) processLoss(exec int, reason string) {
 // shuffle registry.
 func (s *taskScheduler) reclaimNode(exec int) {
 	e := s.eng
-	keys := s.activeKeys()
-	for _, key := range keys {
-		ts := s.sets[key]
+	sets := s.activeSets()
+	for _, ts := range sets {
 		// Requeue attempts that were running on the dead executor.
 		for task := range ts.tasks {
 			if !ts.dropCopy(task, exec) {
@@ -673,7 +672,7 @@ func (s *taskScheduler) reclaimNode(exec int) {
 		}
 		// Un-complete tasks whose shuffle output lived on the dead
 		// node: their results are gone even though they finished.
-		for _, task := range e.shuffle.lostTasks(key) {
+		for _, task := range e.shuffle.lostTasks(ts.key) {
 			if ts.contains(task) && ts.tasks[task].done {
 				ts.tasks[task].done = false
 				ts.done--
@@ -684,11 +683,10 @@ func (s *taskScheduler) reclaimNode(exec int) {
 			}
 		}
 	}
-	// Dependencies of running sets may now have holes in earlier stages.
-	for _, key := range keys {
-		if ts := s.sets[key]; ts != nil {
-			s.ensureParents(ts)
-		}
+	// Dependencies of running sets may now have holes in earlier stages. The
+	// recovery sets this adds are not visited: each repairs its own parents.
+	for _, ts := range sets {
+		s.ensureParents(ts)
 	}
 }
 
@@ -716,8 +714,7 @@ func (s *taskScheduler) handleExecJoin(m *execJoinMsg) {
 	em.markJoined(m.exec, m.epoch)
 	ex := e.executors[m.exec]
 	limit := 0
-	for _, key := range s.activeKeys() {
-		ts := s.sets[key]
+	for _, ts := range s.activeSets() {
 		if ts.recovery {
 			continue
 		}
@@ -725,7 +722,7 @@ func (s *taskScheduler) handleExecJoin(m *execJoinMsg) {
 		if limit == 0 || init < limit {
 			limit = init
 		}
-		e.sendExec(ex, execMsg{stageStart: &stageStartMsg{job: key.job, stage: ts.stage}})
+		e.sendExec(ex, execMsg{stageStart: &stageStartMsg{job: ts.key.job, stage: ts.stage}})
 	}
 	em.limits[m.exec] = limit
 	s.assign(m.exec)
@@ -773,7 +770,7 @@ func (s *taskScheduler) ensureParents(ts *taskSet) {
 		if len(lost) == 0 {
 			continue
 		}
-		if ps := s.sets[pkey]; ps != nil {
+		if ps := ts.js.sets[parent]; ps != nil {
 			if ps.recovery {
 				for _, task := range lost {
 					if !ps.contains(task) {
@@ -786,7 +783,7 @@ func (s *taskScheduler) ensureParents(ts *taskSet) {
 			// tasks.
 			continue
 		}
-		spec := ts.js.specs[parent]
+		spec := ts.js.spec.Stages[parent]
 		var blocks []dfs.Block
 		if spec.InputFile != "" {
 			if f, err := e.fs.Open(spec.InputFile); err == nil {
@@ -809,12 +806,11 @@ func (s *taskScheduler) blocked(ts *taskSet) bool {
 }
 
 // pendingTotal sums queued task attempts across active sets — for one job,
-// or engine-wide with job < 0 (the autoscaler's backlog gauge). Sets are
-// read from the map directly: a sum is iteration-order independent.
+// or engine-wide with job < 0 (the autoscaler's backlog gauge).
 func (s *taskScheduler) pendingTotal(job int) int {
 	n := 0
-	for key, ts := range s.sets {
-		if job < 0 || key.job == job {
+	for _, ts := range s.sets {
+		if job < 0 || ts.key.job == job {
 			n += ts.queue.live
 		}
 	}
@@ -855,9 +851,8 @@ func (s *taskScheduler) assign(i int) {
 // i are cleared rather than letting work stall.
 func (s *taskScheduler) pickTask(i int) (*taskSet, int) {
 	node := s.eng.executors[i].node.ID
-	keys := s.activeKeys()
-	for _, key := range keys {
-		ts := s.sets[key]
+	sets := s.activeSets()
+	for _, ts := range sets {
 		if ts.queue.live == 0 || s.blocked(ts) {
 			continue
 		}
@@ -868,8 +863,7 @@ func (s *taskScheduler) pickTask(i int) (*taskSet, int) {
 	if !s.eng.em.otherFree(i) {
 		// Everything pending is excluded from i, but i is the only
 		// executor with free slots: drop the exclusions.
-		for _, key := range keys {
-			ts := s.sets[key]
+		for _, ts := range sets {
 			if ts.queue.live == 0 || s.blocked(ts) {
 				continue
 			}

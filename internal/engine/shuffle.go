@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 	"slices"
-	"sort"
 )
 
 // mapOutput is one map task's registered shuffle output.
@@ -19,35 +18,45 @@ type mapOutput struct {
 // shuffleRegistry tracks map-output placement per (job, stage) task set,
 // like Spark's MapOutputTracker: each completed map task registers how many
 // bytes of shuffle data it spilled on which node; reduce tasks of downstream
-// stages fetch their share from each source node. Keys carry the job ID so
-// concurrent jobs with identical stage IDs never alias each other's output.
-// When an executor is lost, every output on its node is invalidated and the
-// driver resubmits the owning map tasks (lineage recovery); regenerated
-// registrations replace the lost entries and are counted as recovered bytes,
-// attributed to the owning job.
+// stages fetch their share from each source node. When an executor is lost,
+// every output on its node is invalidated and the driver resubmits the owning
+// map tasks (lineage recovery); regenerated registrations replace the lost
+// entries, and the caller credits their bytes to the owning job as recovered.
 type shuffleRegistry struct {
-	// state[key] holds the task set's registered map outputs and the
-	// bookkeeping kept beside them.
-	state map[setKey]*keyState
+	// state[job][stage] holds the task set's registered map outputs and the
+	// bookkeeping kept beside them, nil before its first registration.
+	state [][]*keyState
 	// nodeGen[node] counts losses on node; fetch plans snapshot it so a
 	// plan computed before a loss fails validation even after the lost
 	// outputs were regenerated elsewhere.
-	nodeGen map[int]int
-	// recovered[job] is the total bytes re-registered for lost outputs of
-	// that job.
-	recovered map[int]int64
+	nodeGen []int
 	// byNode is reducePlan's scratch: bytes per source node, zeroed on exit.
 	byNode []int64
 	// spares is the run's, which keyState's slices are windows of.
 	spares *runSpares
 }
 
-func newShuffleRegistry(sp *runSpares) *shuffleRegistry {
-	return &shuffleRegistry{
-		state:     make(map[setKey]*keyState),
-		nodeGen:   make(map[int]int),
-		recovered: make(map[int]int64),
-		spares:    sp,
+// newShuffleRegistry returns an empty registry for a cluster of nodes nodes.
+func newShuffleRegistry(sp *runSpares, nodes int) *shuffleRegistry {
+	return &shuffleRegistry{nodeGen: make([]int, nodes), spares: sp}
+}
+
+// lookup returns key's state, or nil if nothing was registered for it.
+func (r *shuffleRegistry) lookup(key setKey) *keyState {
+	if key.job < len(r.state) && key.stage < len(r.state[key.job]) {
+		return r.state[key.job][key.stage]
+	}
+	return nil
+}
+
+// all yields every key's state.
+func (r *shuffleRegistry) all(yield func(*keyState) bool) {
+	for _, row := range r.state {
+		for _, ks := range row {
+			if ks != nil && !yield(ks) {
+				return
+			}
+		}
 	}
 }
 
@@ -125,10 +134,18 @@ func (r *shuffleRegistry) addMapOutput(key setKey, numTasks, task, node int, byt
 	if bytes <= 0 {
 		return ShuffleEmpty
 	}
-	ks := r.state[key]
+	ks := r.lookup(key)
 	if ks == nil {
 		ks = &keyState{outs: r.spares.outs.take(numTasks)[:0], slot: r.spares.slots.take(numTasks)}
-		r.state[key] = ks
+		if n := key.job + 1 - len(r.state); n > 0 {
+			r.state = append(r.state, make([][]*keyState, n)...)
+		}
+		row := r.state[key.job]
+		if n := key.stage + 1 - len(row); n > 0 {
+			row = append(row, make([]*keyState, n)...)
+			r.state[key.job] = row
+		}
+		row[key.stage] = ks
 	}
 	slot := ks.slot[task]
 	if slot > 0 && !ks.outs[slot-1].lost {
@@ -137,7 +154,6 @@ func (r *shuffleRegistry) addMapOutput(key setKey, numTasks, task, node int, byt
 	ks.valid += bytes
 	ks.aggs = nil
 	if slot > 0 {
-		r.recovered[key.job] += bytes
 		ks.outs[slot-1] = mapOutput{task: task, node: node, bytes: bytes}
 		ks.lost--
 		return ShuffleRecovered
@@ -149,10 +165,9 @@ func (r *shuffleRegistry) addMapOutput(key setKey, numTasks, task, node int, byt
 
 // registeredBytes returns the currently-valid shuffle output registered
 // across every task set — the telemetry plane's cluster-wide shuffle gauge.
-// The sum is iteration-order independent, so ranging the map is safe.
 func (r *shuffleRegistry) registeredBytes() int64 {
 	var total int64
-	for _, ks := range r.state {
+	for ks := range r.all {
 		total += ks.valid
 	}
 	return total
@@ -163,7 +178,7 @@ func (r *shuffleRegistry) registeredBytes() int64 {
 // node's generation so outstanding fetch plans go stale.
 func (r *shuffleRegistry) removeNode(node int) {
 	r.nodeGen[node]++
-	for _, ks := range r.state {
+	for ks := range r.all {
 		for i := range ks.outs {
 			if out := &ks.outs[i]; out.node == node && !out.lost {
 				out.lost = true
@@ -179,7 +194,7 @@ func (r *shuffleRegistry) removeNode(node int) {
 // output. Finished jobs' registrations are dropped (dropJob), so a true
 // result means taking the node away would cost an unfinished job data.
 func (r *shuffleRegistry) hasOutput(node int) bool {
-	for _, ks := range r.state {
+	for ks := range r.all {
 		for _, out := range ks.outs {
 			if !out.lost && out.node == node {
 				return true
@@ -192,17 +207,15 @@ func (r *shuffleRegistry) hasOutput(node int) bool {
 // dropJob forgets a finished job's registrations (its shuffle files are
 // cleaned up, as Spark does at application end).
 func (r *shuffleRegistry) dropJob(job int) {
-	for key := range r.state {
-		if key.job == job {
-			delete(r.state, key)
-		}
+	if job < len(r.state) {
+		r.state[job] = nil
 	}
 }
 
 // lostTasks returns the sorted task indices of key whose registered output
 // is currently lost.
 func (r *shuffleRegistry) lostTasks(key setKey) []int {
-	ks := r.state[key]
+	ks := r.lookup(key)
 	if ks == nil {
 		return nil
 	}
@@ -212,7 +225,7 @@ func (r *shuffleRegistry) lostTasks(key setKey) []int {
 			tasks = append(tasks, out.task)
 		}
 	}
-	sort.Ints(tasks)
+	slices.Sort(tasks)
 	return tasks
 }
 
@@ -220,16 +233,12 @@ func (r *shuffleRegistry) lostTasks(key setKey) []int {
 // i.e. whether a reduce task fetching from them would under-read.
 func (r *shuffleRegistry) missing(job int, from []int) bool {
 	for _, stage := range from {
-		if ks := r.state[setKey{job, stage}]; ks != nil && ks.lost > 0 {
+		if ks := r.lookup(setKey{job, stage}); ks != nil && ks.lost > 0 {
 			return true
 		}
 	}
 	return false
 }
-
-// recoveredBytes returns the total bytes regenerated for lost outputs of
-// job.
-func (r *shuffleRegistry) recoveredBytes(job int) int64 { return r.recovered[job] }
 
 // segment is one reduce-side fetch from a source node. gen snapshots the
 // node's loss generation at plan time; segmentValid compares it at fetch
@@ -264,7 +273,7 @@ func (r *shuffleRegistry) reducePlan(job int, from []int, numTasks, idx int, buf
 	byNode := r.byNode
 	n := 0 // nodes with a non-zero sum
 	for _, st := range from {
-		ks := r.state[setKey{job, st}]
+		ks := r.lookup(setKey{job, st})
 		if ks == nil {
 			continue
 		}

@@ -336,7 +336,7 @@ func (d *dec) checkConf() error {
 			return d.errf(vn, "%w", err)
 		}
 		if err := engine.ApplyConfig(&scratch, catalogue); err != nil {
-			return d.errf(vn, "conf %q: %v", key, err)
+			return d.errf(vn, "conf %q: %w", key, err)
 		}
 	}
 	return nil

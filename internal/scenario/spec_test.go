@@ -1,12 +1,15 @@
 package scenario
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
 	"slices"
 	"strings"
 	"testing"
+
+	"sae/internal/conf"
 )
 
 // parseErr parses a document expected to fail and returns the error text.
@@ -414,6 +417,20 @@ policy: dynamic
 `
 	msg := parseErr(t, doc)
 	requireErr(t, msg, "6", `conf "task.maxFailures"`, `"banana" is not an integer`)
+}
+
+// TestOutOfRangeConfValue: a conf value the engine's options would silently
+// replace by a default is an error at its line, and keeps conf.ErrBadValue.
+func TestOutOfRangeConfValue(t *testing.T) {
+	for _, kv := range []string{"task.maxFailures: 0", "speculation.quantile: 7", "executor.cores: -5"} {
+		doc := "version: 1\nname: demo\nkind: single\nconf:\n  shuffle.io.maxRetries: 6\n  " + kv + "\nworkload: terasort\npolicy: dynamic\n"
+		_, err := Parse("spec.yaml", []byte(doc))
+		if !errors.Is(err, conf.ErrBadValue) {
+			t.Fatalf("%s: error %v, want a conf.ErrBadValue", kv, err)
+		}
+		key, _, _ := strings.Cut(kv, ":")
+		requireErr(t, err.Error(), "6", `conf "`+key+`"`)
+	}
 }
 
 // TestUnknownKind: a misspelt kind is reported as such, not through the
