@@ -151,6 +151,9 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
+		for _, kv := range c.Setup.Config.Unmodelled() {
+			fmt.Fprintf(os.Stderr, "sae-exp: %s: conf %s is not modelled: the run ignores it\n", sp.Name, kv)
+		}
 		tasks = append(tasks, exp.Task{ID: sp.Name, Run: c.Run})
 	}
 

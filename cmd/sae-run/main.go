@@ -200,6 +200,9 @@ func run(args []string) (err error) {
 	if err != nil {
 		return err
 	}
+	for _, kv := range c.Setup.Config.Unmodelled() {
+		fmt.Fprintf(os.Stderr, "sae-run: conf %s is not modelled: the run ignores it\n", kv)
+	}
 	res, err := c.Run()
 	if err != nil {
 		return err

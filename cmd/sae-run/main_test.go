@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -114,15 +115,22 @@ func TestRunTraceWriteErrorReported(t *testing.T) {
 // it printed.
 func captureStdout(t *testing.T, fn func() error) string {
 	t.Helper()
-	f, err := os.Create(filepath.Join(t.TempDir(), "stdout"))
+	return capture(t, &os.Stdout, fn)
+}
+
+// capture runs fn with *stream redirected to a file and returns what it
+// printed there.
+func capture(t *testing.T, stream **os.File, fn func() error) string {
+	t.Helper()
+	f, err := os.Create(filepath.Join(t.TempDir(), "out"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	saved := os.Stdout
-	os.Stdout = f
+	saved := *stream
+	*stream = f
 	err = fn()
-	os.Stdout = saved
+	*stream = saved
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,5 +337,75 @@ func TestFlagsAndSpecAreOneRun(t *testing.T) {
 	})
 	if flags != spec || !strings.Contains(spec, "threads: first interval") {
 		t.Errorf("-decisions: flags and spec differ or print no decision\n--- flags ---\n%s--- spec ---\n%s", flags, spec)
+	}
+}
+
+// TestUnmodelledConfNamedOnStderr: a key the engine does not model, moved off
+// its default by -conf or by a spec's conf block, costs one stderr line naming
+// it and changes nothing the run prints; at its default it costs nothing.
+func TestUnmodelledConfNamedOnStderr(t *testing.T) {
+	plain := captureStdout(t, func() error { return run([]string{"-workload", "scan", "-scale", "0.02", "-seed", "7"}) })
+	for _, tc := range []struct {
+		name string
+		args []string
+		want string
+	}{
+		{"flag", []string{"-workload", "scan", "-scale", "0.02", "-seed", "7", "-conf", "locality.wait=0s"},
+			"sae-run: conf locality.wait=0s is not modelled: the run ignores it\n"},
+		{"spec", []string{"-scenario", writeSpec(t, "conf:", "  locality.wait: 0s")},
+			"sae-run: conf locality.wait=0s is not modelled: the run ignores it\n"},
+		{"default", []string{"-workload", "scan", "-scale", "0.02", "-seed", "7", "-conf", "locality.wait=3s", "-conf", "speculation=false"}, ""},
+	} {
+		var out string
+		stderr := capture(t, &os.Stderr, func() error {
+			out = captureStdout(t, func() error { return run(tc.args) })
+			return nil
+		})
+		if stderr != tc.want {
+			t.Errorf("%s: stderr %q, want %q", tc.name, stderr, tc.want)
+		}
+		if out != plain {
+			t.Errorf("%s: the run printed\n%s\nwant, as without the key,\n%s", tc.name, out, plain)
+		}
+	}
+}
+
+// TestBlacklistLiftedWhenRefugeLost pins a run that used to end "all executors
+// lost at 1m0s" with three executors alive. Executor 1 crashes at 5 s unseen;
+// flaky tasks get the other three blacklisted at 15.7–16.4 s, because the
+// driver still counts executor 1 as the refuge that leaves work somewhere to
+// go. When executor 1's heartbeat times out at 60 s nothing is assignable, so
+// the three live executors' blacklisting is lifted and the job finishes.
+func TestBlacklistLiftedWhenRefugeLost(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "trace.jsonl")
+	out := captureStdout(t, func() error {
+		return run([]string{"-workload", "scan", "-scale", "0.02", "-faults", "crash1@5s,flaky:0.2", "-audit", "-trace", path})
+	})
+	if !strings.Contains(out, "runtime 75.0s") || !strings.Contains(out, "1 executor(s) lost") {
+		t.Errorf("want a 75.0 s run that lost one executor, got\n%s", out)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	events, err := engine.ReadTrace(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var blacklisted, lifted []int
+	for _, ev := range events {
+		switch {
+		case ev.Type == engine.TraceBlacklist && ev.At < 60:
+			blacklisted = append(blacklisted, ev.Exec)
+		case ev.Type == engine.TraceBlacklistLift:
+			if ev.At != 60 {
+				t.Errorf("executor %d's blacklisting lifted at %vs, want at the loss, 60s", ev.Exec, ev.At)
+			}
+			lifted = append(lifted, ev.Exec)
+		}
+	}
+	if !slices.Equal(blacklisted, []int{3, 2, 0}) || !slices.Equal(lifted, []int{0, 2, 3}) {
+		t.Errorf("blacklisted %v before the loss and lifted %v, want [3 2 0] and [0 2 3]", blacklisted, lifted)
 	}
 }

@@ -36,7 +36,6 @@ var exportAllowlist = map[string]string{
 	"device.NIC.Snapshot":         "link busy time, beside Disk.Snapshot",
 	"device.Uniform":              "the no-variability model the test clusters are built with",
 	"engine.EnableTestBug":        "plants a known violation so the audit and hunt tests prove they catch it",
-	"engine.Engine.Cluster":       "read side of the engine's cluster, beside FS and Kernel",
 	"engine.Engine.Executors":     "the executor table the fault and recycling tests inspect",
 	"engine.Engine.FS":            "the file system the engine tests read output files from",
 	"engine.Executor.Alive":       "liveness the fault tests check after a crash",

@@ -265,6 +265,23 @@ func ParseBytes(s string) (int64, error) {
 	return n * mult, nil
 }
 
+// Unmodelled returns, sorted, key=value for every key set to a value other
+// than its default that the engine does not model (Wired false): a run
+// ignores them. A nil registry has none.
+func (r *Registry) Unmodelled() []string {
+	if r == nil {
+		return nil
+	}
+	var out []string
+	for k, v := range r.values {
+		if p := r.params[k]; !p.Wired && v != p.Default {
+			out = append(out, k+"="+v)
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
 // IsSet reports whether the key has an explicit override.
 func (r *Registry) IsSet(key string) bool {
 	_, ok := r.values[key]

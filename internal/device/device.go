@@ -222,6 +222,30 @@ func (d *Disk) Snapshot() psres.Stats { return d.server.Snapshot() }
 // Active returns the number of in-flight I/O streams.
 func (d *Disk) Active() int { return d.server.Active() }
 
+// Spares is the storage one node's devices give back for a later run's
+// (Release, Reuse): their stream tables (psres.Server.Release) and the disk's
+// overload memo, emptied, since the next disk's spec may differ.
+type Spares struct {
+	cpu, disk, nic psres.Table
+	overload       []float64
+}
+
+// Release moves the storage of a node's devices into sp.
+func Release(sp *Spares, c *CPU, d *Disk, n *NIC) {
+	sp.cpu, sp.disk, sp.nic = c.server.Release(), d.server.Release(), n.server.Release()
+	sp.overload, d.overload = d.overload[:0], nil
+}
+
+// Reuse hands a node's devices, before their first stream, the storage in sp
+// and empties sp.
+func Reuse(sp *Spares, c *CPU, d *Disk, n *NIC) {
+	c.server.Reuse(sp.cpu)
+	d.server.Reuse(sp.disk)
+	n.server.Reuse(sp.nic)
+	d.overload = sp.overload
+	*sp = Spares{}
+}
+
 // NIC models a full-duplex network interface as a single shared link of
 // fixed bandwidth (the paper's cluster uses FDR InfiniBand / 10G Ethernet;
 // the network is never the bottleneck in these workloads, only an additive

@@ -213,7 +213,11 @@ func (h *JobHandle) Report() (*JobReport, error) {
 var ErrNoNodes = errors.New("engine: the cluster needs at least one node")
 
 // NewEngine assembles a fresh simulated cluster ready to accept jobs.
-func NewEngine(opts Options) (*Engine, error) {
+func NewEngine(opts Options) (*Engine, error) { return newEngine(opts, nil) }
+
+// newEngine is NewEngine on the spares sp, or on the pool's if sp is nil. A
+// sharded engine runs on spares of its own.
+func newEngine(opts Options, sp *runSpares) (*Engine, error) {
 	if opts.Policy == nil {
 		return nil, errors.New("engine: Options.Policy is required")
 	}
@@ -299,15 +303,15 @@ func NewEngine(opts Options) (*Engine, error) {
 		// The driver lives on shard 0's kernel.
 		k = ss.Shard(0)
 		cl = cluster.NewSharded(kernels, func(i int) int { return shardOf[i] }, opts.Cluster)
+		sp = new(runSpares)
 	} else {
+		if sp == nil {
+			sp = sparePool.Get().(*runSpares)
+		}
 		k = sim.NewKernel()
+		k.Reuse(sp.kernel)
+		sp.kernel = sim.Storage{}
 		cl = cluster.New(k, opts.Cluster)
-	}
-	var spares *runSpares
-	if ss == nil {
-		spares = sparePool.Get().(*runSpares)
-	} else {
-		spares = new(runSpares)
 	}
 	e := &Engine{
 		k:        k,
@@ -315,12 +319,14 @@ func NewEngine(opts Options) (*Engine, error) {
 		shardOf:  shardOf,
 		opts:     opts,
 		cluster:  cl,
-		shuffle:  newShuffleRegistry(spares, cl.Size()),
+		shuffle:  newShuffleRegistry(sp, cl.Size()),
 		toDriver: sim.NewMailbox[driverMsg](k),
 		aud:      opts.Audit,
 		recycle:  ss == nil,
-		spares:   spares,
+		spares:   sp,
 	}
+	e.toDriver.Reuse(sp.toDriver)
+	sp.toDriver = sim.Buffers[driverMsg]{}
 	e.sink = newTraceSink(opts.Trace, opts.TraceFormat)
 	e.fs = dfs.New(e.cluster, opts.BlockSize)
 	for _, in := range opts.Inputs {
@@ -332,6 +338,12 @@ func NewEngine(opts Options) (*Engine, error) {
 	e.sched = newTaskScheduler(e, opts.JobPolicy)
 	for i, node := range e.cluster.Nodes() {
 		ex := newExecutor(e, i, node, opts.Policy)
+		if i < len(sp.nodes) {
+			ns := &sp.nodes[i]
+			device.Reuse(&ns.devices, node.CPU, node.Disk, node.NIC)
+			ex.inbox.Reuse(ns.inbox)
+			ns.inbox = sim.Buffers[execMsg]{}
+		}
 		e.executors = append(e.executors, ex)
 		ex.k.GoStepper(&ex.proc, fmt.Sprintf("executor-%d", i), ex)
 	}
@@ -579,9 +591,6 @@ func Run(opts Options, spec *job.JobSpec) (*JobReport, error) {
 
 // Kernel returns the simulation kernel.
 func (e *Engine) Kernel() *sim.Kernel { return e.k }
-
-// Cluster returns the simulated cluster.
-func (e *Engine) Cluster() *cluster.Cluster { return e.cluster }
 
 // FS returns the distributed file system.
 func (e *Engine) FS() *dfs.FS { return e.fs }

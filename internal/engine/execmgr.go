@@ -236,6 +236,22 @@ func (m *execManager) noteFailure(exec, jobID, stage int) {
 	}
 }
 
+// liftStranded lifts every live executor's blacklisting once none is
+// assignable: the refuge noteFailure counted may have been dead, not yet
+// detected, and the job would be stranded behind the blacklist.
+func (m *execManager) liftStranded() {
+	if m.anyAssignable() {
+		return
+	}
+	for i, b := range m.blacklisted {
+		if b && m.alive[i] {
+			m.blacklisted[i], m.failStreak[i] = false, 0
+			m.eng.trace(TraceEvent{Type: TraceBlacklistLift, Job: -1, Stage: -1, Task: -1, Exec: i,
+				Detail: "no other executor assignable"})
+		}
+	}
+}
+
 // markLost resets the dead executor's driver-side state, returning its
 // in-flight slots to the owning jobs' running counts.
 func (m *execManager) markLost(exec, epoch int) {

@@ -1,6 +1,9 @@
 package engine
 
-import "runtime"
+import (
+	"reflect"
+	"runtime"
+)
 
 // What tests outside the package (those that need internal/invariant, which
 // imports this one) share with the ones inside.
@@ -50,4 +53,53 @@ func (sp *runSpares) Held() [5]int {
 		held[4] += len(c)
 	}
 	return held
+}
+
+// NewEngineOn is NewEngine on the spares sp, a set of its own if sp is nil.
+// NewEngine takes the spares' kernel events, device tables and mailbox arrays
+// while it assembles the machine, before OnSetup could swap them, so a test
+// hands a machine over here.
+func NewEngineOn(opts Options, sp *runSpares) (*Engine, error) {
+	if sp == nil {
+		sp = new(runSpares)
+	}
+	return newEngine(opts, sp)
+}
+
+// MachineHeld reports whether sp holds, for the next run, the kernel's event
+// storage, device stream tables, the driver's mailbox arrays and executor
+// mailbox arrays.
+func (sp *runSpares) MachineHeld() [4]bool {
+	held := [4]bool{holds(reflect.ValueOf(sp.kernel)), false, holds(reflect.ValueOf(sp.toDriver))}
+	for _, ns := range sp.nodes {
+		held[1] = held[1] || holds(reflect.ValueOf(ns.devices))
+		held[3] = held[3] || holds(reflect.ValueOf(ns.inbox))
+	}
+	return held
+}
+
+// holds reports whether v reaches an array with room or a free list.
+func holds(v reflect.Value) bool {
+	switch v.Kind() {
+	case reflect.Pointer:
+		return !v.IsNil()
+	case reflect.Struct:
+		for i := range v.NumField() {
+			if holds(v.Field(i)) {
+				return true
+			}
+		}
+	case reflect.Slice:
+		if v.Len() == 0 {
+			return v.Cap() > 0
+		}
+		for i := range v.Len() {
+			if holds(v.Index(i)) {
+				return true
+			}
+		}
+	default:
+		return !v.IsZero()
+	}
+	return false
 }

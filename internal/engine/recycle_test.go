@@ -306,3 +306,101 @@ func TestWarmRunBytesPerTask(t *testing.T) {
 		t.Errorf("a warm observed run allocates %.0f bytes per task (%.0f cold), budget 240", warm, cold)
 	}
 }
+
+// TestRecycledMachineDoesNotLeakAcrossRuns hands one run's simulated machine —
+// the kernel's event structs, heap and ring, the devices' stream tables and
+// overload memos, the mailboxes' queues — to a run on other hardware. Run A,
+// eight SSD nodes under speculation, audited and traced, has an executor crash
+// in mid-stage, so streams it queued finish as zombies after the crash. Run B,
+// four HDD nodes and a job of another shape with a crash of its own, runs on
+// A's leftovers: its report and trace must equal B's on a machine of its own,
+// and A's report must render as it did before B ran. CI runs it under -race.
+func TestRecycledMachineDoesNotLeakAcrossRuns(t *testing.T) {
+	render := func(rep *engine.JobReport) string { return rep.String() + fmt.Sprintf("%+v", *rep) }
+	run := func(name string, opts engine.Options, spec *job.JobSpec, on *engine.Engine) (*engine.Engine, *engine.JobReport, []byte) {
+		t.Helper()
+		var trace bytes.Buffer
+		aud := invariant.New()
+		opts.Trace, opts.TraceFormat, opts.Audit = &trace, 2, aud
+		var e *engine.Engine
+		var err error
+		if on != nil {
+			e, err = engine.NewEngineOn(opts, on.Spares())
+		} else {
+			e, err = engine.NewEngineOn(opts, nil)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, err := e.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Wait(); err != nil {
+			t.Fatalf("run %s: %v", name, err)
+		}
+		rep, err := h.Report()
+		if err != nil {
+			t.Fatalf("run %s: %v", name, err)
+		}
+		if vs := aud.Violations(); len(vs) > 0 {
+			t.Fatalf("run %s: %d invariant violation(s), first: %s", name, len(vs), vs[0])
+		}
+		return e, rep, trace.Bytes()
+	}
+
+	spec, inputs := engine.TwoStageJob()
+	optsA := engine.GrayOptions(8, core.Static{IOThreads: 4})
+	optsA.Cluster.Disk = device.SSDSata()
+	optsA.Inputs, optsA.Speculation = inputs, true
+	optsA.Faults = &chaos.Plan{
+		Name:    "machine-a",
+		Seed:    3,
+		Slows:   []chaos.Slow{{Exec: 5, At: time.Second, Factor: 5}},
+		Crashes: []chaos.Crash{{Exec: 2, At: 2 * time.Second, RestartAfter: 3 * time.Second}},
+	}
+	engine.DrainSpares()
+	a, repA, _ := run("A", optsA, spec, nil)
+	before := render(repA)
+	zombies := 0
+	for _, ex := range a.Executors() {
+		zombies += ex.Zombies()
+	}
+	if zombies == 0 || repA.LostExecutors == 0 || repA.Stages[1].Speculative == 0 {
+		t.Fatalf("run A: %d zombie completions, %d executors lost, %d speculative copies; want some of each",
+			zombies, repA.LostExecutors, repA.Stages[1].Speculative)
+	}
+	if held := a.Spares().MachineHeld(); slices.Contains(held[:], false) {
+		t.Fatalf("run A's spares hold kernel events, device tables, driver and executor mailboxes: %v, want all", held)
+	}
+
+	in := int64(40 * 64 * device.MiB)
+	specB := &job.JobSpec{Name: "machine-b", Stages: []*job.StageSpec{
+		{ID: 0, Name: "left", InputFile: "in", CPUSecondsPerTask: 0.3, ShuffleWriteBytes: device.GiB},
+		{ID: 1, Name: "right", NumTasks: 12, CPUSecondsPerTask: 0.5, ShuffleWriteBytes: device.GiB / 2},
+		{ID: 2, Name: "join", NumTasks: 20, ShuffleFrom: []int{0, 1}, CPUSecondsPerTask: 0.2,
+			OutputFile: "out", OutputBytes: device.GiB},
+	}}
+	optsB := engine.GrayOptions(4, core.Default{})
+	optsB.Inputs, optsB.Speculation = []engine.Input{{Name: "in", Size: in}}, true
+	optsB.Faults = &chaos.Plan{
+		Name:          "machine-b",
+		Seed:          5,
+		Crashes:       []chaos.Crash{{Exec: 1, At: 4 * time.Second, RestartAfter: 6 * time.Second}},
+		TaskFaultRate: 0.05,
+	}
+	_, got, gotTrace := run("B on A's machine", optsB, specB, a)
+	_, want, wantTrace := run("B", optsB, specB, nil)
+	if want.LostExecutors == 0 {
+		t.Fatal("run B lost no executor")
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("run B on A's machine reports differently from B on its own:\n%s\n%s", render(got), render(want))
+	}
+	if !bytes.Equal(gotTrace, wantTrace) {
+		t.Fatal("run B on A's machine wrote a different trace from B on its own")
+	}
+	if after := render(repA); after != before {
+		t.Fatalf("run A's report changed when B ran on its machine:\n%s\n%s", before, after)
+	}
+}

@@ -643,6 +643,7 @@ func (s *taskScheduler) processLoss(exec int, reason string) {
 	}
 
 	s.reclaimNode(exec)
+	em.liftStranded()
 	if !em.anyAssignable() && !e.restartPending() {
 		e.fatal = fmt.Errorf("all executors lost at %s", e.k.Now())
 		return

@@ -97,21 +97,38 @@ type nodeShare struct {
 }
 
 // shares returns the key's aggregate for r consumer tasks, building it from
-// the outputs on the first plan since they last changed.
-func (ks *keyState) shares(r int) []nodeShare {
+// the outputs on the first plan since they last changed. It counts, then
+// fills: the per-node table and all the remainders are exactly sized windows
+// of the run's spares, and each node's remainders a window of the latter.
+func (ks *keyState) shares(r int, sp *runSpares) []nodeShare {
 	for i := range ks.aggs {
 		if ks.aggs[i].r == r {
 			return ks.aggs[i].nodes
 		}
 	}
-	var nodes []nodeShare
-	for i := range ks.outs {
-		out := &ks.outs[i]
+	width, total := 0, 0
+	for _, out := range ks.outs {
+		if !out.lost {
+			width = max(width, out.node+1)
+		}
+	}
+	nodes := sp.shares.take(width)
+	// quot counts each node's remainders until the windows are cut.
+	for _, out := range ks.outs {
+		if !out.lost && out.bytes%int64(r) != 0 {
+			nodes[out.node].quot++
+			total++
+		}
+	}
+	rems := sp.rems.take(total)
+	for i := range nodes {
+		n := int(nodes[i].quot)
+		nodes[i] = nodeShare{rems: rems[:0:n]}
+		rems = rems[n:]
+	}
+	for _, out := range ks.outs {
 		if out.lost {
 			continue
-		}
-		for out.node >= len(nodes) {
-			nodes = append(nodes, nodeShare{})
 		}
 		n := &nodes[out.node]
 		n.quot += out.bytes / int64(r)
@@ -277,7 +294,7 @@ func (r *shuffleRegistry) reducePlan(job int, from []int, numTasks, idx int, buf
 		if ks == nil {
 			continue
 		}
-		shares := ks.shares(numTasks)
+		shares := ks.shares(numTasks, r.spares)
 		if len(shares) > len(byNode) {
 			byNode = append(byNode, make([]int64, len(shares)-len(byNode))...)
 		}

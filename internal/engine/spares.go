@@ -3,13 +3,18 @@ package engine
 import (
 	"sync"
 	"time"
+
+	"sae/internal/device"
+	"sae/internal/sim"
 )
 
 // runSpares is the task-sized state one run leaves for the next engine in the
 // process: the driver's task tables, pending tickets and duration ledgers, the
-// shuffle registry's output lists, the executors' task contexts and the
-// control-plane free lists. A run's reports, DFS and telemetry keep none of it,
-// so once the simulation has drained it is unreachable; Wait gives it back to
+// shuffle registry's output lists and reduce-side aggregates, the executors'
+// task contexts, the control-plane free lists, and the simulated machine's
+// storage — the kernel's events, the devices' stream tables and the
+// mailboxes' queues. A run's reports, DFS and telemetry keep none of it, so
+// once the simulation has drained it is unreachable; Wait gives it back to
 // sparePool as its very last act and the next recycling NewEngine takes it
 // (DESIGN.md "What a run allocates"). Between the two it belongs to one engine
 // alone. sync.Pool bounds what is kept: an idle pool is emptied within two
@@ -20,6 +25,8 @@ type runSpares struct {
 	durations slab[time.Duration]
 	outs      slab[mapOutput]
 	slots     slab[int32]
+	shares    slab[nodeShare]
+	rems      slab[int64]
 	// contexts lists zeroed task contexts, linked through taskContext.free;
 	// an executor whose own free list is empty takes from it.
 	contexts *taskContext
@@ -30,6 +37,19 @@ type runSpares struct {
 	dones    pool[taskDoneMsg]
 	beats    pool[heartbeatMsg]
 	plans    [][]segment
+
+	// The machine's storage, which NewEngine hands out and takes out of here.
+	// nodes is by node ID, an executor's too; an entry past a smaller cluster
+	// keeps what a larger one left.
+	kernel   sim.Storage
+	toDriver sim.Buffers[driverMsg]
+	nodes    []nodeSpares
+}
+
+// nodeSpares is what one node's devices and its executor's mailbox give back.
+type nodeSpares struct {
+	devices device.Spares
+	inbox   sim.Buffers[execMsg]
 }
 
 var sparePool = sync.Pool{New: func() any { return new(runSpares) }}
@@ -46,12 +66,19 @@ func (sp *runSpares) context() *taskContext {
 
 // giveBackSpares hands the run's spares to the next engine: every executor's
 // free task contexts join the spares' list, zeroed so they pin nothing of this
-// run, and the slabs start over. It must come after everything the run does,
-// since another goroutine's engine may take the spares the instant they are
-// put back.
+// run, the slabs start over, and the kernel, the devices and the mailboxes
+// give back their storage — each only if idle, which after a drained run
+// they are. It must come after everything the run does, since another
+// goroutine's engine may take the spares the instant they are put back.
 func (e *Engine) giveBackSpares() {
 	sp := e.spares
-	for _, ex := range e.executors {
+	if n := len(e.executors) - len(sp.nodes); n > 0 {
+		sp.nodes = append(sp.nodes, make([]nodeSpares, n)...)
+	}
+	for i, ex := range e.executors {
+		ns := &sp.nodes[i]
+		device.Release(&ns.devices, ex.node.CPU, ex.node.Disk, ex.node.NIC)
+		ns.inbox = ex.inbox.Release()
 		for tc := ex.freeTasks; tc != nil; {
 			next := tc.free
 			*tc = taskContext{free: sp.contexts}
@@ -64,6 +91,14 @@ func (e *Engine) giveBackSpares() {
 	sp.durations.reset()
 	sp.outs.reset()
 	sp.slots.reset()
+	sp.shares.reset()
+	sp.rems.reset()
+	sp.kernel = e.k.Release()
+	// Beats and pool updates that landed after the driver finished are never
+	// read; dropping them leaves its mailbox idle.
+	for _, ok := e.toDriver.TryRecv(); ok; _, ok = e.toDriver.TryRecv() {
+	}
+	sp.toDriver = e.toDriver.Release()
 	sparePool.Put(sp)
 }
 

@@ -55,6 +55,9 @@ const (
 	TraceExecRestart   = "exec_restart"
 	TraceStageResubmit = "stage_resubmit"
 	TraceBlacklist     = "blacklist"
+	// TraceBlacklistLift clears a live executor's blacklisting once no
+	// executor is left to take the work (execManager.liftStranded).
+	TraceBlacklistLift = "blacklist_lift"
 	// Gray-failure events: suspicion raised/cleared by the heartbeat
 	// detector, a false-positive incarnation fenced, a node throttled by
 	// the chaos plan, a partition window opening/healing, and a DFS block

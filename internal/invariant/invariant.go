@@ -387,6 +387,9 @@ func (a *Auditor) Event(ev engine.TraceEvent) {
 	case engine.TraceBlacklist:
 		x.blacklisted = true
 		a.cover("blacklist")
+	case engine.TraceBlacklistLift:
+		x.blacklisted = false
+		a.cover("blacklist:lift")
 	case engine.TraceDrain:
 		if x.admin != adminActive {
 			a.violate("drain-legality", ev.Exec, -1, "drain ordered for a non-active executor")

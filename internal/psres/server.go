@@ -133,6 +133,26 @@ func NewServer(k *sim.Kernel, cfg Config) *Server {
 	return s
 }
 
+// Table is the stream table of an idle server, for a server of a later run
+// to start with (Server.Release, Server.Reuse). The zero value holds nothing.
+type Table struct{ slots []slot }
+
+// Release takes s's stream table, the curve memo cleared (the next server's
+// curve may differ), and leaves s none; a server with a stream in service is
+// not idle and keeps it.
+func (s *Server) Release() Table {
+	if len(s.slots) > 0 {
+		return Table{}
+	}
+	clear(s.slots[:cap(s.slots)])
+	t := Table{s.slots}
+	s.slots = nil
+	return t
+}
+
+// Reuse hands s, before its first stream, the table another server released.
+func (s *Server) Reuse(t Table) { s.slots = t.slots }
+
 // curveAt returns cfg.Curve(n), memoized in slot n-1; n <= cap(s.slots).
 func (s *Server) curveAt(n int) float64 {
 	sl := &s.slots[:n][n-1]

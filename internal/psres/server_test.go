@@ -572,3 +572,55 @@ func raceEnabled() bool {
 	}
 	return false
 }
+
+// TestReleasedStorageServesWithoutGrowing: a server on the stream table an
+// idle server released, on a kernel that reuses a finished kernel's event
+// storage, serves the first server's peak of streams allocating nothing. The
+// table comes back with its curve memo cleared, so the second server — another
+// curve — ends where a fresh one would; a server with a stream in service
+// keeps its table.
+func TestReleasedStorageServesWithoutGrowing(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const streams = 64
+	waiters := make([]startWaiter, streams)
+	serve := func(k *sim.Kernel, s *Server) (end time.Duration, st Stats, mallocs uint64) {
+		for i := range waiters {
+			waiters[i] = startWaiter{s: s, demand: float64(1 + i%5), woke: func(*sim.Proc) {}}
+			k.GoStepper(&waiters[i].proc, "w", &waiters[i])
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		k.Run()
+		runtime.ReadMemStats(&after)
+		return k.Now(), s.Snapshot(), after.Mallocs - before.Mallocs
+	}
+	hdd := func(n int) float64 { return 100 * math.Pow(float64(n), -0.3) }
+	ssd := func(n int) float64 { return 300 * math.Pow(float64(n), -0.1) }
+	k := sim.NewKernel()
+	s := NewServer(k, Config{Name: "hdd", Curve: hdd})
+	serve(k, s)
+	table, storage := s.Release(), k.Release()
+
+	warm := sim.NewKernel()
+	warm.Reuse(storage)
+	ws := NewServer(warm, Config{Name: "ssd", Curve: ssd})
+	ws.Reuse(table)
+	end, stats, mallocs := serve(warm, ws)
+	fresh := sim.NewKernel()
+	wantEnd, wantStats, _ := serve(fresh, NewServer(fresh, Config{Name: "ssd", Curve: ssd}))
+	if end != wantEnd || stats != wantStats {
+		t.Errorf("on released storage the ssd server ends at %v with %+v, a fresh one at %v with %+v", end, stats, wantEnd, wantStats)
+	}
+	if mallocs != 0 {
+		t.Errorf("serving %d streams on released storage allocated %d objects, want 0", streams, mallocs)
+	}
+
+	busy := NewServer(fresh, Config{Name: "busy", Curve: hdd})
+	busy.Start(&waiters[0].proc, 1, 1)
+	if kept := busy.Release(); kept.slots != nil || busy.Active() != 1 {
+		t.Errorf("a server with a stream in service released a table of %d slots, %d streams left: want none and 1", cap(kept.slots), busy.Active())
+	}
+}

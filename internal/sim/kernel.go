@@ -459,19 +459,42 @@ func (k *Kernel) FiredEvents() uint64 { return k.fired }
 // order — the order of k.coros: first resumes fire in the order of the Go
 // calls — so the deferred cleanups of killed processes run in the same order
 // in otherwise identical runs and no goroutine outlives the run; then the
-// queues are dropped.
+// queues are emptied. The events still queued are dropped, but the arrays and
+// the free list stay for Release.
 func (k *Kernel) shutdown() {
 	for len(k.coros) > 0 {
 		k.coros[0].stop() // unwinds through run, which unlists it
 	}
 	k.coros = nil
-	k.events = nil
-	k.free = nil
-	k.dead = 0
-	k.ring = nil
-	k.ringHead = 0
-	k.ringDead = 0
+	clear(k.events)
+	clear(k.ring)
+	k.events, k.ring = k.events[:0], k.ring[:0]
+	k.dead, k.ringHead, k.ringDead = 0, 0, 0
 }
+
+// Storage is the event storage of a kernel that has finished — its free
+// event structs and the arrays of its heap and ring — for a kernel of a later
+// run to start with (Release, Reuse). The zero value holds nothing.
+type Storage struct {
+	free *event
+	heap eventQueue
+	ring []*event
+}
+
+// Release takes k's event storage and leaves k none; a kernel that is running
+// or has events queued is not idle and keeps it. Every struct on the free list
+// was recycled after its last firing, so k's handles stay inert.
+func (k *Kernel) Release() Storage {
+	if k.running || len(k.events) > 0 || k.ringHead < len(k.ring) {
+		return Storage{}
+	}
+	st := Storage{free: k.free, heap: k.events, ring: k.ring}
+	k.free, k.events, k.ring, k.ringHead = nil, nil, nil, 0
+	return st
+}
+
+// Reuse hands k, before its first event, the storage another kernel released.
+func (k *Kernel) Reuse(st Storage) { k.free, k.events, k.ring = st.free, st.heap, st.ring }
 
 // coroutine is the runtime coroutine one Go process runs on.
 type coroutine struct {

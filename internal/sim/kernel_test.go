@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"runtime"
 	"runtime/debug"
 	"slices"
 	"testing"
@@ -408,6 +409,49 @@ func TestMailboxSteadyStateAllocs(t *testing.T) {
 	}
 	k.Stop()
 	k.Run()
+}
+
+// TestReleasedMailboxBuffers: a mailbox with a message in flight keeps its
+// arrays; once idle it gives them up, and a mailbox that reuses them, on a
+// kernel that reuses the first one's event storage, takes a burst as large as
+// the first one's without allocating.
+func TestReleasedMailboxBuffers(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	const burst = 100
+	k := NewKernel()
+	mb := NewMailbox[int](k)
+	for i := range burst {
+		mb.Send(time.Millisecond, i)
+	}
+	if b := mb.Release(); b.queue != nil || b.flight != nil || mb.flight.Len() != burst {
+		t.Fatalf("a mailbox with %d messages in flight released its arrays", burst)
+	}
+	k.Run()
+	for _, ok := mb.TryRecv(); ok; _, ok = mb.TryRecv() {
+	}
+	b := mb.Release()
+	if cap(b.queue) < burst || cap(b.flight) < burst || mb.queue.items != nil {
+		t.Fatalf("an idle mailbox released arrays of %d and %d for a burst of %d", cap(b.queue), cap(b.flight), burst)
+	}
+	warm := NewKernel()
+	warm.Reuse(k.Release())
+	next := NewMailbox[int](warm)
+	next.Reuse(b)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range burst {
+		next.Send(time.Millisecond, i)
+	}
+	warm.Run()
+	for _, ok := next.TryRecv(); ok; _, ok = next.TryRecv() {
+	}
+	runtime.ReadMemStats(&after)
+	if allocs := after.Mallocs - before.Mallocs; allocs != 0 {
+		t.Errorf("a burst of %d on released arrays allocated %v objects, want 0", burst, allocs)
+	}
 }
 
 // closureMailbox is the mailbox as it was before the flight queue: every

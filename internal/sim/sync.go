@@ -107,3 +107,23 @@ func (m *Mailbox[T]) TryRecv() (T, bool) {
 	}
 	return m.queue.Pop(), true
 }
+
+// Buffers are the message arrays of an idle mailbox, for a mailbox of a later
+// run to start with (Mailbox.Release, Mailbox.Reuse). The zero value holds
+// nothing.
+type Buffers[T any] struct{ queue, flight []T }
+
+// Release takes m's message arrays, which popping left zeroed, and leaves m
+// none; a mailbox with a message queued or in flight is not idle and keeps
+// them.
+func (m *Mailbox[T]) Release() Buffers[T] {
+	if m.queue.Len() > 0 || m.flight.Len() > 0 {
+		return Buffers[T]{}
+	}
+	b := Buffers[T]{m.queue.items, m.flight.items}
+	m.queue, m.flight = FIFO[T]{}, FIFO[T]{}
+	return b
+}
+
+// Reuse hands m, before its first message, arrays another mailbox released.
+func (m *Mailbox[T]) Reuse(b Buffers[T]) { m.queue.items, m.flight.items = b.queue, b.flight }
