@@ -175,7 +175,7 @@ type Engine struct {
 	started bool
 	// spares holds the run's task-sized state and the free lists of its
 	// control plane (DESIGN.md "Control-plane messages"). A recycling engine
-	// takes them from sparePool and Wait gives them back; recycle is false on
+	// takes them with takeSpares and Wait gives them back; recycle is false on
 	// a sharded engine, whose executors run on other goroutines than the
 	// driver: its spares are its own, and no message or plan is put back.
 	recycle bool
@@ -306,7 +306,7 @@ func newEngine(opts Options, sp *runSpares) (*Engine, error) {
 		sp = new(runSpares)
 	} else {
 		if sp == nil {
-			sp = sparePool.Get().(*runSpares)
+			sp = takeSpares()
 		}
 		k = sim.NewKernel()
 		k.Reuse(sp.kernel)

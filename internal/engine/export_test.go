@@ -22,22 +22,24 @@ func (ex *Executor) Zombies() int { return ex.zombies }
 // the reference a recycling run is held to. Called from Options.OnSetup,
 // before anything has used them, it puts back the spares NewEngine took.
 func (e *Engine) StopRecycling() {
-	sparePool.Put(e.spares)
+	putSpares(e.spares)
 	e.recycle = false
 	e.UseSpares(new(runSpares))
 }
 
-// Spares returns the spares e runs on. Wait gives them back to the pool, so a
-// test hands them to another engine only once the pool is drained.
+// Spares returns the spares e runs on. Wait gives them back for the next
+// engine to take, so a test hands them to another engine only once the slot
+// and the pool are drained.
 func (e *Engine) Spares() *runSpares { return e.spares }
 
 // UseSpares, called from Options.OnSetup, makes e run on sp and drops the
 // spares NewEngine took.
 func (e *Engine) UseSpares(sp *runSpares) { e.spares, e.shuffle.spares = sp, sp }
 
-// DrainSpares empties the pool of spares: sync.Pool drops what it holds
-// within two collections.
+// DrainSpares empties the slot and the pool of spares: sync.Pool drops what
+// it holds within two collections.
 func DrainSpares() {
+	spareSlot.Store(nil)
 	runtime.GC()
 	runtime.GC()
 }

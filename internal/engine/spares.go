@@ -2,6 +2,7 @@ package engine
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"sae/internal/device"
@@ -14,11 +15,9 @@ import (
 // task contexts, the control-plane free lists, and the simulated machine's
 // storage — the kernel's events, the devices' stream tables and the
 // mailboxes' queues. A run's reports, DFS and telemetry keep none of it, so
-// once the simulation has drained it is unreachable; Wait gives it back to
-// sparePool as its very last act and the next recycling NewEngine takes it
-// (DESIGN.md "What a run allocates"). Between the two it belongs to one engine
-// alone. sync.Pool bounds what is kept: an idle pool is emptied within two
-// collections.
+// once the simulation has drained it is unreachable; Wait gives it back as its
+// very last act and the next recycling NewEngine takes it (DESIGN.md "What a
+// run allocates"). Between the two it belongs to one engine alone.
 type runSpares struct {
 	tasks     slab[taskState]
 	tickets   slab[int]
@@ -52,7 +51,29 @@ type nodeSpares struct {
 	inbox   sim.Buffers[execMsg]
 }
 
-var sparePool = sync.Pool{New: func() any { return new(runSpares) }}
+// spareSlot holds the spares given back last; sparePool holds those a
+// give-back displaced, which happens only while engines run in parallel. The
+// slot survives collections and the pool is emptied within two, so an idle
+// process keeps one run's spares.
+var (
+	spareSlot atomic.Pointer[runSpares]
+	sparePool = sync.Pool{New: func() any { return new(runSpares) }}
+)
+
+// takeSpares returns the spares in the slot, or else the pool's.
+func takeSpares() *runSpares {
+	if sp := spareSlot.Swap(nil); sp != nil {
+		return sp
+	}
+	return sparePool.Get().(*runSpares)
+}
+
+// putSpares puts sp in the slot and what it held in the pool.
+func putSpares(sp *runSpares) {
+	if old := spareSlot.Swap(sp); old != nil {
+		sparePool.Put(old)
+	}
+}
 
 // context takes a task context off the spares' list, or makes one.
 func (sp *runSpares) context() *taskContext {
@@ -99,7 +120,7 @@ func (e *Engine) giveBackSpares() {
 	for _, ok := e.toDriver.TryRecv(); ok; _, ok = e.toDriver.TryRecv() {
 	}
 	sp.toDriver = e.toDriver.Release()
-	sparePool.Put(sp)
+	putSpares(sp)
 }
 
 // slab hands a run zeroed windows of arrays earlier runs made. A window is

@@ -95,17 +95,23 @@ type jsonSample struct {
 func (r *Registry) WriteJSONL(w io.Writer) error {
 	const flushAt = 32 << 10
 	buf := make([]byte, 0, flushAt+512)
-	var head []byte // `{"t":…`, rendered once per tick
+	var head []byte   // `{"t":…`, rendered once per tick
+	var vals [][]byte // each column's value, rendered when it moves
 	var err error
 	for tk := range r.allTicks {
 		if head, err = jsonenc.AppendFloat(append(head[:0], `{"t":`...), tk.at.Seconds()); err != nil {
 			return err
 		}
 		for i, c := range tk.layout.cols {
-			buf = append(append(buf, head...), c.prefix...)
-			if buf, err = jsonenc.AppendFloat(buf, tk.vals[i]); err != nil {
-				return err
+			if i == len(vals) {
+				vals = append(vals, nil)
 			}
+			if tk.moved(i) {
+				if vals[i], err = jsonenc.AppendFloat(vals[i][:0], tk.vals[i]); err != nil {
+					return err
+				}
+			}
+			buf = append(append(append(buf, head...), c.prefix...), vals[i]...)
 			buf = append(buf, '}', '\n')
 			if len(buf) >= flushAt {
 				if _, err := w.Write(buf); err != nil {
@@ -127,10 +133,17 @@ func (r *Registry) WriteCSV(w io.Writer) error {
 		return err
 	}
 	rec := make([]string, 4)
+	var vals []string // each column's value, formatted when it moves
 	for tk := range r.allTicks {
 		rec[0] = formatValue(tk.at.Seconds())
 		for i, c := range tk.layout.cols {
-			rec[1], rec[2], rec[3] = c.metric, c.labels, formatValue(tk.vals[i])
+			if i == len(vals) {
+				vals = append(vals, "")
+			}
+			if tk.moved(i) {
+				vals[i] = formatValue(tk.vals[i])
+			}
+			rec[1], rec[2], rec[3] = c.metric, c.labels, vals[i]
 			if err := cw.Write(rec); err != nil {
 				return err
 			}

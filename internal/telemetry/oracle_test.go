@@ -6,11 +6,12 @@ import (
 	"encoding/json"
 	"io"
 	"math"
+	"math/bits"
 	"runtime"
+	"slices"
 	"strconv"
 	"testing"
 	"time"
-	"unsafe"
 )
 
 // WriteJSONLOracle is WriteJSONL as it was first defined — encoding/json
@@ -33,22 +34,59 @@ func WriteJSONLOracle(r *Registry, w io.Writer) error {
 	return bw.Flush()
 }
 
-// ticksOf lists the ticks r holds.
+// ticksOf lists the ticks r holds, each with a row and mask of its own.
 func ticksOf(r *Registry) []tick {
 	var out []tick
 	for tk := range r.allTicks {
+		tk.vals, tk.changed = slices.Clone(tk.vals), slices.Clone(tk.changed)
 		out = append(out, tk)
 	}
 	return out
 }
 
-// storedValues counts the values the ticks of r hold.
+// storedValues counts the values the ticks of r stand for.
 func storedValues(r *Registry) int {
 	n := 0
 	for tk := range r.allTicks {
 		n += len(tk.vals)
 	}
 	return n
+}
+
+// tickWords is how many words tk takes in the store: its instant and layout,
+// then its full row for a key tick, or its bitmap and moved values.
+func tickWords(tk tick) int {
+	if tk.changed == nil {
+		return 2 + len(tk.vals)
+	}
+	n := 2 + len(tk.changed)
+	for _, m := range tk.changed {
+		n += bits.OnesCount64(m)
+	}
+	return n
+}
+
+// chunkTicksOf lays r's ticks over its chunks by their sizes and returns how
+// many each chunk holds, failing if a tick would cross a chunk's end or the
+// ticks leave a chunk partly unaccounted for.
+func chunkTicksOf(t *testing.T, r *Registry) []int {
+	t.Helper()
+	per := make([]int, len(r.chunks))
+	k, used := 0, 0
+	for tk := range r.allTicks {
+		for k < len(r.chunks) && used == len(r.chunks[k]) {
+			k, used = k+1, 0
+		}
+		if k == len(r.chunks) || used+tickWords(tk) > len(r.chunks[k]) {
+			t.Fatalf("the tick at %v (%d words) crosses the end of chunk %d", tk.at, tickWords(tk), k)
+		}
+		used += tickWords(tk)
+		per[k]++
+	}
+	if k < len(r.chunks) && used != len(r.chunks[k]) || k+1 < len(r.chunks) {
+		t.Fatalf("the ticks end at word %d of chunk %d of %d, short of the store's end", used, k, len(r.chunks))
+	}
+	return per
 }
 
 // HookCount reports how many OnSample hooks r holds (for the scenario sweep
@@ -143,8 +181,9 @@ func TestMergeLastWinsAcrossLayoutChange(t *testing.T) {
 	if got := jsonlAgainstOracle(t, r); got != want {
 		t.Fatalf("dump:\n%s\nwant:\n%s", got, want)
 	}
-	if n := len(ticksOf(r)); n != 2 || storedValues(r) != 3 || len(r.last.vals) != 3 {
-		t.Fatalf("store holds %d ticks / %d values in %d floats of chunk, want 2 / 3 / 3", n, storedValues(r), len(r.last.vals))
+	// Two key ticks, the re-sampled one in the place of the one it replaced.
+	if n := len(ticksOf(r)); n != 2 || storedValues(r) != 3 || len(r.chunks) != 1 || len(r.chunks[0]) != 2+1+2+2 {
+		t.Fatalf("store holds %d ticks / %d values in %d chunks, want 2 / 3 in 7 words of one", n, storedValues(r), len(r.chunks))
 	}
 }
 
@@ -224,39 +263,84 @@ func wideRegistry(width int, base *float64) *Registry {
 	return r
 }
 
-// TestStoreAllocatesItsFinalSize pins what the chunks are for: sampling a fixed
-// layout allocates the bytes the store ends up holding — eight per value plus
-// the tick records — not the several times that a flat slice grown by append
-// would, most of it copied once more at every doubling.
-func TestStoreAllocatesItsFinalSize(t *testing.T) {
-	const width, ticks = 100, 8100 // 100 chunks of 81 ticks, 92 floats short of chunkFloats each
-	var base float64
-	r := wideRegistry(width, &base)
-	r.Sample(0)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
+// storeAllocs samples r at 1 s … ticks s, after step(i) for each, and returns
+// the bytes that allocated and the words the store gained.
+func storeAllocs(r *Registry, ticks int, step func(i int)) (allocated, words float64) {
+	held := func() (n int) {
+		for _, c := range r.chunks {
+			n += len(c)
+		}
+		return n
+	}
+	before := held()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
 	for i := 1; i <= ticks; i++ {
+		step(i)
 		r.Sample(time.Duration(i) * time.Second)
 	}
-	runtime.ReadMemStats(&after)
-	got := float64(after.TotalAlloc - before.TotalAlloc)
-	final := float64(8*width*ticks + int(unsafe.Sizeof(tick{}))*ticks)
-	t.Logf("allocated %.0f bytes for a store of %.0f (x%.3f)", got, final, got/final)
-	if got > 1.1*final {
-		t.Fatalf("%d ticks of %d series allocated %.0f bytes, the store holds %.0f (x%.2f, want <= 1.1)", ticks, width, got, final, got/final)
+	runtime.ReadMemStats(&m1)
+	return float64(m1.TotalAlloc - m0.TotalAlloc), float64(held() - before)
+}
+
+// TestStoreAllocatesItsFinalSize pins what the chunks are for: sampling a
+// fixed layout allocates the bytes the store ends up holding — sixteen per
+// tick, a bitmap word per 64 series and eight per moved value — not the
+// several times that a flat slice grown by append would, most of it copied
+// once more at every doubling. Series i moves every (i mod 5 + 1)th tick.
+func TestStoreAllocatesItsFinalSize(t *testing.T) {
+	const width, ticks = 100, 8100
+	n := 0
+	r := NewRegistry()
+	for i := 0; i < width; i++ {
+		r.GaugeFunc("sae_w", "w", func() float64 { return float64(n / (i%5 + 1)) }, "i", strconv.Itoa(i))
+	}
+	r.Sample(0)
+	want := 0
+	for i := 1; i <= ticks; i++ {
+		want += 2 + 2
+		for c := 0; c < width; c++ {
+			if i%(c%5+1) == 0 {
+				want++
+			}
+		}
+	}
+	got, words := storeAllocs(r, ticks, func(i int) { n = i })
+	t.Logf("allocated %.0f bytes for a store of %.0f (x%.3f)", got, 8*words, got/(8*words))
+	if words != float64(want) {
+		t.Fatalf("%d ticks took %.0f words of store, want %d: the key row, then per tick its header, bitmap and moved values", ticks, words, want)
+	}
+	if got > 1.1*8*words {
+		t.Fatalf("%d ticks of %d series allocated %.0f bytes, the store holds %.0f (x%.2f, want <= 1.1)", ticks, width, got, 8*words, got/(8*words))
 	}
 	if n := storedValues(r); n != width*(ticks+1) {
 		t.Fatalf("store holds %d values, want %d", n, width*(ticks+1))
 	}
 }
 
-// TestChunkBoundaries drives the store across several chunks with a layout
-// that does not divide the chunk size, so ticks are cut off at chunk ends: no
-// tick may span two chunks or reach into its successor's values, a same-instant
-// re-sample of the tick that filled a chunk must land where the first did, and
-// the dump must be what encoding/json writes for the points.
+// TestStoreWorstCaseSize pins the cost of the bitmaps: with every series
+// moving at every tick, the store allocates at most 5 % over eight bytes per
+// value plus 40 per tick, what a full row per tick cost.
+func TestStoreWorstCaseSize(t *testing.T) {
+	const width, ticks = 100, 8100
+	var base float64
+	r := wideRegistry(width, &base)
+	r.Sample(0)
+	got, _ := storeAllocs(r, ticks, func(i int) { base = float64(i) })
+	full := float64((8*width + 40) * ticks)
+	t.Logf("allocated %.0f bytes, a full row per tick %.0f (x%.3f)", got, full, got/full)
+	if got > 1.05*full {
+		t.Fatalf("%d ticks of %d moving series allocated %.0f bytes, want <= 1.05 x %.0f", ticks, width, got, full)
+	}
+}
+
+// TestChunkBoundaries drives the store across several chunks with ticks that
+// do not divide the chunk size, so chunks end short: no tick may span two
+// chunks, a same-instant re-sample of the tick that filled a chunk must land
+// where the first did, and the dump must be what encoding/json writes for the
+// points.
 func TestChunkBoundaries(t *testing.T) {
-	const width = 3000 // two ticks per chunk
+	const width = 3000 // two ticks per chunk: 3002 words for a key tick, 3049 for a delta that moves every series
 	var base float64
 	r := wideRegistry(width, &base)
 	for i := 0; i < 7; i++ {
@@ -264,14 +348,15 @@ func TestChunkBoundaries(t *testing.T) {
 		r.Sample(time.Duration(i) * time.Second)
 		if i%2 == 1 {
 			// The tick just taken was the last its chunk has room for.
-			if c := r.last; len(c.ticks) != cap(c.ticks) || len(c.vals) != cap(c.vals) {
-				t.Fatalf("tick %d: chunk holds %d of %d ticks, %d of %d values, the test wants a full one", i, len(c.ticks), cap(c.ticks), len(c.vals), cap(c.vals))
+			c := r.chunks[len(r.chunks)-1]
+			if size := len(c) - r.lastOff; cap(c)-len(c) >= size {
+				t.Fatalf("tick %d: its chunk has %d of %d words free, room for another %d-word tick; the test wants a full one", i, cap(c)-len(c), cap(c), size)
 			}
-			first := &r.last.ticks[1].vals[0]
+			k, off := len(r.chunks), r.lastOff
 			base += 0.5
 			r.Sample(time.Duration(i) * time.Second)
-			if last := r.last.ticks[1]; &last.vals[0] != first || last.vals[0] != base {
-				t.Fatalf("tick %d re-sampled: values moved, or kept the first sample (%v, want %v)", i, last.vals[0], base)
+			if len(r.chunks) != k || r.lastOff != off || r.last.vals[0] != base {
+				t.Fatalf("tick %d re-sampled: moved to chunk %d word %d from %d, %d, or kept the first sample (%v, want %v)", i, len(r.chunks), r.lastOff, k, off, r.last.vals[0], base)
 			}
 		}
 	}
@@ -279,9 +364,12 @@ func TestChunkBoundaries(t *testing.T) {
 	if len(ticks) != 7 || storedValues(r) != 7*width {
 		t.Fatalf("store holds %d ticks / %d values, want 7 / %d", len(ticks), storedValues(r), 7*width)
 	}
+	if per := chunkTicksOf(t, r); !slices.Equal(per, []int{2, 2, 2, 1}) {
+		t.Fatalf("chunks hold %v ticks, want [2 2 2 1]", per)
+	}
 	for i, tk := range ticks {
-		if len(tk.vals) != width || cap(tk.vals) != width {
-			t.Fatalf("tick %d: len %d cap %d, want both %d", i, len(tk.vals), cap(tk.vals), width)
+		if len(tk.vals) != width || (i > 0) != (tk.changed != nil) {
+			t.Fatalf("tick %d: %d values, key tick %v; want %d, only the first a key tick", i, len(tk.vals), tk.changed == nil, width)
 		}
 		want := float64(1000 * i)
 		if i%2 == 1 {
@@ -296,31 +384,33 @@ func TestChunkBoundaries(t *testing.T) {
 }
 
 // TestLayoutChangeMidChunk grows the instrument set while a chunk is half
-// full, then past the chunk size: earlier ticks keep their rows, a tick wider
-// than what is left of the chunk starts a new one, and a layout wider than a
-// chunk gets a chunk of its own width.
+// full, then past the chunk size: earlier ticks keep their rows, a key tick
+// that fits goes on in the chunk, and a layout wider than a chunk gets a chunk
+// of its own width.
 func TestLayoutChangeMidChunk(t *testing.T) {
 	var base float64
 	r := wideRegistry(10, &base)
-	r.Sample(0)
-	r.Sample(time.Second)
-	chunk := r.last
+	r.Sample(0)           // a key tick: 2 + 10 words
+	r.Sample(time.Second) // nothing moved: 2 + 1
 	r.Gauge("sae_late", "l").Set(-1)
-	r.Sample(2 * time.Second)
-	if r.last != chunk || len(chunk.vals) != 31 || len(chunk.ticks) != 3 {
-		t.Fatalf("a wider tick that fits left the chunk at %d ticks, %d floats (a new chunk: %v), want 3, 31 in place", len(chunk.ticks), len(chunk.vals), r.last != chunk)
+	r.Sample(2 * time.Second) // a key tick again: 2 + 11
+	if len(r.chunks) != 1 || len(r.chunks[0]) != 12+3+13 {
+		t.Fatalf("a key tick that fits left the store at %d chunks, %d words in the first, want 1, 28", len(r.chunks), len(r.chunks[0]))
 	}
-	for i := 0; i < chunkFloats; i++ {
+	for i := 0; i < chunkWords; i++ {
 		r.Gauge("sae_x", "x", "i", strconv.Itoa(i)).Set(float64(i))
 	}
 	r.Sample(3 * time.Second)
 	r.Sample(3 * time.Second)
-	if c, want := r.last, chunkFloats+11; c == chunk || cap(c.vals) != want || len(c.vals) != want || cap(c.ticks) != 1 {
-		t.Fatalf("a layout of %d series sits in a chunk of %d values (cap %d), room for %d ticks", want, len(c.vals), cap(c.vals), cap(c.ticks))
+	if c, want := r.chunks[len(r.chunks)-1], 2+chunkWords+11; len(r.chunks) != 2 || cap(c) != want || len(c) != want {
+		t.Fatalf("a layout of %d series sits in chunk %d of %d words (cap %d), want chunk 2 of %d", chunkWords+11, len(r.chunks), len(c), cap(c), want)
 	}
 	r.Sample(4 * time.Second)
-	if got, want := storedValues(r), 10+10+11+2*(chunkFloats+11); got != want {
+	if got, want := storedValues(r), 10+10+11+2*(chunkWords+11); got != want {
 		t.Fatalf("store holds %d values, want %d", got, want)
+	}
+	if per := chunkTicksOf(t, r); !slices.Equal(per, []int{3, 1, 1}) {
+		t.Fatalf("chunks hold %v ticks, want [3 1 1]", per)
 	}
 	if s, ok := r.Series("sae_late"); !ok || len(s) != 3 || s[0].At != 2*time.Second {
 		t.Fatalf("Series(sae_late) = %+v, want the three ticks after it registered", s)

@@ -10,20 +10,26 @@
 // the same bytes as a sequential one. The registry is not safe for
 // concurrent use; one engine owns one registry, exactly like its kernel.
 //
-// Samples are stored by column: a layout lists the series in export order
-// and is rebuilt only when an instrument is created, a tick names the
-// layout it was taken under, and ticks and their values sit in a chain of
-// fixed-size chunks. A tick therefore costs eight bytes per series, and the
-// metric and label strings of a series exist once, not once per sample. A
-// chunk is filled once and never copied or regrown, so the store allocates
-// what it ends up holding — one flat slice grown by append would have
-// allocated, and copied, several times that on the way — and a tick never
-// spans two chunks, so every reader sees its values as one plain slice.
+// Samples are stored by column and by change: a layout lists the series in
+// export order and is rebuilt only when an instrument is created, and each
+// tick names the layout it was taken under. A tick under a new layout is a
+// key tick and holds one value per series; every other tick holds a bitmap
+// of the series whose value moved since the tick before (bit for bit) and
+// those values only, since most series sit flat for most of a run. Ticks lie
+// back to back in a chain of fixed-size chunks of 64-bit words, so a tick
+// costs sixteen bytes, plus eight per series for a key tick or eight per 64
+// series and per moved value for the rest, and the metric and label strings
+// of a series exist once, not once per sample. A chunk is filled once and
+// never copied or regrown, so the store allocates what it ends up holding,
+// and a tick never spans two chunks. Readers see every tick as one full row,
+// rebuilt as they walk the store.
 package telemetry
 
 import (
 	"encoding/json"
 	"fmt"
+	"math"
+	"math/bits"
 	"sort"
 	"strings"
 	"time"
@@ -164,37 +170,41 @@ func newColumn(metric, labels string, read func() float64) *column {
 
 // layout is the series list in export order — families by name, label sets
 // within a family, a histogram's _count before its _sum. A layout is never
-// edited once a tick refers to it.
-type layout struct{ cols []*column }
+// edited once a tick refers to it; id is its index in Registry.layouts, which
+// is how a stored tick names it.
+type layout struct {
+	cols []*column
+	id   int
+}
 
-// A chunk holds at most chunkFloats values and chunkTicks ticks.
+// A chunk of the sample store holds chunkWords words, or the chunkTicks key
+// ticks of a narrow layout, or one tick wider than that.
 const (
-	chunkFloats = 8192
-	chunkTicks  = 256
+	chunkWords = 8192
+	chunkTicks = 256
 )
 
-// tick is one sampler tick: vals holds one value per column of the layout, a
-// window onto its chunk's values with its capacity cut to its length.
-type tick struct {
+// row is the full row of a stored tick; layout is nil while there is none.
+type row struct {
 	at     time.Duration
 	layout *layout
 	vals   []float64
 }
 
-// chunk is one block of the sample store: the ticks taken while it was the
-// newest, and their values back to back. Both arrays are made once, sized so
-// that ticks of the layout current at the time fill them together.
-type chunk struct {
-	ticks []tick
-	vals  []float64
-	next  *chunk
+// tick is one sampler tick as the readers see it: its full row, in a buffer
+// the next tick overwrites, and changed, one bit per column set where the
+// value moved since the tick before — nil for a key tick, all of whose values
+// count as moved.
+type tick struct {
+	at      time.Duration
+	layout  *layout
+	vals    []float64
+	changed []uint64
 }
 
-// newChunk returns a chunk for ticks of width values: as many as fit
-// chunkFloats — one, for a layout wider than that — and at most chunkTicks.
-func newChunk(width int) *chunk {
-	n := min(max(chunkFloats/max(width, 1), 1), chunkTicks)
-	return &chunk{ticks: make([]tick, 0, n), vals: make([]float64, 0, n*width)}
+// moved reports whether column i's value moved at tk.
+func (tk *tick) moved(i int) bool {
+	return tk.changed == nil || tk.changed[i/64]&(1<<(i%64)) != 0
 }
 
 // Registry holds every instrument of one run plus the samples the periodic
@@ -205,12 +215,22 @@ type Registry struct {
 	families map[string]*family
 	hooks    []sampleHook
 	// layout is nil while stale: creating an instrument clears it and the
-	// next Sample builds a new one, leaving earlier ticks on theirs.
-	layout *layout
-	// first and last are the ends of the sample store, a chain of chunks in
-	// sampling order. Once a tick is taken the last chunk holds at least one:
-	// the newest.
-	first, last *chunk
+	// next Sample builds a new one, leaving earlier ticks on theirs. layouts
+	// lists every layout built, by id.
+	layout  *layout
+	layouts []*layout
+	// chunks is the sample store, ticks in sampling order. A tick is its
+	// instant and its layout's id, then for a key tick the bits of every
+	// value, for any other ⌈width/64⌉ words of changed-bitmap and the bits
+	// of every changed value, in column order.
+	chunks [][]uint64
+	// last and prev are the full rows of the newest tick and the one before
+	// it, and lastOff is where the newest starts in the last chunk: a
+	// same-instant re-sample replaces the newest and diffs against prev.
+	last, prev row
+	lastOff    int
+	// ticks and points count the ticks held and the samples they stand for.
+	ticks, points int
 }
 
 type sampleHook struct {
@@ -340,43 +360,94 @@ func (r *Registry) Sample(at time.Duration) {
 		h.fn(at)
 	}
 	if r.layout == nil {
-		r.layout = &layout{}
+		r.layout = &layout{id: len(r.layouts)}
 		for _, name := range r.sortedNames() {
 			f := r.families[name]
 			for _, ls := range f.sortedKeys() {
 				r.layout.cols = append(r.layout.cols, f.insts[ls].cols...)
 			}
 		}
+		r.layouts = append(r.layouts, r.layout)
 	}
-	c := r.last
-	if c != nil {
-		// The newest tick's values are the tail of its chunk's.
-		if n := len(c.ticks) - 1; c.ticks[n].at == at {
-			c.vals = c.vals[:len(c.vals)-len(c.ticks[n].vals)]
-			c.ticks = c.ticks[:n]
+	if r.last.layout != nil && r.last.at == at {
+		// The newest tick is the tail of the last chunk.
+		r.chunks[len(r.chunks)-1] = r.chunks[len(r.chunks)-1][:r.lastOff]
+		r.ticks, r.points = r.ticks-1, r.points-len(r.last.vals)
+	} else {
+		r.last, r.prev = r.prev, r.last
+	}
+	cols, cur, ref := r.layout.cols, &r.last, &r.prev
+	cur.at, cur.layout = at, r.layout
+	if cap(cur.vals) < len(cols) {
+		cur.vals = make([]float64, len(cols))
+	}
+	cur.vals = cur.vals[:len(cols)]
+	for i, col := range cols {
+		cur.vals[i] = col.read()
+	}
+	key := ref.layout != r.layout
+	n := len(cols)
+	if !key {
+		n = (len(cols) + 63) / 64
+		for i, v := range cur.vals {
+			if math.Float64bits(v) != math.Float64bits(ref.vals[i]) {
+				n++
+			}
 		}
 	}
-	width := len(r.layout.cols)
-	if c == nil || len(c.ticks) == cap(c.ticks) || cap(c.vals)-len(c.vals) < width {
-		c = newChunk(width)
-		if r.last == nil {
-			r.first = c
-		} else {
-			r.last.next = c
+	if k := len(r.chunks); k == 0 || cap(r.chunks[k-1])-len(r.chunks[k-1]) < 2+n {
+		r.chunks = append(r.chunks, make([]uint64, 0, max(2+n, min(chunkWords, chunkTicks*(2+len(cols))))))
+	}
+	c := &r.chunks[len(r.chunks)-1]
+	r.lastOff = len(*c)
+	*c = append(*c, uint64(at), uint64(r.layout.id))
+	if key {
+		for _, v := range cur.vals {
+			*c = append(*c, math.Float64bits(v))
 		}
-		r.last = c
+	} else {
+		mask := len(*c)
+		*c = (*c)[:mask+(len(cols)+63)/64]
+		clear((*c)[mask:])
+		for i, v := range cur.vals {
+			if b := math.Float64bits(v); b != math.Float64bits(ref.vals[i]) {
+				(*c)[mask+i/64] |= 1 << (i % 64)
+				*c = append(*c, b)
+			}
+		}
 	}
-	start := len(c.vals)
-	for _, col := range r.layout.cols {
-		c.vals = append(c.vals, col.read())
-	}
-	c.ticks = append(c.ticks, tick{at: at, layout: r.layout, vals: c.vals[start:len(c.vals):len(c.vals)]})
+	r.ticks, r.points = r.ticks+1, r.points+len(cols)
 }
 
-// allTicks yields the collected ticks in sampling order.
+// allTicks yields the collected ticks in sampling order, rebuilding each
+// one's full row into one buffer.
 func (r *Registry) allTicks(yield func(tick) bool) {
-	for c := r.first; c != nil; c = c.next {
-		for _, tk := range c.ticks {
+	var tk tick
+	var buf []float64
+	for _, c := range r.chunks {
+		for off := 0; off < len(c); {
+			tk.at = time.Duration(c[off])
+			l := r.layouts[c[off+1]]
+			off += 2
+			if n := len(l.cols); l != tk.layout {
+				if cap(buf) < n {
+					buf = make([]float64, n)
+				}
+				tk.layout, tk.vals, tk.changed = l, buf[:n], nil
+				for i := range tk.vals {
+					tk.vals[i] = math.Float64frombits(c[off+i])
+				}
+				off += n
+			} else {
+				tk.changed = c[off : off+(n+63)/64]
+				off += len(tk.changed)
+				for w, m := range tk.changed {
+					for ; m != 0; m &= m - 1 {
+						tk.vals[w*64+bits.TrailingZeros64(m)] = math.Float64frombits(c[off])
+						off++
+					}
+				}
+			}
 			if !yield(tk) {
 				return
 			}
@@ -388,11 +459,7 @@ func (r *Registry) allTicks(yield func(tick) bool) {
 // exporters and Series read the columns directly; this view is for callers
 // that want points.
 func (r *Registry) Samples() []SamplePoint {
-	n := 0
-	for c := r.first; c != nil; c = c.next {
-		n += len(c.vals)
-	}
-	out := make([]SamplePoint, 0, n)
+	out := make([]SamplePoint, 0, r.points)
 	for tk := range r.allTicks {
 		for i, c := range tk.layout.cols {
 			out = append(out, SamplePoint{At: tk.at, Metric: c.metric, Labels: c.labels, Value: tk.vals[i]})
@@ -405,11 +472,7 @@ func (r *Registry) Samples() []SamplePoint {
 // the caller may modify, reporting whether any samples exist.
 func (r *Registry) Series(name string, labels ...string) ([]SamplePoint, bool) {
 	ls := labelString(labels)
-	ticks := 0
-	for c := r.first; c != nil; c = c.next {
-		ticks += len(c.ticks)
-	}
-	out := make([]SamplePoint, 0, ticks)
+	out := make([]SamplePoint, 0, r.ticks)
 	var cur *layout
 	idx := -1
 	for tk := range r.allTicks {
