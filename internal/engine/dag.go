@@ -155,7 +155,7 @@ func (e *Engine) activateStage(js *jobState, id int) {
 		} else {
 			e.em.limits[i] = init
 		}
-		e.sendExec(ex, execMsg{stageStart: &stageStartMsg{job: js.id, stage: spec}})
+		e.sendExec(ex, execMsg{kind: execStageStart, launchMsg: launchMsg{job: js.id, stage: spec}})
 	}
 
 	// Stage-boundary snapshots for the utilization window. Under
@@ -209,7 +209,7 @@ func (e *Engine) completeStage(ts *taskSet) {
 	e.trace(TraceEvent{Type: TraceStageEnd, Job: js.id, Stage: id, Task: -1, Exec: -1})
 	for i, ex := range e.executors {
 		if e.em.alive[i] {
-			e.sendExec(ex, execMsg{stageEnd: &stageEndMsg{job: js.id, stage: id}})
+			e.sendExec(ex, execMsg{kind: execStageEnd, launchMsg: launchMsg{job: js.id, stage: ts.stage}})
 		}
 	}
 

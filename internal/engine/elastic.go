@@ -315,9 +315,7 @@ func (c *autoCtl) activate(i int) {
 	ex := e.executors[i]
 	ex.alive = true
 	ex.epoch++
-	e.toDriver.Send(e.cluster.ControlLatency(), driverMsg{
-		execJoin: &execJoinMsg{exec: i, epoch: ex.epoch},
-	})
+	e.toDriver.Send(e.cluster.ControlLatency(), driverMsg{kind: driverExecJoin, exec: i, epoch: ex.epoch})
 }
 
 // scaleDown drains up to want active nodes (descending index, so low-index

@@ -173,11 +173,11 @@ type Engine struct {
 	// pending); per-job failures live on the jobState instead.
 	fatal   error
 	started bool
-	// spares holds the run's task-sized state and the free lists of its
-	// control plane (DESIGN.md "Control-plane messages"). A recycling engine
+	// spares holds the run's task-sized state, the fetch-plan buffers and the
+	// machine's storage (DESIGN.md "What a run allocates"). A recycling engine
 	// takes them with takeSpares and Wait gives them back; recycle is false on
 	// a sharded engine, whose executors run on other goroutines than the
-	// driver: its spares are its own, and no message or plan is put back.
+	// driver: its spares are its own, and no plan is put back.
 	recycle bool
 	spares  *runSpares
 	// done flips when the driver finishes; atomic because in sharded runs
@@ -342,7 +342,8 @@ func newEngine(opts Options, sp *runSpares) (*Engine, error) {
 			ns := &sp.nodes[i]
 			device.Reuse(&ns.devices, node.CPU, node.Disk, node.NIC)
 			ex.inbox.Reuse(ns.inbox)
-			ns.inbox = sim.Buffers[execMsg]{}
+			ex.queue = ns.queue
+			ns.inbox, ns.queue = sim.Buffers[execMsg]{}, sim.FIFO[launchMsg]{}
 		}
 		e.executors = append(e.executors, ex)
 		ex.k.GoStepper(&ex.proc, fmt.Sprintf("executor-%d", i), ex)
@@ -378,9 +379,7 @@ func newEngine(opts Options, sp *runSpares) (*Engine, error) {
 			if !ex.alive || e.opts.Faults.Partitioned(i, ex.k.Now()) {
 				return
 			}
-			beat := e.spares.beats.get(e.recycle)
-			*beat = heartbeatMsg{exec: i, epoch: ex.epoch}
-			e.sendDriver(ex.shard, driverMsg{heartbeat: beat})
+			e.sendDriver(ex.shard, driverMsg{kind: driverHeartbeat, exec: i, epoch: ex.epoch})
 		})
 	}
 	if opts.Autoscale != nil {
@@ -552,19 +551,17 @@ func (d *driver) Step() {
 			e.toDriver.StartRecv(&e.driverProc)
 			return
 		}
-		switch {
-		case msg.taskDone != nil:
-			e.sched.handleTaskDone(msg.taskDone)
-			e.spares.dones.put(msg.taskDone, e.recycle)
-		case msg.threads != nil:
-			e.sched.handleThreads(msg.threads)
-		case msg.execLost != nil:
-			e.sched.handleExecLost(msg.execLost)
-		case msg.execJoin != nil:
-			e.sched.handleExecJoin(msg.execJoin)
-		case msg.heartbeat != nil:
-			e.sched.handleHeartbeat(msg.heartbeat)
-			e.spares.beats.put(msg.heartbeat, e.recycle)
+		switch msg.kind {
+		case driverTaskDone:
+			e.sched.handleTaskDone(&msg)
+		case driverThreads:
+			e.sched.handleThreads(&msg)
+		case driverExecLost:
+			e.sched.handleExecLost(&msg)
+		case driverExecJoin:
+			e.sched.handleExecJoin(&msg)
+		case driverHeartbeat:
+			e.sched.handleHeartbeat(&msg)
 		}
 	}
 	// Housekeeping events (heartbeat tickers, interference streams) see

@@ -124,7 +124,7 @@ func (m *execManager) cancelTimers(i int) {
 
 // noteBeat accepts a heartbeat from a live executor: clear any standing
 // suspicion (the slow node caught up) and re-arm the timer.
-func (m *execManager) noteBeat(b *heartbeatMsg) {
+func (m *execManager) noteBeat(b *driverMsg) {
 	i := b.exec
 	if m.suspected[i] {
 		m.suspected[i] = false
@@ -162,7 +162,7 @@ func (m *execManager) onLost(i int) {
 	if m.eng.done.Load() || !m.alive[i] {
 		return
 	}
-	m.eng.toDriver.Send(0, driverMsg{execLost: &execLostMsg{exec: i, epoch: m.epochs[i]}})
+	m.eng.toDriver.Send(0, driverMsg{kind: driverExecLost, exec: i, epoch: m.epochs[i]})
 }
 
 // assignable reports whether executor i may receive new tasks. Draining and

@@ -56,7 +56,7 @@ type Executor struct {
 
 	limit   int
 	running int
-	queue   sim.FIFO[*launchMsg]
+	queue   sim.FIFO[launchMsg]
 	// freeTasks recycles task contexts: a task returns its own when it
 	// completes, so the list never holds state a zombie is still using. An
 	// empty list takes from the engine's spares, and giveBackSpares gathers
@@ -87,42 +87,28 @@ type Executor struct {
 	cumBlockedIO time.Duration
 }
 
-// execMsg is a driver→executor control message (exactly one field set).
+// execMsg is a driver→executor control message, held by value in the
+// executor's mailbox arrays. A launch sets every field, a stage start or end
+// job and stage, a fence epoch.
 type execMsg struct {
-	stageStart *stageStartMsg
-	stageEnd   *stageEndMsg
-	launch     *launchMsg
-	fence      *fenceMsg
+	kind execKind
+	launchMsg
 }
 
-// fenceMsg orders a still-alive executor that the driver declared lost (a
-// failure-detector false positive, e.g. after a network partition) to adopt
-// a fresh incarnation epoch. Everything the old incarnation still has in
-// flight becomes a zombie — its completions are never reported — so the
-// driver's requeued copies of those tasks are the only ones that count.
-type fenceMsg struct {
-	epoch int
-}
+type execKind uint8
 
-type stageStartMsg struct {
-	job   int
-	stage *job.StageSpec
-}
-
-// stageEndMsg retires the (job, stage) controller; the executor folds its
-// decision log into the per-job archive and relaxes the pool limit if that
-// stage's controller was the binding minimum.
-type stageEndMsg struct {
-	job   int
-	stage int
-}
+const (
+	execLaunch execKind = iota
+	execStageStart
+	execStageEnd // retires the (job, stage) controller
+	execFence    // a live incarnation the driver declared lost adopts epoch
+)
 
 // launchMsg carries one task assignment with its input plan. epoch is the
 // executor incarnation the driver assigned it to: a message crossing a
-// crash or restart in flight is dropped on arrival. Messages come from the
-// engine's free list and go back when start has copied them into a context;
-// one that never starts — dropped on arrival, or queued when a crash or fence
-// empties the queue — leaves the pool, its fetch plan with it, for the GC.
+// crash or restart in flight is dropped on arrival. start copies it into the
+// task's context; one that never starts — dropped on arrival, or queued when
+// a crash or fence empties the queue — takes its fetch plan with it to the GC.
 type launchMsg struct {
 	job        int
 	stage      *job.StageSpec
@@ -134,59 +120,30 @@ type launchMsg struct {
 	inputTotal int64
 }
 
-// driverMsg is an executor→driver message (exactly one field set; the
-// zero value is a wake-up nudge that matches no handler).
+// driverMsg is an executor→driver message, held by value in the driver's
+// mailbox arrays. Every kind but the wake-up nudge sets exec and epoch, the
+// incarnation it speaks for.
 type driverMsg struct {
-	taskDone  *taskDoneMsg
-	threads   *threadsMsg
-	execLost  *execLostMsg
-	execJoin  *execJoinMsg
-	heartbeat *heartbeatMsg
-}
-
-// heartbeatMsg is an executor's periodic liveness beacon (the paper's
-// executors heartbeat through Spark's stock protocol). The driver's failure
-// detector times out on its absence; it never drives scheduling directly, so
-// quiet-plan runs are unperturbed.
-type heartbeatMsg struct {
-	exec  int
-	epoch int
-}
-
-// taskDoneMsg reports one finished attempt. The driver loop returns it to the
-// engine's free list after handleTaskDone, which keeps nothing of it.
-type taskDoneMsg struct {
+	kind    driverKind
 	exec    int
 	epoch   int
-	job     int
-	metrics job.TaskMetrics
-	err     error
+	job     int             // driverTaskDone, driverThreads
+	stage   int             // driverThreads
+	threads int             // driverThreads
+	metrics job.TaskMetrics // driverTaskDone
+	err     error           // driverTaskDone
 }
 
-// threadsMsg is the paper's ThreadCountUpdate: the executor informs the
-// scheduler of its new effective pool size. job/stage identify the stage
-// whose controller triggered the change (for trace labelling).
-type threadsMsg struct {
-	exec    int
-	epoch   int
-	job     int
-	stage   int
-	threads int
-}
+type driverKind uint8
 
-// execLostMsg declares an executor lost. It is posted by the driver's own
-// failure detector when the executor's heartbeats time out; epoch is the
-// incarnation being declared dead.
-type execLostMsg struct {
-	exec  int
-	epoch int
-}
-
-// execJoinMsg notifies the driver that a restarted executor is back.
-type execJoinMsg struct {
-	exec  int
-	epoch int
-}
+const (
+	driverWake      driverKind = iota // matches no handler
+	driverTaskDone                    // one finished attempt
+	driverThreads                     // the paper's ThreadCountUpdate: the pool's new size
+	driverExecLost                    // the failure detector's verdict on incarnation epoch
+	driverExecJoin                    // a restarted or fenced executor is back
+	driverHeartbeat                   // a liveness beacon, read by the failure detector only
+)
 
 // ThreadChange records one pool-size change for reporting (Fig. 6). A
 // crash logs a change to 0 threads; the restart's fresh controller logs the
@@ -261,28 +218,28 @@ func (ex *Executor) Step() {
 			ex.inbox.StartRecv(&ex.proc)
 			return
 		}
-		switch {
-		case msg.stageStart != nil:
+		switch msg.kind {
+		case execStageStart:
 			if !ex.alive {
 				continue // a dead executor ignores stage broadcasts
 			}
-			ex.stageStart(msg.stageStart)
-		case msg.stageEnd != nil:
-			ex.stageEnd(msg.stageEnd)
-		case msg.launch != nil:
-			if !ex.alive || msg.launch.epoch != ex.epoch {
+			ex.stageStart(msg.job, msg.stage)
+		case execStageEnd:
+			ex.stageEnd(msg.job, msg.stage.ID)
+		case execLaunch:
+			if !ex.alive || msg.epoch != ex.epoch {
 				continue // assignment crossed a crash in flight
 			}
 			if ex.running < ex.limit {
-				ex.start(msg.launch)
+				ex.start(&msg.launchMsg)
 			} else {
-				ex.queue.Push(msg.launch)
+				ex.queue.Push(msg.launchMsg)
 			}
-		case msg.fence != nil:
-			if !ex.alive || msg.fence.epoch <= ex.epoch {
+		case execFence:
+			if !ex.alive || msg.epoch <= ex.epoch {
 				continue // a crash got there first, or a duplicate order
 			}
-			ex.fence(msg.fence.epoch)
+			ex.fence(msg.epoch)
 		}
 	}
 }
@@ -320,7 +277,7 @@ func (ex *Executor) find(key setKey) (int, bool) {
 func (ex *Executor) shutdown() {
 	ex.alive = false
 	ex.epoch++
-	ex.queue = sim.FIFO[*launchMsg]{} // the queued launches leave the pool
+	ex.queue = sim.FIFO[launchMsg]{}
 	ex.retireControllers()
 	ex.threadLog = append(ex.threadLog, ThreadChange{At: ex.k.Now(), Stage: ex.curStage, Threads: 0})
 }
@@ -332,22 +289,20 @@ func (ex *Executor) shutdown() {
 // The new incarnation then rejoins through the normal execJoin path.
 func (ex *Executor) fence(epoch int) {
 	ex.epoch = epoch
-	ex.queue = sim.FIFO[*launchMsg]{} // the queued launches leave the pool
+	ex.queue = sim.FIFO[launchMsg]{}
 	ex.retireControllers()
 	ex.threadLog = append(ex.threadLog, ThreadChange{At: ex.k.Now(), Stage: ex.curStage, Threads: 0})
 	ex.eng.trace(TraceEvent{Type: TraceExecFence, Job: -1, Stage: ex.curStage, Task: -1, Exec: ex.id,
 		Detail: fmt.Sprintf("epoch %d fenced, rejoining as %d", epoch-1, epoch)})
-	ex.eng.sendDriver(ex.shard, driverMsg{
-		execJoin: &execJoinMsg{exec: ex.id, epoch: ex.epoch},
-	})
+	ex.eng.sendDriver(ex.shard, driverMsg{kind: driverExecJoin, exec: ex.id, epoch: ex.epoch})
 }
 
 // stageStart installs a fresh controller for the (job, stage) and applies
 // its initial choice to the shared pool. The driver updates its slot table
 // with the same min-over-active-stages rule, so no ThreadCountUpdate is
 // needed here.
-func (ex *Executor) stageStart(m *stageStartMsg) {
-	key := setKey{job: m.job, stage: m.stage.ID}
+func (ex *Executor) stageStart(jobID int, stage *job.StageSpec) {
+	key := setKey{job: jobID, stage: stage.ID}
 	i, dup := ex.find(key)
 	if dup {
 		// A duplicate broadcast (stage re-sent around a crash/restart
@@ -356,10 +311,10 @@ func (ex *Executor) stageStart(m *stageStartMsg) {
 		ex.active = slices.Delete(ex.active, i, i+1)
 	}
 	ctrl := ex.policy.NewController(ex.info)
-	ex.active = slices.Insert(ex.active, i, stageCtrl{key: key, ctrl: ctrl, choice: ctrl.StageStart(m.stage.Meta())})
-	ex.curStage = m.stage.ID
+	ex.active = slices.Insert(ex.active, i, stageCtrl{key: key, ctrl: ctrl, choice: ctrl.StageStart(stage.Meta())})
+	ex.curStage = stage.ID
 	if n, ok := ex.effectiveChoice(); ok {
-		ex.setLimit(n, m.stage.ID)
+		ex.setLimit(n, stage.ID)
 	}
 	ex.drain()
 }
@@ -367,14 +322,14 @@ func (ex *Executor) stageStart(m *stageStartMsg) {
 // stageEnd retires the (job, stage) controller. If its choice was the
 // binding minimum, the pool relaxes and the driver is told — it cannot
 // derive the surviving controllers' choices itself.
-func (ex *Executor) stageEnd(m *stageEndMsg) {
-	i, ok := ex.find(setKey{job: m.job, stage: m.stage})
+func (ex *Executor) stageEnd(jobID, stage int) {
+	i, ok := ex.find(setKey{job: jobID, stage: stage})
 	if !ok {
 		return // already retired (e.g. by a crash)
 	}
-	ex.decisionsByJob[m.job] = append(ex.decisionsByJob[m.job], ex.active[i].ctrl.Decisions()...)
+	ex.decisionsByJob[jobID] = append(ex.decisionsByJob[jobID], ex.active[i].ctrl.Decisions()...)
 	ex.active = slices.Delete(ex.active, i, i+1)
-	if n, ok := ex.effectiveChoice(); ok && ex.applyAndNotify(n, m.job, m.stage) {
+	if n, ok := ex.effectiveChoice(); ok && ex.applyAndNotify(n, jobID, stage) {
 		ex.drain()
 	}
 }
@@ -403,9 +358,7 @@ func (ex *Executor) applyAndNotify(n, jobID, stage int) bool {
 		return false
 	}
 	ex.setLimit(n, stage)
-	ex.eng.sendDriver(ex.shard, driverMsg{
-		threads: &threadsMsg{exec: ex.id, epoch: ex.epoch, job: jobID, stage: stage, threads: n},
-	})
+	ex.eng.sendDriver(ex.shard, driverMsg{kind: driverThreads, exec: ex.id, epoch: ex.epoch, job: jobID, stage: stage, threads: n})
 	return true
 }
 
@@ -436,7 +389,6 @@ func (ex *Executor) start(lm *launchMsg) {
 		faultAt: -1, blockSrc: -1, do: (*taskContext).launch,
 		tm: job.TaskMetrics{Stage: lm.stage.ID, Index: lm.index, Local: true},
 	}
-	ex.eng.spares.launches.put(lm, ex.eng.recycle) // the context holds the copy
 	if tc.stage.Work != nil {
 		tc.work = tc.stage.Work(tc.index)
 	} else {
@@ -478,15 +430,14 @@ func (ex *Executor) taskDone(tc *taskContext, err error) {
 			}
 		}
 	}
-	m := ex.eng.spares.dones.get(ex.eng.recycle)
-	*m = taskDoneMsg{exec: ex.id, epoch: ex.epoch, job: key.job, metrics: tm, err: err}
-	ex.eng.sendDriver(ex.shard, driverMsg{taskDone: m})
+	ex.eng.sendDriver(ex.shard, driverMsg{kind: driverTaskDone, exec: ex.id, epoch: ex.epoch, job: key.job, metrics: tm, err: err})
 	ex.drain()
 }
 
 // drain starts queued tasks while slots are free.
 func (ex *Executor) drain() {
 	for ex.running < ex.limit && ex.queue.Len() > 0 {
-		ex.start(ex.queue.Pop())
+		lm := ex.queue.Pop()
+		ex.start(&lm)
 	}
 }

@@ -3,6 +3,8 @@ package engine
 import (
 	"reflect"
 	"runtime"
+
+	"sae/internal/sim"
 )
 
 // What tests outside the package (those that need internal/invariant, which
@@ -17,14 +19,37 @@ var (
 // incarnation's.
 func (ex *Executor) Zombies() int { return ex.zombies }
 
-// StopRecycling makes e allocate every control-plane message and fetch plan
-// afresh and keep its task-sized state to itself, as a sharded engine does:
-// the reference a recycling run is held to. Called from Options.OnSetup,
-// before anything has used them, it puts back the spares NewEngine took.
+// StopRecycling makes e allocate every fetch plan afresh and keep its
+// task-sized state to itself, as a sharded engine does: the reference a
+// recycling run is held to. Called from Options.OnSetup, before anything has
+// used them, it puts back the spares NewEngine took.
 func (e *Engine) StopRecycling() {
 	putSpares(e.spares)
 	e.recycle = false
 	e.UseSpares(new(runSpares))
+}
+
+// Queued reports how many launches wait in the executor's local queue.
+func (ex *Executor) Queued() int { return ex.queue.Len() }
+
+// QueueArray identifies the array of the executor's local launch queue, 0 for
+// none.
+func (ex *Executor) QueueArray() uintptr { return queueArray(ex.queue) }
+
+// QueueArrays identifies, by node, the launch-queue arrays sp keeps for the
+// next run, 0 for none.
+func (sp *runSpares) QueueArrays() []uintptr {
+	arrays := make([]uintptr, len(sp.nodes))
+	for i, ns := range sp.nodes {
+		arrays[i] = queueArray(ns.queue)
+	}
+	return arrays
+}
+
+// queueArray is the address of q's array, read through reflection since the
+// FIFO keeps it unexported.
+func queueArray(q sim.FIFO[launchMsg]) uintptr {
+	return reflect.ValueOf(q).FieldByName("items").Pointer()
 }
 
 // Spares returns the spares e runs on. Wait gives them back for the next
@@ -44,15 +69,15 @@ func DrainSpares() {
 	runtime.GC()
 }
 
-// Held reports what sp keeps for the next run: launch, completion and
-// heartbeat messages, task contexts, and task-table entries.
-func (sp *runSpares) Held() [5]int {
-	held := [5]int{len(sp.launches.free), len(sp.dones.free), len(sp.beats.free)}
+// Held reports what sp keeps for the next run: task contexts and task-table
+// entries.
+func (sp *runSpares) Held() [2]int {
+	var held [2]int
 	for tc := sp.contexts; tc != nil; tc = tc.free {
-		held[3]++
+		held[0]++
 	}
 	for _, c := range sp.tasks.chunks {
-		held[4] += len(c)
+		held[1] += len(c)
 	}
 	return held
 }

@@ -129,9 +129,7 @@ func (e *Engine) restartExecutor(i int) {
 	ex.alive = true
 	ex.restarts++
 	e.trace(TraceEvent{Type: TraceExecRestart, Job: -1, Stage: ex.curStage, Task: -1, Exec: i})
-	e.toDriver.Send(e.cluster.ControlLatency(), driverMsg{
-		execJoin: &execJoinMsg{exec: i, epoch: ex.epoch},
-	})
+	e.toDriver.Send(e.cluster.ControlLatency(), driverMsg{kind: driverExecJoin, exec: i, epoch: ex.epoch})
 }
 
 // restartPending reports whether an executor the driver counts as lost is

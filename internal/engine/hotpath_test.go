@@ -669,9 +669,10 @@ func raceEnabled() bool {
 // TestStacklessTaskAllocs pins what one analytic task costs in heap objects
 // once its executor is warm: nothing. The task's state — context, process,
 // analytic plan — is recycled through the executor's free list and its
-// resumes are Step calls; the launch and completion messages and the fetch
-// plan come from the engine's free lists; and both mailboxes deliver through
-// their flight queues, not a closure per message.
+// resumes are Step calls; the launch and completion messages travel by value
+// in the mailboxes' arrays and the fetch plan comes from the engine's free
+// list; and both mailboxes deliver through their flight queues, not a closure
+// per message.
 // Measured between two instants in the middle of a long shuffle stage.
 func TestStacklessTaskAllocs(t *testing.T) {
 	if raceEnabled() {
@@ -710,11 +711,74 @@ func TestStacklessTaskAllocs(t *testing.T) {
 	}
 	perTask := float64(mallocs[1]-mallocs[0]) / float64(n)
 	t.Logf("%.2f objects per task over %d tasks", perTask, n)
-	// Heartbeats come from a free list too and the output file's block list
-	// is reserved when the stage starts: the allowance is for a beat that
-	// finds its list empty.
+	// Heartbeats travel by value too and the output file's block list is
+	// reserved when the stage starts: the allowance is for an array — a
+	// mailbox's, a launch queue's — growing to a new peak.
 	if perTask > 0.25 {
 		t.Errorf("an analytic task allocates %.2f objects in steady state, want 0 (every message, plan and delivery is recycled)", perTask)
+	}
+}
+
+// TestControlMessagesAllocateNothing pins the control-plane messages that are
+// not a task's launch or completion: stage starts and ends, fences,
+// ThreadCountUpdates, heartbeats, joins and loss declarations travel by value
+// in the mailboxes' arrays, so sending one and taking it out allocates nothing
+// once the arrays are warm. Each was once a pointer to a struct of its own,
+// one object per send. The engine is assembled and its housekeeping wound
+// down, then its mailboxes are swapped for ones no process waits on, so no
+// handler runs: those allocate on their own (a stage start makes a controller).
+func TestControlMessagesAllocateNothing(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	e, err := NewEngine(testOptions(2, core.Default{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.done.Store(true)
+	e.k.Run() // the executors wait on their inboxes, the heartbeat tickers stop
+	ex := e.executors[1]
+	ex.inbox, e.toDriver = sim.NewMailbox[execMsg](e.k), sim.NewMailbox[driverMsg](e.k)
+	stage := &job.StageSpec{ID: 0, Name: "map", NumTasks: 4}
+	for _, c := range []struct {
+		name string
+		send func()
+	}{
+		{"stage start", func() {
+			e.sendExec(ex, execMsg{kind: execStageStart, launchMsg: launchMsg{job: 0, stage: stage}})
+		}},
+		{"stage end", func() {
+			e.sendExec(ex, execMsg{kind: execStageEnd, launchMsg: launchMsg{job: 0, stage: stage}})
+		}},
+		{"fence", func() {
+			e.sendExec(ex, execMsg{kind: execFence, launchMsg: launchMsg{epoch: ex.epoch + 1}})
+		}},
+		{"ThreadCountUpdate", func() {
+			e.sendDriver(ex.shard, driverMsg{kind: driverThreads, exec: ex.id, epoch: ex.epoch, stage: 0, threads: 3})
+		}},
+		{"heartbeat", func() {
+			e.sendDriver(ex.shard, driverMsg{kind: driverHeartbeat, exec: ex.id, epoch: ex.epoch})
+		}},
+		{"exec join", func() {
+			e.sendDriver(ex.shard, driverMsg{kind: driverExecJoin, exec: ex.id, epoch: ex.epoch + 1})
+		}},
+		{"exec lost", func() {
+			e.sendDriver(ex.shard, driverMsg{kind: driverExecLost, exec: ex.id, epoch: ex.epoch})
+		}},
+	} {
+		cycle := func() {
+			c.send()
+			e.k.Run()
+			_, toExec := ex.inbox.TryRecv()
+			_, toDriver := e.toDriver.TryRecv()
+			if toExec == toDriver {
+				t.Fatalf("%s: %v reached the executor, %v the driver; want one of them", c.name, toExec, toDriver)
+			}
+		}
+		cycle()
+		if n := testing.AllocsPerRun(100, cycle); n != 0 {
+			t.Errorf("%s: %v objects per send, want 0", c.name, n)
+		}
 	}
 }
 

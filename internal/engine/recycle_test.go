@@ -16,33 +16,32 @@ import (
 	"sae/internal/engine"
 	"sae/internal/engine/job"
 	"sae/internal/invariant"
+	"sae/internal/sim"
 	"sae/internal/telemetry"
 )
 
-// TestRecycledMessagesSurviveFaults sends the recycled control plane down
-// every path on which a message or a fetch plan leaves its pool or outlives
-// its task: a crash in mid-stage (the tasks running there finish as zombies,
-// still holding their contexts), a second crash the instant after a wave of
-// launches (they arrive at a dead executor and are dropped), a partition long
-// enough to get a live executor declared lost and fenced (its completions
-// reach a driver that has requeued them, and the beat that follows the
-// partition is the one the driver fences it on), and a slowed executor under
-// speculation (a losing copy reports to a set that has moved on). Heartbeats
-// ride the same kind of list: the ticker takes one per beat and the driver loop
-// gives it back once the detector has read it. Every list refills a block of
-// messages at a time, so a message's neighbours in its block belong to other
-// tasks while it is in flight. A message or a plan released
-// too early, or twice, hands one task another's identity or input, and a beat
-// released early reads as executor 0 of no epoch and goes unheard: the run
-// must match, byte for byte, one that allocates them all afresh, a second run
-// of itself — most likely on the first's spares — and the auditor's ledgers.
-// The lists are read from the spares Wait gave back. CI runs it under -race.
-func TestRecycledMessagesSurviveFaults(t *testing.T) {
+// TestRecycledStateSurvivesFaults sends the recycled state of a run down every
+// path on which a fetch plan, a task context or a launch queued at an executor
+// outlives its task or is dropped: a crash in mid-stage (the tasks running
+// there finish as zombies, still holding their contexts and plans), a second
+// crash the instant after a wave of launches (they arrive at a dead executor
+// and are dropped, their plans with them), a partition long enough to get a
+// live executor declared lost and fenced (its completions reach a driver that
+// has requeued them, and the beat that follows the partition is the one the
+// driver fences it on), and a slowed executor under speculation (a losing copy
+// reports to a set that has moved on). The control-plane messages themselves
+// travel by value in the mailboxes' arrays. A plan or a context released too
+// early, or twice, hands one task another's input or state: the run must
+// match, byte for byte, one that allocates them all afresh, a second run of
+// itself — most likely on the first's spares — and the auditor's ledgers. The
+// contexts and tables are read from the spares Wait gave back. CI runs it
+// under -race.
+func TestRecycledStateSurvivesFaults(t *testing.T) {
 	type outcome struct {
 		rep     *engine.JobReport
 		trace   []byte
 		zombies int
-		held    [5]int // what the spares keep (runSpares.Held)
+		held    [2]int // what the spares keep (runSpares.Held)
 	}
 	run := func(crashAt time.Duration, recycle bool) outcome {
 		var trace bytes.Buffer
@@ -111,12 +110,10 @@ func TestRecycledMessagesSurviveFaults(t *testing.T) {
 		t.Fatal("no task finished as a zombie")
 	case speculative == 0:
 		t.Fatal("no speculative copy ran")
-	case slices.Contains(a.held[:], 0) || fresh.held != [5]int{}:
-		// A recycling pool refills a block at a time, so each list keeps
-		// spares, and Wait gathers the task contexts and keeps the tables;
-		// an engine that recycles nothing allocates singly and gives back
-		// nothing.
-		t.Fatalf("launch, completion and heartbeat messages, task contexts and task-table entries the spares keep: %v, %v with recycling off: want some of each and none", a.held, fresh.held)
+	case slices.Contains(a.held[:], 0) || fresh.held != [2]int{}:
+		// Wait gathers the task contexts and keeps the tables; an engine
+		// that recycles nothing gives back nothing.
+		t.Fatalf("task contexts and task-table entries the spares keep: %v, %v with recycling off: want some of each and none", a.held, fresh.held)
 	}
 	for _, o := range []struct {
 		name string
@@ -182,7 +179,7 @@ func TestSparesDoNotLeakAcrossRuns(t *testing.T) {
 			repA.Fenced, repA.LostExecutors, repA.Stages[1].Speculative)
 	}
 	if held := a.Spares().Held(); slices.Contains(held[:], 0) {
-		t.Fatalf("run A's spares hold %v: want messages, contexts and task tables for B to take", held)
+		t.Fatalf("run A's spares hold %v: want contexts and task tables for B to take", held)
 	}
 
 	// B: a join of two map stages of other widths on six nodes, under another
@@ -332,12 +329,14 @@ func TestSparesSurviveCollections(t *testing.T) {
 
 // TestRecycledMachineDoesNotLeakAcrossRuns hands one run's simulated machine —
 // the kernel's event structs, heap and ring, the devices' stream tables and
-// overload memos, the mailboxes' queues — to a run on other hardware. Run A,
-// eight SSD nodes under speculation, audited and traced, has an executor crash
-// in mid-stage, so streams it queued finish as zombies after the crash. Run B,
-// four HDD nodes and a job of another shape with a crash of its own, runs on
-// A's leftovers: its report and trace must equal B's on a machine of its own,
-// and A's report must render as it did before B ran. CI runs it under -race.
+// overload memos, the mailboxes' queues, the executors' launch queues — to
+// runs on other hardware. Run A, eight SSD nodes under speculation, audited
+// and traced, has an executor crash in mid-stage, so streams it queued finish
+// as zombies after the crash. Run C, two HDD nodes, is cut short on A's
+// leftovers with a launch queued at an executor. Run B, four HDD nodes and a
+// job of another shape with a crash of its own, runs on what A and C left: its
+// report and trace must equal B's on a machine of its own, and A's report must
+// render as it did before B ran. CI runs it under -race.
 func TestRecycledMachineDoesNotLeakAcrossRuns(t *testing.T) {
 	render := func(rep *engine.JobReport) string { return rep.String() + fmt.Sprintf("%+v", *rep) }
 	run := func(name string, opts engine.Options, spec *job.JobSpec, on *engine.Engine) (*engine.Engine, *engine.JobReport, []byte) {
@@ -397,6 +396,39 @@ func TestRecycledMachineDoesNotLeakAcrossRuns(t *testing.T) {
 		t.Fatalf("run A's spares hold kernel events, device tables, driver and executor mailboxes: %v, want all", held)
 	}
 
+	// Run C, queueingRun on A's machine, is cut short the first time a
+	// launch waits in an executor's local queue. That queue goes back
+	// non-empty, and B's executor on the node would start C's launches if it
+	// took it.
+	optsC, specC := queueingRun()
+	c, err := engine.NewEngineOn(optsC, a.Spares())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Submit(specC); err != nil {
+		t.Fatal(err)
+	}
+	queued := -1
+	var tick sim.Event
+	tick = c.Kernel().Every(optsC.Cluster.ControlLatency, func() {
+		for i, ex := range c.Executors() {
+			if ex.Queued() > 0 {
+				queued = i
+				c.Kernel().Stop()
+				return
+			}
+		}
+		if c.Kernel().Now() > 10*time.Minute {
+			tick.Cancel()
+		}
+	})
+	if err := c.Wait(); err == nil || queued < 0 {
+		t.Fatalf("run C: %v, executor %d with launches queued when it stopped; want an error and one", err, queued)
+	}
+	if a.Spares().QueueArrays()[queued] != 0 {
+		t.Fatalf("run C gave back executor %d's launch queue with launches in it", queued)
+	}
+
 	in := int64(40 * 64 * device.MiB)
 	specB := &job.JobSpec{Name: "machine-b", Stages: []*job.StageSpec{
 		{ID: 0, Name: "left", InputFile: "in", CPUSecondsPerTask: 0.3, ShuffleWriteBytes: device.GiB},
@@ -412,18 +444,82 @@ func TestRecycledMachineDoesNotLeakAcrossRuns(t *testing.T) {
 		Crashes:       []chaos.Crash{{Exec: 1, At: 4 * time.Second, RestartAfter: 6 * time.Second}},
 		TaskFaultRate: 0.05,
 	}
-	_, got, gotTrace := run("B on A's machine", optsB, specB, a)
+	_, got, gotTrace := run("B on A's and C's machine", optsB, specB, a)
 	_, want, wantTrace := run("B", optsB, specB, nil)
 	if want.LostExecutors == 0 {
 		t.Fatal("run B lost no executor")
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("run B on A's machine reports differently from B on its own:\n%s\n%s", render(got), render(want))
+		t.Fatalf("run B on A's and C's machine reports differently from B on its own:\n%s\n%s", render(got), render(want))
 	}
 	if !bytes.Equal(gotTrace, wantTrace) {
-		t.Fatal("run B on A's machine wrote a different trace from B on its own")
+		t.Fatal("run B on A's and C's machine wrote a different trace from B on its own")
 	}
 	if after := render(repA); after != before {
 		t.Fatalf("run A's report changed when B ran on its machine:\n%s\n%s", before, after)
+	}
+}
+
+// queueingRun is a job whose dynamic pools shrink below the launches already
+// in flight to them, so its executors queue launches locally (the paper's
+// §5.3 integrity concern): two nodes, a 64-task map stage and a 64-task
+// reduce.
+func queueingRun() (engine.Options, *job.JobSpec) {
+	const tasks = 64
+	in := int64(tasks * 64 * device.MiB)
+	spec := &job.JobSpec{Name: "queueing", Stages: []*job.StageSpec{
+		{ID: 0, Name: "map", InputFile: "in", CPUSecondsPerTask: 0.5, ShuffleWriteBytes: in / 2},
+		{ID: 1, Name: "reduce", NumTasks: tasks, ShuffleFrom: []int{0}, CPUSecondsPerTask: 0.5},
+	}}
+	opts := engine.GrayOptions(2, core.DefaultDynamic())
+	opts.Inputs = []engine.Input{{Name: "in", Size: in}}
+	return opts, spec
+}
+
+// TestRecycledLaunchQueue: an executor's local launch queue goes back with the
+// machine, and the next engine's executor on the node starts with its array.
+// queueingRun's queues are empty when it ends, so its spares keep the arrays;
+// a second run of the job on them queues its launches into those arrays and
+// must report as the first run did.
+func TestRecycledLaunchQueue(t *testing.T) {
+	opts, spec := queueingRun()
+	run := func(e *engine.Engine) *engine.JobReport {
+		t.Helper()
+		h, err := e.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Wait(); err != nil {
+			t.Fatal(err)
+		}
+		rep, err := h.Report()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	a, err := engine.NewEngineOn(opts, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := run(a)
+	arrays := a.Spares().QueueArrays()
+	if !slices.ContainsFunc(arrays, func(p uintptr) bool { return p != 0 }) {
+		t.Fatal("the spares keep no launch queue: no executor queued a launch, or its queue was not given back")
+	}
+	b, err := engine.NewEngineOn(opts, a.Spares())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range arrays {
+		if p != 0 && b.Executors()[i].QueueArray() != p {
+			t.Errorf("executor %d of the next engine did not start with the queue the last run gave back", i)
+		}
+	}
+	if slices.ContainsFunc(a.Spares().QueueArrays(), func(p uintptr) bool { return p != 0 }) {
+		t.Error("the spares still hold a queue the next engine took")
+	}
+	if second := run(b); !reflect.DeepEqual(first, second) {
+		t.Fatalf("the run on the recycled queues reports differently:\n%s\n%s", first, second)
 	}
 }

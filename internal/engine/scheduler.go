@@ -488,7 +488,7 @@ func (e *Engine) snapshotJob(id int) JobSnapshot {
 }
 
 // handleTaskDone routes a completion to its task set by (job, stage).
-func (s *taskScheduler) handleTaskDone(m *taskDoneMsg) {
+func (s *taskScheduler) handleTaskDone(m *driverMsg) {
 	e := s.eng
 	em := e.em
 	if !em.alive[m.exec] || m.epoch != em.epochs[m.exec] {
@@ -601,7 +601,7 @@ func (s *taskScheduler) handleTaskDone(m *taskDoneMsg) {
 }
 
 // handleThreads applies a ThreadCountUpdate to the slot table.
-func (s *taskScheduler) handleThreads(m *threadsMsg) {
+func (s *taskScheduler) handleThreads(m *driverMsg) {
 	em := s.eng.em
 	if !em.alive[m.exec] || m.epoch != em.epochs[m.exec] {
 		return
@@ -615,7 +615,7 @@ func (s *taskScheduler) handleThreads(m *threadsMsg) {
 // (heartbeat timeout). The detector posts through the driver mailbox, so by
 // the time this runs a beat or a crash may have raced ahead of the
 // declaration — the aliveness/epoch guard drops those stale declarations.
-func (s *taskScheduler) handleExecLost(m *execLostMsg) {
+func (s *taskScheduler) handleExecLost(m *driverMsg) {
 	em := s.eng.em
 	if !em.alive[m.exec] || m.epoch != em.epochs[m.exec] {
 		return
@@ -699,7 +699,7 @@ func (s *taskScheduler) reclaimNode(exec int) {
 // ahead of the failure detector — in which case the old incarnation is
 // declared lost first, so its in-flight work is requeued rather than
 // black-holed against the new epoch.
-func (s *taskScheduler) handleExecJoin(m *execJoinMsg) {
+func (s *taskScheduler) handleExecJoin(m *driverMsg) {
 	e := s.eng
 	em := e.em
 	if m.epoch <= em.epochs[m.exec] {
@@ -723,7 +723,7 @@ func (s *taskScheduler) handleExecJoin(m *execJoinMsg) {
 		if limit == 0 || init < limit {
 			limit = init
 		}
-		e.sendExec(ex, execMsg{stageStart: &stageStartMsg{job: ts.key.job, stage: ts.stage}})
+		e.sendExec(ex, execMsg{kind: execStageStart, launchMsg: launchMsg{job: ts.key.job, stage: ts.stage}})
 	}
 	em.limits[m.exec] = limit
 	s.assign(m.exec)
@@ -735,7 +735,7 @@ func (s *taskScheduler) handleExecJoin(m *execJoinMsg) {
 // requeued at declaration, the incarnation must be fenced: it is ordered to
 // adopt a fresh epoch (turning its in-flight work into zombies) and rejoin
 // through the normal join path.
-func (s *taskScheduler) handleHeartbeat(m *heartbeatMsg) {
+func (s *taskScheduler) handleHeartbeat(m *driverMsg) {
 	e := s.eng
 	em := e.em
 	if em.alive[m.exec] {
@@ -756,8 +756,7 @@ func (s *taskScheduler) handleHeartbeat(m *heartbeatMsg) {
 			js.fenced++
 		}
 	}
-	e.sendExec(e.executors[m.exec],
-		execMsg{fence: &fenceMsg{epoch: em.epochs[m.exec] + 1}})
+	e.sendExec(e.executors[m.exec], execMsg{kind: execFence, launchMsg: launchMsg{epoch: em.epochs[m.exec] + 1}})
 }
 
 // ensureParents resubmits lost map outputs of every upstream stage ts
@@ -903,8 +902,7 @@ func (s *taskScheduler) launch(ts *taskSet, ticket, i int) {
 	}
 	e.trace(TraceEvent{Type: TraceTaskLaunch, Job: ts.key.job, Stage: ts.stage.ID, Task: task, Exec: i, Detail: detail})
 
-	lm := e.spares.launches.get(e.recycle)
-	*lm = launchMsg{job: ts.key.job, stage: ts.stage, index: task, attempt: int(st.launches), epoch: e.em.epochs[i]}
+	lm := launchMsg{job: ts.key.job, stage: ts.stage, index: task, attempt: int(st.launches), epoch: e.em.epochs[i]}
 	st.launches++
 	lm.blocks = dfs.Split(ts.blocks, len(ts.tasks), task)
 	for _, b := range lm.blocks {
@@ -916,7 +914,7 @@ func (s *taskScheduler) launch(ts *taskSet, ticket, i int) {
 			lm.inputTotal += seg.bytes
 		}
 	}
-	e.sendExec(ex, execMsg{launch: lm})
+	e.sendExec(ex, execMsg{kind: execLaunch, launchMsg: lm})
 }
 
 // speculate launches backup copies of stragglers once the stage is mostly

@@ -49,10 +49,17 @@ func (e *Engine) shardFor(node int) int {
 // deterministic (time, source shard, source seq) order.
 func (e *Engine) sendDriver(srcShard int, msg driverMsg) {
 	if srcShard != 0 {
-		e.ss.Send(srcShard, 0, e.cluster.ControlLatency(), func() { e.toDriver.Put(msg) })
+		e.sendDriverAcross(srcShard, msg)
 		return
 	}
 	e.toDriver.Send(e.cluster.ControlLatency(), msg)
+}
+
+// sendDriverAcross is sendDriver's cross-shard half. Its closure captures a
+// message larger than 128 bytes, which Go moves to the heap as the capturing
+// function is entered: inline, it would cost every message an allocation.
+func (e *Engine) sendDriverAcross(srcShard int, msg driverMsg) {
+	e.ss.Send(srcShard, 0, e.cluster.ControlLatency(), func() { e.toDriver.Put(msg) })
 }
 
 // sendExec posts a driver→executor control message after the control
@@ -60,10 +67,15 @@ func (e *Engine) sendDriver(srcShard int, msg driverMsg) {
 // off the driver's shard.
 func (e *Engine) sendExec(ex *Executor, msg execMsg) {
 	if ex.shard != 0 {
-		e.ss.Send(0, ex.shard, e.cluster.ControlLatency(), func() { ex.inbox.Put(msg) })
+		e.sendExecAcross(ex, msg)
 		return
 	}
 	ex.inbox.Send(e.cluster.ControlLatency(), msg)
+}
+
+// sendExecAcross is sendExec's cross-shard half, apart as sendDriverAcross is.
+func (e *Engine) sendExecAcross(ex *Executor, msg execMsg) {
+	e.ss.Send(0, ex.shard, e.cluster.ControlLatency(), func() { ex.inbox.Put(msg) })
 }
 
 // FiredEvents returns the number of events fired across the whole run —

@@ -12,10 +12,11 @@ import (
 // runSpares is the task-sized state one run leaves for the next engine in the
 // process: the driver's task tables, pending tickets and duration ledgers, the
 // shuffle registry's output lists and reduce-side aggregates, the executors'
-// task contexts, the control-plane free lists, and the simulated machine's
-// storage — the kernel's events, the devices' stream tables and the
-// mailboxes' queues. A run's reports, DFS and telemetry keep none of it, so
-// once the simulation has drained it is unreachable; Wait gives it back as its
+// task contexts, the fetch-plan buffers, and the simulated machine's storage —
+// the kernel's events, the devices' stream tables, the mailboxes' arrays,
+// which carry the control-plane messages by value, and the executors' local
+// launch queues. A run's reports, DFS and telemetry keep none of it, so once
+// the simulation has drained it is unreachable; Wait gives it back as its
 // very last act and the next recycling NewEngine takes it (DESIGN.md "What a
 // run allocates"). Between the two it belongs to one engine alone.
 type runSpares struct {
@@ -29,13 +30,8 @@ type runSpares struct {
 	// contexts lists zeroed task contexts, linked through taskContext.free;
 	// an executor whose own free list is empty takes from it.
 	contexts *taskContext
-
-	// Free lists of the per-task control plane (DESIGN.md "Control-plane
-	// messages").
-	launches pool[launchMsg]
-	dones    pool[taskDoneMsg]
-	beats    pool[heartbeatMsg]
-	plans    [][]segment
+	// plans are emptied fetch-plan buffers (takePlan, releasePlan).
+	plans [][]segment
 
 	// The machine's storage, which NewEngine hands out and takes out of here.
 	// nodes is by node ID, an executor's too; an entry past a smaller cluster
@@ -45,10 +41,12 @@ type runSpares struct {
 	nodes    []nodeSpares
 }
 
-// nodeSpares is what one node's devices and its executor's mailbox give back.
+// nodeSpares is what one node's devices and its executor give back: the
+// mailbox's arrays and the local launch queue, the latter only when empty.
 type nodeSpares struct {
 	devices device.Spares
 	inbox   sim.Buffers[execMsg]
+	queue   sim.FIFO[launchMsg]
 }
 
 // spareSlot holds the spares given back last; sparePool holds those a
@@ -87,10 +85,10 @@ func (sp *runSpares) context() *taskContext {
 
 // giveBackSpares hands the run's spares to the next engine: every executor's
 // free task contexts join the spares' list, zeroed so they pin nothing of this
-// run, the slabs start over, and the kernel, the devices and the mailboxes
-// give back their storage — each only if idle, which after a drained run
-// they are. It must come after everything the run does, since another
-// goroutine's engine may take the spares the instant they are put back.
+// run, the slabs start over, and the kernel, the devices, the mailboxes and
+// the launch queues give back their storage — each only if idle, which after
+// a drained run they are. It must come after everything the run does: another
+// goroutine's engine may take the spares the instant they are back.
 func (e *Engine) giveBackSpares() {
 	sp := e.spares
 	if n := len(e.executors) - len(sp.nodes); n > 0 {
@@ -100,6 +98,9 @@ func (e *Engine) giveBackSpares() {
 		ns := &sp.nodes[i]
 		device.Release(&ns.devices, ex.node.CPU, ex.node.Disk, ex.node.NIC)
 		ns.inbox = ex.inbox.Release()
+		if ex.queue.Len() == 0 {
+			ns.queue, ex.queue = ex.queue, sim.FIFO[launchMsg]{}
+		}
 		for tc := ex.freeTasks; tc != nil; {
 			next := tc.free
 			*tc = taskContext{free: sp.contexts}
@@ -175,45 +176,6 @@ func (s *slab[T]) reset() {
 		s.chunks = [][]T{make([]T, s.peak)}
 	}
 	s.made, s.next, s.off, s.need = nil, 0, 0, 0
-}
-
-// pool is a free list of control-plane messages. put zeroes what it takes: a
-// pooled message pins no stage, plan or error past its task, and a use after
-// release reads zeros — a diverged golden, not another task's message.
-type pool[T any] struct{ free []*T }
-
-// poolBlock is how many messages a recycling pool allocates at once when its
-// free list runs dry.
-const poolBlock = 16
-
-// get takes a message from the free list. When the list is empty a recycling
-// pool (recycle, Engine.recycle) refills it with a block of poolBlock, one
-// object for the lot; a pool that recycles nothing allocates each message on
-// its own, so none is ever left over in its list.
-func (p *pool[T]) get(recycle bool) *T {
-	n := len(p.free)
-	if n == 0 {
-		if !recycle {
-			return new(T)
-		}
-		block := make([]T, poolBlock)
-		for i := range block[1:] {
-			p.free = append(p.free, &block[i+1])
-		}
-		return &block[0]
-	}
-	v := p.free[n-1]
-	p.free = p.free[:n-1]
-	return v
-}
-
-// put takes v back if recycle (Engine.recycle) says so.
-func (p *pool[T]) put(v *T, recycle bool) {
-	if recycle {
-		var zero T
-		*v = zero
-		p.free = append(p.free, v)
-	}
 }
 
 // takePlan returns an empty buffer for reducePlan to fill, recycled if any is.

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 )
 
 func TestEventOrdering(t *testing.T) {
@@ -409,6 +410,38 @@ func TestMailboxSteadyStateAllocs(t *testing.T) {
 	}
 	k.Stop()
 	k.Run()
+}
+
+// TestLargeMessageSendAllocFree: a message type past 128 bytes — the engine's
+// completions carry a task's metrics — costs nothing to send either. Send's
+// overtaking closure would capture it, and a captured value that large moves
+// to the heap as the function holding the closure is entered, whichever
+// branch runs: with the closure inline, every Send allocated one object.
+func TestLargeMessageSendAllocFree(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	type large struct {
+		seq  int
+		body [31]int64
+	}
+	k := NewKernel()
+	mb := NewMailbox[large](k)
+	n := 0
+	cycle := func() {
+		n++
+		mb.Send(time.Millisecond, large{seq: n})
+		k.Run()
+		if msg, ok := mb.TryRecv(); !ok || msg.seq != n {
+			t.Fatalf("received message %d (%v), want %d", msg.seq, ok, n)
+		}
+	}
+	for range 100 {
+		cycle()
+	}
+	if allocs := testing.AllocsPerRun(1000, cycle); allocs != 0 {
+		t.Errorf("Send→Run→TryRecv of a %d-byte message allocates %v objects, want 0", unsafe.Sizeof(large{}), allocs)
+	}
 }
 
 // TestReleasedMailboxBuffers: a mailbox with a message in flight keeps its

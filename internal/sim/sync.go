@@ -59,13 +59,20 @@ func NewMailbox[T any](k *Kernel) *Mailbox[T] {
 func (m *Mailbox[T]) Send(d time.Duration, msg T) {
 	at := m.k.now + d
 	if at < m.latest {
-		// Overtakes a message in flight: its own event carries it.
-		m.k.After(d, func() { m.Put(msg) })
+		m.overtake(d, msg)
 		return
 	}
 	m.k.After(d, m.deliver) // first: a negative d panics here
 	m.latest = at
 	m.flight.Push(msg)
+}
+
+// overtake sends msg, due before a message in flight, on an event of its own.
+// The closure lives here, not in Send: Go moves a captured variable larger
+// than 128 bytes to the heap as the capturing function is entered, on every
+// path through it.
+func (m *Mailbox[T]) overtake(d time.Duration, msg T) {
+	m.k.After(d, func() { m.Put(msg) })
 }
 
 // land is the arrival of the oldest message in flight.
