@@ -18,9 +18,16 @@ import (
 // dependencies and lifecycle live here, while slot accounting and task
 // placement live in taskScheduler/execManager.
 type jobState struct {
-	id       int
-	spec     *job.JobSpec
-	submitAt time.Duration
+	id   int
+	spec *job.JobSpec
+	// rep is the report being built. The driver counts the job's fault,
+	// gray-failure and task-attributed I/O totals straight into it, each
+	// primary task set fills its own entry of rep.Stages, and finishJob
+	// completes it. Task-attributed I/O sums the TaskMetrics of every
+	// attempt reported while the job ran, so concurrent jobs never
+	// double-count each other's device traffic (unlike cluster-global
+	// counter deltas).
+	rep JobReport
 
 	// Indexed by stage ID. A stage's parents are the deduplicated union of
 	// its ShuffleFrom and DependsOn edges; children[s] lists the stages with
@@ -32,41 +39,19 @@ type jobState struct {
 	sets     []*taskSet
 
 	finished int
-	// stageReports is indexed by stage ID, filled as stages complete.
-	stageReports []StageReport
 
 	// running counts the job's in-flight task attempts cluster-wide — the
 	// Fair policy's share measure.
 	running int
 
 	// firstLaunch is when the job's first task attempt left the driver
-	// (-1 until then); firstLaunch − submitAt is the job's queueing delay.
+	// (-1 until then); firstLaunch − SubmittedAt is the job's queueing delay.
 	firstLaunch time.Duration
 
-	// Per-job fault counters (window-sliced into StageReports).
-	lostExecs     int
-	resubmissions int
-	requeues      int
-	recoveredB    int64 // bytes re-registered for lost map outputs
+	// requeues counts the job's requeued attempts; JobReport has no total,
+	// stage windows slice it into StageReport.Requeued.
+	requeues int
 
-	// Gray-failure counters: executors suspected by the heartbeat detector
-	// while the job ran, false-positive incarnations fenced, bounded
-	// shuffle-fetch retries and DFS checksum-mismatch replica failovers
-	// summed from the job's task attempts.
-	suspected         int
-	fenced            int
-	fetchRetries      int
-	checksumFailovers int
-
-	// Task-attributed I/O totals: summed from TaskMetrics of every
-	// attempt reported while the job ran, so concurrent jobs never
-	// double-count each other's device traffic (unlike cluster-global
-	// counter deltas).
-	diskReadB  int64
-	diskWriteB int64
-	netB       int64
-
-	report  *JobReport
 	err     error
 	started bool
 	done    bool
@@ -75,14 +60,20 @@ type jobState struct {
 func newJobState(id int, spec *job.JobSpec, submitAt time.Duration) *jobState {
 	n := len(spec.Stages)
 	js := &jobState{
-		id:           id,
-		spec:         spec,
-		submitAt:     submitAt,
-		children:     make([][]int, n),
-		waiting:      make([]int, n),
-		sets:         make([]*taskSet, n),
-		stageReports: make([]StageReport, n),
-		firstLaunch:  -1,
+		id:   id,
+		spec: spec,
+		rep: JobReport{
+			ID:          id,
+			Job:         spec.Name,
+			Tenant:      spec.Tenant,
+			Priority:    spec.Priority,
+			SubmittedAt: submitAt,
+			Stages:      make([]StageReport, n),
+		},
+		children:    make([][]int, n),
+		waiting:     make([]int, n),
+		sets:        make([]*taskSet, n),
+		firstLaunch: -1,
 	}
 	for _, st := range spec.Stages {
 		deps := append(slices.Clone(st.ShuffleFrom), st.DependsOn...)
@@ -158,6 +149,18 @@ func (e *Engine) activateStage(js *jobState, id int) {
 		e.sendExec(ex, execMsg{kind: execStageStart, launchMsg: launchMsg{job: js.id, stage: spec}})
 	}
 
+	// The set fills its stage's entry of the job's report as it runs.
+	ts.rep = &js.rep.Stages[id]
+	*ts.rep = StageReport{ID: id, Name: spec.Name, IOMarked: spec.IOMarked(), Start: e.k.Now(),
+		Execs: make([]ExecutorStageStats, len(e.executors))}
+	for i, ex := range e.executors {
+		ts.rep.Execs[i] = ExecutorStageStats{
+			Executor:       i,
+			Node:           ex.node.ID,
+			InitialThreads: e.em.limits[i],
+		}
+	}
+
 	// Stage-boundary snapshots for the utilization window. Under
 	// concurrent stages/jobs the windows overlap on the shared cluster —
 	// the percentages then describe the cluster during this stage, not
@@ -166,7 +169,6 @@ func (e *Engine) activateStage(js *jobState, id int) {
 	// counters advance concurrently on their shards, and reading them
 	// mid-window would be both racy and nondeterministic. Those runs
 	// report zero utilization columns (see DESIGN.md "Sharded simulation").
-	ts.start = e.k.Now()
 	ts.usage0 = make([]cluster.Usage, e.cluster.Size())
 	ts.disk0 = make([]psres.Stats, e.cluster.Size())
 	if e.ss == nil {
@@ -179,17 +181,8 @@ func (e *Engine) activateStage(js *jobState, id int) {
 			ts.net0 += n.NIC.BytesMoved()
 		}
 	}
-	ts.lost0, ts.resub0, ts.requeue0 = js.lostExecs, js.resubmissions, js.requeues
-	ts.recovered0 = js.recoveredB
-
-	ts.stats = make([]ExecutorStageStats, len(e.executors))
-	for i, ex := range e.executors {
-		ts.stats[i] = ExecutorStageStats{
-			Executor:       i,
-			Node:           ex.node.ID,
-			InitialThreads: e.em.limits[i],
-		}
-	}
+	ts.lost0, ts.resub0, ts.requeue0 = js.rep.LostExecutors, js.rep.ResubmittedStages, js.requeues
+	ts.recovered0 = js.rep.RecoveredBytes
 
 	e.trace(TraceEvent{Type: TraceStageStart, Job: js.id, Stage: id, Task: -1, Exec: -1,
 		Detail: fmt.Sprintf("%s (%d tasks)", spec.Name, spec.NumTasks)})
@@ -199,7 +192,7 @@ func (e *Engine) activateStage(js *jobState, id int) {
 	e.sched.assignAll()
 }
 
-// completeStage closes a finished primary stage: build its StageReport,
+// completeStage closes a finished primary stage: complete its StageReport,
 // retire the executors' per-stage controllers, and activate any children
 // whose dependencies are now all met.
 func (e *Engine) completeStage(ts *taskSet) {
@@ -213,19 +206,12 @@ func (e *Engine) completeStage(ts *taskSet) {
 		}
 	}
 
-	sr := StageReport{
-		ID:                id,
-		Name:              ts.stage.Name,
-		IOMarked:          ts.stage.IOMarked(),
-		Start:             ts.start,
-		End:               e.k.Now(),
-		Retries:           ts.retries,
-		Speculative:       ts.speculative,
-		LostExecutors:     js.lostExecs - ts.lost0,
-		ResubmittedStages: js.resubmissions - ts.resub0,
-		Requeued:          js.requeues - ts.requeue0,
-		RecoveredBytes:    js.recoveredB - ts.recovered0,
-	}
+	sr := ts.rep
+	sr.End = e.k.Now()
+	sr.LostExecutors = js.rep.LostExecutors - ts.lost0
+	sr.ResubmittedStages = js.rep.ResubmittedStages - ts.resub0
+	sr.Requeued = js.requeues - ts.requeue0
+	sr.RecoveredBytes = js.rep.RecoveredBytes - ts.recovered0
 	if d := ts.durations; len(d) > 0 {
 		// The set is done with its ledger: sort it where it lies.
 		slices.Sort(d)
@@ -260,12 +246,10 @@ func (e *Engine) completeStage(ts *taskSet) {
 			// protocol keeps current.
 			limit = e.em.limits[i]
 		}
-		ts.stats[i].FinalThreads = limit
+		sr.Execs[i].FinalThreads = limit
 		sr.ThreadsTotal += limit
 		sr.MaxThreadsTotal += ex.info.MaxThreads
 	}
-	sr.Execs = ts.stats
-	js.stageReports[id] = sr
 
 	js.finished++
 	if js.finished == len(js.spec.Stages) {
@@ -283,44 +267,24 @@ func (e *Engine) completeStage(ts *taskSet) {
 	}
 }
 
-// finishJob assembles the job's report and releases its shuffle state.
+// finishJob completes the job's report and releases its shuffle state.
 func (e *Engine) finishJob(js *jobState) {
 	js.done = true
-	queueDelay := time.Duration(0)
+	rep := &js.rep
 	if js.firstLaunch >= 0 {
-		queueDelay = js.firstLaunch - js.submitAt
+		rep.QueueDelay = js.firstLaunch - rep.SubmittedAt
 	}
-	report := &JobReport{
-		ID:                js.id,
-		Job:               js.spec.Name,
-		Policy:            e.opts.Policy.Name(),
-		Sched:             e.sched.policy.Name(),
-		Tenant:            js.spec.Tenant,
-		Priority:          js.spec.Priority,
-		SubmittedAt:       js.submitAt,
-		QueueDelay:        queueDelay,
-		Runtime:           e.k.Now() - js.submitAt,
-		Stages:            js.stageReports,
-		DiskReadBytes:     js.diskReadB,
-		DiskWriteBytes:    js.diskWriteB,
-		NetBytes:          js.netB,
-		LostExecutors:     js.lostExecs,
-		ResubmittedStages: js.resubmissions,
-		RecoveredBytes:    js.recoveredB,
-		Suspected:         js.suspected,
-		Fenced:            js.fenced,
-		FetchRetries:      js.fetchRetries,
-		ChecksumFailovers: js.checksumFailovers,
-	}
+	rep.Policy = e.opts.Policy.Name()
+	rep.Sched = e.sched.policy.Name()
+	rep.Runtime = e.k.Now() - rep.SubmittedAt
 	for _, ex := range e.executors {
-		report.Decisions = append(report.Decisions, ex.jobDecisions(js.id))
-		report.ThreadLogs = append(report.ThreadLogs, append([]ThreadChange(nil), ex.threadLog...))
+		rep.Decisions = append(rep.Decisions, ex.jobDecisions(js.id))
+		rep.ThreadLogs = append(rep.ThreadLogs, append([]ThreadChange(nil), ex.threadLog...))
 	}
-	js.report = report
 	if e.aud != nil {
 		// Before dropJob so the auditor can close out the job's shuffle
 		// mirror alongside the registry.
-		e.aud.JobFinished(report)
+		e.aud.JobFinished(rep)
 	}
 	e.shuffle.dropJob(js.id)
 	e.completed++

@@ -201,10 +201,10 @@ func (h *JobHandle) Report() (*JobReport, error) {
 	if h.js.err != nil {
 		return nil, h.js.err
 	}
-	if h.js.report == nil {
+	if !h.js.done {
 		return nil, fmt.Errorf("engine: job %s did not complete", h.js.spec.Name)
 	}
-	return h.js.report, nil
+	return &h.js.rep, nil
 }
 
 // ErrNoNodes is the error NewEngine wraps when Options.Cluster has fewer than
@@ -469,11 +469,11 @@ func (e *Engine) Wait() error {
 	// making same-instant admission FIFO regardless of the policy. One
 	// assignAll after the batch lets Fair actually share the first wave.
 	order := slices.Clone(e.jobs)
-	slices.SortStableFunc(order, func(a, b *jobState) int { return cmp.Compare(a.submitAt, b.submitAt) })
+	slices.SortStableFunc(order, func(a, b *jobState) int { return cmp.Compare(a.rep.SubmittedAt, b.rep.SubmittedAt) })
 	for len(order) > 0 {
-		at := order[0].submitAt
+		at := order[0].rep.SubmittedAt
 		n := 1
-		for n < len(order) && order[n].submitAt == at {
+		for n < len(order) && order[n].rep.SubmittedAt == at {
 			n++
 		}
 		batch := order[:n]

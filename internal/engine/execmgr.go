@@ -147,7 +147,7 @@ func (m *execManager) onSuspect(i int) {
 		Detail: fmt.Sprintf("no heartbeat for %s", m.eng.k.Now()-m.lastBeat[i])})
 	for _, js := range m.eng.jobs {
 		if js.started && !js.done {
-			js.suspected++
+			js.rep.Suspected++
 		}
 	}
 	wait := m.eng.opts.HeartbeatTimeout - m.suspectAfter()

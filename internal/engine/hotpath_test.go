@@ -58,11 +58,11 @@ func TestActiveKeysMatchesReference(t *testing.T) {
 			s := newTaskScheduler(e, policy)
 			for id := 0; id < 1+rng.Intn(6); id++ {
 				js := &jobState{
-					id:       id,
-					spec:     &job.JobSpec{Priority: rng.Intn(3)},
-					submitAt: time.Duration(rng.Intn(3)) * time.Second,
-					running:  rng.Intn(3),
-					sets:     make([]*taskSet, stages),
+					id:      id,
+					spec:    &job.JobSpec{Priority: rng.Intn(3)},
+					rep:     JobReport{SubmittedAt: time.Duration(rng.Intn(3)) * time.Second},
+					running: rng.Intn(3),
+					sets:    make([]*taskSet, stages),
 				}
 				e.jobs = append(e.jobs, js)
 				for stage := 0; stage < stages; stage++ {

@@ -391,3 +391,48 @@ func TestDecisionsGroupedByJob(t *testing.T) {
 		}
 	}
 }
+
+// TestCutOffJobHasNoReport stops the kernel after a short job ended and
+// before a long one did. The driver builds each report in place as the job
+// runs, so the long job's half-filled report must not escape its handle,
+// while the short job's is whole.
+func TestCutOffJobHasNoReport(t *testing.T) {
+	opts := testOptions(2, core.Default{})
+	opts.OnSetup = func(e *Engine) { e.Kernel().At(time.Minute, e.Kernel().Stop) }
+	e, err := NewEngine(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	twoStages := func(name string, seconds float64) *job.JobSpec {
+		return &job.JobSpec{Name: name, Stages: []*job.StageSpec{
+			{ID: 0, Name: "first", NumTasks: 4, Work: opsThen(nil, computeOp(seconds))},
+			{ID: 1, Name: "second", NumTasks: 4, DependsOn: []int{0}, Work: opsThen(nil, computeOp(seconds))},
+		}}
+	}
+	short, err := e.Submit(twoStages("short", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	long, err := e.Submit(twoStages("long", 100))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Wait(); err == nil || err.Error() != "engine: jobs did not complete" {
+		t.Fatalf("Wait = %v, want the jobs-did-not-complete error", err)
+	}
+	rep, err := short.Report()
+	if err != nil {
+		t.Fatalf("short job: %v", err)
+	}
+	if rep.Runtime <= 0 {
+		t.Errorf("short job: Runtime %s, want > 0", rep.Runtime)
+	}
+	for _, sr := range rep.Stages {
+		if sr.End <= 0 {
+			t.Errorf("short job: stage %d has no End", sr.ID)
+		}
+	}
+	if rep, err := long.Report(); err == nil || rep != nil {
+		t.Fatalf("long job: report %v, error %v; want no report and an error", rep, err)
+	}
+}

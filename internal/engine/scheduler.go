@@ -124,11 +124,11 @@ type taskSet struct {
 	// second on finishing again, and append grows it then.
 	durations []time.Duration
 
-	retries     int
-	speculative int
+	// rep is a primary set's entry in its job's JobReport.Stages, filled as
+	// the stage runs; nil for a recovery set, which reports nothing.
+	rep *StageReport
 
 	// Stage-window snapshots (primary sets only; see activateStage).
-	start      time.Duration
 	usage0     []cluster.Usage
 	disk0      []psres.Stats
 	read0      int64
@@ -138,7 +138,6 @@ type taskSet struct {
 	resub0     int
 	requeue0   int
 	recovered0 int64
-	stats      []ExecutorStageStats
 }
 
 // taskState is the driver's bookkeeping for one task of a set: 40 bytes with
@@ -484,7 +483,7 @@ func (s *taskScheduler) activeSets() []*taskSet {
 // snapshotJob builds the policy's view of one job.
 func (e *Engine) snapshotJob(id int) JobSnapshot {
 	js := e.jobs[id]
-	return JobSnapshot{ID: id, SubmittedAt: js.submitAt, Running: js.running, Priority: js.spec.Priority}
+	return JobSnapshot{ID: id, SubmittedAt: js.rep.SubmittedAt, Running: js.running, Priority: js.spec.Priority}
 }
 
 // handleTaskDone routes a completion to its task set by (job, stage).
@@ -507,11 +506,11 @@ func (s *taskScheduler) handleTaskDone(m *driverMsg) {
 		// job runs charges the job, including failed and losing
 		// speculative attempts — they occupied the devices on the job's
 		// behalf.
-		js.diskReadB += m.metrics.DiskReadBytes
-		js.diskWriteB += m.metrics.DiskWriteBytes
-		js.netB += m.metrics.NetBytes
-		js.fetchRetries += m.metrics.FetchRetries
-		js.checksumFailovers += m.metrics.ChecksumFailovers
+		js.rep.DiskReadBytes += m.metrics.DiskReadBytes
+		js.rep.DiskWriteBytes += m.metrics.DiskWriteBytes
+		js.rep.NetBytes += m.metrics.NetBytes
+		js.rep.FetchRetries += m.metrics.FetchRetries
+		js.rep.ChecksumFailovers += m.metrics.ChecksumFailovers
 		e.tel.onTaskMetrics(m.metrics)
 		if e.aud != nil {
 			e.aud.TaskAccepted(m.job, m.metrics)
@@ -553,7 +552,9 @@ func (s *taskScheduler) handleTaskDone(m *driverMsg) {
 			s.assignAll()
 			return
 		}
-		ts.retries++
+		if !ts.recovery {
+			ts.rep.Retries++
+		}
 		// Retry genuinely avoids the executor that just failed it.
 		st.noExec = int32(m.exec)
 		em.noteFailure(m.exec, m.job, ts.stage.ID)
@@ -576,14 +577,14 @@ func (s *taskScheduler) handleTaskDone(m *driverMsg) {
 	e.trace(TraceEvent{Type: TraceTaskEnd, Job: m.job, Stage: ts.stage.ID, Task: idx, Exec: m.exec})
 	if !ts.recovery {
 		ts.durations = append(ts.durations, m.metrics.Duration())
-		st := &ts.stats[m.exec]
+		st := &ts.rep.Execs[m.exec]
 		st.Tasks++
 		if m.metrics.Local {
 			st.LocalTasks++
 		}
 		st.BlockedIO += m.metrics.BlockedIO
 		st.Bytes += m.metrics.BytesMoved
-		ts.speculative += s.speculate(ts)
+		ts.rep.Speculative += s.speculate(ts)
 	}
 	if ts.recovery && ts.done >= ts.total {
 		// The lost map outputs are regenerated; dependents unblock.
@@ -638,7 +639,7 @@ func (s *taskScheduler) processLoss(exec int, reason string) {
 	e.trace(TraceEvent{Type: TraceExecLost, Job: -1, Stage: -1, Task: -1, Exec: exec, Detail: reason})
 	for _, js := range e.jobs {
 		if js.started && !js.done {
-			js.lostExecs++
+			js.rep.LostExecutors++
 		}
 	}
 
@@ -753,7 +754,7 @@ func (s *taskScheduler) handleHeartbeat(m *driverMsg) {
 	em.fencing[m.exec] = true
 	for _, js := range e.jobs {
 		if js.started && !js.done {
-			js.fenced++
+			js.rep.Fenced++
 		}
 	}
 	e.sendExec(e.executors[m.exec], execMsg{kind: execFence, launchMsg: launchMsg{epoch: em.epochs[m.exec] + 1}})
@@ -792,7 +793,7 @@ func (s *taskScheduler) ensureParents(ts *taskSet) {
 		}
 		rs := newTaskSet(pkey, ts.js, spec, true, lost, blocks, len(e.executors), e.spares)
 		s.addSet(rs)
-		ts.js.resubmissions++
+		ts.js.rep.ResubmittedStages++
 		e.trace(TraceEvent{Type: TraceStageResubmit, Job: ts.key.job, Stage: parent, Task: -1, Exec: -1,
 			Detail: fmt.Sprintf("%d lost map outputs, wanted by stage %d", len(lost), ts.stage.ID)})
 		s.ensureParents(rs)
@@ -886,13 +887,13 @@ func (s *taskScheduler) launch(ts *taskSet, ticket, i int) {
 	e.em.launched(i, ts.key.job)
 	if ts.js.firstLaunch < 0 {
 		ts.js.firstLaunch = e.k.Now()
-		e.tel.onJobLaunched(e.k.Now() - ts.js.submitAt)
+		e.tel.onJobLaunched(e.k.Now() - ts.js.rep.SubmittedAt)
 	}
 	ts.addCopy(task, i)
 	if st.launches == 0 {
 		st.launchAt = e.k.Now()
 		if !ts.recovery {
-			e.tel.onTaskQueued(e.k.Now() - ts.start)
+			e.tel.onTaskQueued(e.k.Now() - ts.rep.Start)
 		}
 	}
 	st.lastExec = int32(i)

@@ -475,7 +475,7 @@ func (tc *taskContext) finish(err error) {
 	if tc.shuffleOut > 0 && err == nil && tc.ex.epoch == tc.epoch {
 		out := tc.eng.shuffle.addMapOutput(setKey{job: tc.job, stage: tc.stage.ID}, tc.stage.NumTasks, tc.index, tc.ex.node.ID, tc.shuffleOut)
 		if out == ShuffleRecovered {
-			tc.eng.jobs[tc.job].recoveredB += tc.shuffleOut
+			tc.eng.jobs[tc.job].rep.RecoveredBytes += tc.shuffleOut
 		}
 		if a := tc.eng.aud; a != nil {
 			a.ShuffleRegistered(tc.job, tc.stage.ID, tc.index, tc.ex.node.ID, out)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 
+	"sae/internal/chaos"
 	"sae/internal/engine"
 	"sae/internal/exp"
 	"sae/internal/workloads"
@@ -121,9 +122,9 @@ func (c *Compiled) compileChaosMatrix() error {
 	if err != nil {
 		return err
 	}
-	gens := make([]scheduleGen, len(sp.Schedules))
+	scheds := make([]*chaos.Schedule, len(sp.Schedules))
 	for i, sched := range sp.Schedules {
-		if gens[i], err = parseScheduleSpec(sched); err != nil {
+		if scheds[i], err = chaos.ParseSchedule(sched); err != nil {
 			return fmt.Errorf("schedules[%d]: %w", i, err)
 		}
 	}
@@ -138,8 +139,8 @@ func (c *Compiled) compileChaosMatrix() error {
 			if err != nil {
 				return nil, fmt.Errorf("%s %s quiet: %w", sp.Name, pol.Name(), err)
 			}
-			for _, gen := range gens {
-				plan := gen(quiet.Runtime, s.Seed)
+			for _, sched := range scheds {
+				plan := sched.Plan(quiet.Runtime, s.Seed)
 				rep := quiet
 				if !plan.Empty() {
 					if rep, err = s.WithFaults(plan).Run(w, pol, nil); err != nil {

@@ -5,6 +5,7 @@ import (
 	"maps"
 	"slices"
 
+	"sae/internal/chaos"
 	"sae/internal/conf"
 	"sae/internal/engine"
 	"sae/internal/engine/job"
@@ -162,13 +163,13 @@ func (c *Compiled) compileSingle() error {
 	}
 	s := c.Setup
 	if sp.Chaos != "" {
-		gen, err := parseScheduleSpec(sp.Chaos)
+		sched, err := chaos.ParseSchedule(sp.Chaos)
 		if err != nil {
 			return err
 		}
 		// Single-run clauses are absolute-time (Parse enforces it), so the
-		// quiet runtime the generator receives is irrelevant.
-		s = s.WithFaults(gen(0, s.Seed))
+		// quiet runtime the plan receives is irrelevant.
+		s = s.WithFaults(sched.Plan(0, s.Seed))
 	}
 	c.run = func() (fmt.Stringer, error) {
 		rep, err := s.Run(w, pol, nil)

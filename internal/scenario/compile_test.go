@@ -247,11 +247,11 @@ func TestPercentScheduleMath(t *testing.T) {
 		{"corrupt:0.05", chaos.Corrupt(0.05, 7)},
 	}
 	for _, c := range cases {
-		gen, err := parseScheduleSpec(c.clause)
+		sched, err := chaos.ParseSchedule(c.clause)
 		if err != nil {
 			t.Fatalf("%s: %v", c.clause, err)
 		}
-		got := gen(quiet, 7)
+		got := sched.Plan(quiet, 7)
 		if got.String() != c.want.String() {
 			t.Errorf("%s: plan name %q, want %q", c.clause, got, c.want)
 		}

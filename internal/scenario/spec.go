@@ -8,6 +8,7 @@ import (
 	"strings"
 	"time"
 
+	"sae/internal/chaos"
 	"sae/internal/conf"
 	"sae/internal/engine"
 	"sae/internal/exp"
@@ -180,18 +181,11 @@ func Load(path string) (*Spec, error) {
 	return Parse(path, data)
 }
 
-// Parse decodes and validates one scenario document. name prefixes every
-// error ("faults.yaml:12: ..."); errors are positional down to the field.
-// YAML is the native syntax; a document whose first byte is '{' is decoded
-// as JSON (with field-path rather than line positions).
+// Parse decodes and validates one YAML scenario document. name prefixes
+// every error ("faults.yaml:12: ..."); errors are positional down to the
+// field.
 func Parse(name string, data []byte) (*Spec, error) {
-	var root *node
-	var err error
-	if isJSON(data) {
-		root, err = parseJSON(data)
-	} else {
-		root, err = parseYAML(data)
-	}
+	root, err := parseYAML(data)
 	if err != nil {
 		return nil, posErr(name, err)
 	}
@@ -230,20 +224,6 @@ func posErr(name string, err error) error {
 	return fmt.Errorf("%s: %s", name, msg)
 }
 
-func isJSON(data []byte) bool {
-	for _, c := range data {
-		switch c {
-		case ' ', '\t', '\r', '\n':
-			continue
-		case '{':
-			return true
-		default:
-			return false
-		}
-	}
-	return false
-}
-
 // validate runs the checks the tags cannot express — catalogue names, the
 // chaos and capacity grammars, uniqueness, cross-references — on a decoded
 // spec, pointing each error at the offending field's source line. Fields
@@ -275,7 +255,7 @@ func (d *dec) validate(sp *Spec) error {
 	if strings.Contains(sp.Chaos, "%") {
 		return d.errf(d.at("chaos"), "field \"chaos\": percentage times are only valid in chaos-matrix schedules")
 	}
-	if _, err := parseScheduleSpec(sp.Chaos); err != nil {
+	if _, err := chaos.ParseSchedule(sp.Chaos); err != nil {
 		return d.errf(d.at("chaos"), "field \"chaos\": %w", err)
 	}
 	if e := sp.Expect; e != nil && e.MaxLostExecutors != nil && *e.MaxLostExecutors < 0 {
@@ -305,7 +285,7 @@ func (d *dec) validate(sp *Spec) error {
 		}
 	}
 	for i, s := range sp.Schedules {
-		if _, err := parseScheduleSpec(s); err != nil {
+		if _, err := chaos.ParseSchedule(s); err != nil {
 			return d.errf(d.at("schedules", i), "schedules[%d]: %w", i, err)
 		}
 	}

@@ -289,10 +289,10 @@ func TestGoldenRoundTrip(t *testing.T) {
 	}
 }
 
-// TestJSONSpec checks a JSON document decodes to the same spec as its
-// YAML equivalent.
-func TestJSONSpec(t *testing.T) {
-	jsonDoc := `{
+// TestFlowMappingDocumentRejected checks a JSON document is not a spec:
+// its opening brace is a YAML flow mapping, rejected at line 1.
+func TestFlowMappingDocumentRejected(t *testing.T) {
+	doc := `{
   "version": 1,
   "name": "demo",
   "kind": "single",
@@ -300,31 +300,9 @@ func TestJSONSpec(t *testing.T) {
   "policy": "dynamic",
   "expect": {"max_runtime_sec": 600}
 }`
-	yamlDoc := `version: 1
-name: demo
-kind: single
-workload: terasort
-policy: dynamic
-expect:
-  max_runtime_sec: 600
-`
-	js, err := Parse("spec.json", []byte(jsonDoc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ys, err := Parse("spec.yaml", []byte(yamlDoc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(js, ys) {
-		t.Errorf("JSON and YAML decode differ:\n%+v\n%+v", js, ys)
-	}
-}
-
-func TestJSONUnknownField(t *testing.T) {
-	_, err := Parse("spec.json", []byte(`{"version": 1, "name": "x", "kind": "single", "workload": "terasort", "policy": "dynamic", "polcy": "x"}`))
-	if err == nil || !strings.Contains(err.Error(), `unknown field "polcy"`) {
-		t.Errorf("JSON unknown field not rejected: %v", err)
+	_, err := Parse("spec.json", []byte(doc))
+	if err == nil || !strings.Contains(err.Error(), "spec.json:1:") || !strings.Contains(err.Error(), "flow mappings") {
+		t.Errorf("JSON document not rejected as a flow mapping at line 1: %v", err)
 	}
 }
 

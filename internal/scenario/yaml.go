@@ -1,4 +1,4 @@
-// Package scenario turns experiments into data: a versioned YAML/JSON spec
+// Package scenario turns experiments into data: a versioned YAML spec
 // that composes cluster shape, workload mix, executor sizing policies,
 // conf overrides, chaos clauses, arrival patterns, autoscale configs and
 // SLO assertions. The spec is the experiment: the extension experiments of
@@ -164,6 +164,9 @@ func (p *yparser) mapping(indent int) (*node, error) {
 		if l.text == "-" || strings.HasPrefix(l.text, "- ") {
 			return nil, fmt.Errorf("line %d: sequence item in mapping", l.num)
 		}
+		if strings.HasPrefix(l.text, "{") {
+			return nil, errFlowMapping(l.num)
+		}
 		key, rest, err := splitKey(l.text, l.num)
 		if err != nil {
 			return nil, err
@@ -302,13 +305,19 @@ func parseScalar(s string, num int) (*node, error) {
 		return n, nil
 	}
 	if strings.HasPrefix(s, "{") {
-		return nil, fmt.Errorf("line %d: flow mappings are not supported (use a block mapping)", num)
+		return nil, errFlowMapping(num)
 	}
 	val, err := unquote(s, num)
 	if err != nil {
 		return nil, err
 	}
 	return &node{kind: scalarNode, line: num, val: val}, nil
+}
+
+// errFlowMapping rejects a "{...}" mapping, as a block line (a JSON
+// document's first line) or as a value.
+func errFlowMapping(num int) error {
+	return fmt.Errorf("line %d: flow mappings are not supported (use a block mapping)", num)
 }
 
 // splitFlow splits a flow-sequence body on commas outside quotes.
