@@ -172,6 +172,7 @@ func TestRunPolicySpecNames(t *testing.T) {
 // errors the binary exits 2 on.
 func TestOutOfRangeFlags(t *testing.T) {
 	slow := writeSpec(t, "chaos: slow1@5sx1e9")
+	crash9 := writeSpec(t, "chaos: crash9@5s")
 	banana := writeSpec(t, "conf:\n  executor.threads: banana")
 	noRetry := writeSpec(t, "conf:\n  task.maxFailures: 0")
 	for _, args := range [][]string{
@@ -187,6 +188,10 @@ func TestOutOfRangeFlags(t *testing.T) {
 		// A slow factor past chaos's range: such a device never finishes.
 		{"-faults", "slow1@5sx1e9", "-scale", "0.02"},
 		{"-scenario", slow},
+		// An executor the cluster does not have: the run would be fault-free.
+		{"-faults", "crash9@5s", "-scale", "0.02"},
+		{"-scenario", crash9},
+		{"-scenario", crash9, "-nodes", "9"},
 		// A sampler period that never lets the clock reach the job's end.
 		{"-scale", "0.02", "-metrics", os.DevNull, "-metrics-interval", "1ns"},
 		{"-scale", "0.02", "-metrics-interval", "-5s"},

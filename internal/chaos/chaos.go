@@ -150,6 +150,30 @@ func Corrupt(rate float64, seed int64) *Plan {
 	return &Plan{Name: fmt.Sprintf("corrupt:%g", rate), Seed: seed, CorruptRate: rate}
 }
 
+// CheckExecutors reports the first crash, slow or partition that names an
+// executor a cluster of n nodes does not have, as an ErrOutOfRange.
+func (p *Plan) CheckExecutors(n int) error {
+	if p == nil {
+		return nil
+	}
+	execs := make([]int, 0, len(p.Crashes)+len(p.Slows)+len(p.Partitions))
+	for _, c := range p.Crashes {
+		execs = append(execs, c.Exec)
+	}
+	for _, s := range p.Slows {
+		execs = append(execs, s.Exec)
+	}
+	for _, pt := range p.Partitions {
+		execs = append(execs, pt.Exec)
+	}
+	for _, ex := range execs {
+		if ex < 0 || ex >= n {
+			return fmt.Errorf("executor %d: %w (want one below the node count, %d)", ex, ErrOutOfRange, n)
+		}
+	}
+	return nil
+}
+
 // Empty reports whether the plan injects nothing.
 func (p *Plan) Empty() bool {
 	return p == nil || (len(p.Crashes) == 0 && len(p.Slows) == 0 && len(p.Partitions) == 0 &&
@@ -340,13 +364,21 @@ func splitmix(x uint64) uint64 {
 //	                      low-rate task and fetch faults
 //	seed:N                hash seed (default: the caller's)
 //
-// The executor may also be written ":N" ("slow:1@60sx4"). T, R and D are
-// durations ("90s") or percentages ("45%") of a reference runtime supplied
-// when the schedule is resolved; rates lie in (0, 1]. Example:
-// "crash1@2m+30s,flaky:0.02,seed:7" or "slow:1@25%x4,partition:2@50%+10%".
+// The executor may also be written ":N" ("slow:1@60sx4"); one the cluster
+// does not have is an error once its node count is known (CheckExecutors).
+// T, R and D are durations ("90s") or percentages ("45%") of a reference
+// runtime supplied when the schedule is resolved; rates lie in (0, 1].
+// Example: "crash1@2m+30s,flaky:0.02,seed:7" or
+// "slow:1@25%x4,partition:2@50%+10%".
 type Schedule struct {
-	clauses []func(ref time.Duration, seed int64) *Plan
+	clauses []parsedClause
 	seed    *int64
+}
+
+// parsedClause is one fault clause of a schedule: its text and its plan builder.
+type parsedClause struct {
+	text string
+	plan func(ref time.Duration, seed int64) *Plan
 }
 
 // ParseSchedule parses a chaos spec. The quiet schedule is nil.
@@ -373,9 +405,23 @@ func ParseSchedule(spec string) (*Schedule, error) {
 		if err != nil {
 			return nil, fmt.Errorf("chaos: clause %q: %w", clause, err)
 		}
-		s.clauses = append(s.clauses, gen)
+		s.clauses = append(s.clauses, parsedClause{clause, gen})
 	}
 	return s, nil
+}
+
+// CheckExecutors reports the first clause that names an executor a cluster of
+// n nodes does not have.
+func (s *Schedule) CheckExecutors(n int) error {
+	if s == nil {
+		return nil
+	}
+	for _, c := range s.clauses {
+		if err := c.plan(0, 0).CheckExecutors(n); err != nil {
+			return fmt.Errorf("chaos: clause %q: %w", c.text, err)
+		}
+	}
+	return nil
 }
 
 // Plan resolves the schedule: percentage times become that share of ref,
@@ -392,9 +438,9 @@ func (s *Schedule) Plan(ref time.Duration, seed int64) *Plan {
 	if s.seed != nil {
 		seed = *s.seed
 	}
-	p := s.clauses[0](ref, seed)
-	for _, gen := range s.clauses[1:] {
-		q := gen(ref, seed)
+	p := s.clauses[0].plan(ref, seed)
+	for _, c := range s.clauses[1:] {
+		q := c.plan(ref, seed)
 		p.Name += "," + q.Name
 		p.Crashes = append(p.Crashes, q.Crashes...)
 		p.Slows = append(p.Slows, q.Slows...)

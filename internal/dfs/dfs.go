@@ -4,13 +4,19 @@
 // in the paper's setup, running with replication equal to the cluster size
 // makes every read node-local.
 //
-// Input files are laid out in full by Create. An output file keeps only what
-// a reader can observe of it: the bytes each node has written. A write costs
-// its disk I/O on the writer's node (StartWrite) and one addition
-// (FinishWrite). Only when a stage opens the file as input does Open lay out
-// its blocks — the nodes in ascending order, each node's bytes in blocks of
-// the file system's block size, the last one partial, with the writer as the
-// one replica — and it keeps that layout until the next write.
+// Input files are laid out in full by Create. An input's block table is a
+// function of five values — the file's name and size, its effective
+// replication, the cluster's node count and the block size — and nothing
+// writes to it once made, so file systems share tables: one offered by Reuse
+// (another file system's Layouts) is what Create returns when all five match.
+//
+// An output file keeps only what a reader can observe of it: the bytes each
+// node has written. A write costs its disk I/O on the writer's node
+// (StartWrite) and one addition (FinishWrite). Only when a stage opens the
+// file as input does Open lay out its blocks — the nodes in ascending order,
+// each node's bytes in blocks of the file system's block size, the last one
+// partial, with the writer as the one replica — and it keeps that layout
+// until the next write.
 package dfs
 
 import (
@@ -34,7 +40,39 @@ type FS struct {
 	fault     FaultModel
 	sumBuf    []byte // blockSum scratch
 	ids       []int  // identity's array
+	// offered holds the tables Create may return instead of laying a file
+	// out (Reuse); made, the ones it returned (Layouts).
+	offered, made []layout
 }
+
+// Layouts is the set of input block tables one file system's Create calls
+// returned, for a later file system to Reuse. The zero value holds none.
+type Layouts struct{ tables []layout }
+
+// layout is one input block table and the values Create made it from.
+type layout struct {
+	key    layoutKey
+	blocks []Block
+}
+
+// layoutKey is everything an input's block table depends on: the replication
+// is the effective one, after Create's clamp to the node count.
+type layoutKey struct {
+	name               string
+	size, blockSize    int64
+	replication, nodes int
+}
+
+// Layouts returns the tables this file system's Create calls returned, reused
+// or laid out.
+func (fs *FS) Layouts() Layouts { return Layouts{fs.made} }
+
+// Reuse offers l's tables to the Create calls that follow: a file whose name,
+// size, effective replication, node count and block size all equal a table's
+// gets that table, which both file systems then share. Tables are never
+// written once made — Open lays a written file out in a new array, and
+// FinishWrite only reslices — so sharing one is safe, concurrently too.
+func (fs *FS) Reuse(l Layouts) { fs.offered = l.tables }
 
 // FaultModel lets the engine inject gray failures into block reads without
 // the file system knowing anything about chaos plans. Both hooks may be nil
@@ -129,8 +167,9 @@ func (fs *FS) blocks(name string, size int64) (int, error) {
 
 // Create materializes a file's metadata: size split into blocks, each
 // replicated on `replication` nodes chosen round-robin (HDFS default
-// placement approximated deterministically). It does not charge any I/O —
-// use it for pre-loaded input data. A file of over 2^22 blocks is an error.
+// placement approximated deterministically), or the table Reuse offered for
+// the same file. It does not charge any I/O — use it for pre-loaded input
+// data. A file of over 2^22 blocks is an error.
 func (fs *FS) Create(name string, size int64, replication int) (*File, error) {
 	if _, ok := fs.files[name]; ok {
 		return nil, fmt.Errorf("dfs: file %q already exists", name)
@@ -146,6 +185,31 @@ func (fs *FS) Create(name string, size int64, replication int) (*File, error) {
 	if replication <= 0 || replication > n {
 		replication = n
 	}
+	key := layoutKey{name: name, size: size, blockSize: fs.blockSize, replication: replication, nodes: n}
+	blocks, ok := fs.offer(key)
+	if !ok {
+		blocks = fs.layOut(name, size, replication, nblocks)
+	}
+	fs.made = append(fs.made, layout{key, blocks})
+	f := &File{Name: name, Size: size, Blocks: blocks, created: nblocks}
+	fs.files[name] = f
+	return f, nil
+}
+
+// offer returns the offered table made from key, if there is one.
+func (fs *FS) offer(key layoutKey) ([]Block, bool) {
+	for _, l := range fs.offered {
+		if l.key == key {
+			return l.blocks, true
+		}
+	}
+	return nil, false
+}
+
+// layOut makes the block table of a file of size bytes in nblocks blocks,
+// each on replication of the cluster's nodes.
+func (fs *FS) layOut(name string, size int64, replication, nblocks int) []Block {
+	n := fs.cluster.Size()
 	// One array holds every replica list: [0..n) when every node holds every
 	// block, else one list per residue of the block index modulo n — a
 	// block's nodes depend on nothing else — which blocks n apart share.
@@ -153,7 +217,7 @@ func (fs *FS) Create(name string, size int64, replication int) (*File, error) {
 	if replication < n {
 		ids = make([]int, min(nblocks, n)*replication)
 	}
-	f := &File{Name: name, Size: size, Blocks: make([]Block, 0, nblocks), created: nblocks}
+	blocks := make([]Block, 0, nblocks)
 	for idx := range nblocks {
 		bs := min(fs.blockSize, size-int64(idx)*fs.blockSize)
 		replicas := ids
@@ -174,13 +238,12 @@ func (fs *FS) Create(name string, size int64, replication int) (*File, error) {
 				}
 			}
 		}
-		f.Blocks = append(f.Blocks, Block{
+		blocks = append(blocks, Block{
 			Index: idx, Size: bs, Replicas: replicas,
 			Sum: fs.blockSum(name, idx, bs),
 		})
 	}
-	fs.files[name] = f
-	return f, nil
+	return blocks
 }
 
 // Open returns the file's metadata, first laying out what the cluster wrote

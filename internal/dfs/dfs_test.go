@@ -674,3 +674,90 @@ func TestCreateReplicasMatchSortReference(t *testing.T) {
 		t.Errorf("creating a 1000-block file at replication 3 allocates %v objects, want 4", allocs)
 	}
 }
+
+// TestReuseMatchesFreshCreate: over random files, Create on a file system
+// offered another's Layouts returns the other's very table when the file's
+// name, size, effective replication, node count and block size all match —
+// also when the two spell full replication differently — and lays the file
+// out afresh when any one of them differs; either way the table equals the
+// one a file system offered nothing lays out. A write to the file and the Open
+// after it leave the first file system's blocks as they were, and the second
+// one's Layouts still hold the table Create returned.
+func TestReuseMatchesFreshCreate(t *testing.T) {
+	type file struct {
+		name               string
+		size, blockSize    int64
+		replication, nodes int
+	}
+	effective := func(f file) int {
+		if f.replication <= 0 || f.replication > f.nodes {
+			return f.nodes
+		}
+		return f.replication
+	}
+	create := func(f file, offer Layouts) (*FS, *File) {
+		fs := New(testCluster(sim.NewKernel(), f.nodes), f.blockSize)
+		fs.Reuse(offer)
+		g, err := fs.Create(f.name, f.size, f.replication)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fs, g
+	}
+	sizes := []int64{50, 100, 128}
+	check := func(size uint16, bsSeed, repSeed, nodeSeed, change uint8) bool {
+		a := file{name: "in", size: 1 + int64(size)%2000, blockSize: sizes[bsSeed%3], nodes: 2 + int(nodeSeed)%5}
+		a.replication = int(repSeed)%(a.nodes+3) - 1 // -1 … nodes+1
+		b := a
+		switch change % 7 {
+		case 1:
+			b.name = "in2"
+		case 2:
+			b.size++
+		case 3:
+			if b.replication = effective(a) - 1; b.replication == 0 {
+				b.replication = 2
+			}
+		case 4:
+			b.nodes++
+		case 5:
+			b.blockSize = sizes[(bsSeed+1)%3]
+		case 6: // full replication spelled another way, if a has it
+			if effective(a) == a.nodes {
+				b.replication = 0
+				if a.replication <= 0 {
+					b.replication = a.nodes + 1
+				}
+			}
+		}
+		reuse := a.name == b.name && a.size == b.size && a.blockSize == b.blockSize && a.nodes == b.nodes &&
+			effective(a) == effective(b)
+
+		fsA, fa := create(a, Layouts{})
+		kept := slices.Clone(fa.Blocks)
+		fsB, fb := create(b, fsA.Layouts())
+		_, fresh := create(b, Layouts{})
+		table := fb.Blocks
+		if !reflect.DeepEqual(table, fresh.Blocks) || (&table[0] == &fa.Blocks[0]) != reuse {
+			t.Logf("%+v then %+v: shared %v, want %v; equal to a fresh layout %v",
+				a, b, &table[0] == &fa.Blocks[0], reuse, reflect.DeepEqual(table, fresh.Blocks))
+			return false
+		}
+
+		w, _ := fsB.StartWrite(nil, b.nodes-1, b.name, 0)
+		fsB.FinishWrite(w, b.nodes-1, 3*b.blockSize/2)
+		if g, err := fsB.Open(b.name); err != nil || len(g.Blocks) != len(table)+2 {
+			t.Logf("%+v: the reused file's layout after a write: %v, %d blocks", b, err, len(g.Blocks))
+			return false
+		}
+		if g, err := fsA.Open(a.name); err != nil || !reflect.DeepEqual(g.Blocks, kept) || !reflect.DeepEqual(table, fresh.Blocks) {
+			t.Logf("%+v then %+v: a write to the second file system's file changed the first's blocks", a, b)
+			return false
+		}
+		_, fc := create(b, fsB.Layouts())
+		return &fc.Blocks[0] == &table[0]
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
+}

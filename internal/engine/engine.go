@@ -230,6 +230,9 @@ func newEngine(opts Options, sp *runSpares) (*Engine, error) {
 	if opts.BlockSize < 0 {
 		return nil, fmt.Errorf("engine: Options.BlockSize must not be negative, got %d", opts.BlockSize)
 	}
+	if err := opts.Faults.CheckExecutors(opts.Cluster.Nodes); err != nil {
+		return nil, fmt.Errorf("engine: fault plan %s: %w", opts.Faults, err)
+	}
 	if opts.JobPolicy == nil {
 		opts.JobPolicy = FIFO{}
 	}
@@ -329,6 +332,8 @@ func newEngine(opts Options, sp *runSpares) (*Engine, error) {
 	sp.toDriver = sim.Buffers[driverMsg]{}
 	e.sink = newTraceSink(opts.Trace, opts.TraceFormat)
 	e.fs = dfs.New(e.cluster, opts.BlockSize)
+	e.fs.Reuse(sp.inputs)
+	sp.inputs = dfs.Layouts{}
 	for _, in := range opts.Inputs {
 		if _, err := e.fs.Create(in.Name, in.Size, opts.Replication); err != nil {
 			return nil, fmt.Errorf("engine: create input: %w", err)
@@ -429,7 +434,10 @@ func (e *Engine) Submit(spec *job.JobSpec) (*JobHandle, error) {
 }
 
 // SubmitAt registers spec to be admitted at the given virtual time,
-// modelling a tenant arriving mid-run. It must be called before Wait.
+// modelling a tenant arriving mid-run. It must be called before Wait. A
+// stage whose task count the engine resolves from its input layout runs as a
+// copy, so the count stays out of spec, which another engine may run over a
+// different layout.
 func (e *Engine) SubmitAt(at time.Duration, spec *job.JobSpec) (*JobHandle, error) {
 	if e.started {
 		return nil, errors.New("engine: Submit after Wait")
@@ -445,7 +453,15 @@ func (e *Engine) SubmitAt(at time.Duration, spec *job.JobSpec) (*JobHandle, erro
 			return nil, err
 		}
 	}
-	js := newJobState(len(e.jobs), spec, at)
+	own := *spec
+	own.Stages = slices.Clone(spec.Stages)
+	for i, st := range own.Stages {
+		if st.NumTasks == 0 {
+			st := *st
+			own.Stages[i] = &st
+		}
+	}
+	js := newJobState(len(e.jobs), &own, at)
 	e.jobs = append(e.jobs, js)
 	return &JobHandle{js: js}, nil
 }

@@ -95,6 +95,29 @@ func TestRunSingleReadStage(t *testing.T) {
 	}
 }
 
+// TestSubmitLeavesSpecAlone: the task count the engine resolves from a
+// stage's input layout stays out of the caller's spec, so the same spec run
+// again over a larger input gets one task per block of that input.
+func TestSubmitLeavesSpecAlone(t *testing.T) {
+	spec := readJob("read", 0)
+	for _, blocks := range []int{4, 16} {
+		opts := testOptions(4, core.Default{})
+		opts.Inputs = []Input{{Name: "in", Size: int64(blocks) * 64 * device.MiB}}
+		rep, err := Run(opts, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tasks := 0
+		for _, e := range rep.Stages[0].Execs {
+			tasks += e.Tasks
+		}
+		if tasks != blocks || spec.Stages[0].NumTasks != 0 {
+			t.Fatalf("over %d blocks: %d tasks, and the spec's stage holds %d; want %[1]d and 0",
+				blocks, tasks, spec.Stages[0].NumTasks)
+		}
+	}
+}
+
 func TestRunShufflePipeline(t *testing.T) {
 	opts := testOptions(4, core.Default{})
 	in := int64(8 * 64 * device.MiB)

@@ -35,13 +35,11 @@ func (e *fetchFailedError) Error() string {
 }
 
 // scheduleFaults arms the chaos plan's crash, slowdown and partition
-// schedules on the sim clock. All handlers run in event context: they only
-// flip state and post mailbox messages, never park.
+// schedules on the sim clock; NewEngine has checked that every executor they
+// name exists. All handlers run in event context: they only flip state and
+// post mailbox messages, never park.
 func (e *Engine) scheduleFaults(plan *chaos.Plan) {
 	for _, c := range plan.SortedCrashes() {
-		if c.Exec < 0 || c.Exec >= len(e.executors) {
-			continue
-		}
 		c := c
 		e.k.At(c.At, func() { e.crashExecutor(c.Exec) })
 		if c.RestartAfter > 0 {
@@ -49,9 +47,6 @@ func (e *Engine) scheduleFaults(plan *chaos.Plan) {
 		}
 	}
 	for _, s := range plan.SortedSlows() {
-		if s.Exec < 0 || s.Exec >= len(e.executors) {
-			continue
-		}
 		s := s
 		// The slowdown throttles node-local devices, so it fires on the
 		// node's shard kernel.
@@ -69,9 +64,6 @@ func (e *Engine) scheduleFaults(plan *chaos.Plan) {
 	// (Partitioned at heartbeat/fetch time); the timers below only mark the
 	// window edges in the trace.
 	for _, pt := range plan.SortedPartitions() {
-		if pt.Exec < 0 || pt.Exec >= len(e.executors) {
-			continue
-		}
 		pt := pt
 		e.k.At(pt.At, func() {
 			if e.done.Load() {

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
 	"testing"
 	"time"
@@ -38,6 +39,23 @@ func calibrate(t *testing.T, policy job.Policy) *JobReport {
 		t.Fatal(err)
 	}
 	return rep
+}
+
+// TestFaultOnMissingExecutorRejected: a plan that crashes, slows or partitions
+// an executor the cluster does not have is an out-of-range error from
+// NewEngine, not a run without that fault.
+func TestFaultOnMissingExecutorRejected(t *testing.T) {
+	for _, plan := range []*chaos.Plan{
+		chaos.CrashAt(4, time.Second),
+		chaos.SlowAt(7, time.Second, 2),
+		{Name: "both", Crashes: []chaos.Crash{{Exec: 1}}, Partitions: []chaos.Partition{{Exec: 4, Duration: time.Second}}},
+	} {
+		opts := testOptions(4, core.Default{})
+		opts.Faults = plan
+		if _, err := NewEngine(opts); !errors.Is(err, chaos.ErrOutOfRange) {
+			t.Errorf("plan %s on 4 nodes: %v, want an out-of-range error", plan, err)
+		}
+	}
 }
 
 func TestCrashRecoveryDuringMapStage(t *testing.T) {

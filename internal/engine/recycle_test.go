@@ -13,6 +13,7 @@ import (
 	"sae/internal/chaos"
 	"sae/internal/core"
 	"sae/internal/device"
+	"sae/internal/dfs"
 	"sae/internal/engine"
 	"sae/internal/engine/job"
 	"sae/internal/invariant"
@@ -229,9 +230,10 @@ func TestSparesDoNotLeakAcrossRuns(t *testing.T) {
 // observedRunBytesPerTask runs TestObservedRunBytesPerTask's job — a map stage
 // over a file and a reduce stage that fetches its shuffle and writes a DFS
 // output, 8 nodes, under the auditor, a v2 trace and telemetry — and returns
-// the bytes it allocated per task and the engine it ran on. onSetup, if set,
-// runs from Options.OnSetup.
-func observedRunBytesPerTask(t *testing.T, onSetup func(*engine.Engine)) (float64, *engine.Engine) {
+// the bytes it allocated per task and the engine it ran on. The engine runs on
+// on's spares, machine and input tables included, or on spares of its own if
+// on is nil.
+func observedRunBytesPerTask(t *testing.T, on *engine.Engine) (float64, *engine.Engine) {
 	t.Helper()
 	const tasks = 1024
 	size := int64(tasks) * 64 << 20
@@ -245,22 +247,33 @@ func observedRunBytesPerTask(t *testing.T, onSetup func(*engine.Engine)) (float6
 	opts.Trace, opts.TraceFormat = io.Discard, 2
 	opts.Audit = invariant.New()
 	opts.Metrics, opts.MetricsInterval = telemetry.NewRegistry(), time.Second
-	var eng *engine.Engine
-	opts.OnSetup = func(e *engine.Engine) {
-		if eng = e; onSetup != nil {
-			onSetup(e)
-		}
-	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	rep, err := engine.Run(opts, spec)
+	var e *engine.Engine
+	var err error
+	if on != nil {
+		e, err = engine.NewEngineOn(opts, on.Spares())
+	} else {
+		e, err = engine.NewEngineOn(opts, nil)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := e.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := h.Report()
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)
 	}
 	perTask := float64(after.TotalAlloc-before.TotalAlloc) / (2 * tasks)
 	t.Logf("%.0f bytes per task over %d tasks, %s simulated", perTask, 2*tasks, rep.Runtime)
-	return perTask, eng
+	return perTask, e
 }
 
 // TestObservedRunBytesPerTask is a budget on what a run's bookkeeping costs in
@@ -287,9 +300,10 @@ func TestObservedRunBytesPerTask(t *testing.T) {
 
 // TestWarmRunBytesPerTask: the second of two identical observed runs, on the
 // first one's spares, finds its task tables, tickets, durations, map-output
-// lists, task contexts and messages where the first left them. The hand-over
-// is explicit, after draining the pool, so the second run gets exactly the
-// first's spares whichever processor it runs on.
+// lists, task contexts, simulated machine and input block table where the
+// first left them. The hand-over is explicit, through NewEngineOn, after
+// draining the pool, so the second run gets exactly the first's spares
+// whichever processor it runs on, and gets them before it creates its input.
 func TestWarmRunBytesPerTask(t *testing.T) {
 	if engine.RaceEnabled() {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -297,11 +311,13 @@ func TestWarmRunBytesPerTask(t *testing.T) {
 	engine.DrainSpares()
 	cold, first := observedRunBytesPerTask(t, nil)
 	engine.DrainSpares()
-	warm, _ := observedRunBytesPerTask(t, func(e *engine.Engine) { e.UseSpares(first.Spares()) })
+	warm, _ := observedRunBytesPerTask(t, first)
 	// 397 cold, 307 warm when written; 312 cold, 219 warm with no output
-	// blocks recorded.
-	if warm > 240 || warm >= cold {
-		t.Errorf("a warm observed run allocates %.0f bytes per task (%.0f cold), budget 240", warm, cold)
+	// blocks recorded; 166 warm with spares handed over from OnSetup, after
+	// the machine was assembled and the input laid out; 125 handed over to
+	// NewEngineOn, 101 when its file system also reuses the input table.
+	if warm > 110 || warm >= cold {
+		t.Errorf("a warm observed run allocates %.0f bytes per task (%.0f cold), budget 110", warm, cold)
 	}
 }
 
@@ -336,7 +352,11 @@ func TestSparesSurviveCollections(t *testing.T) {
 // leftovers with a launch queued at an executor. Run B, four HDD nodes and a
 // job of another shape with a crash of its own, runs on what A and C left: its
 // report and trace must equal B's on a machine of its own, and A's report must
-// render as it did before B ran. CI runs it under -race.
+// render as it did before B ran. Run D, B at replication 2, runs on what B
+// left, whose file system laid an input of the same name and size out on every
+// node, and a second D on what the first left: both must equal D on a machine
+// of its own, the first laying its input out afresh, the second taking the
+// first's table. CI runs it under -race.
 func TestRecycledMachineDoesNotLeakAcrossRuns(t *testing.T) {
 	render := func(rep *engine.JobReport) string { return rep.String() + fmt.Sprintf("%+v", *rep) }
 	run := func(name string, opts engine.Options, spec *job.JobSpec, on *engine.Engine) (*engine.Engine, *engine.JobReport, []byte) {
@@ -444,7 +464,7 @@ func TestRecycledMachineDoesNotLeakAcrossRuns(t *testing.T) {
 		Crashes:       []chaos.Crash{{Exec: 1, At: 4 * time.Second, RestartAfter: 6 * time.Second}},
 		TaskFaultRate: 0.05,
 	}
-	_, got, gotTrace := run("B on A's and C's machine", optsB, specB, a)
+	b, got, gotTrace := run("B on A's and C's machine", optsB, specB, a)
 	_, want, wantTrace := run("B", optsB, specB, nil)
 	if want.LostExecutors == 0 {
 		t.Fatal("run B lost no executor")
@@ -457,6 +477,34 @@ func TestRecycledMachineDoesNotLeakAcrossRuns(t *testing.T) {
 	}
 	if after := render(repA); after != before {
 		t.Fatalf("run A's report changed when B ran on its machine:\n%s\n%s", before, after)
+	}
+
+	// Run D is B at replication 2: B's input by name, size and cluster, which
+	// B's file system laid out on every node. On B's machine D must lay "in"
+	// out afresh, and a second D on the first's machine must take the first's
+	// table; both report and trace as D does on a machine of its own.
+	optsD := optsB
+	optsD.Replication = 2
+	_, want, wantTrace = run("D", optsD, specB, nil)
+	d, got, gotTrace := run("D on B's machine", optsD, specB, b)
+	d2, got2, gotTrace2 := run("D on D's machine", optsD, specB, d)
+	if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(got2, want) {
+		t.Fatalf("run D on B's and on D's machine reports differently from D on its own:\n%s\n%s\n%s",
+			render(got), render(got2), render(want))
+	}
+	if !bytes.Equal(gotTrace, wantTrace) || !bytes.Equal(gotTrace2, wantTrace) {
+		t.Fatal("run D on B's or on D's machine wrote a different trace from D on its own")
+	}
+	table := func(e *engine.Engine) *dfs.Block {
+		f, err := e.FS().Open("in")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return &f.Blocks[0]
+	}
+	if table(d) == table(b) || table(d2) != table(d) {
+		t.Fatalf("D's input table is B's: %v, the second D's is the first's: %v; want false and true",
+			table(d) == table(b), table(d2) == table(d))
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"sae/internal/device"
+	"sae/internal/dfs"
 	"sae/internal/sim"
 )
 
@@ -15,10 +16,12 @@ import (
 // task contexts, the fetch-plan buffers, and the simulated machine's storage —
 // the kernel's events, the devices' stream tables, the mailboxes' arrays,
 // which carry the control-plane messages by value, and the executors' local
-// launch queues. A run's reports, DFS and telemetry keep none of it, so once
-// the simulation has drained it is unreachable; Wait gives it back as its
-// very last act and the next recycling NewEngine takes it (DESIGN.md "What a
-// run allocates"). Between the two it belongs to one engine alone.
+// launch queues — and the run's input block tables. A run's reports, DFS and
+// telemetry keep none of it but those tables, which nothing writes to once
+// made, so once the simulation has drained the rest is unreachable; Wait
+// gives it back as its very last act and the next recycling NewEngine takes
+// it (DESIGN.md "What a run allocates"). Between the two it belongs to one
+// engine alone.
 type runSpares struct {
 	tasks     slab[taskState]
 	tickets   slab[int]
@@ -39,6 +42,9 @@ type runSpares struct {
 	kernel   sim.Storage
 	toDriver sim.Buffers[driverMsg]
 	nodes    []nodeSpares
+	// inputs are the input tables the run's file system created, which the
+	// next one's Create returns for the same file (dfs.FS.Reuse).
+	inputs dfs.Layouts
 }
 
 // nodeSpares is what one node's devices and its executor give back: the
@@ -87,8 +93,9 @@ func (sp *runSpares) context() *taskContext {
 // free task contexts join the spares' list, zeroed so they pin nothing of this
 // run, the slabs start over, and the kernel, the devices, the mailboxes and
 // the launch queues give back their storage — each only if idle, which after
-// a drained run they are. It must come after everything the run does: another
-// goroutine's engine may take the spares the instant they are back.
+// a drained run they are — and the file system its input tables. It must come
+// after everything the run does: another goroutine's engine may take the
+// spares the instant they are back.
 func (e *Engine) giveBackSpares() {
 	sp := e.spares
 	if n := len(e.executors) - len(sp.nodes); n > 0 {
@@ -121,6 +128,7 @@ func (e *Engine) giveBackSpares() {
 	for _, ok := e.toDriver.TryRecv(); ok; _, ok = e.toDriver.TryRecv() {
 	}
 	sp.toDriver = e.toDriver.Release()
+	sp.inputs = e.fs.Layouts()
 	putSpares(sp)
 }
 

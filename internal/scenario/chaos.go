@@ -124,7 +124,10 @@ func (c *Compiled) compileChaosMatrix() error {
 	}
 	scheds := make([]*chaos.Schedule, len(sp.Schedules))
 	for i, sched := range sp.Schedules {
-		if scheds[i], err = chaos.ParseSchedule(sched); err != nil {
+		if scheds[i], err = chaos.ParseSchedule(sched); err == nil {
+			err = scheds[i].CheckExecutors(s.Nodes)
+		}
+		if err != nil {
 			return fmt.Errorf("schedules[%d]: %w", i, err)
 		}
 	}

@@ -167,6 +167,9 @@ func (c *Compiled) compileSingle() error {
 		if err != nil {
 			return err
 		}
+		if err := sched.CheckExecutors(s.Nodes); err != nil {
+			return fmt.Errorf("field \"chaos\": %w", err)
+		}
 		// Single-run clauses are absolute-time (Parse enforces it), so the
 		// quiet runtime the plan receives is irrelevant.
 		s = s.WithFaults(sched.Plan(0, s.Seed))

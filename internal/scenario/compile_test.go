@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -161,6 +162,39 @@ func TestSchedulerModeRejectedOnMultiJobKinds(t *testing.T) {
 			case wantErr && (!strings.Contains(err.Error(), "scheduler.mode") || strings.Contains(err.Error(), "\n")):
 				t.Errorf("%s: scheduler.mode from %s: error %q, want one line naming the key", name, from, err)
 			}
+		}
+	}
+}
+
+// TestChaosNamingMissingExecutorRejected: a crash, slow, partition or mayhem
+// clause naming an executor the cluster does not have is a one-line
+// out-of-range compile error naming the field and the clause — in a single
+// run's chaos and in a chaos matrix's schedules — once the setup's node count
+// is known; on a cluster large enough the spec compiles.
+func TestChaosNamingMissingExecutorRejected(t *testing.T) {
+	single := func(clause string) *Spec {
+		return &Spec{Version: Version, Name: "s", Kind: KindSingle, Workload: "scan", Policy: "dynamic", Chaos: clause}
+	}
+	matrix := &Spec{Version: Version, Name: "m", Kind: KindChaosMatrix, Workload: "terasort", Report: "faults",
+		Policies: []string{"dynamic"}, Schedules: []string{"quiet", "flaky:0.1,partition4@10%+5%"}}
+	for _, tc := range []struct {
+		sp           *Spec
+		nodes        int
+		field, words string
+	}{
+		{single("crash4@5s"), 4, `field "chaos"`, `clause "crash4@5s": executor 4`},
+		{single("flaky,slow:9@5sx3"), 8, `field "chaos"`, `clause "slow:9@5sx3": executor 9`},
+		{single("mayhem@60s"), 1, `field "chaos"`, `clause "mayhem@60s": executor 1`},
+		{matrix, 4, "schedules[1]", `clause "partition4@10%+5%": executor 4`},
+	} {
+		s := exp.Default().WithScale(0.02).WithNodes(tc.nodes)
+		_, err := tc.sp.Compile(s)
+		if err == nil || !errors.Is(err, chaos.ErrOutOfRange) || !strings.Contains(err.Error(), tc.field) ||
+			!strings.Contains(err.Error(), tc.words) || strings.Contains(err.Error(), "\n") {
+			t.Errorf("%s on %d nodes: %v; want one out-of-range line naming %s and %s", tc.sp.Name, tc.nodes, err, tc.field, tc.words)
+		}
+		if _, err := tc.sp.Compile(s.WithNodes(10)); err != nil {
+			t.Errorf("%s on 10 nodes: %v", tc.sp.Name, err)
 		}
 	}
 }
