@@ -229,8 +229,8 @@ func TestOutOfRangeFlags(t *testing.T) {
 func TestTinyPartitionBytesRejected(t *testing.T) {
 	for _, v := range []string{"-1", "1"} {
 		kv := "files.maxPartitionBytes=" + v
-		rejectedAtOnce(t, []string{"-scale", "0.02", "-conf", kv}, "files.maxPartitionBytes")
-		rejectedAtOnce(t, []string{"-scenario", "../../scenarios/terasort-crash.yaml", "-scale", "0.02", "-conf", kv}, "files.maxPartitionBytes")
+		rejectedAtOnce(t, 1, []string{"-scale", "0.02", "-conf", kv}, "files.maxPartitionBytes")
+		rejectedAtOnce(t, 1, []string{"-scenario", "../../scenarios/terasort-crash.yaml", "-scale", "0.02", "-conf", kv}, "files.maxPartitionBytes")
 	}
 }
 
@@ -239,8 +239,35 @@ func TestTinyPartitionBytesRejected(t *testing.T) {
 // -conf and through a spec alike.
 func TestNanosecondHeartbeatRejected(t *testing.T) {
 	kv := "executor.heartbeatInterval=1ns"
-	rejectedAtOnce(t, []string{"-scale", "0.02", "-conf", kv}, "executor.heartbeatInterval")
-	rejectedAtOnce(t, []string{"-scenario", "../../scenarios/terasort-crash.yaml", "-scale", "0.02", "-conf", kv}, "executor.heartbeatInterval")
+	rejectedAtOnce(t, 1, []string{"-scale", "0.02", "-conf", kv}, "executor.heartbeatInterval")
+	rejectedAtOnce(t, 1, []string{"-scenario", "../../scenarios/terasort-crash.yaml", "-scale", "0.02", "-conf", kv}, "executor.heartbeatInterval")
+}
+
+// TestRunawayValuesRejected: each value here panicked a run or kept it going
+// for minutes of wall time. Six heartbeat intervals overflowed the failure
+// detector's loss timeout — negative from about 427h (a "sim: negative
+// delay" panic), wrapped positive past that; the fetch backoff retryWait <<
+// try doubled into hundreds of millions of virtual seconds that the
+// heartbeats fill event by event; a task's launch CPU had no ceiling; and a
+// slow factor of 1e-320 made a device infinitely fast. Each is one line at
+// once: a conf value exits 1, a chaos clause out of range exits 2.
+func TestRunawayValuesRejected(t *testing.T) {
+	for _, c := range []struct {
+		code int
+		args []string
+		want string
+	}{
+		{1, []string{"-conf", "executor.heartbeatInterval=1000000h"}, "executor.heartbeatInterval"},
+		{1, []string{"-conf", "executor.heartbeatInterval=2000000h"}, "executor.heartbeatInterval"},
+		{1, []string{"-faults", "fetch:1", "-conf", "shuffle.io.maxRetries=16"}, "shuffle.io.maxRetries"},
+		{1, []string{"-faults", "fetch:1", "-conf", "shuffle.io.maxRetries=18"}, "shuffle.io.maxRetries"},
+		{1, []string{"-faults", "fetch:1", "-conf", "shuffle.io.maxRetries=40"}, "shuffle.io.maxRetries"},
+		{1, []string{"-faults", "fetch:0.5", "-conf", "shuffle.io.retryWait=2000000h"}, "shuffle.io.retryWait"},
+		{1, []string{"-conf", "executor.taskOverheadMillis=9223372036854"}, "executor.taskOverheadMillis"},
+		{2, []string{"-faults", "slow1@5sx1e-320"}, `"slow1@5sx1e-320"`},
+	} {
+		rejectedAtOnce(t, c.code, append([]string{"-scale", "0.02"}, c.args...), c.want)
+	}
 }
 
 // TestDefaultConfLeavesTenantMatrixAlone: -conf speculation=false sets a key to
@@ -254,12 +281,12 @@ func TestDefaultConfLeavesTenantMatrixAlone(t *testing.T) {
 	if withConf != plain {
 		t.Errorf("-conf speculation=false changed the report\n--- without ---\n%s--- with ---\n%s", plain, withConf)
 	}
-	rejectedAtOnce(t, append(args, "-conf", "scheduler.mode=FAIR"), "scheduler.mode")
+	rejectedAtOnce(t, 1, append(args, "-conf", "scheduler.mode=FAIR"), "scheduler.mode")
 }
 
-// rejectedAtOnce wants run(args) to fail within 2 s with exit code 1 and a
-// one-line error naming each of wants.
-func rejectedAtOnce(t *testing.T, args []string, wants ...string) {
+// rejectedAtOnce wants run(args) to fail within 2 s with exit code code and
+// a one-line error naming each of wants.
+func rejectedAtOnce(t *testing.T, code int, args []string, wants ...string) {
 	t.Helper()
 	start := time.Now()
 	err := run(args)
@@ -268,8 +295,8 @@ func rejectedAtOnce(t *testing.T, args []string, wants ...string) {
 		return
 	}
 	msg := err.Error()
-	if code := exp.ExitCode(err); code != 1 || strings.Contains(msg, "\n") {
-		t.Errorf("args %v: exit code %d, error %q; want 1 and one line", args, code, msg)
+	if got := exp.ExitCode(err); got != code || strings.Contains(msg, "\n") {
+		t.Errorf("args %v: exit code %d, error %q; want %d and one line", args, got, msg, code)
 	}
 	for _, want := range wants {
 		if !strings.Contains(msg, want) {
@@ -287,8 +314,8 @@ func rejectedAtOnce(t *testing.T, args []string, wants ...string) {
 // spec's cluster.scale.
 func TestHugeScaleRejected(t *testing.T) {
 	for _, scale := range []string{"1e7", "1e9"} {
-		rejectedAtOnce(t, []string{"-scale", scale}, `"terasort/in"`, "blocks")
-		rejectedAtOnce(t, []string{"-scenario", "../../scenarios/terasort-crash.yaml", "-scale", scale}, `"terasort/in"`, "blocks")
+		rejectedAtOnce(t, 1, []string{"-scale", scale}, `"terasort/in"`, "blocks")
+		rejectedAtOnce(t, 1, []string{"-scenario", "../../scenarios/terasort-crash.yaml", "-scale", scale}, `"terasort/in"`, "blocks")
 	}
 	// A spec's cluster.scale that is not finite is a positional error naming it.
 	src, err := os.ReadFile("../../scenarios/terasort-crash.yaml")
@@ -301,7 +328,7 @@ func TestHugeScaleRejected(t *testing.T) {
 		if err := os.WriteFile(path, []byte(spec), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		rejectedAtOnce(t, []string{"-scenario", path}, path+":10:", `"`+scale+`"`, "finite")
+		rejectedAtOnce(t, 1, []string{"-scenario", path}, path+":10:", `"`+scale+`"`, "finite")
 	}
 }
 

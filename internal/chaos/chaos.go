@@ -554,7 +554,8 @@ func parseClause(clause string) (func(time.Duration, int64) *Plan, error) {
 // maxSlowFactor bounds a slow clause's factor. A device slowed much further
 // takes longer than any run can simulate — at 1e9 a task's megabytes take
 // decades of virtual time, which the engine's heartbeats fill event by event —
-// and 1e3 is already a device at a thousandth of its speed.
+// and 1e3 is already a device at a thousandth of its speed. 1/maxSlowFactor
+// is the floor: a factor near zero makes the device's rate 1/factor infinite.
 const maxSlowFactor = 1e3
 
 // ErrOutOfRange marks a clause value that parses but lies outside what the
@@ -584,8 +585,8 @@ func parseTimed(head, rest string) (func(time.Duration, int64) *Plan, error) {
 			if err != nil && !errors.Is(err, strconv.ErrRange) || math.IsNaN(factor) {
 				return nil, fmt.Errorf("bad factor %q (want a positive number)", f)
 			}
-			if !(factor > 0 && factor <= maxSlowFactor) {
-				return nil, fmt.Errorf("bad factor %q: %w (want one in (0, %g])", f, ErrOutOfRange, maxSlowFactor)
+			if !(factor >= 1/maxSlowFactor && factor <= maxSlowFactor) {
+				return nil, fmt.Errorf("bad factor %q: %w (want one in [%g, %g])", f, ErrOutOfRange, 1/maxSlowFactor, maxSlowFactor)
 			}
 		}
 		at, err := parseInstant(t, "time")

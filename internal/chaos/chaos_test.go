@@ -152,16 +152,17 @@ func TestScheduleRejects(t *testing.T) {
 		}
 	}
 	// A slow factor past 1e3 parses but is out of range: at 1e9 a run never
-	// ends. The error names the clause and carries ErrOutOfRange, which the
-	// CLIs exit 2 on; a malformed factor is not a range error.
-	for _, f := range []string{"1e9", "1000.5", "1e400", "+Inf"} {
+	// ends, and below 1e-3 (1e-320 made the device's rate +Inf) it is
+	// infinitely fast. The error names the clause and carries ErrOutOfRange,
+	// which the CLIs exit 2 on; a malformed factor is not a range error.
+	for _, f := range []string{"1e9", "1000.5", "1e400", "+Inf", "1e-320", "0.00099", "0", "-2"} {
 		spec := "slow1@5sx" + f
 		_, err := ParseSchedule(spec)
 		if !errors.Is(err, ErrOutOfRange) || !strings.HasPrefix(err.Error(), `chaos: clause "`+spec+`": bad factor`) {
 			t.Errorf("ParseSchedule(%q) = %v, want the clause's out-of-range error", spec, err)
 		}
 	}
-	for _, spec := range []string{"slow1@5sx1e3", "slow1@5sx0.5"} {
+	for _, spec := range []string{"slow1@5sx1e3", "slow1@5sx0.5", "slow1@5sx1e-3"} {
 		if _, err := ParseSchedule(spec); err != nil {
 			t.Errorf("ParseSchedule(%q): %v", spec, err)
 		}

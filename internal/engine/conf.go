@@ -11,11 +11,20 @@ import (
 // HDFS's default dfs.namenode.fs-limits.min-block-size.
 const minBlockSize = 1 << 20
 
-// minHeartbeat is the shortest executor.heartbeatInterval ApplyConfig
-// accepts, ten times below the shortest any spec or test uses: every
-// executor beats once per interval, so a nanosecond one never lets the
-// clock reach the job's end.
-const minHeartbeat = 100 * time.Millisecond
+// ApplyConfig's bounds on the wired durations and counts, each far outside
+// what any committed spec or test uses. Every executor beats once per
+// heartbeat interval, so a nanosecond one never lets the clock reach the
+// job's end, and a few hundred hours of lossBeats overflow a time.Duration.
+// A failing fetch backs off retryWait << try, virtual time the heartbeats
+// fill event by event: 10 retries of 30s already wait 8.5 hours. A task's
+// launch CPU is capped at a minute.
+const (
+	minHeartbeat      = 100 * time.Millisecond
+	maxHeartbeat      = time.Hour
+	maxFetchRetries   = 10
+	maxFetchRetryWait = 30 * time.Second
+	maxTaskOverheadMs = 60000
+)
 
 // ApplyConfig folds the wired parameters of a configuration registry into
 // the engine options, mirroring how the paper's drop-in executor honours
@@ -46,6 +55,9 @@ func ApplyConfig(opts *Options, reg *conf.Registry) error {
 	overhead, err := reg.GetInt("executor.taskOverheadMillis")
 	if err != nil {
 		return err
+	}
+	if overhead > maxTaskOverheadMs {
+		return fmt.Errorf("engine: executor.taskOverheadMillis must be at most %d, got %d", maxTaskOverheadMs, overhead)
 	}
 	opts.TaskOverheadCPUSeconds = float64(overhead) / 1000
 	if overhead <= 0 {
@@ -96,24 +108,27 @@ func ApplyConfig(opts *Options, reg *conf.Registry) error {
 	if opts.HeartbeatInterval, err = reg.GetDuration("executor.heartbeatInterval"); err != nil {
 		return err
 	}
-	if opts.HeartbeatInterval < minHeartbeat {
-		return fmt.Errorf("engine: executor.heartbeatInterval must be at least %v, got %v", minHeartbeat, opts.HeartbeatInterval)
+	if hb := opts.HeartbeatInterval; hb < minHeartbeat || hb > maxHeartbeat {
+		return fmt.Errorf("engine: executor.heartbeatInterval must be %v to %v, got %v", minHeartbeat, maxHeartbeat, hb)
 	}
 	retries, err := reg.GetInt("shuffle.io.maxRetries")
 	if err != nil {
 		return err
 	}
-	if retries <= 0 {
+	switch {
+	case retries > maxFetchRetries:
+		return fmt.Errorf("engine: shuffle.io.maxRetries must be at most %d, got %d", maxFetchRetries, retries)
+	case retries <= 0:
 		opts.FetchMaxRetries = -1 // disabled
-	} else {
+	default:
 		opts.FetchMaxRetries = retries
 	}
 	if opts.FetchRetryWait, err = reg.GetDuration("shuffle.io.retryWait"); err != nil {
 		return err
 	}
-	if opts.FetchRetryWait <= 0 {
-		// The engine would read it as unset: 5s.
-		return fmt.Errorf("engine: shuffle.io.retryWait must be positive, got %v", opts.FetchRetryWait)
+	if w := opts.FetchRetryWait; w <= 0 || w > maxFetchRetryWait {
+		// The engine would read a non-positive wait as unset: 5s.
+		return fmt.Errorf("engine: shuffle.io.retryWait must be positive and at most %v, got %v", maxFetchRetryWait, w)
 	}
 	return nil
 }

@@ -199,14 +199,25 @@ func TestWiredKeysHaveReaders(t *testing.T) {
 }
 
 // TestApplyConfigRejectsRunawayValues: a nanosecond heartbeat never let the
-// clock reach the job's end, a NaN speculation multiplier made every running
-// task a straggler, a non-positive fetch retry wait silently became 5s and
-// a size past 2^63 wrapped negative. Each is a one-line error naming its key.
+// clock reach the job's end and a million-hour one overflowed the failure
+// detector, a NaN speculation multiplier made every running task a
+// straggler, a non-positive fetch retry wait silently became 5s, more retries
+// or a longer wait doubled the fetch backoff into runs of minutes, a task's
+// launch CPU had no ceiling, and a size past 2^63 wrapped negative. Each is a
+// one-line error naming its key.
 func TestApplyConfigRejectsRunawayValues(t *testing.T) {
 	for _, c := range []struct{ key, val string }{
 		{"executor.heartbeatInterval", "1ns"},
 		{"executor.heartbeatInterval", "99ms"},
 		{"executor.heartbeatInterval", "0s"},
+		{"executor.heartbeatInterval", "61m"},
+		{"executor.heartbeatInterval", "1000000h"},
+		{"shuffle.io.maxRetries", "11"},
+		{"shuffle.io.maxRetries", "40"},
+		{"shuffle.io.retryWait", "31s"},
+		{"shuffle.io.retryWait", "2000000h"},
+		{"executor.taskOverheadMillis", "60001"},
+		{"executor.taskOverheadMillis", "9223372036854"},
 		{"speculation.multiplier", "NaN"},
 		{"speculation.multiplier", "+Inf"},
 		{"speculation.quantile", "NaN"},
@@ -228,15 +239,20 @@ func TestApplyConfigRejectsRunawayValues(t *testing.T) {
 			t.Errorf("%s=%s: error %q, want one line naming the key", c.key, c.val, msg)
 		}
 	}
-	reg := conf.New()
-	for k, v := range map[string]string{"executor.heartbeatInterval": "100ms", "shuffle.io.retryWait": "1ns"} {
-		if err := reg.Set(k, v); err != nil {
-			t.Fatal(err)
+	for _, kv := range []map[string]string{
+		{"executor.heartbeatInterval": "100ms", "shuffle.io.retryWait": "1ns"},
+		{"executor.heartbeatInterval": "1h", "shuffle.io.retryWait": "30s", "shuffle.io.maxRetries": "10", "executor.taskOverheadMillis": "60000"},
+	} {
+		reg := conf.New()
+		for k, v := range kv {
+			if err := reg.Set(k, v); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	opts := testOptions(2, core.Default{})
-	if err := ApplyConfig(&opts, reg); err != nil {
-		t.Fatalf("the smallest accepted values: %v", err)
+		opts := testOptions(2, core.Default{})
+		if err := ApplyConfig(&opts, reg); err != nil {
+			t.Errorf("the extreme accepted values %v: %v", kv, err)
+		}
 	}
 }
 

@@ -10,9 +10,9 @@ import (
 )
 
 // AutoscaleConfig enables elastic cluster sizing: the engine starts with
-// InitialNodes active executors and grows or shrinks the active set on a
-// planning interval. Scale-up activates a pre-provisioned (decommissioned)
-// node after ProvisionDelay — the cloud VM boot analogue — and joins it
+// InitialNodes active executors and grows or shrinks the active set every
+// autoscaleInterval. Scale-up activates a pre-provisioned (decommissioned)
+// node after provisionDelay — the cloud VM boot analogue — and joins it
 // through the same path a restarted executor uses. Scale-down drains: the
 // node stops receiving assignments, finishes its in-flight tasks, keeps
 // serving any map output a running job still references, and is then
@@ -21,21 +21,24 @@ import (
 type AutoscaleConfig struct {
 	// Policy plans target node counts. Required.
 	Policy autoscale.Policy
-	// Interval is the planning tick (0 selects 15s).
-	Interval time.Duration
 	// InitialNodes is how many executors start active (0 selects all).
 	InitialNodes int
-	// MinNodes/MaxNodes clamp every plan (0 selects 1 and the cluster
-	// size respectively).
-	MinNodes, MaxNodes int
-	// ProvisionDelay is how long a scale-up takes to come online (0
-	// selects 30s).
-	ProvisionDelay time.Duration
-	// ScaleUpCooldown/ScaleDownCooldown are the minimum gaps between
-	// successive scale-ups/scale-downs (0 selects Interval and 4×Interval:
-	// growing is cheap to undo, shrinking churns shuffle state).
-	ScaleUpCooldown, ScaleDownCooldown time.Duration
+	// MaxNodes caps every plan (0 selects the cluster size); the floor is
+	// autoscaleMinNodes.
+	MaxNodes int
 }
+
+// The autoscaler's actuation: it plans every autoscaleInterval and never
+// below autoscaleMinNodes, and a requested node joins provisionDelay later.
+// Successive scale-ups are a tick apart at least, scale-downs
+// scaleDownCooldown: growing is cheap to undo, shrinking churns shuffle
+// state.
+const (
+	autoscaleInterval = 10 * time.Second
+	autoscaleMinNodes = 2
+	provisionDelay    = 15 * time.Second
+	scaleDownCooldown = time.Minute
+)
 
 // adminState is the autoscaler's administrative view of one executor,
 // orthogonal to liveness: Active nodes accept work, Draining nodes finish
@@ -62,8 +65,8 @@ type autoCtl struct {
 	pendingNode []bool
 	pending     int
 
-	// lastUp/lastDown gate the cooldowns; -1 means "never".
-	lastUp, lastDown time.Duration
+	// lastDown gates the scale-down cooldown; -1 means "never".
+	lastDown time.Duration
 
 	// Node-seconds accounting: nodeSec integrates the em.alive count over
 	// sim time (provisioning nodes bill only once joined).
@@ -120,35 +123,19 @@ func newAutoCtl(e *Engine, cfg AutoscaleConfig) (*autoCtl, error) {
 		return nil, errors.New("engine: Autoscale.Policy is required")
 	}
 	n := len(e.executors)
-	if cfg.Interval <= 0 {
-		cfg.Interval = 15 * time.Second
-	}
 	if cfg.InitialNodes <= 0 || cfg.InitialNodes > n {
 		cfg.InitialNodes = n
-	}
-	if cfg.MinNodes <= 0 {
-		cfg.MinNodes = 1
 	}
 	if cfg.MaxNodes <= 0 || cfg.MaxNodes > n {
 		cfg.MaxNodes = n
 	}
-	if cfg.MinNodes > cfg.MaxNodes {
-		return nil, fmt.Errorf("engine: Autoscale.MinNodes %d > MaxNodes %d", cfg.MinNodes, cfg.MaxNodes)
-	}
-	if cfg.ProvisionDelay <= 0 {
-		cfg.ProvisionDelay = 30 * time.Second
-	}
-	if cfg.ScaleUpCooldown <= 0 {
-		cfg.ScaleUpCooldown = cfg.Interval
-	}
-	if cfg.ScaleDownCooldown <= 0 {
-		cfg.ScaleDownCooldown = 4 * cfg.Interval
+	if autoscaleMinNodes > cfg.MaxNodes {
+		return nil, fmt.Errorf("engine: autoscale floor %d > MaxNodes %d", autoscaleMinNodes, cfg.MaxNodes)
 	}
 	c := &autoCtl{
 		eng:         e,
 		cfg:         cfg,
 		pendingNode: make([]bool, n),
-		lastUp:      -1,
 		lastDown:    -1,
 	}
 	// Executors beyond the initial set start decommissioned: process down,
@@ -162,7 +149,7 @@ func newAutoCtl(e *Engine, cfg AutoscaleConfig) (*autoCtl, error) {
 		e.em.limits[i] = 0
 	}
 	var tick sim.Event
-	tick = e.k.Every(cfg.Interval, func() {
+	tick = e.k.Every(autoscaleInterval, func() {
 		if e.done.Load() {
 			tick.Cancel()
 			return
@@ -236,8 +223,8 @@ func (c *autoCtl) tick() {
 	c.account()
 	c.sweepDrains()
 	target, reason := c.cfg.Policy.Target(c.snapshot())
-	if target < c.cfg.MinNodes {
-		target = c.cfg.MinNodes
+	if target < autoscaleMinNodes {
+		target = autoscaleMinNodes
 	}
 	if target > c.cfg.MaxNodes {
 		target = c.cfg.MaxNodes
@@ -246,14 +233,9 @@ func (c *autoCtl) tick() {
 	now := e.k.Now()
 	switch {
 	case target > cur:
-		if c.lastUp >= 0 && now-c.lastUp < c.cfg.ScaleUpCooldown {
-			return
-		}
-		if c.scaleUp(target-cur, reason) > 0 {
-			c.lastUp = now
-		}
+		c.scaleUp(target-cur, reason)
 	case target < cur:
-		if c.lastDown >= 0 && now-c.lastDown < c.cfg.ScaleDownCooldown {
+		if c.lastDown >= 0 && now-c.lastDown < scaleDownCooldown {
 			return
 		}
 		if c.scaleDown(cur-target, reason) > 0 {
@@ -276,8 +258,8 @@ func (c *autoCtl) activeAndPending() int {
 }
 
 // scaleUp provisions up to want decommissioned nodes (ascending index, for
-// determinism) and returns how many it started.
-func (c *autoCtl) scaleUp(want int, reason string) int {
+// determinism).
+func (c *autoCtl) scaleUp(want int, reason string) {
 	e := c.eng
 	em := e.em
 	started := 0
@@ -290,11 +272,10 @@ func (c *autoCtl) scaleUp(want int, reason string) int {
 		c.activations++
 		started++
 		e.trace(TraceEvent{Type: TraceScaleUp, Job: -1, Stage: -1, Task: -1, Exec: i,
-			Detail: fmt.Sprintf("provisioning (%s), online in %s", reason, c.cfg.ProvisionDelay)})
+			Detail: fmt.Sprintf("provisioning (%s), online in %s", reason, provisionDelay)})
 		i := i
-		e.k.After(c.cfg.ProvisionDelay, func() { c.activate(i) })
+		e.k.After(provisionDelay, func() { c.activate(i) })
 	}
-	return started
 }
 
 // activate brings a provisioned node online: admin-active, process up under

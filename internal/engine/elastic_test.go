@@ -50,16 +50,13 @@ func countTrace(t *testing.T, buf *bytes.Buffer) map[string]int {
 // and never appear in LostExecutors or Suspected — the failure detector has
 // nothing to detect.
 func TestDrainNeverTripsFailureDetector(t *testing.T) {
-	spec, in := pipelineJob("drainjob", 16)
+	spec, in := pipelineJob("drainjob", 32)
 	opts := testOptions(4, core.Default{})
 	opts.Inputs = []Input{in}
 	var trace bytes.Buffer
 	opts.Trace = &trace
 	opts.Autoscale = &AutoscaleConfig{
-		Policy:            &scriptPolicy{targets: []int{4, 2}},
-		Interval:          5 * time.Second,
-		MinNodes:          2,
-		ScaleDownCooldown: time.Second,
+		Policy: &scriptPolicy{targets: []int{4, 2}},
 	}
 	rep, err := Run(opts, spec)
 	if err != nil {
@@ -95,11 +92,8 @@ func TestScaleUpActivatesNodes(t *testing.T) {
 	var trace bytes.Buffer
 	opts.Trace = &trace
 	opts.Autoscale = &AutoscaleConfig{
-		Policy:          &scriptPolicy{targets: []int{4}},
-		Interval:        5 * time.Second,
-		InitialNodes:    1,
-		ProvisionDelay:  2 * time.Second,
-		ScaleUpCooldown: time.Second,
+		Policy:       &scriptPolicy{targets: []int{4}},
+		InitialNodes: 1,
 	}
 	e, err := NewEngine(opts)
 	if err != nil {
@@ -152,9 +146,9 @@ func TestScaleUpActivatesNodes(t *testing.T) {
 // completes correctly.
 func TestCrashMidDrainStillRecovers(t *testing.T) {
 	// Short map, long reduce: every node holds registered map output when
-	// the drain starts at the t=6s tick, so the draining node is still
+	// the drain starts at the t=10s tick, so the draining node is still
 	// obligated (in-flight reduce tasks plus shuffle data) when the crash at
-	// t=7s kills it — it can never quiesce gracefully.
+	// t=11s kills it — it can never quiesce gracefully.
 	in := int64(16) * 64 * device.MiB
 	spec := &job.JobSpec{
 		Name: "midcrash",
@@ -162,7 +156,7 @@ func TestCrashMidDrainStillRecovers(t *testing.T) {
 			{ID: 0, Name: "map", InputFile: "mc/in", CPUSecondsPerTask: 0.05,
 				ShuffleWriteBytes: in / 2},
 			{ID: 1, Name: "reduce", NumTasks: 48, ShuffleFrom: []int{0},
-				CPUSecondsPerTask: 1.5, OutputFile: "mc/out", OutputBytes: in / 4},
+				CPUSecondsPerTask: 3, OutputFile: "mc/out", OutputBytes: in / 4},
 		},
 	}
 	opts := testOptions(4, core.Static{IOThreads: 4})
@@ -170,22 +164,23 @@ func TestCrashMidDrainStillRecovers(t *testing.T) {
 	var trace bytes.Buffer
 	opts.Trace = &trace
 	opts.Autoscale = &AutoscaleConfig{
-		Policy:            &scriptPolicy{targets: []int{3}},
-		Interval:          6 * time.Second,
-		MinNodes:          1,
-		ScaleDownCooldown: time.Second,
+		Policy: &scriptPolicy{targets: []int{3}},
 	}
 	opts.Faults = &chaos.Plan{
 		Name:    "draincrash",
-		Crashes: []chaos.Crash{{Exec: 3, At: 7 * time.Second}},
+		Crashes: []chaos.Crash{{Exec: 3, At: 11 * time.Second}},
 	}
 	rep, err := Run(opts, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
+	drainAt := bytes.Index(trace.Bytes(), []byte(`"type":"`+TraceDrain+`"`))
+	if crashAt := bytes.Index(trace.Bytes(), []byte(`"type":"`+TraceExecCrash+`"`)); drainAt < 0 || crashAt < drainAt {
+		t.Fatal("the crash did not come after the drain began")
+	}
 	n := countTrace(t, &trace)
 	if n[TraceDrain] != 1 {
-		t.Fatalf("drain events = %d, want 1 (node 3 draining at t=8s)", n[TraceDrain])
+		t.Fatalf("drain events = %d, want 1 (node 3 draining at t=10s)", n[TraceDrain])
 	}
 	if n[TraceExecCrash] != 1 {
 		t.Fatalf("crash events = %d, want 1 (node 3 dying mid-drain)", n[TraceExecCrash])
@@ -208,13 +203,8 @@ func TestAutoscaleDeterminism(t *testing.T) {
 		opts.Trace = &trace
 		opts.JobPolicy = Fair{}
 		opts.Autoscale = &AutoscaleConfig{
-			Policy:            &autoscale.Adaptive{Alpha: 0.3, DrainTarget: 2 * time.Minute, Headroom: 1.2, MinSamplePeriod: 5 * time.Second},
-			Interval:          10 * time.Second,
-			InitialNodes:      2,
-			MinNodes:          1,
-			ProvisionDelay:    5 * time.Second,
-			ScaleUpCooldown:   5 * time.Second,
-			ScaleDownCooldown: 20 * time.Second,
+			Policy:       &autoscale.Adaptive{Alpha: 0.3, DrainTarget: 2 * time.Minute, Headroom: 1.2, MinSamplePeriod: 5 * time.Second},
+			InitialNodes: 2,
 		}
 		var handles []*JobHandle
 		specs := make([]*job.JobSpec, 0, 4)

@@ -74,15 +74,10 @@ type Options struct {
 	// all driven off the sim clock (see package chaos).
 	Faults *chaos.Plan
 	// HeartbeatInterval is how often each executor beats to the driver
-	// (0 selects 10s; Spark's spark.executor.heartbeatInterval).
+	// (0 selects 10s; Spark's spark.executor.heartbeatInterval). The
+	// failure detector counts in it: suspicion after suspectBeats silent
+	// intervals, loss after lossBeats.
 	HeartbeatInterval time.Duration
-	// HeartbeatMissedBeats is how many silent intervals before the driver
-	// suspects an executor and stops assigning it work (0 selects 3).
-	HeartbeatMissedBeats int
-	// HeartbeatTimeout is how long without a beat before a suspected
-	// executor is declared lost (0 selects 2× the suspicion delay; values
-	// at or below the suspicion delay are raised just past it).
-	HeartbeatTimeout time.Duration
 	// FetchMaxRetries bounds transient shuffle-fetch retries per attempt
 	// before the failure surfaces (0 selects 3, negative disables retries;
 	// Spark's spark.shuffle.io.maxRetries).
@@ -257,15 +252,6 @@ func newEngine(opts Options, sp *runSpares) (*Engine, error) {
 	}
 	if opts.HeartbeatInterval <= 0 {
 		opts.HeartbeatInterval = 10 * time.Second
-	}
-	if opts.HeartbeatMissedBeats <= 0 {
-		opts.HeartbeatMissedBeats = 3
-	}
-	suspectAfter := time.Duration(opts.HeartbeatMissedBeats) * opts.HeartbeatInterval
-	if opts.HeartbeatTimeout <= 0 {
-		opts.HeartbeatTimeout = 2 * suspectAfter
-	} else if opts.HeartbeatTimeout <= suspectAfter {
-		opts.HeartbeatTimeout = suspectAfter + opts.HeartbeatInterval
 	}
 	if opts.FetchMaxRetries == 0 {
 		opts.FetchMaxRetries = 3

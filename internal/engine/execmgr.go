@@ -93,10 +93,16 @@ func newExecManager(eng *Engine, n, blacklistAfter int) *execManager {
 	return m
 }
 
+// The failure detector suspects an executor after suspectBeats silent
+// heartbeat intervals and declares it lost at lossBeats.
+const (
+	suspectBeats = 3
+	lossBeats    = 2 * suspectBeats
+)
+
 // suspectAfter is how long without a beat before an executor is suspected.
 func (m *execManager) suspectAfter() time.Duration {
-	o := &m.eng.opts
-	return time.Duration(o.HeartbeatMissedBeats) * o.HeartbeatInterval
+	return suspectBeats * m.eng.opts.HeartbeatInterval
 }
 
 // armDetector (re)starts the failure-detector timer for executor i from the
@@ -150,13 +156,13 @@ func (m *execManager) onSuspect(i int) {
 			js.rep.Suspected++
 		}
 	}
-	wait := m.eng.opts.HeartbeatTimeout - m.suspectAfter()
-	m.lostEv[i] = m.eng.k.After(wait, m.onLostFn[i])
+	m.lostEv[i] = m.eng.k.After((lossBeats-suspectBeats)*m.eng.opts.HeartbeatInterval, m.onLostFn[i])
 }
 
-// onLost fires at the heartbeat timeout: declare the incarnation lost. The
-// declaration goes through the driver mailbox so every scheduler mutation
-// happens in the driver loop, in deterministic message order.
+// onLost fires lossBeats intervals after the last beat: declare the
+// incarnation lost. The declaration goes through the driver mailbox so every
+// scheduler mutation happens in the driver loop, in deterministic message
+// order.
 func (m *execManager) onLost(i int) {
 	m.lostEv[i] = sim.Event{}
 	if m.eng.done.Load() || !m.alive[i] {

@@ -13,14 +13,12 @@ import (
 	"sae/internal/engine/job"
 )
 
-// grayOptions tightens the heartbeat protocol so gray-failure scenarios
-// play out within the short test jobs: beats every second, suspicion after
-// two silent beats, loss declared at six seconds of silence.
+// grayOptions quickens the heartbeat so gray-failure scenarios play out
+// within the short test jobs: beats every second, so suspicion after three
+// silent seconds and loss declared at six.
 func grayOptions(nodes int, policy job.Policy) Options {
 	opts := testOptions(nodes, policy)
 	opts.HeartbeatInterval = time.Second
-	opts.HeartbeatMissedBeats = 2
-	opts.HeartbeatTimeout = 6 * time.Second
 	return opts
 }
 
@@ -157,12 +155,12 @@ func TestCrashDetectedByHeartbeatSilence(t *testing.T) {
 	// beat accepted up to one interval before the crash, the declaration
 	// lands in (timeout - interval, timeout + slack] after the crash.
 	gap := time.Duration(float64(time.Second) * (lostT - crashT))
-	if gap < opts.HeartbeatTimeout-opts.HeartbeatInterval {
-		t.Fatalf("loss declared %v after crash, before the heartbeat timeout %v could elapse",
-			gap, opts.HeartbeatTimeout)
+	timeout := lossBeats * opts.HeartbeatInterval
+	if gap < timeout-opts.HeartbeatInterval {
+		t.Fatalf("loss declared %v after crash, before the heartbeat timeout %v could elapse", gap, timeout)
 	}
-	if gap > opts.HeartbeatTimeout+2*time.Second {
-		t.Fatalf("loss declared %v after crash, long past the heartbeat timeout %v", gap, opts.HeartbeatTimeout)
+	if gap > timeout+2*time.Second {
+		t.Fatalf("loss declared %v after crash, long past the heartbeat timeout %v", gap, timeout)
 	}
 }
 

@@ -24,7 +24,10 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/*.trace.golden f
 // straggler's executor), and a reduce-phase crash with restart (in-flight
 // copies requeued, completed map tasks un-completed, lineage recovery sets) —
 // and compares the whole trace with the bytes the scheduler produced before
-// its per-task maps became one table (captured with -update on that commit).
+// its per-task maps became one table (captured with -update on that commit;
+// its one exec_suspect line was captured again when the failure detector's
+// suspicion moved from two silent beats to three, before the beat counts
+// became constants).
 func TestSchedulerTraceMatchesParent(t *testing.T) {
 	run := func(crashes []chaos.Crash, w *bytes.Buffer) *JobReport {
 		spec, inputs := twoStageJob()

@@ -14,16 +14,12 @@ import (
 // returns the Prometheus and JSONL exports plus the report runtime.
 func telemetryScenario(t *testing.T) (prom, jsonl []byte, runtime time.Duration) {
 	t.Helper()
-	spec, in := pipelineJob("teljob", 24)
+	spec, in := pipelineJob("teljob", 48)
 	opts := testOptions(4, core.Default{})
 	opts.Inputs = []Input{in}
 	opts.Autoscale = &AutoscaleConfig{
-		Policy:          &scriptPolicy{targets: []int{2, 4}},
-		Interval:        5 * time.Second,
-		InitialNodes:    2,
-		MinNodes:        2,
-		ProvisionDelay:  2 * time.Second,
-		ScaleUpCooldown: time.Second,
+		Policy:       &scriptPolicy{targets: []int{2, 4}},
+		InitialNodes: 2,
 	}
 	reg := telemetry.NewRegistry()
 	opts.Metrics = reg

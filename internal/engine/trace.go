@@ -68,7 +68,7 @@ const (
 	TracePartition   = "partition"
 	TraceChecksum    = "checksum"
 	// Elasticity events: the autoscaler provisioning a node (it joins
-	// ProvisionDelay later via exec-join), starting a graceful drain, and
+	// provisionDelay later via exec-join), starting a graceful drain, and
 	// decommissioning the quiesced node. A drain that ends in exec_crash /
 	// exec_lost instead of decommission is a node dying mid-drain.
 	TraceScaleUp      = "scale_up"

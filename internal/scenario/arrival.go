@@ -24,16 +24,6 @@ import (
 // p99 job latency stays within this factor of always-on full capacity.
 const autoscaleSLOFactor = 1.5
 
-// Actuation constants of every arrival-matrix replay: the planning interval,
-// the fleet floor, how long a requested node takes to join, and the
-// scale-down cooldown.
-const (
-	autoscaleInterval          = 10 * time.Second
-	autoscaleMinNodes          = 2
-	autoscaleProvisionDelay    = 15 * time.Second
-	autoscaleScaleDownCooldown = time.Minute
-)
-
 // AutoscaleClassRow is one tenant class's latency summary under one
 // (arrival process, cluster config) cell.
 type AutoscaleClassRow struct {
@@ -239,13 +229,9 @@ func (c *Compiled) replay(cfg ProvisionSpec, capacity int, sched []arrival.Arriv
 		return AutoscaleRow{}, err
 	}
 	opts.Autoscale = &engine.AutoscaleConfig{
-		Policy:            planner,
-		Interval:          autoscaleInterval,
-		InitialNodes:      cfg.initialNodes(capacity),
-		MinNodes:          autoscaleMinNodes,
-		MaxNodes:          capacity,
-		ProvisionDelay:    autoscaleProvisionDelay,
-		ScaleDownCooldown: autoscaleScaleDownCooldown,
+		Policy:       planner,
+		InitialNodes: cfg.initialNodes(capacity),
+		MaxNodes:     capacity,
 	}
 	e, err := engine.NewEngine(opts)
 	if err != nil {
