@@ -203,7 +203,9 @@ func BenchmarkDynamicController(b *testing.B) {
 	}
 }
 
-// BenchmarkCongestionIndex measures the analyzer's ζ computation.
+// BenchmarkCongestionIndex times the paper's ζ = ε/µ (metrics.Interval's
+// Congestion, which Fig. 7 and the sae_executor_zeta gauge report), not the
+// duration / tasks / µ index the analyzer compares.
 func BenchmarkCongestionIndex(b *testing.B) {
 	iv := metrics.Interval{Start: 0, End: 1e9, BlockedIO: 5e8, Bytes: 1 << 30, Tasks: 8}
 	var sink float64

@@ -65,6 +65,7 @@ import (
 	"sae/internal/prof"
 	"sae/internal/scenario"
 	"sae/internal/telemetry"
+	"sae/internal/workloads"
 )
 
 func main() {
@@ -76,7 +77,7 @@ func main() {
 
 func run(args []string) (err error) {
 	fs := flag.NewFlagSet("sae-run", flag.ContinueOnError)
-	workload := fs.String("workload", "terasort", "workload: terasort|pagerank|aggregation|join|scan|bayes|lda|nweight|svm")
+	workload := fs.String("workload", "terasort", "workload: "+strings.Join(workloads.Names(), "|"))
 	policy := fs.String("policy", "dynamic", "sizing policy: default|static|static:N|dynamic")
 	threads := fs.Int("threads", 8, "thread count for I/O stages under -policy static")
 	scale := fs.Float64("scale", 1, "data scale relative to the paper")

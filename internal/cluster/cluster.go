@@ -88,9 +88,6 @@ func NewSharded(ks []*sim.Kernel, shardOf func(int) int, cfg Config) *Cluster {
 // Kernel returns the simulation kernel hosting the control plane.
 func (c *Cluster) Kernel() *sim.Kernel { return c.k }
 
-// Config returns the cluster configuration.
-func (c *Cluster) Config() Config { return c.cfg }
-
 // Nodes returns all nodes.
 func (c *Cluster) Nodes() []*Node { return c.nodes }
 

@@ -9,6 +9,7 @@ package conf
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"sort"
 	"strconv"
@@ -61,6 +62,11 @@ func New() *Registry {
 		r.params[p.Key] = p
 	}
 	return r
+}
+
+// Clone returns a copy of r: a Set on either leaves the other as it was.
+func (r *Registry) Clone() *Registry {
+	return &Registry{params: r.params, values: maps.Clone(r.values)}
 }
 
 // Lookup returns the parameter's definition.

@@ -7,7 +7,7 @@ import (
 )
 
 func TestDescendingStartsAtCmax(t *testing.T) {
-	p := Descending{}
+	p := Descending()
 	c := p.NewController(testExec)
 	if got := c.StageStart(meta(0, 100, true)); got != 32 {
 		t.Fatalf("initial threads = %d, want cmax 32", got)
@@ -18,7 +18,7 @@ func TestDescendingStartsAtCmax(t *testing.T) {
 }
 
 func TestDescendingHalvesWhileImproving(t *testing.T) {
-	c := Descending{}.NewController(testExec)
+	c := Descending().NewController(testExec)
 	c.StageStart(meta(0, 10000, true))
 	seq := 0
 	// First interval (32 tasks): halve unconditionally.
@@ -39,7 +39,7 @@ func TestDescendingHalvesWhileImproving(t *testing.T) {
 }
 
 func TestDescendingStopsAtCmin(t *testing.T) {
-	c := Descending{}.NewController(job.ExecutorInfo{MaxThreads: 4})
+	c := Descending().NewController(job.ExecutorInfo{MaxThreads: 4})
 	c.StageStart(meta(0, 10000, true))
 	seq := 0
 	feed(c, 0, 4, 900, 1<<20, &seq) // 4 → 2
@@ -50,7 +50,7 @@ func TestDescendingStopsAtCmin(t *testing.T) {
 }
 
 func TestNoRollbackFreezesInPlace(t *testing.T) {
-	c := NoRollback{}.NewController(testExec)
+	c := NoRollback().NewController(testExec)
 	c.StageStart(meta(0, 10000, true))
 	seq := 0
 	feed(c, 0, 2, 300, 4<<20, &seq) // → 4
@@ -64,7 +64,7 @@ func TestNoRollbackFreezesInPlace(t *testing.T) {
 }
 
 func TestUtilizationDrivenGrowsOnUtilization(t *testing.T) {
-	c := UtilizationDriven{}.NewController(testExec)
+	c := UtilizationDriven().NewController(testExec)
 	c.StageStart(meta(0, 10000, true))
 	seq := 0
 	mk := func(util float64) job.TaskMetrics {
@@ -97,13 +97,13 @@ func TestUtilizationDrivenGrowsOnUtilization(t *testing.T) {
 }
 
 func TestAblationPolicyNames(t *testing.T) {
-	if (Descending{}).Name() != "dynamic-descending" {
+	if Descending().Name() != "dynamic-descending" {
 		t.Error("descending name")
 	}
-	if (NoRollback{}).Name() != "dynamic-no-rollback" {
+	if NoRollback().Name() != "dynamic-no-rollback" {
 		t.Error("no-rollback name")
 	}
-	if (UtilizationDriven{}).Name() != "utilization-driven" {
+	if UtilizationDriven().Name() != "utilization-driven" {
 		t.Error("utilization name")
 	}
 	if (Dynamic{Cmin: 1}).Name() != "dynamic-cmin1" {
@@ -115,7 +115,7 @@ func TestAblationPolicyNames(t *testing.T) {
 }
 
 func TestAIMDAdditiveIncrease(t *testing.T) {
-	c := AIMD{}.NewController(testExec)
+	c := AIMD().NewController(testExec)
 	c.StageStart(meta(0, 100000, true))
 	seq := 0
 	// Improving: +2 per interval.
@@ -131,7 +131,7 @@ func TestAIMDAdditiveIncrease(t *testing.T) {
 }
 
 func TestAIMDMultiplicativeDecrease(t *testing.T) {
-	c := AIMD{}.NewController(testExec)
+	c := AIMD().NewController(testExec)
 	c.StageStart(meta(0, 100000, true))
 	seq := 0
 	feed(c, 0, 2, 100, 4<<20, &seq) // → 4

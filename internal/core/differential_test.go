@@ -25,18 +25,18 @@ var diffPolicies = []struct {
 	{"dynamic-cmin1", Dynamic{Cmin: 1}, true},
 	{"dynamic-cmin4", Dynamic{Cmin: 4}, true},
 	{"dynamic-reprobe20", Dynamic{ReprobeTasks: 20}, true},
-	{"dynamic-tol0.5", Dynamic{Tolerance: 0.5}, true},
-	{"dynamic-cmin3-tol0.01-reprobe7", Dynamic{Cmin: 3, Tolerance: 0.01, ReprobeTasks: 7}, true},
-	{"descending", Descending{}, true},
-	{"descending-cmin1", planned{p: climb{cmin: 1, margin: 0.10, down: true}}, true},
-	{"descending-cmin4-tol0.3", planned{p: climb{cmin: 4, margin: 0.3, down: true}}, true},
-	{"norollback", NoRollback{}, false},
-	{"norollback-cmin1-tol0.02", planned{p: climb{cmin: 1, margin: 0.02, stay: true}}, false},
-	{"util", UtilizationDriven{}, false},
-	{"util-cmin1-gain0.05", planned{p: climb{cmin: 1, margin: 0.05, util: true}}, false},
-	{"aimd", AIMD{}, true},
-	{"aimd-cmin1-step3-tol0.02", planned{p: aimd{cmin: 1, step: 3, tol: 0.02}}, true},
-	{"aimd-cmin4-step1", planned{p: aimd{cmin: 4, step: 1, tol: 0.10}}, true},
+	{"dynamic-tol0.5", Adaptive{p: climb{cmin: 2, margin: 0.5}}, true},
+	{"dynamic-cmin3-tol0.01-reprobe7", Adaptive{p: climb{cmin: 3, margin: 0.01}, reprobe: 7}, true},
+	{"descending", Descending(), true},
+	{"descending-cmin1", Adaptive{p: climb{cmin: 1, margin: 0.10, down: true}}, true},
+	{"descending-cmin4-tol0.3", Adaptive{p: climb{cmin: 4, margin: 0.3, down: true}}, true},
+	{"norollback", NoRollback(), false},
+	{"norollback-cmin1-tol0.02", Adaptive{p: climb{cmin: 1, margin: 0.02, stay: true}}, false},
+	{"util", UtilizationDriven(), false},
+	{"util-cmin1-gain0.05", Adaptive{p: climb{cmin: 1, margin: 0.05, util: true}}, false},
+	{"aimd", AIMD(), true},
+	{"aimd-cmin1-step3-tol0.02", Adaptive{p: aimd{cmin: 1, step: 3, tol: 0.02}}, true},
+	{"aimd-cmin4-step1", Adaptive{p: aimd{cmin: 4, step: 1, tol: 0.10}}, true},
 }
 
 // splitmix64 keeps the synthetic streams independent of math/rand's

@@ -9,10 +9,10 @@ import (
 // Dynamic is the paper's self-adaptive executor (§5): the MAPE-K loop of
 // loop.go with the paper's planner.
 //
-// [A]nalyze  — at interval end the congestion index ζ_j = ε_j/µ_j
-// (normalized per task, since ε sums over the j concurrent tasks of the
-// interval) is compared against the previous interval's ζ_{j/2}. Lower
-// congestion means the extra threads paid off.
+// [A]nalyze  — at interval end the congestion index ζ_j (the paper's ε_j/µ_j,
+// computed as duration / tasks / µ: see congestion in loop.go) is compared
+// against the previous interval's ζ_{j/2}. Lower congestion means the extra
+// threads paid off.
 //
 // [P]lan     — hill-climbing over pool sizes: start at Cmin and double while
 // congestion keeps falling, capped at cmax (the executor's virtual cores).
@@ -22,12 +22,6 @@ type Dynamic struct {
 	// Cmin is the hill-climb starting point (paper: 2 — a single thread
 	// almost never wins).
 	Cmin int
-	// Tolerance is the relative ζ degradation tolerated before rolling
-	// back: growth continues while ζ_j < ζ_{j/2}·(1+Tolerance). A small
-	// positive tolerance keeps CPU-dominated stages (whose ζ is flat in
-	// the thread count) climbing toward the core count instead of
-	// freezing on measurement noise. The zero value selects 0.10.
-	Tolerance float64
 	// ReprobeTasks re-opens the hill climb after this many completions
 	// in the frozen state (0 = never, the paper's behaviour). This is
 	// the extension the paper's outlook motivates: in dynamic
@@ -63,23 +57,21 @@ func (d Dynamic) NewController(exec job.ExecutorInfo) job.Controller {
 	return newLoop(d.planner(), exec, d.ReprobeTasks)
 }
 
+// planner is the paper's climb. Its 10% margin (grow while ζ_j < ζ_{j/2}·1.1)
+// keeps CPU-dominated stages, whose ζ is flat in the thread count, climbing
+// instead of freezing on noise. A Cmin of zero or below selects 2.
 func (d Dynamic) planner() climb {
-	return climb{cmin: orDefault(d.Cmin, 2), margin: orDefault(d.Tolerance, 0.10)}
+	if d.Cmin <= 0 {
+		d.Cmin = 2
+	}
+	return climb{cmin: d.Cmin, margin: 0.10}
 }
 
 var _ job.Policy = Dynamic{}
 
-// orDefault returns v, or def when v is unset (zero or negative).
-func orDefault[T int | float64](v, def T) T {
-	if v <= 0 {
-		return def
-	}
-	return v
-}
-
-// climb is the hill-climbing planner behind Dynamic and its three ablations
-// (ablation.go): double while the signal improves, step back and freeze when
-// it worsens, freeze on reaching the bound.
+// climb is the hill-climbing planner behind Dynamic and three of its
+// ablations (ablation.go): double while the signal improves, step back and
+// freeze when it worsens, freeze on reaching the bound.
 type climb struct {
 	cmin int
 	// margin is the relative ζ degradation still counted as an

@@ -248,8 +248,8 @@ func TestPolicyNames(t *testing.T) {
 	if (Dynamic{}).Name() != "dynamic" {
 		t.Fatal("dynamic name")
 	}
-	if (BestFit{Label: "x"}).Name() != "x" {
-		t.Fatal("bestfit label")
+	if (BestFit{}).Name() != "static-bestfit" {
+		t.Fatal("bestfit name")
 	}
 }
 

@@ -18,7 +18,7 @@ import (
 // pool size rather than a smear across regimes.
 //
 // [A]nalyze   — planner.signal reduces the closed interval to one scalar:
-// the congestion index ζ_j = ε_j/µ_j, or mean disk utilization.
+// the congestion index ζ_j (see congestion), or mean disk utilization.
 //
 // [P]lan      — planner.plan compares it with the previous interval's
 // (the [K]nowledge) and picks the next pool size, and whether to freeze.
@@ -169,11 +169,8 @@ func (l *loop) Decisions() []job.Decision { return l.decisions }
 //
 // Minimizing this ζ is exactly congestion-avoidance: it falls while doubling
 // the pool still improves executor goodput and rises as soon as added
-// threads saturate the device.
+// threads saturate the device. A closed interval holds at least one task.
 func congestion(iv metrics.Interval) float64 {
-	if iv.Tasks == 0 {
-		return 0
-	}
 	mu := iv.Throughput()
 	if mu <= 0 {
 		return 0

@@ -1,28 +1,12 @@
 package core
 
 import (
+	"runtime/debug"
 	"strings"
 	"testing"
 
 	"sae/internal/engine/job"
 )
-
-// planned runs a planner at settings no exported policy offers, the way the
-// adaptive policies run theirs.
-type planned struct {
-	name string
-	p    planner
-}
-
-func (pp planned) Name() string { return pp.name }
-
-func (pp planned) InitialThreads(exec job.ExecutorInfo, _ job.StageMeta) int {
-	return pp.p.start(exec.MaxThreads)
-}
-
-func (pp planned) NewController(exec job.ExecutorInfo) job.Controller {
-	return newLoop(pp.p, exec, 0)
-}
 
 // TestInitialThreadsMatchesStageStart enforces job.Policy's contract: the
 // driver sizes its slot table from InitialThreads before the executor's
@@ -34,12 +18,12 @@ func TestInitialThreadsMatchesStageStart(t *testing.T) {
 		BestFit{Threads: map[int]int{0: 3, 2: 64}},
 		DefaultDynamic(),
 		Dynamic{Cmin: 5, ReprobeTasks: 10},
-		Descending{},
-		NoRollback{},
-		UtilizationDriven{},
-		AIMD{},
-		planned{"no-rollback-cmin1", climb{cmin: 1, margin: 0.10, stay: true}},
-		planned{"aimd-cmin3", aimd{cmin: 3, step: 2, tol: 0.10}},
+		Descending(),
+		NoRollback(),
+		UtilizationDriven(),
+		AIMD(),
+		Adaptive{"no-rollback-cmin1", climb{cmin: 1, margin: 0.10, stay: true}, 0},
+		Adaptive{"aimd-cmin3", aimd{cmin: 3, step: 2, tol: 0.10}, 0},
 	}
 	for _, p := range policies {
 		for _, cmax := range []int{1, 2, 3, 4, 8, 32, 128} {
@@ -58,6 +42,49 @@ func TestInitialThreadsMatchesStageStart(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestPolicyCallsAllocate pins what the driver's per-stage policy calls
+// cost: InitialThreads allocates nothing, and a controller's creation plus a
+// StageStart at most two objects (the controller and its boxed planner or
+// stage-pick closure). An interface conversion slipped onto either path
+// shows here.
+func TestPolicyCallsAllocate(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("the race detector's instrumentation allocates on its own")
+	}
+	policies := []job.Policy{
+		Default{},
+		Static{IOThreads: 4},
+		BestFit{Threads: map[int]int{0: 3}},
+		DefaultDynamic(),
+		Dynamic{Cmin: 1},
+		Descending(),
+		NoRollback(),
+		UtilizationDriven(),
+		AIMD(),
+	}
+	m := meta(0, 100, true)
+	for _, p := range policies {
+		if n := testing.AllocsPerRun(100, func() { p.InitialThreads(testExec, m) }); n != 0 {
+			t.Errorf("%s: InitialThreads allocates %v objects, want 0", p.Name(), n)
+		}
+		if n := testing.AllocsPerRun(100, func() { p.NewController(testExec).StageStart(m) }); n > 2 {
+			t.Errorf("%s: NewController + StageStart allocate %v objects, want at most 2", p.Name(), n)
+		}
+	}
+}
+
+// raceEnabled reports whether the test binary was built with -race, whose
+// instrumentation allocates on its own: allocation pins skip under it.
+func raceEnabled() bool {
+	bi, _ := debug.ReadBuildInfo()
+	for _, s := range bi.Settings {
+		if s.Key == "-race" {
+			return s.Value == "true"
+		}
+	}
+	return false
 }
 
 // TestDynamicReprobe covers Dynamic.ReprobeTasks: a frozen climb re-opens
@@ -116,7 +143,7 @@ func TestDynamicReprobe(t *testing.T) {
 // UtilizationDriven logs were normalised to: one decision per interval,
 // carrying the action, the resulting thread count and both signal values.
 func TestAblationDecisionsKeepBothSignals(t *testing.T) {
-	c := NoRollback{}.NewController(testExec)
+	c := NoRollback().NewController(testExec)
 	c.StageStart(meta(0, 1000, true))
 	seq := 0
 	feed(c, 0, 2, 300, 4<<20, &seq)
@@ -129,7 +156,7 @@ func TestAblationDecisionsKeepBothSignals(t *testing.T) {
 		t.Fatalf("no-rollback reason = %q", r)
 	}
 
-	c = UtilizationDriven{}.NewController(testExec)
+	c = UtilizationDriven().NewController(testExec)
 	c.StageStart(meta(0, 1000, true))
 	for _, util := range []float64{0.4, 0.4, 0.7, 0.7, 0.7, 0.7} {
 		m := tm(0, seq, 100, 1<<20)

@@ -35,7 +35,7 @@ func (Default) InitialThreads(exec job.ExecutorInfo, _ job.StageMeta) int {
 
 // NewController implements job.Policy.
 func (Default) NewController(exec job.ExecutorInfo) job.Controller {
-	return &fixedController{pick: func(job.StageMeta) int { return exec.MaxThreads }}
+	return &fixedController{p: Default{}, exec: exec}
 }
 
 var _ job.Policy = Default{}
@@ -53,10 +53,6 @@ func (s Static) Name() string { return fmt.Sprintf("static-%d", s.IOThreads) }
 
 // InitialThreads implements job.Policy.
 func (s Static) InitialThreads(exec job.ExecutorInfo, meta job.StageMeta) int {
-	return s.pick(exec, meta)
-}
-
-func (s Static) pick(exec job.ExecutorInfo, meta job.StageMeta) int {
 	if meta.IOMarked && s.IOThreads > 0 {
 		return clamp(s.IOThreads, 1, exec.MaxThreads)
 	}
@@ -65,7 +61,7 @@ func (s Static) pick(exec job.ExecutorInfo, meta job.StageMeta) int {
 
 // NewController implements job.Policy.
 func (s Static) NewController(exec job.ExecutorInfo) job.Controller {
-	return &fixedController{pick: func(meta job.StageMeta) int { return s.pick(exec, meta) }}
+	return &fixedController{p: s, exec: exec}
 }
 
 var _ job.Policy = Static{}
@@ -77,17 +73,10 @@ var _ job.Policy = Static{}
 type BestFit struct {
 	// Threads maps stage ID to thread count.
 	Threads map[int]int
-	// Label overrides the policy name (defaults to "static-bestfit").
-	Label string
 }
 
 // Name implements job.Policy.
-func (b BestFit) Name() string {
-	if b.Label != "" {
-		return b.Label
-	}
-	return "static-bestfit"
-}
+func (BestFit) Name() string { return "static-bestfit" }
 
 // InitialThreads implements job.Policy.
 func (b BestFit) InitialThreads(exec job.ExecutorInfo, meta job.StageMeta) int {
@@ -99,26 +88,27 @@ func (b BestFit) InitialThreads(exec job.ExecutorInfo, meta job.StageMeta) int {
 
 // NewController implements job.Policy.
 func (b BestFit) NewController(exec job.ExecutorInfo) job.Controller {
-	return &fixedController{pick: func(meta job.StageMeta) int { return b.InitialThreads(exec, meta) }}
+	return &fixedController{p: b, exec: exec}
 }
 
 var _ job.Policy = BestFit{}
 
-// fixedController applies a per-stage function and never adapts.
+// fixedController sizes every stage by its policy's InitialThreads, so the
+// two cannot disagree, and never adapts.
 type fixedController struct {
-	pick      func(job.StageMeta) int
-	threads   int
-	decisions []job.Decision
+	p       job.Policy
+	exec    job.ExecutorInfo
+	threads int
 }
 
 func (c *fixedController) StageStart(meta job.StageMeta) int {
-	c.threads = c.pick(meta)
+	c.threads = c.p.InitialThreads(c.exec, meta)
 	return c.threads
 }
 
 func (c *fixedController) TaskDone(job.TaskMetrics) (int, bool) { return c.threads, false }
 
-func (c *fixedController) Decisions() []job.Decision { return c.decisions }
+func (c *fixedController) Decisions() []job.Decision { return nil }
 
 func clamp(v, lo, hi int) int {
 	if v < lo {

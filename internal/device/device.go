@@ -168,9 +168,6 @@ func NewDisk(k *sim.Kernel, spec DiskSpec, factor float64, onActive func(int)) *
 	return d
 }
 
-// Spec returns the device spec.
-func (d *Disk) Spec() DiskSpec { return d.spec }
-
 // StartRead queues a read of bytes from the device for p and reports whether
 // it did — false for nothing to read, which owes p no wake. Once the read has
 // completed the device wakes p (see psres.Server.Start). The Start forms of

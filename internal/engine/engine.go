@@ -187,9 +187,6 @@ type JobHandle struct {
 	js *jobState
 }
 
-// ID returns the job's submission index.
-func (h *JobHandle) ID() int { return h.js.id }
-
 // Report returns the job's report, or the error that failed it. It is only
 // valid after Engine.Wait has returned.
 func (h *JobHandle) Report() (*JobReport, error) {

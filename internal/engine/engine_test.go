@@ -401,7 +401,7 @@ func TestMoreThreadsHurtOnHDDStreaming(t *testing.T) {
 	// The paper's core observation: for a streaming read stage on HDDs,
 	// running with all 32 threads is slower than a small thread count.
 	run := func(threads int) time.Duration {
-		opts := testOptions(4, core.BestFit{Threads: map[int]int{0: threads}, Label: fmt.Sprintf("fix%d", threads)})
+		opts := testOptions(4, core.BestFit{Threads: map[int]int{0: threads}})
 		opts.Inputs = []Input{{Name: "in", Size: 30 * device.GiB}}
 		rep, err := Run(opts, &job.JobSpec{
 			Name: "stream",

@@ -175,12 +175,6 @@ func newExecutor(eng *Engine, id int, node *cluster.Node, policy job.Policy) *Ex
 	}
 }
 
-// ID returns the executor's ID.
-func (ex *Executor) ID() int { return ex.id }
-
-// Threads returns the current pool limit.
-func (ex *Executor) Threads() int { return ex.limit }
-
 // Alive reports whether the executor is currently up.
 func (ex *Executor) Alive() bool { return ex.alive }
 

@@ -24,15 +24,6 @@ type ExecutorStageStats struct {
 	FinalThreads   int
 }
 
-// Throughput returns the executor's average stage throughput in bytes/s.
-func (s ExecutorStageStats) Throughput(stage StageReport) float64 {
-	d := stage.Duration().Seconds()
-	if d <= 0 {
-		return 0
-	}
-	return float64(s.Bytes) / d
-}
-
 // StageReport summarizes one executed stage.
 type StageReport struct {
 	ID       int

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"sae/internal/engine/job"
+	"sae/internal/metrics"
 	"sae/internal/sim"
 	"sae/internal/telemetry"
 )
@@ -122,10 +123,10 @@ func newEngineTelemetry(e *Engine) *engineTelemetry {
 	return t
 }
 
-// registerExecutors attaches per-executor gauges plus the windowed ζ
-// congestion gauge, which differentiates the cumulative ε and byte counters
-// over each sampling interval (µ = Δbytes/Δt, ζ = Δε/µ — the same index
-// the per-executor MAPE-K monitor computes per tuning interval).
+// registerExecutors attaches per-executor gauges plus the windowed ζ gauge:
+// the paper's ε/µ (metrics.Interval.Congestion) of the growth of the
+// cumulative ε and byte counters over each sampling interval — not the
+// duration / tasks / µ index the MAPE-K analyzer compares.
 func (t *engineTelemetry) registerExecutors() {
 	e := t.eng
 	n := len(e.executors)
@@ -163,18 +164,16 @@ func (t *engineTelemetry) registerExecutors() {
 			"Congestion index ζ = ε/µ over the last sampling interval.", "exec", label)
 	}
 	t.reg.OnSample("sae_executor_zeta", func(at time.Duration) {
-		dt := (at - lastTick).Seconds()
-		if dt <= 0 {
+		if at <= lastTick {
 			return
 		}
 		for i, ex := range e.executors {
-			db := ex.cumBytes - lastBytes[i]
-			de := (ex.cumBlockedIO - lastBlocked[i]).Seconds()
-			z := 0.0
-			if db > 0 {
-				z = de / (float64(db) / dt)
-			}
-			zeta[i].Set(z)
+			zeta[i].Set(metrics.Interval{
+				Start:     lastTick,
+				End:       at,
+				BlockedIO: ex.cumBlockedIO - lastBlocked[i],
+				Bytes:     ex.cumBytes - lastBytes[i],
+			}.Congestion())
 			lastBytes[i] = ex.cumBytes
 			lastBlocked[i] = ex.cumBlockedIO
 		}

@@ -32,10 +32,10 @@ func Ablation(s Setup) (*AblationResult, error) {
 		core.Default{},
 		core.DefaultDynamic(),
 		core.Dynamic{Cmin: 1},
-		core.Descending{},
-		core.NoRollback{},
-		core.UtilizationDriven{},
-		core.AIMD{},
+		core.Descending(),
+		core.NoRollback(),
+		core.UtilizationDriven(),
+		core.AIMD(),
 	}
 	res := &AblationResult{}
 	for _, mk := range []func(workloads.Config) *workloads.Spec{workloads.Terasort, workloads.PageRank} {

@@ -33,7 +33,7 @@ func TestCalibrationReport(t *testing.T) {
 				for i := range w.Job.Stages {
 					pins[i] = th
 				}
-				rep, err := s.Run(mk(s.workloadConfig()), core.BestFit{Threads: pins, Label: "oracle"}, nil)
+				rep, err := s.Run(mk(s.workloadConfig()), core.BestFit{Threads: pins}, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -54,11 +54,7 @@ func TestCalibrationReport(t *testing.T) {
 			t.Fatal(err)
 		}
 		fmt.Println(sweep)
-		dynPolicy := core.DefaultDynamic()
-		if v := os.Getenv("SAE_TOL"); v != "" {
-			fmt.Sscanf(v, "%f", &dynPolicy.Tolerance)
-		}
-		rep, err := s.Run(mk(s.workloadConfig()), dynPolicy, nil)
+		rep, err := s.Run(mk(s.workloadConfig()), core.DefaultDynamic(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}

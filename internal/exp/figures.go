@@ -9,6 +9,7 @@ import (
 	"sae/internal/conf"
 	"sae/internal/core"
 	"sae/internal/engine"
+	"sae/internal/metrics"
 	"sae/internal/sim"
 	"sae/internal/telemetry"
 	"sae/internal/workloads"
@@ -425,16 +426,11 @@ func Figure7(s Setup) (*Figure7Result, error) {
 		fs := Fig7Stage{Stage: si, Selected: dyn.Stages[si].Execs[0].FinalThreads}
 		for i := len(sweep.Threads) - 1; i >= 0; i-- { // ascending 2..32
 			st := sweep.Runs[i].Stages[si]
-			eps := st.Execs[0].BlockedIO.Seconds()
-			mu := st.Execs[0].Throughput(st)
-			zeta := 0.0
-			if mu > 0 {
-				zeta = eps / mu * 1e6 // ε/µ, scaled to s per MB/s
-			}
+			iv := metrics.Interval{Start: st.Start, End: st.End, BlockedIO: st.Execs[0].BlockedIO, Bytes: st.Execs[0].Bytes}
 			fs.Threads = append(fs.Threads, sweep.Threads[i])
-			fs.EpsSec = append(fs.EpsSec, eps)
-			fs.MuMBps = append(fs.MuMBps, mu/1e6)
-			fs.Zeta = append(fs.Zeta, zeta)
+			fs.EpsSec = append(fs.EpsSec, iv.BlockedIO.Seconds())
+			fs.MuMBps = append(fs.MuMBps, iv.Throughput()/1e6)
+			fs.Zeta = append(fs.Zeta, iv.Congestion()*1e6) // ε/µ, scaled to s per MB/s
 		}
 		res.Stages = append(res.Stages, fs)
 	}

@@ -6,6 +6,7 @@ import (
 
 	"sae/internal/conf"
 	"sae/internal/scenario"
+	"sae/internal/workloads"
 )
 
 // mutate derives one candidate from parent: clone, apply a random
@@ -53,7 +54,7 @@ var ops = []func(*scenario.Spec, *rand.Rand) bool{
 }
 
 var (
-	workloadNames = []string{"terasort", "pagerank", "aggregation", "join", "scan", "bayes", "lda", "nweight", "svm"}
+	workloadNames = workloads.Names()
 	policyNames   = []string{"default", "dynamic", "static:4", "static:8", "static:16"}
 	slowFactors   = []string{"1.5", "2", "3", "4", "6"}
 	faultRates    = []string{"0.02", "0.05", "0.1", "0.2"}

@@ -1,7 +1,8 @@
 // Package metrics defines the measurement vocabulary of the paper's MAPE-K
 // monitor: per-interval epoll-wait time (ε), I/O throughput (µ) and the
-// congestion index ζ = ε/µ used by the analyzer, plus the one percentile
-// rule every report uses. Sampled time series belong to package telemetry.
+// paper's congestion index ζ = ε/µ, computed only by Interval.Congestion (the
+// analyzer in package core compares duration / tasks / µ), plus the one
+// percentile rule every report uses. Sampled time series belong to telemetry.
 package metrics
 
 import (

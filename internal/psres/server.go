@@ -178,9 +178,6 @@ func (s *Server) SetRateScale(scale float64) {
 	s.recompute()
 }
 
-// RateScale returns the current service-rate scale (1 = nominal).
-func (s *Server) RateScale() float64 { return s.scale }
-
 // Serve blocks p until demand units have been served. Weight scales this
 // stream's share of capacity (1 = normal; 0.5 = progresses at half the fair
 // share, modelling e.g. writes that cost twice as much as reads).

@@ -73,9 +73,6 @@ type Dataset[T any] struct {
 	node *node
 }
 
-// Partitions returns the dataset's partition count.
-func (d *Dataset[T]) Partitions() int { return d.node.partitions }
-
 // node kinds.
 type nodeKind int
 

@@ -43,9 +43,10 @@ type Compiled struct {
 	run   func() (fmt.Stringer, error)
 }
 
-// Compile binds the spec to a setup. Spec conf overrides are folded into
-// the setup's registry without displacing values already set there, so CLI
-// -conf flags win over the spec's conf block; what a run varies (its cell's
+// Compile binds the spec to a setup. Spec conf overrides are folded into a
+// copy of the setup's registry without displacing values already set there,
+// so CLI -conf flags win over the spec's conf block and the caller's
+// registry is left as it was; what a run varies (its cell's
 // policy, scheduler, split size — see exp.Setup.Options) wins over both.
 // The two multi-job kinds fix the inter-job scheduler of every run, so
 // scheduler.mode in their conf is an error rather than silently overridden.
@@ -55,9 +56,9 @@ func (sp *Spec) Compile(s exp.Setup) (*Compiled, error) {
 			sp.Name, sp.Version, Version)
 	}
 	if len(sp.Conf) > 0 {
-		reg := s.Config
-		if reg == nil {
-			reg = conf.New()
+		reg := conf.New()
+		if s.Config != nil {
+			reg = s.Config.Clone()
 		}
 		for _, k := range slices.Sorted(maps.Keys(sp.Conf)) {
 			if reg.IsSet(k) {

@@ -265,6 +265,45 @@ func TestScenarioConfCLIOverride(t *testing.T) {
 	}
 }
 
+// TestCompileLeavesCallerConfAlone compiles two specs on one setup whose
+// registry holds a -conf value: the first spec's conf block must reach its own
+// run, not the caller's registry and through it the second spec's run.
+func TestCompileLeavesCallerConfAlone(t *testing.T) {
+	parse := func(text string) *Spec {
+		t.Helper()
+		sp, err := Parse("t.yaml", []byte(text))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sp
+	}
+	const head = "version: 1\nkind: single\nworkload: scan\npolicy: default\n"
+	a := parse(head + "name: a\nconf:\n  speculation: \"true\"\n")
+	b := parse(head + "name: b\n")
+	s := exp.Default().WithScale(0.02)
+	s.Config = conf.New()
+	if err := s.Config.Set("shuffle.io.maxRetries", "9"); err != nil {
+		t.Fatal(err)
+	}
+	ca, err := a.Compile(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cb, err := b.Compile(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !ca.Setup.Config.IsSet("speculation") || !ca.Setup.Config.IsSet("shuffle.io.maxRetries") {
+		t.Error("spec a's run lost its own conf key or the caller's")
+	}
+	if s.Config.IsSet("speculation") || cb.Setup.Config.IsSet("speculation") {
+		t.Error("spec a's conf block leaked into the caller's registry and spec b's run")
+	}
+	if got, _ := cb.Setup.Config.Get("shuffle.io.maxRetries"); got != "9" {
+		t.Errorf("spec b's run: shuffle.io.maxRetries = %q, want the caller's 9", got)
+	}
+}
+
 // TestPercentScheduleMath pins the percentage-time resolution to the exact
 // integer math quiet*pct/100.
 func TestPercentScheduleMath(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -323,7 +324,7 @@ func (d *dec) checkConf() error {
 }
 
 func (d *dec) checkWorkload(name string, path ...any) error {
-	if _, err := workloads.ByName(name, workloads.Paper()); err != nil {
+	if !slices.Contains(workloads.Names(), name) {
 		return d.errf(d.at(path...), "unknown workload %q", name)
 	}
 	return nil

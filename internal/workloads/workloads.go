@@ -13,6 +13,7 @@ package workloads
 import (
 	"fmt"
 	"math"
+	"strings"
 
 	"sae/internal/device"
 	"sae/internal/engine"
@@ -454,24 +455,40 @@ func All(cfg Config) []*Spec {
 	}
 }
 
+// table is every workload by name, in the order Names lists them (the order
+// a seeded hunt draws workload mutants in).
+var table = []struct {
+	name string
+	ctor func(Config) *Spec
+}{
+	{"terasort", Terasort},
+	{"pagerank", PageRank},
+	{"aggregation", Aggregation},
+	{"join", Join},
+	{"scan", Scan},
+	{"bayes", Bayes},
+	{"lda", LDA},
+	{"nweight", NWeight},
+	{"svm", SVM},
+}
+
+// Names returns the names ByName accepts, in a fixed order.
+func Names() []string {
+	names := make([]string, len(table))
+	for i, w := range table {
+		names[i] = w.name
+	}
+	return names
+}
+
 // ByName returns the named workload, or an error listing valid names.
 func ByName(name string, cfg Config) (*Spec, error) {
-	ctors := map[string]func(Config) *Spec{
-		"terasort":    Terasort,
-		"pagerank":    PageRank,
-		"aggregation": Aggregation,
-		"join":        Join,
-		"scan":        Scan,
-		"bayes":       Bayes,
-		"lda":         LDA,
-		"nweight":     NWeight,
-		"svm":         SVM,
+	for _, w := range table {
+		if w.name == name {
+			return w.ctor(cfg), nil
+		}
 	}
-	ctor, ok := ctors[name]
-	if !ok {
-		return nil, fmt.Errorf("workloads: unknown workload %q", name)
-	}
-	return ctor(cfg), nil
+	return nil, fmt.Errorf("workloads: unknown workload %q (want one of %s)", name, strings.Join(Names(), ", "))
 }
 
 // GiB converts bytes to GiB for display.

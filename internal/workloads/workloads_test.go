@@ -2,6 +2,8 @@ package workloads
 
 import (
 	"math"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -30,13 +32,25 @@ func TestAllNineApplications(t *testing.T) {
 	}
 }
 
+// TestByName builds each of the nine workloads under its own name, and
+// wants an unknown name's error to list all nine. The order is pinned: a
+// seeded hunt draws its workload mutants by index into Names.
 func TestByName(t *testing.T) {
-	w, err := ByName("terasort", Paper())
-	if err != nil || w.Name != "terasort" {
-		t.Fatalf("ByName = %v, %v", w, err)
+	names := Names()
+	if want := []string{"terasort", "pagerank", "aggregation", "join", "scan", "bayes", "lda", "nweight", "svm"}; !slices.Equal(names, want) {
+		t.Fatalf("Names() = %v, want %v", names, want)
 	}
-	if _, err := ByName("sortbench", Paper()); err == nil {
+	_, err := ByName("sortbench", Paper())
+	if err == nil {
 		t.Fatal("unknown workload accepted")
+	}
+	for _, name := range names {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("error %q does not name %s", err, name)
+		}
+		if w, err := ByName(name, Paper()); err != nil || w.Name != name {
+			t.Errorf("ByName(%q) = %v, %v", name, w, err)
+		}
 	}
 }
 

@@ -82,11 +82,9 @@ func BestFit(threads map[int]int) Policy { return core.BestFit{Threads: threads}
 // ζ = ε/µ.
 func Adaptive() Policy { return core.DefaultDynamic() }
 
-// AdaptiveWith returns the dynamic policy with explicit hill-climb
-// parameters (cmin and the ζ rollback tolerance).
-func AdaptiveWith(cmin int, tolerance float64) Policy {
-	return core.Dynamic{Cmin: cmin, Tolerance: tolerance}
-}
+// AdaptiveWith returns the dynamic policy with an explicit hill-climb
+// starting point cmin.
+func AdaptiveWith(cmin int) Policy { return core.Dynamic{Cmin: cmin} }
 
 // DAS5 returns the paper's evaluation environment: 4 nodes × 32 virtual
 // cores with 7'200 rpm HDDs.

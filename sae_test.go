@@ -76,7 +76,7 @@ func TestPublicPolicies(t *testing.T) {
 		{Default(), "default"},
 		{Static(8), "static-8"},
 		{Adaptive(), "dynamic"},
-		{AdaptiveWith(4, 0.2), "dynamic-cmin4"},
+		{AdaptiveWith(4), "dynamic-cmin4"},
 		{BestFit(map[int]int{0: 4}), "static-bestfit"},
 	}
 	for _, c := range cases {
