@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	sae-run [-workload terasort] [-policy dynamic] [-threads 8]
+//	sae-run [-workload terasort] [-policy dynamic]
 //	        [-scale F] [-nodes N] [-seed S] [-ssd] [-decisions] [-faults SPEC]
 //	        [-scenario FILE] [-audit]
 //	        [-trace FILE] [-trace-v2] [-metrics FILE] [-metrics-csv FILE]
@@ -11,9 +11,9 @@
 //
 // There is one run path. Without -scenario the flags are a spec of kind
 // single — -workload names it and its workload, -policy (default | static |
-// static:N | dynamic; plain "static" takes -threads for I/O-marked stages)
-// is its policy and -faults its chaos — checked as a spec file is checked
-// and run as one: the same flags and the equivalent file print the same run.
+// static:N | dynamic, the names a spec file takes) is its policy and -faults
+// its chaos — checked as a spec file is checked and run as one: the same
+// flags and the equivalent file print the same run.
 //
 // -scenario runs a declarative scenario spec (scenarios/*.yaml) instead of
 // the -workload/-policy/-faults flags, which are rejected alongside it.
@@ -79,7 +79,6 @@ func run(args []string) (err error) {
 	fs := flag.NewFlagSet("sae-run", flag.ContinueOnError)
 	workload := fs.String("workload", "terasort", "workload: "+strings.Join(workloads.Names(), "|"))
 	policy := fs.String("policy", "dynamic", "sizing policy: default|static|static:N|dynamic")
-	threads := fs.Int("threads", 8, "thread count for I/O stages under -policy static")
 	scale := fs.Float64("scale", 1, "data scale relative to the paper")
 	nodes := fs.Int("nodes", 4, "cluster size")
 	seed := fs.Int64("seed", 1, "node-variability seed")
@@ -124,14 +123,14 @@ func run(args []string) (err error) {
 
 	var sp *scenario.Spec
 	if *scenarioFile != "" {
-		for _, name := range []string{"workload", "policy", "threads", "faults"} {
+		for _, name := range []string{"workload", "policy", "faults"} {
 			if visited[name] {
 				return fmt.Errorf("-%s cannot be combined with -scenario (the spec supplies it)", name)
 			}
 		}
 		sp, err = scenario.Load(*scenarioFile)
 	} else {
-		sp, err = flagSpec(*workload, *policy, *threads, *faults)
+		sp, err = flagSpec(*workload, *policy, *faults)
 	}
 	if err != nil {
 		return err
@@ -240,14 +239,10 @@ func run(args []string) (err error) {
 	return nil
 }
 
-// flagSpec is the single-kind spec the -workload, -policy, -threads and
-// -faults flags describe, passed through a Marshal∘Parse round trip so the
-// flags meet the validation a spec file meets. Plain "static" takes its
-// width from -threads.
-func flagSpec(workload, policy string, threads int, faults string) (*scenario.Spec, error) {
-	if policy == "static" {
-		policy = fmt.Sprintf("static:%d", threads)
-	}
+// flagSpec is the single-kind spec the -workload, -policy and -faults flags
+// describe, passed through a Marshal∘Parse round trip so the flags meet the
+// validation a spec file meets.
+func flagSpec(workload, policy, faults string) (*scenario.Spec, error) {
 	sp := &scenario.Spec{Version: scenario.Version, Name: workload, Kind: scenario.KindSingle,
 		Workload: workload, Policy: policy, Chaos: faults}
 	return scenario.Parse("flags", scenario.Marshal(sp))

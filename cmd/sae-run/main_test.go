@@ -14,7 +14,7 @@ import (
 )
 
 func TestRunSmallWorkload(t *testing.T) {
-	err := run([]string{"-workload", "aggregation", "-scale", "0.05", "-policy", "static", "-threads", "4"})
+	err := run([]string{"-workload", "aggregation", "-scale", "0.05", "-policy", "static:4"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestRunErrors(t *testing.T) {
 		{"-workload", "nope"},
 		{"-policy", "nope", "-scale", "0.01"},
 		{"-policy", "static:8abc", "-scale", "0.01"},
-		{"-policy", "static", "-threads", "0", "-scale", "0.01"},
+		{"-policy", "static:0", "-scale", "0.01"},
 		{"-faults", "crash@45%", "-scale", "0.01"},
 		{"-conf", "malformed"},
 		{"-conf", "no.such.key=1"},
@@ -150,20 +150,6 @@ func TestRunDecisions(t *testing.T) {
 	line := regexp.MustCompile(`(?m)^  executor \d+, stage \d+ @ *[\d.]+s → +\d+ threads: first interval, ζ=`)
 	if !line.MatchString(out) {
 		t.Fatalf("no decision line in the output:\n%s", out)
-	}
-}
-
-// TestRunPolicySpecNames: -policy takes the names a scenario file takes, so
-// static:N and static -threads N are the same run.
-func TestRunPolicySpecNames(t *testing.T) {
-	spec := captureStdout(t, func() error {
-		return run([]string{"-workload", "aggregation", "-scale", "0.05", "-policy", "static:4"})
-	})
-	flags := captureStdout(t, func() error {
-		return run([]string{"-workload", "aggregation", "-scale", "0.05", "-policy", "static", "-threads", "4"})
-	})
-	if spec != flags {
-		t.Fatalf("-policy static:4 and -policy static -threads 4 differ:\n%s\n---\n%s", spec, flags)
 	}
 }
 

@@ -1,7 +1,8 @@
 // Package dfs is an HDFS-like distributed file system model: files are split
 // into fixed-size blocks, each replicated on a set of nodes. The engine uses
-// it for data ingestion (with locality-aware reads) and output writing. As
-// in the paper's setup, running with replication equal to the cluster size
+// it for data ingestion (with locality-aware reads) and output writing, in
+// blocks of the run's split size (files.maxPartitionBytes or the workload's).
+// As in the paper's setup, running with replication equal to the cluster size
 // makes every read node-local.
 //
 // Input files are laid out in full by Create. An input's block table is a
@@ -28,9 +29,6 @@ import (
 	"sae/internal/cluster"
 	"sae/internal/sim"
 )
-
-// DefaultBlockSize matches HDFS 2.x (128 MiB).
-const DefaultBlockSize = 128 << 20
 
 // FS is a distributed file system namespace over a cluster.
 type FS struct {
@@ -92,14 +90,10 @@ type FaultModel struct {
 // selection and checksum verification.
 func (fs *FS) SetFaultModel(m FaultModel) { fs.fault = m }
 
-// New creates an empty file system with the given block size (0 selects
-// DefaultBlockSize).
+// New creates an empty file system with the given positive block size.
 func New(c *cluster.Cluster, blockSize int64) *FS {
-	if blockSize == 0 {
-		blockSize = DefaultBlockSize
-	}
-	if blockSize < 0 {
-		panic(fmt.Sprintf("dfs: negative block size %d", blockSize))
+	if blockSize <= 0 {
+		panic(fmt.Sprintf("dfs: non-positive block size %d", blockSize))
 	}
 	return &FS{cluster: c, blockSize: blockSize, files: make(map[string]*File)}
 }

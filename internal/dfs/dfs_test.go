@@ -136,7 +136,7 @@ func TestCreateBlocks(t *testing.T) {
 
 func TestCreateDuplicate(t *testing.T) {
 	k := sim.NewKernel()
-	fs := New(testCluster(k, 2), 0)
+	fs := New(testCluster(k, 2), 128*device.MiB)
 	if _, err := fs.Create("x", 10, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestCreateDuplicate(t *testing.T) {
 
 func TestOpenMissing(t *testing.T) {
 	k := sim.NewKernel()
-	fs := New(testCluster(k, 2), 0)
+	fs := New(testCluster(k, 2), 128*device.MiB)
 	if _, err := fs.Open("nope"); err == nil {
 		t.Fatal("open of missing file succeeded")
 	}
@@ -499,14 +499,6 @@ func TestFinishWriteAndSplitAllocateNothing(t *testing.T) {
 	}
 }
 
-func TestBlockSizeDefault(t *testing.T) {
-	k := sim.NewKernel()
-	fs := New(testCluster(k, 2), 0)
-	if fs.blockSize != DefaultBlockSize {
-		t.Fatalf("block size = %d", fs.blockSize)
-	}
-}
-
 // TestCreateBlockCeiling: a file of exactly maxBlocks blocks is counted as
 // such (its layout is not built here: 2^22 blocks are some 200 MB), while one
 // byte more — or a size whose rounding up would overflow — is a one-line
@@ -549,7 +541,7 @@ func TestCreateBlockCeiling(t *testing.T) {
 // and not), bad sets (nil, empty, holding the reader) and unreachable sets.
 func TestPickReplicaMatchesReferenceProperty(t *testing.T) {
 	const nodes = 12
-	fs := New(testCluster(sim.NewKernel(), nodes), 0)
+	fs := New(testCluster(sim.NewKernel(), nodes), 128*device.MiB)
 	f := func(replicaBits, badBits, downBits uint16, readerSeed uint8, nilBad bool) bool {
 		reader := int(readerSeed) % nodes
 		var b Block

@@ -7,17 +7,17 @@ import (
 	"sae/internal/conf"
 )
 
-// minBlockSize is the smallest files.maxPartitionBytes ApplyConfig accepts:
-// HDFS's default dfs.namenode.fs-limits.min-block-size.
+// minBlockSize is the smallest files.maxPartitionBytes a run accepts: HDFS's
+// default dfs.namenode.fs-limits.min-block-size.
 const minBlockSize = 1 << 20
 
-// ApplyConfig's bounds on the wired durations and counts, each far outside
-// what any committed spec or test uses. Every executor beats once per
-// heartbeat interval, so a nanosecond one never lets the clock reach the
-// job's end, and a few hundred hours of lossBeats overflow a time.Duration.
-// A failing fetch backs off retryWait << try, virtual time the heartbeats
-// fill event by event: 10 retries of 30s already wait 8.5 hours. A task's
-// launch CPU is capped at a minute.
+// The bounds on the wired durations and counts, each far outside what any
+// committed spec or test uses. Every executor beats once per heartbeat
+// interval, so a nanosecond one never lets the clock reach the job's end, and
+// a few hundred hours of lossBeats overflow a time.Duration. A failing fetch
+// backs off retryWait << try, virtual time the heartbeats fill event by
+// event: 10 retries of 30s already wait 8.5 hours. A task's launch CPU is
+// capped at a minute.
 const (
 	minHeartbeat      = 100 * time.Millisecond
 	maxHeartbeat      = time.Hour
@@ -26,109 +26,123 @@ const (
 	maxTaskOverheadMs = 60000
 )
 
-// ApplyConfig folds the wired parameters of a configuration registry into
-// the engine options, mirroring how the paper's drop-in executor honours
-// the stock Spark configuration surface (Table 1). Only parameters marked
-// Wired in the catalogue have an effect; everything else is accepted for
-// compatibility. A value Options would read as "use the default" is either
-// mapped to what it means or refused as a conf.ErrBadValue naming the key.
-func ApplyConfig(opts *Options, reg *conf.Registry) error {
-	cores, err := reg.GetInt("executor.cores")
+// config is what a run reads of the wired parameters of a configuration
+// registry, mirroring how the paper's drop-in executor honours the stock
+// Spark configuration surface (Table 1). Each value is held at its meaning:
+// a zero count or overhead means none.
+type config struct {
+	cores          int            // executor.cores
+	blockSize      int64          // files.maxPartitionBytes
+	taskOverhead   float64        // executor.taskOverheadMillis, in CPU seconds
+	maxFailures    int            // task.maxFailures
+	speculation    bool           // speculation
+	specQuantile   float64        // speculation.quantile
+	specMultiplier float64        // speculation.multiplier
+	jobPolicy      InterJobPolicy // scheduler.mode
+	blacklistAfter int            // blacklist.stage.maxFailedTasksPerExecutor
+	heartbeat      time.Duration  // executor.heartbeatInterval
+	fetchRetries   int            // shuffle.io.maxRetries
+	fetchRetryWait time.Duration  // shuffle.io.retryWait
+}
+
+// catalogueConfig is the catalogue's defaults, read once per process: what a
+// run without Options.Config reads.
+var catalogueConfig = func() config {
+	c, err := readConfig(conf.New())
 	if err != nil {
-		return err
+		panic(err)
 	}
-	if cores < 1 {
-		return fmt.Errorf("%w: executor.cores = %d, want at least 1", conf.ErrBadValue, cores)
+	return c
+}()
+
+// CheckConfig reports the first wired parameter of reg a run would refuse,
+// as a conf.ErrBadValue or an error naming the key. Only parameters marked
+// Wired in the catalogue have an effect; everything else is accepted for
+// compatibility.
+func CheckConfig(reg *conf.Registry) error {
+	_, err := readConfig(reg)
+	return err
+}
+
+// readConfig is what a run reads of reg, or CheckConfig's error.
+func readConfig(reg *conf.Registry) (c config, err error) {
+	if c.cores, err = reg.GetInt("executor.cores"); err != nil {
+		return c, err
 	}
-	// Virtual cores are SMT pairs over physical cores, as on the paper's
-	// nodes (32 virtual / 16 physical).
-	opts.Cluster.CPU.VirtualCores = cores
-	opts.Cluster.CPU.PhysicalCores = max(1, cores/2)
-	if opts.BlockSize, err = reg.GetBytes("files.maxPartitionBytes"); err != nil {
-		return err
+	if c.cores < 1 {
+		return c, fmt.Errorf("%w: executor.cores = %d, want at least 1", conf.ErrBadValue, c.cores)
 	}
-	if opts.BlockSize < minBlockSize {
+	if c.blockSize, err = reg.GetBytes("files.maxPartitionBytes"); err != nil {
+		return c, err
+	}
+	if c.blockSize < minBlockSize {
 		// A negative size panics the file system and a tiny one splits the
 		// input into more blocks than memory holds.
-		return fmt.Errorf("engine: files.maxPartitionBytes must be at least 1 MiB, got %d", opts.BlockSize)
+		return c, fmt.Errorf("engine: files.maxPartitionBytes must be at least 1 MiB, got %d", c.blockSize)
 	}
 	overhead, err := reg.GetInt("executor.taskOverheadMillis")
 	if err != nil {
-		return err
+		return c, err
 	}
 	if overhead > maxTaskOverheadMs {
-		return fmt.Errorf("engine: executor.taskOverheadMillis must be at most %d, got %d", maxTaskOverheadMs, overhead)
+		return c, fmt.Errorf("engine: executor.taskOverheadMillis must be at most %d, got %d", maxTaskOverheadMs, overhead)
 	}
-	opts.TaskOverheadCPUSeconds = float64(overhead) / 1000
-	if overhead <= 0 {
-		opts.TaskOverheadCPUSeconds = -1 // Options reads 0 as the 20 ms default
+	c.taskOverhead = float64(max(overhead, 0)) / 1000
+	if c.maxFailures, err = reg.GetInt("task.maxFailures"); err != nil {
+		return c, err
 	}
-	if opts.TaskMaxFailures, err = reg.GetInt("task.maxFailures"); err != nil {
-		return err
+	if c.maxFailures < 1 {
+		return c, fmt.Errorf("%w: task.maxFailures = %d, want at least 1", conf.ErrBadValue, c.maxFailures)
 	}
-	if opts.TaskMaxFailures < 1 {
-		return fmt.Errorf("%w: task.maxFailures = %d, want at least 1", conf.ErrBadValue, opts.TaskMaxFailures)
+	if c.speculation, err = reg.GetBool("speculation"); err != nil {
+		return c, err
 	}
-	if opts.Speculation, err = reg.GetBool("speculation"); err != nil {
-		return err
+	if c.specQuantile, err = reg.GetFloat("speculation.quantile"); err != nil {
+		return c, err
 	}
-	if opts.SpeculationQuantile, err = reg.GetFloat("speculation.quantile"); err != nil {
-		return err
+	if q := c.specQuantile; q <= 0 || q > 1 {
+		return c, fmt.Errorf("%w: speculation.quantile = %v, want one in (0, 1]", conf.ErrBadValue, q)
 	}
-	if q := opts.SpeculationQuantile; q <= 0 || q > 1 {
-		return fmt.Errorf("%w: speculation.quantile = %v, want one in (0, 1]", conf.ErrBadValue, q)
+	if c.specMultiplier, err = reg.GetFloat("speculation.multiplier"); err != nil {
+		return c, err
 	}
-	if opts.SpeculationMultiplier, err = reg.GetFloat("speculation.multiplier"); err != nil {
-		return err
-	}
-	if opts.SpeculationMultiplier <= 1 {
-		return fmt.Errorf("engine: speculation.multiplier must exceed 1, got %v", opts.SpeculationMultiplier)
+	if c.specMultiplier <= 1 {
+		return c, fmt.Errorf("engine: speculation.multiplier must exceed 1, got %v", c.specMultiplier)
 	}
 	mode, err := reg.Get("scheduler.mode")
 	if err != nil {
-		return err
+		return c, err
 	}
 	switch mode {
 	case "FIFO":
-		opts.JobPolicy = FIFO{}
+		c.jobPolicy = FIFO{}
 	case "FAIR":
-		opts.JobPolicy = Fair{}
+		c.jobPolicy = Fair{}
 	default:
-		return fmt.Errorf("engine: scheduler.mode must be FIFO or FAIR, got %q", mode)
+		return c, fmt.Errorf("engine: scheduler.mode must be FIFO or FAIR, got %q", mode)
 	}
-	streak, err := reg.GetInt("blacklist.stage.maxFailedTasksPerExecutor")
-	if err != nil {
-		return err
+	if c.blacklistAfter, err = reg.GetInt("blacklist.stage.maxFailedTasksPerExecutor"); err != nil {
+		return c, err
 	}
-	if streak <= 0 {
-		opts.BlacklistAfter = -1 // disabled
-	} else {
-		opts.BlacklistAfter = streak
+	c.blacklistAfter = max(c.blacklistAfter, 0)
+	if c.heartbeat, err = reg.GetDuration("executor.heartbeatInterval"); err != nil {
+		return c, err
 	}
-	if opts.HeartbeatInterval, err = reg.GetDuration("executor.heartbeatInterval"); err != nil {
-		return err
+	if hb := c.heartbeat; hb < minHeartbeat || hb > maxHeartbeat {
+		return c, fmt.Errorf("engine: executor.heartbeatInterval must be %v to %v, got %v", minHeartbeat, maxHeartbeat, hb)
 	}
-	if hb := opts.HeartbeatInterval; hb < minHeartbeat || hb > maxHeartbeat {
-		return fmt.Errorf("engine: executor.heartbeatInterval must be %v to %v, got %v", minHeartbeat, maxHeartbeat, hb)
+	if c.fetchRetries, err = reg.GetInt("shuffle.io.maxRetries"); err != nil {
+		return c, err
 	}
-	retries, err := reg.GetInt("shuffle.io.maxRetries")
-	if err != nil {
-		return err
+	if c.fetchRetries > maxFetchRetries {
+		return c, fmt.Errorf("engine: shuffle.io.maxRetries must be at most %d, got %d", maxFetchRetries, c.fetchRetries)
 	}
-	switch {
-	case retries > maxFetchRetries:
-		return fmt.Errorf("engine: shuffle.io.maxRetries must be at most %d, got %d", maxFetchRetries, retries)
-	case retries <= 0:
-		opts.FetchMaxRetries = -1 // disabled
-	default:
-		opts.FetchMaxRetries = retries
+	c.fetchRetries = max(c.fetchRetries, 0)
+	if c.fetchRetryWait, err = reg.GetDuration("shuffle.io.retryWait"); err != nil {
+		return c, err
 	}
-	if opts.FetchRetryWait, err = reg.GetDuration("shuffle.io.retryWait"); err != nil {
-		return err
+	if w := c.fetchRetryWait; w <= 0 || w > maxFetchRetryWait {
+		return c, fmt.Errorf("engine: shuffle.io.retryWait must be positive and at most %v, got %v", maxFetchRetryWait, w)
 	}
-	if w := opts.FetchRetryWait; w <= 0 || w > maxFetchRetryWait {
-		// The engine would read a non-positive wait as unset: 5s.
-		return fmt.Errorf("engine: shuffle.io.retryWait must be positive and at most %v, got %v", maxFetchRetryWait, w)
-	}
-	return nil
+	return c, nil
 }

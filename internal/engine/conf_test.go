@@ -1,79 +1,75 @@
 package engine
 
 import (
+	"bytes"
 	"errors"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
-	"sae/internal/cluster"
+	"sae/internal/chaos"
 	"sae/internal/conf"
 	"sae/internal/core"
 	"sae/internal/device"
+	"sae/internal/engine/job"
 )
 
+// TestApplyConfigDefaults: the catalogue's defaults, read as a run reads
+// them, and an engine without a registry runs on exactly those.
 func TestApplyConfigDefaults(t *testing.T) {
-	opts := testOptions(2, core.Default{})
-	if err := ApplyConfig(&opts, conf.New()); err != nil {
+	got, err := readConfig(conf.New())
+	if err != nil {
 		t.Fatal(err)
 	}
-	if opts.Cluster.CPU.VirtualCores != 32 {
-		t.Fatalf("vcores = %d", opts.Cluster.CPU.VirtualCores)
+	want := config{
+		cores: 32, blockSize: 128 << 20, taskOverhead: 0.02, maxFailures: 4,
+		specQuantile: 0.75, specMultiplier: 1.5, jobPolicy: FIFO{}, blacklistAfter: 3,
+		heartbeat: 10 * time.Second, fetchRetries: 3, fetchRetryWait: 5 * time.Second,
 	}
-	if opts.BlockSize != 128<<20 {
-		t.Fatalf("block size = %d", opts.BlockSize)
+	if got != want || catalogueConfig != want {
+		t.Fatalf("the catalogue reads as %+v (once per process: %+v), want %+v", got, catalogueConfig, want)
 	}
-	if opts.TaskOverheadCPUSeconds != 0.02 {
-		t.Fatalf("overhead = %v", opts.TaskOverheadCPUSeconds)
+	opts := testOptions(2, core.Default{})
+	opts.BlockSize = 0
+	e, err := NewEngine(opts)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if opts.TaskMaxFailures != 4 {
-		t.Fatalf("maxFailures = %d", opts.TaskMaxFailures)
-	}
-	if opts.Speculation {
-		t.Fatal("speculation should default off")
-	}
-	if opts.JobPolicy == nil || opts.JobPolicy.Name() != "FIFO" {
-		t.Fatalf("job policy = %v, want FIFO", opts.JobPolicy)
-	}
-	if opts.BlacklistAfter != 3 {
-		t.Fatalf("blacklist streak = %d, want 3", opts.BlacklistAfter)
+	if e.cfg != want || e.opts.BlockSize != 128<<20 || e.opts.JobPolicy != (FIFO{}) {
+		t.Fatalf("an engine without a registry runs with %+v, block size %d and %v", e.cfg, e.opts.BlockSize, e.opts.JobPolicy)
 	}
 }
 
 func TestApplyConfigOverrides(t *testing.T) {
-	reg := conf.New()
-	for k, v := range map[string]string{
-		"executor.cores":                            "16",
-		"files.maxPartitionBytes":                   "32m",
-		"task.maxFailures":                          "2",
-		"speculation":                               "true",
-		"speculation.quantile":                      "0.9",
-		"speculation.multiplier":                    "2.0",
-		"scheduler.mode":                            "FAIR",
-		"blacklist.stage.maxFailedTasksPerExecutor": "0",
-	} {
-		if err := reg.Set(k, v); err != nil {
-			t.Fatal(err)
-		}
-	}
 	opts := testOptions(2, core.Default{})
-	if err := ApplyConfig(&opts, reg); err != nil {
+	opts.BlockSize = 0
+	opts.Config = Conf(nil, "executor.cores=16", "files.maxPartitionBytes=32m", "task.maxFailures=2",
+		"speculation=true", "speculation.quantile=0.9", "speculation.multiplier=2.0",
+		"scheduler.mode=FAIR", "blacklist.stage.maxFailedTasksPerExecutor=0")
+	e, err := NewEngine(opts)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if opts.Cluster.CPU.VirtualCores != 16 || opts.Cluster.CPU.PhysicalCores != 8 {
-		t.Fatalf("cores = %d/%d", opts.Cluster.CPU.VirtualCores, opts.Cluster.CPU.PhysicalCores)
+	if cpu := e.opts.Cluster.CPU; cpu.VirtualCores != 16 || cpu.PhysicalCores != 8 {
+		t.Fatalf("cores = %d/%d", cpu.VirtualCores, cpu.PhysicalCores)
 	}
-	if opts.BlockSize != 32<<20 {
-		t.Fatalf("block = %d", opts.BlockSize)
+	if e.opts.BlockSize != 32<<20 {
+		t.Fatalf("block = %d", e.opts.BlockSize)
 	}
-	if !opts.Speculation || opts.SpeculationQuantile != 0.9 || opts.SpeculationMultiplier != 2.0 {
-		t.Fatalf("speculation = %+v", opts)
+	if c := e.cfg; c.maxFailures != 2 || !c.speculation || c.specQuantile != 0.9 || c.specMultiplier != 2.0 {
+		t.Fatalf("config = %+v", c)
 	}
-	if opts.JobPolicy.Name() != "FAIR" {
-		t.Fatalf("job policy = %q, want FAIR", opts.JobPolicy.Name())
+	if e.opts.JobPolicy.Name() != "FAIR" {
+		t.Fatalf("job policy = %q, want FAIR", e.opts.JobPolicy.Name())
 	}
-	if opts.BlacklistAfter != -1 {
-		t.Fatalf("blacklist streak = %d, want -1 (disabled)", opts.BlacklistAfter)
+	if e.cfg.blacklistAfter != 0 {
+		t.Fatalf("blacklist streak = %d, want 0 (disabled)", e.cfg.blacklistAfter)
+	}
+	// An explicit split size and scheduler win over the registry's.
+	opts.BlockSize, opts.JobPolicy = 64*device.MiB, FIFO{}
+	if e, err = NewEngine(opts); err != nil || e.opts.BlockSize != 64*device.MiB || e.opts.JobPolicy.Name() != "FIFO" {
+		t.Fatalf("explicit block size and scheduler: %v, %v (%v)", e.opts.BlockSize, e.opts.JobPolicy, err)
 	}
 	// And the configured engine actually runs with the reduced cores.
 	opts.Inputs = []Input{{Name: "in", Size: device.GiB}}
@@ -87,27 +83,17 @@ func TestApplyConfigOverrides(t *testing.T) {
 }
 
 func TestApplyConfigBadValues(t *testing.T) {
-	reg := conf.New()
-	if err := reg.Set("speculation.multiplier", "0.5"); err != nil {
-		t.Fatal(err)
-	}
-	opts := Options{Cluster: cluster.DAS5(2), Policy: core.Default{}}
-	if err := ApplyConfig(&opts, reg); err == nil {
-		t.Fatal("multiplier ≤ 1 accepted")
-	}
-	reg2 := conf.New()
-	if err := reg2.Set("files.maxPartitionBytes", "banana"); err != nil {
-		t.Fatal(err)
-	}
-	if err := ApplyConfig(&opts, reg2); err == nil {
-		t.Fatal("bad size accepted")
-	}
-	reg3 := conf.New()
-	if err := reg3.Set("scheduler.mode", "LIFO"); err != nil {
-		t.Fatal(err)
-	}
-	if err := ApplyConfig(&opts, reg3); err == nil {
-		t.Fatal("unknown scheduler mode accepted")
+	for _, kv := range []string{"speculation.multiplier=0.5", "files.maxPartitionBytes=banana", "scheduler.mode=LIFO"} {
+		opts := testOptions(2, core.Default{})
+		opts.Config = Conf(nil, kv)
+		err := CheckConfig(opts.Config)
+		if err == nil {
+			t.Errorf("%s accepted", kv)
+			continue
+		}
+		if _, nerr := NewEngine(opts); nerr == nil || nerr.Error() != err.Error() {
+			t.Errorf("%s: NewEngine says %v, CheckConfig %v", kv, nerr, err)
+		}
 	}
 }
 
@@ -117,12 +103,7 @@ func TestApplyConfigBadValues(t *testing.T) {
 // the key. 1 MiB itself is accepted.
 func TestApplyConfigBlockSizeFloor(t *testing.T) {
 	for _, v := range []string{"-1", "0", "1", "1023k"} {
-		reg := conf.New()
-		if err := reg.Set("files.maxPartitionBytes", v); err != nil {
-			t.Fatal(err)
-		}
-		opts := testOptions(2, core.Default{})
-		err := ApplyConfig(&opts, reg)
+		err := CheckConfig(Conf(nil, "files.maxPartitionBytes="+v))
 		if err == nil {
 			t.Errorf("files.maxPartitionBytes=%s accepted", v)
 			continue
@@ -131,13 +112,11 @@ func TestApplyConfigBlockSizeFloor(t *testing.T) {
 			t.Errorf("files.maxPartitionBytes=%s: error %q, want one line naming the key", v, msg)
 		}
 	}
-	reg := conf.New()
-	if err := reg.Set("files.maxPartitionBytes", "1m"); err != nil {
-		t.Fatal(err)
-	}
 	opts := testOptions(2, core.Default{})
-	if err := ApplyConfig(&opts, reg); err != nil || opts.BlockSize != 1<<20 {
-		t.Fatalf("files.maxPartitionBytes=1m: block size %d, error %v", opts.BlockSize, err)
+	opts.BlockSize = 0
+	opts.Config = Conf(nil, "files.maxPartitionBytes=1m")
+	if e, err := NewEngine(opts); err != nil || e.opts.BlockSize != 1<<20 {
+		t.Fatalf("files.maxPartitionBytes=1m: %v", err)
 	}
 	opts = testOptions(2, core.Default{})
 	opts.BlockSize = -1
@@ -147,9 +126,8 @@ func TestApplyConfigBlockSizeFloor(t *testing.T) {
 }
 
 // TestWiredKeysHaveReaders: every key the catalogue marks Wired, moved off its
-// default through ApplyConfig, changes the options an engine is built from. A
-// key marked Wired without a case here fails, and so does one ApplyConfig does
-// not read.
+// default, changes what a run reads. A key marked Wired without a case here
+// fails, and so does one readConfig does not read.
 func TestWiredKeysHaveReaders(t *testing.T) {
 	moved := map[string]string{
 		"shuffle.io.maxRetries":                     "5",
@@ -165,10 +143,6 @@ func TestWiredKeysHaveReaders(t *testing.T) {
 		"speculation.quantile":                      "0.5",
 		"task.maxFailures":                          "7",
 	}
-	base := testOptions(2, core.Default{})
-	if err := ApplyConfig(&base, conf.New()); err != nil {
-		t.Fatal(err)
-	}
 	reg := conf.New()
 	wired := 0
 	for _, key := range reg.Keys() {
@@ -181,16 +155,12 @@ func TestWiredKeysHaveReaders(t *testing.T) {
 			t.Errorf("%s is wired but has no non-default value here", key)
 			continue
 		}
-		reg := conf.New()
-		if err := reg.Set(key, v); err != nil {
-			t.Fatal(err)
-		}
-		opts := testOptions(2, core.Default{})
-		if err := ApplyConfig(&opts, reg); err != nil {
+		c, err := readConfig(Conf(nil, key+"="+v))
+		if err != nil {
 			t.Fatalf("%s=%s: %v", key, v, err)
 		}
-		if reflect.DeepEqual(opts, base) {
-			t.Errorf("%s=%s leaves the options as they are: nothing reads it", key, v)
+		if c == catalogueConfig {
+			t.Errorf("%s=%s leaves the run's config as it is: nothing reads it", key, v)
 		}
 	}
 	if wired != len(moved) {
@@ -225,12 +195,7 @@ func TestApplyConfigRejectsRunawayValues(t *testing.T) {
 		{"shuffle.io.retryWait", "-1s"},
 		{"files.maxPartitionBytes", "8589934592g"},
 	} {
-		reg := conf.New()
-		if err := reg.Set(c.key, c.val); err != nil {
-			t.Fatal(err)
-		}
-		opts := testOptions(2, core.Default{})
-		err := ApplyConfig(&opts, reg)
+		err := CheckConfig(Conf(nil, c.key+"="+c.val))
 		if err == nil {
 			t.Errorf("%s=%s accepted", c.key, c.val)
 			continue
@@ -239,27 +204,21 @@ func TestApplyConfigRejectsRunawayValues(t *testing.T) {
 			t.Errorf("%s=%s: error %q, want one line naming the key", c.key, c.val, msg)
 		}
 	}
-	for _, kv := range []map[string]string{
-		{"executor.heartbeatInterval": "100ms", "shuffle.io.retryWait": "1ns"},
-		{"executor.heartbeatInterval": "1h", "shuffle.io.retryWait": "30s", "shuffle.io.maxRetries": "10", "executor.taskOverheadMillis": "60000"},
+	for _, kv := range [][]string{
+		{"executor.heartbeatInterval=100ms", "shuffle.io.retryWait=1ns"},
+		{"executor.heartbeatInterval=1h", "shuffle.io.retryWait=30s", "shuffle.io.maxRetries=10", "executor.taskOverheadMillis=60000"},
 	} {
-		reg := conf.New()
-		for k, v := range kv {
-			if err := reg.Set(k, v); err != nil {
-				t.Fatal(err)
-			}
-		}
-		opts := testOptions(2, core.Default{})
-		if err := ApplyConfig(&opts, reg); err != nil {
+		if err := CheckConfig(Conf(nil, kv...)); err != nil {
 			t.Errorf("the extreme accepted values %v: %v", kv, err)
 		}
 	}
 }
 
-// TestApplyConfigNoSilentDefaults: Options reads a zero (or, for some fields,
-// an out-of-range) value as "use the default", so four conf values used to run
-// as the default instead of as given. An overhead of 0 ms now means none; the
-// others have no meaning and are a conf.ErrBadValue, one line naming the key.
+// TestApplyConfigNoSilentDefaults: the engine's options used to read a zero
+// (or, for some fields, an out-of-range) value as "use the default", so four
+// conf values ran as the default instead of as given. An overhead of 0 ms
+// means none; the others have no meaning and are a conf.ErrBadValue, one line
+// naming the key.
 func TestApplyConfigNoSilentDefaults(t *testing.T) {
 	for _, c := range []struct {
 		key, val string
@@ -279,12 +238,9 @@ func TestApplyConfigNoSilentDefaults(t *testing.T) {
 		{"executor.cores", "0", false},
 		{"executor.cores", "-5", false},
 	} {
-		reg := conf.New()
-		if err := reg.Set(c.key, c.val); err != nil {
-			t.Fatal(err)
-		}
 		opts := testOptions(2, core.Default{})
-		err := ApplyConfig(&opts, reg)
+		opts.Config = Conf(nil, c.key+"="+c.val)
+		err := CheckConfig(opts.Config)
 		if !c.ok {
 			if err == nil {
 				t.Errorf("%s=%s accepted", c.key, c.val)
@@ -304,16 +260,127 @@ func TestApplyConfigNoSilentDefaults(t *testing.T) {
 		var got, want any
 		switch c.key {
 		case "executor.taskOverheadMillis":
-			got, want = e.opts.TaskOverheadCPUSeconds, 0.0
+			got, want = e.cfg.taskOverhead, 0.0
 		case "task.maxFailures":
-			got, want = e.opts.TaskMaxFailures, 1
+			got, want = e.cfg.maxFailures, 1
 		case "speculation.quantile":
-			got, want = e.opts.SpeculationQuantile, opts.SpeculationQuantile
+			want, _ = opts.Config.GetFloat(c.key)
+			got = e.cfg.specQuantile
 		case "executor.cores":
 			got, want = e.executors[0].info.MaxThreads, 1
 		}
 		if got != want {
 			t.Errorf("%s=%s: the engine runs with %v, want %v", c.key, c.val, got, want)
 		}
+	}
+}
+
+// TestNilConfigIsTheCatalogue: a run without a registry, one given the bare
+// catalogue, and one given every wired key set to its catalogue default write
+// the same v2 trace and report, on a faulted run — with speculation on, too,
+// where only a registry can turn it on.
+func TestNilConfigIsTheCatalogue(t *testing.T) {
+	quiet := calibrate(t, core.DefaultDynamic())
+	run := func(reg *conf.Registry) (*JobReport, []byte) {
+		var trace bytes.Buffer
+		spec, inputs := twoStageJob()
+		opts := testOptions(4, core.DefaultDynamic())
+		opts.Inputs, opts.Config, opts.Trace, opts.TraceFormat = inputs, reg, &trace, 2
+		opts.Faults = &chaos.Plan{
+			Name:           "mixed",
+			Seed:           7,
+			Crashes:        []chaos.Crash{{Exec: 1, At: quiet.Runtime * 2 / 5, RestartAfter: quiet.Runtime / 5}},
+			Slows:          []chaos.Slow{{Exec: 2, At: time.Second, Factor: 4}},
+			TaskFaultRate:  0.05,
+			FetchFaultRate: 0.1,
+		}
+		rep, err := Run(opts, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep, trace.Bytes()
+	}
+	// explicit sets every wired key to its catalogue default, then kvs.
+	explicit := func(kvs ...string) *conf.Registry {
+		reg := conf.New()
+		for _, key := range reg.Keys() {
+			if par, _ := reg.Lookup(key); par.Wired {
+				Conf(reg, key+"="+par.Default)
+			}
+		}
+		return Conf(reg, kvs...)
+	}
+	for _, pair := range []struct {
+		name string
+		a, b *conf.Registry
+	}{
+		{"nil vs catalogue", nil, conf.New()},
+		{"nil vs explicit defaults", nil, explicit()},
+		{"speculating: catalogue vs explicit defaults", Conf(nil, "speculation=true"), explicit("speculation=true")},
+	} {
+		repA, traceA := run(pair.a)
+		repB, traceB := run(pair.b)
+		if !reflect.DeepEqual(repA, repB) {
+			t.Errorf("%s: reports differ", pair.name)
+		}
+		if !bytes.Equal(traceA, traceB) {
+			t.Errorf("%s: traces differ", pair.name)
+		}
+	}
+	rep, _ := run(Conf(nil, "speculation=true"))
+	if rep.Stages[0].Speculative+rep.Stages[1].Speculative == 0 {
+		t.Error("the speculating pair launched no speculative copy: it shows nothing about speculation")
+	}
+}
+
+// TestZeroCountsDisable: a zero blacklist streak means no blacklisting, and a
+// non-positive launch overhead means no launch CPU. (A zero
+// shuffle.io.maxRetries means no fetch retries: TestFetchRetriesAbsorbTransients.)
+func TestZeroCountsDisable(t *testing.T) {
+	blacklists := func(kv ...string) int {
+		var trace bytes.Buffer
+		spec, inputs := twoStageJob()
+		opts := testOptions(4, core.Static{IOThreads: 4})
+		opts.Inputs, opts.Trace = inputs, &trace
+		opts.Faults = &chaos.Plan{Name: "flaky", Seed: 3, TaskFaultRate: 0.3}
+		opts.Config = Conf(opts.Config, append(kv, "task.maxFailures=20")...)
+		if _, err := Run(opts, spec); err != nil {
+			t.Fatal(err)
+		}
+		events, err := ReadTrace(&trace)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for _, ev := range events {
+			if ev.Type == TraceBlacklist {
+				n++
+			}
+		}
+		return n
+	}
+	if n := blacklists(); n == 0 {
+		t.Fatal("flaky tasks blacklisted no executor at the default streak: the zero streak below shows nothing")
+	}
+	if n := blacklists("blacklist.stage.maxFailedTasksPerExecutor=0"); n != 0 {
+		t.Errorf("a zero blacklist streak blacklisted %d time(s)", n)
+	}
+
+	// A stage of tasks that do nothing but launch: their run time is the
+	// launch CPU and the control plane's latency.
+	runtime := func(kv ...string) time.Duration {
+		opts := testOptions(2, core.Static{IOThreads: 4})
+		opts.Config = Conf(opts.Config, kv...)
+		rep, err := Run(opts, &job.JobSpec{Name: "launch", Stages: []*job.StageSpec{{
+			ID: 0, Name: "x", NumTasks: 8, Work: opsThen(nil),
+		}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep.Runtime
+	}
+	none, negative := runtime("executor.taskOverheadMillis=0"), runtime("executor.taskOverheadMillis=-5")
+	if negative != none || none >= runtime() {
+		t.Errorf("launch-only stage: %v at -5 ms, %v at 0 ms, %v at the 20 ms default; want -5 = 0 < 20", negative, none, runtime())
 	}
 }

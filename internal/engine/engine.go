@@ -20,6 +20,7 @@ import (
 
 	"sae/internal/chaos"
 	"sae/internal/cluster"
+	"sae/internal/conf"
 	"sae/internal/device"
 	"sae/internal/dfs"
 	"sae/internal/engine/job"
@@ -38,7 +39,12 @@ type Input struct {
 type Options struct {
 	// Cluster describes the simulated hardware.
 	Cluster cluster.Config
-	// BlockSize is the DFS block size (0 = 128 MiB).
+	// Config is the Spark-style configuration registry the run reads its
+	// wired parameters from (nil = the catalogue's defaults; see package
+	// conf). Its executor.cores replaces Cluster's CPU cores; the fields
+	// below that name a key win over it when set.
+	Config *conf.Registry
+	// BlockSize is the DFS block size (0 = files.maxPartitionBytes).
 	BlockSize int64
 	// Replication is the DFS replication factor (0 = all nodes, the
 	// paper's locality-maximizing setup). A factor above the cluster size
@@ -47,44 +53,13 @@ type Options struct {
 	// Policy sizes executor thread pools. Required.
 	Policy job.Policy
 	// JobPolicy orders concurrent jobs competing for executor slots
-	// (nil = FIFO).
+	// (nil = scheduler.mode).
 	JobPolicy InterJobPolicy
-	// TaskOverheadCPUSeconds is each task's launch overhead (negative
-	// disables; 0 selects the default 20ms).
-	TaskOverheadCPUSeconds float64
-	// TaskMaxFailures is how many attempts a task gets before the job
-	// aborts, as Spark's task.maxFailures (0 selects 4).
-	TaskMaxFailures int
-	// BlacklistAfter is how many consecutive task failures on one
-	// executor get it blacklisted (Spark's spark.blacklist analogue;
-	// 0 selects 3, negative disables blacklisting). A success resets the
-	// streak; a crash/restart clears the blacklist.
-	BlacklistAfter int
-	// Speculation enables speculative execution: once
-	// SpeculationQuantile of a stage's tasks have finished, stragglers
-	// running longer than SpeculationMultiplier× the median task
-	// duration get a backup copy on another executor; the first
-	// completion wins (Spark's spark.speculation).
-	Speculation           bool
-	SpeculationQuantile   float64 // 0 selects 0.75
-	SpeculationMultiplier float64 // 0 selects 1.5
 	// Faults, if set, is a deterministic chaos schedule: executor crashes
 	// (optionally with restart), transient task I/O faults, shuffle fetch
 	// failures, node slowdowns, network partitions and replica corruption,
 	// all driven off the sim clock (see package chaos).
 	Faults *chaos.Plan
-	// HeartbeatInterval is how often each executor beats to the driver
-	// (0 selects 10s; Spark's spark.executor.heartbeatInterval). The
-	// failure detector counts in it: suspicion after suspectBeats silent
-	// intervals, loss after lossBeats.
-	HeartbeatInterval time.Duration
-	// FetchMaxRetries bounds transient shuffle-fetch retries per attempt
-	// before the failure surfaces (0 selects 3, negative disables retries;
-	// Spark's spark.shuffle.io.maxRetries).
-	FetchMaxRetries int
-	// FetchRetryWait is the base backoff between fetch retries, doubled
-	// each retry (0 selects 5s; Spark's spark.shuffle.io.retryWait).
-	FetchRetryWait time.Duration
 	// Autoscale, if set, enables elastic cluster sizing: the engine starts
 	// with AutoscaleConfig.InitialNodes active executors and the policy
 	// grows or shrinks the active set on a planning interval (see
@@ -138,6 +113,7 @@ type Engine struct {
 	ss        *sim.ShardSet
 	shardOf   []int
 	opts      Options
+	cfg       config // what the run reads of Options.Config
 	cluster   *cluster.Cluster
 	fs        *dfs.FS
 	shuffle   *shuffleRegistry
@@ -210,6 +186,17 @@ func NewEngine(opts Options) (*Engine, error) { return newEngine(opts, nil) }
 // newEngine is NewEngine on the spares sp, or on the pool's if sp is nil. A
 // sharded engine runs on spares of its own.
 func newEngine(opts Options, sp *runSpares) (*Engine, error) {
+	cfg := catalogueConfig
+	if opts.Config != nil {
+		var err error
+		if cfg, err = readConfig(opts.Config); err != nil {
+			return nil, err
+		}
+		// Virtual cores are SMT pairs over physical cores, as on the
+		// paper's nodes (32 virtual / 16 physical).
+		opts.Cluster.CPU.VirtualCores = cfg.cores
+		opts.Cluster.CPU.PhysicalCores = max(1, cfg.cores/2)
+	}
 	if opts.Policy == nil {
 		return nil, errors.New("engine: Options.Policy is required")
 	}
@@ -226,37 +213,10 @@ func newEngine(opts Options, sp *runSpares) (*Engine, error) {
 		return nil, fmt.Errorf("engine: fault plan %s: %w", opts.Faults, err)
 	}
 	if opts.JobPolicy == nil {
-		opts.JobPolicy = FIFO{}
+		opts.JobPolicy = cfg.jobPolicy
 	}
-	if opts.TaskOverheadCPUSeconds == 0 {
-		opts.TaskOverheadCPUSeconds = 0.02
-	} else if opts.TaskOverheadCPUSeconds < 0 {
-		opts.TaskOverheadCPUSeconds = 0
-	}
-	if opts.TaskMaxFailures <= 0 {
-		opts.TaskMaxFailures = 4
-	}
-	if opts.BlacklistAfter == 0 {
-		opts.BlacklistAfter = 3
-	} else if opts.BlacklistAfter < 0 {
-		opts.BlacklistAfter = 0 // disabled
-	}
-	if opts.SpeculationQuantile <= 0 || opts.SpeculationQuantile > 1 {
-		opts.SpeculationQuantile = 0.75
-	}
-	if opts.SpeculationMultiplier <= 1 {
-		opts.SpeculationMultiplier = 1.5
-	}
-	if opts.HeartbeatInterval <= 0 {
-		opts.HeartbeatInterval = 10 * time.Second
-	}
-	if opts.FetchMaxRetries == 0 {
-		opts.FetchMaxRetries = 3
-	} else if opts.FetchMaxRetries < 0 {
-		opts.FetchMaxRetries = 0 // disabled
-	}
-	if opts.FetchRetryWait <= 0 {
-		opts.FetchRetryWait = 5 * time.Second
+	if opts.BlockSize == 0 {
+		opts.BlockSize = cfg.blockSize
 	}
 	if opts.MetricsInterval <= 0 {
 		opts.MetricsInterval = 5 * time.Second
@@ -304,6 +264,7 @@ func newEngine(opts Options, sp *runSpares) (*Engine, error) {
 		ss:       ss,
 		shardOf:  shardOf,
 		opts:     opts,
+		cfg:      cfg,
 		cluster:  cl,
 		shuffle:  newShuffleRegistry(sp, cl.Size()),
 		toDriver: sim.NewMailbox[driverMsg](k),
@@ -322,7 +283,7 @@ func newEngine(opts Options, sp *runSpares) (*Engine, error) {
 			return nil, fmt.Errorf("engine: create input: %w", err)
 		}
 	}
-	e.em = newExecManager(e, e.cluster.Size(), opts.BlacklistAfter)
+	e.em = newExecManager(e, e.cluster.Size())
 	e.sched = newTaskScheduler(e, opts.JobPolicy)
 	for i, node := range e.cluster.Nodes() {
 		ex := newExecutor(e, i, node, opts.Policy)
@@ -359,7 +320,7 @@ func newEngine(opts Options, sp *runSpares) (*Engine, error) {
 	for i, ex := range e.executors {
 		i, ex := i, ex
 		var tick sim.Event
-		tick = ex.k.Every(e.opts.HeartbeatInterval, func() {
+		tick = ex.k.Every(cfg.heartbeat, func() {
 			if e.done.Load() {
 				tick.Cancel()
 				return

@@ -469,7 +469,7 @@ func TestTaskRetrySucceeds(t *testing.T) {
 
 func TestTaskRetryExhausted(t *testing.T) {
 	opts := testOptions(2, core.Default{})
-	opts.TaskMaxFailures = 3
+	opts.Config = Conf(opts.Config, "task.maxFailures=3")
 	spec := &job.JobSpec{
 		Name: "doomed",
 		Stages: []*job.StageSpec{{
@@ -527,12 +527,12 @@ func TestSpeculationCutsStragglerTail(t *testing.T) {
 		cfg := cluster.DAS5(4)
 		cfg.Variability = device.VariabilityModel{} // uniform...
 		opts := Options{
-			Cluster:     cfg,
-			BlockSize:   32 * device.MiB,
-			Policy:      core.Default{},
-			Speculation: speculate,
-			Inputs:      []Input{{Name: "in", Size: 16 * device.GiB}},
+			Cluster:   cfg,
+			BlockSize: 32 * device.MiB,
+			Policy:    core.Default{},
+			Inputs:    []Input{{Name: "in", Size: 16 * device.GiB}},
 		}
+		opts.Config = Conf(opts.Config, fmt.Sprintf("speculation=%t", speculate))
 		// ...except node 3, made a hard straggler via interference on
 		// its disk from the start.
 		opts.OnSetup = func(e *Engine) {

@@ -31,7 +31,7 @@ type execManager struct {
 	epochs     []int
 	failStreak []int
 	alive      []bool
-	// blacklisted marks executors with blacklistAfter consecutive task
+	// blacklisted marks executors with cfg.blacklistAfter consecutive task
 	// failures; they receive no new work until a crash/restart clears the
 	// flag.
 	blacklisted []bool
@@ -42,10 +42,6 @@ type execManager struct {
 	// deliberately leaves them alone, so a fenced-and-rejoined incarnation
 	// cannot un-drain its node.
 	admin []adminState
-
-	// blacklistAfter is the consecutive-failure threshold (Spark's
-	// spark.blacklist analogue; 0 disables blacklisting).
-	blacklistAfter int
 
 	// Failure-detector state. The driver learns of executor loss only from
 	// heartbeat silence: lastBeat records each executor's most recent
@@ -64,25 +60,24 @@ type execManager struct {
 	onLostFn    []func()
 }
 
-func newExecManager(eng *Engine, n, blacklistAfter int) *execManager {
+func newExecManager(eng *Engine, n int) *execManager {
 	m := &execManager{
-		eng:            eng,
-		limits:         make([]int, n),
-		inflight:       make([]int, n),
-		inflightJob:    make([][]int, n),
-		epochs:         make([]int, n),
-		failStreak:     make([]int, n),
-		alive:          make([]bool, n),
-		blacklisted:    make([]bool, n),
-		admin:          make([]adminState, n),
-		blacklistAfter: blacklistAfter,
-		lastBeat:       make([]time.Duration, n),
-		suspected:      make([]bool, n),
-		fencing:        make([]bool, n),
-		suspectEv:      make([]sim.Event, n),
-		lostEv:         make([]sim.Event, n),
-		onSuspectFn:    make([]func(), n),
-		onLostFn:       make([]func(), n),
+		eng:         eng,
+		limits:      make([]int, n),
+		inflight:    make([]int, n),
+		inflightJob: make([][]int, n),
+		epochs:      make([]int, n),
+		failStreak:  make([]int, n),
+		alive:       make([]bool, n),
+		blacklisted: make([]bool, n),
+		admin:       make([]adminState, n),
+		lastBeat:    make([]time.Duration, n),
+		suspected:   make([]bool, n),
+		fencing:     make([]bool, n),
+		suspectEv:   make([]sim.Event, n),
+		lostEv:      make([]sim.Event, n),
+		onSuspectFn: make([]func(), n),
+		onLostFn:    make([]func(), n),
 	}
 	for i := range m.alive {
 		m.alive[i] = true
@@ -102,7 +97,7 @@ const (
 
 // suspectAfter is how long without a beat before an executor is suspected.
 func (m *execManager) suspectAfter() time.Duration {
-	return suspectBeats * m.eng.opts.HeartbeatInterval
+	return suspectBeats * m.eng.cfg.heartbeat
 }
 
 // armDetector (re)starts the failure-detector timer for executor i from the
@@ -156,7 +151,7 @@ func (m *execManager) onSuspect(i int) {
 			js.rep.Suspected++
 		}
 	}
-	m.lostEv[i] = m.eng.k.After((lossBeats-suspectBeats)*m.eng.opts.HeartbeatInterval, m.onLostFn[i])
+	m.lostEv[i] = m.eng.k.After((lossBeats-suspectBeats)*m.eng.cfg.heartbeat, m.onLostFn[i])
 }
 
 // onLost fires lossBeats intervals after the last beat: declare the
@@ -229,7 +224,7 @@ func (m *execManager) completed(i, jobID int) {
 // executor remains assignable.
 func (m *execManager) noteFailure(exec, jobID, stage int) {
 	m.failStreak[exec]++
-	if m.blacklistAfter <= 0 || m.blacklisted[exec] || m.failStreak[exec] < m.blacklistAfter {
+	if m.eng.cfg.blacklistAfter <= 0 || m.blacklisted[exec] || m.failStreak[exec] < m.eng.cfg.blacklistAfter {
 		return
 	}
 	for i := range m.alive {

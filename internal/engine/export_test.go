@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"runtime"
 
+	"sae/internal/conf"
 	"sae/internal/sim"
 )
 
@@ -14,6 +15,24 @@ var (
 	GrayOptions = grayOptions
 	RaceEnabled = raceEnabled
 )
+
+// Conf returns reg, or a fresh catalogue registry if reg is nil, with each
+// "key=value" set; a pair the registry refuses panics.
+func Conf(reg *conf.Registry, kvs ...string) *conf.Registry {
+	if reg == nil {
+		reg = conf.New()
+	}
+	for _, kv := range kvs {
+		k, v, err := conf.ParseFlag(kv)
+		if err == nil {
+			err = reg.Set(k, v)
+		}
+		if err != nil {
+			panic(err)
+		}
+	}
+	return reg
+}
 
 // Zombies reports how many completions the executor dropped as an earlier
 // incarnation's.

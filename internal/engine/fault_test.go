@@ -243,7 +243,7 @@ func TestBlacklistAfterRepeatedFailures(t *testing.T) {
 	var trace bytes.Buffer
 	opts := testOptions(2, core.Default{})
 	opts.Trace = &trace
-	opts.TaskMaxFailures = 10
+	opts.Config = Conf(opts.Config, "task.maxFailures=10")
 	spec := &job.JobSpec{
 		Name: "badexec",
 		Stages: []*job.StageSpec{{
@@ -302,7 +302,7 @@ func TestFaultDeterminism(t *testing.T) {
 		spec, inputs := twoStageJob()
 		opts := testOptions(4, core.DefaultDynamic())
 		opts.Inputs = inputs
-		opts.Speculation = true
+		opts.Config = Conf(opts.Config, "speculation=true")
 		opts.Trace = &trace
 		opts.Faults = &chaos.Plan{
 			Name: "mixed",

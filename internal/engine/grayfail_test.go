@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"sae/internal/chaos"
-	"sae/internal/conf"
 	"sae/internal/core"
 	"sae/internal/engine/job"
 )
@@ -18,7 +17,7 @@ import (
 // silent seconds and loss declared at six.
 func grayOptions(nodes int, policy job.Policy) Options {
 	opts := testOptions(nodes, policy)
-	opts.HeartbeatInterval = time.Second
+	opts.Config = Conf(opts.Config, "executor.heartbeatInterval=1s")
 	return opts
 }
 
@@ -155,8 +154,8 @@ func TestCrashDetectedByHeartbeatSilence(t *testing.T) {
 	// beat accepted up to one interval before the crash, the declaration
 	// lands in (timeout - interval, timeout + slack] after the crash.
 	gap := time.Duration(float64(time.Second) * (lostT - crashT))
-	timeout := lossBeats * opts.HeartbeatInterval
-	if gap < timeout-opts.HeartbeatInterval {
+	timeout := lossBeats * time.Second
+	if gap < timeout-time.Second {
 		t.Fatalf("loss declared %v after crash, before the heartbeat timeout %v could elapse", gap, timeout)
 	}
 	if gap > timeout+2*time.Second {
@@ -236,7 +235,7 @@ func TestFetchRetriesAbsorbTransients(t *testing.T) {
 	specB, inputsB := twoStageJob()
 	optsB := testOptions(4, core.Default{})
 	optsB.Inputs = inputsB
-	optsB.FetchMaxRetries = -1
+	optsB.Config = Conf(optsB.Config, "shuffle.io.maxRetries=0")
 	optsB.Faults = &chaos.Plan{Name: "fetchstorm", Seed: 5, FetchFaultRate: 0.4}
 	repB, err := Run(optsB, specB)
 	if err != nil {
@@ -260,44 +259,17 @@ func TestFetchRetriesAbsorbTransients(t *testing.T) {
 
 // TestHeartbeatConfigWiring checks executor.heartbeatInterval,
 // shuffle.io.maxRetries and shuffle.io.retryWait flow from the registry
-// into the engine options.
+// into what the run reads, and that zero retries mean none.
 func TestHeartbeatConfigWiring(t *testing.T) {
-	newTestRegistry := func(t *testing.T, kv map[string]string) *conf.Registry {
-		t.Helper()
-		reg := conf.New()
-		for k, v := range kv {
-			if err := reg.Set(k, v); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return reg
-	}
-	reg := newTestRegistry(t, map[string]string{
-		"executor.heartbeatInterval": "2s",
-		"shuffle.io.maxRetries":      "7",
-		"shuffle.io.retryWait":       "250ms",
-	})
-	var opts Options
-	if err := ApplyConfig(&opts, reg); err != nil {
+	c, err := readConfig(Conf(nil, "executor.heartbeatInterval=2s", "shuffle.io.maxRetries=7", "shuffle.io.retryWait=250ms"))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if opts.HeartbeatInterval != 2*time.Second {
-		t.Fatalf("HeartbeatInterval = %v, want 2s", opts.HeartbeatInterval)
+	if c.heartbeat != 2*time.Second || c.fetchRetries != 7 || c.fetchRetryWait != 250*time.Millisecond {
+		t.Fatalf("heartbeat %v, %d fetch retries, retry wait %v; want 2s, 7, 250ms", c.heartbeat, c.fetchRetries, c.fetchRetryWait)
 	}
-	if opts.FetchMaxRetries != 7 {
-		t.Fatalf("FetchMaxRetries = %d, want 7", opts.FetchMaxRetries)
-	}
-	if opts.FetchRetryWait != 250*time.Millisecond {
-		t.Fatalf("FetchRetryWait = %v, want 250ms", opts.FetchRetryWait)
-	}
-
-	reg = newTestRegistry(t, map[string]string{"shuffle.io.maxRetries": "0"})
-	opts = Options{}
-	if err := ApplyConfig(&opts, reg); err != nil {
-		t.Fatal(err)
-	}
-	if opts.FetchMaxRetries != -1 {
-		t.Fatalf("maxRetries=0 should disable retries (-1), got %d", opts.FetchMaxRetries)
+	if c, err = readConfig(Conf(nil, "shuffle.io.maxRetries=0")); err != nil || c.fetchRetries != 0 {
+		t.Fatalf("maxRetries=0 should disable retries, got %d (%v)", c.fetchRetries, err)
 	}
 }
 

@@ -623,7 +623,7 @@ func TestSpeculateAllocatesNothing(t *testing.T) {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	opts := testOptions(2, core.Default{})
-	opts.Speculation = true
+	opts.Config = Conf(opts.Config, "speculation=true")
 	e, err := NewEngine(opts)
 	if err != nil {
 		t.Fatal(err)

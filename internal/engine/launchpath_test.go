@@ -34,7 +34,7 @@ func TestSchedulerTraceMatchesParent(t *testing.T) {
 		opts := grayOptions(4, core.Static{IOThreads: 4})
 		opts.Inputs = inputs
 		opts.Replication = 1
-		opts.Speculation = true
+		opts.Config = Conf(opts.Config, "speculation=true")
 		if w != nil {
 			opts.Trace = w
 			opts.TraceFormat = 2
@@ -103,7 +103,7 @@ func TestPartialReplicationTraceMatchesParent(t *testing.T) {
 		BlockSize:   64 * device.MiB,
 		Replication: 3,
 		Policy:      core.Default{},
-		Speculation: true,
+		Config:      Conf(nil, "speculation=true"),
 		Faults: &chaos.Plan{
 			Name:          "r3scan",
 			Seed:          7,

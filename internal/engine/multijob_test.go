@@ -72,7 +72,7 @@ func TestMultiJobDeterminism(t *testing.T) {
 		var trace bytes.Buffer
 		opts := testOptions(4, core.DefaultDynamic())
 		opts.Trace = &trace
-		opts.Speculation = true
+		opts.Config = Conf(opts.Config, "speculation=true")
 		opts.Faults = &chaos.Plan{
 			Name: "multistorm", Seed: 11,
 			TaskFaultRate: 0.05, FetchFaultRate: 0.05,

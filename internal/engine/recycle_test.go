@@ -52,7 +52,7 @@ func TestRecycledStateSurvivesFaults(t *testing.T) {
 		opts := engine.GrayOptions(4, core.Static{IOThreads: 4})
 		opts.Inputs = inputs
 		opts.Replication = 3
-		opts.Speculation = true
+		opts.Config = engine.Conf(opts.Config, "speculation=true")
 		opts.Trace, opts.TraceFormat = &trace, 2
 		opts.Audit = aud
 		opts.OnSetup = func(e *engine.Engine) {
@@ -160,7 +160,8 @@ func TestSparesDoNotLeakAcrossRuns(t *testing.T) {
 
 	spec, inputs := engine.TwoStageJob()
 	opts := engine.GrayOptions(4, core.Static{IOThreads: 4})
-	opts.Inputs, opts.Replication, opts.Speculation = inputs, 3, true
+	opts.Inputs, opts.Replication = inputs, 3
+	opts.Config = engine.Conf(opts.Config, "speculation=true")
 	opts.Faults = &chaos.Plan{
 		Name:          "spares-a",
 		Seed:          11,
@@ -197,7 +198,8 @@ func TestSparesDoNotLeakAcrossRuns(t *testing.T) {
 	runB := func(spares func(*engine.Engine)) (*engine.JobReport, []byte) {
 		var trace bytes.Buffer
 		opts := engine.GrayOptions(6, core.Default{})
-		opts.Inputs, opts.Speculation = []engine.Input{{Name: "in", Size: in}}, true
+		opts.Inputs = []engine.Input{{Name: "in", Size: in}}
+		opts.Config = engine.Conf(opts.Config, "speculation=true")
 		opts.Faults = &chaos.Plan{
 			Name:          "spares-b",
 			Seed:          5,
@@ -394,7 +396,8 @@ func TestRecycledMachineDoesNotLeakAcrossRuns(t *testing.T) {
 	spec, inputs := engine.TwoStageJob()
 	optsA := engine.GrayOptions(8, core.Static{IOThreads: 4})
 	optsA.Cluster.Disk = device.SSDSata()
-	optsA.Inputs, optsA.Speculation = inputs, true
+	optsA.Inputs = inputs
+	optsA.Config = engine.Conf(optsA.Config, "speculation=true")
 	optsA.Faults = &chaos.Plan{
 		Name:    "machine-a",
 		Seed:    3,
@@ -457,7 +460,8 @@ func TestRecycledMachineDoesNotLeakAcrossRuns(t *testing.T) {
 			OutputFile: "out", OutputBytes: device.GiB},
 	}}
 	optsB := engine.GrayOptions(4, core.Default{})
-	optsB.Inputs, optsB.Speculation = []engine.Input{{Name: "in", Size: in}}, true
+	optsB.Inputs = []engine.Input{{Name: "in", Size: in}}
+	optsB.Config = engine.Conf(optsB.Config, "speculation=true")
 	optsB.Faults = &chaos.Plan{
 		Name:          "machine-b",
 		Seed:          5,

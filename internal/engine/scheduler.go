@@ -546,7 +546,7 @@ func (s *taskScheduler) handleTaskDone(m *driverMsg) {
 			return
 		}
 		st.attempts++
-		if int(st.attempts) >= e.opts.TaskMaxFailures {
+		if int(st.attempts) >= e.cfg.maxFailures {
 			e.failJob(js, ts.stage.ID, fmt.Errorf("task %d failed %d times, last on executor %d: %w",
 				idx, st.attempts, m.exec, m.err))
 			s.assignAll()
@@ -927,15 +927,15 @@ func (s *taskScheduler) launch(ts *taskSet, ticket, i int) {
 // call, so the sort has that one to place.
 func (s *taskScheduler) speculate(ts *taskSet) int {
 	e := s.eng
-	if !e.opts.Speculation || len(ts.durations) == 0 {
+	if !e.cfg.speculation || len(ts.durations) == 0 {
 		return 0
 	}
-	if float64(ts.done) < e.opts.SpeculationQuantile*float64(ts.stage.NumTasks) {
+	if float64(ts.done) < e.cfg.specQuantile*float64(ts.stage.NumTasks) {
 		return 0
 	}
 	slices.Sort(ts.durations)
 	median := ts.durations[len(ts.durations)/2]
-	threshold := time.Duration(float64(median) * e.opts.SpeculationMultiplier)
+	threshold := time.Duration(float64(median) * e.cfg.specMultiplier)
 	launched := 0
 	for task := range ts.tasks {
 		st := &ts.tasks[task]

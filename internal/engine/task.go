@@ -336,13 +336,13 @@ func (tc *taskContext) fetchReady() bool {
 	}
 	if f := e.opts.Faults; try > 0 && tc.fetchFault && f != nil {
 		// Transients may clear between tries: re-roll this try.
-		tc.fetchFault = f.FetchFaultTry(tc.stage.ID, tc.index, tc.attempt, try, e.opts.TaskMaxFailures-1)
+		tc.fetchFault = f.FetchFaultTry(tc.stage.ID, tc.index, tc.attempt, try, e.cfg.maxFailures-1)
 	}
 	partitioned := e.partitionedNow(tc.ex.id) || e.partitionedNow(s.node)
 	if !partitioned && !tc.fetchFault {
 		return tc.readSegment()
 	}
-	if try >= e.opts.FetchMaxRetries {
+	if try >= e.cfg.fetchRetries {
 		if tc.fetchFault {
 			tc.fetchFault, tc.failed = false, errInjectedFetch
 		} else {
@@ -352,7 +352,7 @@ func (tc *taskContext) fetchReady() bool {
 	}
 	tc.tm.FetchRetries++
 	tc.try, tc.do = try+1, (*taskContext).fetchReady
-	tc.proc.WakeAfter(e.opts.FetchRetryWait << try)
+	tc.proc.WakeAfter(e.cfg.fetchRetryWait << try)
 	return true
 }
 
@@ -453,7 +453,7 @@ func (tc *taskContext) launch() bool {
 	tc.tm.Start = tc.proc.Now()
 	tc.disk0 = tc.ex.node.Disk.Snapshot()
 	if f := tc.eng.opts.Faults; f != nil {
-		budget := tc.eng.opts.TaskMaxFailures - 1
+		budget := tc.eng.cfg.maxFailures - 1
 		if ok, frac := f.TaskFault(tc.stage.ID, tc.index, tc.attempt, budget); ok {
 			tc.faultAt = int64(frac * float64(tc.inputTotal))
 		}
@@ -461,7 +461,7 @@ func (tc *taskContext) launch() bool {
 			tc.fetchFault = f.FetchFault(tc.stage.ID, tc.index, tc.attempt, budget)
 		}
 	}
-	tc.issue(job.Op{Kind: job.OpCompute, Seconds: tc.eng.opts.TaskOverheadCPUSeconds})
+	tc.issue(job.Op{Kind: job.OpCompute, Seconds: tc.eng.cfg.taskOverhead})
 	return false
 }
 

@@ -86,7 +86,7 @@ func TestTaskPathsAgree(t *testing.T) {
 		// The launchpath.trace.golden mix.
 		{"launchpath", func(o *Options, _ *job.JobSpec) {
 			o.Replication = 1
-			o.Speculation = true
+			o.Config = Conf(o.Config, "speculation=true")
 			o.Faults = &chaos.Plan{
 				Name:          "launchpath",
 				Seed:          11,
@@ -103,8 +103,7 @@ func TestTaskPathsAgree(t *testing.T) {
 			spec.Stages[0].SpillPressure = 0.5
 			spec.Stages[0].MemPressure = 0.3
 			o.Replication = 3
-			o.FetchMaxRetries = 3
-			o.FetchRetryWait = 200 * time.Millisecond
+			o.Config = Conf(o.Config, "shuffle.io.maxRetries=3", "shuffle.io.retryWait=200ms")
 			o.Faults = &chaos.Plan{
 				Name:           "grayfail",
 				Seed:           5,

@@ -33,8 +33,9 @@ type Setup struct {
 	Disk device.DiskSpec
 	// Seed drives per-node variability.
 	Seed int64
-	// Config, if set, applies a Spark-style configuration registry to
-	// every run (wired parameters only; see engine.ApplyConfig).
+	// Config, if set, is the Spark-style configuration registry every run
+	// reads its wired parameters from (see engine.Options.Config; nil runs
+	// on the catalogue's defaults).
 	Config *conf.Registry
 	// Faults, if set, applies a deterministic chaos schedule to every run
 	// (see package chaos and the faults experiment).
@@ -101,43 +102,34 @@ func (s Setup) clusterConfig() cluster.Config {
 }
 
 // Options builds the engine options every run of the setup starts from: its
-// cluster, observers and faults, then its conf registry, then what the run
-// varies, which wins over the registry — the sizing policy, the inter-job
-// scheduler (nil keeps the registry's scheduler.mode), the split size (0
-// keeps the registry's; a workload's yields only to an explicitly set
+// cluster, observers, faults and conf registry, and what the run varies,
+// which wins over the registry — the sizing policy, the inter-job scheduler
+// (nil keeps the registry's scheduler.mode), the split size (0 keeps the
+// registry's; a workload's yields only to an explicitly set
 // files.maxPartitionBytes) and the inputs.
-func (s Setup) Options(policy job.Policy, jobPolicy engine.InterJobPolicy, blockSize int64, inputs []engine.Input) (engine.Options, error) {
+func (s Setup) Options(policy job.Policy, jobPolicy engine.InterJobPolicy, blockSize int64, inputs []engine.Input) engine.Options {
 	opts := engine.Options{
 		Cluster:         s.clusterConfig(),
+		Config:          s.Config,
+		Policy:          policy,
+		JobPolicy:       jobPolicy,
 		Faults:          s.Faults,
+		Inputs:          inputs,
 		Trace:           s.Trace,
 		TraceFormat:     s.TraceFormat,
 		Metrics:         s.Metrics,
 		MetricsInterval: s.MetricsInterval,
 		Audit:           s.Audit,
 	}
-	if s.Config != nil {
-		if err := engine.ApplyConfig(&opts, s.Config); err != nil {
-			return opts, err
-		}
-	}
-	opts.Policy = policy
-	if jobPolicy != nil {
-		opts.JobPolicy = jobPolicy
-	}
-	if blockSize != 0 && (s.Config == nil || !s.Config.IsSet("files.maxPartitionBytes")) {
+	if s.Config == nil || !s.Config.IsSet("files.maxPartitionBytes") {
 		opts.BlockSize = blockSize
 	}
-	opts.Inputs = inputs
-	return opts, nil
+	return opts
 }
 
 // Run executes one workload under one policy and returns the engine report.
 func (s Setup) Run(w *workloads.Spec, policy job.Policy, onSetup func(*engine.Engine)) (*engine.JobReport, error) {
-	opts, err := s.Options(policy, nil, w.BlockSize, w.Inputs)
-	if err != nil {
-		return nil, err
-	}
+	opts := s.Options(policy, nil, w.BlockSize, w.Inputs)
 	opts.OnSetup = onSetup
 	return engine.Run(opts, w.Job)
 }
@@ -160,11 +152,7 @@ func (s Setup) RunMulti(ws []*workloads.Spec, policy job.Policy, jobPolicy engin
 			}
 		}
 	}
-	opts, err := s.Options(policy, jobPolicy, ws[0].BlockSize, inputs)
-	if err != nil {
-		return nil, err
-	}
-	e, err := engine.NewEngine(opts)
+	e, err := engine.NewEngine(s.Options(policy, jobPolicy, ws[0].BlockSize, inputs))
 	if err != nil {
 		return nil, err
 	}

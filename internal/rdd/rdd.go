@@ -29,7 +29,8 @@ type Options struct {
 	Cluster cluster.Config
 	// Policy sizes the executor pools (required).
 	Policy job.Policy
-	// BlockSize is the DFS block size for text inputs (0 = 128 MiB).
+	// BlockSize is the DFS block size for text inputs (0 = 128 MiB, the
+	// catalogue's files.maxPartitionBytes).
 	BlockSize int64
 	// RecordCPUSeconds is the single-core cost of processing one record
 	// through one operator (0 selects 1.5µs).

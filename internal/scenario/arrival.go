@@ -220,10 +220,7 @@ func (c *Compiled) replay(cfg ProvisionSpec, capacity int, sched []arrival.Arriv
 	}
 	// Keep the DFS layout independent of the spec's tenant order.
 	slices.SortFunc(inputs, func(a, b engine.Input) int { return cmp.Compare(a.Name, b.Name) })
-	opts, err := big.Options(core.Default{}, engine.Fair{}, 64*device.MiB, inputs)
-	if err != nil {
-		return AutoscaleRow{}, err
-	}
+	opts := big.Options(core.Default{}, engine.Fair{}, 64*device.MiB, inputs)
 	planner, err := cfg.planner()
 	if err != nil {
 		return AutoscaleRow{}, err

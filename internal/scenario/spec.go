@@ -302,7 +302,7 @@ func (d *dec) validate(sp *Spec) error {
 // checkConf validates the conf block the way the engine will consume it, so
 // an unknown key or a malformed value fails here, at the spec, not mid-run.
 // Each override is applied on top of the ones before it, which makes the
-// first failing ApplyConfig the current key's fault. The catalogue is built
+// first failing CheckConfig the current key's fault. The catalogue is built
 // only for specs that carry a conf block.
 func (d *dec) checkConf() error {
 	cn := d.at("conf")
@@ -310,13 +310,12 @@ func (d *dec) checkConf() error {
 		return nil
 	}
 	catalogue := conf.New()
-	var scratch engine.Options
 	for _, key := range cn.keys {
 		vn := cn.children[key]
 		if err := catalogue.Set(key, vn.val); err != nil {
 			return d.errf(vn, "%w", err)
 		}
-		if err := engine.ApplyConfig(&scratch, catalogue); err != nil {
+		if err := engine.CheckConfig(catalogue); err != nil {
 			return d.errf(vn, "conf %q: %w", key, err)
 		}
 	}

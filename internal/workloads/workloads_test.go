@@ -33,11 +33,11 @@ func TestAllNineApplications(t *testing.T) {
 }
 
 // TestByName builds each of the nine workloads under its own name, and
-// wants an unknown name's error to list all nine. The order is pinned: a
-// seeded hunt draws its workload mutants by index into Names.
+// wants an unknown name's error to list all nine. The order is pinned: it is
+// Table 2's, and a seeded hunt draws its workload mutants by index into Names.
 func TestByName(t *testing.T) {
 	names := Names()
-	if want := []string{"terasort", "pagerank", "aggregation", "join", "scan", "bayes", "lda", "nweight", "svm"}; !slices.Equal(names, want) {
+	if want := []string{"aggregation", "bayes", "join", "lda", "nweight", "pagerank", "scan", "terasort", "svm"}; !slices.Equal(names, want) {
 		t.Fatalf("Names() = %v, want %v", names, want)
 	}
 	_, err := ByName("sortbench", Paper())
@@ -50,6 +50,16 @@ func TestByName(t *testing.T) {
 		}
 		if w, err := ByName(name, Paper()); err != nil || w.Name != name {
 			t.Errorf("ByName(%q) = %v, %v", name, w, err)
+		}
+	}
+}
+
+// TestTableNamesItsSpecs: each table entry's constructor builds a spec named
+// by the entry's key, so All, Names and ByName agree.
+func TestTableNamesItsSpecs(t *testing.T) {
+	for i, w := range All(Paper()) {
+		if w.Name != table[i].name {
+			t.Errorf("table entry %q builds a spec named %q", table[i].name, w.Name)
 		}
 	}
 }
