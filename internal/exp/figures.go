@@ -299,7 +299,7 @@ func Figure5(s Setup) (*Figure5Result, error) {
 		{workloads.Join, []int{0}},
 	}
 	for _, pn := range panels {
-		sweep, err := StaticSweep(s, pn.mk)
+		sweep, err := widthSweep(s, pn.mk)
 		if err != nil {
 			return nil, fmt.Errorf("figure5: %w", err)
 		}
@@ -413,7 +413,7 @@ type Figure7Result struct {
 // Figure7 measures ε, µ and ζ per static thread setting (ascending order,
 // as plotted) for each Terasort stage, and marks the dynamic selection.
 func Figure7(s Setup) (*Figure7Result, error) {
-	sweep, err := StaticSweep(s, workloads.Terasort)
+	sweep, err := widthSweep(s, workloads.Terasort)
 	if err != nil {
 		return nil, fmt.Errorf("figure7: %w", err)
 	}

@@ -13,7 +13,7 @@ import (
 var SweepThreads = []int{32, 16, 8, 4, 2}
 
 // SweepResult holds a static thread-count sweep over one workload: one run
-// per grid point plus the composed BestFit run.
+// per grid point plus, from StaticSweep, the composed BestFit run.
 type SweepResult struct {
 	App string
 	// Threads[i] corresponds to Runs[i].
@@ -23,27 +23,20 @@ type SweepResult struct {
 	// stages; identical to the 32-thread static run on a 32-core node).
 	Default *engine.JobReport
 	// BestFitThreads is the per-stage winner of the sweep (I/O-marked
-	// stages only — the static solution cannot touch the others).
+	// stages only — the static solution cannot touch the others), and
+	// BestFit the composed run using it; both nil from widthSweep.
 	BestFitThreads map[int]int
-	// BestFit is the composed run using BestFitThreads.
-	BestFit *engine.JobReport
+	BestFit        *engine.JobReport
 }
 
-// StaticSweep runs workload w with each static thread setting, derives the
-// hypothetical per-stage BestFit combination, and runs it.
+// StaticSweep runs workload w with each static thread setting (widthSweep),
+// derives the hypothetical per-stage BestFit combination, and runs it.
 func StaticSweep(s Setup, make func(workloads.Config) *workloads.Spec) (*SweepResult, error) {
-	cfg := s.workloadConfig()
-	res := &SweepResult{App: make(cfg).Name}
-	for _, th := range SweepThreads {
-		rep, err := s.Run(make(cfg), core.Static{IOThreads: th}, nil)
-		if err != nil {
-			return nil, fmt.Errorf("sweep %s threads=%d: %w", res.App, th, err)
-		}
-		res.Threads = append(res.Threads, th)
-		res.Runs = append(res.Runs, rep)
+	res, err := widthSweep(s, make)
+	if err != nil {
+		return nil, err
 	}
-	res.Default = res.Runs[0] // static-32 == default on 32-core nodes
-
+	cfg := s.workloadConfig()
 	// Compose BestFit: for each I/O-marked stage pick the sweep winner.
 	res.BestFitThreads = map[int]int{}
 	for si := range res.Default.Stages {
@@ -64,6 +57,23 @@ func StaticSweep(s Setup, make func(workloads.Config) *workloads.Spec) (*SweepRe
 		return nil, fmt.Errorf("sweep %s bestfit: %w", res.App, err)
 	}
 	res.BestFit = rep
+	return res, nil
+}
+
+// widthSweep runs workload w with each static thread setting: a SweepResult
+// without BestFit, for the figures that read only the widths (5 and 7).
+func widthSweep(s Setup, make func(workloads.Config) *workloads.Spec) (*SweepResult, error) {
+	cfg := s.workloadConfig()
+	res := &SweepResult{App: make(cfg).Name}
+	for _, th := range SweepThreads {
+		rep, err := s.Run(make(cfg), core.Static{IOThreads: th}, nil)
+		if err != nil {
+			return nil, fmt.Errorf("sweep %s threads=%d: %w", res.App, th, err)
+		}
+		res.Threads = append(res.Threads, th)
+		res.Runs = append(res.Runs, rep)
+	}
+	res.Default = res.Runs[0] // static-32 == default on 32-core nodes
 	return res, nil
 }
 

@@ -180,21 +180,26 @@ type psServer interface {
 	Active() int
 }
 
-// histOp is one step of a generated history, at virtual time at: a stream of
-// demand at weight (re-served again times more, halving, the instant it
-// drains), a rate-scale change, or a snapshot.
+// histOp is one step of a generated history, at virtual time at, on server
+// srv: a stream of demand at weight (re-served again times more, halving, the
+// instant it drains; rescaling the server to rescale the instant it first
+// starts, if set), a rate-scale change, or a snapshot.
 type histOp struct {
 	at             time.Duration
+	srv            int
 	demand, weight float64
 	again          int
+	rescale        float64
 	scale          float64
 	snap           bool
 }
 
-// history is a seeded server configuration and the operations run on it.
+// history is a seeded server configuration, how many servers share it (one
+// if zero), and the operations run on them.
 type history struct {
-	cfg Config
-	ops []histOp
+	cfg     Config
+	servers int
+	ops     []histOp
 }
 
 // genHistory draws history seed: a flat, falling or capped-CPU curve, one to
@@ -252,11 +257,15 @@ func genHistory(seed int64) history {
 type histWaiter struct {
 	proc           sim.Proc
 	s              psServer
-	id             int
+	srv, id        int
 	demand, weight float64
 	again          int
+	rescale        float64
 	started        bool
 	log            *[]string
+	// pendingRescales counts rescales that found the server's re-plan
+	// still pending.
+	pendingRescales *int
 }
 
 func (w *histWaiter) Step() {
@@ -266,6 +275,13 @@ func (w *histWaiter) Step() {
 	w.started = true
 	for w.again >= 0 {
 		if w.s.Start(&w.proc, w.demand, w.weight) {
+			if w.rescale > 0 {
+				if s, ok := w.s.(*Server); ok && s.dirty {
+					*w.pendingRescales++
+				}
+				w.s.SetRateScale(w.rescale)
+				w.rescale = 0
+			}
 			return
 		}
 		// An empty demand owes no wake: it is served on the spot.
@@ -275,76 +291,145 @@ func (w *histWaiter) Step() {
 
 // served logs a drained stream and readies the next one.
 func (w *histWaiter) served() {
-	*w.log = append(*w.log, fmt.Sprintf("%v wake %d active %d", w.proc.Now(), w.id, w.s.Active()))
+	*w.log = append(*w.log, fmt.Sprintf("s%d %v wake %d active %d", w.srv, w.proc.Now(), w.id, w.s.Active()))
 	w.again--
 	w.demand /= 2
 }
 
-// runHistory replays h on the server mk builds and returns its log: every wake
-// with its instant and the active count seen, every active-count change and
-// snapshot, bit for bit, and the kernel's fired-event count.
-func runHistory(h history, mk func(*sim.Kernel, Config) psServer) []string {
+// runHistory replays h on the servers mk builds and returns its log: every
+// wake with its server, instant and the active count seen, every active-count
+// change and snapshot, bit for bit, and the kernel's fired-event count; and
+// how many rescales found a re-plan pending.
+func runHistory(h history, mk func(*sim.Kernel, Config) psServer) (log []string, pendingRescales int) {
 	k := sim.NewKernel()
-	var log []string
-	cfg := h.cfg
-	cfg.OnActiveChange = func(n int) { log = append(log, fmt.Sprintf("%v active %d", k.Now(), n)) }
-	s := mk(k, cfg)
-	snap := func() {
-		st := s.Snapshot()
-		log = append(log, fmt.Sprintf("%v snap busy %d served %x integral %x", st.At, st.Busy,
+	servers := make([]psServer, max(h.servers, 1))
+	for i := range servers {
+		cfg := h.cfg
+		cfg.OnActiveChange = func(n int) { log = append(log, fmt.Sprintf("s%d %v active %d", i, k.Now(), n)) }
+		servers[i] = mk(k, cfg)
+	}
+	snap := func(i int) {
+		st := servers[i].Snapshot()
+		log = append(log, fmt.Sprintf("s%d %v snap busy %d served %x integral %x", i, st.At, st.Busy,
 			math.Float64bits(st.Served), math.Float64bits(st.ActiveIntegral)))
 	}
 	for i, op := range h.ops {
+		s := servers[op.srv]
 		switch {
 		case op.scale > 0:
 			k.At(op.at, func() { s.SetRateScale(op.scale) })
 		case op.snap:
-			k.At(op.at, snap)
+			k.At(op.at, func() { snap(op.srv) })
 		default:
-			w := &histWaiter{s: s, id: i, demand: op.demand, weight: op.weight, again: op.again, log: &log}
+			w := &histWaiter{s: s, srv: op.srv, id: i, demand: op.demand, weight: op.weight, again: op.again,
+				rescale: op.rescale, log: &log, pendingRescales: &pendingRescales}
 			k.At(op.at, func() { k.GoStepper(&w.proc, "w", w) })
 		}
 	}
 	k.Run()
-	snap()
-	return append(log, fmt.Sprintf("fired %d", k.FiredEvents()))
+	for i := range servers {
+		snap(i)
+	}
+	return append(log, fmt.Sprintf("fired %d", k.FiredEvents())), pendingRescales
+}
+
+// genBurst draws a burst history: two to four servers of genHistory's
+// configuration for seed, and same-instant bursts that start the same streams
+// on every server — one to four each, of one demand, weight and re-serve
+// count — in shuffled order, so the servers tie on completion instants and an
+// instant's first-touch order of the servers often differs from their
+// last-arrival order. One burst in eight also rescales a server the instant
+// one of its streams starts, while the server's re-plan is pending.
+func genBurst(seed int64) history {
+	r := rand.New(rand.NewSource(seed))
+	h := history{cfg: genHistory(seed).cfg, servers: 2 + r.Intn(3)}
+	grid := time.Duration(1+r.Intn(100)) * time.Millisecond
+	for range 5 + r.Intn(15) {
+		at := time.Duration(r.Intn(20)) * grid
+		demand := []float64{0.5, 1, 2, 4}[r.Intn(4)]
+		weight := []float64{1, 1, 0.5}[r.Intn(3)]
+		again := r.Intn(3)
+		var burst []histOp
+		for range 1 + r.Intn(4) {
+			for srv := range h.servers {
+				burst = append(burst, histOp{at: at, srv: srv, demand: demand, weight: weight, again: again})
+			}
+		}
+		r.Shuffle(len(burst), func(i, j int) { burst[i], burst[j] = burst[j], burst[i] })
+		if r.Intn(8) == 0 {
+			burst[r.Intn(len(burst))].rescale = []float64{0.5, 2, 3}[r.Intn(3)]
+		}
+		h.ops = append(h.ops, burst...)
+	}
+	return h
+}
+
+// perServer splits a history log into each server's lines, in order, and
+// the closing fired-event count.
+func perServer(log []string) map[string][]string {
+	by := map[string][]string{}
+	for _, l := range log {
+		srv, _, _ := strings.Cut(l, " ")
+		by[srv] = append(by[srv], l)
+	}
+	return by
 }
 
 // TestClassRatesMatchPerStreamReference drives 600 seeded histories through
-// the class-rate Server and the per-stream reference and requires the same
-// log: wake instants and order, the active count each waiter sees, every
-// OnActiveChange, and Busy, Served and ActiveIntegral bit for bit at every
-// snapshot and at the end. The histories mix one to three weights,
-// same-instant arrivals and re-arrivals, streams that drain together, empty
-// demands, rate-scale changes and capped streams.
+// the class-rate Server and the per-stream reference, which re-plans on every
+// arrival, and requires the same log: wake instants and order, the active
+// count each waiter sees, every OnActiveChange, and Busy, Served and
+// ActiveIntegral bit for bit at every snapshot and at the end. The histories
+// mix one to three weights, same-instant arrivals and re-arrivals, streams
+// that drain together, empty demands, rate-scale changes and capped streams.
+// Then 300 burst histories (genBurst) do the same per server, over several
+// identical servers that tie on completion instants: only the order in which
+// tied servers complete may differ, as a server re-planned by arrivals takes
+// its sequence number when the kernel settles, in first-touch order.
 func TestClassRatesMatchPerStreamReference(t *testing.T) {
-	const histories = 600
-	wakes, multi := 0, 0
-	for seed := int64(0); seed < histories; seed++ {
+	const histories, bursts = 600, 300
+	wakes, multi, crossTies, pendingRescales := 0, 0, 0, 0
+	for seed := int64(0); seed < histories+bursts; seed++ {
 		h := genHistory(seed)
-		got := runHistory(h, func(k *sim.Kernel, c Config) psServer { return NewServer(k, c) })
-		want := runHistory(h, func(k *sim.Kernel, c Config) psServer { return newRefServer(k, c) })
-		if len(got) != len(want) {
-			t.Fatalf("seed %d: %d log lines, reference %d", seed, len(got), len(want))
+		if seed >= histories {
+			h = genBurst(seed)
 		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("seed %d, line %d:\n got %s\nwant %s", seed, i, got[i], want[i])
+		got, pending := runHistory(h, func(k *sim.Kernel, c Config) psServer { return NewServer(k, c) })
+		want, _ := runHistory(h, func(k *sim.Kernel, c Config) psServer { return newRefServer(k, c) })
+		pendingRescales += pending
+		gotBy, wantBy := perServer(got), perServer(want)
+		if len(gotBy) != len(wantBy) {
+			t.Fatalf("seed %d: lines for %d servers, reference %d", seed, len(gotBy), len(wantBy))
+		}
+		for srv, w := range wantBy {
+			g := gotBy[srv]
+			if len(g) != len(w) {
+				t.Fatalf("seed %d, %s: %d log lines, reference %d", seed, srv, len(g), len(w))
+			}
+			for i := range g {
+				if g[i] != w[i] {
+					t.Fatalf("seed %d, %s line %d:\n got %s\nwant %s", seed, srv, i, g[i], w[i])
+				}
 			}
 		}
-		prev := ""
+		prev, prevSrv := "", ""
 		for _, l := range got {
 			if at, _, ok := strings.Cut(l, " wake "); ok {
+				srv, at, _ := strings.Cut(at, " ")
 				wakes++
 				if at == prev {
 					multi++
+					if srv != prevSrv {
+						crossTies++
+					}
 				}
-				prev = at
+				prev, prevSrv = at, srv
 			}
 		}
 	}
-	// The generator must reach what the test is about.
-	if wakes < 10*histories || multi < histories {
-		t.Fatalf("%d wakes, %d sharing an instant with the previous: the histories are too thin", wakes, multi)
+	// The generators must reach what the test is about.
+	if wakes < 10*histories || multi < histories || crossTies < 10*bursts || pendingRescales < bursts {
+		t.Fatalf("%d wakes, %d sharing an instant with the previous, %d of them on another server, %d rescales with a re-plan pending: the histories are too thin",
+			wakes, multi, crossTies, pendingRescales)
 	}
 }

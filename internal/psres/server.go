@@ -8,6 +8,7 @@
 // of time-sliced devices and is what makes I/O-contention effects — the
 // subject of the paper — emerge from first principles: an HDD whose Curve
 // falls with n serves *less total work* the more threads hammer it.
+// Arrivals re-plan a server once per instant, when the kernel settles.
 package psres
 
 import (
@@ -53,9 +54,11 @@ type Config struct {
 // kernel serializes execution.
 //
 // Every stream of one weight runs at the same rate, so the server keeps its
-// rates per weight class rather than per stream: an arrival or departure
-// re-plans the next completion in O(classes), not O(streams). Devices use
-// two weights (1, and a disk's write weight).
+// rates per weight class rather than per stream: a re-plan of the next
+// completion costs O(classes), not O(streams). A departure re-plans at once;
+// an instant's arrivals re-plan once, when the kernel settles (Settle), and
+// servers take their completions' sequence numbers in the order the instant
+// first touched them. Devices use two weights (1, and a disk's write weight).
 type Server struct {
 	k   *sim.Kernel
 	cfg Config
@@ -72,16 +75,13 @@ type Server struct {
 	classBuf [2]class
 	last     time.Duration
 	next     sim.Event
-	// nextAt is the absolute time s.next is scheduled for, valid while
-	// s.next is active. When a recompute lands on the same nanosecond —
-	// an arrival that provably doesn't move the next completion, e.g. a
-	// cap-bound CPU stream joining idle cores — the reschedule is skipped
-	// outright.
-	nextAt time.Duration
 	// onComp caches the completion callback so rescheduling the next
 	// completion never reallocates the closure.
 	onComp func()
 	scale  float64 // multiplies the curve (gray-failure throttling); 1 = nominal
+	// dirty marks arrivals the next completion is not yet planned for; the
+	// server is then registered with the kernel's end-of-instant phase.
+	dirty bool
 
 	busy           time.Duration // total time with >=1 active stream
 	served         float64       // total units served
@@ -174,6 +174,7 @@ func (s *Server) SetRateScale(scale float64) {
 		return
 	}
 	s.advance()
+	s.Settle()
 	s.scale = scale
 	s.recompute()
 }
@@ -214,9 +215,16 @@ func (s *Server) Start(p *sim.Proc, demand, weight float64) bool {
 	s.slots = s.slots[:n+1]
 	s.slots[n].stream = stream{remaining: demand, proc: p, class: c}
 	s.notifyActive()
-	s.recompute()
+	if !s.dirty {
+		s.dirty = true
+		s.k.Settle(s)
+	}
 	return true
 }
+
+// Settle re-plans the next completion once for all of this instant's
+// arrivals (sim.Settler).
+func (s *Server) Settle() { s.recompute() }
 
 // classOf returns the index of weight's class, adding the class on its first
 // use.
@@ -306,7 +314,7 @@ func (s *Server) resetMinRem() {
 	}
 }
 
-// recompute reassigns rates after an arrival or departure and schedules the
+// recompute reassigns rates after arrivals or a departure and schedules the
 // next completion. The pending completion event is rescheduled in place
 // (same queue entry, fresh sequence number) rather than cancelled and
 // reallocated — under stream churn the cancel-and-reschedule pattern left
@@ -318,6 +326,7 @@ func (s *Server) resetMinRem() {
 // and correctly rounded division by a positive rate is monotone, so the
 // quotient of the least remainder is the least quotient, to the bit.
 func (s *Server) recompute() {
+	s.dirty = false
 	n := len(s.slots)
 	if n == 0 {
 		s.next.Cancel()
@@ -355,16 +364,16 @@ func (s *Server) recompute() {
 		at = now + d
 	}
 	if s.next.Active() {
-		if at == s.nextAt {
-			// The arrival/departure provably didn't change the next
-			// completion instant; the queued event is already right.
+		if at == s.next.At() {
+			// The arrivals or departure provably didn't move the next
+			// completion — e.g. a cap-bound CPU stream joining idle
+			// cores — so the queued event is already right.
 			return
 		}
 		s.next.Reschedule(at)
 	} else {
 		s.next = s.k.At(at, s.onComp)
 	}
-	s.nextAt = at
 }
 
 // onCompletion removes drained streams, wakes their waiters and recomputes.

@@ -31,7 +31,11 @@
 // compacted away once they outnumber the live ones, and the common
 // timer patterns — a deadline pushed back on every heartbeat, a periodic
 // tick — reschedule their event in place (Event.Reschedule, Kernel.Every)
-// rather than churning cancel + new allocation.
+// rather than churning cancel + new allocation. The current instant skips
+// the heap: a wake is a {seq, proc} ring slot with no event struct, and work
+// batched per instant (a psres.Server's re-plan after k arrivals) waits for
+// the end-of-instant phase (Kernel.Settle), run once the ring is empty or a
+// heap event, even one at this instant, is next.
 package sim
 
 import (
@@ -60,18 +64,19 @@ type Kernel struct {
 	// dead counts cancelled events still sitting in the queue; once they
 	// outnumber the live ones the queue is compacted in one pass.
 	dead int
-	// ring is the fast lane for events scheduled at the current instant —
-	// process wake-ups from Wake/Mailbox.Put/Go, zero-delay sends, the
-	// kernel's most common event by far. An event appended at the
+	// ring is the fast lane for the current instant — process wake-ups from
+	// Wake/Mailbox.Put/Go, the kernel's most common event by far, as bare
+	// {seq, proc} slots, and At(now) events. A slot appended at the
 	// then-current time necessarily sorts after everything already in the
 	// ring (time never decreases, seq always increases), so the slice is
 	// kept sorted by construction and popping its head is O(1) instead of
 	// a heap sift. ringHead is the next slot to pop; ringDead counts
-	// abandoned (nil) and cancelled entries at or after ringHead.
-	ring     []*event
+	// abandoned and cancelled slots at or after ringHead.
+	ring     []ringSlot
 	ringHead int
 	ringDead int
-	free     *event // free list of recycled event structs
+	settles  []Settler // the end-of-instant phase, in registration order
+	free     *event    // free list of recycled event structs
 	// coros holds the coroutine of every Go process between its first resume
 	// and its return, in that order: what shutdown has to stop.
 	coros []*coroutine
@@ -115,6 +120,14 @@ type event struct {
 	next      *event // free-list link
 }
 
+// ringSlot is one entry of the same-instant ring: a process resume (proc),
+// or a cancellable event (e), or neither once the event was rescheduled out.
+type ringSlot struct {
+	seq  uint64
+	proc *Proc
+	e    *event
+}
+
 // Event is a cancellable handle to a scheduled callback. The zero value is
 // an inert handle: Cancel is a no-op and Active reports false. Handles are
 // generation-checked, so holding one past its event's firing is safe — it
@@ -150,6 +163,9 @@ func (ev Event) Cancel() {
 	}
 }
 
+// At returns the instant an active event is scheduled for.
+func (ev Event) At() time.Duration { return ev.e.at }
+
 // Reschedule moves a still-active event to absolute virtual time at,
 // assigning it a fresh sequence number — exactly the ordering a cancel
 // followed by a new At would produce, without the allocation or the dead
@@ -168,9 +184,9 @@ func (ev Event) Reschedule(at time.Duration) {
 	k.seq++
 	e.at = at
 	if e.index <= -2 {
-		// Leaving the ring: abandon the slot (popping skips nils) and
+		// Leaving the ring: abandon the slot (popping skips it) and
 		// requeue wherever the new time belongs.
-		k.ring[-2-e.index] = nil
+		k.ring[-2-e.index] = ringSlot{}
 		k.ringDead++
 		k.enqueue(e)
 		return
@@ -215,7 +231,7 @@ func (k *Kernel) newEvent(at time.Duration, fn func(), proc *Proc, every time.Du
 func (k *Kernel) enqueue(e *event) {
 	if e.at == k.now {
 		e.index = int32(-2 - len(k.ring))
-		k.ring = append(k.ring, e)
+		k.ring = append(k.ring, ringSlot{seq: e.seq, e: e})
 		return
 	}
 	k.events.push(e)
@@ -287,9 +303,30 @@ func (k *Kernel) Every(d time.Duration, fn func()) Event {
 }
 
 // afterProc schedules a direct process resume d from now — the WakeAfter /
-// Wake / Go hot path, which needs no closure.
-func (k *Kernel) afterProc(d time.Duration, p *Proc) *event {
-	return k.newEvent(k.now+d, nil, p, 0)
+// Wake / Go hot path, which needs no closure, and at d = 0 no event struct.
+func (k *Kernel) afterProc(d time.Duration, p *Proc) {
+	if d > 0 {
+		k.newEvent(k.now+d, nil, p, 0)
+		return
+	}
+	k.ring = append(k.ring, ringSlot{seq: k.seq, proc: p})
+	k.seq++
+}
+
+// Settler is work deferred to the end of an instant (Kernel.Settle).
+type Settler interface{ Settle() }
+
+// Settle registers s for the end-of-instant phase: s.Settle runs once the
+// ring is empty or a heap event is next (even one at this instant), in
+// registration order, and may schedule events, at this instant too.
+func (k *Kernel) Settle(s Settler) { k.settles = append(k.settles, s) }
+
+// runSettles runs the end-of-instant phase; a Settle registering joins it.
+func (k *Kernel) runSettles() {
+	for i := 0; i < len(k.settles); i++ {
+		k.settles[i].Settle()
+	}
+	k.settles = k.settles[:0]
 }
 
 // Run fires events in timestamp order (FIFO among equal timestamps) until the
@@ -311,30 +348,41 @@ func (k *Kernel) Run() {
 }
 
 // loop is the kernel's one event loop: it fires events in (time, seq) order
-// on the calling goroutine until no live event before k.limit remains or
-// Stop is called. A process an event resumes runs until it parks or exits and
-// control is back here.
+// on the calling goroutine, and settles before any heap event, until no live
+// event before k.limit remains or Stop is called. A process an event resumes
+// runs until it parks or exits and control is back here.
 func (k *Kernel) loop() {
 	for !k.stopped {
-		e := k.peekLive()
-		if e == nil || e.at >= k.limit {
+		var e *event
+		switch r, h := k.ringTop(), k.heapTop(); {
+		case r != nil && (h == nil || h.at > k.now || h.seq > r.seq):
+			k.ringHead++
+			k.fired++
+			if r.proc != nil {
+				r.proc.resume()
+				continue
+			}
+			e = r.e
+			e.index = -1
+		case len(k.settles) > 0:
+			k.runSettles()
+			continue
+		case h == nil || h.at >= k.limit:
 			return
+		default:
+			k.events.pop()
+			if h.at < k.now {
+				panic("sim: event queue went backwards")
+			}
+			k.now = h.at
+			k.fired++
+			e = h
 		}
-		k.popPeeked(e)
-		if e.at < k.now {
-			panic("sim: event queue went backwards")
-		}
-		k.now = e.at
-		k.fired++
 		switch {
 		case e.proc != nil:
 			p := e.proc
 			k.recycle(e)
-			if p.step != nil {
-				p.step.Step()
-			} else {
-				p.switchTo()
-			}
+			p.resume()
 		case e.every > 0:
 			e.fn()
 			if e.cancelled {
@@ -357,15 +405,18 @@ func (k *Kernel) loop() {
 }
 
 // peekNextEventTime returns the virtual time of the next event this kernel
-// would fire, without firing it. The second result is false when no live
-// event is queued. The shard coordinator derives the next lookahead window
-// from it.
+// would fire, without firing it (but settling what model building left). The
+// second result is false when no live event is queued. The shard coordinator
+// derives the next lookahead window from it.
 func (k *Kernel) peekNextEventTime() (time.Duration, bool) {
-	e := k.peekLive()
-	if e == nil {
-		return 0, false
+	k.runSettles()
+	if k.ringTop() != nil {
+		return k.now, true
 	}
-	return e.at, true
+	if h := k.heapTop(); h != nil {
+		return h.at, true
+	}
+	return 0, false
 }
 
 // runUntil fires events in (time, seq) order until no event strictly before
@@ -386,58 +437,37 @@ func (k *Kernel) runUntil(limit time.Duration) {
 	k.running = false
 }
 
-// peekLive returns the next live event — the (time, seq) minimum across the
-// ring fast lane and the heap — without removing it, or nil when none is
-// queued. Cancelled corpses encountered at either front are popped and
-// recycled along the way, so a returned event is always live.
-func (k *Kernel) peekLive() *event {
-	for {
-		for k.ringHead < len(k.ring) && k.ring[k.ringHead] == nil {
-			k.ringHead++
-			k.ringDead--
-		}
-		var r *event
-		if k.ringHead < len(k.ring) {
-			r = k.ring[k.ringHead]
-		} else if k.ringHead > 0 {
-			k.ring = k.ring[:0]
-			k.ringHead = 0
-		}
-		if r != nil && r.cancelled {
-			k.ringHead++
-			k.ringDead--
-			r.index = -1
-			k.recycle(r)
-			continue
-		}
-		for len(k.events) > 0 && k.events[0].cancelled {
-			k.dead--
-			k.recycle(k.events.pop())
-		}
-		var h *event
-		if len(k.events) > 0 {
-			h = k.events[0]
-		}
-		switch {
-		case r == nil:
-			return h
-		case h == nil || !eventLess(h, r):
+// ringTop returns the ring's next live slot, or nil, skipping dead slots (a
+// cancelled event is recycled); a drained ring rewinds its array.
+func (k *Kernel) ringTop() *ringSlot {
+	for ; k.ringHead < len(k.ring); k.ringHead++ {
+		r := &k.ring[k.ringHead]
+		if r.proc != nil || r.e != nil && !r.e.cancelled {
 			return r
-		default:
-			return h
+		}
+		k.ringDead--
+		if r.e != nil {
+			r.e.index = -1
+			k.recycle(r.e)
 		}
 	}
+	if k.ringHead > 0 {
+		k.ring, k.ringHead = k.ring[:0], 0
+	}
+	return nil
 }
 
-// popPeeked removes the event peekLive just returned — by construction the
-// head of the ring or the top of the heap.
-func (k *Kernel) popPeeked(e *event) {
-	if e.index <= -2 {
-		k.ringHead++
-		e.index = -1
-		return
+// heapTop returns the heap's next live event without removing it, or nil when
+// none is queued; cancelled corpses at the top are popped and recycled.
+func (k *Kernel) heapTop() *event {
+	for len(k.events) > 0 {
+		if e := k.events[0]; !e.cancelled {
+			return e
+		}
+		k.dead--
+		k.recycle(k.events.pop())
 	}
-	k.events.pop()
+	return nil
 }
 
 // Stop makes Run return after the currently firing event completes. Remaining
@@ -459,42 +489,48 @@ func (k *Kernel) FiredEvents() uint64 { return k.fired }
 // order — the order of k.coros: first resumes fire in the order of the Go
 // calls — so the deferred cleanups of killed processes run in the same order
 // in otherwise identical runs and no goroutine outlives the run; then the
-// queues are emptied. The events still queued are dropped, but the arrays and
-// the free list stay for Release.
+// queues are emptied. The events and settles still queued are dropped, and
+// what draining left in the ring and settle arrays is cleared, but the arrays
+// and the free list stay for Release.
 func (k *Kernel) shutdown() {
 	for len(k.coros) > 0 {
 		k.coros[0].stop() // unwinds through run, which unlists it
 	}
 	k.coros = nil
 	clear(k.events)
-	clear(k.ring)
-	k.events, k.ring = k.events[:0], k.ring[:0]
+	clear(k.ring[:cap(k.ring)])
+	clear(k.settles[:cap(k.settles)])
+	k.events, k.ring, k.settles = k.events[:0], k.ring[:0], k.settles[:0]
 	k.dead, k.ringHead, k.ringDead = 0, 0, 0
 }
 
 // Storage is the event storage of a kernel that has finished — its free
-// event structs and the arrays of its heap and ring — for a kernel of a later
-// run to start with (Release, Reuse). The zero value holds nothing.
+// event structs and the arrays of its heap, ring and settle list — for a
+// kernel of a later run to start with (Release, Reuse). The zero value holds
+// nothing.
 type Storage struct {
-	free *event
-	heap eventQueue
-	ring []*event
+	free    *event
+	heap    eventQueue
+	ring    []ringSlot
+	settles []Settler
 }
 
 // Release takes k's event storage and leaves k none; a kernel that is running
-// or has events queued is not idle and keeps it. Every struct on the free list
-// was recycled after its last firing, so k's handles stay inert.
+// or has events or settles queued is not idle and keeps it. Every struct on
+// the free list was recycled after its last firing, so k's handles stay inert.
 func (k *Kernel) Release() Storage {
-	if k.running || len(k.events) > 0 || k.ringHead < len(k.ring) {
+	if k.running || len(k.events) > 0 || k.ringHead < len(k.ring) || len(k.settles) > 0 {
 		return Storage{}
 	}
-	st := Storage{free: k.free, heap: k.events, ring: k.ring}
-	k.free, k.events, k.ring, k.ringHead = nil, nil, nil, 0
+	st := Storage{free: k.free, heap: k.events, ring: k.ring, settles: k.settles}
+	k.free, k.events, k.ring, k.ringHead, k.settles = nil, nil, nil, 0, nil
 	return st
 }
 
 // Reuse hands k, before its first event, the storage another kernel released.
-func (k *Kernel) Reuse(st Storage) { k.free, k.events, k.ring = st.free, st.heap, st.ring }
+func (k *Kernel) Reuse(st Storage) {
+	k.free, k.events, k.ring, k.settles = st.free, st.heap, st.ring, st.settles
+}
 
 // coroutine is the runtime coroutine one Go process runs on.
 type coroutine struct {
@@ -573,9 +609,14 @@ func (k *Kernel) GoStepper(p *Proc, name string, s Stepper) {
 	k.afterProc(0, p)
 }
 
-// switchTo runs the process on its coroutine until it parks or returns — the
-// firing of a process-resume event. The first resume creates the coroutine.
-func (p *Proc) switchTo() {
+// resume is the firing of a process-resume event: one Step of a stackless
+// process, or a switch into the process's coroutine until it parks or
+// returns. The first resume creates the coroutine.
+func (p *Proc) resume() {
+	if p.step != nil {
+		p.step.Step()
+		return
+	}
 	c := p.co
 	if c == nil {
 		if p.fn == nil {
