@@ -127,6 +127,30 @@ func TestTraceSinkMatchesOracle(t *testing.T) {
 	}
 }
 
+// TestTraceTimestampReuseMatchesOracle: the sink renders a line's timestamp
+// once per run of equal times, keyed by the float's bits. Runs of one
+// instant, changes, a time below 1e-6 (exponent form), a return to an earlier
+// time and a negative zero after a zero (equal, but encoded "-0") must all
+// come out as encoding/json writes them.
+func TestTraceTimestampReuseMatchesOracle(t *testing.T) {
+	times := []float64{0, 0, 0, math.Copysign(0, -1), 1.5, 1.5, 1.5, 2.25, 5e-7, 5e-7, 1.5, 1.5, 2.25, 1e21, 1e21, 0}
+	for _, format := range []int{1, 2} {
+		var got, want bytes.Buffer
+		sink, oracle := newTraceSink(&got, format), newOracleSink(&want, format)
+		for i, at := range times {
+			ev := TraceEvent{At: at, Type: TraceTaskLaunch, Job: 0, Stage: 1, Task: i, Exec: i % 3}
+			sink.emit(ev)
+			oracle.emit(ev)
+		}
+		if got.String() != want.String() {
+			t.Errorf("format %d bytes:\n%s\nencoding/json writes:\n%s", format, got.String(), want.String())
+		}
+		if err := sink.flushErr(); err != nil || oracle.err != nil {
+			t.Fatalf("format %d: %v, oracle %v", format, err, oracle.err)
+		}
+	}
+}
+
 // countingWriter counts Write calls: the engine promises its writer one
 // Write per event (plus one for a v2 header).
 type countingWriter struct{ writes int }

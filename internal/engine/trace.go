@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 
 	"sae/internal/jsonenc"
@@ -86,12 +87,14 @@ const (
 // traceEventV2; emit appends those same bytes into one reused buffer and
 // hands the writer one Write per event.
 type traceSink struct {
-	w     io.Writer
-	buf   []byte
-	err   error
-	v2    bool
-	wrote bool
-	spans *spanTracker
+	w        io.Writer
+	buf      []byte
+	headLen  int    // buf's `{"t":…` prefix, rendered only when the bits of
+	headBits uint64 // the timestamp move: most lines repeat the one before's
+	err      error
+	v2       bool
+	wrote    bool
+	spans    *spanTracker
 }
 
 func newTraceSink(w io.Writer, format int) *traceSink {
@@ -122,9 +125,12 @@ func (t *traceSink) emit(ev TraceEvent) {
 		}
 		t.spans.annotate(&ev)
 	}
-	b := append(t.buf[:0], `{"t":`...)
-	if b, t.err = jsonenc.AppendFloat(b, ev.At); t.err != nil {
-		return
+	b := t.buf[:t.headLen]
+	if bits := math.Float64bits(ev.At); t.headLen == 0 || bits != t.headBits {
+		if b, t.err = jsonenc.AppendFloat(append(b[:0], `{"t":`...), ev.At); t.err != nil {
+			return
+		}
+		t.headLen, t.headBits = len(b), bits
 	}
 	b = jsonenc.AppendString(append(b, `,"type":`...), ev.Type)
 	// v1 always writes the five integers; v2 omits one at its sentinel.

@@ -32,10 +32,12 @@
 // timer patterns — a deadline pushed back on every heartbeat, a periodic
 // tick — reschedule their event in place (Event.Reschedule, Kernel.Every)
 // rather than churning cancel + new allocation. The current instant skips
-// the heap: a wake is a {seq, proc} ring slot with no event struct, and work
-// batched per instant (a psres.Server's re-plan after k arrivals) waits for
-// the end-of-instant phase (Kernel.Settle), run once the ring is empty or a
-// heap event, even one at this instant, is next.
+// the heap: a wake is a {seq, proc} ring slot with no event struct, a ring
+// that never drains moves its unpopped slots to the front rather than grow,
+// and work batched per instant (a psres.Server's re-plan after k arrivals)
+// waits for the end-of-instant phase (Kernel.Settle), run once the ring is
+// empty or a heap event, even one at this instant, is next. Messages a
+// Mailbox is sent at one instant for one arrival instant ride one event.
 package sim
 
 import (
@@ -70,10 +72,8 @@ type Kernel struct {
 	// then-current time necessarily sorts after everything already in the
 	// ring (time never decreases, seq always increases), so the slice is
 	// kept sorted by construction and popping its head is O(1) instead of
-	// a heap sift. ringHead is the next slot to pop; ringDead counts
-	// abandoned and cancelled slots at or after ringHead.
-	ring     []ringSlot
-	ringHead int
+	// a heap sift. ringDead counts the abandoned and cancelled slots in it.
+	ring     FIFO[ringSlot]
 	ringDead int
 	settles  []Settler // the end-of-instant phase, in registration order
 	free     *event    // free list of recycled event structs
@@ -112,16 +112,16 @@ type event struct {
 	// rescheduled in place instead of being recycled.
 	every time.Duration
 	// index locates the event in a queue: >= 0 is a heap index, -1 means
-	// not queued (firing, fired, or recycled), <= -2 encodes ring slot
-	// -2-index.
+	// not queued (firing, fired, or recycled), -2 the ring.
 	index     int32
 	gen       uint32
 	cancelled bool
 	next      *event // free-list link
 }
 
-// ringSlot is one entry of the same-instant ring: a process resume (proc),
-// or a cancellable event (e), or neither once the event was rescheduled out.
+// ringSlot is one entry of the same-instant ring: a process resume (proc), or
+// a cancellable event (e), abandoned once the event was rescheduled out and
+// so no longer carries the slot's seq.
 type ringSlot struct {
 	seq  uint64
 	proc *Proc
@@ -158,7 +158,7 @@ func (ev Event) Cancel() {
 	if e.index >= 0 {
 		ev.k.dead++
 		ev.k.maybeCompact()
-	} else if e.index <= -2 {
+	} else if e.index == -2 {
 		ev.k.ringDead++
 	}
 }
@@ -183,10 +183,10 @@ func (ev Event) Reschedule(at time.Duration) {
 	e.seq = k.seq
 	k.seq++
 	e.at = at
-	if e.index <= -2 {
-		// Leaving the ring: abandon the slot (popping skips it) and
-		// requeue wherever the new time belongs.
-		k.ring[-2-e.index] = ringSlot{}
+	if e.index == -2 {
+		// Leaving the ring: the slot, whose seq the event no longer
+		// carries, is abandoned (popping skips it); requeue wherever the
+		// new time belongs.
 		k.ringDead++
 		k.enqueue(e)
 		return
@@ -230,8 +230,8 @@ func (k *Kernel) newEvent(at time.Duration, fn func(), proc *Proc, every time.Du
 // where its fresh seq keeps the ring sorted by construction) or the heap.
 func (k *Kernel) enqueue(e *event) {
 	if e.at == k.now {
-		e.index = int32(-2 - len(k.ring))
-		k.ring = append(k.ring, ringSlot{seq: e.seq, e: e})
+		e.index = -2
+		k.ring.Push(ringSlot{seq: e.seq, e: e})
 		return
 	}
 	k.events.push(e)
@@ -309,7 +309,7 @@ func (k *Kernel) afterProc(d time.Duration, p *Proc) {
 		k.newEvent(k.now+d, nil, p, 0)
 		return
 	}
-	k.ring = append(k.ring, ringSlot{seq: k.seq, proc: p})
+	k.ring.Push(ringSlot{seq: k.seq, proc: p})
 	k.seq++
 }
 
@@ -356,13 +356,13 @@ func (k *Kernel) loop() {
 		var e *event
 		switch r, h := k.ringTop(), k.heapTop(); {
 		case r != nil && (h == nil || h.at > k.now || h.seq > r.seq):
-			k.ringHead++
+			s := k.ring.Pop()
 			k.fired++
-			if r.proc != nil {
-				r.proc.resume()
+			if s.proc != nil {
+				s.proc.resume()
 				continue
 			}
-			e = r.e
+			e = s.e
 			e.index = -1
 		case len(k.settles) > 0:
 			k.runSettles()
@@ -437,22 +437,20 @@ func (k *Kernel) runUntil(limit time.Duration) {
 	k.running = false
 }
 
-// ringTop returns the ring's next live slot, or nil, skipping dead slots (a
-// cancelled event is recycled); a drained ring rewinds its array.
+// ringTop returns the ring's next live slot, or nil, popping dead slots (a
+// cancelled event is recycled; an abandoned one lives on elsewhere).
 func (k *Kernel) ringTop() *ringSlot {
-	for ; k.ringHead < len(k.ring); k.ringHead++ {
-		r := &k.ring[k.ringHead]
-		if r.proc != nil || r.e != nil && !r.e.cancelled {
+	for k.ring.Len() > 0 {
+		r := &k.ring.items[k.ring.head]
+		if r.proc != nil || r.e.seq == r.seq && !r.e.cancelled {
 			return r
 		}
 		k.ringDead--
-		if r.e != nil {
+		if r.e.seq == r.seq {
 			r.e.index = -1
 			k.recycle(r.e)
 		}
-	}
-	if k.ringHead > 0 {
-		k.ring, k.ringHead = k.ring[:0], 0
+		k.ring.Pop()
 	}
 	return nil
 }
@@ -477,7 +475,7 @@ func (k *Kernel) Stop() { k.stopped = true }
 // PendingEvents returns the number of live (non-cancelled) events queued —
 // introspection for tests and diagnostics.
 func (k *Kernel) PendingEvents() int {
-	return len(k.events) - k.dead + len(k.ring) - k.ringHead - k.ringDead
+	return len(k.events) - k.dead + k.ring.Len() - k.ringDead
 }
 
 // FiredEvents returns the number of events that have run so far (process
@@ -498,10 +496,10 @@ func (k *Kernel) shutdown() {
 	}
 	k.coros = nil
 	clear(k.events)
-	clear(k.ring[:cap(k.ring)])
+	clear(k.ring.items[:cap(k.ring.items)])
 	clear(k.settles[:cap(k.settles)])
-	k.events, k.ring, k.settles = k.events[:0], k.ring[:0], k.settles[:0]
-	k.dead, k.ringHead, k.ringDead = 0, 0, 0
+	k.events, k.ring, k.settles = k.events[:0], FIFO[ringSlot]{items: k.ring.items[:0]}, k.settles[:0]
+	k.dead, k.ringDead = 0, 0
 }
 
 // Storage is the event storage of a kernel that has finished — its free
@@ -519,17 +517,17 @@ type Storage struct {
 // or has events or settles queued is not idle and keeps it. Every struct on
 // the free list was recycled after its last firing, so k's handles stay inert.
 func (k *Kernel) Release() Storage {
-	if k.running || len(k.events) > 0 || k.ringHead < len(k.ring) || len(k.settles) > 0 {
+	if k.running || len(k.events) > 0 || k.ring.Len() > 0 || len(k.settles) > 0 {
 		return Storage{}
 	}
-	st := Storage{free: k.free, heap: k.events, ring: k.ring, settles: k.settles}
-	k.free, k.events, k.ring, k.ringHead, k.settles = nil, nil, nil, 0, nil
+	st := Storage{free: k.free, heap: k.events, ring: k.ring.items, settles: k.settles}
+	k.free, k.events, k.ring, k.settles = nil, nil, FIFO[ringSlot]{}, nil
 	return st
 }
 
 // Reuse hands k, before its first event, the storage another kernel released.
 func (k *Kernel) Reuse(st Storage) {
-	k.free, k.events, k.ring, k.settles = st.free, st.heap, st.ring, st.settles
+	k.free, k.events, k.ring.items, k.settles = st.free, st.heap, st.ring, st.settles
 }
 
 // coroutine is the runtime coroutine one Go process runs on.

@@ -341,6 +341,8 @@ func raceEnabled() bool {
 // TestFIFOKeepsOrderAndArray interleaves pushes and pops so the head index
 // moves through the array, drains, and rewinds: values come out in push
 // order and, once the array has grown to the deepest backlog, it is reused.
+// A queue that never drains shifts its values down instead of growing, and
+// leaves no pointer behind in the slots it vacates.
 func TestFIFOKeepsOrderAndArray(t *testing.T) {
 	var q FIFO[*int]
 	next, want := 0, 0
@@ -376,6 +378,20 @@ func TestFIFOKeepsOrderAndArray(t *testing.T) {
 	if cap(q.items) > 8 {
 		t.Fatalf("array grew to %d for a backlog of at most 3", cap(q.items))
 	}
+	push(3)
+	for range 10_000 {
+		push(1)
+		pop(1)
+	}
+	if cap(q.items) > 8 {
+		t.Fatalf("a queue that never drained grew its array to %d for a backlog of 4", cap(q.items))
+	}
+	for i, p := range q.items[:cap(q.items)] {
+		if (i < q.head || i >= len(q.items)) && p != nil {
+			t.Fatalf("slot %d, outside the queue, still holds its pointer", i)
+		}
+	}
+	pop(3)
 }
 
 // TestMailboxSteadyStateAllocs pins the Send→Recv cycle at no allocation:
@@ -532,13 +548,86 @@ func (r *stepReceiver) Step() {
 	}
 }
 
+// TestSameInstantSendsShareOneDelivery: sends made at one instant with one
+// positive delay ride one arrival event and land in send order, an older
+// delivery pending or not. A send due at a later instant opens a new
+// delivery, and one overtaking a message in flight keeps an event of its own,
+// and so do a send due with the newest delivery but made at another instant
+// and one without delay.
+func TestSameInstantSendsShareOneDelivery(t *testing.T) {
+	k := NewKernel()
+	mb := NewMailbox[int](k)
+	type recv struct {
+		msg int
+		at  time.Duration
+	}
+	var got []recv
+	r := &stepReceiver{mb: mb, got: func(msg int) { got = append(got, recv{msg, k.Now()}) }}
+	k.GoStepper(&r.proc, "recv", r)
+	k.Run() // the receiver's first step: it waits
+	pending := func(want int, what string) {
+		t.Helper()
+		if n := k.PendingEvents(); n != want {
+			t.Fatalf("after %s: %d events pending, want %d", what, n, want)
+		}
+	}
+	const ms = time.Millisecond
+	start := k.FiredEvents()
+	// The callbacks at 1.001 s and 1.004 s are pending until they fire.
+	k.At(time.Second, func() {
+		for i := range 5 {
+			mb.Send(ms, i)
+		}
+		pending(3, "five sends due at one instant")
+		mb.Send(3*ms, 5)
+		pending(4, "a send due later")
+		mb.Send(2*ms, 6)
+		pending(5, "an overtaking send")
+		mb.Send(3*ms, 7)
+		pending(5, "a send joining the newest delivery behind an older one")
+	})
+	k.At(time.Second+ms, func() {
+		pending(4, "nothing") // the first delivery is due now, after this event
+		mb.Send(2*ms, 8)
+		pending(5, "a send due with 5 and 7 but made later")
+		mb.Send(0, 9)
+		pending(6, "a send without delay")
+	})
+	k.At(time.Second+4*ms, func() {
+		for i := 10; i < 13; i++ {
+			mb.Send(ms, i)
+		}
+		pending(1, "three sends due at one instant, nothing else in flight")
+	})
+	k.Run()
+	want := []recv{
+		{0, time.Second + ms}, {1, time.Second + ms}, {2, time.Second + ms}, {3, time.Second + ms}, {4, time.Second + ms}, {9, time.Second + ms},
+		{6, time.Second + 2*ms},
+		{5, time.Second + 3*ms}, {7, time.Second + 3*ms}, {8, time.Second + 3*ms},
+		{10, time.Second + 5*ms}, {11, time.Second + 5*ms}, {12, time.Second + 5*ms},
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("received %v, want %v", got, want)
+	}
+	// Three callbacks, six deliveries for thirteen messages, four receiver
+	// wakes.
+	if fired := k.FiredEvents() - start; fired != 3+6+4 {
+		t.Fatalf("%d events fired, want 13", fired)
+	}
+}
+
 // TestMailboxMatchesClosureReference drives the mailbox and the closure
 // reference with the same random script — bursts of sends at one instant,
 // delays from a small set so that arrivals tie, a shorter delay after a longer
 // one so that a message overtakes those in flight — and wants every message
-// received at the same instant, in the same order and as the same numbered
-// event of the run: by a coroutine looping over Recv, and by a stackless
-// receiver, several messages landing on one wake included.
+// received at the same instant and in the same order: by a coroutine looping
+// over Recv, and by a stackless receiver, several messages landing on one
+// wake included. The mailbox fires fewer events than the reference by
+// exactly the sends that joined a pending delivery, which the script
+// determines: a send at the instant and with the positive delay of the last
+// one admitted to flight. Such a send's own event would have fired among the heap events of its
+// arrival instant, before any wake there, so every receive also comes as the
+// reference's numbered event less the joined sends due by then.
 func TestMailboxMatchesClosureReference(t *testing.T) {
 	type send struct {
 		at, d time.Duration
@@ -575,6 +664,7 @@ func TestMailboxMatchesClosureReference(t *testing.T) {
 		return got, k.FiredEvents()
 	}
 	delays := []time.Duration{0, time.Millisecond, time.Millisecond, 2 * time.Millisecond, 5 * time.Millisecond}
+	joins := 0
 	for seed := int64(1); seed <= 50; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		var script []send
@@ -594,6 +684,27 @@ func TestMailboxMatchesClosureReference(t *testing.T) {
 		}
 		if overtakes == 0 || ties == 0 {
 			t.Fatalf("seed %d: script has %d overtaking sends and %d ties, want both", seed, overtakes, ties)
+		}
+		var joinedAt []time.Duration // arrival instants of the sends that join a delivery
+		var sentAt time.Duration
+		latest = 0
+		for _, s := range script {
+			switch arrive := s.at + s.d; {
+			case s.d > 0 && arrive == latest && s.at == sentAt:
+				joinedAt = append(joinedAt, arrive)
+			case arrive >= latest:
+				latest, sentAt = arrive, s.at
+			}
+		}
+		joins += len(joinedAt)
+		joinedBy := func(at time.Duration) uint64 {
+			n := uint64(0)
+			for _, j := range joinedAt {
+				if j <= at {
+					n++
+				}
+			}
+			return n
 		}
 		want, wantFired := run(script, func(k *Kernel) mailbox {
 			return &closureMailbox{k: k}
@@ -615,14 +726,17 @@ func TestMailboxMatchesClosureReference(t *testing.T) {
 			if len(got) != len(script) {
 				t.Fatalf("seed %d (stackless %v): received %d of %d messages", seed, stackless, len(got), len(script))
 			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("seed %d (stackless %v): receive %d = %+v, want %+v", seed, stackless, i, got[i], want[i])
+			for i, w := range want {
+				if w.fired -= joinedBy(w.at); got[i] != w {
+					t.Fatalf("seed %d (stackless %v): receive %d = %+v, want %+v", seed, stackless, i, got[i], w)
 				}
 			}
-			if fired != wantFired {
-				t.Fatalf("seed %d (stackless %v): %d events fired, want %d", seed, stackless, fired, wantFired)
+			if w := wantFired - uint64(len(joinedAt)); fired != w {
+				t.Fatalf("seed %d (stackless %v): %d events fired, want %d", seed, stackless, fired, w)
 			}
 		}
+	}
+	if joins < 50 {
+		t.Fatalf("the scripts have %d sends joining a pending delivery, want at least one a script", joins)
 	}
 }

@@ -227,3 +227,88 @@ func TestRingOrderMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// selfWaker wakes itself n times at one instant. Every third resume it also
+// schedules two At(now) events and 0 to 6 fillers, a random count, before the
+// wake, moves the first event behind the wake with Reschedule and cancels the
+// second, so ring compactions land between scheduling an event and touching
+// it through its handle.
+type selfWaker struct {
+	p     Proc
+	k     *Kernel
+	rng   *rand.Rand
+	n     int // resumes so far
+	limit int
+	// fired logs, for each moved event, the resume count it fired at.
+	fired   []int
+	fillers int // filler events scheduled less those fired
+	extra   int // the cancelled events that fired anyway
+}
+
+func (s *selfWaker) Step() {
+	s.n++
+	if s.n == s.limit {
+		return
+	}
+	if s.n%3 != 0 {
+		s.k.Wake(&s.p)
+		return
+	}
+	moved := s.k.At(s.k.Now(), func() { s.fired = append(s.fired, s.n) })
+	dead := s.k.At(s.k.Now(), func() { s.extra++ })
+	for range s.rng.Intn(7) {
+		s.fillers++
+		s.k.At(s.k.Now(), func() { s.fillers-- })
+	}
+	s.k.Wake(&s.p)
+	moved.Reschedule(s.k.Now())
+	dead.Cancel()
+}
+
+// spinner wakes itself until its limit.
+type spinner struct {
+	p        Proc
+	k        *Kernel
+	n, limit int
+}
+
+func (s *spinner) Step() {
+	if s.n++; s.n < s.limit {
+		s.k.Wake(&s.p)
+	}
+}
+
+// TestLongSameInstantChainKeepsRingBounded: two processes waking themselves a
+// million times each in one instant never let the ring drain, so the ring
+// shifts down rather than grows; every wake and every moved event fires, in
+// order, and no cancelled one does.
+func TestLongSameInstantChainKeepsRingBounded(t *testing.T) {
+	const n = 1 << 20
+	k := NewKernel()
+	s := &selfWaker{k: k, rng: rand.New(rand.NewSource(1)), limit: n}
+	other := &spinner{k: k, limit: n}
+	k.At(time.Second, func() {
+		k.GoStepper(&s.p, "chain", s)
+		k.GoStepper(&other.p, "spinner", other)
+	})
+	k.Run()
+	if s.n != n || other.n != n || s.extra != 0 || s.fillers != 0 {
+		t.Fatalf("%d and %d of %d resumes ran, %d cancelled events fired and %d fillers did not", s.n, other.n, n, s.extra, s.fillers)
+	}
+	if c := cap(k.ring.items); c > 64 {
+		t.Fatalf("ring grew to %d slots for chains of at most 11 live ones", c)
+	}
+	// The event moved at resume i fires after the wake it was moved behind,
+	// so before resume i+2.
+	if len(s.fired) != (n-1)/3 {
+		t.Fatalf("%d moved events fired, want %d", len(s.fired), (n-1)/3)
+	}
+	for j, at := range s.fired {
+		if want := 3*(j+1) + 1; at != want {
+			t.Fatalf("moved event %d fired at resume %d, want %d", j, at, want)
+		}
+	}
+	if k.Now() != time.Second || k.PendingEvents() != 0 {
+		t.Fatalf("chain ended at %v with %d events pending", k.Now(), k.PendingEvents())
+	}
+}
