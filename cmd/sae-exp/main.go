@@ -27,8 +27,8 @@
 // while the report stream stays byte-identical (the audit plane never
 // perturbs a run).
 //
-// For performance work, -cpuprofile/-memprofile/-trace write pprof CPU and
-// heap profiles and a Go execution trace covering the whole sweep.
+// For performance work, -cpuprofile/-memprofile/-exectrace write pprof CPU
+// and heap profiles and a Go execution trace covering the whole sweep.
 package main
 
 import (
@@ -67,7 +67,7 @@ func run(args []string) error {
 	audit := fs.Bool("audit", false, "attach the invariant audit plane to every run (forces -parallel 1); violations print to stderr and exit non-zero")
 	cpuprofile := fs.String("cpuprofile", "", "write a pprof CPU profile to this file")
 	memprofile := fs.String("memprofile", "", "write a pprof heap profile to this file on exit")
-	traceFile := fs.String("trace", "", "write a Go execution trace to this file")
+	exectrace := fs.String("exectrace", "", "write a Go execution trace to this file")
 	var scenarioFiles multiFlag
 	fs.Var(&scenarioFiles, "scenario", "run the scenario spec at this path (repeatable)")
 	if err := fs.Parse(args); err != nil {
@@ -88,7 +88,7 @@ func run(args []string) error {
 		return nil
 	}
 
-	stopProf, err := prof.Start(*cpuprofile, *memprofile, *traceFile)
+	stopProf, err := prof.Start(*cpuprofile, *memprofile, *exectrace)
 	if err != nil {
 		return err
 	}

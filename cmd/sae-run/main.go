@@ -6,7 +6,7 @@
 //	sae-run [-workload terasort] [-policy dynamic]
 //	        [-scale F] [-nodes N] [-seed S] [-ssd] [-decisions] [-faults SPEC]
 //	        [-scenario FILE] [-audit]
-//	        [-trace FILE] [-trace-v2] [-metrics FILE] [-metrics-csv FILE]
+//	        [-trace FILE] [-metrics FILE] [-metrics-csv FILE]
 //	        [-prom FILE] [-metrics-interval D]
 //
 // There is one run path. Without -scenario the flags are a spec of kind
@@ -35,8 +35,8 @@
 // fault dice are seeded by -seed, as a spec's by cluster.seed, unless the
 // schedule names its own seed:N.
 //
-// Observability: -trace writes the engine event log (-trace-v2 switches it
-// to the v2 format with a versioned header and job→stage→task spans);
+// Observability: -trace writes the engine event log (each run's part starts
+// with a versioned header; events carry job→stage→task spans);
 // -metrics/-metrics-csv/-prom export the telemetry registry as JSONL or CSV
 // time series and Prometheus text exposition, sampled every
 // -metrics-interval of virtual time. All exports are deterministic:
@@ -44,9 +44,8 @@
 // dump to sae-trace for critical-path and utilization analysis.
 //
 // For performance work, -cpuprofile/-memprofile write pprof CPU and heap
-// profiles and -exectrace a Go execution trace (the runtime kind — the
-// flag sae-exp calls -trace, renamed here because -trace is the engine
-// event log).
+// profiles and -exectrace a Go execution trace (the runtime kind, named as
+// in sae-exp; -trace is the engine event log).
 package main
 
 import (
@@ -89,7 +88,6 @@ func run(args []string) (err error) {
 	var confFlags multiFlag
 	fs.Var(&confFlags, "conf", "configuration override key=value (repeatable, e.g. -conf speculation=true)")
 	traceFile := fs.String("trace", "", "write the engine event log (JSON lines) to this file")
-	traceV2 := fs.Bool("trace-v2", false, "emit the v2 trace format (versioned header + spans) instead of the legacy flat lines")
 	metricsFile := fs.String("metrics", "", "write the telemetry time-series dump (JSON lines) to this file")
 	metricsCSV := fs.String("metrics-csv", "", "write the telemetry time-series dump as CSV to this file")
 	promFile := fs.String("prom", "", "write end-of-run metrics in Prometheus text exposition to this file")
@@ -181,9 +179,6 @@ func run(args []string) (err error) {
 				err = fmt.Errorf("trace log: %w", cerr)
 			}
 		}()
-	}
-	if *traceV2 {
-		setup.TraceFormat = 2
 	}
 	var reg *telemetry.Registry
 	if *metricsFile != "" || *metricsCSV != "" || *promFile != "" {

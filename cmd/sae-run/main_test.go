@@ -83,7 +83,7 @@ func TestRunScenarioConfOverride(t *testing.T) {
 // full: it decodes, and ends with the job's last event.
 func TestRunTraceFileComplete(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "trace.jsonl")
-	if err := run([]string{"-workload", "terasort", "-scale", "0.02", "-trace", path, "-trace-v2"}); err != nil {
+	if err := run([]string{"-workload", "terasort", "-scale", "0.02", "-trace", path}); err != nil {
 		t.Fatal(err)
 	}
 	f, err := os.Open(path)

@@ -1,7 +1,9 @@
 // Command sae-trace analyzes an engine event log written by sae-run -trace
-// (either the legacy flat format or the v2 span format) and prints a
-// critical-path breakdown per job, an ASCII stage gantt, and per-executor
-// utilization timelines. With -metrics it also summarizes a telemetry JSONL
+// (or a headerless pre-v2 log) and prints a critical-path breakdown per job,
+// an ASCII stage gantt, and per-executor utilization timelines. Every run
+// starts its part of the log with a header line, so a log that several runs
+// wrote (a matrix scenario) is analyzed one run at a time, "run k of n",
+// each on its own clock. With -metrics it also summarizes a telemetry JSONL
 // dump written by sae-run -metrics.
 //
 // Usage:
@@ -55,22 +57,30 @@ func run(args []string, w io.Writer) error {
 		return err
 	}
 	defer f.Close()
-	header, events, err := engine.ReadTraceWithHeader(f)
+	runs, err := engine.ReadTraceRuns(f)
 	if err != nil {
 		return err
 	}
-
-	a := analyze(events)
-	a.width = *width
-	if header != nil {
-		fmt.Fprintf(w, "trace: %s (v%d, %s), %d events, horizon %s\n",
-			fs.Arg(0), header.Version, header.Format, len(events), fmtDur(a.horizon))
-	} else {
-		fmt.Fprintf(w, "trace: %s (v1, flat), %d events, horizon %s\n",
-			fs.Arg(0), len(events), fmtDur(a.horizon))
+	if len(runs) == 0 {
+		runs = []engine.TraceRun{{}} // an empty log: one run of no events
 	}
-	a.printJobs(w)
-	a.printExecutors(w)
+	for i, r := range runs {
+		a := analyze(r.Events)
+		a.width = *width
+		name, format := fs.Arg(0), "v1, flat"
+		if len(runs) > 1 {
+			if i > 0 {
+				fmt.Fprintln(w)
+			}
+			name += fmt.Sprintf(" run %d of %d", i+1, len(runs))
+		}
+		if r.Header != nil {
+			format = fmt.Sprintf("v%d, %s", r.Header.Version, r.Header.Format)
+		}
+		fmt.Fprintf(w, "trace: %s (%s), %d events, horizon %s\n", name, format, len(r.Events), fmtDur(a.horizon))
+		a.printJobs(w)
+		a.printExecutors(w)
+	}
 
 	if *metricsFile != "" {
 		mf, err := os.Open(*metricsFile)

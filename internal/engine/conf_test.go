@@ -285,7 +285,7 @@ func TestNilConfigIsTheCatalogue(t *testing.T) {
 		var trace bytes.Buffer
 		spec, inputs := twoStageJob()
 		opts := testOptions(4, core.DefaultDynamic())
-		opts.Inputs, opts.Config, opts.Trace, opts.TraceFormat = inputs, reg, &trace, 2
+		opts.Inputs, opts.Config, opts.Trace = inputs, reg, &trace
 		opts.Faults = &chaos.Plan{
 			Name:           "mixed",
 			Seed:           7,

@@ -71,14 +71,9 @@ type Options struct {
 	// simulation starts — use it to attach samplers.
 	OnSetup func(e *Engine)
 	// Trace, if set, receives the engine's event log as JSON lines (the
-	// Spark event-log analogue; see TraceEvent and ReadTrace).
+	// Spark event-log analogue): a TraceHeader, then one TraceEvent per
+	// line with span IDs and the fields that do not apply omitted.
 	Trace io.Writer
-	// TraceFormat selects the event-log encoding: 0 or 1 emits the legacy
-	// flat v1 lines, byte-identical to earlier releases; 2 prefixes a
-	// versioned TraceHeader, omits non-applicable fields instead of
-	// writing -1/0 sentinels, and threads job→stage→task-attempt span IDs
-	// through the events. ReadTrace decodes both.
-	TraceFormat int
 	// Metrics, if set, attaches the deterministic telemetry plane: the
 	// engine registers its instruments (scheduler queues, executor pools,
 	// ζ/ε, failure detector, autoscaler) in the registry and samples them
@@ -274,7 +269,7 @@ func newEngine(opts Options, sp *runSpares) (*Engine, error) {
 	}
 	e.toDriver.Reuse(sp.toDriver)
 	sp.toDriver = sim.Buffers[driverMsg]{}
-	e.sink = newTraceSink(opts.Trace, opts.TraceFormat)
+	e.sink = newTraceSink(opts.Trace)
 	e.fs = dfs.New(e.cluster, opts.BlockSize)
 	e.fs.Reuse(sp.inputs)
 	sp.inputs = dfs.Layouts{}

@@ -130,7 +130,7 @@ func (m *execManager) noteBeat(b *driverMsg) {
 	if m.suspected[i] {
 		m.suspected[i] = false
 		m.eng.trace(TraceEvent{Type: TraceExecSuspect, Job: -1, Stage: -1, Task: -1, Exec: i,
-			Detail: "cleared by heartbeat"})
+			Detail: DetailSuspectCleared})
 		m.eng.sched.assign(i)
 	}
 	m.armDetector(i)

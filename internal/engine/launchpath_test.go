@@ -14,7 +14,7 @@ import (
 	"sae/internal/engine/job"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/*.trace.golden from the scheduler under test")
+var updateGolden = flag.Bool("update", false, "rewrite the testdata/*.golden files from the engine under test")
 
 // TestSchedulerTraceMatchesParent drives launch, handleTaskDone, reclaimNode
 // and speculate through everything that reorders the pending queue or reads
@@ -37,7 +37,6 @@ func TestSchedulerTraceMatchesParent(t *testing.T) {
 		opts.Config = Conf(opts.Config, "speculation=true")
 		if w != nil {
 			opts.Trace = w
-			opts.TraceFormat = 2
 		}
 		opts.Faults = &chaos.Plan{
 			Name:          "launchpath",
@@ -111,9 +110,8 @@ func TestPartialReplicationTraceMatchesParent(t *testing.T) {
 			Slows:         []chaos.Slow{{Exec: 1, At: 5 * time.Second, Factor: 3}},
 			Partitions:    []chaos.Partition{{Exec: 2, At: 8 * time.Second, Duration: 40 * time.Second}},
 		},
-		Inputs:      []Input{{Name: "in", Size: nodes * 24 * 64 * device.MiB}},
-		Trace:       &trace,
-		TraceFormat: 2,
+		Inputs: []Input{{Name: "in", Size: nodes * 24 * 64 * device.MiB}},
+		Trace:  &trace,
 	}, &job.JobSpec{Name: "r3scan", Stages: []*job.StageSpec{
 		{ID: 0, Name: "scan", InputFile: "in", CPUSecondsPerTask: 0.35},
 	}})
@@ -154,9 +152,9 @@ func matchGolden(t *testing.T, golden string, got []byte) {
 		gl, wl := bytes.Split(got, []byte("\n")), bytes.Split(want, []byte("\n"))
 		for i := range gl {
 			if i >= len(wl) || !bytes.Equal(gl[i], wl[i]) {
-				t.Fatalf("trace diverges from %s at line %d:\n got %s", golden, i+1, gl[i])
+				t.Fatalf("output diverges from %s at line %d:\n got %s", golden, i+1, gl[i])
 			}
 		}
-		t.Fatalf("trace is %d lines, %s has %d", len(gl), golden, len(wl))
+		t.Fatalf("output is %d lines, %s has %d", len(gl), golden, len(wl))
 	}
 }

@@ -8,32 +8,28 @@ import (
 	"testing"
 )
 
-// oracleSink is traceSink as it was first defined: encoding/json over
-// TraceEvent (v1) or a header line and traceEventV2 (v2). These types are
-// what fixed the two wire formats, so the hand-written traceSink.emit is
-// held to their bytes.
+// oracleSink is traceSink as it was first defined: a header line and
+// encoding/json over traceEventV2. These types are what fixed the wire
+// format, so the hand-written traceSink.emit is held to their bytes. A
+// legacy oracle writes what pre-v2 sinks wrote instead — encoding/json over
+// TraceEvent, no header, no spans — the log the reader must still decode.
 type oracleSink struct {
-	enc   *json.Encoder
-	err   error
-	v2    bool
-	wrote bool
-	spans *spanTracker
+	enc    *json.Encoder
+	err    error
+	legacy bool
+	wrote  bool
+	spans  *spanTracker
 }
 
-func newOracleSink(w io.Writer, format int) *oracleSink {
-	t := &oracleSink{enc: json.NewEncoder(w)}
-	if format >= 2 {
-		t.v2 = true
-		t.spans = newSpanTracker()
-	}
-	return t
+func newOracleSink(w io.Writer, legacy bool) *oracleSink {
+	return &oracleSink{enc: json.NewEncoder(w), legacy: legacy, spans: newSpanTracker()}
 }
 
 func (t *oracleSink) emit(ev TraceEvent) {
 	if t.err != nil {
 		return
 	}
-	if !t.v2 {
+	if t.legacy {
 		t.err = t.enc.Encode(ev)
 		return
 	}
@@ -70,18 +66,18 @@ func encodeV2(ev TraceEvent) traceEventV2 {
 
 // TraceOracle is an auditor that forwards to Audit and, fed by the audit
 // plane's mirror of the event stream, writes to W the log the reflection
-// encoder would have written: one oracle sink per engine, as each engine
-// builds its own traceSink. Exported for the scenario sweep in the external
-// test package.
+// encoder would have written (the pre-v2 one when Legacy is set): one
+// oracle sink per engine, as each engine builds its own traceSink. Exported
+// for the scenario sweep in the external test package.
 type TraceOracle struct {
 	Audit
 	W      io.Writer
-	Format int
+	Legacy bool
 	sink   *oracleSink
 }
 
 func (o *TraceOracle) BeginRun(active []bool) {
-	o.sink = newOracleSink(o.W, o.Format)
+	o.sink = newOracleSink(o.W, o.Legacy)
 	o.Audit.BeginRun(active)
 }
 
@@ -90,7 +86,7 @@ func (o *TraceOracle) Event(ev TraceEvent) {
 	o.Audit.Event(ev)
 }
 
-// TestTraceSinkMatchesOracle drives both formats through every branch of
+// TestTraceSinkMatchesOracle drives every branch of
 // the encoder — sentinels and real zeros, span and parent links, floats on
 // both sides of encoding/json's notation switch, details that need
 // escaping — and a time with no JSON form, which must fail the same way.
@@ -111,19 +107,17 @@ func TestTraceSinkMatchesOracle(t *testing.T) {
 		{At: math.NaN(), Type: TraceJobStart, Job: 1, Stage: -1, Task: -1, Exec: -1},
 		{At: 5, Type: TraceJobStart, Job: 2, Stage: -1, Task: -1, Exec: -1, Detail: "after the error: dropped"},
 	}
-	for _, format := range []int{1, 2} {
-		var got, want bytes.Buffer
-		sink, oracle := newTraceSink(&got, format), newOracleSink(&want, format)
-		for _, ev := range events {
-			sink.emit(ev)
-			oracle.emit(ev)
-		}
-		if got.String() != want.String() {
-			t.Errorf("format %d bytes:\n%s\nencoding/json writes:\n%s", format, got.String(), want.String())
-		}
-		if sink.err == nil || oracle.err == nil || sink.err.Error() != oracle.err.Error() {
-			t.Errorf("format %d error = %v, oracle's = %v", format, sink.err, oracle.err)
-		}
+	var got, want bytes.Buffer
+	sink, oracle := newTraceSink(&got), newOracleSink(&want, false)
+	for _, ev := range events {
+		sink.emit(ev)
+		oracle.emit(ev)
+	}
+	if got.String() != want.String() {
+		t.Errorf("bytes:\n%s\nencoding/json writes:\n%s", got.String(), want.String())
+	}
+	if sink.err == nil || oracle.err == nil || sink.err.Error() != oracle.err.Error() {
+		t.Errorf("error = %v, oracle's = %v", sink.err, oracle.err)
 	}
 }
 
@@ -134,57 +128,53 @@ func TestTraceSinkMatchesOracle(t *testing.T) {
 // come out as encoding/json writes them.
 func TestTraceTimestampReuseMatchesOracle(t *testing.T) {
 	times := []float64{0, 0, 0, math.Copysign(0, -1), 1.5, 1.5, 1.5, 2.25, 5e-7, 5e-7, 1.5, 1.5, 2.25, 1e21, 1e21, 0}
-	for _, format := range []int{1, 2} {
-		var got, want bytes.Buffer
-		sink, oracle := newTraceSink(&got, format), newOracleSink(&want, format)
-		for i, at := range times {
-			ev := TraceEvent{At: at, Type: TraceTaskLaunch, Job: 0, Stage: 1, Task: i, Exec: i % 3}
-			sink.emit(ev)
-			oracle.emit(ev)
-		}
-		if got.String() != want.String() {
-			t.Errorf("format %d bytes:\n%s\nencoding/json writes:\n%s", format, got.String(), want.String())
-		}
-		if err := sink.flushErr(); err != nil || oracle.err != nil {
-			t.Fatalf("format %d: %v, oracle %v", format, err, oracle.err)
-		}
+	var got, want bytes.Buffer
+	sink, oracle := newTraceSink(&got), newOracleSink(&want, false)
+	for i, at := range times {
+		ev := TraceEvent{At: at, Type: TraceTaskLaunch, Job: 0, Stage: 1, Task: i, Exec: i % 3}
+		sink.emit(ev)
+		oracle.emit(ev)
+	}
+	if got.String() != want.String() {
+		t.Errorf("bytes:\n%s\nencoding/json writes:\n%s", got.String(), want.String())
+	}
+	if err := sink.flushErr(); err != nil || oracle.err != nil {
+		t.Fatalf("%v, oracle %v", err, oracle.err)
 	}
 }
 
 // countingWriter counts Write calls: the engine promises its writer one
-// Write per event (plus one for a v2 header).
+// Write per event (plus one for the header).
 type countingWriter struct{ writes int }
 
 func (w *countingWriter) Write(p []byte) (int, error) { w.writes++; return len(p), nil }
 
 // TestTraceEmitAllocFreeOneWrite pins the cost of an event whose detail
-// needs no escaping: no allocation and exactly one Write, in both formats.
+// needs no escaping: no allocation and exactly one Write.
 func TestTraceEmitAllocFreeOneWrite(t *testing.T) {
-	for _, format := range []int{1, 2} {
-		w := &countingWriter{}
-		sink := newTraceSink(w, format)
-		launch := TraceEvent{At: 1.5, Type: TraceTaskLaunch, Job: 0, Stage: 1, Task: 3, Exec: 2, Detail: "node-local"}
-		end := launch
-		end.Type, end.At = TraceTaskEnd, 2.75
-		resize := TraceEvent{At: 3, Type: TraceResize, Job: 0, Stage: 1, Task: -1, Exec: 2, Threads: 16, Detail: "rollback to 16"}
-		sink.emit(TraceEvent{Type: TraceJobStart, Job: 0, Stage: -1, Task: -1, Exec: -1})
-		sink.emit(TraceEvent{Type: TraceStageStart, Job: 0, Stage: 1, Task: -1, Exec: -1})
-		sink.emit(launch) // sizes the buffer and the span maps
+	w := &countingWriter{}
+	sink := newTraceSink(w)
+	launch := TraceEvent{At: 1.5, Type: TraceTaskLaunch, Job: 0, Stage: 1, Task: 3, Exec: 2, Detail: "node-local"}
+	end := launch
+	end.Type, end.At = TraceTaskEnd, 2.75
+	resize := TraceEvent{At: 3, Type: TraceResize, Job: 0, Stage: 1, Task: -1, Exec: 2, Threads: 16, Detail: "rollback to 16"}
+	sink.emit(TraceEvent{Type: TraceJobStart, Job: 0, Stage: -1, Task: -1, Exec: -1})
+	sink.emit(TraceEvent{Type: TraceStageStart, Job: 0, Stage: 1, Task: -1, Exec: -1})
+	sink.emit(launch) // sizes the buffer and the span maps
+	sink.emit(end)
+	before := w.writes
+	const runs = 200
+	if n := testing.AllocsPerRun(runs, func() {
+		sink.emit(launch)
 		sink.emit(end)
-		before := w.writes
-		const runs = 200
-		if n := testing.AllocsPerRun(runs, func() {
-			sink.emit(launch)
-			sink.emit(end)
-			sink.emit(resize)
-		}); n != 0 {
-			t.Errorf("format %d: emit allocates %v times per three events, want 0", format, n)
-		}
-		if got := w.writes - before; got != 3*(runs+1) { // AllocsPerRun warms up with one extra run
-			t.Errorf("format %d: %d Writes for %d events", format, got, 3*(runs+1))
-		}
-		if err := sink.flushErr(); err != nil {
-			t.Fatal(err)
-		}
+		sink.emit(resize)
+	}); n != 0 {
+		t.Errorf("emit allocates %v times per three events, want 0", n)
+	}
+	if got := w.writes - before; got != 3*(runs+1) { // AllocsPerRun warms up with one extra run
+		t.Errorf("%d Writes for %d events", got, 3*(runs+1))
+	}
+	if err := sink.flushErr(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -53,7 +53,7 @@ func TestRecycledStateSurvivesFaults(t *testing.T) {
 		opts.Inputs = inputs
 		opts.Replication = 3
 		opts.Config = engine.Conf(opts.Config, "speculation=true")
-		opts.Trace, opts.TraceFormat = &trace, 2
+		opts.Trace = &trace
 		opts.Audit = aud
 		opts.OnSetup = func(e *engine.Engine) {
 			if eng = e; !recycle {
@@ -141,7 +141,7 @@ func TestSparesDoNotLeakAcrossRuns(t *testing.T) {
 	render := func(rep *engine.JobReport) string { return rep.String() + fmt.Sprintf("%+v", *rep) }
 	observe := func(opts *engine.Options, trace io.Writer) *invariant.Auditor {
 		aud := invariant.New()
-		opts.Trace, opts.TraceFormat = trace, 2
+		opts.Trace = trace
 		opts.Audit = aud
 		opts.Metrics, opts.MetricsInterval = telemetry.NewRegistry(), time.Second
 		return aud
@@ -246,7 +246,7 @@ func observedRunBytesPerTask(t *testing.T, on *engine.Engine) (float64, *engine.
 	}}
 	opts := engine.GrayOptions(8, core.Static{IOThreads: 4})
 	opts.Inputs = []engine.Input{{Name: "in", Size: size}}
-	opts.Trace, opts.TraceFormat = io.Discard, 2
+	opts.Trace = io.Discard
 	opts.Audit = invariant.New()
 	opts.Metrics, opts.MetricsInterval = telemetry.NewRegistry(), time.Second
 	var before, after runtime.MemStats
@@ -365,7 +365,7 @@ func TestRecycledMachineDoesNotLeakAcrossRuns(t *testing.T) {
 		t.Helper()
 		var trace bytes.Buffer
 		aud := invariant.New()
-		opts.Trace, opts.TraceFormat, opts.Audit = &trace, 2, aud
+		opts.Trace, opts.Audit = &trace, aud
 		var e *engine.Engine
 		var err error
 		if on != nil {

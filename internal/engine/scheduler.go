@@ -621,7 +621,7 @@ func (s *taskScheduler) handleExecLost(m *driverMsg) {
 	if !em.alive[m.exec] || m.epoch != em.epochs[m.exec] {
 		return
 	}
-	s.processLoss(m.exec, "heartbeat timeout")
+	s.processLoss(m.exec, DetailHeartbeatTimeout)
 }
 
 // processLoss declares one executor incarnation lost: reclaim its slots,

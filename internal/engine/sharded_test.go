@@ -243,3 +243,25 @@ func TestShardedWindowedOracle(t *testing.T) {
 		}
 	}
 }
+
+// TestWindowedReportsMatchGolden pins the windowed path's bytes, which no
+// other golden takes (every traced, audited or metered run is one kernel):
+// the %+v reports of windowedOptions runs at 16 and 32 nodes, 2 and 4
+// shards and seeds 1–3, each seed driving the node variability and the
+// chaos dice, against testdata/windowed.golden (-update rewrites it).
+func TestWindowedReportsMatchGolden(t *testing.T) {
+	var got bytes.Buffer
+	for _, nodes := range []int{16, 32} {
+		for _, shards := range []int{2, 4} {
+			for seed := int64(1); seed <= 3; seed++ {
+				opts, spec := windowedOptions(nodes, shards)
+				opts.Cluster.Variability = device.DefaultVariability(seed)
+				opts.Faults.Seed = seed
+				what := fmt.Sprintf("nodes=%d shards=%d seed=%d", nodes, shards, seed)
+				r := runOn(t, what, opts, spec, true)
+				fmt.Fprintf(&got, "%s: %+v\n", what, *r)
+			}
+		}
+	}
+	matchGolden(t, "testdata/windowed.golden", got.Bytes())
+}

@@ -53,7 +53,6 @@ func TestTaskPathsAgree(t *testing.T) {
 		opts := grayOptions(4, core.Static{IOThreads: 4})
 		opts.Inputs = inputs
 		opts.Trace = &trace
-		opts.TraceFormat = 2
 		opts.OnSetup = func(e *Engine) { eng = e }
 		mix(&opts, spec)
 		rep, err := Run(opts, spec)

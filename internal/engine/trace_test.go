@@ -45,29 +45,11 @@ func TestReadTraceLegacyCompat(t *testing.T) {
 	}
 }
 
-// TestV1ByteFormatLocked pins the exact v1 wire format: new fields on
-// TraceEvent must never change the bytes a v1 sink writes.
-func TestV1ByteFormatLocked(t *testing.T) {
-	var buf bytes.Buffer
-	sink := newTraceSink(&buf, 0)
-	sink.emit(TraceEvent{At: 0, Type: TraceJobStart, Job: 0, Stage: -1, Task: -1, Exec: -1, Detail: "terasort"})
-	sink.emit(TraceEvent{At: 1.5, Type: TraceTaskLaunch, Job: 0, Stage: 0, Task: 3, Exec: 2})
-	if err := sink.flushErr(); err != nil {
-		t.Fatal(err)
-	}
-	want := `{"t":0,"type":"job_start","job":0,"stage":-1,"task":-1,"exec":-1,"threads":0,"detail":"terasort"}
-{"t":1.5,"type":"task_launch","job":0,"stage":0,"task":3,"exec":2,"threads":0}
-`
-	if got := buf.String(); got != want {
-		t.Errorf("v1 bytes changed:\ngot  %q\nwant %q", got, want)
-	}
-}
-
-// TestV2SentinelOmission checks the v2 encoding drops sentinel-valued
-// fields instead of writing -1/0 placeholders.
+// TestV2SentinelOmission checks the encoding drops sentinel-valued fields
+// instead of writing -1/0 placeholders.
 func TestV2SentinelOmission(t *testing.T) {
 	var buf bytes.Buffer
-	sink := newTraceSink(&buf, 2)
+	sink := newTraceSink(&buf)
 	sink.emit(TraceEvent{At: 3, Type: TraceExecCrash, Job: -1, Stage: -1, Task: -1, Exec: 1, Detail: "crash"})
 	// Legitimate zeros survive: job 0 / stage 0 / task 0 are real IDs.
 	sink.emit(TraceEvent{At: 1, Type: TraceTaskEnd, Job: 0, Stage: 0, Task: 0, Exec: 0})
@@ -83,39 +65,38 @@ func TestV2SentinelOmission(t *testing.T) {
 	}
 }
 
-// TestV2RoundTrip runs the same deterministic job in v1 and v2 format and
-// checks (a) the v2 header, (b) the events match the v1 run exactly once
-// span annotations are stripped, and (c) span parentage links task → stage
-// → job.
+// TestV2RoundTrip runs a deterministic job and checks (a) the header, (b)
+// that the log decodes to the events a pre-v2 log of the same run decodes
+// to, once span annotations are stripped, and (c) that span parentage links
+// task → stage → job.
 func TestV2RoundTrip(t *testing.T) {
-	runTrace := func(format int) []byte {
+	runTrace := func() (trace, legacy []byte) {
 		spec, in := pipelineJob("spanjob", 8)
 		opts := testOptions(4, core.Default{})
 		opts.Inputs = []Input{in}
-		var buf bytes.Buffer
+		var buf, old bytes.Buffer
 		opts.Trace = &buf
-		opts.TraceFormat = format
+		opts.Audit = &TraceOracle{Audit: newCountingAudit(), W: &old, Legacy: true}
 		if _, err := Run(opts, spec); err != nil {
 			t.Fatal(err)
 		}
-		return buf.Bytes()
+		return buf.Bytes(), old.Bytes()
 	}
-	v1 := runTrace(0)
-	v2 := runTrace(2)
+	v2, v1 := runTrace()
 
 	header, events, err := ReadTraceWithHeader(bytes.NewReader(v2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if header == nil || header.Version != TraceVersion || header.Format != "flat+spans" {
-		t.Fatalf("v2 header = %+v", header)
+		t.Fatalf("header = %+v", header)
 	}
 	v1events, err := ReadTrace(bytes.NewReader(v1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(events) != len(v1events) {
-		t.Fatalf("v2 decoded %d events, v1 %d", len(events), len(v1events))
+		t.Fatalf("decoded %d events, the pre-v2 log %d", len(events), len(v1events))
 	}
 	jobSpan := map[int]int64{}
 	stageSpan := map[[2]int]int64{}
@@ -123,7 +104,7 @@ func TestV2RoundTrip(t *testing.T) {
 		flat := ev
 		flat.Span, flat.Parent = 0, 0
 		if flat != v1events[i] {
-			t.Fatalf("event %d differs from v1 run:\nv2 %+v\nv1 %+v", i, flat, v1events[i])
+			t.Fatalf("event %d differs from the pre-v2 log's:\nv2 %+v\nv1 %+v", i, flat, v1events[i])
 		}
 		switch ev.Type {
 		case TraceJobStart:
@@ -147,8 +128,61 @@ func TestV2RoundTrip(t *testing.T) {
 			}
 		}
 	}
-	// Determinism: a repeat v2 run is byte-identical.
-	if again := runTrace(2); !bytes.Equal(v2, again) {
-		t.Error("repeated v2 run produced different bytes")
+	// Determinism: a repeat run is byte-identical.
+	if again, _ := runTrace(); !bytes.Equal(v2, again) {
+		t.Error("repeated run produced different bytes")
+	}
+}
+
+// TestReadTraceRunsSplitsAtHeaders: in a log several runs appended to one
+// writer, every header starts a run and is never decoded as an event; a
+// headerless log is one run without a header.
+func TestReadTraceRunsSplitsAtHeaders(t *testing.T) {
+	var log bytes.Buffer
+	for run := 0; run < 3; run++ {
+		sink := newTraceSink(&log)
+		sink.emit(TraceEvent{At: 0, Type: TraceJobStart, Job: 0, Stage: -1, Task: -1, Exec: -1, Detail: "terasort"})
+		for i := 0; i <= run; i++ {
+			sink.emit(TraceEvent{At: 1.5, Type: TraceTaskLaunch, Job: 0, Stage: 0, Task: i, Exec: 0})
+		}
+		sink.emit(TraceEvent{At: float64(10 + run), Type: TraceJobEnd, Job: 0, Stage: -1, Task: -1, Exec: -1, Detail: "terasort"})
+		if err := sink.flushErr(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runs, err := ReadTraceRuns(bytes.NewReader(log.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(runs) != 3 {
+		t.Fatalf("decoded %d runs, want 3", len(runs))
+	}
+	for i, run := range runs {
+		if run.Header == nil || *run.Header != newTraceHeader() {
+			t.Errorf("run %d header = %+v", i, run.Header)
+		}
+		if n := len(run.Events); n != i+3 {
+			t.Errorf("run %d has %d events, want %d", i, n, i+3)
+		}
+		for _, ev := range run.Events {
+			if ev.Type == TraceHeaderType {
+				t.Errorf("run %d: header decoded as an event", i)
+			}
+		}
+		if last := run.Events[len(run.Events)-1]; last.Type != TraceJobEnd || last.At != float64(10+i) {
+			t.Errorf("run %d ends with %+v", i, last)
+		}
+	}
+	_, all, err := ReadTraceWithHeader(bytes.NewReader(log.Bytes()))
+	if err != nil || len(all) != 3+4+5 {
+		t.Errorf("ReadTraceWithHeader: %d events, err %v; want the 12 events of all runs", len(all), err)
+	}
+
+	legacy := `{"t":0,"type":"job_start","job":0,"stage":-1,"task":-1,"exec":-1,"threads":0}
+{"t":4,"type":"job_end","job":0,"stage":-1,"task":-1,"exec":-1,"threads":0}
+`
+	runs, err = ReadTraceRuns(strings.NewReader(legacy))
+	if err != nil || len(runs) != 1 || runs[0].Header != nil || len(runs[0].Events) != 2 {
+		t.Errorf("headerless log: %+v, err %v; want one run of 2 events, no header", runs, err)
 	}
 }

@@ -42,8 +42,10 @@ type Setup struct {
 	Faults *chaos.Plan
 	// Trace, if set, receives the engine event log of every run.
 	Trace io.Writer
-	// TraceFormat selects the event-log encoding (see
-	// engine.Options.TraceFormat; 2 adds the versioned header and spans).
+	// TraceFormat once chose between two event-log encodings.
+	//
+	// Deprecated: every trace is written in one format, with a header and
+	// spans; nothing reads this field.
 	TraceFormat int
 	// Metrics, if set, attaches the telemetry registry to every run. A
 	// registry accumulates one run's series, so sweeps that build many
@@ -116,7 +118,6 @@ func (s Setup) Options(policy job.Policy, jobPolicy engine.InterJobPolicy, block
 		Faults:          s.Faults,
 		Inputs:          inputs,
 		Trace:           s.Trace,
-		TraceFormat:     s.TraceFormat,
 		Metrics:         s.Metrics,
 		MetricsInterval: s.MetricsInterval,
 		Audit:           s.Audit,

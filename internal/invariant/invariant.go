@@ -21,7 +21,8 @@
 //     incarnation epoch.
 //   - suspect-legality: suspicion is raised only on live unsuspected
 //     executors and cleared only when standing.
-//   - heartbeat-legality: a "heartbeat timeout" loss declaration requires
+//   - heartbeat-legality: a heartbeat-timeout loss declaration
+//     (engine.DetailHeartbeatTimeout) requires
 //     standing suspicion (or a clear at the same instant — the benign
 //     beat-vs-declaration mailbox race); fences are ordered only for
 //     executors the driver already declared dead.
@@ -348,7 +349,7 @@ func (a *Auditor) Event(ev engine.TraceEvent) {
 	x := &a.execs[ev.Exec]
 	switch ev.Type {
 	case engine.TraceExecSuspect:
-		if ev.Detail == "cleared by heartbeat" {
+		if ev.Detail == engine.DetailSuspectCleared {
 			if !x.suspected {
 				a.violate("suspect-legality", ev.Exec, -1, "suspicion cleared with none standing")
 			}
@@ -367,7 +368,7 @@ func (a *Auditor) Event(ev engine.TraceEvent) {
 			a.cover("suspect:raise")
 		}
 	case engine.TraceExecLost:
-		if ev.Detail == "heartbeat timeout" && !x.suspected && !(x.hasCleared && x.clearedAt == ev.At) {
+		if ev.Detail == engine.DetailHeartbeatTimeout && !x.suspected && !(x.hasCleared && x.clearedAt == ev.At) {
 			a.violate("heartbeat-legality", ev.Exec, -1,
 				"loss declared by heartbeat timeout without standing suspicion")
 		}

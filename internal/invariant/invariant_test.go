@@ -216,14 +216,14 @@ func TestRuleLostWithBookedSlots(t *testing.T) {
 	a := fresh(2)
 	a.SlotLaunched(1, 0)
 	a.Event(ev(engine.TraceExecSuspect, 1, 5, "missed heartbeats"))
-	a.Event(ev(engine.TraceExecLost, 1, 10, "heartbeat timeout"))
+	a.Event(ev(engine.TraceExecLost, 1, 10, engine.DetailHeartbeatTimeout))
 	wantRule(t, a, "slot-conservation")
 }
 
 func TestRuleAssignmentLegality(t *testing.T) {
 	a := fresh(2)
 	a.Event(ev(engine.TraceExecSuspect, 1, 5, "missed heartbeats"))
-	a.Event(ev(engine.TraceExecLost, 1, 10, "heartbeat timeout"))
+	a.Event(ev(engine.TraceExecLost, 1, 10, engine.DetailHeartbeatTimeout))
 	a.SlotLaunched(1, 0)
 	wantRule(t, a, "assignment-legality")
 
@@ -245,7 +245,7 @@ func TestRuleAssignmentLegality(t *testing.T) {
 
 func TestRuleSuspectLegality(t *testing.T) {
 	a := fresh(1)
-	a.Event(ev(engine.TraceExecSuspect, 0, 5, "cleared by heartbeat"))
+	a.Event(ev(engine.TraceExecSuspect, 0, 5, engine.DetailSuspectCleared))
 	wantRule(t, a, "suspect-legality")
 
 	a = fresh(1)
@@ -256,7 +256,7 @@ func TestRuleSuspectLegality(t *testing.T) {
 
 func TestRuleHeartbeatLegality(t *testing.T) {
 	a := fresh(1)
-	a.Event(ev(engine.TraceExecLost, 0, 10, "heartbeat timeout"))
+	a.Event(ev(engine.TraceExecLost, 0, 10, engine.DetailHeartbeatTimeout))
 	wantRule(t, a, "heartbeat-legality")
 
 	// Fence on a live executor.
@@ -268,15 +268,15 @@ func TestRuleHeartbeatLegality(t *testing.T) {
 	// instant the detector declares the loss. Legal.
 	a = fresh(1)
 	a.Event(ev(engine.TraceExecSuspect, 0, 5, "missed heartbeats"))
-	a.Event(ev(engine.TraceExecSuspect, 0, 10, "cleared by heartbeat"))
-	a.Event(ev(engine.TraceExecLost, 0, 10, "heartbeat timeout"))
+	a.Event(ev(engine.TraceExecSuspect, 0, 10, engine.DetailSuspectCleared))
+	a.Event(ev(engine.TraceExecLost, 0, 10, engine.DetailHeartbeatTimeout))
 	wantClean(t, a)
 
 	// A clear at an earlier instant does not excuse the declaration.
 	a = fresh(1)
 	a.Event(ev(engine.TraceExecSuspect, 0, 5, "missed heartbeats"))
-	a.Event(ev(engine.TraceExecSuspect, 0, 9, "cleared by heartbeat"))
-	a.Event(ev(engine.TraceExecLost, 0, 10, "heartbeat timeout"))
+	a.Event(ev(engine.TraceExecSuspect, 0, 9, engine.DetailSuspectCleared))
+	a.Event(ev(engine.TraceExecLost, 0, 10, engine.DetailHeartbeatTimeout))
 	wantRule(t, a, "heartbeat-legality")
 }
 

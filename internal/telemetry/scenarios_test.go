@@ -30,7 +30,7 @@ func TestScenarioDumpsMatchOracle(t *testing.T) {
 			reg := telemetry.NewRegistry()
 			setup.Metrics = reg
 			setup.Audit = invariant.New()
-			setup.Trace, setup.TraceFormat = io.Discard, 2
+			setup.Trace = io.Discard
 			c, err := sp.Compile(setup)
 			if err != nil {
 				t.Fatal(err)
