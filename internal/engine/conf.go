@@ -31,18 +31,18 @@ const (
 // Spark configuration surface (Table 1). Each value is held at its meaning:
 // a zero count or overhead means none.
 type config struct {
-	cores          int            // executor.cores
-	blockSize      int64          // files.maxPartitionBytes
-	taskOverhead   float64        // executor.taskOverheadMillis, in CPU seconds
-	maxFailures    int            // task.maxFailures
-	speculation    bool           // speculation
-	specQuantile   float64        // speculation.quantile
-	specMultiplier float64        // speculation.multiplier
-	jobPolicy      InterJobPolicy // scheduler.mode
-	blacklistAfter int            // blacklist.stage.maxFailedTasksPerExecutor
-	heartbeat      time.Duration  // executor.heartbeatInterval
-	fetchRetries   int            // shuffle.io.maxRetries
-	fetchRetryWait time.Duration  // shuffle.io.retryWait
+	cores          int           // executor.cores
+	blockSize      int64         // files.maxPartitionBytes
+	taskOverhead   float64       // executor.taskOverheadMillis, in CPU seconds
+	maxFailures    int           // task.maxFailures
+	speculation    bool          // speculation
+	specQuantile   float64       // speculation.quantile
+	specMultiplier float64       // speculation.multiplier
+	fair           bool          // scheduler.mode is FAIR, not FIFO
+	blacklistAfter int           // blacklist.stage.maxFailedTasksPerExecutor
+	heartbeat      time.Duration // executor.heartbeatInterval
+	fetchRetries   int           // shuffle.io.maxRetries
+	fetchRetryWait time.Duration // shuffle.io.retryWait
 }
 
 // catalogueConfig is the catalogue's defaults, read once per process: what a
@@ -113,14 +113,10 @@ func readConfig(reg *conf.Registry) (c config, err error) {
 	if err != nil {
 		return c, err
 	}
-	switch mode {
-	case "FIFO":
-		c.jobPolicy = FIFO{}
-	case "FAIR":
-		c.jobPolicy = Fair{}
-	default:
+	if mode != "FIFO" && mode != "FAIR" {
 		return c, fmt.Errorf("engine: scheduler.mode must be FIFO or FAIR, got %q", mode)
 	}
+	c.fair = mode == "FAIR"
 	if c.blacklistAfter, err = reg.GetInt("blacklist.stage.maxFailedTasksPerExecutor"); err != nil {
 		return c, err
 	}

@@ -24,7 +24,7 @@ func TestApplyConfigDefaults(t *testing.T) {
 	}
 	want := config{
 		cores: 32, blockSize: 128 << 20, taskOverhead: 0.02, maxFailures: 4,
-		specQuantile: 0.75, specMultiplier: 1.5, jobPolicy: FIFO{}, blacklistAfter: 3,
+		specQuantile: 0.75, specMultiplier: 1.5, blacklistAfter: 3,
 		heartbeat: 10 * time.Second, fetchRetries: 3, fetchRetryWait: 5 * time.Second,
 	}
 	if got != want || catalogueConfig != want {
@@ -36,8 +36,8 @@ func TestApplyConfigDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.cfg != want || e.opts.BlockSize != 128<<20 || e.opts.JobPolicy != (FIFO{}) {
-		t.Fatalf("an engine without a registry runs with %+v, block size %d and %v", e.cfg, e.opts.BlockSize, e.opts.JobPolicy)
+	if e.cfg != want || e.opts.BlockSize != 128<<20 {
+		t.Fatalf("an engine without a registry runs with %+v and block size %d", e.cfg, e.opts.BlockSize)
 	}
 }
 
@@ -57,19 +57,16 @@ func TestApplyConfigOverrides(t *testing.T) {
 	if e.opts.BlockSize != 32<<20 {
 		t.Fatalf("block = %d", e.opts.BlockSize)
 	}
-	if c := e.cfg; c.maxFailures != 2 || !c.speculation || c.specQuantile != 0.9 || c.specMultiplier != 2.0 {
+	if c := e.cfg; c.maxFailures != 2 || !c.speculation || c.specQuantile != 0.9 || c.specMultiplier != 2.0 || !c.fair {
 		t.Fatalf("config = %+v", c)
-	}
-	if e.opts.JobPolicy.Name() != "FAIR" {
-		t.Fatalf("job policy = %q, want FAIR", e.opts.JobPolicy.Name())
 	}
 	if e.cfg.blacklistAfter != 0 {
 		t.Fatalf("blacklist streak = %d, want 0 (disabled)", e.cfg.blacklistAfter)
 	}
-	// An explicit split size and scheduler win over the registry's.
-	opts.BlockSize, opts.JobPolicy = 64*device.MiB, FIFO{}
-	if e, err = NewEngine(opts); err != nil || e.opts.BlockSize != 64*device.MiB || e.opts.JobPolicy.Name() != "FIFO" {
-		t.Fatalf("explicit block size and scheduler: %v, %v (%v)", e.opts.BlockSize, e.opts.JobPolicy, err)
+	// An explicit split size wins over the registry's.
+	opts.BlockSize = 64 * device.MiB
+	if e, err = NewEngine(opts); err != nil || e.opts.BlockSize != 64*device.MiB {
+		t.Fatalf("explicit block size: %v (%v)", e.opts.BlockSize, err)
 	}
 	// And the configured engine actually runs with the reduced cores.
 	opts.Inputs = []Input{{Name: "in", Size: device.GiB}}

@@ -41,7 +41,7 @@ type jobState struct {
 	finished int
 
 	// running counts the job's in-flight task attempts cluster-wide — the
-	// Fair policy's share measure.
+	// FAIR scheduler's share measure.
 	running int
 
 	// firstLaunch is when the job's first task attempt left the driver
@@ -275,7 +275,10 @@ func (e *Engine) finishJob(js *jobState) {
 		rep.QueueDelay = js.firstLaunch - rep.SubmittedAt
 	}
 	rep.Policy = e.opts.Policy.Name()
-	rep.Sched = e.sched.policy.Name()
+	rep.Sched = "FIFO"
+	if e.cfg.fair {
+		rep.Sched = "FAIR"
+	}
 	rep.Runtime = e.k.Now() - rep.SubmittedAt
 	for _, ex := range e.executors {
 		rep.Decisions = append(rep.Decisions, ex.jobDecisions(js.id))

@@ -201,7 +201,7 @@ func TestAutoscaleDeterminism(t *testing.T) {
 		var trace bytes.Buffer
 		opts := testOptions(6, core.Default{})
 		opts.Trace = &trace
-		opts.JobPolicy = Fair{}
+		opts.Config = Conf(nil, "scheduler.mode=FAIR")
 		opts.Autoscale = &AutoscaleConfig{
 			Policy:       &autoscale.Adaptive{Alpha: 0.3, DrainTarget: 2 * time.Minute, Headroom: 1.2, MinSamplePeriod: 5 * time.Second},
 			InitialNodes: 2,
@@ -263,16 +263,16 @@ func TestAutoscaleDeterminism(t *testing.T) {
 
 // TestSameInstantAdmissionOrder is the SubmitAt regression test: two jobs
 // submitted at the same sim instant are admitted in submission-sequence
-// order under both FIFO and Fair, and Fair actually shares the first slot
+// order under both FIFO and FAIR, and FAIR actually shares the first slot
 // wave between them instead of letting the first admission grab everything.
 func TestSameInstantAdmissionOrder(t *testing.T) {
-	firstWave := func(pol InterJobPolicy) (order []int, wave map[int]int) {
+	firstWave := func(mode string) (order []int, wave map[int]int) {
 		specA, inA := pipelineJob("alpha", 16)
 		specB, inB := pipelineJob("beta", 16)
 		// 2 threads × 4 nodes = 8 slots < 16+16 tasks, so the first wave
 		// is contended and the admission order is observable.
 		opts := testOptions(4, core.Static{IOThreads: 2})
-		opts.JobPolicy = pol
+		opts.Config = Conf(nil, "scheduler.mode="+mode)
 		opts.Inputs = []Input{inA, inB}
 		var trace bytes.Buffer
 		opts.Trace = &trace
@@ -306,60 +306,20 @@ func TestSameInstantAdmissionOrder(t *testing.T) {
 		}
 		return order, wave
 	}
-	for _, pol := range []InterJobPolicy{FIFO{}, Fair{}} {
-		order, wave := firstWave(pol)
+	for _, mode := range []string{"FIFO", "FAIR"} {
+		order, wave := firstWave(mode)
 		if len(order) != 2 || order[0] != 0 || order[1] != 1 {
-			t.Errorf("%s: job_start order = %v, want [0 1] (submission sequence)", pol.Name(), order)
+			t.Errorf("%s: job_start order = %v, want [0 1] (submission sequence)", mode, order)
 		}
-		switch pol.(type) {
-		case FIFO:
+		switch mode {
+		case "FIFO":
 			if wave[1] != 0 || wave[0] == 0 {
 				t.Errorf("FIFO first wave = %v, want all slots on job 0", wave)
 			}
-		case Fair:
+		case "FAIR":
 			if wave[0] == 0 || wave[1] == 0 {
 				t.Errorf("FAIR first wave = %v, want both same-instant jobs sharing slots", wave)
 			}
 		}
-	}
-}
-
-// TestPriorityPolicyPrefersUrgentJobs checks the Priority inter-job policy:
-// a high-priority job submitted at the same instant as a low-priority one
-// gets the contended first wave.
-func TestPriorityPolicyPrefersUrgentJobs(t *testing.T) {
-	specA, inA := pipelineJob("low", 16)
-	specB, inB := pipelineJob("high", 16)
-	specB.Priority = 5
-	opts := testOptions(4, core.Static{IOThreads: 2})
-	opts.JobPolicy = Priority{}
-	opts.Inputs = []Input{inA, inB}
-	var trace bytes.Buffer
-	opts.Trace = &trace
-	e, err := NewEngine(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Submit(specA); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Submit(specB); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	events, err := ReadTrace(&trace)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wave := map[int]int{}
-	for _, ev := range events {
-		if ev.Type == TraceTaskLaunch && ev.At == 0 {
-			wave[ev.Job]++
-		}
-	}
-	if wave[1] == 0 || wave[0] != 0 {
-		t.Errorf("first wave = %v, want every contended slot on the high-priority job 1", wave)
 	}
 }

@@ -41,8 +41,9 @@ type Options struct {
 	Cluster cluster.Config
 	// Config is the Spark-style configuration registry the run reads its
 	// wired parameters from (nil = the catalogue's defaults; see package
-	// conf). Its executor.cores replaces Cluster's CPU cores; the fields
-	// below that name a key win over it when set.
+	// conf), scheduler.mode among them. Its executor.cores replaces
+	// Cluster's CPU cores; BlockSize, when set, wins over its
+	// files.maxPartitionBytes.
 	Config *conf.Registry
 	// BlockSize is the DFS block size (0 = files.maxPartitionBytes).
 	BlockSize int64
@@ -52,9 +53,6 @@ type Options struct {
 	Replication int
 	// Policy sizes executor thread pools. Required.
 	Policy job.Policy
-	// JobPolicy orders concurrent jobs competing for executor slots
-	// (nil = scheduler.mode).
-	JobPolicy InterJobPolicy
 	// Faults, if set, is a deterministic chaos schedule: executor crashes
 	// (optionally with restart), transient task I/O faults, shuffle fetch
 	// failures, node slowdowns, network partitions and replica corruption,
@@ -207,9 +205,6 @@ func newEngine(opts Options, sp *runSpares) (*Engine, error) {
 	if err := opts.Faults.CheckExecutors(opts.Cluster.Nodes); err != nil {
 		return nil, fmt.Errorf("engine: fault plan %s: %w", opts.Faults, err)
 	}
-	if opts.JobPolicy == nil {
-		opts.JobPolicy = cfg.jobPolicy
-	}
 	if opts.BlockSize == 0 {
 		opts.BlockSize = cfg.blockSize
 	}
@@ -279,7 +274,7 @@ func newEngine(opts Options, sp *runSpares) (*Engine, error) {
 		}
 	}
 	e.em = newExecManager(e, e.cluster.Size())
-	e.sched = newTaskScheduler(e, opts.JobPolicy)
+	e.sched = newTaskScheduler(e)
 	for i, node := range e.cluster.Nodes() {
 		ex := newExecutor(e, i, node, opts.Policy)
 		if i < len(sp.nodes) {

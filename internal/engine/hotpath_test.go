@@ -19,9 +19,10 @@ import (
 )
 
 // referenceActiveKeys is the map-and-sort.Slice activeKeys this package
-// shipped before the allocation-free one: jobs ordered by the policy, stages
-// ascending within each job.
-func referenceActiveKeys(s *taskScheduler) []setKey {
+// shipped before the allocation-free one: jobs ordered by the inter-job
+// scheduler — FIFO by submission instant, FAIR by running tasks, ties by job
+// ID — stages ascending within each job.
+func referenceActiveKeys(s *taskScheduler, fair bool) []setKey {
 	stagesOf := make(map[int][]int)
 	for _, ts := range s.sets {
 		stagesOf[ts.key.job] = append(stagesOf[ts.key.job], ts.key.stage)
@@ -31,7 +32,14 @@ func referenceActiveKeys(s *taskScheduler) []setKey {
 		jobs = append(jobs, id)
 	}
 	sort.Slice(jobs, func(i, j int) bool {
-		return s.policy.Before(s.eng.snapshotJob(jobs[i]), s.eng.snapshotJob(jobs[j]))
+		a, b := s.eng.jobs[jobs[i]], s.eng.jobs[jobs[j]]
+		switch {
+		case fair && a.running != b.running:
+			return a.running < b.running
+		case !fair && a.rep.SubmittedAt != b.rep.SubmittedAt:
+			return a.rep.SubmittedAt < b.rep.SubmittedAt
+		}
+		return a.id < b.id
 	})
 	keys := make([]setKey, 0, len(s.sets))
 	for _, id := range jobs {
@@ -45,21 +53,24 @@ func referenceActiveKeys(s *taskScheduler) []setKey {
 }
 
 // TestActiveKeysMatchesReference checks activeSets' order over random
-// multi-job, multi-stage states under every inter-job policy — with the ties
-// (equal submission instants, running counts and priorities) the policies
-// break by job ID — that each job's row finds exactly the listed sets, and
-// that a steady-state call allocates nothing.
+// multi-job, multi-stage states under each scheduler.mode — with the ties
+// (equal submission instants and running counts) the modes break by job ID —
+// that each job's row finds exactly the listed sets, and that a steady-state
+// call allocates nothing.
 func TestActiveKeysMatchesReference(t *testing.T) {
 	const stages = 5
 	rng := rand.New(rand.NewSource(7))
-	for _, policy := range []InterJobPolicy{FIFO{}, Fair{}, Priority{}} {
+	for _, mode := range []string{"FIFO", "FAIR"} {
+		cfg, err := readConfig(Conf(nil, "scheduler.mode="+mode))
+		if err != nil {
+			t.Fatal(err)
+		}
 		for trial := 0; trial < 200; trial++ {
-			e := &Engine{}
-			s := newTaskScheduler(e, policy)
+			e := &Engine{cfg: cfg}
+			s := newTaskScheduler(e)
 			for id := 0; id < 1+rng.Intn(6); id++ {
 				js := &jobState{
 					id:      id,
-					spec:    &job.JobSpec{Priority: rng.Intn(3)},
 					rep:     JobReport{SubmittedAt: time.Duration(rng.Intn(3)) * time.Second},
 					running: rng.Intn(3),
 					sets:    make([]*taskSet, stages),
@@ -74,7 +85,7 @@ func TestActiveKeysMatchesReference(t *testing.T) {
 			if len(s.sets) > 0 {
 				s.dropSet(s.sets[rng.Intn(len(s.sets))])
 			}
-			want := referenceActiveKeys(s)
+			want := referenceActiveKeys(s, mode == "FAIR")
 			var got []setKey
 			for _, ts := range s.activeSets() {
 				got = append(got, ts.key)
@@ -83,7 +94,7 @@ func TestActiveKeysMatchesReference(t *testing.T) {
 				continue
 			}
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s trial %d: activeSets = %v, want %v", policy.Name(), trial, got, want)
+				t.Fatalf("%s trial %d: activeSets = %v, want %v", mode, trial, got, want)
 			}
 			rows := 0
 			for _, js := range e.jobs {
@@ -91,16 +102,16 @@ func TestActiveKeysMatchesReference(t *testing.T) {
 					if ts != nil {
 						rows++
 						if ts.key != (setKey{job: js.id, stage: stage}) || !slices.Contains(s.sets, ts) {
-							t.Fatalf("%s trial %d: job %d's row holds %v at stage %d", policy.Name(), trial, js.id, ts.key, stage)
+							t.Fatalf("%s trial %d: job %d's row holds %v at stage %d", mode, trial, js.id, ts.key, stage)
 						}
 					}
 				}
 			}
 			if rows != len(s.sets) {
-				t.Fatalf("%s trial %d: the jobs' rows hold %d sets, the list %d", policy.Name(), trial, rows, len(s.sets))
+				t.Fatalf("%s trial %d: the jobs' rows hold %d sets, the list %d", mode, trial, rows, len(s.sets))
 			}
 			if allocs := testing.AllocsPerRun(10, func() { s.activeSets() }); allocs != 0 {
-				t.Fatalf("%s trial %d: activeSets allocates %v objects per call, want 0", policy.Name(), trial, allocs)
+				t.Fatalf("%s trial %d: activeSets allocates %v objects per call, want 0", mode, trial, allocs)
 			}
 		}
 	}

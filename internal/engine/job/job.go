@@ -101,8 +101,8 @@ type JobSpec struct {
 	// Tenant labels the submitting tenant class for per-class SLO
 	// reporting ("" for single-tenant runs).
 	Tenant string
-	// Priority orders the job under priority-aware inter-job policies
-	// (higher is more urgent; ignored by FIFO/FAIR).
+	// Priority is the tenant class's priority (higher is more urgent), a
+	// label carried onto the report: no inter-job scheduler reads it.
 	Priority int
 }
 

@@ -93,14 +93,14 @@ func TestMultiJobDeterminism(t *testing.T) {
 	}
 }
 
-// TestPolicyConservation is the property check: whichever inter-job policy
+// TestPolicyConservation is the property check: whichever scheduler.mode
 // carves up the executor slots, each job still runs every task and moves
 // every byte exactly once.
 func TestPolicyConservation(t *testing.T) {
 	var got [2][2]*JobReport
-	for i, pol := range []InterJobPolicy{FIFO{}, Fair{}} {
+	for i, mode := range []string{"FIFO", "FAIR"} {
 		opts := testOptions(4, core.Default{})
-		opts.JobPolicy = pol
+		opts.Config = Conf(nil, "scheduler.mode="+mode)
 		got[i] = runTwoJobs(t, opts)
 	}
 	for j := 0; j < 2; j++ {
@@ -203,15 +203,15 @@ func TestDependsOnSerializesStages(t *testing.T) {
 
 // TestFairSharePrefersLightJobs pits a long job against a short one
 // submitted together: under FIFO the short job queues behind the long one's
-// task backlog; under Fair it gets its share of slots and finishes earlier.
+// task backlog; under FAIR it gets its share of slots and finishes earlier.
 func TestFairSharePrefersLightJobs(t *testing.T) {
-	shortRuntime := func(pol InterJobPolicy) time.Duration {
+	shortRuntime := func(mode string) time.Duration {
 		long, inLong := pipelineJob("long", 64)
 		short, inShort := pipelineJob("short", 4)
 		// Static{4} caps the cluster at 16 slots so the long job's task
 		// backlog actually queues — with ample slots the policies tie.
 		opts := testOptions(4, core.Static{IOThreads: 4})
-		opts.JobPolicy = pol
+		opts.Config = Conf(nil, "scheduler.mode="+mode)
 		opts.Inputs = []Input{inLong, inShort}
 		e, err := NewEngine(opts)
 		if err != nil {
@@ -233,8 +233,8 @@ func TestFairSharePrefersLightJobs(t *testing.T) {
 		}
 		return rep.Runtime
 	}
-	fifo := shortRuntime(FIFO{})
-	fair := shortRuntime(Fair{})
+	fifo := shortRuntime("FIFO")
+	fair := shortRuntime("FAIR")
 	if fair >= fifo {
 		t.Errorf("short job: %v under FAIR, %v under FIFO — fair share should help it", fair, fifo)
 	}
@@ -338,7 +338,7 @@ func TestDecisionsGroupedByJob(t *testing.T) {
 		specA, inA := pipelineJob("alpha", 16)
 		specB, inB := pipelineJob("beta", 8)
 		opts := testOptions(4, core.DefaultDynamic())
-		opts.JobPolicy = Fair{} // both jobs run from the start
+		opts.Config = Conf(nil, "scheduler.mode=FAIR") // both jobs run from the start
 		opts.Inputs = []Input{inA, inB}
 		opts.Faults = faults
 		e, err := NewEngine(opts)

@@ -97,7 +97,7 @@ type JobReport struct {
 	Policy string
 	Sched  string
 	// Tenant is the submitting tenant class ("" for single-tenant runs);
-	// Priority its inter-job priority.
+	// Priority the job's JobSpec.Priority label.
 	Tenant   string
 	Priority int
 	// SubmittedAt is the job's admission instant; Runtime its sojourn time

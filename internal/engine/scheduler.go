@@ -21,77 +21,6 @@ type setKey struct {
 	stage int
 }
 
-// JobSnapshot is the scheduler's view of one runnable job, handed to the
-// inter-job policy for ordering decisions.
-type JobSnapshot struct {
-	// ID is the job's submission index.
-	ID int
-	// SubmittedAt is the job's admission time on the sim clock.
-	SubmittedAt time.Duration
-	// Running counts the job's in-flight task attempts across the
-	// cluster — its current share of the executor slots.
-	Running int
-	// Priority is the job's tenant priority (higher is more urgent; only
-	// the Priority policy consults it).
-	Priority int
-}
-
-// InterJobPolicy orders jobs competing for executor slots, like Spark's
-// FIFO/FAIR scheduler pools. Before must be a strict total order (break
-// ties by ID) so scheduling stays deterministic.
-type InterJobPolicy interface {
-	Name() string
-	// Before reports whether job a should be offered free slots before
-	// job b.
-	Before(a, b JobSnapshot) bool
-}
-
-// FIFO serves jobs strictly in submission order: an earlier job takes every
-// slot it can use before a later job sees any.
-type FIFO struct{}
-
-// Name implements InterJobPolicy.
-func (FIFO) Name() string { return "FIFO" }
-
-// Before implements InterJobPolicy.
-func (FIFO) Before(a, b JobSnapshot) bool {
-	if a.SubmittedAt != b.SubmittedAt {
-		return a.SubmittedAt < b.SubmittedAt
-	}
-	return a.ID < b.ID
-}
-
-// Fair offers free slots to the job with the fewest running tasks, evening
-// out each job's share of the executor pool (Spark's FAIR pools with equal
-// weights).
-type Fair struct{}
-
-// Name implements InterJobPolicy.
-func (Fair) Name() string { return "FAIR" }
-
-// Before implements InterJobPolicy.
-func (Fair) Before(a, b JobSnapshot) bool {
-	if a.Running != b.Running {
-		return a.Running < b.Running
-	}
-	return a.ID < b.ID
-}
-
-// Priority serves the highest-priority job first (tenant classes carry a
-// priority), falling back to FIFO order within a priority level.
-type Priority struct{}
-
-// Name implements InterJobPolicy.
-func (Priority) Name() string { return "PRIORITY" }
-
-// Before implements InterJobPolicy.
-func (Priority) Before(a, b JobSnapshot) bool {
-	if a.Priority != b.Priority {
-		return a.Priority > b.Priority
-	}
-	return FIFO{}.Before(a, b)
-}
-
 // taskSet tracks one set of runnable tasks at the driver: a stage's
 // primary task wave, or a lineage-recovery subset regenerating lost map
 // outputs of an earlier stage.
@@ -410,13 +339,12 @@ func (ts *taskSet) dropCopy(task, exec int) bool {
 }
 
 // taskScheduler places tasks from every job's active sets onto executor
-// slots: the TaskScheduler half of the split driver. The inter-job policy
-// decides which job's sets are offered a free slot first; within a job,
-// sets are served in ascending stage order so lineage-recovery sets
+// slots: the TaskScheduler half of the split driver. scheduler.mode decides
+// which job's sets are offered a free slot first (see compareJobs); within a
+// job, sets are served in ascending stage order so lineage-recovery sets
 // (earlier stages) run before the stages that wait on them.
 type taskScheduler struct {
-	eng    *Engine
-	policy InterJobPolicy
+	eng *Engine
 	// sets lists every running task set, in activeSets' order as of its
 	// last call. A set is also its job's sets[stage], the lookup by (job,
 	// stage); addSet and dropSet keep the two in step.
@@ -427,8 +355,8 @@ type taskScheduler struct {
 	deferAssign bool
 }
 
-func newTaskScheduler(eng *Engine, policy InterJobPolicy) *taskScheduler {
-	return &taskScheduler{eng: eng, policy: policy}
+func newTaskScheduler(eng *Engine) *taskScheduler {
+	return &taskScheduler{eng: eng}
 }
 
 // primaryActive counts the active non-recovery task sets.
@@ -456,8 +384,8 @@ func (s *taskScheduler) dropSet(ts *taskSet) {
 	}
 }
 
-// activeSets returns the running sets: jobs in policy order, stages ascending
-// within each job. Policies are strict total orders, so the result is
+// activeSets returns the running sets: jobs in scheduler.mode's order, stages
+// ascending within each job. The job order is total, so the result is
 // deterministic whatever order the sets were added in. It is called once per
 // slot offer and allocates nothing: the returned slice is the scheduler's own
 // list, put in order again on each call (a job's place moves with its running
@@ -467,23 +395,24 @@ func (s *taskScheduler) dropSet(ts *taskSet) {
 func (s *taskScheduler) activeSets() []*taskSet {
 	if len(s.sets) > 1 {
 		slices.SortFunc(s.sets, func(a, b *taskSet) int {
-			switch {
-			case a.key.job == b.key.job:
-				return cmp.Compare(a.key.stage, b.key.stage)
-			case s.policy.Before(s.eng.snapshotJob(a.key.job), s.eng.snapshotJob(b.key.job)):
-				return -1
-			default:
-				return 1
-			}
+			return cmp.Or(s.compareJobs(a.key.job, b.key.job), cmp.Compare(a.key.stage, b.key.stage))
 		})
 	}
 	return s.sets
 }
 
-// snapshotJob builds the policy's view of one job.
-func (e *Engine) snapshotJob(id int) JobSnapshot {
-	js := e.jobs[id]
-	return JobSnapshot{ID: id, SubmittedAt: js.rep.SubmittedAt, Running: js.running, Priority: js.spec.Priority}
+// compareJobs orders jobs a and b for free slots, like Spark's inter-job
+// scheduler. FIFO serves jobs in submission order: an earlier job takes every
+// slot it can use before a later job sees any. FAIR offers slots to the job
+// with the fewest running tasks, evening out each job's share of the executor
+// pool (Spark's FAIR pools with equal weights). Ties go by ID, so the order is
+// total and scheduling deterministic.
+func (s *taskScheduler) compareJobs(a, b int) int {
+	ja, jb := s.eng.jobs[a], s.eng.jobs[b]
+	if s.eng.cfg.fair {
+		return cmp.Or(cmp.Compare(ja.running, jb.running), cmp.Compare(a, b))
+	}
+	return cmp.Or(cmp.Compare(ja.rep.SubmittedAt, jb.rep.SubmittedAt), cmp.Compare(a, b))
 }
 
 // handleTaskDone routes a completion to its task set by (job, stage).
@@ -828,8 +757,8 @@ func (s *taskScheduler) assignAll() {
 }
 
 // assign hands pending tasks to executor i while it has free slots,
-// serving jobs in policy order (and recovery sets before the waves that
-// wait on them), preferring tasks whose DFS split is local to the
+// serving jobs in scheduler.mode's order (and recovery sets before the waves
+// that wait on them), preferring tasks whose DFS split is local to the
 // executor's node and honouring per-task executor exclusions.
 func (s *taskScheduler) assign(i int) {
 	em := s.eng.em
@@ -848,8 +777,8 @@ func (s *taskScheduler) assign(i int) {
 
 // pickTask selects the ticket of the next pending task executor i should run:
 // first a local non-excluded task, then any non-excluded task, offering task
-// sets in policy order. If no other executor has free slots, exclusions against
-// i are cleared rather than letting work stall.
+// sets in scheduler.mode's order. If no other executor has free slots,
+// exclusions against i are cleared rather than letting work stall.
 func (s *taskScheduler) pickTask(i int) (*taskSet, int) {
 	node := s.eng.executors[i].node.ID
 	sets := s.activeSets()

@@ -104,17 +104,15 @@ func (s Setup) clusterConfig() cluster.Config {
 }
 
 // Options builds the engine options every run of the setup starts from: its
-// cluster, observers, faults and conf registry, and what the run varies,
-// which wins over the registry — the sizing policy, the inter-job scheduler
-// (nil keeps the registry's scheduler.mode), the split size (0 keeps the
-// registry's; a workload's yields only to an explicitly set
-// files.maxPartitionBytes) and the inputs.
-func (s Setup) Options(policy job.Policy, jobPolicy engine.InterJobPolicy, blockSize int64, inputs []engine.Input) engine.Options {
+// cluster, observers, faults and conf registry (scheduler.mode, the inter-job
+// scheduler, among its keys), and what the run varies — the sizing policy,
+// the split size (0 keeps the registry's; a workload's yields only to an
+// explicitly set files.maxPartitionBytes) and the inputs.
+func (s Setup) Options(policy job.Policy, blockSize int64, inputs []engine.Input) engine.Options {
 	opts := engine.Options{
 		Cluster:         s.clusterConfig(),
 		Config:          s.Config,
 		Policy:          policy,
-		JobPolicy:       jobPolicy,
 		Faults:          s.Faults,
 		Inputs:          inputs,
 		Trace:           s.Trace,
@@ -130,16 +128,16 @@ func (s Setup) Options(policy job.Policy, jobPolicy engine.InterJobPolicy, block
 
 // Run executes one workload under one policy and returns the engine report.
 func (s Setup) Run(w *workloads.Spec, policy job.Policy, onSetup func(*engine.Engine)) (*engine.JobReport, error) {
-	opts := s.Options(policy, nil, w.BlockSize, w.Inputs)
+	opts := s.Options(policy, w.BlockSize, w.Inputs)
 	opts.OnSetup = onSetup
 	return engine.Run(opts, w.Job)
 }
 
 // RunMulti executes several workloads concurrently on one engine under the
-// given inter-job policy and returns their reports in submission order.
+// registry's scheduler.mode and returns their reports in submission order.
 // Inputs shared between workloads (same file name) are created once; the
 // first workload's block size wins, as the engine has one DFS.
-func (s Setup) RunMulti(ws []*workloads.Spec, policy job.Policy, jobPolicy engine.InterJobPolicy) ([]*engine.JobReport, error) {
+func (s Setup) RunMulti(ws []*workloads.Spec, policy job.Policy) ([]*engine.JobReport, error) {
 	if len(ws) == 0 {
 		return nil, fmt.Errorf("exp: no workloads")
 	}
@@ -153,7 +151,7 @@ func (s Setup) RunMulti(ws []*workloads.Spec, policy job.Policy, jobPolicy engin
 			}
 		}
 	}
-	e, err := engine.NewEngine(s.Options(policy, jobPolicy, ws[0].BlockSize, inputs))
+	e, err := engine.NewEngine(s.Options(policy, ws[0].BlockSize, inputs))
 	if err != nil {
 		return nil, err
 	}
@@ -212,18 +210,6 @@ func PolicyByName(name string) (job.Policy, error) {
 		return core.Static{IOThreads: n}, nil
 	}
 	return nil, fmt.Errorf("exp: unknown policy %q (want default, static[:N] or dynamic)", name)
-}
-
-// SchedulerByName builds an inter-job policy from its spec name.
-func SchedulerByName(name string) (engine.InterJobPolicy, error) {
-	switch name {
-	case "fifo", "FIFO":
-		return engine.FIFO{}, nil
-	case "fair", "FAIR":
-		return engine.Fair{}, nil
-	default:
-		return nil, fmt.Errorf("exp: unknown scheduler %q (want fifo or fair)", name)
-	}
 }
 
 // Reduction returns the percentage runtime reduction of b relative to a.

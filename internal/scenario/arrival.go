@@ -209,7 +209,7 @@ func (c *Compiled) compileArrivalMatrix() error {
 // replay runs one arrival schedule against one provisioning config on a
 // fleet of capacity nodes, under FAIR sharing and default executor sizing.
 func (c *Compiled) replay(cfg ProvisionSpec, capacity int, sched []arrival.Arrival) (AutoscaleRow, error) {
-	big := c.Setup
+	big := withScheduler(c.Setup, "FAIR")
 	big.Nodes = capacity
 	scale := big.Scale
 	tenants := map[string]TenantSpec{}
@@ -220,7 +220,7 @@ func (c *Compiled) replay(cfg ProvisionSpec, capacity int, sched []arrival.Arriv
 	}
 	// Keep the DFS layout independent of the spec's tenant order.
 	slices.SortFunc(inputs, func(a, b engine.Input) int { return cmp.Compare(a.Name, b.Name) })
-	opts := big.Options(core.Default{}, engine.Fair{}, 64*device.MiB, inputs)
+	opts := big.Options(core.Default{}, 64*device.MiB, inputs)
 	planner, err := cfg.planner()
 	if err != nil {
 		return AutoscaleRow{}, err

@@ -33,6 +33,30 @@ func (sp *Spec) BaseSetup() exp.Setup {
 	return s
 }
 
+// catalogue is the conf catalogue at its defaults, made once per process:
+// what a setup without a registry reads, cloned wherever one is needed.
+var catalogue = conf.New()
+
+// confCopy returns a copy of s's registry, or of the catalogue if s has none.
+func confCopy(s exp.Setup) *conf.Registry {
+	if s.Config != nil {
+		return s.Config.Clone()
+	}
+	return catalogue.Clone()
+}
+
+// withScheduler returns s with scheduler.mode set to mode on a copy of its
+// registry, leaving the caller's as it was. It is how a multi-job kind picks
+// the inter-job scheduler of a run; Compile refuses the key in such a spec's
+// conf and in the caller's, so the kind's choice is the only one.
+func withScheduler(s exp.Setup, mode string) exp.Setup {
+	s.Config = confCopy(s)
+	// Set refuses only an unknown key or a mistyped reference to another
+	// key; scheduler.mode is a catalogue key whose default names none.
+	_ = s.Config.Set("scheduler.mode", mode)
+	return s
+}
+
 // Compiled is a scenario bound to a concrete setup, ready to run. The
 // compile step resolves every name — workloads, policies, schedulers,
 // chaos clauses, arrival processes, autoscale planners — so a spec's
@@ -47,8 +71,9 @@ type Compiled struct {
 // copy of the setup's registry without displacing values already set there,
 // so CLI -conf flags win over the spec's conf block and the caller's
 // registry is left as it was; what a run varies (its cell's
-// policy, scheduler, split size — see exp.Setup.Options) wins over both.
-// The two multi-job kinds fix the inter-job scheduler of every run, so
+// policy, split size — see exp.Setup.Options) wins over both.
+// The two multi-job kinds fix the inter-job scheduler of every run by
+// setting scheduler.mode on a copy of that registry (withScheduler), so
 // scheduler.mode in their conf is an error rather than silently overridden.
 func (sp *Spec) Compile(s exp.Setup) (*Compiled, error) {
 	if sp.Version != Version {
@@ -56,10 +81,7 @@ func (sp *Spec) Compile(s exp.Setup) (*Compiled, error) {
 			sp.Name, sp.Version, Version)
 	}
 	if len(sp.Conf) > 0 {
-		reg := conf.New()
-		if s.Config != nil {
-			reg = s.Config.Clone()
-		}
+		reg := confCopy(s)
 		for _, k := range slices.Sorted(maps.Keys(sp.Conf)) {
 			if reg.IsSet(k) {
 				continue

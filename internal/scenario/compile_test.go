@@ -107,7 +107,8 @@ func TestMatrixCSVMatchesGolden(t *testing.T) {
 // TestDefaultConfLeavesMatricesAlone: a registry holding only a key at its
 // default value must not move a multi-job matrix. It did: the tenant matrix
 // applied the registry's default scheduler.mode=FIFO over its FAIR cells,
-// so every FAIR row printed its FIFO twin.
+// so every FAIR row printed its FIFO twin. The matrices set scheduler.mode
+// on copies of that registry, never on it.
 func TestDefaultConfLeavesMatricesAlone(t *testing.T) {
 	for _, id := range []string{"multitenant", "autoscale"} {
 		plain := runScenario(t, loadGolden(t, id+".yaml"), seed7()).String()
@@ -118,6 +119,9 @@ func TestDefaultConfLeavesMatricesAlone(t *testing.T) {
 		}
 		if got := runScenario(t, loadGolden(t, id+".yaml"), s).String(); got != plain {
 			t.Errorf("%s: -conf speculation=false changed the report\n--- without ---\n%s--- with ---\n%s", id, plain, got)
+		}
+		if s.Config.IsSet("scheduler.mode") {
+			t.Errorf("%s: the run set scheduler.mode on the caller's registry", id)
 		}
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"sae/internal/chaos"
-	"sae/internal/conf"
 	"sae/internal/engine"
 	"sae/internal/exp"
 	"sae/internal/workloads"
@@ -276,7 +275,7 @@ func (d *dec) validate(sp *Spec) error {
 		}
 	}
 	for i, s := range sp.Schedulers {
-		if _, err := exp.SchedulerByName(s); err != nil {
+		if _, ok := schedulerModes[s]; !ok {
 			return d.errf(d.at("schedulers", i), "schedulers[%d]: unknown scheduler %q (want fifo or fair)", i, s)
 		}
 	}
@@ -302,20 +301,20 @@ func (d *dec) validate(sp *Spec) error {
 // checkConf validates the conf block the way the engine will consume it, so
 // an unknown key or a malformed value fails here, at the spec, not mid-run.
 // Each override is applied on top of the ones before it, which makes the
-// first failing CheckConfig the current key's fault. The catalogue is built
+// first failing CheckConfig the current key's fault. The catalogue is cloned
 // only for specs that carry a conf block.
 func (d *dec) checkConf() error {
 	cn := d.at("conf")
 	if cn == nil {
 		return nil
 	}
-	catalogue := conf.New()
+	reg := catalogue.Clone()
 	for _, key := range cn.keys {
 		vn := cn.children[key]
-		if err := catalogue.Set(key, vn.val); err != nil {
+		if err := reg.Set(key, vn.val); err != nil {
 			return d.errf(vn, "%w", err)
 		}
-		if err := engine.CheckConfig(catalogue); err != nil {
+		if err := engine.CheckConfig(reg); err != nil {
 			return d.errf(vn, "conf %q: %w", key, err)
 		}
 	}
@@ -327,6 +326,37 @@ func (d *dec) checkWorkload(name string, path ...any) error {
 		return d.errf(d.at(path...), "unknown workload %q", name)
 	}
 	return nil
+}
+
+// The bounds on an arrival process's rates, in jobs/s, and on its peak rate
+// × horizon. The committed autoscale spec peaks at 0.3 jobs/s over 6 min,
+// about 108 draws.
+const (
+	maxArrivalRate  = 1000
+	maxArrivalDraws = 1e6
+)
+
+// rateField is one rate of an arrival process: its field's name in errors,
+// its path below the process's node and its value.
+type rateField struct {
+	name string
+	path []any
+	rate float64
+}
+
+// rateFields lists the rates p's process reads.
+func (p ArrivalProcSpec) rateFields() []rateField {
+	switch p.Process {
+	case "poisson":
+		return []rateField{{"rate", []any{"rate"}, p.Rate}}
+	case "bursty":
+		return []rateField{{"on_rate", []any{"on_rate"}, p.OnRate}, {"off_rate", []any{"off_rate"}, p.OffRate}}
+	}
+	fs := make([]rateField, len(p.Rates))
+	for j, r := range p.Rates {
+		fs[j] = rateField{fmt.Sprintf("rates[%d]", j), []any{"rates", j}, r}
+	}
+	return fs
 }
 
 func (d *dec) checkArrival(m *ArrivalMatrixSpec) error {
@@ -350,11 +380,32 @@ func (d *dec) checkArrival(m *ArrivalMatrixSpec) error {
 			return d.errf(d.at("arrival", "arrivals", i, "process"),
 				"arrivals[%d]: unknown process %q (want poisson, bursty or diurnal)", i, p.Process)
 		}
-		for j, r := range p.Rates {
-			if r < 0 {
-				return d.errf(d.at("arrival", "arrivals", i, "rates", j),
-					"arrivals[%d] (%s): rates[%d]: %v is not a non-negative number", i, p.Name, j, r)
+		// The generator's clock moves in whole nanoseconds: near 1e9 jobs/s
+		// most gaps round to zero and the clock stops, so each rate is
+		// capped. So is the peak rate × horizon, the candidate arrivals
+		// thinning draws: one bound alone lets the other factor run away.
+		var peak rateField
+		for _, f := range p.rateFields() {
+			n := d.at(append([]any{"arrival", "arrivals", i}, f.path...)...)
+			switch {
+			case f.rate < 0:
+				return d.errf(n, "arrivals[%d] (%s): %s: %v is not a non-negative number", i, p.Name, f.name, f.rate)
+			case f.rate > maxArrivalRate:
+				return d.errf(n, "arrivals[%d] (%s): %s: %v jobs/s exceeds %v jobs/s", i, p.Name, f.name, f.rate, maxArrivalRate)
+			case f.rate > peak.rate:
+				peak = f
 			}
+		}
+		// A diurnal slot is period / len(rates) whole nanoseconds; a zero
+		// slot divides by zero.
+		if p.Process == "diurnal" && p.Period < time.Duration(len(p.Rates)) {
+			return d.errf(d.at("arrival", "arrivals", i, "period"),
+				"arrivals[%d] (%s): period: %v leaves its %d rate slots under a nanosecond each", i, p.Name, p.Period, len(p.Rates))
+		}
+		if draws := peak.rate * m.Horizon.Seconds(); draws > maxArrivalDraws {
+			return d.errf(d.at(append([]any{"arrival", "arrivals", i}, peak.path...)...),
+				"arrivals[%d] (%s): %s: %v jobs/s over the %v horizon draws about %.3g candidate arrivals, more than %.0e",
+				i, p.Name, peak.name, peak.rate, m.Horizon, draws, float64(maxArrivalDraws))
 		}
 	}
 	seen = map[string]bool{}

@@ -197,6 +197,54 @@ func TestNonFiniteFloatRejected(t *testing.T) {
 	requireErr(t, parseErr(t, doc), "5", `field "min_recovered_gib"`, "finite")
 }
 
+// TestRunawayArrivalRateRejected: the generator steps its clock by whole
+// nanoseconds, so at a rate near 1e12 jobs/s almost every gap rounded to zero
+// and the arrival matrix hung rejecting candidates at one instant. Each rate
+// is capped, and so is the peak rate × horizon (a tiny horizon alone lets an
+// enormous rate through); the committed spec, and each bound itself, parse.
+// A diurnal period shorter than its slot count in nanoseconds divided by a
+// zero slot and panicked the run.
+func TestRunawayArrivalRateRejected(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("..", "..", "scenarios", "autoscale.yaml"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := func(oldnew ...string) string {
+		doc := string(data)
+		for i := 0; i < len(oldnew); i += 2 {
+			if !strings.Contains(doc, oldnew[i]) {
+				t.Fatalf("the committed spec has no %q", oldnew[i])
+			}
+			doc = strings.Replace(doc, oldnew[i], oldnew[i+1], 1)
+		}
+		return doc
+	}
+	const onOff = "on_rate: 0.30\n      off_rate: 0.02\n"
+	const bursty = "process: bursty\n      " + onOff + "      on: 45s\n      off: 105s\n"
+	for _, c := range []struct {
+		doc, line, field string
+	}{
+		{spec(onOff, "on_rate: 1\n      off_rate: 1e12\n"), "31", "off_rate: 1e+12 jobs/s exceeds 1000"},
+		{spec(bursty, "process: diurnal\n      period: 1h\n      rates: [0, 1e12]\n"), "31", "rates[1]: 1e+12 jobs/s exceeds 1000"},
+		{spec(onOff, "on_rate: 1e12\n      off_rate: 0.02\n", "horizon: 6m", "horizon: 1ns"), "30", "on_rate: 1e+12 jobs/s exceeds 1000"},
+		{spec("horizon: 6m", "horizon: 1000h"), "30", "on_rate: 0.3 jobs/s over the 1000h0m0s horizon draws about 1.08e+06"},
+		{spec("rate: 0.08", "rate: 2000"), "27", "(poisson): rate: 2000 jobs/s exceeds 1000"},
+		{spec("off_rate: 0.02", "off_rate: -0.02"), "31", "off_rate: -0.02 is not a non-negative number"},
+		{spec(bursty, "process: diurnal\n      period: 1ns\n      rates: [0.1, 0.2]\n"), "30", "period: 1ns leaves its 2 rate slots under a nanosecond"},
+	} {
+		requireErr(t, parseErr(t, c.doc), c.line, c.field)
+	}
+	for _, doc := range []string{
+		string(data),
+		spec(onOff, "on_rate: 1000\n      off_rate: 1000\n", "horizon: 6m", "horizon: 16m"),
+		spec(bursty, "process: diurnal\n      period: 1h\n      rates: [0, 1000]\n"),
+	} {
+		if _, err := Parse("spec.yaml", []byte(doc)); err != nil {
+			t.Errorf("a spec inside the bounds: %v", err)
+		}
+	}
+}
+
 func TestUnknownPolicy(t *testing.T) {
 	doc := `version: 1
 name: demo

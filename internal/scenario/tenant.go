@@ -88,12 +88,16 @@ func (c *Compiled) compileTenantMatrix() error {
 			return err
 		}
 	}
-	scheds := make([]engine.InterJobPolicy, len(sp.Schedulers))
+	// One setup per scheduler, its registry a copy of the caller's with
+	// scheduler.mode set: every cell of the scheduler reads it.
+	modes := make([]string, len(sp.Schedulers))
+	setups := make([]exp.Setup, len(sp.Schedulers))
 	for i, name := range sp.Schedulers {
-		var err error
-		if scheds[i], err = exp.SchedulerByName(name); err != nil {
-			return err
+		var ok bool
+		if modes[i], ok = schedulerModes[name]; !ok {
+			return fmt.Errorf("unknown scheduler %q (want fifo or fair)", name)
 		}
+		setups[i] = withScheduler(s, modes[i])
 	}
 	policies, err := policiesByName(sp.Policies)
 	if err != nil {
@@ -102,16 +106,16 @@ func (c *Compiled) compileTenantMatrix() error {
 	c.run = func() (fmt.Stringer, error) {
 		res := &TenantResult{}
 		for _, mix := range sp.Mixes {
-			for _, sched := range scheds {
+			for i, mode := range modes {
 				for _, pol := range policies {
 					// Fresh workload specs per run, so concurrent cells never
 					// share mutable state; the names resolved at compile.
 					ws, _ := mixWorkloads(mix, cfg)
-					reps, err := s.RunMulti(ws, pol, sched)
+					reps, err := setups[i].RunMulti(ws, pol)
 					if err != nil {
-						return nil, fmt.Errorf("%s %s/%s/%s: %w", sp.Name, mix.Name, sched.Name(), pol.Name(), err)
+						return nil, fmt.Errorf("%s %s/%s/%s: %w", sp.Name, mix.Name, mode, pol.Name(), err)
 					}
-					res.Cells = append(res.Cells, TenantCell{Mix: mix.Name, Sched: sched.Name(), Policy: pol.Name(), Reports: reps})
+					res.Cells = append(res.Cells, TenantCell{Mix: mix.Name, Sched: mode, Policy: pol.Name(), Reports: reps})
 				}
 			}
 		}
@@ -119,6 +123,10 @@ func (c *Compiled) compileTenantMatrix() error {
 	}
 	return nil
 }
+
+// schedulerModes maps a tenant matrix's scheduler names to the
+// scheduler.mode value each selects.
+var schedulerModes = map[string]string{"fifo": "FIFO", "FIFO": "FIFO", "fair": "FAIR", "FAIR": "FAIR"}
 
 func mixWorkloads(mix MixSpec, cfg workloads.Config) ([]*workloads.Spec, error) {
 	ws := make([]*workloads.Spec, len(mix.Workloads))

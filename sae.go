@@ -60,9 +60,6 @@ type (
 	// transient task and fetch faults) applied to a run via
 	// Setup.WithFaults or ContextOptions.Faults.
 	FaultPlan = chaos.Plan
-	// InterJobPolicy orders concurrent jobs competing for executor slots
-	// (see FIFO and FairSharing).
-	InterJobPolicy = engine.InterJobPolicy
 )
 
 // Default returns stock Spark behaviour: one worker thread per virtual
@@ -131,18 +128,12 @@ func Run(s Setup, w *Workload, p Policy) (*JobReport, error) {
 	return s.Run(w, p, nil)
 }
 
-// FIFO returns the inter-job scheduler that runs jobs in submission order.
-func FIFO() InterJobPolicy { return engine.FIFO{} }
-
-// FairSharing returns the inter-job scheduler that splits executor slots
-// evenly between the jobs currently running.
-func FairSharing() InterJobPolicy { return engine.Fair{} }
-
-// RunMulti executes several workloads concurrently on one engine under the
-// given inter-job scheduler, returning one report per workload in
-// submission order.
-func RunMulti(s Setup, ws []*Workload, p Policy, sched InterJobPolicy) ([]*JobReport, error) {
-	return s.RunMulti(ws, p, sched)
+// RunMulti executes several workloads concurrently on one engine, returning
+// one report per workload in submission order. The inter-job scheduler is
+// s.Config's scheduler.mode: FIFO (the default) runs jobs in submission
+// order, FAIR splits executor slots evenly between the jobs running.
+func RunMulti(s Setup, ws []*Workload, p Policy) ([]*JobReport, error) {
+	return s.RunMulti(ws, p)
 }
 
 // ParseFaults parses a chaos schedule spec, e.g. "crash@90s",

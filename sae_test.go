@@ -8,38 +8,52 @@ import (
 	"sae/internal/exp"
 )
 
-// TestRunMultiSchedulerBeatsConf: the inter-job scheduler RunMulti is given
-// wins over the registry's scheduler.mode. A registry holding only a key at
-// its default value used to apply the default scheduler.mode=FIFO over
-// FairSharing, so the fair run came out as the FIFO one.
-func TestRunMultiSchedulerBeatsConf(t *testing.T) {
+// TestRunMultiReadsSchedulerMode: RunMulti runs the mix under the setup
+// registry's scheduler.mode. FAIR there runs it differently from FIFO, FIFO
+// runs it as a setup without a registry does, and another key set at its
+// default leaves the FAIR run as it was.
+func TestRunMultiReadsSchedulerMode(t *testing.T) {
 	mix := func() []*Workload {
 		cfg := ScaledDown(0.02)
 		return []*Workload{workloadNamed(t, "terasort", cfg), workloadNamed(t, "pagerank", cfg)}
 	}
-	run := func(s Setup, sched InterJobPolicy) string {
+	run := func(kvs ...string) string {
 		t.Helper()
-		reps, err := RunMulti(s, mix(), Adaptive(), sched)
+		s := DAS5().WithScale(0.02)
+		if len(kvs) > 0 {
+			s.Config = conf.New()
+		}
+		for _, kv := range kvs {
+			k, v, err := conf.ParseFlag(kv)
+			if err == nil {
+				err = s.Config.Set(k, v)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		reps, err := RunMulti(s, mix(), Adaptive())
 		if err != nil {
 			t.Fatal(err)
 		}
 		var b strings.Builder
 		for _, rep := range reps {
-			b.WriteString(rep.String())
+			b.WriteString(rep.Sched + ": " + rep.String())
 		}
 		return b.String()
 	}
-	s := DAS5().WithScale(0.02)
-	fair, fifo := run(s, FairSharing()), run(s, FIFO())
+	plain, fifo, fair := run(), run("scheduler.mode=FIFO"), run("scheduler.mode=FAIR")
 	if fair == fifo {
-		t.Fatal("the mix runs the same under FIFO and fair sharing: the test cannot tell them apart")
+		t.Fatal("the mix runs the same under FIFO and FAIR: the test cannot tell them apart")
 	}
-	s.Config = conf.New()
-	if err := s.Config.Set("speculation", "false"); err != nil {
-		t.Fatal(err)
+	if fifo != plain {
+		t.Errorf("scheduler.mode=FIFO changed the reports of a setup without a registry\n--- without ---\n%s--- with ---\n%s", plain, fifo)
 	}
-	if got := run(s, FairSharing()); got != fair {
-		t.Errorf("a default-only registry changed the fair-sharing reports\n--- without ---\n%s--- with ---\n%s", fair, got)
+	if strings.Count(fair, "FAIR: ") != 2 || strings.Contains(fair, "FIFO: ") {
+		t.Errorf("scheduler.mode=FAIR reports:\n%s", fair)
+	}
+	if got := run("scheduler.mode=FAIR", "speculation=false"); got != fair {
+		t.Errorf("a default-valued key changed the FAIR reports\n--- without ---\n%s--- with ---\n%s", fair, got)
 	}
 }
 
