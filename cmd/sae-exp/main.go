@@ -2,30 +2,30 @@
 //
 // Usage:
 //
-//	sae-exp [-scale F] [-nodes N] [-ssd] [-seed S] [-parallel N] [-audit]
+//	sae-exp [-scale F] [-nodes N] [-ssd] [-seed S] [-audit]
 //	        [-scenario FILE]... [experiment ...]
 //
 // With no arguments it runs every experiment in order. Valid experiment IDs
 // are table1, table2 and fig1 … fig12 plus the extension experiments
 // (sae-exp -list, which also enumerates the committed scenarios/*.yaml
 // specs; they are embedded in the binary, and faults, grayfail, multitenant
-// and autoscale run them). -parallel N fans the sweep out over N worker
-// goroutines; each run owns its own simulation kernel, and results are
-// printed in submission order, so stdout is identical to a sequential
-// sweep's (wall-clock timings go to stderr).
+// and autoscale run them). Experiments run one after another, each running
+// its independent engine runs side by side on up to GOMAXPROCS processors;
+// every run owns its own simulation kernel, so stdout is a function of the
+// flags alone (wall-clock timings go to stderr).
 //
 // -scenario (repeatable) appends declarative scenario specs to the sweep;
-// they run through the same worker pool and -csv export as the built-in
-// experiments. The spec's cluster block supplies scale/nodes/seed; -scale,
-// -nodes and -seed override it only when given explicitly on the command
-// line, so `sae-exp -scale 0.05 -seed 7 -scenario scenarios/autoscale.yaml`
-// prints what `sae-exp -scale 0.05 -seed 7 autoscale` prints.
+// they run after the experiments and go through the same -csv export. The
+// spec's cluster block supplies scale/nodes/seed; -scale, -nodes and -seed
+// override it only when given explicitly on the command line, so
+// `sae-exp -scale 0.05 -seed 7 -scenario scenarios/autoscale.yaml` prints
+// what `sae-exp -scale 0.05 -seed 7 autoscale` prints.
 //
 // -audit attaches the invariant audit plane (internal/invariant) to every
 // run in the sweep. The auditor accumulates sequential per-run state, so
-// it rejects -parallel > 1; violations print to stderr and exit non-zero,
-// while the report stream stays byte-identical (the audit plane never
-// perturbs a run).
+// an audited experiment runs its runs in order; violations print to stderr
+// and exit non-zero, while the report stream stays byte-identical (the
+// audit plane never perturbs a run).
 //
 // For performance work, -cpuprofile/-memprofile/-exectrace write pprof CPU
 // and heap profiles and a Go execution trace covering the whole sweep.
@@ -63,8 +63,7 @@ func run(args []string) error {
 	seed := fs.Int64("seed", 1, "node-variability seed")
 	list := fs.Bool("list", false, "list experiments and exit")
 	csvDir := fs.String("csv", "", "also export each artifact's data series as CSV under this directory")
-	parallel := fs.Int("parallel", 1, "run experiments on up to N worker goroutines")
-	audit := fs.Bool("audit", false, "attach the invariant audit plane to every run (forces -parallel 1); violations print to stderr and exit non-zero")
+	audit := fs.Bool("audit", false, "attach the invariant audit plane to every run (each experiment then runs its runs in order); violations print to stderr and exit non-zero")
 	cpuprofile := fs.String("cpuprofile", "", "write a pprof CPU profile to this file")
 	memprofile := fs.String("memprofile", "", "write a pprof heap profile to this file on exit")
 	exectrace := fs.String("exectrace", "", "write a Go execution trace to this file")
@@ -101,9 +100,6 @@ func run(args []string) error {
 	}
 	var aud *invariant.Auditor
 	if *audit {
-		if *parallel > 1 {
-			return fmt.Errorf("-audit accumulates sequential per-run state and cannot be combined with -parallel %d", *parallel)
-		}
 		aud = invariant.New()
 		setup.Audit = aud
 	}
@@ -113,14 +109,17 @@ func run(args []string) error {
 		ids = sae.ExperimentIDs()
 	}
 	exps := sae.Experiments()
-	var tasks []exp.Task
+	type artifact struct {
+		id  string
+		run func() (fmt.Stringer, error)
+	}
+	var arts []artifact
 	for _, id := range ids {
 		e, ok := exps[id]
 		if !ok {
 			return fmt.Errorf("unknown experiment %q (valid: %s)", id, strings.Join(sae.ExperimentIDs(), ", "))
 		}
-		run := e.Run
-		tasks = append(tasks, exp.Task{ID: id, Run: func() (fmt.Stringer, error) { return run(setup) }})
+		arts = append(arts, artifact{id, func() (fmt.Stringer, error) { return e.Run(setup) }})
 	}
 	// Explicit cluster flags override each spec's cluster block; the spec
 	// wins over flag defaults, mirroring sae-run -scenario.
@@ -154,35 +153,33 @@ func run(args []string) error {
 		for _, kv := range c.Setup.Config.Unmodelled() {
 			fmt.Fprintf(os.Stderr, "sae-exp: %s: conf %s is not modelled: the run ignores it\n", sp.Name, kv)
 		}
-		tasks = append(tasks, exp.Task{ID: sp.Name, Run: c.Run})
+		arts = append(arts, artifact{sp.Name, c.Run})
 	}
 
-	start := time.Now()
-	results := exp.RunParallel(*parallel, tasks)
 	var failed []string
-	for _, r := range results {
-		if r.Err != nil {
-			return fmt.Errorf("%s: %w", r.ID, r.Err)
+	for _, a := range arts {
+		start := time.Now()
+		res, err := a.run()
+		wall := time.Since(start)
+		if err != nil {
+			return fmt.Errorf("%s: %w", a.id, err)
 		}
-		fmt.Print(r.Result)
-		if f, ok := r.Result.(interface{ Failures() []string }); ok {
+		fmt.Print(res)
+		if f, ok := res.(interface{ Failures() []string }); ok {
 			for _, msg := range f.Failures() {
-				failed = append(failed, fmt.Sprintf("%s: %s", r.ID, msg))
+				failed = append(failed, fmt.Sprintf("%s: %s", a.id, msg))
 			}
 		}
 		if *csvDir != "" {
-			if tab, ok := r.Result.(exp.Tabular); ok {
-				if err := exp.WriteCSV(filepath.Join(*csvDir, r.ID), tab); err != nil {
+			if tab, ok := res.(exp.Tabular); ok {
+				if err := exp.WriteCSV(filepath.Join(*csvDir, a.id), tab); err != nil {
 					return err
 				}
 			}
 		}
 		// Wall times go to stderr: stdout is a function of the seed alone.
-		fmt.Fprintf(os.Stderr, "  [%s regenerated in %.2fs wall time]\n", r.ID, r.Wall.Seconds())
+		fmt.Fprintf(os.Stderr, "  [%s regenerated in %.2fs wall time]\n", a.id, wall.Seconds())
 		fmt.Println()
-	}
-	if *parallel > 1 {
-		fmt.Fprintf(os.Stderr, "[%d experiments on %d workers in %.2fs wall time]\n", len(results), *parallel, time.Since(start).Seconds())
 	}
 	if aud != nil {
 		if vs := aud.Violations(); len(vs) > 0 {

@@ -45,7 +45,7 @@ func TestUnknownExperiment(t *testing.T) {
 
 func TestRunScenarioSweep(t *testing.T) {
 	err := run([]string{
-		"-scale", "0.02", "-parallel", "2",
+		"-scale", "0.02",
 		"-scenario", "../../scenarios/terasort-crash.yaml",
 		"-scenario", "../../scenarios/multitenant.yaml",
 	})

@@ -33,6 +33,7 @@ var exportAllowlist = map[string]string{
 	"device.Disk.Active":          "in-flight streams, which the device tests hold OverloadAhead to",
 	"device.NIC.Snapshot":         "link busy time, beside Disk.Snapshot",
 	"device.Uniform":              "the no-variability model the test clusters are built with",
+	"dfs.DropTables":              "empties the list of recent input tables, so the engine tests' allocation budgets start cold",
 	"engine.EnableTestBug":        "plants a known violation so the audit and hunt tests prove they catch it",
 	"engine.Engine.Executors":     "the executor table the fault and recycling tests inspect",
 	"engine.Engine.FS":            "the file system the engine tests read output files from",

@@ -134,12 +134,18 @@ type Spec struct {
 	MaxJobs int
 }
 
+// maxDraws bounds the candidates Generate draws. From a peak rate near 1e9
+// jobs/s up, gaps round to 0 ns and the clock stops short of any horizon;
+// scenario files keep a process to about 1e6 expected draws, far below it.
+const maxDraws = 1 << 20
+
 // Generate draws the full arrival schedule. Thinning (Lewis–Shedler): draw
 // candidate instants from a homogeneous Poisson process at the peak rate,
 // accept each with probability Rate(t)/Peak. For a homogeneous process every
 // candidate is accepted and this reduces to exponential inter-arrivals. The
 // returned schedule is sorted by time with ties impossible (continuous
-// inter-arrival draws) and Seq numbering in time order.
+// inter-arrival draws) and Seq numbering in time order. It ends after 2^20
+// candidates, wherever the clock stands.
 func (s Spec) Generate() []Arrival {
 	if s.Proc == nil || s.Proc.Peak() <= 0 || s.Horizon <= 0 {
 		return nil
@@ -150,7 +156,7 @@ func (s Spec) Generate() []Arrival {
 		out []Arrival
 		t   time.Duration
 	)
-	for {
+	for range maxDraws {
 		// Exponential gap at the envelope rate, in float seconds.
 		gap := rng.ExpFloat64() / peak
 		t += time.Duration(gap * float64(time.Second))

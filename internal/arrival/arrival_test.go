@@ -144,3 +144,24 @@ func TestMaxJobsAndHorizon(t *testing.T) {
 		}
 	}
 }
+
+// TestRunawayPeakRateEnds: at 1e12 jobs/s every gap rounds to 0 ns, so the
+// clock never reaches the horizon and, with no MaxJobs, only the bound on
+// candidate draws ends Generate; it must return promptly.
+func TestRunawayPeakRateEnds(t *testing.T) {
+	spec := Spec{
+		Proc:    Bursty{OnRate: 1, OffRate: 1e12, On: time.Second, Off: time.Second},
+		Seed:    7,
+		Horizon: time.Hour,
+	}
+	done := make(chan int)
+	go func() { done <- len(spec.Generate()) }()
+	select {
+	case n := <-done:
+		if n > maxDraws {
+			t.Fatalf("%d arrivals from at most %d draws", n, maxDraws)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Generate did not return within 10s")
+	}
+}

@@ -8,8 +8,10 @@
 // Input files are laid out in full by Create. An input's block table is a
 // function of five values — the file's name and size, its effective
 // replication, the cluster's node count and the block size — and nothing
-// writes to it once made, so file systems share tables: one offered by Reuse
-// (another file system's Layouts) is what Create returns when all five match.
+// writes to it once made, so file systems share tables: the process keeps a
+// bounded list of the tables Create made or returned last, and Create returns
+// the one made from the same five values, whichever file system made it, on
+// whichever goroutine.
 //
 // An output file keeps only what a reader can observe of it: the bytes each
 // node has written. A write costs its disk I/O on the writer's node
@@ -25,6 +27,7 @@ import (
 	"hash/crc32"
 	"slices"
 	"strconv"
+	"sync"
 
 	"sae/internal/cluster"
 	"sae/internal/sim"
@@ -38,14 +41,7 @@ type FS struct {
 	fault     FaultModel
 	sumBuf    []byte // blockSum scratch
 	ids       []int  // identity's array
-	// offered holds the tables Create may return instead of laying a file
-	// out (Reuse); made, the ones it returned (Layouts).
-	offered, made []layout
 }
-
-// Layouts is the set of input block tables one file system's Create calls
-// returned, for a later file system to Reuse. The zero value holds none.
-type Layouts struct{ tables []layout }
 
 // layout is one input block table and the values Create made it from.
 type layout struct {
@@ -61,16 +57,28 @@ type layoutKey struct {
 	replication, nodes int
 }
 
-// Layouts returns the tables this file system's Create calls returned, reused
-// or laid out.
-func (fs *FS) Layouts() Layouts { return Layouts{fs.made} }
+// tables is the process's list of recent input block tables, the one Create
+// returned last at the end, with the blocks they hold, each table counted one
+// more than its length. Tables are never written once made — Open lays a
+// written file out in a new array, and FinishWrite only reslices — so file
+// systems share them, concurrently too.
+var tables struct {
+	sync.Mutex
+	list   []layout
+	blocks int
+}
 
-// Reuse offers l's tables to the Create calls that follow: a file whose name,
-// size, effective replication, node count and block size all equal a table's
-// gets that table, which both file systems then share. Tables are never
-// written once made — Open lays a written file out in a new array, and
-// FinishWrite only reslices — so sharing one is safe, concurrently too.
-func (fs *FS) Reuse(l Layouts) { fs.offered = l.tables }
+// maxTableBlocks bounds the blocks the list keeps: the inputs of every paper
+// artifact at scale 1 fit many times over, and a larger table is not kept.
+const maxTableBlocks = 1 << 16
+
+// DropTables empties the list of recent input tables, so the Create calls
+// that follow lay their files out afresh.
+func DropTables() {
+	tables.Lock()
+	tables.list, tables.blocks = nil, 0
+	tables.Unlock()
+}
 
 // FaultModel lets the engine inject gray failures into block reads without
 // the file system knowing anything about chaos plans. Both hooks may be nil
@@ -161,9 +169,9 @@ func (fs *FS) blocks(name string, size int64) (int, error) {
 
 // Create materializes a file's metadata: size split into blocks, each
 // replicated on `replication` nodes chosen round-robin (HDFS default
-// placement approximated deterministically), or the table Reuse offered for
-// the same file. It does not charge any I/O — use it for pre-loaded input
-// data. A file of over 2^22 blocks is an error.
+// placement approximated deterministically), or the table the list of recent
+// ones holds for the same file. It does not charge any I/O — use it for
+// pre-loaded input data. A file of over 2^22 blocks is an error.
 func (fs *FS) Create(name string, size int64, replication int) (*File, error) {
 	if _, ok := fs.files[name]; ok {
 		return nil, fmt.Errorf("dfs: file %q already exists", name)
@@ -180,24 +188,33 @@ func (fs *FS) Create(name string, size int64, replication int) (*File, error) {
 		replication = n
 	}
 	key := layoutKey{name: name, size: size, blockSize: fs.blockSize, replication: replication, nodes: n}
-	blocks, ok := fs.offer(key)
-	if !ok {
-		blocks = fs.layOut(name, size, replication, nblocks)
-	}
-	fs.made = append(fs.made, layout{key, blocks})
-	f := &File{Name: name, Size: size, Blocks: blocks, created: nblocks}
+	f := &File{Name: name, Size: size, Blocks: fs.table(key, nblocks), created: nblocks}
 	fs.files[name] = f
 	return f, nil
 }
 
-// offer returns the offered table made from key, if there is one.
-func (fs *FS) offer(key layoutKey) ([]Block, bool) {
-	for _, l := range fs.offered {
+// table returns the list's table made from key, moved to the end, or else
+// lays the file out in nblocks blocks and adds its table, dropping the least
+// recent ones past maxTableBlocks.
+func (fs *FS) table(key layoutKey, nblocks int) []Block {
+	tables.Lock()
+	defer tables.Unlock()
+	for i, l := range tables.list {
 		if l.key == key {
-			return l.blocks, true
+			tables.list = append(slices.Delete(tables.list, i, i+1), l)
+			return l.blocks
 		}
 	}
-	return nil, false
+	blocks := fs.layOut(key.name, key.size, key.replication, nblocks)
+	if nblocks < maxTableBlocks {
+		tables.list = append(tables.list, layout{key, blocks})
+		tables.blocks += nblocks + 1
+		for tables.blocks > maxTableBlocks {
+			tables.blocks -= len(tables.list[0].blocks) + 1
+			tables.list = slices.Delete(tables.list, 0, 1)
+		}
+	}
+	return blocks
 }
 
 // layOut makes the block table of a file of size bytes in nblocks blocks,

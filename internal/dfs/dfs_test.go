@@ -10,6 +10,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -668,13 +669,13 @@ func TestCreateReplicasMatchSortReference(t *testing.T) {
 }
 
 // TestReuseMatchesFreshCreate: over random files, Create on a file system
-// offered another's Layouts returns the other's very table when the file's
+// returns the very table another file system's Create made when the file's
 // name, size, effective replication, node count and block size all match —
 // also when the two spell full replication differently — and lays the file
-// out afresh when any one of them differs; either way the table equals the
-// one a file system offered nothing lays out. A write to the file and the Open
-// after it leave the first file system's blocks as they were, and the second
-// one's Layouts still hold the table Create returned.
+// out afresh when any one of them differs; either way the table equals the one
+// laid out on an empty list. A write to the file and the Open after it leave
+// the first file system's blocks as they were, and the list still hands out
+// the table Create returned last.
 func TestReuseMatchesFreshCreate(t *testing.T) {
 	type file struct {
 		name               string
@@ -687,9 +688,8 @@ func TestReuseMatchesFreshCreate(t *testing.T) {
 		}
 		return f.replication
 	}
-	create := func(f file, offer Layouts) (*FS, *File) {
+	create := func(f file) (*FS, *File) {
 		fs := New(testCluster(sim.NewKernel(), f.nodes), f.blockSize)
-		fs.Reuse(offer)
 		g, err := fs.Create(f.name, f.size, f.replication)
 		if err != nil {
 			t.Fatal(err)
@@ -725,10 +725,12 @@ func TestReuseMatchesFreshCreate(t *testing.T) {
 		reuse := a.name == b.name && a.size == b.size && a.blockSize == b.blockSize && a.nodes == b.nodes &&
 			effective(a) == effective(b)
 
-		fsA, fa := create(a, Layouts{})
+		DropTables()
+		fsA, fa := create(a)
 		kept := slices.Clone(fa.Blocks)
-		fsB, fb := create(b, fsA.Layouts())
-		_, fresh := create(b, Layouts{})
+		fsB, fb := create(b)
+		DropTables()
+		_, fresh := create(b)
 		table := fb.Blocks
 		if !reflect.DeepEqual(table, fresh.Blocks) || (&table[0] == &fa.Blocks[0]) != reuse {
 			t.Logf("%+v then %+v: shared %v, want %v; equal to a fresh layout %v",
@@ -746,10 +748,66 @@ func TestReuseMatchesFreshCreate(t *testing.T) {
 			t.Logf("%+v then %+v: a write to the second file system's file changed the first's blocks", a, b)
 			return false
 		}
-		_, fc := create(b, fsB.Layouts())
-		return &fc.Blocks[0] == &table[0]
+		_, fc := create(b)
+		return &fc.Blocks[0] == &fresh.Blocks[0]
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestTableListIsBounded: file systems on two goroutines, each on a cluster of
+// its own, get the very table for one file, and the list of recent tables
+// keeps at most maxTableBlocks blocks, the most recent ones, however many
+// files are laid out; a table larger than that is not kept at all. CI runs it
+// under -race.
+func TestTableListIsBounded(t *testing.T) {
+	DropTables()
+	create := func(name string, size int64) *File {
+		fs := New(testCluster(sim.NewKernel(), 4), 100)
+		f, err := fs.Create(name, size, 0)
+		if err != nil {
+			t.Error(err)
+		}
+		return f
+	}
+	var pair [2]*File
+	var wg sync.WaitGroup
+	for i := range pair {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			pair[i] = create("in", 1000)
+		}()
+	}
+	wg.Wait()
+	if t.Failed() || &pair[0].Blocks[0] != &pair[1].Blocks[0] {
+		t.Fatal("two file systems laid one file out twice")
+	}
+	held := func() (names []string) {
+		tables.Lock()
+		defer tables.Unlock()
+		blocks := 0
+		for _, l := range tables.list {
+			names = append(names, l.key.name)
+			blocks += len(l.blocks) + 1
+		}
+		if blocks != tables.blocks || blocks > maxTableBlocks {
+			t.Fatalf("the list holds %d blocks, counts %d; bound %d", blocks, tables.blocks, maxTableBlocks)
+		}
+		return names
+	}
+	// Files of 2^12 blocks: forty are over twice the bound.
+	for i := range 40 {
+		create(fmt.Sprintf("f%d", i), 100<<12)
+		held()
+	}
+	names := held()
+	if len(names) != maxTableBlocks/(1<<12+1) || names[len(names)-1] != "f39" || slices.Contains(names, "in") {
+		t.Fatalf("the list holds %v, want the most recent %d files", names, maxTableBlocks/(1<<12+1))
+	}
+	create("big", 100*maxTableBlocks)
+	if got := held(); !slices.Equal(got, names) {
+		t.Fatalf("a table of %d blocks changed the list to %v", maxTableBlocks, got)
 	}
 }

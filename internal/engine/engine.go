@@ -176,7 +176,7 @@ var ErrNoNodes = errors.New("engine: the cluster needs at least one node")
 // NewEngine assembles a fresh simulated cluster ready to accept jobs.
 func NewEngine(opts Options) (*Engine, error) { return newEngine(opts, nil) }
 
-// newEngine is NewEngine on the spares sp, or on the pool's if sp is nil. A
+// newEngine is NewEngine on the spares sp, or on the stack's if sp is nil. A
 // sharded engine runs on spares of its own.
 func newEngine(opts Options, sp *runSpares) (*Engine, error) {
 	cfg := catalogueConfig
@@ -266,8 +266,6 @@ func newEngine(opts Options, sp *runSpares) (*Engine, error) {
 	sp.toDriver = sim.Buffers[driverMsg]{}
 	e.sink = newTraceSink(opts.Trace)
 	e.fs = dfs.New(e.cluster, opts.BlockSize)
-	e.fs.Reuse(sp.inputs)
-	sp.inputs = dfs.Layouts{}
 	for _, in := range opts.Inputs {
 		if _, err := e.fs.Create(in.Name, in.Size, opts.Replication); err != nil {
 			return nil, fmt.Errorf("engine: create input: %w", err)

@@ -2,9 +2,10 @@ package engine
 
 import (
 	"reflect"
-	"runtime"
+	"slices"
 
 	"sae/internal/conf"
+	"sae/internal/dfs"
 	"sae/internal/sim"
 )
 
@@ -71,21 +72,39 @@ func queueArray(q sim.FIFO[launchMsg]) uintptr {
 	return reflect.ValueOf(q).FieldByName("items").Pointer()
 }
 
-// Spares returns the spares e runs on. Wait gives them back for the next
-// engine to take, so a test hands them to another engine only once the slot
-// and the pool are drained.
+// Spares returns the spares e runs on. Wait gives them back to the stack for
+// the next engine to take; UseSpares and NewEngineOn take them off it first,
+// so no two engines run on one set.
 func (e *Engine) Spares() *runSpares { return e.spares }
 
 // UseSpares, called from Options.OnSetup, makes e run on sp and drops the
 // spares NewEngine took.
-func (e *Engine) UseSpares(sp *runSpares) { e.spares, e.shuffle.spares = sp, sp }
+func (e *Engine) UseSpares(sp *runSpares) {
+	unstack(sp)
+	e.spares, e.shuffle.spares = sp, sp
+}
 
-// DrainSpares empties the slot and the pool of spares: sync.Pool drops what
-// it holds within two collections.
+// unstack takes sp off the stack of spares if it is there.
+func unstack(sp *runSpares) {
+	spareStack.Lock()
+	defer spareStack.Unlock()
+	spareStack.sets = slices.DeleteFunc(spareStack.sets, func(s *runSpares) bool { return s == sp })
+}
+
+// DrainSpares empties the stack of spares and the file systems' list of
+// recent input tables.
 func DrainSpares() {
-	spareSlot.Store(nil)
-	runtime.GC()
-	runtime.GC()
+	spareStack.Lock()
+	spareStack.sets = nil
+	spareStack.Unlock()
+	dfs.DropTables()
+}
+
+// StackedSpares reports how many sets of spares the stack holds.
+func StackedSpares() int {
+	spareStack.Lock()
+	defer spareStack.Unlock()
+	return len(spareStack.sets)
 }
 
 // Held reports what sp keeps for the next run: task contexts and task-table
@@ -109,6 +128,7 @@ func NewEngineOn(opts Options, sp *runSpares) (*Engine, error) {
 	if sp == nil {
 		sp = new(runSpares)
 	}
+	unstack(sp)
 	return newEngine(opts, sp)
 }
 

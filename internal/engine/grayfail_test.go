@@ -276,7 +276,7 @@ func TestHeartbeatConfigWiring(t *testing.T) {
 // TestQuietTraceDeterminism is the quiet-plan (no faults) counterpart of the
 // chaos matrix: engine traces must be byte-identical across repeated runs,
 // and a run executing concurrently with other engines on separate goroutines
-// — the sae-exp -parallel path — must produce the very same bytes, because
+// — as an artifact's fan-out runs them — must produce the very same bytes, because
 // every run owns its entire simulated world.
 func TestQuietTraceDeterminism(t *testing.T) {
 	run := func() (*JobReport, []byte, error) {

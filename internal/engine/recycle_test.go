@@ -302,24 +302,68 @@ func TestObservedRunBytesPerTask(t *testing.T) {
 
 // TestWarmRunBytesPerTask: the second of two identical observed runs, on the
 // first one's spares, finds its task tables, tickets, durations, map-output
-// lists, task contexts, simulated machine and input block table where the
-// first left them. The hand-over is explicit, through NewEngineOn, after
-// draining the pool, so the second run gets exactly the first's spares
-// whichever processor it runs on, and gets them before it creates its input.
+// lists, task contexts and simulated machine where the first left them, and
+// its input block table in the list the first one's file system added it to.
+// The hand-over is explicit, through NewEngineOn, so the second run gets
+// exactly the first's spares, and gets them before it creates its input.
 func TestWarmRunBytesPerTask(t *testing.T) {
 	if engine.RaceEnabled() {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	engine.DrainSpares()
 	cold, first := observedRunBytesPerTask(t, nil)
-	engine.DrainSpares()
 	warm, _ := observedRunBytesPerTask(t, first)
 	// 397 cold, 307 warm when written; 312 cold, 219 warm with no output
 	// blocks recorded; 166 warm with spares handed over from OnSetup, after
 	// the machine was assembled and the input laid out; 125 handed over to
-	// NewEngineOn, 101 when its file system also reuses the input table.
+	// NewEngineOn, 101 when its file system also reuses the input table (then
+	// handed over in the spares, now from the process's list).
 	if warm > 110 || warm >= cold {
 		t.Errorf("a warm observed run allocates %.0f bytes per task (%.0f cold), budget 110", warm, cold)
+	}
+}
+
+// TestSpareStackIsBounded: however many engines give their spares back, the
+// stack keeps at most GOMAXPROCS sets, read at each give-back, the last given
+// back on top. CI runs it under -race.
+func TestSpareStackIsBounded(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	engine.DrainSpares()
+	spec, inputs := engine.TwoStageJob()
+	opts := engine.GrayOptions(4, core.Static{IOThreads: 4})
+	opts.Inputs = inputs
+	start := func() *engine.Engine {
+		e, err := engine.NewEngine(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.Submit(spec); err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	var engines []*engine.Engine
+	for range 5 {
+		engines = append(engines, start())
+	}
+	for i, e := range engines {
+		if err := e.Wait(); err != nil {
+			t.Fatal(err)
+		}
+		if n := engine.StackedSpares(); n != min(i+1, 2) {
+			t.Fatalf("after %d give-backs at GOMAXPROCS 2 the stack holds %d sets, want %d", i+1, n, min(i+1, 2))
+		}
+	}
+	runtime.GOMAXPROCS(1)
+	last := start()
+	if err := last.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if n := engine.StackedSpares(); n != 1 {
+		t.Fatalf("a give-back at GOMAXPROCS 1 left %d sets on the stack, want 1", n)
+	}
+	if next := start(); next.Spares() != last.Spares() {
+		t.Fatal("the next engine did not start on the spares given back last")
 	}
 }
 
@@ -357,8 +401,8 @@ func TestSparesSurviveCollections(t *testing.T) {
 // render as it did before B ran. Run D, B at replication 2, runs on what B
 // left, whose file system laid an input of the same name and size out on every
 // node, and a second D on what the first left: both must equal D on a machine
-// of its own, the first laying its input out afresh, the second taking the
-// first's table. CI runs it under -race.
+// of its own, and both take from the list of recent tables the one D on a
+// machine of its own laid out, not B's. CI runs it under -race.
 func TestRecycledMachineDoesNotLeakAcrossRuns(t *testing.T) {
 	render := func(rep *engine.JobReport) string { return rep.String() + fmt.Sprintf("%+v", *rep) }
 	run := func(name string, opts engine.Options, spec *job.JobSpec, on *engine.Engine) (*engine.Engine, *engine.JobReport, []byte) {
@@ -484,12 +528,13 @@ func TestRecycledMachineDoesNotLeakAcrossRuns(t *testing.T) {
 	}
 
 	// Run D is B at replication 2: B's input by name, size and cluster, which
-	// B's file system laid out on every node. On B's machine D must lay "in"
-	// out afresh, and a second D on the first's machine must take the first's
-	// table; both report and trace as D does on a machine of its own.
+	// B's file system laid out on every node. On B's machine D must not take
+	// B's table for "in" but the list's for replication 2, which D on a machine
+	// of its own laid out, and so must a second D on the first's machine; both
+	// report and trace as D does on a machine of its own.
 	optsD := optsB
 	optsD.Replication = 2
-	_, want, wantTrace = run("D", optsD, specB, nil)
+	own, want, wantTrace := run("D", optsD, specB, nil)
 	d, got, gotTrace := run("D on B's machine", optsD, specB, b)
 	d2, got2, gotTrace2 := run("D on D's machine", optsD, specB, d)
 	if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(got2, want) {
@@ -506,9 +551,9 @@ func TestRecycledMachineDoesNotLeakAcrossRuns(t *testing.T) {
 		}
 		return &f.Blocks[0]
 	}
-	if table(d) == table(b) || table(d2) != table(d) {
-		t.Fatalf("D's input table is B's: %v, the second D's is the first's: %v; want false and true",
-			table(d) == table(b), table(d2) == table(d))
+	if table(d) == table(b) || table(d) != table(own) || table(d2) != table(d) {
+		t.Fatalf("D's input table is B's: %v, is D's on a machine of its own: %v, the second D's is the first's: %v; want false, true and true",
+			table(d) == table(b), table(d) == table(own), table(d2) == table(d))
 	}
 }
 

@@ -1,12 +1,12 @@
 package engine
 
 import (
+	"runtime"
+	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"sae/internal/device"
-	"sae/internal/dfs"
 	"sae/internal/sim"
 )
 
@@ -16,11 +16,10 @@ import (
 // task contexts, the fetch-plan buffers, and the simulated machine's storage —
 // the kernel's events, the devices' stream tables, the mailboxes' arrays,
 // which carry the control-plane messages by value, and the executors' local
-// launch queues — and the run's input block tables. A run's reports, DFS and
-// telemetry keep none of it but those tables, which nothing writes to once
-// made, so once the simulation has drained the rest is unreachable; Wait
-// gives it back as its very last act and the next recycling NewEngine takes
-// it (DESIGN.md "What a run allocates"). Between the two it belongs to one
+// launch queues. A run's reports, DFS and telemetry keep none of it, so once
+// the simulation has drained it is unreachable; Wait gives it back to the
+// stack as its very last act and a later recycling NewEngine takes it
+// (DESIGN.md "What a run allocates"). Between the two it belongs to one
 // engine alone.
 type runSpares struct {
 	tasks     slab[taskState]
@@ -42,9 +41,6 @@ type runSpares struct {
 	kernel   sim.Storage
 	toDriver sim.Buffers[driverMsg]
 	nodes    []nodeSpares
-	// inputs are the input tables the run's file system created, which the
-	// next one's Create returns for the same file (dfs.FS.Reuse).
-	inputs dfs.Layouts
 }
 
 // nodeSpares is what one node's devices and its executor give back: the
@@ -55,27 +51,36 @@ type nodeSpares struct {
 	queue   sim.FIFO[launchMsg]
 }
 
-// spareSlot holds the spares given back last; sparePool holds those a
-// give-back displaced, which happens only while engines run in parallel. The
-// slot survives collections and the pool is emptied within two, so an idle
-// process keeps one run's spares.
-var (
-	spareSlot atomic.Pointer[runSpares]
-	sparePool = sync.Pool{New: func() any { return new(runSpares) }}
-)
-
-// takeSpares returns the spares in the slot, or else the pool's.
-func takeSpares() *runSpares {
-	if sp := spareSlot.Swap(nil); sp != nil {
-		return sp
-	}
-	return sparePool.Get().(*runSpares)
+// spareStack holds the spares runs gave back, the last one on top: at most
+// GOMAXPROCS sets, as many as engines run at once in a process that keeps to
+// one per processor. A strong reference, so an idle process keeps its spares
+// through collections.
+var spareStack struct {
+	sync.Mutex
+	sets []*runSpares
 }
 
-// putSpares puts sp in the slot and what it held in the pool.
+// takeSpares pops the stack, or makes spares if it is empty.
+func takeSpares() *runSpares {
+	spareStack.Lock()
+	defer spareStack.Unlock()
+	n := len(spareStack.sets)
+	if n == 0 {
+		return new(runSpares)
+	}
+	sp := spareStack.sets[n-1]
+	spareStack.sets = slices.Delete(spareStack.sets, n-1, n)
+	return sp
+}
+
+// putSpares pushes sp, dropping the sets at the bottom past GOMAXPROCS, read
+// now.
 func putSpares(sp *runSpares) {
-	if old := spareSlot.Swap(sp); old != nil {
-		sparePool.Put(old)
+	spareStack.Lock()
+	defer spareStack.Unlock()
+	spareStack.sets = append(spareStack.sets, sp)
+	if extra := len(spareStack.sets) - runtime.GOMAXPROCS(0); extra > 0 {
+		spareStack.sets = slices.Delete(spareStack.sets, 0, extra)
 	}
 }
 
@@ -93,9 +98,8 @@ func (sp *runSpares) context() *taskContext {
 // free task contexts join the spares' list, zeroed so they pin nothing of this
 // run, the slabs start over, and the kernel, the devices, the mailboxes and
 // the launch queues give back their storage — each only if idle, which after
-// a drained run they are — and the file system its input tables. It must come
-// after everything the run does: another goroutine's engine may take the
-// spares the instant they are back.
+// a drained run they are. It must come after everything the run does: another
+// goroutine's engine may take the spares the instant they are back.
 func (e *Engine) giveBackSpares() {
 	sp := e.spares
 	if n := len(e.executors) - len(sp.nodes); n > 0 {
@@ -128,7 +132,6 @@ func (e *Engine) giveBackSpares() {
 	for _, ok := e.toDriver.TryRecv(); ok; _, ok = e.toDriver.TryRecv() {
 	}
 	sp.toDriver = e.toDriver.Release()
-	sp.inputs = e.fs.Layouts()
 	putSpares(sp)
 }
 

@@ -59,8 +59,9 @@ func TestTelemetryExportsDeterministic(t *testing.T) {
 }
 
 // TestTelemetryParallelRunsIdentical runs the scenario on concurrent
-// goroutines — each with its own kernel and registry, as -parallel sweeps
-// do — and checks every copy exports the same bytes as a sequential run.
+// goroutines — each with its own kernel and registry, as Fig. 12's runs side
+// by side do — and checks every copy exports the same bytes as a sequential
+// run.
 func TestTelemetryParallelRunsIdentical(t *testing.T) {
 	wantProm, wantJSONL, _ := telemetryScenario(t)
 	const n = 4

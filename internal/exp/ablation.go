@@ -37,28 +37,26 @@ func Ablation(s Setup) (*AblationResult, error) {
 		core.UtilizationDriven(),
 		core.AIMD(),
 	}
-	res := &AblationResult{}
-	for _, mk := range []func(workloads.Config) *workloads.Spec{workloads.Terasort, workloads.PageRank} {
-		var defaultSec float64
-		for _, pol := range variants {
-			w := mk(s.workloadConfig())
-			rep, err := s.Run(w, pol, nil)
-			if err != nil {
-				return nil, fmt.Errorf("ablation %s/%s: %w", w.Name, pol.Name(), err)
-			}
-			sec := rep.Runtime.Seconds()
-			if pol.Name() == "default" {
-				defaultSec = sec
-			}
-			res.Rows = append(res.Rows, AblationRow{
-				App:          w.Name,
-				Variant:      pol.Name(),
-				Seconds:      sec,
-				RedVsDefault: 100 * (defaultSec - sec) / defaultSec,
-			})
+	apps := []func(workloads.Config) *workloads.Spec{workloads.Terasort, workloads.PageRank}
+	rows, err := each(s, len(apps)*len(variants), func(i int) (AblationRow, error) {
+		w, pol := apps[i/len(variants)](s.workloadConfig()), variants[i%len(variants)]
+		rep, err := s.Run(w, pol, nil)
+		if err != nil {
+			return AblationRow{}, fmt.Errorf("ablation %s/%s: %w", w.Name, pol.Name(), err)
 		}
+		return AblationRow{App: w.Name, Variant: pol.Name(), Seconds: rep.Runtime.Seconds()}, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	return res, nil
+	var defaultSec float64
+	for i, row := range rows {
+		if row.Variant == "default" {
+			defaultSec = row.Seconds
+		}
+		rows[i].RedVsDefault = 100 * (defaultSec - row.Seconds) / defaultSec
+	}
+	return &AblationResult{Rows: rows}, nil
 }
 
 // Get returns the row for (app, variant).

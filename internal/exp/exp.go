@@ -58,8 +58,8 @@ type Setup struct {
 	// the setup builds (see engine.Options.Audit).
 	//
 	// Trace, Metrics and Audit are sinks every run of the setup shares,
-	// and an auditor accumulates sequential per-run state: callers that
-	// share one run them sequentially, as sae-exp -audit insists.
+	// and an auditor accumulates sequential per-run state: an artifact whose
+	// setup sets one runs its runs in order, not side by side.
 	Audit engine.Audit
 }
 
@@ -127,7 +127,10 @@ func (s Setup) Options(policy job.Policy, blockSize int64, inputs []engine.Input
 }
 
 // Run executes one workload under one policy and returns the engine report.
+// It waits for a processor first (startRun).
 func (s Setup) Run(w *workloads.Spec, policy job.Policy, onSetup func(*engine.Engine)) (*engine.JobReport, error) {
+	startRun()
+	defer endRun()
 	opts := s.Options(policy, w.BlockSize, w.Inputs)
 	opts.OnSetup = onSetup
 	return engine.Run(opts, w.Job)
@@ -136,11 +139,14 @@ func (s Setup) Run(w *workloads.Spec, policy job.Policy, onSetup func(*engine.En
 // RunMulti executes several workloads concurrently on one engine under the
 // registry's scheduler.mode and returns their reports in submission order.
 // Inputs shared between workloads (same file name) are created once; the
-// first workload's block size wins, as the engine has one DFS.
+// first workload's block size wins, as the engine has one DFS. It waits for
+// a processor first (startRun).
 func (s Setup) RunMulti(ws []*workloads.Spec, policy job.Policy) ([]*engine.JobReport, error) {
 	if len(ws) == 0 {
 		return nil, fmt.Errorf("exp: no workloads")
 	}
+	startRun()
+	defer endRun()
 	var inputs []engine.Input
 	seen := map[string]bool{}
 	for _, w := range ws {

@@ -67,16 +67,19 @@ type Figure1Result struct {
 // Figure1 runs the four applications with stock executors and reports
 // per-stage utilization.
 func Figure1(s Setup) (*Figure1Result, error) {
-	res := &Figure1Result{}
-	for _, mk := range fourApps() {
-		w := mk(s.workloadConfig())
+	apps := fourApps()
+	stages, err := each(s, len(apps), func(i int) (AppStages, error) {
+		w := apps[i](s.workloadConfig())
 		rep, err := s.Run(w, core.Default{}, nil)
 		if err != nil {
-			return nil, fmt.Errorf("figure1 %s: %w", w.Name, err)
+			return AppStages{}, fmt.Errorf("figure1 %s: %w", w.Name, err)
 		}
-		res.Apps = append(res.Apps, AppStages{App: w.Name, Stages: rep.Stages})
+		return AppStages{App: w.Name, Stages: rep.Stages}, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	return res, nil
+	return &Figure1Result{Apps: stages}, nil
 }
 
 func (r *Figure1Result) String() string {
@@ -112,25 +115,29 @@ type Table2Result struct {
 // task-level I/O activity (input + shuffle + output bytes, as reported by
 // the engine's task metrics).
 func Table2(s Setup) (*Table2Result, error) {
-	res := &Table2Result{}
-	for _, w := range workloads.All(s.workloadConfig()) {
+	ws := workloads.All(s.workloadConfig())
+	rows, err := each(s, len(ws), func(i int) (Table2Row, error) {
+		w := ws[i]
 		rep, err := s.Run(w, core.Default{}, nil)
 		if err != nil {
-			return nil, fmt.Errorf("table2 %s: %w", w.Name, err)
+			return Table2Row{}, fmt.Errorf("table2 %s: %w", w.Name, err)
 		}
 		var io int64
 		for _, st := range rep.Stages {
 			io += st.Bytes()
 		}
 		in := float64(w.InputBytes)
-		res.Rows = append(res.Rows, Table2Row{
+		return Table2Row{
 			App:      w.Name,
 			InputGiB: workloads.GiB(w.InputBytes),
 			IOGiB:    workloads.GiB(io),
 			DiffPct:  100 * (float64(io) - in) / in,
-		})
+		}, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	return res, nil
+	return &Table2Result{Rows: rows}, nil
 }
 
 func (r *Table2Result) String() string {
@@ -147,25 +154,24 @@ func (r *Table2Result) String() string {
 
 // Figure2 sweeps the static solution over Terasort and PageRank (Fig. 2).
 func Figure2(s Setup) (terasort, pagerank *SweepResult, err error) {
-	if terasort, err = StaticSweep(s, workloads.Terasort); err != nil {
-		return nil, nil, err
-	}
-	if pagerank, err = StaticSweep(s, workloads.PageRank); err != nil {
-		return nil, nil, err
-	}
-	return terasort, pagerank, nil
+	return sweepPair(s, workloads.Terasort, s, workloads.PageRank)
 }
 
 // Figure4 sweeps the static solution over the SQL applications (Fig. 4),
 // where the default thread count wins.
 func Figure4(s Setup) (aggregation, join *SweepResult, err error) {
-	if aggregation, err = StaticSweep(s, workloads.Aggregation); err != nil {
+	return sweepPair(s, workloads.Aggregation, s, workloads.Join)
+}
+
+// sweepPair runs StaticSweep of mkA on a beside that of mkB on b, a setup
+// that shares a's sinks.
+func sweepPair(a Setup, mkA func(workloads.Config) *workloads.Spec, b Setup, mkB func(workloads.Config) *workloads.Spec) (*SweepResult, *SweepResult, error) {
+	setups, mks := []Setup{a, b}, []func(workloads.Config) *workloads.Spec{mkA, mkB}
+	res, err := each(a, 2, func(i int) (*SweepResult, error) { return StaticSweep(setups[i], mks[i]) })
+	if err != nil {
 		return nil, nil, err
 	}
-	if join, err = StaticSweep(s, workloads.Join); err != nil {
-		return nil, nil, err
-	}
-	return aggregation, join, nil
+	return res[0], res[1], nil
 }
 
 // ---------------------------------------------------------------- Figure 3
@@ -298,12 +304,12 @@ func Figure5(s Setup) (*Figure5Result, error) {
 		{workloads.Aggregation, []int{0}},
 		{workloads.Join, []int{0}},
 	}
-	for _, pn := range panels {
-		sweep, err := widthSweep(s, pn.mk)
-		if err != nil {
-			return nil, fmt.Errorf("figure5: %w", err)
-		}
-		for _, stage := range pn.stages {
+	sweeps, err := each(s, len(panels), func(i int) (*SweepResult, error) { return widthSweep(s, panels[i].mk) })
+	if err != nil {
+		return nil, fmt.Errorf("figure5: %w", err)
+	}
+	for i, sweep := range sweeps {
+		for _, stage := range panels[i].stages {
 			panel := UtilPanel{App: sweep.App, Stage: stage}
 			bestUtil := -1.0
 			for i, th := range sweep.Threads {
@@ -413,13 +419,9 @@ type Figure7Result struct {
 // Figure7 measures ε, µ and ζ per static thread setting (ascending order,
 // as plotted) for each Terasort stage, and marks the dynamic selection.
 func Figure7(s Setup) (*Figure7Result, error) {
-	sweep, err := widthSweep(s, workloads.Terasort)
+	sweep, dyn, err := besideDynamic(s, workloads.Terasort, widthSweep)
 	if err != nil {
 		return nil, fmt.Errorf("figure7: %w", err)
-	}
-	dyn, err := s.Run(workloads.Terasort(s.workloadConfig()), core.DefaultDynamic(), nil)
-	if err != nil {
-		return nil, fmt.Errorf("figure7 dynamic: %w", err)
 	}
 	res := &Figure7Result{}
 	for si := range sweep.Default.Stages {
@@ -474,24 +476,17 @@ type Figure8Result struct {
 
 // Figure8 runs the full comparison for the four applications.
 func Figure8(s Setup) (*Figure8Result, error) {
-	res := &Figure8Result{}
-	for _, mk := range fourApps() {
-		app, err := compare(s, mk)
-		if err != nil {
-			return nil, fmt.Errorf("figure8: %w", err)
-		}
-		res.Apps = append(res.Apps, app)
+	apps := fourApps()
+	panels, err := each(s, len(apps), func(i int) (Fig8App, error) { return compare(s, apps[i]) })
+	if err != nil {
+		return nil, fmt.Errorf("figure8: %w", err)
 	}
-	return res, nil
+	return &Figure8Result{Apps: panels}, nil
 }
 
 // compare produces one Fig. 8 panel.
 func compare(s Setup, mk func(workloads.Config) *workloads.Spec) (Fig8App, error) {
-	sweep, err := StaticSweep(s, mk)
-	if err != nil {
-		return Fig8App{}, err
-	}
-	rep, err := s.Run(mk(s.workloadConfig()), core.DefaultDynamic(), nil)
+	sweep, rep, err := besideDynamic(s, mk, StaticSweep)
 	if err != nil {
 		return Fig8App{}, err
 	}
@@ -503,6 +498,25 @@ func compare(s Setup, mk func(workloads.Config) *workloads.Spec) (Fig8App, error
 		BestFitRed: Reduction(sweep.Default, sweep.BestFit),
 		DynamicRed: Reduction(sweep.Default, rep),
 	}, nil
+}
+
+// besideDynamic runs sweep of mk beside mk's run under the dynamic policy and
+// returns the error a loop would, the sweep's before the dynamic run's, which
+// is labelled.
+func besideDynamic(s Setup, mk func(workloads.Config) *workloads.Spec, sweep func(Setup, func(workloads.Config) *workloads.Spec) (*SweepResult, error)) (*SweepResult, *engine.JobReport, error) {
+	var res *SweepResult
+	reps, err := each(s, 2, func(i int) (rep *engine.JobReport, err error) {
+		if i == 0 {
+			res, err = sweep(s, mk)
+		} else if rep, err = s.Run(mk(s.workloadConfig()), core.DefaultDynamic(), nil); err != nil {
+			err = fmt.Errorf("dynamic: %w", err)
+		}
+		return rep, err
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	return res, reps[1], nil
 }
 
 func (r *Figure8Result) String() string {
@@ -543,13 +557,20 @@ type Figure9Result struct {
 // Figure9 runs Terasort under the three policies on the base cluster and on
 // a 16-node cluster (input scales with the cluster, as in the paper).
 func Figure9(s Setup) (*Figure9Result, error) {
-	res := &Figure9Result{}
-	for _, nodes := range []int{s.Nodes, 16} {
-		sn := s.WithNodes(nodes)
-		app, err := compare(sn, workloads.Terasort)
+	sizes := []int{s.Nodes, 16}
+	apps, err := each(s, len(sizes), func(i int) (Fig8App, error) {
+		app, err := compare(s.WithNodes(sizes[i]), workloads.Terasort)
 		if err != nil {
-			return nil, fmt.Errorf("figure9 %d nodes: %w", nodes, err)
+			return app, fmt.Errorf("figure9 %d nodes: %w", sizes[i], err)
 		}
+		return app, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	res := &Figure9Result{}
+	for i, app := range apps {
+		nodes := sizes[i]
 		res.Rows = append(res.Rows,
 			Fig9Row{Nodes: nodes, Policy: "default", Seconds: app.Default.Runtime.Seconds(), Stages: app.Default.Stages},
 			Fig9Row{Nodes: nodes, Policy: "static-bestfit", Seconds: app.BestFit.Runtime.Seconds(), Stages: app.BestFit.Stages},
@@ -579,13 +600,7 @@ func (r *Figure9Result) String() string {
 
 // Figure10 sweeps the static solution over Terasort on HDDs and SSDs.
 func Figure10(s Setup) (hdd, ssd *SweepResult, err error) {
-	if hdd, err = StaticSweep(s, workloads.Terasort); err != nil {
-		return nil, nil, err
-	}
-	if ssd, err = StaticSweep(s.WithSSD(), workloads.Terasort); err != nil {
-		return nil, nil, err
-	}
-	return hdd, ssd, nil
+	return sweepPair(s, workloads.Terasort, s.WithSSD(), workloads.Terasort)
 }
 
 // Figure11Result reproduces Fig. 11: the three solutions on SSDs.
@@ -639,60 +654,65 @@ type Figure12Result struct {
 // Figure12 samples executor 0's I/O throughput once per (virtual) second
 // during Terasort's first two stages, per thread count, on HDDs and SSDs.
 func Figure12(s Setup) (*Figure12Result, error) {
-	res := &Figure12Result{}
-	for _, disk := range []struct {
+	disks := []struct {
 		name  string
 		setup Setup
-	}{{"HDD", s}, {"SSD", s.WithSSD()}} {
-		var panels [2]ThroughputPanel
-		for stage := range panels {
-			panels[stage] = ThroughputPanel{
+	}{{"HDD", s}, {"SSD", s.WithSSD()}}
+	res := &Figure12Result{}
+	for _, disk := range disks {
+		for stage := range 2 {
+			res.Panels = append(res.Panels, ThroughputPanel{
 				Disk:   disk.name,
 				Stage:  stage,
 				Series: make([][]telemetry.SamplePoint, len(SweepThreads)),
 				Mean:   make([]float64, len(SweepThreads)),
-			}
+			})
 		}
-		for ti, th := range SweepThreads {
-			// The engine's registry samples executor 0's cumulative byte
-			// counter once per virtual second (t=0 baseline included) on
-			// a monotone clock, one sample per instant.
-			run := disk.setup
-			run.Metrics = telemetry.NewRegistry()
-			run.MetricsInterval = time.Second
-			rep, err := run.Run(
-				workloads.Terasort(run.workloadConfig()),
-				core.Static{IOThreads: th}, nil)
-			if err != nil {
-				return nil, fmt.Errorf("figure12 %s %d threads: %w", disk.name, th, err)
-			}
-			pts, _ := run.Metrics.Series("sae_executor_bytes_total", "exec", "0")
-			// Differentiate in place, back to front: pts[i] becomes the
-			// rate over the interval that ends at it, and the first
-			// sample, which only opens an interval, drops out.
-			for i := len(pts) - 1; i > 0; i-- {
-				pts[i].Value = (pts[i].Value - pts[i-1].Value) / (pts[i].At - pts[i-1].At).Seconds()
-			}
-			rates := pts[min(1, len(pts)):]
-			for stage := range panels {
-				st := rep.Stages[stage]
-				var series []telemetry.SamplePoint
-				var sum float64
-				for _, pt := range rates {
-					if pt.At >= st.Start && pt.At <= st.End {
-						pt.At -= st.Start
-						pt.Value /= 1e6
-						series = append(series, pt)
-						sum += pt.Value
-					}
-				}
-				panels[stage].Series[ti] = series
-				if len(series) > 0 {
-					panels[stage].Mean[ti] = sum / float64(len(series))
+	}
+	_, err := each(s, len(disks)*len(SweepThreads), func(i int) (*engine.JobReport, error) {
+		d, ti := i/len(SweepThreads), i%len(SweepThreads)
+		disk, th, panels := disks[d], SweepThreads[ti], res.Panels[2*d:2*d+2]
+		// The engine's registry samples executor 0's cumulative byte
+		// counter once per virtual second (t=0 baseline included) on a
+		// monotone clock, one sample per instant.
+		run := disk.setup
+		run.Metrics = telemetry.NewRegistry()
+		run.MetricsInterval = time.Second
+		rep, err := run.Run(
+			workloads.Terasort(run.workloadConfig()),
+			core.Static{IOThreads: th}, nil)
+		if err != nil {
+			return nil, fmt.Errorf("figure12 %s %d threads: %w", disk.name, th, err)
+		}
+		pts, _ := run.Metrics.Series("sae_executor_bytes_total", "exec", "0")
+		// Differentiate in place, back to front: pts[i] becomes the rate
+		// over the interval that ends at it, and the first sample, which
+		// only opens an interval, drops out.
+		for i := len(pts) - 1; i > 0; i-- {
+			pts[i].Value = (pts[i].Value - pts[i-1].Value) / (pts[i].At - pts[i-1].At).Seconds()
+		}
+		rates := pts[min(1, len(pts)):]
+		for stage := range panels {
+			st := rep.Stages[stage]
+			var series []telemetry.SamplePoint
+			var sum float64
+			for _, pt := range rates {
+				if pt.At >= st.Start && pt.At <= st.End {
+					pt.At -= st.Start
+					pt.Value /= 1e6
+					series = append(series, pt)
+					sum += pt.Value
 				}
 			}
+			panels[stage].Series[ti] = series
+			if len(series) > 0 {
+				panels[stage].Mean[ti] = sum / float64(len(series))
+			}
 		}
-		res.Panels = append(res.Panels, panels[:]...)
+		return rep, nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return res, nil
 }

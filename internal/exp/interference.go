@@ -40,33 +40,34 @@ func Interference(s Setup) (*InterferenceResult, error) {
 		core.DefaultDynamic(),
 		core.Dynamic{Cmin: 2, ReprobeTasks: 20},
 	}
-	res := &InterferenceResult{}
-	for _, noisy := range []bool{false, true} {
-		for _, pol := range policies {
-			var onSetup func(*engine.Engine)
-			if noisy {
-				onSetup = func(e *engine.Engine) {
-					// The tenant arrives two (virtual) minutes in
-					// and keeps 12 read streams on node 0's disk.
-					e.InjectDiskInterference(0, 2*time.Minute, 12, 0)
-				}
+	rows, err := each(s, 2*len(policies), func(i int) (InterferenceRow, error) {
+		noisy, pol := i >= len(policies), policies[i%len(policies)]
+		var onSetup func(*engine.Engine)
+		if noisy {
+			onSetup = func(e *engine.Engine) {
+				// The tenant arrives two (virtual) minutes in and
+				// keeps 12 read streams on node 0's disk.
+				e.InjectDiskInterference(0, 2*time.Minute, 12, 0)
 			}
-			rep, err := s.Run(longIngest(s.workloadConfig()), pol, onSetup)
-			if err != nil {
-				return nil, fmt.Errorf("interference %s: %w", pol.Name(), err)
-			}
-			row := InterferenceRow{
-				Policy:       pol.Name(),
-				Interference: noisy,
-				Seconds:      rep.Runtime.Seconds(),
-			}
-			for _, st := range rep.Stages {
-				row.VictimThreads = append(row.VictimThreads, st.Execs[0].FinalThreads)
-			}
-			res.Rows = append(res.Rows, row)
 		}
+		rep, err := s.Run(longIngest(s.workloadConfig()), pol, onSetup)
+		if err != nil {
+			return InterferenceRow{}, fmt.Errorf("interference %s: %w", pol.Name(), err)
+		}
+		row := InterferenceRow{
+			Policy:       pol.Name(),
+			Interference: noisy,
+			Seconds:      rep.Runtime.Seconds(),
+		}
+		for _, st := range rep.Stages {
+			row.VictimThreads = append(row.VictimThreads, st.Execs[0].FinalThreads)
+		}
+		return row, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	return res, nil
+	return &InterferenceResult{Rows: rows}, nil
 }
 
 // longIngest is a single-stage 150 GiB scan: long enough that a mid-stage

@@ -1,70 +1,70 @@
 package exp
 
 import (
-	"fmt"
+	"runtime"
 	"sync"
-	"time"
 )
 
-// Task is one independent unit of an experiment sweep: an ID for reporting
-// and a closure that produces the printable result. The closure must build
-// its entire simulated world itself (kernel, cluster, engine) — tasks run
-// concurrently, and determinism of a parallel sweep rests on each run owning
-// all of its mutable state.
-type Task struct {
-	ID  string
-	Run func() (fmt.Stringer, error)
-}
-
-// TaskResult is the outcome of one Task.
-type TaskResult struct {
-	ID     string
-	Result fmt.Stringer
-	Err    error
-	// Wall is the host wall-clock time the task took.
-	Wall time.Duration
-}
-
-// RunParallel executes tasks on up to workers goroutines and returns their
-// results indexed exactly like tasks — submission order, independent of
-// completion order — so the rendered output of a parallel sweep is
-// byte-identical to a sequential one. workers < 1 is treated as 1; tasks
-// never observe each other, so any interleaving yields the same results.
-func RunParallel(workers int, tasks []Task) []TaskResult {
-	results := make([]TaskResult, len(tasks))
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(tasks) {
-		workers = len(tasks)
-	}
-	if workers <= 1 {
-		for i, t := range tasks {
-			results[i] = runTask(t)
+// each calls do(0) … do(n-1) and returns their results by index, or the
+// error of the lowest index that failed: what a loop stopping at the first
+// error returns, since every run owns its whole simulated world. The calls
+// run side by side on goroutines of their own, unless s shares a sink among
+// its runs (Trace, Metrics or Audit set) or GOMAXPROCS is 1: then in order,
+// as that loop. A call waiting on a nested fan-out holds no run; only Run and
+// RunMulti do (startRun).
+func each[T any](s Setup, n int, do func(i int) (T, error)) ([]T, error) {
+	out := make([]T, n)
+	if s.Trace != nil || s.Metrics != nil || s.Audit != nil || runtime.GOMAXPROCS(0) == 1 {
+		for i := range n {
+			var err error
+			if out[i], err = do(i); err != nil {
+				return nil, err
+			}
 		}
-		return results
+		return out, nil
 	}
-	idx := make(chan int)
+	errs := make([]error, n)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for i := range n {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range idx {
-				results[i] = runTask(tasks[i])
-			}
+			out[i], errs[i] = do(i)
 		}()
 	}
-	for i := range tasks {
-		idx <- i
-	}
-	close(idx)
 	wg.Wait()
-	return results
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }
 
-func runTask(t Task) TaskResult {
-	start := time.Now()
-	res, err := t.Run()
-	return TaskResult{ID: t.ID, Result: res, Err: err, Wall: time.Since(start)}
+// live counts the engine runs in progress in the process; runFreed wakes a
+// run waiting for one to end.
+var (
+	liveMu   sync.Mutex
+	runFreed = sync.NewCond(&liveMu)
+	live     int
+)
+
+// startRun waits until fewer engine runs than GOMAXPROCS, read now, are in
+// progress, and counts one more; endRun counts it out. So however many
+// fan-outs nest, a process runs no more engines at once than it has
+// processors, and holds no more runs' state.
+func startRun() {
+	liveMu.Lock()
+	for live >= runtime.GOMAXPROCS(0) {
+		runFreed.Wait()
+	}
+	live++
+	liveMu.Unlock()
+}
+
+func endRun() {
+	liveMu.Lock()
+	live--
+	liveMu.Unlock()
+	runFreed.Signal()
 }

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"sae/internal/core"
@@ -31,17 +32,16 @@ type SweepResult struct {
 
 // StaticSweep runs workload w with each static thread setting (widthSweep),
 // derives the hypothetical per-stage BestFit combination, and runs it.
-func StaticSweep(s Setup, make func(workloads.Config) *workloads.Spec) (*SweepResult, error) {
-	res, err := widthSweep(s, make)
+func StaticSweep(s Setup, mk func(workloads.Config) *workloads.Spec) (*SweepResult, error) {
+	res, err := widthSweep(s, mk)
 	if err != nil {
 		return nil, err
 	}
-	cfg := s.workloadConfig()
+	w := mk(s.workloadConfig())
 	// Compose BestFit: for each I/O-marked stage pick the sweep winner.
 	res.BestFitThreads = map[int]int{}
 	for si := range res.Default.Stages {
-		spec := make(cfg).Job.Stages[si]
-		if !spec.IOMarked() {
+		if !w.Job.Stages[si].IOMarked() {
 			continue
 		}
 		best, bestSec := SweepThreads[0], res.Runs[0].Stages[si].Duration().Seconds()
@@ -52,7 +52,7 @@ func StaticSweep(s Setup, make func(workloads.Config) *workloads.Spec) (*SweepRe
 		}
 		res.BestFitThreads[si] = best
 	}
-	rep, err := s.Run(make(cfg), core.BestFit{Threads: res.BestFitThreads}, nil)
+	rep, err := s.Run(w, core.BestFit{Threads: res.BestFitThreads}, nil)
 	if err != nil {
 		return nil, fmt.Errorf("sweep %s bestfit: %w", res.App, err)
 	}
@@ -60,21 +60,24 @@ func StaticSweep(s Setup, make func(workloads.Config) *workloads.Spec) (*SweepRe
 	return res, nil
 }
 
-// widthSweep runs workload w with each static thread setting: a SweepResult
-// without BestFit, for the figures that read only the widths (5 and 7).
-func widthSweep(s Setup, make func(workloads.Config) *workloads.Spec) (*SweepResult, error) {
+// widthSweep runs workload w with each static thread setting, side by side
+// (each): a SweepResult without BestFit, for the figures that read only the
+// widths (5 and 7).
+func widthSweep(s Setup, mk func(workloads.Config) *workloads.Spec) (*SweepResult, error) {
 	cfg := s.workloadConfig()
-	res := &SweepResult{App: make(cfg).Name}
-	for _, th := range SweepThreads {
-		rep, err := s.Run(make(cfg), core.Static{IOThreads: th}, nil)
+	app := mk(cfg).Name
+	runs, err := each(s, len(SweepThreads), func(i int) (*engine.JobReport, error) {
+		rep, err := s.Run(mk(cfg), core.Static{IOThreads: SweepThreads[i]}, nil)
 		if err != nil {
-			return nil, fmt.Errorf("sweep %s threads=%d: %w", res.App, th, err)
+			return nil, fmt.Errorf("sweep %s threads=%d: %w", app, SweepThreads[i], err)
 		}
-		res.Threads = append(res.Threads, th)
-		res.Runs = append(res.Runs, rep)
+		return rep, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	res.Default = res.Runs[0] // static-32 == default on 32-core nodes
-	return res, nil
+	// static-32 == default on 32-core nodes
+	return &SweepResult{App: app, Threads: slices.Clone(SweepThreads), Runs: runs, Default: runs[0]}, nil
 }
 
 // String renders the sweep as a per-stage runtime table (the bars of

@@ -1,42 +1,36 @@
 package sae
 
 import (
-	"fmt"
+	"runtime"
 	"testing"
-
-	"sae/internal/exp"
 )
 
-// TestParallelSweepMatchesSequential runs every registered experiment both
-// sequentially and on a worker pool and requires byte-identical rendered
-// results: parallelism must never leak into simulation outcomes, because
-// each run owns its entire simulated world.
+// TestParallelSweepMatchesSequential runs every registered experiment at
+// GOMAXPROCS 1, where each runs its engine runs one after another, and at
+// GOMAXPROCS 4, where they run side by side, and requires byte-identical
+// rendered results: parallelism must never leak into simulation outcomes,
+// because each run owns its entire simulated world.
 func TestParallelSweepMatchesSequential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment sweep in -short mode")
 	}
 	s := DAS5().WithScale(0.02)
-	var tasks []exp.Task
-	for _, e := range experiments {
-		tasks = append(tasks, exp.Task{ID: e.ID, Run: func() (fmt.Stringer, error) { return e.Run(s) }})
+	render := func(procs int) []string {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		var out []string
+		for _, e := range experiments {
+			res, err := e.Run(s)
+			if err != nil {
+				t.Fatalf("%s at GOMAXPROCS %d: %v", e.ID, procs, err)
+			}
+			out = append(out, res.String())
+		}
+		return out
 	}
-	seq := exp.RunParallel(1, tasks)
-	par := exp.RunParallel(4, tasks)
-	if len(seq) != len(par) {
-		t.Fatalf("result count: sequential %d, parallel %d", len(seq), len(par))
-	}
-	for i := range seq {
-		if seq[i].Err != nil {
-			t.Fatalf("%s: sequential run failed: %v", seq[i].ID, seq[i].Err)
-		}
-		if par[i].Err != nil {
-			t.Fatalf("%s: parallel run failed: %v", par[i].ID, par[i].Err)
-		}
-		if par[i].ID != seq[i].ID {
-			t.Fatalf("result %d out of submission order: sequential %s, parallel %s", i, seq[i].ID, par[i].ID)
-		}
-		if got, want := par[i].Result.String(), seq[i].Result.String(); got != want {
-			t.Errorf("%s: parallel result differs from sequential\nsequential:\n%s\nparallel:\n%s", seq[i].ID, want, got)
+	seq, par := render(1), render(4)
+	for i, e := range experiments {
+		if par[i] != seq[i] {
+			t.Errorf("%s: at GOMAXPROCS 4 the result differs from GOMAXPROCS 1\nGOMAXPROCS 1:\n%s\nGOMAXPROCS 4:\n%s", e.ID, seq[i], par[i])
 		}
 	}
 }
