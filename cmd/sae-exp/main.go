@@ -22,10 +22,11 @@
 // what `sae-exp -scale 0.05 -seed 7 autoscale` prints.
 //
 // -audit attaches the invariant audit plane (internal/invariant) to every
-// run in the sweep. The auditor accumulates sequential per-run state, so
-// an audited experiment runs its runs in order; violations print to stderr
-// and exit non-zero, while the report stream stays byte-identical (the
-// audit plane never perturbs a run).
+// run in the sweep. Runs going side by side observe through child auditors
+// that join the sweep's in run order, so the violations are those a sweep
+// running one run after another would report; they print to stderr and exit
+// non-zero, while the report stream stays byte-identical (the audit plane
+// never perturbs a run).
 //
 // For performance work, -cpuprofile/-memprofile/-exectrace write pprof CPU
 // and heap profiles and a Go execution trace covering the whole sweep.
@@ -63,7 +64,7 @@ func run(args []string) error {
 	seed := fs.Int64("seed", 1, "node-variability seed")
 	list := fs.Bool("list", false, "list experiments and exit")
 	csvDir := fs.String("csv", "", "also export each artifact's data series as CSV under this directory")
-	audit := fs.Bool("audit", false, "attach the invariant audit plane to every run (each experiment then runs its runs in order); violations print to stderr and exit non-zero")
+	audit := fs.Bool("audit", false, "attach the invariant audit plane to every run; violations print to stderr and exit non-zero")
 	cpuprofile := fs.String("cpuprofile", "", "write a pprof CPU profile to this file")
 	memprofile := fs.String("memprofile", "", "write a pprof heap profile to this file on exit")
 	exectrace := fs.String("exectrace", "", "write a Go execution trace to this file")

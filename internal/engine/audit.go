@@ -79,6 +79,18 @@ type Audit interface {
 	JobFinished(rep *JobReport)
 }
 
+// ForkableAudit is an Audit that runs going side by side can each observe
+// through a child of their own. Fork returns an empty child; Join folds in a
+// child whose runs have ended, as if the Audit had observed those runs itself
+// after every run it has seen, and takes the child back. exp.Each forks one
+// child per call and joins them in index order; a fan-out whose Audit cannot
+// fork runs its calls in order instead.
+type ForkableAudit interface {
+	Audit
+	Fork() Audit
+	Join(child Audit)
+}
+
 // removeShuffleNode invalidates node's map outputs and mirrors the loss
 // into the audit plane. All shuffle-invalidation paths (crash, declared
 // loss, decommission) go through here so the auditor's exactly-once mirror

@@ -1,10 +1,13 @@
 package engine
 
+import "sync/atomic"
+
 // Deliberately reintroducible defects used to mutation-test the invariant
 // audit plane: a test enables one, runs the oracle (directly or via
 // sae-hunt), and asserts the defect is caught. Production code never sets
-// testBug; the gates compile to a single string comparison on paths that
-// are already off the per-event hot path.
+// testBug. NewEngine reads it once into Engine.bug, so engines running on
+// other goroutines never read the global, and the gates compile to a single
+// string comparison on paths that are already off the per-event hot path.
 const (
 	// bugSkipSlotReclaim makes markLost leak the dead executor's
 	// in-flight slot accounting instead of reclaiming it — the class of
@@ -12,8 +15,8 @@ const (
 	bugSkipSlotReclaim = "skip-slot-reclaim"
 )
 
-// testBug names the currently enabled defect ("" = none).
-var testBug string
+// testBug names the currently enabled defect (unset or "" = none).
+var testBug atomic.Value
 
 // EnableTestBug turns on a named defect and returns a restore func. It
 // panics on unknown names so a typo cannot silently test nothing.
@@ -23,7 +26,13 @@ func EnableTestBug(name string) (restore func()) {
 	default:
 		panic("engine: unknown test bug " + name)
 	}
-	prev := testBug
-	testBug = name
-	return func() { testBug = prev }
+	prev := enabledBug()
+	testBug.Store(name)
+	return func() { testBug.Store(prev) }
+}
+
+// enabledBug returns the defect engines built now plant ("" = none).
+func enabledBug() string {
+	name, _ := testBug.Load().(string)
+	return name
 }

@@ -137,6 +137,9 @@ type Engine struct {
 	// pending); per-job failures live on the jobState instead.
 	fatal   error
 	started bool
+	// bug is the deliberate defect the run plants (see EnableTestBug),
+	// read once at NewEngine.
+	bug string
 	// spares holds the run's task-sized state, the fetch-plan buffers and the
 	// machine's storage (DESIGN.md "What a run allocates"). A recycling engine
 	// takes them with takeSpares and Wait gives them back; recycle is false on
@@ -261,6 +264,7 @@ func newEngine(opts Options, sp *runSpares) (*Engine, error) {
 		aud:      opts.Audit,
 		recycle:  ss == nil,
 		spares:   sp,
+		bug:      enabledBug(),
 	}
 	e.toDriver.Reuse(sp.toDriver)
 	sp.toDriver = sim.Buffers[driverMsg]{}
@@ -472,7 +476,10 @@ func (e *Engine) closeRun() error {
 	if e.tel != nil {
 		// Capture the end-of-run state; if the last sampler tick landed on
 		// this instant the registry merges last-wins instead of duplicating.
+		// Then freeze what the registry reads of this engine, whose state
+		// the next engine may take over.
 		e.tel.reg.Sample(e.k.Now())
+		e.tel.reg.Freeze()
 	}
 	if e.fatal != nil {
 		return e.fatal

@@ -269,7 +269,7 @@ func (m *execManager) markLost(exec, epoch int) {
 	m.alive[exec] = false
 	m.epochs[exec] = epoch
 	m.limits[exec] = 0
-	if testBug != bugSkipSlotReclaim {
+	if m.eng.bug != bugSkipSlotReclaim {
 		if a := m.eng.aud; a != nil {
 			a.SlotsReclaimed(exec, m.inflight[exec])
 		}

@@ -620,3 +620,58 @@ func TestRecycledLaunchQueue(t *testing.T) {
 		t.Fatalf("the run on the recycled queues reports differently:\n%s\n%s", first, second)
 	}
 }
+
+// TestFinishedRunExportHolds: a finished run's telemetry export reads nothing
+// of its engine — the engine freezes its function-backed instruments as the
+// run closes — so it is the same after another engine has run a crashing job
+// on its spares, machine and mailboxes included. Joining a child registry
+// (telemetry.Registry.Join) relies on this: the final values it takes are the
+// ones the child holds when it joins, however long after its run ended.
+func TestFinishedRunExportHolds(t *testing.T) {
+	export := func(reg *telemetry.Registry) string {
+		var b bytes.Buffer
+		if err := reg.WritePrometheus(&b); err != nil {
+			t.Fatal(err)
+		}
+		if err := reg.WriteJSONL(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	run := func(opts engine.Options, spec *job.JobSpec, on *engine.Engine) *engine.Engine {
+		t.Helper()
+		var e *engine.Engine
+		var err error
+		if on != nil {
+			e, err = engine.NewEngineOn(opts, on.Spares())
+		} else {
+			e, err = engine.NewEngineOn(opts, nil)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.Submit(spec); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Wait(); err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	engine.DrainSpares()
+	spec, inputs := engine.TwoStageJob()
+	opts := engine.GrayOptions(4, core.Static{IOThreads: 4})
+	opts.Inputs = inputs
+	reg := telemetry.NewRegistry()
+	opts.Metrics = reg
+	a := run(opts, spec, nil)
+	before := export(reg)
+
+	optsB := engine.GrayOptions(4, core.DefaultDynamic())
+	optsB.Inputs = inputs
+	optsB.Faults = &chaos.Plan{Name: "b", Crashes: []chaos.Crash{{Exec: 1, At: time.Second}}}
+	run(optsB, spec, a)
+	if after := export(reg); after != before {
+		t.Fatalf("run A's export changed after run B took its spares:\n%s\nwas\n%s", after, before)
+	}
+}

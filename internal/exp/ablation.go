@@ -38,7 +38,7 @@ func Ablation(s Setup) (*AblationResult, error) {
 		core.AIMD(),
 	}
 	apps := []func(workloads.Config) *workloads.Spec{workloads.Terasort, workloads.PageRank}
-	rows, err := each(s, len(apps)*len(variants), func(i int) (AblationRow, error) {
+	rows, err := Each(s, len(apps)*len(variants), func(s Setup, i int) (AblationRow, error) {
 		w, pol := apps[i/len(variants)](s.workloadConfig()), variants[i%len(variants)]
 		rep, err := s.Run(w, pol, nil)
 		if err != nil {

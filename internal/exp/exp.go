@@ -40,26 +40,28 @@ type Setup struct {
 	// Faults, if set, applies a deterministic chaos schedule to every run
 	// (see package chaos and the faults experiment).
 	Faults *chaos.Plan
-	// Trace, if set, receives the engine event log of every run.
+	// Trace, if set, receives the engine event log of every run, each run's
+	// log whole and in the order a loop over the runs would write them.
 	Trace io.Writer
 	// TraceFormat once chose between two event-log encodings.
 	//
 	// Deprecated: every trace is written in one format, with a header and
 	// spans; nothing reads this field.
 	TraceFormat int
-	// Metrics, if set, attaches the telemetry registry to every run. A
-	// registry accumulates one run's series, so sweeps that build many
-	// engines from one Setup should leave it nil and single-run callers
-	// (sae-run, tests) set it.
+	// Metrics, if set, attaches the telemetry registry to every run: the
+	// series of the runs follow one another, as if one engine after another
+	// had sampled it, and counters carry from run to run.
 	Metrics *telemetry.Registry
 	// MetricsInterval is the telemetry sampler period (0 selects 5s).
 	MetricsInterval time.Duration
 	// Audit, if set, attaches the invariant audit plane to every engine
 	// the setup builds (see engine.Options.Audit).
 	//
-	// Trace, Metrics and Audit are sinks every run of the setup shares,
-	// and an auditor accumulates sequential per-run state: an artifact whose
-	// setup sets one runs its runs in order, not side by side.
+	// Trace, Metrics and Audit are sinks every run of the setup shares. Runs
+	// going side by side (Each) write to sinks of their own, forked from
+	// these and joined back in run order, so the shared sinks end as a loop
+	// over the runs would leave them. An Audit that cannot fork
+	// (engine.ForkableAudit) makes the runs go in order.
 	Audit engine.Audit
 }
 

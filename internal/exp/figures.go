@@ -68,7 +68,7 @@ type Figure1Result struct {
 // per-stage utilization.
 func Figure1(s Setup) (*Figure1Result, error) {
 	apps := fourApps()
-	stages, err := each(s, len(apps), func(i int) (AppStages, error) {
+	stages, err := Each(s, len(apps), func(s Setup, i int) (AppStages, error) {
 		w := apps[i](s.workloadConfig())
 		rep, err := s.Run(w, core.Default{}, nil)
 		if err != nil {
@@ -116,7 +116,7 @@ type Table2Result struct {
 // the engine's task metrics).
 func Table2(s Setup) (*Table2Result, error) {
 	ws := workloads.All(s.workloadConfig())
-	rows, err := each(s, len(ws), func(i int) (Table2Row, error) {
+	rows, err := Each(s, len(ws), func(s Setup, i int) (Table2Row, error) {
 		w := ws[i]
 		rep, err := s.Run(w, core.Default{}, nil)
 		if err != nil {
@@ -167,7 +167,7 @@ func Figure4(s Setup) (aggregation, join *SweepResult, err error) {
 // that shares a's sinks.
 func sweepPair(a Setup, mkA func(workloads.Config) *workloads.Spec, b Setup, mkB func(workloads.Config) *workloads.Spec) (*SweepResult, *SweepResult, error) {
 	setups, mks := []Setup{a, b}, []func(workloads.Config) *workloads.Spec{mkA, mkB}
-	res, err := each(a, 2, func(i int) (*SweepResult, error) { return StaticSweep(setups[i], mks[i]) })
+	res, err := Each(a, 2, func(c Setup, i int) (*SweepResult, error) { return StaticSweep(setups[i].WithSinks(c), mks[i]) })
 	if err != nil {
 		return nil, nil, err
 	}
@@ -304,7 +304,7 @@ func Figure5(s Setup) (*Figure5Result, error) {
 		{workloads.Aggregation, []int{0}},
 		{workloads.Join, []int{0}},
 	}
-	sweeps, err := each(s, len(panels), func(i int) (*SweepResult, error) { return widthSweep(s, panels[i].mk) })
+	sweeps, err := Each(s, len(panels), func(s Setup, i int) (*SweepResult, error) { return widthSweep(s, panels[i].mk) })
 	if err != nil {
 		return nil, fmt.Errorf("figure5: %w", err)
 	}
@@ -477,7 +477,7 @@ type Figure8Result struct {
 // Figure8 runs the full comparison for the four applications.
 func Figure8(s Setup) (*Figure8Result, error) {
 	apps := fourApps()
-	panels, err := each(s, len(apps), func(i int) (Fig8App, error) { return compare(s, apps[i]) })
+	panels, err := Each(s, len(apps), func(s Setup, i int) (Fig8App, error) { return compare(s, apps[i]) })
 	if err != nil {
 		return nil, fmt.Errorf("figure8: %w", err)
 	}
@@ -505,7 +505,7 @@ func compare(s Setup, mk func(workloads.Config) *workloads.Spec) (Fig8App, error
 // is labelled.
 func besideDynamic(s Setup, mk func(workloads.Config) *workloads.Spec, sweep func(Setup, func(workloads.Config) *workloads.Spec) (*SweepResult, error)) (*SweepResult, *engine.JobReport, error) {
 	var res *SweepResult
-	reps, err := each(s, 2, func(i int) (rep *engine.JobReport, err error) {
+	reps, err := Each(s, 2, func(s Setup, i int) (rep *engine.JobReport, err error) {
 		if i == 0 {
 			res, err = sweep(s, mk)
 		} else if rep, err = s.Run(mk(s.workloadConfig()), core.DefaultDynamic(), nil); err != nil {
@@ -558,7 +558,7 @@ type Figure9Result struct {
 // a 16-node cluster (input scales with the cluster, as in the paper).
 func Figure9(s Setup) (*Figure9Result, error) {
 	sizes := []int{s.Nodes, 16}
-	apps, err := each(s, len(sizes), func(i int) (Fig8App, error) {
+	apps, err := Each(s, len(sizes), func(s Setup, i int) (Fig8App, error) {
 		app, err := compare(s.WithNodes(sizes[i]), workloads.Terasort)
 		if err != nil {
 			return app, fmt.Errorf("figure9 %d nodes: %w", sizes[i], err)
@@ -669,13 +669,13 @@ func Figure12(s Setup) (*Figure12Result, error) {
 			})
 		}
 	}
-	_, err := each(s, len(disks)*len(SweepThreads), func(i int) (*engine.JobReport, error) {
+	_, err := Each(s, len(disks)*len(SweepThreads), func(c Setup, i int) (*engine.JobReport, error) {
 		d, ti := i/len(SweepThreads), i%len(SweepThreads)
 		disk, th, panels := disks[d], SweepThreads[ti], res.Panels[2*d:2*d+2]
 		// The engine's registry samples executor 0's cumulative byte
 		// counter once per virtual second (t=0 baseline included) on a
 		// monotone clock, one sample per instant.
-		run := disk.setup
+		run := disk.setup.WithSinks(c)
 		run.Metrics = telemetry.NewRegistry()
 		run.MetricsInterval = time.Second
 		rep, err := run.Run(

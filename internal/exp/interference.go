@@ -40,7 +40,7 @@ func Interference(s Setup) (*InterferenceResult, error) {
 		core.DefaultDynamic(),
 		core.Dynamic{Cmin: 2, ReprobeTasks: 20},
 	}
-	rows, err := each(s, 2*len(policies), func(i int) (InterferenceRow, error) {
+	rows, err := Each(s, 2*len(policies), func(s Setup, i int) (InterferenceRow, error) {
 		noisy, pol := i >= len(policies), policies[i%len(policies)]
 		var onSetup func(*engine.Engine)
 		if noisy {

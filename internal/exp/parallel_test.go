@@ -1,8 +1,10 @@
 package exp
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"runtime"
 	"strings"
 	"sync"
@@ -12,6 +14,8 @@ import (
 	"sae/internal/chaos"
 	"sae/internal/core"
 	"sae/internal/engine"
+	"sae/internal/invariant"
+	"sae/internal/telemetry"
 	"sae/internal/workloads"
 )
 
@@ -35,7 +39,7 @@ func TestParallelEnginesMatchSequential(t *testing.T) {
 	mks := []func(workloads.Config) *workloads.Spec{workloads.Terasort, workloads.Aggregation}
 	render := func(procs int) []string {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-		out, err := each(Setup{}, len(setups)*len(mks), func(i int) (string, error) {
+		out, err := Each(Setup{}, len(setups)*len(mks), func(_ Setup, i int) (string, error) {
 			res, err := StaticSweep(setups[i/len(mks)], mks[i%len(mks)])
 			if err != nil {
 				return "", err
@@ -75,7 +79,7 @@ func TestFanOutErrorsAsInOrder(t *testing.T) {
 			}
 			var mu sync.Mutex
 			var called []int
-			got, err := each(Setup{}, 6, func(i int) (int, error) {
+			got, err := Each(Setup{}, 6, func(_ Setup, i int) (int, error) {
 				time.Sleep(time.Duration(6-i) * 5 * time.Millisecond)
 				mu.Lock()
 				called = append(called, i)
@@ -88,7 +92,7 @@ func TestFanOutErrorsAsInOrder(t *testing.T) {
 			if got != nil || err == nil || err.Error() != "call 1" {
 				t.Errorf("GOMAXPROCS %d: calls failing in the order %v return %v, %v; want none and call 1's error", procs, called, got, err)
 			}
-			got, err = each(Setup{}, 6, func(i int) (int, error) {
+			got, err = Each(Setup{}, 6, func(_ Setup, i int) (int, error) {
 				time.Sleep(time.Duration(6-i) * time.Millisecond)
 				return 10 * i, nil
 			})
@@ -122,8 +126,8 @@ func TestLiveRunsKeepToGOMAXPROCS(t *testing.T) {
 				live--
 				mu.Unlock()
 			}
-			_, err := each(s, 3, func(int) ([]*engine.JobReport, error) {
-				return each(s, 4, func(int) (*engine.JobReport, error) {
+			_, err := Each(s, 3, func(s Setup, _ int) ([]*engine.JobReport, error) {
+				return Each(s, 4, func(s Setup, _ int) (*engine.JobReport, error) {
 					return s.Run(workloads.Scan(s.workloadConfig()), core.Default{}, onSetup)
 				})
 			})
@@ -137,15 +141,78 @@ func TestLiveRunsKeepToGOMAXPROCS(t *testing.T) {
 	}
 }
 
-// TestSharedSinkRunsInOrder: a setup whose runs share a sink runs them one
-// after another, in index order, whatever GOMAXPROCS is.
-func TestSharedSinkRunsInOrder(t *testing.T) {
+// TestSharedSinksMatchSequential: a fan-out whose setup carries a trace, a
+// telemetry registry and an auditor forks them per call and joins them in
+// index order, so at GOMAXPROCS 4 they end as they do at GOMAXPROCS 1, where
+// every run writes to them in turn. Each outer call runs an engine on its
+// sinks and then fans out again, on clusters of four sizes (so some runs
+// register executors the others lack), some crashing an executor under a
+// planted slot-reclaim defect that the auditor flags in every crashed run.
+// The trace bytes, the registry's JSONL, CSV and Prometheus exports and the
+// auditor's violations, dropped count and coverage must match.
+func TestSharedSinksMatchSequential(t *testing.T) {
+	defer engine.EnableTestBug("skip-slot-reclaim")()
+	crash := &chaos.Plan{Name: "crash", Crashes: []chaos.Crash{{Exec: 1, At: 3 * time.Second, RestartAfter: 4 * time.Second}}}
+	render := func(procs int) string {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		var trace bytes.Buffer
+		reg, aud := telemetry.NewRegistry(), invariant.New()
+		s := Default().WithScale(0.02)
+		s.Trace, s.Metrics, s.Audit = &trace, reg, aud
+		_, err := Each(s, 3, func(s Setup, i int) ([]*engine.JobReport, error) {
+			if _, err := s.WithNodes(3+i).WithFaults(crash).Run(workloads.Aggregation(s.workloadConfig()), core.DefaultDynamic(), nil); err != nil {
+				return nil, err
+			}
+			return Each(s, 3, func(s Setup, j int) (*engine.JobReport, error) {
+				run := s.WithNodes(3 + (i+j)%4)
+				if j == 1 {
+					run = run.WithFaults(crash)
+				}
+				return run.Run(workloads.Terasort(run.workloadConfig()), core.Static{IOThreads: 4 << j}, nil)
+			})
+		})
+		if err != nil {
+			t.Fatalf("GOMAXPROCS %d: %v", procs, err)
+		}
+		var b strings.Builder
+		fmt.Fprintf(&b, "trace %d bytes:\n%s\n", trace.Len(), trace.String())
+		for _, write := range []func(io.Writer) error{reg.WriteJSONL, reg.WriteCSV, reg.WritePrometheus} {
+			if err := write(&b); err != nil {
+				t.Fatal(err)
+			}
+		}
+		fmt.Fprintf(&b, "violations %v\ndropped %d\ncoverage %v\n", aud.Violations(), aud.Dropped(), aud.Coverage())
+		return b.String()
+	}
+	seq, par := render(1), render(4)
+	if !strings.Contains(seq, "slot-conservation") || !strings.Contains(seq, "run 11 ") {
+		t.Fatalf("the sequential sinks lack the planted violations or the eleventh run:\n%s", seq[strings.Index(seq, "violations"):])
+	}
+	if par != seq {
+		i := 0
+		for i < min(len(par), len(seq)) && par[i] == seq[i] {
+			i++
+		}
+		t.Fatalf("at GOMAXPROCS 4 the sinks differ from GOMAXPROCS 1 at byte %d of %d:\n%.300s\nwant\n%.300s", i, len(seq), par[max(i-100, 0):], seq[max(i-100, 0):])
+	}
+}
+
+// unforkable is an auditor that cannot fork.
+type unforkable struct{ engine.Audit }
+
+// TestUnforkableAuditRunsInOrder: a setup whose auditor cannot fork runs its
+// calls one after another, in index order, whatever GOMAXPROCS is, on the
+// setup itself, and stops at the first error.
+func TestUnforkableAuditRunsInOrder(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	s := Default()
-	s.Trace = new(strings.Builder)
+	s.Audit = unforkable{invariant.New()}
 	var order []int
 	stop := errors.New("stop")
-	_, err := each(s, 5, func(i int) (int, error) {
+	_, err := Each(s, 5, func(c Setup, i int) (int, error) {
+		if c.Audit != s.Audit {
+			t.Errorf("call %d got the auditor %v, want the setup's", i, c.Audit)
+		}
 		order = append(order, i)
 		if i == 3 {
 			return i, stop

@@ -61,12 +61,12 @@ func StaticSweep(s Setup, mk func(workloads.Config) *workloads.Spec) (*SweepResu
 }
 
 // widthSweep runs workload w with each static thread setting, side by side
-// (each): a SweepResult without BestFit, for the figures that read only the
+// (Each): a SweepResult without BestFit, for the figures that read only the
 // widths (5 and 7).
 func widthSweep(s Setup, mk func(workloads.Config) *workloads.Spec) (*SweepResult, error) {
 	cfg := s.workloadConfig()
 	app := mk(cfg).Name
-	runs, err := each(s, len(SweepThreads), func(i int) (*engine.JobReport, error) {
+	runs, err := Each(s, len(SweepThreads), func(s Setup, i int) (*engine.JobReport, error) {
 		rep, err := s.Run(mk(cfg), core.Static{IOThreads: SweepThreads[i]}, nil)
 		if err != nil {
 			return nil, fmt.Errorf("sweep %s threads=%d: %w", app, SweepThreads[i], err)

@@ -50,8 +50,10 @@ package invariant
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 	"sort"
+	"sync"
 
 	"sae/internal/engine"
 	"sae/internal/engine/job"
@@ -157,7 +159,8 @@ var signalNames = [numSignals]string{
 // Auditor implements engine.Audit. One auditor may observe many sequential
 // engine runs (a matrix scenario); per-run mirrors reset at BeginRun while
 // violations and coverage accumulate. It is not safe for concurrent
-// engines.
+// engines: runs going side by side observe through children (Fork), which
+// Join folds back in the order the runs would have gone one after another.
 //
 // The per-run state is sized by the runs it has seen and kept across them:
 // jobs is indexed by job ID (dense per engine), a finished job's ledgers go
@@ -182,12 +185,80 @@ type Auditor struct {
 	spare [][]shuffleMirror
 }
 
-var _ engine.Audit = (*Auditor)(nil)
+var _ engine.ForkableAudit = (*Auditor)(nil)
 
 // New returns an empty auditor ready to attach via Options.Audit (or
 // exp.Setup.Audit / scenario compilation).
 func New() *Auditor {
 	return &Auditor{coverage: map[string]struct{}{}, eventTypes: map[string]struct{}{}}
+}
+
+// childSpares holds the children Join took back, the last one on top: at
+// most four per GOMAXPROCS, read when one is pushed, as many as nested
+// fan-outs hold at once (telemetry's child registries are kept alike). A
+// recycled child keeps its mirrors and spare ledgers, so its next run
+// allocates what a second run of one auditor does.
+var childSpares struct {
+	sync.Mutex
+	auds []*Auditor
+}
+
+// Fork implements engine.ForkableAudit: an empty auditor, from the spares
+// Join gives back, for a run going beside the ones a observes.
+func (a *Auditor) Fork() engine.Audit {
+	childSpares.Lock()
+	defer childSpares.Unlock()
+	if n := len(childSpares.auds); n > 0 {
+		c := childSpares.auds[n-1]
+		childSpares.auds[n-1] = nil
+		childSpares.auds = childSpares.auds[:n-1]
+		return c
+	}
+	return New()
+}
+
+// Join implements engine.ForkableAudit: child's runs count after a's, as if
+// a had observed them. Their violations follow a's with Run renumbered, under
+// the same recording cap — what passes it adds to Dropped, as do the child's
+// own dropped ones — and their coverage joins a's. child, which Fork must have
+// returned, goes back to the spares.
+func (a *Auditor) Join(child engine.Audit) {
+	c := child.(*Auditor)
+	for _, v := range c.violations {
+		if len(a.violations) >= maxViolations {
+			a.dropped++
+			continue
+		}
+		v.Run += a.run
+		a.violations = append(a.violations, v)
+	}
+	a.dropped += c.dropped
+	for sig := range c.coverage {
+		a.coverage[sig] = struct{}{}
+	}
+	for typ := range c.eventTypes {
+		a.eventTypes[typ] = struct{}{}
+	}
+	for s, fired := range c.fired {
+		a.fired[s] = a.fired[s] || fired
+	}
+	if c.run > 0 {
+		a.offset, a.at = c.offset, c.at
+	}
+	a.run += c.run
+
+	c.run, c.offset, c.at, c.dropped = 0, 0, 0, 0
+	clear(c.violations)
+	c.violations = c.violations[:0]
+	clear(c.coverage)
+	clear(c.eventTypes)
+	c.fired = [numSignals]bool{}
+	childSpares.Lock()
+	defer childSpares.Unlock()
+	childSpares.auds = append(childSpares.auds, c)
+	if extra := len(childSpares.auds) - 4*runtime.GOMAXPROCS(0); extra > 0 {
+		childSpares.auds = slices.Delete(childSpares.auds, 0, extra)
+	}
 }
 
 // Violations returns a copy of the recorded violations in detection order.

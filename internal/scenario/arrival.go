@@ -16,6 +16,7 @@ import (
 	"sae/internal/device"
 	"sae/internal/engine"
 	"sae/internal/engine/job"
+	"sae/internal/exp"
 	"sae/internal/metrics"
 )
 
@@ -128,7 +129,8 @@ func (r *AutoscaleResult) CSVTables() map[string][][]string {
 
 // compileArrivalMatrix drives the open-loop elasticity comparison: one
 // seeded arrival schedule per arrival process, replayed against every
-// provisioning config on a fleet of capacity nodes.
+// provisioning config on a fleet of capacity nodes, the replays side by side
+// (exp.Each).
 func (c *Compiled) compileArrivalMatrix() error {
 	sp, s := c.Spec, c.Setup
 	m := sp.Arrival
@@ -167,49 +169,57 @@ func (c *Compiled) compileArrivalMatrix() error {
 	}
 	maxJobs := scaleCount(m.MaxJobs, s.Scale, max(m.MinJobs, 1))
 	c.run = func() (fmt.Stringer, error) {
-		res := &AutoscaleResult{SLOFactor: factor, Baseline: m.SLO.Baseline}
-		for i, p := range m.Arrivals {
-			// One schedule per process, replayed against every config — the
-			// comparison isolates provisioning, not traffic noise.
-			sched := arrival.Spec{
+		// One schedule per process, replayed against every config — the
+		// comparison isolates provisioning, not traffic noise.
+		scheds := make([][]arrival.Arrival, len(m.Arrivals))
+		for i := range m.Arrivals {
+			scheds[i] = arrival.Spec{
 				Proc:    procs[i],
 				Classes: classes,
 				Seed:    s.Seed,
 				Horizon: m.Horizon,
 				MaxJobs: maxJobs,
 			}.Generate()
+		}
+		rows, err := exp.Each(s, len(m.Arrivals)*len(m.Configs), func(s exp.Setup, k int) (AutoscaleRow, error) {
+			p, cfg := m.Arrivals[k/len(m.Configs)], m.Configs[k%len(m.Configs)]
+			sched := scheds[k/len(m.Configs)]
 			if len(sched) == 0 {
-				return nil, fmt.Errorf("%s: %s generated no arrivals", sp.Name, p.Name)
+				return AutoscaleRow{}, fmt.Errorf("%s: %s generated no arrivals", sp.Name, p.Name)
 			}
-			rows := make([]AutoscaleRow, len(m.Configs))
+			row, err := c.replay(s, cfg, capacity, sched)
+			if err != nil {
+				return AutoscaleRow{}, fmt.Errorf("%s %s/%s: %w", sp.Name, p.Name, cfg.Name, err)
+			}
+			row.Arrivals = p.Name
+			return row, nil
+		})
+		if err != nil {
+			return nil, err
+		}
+		// SLO verdicts are relative to the baseline config on the same
+		// arrivals.
+		for proc := range slices.Chunk(rows, len(m.Configs)) {
 			var base float64
 			for j, cfg := range m.Configs {
-				row, err := c.replay(cfg, capacity, sched)
-				if err != nil {
-					return nil, fmt.Errorf("%s %s/%s: %w", sp.Name, p.Name, cfg.Name, err)
-				}
-				row.Arrivals = p.Name
-				rows[j] = row
 				if cfg.Name == m.SLO.Baseline {
-					base = row.P99Sec
+					base = proc[j].P99Sec
 				}
 			}
-			// SLO verdicts are relative to the baseline config on the same
-			// arrivals.
-			for j := range rows {
-				rows[j].SLOMet = rows[j].P99Sec <= factor*base
+			for j := range proc {
+				proc[j].SLOMet = proc[j].P99Sec <= factor*base
 			}
-			res.Rows = append(res.Rows, rows...)
 		}
-		return res, nil
+		return &AutoscaleResult{Rows: rows, SLOFactor: factor, Baseline: m.SLO.Baseline}, nil
 	}
 	return nil
 }
 
 // replay runs one arrival schedule against one provisioning config on a
-// fleet of capacity nodes, under FAIR sharing and default executor sizing.
-func (c *Compiled) replay(cfg ProvisionSpec, capacity int, sched []arrival.Arrival) (AutoscaleRow, error) {
-	big := withScheduler(c.Setup, "FAIR")
+// fleet of capacity nodes of s, under FAIR sharing and default executor
+// sizing.
+func (c *Compiled) replay(s exp.Setup, cfg ProvisionSpec, capacity int, sched []arrival.Arrival) (AutoscaleRow, error) {
+	big := withScheduler(s, "FAIR")
 	big.Nodes = capacity
 	scale := big.Scale
 	tenants := map[string]TenantSpec{}

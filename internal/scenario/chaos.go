@@ -108,10 +108,11 @@ func (r *ChaosResult) String() string { return r.table().String() }
 // CSVTables implements exp.Tabular.
 func (r *ChaosResult) CSVTables() map[string][][]string { return r.table().CSVTables() }
 
-// compileChaosMatrix runs the workload under each policy × schedule. Per
-// policy a quiet calibration run executes first and fixes the schedule
-// times: percentage clauses resolve against its runtime, and an empty
-// schedule reuses it without re-executing.
+// compileChaosMatrix runs the workload under each policy × schedule, the
+// policies side by side (exp.Each). Per policy a quiet calibration run
+// executes first and fixes the schedule times: percentage clauses resolve
+// against its runtime, and an empty schedule reuses it without re-executing.
+// The policy's schedules then run side by side.
 func (c *Compiled) compileChaosMatrix() error {
 	sp, s := c.Spec, c.Setup
 	w, err := workloads.ByName(sp.Workload, c.workloadConfig())
@@ -136,24 +137,28 @@ func (c *Compiled) compileChaosMatrix() error {
 		return fmt.Errorf("unknown chaos-matrix preset %q (want faults or grayfail)", sp.Report)
 	}
 	c.run = func() (fmt.Stringer, error) {
-		res := &ChaosResult{preset: preset}
-		for _, pol := range policies {
+		rows, err := exp.Each(s, len(policies), func(s exp.Setup, i int) ([]ChaosCell, error) {
+			pol := policies[i]
 			quiet, err := s.WithFaults(nil).Run(w, pol, nil)
 			if err != nil {
 				return nil, fmt.Errorf("%s %s quiet: %w", sp.Name, pol.Name(), err)
 			}
-			for _, sched := range scheds {
-				plan := sched.Plan(quiet.Runtime, s.Seed)
+			return exp.Each(s, len(scheds), func(s exp.Setup, j int) (ChaosCell, error) {
+				plan := scheds[j].Plan(quiet.Runtime, s.Seed)
 				rep := quiet
 				if !plan.Empty() {
+					var err error
 					if rep, err = s.WithFaults(plan).Run(w, pol, nil); err != nil {
-						return nil, fmt.Errorf("%s %s %s: %w", sp.Name, pol.Name(), plan, err)
+						return ChaosCell{}, fmt.Errorf("%s %s %s: %w", sp.Name, pol.Name(), plan, err)
 					}
 				}
-				res.Cells = append(res.Cells, ChaosCell{Policy: pol.Name(), Schedule: plan.String(), Quiet: quiet, Report: rep})
-			}
+				return ChaosCell{Policy: pol.Name(), Schedule: plan.String(), Quiet: quiet, Report: rep}, nil
+			})
+		})
+		if err != nil {
+			return nil, err
 		}
-		return res, nil
+		return &ChaosResult{Cells: slices.Concat(rows...), preset: preset}, nil
 	}
 	return nil
 }

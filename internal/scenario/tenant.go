@@ -79,7 +79,8 @@ func (r *TenantResult) String() string { return r.table().String() }
 func (r *TenantResult) CSVTables() map[string][][]string { return r.table().CSVTables() }
 
 // compileTenantMatrix runs each workload mix under every inter-job
-// scheduler × sizing policy, one shared engine per cell.
+// scheduler × sizing policy, one shared engine per cell, the cells side by
+// side (exp.Each).
 func (c *Compiled) compileTenantMatrix() error {
 	sp, s := c.Spec, c.Setup
 	cfg := c.workloadConfig()
@@ -104,22 +105,22 @@ func (c *Compiled) compileTenantMatrix() error {
 		return err
 	}
 	c.run = func() (fmt.Stringer, error) {
-		res := &TenantResult{}
-		for _, mix := range sp.Mixes {
-			for i, mode := range modes {
-				for _, pol := range policies {
-					// Fresh workload specs per run, so concurrent cells never
-					// share mutable state; the names resolved at compile.
-					ws, _ := mixWorkloads(mix, cfg)
-					reps, err := setups[i].RunMulti(ws, pol)
-					if err != nil {
-						return nil, fmt.Errorf("%s %s/%s/%s: %w", sp.Name, mix.Name, mode, pol.Name(), err)
-					}
-					res.Cells = append(res.Cells, TenantCell{Mix: mix.Name, Sched: mode, Policy: pol.Name(), Reports: reps})
-				}
+		perMix := len(modes) * len(policies)
+		cells, err := exp.Each(s, len(sp.Mixes)*perMix, func(cs exp.Setup, k int) (TenantCell, error) {
+			mix, i, pol := sp.Mixes[k/perMix], k%perMix/len(policies), policies[k%len(policies)]
+			// Fresh workload specs per run, so concurrent cells never share
+			// mutable state; the names resolved at compile.
+			ws, _ := mixWorkloads(mix, cfg)
+			reps, err := setups[i].WithSinks(cs).RunMulti(ws, pol)
+			if err != nil {
+				return TenantCell{}, fmt.Errorf("%s %s/%s/%s: %w", sp.Name, mix.Name, modes[i], pol.Name(), err)
 			}
+			return TenantCell{Mix: mix.Name, Sched: modes[i], Policy: pol.Name(), Reports: reps}, nil
+		})
+		if err != nil {
+			return nil, err
 		}
-		return res, nil
+		return &TenantResult{Cells: cells}, nil
 	}
 	return nil
 }

@@ -32,13 +32,13 @@ func formatValue(v float64) string {
 // _count lines.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	for _, name := range r.sortedNames() {
+	for _, name := range r.appendSortedNames(nil) {
 		f := r.families[name]
 		if f.help != "" {
 			fmt.Fprintf(bw, "# HELP %s %s\n", name, f.help)
 		}
 		fmt.Fprintf(bw, "# TYPE %s %s\n", name, f.typ)
-		for _, ls := range f.sortedKeys() {
+		for _, ls := range f.appendSortedKeys(nil) {
 			in := f.insts[ls]
 			if f.typ == TypeHistogram {
 				writePromHistogram(bw, name, in)

@@ -23,6 +23,10 @@
 // never copied or regrown, so the store allocates what it ends up holding,
 // and a tick never spans two chunks. Readers see every tick as one full row,
 // rebuilt as they walk the store.
+//
+// Runs going side by side sample registries of their own: Fork hands one out
+// and Join records its ticks again in the parent, after the parent's own, as
+// if the run had sampled the parent (see Join).
 package telemetry
 
 import (
@@ -30,6 +34,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -70,35 +75,58 @@ type SamplePoint struct {
 }
 
 // family is one metric name: its metadata plus one instrument per label set.
+// live counts its live instruments; a family with none is dormant.
 type family struct {
 	name, help string
 	typ        MetricType
 	insts      map[string]*instrument
+	live       int
 }
 
-func (f *family) sortedKeys() []string {
-	keys := make([]string, 0, len(f.insts))
-	for k := range f.insts {
-		keys = append(keys, k)
+// appendSortedKeys appends the label sets of f's live instruments to keys,
+// sorted.
+func (f *family) appendSortedKeys(keys []string) []string {
+	n := len(keys)
+	for k, in := range f.insts {
+		if in.live {
+			keys = append(keys, k)
+		}
 	}
-	sort.Strings(keys)
+	slices.Sort(keys[n:])
 	return keys
 }
 
 // instrument is the shared state behind Counter/Gauge/Histogram handles.
 type instrument struct {
+	reg    *Registry
+	fam    *family
 	labels string
 	// cols are the instrument's sampled series: one for a scalar, _count
 	// and _sum for a histogram.
 	cols []*column
 	val  float64
 	fn   func() float64
+	// abs reports that the value stands on its own — Set or a function gave
+	// it — rather than adding to what runs before left; absTick is the first
+	// stored tick that holds such a value (-1 while none does).
+	abs     bool
+	absTick int
+	// live is false while a recycled child registry keeps the instrument
+	// for a later run that has not registered it yet.
+	live bool
 	// histogram state: counts[i] observes bucket (buckets[i-1], buckets[i]];
-	// the last slot is the +Inf overflow bucket.
+	// the last slot is the +Inf overflow bucket. A child registry also logs
+	// every observation in obs, for Join to replay.
 	buckets []float64
 	counts  []uint64
 	sum     float64
 	count   uint64
+	obs     []float64
+	// peer, base and replayed are Join's: the parent's instrument, its
+	// value before the join, and how many of obs it has replayed.
+	peer     *instrument
+	base     float64
+	replayed int
 }
 
 // scalar returns the instrument's current value (function-backed
@@ -126,7 +154,10 @@ func (c *Counter) Value() float64 { return c.in.scalar() }
 type Gauge struct{ in *instrument }
 
 // Set replaces the gauge value.
-func (g *Gauge) Set(v float64) { g.in.val = v }
+func (g *Gauge) Set(v float64) {
+	g.in.val = v
+	g.in.turnAbs()
+}
 
 // Add shifts the gauge value by v.
 func (g *Gauge) Add(v float64) { g.in.val += v }
@@ -138,12 +169,24 @@ func (g *Gauge) Value() float64 { return g.in.scalar() }
 type Histogram struct{ in *instrument }
 
 // Observe records one value.
-func (h *Histogram) Observe(v float64) {
-	in := h.in
+func (h *Histogram) Observe(v float64) { h.in.observe(v) }
+
+func (in *instrument) observe(v float64) {
 	idx := sort.SearchFloat64s(in.buckets, v)
 	in.counts[idx]++
 	in.sum += v
 	in.count++
+	if in.reg.child {
+		in.obs = append(in.obs, v)
+	}
+}
+
+// turnAbs marks the value absolute from the next tick on.
+func (in *instrument) turnAbs() {
+	if !in.abs {
+		in.abs = true
+		in.reg.turned = append(in.reg.turned, in)
+	}
 }
 
 // Count returns the number of observations.
@@ -152,9 +195,10 @@ func (h *Histogram) Count() uint64 { return h.in.count }
 // Sum returns the sum of observations.
 func (h *Histogram) Sum() float64 { return h.in.sum }
 
-// column is one sampled series: how to read its current value, and the
-// bytes every JSONL row of it shares.
+// column is one sampled series: its instrument, how to read its current
+// value, and the bytes every JSONL row of it shares.
 type column struct {
+	in             *instrument
 	metric, labels string
 	read           func() float64
 	// prefix is `,"metric":…,"labels":…,"value":` as encoding/json renders
@@ -162,10 +206,10 @@ type column struct {
 	prefix []byte
 }
 
-func newColumn(metric, labels string, read func() float64) *column {
+func newColumn(in *instrument, metric string, read func() float64) *column {
 	// A zero-valued row is `{"t":0` + prefix + `0}`.
-	row, _ := json.Marshal(jsonSample{Metric: metric, Labels: labels}) // strings and zeros always marshal
-	return &column{metric: metric, labels: labels, read: read, prefix: row[len(`{"t":0`) : len(row)-len(`0}`)]}
+	row, _ := json.Marshal(jsonSample{Metric: metric, Labels: in.labels}) // strings and zeros always marshal
+	return &column{in: in, metric: metric, labels: in.labels, read: read, prefix: row[len(`{"t":0`) : len(row)-len(`0}`)]}
 }
 
 // layout is the series list in export order — families by name, label sets
@@ -212,8 +256,14 @@ func (tk *tick) moved(i int) bool {
 // re-registering the same (name, labels) returns the existing instrument,
 // so call sites do not need to coordinate.
 type Registry struct {
+	// families holds the dormant families and instruments of a recycled
+	// child registry too, revived when a run registers them again.
 	families map[string]*family
 	hooks    []sampleHook
+	// child marks a registry Fork handed out; turned lists the instruments
+	// whose value turned absolute since the last tick.
+	child  bool
+	turned []*instrument
 	// layout is nil while stale: creating an instrument clears it and the
 	// next Sample builds a new one, leaving earlier ticks on theirs. layouts
 	// lists every layout built, by id.
@@ -231,6 +281,10 @@ type Registry struct {
 	lastOff    int
 	// ticks and points count the ticks held and the samples they stand for.
 	ticks, points int
+	// spareChunks are a recycled child registry's chunks, emptied; names
+	// and keys are scratch for building a layout.
+	spareChunks [][]uint64
+	names, keys []string
 }
 
 type sampleHook struct {
@@ -270,26 +324,38 @@ func labelString(labels []string) string {
 }
 
 func (r *Registry) instrument(name, help string, typ MetricType, labels []string) *instrument {
+	return r.instrumentLS(name, help, typ, labelString(labels))
+}
+
+// instrumentLS registers the instrument of a rendered label set, reviving
+// it if it is dormant.
+func (r *Registry) instrumentLS(name, help string, typ MetricType, ls string) *instrument {
 	f, ok := r.families[name]
-	if !ok {
-		f = &family{name: name, help: help, typ: typ, insts: map[string]*instrument{}}
+	if !ok || f.live == 0 && f.typ != typ {
+		f = &family{name: name, typ: typ, insts: map[string]*instrument{}}
 		r.families[name] = f
 	} else if f.typ != typ {
 		panic(fmt.Sprintf("telemetry: %s registered as %s and %s", name, f.typ, typ))
 	}
-	ls := labelString(labels)
+	if f.live == 0 {
+		f.help = help
+	}
 	in, ok := f.insts[ls]
 	if !ok {
-		in = &instrument{labels: ls}
+		in = &instrument{reg: r, fam: f, labels: ls, absTick: -1}
 		if typ == TypeHistogram {
 			in.cols = []*column{
-				newColumn(name+"_count", ls, func() float64 { return float64(in.count) }),
-				newColumn(name+"_sum", ls, func() float64 { return in.sum }),
+				newColumn(in, name+"_count", func() float64 { return float64(in.count) }),
+				newColumn(in, name+"_sum", func() float64 { return in.sum }),
 			}
 		} else {
-			in.cols = []*column{newColumn(name, ls, in.scalar)}
+			in.cols = []*column{newColumn(in, name, in.scalar)}
 		}
 		f.insts[ls] = in
+	}
+	if !in.live {
+		in.live = true
+		f.live++
 		r.layout = nil
 	}
 	return in
@@ -303,7 +369,9 @@ func (r *Registry) Counter(name, help string, labels ...string) *Counter {
 // CounterFunc registers a counter whose value is read from fn at sample and
 // export time — for cumulative totals the engine already tracks.
 func (r *Registry) CounterFunc(name, help string, fn func() float64, labels ...string) {
-	r.instrument(name, help, TypeCounter, labels).fn = fn
+	in := r.instrument(name, help, TypeCounter, labels)
+	in.fn = fn
+	in.turnAbs()
 }
 
 // Gauge registers (or returns the existing) gauge.
@@ -314,18 +382,25 @@ func (r *Registry) Gauge(name, help string, labels ...string) *Gauge {
 // GaugeFunc registers a gauge whose value is read from fn at sample and
 // export time.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...string) {
-	r.instrument(name, help, TypeGauge, labels).fn = fn
+	in := r.instrument(name, help, TypeGauge, labels)
+	in.fn = fn
+	in.turnAbs()
 }
 
 // Histogram registers (or returns the existing) histogram with the given
 // upper bucket bounds (ascending; +Inf is implicit).
 func (r *Registry) Histogram(name, help string, buckets []float64, labels ...string) *Histogram {
 	in := r.instrument(name, help, TypeHistogram, labels)
-	if in.counts == nil {
-		in.buckets = append([]float64(nil), buckets...)
-		in.counts = make([]uint64, len(buckets)+1)
+	if len(in.counts) == 0 {
+		in.setBuckets(buckets)
 	}
 	return &Histogram{in}
+}
+
+func (in *instrument) setBuckets(buckets []float64) {
+	in.buckets = append(in.buckets[:0], buckets...)
+	in.counts = slices.Grow(in.counts[:0], len(buckets)+1)[:len(buckets)+1]
+	clear(in.counts)
 }
 
 // OnSample registers the hook called name, invoked at the start of every
@@ -343,12 +418,15 @@ func (r *Registry) OnSample(name string, fn func(at time.Duration)) {
 	r.hooks = append(r.hooks, sampleHook{name, fn})
 }
 
-func (r *Registry) sortedNames() []string {
-	names := make([]string, 0, len(r.families))
-	for n := range r.families {
-		names = append(names, n)
+// appendSortedNames appends the names of r's live families to names, sorted.
+func (r *Registry) appendSortedNames(names []string) []string {
+	n := len(names)
+	for name, f := range r.families {
+		if f.live > 0 {
+			names = append(names, name)
+		}
 	}
-	sort.Strings(names)
+	slices.Sort(names[n:])
 	return names
 }
 
@@ -359,11 +437,18 @@ func (r *Registry) Sample(at time.Duration) {
 	for _, h := range r.hooks {
 		h.fn(at)
 	}
+	r.record(at)
+}
+
+// record is Sample after the hooks: it stores the tick.
+func (r *Registry) record(at time.Duration) {
 	if r.layout == nil {
-		r.layout = &layout{id: len(r.layouts)}
-		for _, name := range r.sortedNames() {
+		r.layout = r.newLayout()
+		r.names = r.appendSortedNames(r.names[:0])
+		for _, name := range r.names {
 			f := r.families[name]
-			for _, ls := range f.sortedKeys() {
+			r.keys = f.appendSortedKeys(r.keys[:0])
+			for _, ls := range r.keys {
 				r.layout.cols = append(r.layout.cols, f.insts[ls].cols...)
 			}
 		}
@@ -396,7 +481,7 @@ func (r *Registry) Sample(at time.Duration) {
 		}
 	}
 	if k := len(r.chunks); k == 0 || cap(r.chunks[k-1])-len(r.chunks[k-1]) < 2+n {
-		r.chunks = append(r.chunks, make([]uint64, 0, max(2+n, min(chunkWords, chunkTicks*(2+len(cols))))))
+		r.chunks = append(r.chunks, r.newChunk(max(2+n, min(chunkWords, chunkTicks*(2+len(cols))))))
 	}
 	c := &r.chunks[len(r.chunks)-1]
 	r.lastOff = len(*c)
@@ -417,6 +502,34 @@ func (r *Registry) Sample(at time.Duration) {
 		}
 	}
 	r.ticks, r.points = r.ticks+1, r.points+len(cols)
+	for _, in := range r.turned {
+		in.absTick = r.ticks - 1
+	}
+	clear(r.turned)
+	r.turned = r.turned[:0]
+}
+
+// newLayout returns an empty layout with the next id, reusing one a recycled
+// child registry kept.
+func (r *Registry) newLayout() *layout {
+	id := len(r.layouts)
+	if id < cap(r.layouts) {
+		if l := r.layouts[:id+1][id]; l != nil {
+			l.cols = l.cols[:0]
+			return l
+		}
+	}
+	return &layout{id: id}
+}
+
+// newChunk returns an empty chunk of at least size words, reusing a spare.
+func (r *Registry) newChunk(size int) []uint64 {
+	if k := len(r.spareChunks); k > 0 && cap(r.spareChunks[k-1]) >= size {
+		c := r.spareChunks[k-1]
+		r.spareChunks = r.spareChunks[:k-1]
+		return c
+	}
+	return make([]uint64, 0, size)
 }
 
 // allTicks yields the collected ticks in sampling order, rebuilding each
@@ -500,7 +613,7 @@ func (r *Registry) Value(name string, labels ...string) (float64, bool) {
 		return 0, false
 	}
 	in, ok := f.insts[labelString(labels)]
-	if !ok {
+	if !ok || !in.live {
 		return 0, false
 	}
 	if f.typ == TypeHistogram {
