@@ -142,7 +142,7 @@ type Engine struct {
 	bug string
 	// spares holds the run's task-sized state, the fetch-plan buffers and the
 	// machine's storage (DESIGN.md "What a run allocates"). A recycling engine
-	// takes them with takeSpares and Wait gives them back; recycle is false on
+	// takes them off idleSpares and Wait gives them back; recycle is false on
 	// a sharded engine, whose executors run on other goroutines than the
 	// driver: its spares are its own, and no plan is put back.
 	recycle bool
@@ -245,7 +245,9 @@ func newEngine(opts Options, sp *runSpares) (*Engine, error) {
 		sp = new(runSpares)
 	} else {
 		if sp == nil {
-			sp = takeSpares()
+			if sp, _ = idleSpares.Take(); sp == nil {
+				sp = new(runSpares)
+			}
 		}
 		k = sim.NewKernel()
 		k.Reuse(sp.kernel)

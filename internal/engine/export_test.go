@@ -44,7 +44,7 @@ func (ex *Executor) Zombies() int { return ex.zombies }
 // recycling run is held to. Called from Options.OnSetup, before anything has
 // used them, it puts back the spares NewEngine took.
 func (e *Engine) StopRecycling() {
-	putSpares(e.spares)
+	idleSpares.Put(e.spares)
 	e.recycle = false
 	e.UseSpares(new(runSpares))
 }
@@ -84,27 +84,40 @@ func (e *Engine) UseSpares(sp *runSpares) {
 	e.spares, e.shuffle.spares = sp, sp
 }
 
-// unstack takes sp off the stack of spares if it is there.
+// unstack takes sp off the stack of spares if it is there, leaving the others
+// in their order.
 func unstack(sp *runSpares) {
-	spareStack.Lock()
-	defer spareStack.Unlock()
-	spareStack.sets = slices.DeleteFunc(spareStack.sets, func(s *runSpares) bool { return s == sp })
+	restack(slices.DeleteFunc(takeStacked(), func(s *runSpares) bool { return s == sp }))
+}
+
+// takeStacked takes every set off the stack of spares, the top one first.
+func takeStacked() (sets []*runSpares) {
+	for sp, ok := idleSpares.Take(); ok; sp, ok = idleSpares.Take() {
+		sets = append(sets, sp)
+	}
+	return sets
+}
+
+// restack puts sets back on the stack of spares, the last one first, so that
+// it holds them as takeStacked found them.
+func restack(sets []*runSpares) {
+	for _, sp := range slices.Backward(sets) {
+		idleSpares.Put(sp)
+	}
 }
 
 // DrainSpares empties the stack of spares and the file systems' list of
 // recent input tables.
 func DrainSpares() {
-	spareStack.Lock()
-	spareStack.sets = nil
-	spareStack.Unlock()
+	takeStacked()
 	dfs.DropTables()
 }
 
 // StackedSpares reports how many sets of spares the stack holds.
 func StackedSpares() int {
-	spareStack.Lock()
-	defer spareStack.Unlock()
-	return len(spareStack.sets)
+	sets := takeStacked()
+	restack(sets)
+	return len(sets)
 }
 
 // Held reports what sp keeps for the next run: task contexts and task-table

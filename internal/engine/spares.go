@@ -1,13 +1,11 @@
 package engine
 
 import (
-	"runtime"
-	"slices"
-	"sync"
 	"time"
 
 	"sae/internal/device"
 	"sae/internal/sim"
+	"sae/internal/spares"
 )
 
 // runSpares is the task-sized state one run leaves for the next engine in the
@@ -17,8 +15,8 @@ import (
 // the kernel's events, the devices' stream tables, the mailboxes' arrays,
 // which carry the control-plane messages by value, and the executors' local
 // launch queues. A run's reports, DFS and telemetry keep none of it, so once
-// the simulation has drained it is unreachable; Wait gives it back to the
-// stack as its very last act and a later recycling NewEngine takes it
+// the simulation has drained it is unreachable; Wait gives it back to
+// idleSpares as its very last act and a later recycling NewEngine takes it
 // (DESIGN.md "What a run allocates"). Between the two it belongs to one
 // engine alone.
 type runSpares struct {
@@ -51,38 +49,8 @@ type nodeSpares struct {
 	queue   sim.FIFO[launchMsg]
 }
 
-// spareStack holds the spares runs gave back, the last one on top: at most
-// GOMAXPROCS sets, as many as engines run at once in a process that keeps to
-// one per processor. A strong reference, so an idle process keeps its spares
-// through collections.
-var spareStack struct {
-	sync.Mutex
-	sets []*runSpares
-}
-
-// takeSpares pops the stack, or makes spares if it is empty.
-func takeSpares() *runSpares {
-	spareStack.Lock()
-	defer spareStack.Unlock()
-	n := len(spareStack.sets)
-	if n == 0 {
-		return new(runSpares)
-	}
-	sp := spareStack.sets[n-1]
-	spareStack.sets = slices.Delete(spareStack.sets, n-1, n)
-	return sp
-}
-
-// putSpares pushes sp, dropping the sets at the bottom past GOMAXPROCS, read
-// now.
-func putSpares(sp *runSpares) {
-	spareStack.Lock()
-	defer spareStack.Unlock()
-	spareStack.sets = append(spareStack.sets, sp)
-	if extra := len(spareStack.sets) - runtime.GOMAXPROCS(0); extra > 0 {
-		spareStack.sets = slices.Delete(spareStack.sets, 0, extra)
-	}
-}
+// idleSpares holds the spares runs gave back for the next engines to take.
+var idleSpares = spares.New[*runSpares](1)
 
 // context takes a task context off the spares' list, or makes one.
 func (sp *runSpares) context() *taskContext {
@@ -132,7 +100,7 @@ func (e *Engine) giveBackSpares() {
 	for _, ok := e.toDriver.TryRecv(); ok; _, ok = e.toDriver.TryRecv() {
 	}
 	sp.toDriver = e.toDriver.Release()
-	putSpares(sp)
+	idleSpares.Put(sp)
 }
 
 // slab hands a run zeroed windows of arrays earlier runs made. A window is

@@ -128,27 +128,29 @@ func (s Setup) Options(policy job.Policy, blockSize int64, inputs []engine.Input
 	return opts
 }
 
-// Run executes one workload under one policy and returns the engine report.
-// It waits for a processor first (startRun).
+// Run executes one workload under one policy and returns the engine report
+// (RunEngine).
 func (s Setup) Run(w *workloads.Spec, policy job.Policy, onSetup func(*engine.Engine)) (*engine.JobReport, error) {
-	startRun()
-	defer endRun()
 	opts := s.Options(policy, w.BlockSize, w.Inputs)
 	opts.OnSetup = onSetup
-	return engine.Run(opts, w.Job)
+	var h *engine.JobHandle
+	if _, err := RunEngine(opts, func(e *engine.Engine) (err error) {
+		h, err = e.Submit(w.Job)
+		return err
+	}); err != nil {
+		return nil, err
+	}
+	return h.Report()
 }
 
 // RunMulti executes several workloads concurrently on one engine under the
 // registry's scheduler.mode and returns their reports in submission order.
 // Inputs shared between workloads (same file name) are created once; the
-// first workload's block size wins, as the engine has one DFS. It waits for
-// a processor first (startRun).
+// first workload's block size wins, as the engine has one DFS (RunEngine).
 func (s Setup) RunMulti(ws []*workloads.Spec, policy job.Policy) ([]*engine.JobReport, error) {
 	if len(ws) == 0 {
 		return nil, fmt.Errorf("exp: no workloads")
 	}
-	startRun()
-	defer endRun()
 	var inputs []engine.Input
 	seen := map[string]bool{}
 	for _, w := range ws {
@@ -159,23 +161,20 @@ func (s Setup) RunMulti(ws []*workloads.Spec, policy job.Policy) ([]*engine.JobR
 			}
 		}
 	}
-	e, err := engine.NewEngine(s.Options(policy, ws[0].BlockSize, inputs))
-	if err != nil {
-		return nil, err
-	}
-	var handles []*engine.JobHandle
-	for _, w := range ws {
-		h, err := e.Submit(w.Job)
-		if err != nil {
-			return nil, fmt.Errorf("exp: submit %s: %w", w.Name, err)
+	handles := make([]*engine.JobHandle, len(ws))
+	if _, err := RunEngine(s.Options(policy, ws[0].BlockSize, inputs), func(e *engine.Engine) (err error) {
+		for i, w := range ws {
+			if handles[i], err = e.Submit(w.Job); err != nil {
+				return fmt.Errorf("exp: submit %s: %w", w.Name, err)
+			}
 		}
-		handles = append(handles, h)
-	}
-	if err := e.Wait(); err != nil {
+		return nil
+	}); err != nil {
 		return nil, err
 	}
 	reps := make([]*engine.JobReport, len(handles))
 	for i, h := range handles {
+		var err error
 		if reps[i], err = h.Report(); err != nil {
 			return nil, fmt.Errorf("exp: job %s: %w", ws[i].Name, err)
 		}

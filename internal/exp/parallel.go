@@ -2,12 +2,13 @@ package exp
 
 import (
 	"bytes"
+	"cmp"
 	"io"
 	"runtime"
-	"slices"
 	"sync"
 
 	"sae/internal/engine"
+	"sae/internal/spares"
 )
 
 // Each calls do(0) … do(n-1) and returns their results by index, or the
@@ -25,8 +26,8 @@ import (
 // them there.
 //
 // The calls run in order, on s, when GOMAXPROCS is 1 or s's Audit cannot
-// fork. A call waiting on a nested fan-out holds no run; only Run and
-// RunMulti do (startRun).
+// fork. A call waiting on a nested fan-out holds no run; only an engine run
+// does (RunEngine).
 func Each[T any](s Setup, n int, do func(s Setup, i int) (T, error)) ([]T, error) {
 	out := make([]T, n)
 	fa, forks := s.Audit.(engine.ForkableAudit)
@@ -166,7 +167,11 @@ func (t *callTrace) Write(p []byte) (int, error) {
 		return t.dst.Write(p)
 	}
 	if t.buf == nil {
-		t.buf = takeTraceBuffer()
+		// The largest spare, so that the buffers a fan-out holds at once grow
+		// to their sizes once, not whenever a long trace draws a short buffer.
+		if t.buf, _ = spareTraces.TakeMax(byCap); t.buf == nil {
+			t.buf = new(bytes.Buffer)
+		}
 	}
 	return t.buf.Write(p)
 }
@@ -180,50 +185,19 @@ func (t *callTrace) through() error {
 		t.direct = true
 		if t.buf != nil {
 			_, t.err = t.buf.WriteTo(t.dst)
-			putTraceBuffer(t.buf)
+			t.buf.Reset()
+			spareTraces.Put(t.buf)
 			t.buf = nil
 		}
 	}
 	return t.err
 }
 
-// traceBuffers holds emptied trace buffers, the last one on top: at most four
-// per GOMAXPROCS, read when one is pushed, as many as nested fan-outs hold at
-// once (telemetry's child registries are kept alike).
-var traceBuffers struct {
-	sync.Mutex
-	bufs []*bytes.Buffer
-}
+// spareTraces holds emptied trace buffers for the calls of later fan-outs.
+var spareTraces = spares.New[*bytes.Buffer](4)
 
-// takeTraceBuffer takes the largest spare, so that the buffers a fan-out
-// holds at once grow to their sizes once, not whenever a long trace draws a
-// short buffer.
-func takeTraceBuffer() *bytes.Buffer {
-	traceBuffers.Lock()
-	defer traceBuffers.Unlock()
-	if len(traceBuffers.bufs) == 0 {
-		return new(bytes.Buffer)
-	}
-	i := 0
-	for j, b := range traceBuffers.bufs {
-		if b.Cap() > traceBuffers.bufs[i].Cap() {
-			i = j
-		}
-	}
-	b := traceBuffers.bufs[i]
-	traceBuffers.bufs = slices.Delete(traceBuffers.bufs, i, i+1)
-	return b
-}
-
-func putTraceBuffer(b *bytes.Buffer) {
-	b.Reset()
-	traceBuffers.Lock()
-	defer traceBuffers.Unlock()
-	traceBuffers.bufs = append(traceBuffers.bufs, b)
-	if extra := len(traceBuffers.bufs) - 4*runtime.GOMAXPROCS(0); extra > 0 {
-		traceBuffers.bufs = slices.Delete(traceBuffers.bufs, 0, extra)
-	}
-}
+// byCap orders trace buffers by capacity.
+func byCap(a, b *bytes.Buffer) int { return cmp.Compare(a.Cap(), b.Cap()) }
 
 // live counts the engine runs in progress in the process; runFreed wakes a
 // run waiting for one to end.
@@ -233,22 +207,32 @@ var (
 	live     int
 )
 
-// startRun waits until fewer engine runs than GOMAXPROCS, read now, are in
-// progress, and counts one more; endRun counts it out. So however many
+// RunEngine builds an engine from opts, lets submit hand it its jobs, and
+// waits for the run; the engine it returns has ended. It waits first until
+// fewer engine runs than GOMAXPROCS, read now, are in progress in the
+// process, and counts its own out once the run has ended: so however many
 // fan-outs nest, a process runs no more engines at once than it has
-// processors, and holds no more runs' state.
-func startRun() {
+// processors, and holds no more runs' state. Every engine exp and the
+// scenario matrices run goes through here.
+func RunEngine(opts engine.Options, submit func(*engine.Engine) error) (*engine.Engine, error) {
 	liveMu.Lock()
 	for live >= runtime.GOMAXPROCS(0) {
 		runFreed.Wait()
 	}
 	live++
 	liveMu.Unlock()
-}
-
-func endRun() {
-	liveMu.Lock()
-	live--
-	liveMu.Unlock()
-	runFreed.Signal()
+	defer func() {
+		liveMu.Lock()
+		live--
+		liveMu.Unlock()
+		runFreed.Signal()
+	}()
+	e, err := engine.NewEngine(opts)
+	if err != nil {
+		return nil, err
+	}
+	if err := submit(e); err != nil {
+		return nil, err
+	}
+	return e, e.Wait()
 }

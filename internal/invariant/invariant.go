@@ -50,13 +50,12 @@ package invariant
 
 import (
 	"fmt"
-	"runtime"
 	"slices"
 	"sort"
-	"sync"
 
 	"sae/internal/engine"
 	"sae/internal/engine/job"
+	"sae/internal/spares"
 )
 
 // Violation is one observed breach of a structural invariant.
@@ -193,25 +192,15 @@ func New() *Auditor {
 	return &Auditor{coverage: map[string]struct{}{}, eventTypes: map[string]struct{}{}}
 }
 
-// childSpares holds the children Join took back, the last one on top: at
-// most four per GOMAXPROCS, read when one is pushed, as many as nested
-// fan-outs hold at once (telemetry's child registries are kept alike). A
-// recycled child keeps its mirrors and spare ledgers, so its next run
-// allocates what a second run of one auditor does.
-var childSpares struct {
-	sync.Mutex
-	auds []*Auditor
-}
+// spareChildren holds the children Join took back. A recycled child keeps its
+// mirrors and spare ledgers, so its next run allocates what a second run of
+// one auditor does.
+var spareChildren = spares.New[*Auditor](4)
 
 // Fork implements engine.ForkableAudit: an empty auditor, from the spares
 // Join gives back, for a run going beside the ones a observes.
 func (a *Auditor) Fork() engine.Audit {
-	childSpares.Lock()
-	defer childSpares.Unlock()
-	if n := len(childSpares.auds); n > 0 {
-		c := childSpares.auds[n-1]
-		childSpares.auds[n-1] = nil
-		childSpares.auds = childSpares.auds[:n-1]
+	if c, ok := spareChildren.Take(); ok {
 		return c
 	}
 	return New()
@@ -253,12 +242,7 @@ func (a *Auditor) Join(child engine.Audit) {
 	clear(c.coverage)
 	clear(c.eventTypes)
 	c.fired = [numSignals]bool{}
-	childSpares.Lock()
-	defer childSpares.Unlock()
-	childSpares.auds = append(childSpares.auds, c)
-	if extra := len(childSpares.auds) - 4*runtime.GOMAXPROCS(0); extra > 0 {
-		childSpares.auds = slices.Delete(childSpares.auds, 0, extra)
-	}
+	spareChildren.Put(c)
 }
 
 // Violations returns a copy of the recorded violations in detection order.

@@ -240,17 +240,16 @@ func (c *Compiled) replay(s exp.Setup, cfg ProvisionSpec, capacity int, sched []
 		InitialNodes: cfg.initialNodes(capacity),
 		MaxNodes:     capacity,
 	}
-	e, err := engine.NewEngine(opts)
-	if err != nil {
-		return AutoscaleRow{}, err
-	}
 	handles := make([]*engine.JobHandle, len(sched))
-	for i, a := range sched {
-		if handles[i], err = e.SubmitAt(a.At, tenants[a.Class.Name].job(a.Seq, scale)); err != nil {
-			return AutoscaleRow{}, err
+	e, err := exp.RunEngine(opts, func(e *engine.Engine) (err error) {
+		for i, a := range sched {
+			if handles[i], err = e.SubmitAt(a.At, tenants[a.Class.Name].job(a.Seq, scale)); err != nil {
+				return err
+			}
 		}
-	}
-	if err := e.Wait(); err != nil {
+		return nil
+	})
+	if err != nil {
 		return AutoscaleRow{}, err
 	}
 

@@ -1,6 +1,16 @@
 package scenario
 
-import "testing"
+import (
+	"fmt"
+	"runtime"
+	"sync"
+	"testing"
+	"time"
+
+	"sae/internal/engine"
+	"sae/internal/exp"
+	"sae/internal/invariant"
+)
 
 func TestAutoscaleMatrix(t *testing.T) {
 	res := runExperiment[*AutoscaleResult](t, "autoscale", 0.05)
@@ -47,5 +57,67 @@ func TestAutoscaleMatrix(t *testing.T) {
 	}
 	if _, ok := res.CSVTables()["autoscale"]; !ok {
 		t.Fatal("CSVTables missing autoscale table")
+	}
+}
+
+// liveAudit counts the engines running between BeginRun and EndRun across
+// every child forked from it, holding each run a moment so runs that may
+// overlap do.
+type liveAudit struct {
+	*invariant.Auditor
+	c *liveCount
+}
+
+type liveCount struct {
+	mu         sync.Mutex
+	live, peak int
+}
+
+func (a liveAudit) BeginRun(active []bool) {
+	a.c.mu.Lock()
+	a.c.live++
+	a.c.peak = max(a.c.peak, a.c.live)
+	a.c.mu.Unlock()
+	time.Sleep(10 * time.Millisecond)
+	a.Auditor.BeginRun(active)
+}
+
+func (a liveAudit) EndRun() {
+	a.Auditor.EndRun()
+	a.c.mu.Lock()
+	a.c.live--
+	a.c.mu.Unlock()
+}
+
+func (a liveAudit) Fork() engine.Audit {
+	return liveAudit{a.Auditor.Fork().(*invariant.Auditor), a.c}
+}
+
+func (a liveAudit) Join(child engine.Audit) { a.Auditor.Join(child.(liveAudit).Auditor) }
+
+// TestArrivalReplaysKeepToGOMAXPROCS: arrival matrices compiled and run
+// inside the calls of an outer fan-out at GOMAXPROCS 2 run no more than two
+// engines at once, since each replay holds one of the process's run places
+// (exp.RunEngine) and not only a slot of its own matrix's fan-out.
+func TestArrivalReplaysKeepToGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	sp := loadGolden(t, "autoscale.yaml")
+	s := seed7()
+	aud := liveAudit{invariant.New(), new(liveCount)}
+	s.Audit = aud
+	if _, err := exp.Each(s, 2, func(s exp.Setup, _ int) (fmt.Stringer, error) {
+		c, err := sp.Compile(s)
+		if err != nil {
+			return nil, err
+		}
+		return c.Run()
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if aud.c.peak != 2 {
+		t.Fatalf("up to %d arrival replays ran at once at GOMAXPROCS 2, want 2", aud.c.peak)
+	}
+	if v := aud.Violations(); len(v) > 0 {
+		t.Fatalf("violations: %v", v)
 	}
 }

@@ -1,31 +1,16 @@
 package telemetry
 
-import (
-	"runtime"
-	"slices"
-	"sync"
-)
+import "sae/internal/spares"
 
-// childSpares holds the child registries Join took back, the last one on
-// top: at most four per GOMAXPROCS, read when one is pushed, since a fan-out
-// nested in another holds several children per processor at once (calls
-// that ended wait for a slower one before them to join). A recycled registry
-// keeps its instruments dormant, its chunks and its layouts, so a run on it
-// allocates about what a run on a shared registry does.
-var childSpares struct {
-	sync.Mutex
-	regs []*Registry
-}
+// spareChildren holds the child registries Join took back. A recycled
+// registry keeps its instruments dormant, its chunks and its layouts, so a run
+// on it allocates about what a run on a shared registry does.
+var spareChildren = spares.New[*Registry](4)
 
 // Fork returns an empty registry for one run going beside others that
 // share r; Join folds it into r.
 func (r *Registry) Fork() *Registry {
-	childSpares.Lock()
-	defer childSpares.Unlock()
-	if n := len(childSpares.regs); n > 0 {
-		c := childSpares.regs[n-1]
-		childSpares.regs[n-1] = nil
-		childSpares.regs = childSpares.regs[:n-1]
+	if c, ok := spareChildren.Take(); ok {
 		return c
 	}
 	c := NewRegistry()
@@ -146,12 +131,7 @@ func (r *Registry) recycle() {
 	r.layout, r.layouts = nil, r.layouts[:0]
 	r.last, r.prev = row{vals: r.last.vals[:0]}, row{vals: r.prev.vals[:0]}
 	r.lastOff, r.ticks, r.points = 0, 0, 0
-	childSpares.Lock()
-	defer childSpares.Unlock()
-	childSpares.regs = append(childSpares.regs, r)
-	if extra := len(childSpares.regs) - 4*runtime.GOMAXPROCS(0); extra > 0 {
-		childSpares.regs = slices.Delete(childSpares.regs, 0, extra)
-	}
+	spareChildren.Put(r)
 }
 
 // Freeze replaces every function-backed instrument's function with the
