@@ -19,7 +19,8 @@
 // deterministic function of -seed, the corpus, and the options: same
 // inputs, same findings, byte for byte.
 //
-// Exit status is non-zero when any violation was found. A clean hunt over
+// Exit status is 1 when any violation was found, 2 for a flag value out of
+// range (a negative, NaN or infinite -scale). A clean hunt over
 // the committed corpus is the CI hunt-smoke gate: it proves every golden
 // scenario passes all invariants and that a bounded mutation budget finds
 // nothing.
@@ -28,10 +29,12 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
 
+	"sae/internal/exp"
 	"sae/internal/hunt"
 	"sae/internal/scenario"
 )
@@ -39,7 +42,7 @@ import (
 func main() {
 	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "sae-hunt:", err)
-		os.Exit(1)
+		os.Exit(exp.ExitCode(err))
 	}
 }
 
@@ -54,6 +57,12 @@ func run(args []string) error {
 	verbose := fs.Bool("v", false, "log every run")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if !(*scale >= 0) || math.IsInf(*scale, 1) {
+		// The hunt reads a negative or NaN scale as 0, the specs' own; +Inf
+		// reaches the file system as a negative size, and the hunt would
+		// discard every faulted run and call itself clean.
+		return fmt.Errorf("%w: -scale %v, want 0 (the specs' scales) or a positive finite factor", exp.ErrBadFlag, *scale)
 	}
 
 	paths, err := filepath.Glob(filepath.Join(*corpusDir, "*.yaml"))

@@ -3,7 +3,10 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+
+	"sae/internal/exp"
 )
 
 func TestHuntSmoke(t *testing.T) {
@@ -27,13 +30,24 @@ cluster:
 	}
 }
 
+// TestHuntErrors: a hunt that cannot start fails, and a -scale out of range —
+// negative, NaN or +Inf — is one line and exit status 2, before any hunt runs.
 func TestHuntErrors(t *testing.T) {
-	for _, args := range [][]string{
-		{"-corpus", t.TempDir()}, // no specs
-		{"-runs", "x"},
+	for _, tc := range []struct {
+		args []string
+		code int
+	}{
+		{[]string{"-corpus", t.TempDir()}, 1}, // no specs
+		{[]string{"-runs", "x"}, 1},
+		{[]string{"-scale", "-3"}, 2},
+		{[]string{"-scale", "NaN"}, 2},
+		{[]string{"-scale", "+Inf"}, 2},
 	} {
-		if err := run(args); err == nil {
-			t.Errorf("args %v accepted", args)
+		err := run(tc.args)
+		if err == nil {
+			t.Errorf("args %v accepted", tc.args)
+		} else if code := exp.ExitCode(err); code != tc.code || strings.Contains(err.Error(), "\n") {
+			t.Errorf("args %v: exit status %d, error %q; want %d and one line", tc.args, code, err, tc.code)
 		}
 	}
 }

@@ -61,7 +61,7 @@ type Setup struct {
 	// going side by side (Each) write to sinks of their own, forked from
 	// these and joined back in run order, so the shared sinks end as a loop
 	// over the runs would leave them. An Audit that cannot fork
-	// (engine.ForkableAudit) makes the runs go in order.
+	// (engine.ForkableAudit) makes a fan-out one run wide, each run on these.
 	Audit engine.Audit
 }
 
@@ -185,10 +185,10 @@ func (s Setup) RunMulti(ws []*workloads.Spec, policy job.Policy) ([]*engine.JobR
 // ErrBadFlag marks a command-line flag value outside its range.
 var ErrBadFlag = errors.New("bad flag value")
 
-// ExitCode is the status sae-run and sae-exp exit with on err: 2 for an
-// invocation that can never run — a flag value out of range (a chaos clause
-// value among them, chaos.ErrOutOfRange), a conf value of the wrong kind
-// (conf.ErrBadValue), a cluster without nodes — and 1 for a run that failed.
+// ExitCode is the status sae-run, sae-exp and sae-hunt exit with on err: 2
+// for an invocation that can never run — a flag value out of range (a chaos
+// clause value among them, chaos.ErrOutOfRange), a conf value of the wrong
+// kind (conf.ErrBadValue), a cluster without nodes — else 1.
 func ExitCode(err error) int {
 	if errors.Is(err, ErrBadFlag) || errors.Is(err, engine.ErrNoNodes) || errors.Is(err, chaos.ErrOutOfRange) || errors.Is(err, conf.ErrBadValue) {
 		return 2

@@ -3,7 +3,6 @@ package exp
 import (
 	"bytes"
 	"cmp"
-	"io"
 	"runtime"
 	"sync"
 
@@ -21,27 +20,22 @@ import (
 // child auditor (engine.ForkableAudit) — that join s's in index order as the
 // calls end, so s's sinks receive what that loop would have given them. A call
 // that starts once every call before it has joined runs on s's sinks
-// themselves, and the trace of the lowest call not yet joined writes through
-// to s's. A nested Each forks its calls' sinks from its caller's and joins
+// themselves. A nested Each forks its calls' sinks from its caller's and joins
 // them there.
 //
-// The calls run in order, on s, when GOMAXPROCS is 1 or s's Audit cannot
-// fork. A call waiting on a nested fan-out holds no run; only an engine run
-// does (RunEngine).
+// A call's slot frees only once it has joined, so when s's Audit cannot fork
+// the fan-out is one call wide: each call starts after the one before it has
+// joined and runs on s, as every call does at GOMAXPROCS 1. A call waiting on
+// a nested fan-out holds no run; only an engine run does (RunEngine).
 func Each[T any](s Setup, n int, do func(s Setup, i int) (T, error)) ([]T, error) {
 	out := make([]T, n)
 	fa, forks := s.Audit.(engine.ForkableAudit)
-	if runtime.GOMAXPROCS(0) == 1 || s.Audit != nil && !forks {
-		for i := range n {
-			var err error
-			if out[i], err = do(s, i); err != nil {
-				return nil, err
-			}
-		}
-		return out, nil
+	width := runtime.GOMAXPROCS(0)
+	if s.Audit != nil && !forks {
+		width = 1
 	}
 	j := &joiner{s: s, audit: fa, calls: make([]call, n)}
-	slots := make(chan struct{}, runtime.GOMAXPROCS(0))
+	slots := make(chan struct{}, width)
 	var wg sync.WaitGroup
 	for i := range n {
 		slots <- struct{}{}
@@ -54,8 +48,8 @@ func Each[T any](s Setup, n int, do func(s Setup, i int) (T, error)) ([]T, error
 			defer wg.Done()
 			var err error
 			out[i], err = do(cs, i)
-			<-slots
 			j.end(i, err)
+			<-slots
 		}()
 	}
 	wg.Wait()
@@ -90,7 +84,7 @@ type joiner struct {
 type call struct {
 	ended bool
 	err   error
-	trace *callTrace
+	trace *bytes.Buffer
 	sinks Setup
 }
 
@@ -107,7 +101,11 @@ func (j *joiner) start(i int) (Setup, bool) {
 		return j.s, true
 	}
 	if j.s.Trace != nil {
-		c.trace = &callTrace{dst: j.s.Trace}
+		// The largest spare, so that the buffers a fan-out holds at once grow
+		// to their sizes once, not whenever a long trace draws a short buffer.
+		if c.trace, _ = spareTraces.TakeMax(byCap); c.trace == nil {
+			c.trace = new(bytes.Buffer)
+		}
 		c.sinks.Trace = c.trace
 	}
 	if j.s.Metrics != nil {
@@ -120,8 +118,7 @@ func (j *joiner) start(i int) (Setup, bool) {
 }
 
 // end records call i's error and joins every ended call from the lowest not
-// yet joined on; the one after them, if running, writes its trace through
-// from now on.
+// yet joined on, splicing in its trace; an error writing it is the call's.
 func (j *joiner) end(i int, err error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -132,9 +129,11 @@ func (j *joiner) end(i int, err error) {
 		}
 		c := &j.calls[j.next]
 		if c.trace != nil {
-			if err := c.trace.through(); c.err == nil {
+			if _, err := c.trace.WriteTo(j.s.Trace); c.err == nil {
 				c.err = err
 			}
+			c.trace.Reset()
+			spareTraces.Put(c.trace)
 		}
 		if c.sinks.Metrics != nil {
 			j.s.Metrics.Join(c.sinks.Metrics)
@@ -144,53 +143,6 @@ func (j *joiner) end(i int, err error) {
 		}
 		j.failed = c.err
 	}
-	if j.next < len(j.calls) && j.calls[j.next].trace != nil && j.failed == nil {
-		// An error here is the call's, returned when it joins.
-		_ = j.calls[j.next].trace.through()
-	}
-}
-
-// callTrace is a call's trace writer: it holds what the call writes until
-// every call before it has joined, then writes through to the shared writer.
-type callTrace struct {
-	mu     sync.Mutex
-	dst    io.Writer
-	buf    *bytes.Buffer
-	direct bool  // writes go straight to dst
-	err    error // the first error writing held bytes to dst
-}
-
-func (t *callTrace) Write(p []byte) (int, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.direct {
-		return t.dst.Write(p)
-	}
-	if t.buf == nil {
-		// The largest spare, so that the buffers a fan-out holds at once grow
-		// to their sizes once, not whenever a long trace draws a short buffer.
-		if t.buf, _ = spareTraces.TakeMax(byCap); t.buf == nil {
-			t.buf = new(bytes.Buffer)
-		}
-	}
-	return t.buf.Write(p)
-}
-
-// through writes what t holds to the shared writer, and every later Write
-// straight there; it returns the first error writing held bytes.
-func (t *callTrace) through() error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if !t.direct {
-		t.direct = true
-		if t.buf != nil {
-			_, t.err = t.buf.WriteTo(t.dst)
-			t.buf.Reset()
-			spareTraces.Put(t.buf)
-			t.buf = nil
-		}
-	}
-	return t.err
 }
 
 // spareTraces holds emptied trace buffers for the calls of later fan-outs.

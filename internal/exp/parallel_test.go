@@ -200,26 +200,38 @@ func TestSharedSinksMatchSequential(t *testing.T) {
 // unforkable is an auditor that cannot fork.
 type unforkable struct{ engine.Audit }
 
-// TestUnforkableAuditRunsInOrder: a setup whose auditor cannot fork runs its
-// calls one after another, in index order, whatever GOMAXPROCS is, on the
-// setup itself, and stops at the first error.
-func TestUnforkableAuditRunsInOrder(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	s := Default()
-	s.Audit = unforkable{invariant.New()}
-	var order []int
-	stop := errors.New("stop")
-	_, err := Each(s, 5, func(c Setup, i int) (int, error) {
-		if c.Audit != s.Audit {
-			t.Errorf("call %d got the auditor %v, want the setup's", i, c.Audit)
-		}
-		order = append(order, i)
-		if i == 3 {
-			return i, stop
-		}
-		return i, nil
-	})
-	if err != stop || fmt.Sprint(order) != "[0 1 2 3]" {
-		t.Fatalf("calls ran in the order %v and returned %v, want [0 1 2 3] and the fourth's error", order, err)
+// TestOneWideRunsInOrder: a fan-out one call wide — its auditor cannot fork,
+// or GOMAXPROCS is 1 — starts each call once the one before it has joined, so
+// every call runs on the setup itself, in index order, never on forked sinks,
+// and the first error stops it.
+func TestOneWideRunsInOrder(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		procs int
+		audit engine.Audit
+	}{
+		{"unforkable auditor", 4, unforkable{invariant.New()}},
+		{"GOMAXPROCS 1", 1, invariant.New()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(tc.procs))
+			s := Default()
+			s.Audit = tc.audit
+			var order []int
+			stop := errors.New("stop")
+			_, err := Each(s, 5, func(c Setup, i int) (int, error) {
+				if c.Audit != s.Audit {
+					t.Errorf("call %d got the auditor %v, want the setup's", i, c.Audit)
+				}
+				order = append(order, i)
+				if i == 3 {
+					return i, stop
+				}
+				return i, nil
+			})
+			if err != stop || fmt.Sprint(order) != "[0 1 2 3]" {
+				t.Fatalf("calls ran in the order %v and returned %v, want [0 1 2 3] and the fourth's error", order, err)
+			}
+		})
 	}
 }

@@ -155,6 +155,9 @@ func (c *Compiled) compileArrivalMatrix() error {
 		if _, err := p.planner(); err != nil {
 			return err
 		}
+		if _, err := p.initialNodes(capacity); err != nil {
+			return err
+		}
 	}
 	if !slices.ContainsFunc(m.Configs, func(p ProvisionSpec) bool { return p.Name == m.SLO.Baseline }) {
 		return fmt.Errorf("SLO baseline config %q not in the config list", m.SLO.Baseline)
@@ -235,9 +238,10 @@ func (c *Compiled) replay(s exp.Setup, cfg ProvisionSpec, capacity int, sched []
 	if err != nil {
 		return AutoscaleRow{}, err
 	}
+	initial, _ := cfg.initialNodes(capacity) // Compile checked it
 	opts.Autoscale = &engine.AutoscaleConfig{
 		Policy:       planner,
-		InitialNodes: cfg.initialNodes(capacity),
+		InitialNodes: initial,
 		MaxNodes:     capacity,
 	}
 	handles := make([]*engine.JobHandle, len(sched))
@@ -362,15 +366,17 @@ func (p ProvisionSpec) planner() (autoscale.Policy, error) {
 
 // initialNodes is the config's starting fleet on a fleet of capacity nodes;
 // "small" is a third of it, at least 2.
-func (p ProvisionSpec) initialNodes(capacity int) int {
+func (p ProvisionSpec) initialNodes(capacity int) (int, error) {
 	switch p.Initial {
 	case "small":
-		return max((capacity+2)/3, 2)
+		return max((capacity+2)/3, 2), nil
 	case "capacity":
-		return capacity
+		return capacity, nil
 	}
-	n, _ := strconv.Atoi(p.Initial) // validate checked it is a positive integer
-	return n
+	if n, err := strconv.Atoi(p.Initial); err == nil && n > 0 {
+		return n, nil
+	}
+	return 0, fmt.Errorf("config %s: initial fleet %q is not small, capacity or a positive integer", p.Name, p.Initial)
 }
 
 // scaleCount scales a count stored at cluster scale 1, never below floor.

@@ -7,6 +7,7 @@ import (
 
 	"sae/internal/chaos"
 	"sae/internal/conf"
+	"sae/internal/device"
 	"sae/internal/engine"
 	"sae/internal/engine/job"
 	"sae/internal/exp"
@@ -27,11 +28,14 @@ func (sp *Spec) BaseSetup() exp.Setup {
 	if sp.Cluster.Seed != 0 {
 		s.Seed = sp.Cluster.Seed
 	}
-	if sp.Cluster.Disk == "ssd" {
-		s = s.WithSSD()
+	if disk, ok := disks[sp.Cluster.Disk]; ok {
+		s.Disk = disk()
 	}
 	return s
 }
+
+// disks are the device models a spec's cluster disk names.
+var disks = map[string]func() device.DiskSpec{"hdd": device.HDD7200, "ssd": device.SSDSata}
 
 // catalogue is the conf catalogue at its defaults, made once per process:
 // what a setup without a registry reads, cloned wherever one is needed.

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"time"
 
+	"sae/internal/arrival"
 	"sae/internal/chaos"
 	"sae/internal/engine"
 	"sae/internal/exp"
@@ -235,7 +236,7 @@ func (d *dec) validate(sp *Spec) error {
 		return d.errf(d.at("kind"), "unknown kind %q (want %s, %s, %s or %s)",
 			sp.Kind, KindSingle, KindChaosMatrix, KindTenantMatrix, KindArrivalMatrix)
 	}
-	if n := d.at("cluster", "disk"); n != nil && n.val != "hdd" && n.val != "ssd" {
+	if n := d.at("cluster", "disk"); n != nil && disks[n.val] == nil {
 		return d.errf(n, "field \"disk\": unknown device %q (want hdd or ssd)", n.val)
 	}
 	if err := d.checkConf(); err != nil {
@@ -289,7 +290,7 @@ func (d *dec) validate(sp *Spec) error {
 			return d.errf(d.at("schedules", i), "schedules[%d]: %w", i, err)
 		}
 	}
-	if sp.Kind == KindChaosMatrix && sp.Report != "faults" && sp.Report != "grayfail" {
+	if _, ok := chaosPresets[sp.Report]; sp.Kind == KindChaosMatrix && !ok {
 		return d.errf(d.at("report"), "field \"report\": unknown chaos-matrix preset %q (want faults or grayfail)", sp.Report)
 	}
 	if sp.Arrival != nil {
@@ -344,12 +345,12 @@ type rateField struct {
 	rate float64
 }
 
-// rateFields lists the rates p's process reads.
-func (p ArrivalProcSpec) rateFields() []rateField {
-	switch p.Process {
-	case "poisson":
+// rateFields lists the rates p's process reads; proc is the one p builds.
+func (p ArrivalProcSpec) rateFields(proc arrival.Process) []rateField {
+	switch proc.(type) {
+	case arrival.Poisson:
 		return []rateField{{"rate", []any{"rate"}, p.Rate}}
-	case "bursty":
+	case arrival.Bursty:
 		return []rateField{{"on_rate", []any{"on_rate"}, p.OnRate}, {"off_rate", []any{"off_rate"}, p.OffRate}}
 	}
 	fs := make([]rateField, len(p.Rates))
@@ -376,7 +377,8 @@ func (d *dec) checkArrival(m *ArrivalMatrixSpec) error {
 			return d.errf(d.at("arrival", "arrivals", i, "name"), "arrivals[%d]: duplicate arrival name %q", i, p.Name)
 		}
 		seen[p.Name] = true
-		if p.Process != "poisson" && p.Process != "bursty" && p.Process != "diurnal" {
+		proc, err := p.process()
+		if err != nil {
 			return d.errf(d.at("arrival", "arrivals", i, "process"),
 				"arrivals[%d]: unknown process %q (want poisson, bursty or diurnal)", i, p.Process)
 		}
@@ -385,7 +387,7 @@ func (d *dec) checkArrival(m *ArrivalMatrixSpec) error {
 		// capped. So is the peak rate × horizon, the candidate arrivals
 		// thinning draws: one bound alone lets the other factor run away.
 		var peak rateField
-		for _, f := range p.rateFields() {
+		for _, f := range p.rateFields(proc) {
 			n := d.at(append([]any{"arrival", "arrivals", i}, f.path...)...)
 			switch {
 			case f.rate < 0:
@@ -398,7 +400,7 @@ func (d *dec) checkArrival(m *ArrivalMatrixSpec) error {
 		}
 		// A diurnal slot is period / len(rates) whole nanoseconds; a zero
 		// slot divides by zero.
-		if p.Process == "diurnal" && p.Period < time.Duration(len(p.Rates)) {
+		if _, ok := proc.(arrival.Diurnal); ok && p.Period < time.Duration(len(p.Rates)) {
 			return d.errf(d.at("arrival", "arrivals", i, "period"),
 				"arrivals[%d] (%s): period: %v leaves its %d rate slots under a nanosecond each", i, p.Name, p.Period, len(p.Rates))
 		}
@@ -414,15 +416,13 @@ func (d *dec) checkArrival(m *ArrivalMatrixSpec) error {
 			return d.errf(d.at("arrival", "configs", i, "name"), "configs[%d]: duplicate config name %q", i, c.Name)
 		}
 		seen[c.Name] = true
-		if c.Policy != "static" && c.Policy != "reactive" && c.Policy != "adaptive" {
+		if _, err := c.planner(); err != nil {
 			return d.errf(d.at("arrival", "configs", i, "policy"),
 				"configs[%d]: unknown autoscale policy %q (want static, reactive or adaptive)", i, c.Policy)
 		}
-		if c.Initial != "small" && c.Initial != "capacity" {
-			if v, err := strconv.Atoi(c.Initial); err != nil || v <= 0 {
-				return d.errf(d.at("arrival", "configs", i, "initial"),
-					"configs[%d] (%s): field \"initial\": want small, capacity or a positive integer, got %q", i, c.Name, c.Initial)
-			}
+		if _, err := c.initialNodes(1); err != nil {
+			return d.errf(d.at("arrival", "configs", i, "initial"),
+				"configs[%d] (%s): field \"initial\": want small, capacity or a positive integer, got %q", i, c.Name, c.Initial)
 		}
 	}
 	if _, _, err := parseCapacity(m.Capacity); err != nil {
