@@ -19,11 +19,13 @@
 // deterministic function of -seed, the corpus, and the options: same
 // inputs, same findings, byte for byte.
 //
+// -runs 0 and -shrink 0 select the defaults, 16 and 24.
+//
 // Exit status is 1 when any violation was found, 2 for a flag value out of
-// range (a negative, NaN or infinite -scale). A clean hunt over
-// the committed corpus is the CI hunt-smoke gate: it proves every golden
-// scenario passes all invariants and that a bounded mutation budget finds
-// nothing.
+// range (a negative -runs or -shrink; a negative, NaN or infinite -scale). A
+// clean hunt over the committed corpus is the CI hunt-smoke gate: it proves
+// every golden scenario passes all invariants and that a bounded mutation
+// budget finds nothing.
 package main
 
 import (
@@ -49,14 +51,18 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("sae-hunt", flag.ContinueOnError)
 	seed := fs.Int64("seed", 7, "mutation PRNG seed; the hunt is a deterministic function of it")
-	runs := fs.Int("runs", 16, "scenario executions in the search loop (corpus seeds included)")
-	shrink := fs.Int("shrink", 24, "extra executions allowed to minimize each finding")
+	runs := fs.Int("runs", 16, "scenario executions in the search loop (corpus seeds included; 0 selects the default)")
+	shrink := fs.Int("shrink", 24, "extra executions allowed to minimize each finding (0 selects the default)")
 	scale := fs.Float64("scale", 0.02, "cluster scale override for every spec (0 keeps spec scales)")
 	corpusDir := fs.String("corpus", "scenarios", "directory of *.yaml scenario specs seeding the corpus")
 	outDir := fs.String("out", "", "write each finding's shrunk reproducer YAML under this directory")
 	verbose := fs.Bool("v", false, "log every run")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *runs < 0 || *shrink < 0 {
+		// The hunt reads anything below 1 as the default.
+		return fmt.Errorf("%w: -runs %d, -shrink %d: want 0 (the default) or a positive count", exp.ErrBadFlag, *runs, *shrink)
 	}
 	if !(*scale >= 0) || math.IsInf(*scale, 1) {
 		// The hunt reads a negative or NaN scale as 0, the specs' own; +Inf

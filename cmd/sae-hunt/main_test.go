@@ -30,8 +30,9 @@ cluster:
 	}
 }
 
-// TestHuntErrors: a hunt that cannot start fails, and a -scale out of range —
-// negative, NaN or +Inf — is one line and exit status 2, before any hunt runs.
+// TestHuntErrors: a hunt that cannot start fails, and a negative -runs or
+// -shrink or a -scale out of range — negative, NaN or +Inf — is one line and
+// exit status 2, before any hunt runs.
 func TestHuntErrors(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -39,6 +40,8 @@ func TestHuntErrors(t *testing.T) {
 	}{
 		{[]string{"-corpus", t.TempDir()}, 1}, // no specs
 		{[]string{"-runs", "x"}, 1},
+		{[]string{"-runs", "-1"}, 2},
+		{[]string{"-shrink", "-5"}, 2},
 		{[]string{"-scale", "-3"}, 2},
 		{[]string{"-scale", "NaN"}, 2},
 		{[]string{"-scale", "+Inf"}, 2},

@@ -23,9 +23,10 @@ import (
 // themselves. A nested Each forks its calls' sinks from its caller's and joins
 // them there.
 //
-// A call's slot frees only once it has joined, so when s's Audit cannot fork
-// the fan-out is one call wide: each call starts after the one before it has
-// joined and runs on s, as every call does at GOMAXPROCS 1. A call waiting on
+// A call frees its slot as it ends, under the joiner's lock, so the next call
+// starts after the joins its end made. When s's Audit cannot fork the fan-out
+// is one call wide: each call starts after the one before it has joined and
+// runs on s, as every call does at GOMAXPROCS 1. A call waiting on
 // a nested fan-out holds no run; only an engine run does (RunEngine).
 func Each[T any](s Setup, n int, do func(s Setup, i int) (T, error)) ([]T, error) {
 	out := make([]T, n)
@@ -34,11 +35,10 @@ func Each[T any](s Setup, n int, do func(s Setup, i int) (T, error)) ([]T, error
 	if s.Audit != nil && !forks {
 		width = 1
 	}
-	j := &joiner{s: s, audit: fa, calls: make([]call, n)}
-	slots := make(chan struct{}, width)
+	j := &joiner{s: s, audit: fa, calls: make([]call, n), slots: make(chan struct{}, width)}
 	var wg sync.WaitGroup
 	for i := range n {
-		slots <- struct{}{}
+		j.slots <- struct{}{}
 		cs, ok := j.start(i)
 		if !ok {
 			break
@@ -49,7 +49,6 @@ func Each[T any](s Setup, n int, do func(s Setup, i int) (T, error)) ([]T, error
 			var err error
 			out[i], err = do(cs, i)
 			j.end(i, err)
-			<-slots
 		}()
 	}
 	wg.Wait()
@@ -71,6 +70,8 @@ func (s Setup) WithSinks(from Setup) Setup {
 type joiner struct {
 	s     Setup
 	audit engine.ForkableAudit
+	// slots holds one token per call started and not yet ended.
+	slots chan struct{}
 	mu    sync.Mutex
 	calls []call
 	// next is the lowest call not joined; failed is the error of the first
@@ -119,9 +120,11 @@ func (j *joiner) start(i int) (Setup, bool) {
 
 // end records call i's error and joins every ended call from the lowest not
 // yet joined on, splicing in its trace; an error writing it is the call's.
+// It frees the call's slot under j.mu, so the next call's start sees the join.
 func (j *joiner) end(i int, err error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	<-j.slots
 	j.calls[i].ended, j.calls[i].err = true, err
 	for ; j.next < len(j.calls) && j.calls[j.next].ended; j.next++ {
 		if j.failed != nil {

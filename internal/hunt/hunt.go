@@ -11,14 +11,24 @@
 // Everything is driven by one seeded PRNG and the engines themselves are
 // deterministic, so a hunt is fully reproducible from (seed, corpus,
 // options): same findings, same shrunk YAML, byte for byte.
+//
+// Independent executions run side by side, up to GOMAXPROCS at once, and
+// their outcomes are folded in the order one execution after another would
+// have folded them: the corpus seeds, a shrink pass's candidates, and a
+// batch of mutants drawn from the corpus as it stands. When a mutant that is
+// not its batch's last grows the corpus, the mutants drawn after it are
+// dropped and the PRNG goes back to where its draws ended, so the hunt does
+// not depend on GOMAXPROCS either.
 package hunt
 
 import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
 
+	"sae/internal/exp"
 	"sae/internal/invariant"
 	"sae/internal/scenario"
 )
@@ -84,7 +94,8 @@ type Result struct {
 
 type hunter struct {
 	opts    Options
-	rng     *rand.Rand
+	src     *source
+	rng     *rand.Rand // draws from src
 	logf    func(string, ...any)
 	corpus  []*scenario.Spec
 	covered map[string]struct{}
@@ -107,9 +118,11 @@ func Run(opts Options) (*Result, error) {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
+	src := newSource(opts.Seed)
 	h := &hunter{
 		opts:    opts,
-		rng:     rand.New(rand.NewSource(opts.Seed)),
+		src:     src,
+		rng:     rand.New(src),
 		logf:    logf,
 		covered: map[string]struct{}{},
 		seen:    map[string]bool{},
@@ -124,20 +137,21 @@ func Run(opts Options) (*Result, error) {
 	}
 	// Phase 1: the corpus itself. Violations here mean a committed golden
 	// scenario breaks an invariant — exactly what hunt-smoke gates on.
-	for _, sp := range h.corpus {
-		if h.res.Runs >= opts.Runs {
-			break
-		}
-		h.execute(sp, false)
+	seeds := h.corpus[:min(len(h.corpus), opts.Runs)]
+	for i, o := range runAll(seeds) {
+		h.fold(seeds[i], o, false)
 	}
-	// Phase 2: coverage-guided mutation.
+	// Phase 2: coverage-guided mutation, a batch of mutants at a time.
 	for h.res.Runs < opts.Runs {
-		parent := h.corpus[h.rng.Intn(len(h.corpus))]
-		m, ok := mutate(parent, h.rng)
-		if !ok {
-			continue
+		batch, ends := h.draw(min(runtime.GOMAXPROCS(0), opts.Runs-h.res.Runs))
+		for i, o := range runAll(batch) {
+			if h.fold(batch[i], o, true) && i < len(batch)-1 {
+				// The later mutants were drawn from the corpus before it
+				// grew: draw them again from where this one's draws ended.
+				h.src.rewind(ends[i])
+				break
+			}
 		}
-		h.execute(m, true)
 	}
 	h.res.CorpusOut = len(h.corpus)
 	h.res.Coverage = make([]string, 0, len(h.covered))
@@ -164,43 +178,55 @@ func (h *hunter) normalize(sp *scenario.Spec) (*scenario.Spec, error) {
 	return n, nil
 }
 
-// execute runs one candidate and folds its coverage, corpus and violation
-// consequences into the hunt state.
-func (h *hunter) execute(sp *scenario.Spec, mutant bool) {
+// draw draws n mutants from the corpus as it stands, and the source's
+// position after each mutant's draws.
+func (h *hunter) draw(n int) (batch []*scenario.Spec, ends []int) {
+	for len(batch) < n {
+		parent := h.corpus[h.rng.Intn(len(h.corpus))]
+		if m, ok := mutate(parent, h.rng); ok {
+			batch = append(batch, m)
+			ends = append(ends, h.src.n)
+		}
+	}
+	return batch, ends
+}
+
+// fold folds one execution's outcome into the hunt state — coverage,
+// corpus, log, shrink, finding — and reports whether the corpus grew.
+func (h *hunter) fold(sp *scenario.Spec, o outcome, mutant bool) bool {
 	h.res.Runs++
 	run := h.res.Runs
-	aud, runErr := runSpec(sp)
-	if aud == nil {
-		h.logf("run %d (%s): discarded, does not compile: %v", run, sp.Name, runErr)
-		return
+	if !o.compiled {
+		h.logf("run %d (%s): discarded, does not compile: %v", run, sp.Name, o.err)
+		return false
 	}
 	fresh := 0
-	for _, sig := range aud.Coverage() {
+	for _, sig := range o.coverage {
 		if _, ok := h.covered[sig]; !ok {
 			h.covered[sig] = struct{}{}
 			fresh++
 		}
 	}
-	vs := aud.Violations()
+	vs := o.violations
 	if len(vs) == 0 {
-		if runErr != nil {
+		if o.err != nil {
 			// The engine refused the run (e.g. the whole cluster died);
 			// no invariant broke, so the candidate is just uninteresting.
-			h.logf("run %d (%s): discarded, engine error: %v", run, sp.Name, runErr)
-			return
+			h.logf("run %d (%s): discarded, engine error: %v", run, sp.Name, o.err)
+			return false
 		}
 		if mutant && fresh > 0 {
 			h.corpus = append(h.corpus, sp)
 			h.logf("run %d (%s): clean, %d new signals, corpus %d", run, sp.Name, fresh, len(h.corpus))
-		} else {
-			h.logf("run %d (%s): clean", run, sp.Name)
+			return true
 		}
-		return
+		h.logf("run %d (%s): clean", run, sp.Name)
+		return false
 	}
 	rule := vs[0].Rule
 	if h.seen[rule] {
 		h.logf("run %d (%s): %d violation(s) of already-reported rule %s", run, sp.Name, len(vs), rule)
-		return
+		return false
 	}
 	h.seen[rule] = true
 	h.logf("run %d (%s): VIOLATION %s — shrinking", run, sp.Name, vs[0])
@@ -216,41 +242,95 @@ func (h *hunter) execute(sp *scenario.Spec, mutant bool) {
 	// Replay from the emitted bytes alone: the YAML is the artifact a
 	// human commits, so it — not the in-memory spec — must reproduce.
 	if replayed, err := scenario.Parse(shrunk.Name+".yaml", f.YAML); err == nil {
-		if raud, _ := runSpec(replayed); raud != nil {
-			if v, ok := firstOfRule(raud, rule); ok {
-				f.Violation = v
-				f.Replayed = true
-			}
+		if v, ok := runSpec(replayed).first(rule); ok {
+			f.Violation = v
+			f.Replayed = true
 		}
 	}
 	if !f.Replayed {
 		f.Violation = vs[0]
 	}
 	h.res.Findings = append(h.res.Findings, f)
+	return false
 }
 
-// runSpec executes one spec under a fresh auditor. A nil auditor means the
-// spec did not compile; a non-nil auditor may carry violations even when
-// the run itself erred (the invariant broke before the engine gave up).
-func runSpec(sp *scenario.Spec) (*invariant.Auditor, error) {
-	aud := invariant.New()
+// outcome is what the hunt reads of one execution. A spec that did not
+// compile has compiled false; one that did may carry violations even when
+// its run erred (the invariant broke before the engine gave up).
+type outcome struct {
+	compiled   bool
+	err        error
+	coverage   []string
+	violations []invariant.Violation
+}
+
+// runSpec executes one spec under an auditor of its own, which it releases.
+func runSpec(sp *scenario.Spec) outcome {
+	aud := invariant.Spare()
+	defer aud.Release()
 	s := sp.BaseSetup()
 	s.Audit = aud
 	c, err := sp.Compile(s)
 	if err != nil {
-		return nil, err
+		return outcome{err: err}
 	}
-	_, runErr := c.Run()
-	return aud, runErr
+	_, err = c.Run()
+	return outcome{compiled: true, err: err, coverage: aud.Coverage(), violations: aud.Violations()}
 }
 
-func firstOfRule(aud *invariant.Auditor, rule string) (invariant.Violation, bool) {
-	for _, v := range aud.Violations() {
+// runAll runs specs side by side, up to GOMAXPROCS at once, and returns
+// their outcomes by index.
+func runAll(specs []*scenario.Spec) []outcome {
+	out, _ := exp.Each(exp.Setup{}, len(specs), func(_ exp.Setup, i int) (outcome, error) {
+		return runSpec(specs[i]), nil
+	})
+	return out
+}
+
+// first returns the outcome's first violation of rule.
+func (o outcome) first(rule string) (invariant.Violation, bool) {
+	for _, v := range o.violations {
 		if v.Rule == rule {
 			return v, true
 		}
 	}
 	return invariant.Violation{}, false
+}
+
+// source is the hunt's PRNG source. It counts the values drawn from it, so a
+// batch of mutants can send it back to where one mutant's draws ended.
+type source struct {
+	seed int64
+	src  rand.Source64
+	n    int // values drawn since seeding
+}
+
+func newSource(seed int64) *source {
+	return &source{seed: seed, src: rand.NewSource(seed).(rand.Source64)}
+}
+
+func (s *source) Int63() int64 {
+	s.n++
+	return s.src.Int63()
+}
+
+func (s *source) Uint64() uint64 {
+	s.n++
+	return s.src.Uint64()
+}
+
+func (s *source) Seed(seed int64) {
+	s.seed, s.n = seed, 0
+	s.src.Seed(seed)
+}
+
+// rewind returns the source to its state after its first n values: seeded
+// again, then n values skipped (each value, Int63 or Uint64, is one step).
+func (s *source) rewind(n int) {
+	s.Seed(s.seed)
+	for range n {
+		s.Uint64()
+	}
 }
 
 // clone deep-copies a spec through the canonical writer, guaranteeing the

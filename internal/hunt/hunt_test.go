@@ -2,8 +2,12 @@ package hunt
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"slices"
+	"strings"
 	"testing"
 
 	"sae/internal/engine"
@@ -202,5 +206,52 @@ expect:
 	}
 	if n.Cluster.Scale != 0.05 || n.Expect == nil {
 		t.Fatal("normalize without a scale override should keep the spec as-is")
+	}
+}
+
+// TestHuntSameAtEveryGOMAXPROCS: a hunt is a function of its seed, however
+// many executions run side by side. The corpus pairs a chaos matrix with
+// crashSeed and the hunt runs long enough for mutants to grow the corpus
+// in the middle of a batch, so later mutants are drawn again; with the
+// slot-reclaim bug injected, the seed's finding is shrunk and replayed too.
+func TestHuntSameAtEveryGOMAXPROCS(t *testing.T) {
+	matrix, err := scenario.Load("../../scenarios/faults.yaml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hunt := func(procs int) (*Result, []string) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		var log []string
+		res, err := Run(Options{
+			Seed: 8, Runs: 14, ShrinkRuns: 6, Scale: 0.02,
+			Corpus: []*scenario.Spec{matrix, parseSeed(t)},
+			Log:    func(format string, args ...any) { log = append(log, fmt.Sprintf(format, args...)) },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, log
+	}
+	for _, bug := range []bool{false, true} {
+		if bug {
+			restore := engine.EnableTestBug("skip-slot-reclaim")
+			defer restore()
+		}
+		want, wantLog := hunt(1)
+		if !bug && want.CorpusOut == want.CorpusIn {
+			t.Fatalf("the corpus never grew:\n%s", strings.Join(wantLog, "\n"))
+		}
+		if bug && (len(want.Findings) == 0 || want.ShrinkRuns == 0) {
+			t.Fatalf("nothing was shrunk:\n%s", strings.Join(wantLog, "\n"))
+		}
+		for _, procs := range []int{2, 4} {
+			got, gotLog := hunt(procs)
+			if !slices.Equal(gotLog, wantLog) {
+				t.Errorf("bug %v, GOMAXPROCS %d: log\n%s\nwant\n%s", bug, procs, strings.Join(gotLog, "\n"), strings.Join(wantLog, "\n"))
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("bug %v, GOMAXPROCS %d: result\n%+v\nwant\n%+v", bug, procs, got, want)
+			}
+		}
 	}
 }

@@ -192,25 +192,35 @@ func New() *Auditor {
 	return &Auditor{coverage: map[string]struct{}{}, eventTypes: map[string]struct{}{}}
 }
 
-// spareChildren holds the children Join took back. A recycled child keeps its
-// mirrors and spare ledgers, so its next run allocates what a second run of
-// one auditor does.
-var spareChildren = spares.New[*Auditor](4)
-
-// Fork implements engine.ForkableAudit: an empty auditor, from the spares
-// Join gives back, for a run going beside the ones a observes.
-func (a *Auditor) Fork() engine.Audit {
-	if c, ok := spareChildren.Take(); ok {
-		return c
+// Spare returns an empty auditor for a caller that releases it when done:
+// one that Release or Join gave back, or else a new one. A recycled auditor
+// keeps its mirrors and spare ledgers, so its next run allocates what a second
+// run of one auditor does. An auditor that is never released comes from New,
+// so that it does not take a warm one off the spares for good.
+func Spare() *Auditor {
+	if a, ok := spareAuditors.Take(); ok {
+		return a
 	}
 	return New()
 }
+
+// spareAuditors holds the auditors Release and Join took back. Its cap, 16 a
+// processor, is four times the other spare stacks': a fan-out call that ends
+// before the calls below it have joined keeps its child until they have, and
+// a hunt runs its specs' fan-outs side by side. Hunting the 20 specs of the
+// benchmark's hunt_smoke held up to 31 auditors at once at GOMAXPROCS 2, and
+// at 4 a processor most of them were dropped and grown again on every pass.
+var spareAuditors = spares.New[*Auditor](16)
+
+// Fork implements engine.ForkableAudit: a spare auditor for a run going
+// beside the ones a observes.
+func (a *Auditor) Fork() engine.Audit { return Spare() }
 
 // Join implements engine.ForkableAudit: child's runs count after a's, as if
 // a had observed them. Their violations follow a's with Run renumbered, under
 // the same recording cap — what passes it adds to Dropped, as do the child's
 // own dropped ones — and their coverage joins a's. child, which Fork must have
-// returned, goes back to the spares.
+// returned, is then released.
 func (a *Auditor) Join(child engine.Audit) {
 	c := child.(*Auditor)
 	for _, v := range c.violations {
@@ -235,14 +245,19 @@ func (a *Auditor) Join(child engine.Audit) {
 		a.offset, a.at = c.offset, c.at
 	}
 	a.run += c.run
+	c.Release()
+}
 
-	c.run, c.offset, c.at, c.dropped = 0, 0, 0, 0
-	clear(c.violations)
-	c.violations = c.violations[:0]
-	clear(c.coverage)
-	clear(c.eventTypes)
-	c.fired = [numSignals]bool{}
-	spareChildren.Put(c)
+// Release empties a, which its owner no longer reads, and gives it back to
+// the spares Spare takes from.
+func (a *Auditor) Release() {
+	a.run, a.offset, a.at, a.dropped = 0, 0, 0, 0
+	clear(a.violations)
+	a.violations = a.violations[:0]
+	clear(a.coverage)
+	clear(a.eventTypes)
+	a.fired = [numSignals]bool{}
+	spareAuditors.Put(a)
 }
 
 // Violations returns a copy of the recorded violations in detection order.
