@@ -12,20 +12,16 @@
 // deterministic, so a hunt is fully reproducible from (seed, corpus,
 // options): same findings, same shrunk YAML, byte for byte.
 //
-// Independent executions run side by side, up to GOMAXPROCS at once, and
-// their outcomes are folded in the order one execution after another would
-// have folded them: the corpus seeds, a shrink pass's candidates, and a
-// batch of mutants drawn from the corpus as it stands. When a mutant that is
-// not its batch's last grows the corpus, the mutants drawn after it are
-// dropped and the PRNG goes back to where its draws ended, so the hunt does
-// not depend on GOMAXPROCS either.
+// The corpus seeds run side by side, up to GOMAXPROCS at once, and their
+// outcomes are folded in corpus order, so the hunt does not depend on
+// GOMAXPROCS either. Mutants and shrink candidates run one at a time: each
+// one's draw or choice depends on the outcomes before it.
 package hunt
 
 import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"sort"
 
 	"sae/internal/exp"
@@ -94,8 +90,7 @@ type Result struct {
 
 type hunter struct {
 	opts    Options
-	src     *source
-	rng     *rand.Rand // draws from src
+	rng     *rand.Rand
 	logf    func(string, ...any)
 	corpus  []*scenario.Spec
 	covered map[string]struct{}
@@ -118,11 +113,9 @@ func Run(opts Options) (*Result, error) {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	src := newSource(opts.Seed)
 	h := &hunter{
 		opts:    opts,
-		src:     src,
-		rng:     rand.New(src),
+		rng:     rand.New(rand.NewSource(opts.Seed)),
 		logf:    logf,
 		covered: map[string]struct{}{},
 		seen:    map[string]bool{},
@@ -141,17 +134,14 @@ func Run(opts Options) (*Result, error) {
 	for i, o := range runAll(seeds) {
 		h.fold(seeds[i], o, false)
 	}
-	// Phase 2: coverage-guided mutation, a batch of mutants at a time.
+	// Phase 2: coverage-guided mutation.
 	for h.res.Runs < opts.Runs {
-		batch, ends := h.draw(min(runtime.GOMAXPROCS(0), opts.Runs-h.res.Runs))
-		for i, o := range runAll(batch) {
-			if h.fold(batch[i], o, true) && i < len(batch)-1 {
-				// The later mutants were drawn from the corpus before it
-				// grew: draw them again from where this one's draws ended.
-				h.src.rewind(ends[i])
-				break
-			}
+		parent := h.corpus[h.rng.Intn(len(h.corpus))]
+		m, ok := mutate(parent, h.rng)
+		if !ok {
+			continue
 		}
+		h.fold(m, runSpec(m), true)
 	}
 	h.res.CorpusOut = len(h.corpus)
 	h.res.Coverage = make([]string, 0, len(h.covered))
@@ -178,27 +168,14 @@ func (h *hunter) normalize(sp *scenario.Spec) (*scenario.Spec, error) {
 	return n, nil
 }
 
-// draw draws n mutants from the corpus as it stands, and the source's
-// position after each mutant's draws.
-func (h *hunter) draw(n int) (batch []*scenario.Spec, ends []int) {
-	for len(batch) < n {
-		parent := h.corpus[h.rng.Intn(len(h.corpus))]
-		if m, ok := mutate(parent, h.rng); ok {
-			batch = append(batch, m)
-			ends = append(ends, h.src.n)
-		}
-	}
-	return batch, ends
-}
-
-// fold folds one execution's outcome into the hunt state — coverage,
-// corpus, log, shrink, finding — and reports whether the corpus grew.
-func (h *hunter) fold(sp *scenario.Spec, o outcome, mutant bool) bool {
+// fold folds one execution's outcome into the hunt state: coverage, corpus,
+// log, shrink, finding.
+func (h *hunter) fold(sp *scenario.Spec, o outcome, mutant bool) {
 	h.res.Runs++
 	run := h.res.Runs
 	if !o.compiled {
 		h.logf("run %d (%s): discarded, does not compile: %v", run, sp.Name, o.err)
-		return false
+		return
 	}
 	fresh := 0
 	for _, sig := range o.coverage {
@@ -213,20 +190,20 @@ func (h *hunter) fold(sp *scenario.Spec, o outcome, mutant bool) bool {
 			// The engine refused the run (e.g. the whole cluster died);
 			// no invariant broke, so the candidate is just uninteresting.
 			h.logf("run %d (%s): discarded, engine error: %v", run, sp.Name, o.err)
-			return false
+			return
 		}
 		if mutant && fresh > 0 {
 			h.corpus = append(h.corpus, sp)
 			h.logf("run %d (%s): clean, %d new signals, corpus %d", run, sp.Name, fresh, len(h.corpus))
-			return true
+		} else {
+			h.logf("run %d (%s): clean", run, sp.Name)
 		}
-		h.logf("run %d (%s): clean", run, sp.Name)
-		return false
+		return
 	}
 	rule := vs[0].Rule
 	if h.seen[rule] {
 		h.logf("run %d (%s): %d violation(s) of already-reported rule %s", run, sp.Name, len(vs), rule)
-		return false
+		return
 	}
 	h.seen[rule] = true
 	h.logf("run %d (%s): VIOLATION %s — shrinking", run, sp.Name, vs[0])
@@ -251,7 +228,6 @@ func (h *hunter) fold(sp *scenario.Spec, o outcome, mutant bool) bool {
 		f.Violation = vs[0]
 	}
 	h.res.Findings = append(h.res.Findings, f)
-	return false
 }
 
 // outcome is what the hunt reads of one execution. A spec that did not
@@ -295,42 +271,6 @@ func (o outcome) first(rule string) (invariant.Violation, bool) {
 		}
 	}
 	return invariant.Violation{}, false
-}
-
-// source is the hunt's PRNG source. It counts the values drawn from it, so a
-// batch of mutants can send it back to where one mutant's draws ended.
-type source struct {
-	seed int64
-	src  rand.Source64
-	n    int // values drawn since seeding
-}
-
-func newSource(seed int64) *source {
-	return &source{seed: seed, src: rand.NewSource(seed).(rand.Source64)}
-}
-
-func (s *source) Int63() int64 {
-	s.n++
-	return s.src.Int63()
-}
-
-func (s *source) Uint64() uint64 {
-	s.n++
-	return s.src.Uint64()
-}
-
-func (s *source) Seed(seed int64) {
-	s.seed, s.n = seed, 0
-	s.src.Seed(seed)
-}
-
-// rewind returns the source to its state after its first n values: seeded
-// again, then n values skipped (each value, Int63 or Uint64, is one step).
-func (s *source) rewind(n int) {
-	s.Seed(s.seed)
-	for range n {
-		s.Uint64()
-	}
 }
 
 // clone deep-copies a spec through the canonical writer, guaranteeing the

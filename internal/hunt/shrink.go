@@ -1,11 +1,8 @@
 package hunt
 
 import (
-	"errors"
-	"slices"
 	"sort"
 
-	"sae/internal/exp"
 	"sae/internal/scenario"
 )
 
@@ -15,44 +12,28 @@ import (
 // entry, drop a conf key, shed the description); the first candidate that
 // still violates the rule replaces the spec and restarts the pass, so the
 // result is a local minimum: no single remaining reduction preserves the
-// violation. A pass runs its candidates side by side and charges the
-// budget as running them one after another would: up to the kept one.
+// violation.
 func (h *hunter) shrink(sp *scenario.Spec, rule string) (*scenario.Spec, int) {
 	spent := 0
 	for spent < h.opts.ShrinkRuns {
-		cands := reductions(sp)
-		cands = cands[:min(len(cands), h.opts.ShrinkRuns-spent)]
-		k := firstViolating(cands, rule)
-		if k < 0 {
-			spent += len(cands)
+		improved := false
+		for _, cand := range reductions(sp) {
+			if spent >= h.opts.ShrinkRuns {
+				break
+			}
+			spent++
+			if _, ok := runSpec(cand).first(rule); ok {
+				sp = cand
+				improved = true
+				h.logf("shrink: kept %s reduction (%d run(s) spent)", rule, spent)
+				break
+			}
+		}
+		if !improved {
 			break
 		}
-		spent += k + 1
-		sp = cands[k]
-		h.logf("shrink: kept %s reduction (%d run(s) spent)", rule, spent)
 	}
 	return sp, spent
-}
-
-// errKept ends a shrink pass's fan-out at a candidate that still violates:
-// no candidate after it starts.
-var errKept = errors.New("hunt: reduction kept")
-
-// firstViolating runs cands side by side and returns the lowest index whose
-// run violates rule, or -1.
-func firstViolating(cands []*scenario.Spec, rule string) int {
-	kept := make([]bool, len(cands))
-	_, err := exp.Each(exp.Setup{}, len(cands), func(_ exp.Setup, i int) (struct{}, error) {
-		if _, ok := runSpec(cands[i]).first(rule); ok {
-			kept[i] = true
-			return struct{}{}, errKept
-		}
-		return struct{}{}, nil
-	})
-	if err == nil {
-		return -1
-	}
-	return slices.Index(kept, true)
 }
 
 // reductions proposes every single-step simplification of sp, cloned so
