@@ -91,10 +91,11 @@ func TestRunTraceFileComplete(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	hdr, events, err := engine.ReadTraceWithHeader(f)
-	if err != nil || hdr == nil || len(events) == 0 {
-		t.Fatalf("trace file: header %+v, %d events, err %v", hdr, len(events), err)
+	runs, err := engine.ReadTraceRuns(f)
+	if err != nil || len(runs) != 1 || runs[0].Header == nil || len(runs[0].Events) == 0 {
+		t.Fatalf("trace file: %+v, err %v; want one run with a header and events", runs, err)
 	}
+	events := runs[0].Events
 	if last := events[len(events)-1]; last.Type != engine.TraceJobEnd {
 		t.Fatalf("trace file ends with %+v, want the job_end event", last)
 	}
@@ -407,12 +408,12 @@ func TestBlacklistLiftedWhenRefugeLost(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	events, err := engine.ReadTrace(f)
-	if err != nil {
-		t.Fatal(err)
+	runs, err := engine.ReadTraceRuns(f)
+	if err != nil || len(runs) != 1 {
+		t.Fatalf("trace file: %d runs, err %v; want one run", len(runs), err)
 	}
 	var blacklisted, lifted []int
-	for _, ev := range events {
+	for _, ev := range runs[0].Events {
 		switch {
 		case ev.Type == engine.TraceBlacklist && ev.At < 60:
 			blacklisted = append(blacklisted, ev.Exec)

@@ -19,11 +19,11 @@ import (
 
 func readAnalysis(t *testing.T, r io.Reader) *analysis {
 	t.Helper()
-	_, events, err := engine.ReadTraceWithHeader(r)
-	if err != nil {
-		t.Fatal(err)
+	runs, err := engine.ReadTraceRuns(r)
+	if err != nil || len(runs) != 1 {
+		t.Fatalf("%d runs, err %v; want one run", len(runs), err)
 	}
-	return analyze(events)
+	return analyze(runs[0].Events)
 }
 
 // writeRun executes a small terasort run and writes its trace (and metrics,
@@ -79,13 +79,13 @@ func TestAnalyzeV1Trace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	events, err := engine.ReadTrace(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
+	runs, err := engine.ReadTraceRuns(bytes.NewReader(data))
+	if err != nil || len(runs) != 1 {
+		t.Fatalf("%d runs, err %v; want one run", len(runs), err)
 	}
 	var legacy bytes.Buffer
 	enc := json.NewEncoder(&legacy)
-	for _, ev := range events {
+	for _, ev := range runs[0].Events {
 		ev.Span, ev.Parent = 0, 0
 		if err := enc.Encode(ev); err != nil {
 			t.Fatal(err)

@@ -40,7 +40,6 @@ var exportAllowlist = map[string]string{
 	"engine.Executor.Alive":       "liveness the fault tests check after a crash",
 	"engine.Executor.Decisions":   "the controller decisions of every incarnation, which the fault tests check",
 	"engine.Executor.Restarts":    "restart count the fault tests check",
-	"engine.ReadTrace":            "parses a written trace back; the engine and CLI tests compare traces with it",
 	"exp.AblationResult.Get":      "row lookup the ablation test and benchmark read the table by",
 	"exp.InterferenceResult.Get":  "row lookup the interference test reads the table by",
 	"invariant.Auditor.Dropped":   "violations past the cap, which the invariant tests check the cap with",

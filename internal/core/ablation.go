@@ -16,35 +16,7 @@ package core
 //     demonstrates the consequence.
 //   - AIMD: additive increase, multiplicative decrease, and no freeze.
 
-import (
-	"fmt"
-
-	"sae/internal/engine/job"
-)
-
-// Adaptive is the one shape of an adaptive policy: a name and a planner, run
-// on loop. Dynamic is the paper's; the ablation constructors return this.
-type Adaptive struct {
-	name string
-	p    planner
-	// reprobe is Dynamic.ReprobeTasks for this planner.
-	reprobe int
-}
-
-// Name implements job.Policy.
-func (a Adaptive) Name() string { return a.name }
-
-// InitialThreads implements job.Policy.
-func (a Adaptive) InitialThreads(exec job.ExecutorInfo, _ job.StageMeta) int {
-	return a.p.start(exec.MaxThreads)
-}
-
-// NewController implements job.Policy.
-func (a Adaptive) NewController(exec job.ExecutorInfo) job.Controller {
-	return newLoop(a.p, exec, a.reprobe)
-}
-
-var _ job.Policy = Adaptive{}
+import "fmt"
 
 // Descending is the top-down ablation of Dynamic: start at cmax, halve
 // while the congestion index improves, roll back (double) and freeze once

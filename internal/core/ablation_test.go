@@ -106,10 +106,10 @@ func TestAblationPolicyNames(t *testing.T) {
 	if UtilizationDriven().Name() != "utilization-driven" {
 		t.Error("utilization name")
 	}
-	if (Dynamic{Cmin: 1}).Name() != "dynamic-cmin1" {
+	if Dynamic(1, 0).Name() != "dynamic-cmin1" {
 		t.Error("cmin1 name")
 	}
-	if (Dynamic{Cmin: 2}).Name() != "dynamic" {
+	if Dynamic(2, 0).Name() != "dynamic" {
 		t.Error("cmin2 should be plain dynamic")
 	}
 }

@@ -22,9 +22,9 @@ var diffPolicies = []struct {
 	logPinned bool
 }{
 	{"dynamic", DefaultDynamic(), true},
-	{"dynamic-cmin1", Dynamic{Cmin: 1}, true},
-	{"dynamic-cmin4", Dynamic{Cmin: 4}, true},
-	{"dynamic-reprobe20", Dynamic{ReprobeTasks: 20}, true},
+	{"dynamic-cmin1", Dynamic(1, 0), true},
+	{"dynamic-cmin4", Dynamic(4, 0), true},
+	{"dynamic-reprobe20", Dynamic(0, 20), true},
 	{"dynamic-tol0.5", Adaptive{p: climb{cmin: 2, margin: 0.5}}, true},
 	{"dynamic-cmin3-tol0.01-reprobe7", Adaptive{p: climb{cmin: 3, margin: 0.01}, reprobe: 7}, true},
 	{"descending", Descending(), true},

@@ -245,7 +245,7 @@ func TestPolicyNames(t *testing.T) {
 	if (Static{IOThreads: 8}).Name() != "static-8" {
 		t.Fatal("static name")
 	}
-	if (Dynamic{}).Name() != "dynamic" {
+	if Dynamic(0, 0).Name() != "dynamic" {
 		t.Fatal("dynamic name")
 	}
 	if (BestFit{}).Name() != "static-bestfit" {

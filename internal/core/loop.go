@@ -32,7 +32,7 @@ type loop struct {
 	p    planner
 	cmax int
 	// reprobe re-opens a frozen climb after this many completions (0 =
-	// never); see Dynamic.ReprobeTasks.
+	// never); see Dynamic.
 	reprobe int
 
 	stage job.StageMeta

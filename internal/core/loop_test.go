@@ -17,7 +17,7 @@ func TestInitialThreadsMatchesStageStart(t *testing.T) {
 		Static{IOThreads: 4},
 		BestFit{Threads: map[int]int{0: 3, 2: 64}},
 		DefaultDynamic(),
-		Dynamic{Cmin: 5, ReprobeTasks: 10},
+		Dynamic(5, 10),
 		Descending(),
 		NoRollback(),
 		UtilizationDriven(),
@@ -46,9 +46,9 @@ func TestInitialThreadsMatchesStageStart(t *testing.T) {
 
 // TestPolicyCallsAllocate pins what the driver's per-stage policy calls
 // cost: InitialThreads allocates nothing, and a controller's creation plus a
-// StageStart at most two objects (the controller and its boxed planner or
-// stage-pick closure). An interface conversion slipped onto either path
-// shows here.
+// StageStart one object, the controller (an adaptive policy boxed its planner
+// when it was built). An interface conversion slipped onto either path shows
+// here.
 func TestPolicyCallsAllocate(t *testing.T) {
 	if raceEnabled() {
 		t.Skip("the race detector's instrumentation allocates on its own")
@@ -58,7 +58,8 @@ func TestPolicyCallsAllocate(t *testing.T) {
 		Static{IOThreads: 4},
 		BestFit{Threads: map[int]int{0: 3}},
 		DefaultDynamic(),
-		Dynamic{Cmin: 1},
+		Dynamic(1, 0),
+		Dynamic(2, 20),
 		Descending(),
 		NoRollback(),
 		UtilizationDriven(),
@@ -69,8 +70,8 @@ func TestPolicyCallsAllocate(t *testing.T) {
 		if n := testing.AllocsPerRun(100, func() { p.InitialThreads(testExec, m) }); n != 0 {
 			t.Errorf("%s: InitialThreads allocates %v objects, want 0", p.Name(), n)
 		}
-		if n := testing.AllocsPerRun(100, func() { p.NewController(testExec).StageStart(m) }); n > 2 {
-			t.Errorf("%s: NewController + StageStart allocate %v objects, want at most 2", p.Name(), n)
+		if n := testing.AllocsPerRun(100, func() { p.NewController(testExec).StageStart(m) }); n > 1 {
+			t.Errorf("%s: NewController + StageStart allocate %v objects, want at most 1", p.Name(), n)
 		}
 	}
 }
@@ -87,11 +88,11 @@ func raceEnabled() bool {
 	return false
 }
 
-// TestDynamicReprobe covers Dynamic.ReprobeTasks: a frozen climb re-opens
+// TestDynamicReprobe covers Dynamic's reprobeTasks: a frozen climb re-opens
 // from cmin after that many completions, reports the restart as a resize,
 // and then measures only tasks that started after it.
 func TestDynamicReprobe(t *testing.T) {
-	c := Dynamic{ReprobeTasks: 5}.NewController(testExec)
+	c := Dynamic(0, 5).NewController(testExec)
 	c.StageStart(meta(0, 1000, true))
 	seq := 0
 	feed(c, 0, 2, 300, 4<<20, &seq) // I2 → 4
@@ -128,7 +129,7 @@ func TestDynamicReprobe(t *testing.T) {
 	if got := feed(c, 0, 4, 300, 4<<20, &seq); got != 8 {
 		t.Fatalf("second interval after re-probe: threads = %d, want 8", got)
 	}
-	// Without ReprobeTasks the same history stays frozen for good.
+	// Without a re-probe count the same history stays frozen for good.
 	c = DefaultDynamic().NewController(testExec)
 	c.StageStart(meta(0, 1000, true))
 	seq = 0

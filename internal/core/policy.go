@@ -8,11 +8,15 @@
 //     other stages with the default.
 //   - BestFit fixes a per-stage thread count, used to realize the paper's
 //     hypothetical "static BestFit" composed from per-stage sweep optima.
-//   - Dynamic is §5's self-adaptive executor: a MAPE-K feedback loop per
+//   - Dynamic builds §5's self-adaptive executor: a MAPE-K feedback loop per
 //     executor that monitors epoll-wait time (ε) and I/O throughput (µ),
 //     analyzes the congestion index ζ = ε/µ, and hill-climbs the pool size
 //     from cmin upward by doubling, rolling back one step the moment
 //     congestion worsens.
+//
+// Every adaptive policy, the paper's and its §5.2 ablations alike, is an
+// Adaptive value: a name, a planner and a re-probe count run on one loop, so
+// a new controller is one constructor.
 package core
 
 import (

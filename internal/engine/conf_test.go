@@ -344,10 +344,7 @@ func TestZeroCountsDisable(t *testing.T) {
 		if _, err := Run(opts, spec); err != nil {
 			t.Fatal(err)
 		}
-		events, err := ReadTrace(&trace)
-		if err != nil {
-			t.Fatal(err)
-		}
+		events := TraceEvents(t, &trace)
 		n := 0
 		for _, ev := range events {
 			if ev.Type == TraceBlacklist {

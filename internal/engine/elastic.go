@@ -273,7 +273,6 @@ func (c *autoCtl) scaleUp(want int, reason string) {
 		started++
 		e.trace(TraceEvent{Type: TraceScaleUp, Job: -1, Stage: -1, Task: -1, Exec: i,
 			Detail: fmt.Sprintf("provisioning (%s), online in %s", reason, provisionDelay)})
-		i := i
 		e.k.After(provisionDelay, func() { c.activate(i) })
 	}
 }

@@ -34,10 +34,7 @@ func (p *scriptPolicy) Target(s autoscale.Snapshot) (int, string) {
 // countTrace tallies trace event types, optionally for one executor.
 func countTrace(t *testing.T, buf *bytes.Buffer) map[string]int {
 	t.Helper()
-	events, err := ReadTrace(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	events := TraceEvents(t, buf)
 	n := map[string]int{}
 	for _, ev := range events {
 		n[ev.Type]++
@@ -289,10 +286,7 @@ func TestSameInstantAdmissionOrder(t *testing.T) {
 		if err := e.Wait(); err != nil {
 			t.Fatal(err)
 		}
-		events, err := ReadTrace(&trace)
-		if err != nil {
-			t.Fatal(err)
-		}
+		events := TraceEvents(t, &trace)
 		wave = map[int]int{}
 		for _, ev := range events {
 			switch ev.Type {

@@ -312,7 +312,6 @@ func newEngine(opts Options, sp *runSpares) (*Engine, error) {
 	// reads executor state and the shard-local clock without crossing
 	// shards; only the resulting message travels.
 	for i, ex := range e.executors {
-		i, ex := i, ex
 		var tick sim.Event
 		tick = ex.k.Every(cfg.heartbeat, func() {
 			if e.done.Load() {

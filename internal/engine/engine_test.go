@@ -597,10 +597,7 @@ func TestTraceLog(t *testing.T) {
 	if _, err := Run(opts, spec); err != nil {
 		t.Fatal(err)
 	}
-	events, err := ReadTrace(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	events := TraceEvents(t, &buf)
 	counts := map[string]int{}
 	for _, ev := range events {
 		counts[ev.Type]++

@@ -81,7 +81,6 @@ func newExecManager(eng *Engine, n int) *execManager {
 	}
 	for i := range m.alive {
 		m.alive[i] = true
-		i := i
 		m.onSuspectFn[i] = func() { m.onSuspect(i) }
 		m.onLostFn[i] = func() { m.onLost(i) }
 	}

@@ -1,8 +1,10 @@
 package engine
 
 import (
+	"io"
 	"reflect"
 	"slices"
+	"testing"
 
 	"sae/internal/conf"
 	"sae/internal/dfs"
@@ -33,6 +35,21 @@ func Conf(reg *conf.Registry, kvs ...string) *conf.Registry {
 		}
 	}
 	return reg
+}
+
+// TraceEvents decodes a trace log through ReadTraceRuns and returns the
+// events of all its runs in order, failing t on a decode error.
+func TraceEvents(t testing.TB, r io.Reader) []TraceEvent {
+	t.Helper()
+	runs, err := ReadTraceRuns(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var evs []TraceEvent
+	for _, run := range runs {
+		evs = append(evs, run.Events...)
+	}
+	return evs
 }
 
 // Zombies reports how many completions the executor dropped as an earlier

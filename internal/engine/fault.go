@@ -40,14 +40,12 @@ func (e *fetchFailedError) Error() string {
 // post mailbox messages, never park.
 func (e *Engine) scheduleFaults(plan *chaos.Plan) {
 	for _, c := range plan.SortedCrashes() {
-		c := c
 		e.k.At(c.At, func() { e.crashExecutor(c.Exec) })
 		if c.RestartAfter > 0 {
 			e.k.At(c.At+c.RestartAfter, func() { e.restartExecutor(c.Exec) })
 		}
 	}
 	for _, s := range plan.SortedSlows() {
-		s := s
 		// The slowdown throttles node-local devices, so it fires on the
 		// node's shard kernel.
 		e.kernelOf(s.Exec).At(s.At, func() {
@@ -64,7 +62,6 @@ func (e *Engine) scheduleFaults(plan *chaos.Plan) {
 	// (Partitioned at heartbeat/fetch time); the timers below only mark the
 	// window edges in the trace.
 	for _, pt := range plan.SortedPartitions() {
-		pt := pt
 		e.k.At(pt.At, func() {
 			if e.done.Load() {
 				return

@@ -260,10 +260,7 @@ func TestBlacklistAfterRepeatedFailures(t *testing.T) {
 	if err != nil {
 		t.Fatalf("job did not route around the broken executor: %v", err)
 	}
-	events, err := ReadTrace(&trace)
-	if err != nil {
-		t.Fatal(err)
-	}
+	events := TraceEvents(t, &trace)
 	blacklisted := false
 	for _, ev := range events {
 		if ev.Type == TraceBlacklist && ev.Exec == 0 {

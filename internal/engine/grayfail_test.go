@@ -56,10 +56,7 @@ func TestHeartbeatFalsePositiveFencesExecutor(t *testing.T) {
 	if rep.Fenced != 1 {
 		t.Fatalf("Fenced = %d, want 1", rep.Fenced)
 	}
-	events, err := ReadTrace(bytes.NewReader(traceA))
-	if err != nil {
-		t.Fatal(err)
-	}
+	events := TraceEvents(t, bytes.NewReader(traceA))
 	seen := map[string]bool{}
 	var lostAt, fenceAt float64
 	for _, ev := range events {
@@ -131,10 +128,7 @@ func TestCrashDetectedByHeartbeatSilence(t *testing.T) {
 	if rep.LostExecutors != 1 {
 		t.Fatalf("LostExecutors = %d, want 1", rep.LostExecutors)
 	}
-	events, err := ReadTrace(&trace)
-	if err != nil {
-		t.Fatal(err)
-	}
+	events := TraceEvents(t, &trace)
 	var crashT, lostT float64 = -1, -1
 	for _, ev := range events {
 		if ev.Exec != 1 {
@@ -183,7 +177,6 @@ func TestChaosMatrixDeterminism(t *testing.T) {
 		},
 	}
 	for _, plan := range plans {
-		plan := plan
 		t.Run(plan.Name, func(t *testing.T) {
 			run := func() (*JobReport, []byte) {
 				var trace bytes.Buffer

@@ -274,10 +274,7 @@ func TestSubmitAtStaggersAdmission(t *testing.T) {
 	if got := rep.Stages[len(rep.Stages)-1].End - late; got != rep.Runtime {
 		t.Errorf("runtime = %v, want measured from submission: %v", rep.Runtime, got)
 	}
-	events, err := ReadTrace(&trace)
-	if err != nil {
-		t.Fatal(err)
-	}
+	events := TraceEvents(t, &trace)
 	starts := map[int]float64{}
 	for _, ev := range events {
 		if ev.Type == TraceJobStart {

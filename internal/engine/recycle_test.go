@@ -89,10 +89,7 @@ func TestRecycledStateSurvivesFaults(t *testing.T) {
 	crashAt := run(0, true).rep.Stages[1].Start + engine.GrayOptions(4, nil).Cluster.ControlLatency/2
 	a, b, fresh := run(crashAt, true), run(crashAt, true), run(crashAt, false)
 
-	events, err := engine.ReadTrace(bytes.NewReader(a.trace))
-	if err != nil {
-		t.Fatal(err)
-	}
+	events := engine.TraceEvents(t, bytes.NewReader(a.trace))
 	dropped, speculative := 0, 0
 	for _, ev := range events {
 		if ev.Type == engine.TraceTaskLaunch && ev.Exec == 2 && ev.At < crashAt.Seconds() && ev.At > (crashAt-time.Millisecond).Seconds() {

@@ -55,14 +55,8 @@ func TestScenarioTracesMatchOracle(t *testing.T) {
 					}
 					return
 				}
-				events, err := engine.ReadTrace(&got)
-				if err != nil {
-					t.Fatal(err)
-				}
-				legacy, err := engine.ReadTrace(&want)
-				if err != nil {
-					t.Fatal(err)
-				}
+				events := engine.TraceEvents(t, &got)
+				legacy := engine.TraceEvents(t, &want)
 				if len(events) != len(legacy) {
 					t.Fatalf("trace decodes to %d events, its pre-v2 rendering to %d", len(events), len(legacy))
 				}

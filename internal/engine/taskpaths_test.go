@@ -59,10 +59,7 @@ func TestTaskPathsAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		events, err := ReadTrace(bytes.NewReader(trace.Bytes()))
-		if err != nil {
-			t.Fatal(err)
-		}
+		events := TraceEvents(t, bytes.NewReader(trace.Bytes()))
 		v := visited{failovers: rep.ChecksumFailovers, fetchRetries: rep.FetchRetries}
 		for _, ev := range events {
 			if ev.Type == TraceTaskFail && strings.Contains(ev.Detail, errInjectedIO.Error()) {

@@ -135,7 +135,6 @@ func (t *engineTelemetry) registerExecutors() {
 	lastBlocked := make([]time.Duration, n)
 	var lastTick time.Duration
 	for i, ex := range e.executors {
-		i, ex := i, ex
 		label := strconv.Itoa(i)
 		t.reg.GaugeFunc("sae_executor_pool_size",
 			"Current worker-pool size (thread limit).",

@@ -363,24 +363,3 @@ func ReadTraceRuns(r io.Reader) ([]TraceRun, error) {
 	}
 	return runs, nil
 }
-
-// ReadTraceWithHeader decodes a trace log and returns its first header (nil
-// for a pre-v2 log) and the events of all its runs in order.
-func ReadTraceWithHeader(r io.Reader) (*TraceHeader, []TraceEvent, error) {
-	runs, err := ReadTraceRuns(r)
-	if len(runs) == 0 {
-		return nil, nil, err
-	}
-	var evs []TraceEvent
-	for _, run := range runs {
-		evs = append(evs, run.Events...)
-	}
-	return runs[0].Header, evs, err
-}
-
-// ReadTrace decodes a trace log and returns the events of all its runs in
-// order (see ReadTraceRuns to keep the runs apart).
-func ReadTrace(r io.Reader) ([]TraceEvent, error) {
-	_, evs, err := ReadTraceWithHeader(r)
-	return evs, err
-}

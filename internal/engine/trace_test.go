@@ -17,13 +17,17 @@ func TestReadTraceLegacyCompat(t *testing.T) {
 {"t":1.5,"type":"task_launch","job":0,"stage":0,"task":3,"exec":2,"threads":0}
 {"t":2.25,"type":"resize","job":0,"stage":0,"task":-1,"exec":1,"threads":12,"detail":"zeta rising"}
 `
-	header, events, err := ReadTraceWithHeader(strings.NewReader(legacy))
+	runs, err := ReadTraceRuns(strings.NewReader(legacy))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if header != nil {
-		t.Fatalf("legacy log reported header %+v, want nil", header)
+	if len(runs) != 1 {
+		t.Fatalf("decoded %d runs, want 1", len(runs))
 	}
+	if runs[0].Header != nil {
+		t.Fatalf("legacy log reported header %+v, want nil", runs[0].Header)
+	}
+	events := runs[0].Events
 	if len(events) != 4 {
 		t.Fatalf("decoded %d events, want 4", len(events))
 	}
@@ -34,14 +38,6 @@ func TestReadTraceLegacyCompat(t *testing.T) {
 	rz := events[3]
 	if rz.At != 2.25 || rz.Threads != 12 || rz.Exec != 1 {
 		t.Errorf("resize event mangled: %+v", rz)
-	}
-	// ReadTrace is the historical entry point and must agree.
-	evs2, err := ReadTrace(strings.NewReader(legacy))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(evs2) != len(events) || evs2[0] != events[0] {
-		t.Errorf("ReadTrace disagrees with ReadTraceWithHeader")
 	}
 }
 
@@ -84,17 +80,18 @@ func TestV2RoundTrip(t *testing.T) {
 	}
 	v2, v1 := runTrace()
 
-	header, events, err := ReadTraceWithHeader(bytes.NewReader(v2))
+	runs, err := ReadTraceRuns(bytes.NewReader(v2))
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(runs) != 1 {
+		t.Fatalf("decoded %d runs, want 1", len(runs))
+	}
+	header, events := runs[0].Header, runs[0].Events
 	if header == nil || header.Version != TraceVersion || header.Format != "flat+spans" {
 		t.Fatalf("header = %+v", header)
 	}
-	v1events, err := ReadTrace(bytes.NewReader(v1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	v1events := TraceEvents(t, bytes.NewReader(v1))
 	if len(events) != len(v1events) {
 		t.Fatalf("decoded %d events, the pre-v2 log %d", len(events), len(v1events))
 	}
@@ -172,10 +169,6 @@ func TestReadTraceRunsSplitsAtHeaders(t *testing.T) {
 		if last := run.Events[len(run.Events)-1]; last.Type != TraceJobEnd || last.At != float64(10+i) {
 			t.Errorf("run %d ends with %+v", i, last)
 		}
-	}
-	_, all, err := ReadTraceWithHeader(bytes.NewReader(log.Bytes()))
-	if err != nil || len(all) != 3+4+5 {
-		t.Errorf("ReadTraceWithHeader: %d events, err %v; want the 12 events of all runs", len(all), err)
 	}
 
 	legacy := `{"t":0,"type":"job_start","job":0,"stage":-1,"task":-1,"exec":-1,"threads":0}

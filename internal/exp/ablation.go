@@ -31,7 +31,7 @@ func Ablation(s Setup) (*AblationResult, error) {
 	variants := []job.Policy{
 		core.Default{},
 		core.DefaultDynamic(),
-		core.Dynamic{Cmin: 1},
+		core.Dynamic(1, 0),
 		core.Descending(),
 		core.NoRollback(),
 		core.UtilizationDriven(),

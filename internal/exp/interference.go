@@ -38,7 +38,7 @@ func Interference(s Setup) (*InterferenceResult, error) {
 	policies := []job.Policy{
 		core.Default{},
 		core.DefaultDynamic(),
-		core.Dynamic{Cmin: 2, ReprobeTasks: 20},
+		core.Dynamic(2, 20),
 	}
 	rows, err := Each(s, 2*len(policies), func(s Setup, i int) (InterferenceRow, error) {
 		noisy, pol := i >= len(policies), policies[i%len(policies)]

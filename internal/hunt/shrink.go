@@ -1,6 +1,7 @@
 package hunt
 
 import (
+	"slices"
 	"sort"
 
 	"sae/internal/scenario"
@@ -52,62 +53,18 @@ func reductions(sp *scenario.Spec) []*scenario.Spec {
 			out = append(out, rt)
 		}
 	}
-	dropStr := func(s []string, i int) []string {
-		return append(append([]string{}, s[:i]...), s[i+1:]...)
-	}
 	switch sp.Kind {
 	case scenario.KindChaosMatrix:
-		for i := range sp.Schedules {
-			if len(sp.Schedules) > 1 {
-				i := i
-				add(func(c *scenario.Spec) { c.Schedules = dropStr(c.Schedules, i) })
-			}
-		}
-		for i := range sp.Policies {
-			if len(sp.Policies) > 1 {
-				i := i
-				add(func(c *scenario.Spec) { c.Policies = dropStr(c.Policies, i) })
-			}
-		}
+		dropEach(sp, add, func(s *scenario.Spec) *[]string { return &s.Schedules })
+		dropEach(sp, add, func(s *scenario.Spec) *[]string { return &s.Policies })
 	case scenario.KindTenantMatrix:
-		for i := range sp.Mixes {
-			if len(sp.Mixes) > 1 {
-				i := i
-				add(func(c *scenario.Spec) {
-					c.Mixes = append(append([]scenario.MixSpec{}, c.Mixes[:i]...), c.Mixes[i+1:]...)
-				})
-			}
-		}
-		for i := range sp.Schedulers {
-			if len(sp.Schedulers) > 1 {
-				i := i
-				add(func(c *scenario.Spec) { c.Schedulers = dropStr(c.Schedulers, i) })
-			}
-		}
-		for i := range sp.Policies {
-			if len(sp.Policies) > 1 {
-				i := i
-				add(func(c *scenario.Spec) { c.Policies = dropStr(c.Policies, i) })
-			}
-		}
+		dropEach(sp, add, func(s *scenario.Spec) *[]scenario.MixSpec { return &s.Mixes })
+		dropEach(sp, add, func(s *scenario.Spec) *[]string { return &s.Schedulers })
+		dropEach(sp, add, func(s *scenario.Spec) *[]string { return &s.Policies })
 	case scenario.KindArrivalMatrix:
-		if m := sp.Arrival; m != nil {
-			for i := range m.Configs {
-				if len(m.Configs) > 1 {
-					i := i
-					add(func(c *scenario.Spec) {
-						c.Arrival.Configs = append(append([]scenario.ProvisionSpec{}, c.Arrival.Configs[:i]...), c.Arrival.Configs[i+1:]...)
-					})
-				}
-			}
-			for i := range m.Arrivals {
-				if len(m.Arrivals) > 1 {
-					i := i
-					add(func(c *scenario.Spec) {
-						c.Arrival.Arrivals = append(append([]scenario.ArrivalProcSpec{}, c.Arrival.Arrivals[:i]...), c.Arrival.Arrivals[i+1:]...)
-					})
-				}
-			}
+		if sp.Arrival != nil {
+			dropEach(sp, add, func(s *scenario.Spec) *[]scenario.ProvisionSpec { return &s.Arrival.Configs })
+			dropEach(sp, add, func(s *scenario.Spec) *[]scenario.ArrivalProcSpec { return &s.Arrival.Arrivals })
 		}
 	case scenario.KindSingle:
 		if sp.Expect != nil {
@@ -115,13 +72,26 @@ func reductions(sp *scenario.Spec) []*scenario.Spec {
 		}
 	}
 	for _, k := range confKeys(sp.Conf) {
-		k := k
 		add(func(c *scenario.Spec) { delete(c.Conf, k) })
 	}
 	if sp.Description != "" {
 		add(func(c *scenario.Spec) { c.Description = "" })
 	}
 	return out
+}
+
+// dropEach proposes, for a matrix dimension of two or more entries, one
+// candidate per entry with that entry dropped, in entry order. list picks the
+// dimension out of sp and out of each candidate's own clone.
+func dropEach[T any](sp *scenario.Spec, add func(func(*scenario.Spec)), list func(*scenario.Spec) *[]T) {
+	if n := len(*list(sp)); n > 1 {
+		for i := range n {
+			add(func(c *scenario.Spec) {
+				l := list(c)
+				*l = slices.Delete(*l, i, i+1)
+			})
+		}
+	}
 }
 
 func confKeys(m map[string]string) []string {

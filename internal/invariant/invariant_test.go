@@ -99,7 +99,6 @@ func TestGoldenScenariosClean(t *testing.T) {
 		t.Fatal("no committed scenario specs found")
 	}
 	for _, path := range paths {
-		path := path
 		t.Run(filepath.Base(path), func(t *testing.T) {
 			sp, err := scenario.Load(path)
 			if err != nil {

@@ -224,7 +224,6 @@ func TestWorkConservationProperty(t *testing.T) {
 		s := NewServer(k, Config{Name: "disk", Curve: Flat(100)})
 		var last time.Duration
 		for _, d := range ds {
-			d := d
 			k.Go("w", func(p *sim.Proc) {
 				s.Serve(p, d, 1)
 				if p.Now() > last {

@@ -230,6 +230,10 @@ func posErr(name string, err error) error {
 // spec, pointing each error at the offending field's source line. Fields
 // outside the spec's kind are empty, so their checks pass vacuously.
 func (d *dec) validate(sp *Spec) error {
+	// sae-exp -csv writes DIR/<name>/, so a name is one path element.
+	if sp.Name == "." || sp.Name == ".." || strings.ContainsAny(sp.Name, `/\`) {
+		return d.errf(d.at("name"), "field \"name\": %q is not a file name (no /, \\, . or ..)", sp.Name)
+	}
 	switch sp.Kind {
 	case KindSingle, KindChaosMatrix, KindTenantMatrix, KindArrivalMatrix:
 	default:

@@ -459,6 +459,20 @@ func TestOutOfRangeConfValue(t *testing.T) {
 	}
 }
 
+// TestNameIsOneFileName: sae-exp -csv DIR writes DIR/<name>/, so a name that
+// is a path (or . or ..) would write outside DIR.
+func TestNameIsOneFileName(t *testing.T) {
+	for _, name := range []string{"../escaped", "a/b", `a\\b`, "/abs", ".", ".."} {
+		msg := parseErr(t, "version: 1\nname: \""+name+"\"\nkind: single\nworkload: terasort\npolicy: dynamic\n")
+		requireErr(t, msg, "2", `field "name"`, "not a file name")
+	}
+	for _, name := range []string{"demo", "..demo", "a.b"} {
+		if _, err := Parse("spec.yaml", []byte("version: 1\nname: "+name+"\nkind: single\nworkload: terasort\npolicy: dynamic\n")); err != nil {
+			t.Errorf("name %q: %v", name, err)
+		}
+	}
+}
+
 // TestUnknownKind: a misspelt kind is reported as such, not through the
 // kind-specific fields it orphaned; a key outside its kind is unknown.
 func TestUnknownKind(t *testing.T) {

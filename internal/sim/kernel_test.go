@@ -33,7 +33,6 @@ func TestSameTimestampFIFO(t *testing.T) {
 	k := NewKernel()
 	var got []int
 	for i := 0; i < 10; i++ {
-		i := i
 		k.At(time.Second, func() { got = append(got, i) })
 	}
 	k.Run()

@@ -254,7 +254,6 @@ func TestCompaction(t *testing.T) {
 	var events []Event
 	var got []int
 	for i := 0; i < 1024; i++ {
-		i := i
 		events = append(events, k.At(time.Duration(i+1)*time.Millisecond, func() { got = append(got, i) }))
 	}
 	for i, ev := range events {
@@ -284,7 +283,6 @@ func TestShutdownKillOrderDeterministic(t *testing.T) {
 		k := NewKernel()
 		var killed []int
 		for i := 0; i < 16; i++ {
-			i := i
 			k.Go("parked", func(p *Proc) {
 				// The defer observes the kill unwinding without recovering,
 				// recording the order shutdown reached this process.

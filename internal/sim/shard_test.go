@@ -25,7 +25,6 @@ func windowedModel(ks []*Kernel, send func(from, dst int, d time.Duration, fn fu
 		inbox[i] = NewMailbox[string](ks[i])
 	}
 	for i := range ks {
-		i := i
 		ks[i].Go(fmt.Sprintf("worker-%d", i), func(p *Proc) {
 			for round := 0; round < 6; round++ {
 				// Shard-local busywork: a burst of same-instant and
@@ -159,7 +158,6 @@ func TestShardSetSameInstantMergeOrder(t *testing.T) {
 		ss := NewShardSet(3, time.Millisecond)
 		var got []string
 		for src := 1; src <= 2; src++ {
-			src := src
 			ss.Shard(src).Go(fmt.Sprintf("src-%d", src), func(p *Proc) {
 				// Both shards send two messages at the same virtual
 				// instant, arriving at the same nanosecond on shard 0.
@@ -186,7 +184,6 @@ func TestRunUntilBoundary(t *testing.T) {
 	k := NewKernel()
 	var got []string
 	for _, d := range []time.Duration{1, 2, 3, 4} {
-		d := d
 		k.At(d*time.Millisecond, func() {
 			got = append(got, fmt.Sprintf("%d", d))
 		})

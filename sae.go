@@ -81,7 +81,7 @@ func Adaptive() Policy { return core.DefaultDynamic() }
 
 // AdaptiveWith returns the dynamic policy with an explicit hill-climb
 // starting point cmin.
-func AdaptiveWith(cmin int) Policy { return core.Dynamic{Cmin: cmin} }
+func AdaptiveWith(cmin int) Policy { return core.Dynamic(cmin, 0) }
 
 // DAS5 returns the paper's evaluation environment: 4 nodes × 32 virtual
 // cores with 7'200 rpm HDDs.
