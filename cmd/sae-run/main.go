@@ -220,7 +220,7 @@ func run(args []string) (err error) {
 			for exec, ds := range rep.Decisions {
 				for _, d := range ds {
 					fmt.Printf("  executor %d, stage %d @%7.1fs → %2d threads: %s\n",
-						exec, d.Stage, d.At.Seconds(), d.Threads, d.Reason)
+						exec, d.Stage, d.At.Seconds(), d.Threads, d.Reason())
 				}
 			}
 		}

@@ -38,7 +38,6 @@ var exportAllowlist = map[string]string{
 	"engine.Engine.Executors":     "the executor table the fault and recycling tests inspect",
 	"engine.Engine.FS":            "the file system the engine tests read output files from",
 	"engine.Executor.Alive":       "liveness the fault tests check after a crash",
-	"engine.Executor.Decisions":   "the controller decisions of every incarnation, which the fault tests check",
 	"engine.Executor.Restarts":    "restart count the fault tests check",
 	"exp.AblationResult.Get":      "row lookup the ablation test and benchmark read the table by",
 	"exp.InterferenceResult.Get":  "row lookup the interference test reads the table by",

@@ -16,7 +16,7 @@ package core
 //     demonstrates the consequence.
 //   - AIMD: additive increase, multiplicative decrease, and no freeze.
 
-import "fmt"
+import "sae/internal/engine/job"
 
 // Descending is the top-down ablation of Dynamic: start at cmax, halve
 // while the congestion index improves, roll back (double) and freeze once
@@ -59,11 +59,10 @@ func (a aimd) start(cmax int) int { return clamp(a.cmin, 1, cmax) }
 
 func (a aimd) signal(s sample) float64 { return congestion(s.Interval) }
 
-func (a aimd) plan(k *knowledge, cmax int, s sample, sig float64) (int, bool, string) {
+func (a aimd) plan(k *knowledge, cmax int, s sample, sig float64) (int, bool, job.Verdict) {
 	next := k.threads / 2
 	if k.first || s.Bytes == 0 || sig < k.prevSignal*(1+a.tol) {
 		next = k.threads + a.step
 	}
-	next = clamp(next, a.cmin, cmax)
-	return next, false, fmt.Sprintf("AIMD %d→%d (ζ=%.4g)", k.threads, next, sig)
+	return clamp(next, a.cmin, cmax), false, job.Verdict{Prev: k.prevSignal, Signal: sig, From: int32(k.threads), Action: job.ActAIMD}
 }

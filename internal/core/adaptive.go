@@ -116,32 +116,35 @@ func (c climb) improved(k *knowledge, s sample, sig float64) bool {
 	return sig < k.prevSignal*(1+c.margin)
 }
 
-func (c climb) plan(k *knowledge, cmax int, s sample, sig float64) (int, bool, string) {
-	sym, what := "ζ", "congestion"
-	if c.util {
-		sym, what = "util", "utilization"
-	}
+func (c climb) plan(k *knowledge, cmax int, s sample, sig float64) (int, bool, job.Verdict) {
+	v := job.Verdict{Prev: k.prevSignal, Signal: sig, Util: c.util, Cmin: c.down}
 	next, back := k.threads*2, k.threads/2
-	bound, atBound := "cmax", k.threads >= cmax
+	atBound := k.threads >= cmax
 	if c.down {
 		next, back = back, next
-		bound, atBound = "cmin", k.threads <= c.cmin
+		atBound = k.threads <= c.cmin
 	}
 	switch {
 	case !k.first && !c.improved(k, s, sig):
 		if c.stay {
-			return k.threads, true, fmt.Sprintf("%s worsened %.4g → %.4g; freeze without rollback", sym, k.prevSignal, sig)
+			v.Action = job.ActStay
+			return k.threads, true, v
 		}
 		// Roll back: if j threads lose to j/2, 2j would only make the
 		// contention worse (§5.2).
-		return clamp(back, c.cmin, cmax), true, fmt.Sprintf("%s worsened %.4g → %.4g; rollback and freeze", sym, k.prevSignal, sig)
+		v.Action = job.ActRollback
+		return clamp(back, c.cmin, cmax), true, v
 	case atBound && k.first:
-		return k.threads, true, "started at " + bound
+		v.Action = job.ActStartedAtBound
+		return k.threads, true, v
 	case atBound:
-		return k.threads, true, "reached " + bound + " with improving " + what
+		v.Action = job.ActReachedBound
+		return k.threads, true, v
 	case k.first:
-		return clamp(next, c.cmin, cmax), false, fmt.Sprintf("first interval, %s=%.4g", sym, sig)
+		v.Action = job.ActFirst
+		return clamp(next, c.cmin, cmax), false, v
 	default:
-		return clamp(next, c.cmin, cmax), false, fmt.Sprintf("%s improved %.4g → %.4g", sym, k.prevSignal, sig)
+		v.Action = job.ActImproved
+		return clamp(next, c.cmin, cmax), false, v
 	}
 }

@@ -139,7 +139,7 @@ func driveController(p job.Policy, cmax int, seed uint64) (seq string, decisions
 	h := fnv.New64a()
 	ds := c.Decisions()
 	for _, d := range ds {
-		fmt.Fprintf(h, "%d|%d|%d|%+v|%s\n", d.At, d.Stage, d.Threads, d.Interval, d.Reason)
+		fmt.Fprintf(h, "%d|%d|%d|%+v|%s\n", d.At, d.Stage, d.Threads, d.Interval, d.Reason())
 	}
 	return b.String(), fmt.Sprintf("%d/%016x", len(ds), h.Sum64())
 }

@@ -77,8 +77,9 @@ type planner interface {
 	signal(s sample) float64
 	// plan picks the pool size that follows the interval whose signal is
 	// sig; k still describes the interval before it. freeze ends the
-	// search for the rest of the stage.
-	plan(k *knowledge, cmax int, s sample, sig float64) (threads int, freeze bool, reason string)
+	// search for the rest of the stage; v is the verdict the decision log
+	// keeps.
+	plan(k *knowledge, cmax int, s sample, sig float64) (threads int, freeze bool, v job.Verdict)
 }
 
 func newLoop(p planner, exec job.ExecutorInfo, reprobe int) *loop {
@@ -111,7 +112,7 @@ func (l *loop) TaskDone(tm job.TaskMetrics) (int, bool) {
 		}
 		// Re-open the climb: the environment may have changed (L4).
 		l.restart(tm.End)
-		l.log(tm.End, metrics.Interval{}, "re-probe: restarting hill climb")
+		l.log(tm.End, metrics.Interval{}, job.Verdict{Action: job.ActReprobe})
 		return l.threads, true
 	}
 	if tm.Start < l.sinceResize {
@@ -131,23 +132,23 @@ func (l *loop) TaskDone(tm job.TaskMetrics) (int, bool) {
 
 	s := sample{Interval: l.acc, busy: l.busy / float64(l.acc.Tasks)}
 	sig := l.p.signal(s)
-	threads, freeze, reason := l.p.plan(&l.knowledge, l.cmax, s, sig)
+	threads, freeze, v := l.p.plan(&l.knowledge, l.cmax, s, sig)
 
 	changed := threads != l.threads
 	l.knowledge = knowledge{threads: threads, prev: s.Interval, prevSignal: sig, frozen: freeze}
 	l.sinceResize = s.End
 	l.acc, l.busy = metrics.Interval{}, 0
-	l.log(s.End, s.Interval, reason)
+	l.log(s.End, s.Interval, v)
 	return threads, changed
 }
 
-func (l *loop) log(at time.Duration, iv metrics.Interval, reason string) {
+func (l *loop) log(at time.Duration, iv metrics.Interval, v job.Verdict) {
 	l.decisions = append(l.decisions, job.Decision{
 		At:       at,
 		Stage:    l.stage.ID,
 		Threads:  l.threads,
 		Interval: iv,
-		Reason:   reason,
+		Verdict:  v,
 	})
 }
 

@@ -115,7 +115,7 @@ func TestDynamicReprobe(t *testing.T) {
 		t.Fatalf("re-probe: (%d, %v), want (2, true)", got, changed)
 	}
 	ds := c.Decisions()
-	if last := ds[len(ds)-1]; !strings.HasPrefix(last.Reason, "re-probe") || last.Threads != 2 || last.Interval.Tasks != 0 {
+	if last := ds[len(ds)-1]; !strings.HasPrefix(last.Reason(), "re-probe") || last.Threads != 2 || last.Interval.Tasks != 0 {
 		t.Fatalf("re-probe decision = %+v", last)
 	}
 	if got, changed := c.TaskDone(straggler); got != 2 || changed {
@@ -153,7 +153,7 @@ func TestAblationDecisionsKeepBothSignals(t *testing.T) {
 	if len(ds) != 2 || ds[1].Threads != 4 || ds[1].Interval.Tasks != 4 {
 		t.Fatalf("no-rollback decisions = %+v", ds)
 	}
-	if r := ds[1].Reason; !strings.HasPrefix(r, "ζ worsened ") || !strings.Contains(r, " → ") || !strings.HasSuffix(r, "freeze without rollback") {
+	if r := ds[1].Reason(); !strings.HasPrefix(r, "ζ worsened ") || !strings.Contains(r, " → ") || !strings.HasSuffix(r, "freeze without rollback") {
 		t.Fatalf("no-rollback reason = %q", r)
 	}
 
@@ -169,7 +169,7 @@ func TestAblationDecisionsKeepBothSignals(t *testing.T) {
 	if len(ds) != 2 || ds[0].Threads != 4 || ds[1].Threads != 8 {
 		t.Fatalf("utilization decisions = %+v", ds)
 	}
-	if ds[0].Reason != "first interval, util=0.4" || ds[1].Reason != "util improved 0.4 → 0.7" {
-		t.Fatalf("utilization reasons = %q, %q", ds[0].Reason, ds[1].Reason)
+	if ds[0].Reason() != "first interval, util=0.4" || ds[1].Reason() != "util improved 0.4 → 0.7" {
+		t.Fatalf("utilization reasons = %q, %q", ds[0].Reason(), ds[1].Reason())
 	}
 }

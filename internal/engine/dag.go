@@ -280,9 +280,14 @@ func (e *Engine) finishJob(js *jobState) {
 		rep.Sched = "FAIR"
 	}
 	rep.Runtime = e.k.Now() - rep.SubmittedAt
-	for _, ex := range e.executors {
-		rep.Decisions = append(rep.Decisions, ex.jobDecisions(js.id))
-		rep.ThreadLogs = append(rep.ThreadLogs, append([]ThreadChange(nil), ex.threadLog...))
+	// Each executor's thread log is shared up to its current length, capped
+	// there so the executor's later appends cannot reach the report's rows.
+	rep.Decisions = make([][]job.Decision, len(e.executors))
+	rep.ThreadLogs = make([][]ThreadChange, len(e.executors))
+	for i, ex := range e.executors {
+		rep.Decisions[i] = ex.jobDecisions(js.id)
+		n := len(ex.threadLog)
+		rep.ThreadLogs[i] = ex.threadLog[:n:n]
 	}
 	if e.aud != nil {
 		// Before dropJob so the auditor can close out the job's shuffle

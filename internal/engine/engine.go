@@ -463,7 +463,7 @@ func (e *Engine) sizeJobTables() {
 	cells := make([]int, len(e.executors)*n)
 	for i, ex := range e.executors {
 		e.em.inflightJob[i], cells = cells[:n:n], cells[n:]
-		ex.decisionsByJob = make([][]job.Decision, n)
+		ex.retired = make([][][]job.Decision, n)
 	}
 }
 

@@ -26,7 +26,7 @@ import (
 //
 // Executors can crash (chaos schedules): a crash bumps the incarnation
 // epoch, drops the local queue and retires every controller (their decision
-// logs are kept per job). A stream queued on a device cannot be cancelled, so
+// logs are kept per job, by slice header). A stream queued on a device cannot be cancelled, so
 // tasks already running become zombies — their remaining I/O and compute
 // no-op (see taskContext) and their completions are never reported. A
 // restarted executor keeps its ID and node; the driver re-sends the active
@@ -71,10 +71,11 @@ type Executor struct {
 	alive    bool
 	epoch    int
 	restarts int
-	// decisionsByJob[job] collects the job's retired controllers' decision
-	// logs (stage ends and crashes), in chronological order. Wait sizes it
-	// to the submitted jobs.
-	decisionsByJob [][]job.Decision
+	// retired[job] holds the decision logs of the job's retired controllers
+	// (stage ends, crashes, fences, duplicate stage starts), in retirement
+	// order, each by its slice header: a retired controller logs nothing
+	// more. Wait sizes it to the submitted jobs.
+	retired [][][]job.Decision
 
 	// threadLog is the pool-size change history, the report's ThreadLogs.
 	threadLog []ThreadChange
@@ -181,26 +182,39 @@ func (ex *Executor) Alive() bool { return ex.alive }
 // Restarts returns how many times the executor came back after a crash.
 func (ex *Executor) Restarts() int { return ex.restarts }
 
-// Decisions returns every controller decision this executor has logged,
-// across all jobs and incarnations, grouped by job ID.
-func (ex *Executor) Decisions() []job.Decision {
-	var out []job.Decision
-	for id := range ex.decisionsByJob {
-		out = append(out, ex.jobDecisions(id)...)
-	}
-	return out
-}
-
-// jobDecisions returns the decision logs of one job's controllers on this
-// executor: retired ones first (chronological), then any still live.
+// jobDecisions concatenates the decision logs of one job's controllers on
+// this executor into one exact-size row: retired ones first (chronological),
+// then any still live. A job with no decisions gets nil.
 func (ex *Executor) jobDecisions(jobID int) []job.Decision {
-	out := append([]job.Decision(nil), ex.decisionsByJob[jobID]...)
+	n := 0
+	for _, ds := range ex.retired[jobID] {
+		n += len(ds)
+	}
+	for _, sc := range ex.active {
+		if sc.key.job == jobID {
+			n += len(sc.ctrl.Decisions())
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]job.Decision, 0, n)
+	for _, ds := range ex.retired[jobID] {
+		out = append(out, ds...)
+	}
 	for _, sc := range ex.active {
 		if sc.key.job == jobID {
 			out = append(out, sc.ctrl.Decisions()...)
 		}
 	}
 	return out
+}
+
+// retire files a retiring controller's decision log under its job.
+func (ex *Executor) retire(sc *stageCtrl) {
+	if ds := sc.ctrl.Decisions(); len(ds) > 0 {
+		ex.retired[sc.key.job] = append(ex.retired[sc.key.job], ds)
+	}
 }
 
 // Step implements sim.Stepper, the executor's control loop process: it handles
@@ -242,8 +256,8 @@ func (ex *Executor) Step() {
 // and clears the controller tables — the shared teardown of crashes, fences
 // and decommissions. Fresh controllers arrive with re-sent stages on rejoin.
 func (ex *Executor) retireControllers() {
-	for _, sc := range ex.active {
-		ex.decisionsByJob[sc.key.job] = append(ex.decisionsByJob[sc.key.job], sc.ctrl.Decisions()...)
+	for i := range ex.active {
+		ex.retire(&ex.active[i])
 	}
 	ex.active = nil
 }
@@ -301,7 +315,7 @@ func (ex *Executor) stageStart(jobID int, stage *job.StageSpec) {
 	if dup {
 		// A duplicate broadcast (stage re-sent around a crash/restart
 		// race): retire the old incarnation's log and start over.
-		ex.decisionsByJob[key.job] = append(ex.decisionsByJob[key.job], ex.active[i].ctrl.Decisions()...)
+		ex.retire(&ex.active[i])
 		ex.active = slices.Delete(ex.active, i, i+1)
 	}
 	ctrl := ex.policy.NewController(ex.info)
@@ -321,7 +335,7 @@ func (ex *Executor) stageEnd(jobID, stage int) {
 	if !ok {
 		return // already retired (e.g. by a crash)
 	}
-	ex.decisionsByJob[jobID] = append(ex.decisionsByJob[jobID], ex.active[i].ctrl.Decisions()...)
+	ex.retire(&ex.active[i])
 	ex.active = slices.Delete(ex.active, i, i+1)
 	if n, ok := ex.effectiveChoice(); ok && ex.applyAndNotify(n, jobID, stage) {
 		ex.drain()

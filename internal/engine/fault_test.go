@@ -174,9 +174,10 @@ func TestRestartReclimbsFromCmin(t *testing.T) {
 		t.Fatalf("post-restart change at %v predates the restart (%v)",
 			log[zero+1].At, crashAt+restartAfter)
 	}
-	// The restarted incarnation's controller made fresh decisions.
+	// The restarted incarnation's controller made fresh decisions, and the
+	// report carries them beside the crashed incarnation's.
 	post := 0
-	for _, d := range ex.Decisions() {
+	for _, d := range rep.Decisions[1] {
 		if d.At > crashAt+restartAfter {
 			post++
 		}

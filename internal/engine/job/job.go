@@ -350,13 +350,84 @@ type ExecutorInfo struct {
 	MaxThreads int
 }
 
-// Decision records one thread-count choice for analysis and reporting.
+// Decision records one thread-count choice for analysis and reporting: the
+// pool size the loop applied, the interval it planned from and the planner's
+// verdict, kept as data; Reason renders it on read.
 type Decision struct {
 	At       time.Duration
 	Stage    int
 	Threads  int
 	Interval metrics.Interval
-	Reason   string
+	Verdict  Verdict
+}
+
+// Verdict is one planning step's reading of a closed interval: what it did
+// and the two signals it compared.
+type Verdict struct {
+	// Prev and Signal are the previous interval's signal and the closed
+	// one's: ζ, or disk utilization when Util is set.
+	Prev, Signal float64
+	// From is the pool size the interval ran at (AIMD's reason names it).
+	From   int32
+	Action Action
+	// Util marks a utilization signal; Cmin a descending climb, whose
+	// search bound is cmin instead of cmax.
+	Util, Cmin bool
+}
+
+// Action is what a planning step did.
+type Action uint8
+
+// The actions. The zero Action is no planning step at all.
+const (
+	// ActFirst: the stage's first interval closed; step to the next rung.
+	ActFirst Action = iota + 1
+	// ActImproved: the signal improved on the previous interval's; step on.
+	ActImproved
+	// ActRollback: the signal worsened; step back one rung and freeze.
+	ActRollback
+	// ActStay: the signal worsened; freeze without rolling back.
+	ActStay
+	// ActStartedAtBound: the first interval ran at the search bound; freeze.
+	ActStartedAtBound
+	// ActReachedBound: the bound was reached while improving; freeze.
+	ActReachedBound
+	// ActAIMD: AIMD's additive increase or multiplicative decrease.
+	ActAIMD
+	// ActReprobe: a frozen climb re-opened from its starting size.
+	ActReprobe
+)
+
+// Reason renders the decision's verdict as one line of text, e.g.
+// "ζ improved 1.056e-08 → 4.224e-09".
+func (d Decision) Reason() string {
+	v := d.Verdict
+	sym, what, bound := "ζ", "congestion", "cmax"
+	if v.Util {
+		sym, what = "util", "utilization"
+	}
+	if v.Cmin {
+		bound = "cmin"
+	}
+	switch v.Action {
+	case ActFirst:
+		return fmt.Sprintf("first interval, %s=%.4g", sym, v.Signal)
+	case ActImproved:
+		return fmt.Sprintf("%s improved %.4g → %.4g", sym, v.Prev, v.Signal)
+	case ActRollback:
+		return fmt.Sprintf("%s worsened %.4g → %.4g; rollback and freeze", sym, v.Prev, v.Signal)
+	case ActStay:
+		return fmt.Sprintf("%s worsened %.4g → %.4g; freeze without rollback", sym, v.Prev, v.Signal)
+	case ActStartedAtBound:
+		return "started at " + bound
+	case ActReachedBound:
+		return "reached " + bound + " with improving " + what
+	case ActAIMD:
+		return fmt.Sprintf("AIMD %d→%d (ζ=%.4g)", v.From, d.Threads, v.Signal)
+	case ActReprobe:
+		return "re-probe: restarting hill climb"
+	}
+	return ""
 }
 
 // Controller sizes one executor's thread pool. Methods are invoked from

@@ -327,9 +327,11 @@ func TestJobFailureIsolated(t *testing.T) {
 }
 
 // TestDecisionsGroupedByJob runs two jobs on one engine while an executor
-// crashes and restarts mid-run: an executor's Decisions must hold job 0's
-// decisions, retired logs before live ones — what job 0's report took from
-// the executor as it finished — followed by job 1's.
+// crashes and restarts mid-run. Each report holds its own job's decisions of
+// every incarnation, and nothing logged after a job finished reaches its
+// report: every row is exactly as long as its capacity (so a later append to
+// the executor's logs cannot land in it), no decision postdates the job, and
+// the first job's thread-log rows are prefixes of the second's.
 func TestDecisionsGroupedByJob(t *testing.T) {
 	run := func(faults *chaos.Plan) (*Engine, [2]*JobReport) {
 		specA, inA := pipelineJob("alpha", 16)
@@ -366,12 +368,34 @@ func TestDecisionsGroupedByJob(t *testing.T) {
 	if reps[0].LostExecutors != 1 || reps[1].LostExecutors != 1 {
 		t.Fatalf("lost executors %d and %d, want the crash in both jobs", reps[0].LostExecutors, reps[1].LostExecutors)
 	}
-	for i, ex := range e.Executors() {
-		want := append(slices.Clone(reps[0].Decisions[i]), reps[1].Decisions[i]...)
-		if got := ex.Decisions(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("executor %d: Decisions() has %d entries, not job 0's %d then job 1's %d",
-				i, len(got), len(reps[0].Decisions[i]), len(reps[1].Decisions[i]))
+	first, last := reps[0], reps[1]
+	if end := func(r *JobReport) time.Duration { return r.SubmittedAt + r.Runtime }; end(first) > end(last) {
+		first, last = last, first
+	}
+	for j, rep := range reps {
+		if len(rep.Decisions) != len(e.Executors()) || len(rep.ThreadLogs) != len(e.Executors()) {
+			t.Fatalf("job %d: %d decision and %d thread-log rows for %d executors",
+				j, len(rep.Decisions), len(rep.ThreadLogs), len(e.Executors()))
 		}
+		for i, ds := range rep.Decisions {
+			if len(ds) != cap(ds) || len(rep.ThreadLogs[i]) != cap(rep.ThreadLogs[i]) {
+				t.Fatalf("job %d executor %d: rows of length %d and %d have capacity %d and %d",
+					j, i, len(ds), len(rep.ThreadLogs[i]), cap(ds), cap(rep.ThreadLogs[i]))
+			}
+			for _, d := range ds {
+				if d.At > rep.SubmittedAt+rep.Runtime {
+					t.Fatalf("job %d executor %d: decision at %v after the job ended at %v", j, i, d.At, rep.SubmittedAt+rep.Runtime)
+				}
+			}
+		}
+	}
+	for i, log := range first.ThreadLogs {
+		if later := last.ThreadLogs[i]; len(later) < len(log) || !slices.Equal(later[:len(log)], log) {
+			t.Fatalf("executor %d: the first job's thread log (%d rows) is not a prefix of the second's (%d rows)", i, len(log), len(later))
+		}
+	}
+	if len(last.ThreadLogs[1]) == len(first.ThreadLogs[1]) {
+		t.Fatal("executor 1 logged no pool change after the first job ended")
 	}
 	// The crashed executor retired both jobs' controllers mid-stage, and its
 	// restarted incarnation decided again for each.

@@ -63,7 +63,7 @@ func TestCalibrationReport(t *testing.T) {
 			for exec, ds := range rep.Decisions {
 				for _, d := range ds {
 					fmt.Printf("    exec%d s%d @%6.1fs → %2d threads: %s {%s}\n",
-						exec, d.Stage, d.At.Seconds(), d.Threads, d.Reason, d.Interval)
+						exec, d.Stage, d.At.Seconds(), d.Threads, d.Reason(), d.Interval)
 				}
 			}
 		}
