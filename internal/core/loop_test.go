@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/bits"
 	"runtime/debug"
 	"strings"
 	"testing"
@@ -72,6 +73,61 @@ func TestPolicyCallsAllocate(t *testing.T) {
 		}
 		if n := testing.AllocsPerRun(100, func() { p.NewController(testExec).StageStart(m) }); n > 1 {
 			t.Errorf("%s: NewController + StageStart allocate %v objects, want at most 1", p.Name(), n)
+		}
+	}
+}
+
+// TestDecisionLogAllocates pins what a decision costs: driven through 64
+// decisions, an adaptive controller allocates itself and its log's slice
+// growths (⌈log₂ n⌉ + 1 for n decisions), nothing per decision.
+func TestDecisionLogAllocates(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("the race detector's instrumentation allocates on its own")
+	}
+	const n = 64
+	growths := bits.Len(n-1) + 1
+	for _, p := range []job.Policy{
+		DefaultDynamic(),
+		Dynamic(1, 0),
+		Dynamic(2, 20),
+		Descending(),
+		NoRollback(),
+		UtilizationDriven(),
+		AIMD(),
+	} {
+		var logged int
+		allocs := testing.AllocsPerRun(20, func() {
+			c := p.NewController(testExec)
+			decide(c, n)
+			logged = len(c.Decisions())
+		})
+		if logged != n {
+			t.Fatalf("%s: logged %d decisions, want %d", p.Name(), logged, n)
+		}
+		if allocs > float64(1+growths) {
+			t.Errorf("%s: %d decisions allocate %v objects, want at most %d (the controller and %d log growths)",
+				p.Name(), n, allocs, 1+growths, growths)
+		}
+	}
+}
+
+// decide drives c until it has logged n decisions. Each interval completes
+// as many tasks as the pool holds, one after another, their bytes cycling
+// so climbs both grow and roll back; a stage whose climb froze gives way to
+// the next.
+func decide(c job.Controller, n int) {
+	stage, seq := 0, 0
+	threads := c.StageStart(meta(stage, 1<<20, true))
+	for i := 0; len(c.Decisions()) < n; i++ {
+		before := len(c.Decisions())
+		bytes := int64(1+i%3) << 20
+		for range threads {
+			threads, _ = c.TaskDone(tm(stage, seq, 100, bytes))
+			seq++
+		}
+		if len(c.Decisions()) == before {
+			stage++
+			threads = c.StageStart(meta(stage, 1<<20, true))
 		}
 	}
 }

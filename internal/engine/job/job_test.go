@@ -3,6 +3,7 @@ package job
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 // fakeContext performs the operations AnalyticOps yields, on counters.
@@ -187,5 +188,40 @@ func TestTaskMetricsDuration(t *testing.T) {
 	tm := TaskMetrics{Start: 5e9, End: 7e9}
 	if tm.Duration() != 2e9 {
 		t.Fatalf("duration = %v", tm.Duration())
+	}
+}
+
+// TestDecisionReason pins the text each verdict renders, the lines
+// sae-run -decisions prints.
+func TestDecisionReason(t *testing.T) {
+	for _, c := range []struct {
+		v       Verdict
+		threads int
+		want    string
+	}{
+		{Verdict{Action: ActFirst, Signal: 1.0564e-8}, 4, "first interval, ζ=1.056e-08"},
+		{Verdict{Action: ActFirst, Signal: 0.4, Util: true}, 4, "first interval, util=0.4"},
+		{Verdict{Action: ActImproved, Prev: 0.4, Signal: 0.7, Util: true}, 8, "util improved 0.4 → 0.7"},
+		{Verdict{Action: ActRollback, Prev: 4.642e-9, Signal: 7.533e-9}, 8, "ζ worsened 4.642e-09 → 7.533e-09; rollback and freeze"},
+		{Verdict{Action: ActStay, Prev: 2, Signal: 3}, 8, "ζ worsened 2 → 3; freeze without rollback"},
+		{Verdict{Action: ActStartedAtBound}, 2, "started at cmax"},
+		{Verdict{Action: ActStartedAtBound, Cmin: true}, 2, "started at cmin"},
+		{Verdict{Action: ActReachedBound}, 32, "reached cmax with improving congestion"},
+		{Verdict{Action: ActReachedBound, Util: true, Cmin: true}, 2, "reached cmin with improving utilization"},
+		{Verdict{Action: ActAIMD, From: 6, Signal: 0.25}, 3, "AIMD 6→3 (ζ=0.25)"},
+		{Verdict{Action: ActReprobe}, 2, "re-probe: restarting hill climb"},
+		{Verdict{}, 2, ""},
+	} {
+		if got := (Decision{Threads: c.threads, Verdict: c.v}).Reason(); got != c.want {
+			t.Errorf("%+v: Reason() = %q, want %q", c.v, got, c.want)
+		}
+	}
+}
+
+// TestDecisionSize pins the decision record's size: the verdict replaced a
+// 16-byte reason string and may add at most 8 bytes to the 80-byte record.
+func TestDecisionSize(t *testing.T) {
+	if n := unsafe.Sizeof(Decision{}); n > 88 {
+		t.Fatalf("job.Decision is %d bytes, want at most 88", n)
 	}
 }
