@@ -42,7 +42,6 @@ var exportAllowlist = map[string]string{
 	"exp.AblationResult.Get":      "row lookup the ablation test and benchmark read the table by",
 	"exp.InterferenceResult.Get":  "row lookup the interference test reads the table by",
 	"invariant.Auditor.Dropped":   "violations past the cap, which the invariant tests check the cap with",
-	"invariant.Auditor.Flag":      "reached by scenario single runs and the benchmark probe through an anonymous interface",
 	"sim.Kernel.PendingEvents":    "queue introspection the kernel and shard tests check",
 	"sim.Kernel.Stop":             "ends a run early; the kernel tests stop parked receivers with it",
 	"sim.Proc.Kernel":             "the kernel a process belongs to",

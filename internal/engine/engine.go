@@ -15,6 +15,8 @@ import (
 	"fmt"
 	"io"
 	"slices"
+	"strconv"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -95,6 +97,13 @@ type Options struct {
 	// kernel. Requires a positive Cluster.ControlLatency, the lookahead
 	// bound.
 	Shards int
+	// MaxVirtualTime and MaxEvents bound the run (0 = unbounded): no event
+	// fires at or past MaxVirtualTime, and no more than MaxEvents fire in
+	// all. A run that meets either ends there, and Wait returns an error
+	// wrapping ErrBudget that names the budget and dumps the driver's
+	// state. A budgeted run is not sharded.
+	MaxVirtualTime time.Duration
+	MaxEvents      uint64
 }
 
 // Engine wires the simulated cluster, DFS, shuffle registry and executors,
@@ -176,6 +185,10 @@ func (h *JobHandle) Report() (*JobReport, error) {
 // that failed.
 var ErrNoNodes = errors.New("engine: the cluster needs at least one node")
 
+// ErrBudget is the error Wait wraps when Options.MaxVirtualTime or
+// Options.MaxEvents ended the run.
+var ErrBudget = errors.New("engine: run budget exceeded")
+
 // NewEngine assembles a fresh simulated cluster ready to accept jobs.
 func NewEngine(opts Options) (*Engine, error) { return newEngine(opts, nil) }
 
@@ -204,6 +217,9 @@ func newEngine(opts Options, sp *runSpares) (*Engine, error) {
 	}
 	if opts.BlockSize < 0 {
 		return nil, fmt.Errorf("engine: Options.BlockSize must not be negative, got %d", opts.BlockSize)
+	}
+	if opts.MaxVirtualTime < 0 {
+		return nil, fmt.Errorf("engine: Options.MaxVirtualTime must not be negative, got %v", opts.MaxVirtualTime)
 	}
 	if err := opts.Faults.CheckExecutors(opts.Cluster.Nodes); err != nil {
 		return nil, fmt.Errorf("engine: fault plan %s: %w", opts.Faults, err)
@@ -447,6 +463,7 @@ func (e *Engine) Wait() error {
 	if e.ss != nil {
 		e.ss.RunWindows()
 	} else {
+		e.k.Budget(e.opts.MaxVirtualTime, e.opts.MaxEvents)
 		e.k.Run()
 	}
 	err := e.closeRun()
@@ -485,6 +502,9 @@ func (e *Engine) closeRun() error {
 	if e.fatal != nil {
 		return e.fatal
 	}
+	if o := e.k.Overrun(); o != nil {
+		return e.overrunError(o)
+	}
 	if e.completed < len(e.jobs) {
 		return errors.New("engine: jobs did not complete")
 	}
@@ -492,6 +512,42 @@ func (e *Engine) closeRun() error {
 		e.aud.EndRun()
 	}
 	return e.sink.flushErr()
+}
+
+// overrunError names the budget that ended the run and dumps the driver's
+// state as it stood: the pending task sets, each executor's free slots (or
+// that it is down), the suspects, and the processes with a resume queued.
+func (e *Engine) overrunError(o *sim.Overrun) error {
+	var b strings.Builder
+	if o.Events {
+		fmt.Fprintf(&b, "MaxEvents %d ran out at %v", e.opts.MaxEvents, o.At)
+	} else {
+		fmt.Fprintf(&b, "MaxVirtualTime %v reached at %v after %d events", e.opts.MaxVirtualTime, o.At, o.Fired)
+	}
+	fmt.Fprintf(&b, "; %d of %d jobs done; pending task sets:", e.completed, len(e.jobs))
+	for _, ts := range e.sched.sets {
+		fmt.Fprintf(&b, " job %d stage %d (%d/%d done, %d queued", ts.key.job, ts.key.stage, ts.done, ts.total, ts.queue.live)
+		if ts.recovery {
+			b.WriteString(", recovery")
+		}
+		b.WriteString(")")
+	}
+	b.WriteString("; free slots:")
+	for i := range e.executors {
+		if e.em.alive[i] {
+			fmt.Fprintf(&b, " %d/%d", e.em.limits[i]-e.em.inflight[i], e.em.limits[i])
+		} else {
+			b.WriteString(" down")
+		}
+	}
+	var suspects []string
+	for i, s := range e.em.suspected {
+		if s {
+			suspects = append(suspects, strconv.Itoa(i))
+		}
+	}
+	fmt.Fprintf(&b, "; suspects: [%s]; queued processes: [%s]", strings.Join(suspects, " "), strings.Join(o.Queued, ", "))
+	return fmt.Errorf("%w: %s", ErrBudget, b.String())
 }
 
 // driver is the Engine as the driver process's sim.Stepper.

@@ -2,9 +2,11 @@ package engine
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -410,6 +412,48 @@ func TestDecisionsGroupedByJob(t *testing.T) {
 			t.Fatalf("job %d: executor 1 logged %d decisions, %d after its restart; want some on each side",
 				j, len(rep.Decisions[1]), post)
 		}
+	}
+}
+
+// TestRunBudgets: budgets the run stays inside, however tight, change
+// nothing, and one it meets ends the run with ErrBudget, naming the budget
+// and the task set still pending.
+func TestRunBudgets(t *testing.T) {
+	run := func(horizon time.Duration, events uint64) (*JobReport, *Engine, error) {
+		spec, in := pipelineJob("alpha", 16)
+		opts := testOptions(4, core.DefaultDynamic())
+		opts.Inputs = []Input{in}
+		opts.MaxVirtualTime, opts.MaxEvents = horizon, events
+		var e *Engine
+		opts.OnSetup = func(eng *Engine) { e = eng }
+		rep, err := Run(opts, spec)
+		return rep, e, err
+	}
+	free, e, err := run(0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The run ends when its housekeeping winds down, after the job.
+	end, fired := e.Kernel().Now(), e.Kernel().FiredEvents()
+	bounded, _, err := run(end+1, fired)
+	if err != nil {
+		t.Fatalf("a run inside its budgets failed: %v", err)
+	}
+	if !reflect.DeepEqual(bounded, free) {
+		t.Fatal("a run inside its budgets reported differently")
+	}
+	for _, c := range []struct {
+		horizon time.Duration
+		events  uint64
+		name    string
+	}{{free.Runtime / 2, 0, "MaxVirtualTime"}, {0, fired / 2, "MaxEvents"}} {
+		_, _, err := run(c.horizon, c.events)
+		if !errors.Is(err, ErrBudget) || !strings.Contains(err.Error(), c.name) || !strings.Contains(err.Error(), "pending task sets: job 0 stage") {
+			t.Fatalf("%s: Wait = %v, want ErrBudget naming it and the pending set", c.name, err)
+		}
+	}
+	if _, err := NewEngine(Options{Cluster: testOptions(1, core.Default{}).Cluster, Policy: core.Default{}, MaxVirtualTime: -1}); err == nil {
+		t.Fatal("a negative MaxVirtualTime was accepted")
 	}
 }
 

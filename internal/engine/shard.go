@@ -109,6 +109,7 @@ func (e *Engine) Windowed() bool { return e.ss != nil }
 //   - Replica corruption re-routes DFS reads to other nodes' replicas.
 //   - Replication > 0 places block replicas on a subset of nodes, so a task
 //     may read a remote disk directly.
+//   - A run budget (MaxVirtualTime, MaxEvents) bounds one kernel's Run.
 //
 // Slowdowns, partitions and transient task I/O faults are shard-local or
 // pure, so grayfail scans — the perf target — qualify.
@@ -116,7 +117,7 @@ func windowsEligible(o *Options) bool {
 	if o.Trace != nil || o.Audit != nil || o.Metrics != nil || o.Autoscale != nil || o.OnSetup != nil {
 		return false
 	}
-	if o.Replication != 0 {
+	if o.Replication != 0 || o.MaxVirtualTime != 0 || o.MaxEvents != 0 {
 		return false
 	}
 	plan := o.Faults

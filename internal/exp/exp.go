@@ -63,6 +63,10 @@ type Setup struct {
 	// over the runs would leave them. An Audit that cannot fork
 	// (engine.ForkableAudit) makes a fan-out one run wide, each run on these.
 	Audit engine.Audit
+	// MaxVirtualTime and MaxEvents bound every engine the setup builds (0 =
+	// unbounded; see engine.Options).
+	MaxVirtualTime time.Duration
+	MaxEvents      uint64
 }
 
 // Default returns the paper's 4-node HDD environment.
@@ -121,6 +125,8 @@ func (s Setup) Options(policy job.Policy, blockSize int64, inputs []engine.Input
 		Metrics:         s.Metrics,
 		MetricsInterval: s.MetricsInterval,
 		Audit:           s.Audit,
+		MaxVirtualTime:  s.MaxVirtualTime,
+		MaxEvents:       s.MaxEvents,
 	}
 	if s.Config == nil || !s.Config.IsSet("files.maxPartitionBytes") {
 		opts.BlockSize = blockSize

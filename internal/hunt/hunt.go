@@ -21,9 +21,13 @@ package hunt
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"sort"
+	"time"
 
+	"sae/internal/engine"
 	"sae/internal/exp"
 	"sae/internal/invariant"
 	"sae/internal/scenario"
@@ -200,13 +204,17 @@ func (h *hunter) fold(sp *scenario.Spec, o outcome, mutant bool) {
 		}
 		return
 	}
-	rule := vs[0].Rule
-	if h.seen[rule] {
-		h.logf("run %d (%s): %d violation(s) of already-reported rule %s", run, sp.Name, len(vs), rule)
+	// The first violation of a rule not reported yet makes the finding: a
+	// run that breaks a known rule and then overruns its budget still
+	// reports the overrun.
+	i := slices.IndexFunc(vs, func(v invariant.Violation) bool { return !h.seen[v.Rule] })
+	if i < 0 {
+		h.logf("run %d (%s): %d violation(s) of already-reported rule %s", run, sp.Name, len(vs), vs[0].Rule)
 		return
 	}
+	rule := vs[i].Rule
 	h.seen[rule] = true
-	h.logf("run %d (%s): VIOLATION %s — shrinking", run, sp.Name, vs[0])
+	h.logf("run %d (%s): VIOLATION %s — shrinking", run, sp.Name, vs[i])
 	shrunk, spent := h.shrink(sp, rule)
 	h.res.ShrinkRuns += spent
 	f := Finding{
@@ -225,7 +233,7 @@ func (h *hunter) fold(sp *scenario.Spec, o outcome, mutant bool) {
 		}
 	}
 	if !f.Replayed {
-		f.Violation = vs[0]
+		f.Violation = vs[i]
 	}
 	h.res.Findings = append(h.res.Findings, f)
 }
@@ -241,17 +249,37 @@ type outcome struct {
 }
 
 // runSpec executes one spec under an auditor of its own, which it releases.
+// Each engine run is bounded (budgets); a run a budget ended is a violation
+// of the rule "budget".
 func runSpec(sp *scenario.Spec) outcome {
 	aud := invariant.Spare()
 	defer aud.Release()
 	s := sp.BaseSetup()
 	s.Audit = aud
+	s.MaxVirtualTime, s.MaxEvents = budgets(s)
 	c, err := sp.Compile(s)
 	if err != nil {
 		return outcome{err: err}
 	}
 	_, err = c.Run()
+	if errors.Is(err, engine.ErrBudget) {
+		aud.Flag("budget", err.Error())
+	}
 	return outcome{compiled: true, err: err, coverage: aud.Coverage(), violations: aud.Violations()}
+}
+
+// budgets returns the virtual-time and event budgets of each engine run on
+// s: two hours plus 10⁵ s per unit of work (scale × 4 / nodes, the paper's
+// 4-node cluster at scale 1 being one unit), and 2000 events per budgeted
+// second. The longest run of every committed spec, at scale 0.02, 0.05 and
+// its own, and of every benchmark hunt spec stays more than twelve times
+// inside both. A budget past what a time.Duration holds is left unbounded.
+func budgets(s exp.Setup) (time.Duration, uint64) {
+	secs := math.Ceil(7200 + 1e5*s.Scale*4/float64(max(s.Nodes, 1)))
+	if !(secs < float64(math.MaxInt64)/1e9) {
+		return 0, 0
+	}
+	return time.Duration(secs) * time.Second, uint64(2000 * secs)
 }
 
 // runAll runs specs side by side, up to GOMAXPROCS at once, and returns

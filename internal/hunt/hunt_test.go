@@ -209,6 +209,35 @@ expect:
 	}
 }
 
+// TestHuntBudgetEndsHungRun: under the slot-leak bug a grayfail mutant's run
+// never ends — its job waits for slots that never come back while the
+// heartbeats keep the clock going. The per-run budget ends it, and the hunt
+// reports it under the rule "budget", shrunk and replayed like any other.
+func TestHuntBudgetEndsHungRun(t *testing.T) {
+	restore := engine.EnableTestBug("skip-slot-reclaim")
+	defer restore()
+	grayfail, err := scenario.Load("../../scenarios/grayfail.yaml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(Options{Seed: 2, Runs: 10, ShrinkRuns: 12, Scale: 0.02, Corpus: []*scenario.Spec{grayfail, parseSeed(t)}, Log: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var f *Finding
+	for i := range res.Findings {
+		if res.Findings[i].Rule == "budget" {
+			f = &res.Findings[i]
+		}
+	}
+	if f == nil {
+		t.Fatalf("no budget finding; findings: %v", res.Findings)
+	}
+	if !f.Replayed || f.Violation.Rule != "budget" || !strings.Contains(f.Violation.Detail, "MaxVirtualTime") {
+		t.Fatalf("budget finding not replayed as one: %+v", f.Violation)
+	}
+}
+
 // TestHuntSameAtEveryGOMAXPROCS: a hunt is a function of its seed, however
 // many corpus seeds run side by side. The corpus puts crashSeed between the
 // committed specs (a chaos and an arrival matrix among them), so short seeds

@@ -86,13 +86,90 @@ type Kernel struct {
 	running bool
 	stopped bool
 	// limit is the runUntil horizon: loop refuses to fire events at or past
-	// it: Never for a plain Run.
+	// it: the budget's horizon for a plain Run.
 	limit time.Duration
+	// horizon and maxFired are Run's budget (Budget): Never and
+	// math.MaxUint64 when unbounded. overrun describes the run a budget
+	// ended, nil otherwise.
+	horizon  time.Duration
+	maxFired uint64
+	overrun  *Overrun
 }
 
 // NewKernel returns a kernel with the clock at zero and an empty event queue.
 func NewKernel() *Kernel {
-	return &Kernel{limit: Never}
+	return &Kernel{limit: Never, horizon: Never, maxFired: math.MaxUint64}
+}
+
+// Budget bounds Run: it fires no event at or past horizon, and no more than
+// events events in all; 0 leaves either unbounded. A run a budget ends is
+// shut down like a drained one, and Overrun describes it. Only a kernel Run
+// drives takes a budget: a shard set's kernels (RunWindows) take none.
+func (k *Kernel) Budget(horizon time.Duration, events uint64) {
+	k.horizon, k.maxFired = Never, math.MaxUint64
+	if horizon > 0 {
+		k.horizon = horizon
+	}
+	if events > 0 {
+		k.maxFired = events
+	}
+	k.limit = k.horizon
+}
+
+// Overrun describes a run its budget ended (Kernel.Budget).
+type Overrun struct {
+	// Events is set when the event budget ran out, clear when the next
+	// event lay at or past the horizon.
+	Events bool
+	// At and Fired are the clock and the count of fired events at the end.
+	At    time.Duration
+	Fired uint64
+	// Queued names the processes with a resume queued, in firing order,
+	// a run of one name as "name×n".
+	Queued []string
+}
+
+// Overrun describes the last run if a budget ended it, or returns nil.
+func (k *Kernel) Overrun() *Overrun { return k.overrun }
+
+// overran records that a budget ended the run, while the queues still hold
+// what was left.
+func (k *Kernel) overran(events bool) {
+	var queued []*event
+	for _, e := range k.events {
+		if !e.cancelled && e.proc != nil {
+			queued = append(queued, e)
+		}
+	}
+	slices.SortFunc(queued, func(a, b *event) int {
+		if eventLess(a, b) {
+			return -1
+		}
+		return 1
+	})
+	var names []string
+	for i := k.ring.head; i < len(k.ring.items); i++ {
+		if p := k.ring.items[i].proc; p != nil {
+			names = append(names, p.name)
+		}
+	}
+	for _, e := range queued {
+		names = append(names, e.proc.name)
+	}
+	o := &Overrun{Events: events, At: k.now, Fired: k.fired}
+	for i := 0; i < len(names); {
+		j := i + 1
+		for j < len(names) && names[j] == names[i] {
+			j++
+		}
+		if j-i > 1 {
+			o.Queued = append(o.Queued, fmt.Sprintf("%s×%d", names[i], j-i))
+		} else {
+			o.Queued = append(o.Queued, names[i])
+		}
+		i = j
+	}
+	k.overrun = o
 }
 
 // Now returns the current virtual time (duration since simulation start).
@@ -353,6 +430,12 @@ func (k *Kernel) Run() {
 // runs until it parks or exits and control is back here.
 func (k *Kernel) loop() {
 	for !k.stopped {
+		if k.fired >= k.maxFired {
+			if h := k.heapTop(); k.ringTop() != nil || len(k.settles) > 0 || h != nil && h.at < k.limit {
+				k.overran(true)
+			}
+			return
+		}
 		var e *event
 		switch r, h := k.ringTop(), k.heapTop(); {
 		case r != nil && (h == nil || h.at > k.now || h.seq > r.seq):
@@ -368,6 +451,9 @@ func (k *Kernel) loop() {
 			k.runSettles()
 			continue
 		case h == nil || h.at >= k.limit:
+			if h != nil && h.at >= k.horizon && h.at != Never {
+				k.overran(false)
+			}
 			return
 		default:
 			k.events.pop()
@@ -433,7 +519,7 @@ func (k *Kernel) runUntil(limit time.Duration) {
 	k.running = true
 	k.limit = limit
 	k.loop()
-	k.limit = Never
+	k.limit = k.horizon
 	k.running = false
 }
 

@@ -162,6 +162,49 @@ func TestStop(t *testing.T) {
 	}
 }
 
+// TestBudget: a run that never drains — a process that wakes itself every
+// second — ends on whichever budget it meets first, with the queued process
+// named; a run that drains inside its budget reports no overrun.
+func TestBudget(t *testing.T) {
+	forever := func(horizon time.Duration, events uint64) *Kernel {
+		k := NewKernel()
+		k.Budget(horizon, events)
+		k.Go("ticker", func(p *Proc) {
+			for {
+				p.Sleep(time.Second)
+			}
+		})
+		k.At(0, func() {})
+		k.Run()
+		return k
+	}
+	o := forever(10*time.Second, 0).Overrun()
+	if o == nil || o.Events || o.At != 9*time.Second || !slices.Equal(o.Queued, []string{"ticker"}) {
+		t.Fatalf("horizon overrun = %+v, want the ticker queued at 9s", o)
+	}
+	o = forever(0, 100).Overrun()
+	if o == nil || !o.Events || o.Fired != 100 || !slices.Equal(o.Queued, []string{"ticker"}) {
+		t.Fatalf("event overrun = %+v, want 100 events fired and the ticker queued", o)
+	}
+
+	for _, b := range []struct {
+		horizon time.Duration
+		events  uint64
+	}{{10 * time.Second, 0}, {0, 3}} {
+		k := NewKernel()
+		k.Budget(b.horizon, b.events)
+		fired := 0
+		for _, at := range []time.Duration{time.Second, 2 * time.Second, 9 * time.Second} {
+			k.At(at, func() { fired++ })
+		}
+		k.At(Never, func() { t.Error("an event at Never fired") })
+		k.Run()
+		if k.Overrun() != nil || fired != 3 {
+			t.Fatalf("a run inside its budget %+v: overrun %+v, %d events fired", b, k.Overrun(), fired)
+		}
+	}
+}
+
 func TestMailbox(t *testing.T) {
 	k := NewKernel()
 	mb := NewMailbox[int](k)
