@@ -516,7 +516,8 @@ func (e *Engine) closeRun() error {
 
 // overrunError names the budget that ended the run and dumps the driver's
 // state as it stood: the pending task sets, each executor's free slots (or
-// that it is down), the suspects, and the processes with a resume queued.
+// that it is down, or blacklisted), the suspects, and the processes with a
+// resume queued.
 func (e *Engine) overrunError(o *sim.Overrun) error {
 	var b strings.Builder
 	if o.Events {
@@ -534,10 +535,13 @@ func (e *Engine) overrunError(o *sim.Overrun) error {
 	}
 	b.WriteString("; free slots:")
 	for i := range e.executors {
-		if e.em.alive[i] {
-			fmt.Fprintf(&b, " %d/%d", e.em.limits[i]-e.em.inflight[i], e.em.limits[i])
-		} else {
+		switch {
+		case !e.em.alive[i]:
 			b.WriteString(" down")
+		case e.em.blacklisted[i]:
+			fmt.Fprintf(&b, " %d/%d(blacklisted)", e.em.limits[i]-e.em.inflight[i], e.em.limits[i])
+		default:
+			fmt.Fprintf(&b, " %d/%d", e.em.limits[i]-e.em.inflight[i], e.em.limits[i])
 		}
 	}
 	var suspects []string

@@ -198,13 +198,13 @@ func (ex *Executor) jobDecisions(jobID int) []job.Decision {
 	if n == 0 {
 		return nil
 	}
-	out := make([]job.Decision, 0, n)
+	out, i := make([]job.Decision, n), 0
 	for _, ds := range ex.retired[jobID] {
-		out = append(out, ds...)
+		i += copy(out[i:], ds)
 	}
 	for _, sc := range ex.active {
 		if sc.key.job == jobID {
-			out = append(out, sc.ctrl.Decisions()...)
+			i += copy(out[i:], sc.ctrl.Decisions())
 		}
 	}
 	return out

@@ -124,8 +124,8 @@ type Overrun struct {
 	// At and Fired are the clock and the count of fired events at the end.
 	At    time.Duration
 	Fired uint64
-	// Queued names the processes with a resume queued, in firing order,
-	// a run of one name as "name×n".
+	// Queued names the processes with a resume queued, each name once
+	// ("name×n" for n of them), in the order the queues hold them.
 	Queued []string
 }
 
@@ -135,39 +135,28 @@ func (k *Kernel) Overrun() *Overrun { return k.overrun }
 // overran records that a budget ended the run, while the queues still hold
 // what was left.
 func (k *Kernel) overran(events bool) {
-	var queued []*event
-	for _, e := range k.events {
-		if !e.cancelled && e.proc != nil {
-			queued = append(queued, e)
-		}
-	}
-	slices.SortFunc(queued, func(a, b *event) int {
-		if eventLess(a, b) {
-			return -1
-		}
-		return 1
-	})
-	var names []string
-	for i := k.ring.head; i < len(k.ring.items); i++ {
-		if p := k.ring.items[i].proc; p != nil {
-			names = append(names, p.name)
-		}
-	}
-	for _, e := range queued {
-		names = append(names, e.proc.name)
-	}
 	o := &Overrun{Events: events, At: k.now, Fired: k.fired}
-	for i := 0; i < len(names); {
-		j := i + 1
-		for j < len(names) && names[j] == names[i] {
-			j++
+	count := map[string]int{}
+	note := func(p *Proc) {
+		if p != nil {
+			if count[p.name] == 0 {
+				o.Queued = append(o.Queued, p.name)
+			}
+			count[p.name]++
 		}
-		if j-i > 1 {
-			o.Queued = append(o.Queued, fmt.Sprintf("%s×%d", names[i], j-i))
-		} else {
-			o.Queued = append(o.Queued, names[i])
+	}
+	for _, s := range k.ring.items[k.ring.head:] {
+		note(s.proc)
+	}
+	for _, e := range k.events {
+		if !e.cancelled {
+			note(e.proc)
 		}
-		i = j
+	}
+	for i, name := range o.Queued {
+		if n := count[name]; n > 1 {
+			o.Queued[i] = fmt.Sprintf("%s×%d", name, n)
+		}
 	}
 	k.overrun = o
 }
