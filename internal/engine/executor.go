@@ -26,11 +26,12 @@ import (
 //
 // Executors can crash (chaos schedules): a crash bumps the incarnation
 // epoch, drops the local queue and retires every controller (their decision
-// logs are kept per job, by slice header). A stream queued on a device cannot be cancelled, so
-// tasks already running become zombies — their remaining I/O and compute
-// no-op (see taskContext) and their completions are never reported. A
-// restarted executor keeps its ID and node; the driver re-sends the active
-// stages so fresh controllers re-bootstrap the MAPE-K loop from cmin.
+// logs are kept per job, by slice header). A stream queued on a device cannot
+// be cancelled, so tasks already running become zombies — their remaining
+// I/O and compute no-op (see taskContext) and their completions are never
+// reported. A restarted executor keeps its ID and node; the driver re-sends
+// the active stages so fresh controllers re-bootstrap the MAPE-K loop from
+// cmin.
 type Executor struct {
 	id   int
 	node *cluster.Node

@@ -103,8 +103,8 @@ func NewKernel() *Kernel {
 
 // Budget bounds Run: it fires no event at or past horizon, and no more than
 // events events in all; 0 leaves either unbounded. A run a budget ends is
-// shut down like a drained one, and Overrun describes it. Only a kernel Run
-// drives takes a budget: a shard set's kernels (RunWindows) take none.
+// shut down like a drained one, and Overrun describes it. The budget bounds
+// Run only: a shard set's windows (RunWindows) are not bounded by it.
 func (k *Kernel) Budget(horizon time.Duration, events uint64) {
 	k.horizon, k.maxFired = Never, math.MaxUint64
 	if horizon > 0 {
