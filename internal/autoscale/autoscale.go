@@ -23,8 +23,8 @@ type Snapshot struct {
 	// finishing their last tasks. Pending scale-ups are in PendingNodes.
 	ActiveNodes, DrainingNodes, PendingNodes int
 	// QueuedTasks is the number of runnable-but-unassigned tasks across all
-	// jobs; RunningTasks the in-flight attempts.
-	QueuedTasks, RunningTasks int
+	// jobs.
+	QueuedTasks int
 	// TotalSlots and BusySlots describe the active nodes' thread capacity.
 	TotalSlots, BusySlots int
 	// CompletedTasks is the cumulative task-completion counter (monotone);

@@ -8,7 +8,6 @@ import (
 	"sae/internal/cluster"
 	"sae/internal/dfs"
 	"sae/internal/engine/job"
-	"sae/internal/metrics"
 	"sae/internal/psres"
 )
 
@@ -153,12 +152,8 @@ func (e *Engine) activateStage(js *jobState, id int) {
 	ts.rep = &js.rep.Stages[id]
 	*ts.rep = StageReport{ID: id, Name: spec.Name, IOMarked: spec.IOMarked(), Start: e.k.Now(),
 		Execs: make([]ExecutorStageStats, len(e.executors))}
-	for i, ex := range e.executors {
-		ts.rep.Execs[i] = ExecutorStageStats{
-			Executor:       i,
-			Node:           ex.node.ID,
-			InitialThreads: e.em.limits[i],
-		}
+	for i := range e.executors {
+		ts.rep.Execs[i].InitialThreads = e.em.limits[i]
 	}
 
 	// Stage-boundary snapshots for the utilization window. Under
@@ -181,8 +176,7 @@ func (e *Engine) activateStage(js *jobState, id int) {
 			ts.net0 += n.NIC.BytesMoved()
 		}
 	}
-	ts.lost0, ts.resub0, ts.requeue0 = js.rep.LostExecutors, js.rep.ResubmittedStages, js.requeues
-	ts.recovered0 = js.rep.RecoveredBytes
+	ts.requeue0 = js.requeues
 
 	e.trace(TraceEvent{Type: TraceStageStart, Job: js.id, Stage: id, Task: -1, Exec: -1,
 		Detail: fmt.Sprintf("%s (%d tasks)", spec.Name, spec.NumTasks)})
@@ -208,15 +202,7 @@ func (e *Engine) completeStage(ts *taskSet) {
 
 	sr := ts.rep
 	sr.End = e.k.Now()
-	sr.LostExecutors = js.rep.LostExecutors - ts.lost0
-	sr.ResubmittedStages = js.rep.ResubmittedStages - ts.resub0
 	sr.Requeued = js.requeues - ts.requeue0
-	sr.RecoveredBytes = js.rep.RecoveredBytes - ts.recovered0
-	if d := ts.durations; len(d) > 0 {
-		// The set is done with its ledger: sort it where it lies.
-		slices.Sort(d)
-		sr.TaskP50, sr.TaskP95, sr.TaskMax = metrics.NearestRank(d, 0.5), metrics.NearestRank(d, 0.95), metrics.NearestRank(d, 1)
-	}
 	vcores := e.opts.Cluster.CPU.VirtualCores
 	if e.ss == nil {
 		for i, n := range e.cluster.Nodes() {
@@ -280,14 +266,9 @@ func (e *Engine) finishJob(js *jobState) {
 		rep.Sched = "FAIR"
 	}
 	rep.Runtime = e.k.Now() - rep.SubmittedAt
-	// Each executor's thread log is shared up to its current length, capped
-	// there so the executor's later appends cannot reach the report's rows.
 	rep.Decisions = make([][]job.Decision, len(e.executors))
-	rep.ThreadLogs = make([][]ThreadChange, len(e.executors))
 	for i, ex := range e.executors {
 		rep.Decisions[i] = ex.jobDecisions(js.id)
-		n := len(ex.threadLog)
-		rep.ThreadLogs[i] = ex.threadLog[:n:n]
 	}
 	if e.aud != nil {
 		// Before dropJob so the auditor can close out the job's shuffle

@@ -205,7 +205,6 @@ func (c *autoCtl) snapshot() autoscale.Snapshot {
 		case adminDraining:
 			snap.DrainingNodes++
 		}
-		snap.RunningTasks += em.inflight[i]
 	}
 	for _, js := range e.jobs {
 		if js.started && !js.done && js.running == 0 {

@@ -123,9 +123,9 @@ func TestScaleUpActivatesNodes(t *testing.T) {
 	// The late joiners must actually have run work in some stage.
 	ran := map[int]bool{}
 	for _, st := range rep.Stages {
-		for _, es := range st.Execs {
+		for i, es := range st.Execs {
 			if es.Tasks > 0 {
-				ran[es.Executor] = true
+				ran[i] = true
 			}
 		}
 	}

@@ -260,24 +260,24 @@ func TestDynamicPolicyAdaptsWithinRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.ThreadLogs) != 4 {
-		t.Fatalf("thread logs = %d", len(rep.ThreadLogs))
+	if len(rep.Decisions) != 4 {
+		t.Fatalf("decision logs = %d", len(rep.Decisions))
 	}
-	for exec, log := range rep.ThreadLogs {
-		if len(log) < 2 {
-			t.Fatalf("executor %d never adapted: %v", exec, log)
+	for exec, ds := range rep.Decisions {
+		if len(ds) == 0 {
+			t.Fatalf("executor %d never adapted", exec)
 		}
-		if log[0].Threads != 2 {
-			t.Fatalf("executor %d started at %d threads, want cmin 2", exec, log[0].Threads)
+		if d := ds[0]; d.Verdict.Action != job.ActFirst || d.Threads != 4 {
+			t.Fatalf("executor %d's first decision %v to %d threads, want cmin 2 doubled to 4", exec, d.Reason(), d.Threads)
 		}
 	}
 	for _, e := range rep.Stages[0].Execs {
+		if e.InitialThreads != 2 {
+			t.Fatalf("executor started at %d threads, want cmin 2", e.InitialThreads)
+		}
 		if e.FinalThreads < 2 || e.FinalThreads > 32 {
 			t.Fatalf("final threads %d out of range", e.FinalThreads)
 		}
-	}
-	if len(rep.Decisions[0]) == 0 {
-		t.Fatal("no decisions logged")
 	}
 }
 
@@ -668,22 +668,6 @@ func TestEmptyInputFile(t *testing.T) {
 	}
 	if tasks != 1 {
 		t.Fatalf("empty file ran %d tasks, want the single placeholder task", tasks)
-	}
-}
-
-func TestTaskDurationPercentiles(t *testing.T) {
-	opts := testOptions(2, core.Default{})
-	opts.Inputs = []Input{{Name: "in", Size: 16 * 64 * device.MiB}}
-	rep, err := Run(opts, readJob("pct", 16*64*device.MiB))
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := rep.Stages[0]
-	if st.TaskP50 <= 0 || st.TaskP95 < st.TaskP50 || st.TaskMax < st.TaskP95 {
-		t.Fatalf("percentiles not ordered: p50=%v p95=%v max=%v", st.TaskP50, st.TaskP95, st.TaskMax)
-	}
-	if st.TaskMax > st.Duration() {
-		t.Fatalf("max task duration %v exceeds stage duration %v", st.TaskMax, st.Duration())
 	}
 }
 

@@ -51,8 +51,8 @@ type Executor struct {
 	// active holds one controller per active (job, stage) with its current
 	// choice, sorted by (job, stage) for deterministic iteration.
 	active []stageCtrl
-	// curStage labels thread-log entries and crash traces with the stage
-	// that last (re)configured the pool.
+	// curStage labels crash and fence traces with the stage that last
+	// (re)configured the pool.
 	curStage int
 
 	limit   int
@@ -78,8 +78,6 @@ type Executor struct {
 	// more. Wait sizes it to the submitted jobs.
 	retired [][][]job.Decision
 
-	// threadLog is the pool-size change history, the report's ThreadLogs.
-	threadLog []ThreadChange
 	// cumBytes is the total bytes the executor's tasks have moved: what the
 	// throughput sampler differentiates for the Fig. 12 time series.
 	cumBytes int64
@@ -146,15 +144,6 @@ const (
 	driverExecJoin                    // a restarted or fenced executor is back
 	driverHeartbeat                   // a liveness beacon, read by the failure detector only
 )
-
-// ThreadChange records one pool-size change for reporting (Fig. 6). A
-// crash logs a change to 0 threads; the restart's fresh controller logs the
-// climb restarting at cmin.
-type ThreadChange struct {
-	At      time.Duration
-	Stage   int
-	Threads int
-}
 
 func newExecutor(eng *Engine, id int, node *cluster.Node, policy job.Policy) *Executor {
 	info := job.ExecutorInfo{
@@ -288,7 +277,6 @@ func (ex *Executor) shutdown() {
 	ex.epoch++
 	ex.queue = sim.FIFO[launchMsg]{}
 	ex.retireControllers()
-	ex.threadLog = append(ex.threadLog, ThreadChange{At: ex.k.Now(), Stage: ex.curStage, Threads: 0})
 }
 
 // fence makes a still-alive executor that was declared lost adopt a fresh
@@ -300,7 +288,6 @@ func (ex *Executor) fence(epoch int) {
 	ex.epoch = epoch
 	ex.queue = sim.FIFO[launchMsg]{}
 	ex.retireControllers()
-	ex.threadLog = append(ex.threadLog, ThreadChange{At: ex.k.Now(), Stage: ex.curStage, Threads: 0})
 	ex.eng.trace(TraceEvent{Type: TraceExecFence, Job: -1, Stage: ex.curStage, Task: -1, Exec: ex.id,
 		Detail: fmt.Sprintf("epoch %d fenced, rejoining as %d", epoch-1, epoch)})
 	ex.eng.sendDriver(ex.shard, driverMsg{kind: driverExecJoin, exec: ex.id, epoch: ex.epoch})
@@ -375,12 +362,11 @@ func (ex *Executor) setLimit(n, stage int) {
 	if n < 1 {
 		n = 1
 	}
-	if n == ex.limit && len(ex.threadLog) > 0 {
+	if n == ex.limit {
 		return
 	}
 	ex.limit = n
 	ex.curStage = stage
-	ex.threadLog = append(ex.threadLog, ThreadChange{At: ex.k.Now(), Stage: stage, Threads: n})
 }
 
 // start launches one task as its own stackless process, stepping the stage's

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
-	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -332,8 +331,7 @@ func TestJobFailureIsolated(t *testing.T) {
 // crashes and restarts mid-run. Each report holds its own job's decisions of
 // every incarnation, and nothing logged after a job finished reaches its
 // report: every row is exactly as long as its capacity (so a later append to
-// the executor's logs cannot land in it), no decision postdates the job, and
-// the first job's thread-log rows are prefixes of the second's.
+// the executor's logs cannot land in it) and no decision postdates the job.
 func TestDecisionsGroupedByJob(t *testing.T) {
 	run := func(faults *chaos.Plan) (*Engine, [2]*JobReport) {
 		specA, inA := pipelineJob("alpha", 16)
@@ -370,19 +368,13 @@ func TestDecisionsGroupedByJob(t *testing.T) {
 	if reps[0].LostExecutors != 1 || reps[1].LostExecutors != 1 {
 		t.Fatalf("lost executors %d and %d, want the crash in both jobs", reps[0].LostExecutors, reps[1].LostExecutors)
 	}
-	first, last := reps[0], reps[1]
-	if end := func(r *JobReport) time.Duration { return r.SubmittedAt + r.Runtime }; end(first) > end(last) {
-		first, last = last, first
-	}
 	for j, rep := range reps {
-		if len(rep.Decisions) != len(e.Executors()) || len(rep.ThreadLogs) != len(e.Executors()) {
-			t.Fatalf("job %d: %d decision and %d thread-log rows for %d executors",
-				j, len(rep.Decisions), len(rep.ThreadLogs), len(e.Executors()))
+		if len(rep.Decisions) != len(e.Executors()) {
+			t.Fatalf("job %d: %d decision rows for %d executors", j, len(rep.Decisions), len(e.Executors()))
 		}
 		for i, ds := range rep.Decisions {
-			if len(ds) != cap(ds) || len(rep.ThreadLogs[i]) != cap(rep.ThreadLogs[i]) {
-				t.Fatalf("job %d executor %d: rows of length %d and %d have capacity %d and %d",
-					j, i, len(ds), len(rep.ThreadLogs[i]), cap(ds), cap(rep.ThreadLogs[i]))
+			if len(ds) != cap(ds) {
+				t.Fatalf("job %d executor %d: a row of length %d has capacity %d", j, i, len(ds), cap(ds))
 			}
 			for _, d := range ds {
 				if d.At > rep.SubmittedAt+rep.Runtime {
@@ -390,14 +382,6 @@ func TestDecisionsGroupedByJob(t *testing.T) {
 				}
 			}
 		}
-	}
-	for i, log := range first.ThreadLogs {
-		if later := last.ThreadLogs[i]; len(later) < len(log) || !slices.Equal(later[:len(log)], log) {
-			t.Fatalf("executor %d: the first job's thread log (%d rows) is not a prefix of the second's (%d rows)", i, len(log), len(later))
-		}
-	}
-	if len(last.ThreadLogs[1]) == len(first.ThreadLogs[1]) {
-		t.Fatal("executor 1 logged no pool change after the first job ended")
 	}
 	// The crashed executor retired both jobs' controllers mid-stage, and its
 	// restarted incarnation decided again for each.

@@ -203,8 +203,8 @@ func TestShardedWindowedOracle(t *testing.T) {
 	// not enter — and the attempt index of a task only advances on its own
 	// failures as long as nothing is requeued or speculated, which the plan
 	// guarantees (no crashes, partitions shorter than the loss timeout) and
-	// the test asserts. Runtime, per-executor splits and task percentiles
-	// depend on which free executor a tie hands a task to, so are left out.
+	// the test asserts. Runtime and per-executor splits depend on which free
+	// executor a tie hands a task to, so are left out.
 	type invariants struct {
 		tasks, retries, requeued, speculative, lost int
 		bytes                                       int64
@@ -222,7 +222,7 @@ func TestShardedWindowedOracle(t *testing.T) {
 			}
 			st := r.Stages[0]
 			got := invariants{retries: st.Retries, requeued: st.Requeued, speculative: st.Speculative,
-				lost: st.LostExecutors, bytes: st.Bytes()}
+				lost: r.LostExecutors, bytes: st.Bytes()}
 			for _, ex := range st.Execs {
 				got.tasks += ex.Tasks
 			}

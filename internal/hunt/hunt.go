@@ -64,8 +64,7 @@ type Finding struct {
 	Rule string
 	// Violation is the first violation of Rule from the shrunk spec's run.
 	Violation invariant.Violation
-	// Spec is the shrunk reproducer; YAML is its canonical marshaling.
-	Spec *scenario.Spec
+	// YAML is the shrunk reproducer's canonical marshaling.
 	YAML []byte
 	// FoundAt is the 1-based search run that first hit the rule.
 	FoundAt int
@@ -219,7 +218,6 @@ func (h *hunter) fold(sp *scenario.Spec, o outcome, mutant bool) {
 	h.res.ShrinkRuns += spent
 	f := Finding{
 		Rule:       rule,
-		Spec:       shrunk,
 		YAML:       scenario.Marshal(shrunk),
 		FoundAt:    run,
 		ShrinkRuns: spent,

@@ -75,8 +75,8 @@ func (iv Interval) String() string {
 // (0, 1]; p = 0.5 is the lower median, p = 1 the maximum). vals is not
 // modified. An empty input yields zeros — callers render "no data" rather
 // than a fabricated percentile. This is the single percentile helper every
-// report uses (stage task durations, per-tenant job latency, queueing
-// delay), so all reported percentiles share one set of semantics.
+// report uses (per-tenant job latency, queueing delay), so all reported
+// percentiles share one set of semantics.
 func Quantiles(vals []time.Duration, ps ...float64) []time.Duration {
 	out := make([]time.Duration, len(ps))
 	if len(vals) == 0 {
@@ -85,16 +85,8 @@ func Quantiles(vals []time.Duration, ps ...float64) []time.Duration {
 	sorted := slices.Clone(vals)
 	slices.Sort(sorted)
 	for i, p := range ps {
-		out[i] = NearestRank(sorted, p)
+		rank := int(math.Ceil(min(p, 1) * float64(len(sorted))))
+		out[i] = sorted[max(rank, 1)-1]
 	}
 	return out
-}
-
-// NearestRank returns the nearest-rank p-quantile of sorted, which must be
-// ascending and non-empty: the element at rank ⌈p·n⌉, with p clamped to
-// (0, 1]. Quantiles is this over a sorted copy; a caller that owns its
-// values and may reorder them sorts them in place and asks here.
-func NearestRank(sorted []time.Duration, p float64) time.Duration {
-	rank := int(math.Ceil(min(p, 1) * float64(len(sorted))))
-	return sorted[max(rank, 1)-1]
 }

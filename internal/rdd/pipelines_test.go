@@ -40,15 +40,15 @@ func (l *pipelineLog) job(name string, records any, rep *engine.JobReport) {
 		fmt.Fprintf(l, "stage %d %s [%d, %d] disk r/w %d/%d net %d moved %d blocked %d retries %d requeued %d threads %s\n",
 			st.ID, st.Name, st.Start, st.End, st.DiskReadBytes, st.DiskWriteBytes, st.NetBytes,
 			st.Bytes(), blocked, st.Retries, st.Requeued, st.ThreadsLabel())
-		for _, e := range st.Execs {
+		for i, e := range st.Execs {
 			fmt.Fprintf(l, "  exec %d tasks %d local %d moved %d blocked %d threads %d..%d\n",
-				e.Executor, e.Tasks, e.LocalTasks, e.Bytes, e.BlockedIO, e.InitialThreads, e.FinalThreads)
+				i, e.Tasks, e.LocalTasks, e.Bytes, e.BlockedIO, e.InitialThreads, e.FinalThreads)
 		}
 	}
-	for i, log := range rep.ThreadLogs {
-		fmt.Fprintf(l, "threads %d:", i)
-		for _, c := range log {
-			fmt.Fprintf(l, " %d@%d/s%d", c.Threads, c.At, c.Stage)
+	for i, ds := range rep.Decisions {
+		fmt.Fprintf(l, "decisions %d:", i)
+		for _, d := range ds {
+			fmt.Fprintf(l, " %d@%d/s%d", d.Threads, d.At, d.Stage)
 		}
 		fmt.Fprintln(l)
 	}

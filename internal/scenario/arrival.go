@@ -44,9 +44,9 @@ type AutoscaleRow struct {
 	Jobs     int
 	// NodeHours is the run's provisioned cost (integral of live nodes).
 	NodeHours float64
-	// PeakNodes/FinalNodes bracket the fleet; ScaleUps/Drains count actions.
-	PeakNodes, FinalNodes int
-	ScaleUps, Drains      int
+	// PeakNodes is the largest fleet; ScaleUps/Drains count actions.
+	PeakNodes        int
+	ScaleUps, Drains int
 	// P99Sec is the overall p99 job latency; SLOMet is whether it stayed
 	// within the SLO factor of the baseline config's p99 for the same
 	// arrivals.
@@ -269,14 +269,13 @@ func (c *Compiled) replay(s exp.Setup, cfg ProvisionSpec, capacity int, sched []
 	}
 	ar := e.AutoscaleReport()
 	row := AutoscaleRow{
-		Config:     cfg.Name,
-		Jobs:       len(sched),
-		NodeHours:  ar.NodeSeconds / 3600,
-		PeakNodes:  ar.PeakNodes,
-		FinalNodes: ar.FinalNodes,
-		ScaleUps:   ar.Activations,
-		Drains:     ar.Drains,
-		P99Sec:     metrics.Quantiles(all, 0.99)[0].Seconds(),
+		Config:    cfg.Name,
+		Jobs:      len(sched),
+		NodeHours: ar.NodeSeconds / 3600,
+		PeakNodes: ar.PeakNodes,
+		ScaleUps:  ar.Activations,
+		Drains:    ar.Drains,
+		P99Sec:    metrics.Quantiles(all, 0.99)[0].Seconds(),
 	}
 	// Class rows in a fixed order (interactive before batch) for stable
 	// rendering and goldens.

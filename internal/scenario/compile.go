@@ -148,9 +148,8 @@ type Check struct {
 // SingleResult is a single scenario run: the engine report plus the
 // expect-assertion verdicts.
 type SingleResult struct {
-	Scenario string
-	Report   *engine.JobReport
-	Checks   []Check
+	Report *engine.JobReport
+	Checks []Check
 }
 
 // Failures lists the failed assertions (empty on a passing run), naming
@@ -206,7 +205,7 @@ func (c *Compiled) compileSingle() error {
 		if err != nil {
 			return nil, err
 		}
-		res := &SingleResult{Scenario: sp.Name, Report: rep}
+		res := &SingleResult{Report: rep}
 		if e := sp.Expect; e != nil {
 			if e.MaxRuntimeSec > 0 {
 				sec := rep.Runtime.Seconds()

@@ -58,11 +58,10 @@ const Never = time.Duration(math.MaxInt64)
 // NewKernel.
 type Kernel struct {
 	now time.Duration
-	// seq and procSeq number events and processes in creation order: seq
-	// breaks same-instant ties FIFO, procSeq fixes the shutdown kill order.
-	seq     uint64
-	procSeq uint64
-	events  eventQueue
+	// seq numbers events in creation order: it breaks same-instant ties
+	// FIFO.
+	seq    uint64
+	events eventQueue
 	// dead counts cancelled events still sitting in the queue; once they
 	// outnumber the live ones the queue is compacted in one pass.
 	dead int
@@ -643,7 +642,6 @@ func (c *coroutine) run(yield func(struct{}) bool) {
 type Proc struct {
 	k    *Kernel
 	name string
-	seq  uint64
 	fn   func(p *Proc) // the body, until the first resume starts it
 	co   *coroutine    // what runs the body, from then until it returns
 	step Stepper       // a stackless process's resume; nil for Go's
@@ -666,19 +664,17 @@ type killed struct{}
 // coroutine is created only when the process first runs, so one that never
 // starts has nothing to shut down and fn is never called.
 func (k *Kernel) Go(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{k: k, name: name, seq: k.procSeq, fn: fn}
-	k.procSeq++
+	p := &Proc{k: k, name: name, fn: fn}
 	k.afterProc(0, p)
 	return p
 }
 
 // GoStepper starts a stackless process in p, storage the caller owns and may
 // reuse once the process has ended. It takes exactly Go's place in the
-// kernel's order — one process sequence number, one resume event at the
-// current instant — and allocates nothing.
+// kernel's order — one resume event at the current instant — and allocates
+// nothing.
 func (k *Kernel) GoStepper(p *Proc, name string, s Stepper) {
-	*p = Proc{k: k, name: name, seq: k.procSeq, step: s}
-	k.procSeq++
+	*p = Proc{k: k, name: name, step: s}
 	k.afterProc(0, p)
 }
 

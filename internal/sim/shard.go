@@ -15,7 +15,7 @@ import (
 // is the globally earliest pending event time. Cross-shard interaction must
 // go through Send with a delay of at least the lookahead, which guarantees
 // every message lands at or after the window end; deliveries are merged at
-// the window barrier in (time, source shard, source seq) order, so runs are
+// the window barrier in (time, source shard, emission) order, so runs are
 // exactly reproducible. The result is not byte-identical to the same model on
 // one kernel in general: same-instant events on different shards fire in
 // shard order rather than global creation order.
@@ -26,10 +26,9 @@ type ShardSet struct {
 	kernels   []*Kernel
 	lookahead time.Duration
 
-	// outbox and outseq hold cross-shard messages emitted during the
-	// current window, per source shard; drained at every barrier.
+	// outbox holds cross-shard messages emitted during the current window,
+	// per source shard in emission order; drained at every barrier.
 	outbox [][]xmsg
-	outseq []uint64
 	// windowEnd is the current window horizon — the earliest instant a
 	// cross-shard message may arrive.
 	windowEnd time.Duration
@@ -37,11 +36,10 @@ type ShardSet struct {
 }
 
 // xmsg is a cross-shard message in flight: fn runs on kernel dst at time at.
-// seq is the source shard's emission counter, the final tie-breaker of the
-// deterministic merge order (time, source shard, source seq).
+// Its place in its outbox is the final tie-breaker of the deterministic merge
+// order (time, source shard, emission order).
 type xmsg struct {
 	at  time.Duration
-	seq uint64
 	dst int
 	fn  func()
 }
@@ -60,7 +58,6 @@ func NewShardSet(n int, lookahead time.Duration) *ShardSet {
 		kernels:   make([]*Kernel, n),
 		lookahead: lookahead,
 		outbox:    make([][]xmsg, n),
-		outseq:    make([]uint64, n),
 	}
 	for i := range ss.kernels {
 		ss.kernels[i] = NewKernel()
@@ -93,7 +90,7 @@ func (ss *ShardSet) FiredEvents() uint64 {
 // from shard from's context (inside its window). d must cover the lookahead —
 // that is what makes the window conservative: the message cannot land inside
 // any shard's current window. Delivery happens at the next barrier, merged
-// across sources in (time, source shard, source seq) order.
+// across sources in (time, source shard, emission) order.
 func (ss *ShardSet) Send(from, dst int, d time.Duration, fn func()) {
 	if !ss.running {
 		panic("sim: ShardSet.Send outside RunWindows; schedule on the shard's kernel directly")
@@ -105,13 +102,12 @@ func (ss *ShardSet) Send(from, dst int, d time.Duration, fn func()) {
 	if at < ss.windowEnd {
 		panic(fmt.Sprintf("sim: cross-shard send arriving at %v inside the current window (end %v)", at, ss.windowEnd))
 	}
-	ss.outbox[from] = append(ss.outbox[from], xmsg{at: at, seq: ss.outseq[from], dst: dst, fn: fn})
-	ss.outseq[from]++
+	ss.outbox[from] = append(ss.outbox[from], xmsg{at: at, dst: dst, fn: fn})
 }
 
 // deliver drains every shard's outbox into the target kernels: the outboxes
-// are appended in shard order, each already in emission (seq) order, then
-// stable-sorted by arrival time — which is (time, source shard, source seq)
+// are appended in shard order, each already in emission order, then
+// stable-sorted by arrival time — which is (time, source shard, emission)
 // order. Target-side sequence numbers, and therefore all downstream
 // tie-breaks, are then a pure function of the virtual timeline. Called
 // between windows, when no shard is running.

@@ -152,7 +152,7 @@ func TestShardSetPanicReachesCaller(t *testing.T) {
 
 // TestShardSetSameInstantMergeOrder: messages from different shards
 // arriving at the same nanosecond are delivered in (time, source shard,
-// source seq) order, whatever order the sending windows ran in.
+// emission) order, whatever order the sending windows ran in.
 func TestShardSetSameInstantMergeOrder(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		ss := NewShardSet(3, time.Millisecond)
