@@ -48,7 +48,11 @@ func Each[T any](s Setup, n int, do func(s Setup, i int) (T, error)) ([]T, error
 			defer wg.Done()
 			var err error
 			out[i], err = do(cs, i)
-			j.end(i, err)
+			if joinOrder != nil {
+				joinOrder(j, i, err)
+			} else {
+				j.end(i, err)
+			}
 		}()
 	}
 	wg.Wait()
@@ -57,6 +61,11 @@ func Each[T any](s Setup, n int, do func(s Setup, i int) (T, error)) ([]T, error
 	}
 	return out, nil
 }
+
+// joinOrder, when set, ends each call of every fan-out in place of j.end,
+// holding it to drive the joins through orders of its choosing. Only the
+// tests set it (export_test.go).
+var joinOrder func(j *joiner, i int, err error)
 
 // WithSinks returns s with the Trace, Metrics and Audit of from: how a call of
 // Each runs a setup derived from the one it fanned out, on the call's sinks.
