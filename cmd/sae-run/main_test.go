@@ -159,6 +159,11 @@ func TestRunDecisions(t *testing.T) {
 // errors the binary exits 2 on.
 func TestOutOfRangeFlags(t *testing.T) {
 	slow := writeSpec(t, "chaos: slow1@5sx1e9")
+	flaky := writeSpec(t, "chaos: flaky:2")
+	late := filepath.Join(t.TempDir(), "late.yaml")
+	if err := os.WriteFile(late, []byte("version: 1\nname: late\nkind: chaos-matrix\nworkload: scan\npolicies: [default]\nschedules: [crash1@150%]\nreport: faults\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	crash9 := writeSpec(t, "chaos: crash9@5s")
 	banana := writeSpec(t, "conf:\n  executor.threads: banana")
 	noRetry := writeSpec(t, "conf:\n  task.maxFailures: 0")
@@ -175,6 +180,12 @@ func TestOutOfRangeFlags(t *testing.T) {
 		// A slow factor past chaos's range: such a device never finishes.
 		{"-faults", "slow1@5sx1e9", "-scale", "0.02"},
 		{"-scenario", slow},
+		// A fault rate outside (0, 1], and a schedule's instant past the
+		// reference run.
+		{"-faults", "flaky:2", "-scale", "0.02"},
+		{"-faults", "flaky:0", "-scale", "0.02"},
+		{"-scenario", flaky},
+		{"-scenario", late},
 		// An executor the cluster does not have: the run would be fault-free.
 		{"-faults", "crash9@5s", "-scale", "0.02"},
 		{"-scenario", crash9},
@@ -211,23 +222,23 @@ func TestOutOfRangeFlags(t *testing.T) {
 
 // TestTinyPartitionBytesRejected: files.maxPartitionBytes=-1 panicked in the
 // file system and =1 split the input into one-byte blocks until the process
-// ran out of memory. Both are now an invalid conf value — exit 1 with one
-// line — before anything is simulated, from -conf and through a spec alike.
+// ran out of memory. Both are now a value the catalogue refuses — exit 2 with
+// one line — before anything is simulated, from -conf and through a spec alike.
 func TestTinyPartitionBytesRejected(t *testing.T) {
 	for _, v := range []string{"-1", "1"} {
 		kv := "files.maxPartitionBytes=" + v
-		rejectedAtOnce(t, 1, []string{"-scale", "0.02", "-conf", kv}, "files.maxPartitionBytes")
-		rejectedAtOnce(t, 1, []string{"-scenario", "../../scenarios/terasort-crash.yaml", "-scale", "0.02", "-conf", kv}, "files.maxPartitionBytes")
+		rejectedAtOnce(t, 2, []string{"-scale", "0.02", "-conf", kv}, "files.maxPartitionBytes")
+		rejectedAtOnce(t, 2, []string{"-scenario", "../../scenarios/terasort-crash.yaml", "-scale", "0.02", "-conf", kv}, "files.maxPartitionBytes")
 	}
 }
 
 // TestNanosecondHeartbeatRejected: executor.heartbeatInterval=1ns never let
-// the clock reach the job's end. Below 100ms it is an invalid conf value, from
-// -conf and through a spec alike.
+// the clock reach the job's end. Below 100ms the catalogue refuses it — exit
+// 2 — from -conf and through a spec alike.
 func TestNanosecondHeartbeatRejected(t *testing.T) {
 	kv := "executor.heartbeatInterval=1ns"
-	rejectedAtOnce(t, 1, []string{"-scale", "0.02", "-conf", kv}, "executor.heartbeatInterval")
-	rejectedAtOnce(t, 1, []string{"-scenario", "../../scenarios/terasort-crash.yaml", "-scale", "0.02", "-conf", kv}, "executor.heartbeatInterval")
+	rejectedAtOnce(t, 2, []string{"-scale", "0.02", "-conf", kv}, "executor.heartbeatInterval")
+	rejectedAtOnce(t, 2, []string{"-scenario", "../../scenarios/terasort-crash.yaml", "-scale", "0.02", "-conf", kv}, "executor.heartbeatInterval")
 }
 
 // TestRunawayValuesRejected: each value here panicked a run or kept it going
@@ -237,23 +248,22 @@ func TestNanosecondHeartbeatRejected(t *testing.T) {
 // try doubled into hundreds of millions of virtual seconds that the
 // heartbeats fill event by event; a task's launch CPU had no ceiling; and a
 // slow factor of 1e-320 made a device infinitely fast. Each is one line at
-// once: a conf value exits 1, a chaos clause out of range exits 2.
+// once, with exit status 2.
 func TestRunawayValuesRejected(t *testing.T) {
 	for _, c := range []struct {
-		code int
 		args []string
 		want string
 	}{
-		{1, []string{"-conf", "executor.heartbeatInterval=1000000h"}, "executor.heartbeatInterval"},
-		{1, []string{"-conf", "executor.heartbeatInterval=2000000h"}, "executor.heartbeatInterval"},
-		{1, []string{"-faults", "fetch:1", "-conf", "shuffle.io.maxRetries=16"}, "shuffle.io.maxRetries"},
-		{1, []string{"-faults", "fetch:1", "-conf", "shuffle.io.maxRetries=18"}, "shuffle.io.maxRetries"},
-		{1, []string{"-faults", "fetch:1", "-conf", "shuffle.io.maxRetries=40"}, "shuffle.io.maxRetries"},
-		{1, []string{"-faults", "fetch:0.5", "-conf", "shuffle.io.retryWait=2000000h"}, "shuffle.io.retryWait"},
-		{1, []string{"-conf", "executor.taskOverheadMillis=9223372036854"}, "executor.taskOverheadMillis"},
-		{2, []string{"-faults", "slow1@5sx1e-320"}, `"slow1@5sx1e-320"`},
+		{[]string{"-conf", "executor.heartbeatInterval=1000000h"}, "executor.heartbeatInterval"},
+		{[]string{"-conf", "executor.heartbeatInterval=2000000h"}, "executor.heartbeatInterval"},
+		{[]string{"-faults", "fetch:1", "-conf", "shuffle.io.maxRetries=16"}, "shuffle.io.maxRetries"},
+		{[]string{"-faults", "fetch:1", "-conf", "shuffle.io.maxRetries=18"}, "shuffle.io.maxRetries"},
+		{[]string{"-faults", "fetch:1", "-conf", "shuffle.io.maxRetries=40"}, "shuffle.io.maxRetries"},
+		{[]string{"-faults", "fetch:0.5", "-conf", "shuffle.io.retryWait=2000000h"}, "shuffle.io.retryWait"},
+		{[]string{"-conf", "executor.taskOverheadMillis=9223372036854"}, "executor.taskOverheadMillis"},
+		{[]string{"-faults", "slow1@5sx1e-320"}, `"slow1@5sx1e-320"`},
 	} {
-		rejectedAtOnce(t, c.code, append([]string{"-scale", "0.02"}, c.args...), c.want)
+		rejectedAtOnce(t, 2, append([]string{"-scale", "0.02"}, c.args...), c.want)
 	}
 }
 

@@ -498,7 +498,7 @@ func parseInstant(s, what string) (instant, error) {
 			return instant{}, fmt.Errorf("bad %s: %q is not a percentage (want e.g. 45%%)", what, s)
 		}
 		if n > 100 {
-			return instant{}, fmt.Errorf("bad %s: percentage %q is out of range (times are fractions of the reference runtime; want 0%%-100%%)", what, s)
+			return instant{}, fmt.Errorf("bad %s: percentage %q is %w (times are fractions of the reference runtime; want 0%%-100%%)", what, s, ErrOutOfRange)
 		}
 		return instant{pct: n, isPct: true}, nil
 	}
@@ -530,8 +530,12 @@ func parseClause(clause string) (func(time.Duration, int64) *Plan, error) {
 				return nil, errUnknownClause
 			}
 			var err error
-			if rate, err = strconv.ParseFloat(rest[1:], 64); err != nil || !(rate > 0 && rate <= 1) {
+			rate, err = strconv.ParseFloat(rest[1:], 64)
+			if err != nil && !errors.Is(err, strconv.ErrRange) || math.IsNaN(rate) {
 				return nil, fmt.Errorf("bad rate %q (want a fraction in (0, 1]; no faults is spelled quiet)", rest[1:])
+			}
+			if !(rate > 0 && rate <= 1) {
+				return nil, fmt.Errorf("bad rate %q: %w (want a fraction in (0, 1]; no faults is spelled quiet)", rest[1:], ErrOutOfRange)
 			}
 		}
 		return func(_ time.Duration, seed int64) *Plan { return rc.mk(rate, seed) }, nil

@@ -1,9 +1,17 @@
 package conf
 
+import (
+	"math"
+	"strconv"
+	"time"
+)
+
 // catalogue is the full functional-parameter surface, mirroring Spark 2.4's
 // configuration reference: 19 shuffle, 16 compression/serialization,
 // 14 memory, 14 execution-behavior, 13 network, 32 scheduling and 9 dynamic
-// allocation parameters — Table 1's 117 total.
+// allocation parameters — Table 1's 117 total. A wired entry also holds the
+// values it accepts, and the comment above it says why its bounds are where
+// they are.
 var catalogue = []Parameter{
 	// Shuffle (19)
 	p("shuffle.reducer.maxSizeInFlight", Shuffle, "48m", "max map output fetched concurrently per reduce task"),
@@ -12,10 +20,14 @@ var catalogue = []Parameter{
 	p("shuffle.maxRemoteBlockSizeFetchToMem", Shuffle, "2147483647", "remote blocks above this spill to disk on fetch"),
 	p("shuffle.compress", Shuffle, "true", "compress map output files"),
 	p("shuffle.file.buffer", Shuffle, "32m", "in-memory buffer per shuffle file stream (not modelled: the engine's chunk unit is fixed)"),
-	wired("shuffle.io.maxRetries", Shuffle, "3", "bounded retries of a failed shuffle fetch before it surfaces (0 disables, at most 10)"),
+	// A failing fetch backs off retryWait << try, virtual time the heartbeats
+	// fill event by event: 10 retries of 30s already wait 8.5 hours.
+	wired("shuffle.io.maxRetries", Shuffle, "3", "bounded retries of a failed shuffle fetch before it surfaces (0 disables, at most 10)",
+		in(strconv.Atoi, math.MinInt, 10, "an integer of at most 10")),
 	p("shuffle.io.numConnectionsPerPeer", Shuffle, "1", "connections reused across hosts"),
 	p("shuffle.io.preferDirectBufs", Shuffle, "true", "prefer off-heap buffers for shuffle IO"),
-	wired("shuffle.io.retryWait", Shuffle, "5s", "base backoff between fetch retries, doubled per retry (positive, at most 30s)"),
+	wired("shuffle.io.retryWait", Shuffle, "5s", "base backoff between fetch retries, doubled per retry (positive, at most 30s)",
+		in(time.ParseDuration, time.Nanosecond, 30*time.Second, "a positive duration of at most 30s")),
 	p("shuffle.service.enabled", Shuffle, "false", "external shuffle service"),
 	p("shuffle.service.port", Shuffle, "7337", "external shuffle service port"),
 	p("shuffle.service.index.cache.size", Shuffle, "100m", "index file cache in the shuffle service"),
@@ -63,17 +75,28 @@ var catalogue = []Parameter{
 	// Execution Behavior (14)
 	p("broadcast.blockSize", Execution, "4m", "block size of broadcast chunks"),
 	p("broadcast.checksum", Execution, "true", "checksum broadcast blocks"),
-	wired("executor.cores", Execution, "32", "virtual cores per executor — cmax of the sizing policies"),
+	wired("executor.cores", Execution, "32", "virtual cores per executor — cmax of the sizing policies",
+		in(strconv.Atoi, 1, math.MaxInt, "an integer of at least 1")),
 	p("default.parallelism", Execution, "totalCores", "default partitions of shuffle operators"),
-	wired("executor.heartbeatInterval", Execution, "10s", "executor→driver heartbeat period, 100ms to 1h; the driver suspects an executor after 3 silent periods and declares it lost after 6"),
+	// Every executor beats once per interval, so a nanosecond one never lets
+	// the clock reach the job's end, and a few hundred hours of the six-beat
+	// loss timeout overflow a time.Duration.
+	wired("executor.heartbeatInterval", Execution, "10s", "executor→driver heartbeat period, 100ms to 1h; the driver suspects an executor after 3 silent periods and declares it lost after 6",
+		in(time.ParseDuration, 100*time.Millisecond, time.Hour, "a duration from 100ms to 1h")),
 	p("files.fetchTimeout", Execution, "60s", "timeout fetching driver-hosted files"),
 	p("files.useFetchCache", Execution, "true", "share fetched files between executors"),
 	p("files.overwrite", Execution, "false", "overwrite fetched files that already exist"),
-	wired("files.maxPartitionBytes", Execution, "128m", "max bytes per input partition — the DFS block/split size"),
+	// The floor is HDFS's default dfs.namenode.fs-limits.min-block-size: a
+	// negative size panics the file system and a tiny one splits the input
+	// into more blocks than memory holds.
+	wired("files.maxPartitionBytes", Execution, "128m", "max bytes per input partition — the DFS block/split size",
+		in(ParseBytes, 1<<20, math.MaxInt64, "a size of at least 1m")),
 	p("files.openCostInBytes", Execution, "4m", "modelled open cost when packing splits"),
 	p("hadoop.cloneConf", Execution, "false", "clone Hadoop conf per task"),
 	p("hadoop.validateOutputSpecs", Execution, "true", "validate output directory specs"),
-	wired("executor.taskOverheadMillis", Execution, "20", "per-task launch/deserialization CPU overhead (0 or less: none; at most 60000)"),
+	// A task's launch CPU is capped at a minute.
+	wired("executor.taskOverheadMillis", Execution, "20", "per-task launch/deserialization CPU overhead (0 or less: none; at most 60000)",
+		in(strconv.Atoi, math.MinInt, 60000, "an integer of at most 60000")),
 	p("executor.logs.rolling.maxRetainedFiles", Execution, "-1", "retained rolled executor logs"),
 
 	// Network (13)
@@ -99,7 +122,8 @@ var catalogue = []Parameter{
 	p("locality.wait.rack", Scheduling, "locality.wait", "rack-local wait"),
 	p("scheduler.maxRegisteredResourcesWaitingTime", Scheduling, "30s", "max wait for executor registration"),
 	p("scheduler.minRegisteredResourcesRatio", Scheduling, "0.8", "min registered resources before scheduling"),
-	wired("scheduler.mode", Scheduling, "FIFO", "inter-job scheduling mode — FIFO or FAIR executor-slot sharing"),
+	wired("scheduler.mode", Scheduling, "FIFO", "inter-job scheduling mode — FIFO or FAIR executor-slot sharing",
+		oneOf("FIFO", "FAIR")),
 	p("scheduler.revive.interval", Scheduling, "1s", "offer revival interval"),
 	p("scheduler.listenerbus.eventqueue.capacity", Scheduling, "10000", "listener bus queue capacity"),
 	p("blacklist.enabled", Scheduling, "false", "executor blacklisting"),
@@ -108,18 +132,24 @@ var catalogue = []Parameter{
 	p("blacklist.task.maxTaskAttemptsPerNode", Scheduling, "2", "attempts per node before blacklisting"),
 	// Default 3 (Spark ships 2): the chaos plans' attempt budgets are
 	// calibrated against a three-strike blacklist.
-	wired("blacklist.stage.maxFailedTasksPerExecutor", Scheduling, "3", "consecutive failed tasks before an executor is blacklisted"),
+	wired("blacklist.stage.maxFailedTasksPerExecutor", Scheduling, "3", "consecutive failed tasks before an executor is blacklisted",
+		in(strconv.Atoi, math.MinInt, math.MaxInt, "an integer")),
 	p("blacklist.stage.maxFailedExecutorsPerNode", Scheduling, "2", "blacklisted executors per node per stage"),
 	p("blacklist.application.maxFailedTasksPerExecutor", Scheduling, "2", "app-wide failed tasks per executor"),
 	p("blacklist.application.maxFailedExecutorsPerNode", Scheduling, "2", "app-wide blacklisted executors per node"),
 	p("blacklist.killBlacklistedExecutors", Scheduling, "false", "kill blacklisted executors"),
 	p("blacklist.application.fetchFailure.enabled", Scheduling, "false", "blacklist on fetch failure"),
-	wired("speculation", Scheduling, "false", "speculative task execution"),
+	wired("speculation", Scheduling, "false", "speculative task execution", boolean),
 	p("speculation.interval", Scheduling, "100ms", "speculation check interval"),
-	wired("speculation.multiplier", Scheduling, "1.5", "slowness multiplier for speculation"),
-	wired("speculation.quantile", Scheduling, "0.75", "fraction complete before speculation"),
+	// At 1 or below every running task is a straggler.
+	wired("speculation.multiplier", Scheduling, "1.5", "slowness multiplier for speculation",
+		in(parseFloat, math.Nextafter(1, 2), math.MaxFloat64, "a finite number above 1")),
+	// (0, 1]: the smallest positive float is the open bound's closed twin.
+	wired("speculation.quantile", Scheduling, "0.75", "fraction complete before speculation",
+		in(parseFloat, math.SmallestNonzeroFloat64, 1, "a number in (0, 1]")),
 	p("task.cpus", Scheduling, "1", "cores per task"),
-	wired("task.maxFailures", Scheduling, "4", "task failures before job failure"),
+	wired("task.maxFailures", Scheduling, "4", "task failures before job failure",
+		in(strconv.Atoi, 1, math.MaxInt, "an integer of at least 1")),
 	p("task.reaper.enabled", Scheduling, "false", "monitor killed tasks"),
 	p("task.reaper.pollingInterval", Scheduling, "10s", "reaper polling interval"),
 	p("task.reaper.threadDump", Scheduling, "true", "dump threads of stuck killed tasks"),

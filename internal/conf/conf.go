@@ -7,10 +7,12 @@
 package conf
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"maps"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -44,6 +46,8 @@ type Parameter struct {
 	Doc      string
 	// Wired marks parameters the simulation engine actually honours.
 	Wired bool
+	// accepts is a wired parameter's values: every one a run can take.
+	accepts check
 }
 
 // Registry is the full parameter catalogue with override values.
@@ -79,14 +83,19 @@ func (r *Registry) Lookup(key string) (Parameter, bool) {
 var ErrBadValue = errors.New("conf: bad value")
 
 // Set overrides a parameter value. Unknown keys are an error, as in Spark's
-// strict configuration validation. A key whose default names another key
-// (executor.threads defaults to executor.cores) takes that name, or a value of
-// the kind the named key's default is; anything else is an ErrBadValue naming
-// the key.
+// strict configuration validation. A wired key takes only the values its
+// catalogue entry accepts, so a registry holds only values a run can take. A
+// key whose default names another key (executor.threads defaults to
+// executor.cores) takes that name, or a value of the kind the named key's
+// default is. Any other value is an ErrBadValue naming the key, and leaves the
+// registry as it was.
 func (r *Registry) Set(key, value string) error {
 	p, ok := r.params[key]
 	if !ok {
 		return fmt.Errorf("conf: unknown parameter %q", key)
+	}
+	if p.accepts.ok != nil && !p.accepts.ok(value) {
+		return fmt.Errorf("%w: %s = %q, want %s", ErrBadValue, key, value, p.accepts.want)
 	}
 	if ref, ok := r.params[p.Default]; ok && value != p.Default {
 		for _, k := range kinds {
@@ -198,9 +207,37 @@ func p(key string, cat Category, def, doc string) Parameter {
 	return Parameter{Key: key, Category: cat, Default: def, Doc: doc}
 }
 
-func wired(key string, cat Category, def, doc string) Parameter {
-	return Parameter{Key: key, Category: cat, Default: def, Doc: doc, Wired: true}
+func wired(key string, cat Category, def, doc string, accepts check) Parameter {
+	return Parameter{Key: key, Category: cat, Default: def, Doc: doc, Wired: true, accepts: accepts}
 }
+
+// check is the set of values a wired key accepts: ok reports whether a value
+// is in it, and want names it in Set's error.
+type check struct {
+	ok   func(string) bool
+	want string
+}
+
+// in accepts a value parse reads without error as one in [lo, hi]. A NaN is in
+// no range.
+func in[T cmp.Ordered](parse func(string) (T, error), lo, hi T, want string) check {
+	return check{func(s string) bool {
+		v, err := parse(s)
+		return err == nil && v >= lo && v <= hi
+	}, want}
+}
+
+// oneOf accepts exactly the values given.
+func oneOf(vals ...string) check {
+	return check{func(s string) bool { return slices.Contains(vals, s) }, strings.Join(vals, " or ")}
+}
+
+// boolean accepts what GetBool reads.
+var boolean = check{func(s string) bool { _, err := strconv.ParseBool(s); return err == nil }, "true or false"}
+
+// parseFloat is strconv.ParseFloat at 64 bits: a value past ±MaxFloat64 is
+// an error.
+func parseFloat(s string) (float64, error) { return strconv.ParseFloat(s, 64) }
 
 // GetFloat returns the effective value parsed as a float.
 func (r *Registry) GetFloat(key string) (float64, error) {
@@ -208,12 +245,9 @@ func (r *Registry) GetFloat(key string) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	f, err := strconv.ParseFloat(v, 64)
+	f, err := parseFloat(v)
 	if err != nil {
 		return 0, fmt.Errorf("conf: %s = %q is not a number: %w", key, v, err)
-	}
-	if math.IsNaN(f) || math.IsInf(f, 0) {
-		return 0, fmt.Errorf("conf: %s = %q is not a finite number", key, v)
 	}
 	return f, nil
 }

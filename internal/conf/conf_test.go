@@ -178,29 +178,28 @@ func TestGetFloatAndBytes(t *testing.T) {
 }
 
 // TestMeaninglessValuesRejected: NaN and ±Inf parse as floats and a size
-// past 2^63 wrapped negative; each is now one line naming the key.
+// past 2^63 wrapped negative; Set refuses each with one ErrBadValue line
+// naming the key.
 func TestMeaninglessValuesRejected(t *testing.T) {
-	for _, v := range []string{"NaN", "nan", "Inf", "+Inf", "-Inf", "infinity"} {
+	refused := func(key, v string) {
+		t.Helper()
 		r := New()
-		if err := r.Set("speculation.multiplier", v); err != nil {
-			t.Fatal(err)
+		err := r.Set(key, v)
+		if !errors.Is(err, ErrBadValue) || !strings.Contains(err.Error(), key) || strings.Contains(err.Error(), "\n") {
+			t.Errorf("%s=%s: error %v, want one ErrBadValue line naming the key", key, v, err)
 		}
-		_, err := r.GetFloat("speculation.multiplier")
-		if err == nil || !strings.Contains(err.Error(), "speculation.multiplier") || strings.Contains(err.Error(), "\n") {
-			t.Errorf("speculation.multiplier=%s: error %v, want one line naming the key", v, err)
+		if r.IsSet(key) {
+			t.Errorf("%s=%s: refused, yet set", key, v)
 		}
+	}
+	for _, v := range []string{"NaN", "nan", "Inf", "+Inf", "-Inf", "infinity"} {
+		refused("speculation.multiplier", v)
 	}
 	for _, v := range []string{"8589934592g", "9007199254740992k", "-8589934593g", "9223372036854775807m"} {
 		if n, err := ParseBytes(v); err == nil {
 			t.Errorf("ParseBytes(%q) = %d, want an overflow error", v, n)
 		}
-		r := New()
-		if err := r.Set("files.maxPartitionBytes", v); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := r.GetBytes("files.maxPartitionBytes"); err == nil || !strings.Contains(err.Error(), "files.maxPartitionBytes") {
-			t.Errorf("files.maxPartitionBytes=%s: error %v, want one naming the key", v, err)
-		}
+		refused("files.maxPartitionBytes", v)
 	}
 	// The largest sizes that fit still parse.
 	for in, want := range map[string]int64{"8589934591g": 8589934591 << 30, "-8589934592g": -8589934592 << 30} {

@@ -13,6 +13,10 @@ const (
 	// in-flight slot accounting instead of reclaiming it — the class of
 	// bug the PR 3 exactly-once slot-reclaim work fixed.
 	bugSkipSlotReclaim = "skip-slot-reclaim"
+	// bugDropTaskBytes makes the driver leave an accepted attempt's disk
+	// reads out of its job's report, which byte-conservation compares
+	// with the sum of the attempts' own metrics.
+	bugDropTaskBytes = "drop-task-bytes"
 )
 
 // testBug names the currently enabled defect (unset or "" = none).
@@ -22,7 +26,7 @@ var testBug atomic.Value
 // panics on unknown names so a typo cannot silently test nothing.
 func EnableTestBug(name string) (restore func()) {
 	switch name {
-	case bugSkipSlotReclaim:
+	case bugSkipSlotReclaim, bugDropTaskBytes:
 	default:
 		panic("engine: unknown test bug " + name)
 	}

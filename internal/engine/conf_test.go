@@ -3,7 +3,10 @@ package engine
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"math"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -18,10 +21,7 @@ import (
 // TestApplyConfigDefaults: the catalogue's defaults, read as a run reads
 // them, and an engine without a registry runs on exactly those.
 func TestApplyConfigDefaults(t *testing.T) {
-	got, err := readConfig(conf.New())
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := readConfig(conf.New())
 	want := config{
 		cores: 32, blockSize: 128 << 20, taskOverhead: 0.02, maxFailures: 4,
 		specQuantile: 0.75, specMultiplier: 1.5, blacklistAfter: 3,
@@ -79,19 +79,26 @@ func TestApplyConfigOverrides(t *testing.T) {
 	}
 }
 
+// TestApplyConfigBadValues: a value a run cannot take is refused by Set and
+// leaves the registry as it was, so an engine given the registry runs on the
+// catalogue's value.
 func TestApplyConfigBadValues(t *testing.T) {
 	for _, kv := range []string{"speculation.multiplier=0.5", "files.maxPartitionBytes=banana", "scheduler.mode=LIFO"} {
-		opts := testOptions(2, core.Default{})
-		opts.Config = Conf(nil, kv)
-		err := CheckConfig(opts.Config)
-		if err == nil {
-			t.Errorf("%s accepted", kv)
-			continue
+		key, _, _ := strings.Cut(kv, "=")
+		reg := conf.New()
+		if err := set(reg, kv); !errors.Is(err, conf.ErrBadValue) {
+			t.Errorf("%s: error %v, want a conf.ErrBadValue", kv, err)
 		}
-		if _, nerr := NewEngine(opts); nerr == nil || nerr.Error() != err.Error() {
-			t.Errorf("%s: NewEngine says %v, CheckConfig %v", kv, nerr, err)
+		if reg.IsSet(key) || readConfig(reg) != catalogueConfig {
+			t.Errorf("%s: refused, yet set", kv)
 		}
 	}
+}
+
+// set sets one "key=value" pair on reg.
+func set(reg *conf.Registry, kv string) error {
+	k, v, _ := strings.Cut(kv, "=")
+	return reg.Set(k, v)
 }
 
 // TestApplyConfigBlockSizeFloor: a negative split size used to panic in the
@@ -100,7 +107,7 @@ func TestApplyConfigBadValues(t *testing.T) {
 // the key. 1 MiB itself is accepted.
 func TestApplyConfigBlockSizeFloor(t *testing.T) {
 	for _, v := range []string{"-1", "0", "1", "1023k"} {
-		err := CheckConfig(Conf(nil, "files.maxPartitionBytes="+v))
+		err := set(conf.New(), "files.maxPartitionBytes="+v)
 		if err == nil {
 			t.Errorf("files.maxPartitionBytes=%s accepted", v)
 			continue
@@ -152,11 +159,7 @@ func TestWiredKeysHaveReaders(t *testing.T) {
 			t.Errorf("%s is wired but has no non-default value here", key)
 			continue
 		}
-		c, err := readConfig(Conf(nil, key+"="+v))
-		if err != nil {
-			t.Fatalf("%s=%s: %v", key, v, err)
-		}
-		if c == catalogueConfig {
+		if readConfig(Conf(nil, key+"="+v)) == catalogueConfig {
 			t.Errorf("%s=%s leaves the run's config as it is: nothing reads it", key, v)
 		}
 	}
@@ -165,48 +168,89 @@ func TestWiredKeysHaveReaders(t *testing.T) {
 	}
 }
 
-// TestApplyConfigRejectsRunawayValues: a nanosecond heartbeat never let the
+// TestWiredKeyValues: each wired key's default, each bound and one step past
+// it, a value of the wrong kind and, for the floats, NaN and ±Inf. Set takes
+// exactly the values the engine's own checks took before the catalogue held
+// them, and a run reads each value it takes; any other is one
+// conf.ErrBadValue line naming the key. Among the refused are the values
+// that used to hang or panic a run: a nanosecond heartbeat never let the
 // clock reach the job's end and a million-hour one overflowed the failure
 // detector, a NaN speculation multiplier made every running task a
-// straggler, a non-positive fetch retry wait silently became 5s, more retries
-// or a longer wait doubled the fetch backoff into runs of minutes, a task's
-// launch CPU had no ceiling, and a size past 2^63 wrapped negative. Each is a
-// one-line error naming its key.
-func TestApplyConfigRejectsRunawayValues(t *testing.T) {
-	for _, c := range []struct{ key, val string }{
-		{"executor.heartbeatInterval", "1ns"},
-		{"executor.heartbeatInterval", "99ms"},
-		{"executor.heartbeatInterval", "0s"},
-		{"executor.heartbeatInterval", "61m"},
-		{"executor.heartbeatInterval", "1000000h"},
-		{"shuffle.io.maxRetries", "11"},
-		{"shuffle.io.maxRetries", "40"},
-		{"shuffle.io.retryWait", "31s"},
-		{"shuffle.io.retryWait", "2000000h"},
-		{"executor.taskOverheadMillis", "60001"},
-		{"executor.taskOverheadMillis", "9223372036854"},
-		{"speculation.multiplier", "NaN"},
-		{"speculation.multiplier", "+Inf"},
-		{"speculation.quantile", "NaN"},
-		{"shuffle.io.retryWait", "0s"},
-		{"shuffle.io.retryWait", "-1s"},
-		{"files.maxPartitionBytes", "8589934592g"},
-	} {
-		err := CheckConfig(Conf(nil, c.key+"="+c.val))
-		if err == nil {
-			t.Errorf("%s=%s accepted", c.key, c.val)
-			continue
-		}
-		if msg := err.Error(); !strings.Contains(msg, c.key) || strings.Contains(msg, "\n") {
-			t.Errorf("%s=%s: error %q, want one line naming the key", c.key, c.val, msg)
+// straggler, a non-positive fetch retry wait silently became 5s, more
+// retries or a longer wait doubled the fetch backoff into runs of minutes, a
+// task's launch CPU had no ceiling, and a size past 2^63 wrapped negative.
+func TestWiredKeyValues(t *testing.T) {
+	maxInt, minInt := strconv.Itoa(math.MaxInt), strconv.Itoa(math.MinInt)
+	pastMax := strconv.FormatUint(uint64(math.MaxInt)+1, 10)
+	pastMin := "-" + strconv.FormatUint(uint64(math.MaxInt)+2, 10)
+	cases := []struct {
+		key           string
+		takes, refuse []string
+	}{
+		{"executor.cores",
+			[]string{"32", "1", maxInt},
+			[]string{"0", "-5", pastMax, "banana", "1.5", ""}},
+		{"files.maxPartitionBytes",
+			[]string{"128m", "1m", "1024k", "1048576", "8589934591g", "9223372036854775807"},
+			[]string{"1048575", "1023k", "0", "-1", "8589934592g", "9223372036854775808", "banana", "1.5m", ""}},
+		{"executor.taskOverheadMillis",
+			[]string{"20", "60000", "0", "-3", minInt},
+			[]string{"60001", "9223372036854", pastMin, "banana", "20ms", ""}},
+		{"task.maxFailures",
+			[]string{"4", "1", maxInt},
+			[]string{"0", "-3", pastMax, "banana", "4.0", ""}},
+		{"speculation",
+			[]string{"false", "true", "1", "0", "t", "F", "TRUE", "True"},
+			[]string{"yes", "banana", ""}},
+		{"speculation.quantile",
+			[]string{"0.75", "1", "5e-324"},
+			[]string{"1.0000000000000002", "0", "-0", "-0.5", "7", "NaN", "Inf", "+Inf", "-Inf", "infinity", "banana", ""}},
+		{"speculation.multiplier",
+			[]string{"1.5", "1.0000000000000002", "1.7976931348623157e308"},
+			[]string{"1", "0.5", "1e309", "NaN", "nan", "Inf", "+Inf", "-Inf", "banana", ""}},
+		{"scheduler.mode",
+			[]string{"FIFO", "FAIR"},
+			[]string{"fair", "fifo", "LIFO", " FIFO", "banana", ""}},
+		{"blacklist.stage.maxFailedTasksPerExecutor",
+			[]string{"3", "0", "-1", minInt, maxInt},
+			[]string{pastMin, pastMax, "banana", "3.0", ""}},
+		{"executor.heartbeatInterval",
+			[]string{"10s", "100ms", "1h"},
+			[]string{"99.999999ms", "99ms", "1h0m0.000000001s", "61m", "1ns", "0s", "-1s", "1000000h", "banana", "10", ""}},
+		{"shuffle.io.maxRetries",
+			[]string{"3", "10", "0", "-1", minInt},
+			[]string{"11", "40", pastMin, "banana", "3.5", ""}},
+		{"shuffle.io.retryWait",
+			[]string{"5s", "1ns", "30s"},
+			[]string{"0s", "-1s", "30.000000001s", "31s", "2000000h", "banana", "5", ""}},
+	}
+	reg := conf.New()
+	wired := 0
+	for _, key := range reg.Keys() {
+		if par, _ := reg.Lookup(key); par.Wired {
+			wired++
 		}
 	}
-	for _, kv := range [][]string{
-		{"executor.heartbeatInterval=100ms", "shuffle.io.retryWait=1ns"},
-		{"executor.heartbeatInterval=1h", "shuffle.io.retryWait=30s", "shuffle.io.maxRetries=10", "executor.taskOverheadMillis=60000"},
-	} {
-		if err := CheckConfig(Conf(nil, kv...)); err != nil {
-			t.Errorf("the extreme accepted values %v: %v", kv, err)
+	if wired != len(cases) {
+		t.Errorf("%d wired keys, %d cases", wired, len(cases))
+	}
+	for _, c := range cases {
+		if par, _ := reg.Lookup(c.key); !par.Wired || par.Default != c.takes[0] {
+			t.Errorf("%s: wired %v, default %q; want a wired key whose default is %q", c.key, par.Wired, par.Default, c.takes[0])
+		}
+		for _, v := range c.takes {
+			reg := conf.New()
+			if err := reg.Set(c.key, v); err != nil {
+				t.Errorf("%s=%q: %v", c.key, v, err)
+				continue
+			}
+			readConfig(reg)
+		}
+		for _, v := range c.refuse {
+			err := conf.New().Set(c.key, v)
+			if msg := fmt.Sprint(err); !errors.Is(err, conf.ErrBadValue) || !strings.Contains(msg, c.key) || strings.Contains(msg, "\n") {
+				t.Errorf("%s=%q: error %v, want one conf.ErrBadValue line naming the key", c.key, v, err)
+			}
 		}
 	}
 }
@@ -235,9 +279,7 @@ func TestApplyConfigNoSilentDefaults(t *testing.T) {
 		{"executor.cores", "0", false},
 		{"executor.cores", "-5", false},
 	} {
-		opts := testOptions(2, core.Default{})
-		opts.Config = Conf(nil, c.key+"="+c.val)
-		err := CheckConfig(opts.Config)
+		err := set(conf.New(), c.key+"="+c.val)
 		if !c.ok {
 			if err == nil {
 				t.Errorf("%s=%s accepted", c.key, c.val)
@@ -250,6 +292,8 @@ func TestApplyConfigNoSilentDefaults(t *testing.T) {
 			t.Errorf("%s=%s: %v", c.key, c.val, err)
 			continue
 		}
+		opts := testOptions(2, core.Default{})
+		opts.Config = Conf(nil, c.key+"="+c.val)
 		e, err := NewEngine(opts)
 		if err != nil {
 			t.Fatal(err)

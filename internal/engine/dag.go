@@ -275,13 +275,7 @@ func (e *Engine) finishJob(js *jobState) {
 		// mirror alongside the registry.
 		e.aud.JobFinished(rep)
 	}
-	e.shuffle.dropJob(js.id)
-	e.completed++
-	e.trace(TraceEvent{Type: TraceJobEnd, Job: js.id, Stage: -1, Task: -1, Exec: -1, Detail: js.spec.Name})
-	e.wakeDriver()
-	// Draining nodes may have been serving only this job's shuffle output;
-	// with its registrations dropped they can finally decommission.
-	e.auto.flushDrains()
+	e.endJob(js, -1, js.spec.Name)
 }
 
 // failJob aborts one job without touching the others: its task sets are
@@ -295,9 +289,20 @@ func (e *Engine) failJob(js *jobState, stage int, err error) {
 			e.sched.dropSet(ts)
 		}
 	}
+	e.endJob(js, stage, js.err.Error())
+}
+
+// endJob is the tail a finished and a failed job share: the job's shuffle
+// registrations go, it counts as completed, its job_end is traced at stage
+// with detail, and the driver wakes. Draining nodes may have been serving
+// only this job's shuffle output; with its registrations dropped they can
+// finally decommission.
+func (e *Engine) endJob(js *jobState, stage int, detail string) {
+	e.shuffle.dropJob(js.id)
 	e.completed++
-	e.trace(TraceEvent{Type: TraceJobEnd, Job: js.id, Stage: stage, Task: -1, Exec: -1, Detail: js.err.Error()})
+	e.trace(TraceEvent{Type: TraceJobEnd, Job: js.id, Stage: stage, Task: -1, Exec: -1, Detail: detail})
 	e.wakeDriver()
+	e.auto.flushDrains()
 }
 
 // wakeDriver nudges the driver loop so it re-checks its completion count.

@@ -21,11 +21,9 @@ import (
 type AutoscaleConfig struct {
 	// Policy plans target node counts. Required.
 	Policy autoscale.Policy
-	// InitialNodes is how many executors start active (0 selects all).
+	// InitialNodes is how many executors start active (0 selects all). The
+	// cluster size caps every plan; the floor is autoscaleMinNodes.
 	InitialNodes int
-	// MaxNodes caps every plan (0 selects the cluster size); the floor is
-	// autoscaleMinNodes.
-	MaxNodes int
 }
 
 // The autoscaler's actuation: it plans every autoscaleInterval and never
@@ -126,11 +124,8 @@ func newAutoCtl(e *Engine, cfg AutoscaleConfig) (*autoCtl, error) {
 	if cfg.InitialNodes <= 0 || cfg.InitialNodes > n {
 		cfg.InitialNodes = n
 	}
-	if cfg.MaxNodes <= 0 || cfg.MaxNodes > n {
-		cfg.MaxNodes = n
-	}
-	if autoscaleMinNodes > cfg.MaxNodes {
-		return nil, fmt.Errorf("engine: autoscale floor %d > MaxNodes %d", autoscaleMinNodes, cfg.MaxNodes)
+	if autoscaleMinNodes > n {
+		return nil, fmt.Errorf("engine: autoscale floor %d > %d nodes", autoscaleMinNodes, n)
 	}
 	c := &autoCtl{
 		eng:         e,
@@ -215,19 +210,12 @@ func (c *autoCtl) snapshot() autoscale.Snapshot {
 }
 
 // tick is one MAPE-K iteration: monitor (snapshot), analyze+plan (the
-// policy), execute (clamp, cooldown, activate or drain). It also sweeps
-// draining nodes so none linger after a racing join or loss.
+// policy), execute (clamp, cooldown, activate or drain).
 func (c *autoCtl) tick() {
 	e := c.eng
 	c.account()
-	c.sweepDrains()
 	target, reason := c.cfg.Policy.Target(c.snapshot())
-	if target < autoscaleMinNodes {
-		target = autoscaleMinNodes
-	}
-	if target > c.cfg.MaxNodes {
-		target = c.cfg.MaxNodes
-	}
+	target = min(max(target, autoscaleMinNodes), len(e.executors))
 	cur := c.activeAndPending()
 	now := e.k.Now()
 	switch {
@@ -362,25 +350,6 @@ func (c *autoCtl) scheduleDecommission(i int) {
 	c.eng.k.At(c.eng.k.Now(), func() { c.decommission(i) })
 }
 
-// sweepDrains finishes any drain the event hooks missed: nodes that died
-// mid-drain move straight to Down (their loss was already processed by the
-// failure detector), and quiesced live drains decommission.
-func (c *autoCtl) sweepDrains() {
-	em := c.eng.em
-	for i := range em.alive {
-		if em.admin[i] != adminDraining {
-			continue
-		}
-		if !em.alive[i] {
-			em.admin[i] = adminDown
-			continue
-		}
-		if c.drainComplete(i) {
-			c.scheduleDecommission(i)
-		}
-	}
-}
-
 // decommission retires a quiesced draining node without tripping the
 // failure detector: the executor process shuts down under a fresh epoch
 // (in-flight control messages go stale) and the driver books it out exactly
@@ -419,9 +388,6 @@ func (c *autoCtl) capacityPending() bool {
 	}
 	if c.pending > 0 {
 		return true
-	}
-	if c.activeAndPending() >= c.cfg.MaxNodes {
-		return false
 	}
 	em := c.eng.em
 	for i := range em.alive {

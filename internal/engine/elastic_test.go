@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
 	"testing"
 	"time"
@@ -316,4 +317,65 @@ func TestSameInstantAdmissionOrder(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestFailedJobReleasesDrains: a job that fails after its map stage
+// registered output drops those registrations as a finished job does, so the
+// shuffle gauge reads 0 and the draining nodes that held the output
+// decommission rather than being billed to the end of the run. Map tasks
+// still running when their job fails register nothing when they end.
+func TestFailedJobReleasesDrains(t *testing.T) {
+	in := int64(16) * 64 * device.MiB
+	boom := errors.New("boom")
+	failsFirst := func(tc job.TaskContext) error {
+		if tc.Index() == 0 {
+			return boom
+		}
+		return nil
+	}
+	run := func(stages ...*job.StageSpec) (*Engine, map[string]int) {
+		opts := testOptions(4, core.Static{IOThreads: 4})
+		opts.Inputs = []Input{{Name: "fail/in", Size: in}}
+		var trace bytes.Buffer
+		opts.Trace = &trace
+		opts.Autoscale = &AutoscaleConfig{Policy: &scriptPolicy{targets: []int{2}}}
+		e, err := NewEngine(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, err := e.Submit(&job.JobSpec{Name: "failing", Stages: stages})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Wait(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := h.Report(); !errors.Is(err, boom) {
+			t.Fatalf("job error %v, want boom", err)
+		}
+		if got := e.shuffle.registeredBytes(); got != 0 {
+			t.Errorf("the failed job left %d shuffle bytes registered", got)
+		}
+		return e, countTrace(t, &trace)
+	}
+
+	// Each attempt of reduce task 0 fails after 4s, so the fourth fails the
+	// job well after the drain at the 10s tick.
+	_, n := run(
+		&job.StageSpec{ID: 0, Name: "map", InputFile: "fail/in", CPUSecondsPerTask: 0.05, ShuffleWriteBytes: in / 2},
+		&job.StageSpec{ID: 1, Name: "reduce", NumTasks: 8, ShuffleFrom: []int{0}, Work: opsThen(failsFirst, computeOp(4))},
+	)
+	if n[TraceDrain] != 2 || n[TraceDecommission] != 2 {
+		t.Errorf("drains/decommissions = %d/%d, want 2/2: a node that held the failed job's output stayed draining", n[TraceDrain], n[TraceDecommission])
+	}
+
+	// Map task 0 fails at once, four times over, while its siblings compute:
+	// they spill their output after the job has failed.
+	spill := opsThen(nil, computeOp(1), job.Op{Kind: job.OpWriteShuffle, Bytes: device.MiB})
+	run(&job.StageSpec{ID: 0, Name: "map", NumTasks: 16, Work: func(i int) job.Ops {
+		if i == 0 {
+			return &scriptedOps{end: failsFirst}
+		}
+		return spill(i)
+	}})
 }

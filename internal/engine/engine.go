@@ -197,10 +197,7 @@ func NewEngine(opts Options) (*Engine, error) { return newEngine(opts, nil) }
 func newEngine(opts Options, sp *runSpares) (*Engine, error) {
 	cfg := catalogueConfig
 	if opts.Config != nil {
-		var err error
-		if cfg, err = readConfig(opts.Config); err != nil {
-			return nil, err
-		}
+		cfg = readConfig(opts.Config)
 		// Virtual cores are SMT pairs over physical cores, as on the
 		// paper's nodes (32 virtual / 16 physical).
 		opts.Cluster.CPU.VirtualCores = cfg.cores

@@ -61,10 +61,7 @@ func TestActiveKeysMatchesReference(t *testing.T) {
 	const stages = 5
 	rng := rand.New(rand.NewSource(7))
 	for _, mode := range []string{"FIFO", "FAIR"} {
-		cfg, err := readConfig(Conf(nil, "scheduler.mode="+mode))
-		if err != nil {
-			t.Fatal(err)
-		}
+		cfg := readConfig(Conf(nil, "scheduler.mode="+mode))
 		for trial := 0; trial < 200; trial++ {
 			e := &Engine{cfg: cfg}
 			s := newTaskScheduler(e)

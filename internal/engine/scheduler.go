@@ -432,7 +432,9 @@ func (s *taskScheduler) handleTaskDone(m *driverMsg) {
 		// job runs charges the job, including failed and losing
 		// speculative attempts — they occupied the devices on the job's
 		// behalf.
-		js.rep.DiskReadBytes += m.metrics.DiskReadBytes
+		if e.bug != bugDropTaskBytes {
+			js.rep.DiskReadBytes += m.metrics.DiskReadBytes
+		}
 		js.rep.DiskWriteBytes += m.metrics.DiskWriteBytes
 		js.rep.NetBytes += m.metrics.NetBytes
 		js.rep.FetchRetries += m.metrics.FetchRetries

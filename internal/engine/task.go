@@ -466,13 +466,14 @@ func (tc *taskContext) launch() bool {
 }
 
 // finish ends the task — in err, if its generator ended it in one: it
-// registers the map output, completes the report and hands tc to the executor,
-// which recycles it.
+// registers the map output, unless the job has ended and dropped its
+// registrations, completes the report and hands tc to the executor, which
+// recycles it.
 func (tc *taskContext) finish(err error) {
 	if err == nil {
 		err = tc.failed
 	}
-	if tc.shuffleOut > 0 && err == nil && tc.ex.epoch == tc.epoch {
+	if tc.shuffleOut > 0 && err == nil && tc.ex.epoch == tc.epoch && !tc.eng.jobs[tc.job].done {
 		out := tc.eng.shuffle.addMapOutput(setKey{job: tc.job, stage: tc.stage.ID}, tc.stage.NumTasks, tc.index, tc.ex.node.ID, tc.shuffleOut)
 		if out == ShuffleRecovered {
 			tc.eng.jobs[tc.job].rep.RecoveredBytes += tc.shuffleOut

@@ -193,8 +193,8 @@ var ErrBadFlag = errors.New("bad flag value")
 
 // ExitCode is the status sae-run, sae-exp and sae-hunt exit with on err: 2
 // for an invocation that can never run — a flag value out of range (a chaos
-// clause value among them, chaos.ErrOutOfRange), a conf value of the wrong
-// kind (conf.ErrBadValue), a cluster without nodes — else 1.
+// clause value among them, chaos.ErrOutOfRange), a conf value the catalogue
+// refuses (conf.ErrBadValue), a cluster without nodes — else 1.
 func ExitCode(err error) int {
 	if errors.Is(err, ErrBadFlag) || errors.Is(err, engine.ErrNoNodes) || errors.Is(err, chaos.ErrOutOfRange) || errors.Is(err, conf.ErrBadValue) {
 		return 2

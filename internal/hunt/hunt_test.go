@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"slices"
@@ -287,4 +288,41 @@ func TestHuntSameAtEveryGOMAXPROCS(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestHuntCatchesDroppedTaskBytes: with the driver leaving accepted
+// attempts' disk reads out of their job's report, a hunt over the committed
+// specs finds a byte-conservation violation, shrinks it and replays it from
+// the emitted YAML bytes.
+func TestHuntCatchesDroppedTaskBytes(t *testing.T) {
+	paths, err := filepath.Glob("../../scenarios/*.yaml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var corpus []*scenario.Spec
+	for _, path := range paths {
+		sp, err := scenario.Load(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		corpus = append(corpus, sp)
+	}
+	restore := engine.EnableTestBug("drop-task-bytes")
+	defer restore()
+	res, err := Run(Options{Seed: 7, Runs: 20, Scale: 0.02, Corpus: corpus, Log: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range res.Findings {
+		if f.Rule == "byte-conservation" {
+			if !f.Replayed {
+				t.Fatal("shrunk reproducer did not replay from its YAML bytes")
+			}
+			if res.ShrinkRuns == 0 {
+				t.Fatal("the finding was not shrunk")
+			}
+			return
+		}
+	}
+	t.Fatalf("byte-conservation not found; findings: %v", res.Findings)
 }

@@ -239,11 +239,7 @@ func (c *Compiled) replay(s exp.Setup, cfg ProvisionSpec, capacity int, sched []
 		return AutoscaleRow{}, err
 	}
 	initial, _ := cfg.initialNodes(capacity) // Compile checked it
-	opts.Autoscale = &engine.AutoscaleConfig{
-		Policy:       planner,
-		InitialNodes: initial,
-		MaxNodes:     capacity,
-	}
+	opts.Autoscale = &engine.AutoscaleConfig{Policy: planner, InitialNodes: initial}
 	handles := make([]*engine.JobHandle, len(sched))
 	e, err := exp.RunEngine(opts, func(e *engine.Engine) (err error) {
 		for i, a := range sched {

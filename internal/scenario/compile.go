@@ -55,8 +55,7 @@ func confCopy(s exp.Setup) *conf.Registry {
 // conf and in the caller's, so the kind's choice is the only one.
 func withScheduler(s exp.Setup, mode string) exp.Setup {
 	s.Config = confCopy(s)
-	// Set refuses only an unknown key or a mistyped reference to another
-	// key; scheduler.mode is a catalogue key whose default names none.
+	// The callers pass FIFO or FAIR, the two values scheduler.mode accepts.
 	_ = s.Config.Set("scheduler.mode", mode)
 	return s
 }

@@ -11,7 +11,6 @@ import (
 
 	"sae/internal/arrival"
 	"sae/internal/chaos"
-	"sae/internal/engine"
 	"sae/internal/exp"
 	"sae/internal/workloads"
 )
@@ -303,11 +302,9 @@ func (d *dec) validate(sp *Spec) error {
 	return nil
 }
 
-// checkConf validates the conf block the way the engine will consume it, so
-// an unknown key or a malformed value fails here, at the spec, not mid-run.
-// Each override is applied on top of the ones before it, which makes the
-// first failing CheckConfig the current key's fault. The catalogue is cloned
-// only for specs that carry a conf block.
+// checkConf sets the conf block on a copy of the catalogue, so an unknown key
+// or a value a run cannot take fails here, at its line, not mid-run. The
+// catalogue is cloned only for specs that carry a conf block.
 func (d *dec) checkConf() error {
 	cn := d.at("conf")
 	if cn == nil {
@@ -318,9 +315,6 @@ func (d *dec) checkConf() error {
 		vn := cn.children[key]
 		if err := reg.Set(key, vn.val); err != nil {
 			return d.errf(vn, "%w", err)
-		}
-		if err := engine.CheckConfig(reg); err != nil {
-			return d.errf(vn, "conf %q: %w", key, err)
 		}
 	}
 	return nil

@@ -429,8 +429,8 @@ report: faults
 	}
 }
 
-// TestBadConfValue: a conf value the engine would reject mid-run fails at
-// Parse instead, pointing at the override's line.
+// TestBadConfValue: a conf value a run cannot take fails at Parse, pointing
+// at the override's line.
 func TestBadConfValue(t *testing.T) {
 	doc := `version: 1
 name: demo
@@ -442,7 +442,7 @@ workload: terasort
 policy: dynamic
 `
 	msg := parseErr(t, doc)
-	requireErr(t, msg, "6", `conf "task.maxFailures"`, `"banana" is not an integer`)
+	requireErr(t, msg, "6", `task.maxFailures = "banana"`, "want an integer")
 }
 
 // TestOutOfRangeConfValue: a conf value the engine's options would silently
@@ -455,7 +455,7 @@ func TestOutOfRangeConfValue(t *testing.T) {
 			t.Fatalf("%s: error %v, want a conf.ErrBadValue", kv, err)
 		}
 		key, _, _ := strings.Cut(kv, ":")
-		requireErr(t, err.Error(), "6", `conf "`+key+`"`)
+		requireErr(t, err.Error(), "6", key+" = ")
 	}
 }
 
