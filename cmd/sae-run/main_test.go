@@ -160,9 +160,12 @@ func TestRunDecisions(t *testing.T) {
 func TestOutOfRangeFlags(t *testing.T) {
 	slow := writeSpec(t, "chaos: slow1@5sx1e9")
 	flaky := writeSpec(t, "chaos: flaky:2")
-	late := filepath.Join(t.TempDir(), "late.yaml")
-	if err := os.WriteFile(late, []byte("version: 1\nname: late\nkind: chaos-matrix\nworkload: scan\npolicies: [default]\nschedules: [crash1@150%]\nreport: faults\n"), 0o644); err != nil {
-		t.Fatal(err)
+	matrix := func(schedule string) string {
+		path := filepath.Join(t.TempDir(), "matrix.yaml")
+		if err := os.WriteFile(path, []byte("version: 1\nname: matrix\nkind: chaos-matrix\nworkload: scan\npolicies: [default]\nschedules: ["+schedule+"]\nreport: faults\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
 	}
 	crash9 := writeSpec(t, "chaos: crash9@5s")
 	banana := writeSpec(t, "conf:\n  executor.threads: banana")
@@ -185,7 +188,14 @@ func TestOutOfRangeFlags(t *testing.T) {
 		{"-faults", "flaky:2", "-scale", "0.02"},
 		{"-faults", "flaky:0", "-scale", "0.02"},
 		{"-scenario", flaky},
-		{"-scenario", late},
+		{"-scenario", matrix("crash1@150%")},
+		// A negative instant, span or schedule percentage.
+		{"-faults", "crash1@-5s", "-scale", "0.02"},
+		{"-faults", "crash1@5s+-3s", "-scale", "0.02"},
+		{"-faults", "slow1@-5sx2", "-scale", "0.02"},
+		{"-faults", "partition1@5s+-1s", "-scale", "0.02"},
+		{"-scenario", writeSpec(t, "chaos: crash1@-5s")},
+		{"-scenario", matrix("crash1@-5%")},
 		// An executor the cluster does not have: the run would be fault-free.
 		{"-faults", "crash9@5s", "-scale", "0.02"},
 		{"-scenario", crash9},

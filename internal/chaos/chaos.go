@@ -491,20 +491,25 @@ func (t instant) resolve(ref time.Duration) time.Duration {
 	return t.dur
 }
 
+// parseInstant parses a duration or a percentage; a negative one, or a
+// percentage above 100, parses but is an ErrOutOfRange.
 func parseInstant(s, what string) (instant, error) {
 	if pct, ok := strings.CutSuffix(s, "%"); ok {
 		n, err := strconv.ParseInt(pct, 10, 64)
-		if err != nil || n < 0 {
+		if err != nil && !errors.Is(err, strconv.ErrRange) {
 			return instant{}, fmt.Errorf("bad %s: %q is not a percentage (want e.g. 45%%)", what, s)
 		}
-		if n > 100 {
+		if err != nil || n < 0 || n > 100 {
 			return instant{}, fmt.Errorf("bad %s: percentage %q is %w (times are fractions of the reference runtime; want 0%%-100%%)", what, s, ErrOutOfRange)
 		}
 		return instant{pct: n, isPct: true}, nil
 	}
 	d, err := time.ParseDuration(s)
-	if err != nil || d < 0 {
-		return instant{}, fmt.Errorf("bad %s: %q is not a non-negative duration or percentage", what, s)
+	if err != nil {
+		return instant{}, fmt.Errorf("bad %s: %q is not a duration or percentage", what, s)
+	}
+	if d < 0 {
+		return instant{}, fmt.Errorf("bad %s: duration %q is %w (want one of 0 or more)", what, s, ErrOutOfRange)
 	}
 	return instant{dur: d}, nil
 }

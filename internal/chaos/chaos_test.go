@@ -170,6 +170,19 @@ func TestScheduleRejects(t *testing.T) {
 	if _, err := ParseSchedule("slow1@5sxabc"); err == nil || errors.Is(err, ErrOutOfRange) {
 		t.Errorf("a malformed factor: %v, want an error other than ErrOutOfRange", err)
 	}
+	// A negative time or span parses and is out of range, as a percentage
+	// above 100 is; a time that does not parse is not a range error.
+	for _, spec := range []string{"crash1@-5s", "crash1@5s+-3s", "slow1@-5sx2", "partition1@5s+-1s", "mayhem@-100s",
+		"crash1@-5%", "crash1@150%", "crash1@5s+-1%", "crash1@99999999999999999999%"} {
+		if _, err := ParseSchedule(spec); !errors.Is(err, ErrOutOfRange) {
+			t.Errorf("ParseSchedule(%q) = %v, want an out-of-range error", spec, err)
+		}
+	}
+	for _, spec := range []string{"crash1@5", "crash1@4.5%", "crash1@-x%", "crash1@5s+-s"} {
+		if _, err := ParseSchedule(spec); err == nil || errors.Is(err, ErrOutOfRange) {
+			t.Errorf("ParseSchedule(%q) = %v, want an error other than ErrOutOfRange", spec, err)
+		}
+	}
 	// Parse is the absolute-time entry point: it has no reference runtime.
 	if _, err := Parse("crash@45%"); err == nil || !strings.Contains(err.Error(), "percentage") {
 		t.Errorf("Parse accepted a percentage time: %v", err)

@@ -17,6 +17,10 @@ const (
 	// reads out of its job's report, which byte-conservation compares
 	// with the sum of the attempts' own metrics.
 	bugDropTaskBytes = "drop-task-bytes"
+	// bugSilentSuspect makes the failure detector arm an executor's loss
+	// timer without recording or tracing the suspicion, so the later
+	// heartbeat-timeout loss has no standing suspicion behind it.
+	bugSilentSuspect = "silent-suspect"
 )
 
 // testBug names the currently enabled defect (unset or "" = none).
@@ -26,7 +30,7 @@ var testBug atomic.Value
 // panics on unknown names so a typo cannot silently test nothing.
 func EnableTestBug(name string) (restore func()) {
 	switch name {
-	case bugSkipSlotReclaim, bugDropTaskBytes:
+	case bugSkipSlotReclaim, bugDropTaskBytes, bugSilentSuspect:
 	default:
 		panic("engine: unknown test bug " + name)
 	}

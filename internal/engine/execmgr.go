@@ -142,9 +142,11 @@ func (m *execManager) onSuspect(i int) {
 	if m.eng.done.Load() || !m.alive[i] {
 		return
 	}
-	m.suspected[i] = true
-	m.eng.trace(TraceEvent{Type: TraceExecSuspect, Job: -1, Stage: -1, Task: -1, Exec: i,
-		Detail: fmt.Sprintf("no heartbeat for %s", m.eng.k.Now()-m.lastBeat[i])})
+	if m.eng.bug != bugSilentSuspect {
+		m.suspected[i] = true
+		m.eng.trace(TraceEvent{Type: TraceExecSuspect, Job: -1, Stage: -1, Task: -1, Exec: i,
+			Detail: fmt.Sprintf("no heartbeat for %s", m.eng.k.Now()-m.lastBeat[i])})
+	}
 	for _, js := range m.eng.jobs {
 		if js.started && !js.done {
 			js.rep.Suspected++

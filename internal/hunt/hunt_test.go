@@ -295,6 +295,21 @@ func TestHuntSameAtEveryGOMAXPROCS(t *testing.T) {
 // specs finds a byte-conservation violation, shrinks it and replays it from
 // the emitted YAML bytes.
 func TestHuntCatchesDroppedTaskBytes(t *testing.T) {
+	huntCatches(t, "drop-task-bytes", "byte-conservation")
+}
+
+// TestHuntCatchesSilentSuspect: with the failure detector arming the loss
+// timer but neither recording nor tracing the suspicion, a hunt over the
+// committed specs finds a heartbeat-legality violation, shrinks it and
+// replays it from the emitted YAML bytes.
+func TestHuntCatchesSilentSuspect(t *testing.T) {
+	huntCatches(t, "silent-suspect", "heartbeat-legality")
+}
+
+// huntCatches runs a seed-7, 20-run hunt over the committed specs at scale
+// 0.02 with defect bug planted, and wants a finding of rule, shrunk and
+// replayed from its YAML bytes.
+func huntCatches(t *testing.T, bug, rule string) {
 	paths, err := filepath.Glob("../../scenarios/*.yaml")
 	if err != nil {
 		t.Fatal(err)
@@ -307,22 +322,23 @@ func TestHuntCatchesDroppedTaskBytes(t *testing.T) {
 		}
 		corpus = append(corpus, sp)
 	}
-	restore := engine.EnableTestBug("drop-task-bytes")
+	restore := engine.EnableTestBug(bug)
 	defer restore()
 	res, err := Run(Options{Seed: 7, Runs: 20, Scale: 0.02, Corpus: corpus, Log: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, f := range res.Findings {
-		if f.Rule == "byte-conservation" {
+		if f.Rule == rule {
 			if !f.Replayed {
 				t.Fatal("shrunk reproducer did not replay from its YAML bytes")
 			}
 			if res.ShrinkRuns == 0 {
 				t.Fatal("the finding was not shrunk")
 			}
+			t.Logf("%s found, shrunk in %d runs and replayed", rule, res.ShrinkRuns)
 			return
 		}
 	}
-	t.Fatalf("byte-conservation not found; findings: %v", res.Findings)
+	t.Fatalf("%s not found; findings: %v", rule, res.Findings)
 }

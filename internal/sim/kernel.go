@@ -25,19 +25,20 @@
 // times them, and for this package's tests, which hold steppers to them.
 //
 // The event queue is the simulator's hottest data structure, so it avoids
-// the generic container/heap: events live in an inlined 4-ary indexed
-// min-heap ordered by (time, seq), fired events are recycled through a
-// free list instead of being reallocated, lazily-cancelled events are
-// compacted away once they outnumber the live ones, and the common
-// timer patterns — a deadline pushed back on every heartbeat, a periodic
-// tick — reschedule their event in place (Event.Reschedule, Kernel.Every)
-// rather than churning cancel + new allocation. The current instant skips
-// the heap: a wake is a {seq, proc} ring slot with no event struct, a ring
-// that never drains moves its unpopped slots to the front rather than grow,
-// and work batched per instant (a psres.Server's re-plan after k arrivals)
-// waits for the end-of-instant phase (Kernel.Settle), run once the ring is
-// empty or a heap event, even one at this instant, is next. Messages a
-// Mailbox is sent at one instant for one arrival instant ride one event.
+// the generic container/heap. It has two lanes, one kind of entry each. Every
+// event — a callback, a periodic tick, a delayed process resume — lives in an
+// inlined 4-ary indexed min-heap ordered by (time, seq); fired events are
+// recycled through a free list instead of being reallocated, a cancelled
+// event stays queued until it is popped, and the common timer patterns — a
+// deadline pushed back on every heartbeat, a periodic tick — reschedule their
+// event in place (Event.Reschedule, Kernel.Every) rather than churning cancel
+// + new allocation. A process wake at the current instant skips the heap: it
+// is a {seq, proc} ring slot with no event struct, and a ring that never
+// drains moves its unpopped slots to the front rather than grow. Work batched
+// per instant (a psres.Server's re-plan after k arrivals) waits for the
+// end-of-instant phase (Kernel.Settle), run once the ring is empty or a heap
+// event, even one at this instant, is next. Messages a Mailbox is sent at one
+// instant for one arrival instant ride one event.
 package sim
 
 import (
@@ -60,22 +61,19 @@ type Kernel struct {
 	now time.Duration
 	// seq numbers events in creation order: it breaks same-instant ties
 	// FIFO.
-	seq    uint64
+	seq uint64
+	// events holds every scheduled event, At(now) ones included; cancelled
+	// ones stay until heapTop pops them.
 	events eventQueue
-	// dead counts cancelled events still sitting in the queue; once they
-	// outnumber the live ones the queue is compacted in one pass.
-	dead int
-	// ring is the fast lane for the current instant — process wake-ups from
-	// Wake/Mailbox.Put/Go, the kernel's most common event by far, as bare
-	// {seq, proc} slots, and At(now) events. A slot appended at the
-	// then-current time necessarily sorts after everything already in the
-	// ring (time never decreases, seq always increases), so the slice is
-	// kept sorted by construction and popping its head is O(1) instead of
-	// a heap sift. ringDead counts the abandoned and cancelled slots in it.
-	ring     FIFO[ringSlot]
-	ringDead int
-	settles  []Settler // the end-of-instant phase, in registration order
-	free     *event    // free list of recycled event structs
+	// ring is the fast lane for process wakes at the current instant — from
+	// Wake/Mailbox.Put/Go, the kernel's most common entry by far — as bare
+	// {seq, proc} slots. A slot appended at the then-current time
+	// necessarily sorts after everything already in the ring (time never
+	// decreases, seq always increases), so the slice is kept sorted by
+	// construction and popping its head is O(1) instead of a heap sift.
+	ring    FIFO[ringSlot]
+	settles []Settler // the end-of-instant phase, in registration order
+	free    *event    // free list of recycled event structs
 	// coros holds the coroutine of every Go process between its first resume
 	// and its return, in that order: what shutdown has to stop.
 	coros []*coroutine
@@ -164,8 +162,9 @@ func (k *Kernel) overran(events bool) {
 func (k *Kernel) Now() time.Duration { return k.now }
 
 // event is the kernel-internal representation of a scheduled callback. The
-// struct is recycled through the kernel free list once fired or compacted
-// away; gen is bumped on every recycle so stale Event handles become inert.
+// struct is recycled through the kernel free list once fired or popped
+// cancelled; gen is bumped on every recycle so stale Event handles become
+// inert.
 type event struct {
 	at  time.Duration
 	seq uint64
@@ -176,21 +175,18 @@ type event struct {
 	// every > 0 marks a periodic event (Kernel.Every): after firing it is
 	// rescheduled in place instead of being recycled.
 	every time.Duration
-	// index locates the event in a queue: >= 0 is a heap index, -1 means
-	// not queued (firing, fired, or recycled), -2 the ring.
+	// index is the event's heap index, or -1 when it is not queued (firing,
+	// fired, or recycled).
 	index     int32
 	gen       uint32
 	cancelled bool
 	next      *event // free-list link
 }
 
-// ringSlot is one entry of the same-instant ring: a process resume (proc), or
-// a cancellable event (e), abandoned once the event was rescheduled out and
-// so no longer carries the slot's seq.
+// ringSlot is one entry of the same-instant ring: a process resume.
 type ringSlot struct {
 	seq  uint64
 	proc *Proc
-	e    *event
 }
 
 // Event is a cancellable handle to a scheduled callback. The zero value is
@@ -207,24 +203,16 @@ type Event struct {
 // fired (periodic events stay active across firings), been cancelled, or
 // been discarded by shutdown.
 func (ev Event) Active() bool {
-	return ev.e != nil && ev.e.gen == ev.gen && !ev.e.cancelled && (ev.e.index != -1 || ev.e.every > 0)
+	return ev.e != nil && ev.e.gen == ev.gen && !ev.e.cancelled && (ev.e.index >= 0 || ev.e.every > 0)
 }
 
 // Cancel prevents the event from firing (again, for periodic events).
 // Cancelling an already-fired, already-cancelled or zero-value handle is a
-// no-op. Cancellation is lazy — the event stays queued until it is popped
-// or compacted away — so it is O(1).
+// no-op. Cancellation is lazy — the event stays queued until it is popped —
+// so it is O(1).
 func (ev Event) Cancel() {
-	e := ev.e
-	if e == nil || e.gen != ev.gen || e.cancelled {
-		return
-	}
-	e.cancelled = true
-	if e.index >= 0 {
-		ev.k.dead++
-		ev.k.maybeCompact()
-	} else if e.index == -2 {
-		ev.k.ringDead++
+	if e := ev.e; e != nil && e.gen == ev.gen {
+		e.cancelled = true
 	}
 }
 
@@ -248,14 +236,6 @@ func (ev Event) Reschedule(at time.Duration) {
 	e.seq = k.seq
 	k.seq++
 	e.at = at
-	if e.index == -2 {
-		// Leaving the ring: the slot, whose seq the event no longer
-		// carries, is abandoned (popping skips it); requeue wherever the
-		// new time belongs.
-		k.ringDead++
-		k.enqueue(e)
-		return
-	}
 	k.events.fix(int(e.index))
 }
 
@@ -287,22 +267,11 @@ func (k *Kernel) newEvent(at time.Duration, fn func(), proc *Proc, every time.Du
 	e.proc = proc
 	e.every = every
 	e.cancelled = false
-	k.enqueue(e)
+	k.events.push(e)
 	return e
 }
 
-// enqueue routes an event to the ring (scheduled at the current instant,
-// where its fresh seq keeps the ring sorted by construction) or the heap.
-func (k *Kernel) enqueue(e *event) {
-	if e.at == k.now {
-		e.index = -2
-		k.ring.Push(ringSlot{seq: e.seq, e: e})
-		return
-	}
-	k.events.push(e)
-}
-
-// recycle returns a fired or compacted event to the free list, bumping its
+// recycle returns a fired or cancelled event to the free list, bumping its
 // generation so outstanding handles go inert.
 func (k *Kernel) recycle(e *event) {
 	e.gen++
@@ -313,30 +282,6 @@ func (k *Kernel) recycle(e *event) {
 	e.index = -1
 	e.next = k.free
 	k.free = e
-}
-
-// maybeCompact sweeps cancelled events out of the queue once they outnumber
-// the live ones. Heartbeat-deadline and speculation-style timers cancel far
-// more events than they fire; without compaction those corpses would sit in
-// the heap for the rest of the run, taxing every push and pop.
-func (k *Kernel) maybeCompact() {
-	if n := len(k.events); k.dead*2 <= n || n < 64 {
-		return
-	}
-	live := k.events[:0]
-	for _, e := range k.events {
-		if e.cancelled {
-			k.recycle(e)
-			continue
-		}
-		live = append(live, e)
-	}
-	for i := len(live); i < len(k.events); i++ {
-		k.events[i] = nil
-	}
-	k.events = live
-	k.events.heapify()
-	k.dead = 0
 }
 
 // At schedules fn to run at absolute virtual time at. Scheduling in the past
@@ -374,7 +319,7 @@ func (k *Kernel) afterProc(d time.Duration, p *Proc) {
 		k.newEvent(k.now+d, nil, p, 0)
 		return
 	}
-	k.ring.Push(ringSlot{seq: k.seq, proc: p})
+	k.ring.Push(ringSlot{k.seq, p})
 	k.seq++
 }
 
@@ -418,23 +363,18 @@ func (k *Kernel) Run() {
 // runs until it parks or exits and control is back here.
 func (k *Kernel) loop() {
 	for !k.stopped {
+		h := k.heapTop()
 		if k.fired >= k.maxFired {
-			if h := k.heapTop(); k.ringTop() != nil || len(k.settles) > 0 || h != nil && h.at < k.limit {
+			if k.ring.Len() > 0 || len(k.settles) > 0 || h != nil && h.at < k.limit {
 				k.overran(true)
 			}
 			return
 		}
-		var e *event
-		switch r, h := k.ringTop(), k.heapTop(); {
-		case r != nil && (h == nil || h.at > k.now || h.seq > r.seq):
-			s := k.ring.Pop()
+		switch {
+		case k.ring.Len() > 0 && (h == nil || h.at > k.now || h.seq > k.ring.items[k.ring.head].seq):
 			k.fired++
-			if s.proc != nil {
-				s.proc.resume()
-				continue
-			}
-			e = s.e
-			e.index = -1
+			k.ring.Pop().proc.resume()
+			continue
 		case len(k.settles) > 0:
 			k.runSettles()
 			continue
@@ -443,15 +383,13 @@ func (k *Kernel) loop() {
 				k.overran(false)
 			}
 			return
-		default:
-			k.events.pop()
-			if h.at < k.now {
-				panic("sim: event queue went backwards")
-			}
-			k.now = h.at
-			k.fired++
-			e = h
 		}
+		e := k.events.pop()
+		if e.at < k.now {
+			panic("sim: event queue went backwards")
+		}
+		k.now = e.at
+		k.fired++
 		switch {
 		case e.proc != nil:
 			p := e.proc
@@ -484,7 +422,7 @@ func (k *Kernel) loop() {
 // derives the next lookahead window from it.
 func (k *Kernel) peekNextEventTime() (time.Duration, bool) {
 	k.runSettles()
-	if k.ringTop() != nil {
+	if k.ring.Len() > 0 {
 		return k.now, true
 	}
 	if h := k.heapTop(); h != nil {
@@ -511,24 +449,6 @@ func (k *Kernel) runUntil(limit time.Duration) {
 	k.running = false
 }
 
-// ringTop returns the ring's next live slot, or nil, popping dead slots (a
-// cancelled event is recycled; an abandoned one lives on elsewhere).
-func (k *Kernel) ringTop() *ringSlot {
-	for k.ring.Len() > 0 {
-		r := &k.ring.items[k.ring.head]
-		if r.proc != nil || r.e.seq == r.seq && !r.e.cancelled {
-			return r
-		}
-		k.ringDead--
-		if r.e.seq == r.seq {
-			r.e.index = -1
-			k.recycle(r.e)
-		}
-		k.ring.Pop()
-	}
-	return nil
-}
-
 // heapTop returns the heap's next live event without removing it, or nil when
 // none is queued; cancelled corpses at the top are popped and recycled.
 func (k *Kernel) heapTop() *event {
@@ -536,7 +456,6 @@ func (k *Kernel) heapTop() *event {
 		if e := k.events[0]; !e.cancelled {
 			return e
 		}
-		k.dead--
 		k.recycle(k.events.pop())
 	}
 	return nil
@@ -549,7 +468,13 @@ func (k *Kernel) Stop() { k.stopped = true }
 // PendingEvents returns the number of live (non-cancelled) events queued —
 // introspection for tests and diagnostics.
 func (k *Kernel) PendingEvents() int {
-	return len(k.events) - k.dead + k.ring.Len() - k.ringDead
+	n := k.ring.Len()
+	for _, e := range k.events {
+		if !e.cancelled {
+			n++
+		}
+	}
+	return n
 }
 
 // FiredEvents returns the number of events that have run so far (process
@@ -573,7 +498,6 @@ func (k *Kernel) shutdown() {
 	clear(k.ring.items[:cap(k.ring.items)])
 	clear(k.settles[:cap(k.settles)])
 	k.events, k.ring, k.settles = k.events[:0], FIFO[ringSlot]{items: k.ring.items[:0]}, k.settles[:0]
-	k.dead, k.ringDead = 0, 0
 }
 
 // Storage is the event storage of a kernel that has finished — its free
@@ -786,17 +710,6 @@ func (q *eventQueue) pop() *event {
 func (q eventQueue) fix(i int) {
 	if !q.down(i) {
 		q.up(i)
-	}
-}
-
-// heapify rebuilds the heap property over the whole slice in O(n) — used
-// after compaction.
-func (q eventQueue) heapify() {
-	for i := range q {
-		q[i].index = int32(i)
-	}
-	for i := (len(q) - 2) / 4; i >= 0; i-- {
-		q.down(i)
 	}
 }
 

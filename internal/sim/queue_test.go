@@ -31,7 +31,7 @@ func TestHeapPopsInOrderProperty(t *testing.T) {
 			orders = append(orders, ord)
 			want = append(want, ref{at: at, ord: ord})
 		}
-		// Cancel a random subset up front (lazy-cancel + compaction path).
+		// Cancel a random subset up front (the lazy-cancel path).
 		alive := make(map[int]bool, n)
 		for i := range want {
 			alive[want[i].ord] = true
@@ -247,9 +247,10 @@ func TestHandleInertAfterRecycle(t *testing.T) {
 	}
 }
 
-// TestCompaction checks that cancelling most of a large queue compacts it:
-// live events still fire in order and PendingEvents tracks the live count.
-func TestCompaction(t *testing.T) {
+// TestMassCancel checks that cancelling most of a large queue leaves the
+// rest intact: live events still fire in order and PendingEvents tracks the
+// live count.
+func TestMassCancel(t *testing.T) {
 	k := NewKernel()
 	var events []Event
 	var got []int

@@ -38,7 +38,8 @@ func (w *logStepper) Step() { *w.log = append(*w.log, fmt.Sprintf("%v %s", w.p.N
 // ring entry of its instant and before any heap event — one at the same
 // instant included — in registration order, once per registration; a settle
 // may schedule work at the current instant, which fires before the clock
-// moves on.
+// moves on. Only process wakes ride the ring: an At(now) event is a heap
+// event, so r1 waits for the settles its own instant registered.
 func TestSettleAfterRingBeforeHeap(t *testing.T) {
 	k := NewKernel()
 	var log []string
@@ -70,7 +71,7 @@ func TestSettleAfterRingBeforeHeap(t *testing.T) {
 	want := []string{
 		"0s p",
 		"1s h1", "1s settle a", "1s h2", "1s p",
-		"2s h3", "2s p", "2s r1", "2s settle b", "2s settle a", "2s p", "2s r2",
+		"2s h3", "2s p", "2s settle b", "2s settle a", "2s r1", "2s p", "2s r2",
 		"3s h4",
 	}
 	if !slices.Equal(log, want) {
@@ -231,8 +232,8 @@ func TestRingOrderMatchesReference(t *testing.T) {
 // selfWaker wakes itself n times at one instant. Every third resume it also
 // schedules two At(now) events and 0 to 6 fillers, a random count, before the
 // wake, moves the first event behind the wake with Reschedule and cancels the
-// second, so ring compactions land between scheduling an event and touching
-// it through its handle.
+// second, so same-instant heap events interleave with a ring that never
+// drains.
 type selfWaker struct {
 	p     Proc
 	k     *Kernel
@@ -296,7 +297,7 @@ func TestLongSameInstantChainKeepsRingBounded(t *testing.T) {
 		t.Fatalf("%d and %d of %d resumes ran, %d cancelled events fired and %d fillers did not", s.n, other.n, n, s.extra, s.fillers)
 	}
 	if c := cap(k.ring.items); c > 64 {
-		t.Fatalf("ring grew to %d slots for chains of at most 11 live ones", c)
+		t.Fatalf("ring grew to %d slots for two chains of one live wake each", c)
 	}
 	// The event moved at resume i fires after the wake it was moved behind,
 	// so before resume i+2.
